@@ -13,11 +13,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
-
-echo "== cargo test --doc =="
-cargo test -q --workspace --doc
+echo "== cargo test -q --workspace (root integration suites + every crate's unit and doc tests) =="
+cargo test -q --workspace
 
 echo "== cargo clippy (unwrap/expect escalation in request-path crates) =="
 # rapid-sched and rapid-server deny clippy::unwrap_used/expect_used in
@@ -35,28 +32,35 @@ echo "== concurrent fuzz soak (1000 queries, work stealing, schedcheck on) =="
 RAPID_SCHEDCHECK=1 FUZZ_QUERIES=1000 cargo test -q --release --test concurrent_fuzz
 
 echo "== static plan verification (TPC-H sf 0.01 + fuzz corpus) + mutation harness =="
-cargo run -q --release -p rapid-bench --bin verify_report -- --sf 0.01
+cargo run -q --release -p rapid-report -- verify --sf 0.01
 cargo test -q --release -p rapid-verify
 
 echo "== schedule interference verification (both modes) + mutation kill matrix =="
 # Real scheduled TPC-H batches must pass the C-* analyzer (no false
 # positives), and every injected interference bug class must be rejected
 # with its own rule id — replayed here in release, outside cfg(test).
-cargo run -q --release -p rapid-bench --bin schedcheck_report -- --sf 0.01 --mutations
+cargo run -q --release -p rapid-report -- schedcheck --sf 0.01 --mutations
 
-echo "== trace_report smoke (sf 0.01) =="
-cargo run -q --release -p rapid-bench --bin trace_report -- --sf 0.01 --query Q6 > /dev/null
+echo "== trace smoke (sf 0.01) =="
+cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q6 > /dev/null
 
-echo "== benchmark regression gate (deterministic series vs BENCH_baseline.json) =="
+echo "== regression gate (exact simulated series vs BENCH_baseline.json) =="
 # The gate's own tests (injected regressions fail naming the metric,
-# bit-identical deterministic series) plus the fuzz repro-report tests.
-cargo test -q --release -p rapid-bench -p rapid-fuzz
-# Re-collects only gated metrics (simulated cycles, energy, DMS
-# bytes/descriptors — no wall time); fails on >10% growth. To accept an
-# intentional change: re-run with --bless and commit the new baseline.
-cargo run -q --release -p rapid-bench --bin bench_report -- --sf 0.01 --gate BENCH_baseline.json
+# bit-identical series, the rapid-report command line) plus the fuzz
+# repro-report tests.
+cargo test -q --release -p rapid-report -p rapid-fuzz
+# Re-collects the exact series (simulated cycles, energy, DMS
+# bytes/descriptors, join-order counters — no wall time); fails on >10%
+# growth. To accept an intentional change: re-run with --bless and commit
+# the new baseline.
+cargo run -q --release -p rapid-report -- gate BENCH_baseline.json
 
-echo "== wire server smoke (ephemeral port, client query, loadgen, clean drain) =="
+echo "== rapid_bench suite (five workloads at --quick size, results checked) =="
+# The repository benchmark is a package of its own outside the workspace;
+# this is the only step that compiles it against the crates' public items.
+cargo test -q --release --offline --manifest-path rapid_bench/Cargo.toml
+
+echo "== wire server smoke (ephemeral port, client query, clean drain) =="
 # Idempotent cleanup, installed BEFORE the server spawn so no failure
 # window leaks the background process or the tempfile. Safe to call
 # twice: each resource is released exactly once.
@@ -88,7 +92,6 @@ echo "   server on $ADDR"
 OUT=$(cargo run -q --release -p rapid-server --bin sql -- --addr "$ADDR" \
     "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag")
 echo "$OUT" | grep -q "^l_returnflag" || { echo "smoke query failed: $OUT"; exit 1; }
-cargo run -q --release -p rapid-bench --bin loadgen -- --sf 0.005 --conns 8 --queries 4 > /dev/null
 cargo run -q --release -p rapid-server --bin sql -- --addr "$ADDR" --shutdown > /dev/null
 wait "$SRV_PID"   # non-zero exit (incl. the leaked-thread assert) fails CI here
 SRV_PID=""        # drained; cleanup must not kill a reused pid

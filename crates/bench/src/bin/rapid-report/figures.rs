@@ -1,13 +1,14 @@
-//! Regenerate every table and figure of the paper's evaluation.
-//!
-//! ```text
-//! cargo run --release -p rapid-bench --bin figures -- [all|fig8|fig9|filter|
-//!     fig10|fig11|fig12|fig13|fig14|fig15|fig16|attribution|ablations]
-//!     [--sf <scale-factor>]
-//! ```
+//! `figures`: regenerate every table and figure of the paper's evaluation.
 
-use rapid_bench as bench;
+use std::process::ExitCode;
+
 use rapid_qef::exec::ExecContext;
+use rapid_report as bench;
+
+use crate::args::{Args, UsageError};
+
+const SECTIONS: &str =
+    "all fig8 fig9 filter fig10 fig11 fig12 fig13 fig14 fig15 fig16 attribution ablations";
 
 fn print_section(title: &str, points: &[bench::Point]) {
     println!("\n=== {title} ===");
@@ -26,19 +27,17 @@ fn print_section(title: &str, points: &[bench::Point]) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
-    let mut sf = 0.02f64;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--sf" {
-            sf = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(sf);
-            i += 2;
-        } else {
-            which.push(args[i].to_lowercase());
-            i += 1;
-        }
+pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
+    let sf: f64 = args.value("--sf", 0.02)?;
+    let mut which: Vec<String> = args
+        .positionals()?
+        .iter()
+        .map(|w| w.to_lowercase())
+        .collect();
+    if let Some(bad) = which.iter().find(|w| !SECTIONS.split(' ').any(|s| s == *w)) {
+        return Err(UsageError(format!(
+            "unknown figure '{bad}' (one of: {SECTIONS})"
+        )));
     }
     if which.is_empty() {
         which.push("all".into());
@@ -147,6 +146,7 @@ fn main() {
             &bench::ablation_hash_vs_sortmerge(1 << 17),
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn num_threads() -> usize {

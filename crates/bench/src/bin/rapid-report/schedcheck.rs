@@ -1,4 +1,5 @@
-//! Schedule-interference verification sweep over real scheduler runs.
+//! `schedcheck`: schedule-interference verification sweep over real
+//! scheduler runs.
 //!
 //! Runs a batch of TPC-H queries through the `rapid-sched` scheduler in
 //! both dispatch modes (deterministic baton order and work stealing),
@@ -6,7 +7,7 @@
 //! `rapid-verify`'s C-* interference analyzer, printing the per-rule
 //! verdict table. This is the CI gate proving the analyzer has no false
 //! positives on schedules the real scheduler produces — the concurrency
-//! counterpart of `verify_report`.
+//! counterpart of `verify`.
 //!
 //! `--mutations` additionally replays the interference-mutation harness
 //! in this (release) binary: every injected bug class must be rejected
@@ -14,54 +15,28 @@
 //! holds outside `cfg(test)` and outside debug assertions.
 //!
 //! Exits non-zero on any finding in a real run, or any surviving mutant.
-//!
-//! ```text
-//! cargo run --release -p rapid-bench --bin schedcheck_report -- \
-//!     [--sf <scale-factor>] [--queries <n>] [--active <slots>] [--mutations]
-//! ```
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use hostdb::BatchQuery;
-use rapid_bench as bench;
 use rapid_qef::exec::ExecContext;
 use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
 use rapid_verify::schedcheck::{self, InterferenceMutation};
 
-fn main() {
-    let mut sf = 0.01;
-    let mut queries = 12usize;
-    let mut active = 4usize;
-    let mut mutations = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sf" => {
-                i += 1;
-                sf = args[i].parse().expect("--sf takes a float");
-            }
-            "--queries" => {
-                i += 1;
-                queries = args[i].parse().expect("--queries takes a count");
-            }
-            "--active" => {
-                i += 1;
-                active = args[i].parse().expect("--active takes a count");
-            }
-            "--mutations" => mutations = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+use crate::args::{Args, UsageError};
+
+pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
+    let sf: f64 = args.value("--sf", 0.01)?;
+    let queries: usize = args.value("--queries", 12)?;
+    let active: usize = args.value("--active", 4)?;
+    let mutations = args.switch("--mutations");
+    args.no_positionals()?;
 
     let mut failures = 0usize;
 
     println!("== scheduled TPC-H batches (sf {sf}, {queries} queries, {active} slots) ==");
-    let (db, _catalog) = bench::setup_tpch(sf, ExecContext::dpu().with_cores(8));
+    let (db, _catalog) = rapid_report::setup_tpch(sf, ExecContext::dpu().with_cores(8));
     let all = tpch::queries::all();
     let batch: Vec<BatchQuery> = (0..queries)
         .map(|i| BatchQuery::from_plan(all[i % all.len()].1.clone()))
@@ -127,7 +102,8 @@ fn main() {
 
     if failures > 0 {
         eprintln!("schedcheck_report: {failures} FAILURE(S)");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     println!("\nschedcheck_report: all schedules PASS");
+    Ok(ExitCode::SUCCESS)
 }

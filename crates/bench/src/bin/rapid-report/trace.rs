@@ -1,4 +1,4 @@
-//! Per-stage trace dump for one TPC-H query.
+//! `trace`: per-stage trace dump for one TPC-H query.
 //!
 //! Runs a single query through `HostDb::explain_analyze_plan` on the
 //! simulated DPU and emits the full trace as JSON on stdout (the rendered
@@ -10,15 +10,13 @@
 //! bit-identical `deterministic` section; only `wall` varies. Summing the
 //! events' `sim_secs` in `stage_id` order reproduces the engine's
 //! `QueryReport` total bit-for-bit.
-//!
-//! ```text
-//! cargo run --release -p rapid-bench --bin trace_report -- \
-//!     [--sf <scale-factor>] [--query <Q1|Q3|...|Q19>]
-//! ```
 
-use rapid_bench as bench;
+use std::process::ExitCode;
+
 use rapid_qef::exec::ExecContext;
 use rapid_qef::trace::StageEvent;
+
+use crate::args::{Args, UsageError};
 
 /// Values derived only from the simulated DPU: stable across runs and
 /// machines, safe for the regression gate to consume.
@@ -53,37 +51,23 @@ struct Report {
     wall: Wall,
 }
 
-fn main() {
-    let mut sf = 0.01;
-    let mut qname = "Q1".to_string();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sf" => {
-                i += 1;
-                sf = args[i].parse().expect("--sf takes a float");
-            }
-            "--query" => {
-                i += 1;
-                qname = args[i].to_ascii_uppercase();
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
+    let sf: f64 = args.value("--sf", 0.01)?;
+    let qname = args
+        .value("--query", "Q1".to_string())?
+        .to_ascii_uppercase();
+    args.no_positionals()?;
 
     let plans = tpch::queries::all();
     let Some((name, plan)) = plans.iter().find(|(n, _)| *n == qname) else {
         let names: Vec<&str> = plans.iter().map(|(n, _)| *n).collect();
-        eprintln!("unknown query {qname}; available: {}", names.join(", "));
-        std::process::exit(2);
+        return Err(UsageError(format!(
+            "--query: unknown query {qname}; available: {}",
+            names.join(", ")
+        )));
     };
 
-    let (db, _catalog) = bench::setup_tpch(sf, ExecContext::dpu().with_cores(32));
+    let (db, _catalog) = rapid_report::setup_tpch(sf, ExecContext::dpu().with_cores(32));
     let analysis = db.explain_analyze_plan(plan).expect("explain analyze");
     eprint!("{}", analysis.text);
 
@@ -111,4 +95,5 @@ fn main() {
         wall,
     };
     println!("{}", serde_json::to_string(&report).expect("serialize"));
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,4 +1,5 @@
-//! Static verification sweep over every plan shape the repo can produce.
+//! `verify`: static verification sweep over every plan shape the repo can
+//! produce.
 //!
 //! Compiles all eleven TPC-H queries at the given scale factor plus every
 //! fuzz-corpus repro through `compile_unverified` — under both the
@@ -9,40 +10,21 @@
 //! working-set table as well). Exits non-zero if any plan fails
 //! verification — this is the CI gate proving the verifier has no false
 //! positives on compiler-produced plans.
-//!
-//! ```text
-//! cargo run --release -p rapid-bench --bin verify_report -- \
-//!     [--sf <scale-factor>] [--full]
-//! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::process::ExitCode;
 
 use hostdb::HostDb;
-use rapid_bench as bench;
 use rapid_qcomp::CostParams;
 use rapid_qef::exec::ExecContext;
 use rapid_qef::plan::Catalog;
 
-fn main() {
-    let mut sf = 0.01;
-    let mut full = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sf" => {
-                i += 1;
-                sf = args[i].parse().expect("--sf takes a float");
-            }
-            "--full" => full = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+use crate::args::{Args, UsageError};
+
+pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
+    let sf: f64 = args.value("--sf", 0.01)?;
+    let full = args.switch("--full");
+    args.no_positionals()?;
 
     // Both optimizer modes: the cost-based join order and the declared
     // one. Every query is swept under each so a reordered plan shape can
@@ -57,7 +39,7 @@ fn main() {
     let mut failures = 0usize;
 
     println!("== TPC-H sf {sf} ==");
-    let (_db, catalog) = bench::setup_tpch(sf, ExecContext::dpu());
+    let (_db, catalog) = rapid_report::setup_tpch(sf, ExecContext::dpu());
     for (name, lp) in tpch::queries::all() {
         failures += verify_one(name, &lp, &catalog, &variants, &cfg, full);
     }
@@ -106,18 +88,16 @@ fn main() {
         if !loaded {
             continue;
         }
-        let mut catalog = Catalog::new();
-        for t in db.rapid().read().catalog().values() {
-            catalog.insert(t.name.clone(), Arc::clone(t));
-        }
+        let catalog = db.rapid().read().catalog().clone();
         failures += verify_one(label, &lp, &catalog, &variants, &cfg, full);
     }
 
     if failures > 0 {
         eprintln!("verify_report: {failures} plan(s) FAILED verification");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     println!("verify_report: all plans PASS");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Compile + verify one logical plan under every optimizer variant;

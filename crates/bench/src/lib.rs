@@ -1,9 +1,12 @@
-//! # rapid-bench — the figure-regeneration harness
+//! # rapid-report — paper figures, verification reports, the CI gate
 //!
 //! One function per table/figure of the paper's evaluation (§7). Each
-//! returns a structured series so the `figures` binary can print it and
-//! the Criterion benches can pin it; `EXPERIMENTS.md` records paper-vs-
-//! measured for every entry.
+//! returns a structured series that `rapid-report figures` prints and the
+//! unit tests below pin to the paper's operating points; `EXPERIMENTS.md`
+//! records paper-vs-measured for every entry. [`report`] holds the exact
+//! (simulated, bit-reproducible) per-query series that `rapid-report gate`
+//! checks against `BENCH_baseline.json`. Wall-clock measurement is not
+//! done here: that is the repository benchmark in `rapid_bench/`.
 //!
 //! | function | reproduces |
 //! |---|---|
@@ -23,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod report;
-pub mod wire;
 
 use std::sync::Arc;
 
@@ -43,7 +45,6 @@ use rapid_qef::plan::Catalog;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use hostdb::{ExecutionSite, HostDb};
-use rapid_storage::types::Value;
 
 /// One measured point of a figure: label + value (+ unit).
 #[derive(Debug, Clone)]
@@ -665,34 +666,11 @@ pub fn ablation_hash_vs_sortmerge(rows: usize) -> Vec<Point> {
 /// Build the TPC-H catalog + a host database populated with the same rows.
 pub fn setup_tpch(sf: f64, rapid_ctx: ExecContext) -> (HostDb, Catalog) {
     let data = tpch::generate(&tpch::TpchConfig::sf(sf));
-    let mut catalog = Catalog::new();
     let db = HostDb::new(rapid_ctx);
     for t in data.tables() {
-        // Host row store gets the same logical rows.
-        db.create_table(&t.name, t.schema.clone());
-        let ncols = t.schema.len();
-        let cols: Vec<Vec<i64>> = (0..ncols).map(|c| t.column_i64(c)).collect();
-        let nulls: Vec<rapid_storage::bitvec::BitVec> =
-            (0..ncols).map(|c| t.column_nulls(c)).collect();
-        let rows: Vec<Vec<Value>> = (0..t.rows())
-            .map(|r| {
-                (0..ncols)
-                    .map(|c| {
-                        if nulls[c].get(r) {
-                            Value::Null
-                        } else {
-                            t.decode_value(c, cols[c][r])
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        db.bulk_insert(&t.name, rows);
-        db.load_into_rapid(&t.name).expect("load");
+        db.import_table(t).expect("load");
     }
-    for t in db.rapid().read().catalog().values() {
-        catalog.insert(t.name.clone(), Arc::clone(t));
-    }
+    let catalog = db.rapid().read().catalog().clone();
     (db, catalog)
 }
 

@@ -1,5 +1,5 @@
-//! Benchmark-trajectory reports: `BENCH_<name>.json` emission and the
-//! CI regression gate.
+//! The exact-series report: `BENCH_baseline.json` emission and the CI
+//! regression gate.
 //!
 //! The on-disk format is exactly one github-action-benchmark
 //! `BENCHMARK_DATA` entry (the format optd and risinglight publish for
@@ -7,50 +7,19 @@
 //! (ms epoch), `tool: "cargo"`, and a flat `benches` array of
 //! `{name, value, range, unit}`.
 //!
-//! Two kinds of metric live side by side, distinguished **by unit**:
-//!
-//! * **Gated (deterministic)** — units `cycles`, `joules`, `bytes`,
-//!   `descriptors`. These come from the simulated DPU (cycle accounts,
-//!   energy at provisioned power, DMS byte/descriptor counters) and are
-//!   bit-identical across runs on any machine. The CI gate re-collects
-//!   them and fails on >10 % growth against the committed baseline.
-//! * **Informational (wall)** — units `ns/iter` and `qps`. Host
-//!   wall-clock planning/execution time, wire throughput, fuzz
-//!   throughput. Tracked for the trajectory plot, never gated.
+//! Every series here is **exact**: it comes from the simulated DPU (cycle
+//! accounts, energy at provisioned power, DMS byte/descriptor counters)
+//! or from the join-order search's deterministic counters, so two runs on
+//! any machine agree bit-for-bit. The CI gate re-collects them and fails
+//! on >10 % growth against the committed baseline. Host wall-clock
+//! numbers are measured by the repository benchmark (`rapid_bench/`), not
+//! here.
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
 
 use rapid_qcomp::cost::CostParams;
-use rapid_qef::engine::Engine;
 use rapid_qef::exec::ExecContext;
-
-use crate::wire::{run_wire, WireRunConfig};
-
-/// Seed for the fuzz-throughput measurement — same value the
-/// differential-fuzz CI smoke pins (`tests/differential_fuzz.rs`).
-pub const FUZZ_BENCH_SEED: u64 = 0x5EED_2A91D;
-
-/// Units whose metrics the regression gate checks. Everything else is
-/// informational wall-clock data. `entries` and `plans` are the
-/// join-order search's memo size and enumeration count (optd-style
-/// planning-cost metrics): deterministic by construction, so a memo blowup
-/// fails the gate like a cycle regression would.
-pub const GATED_UNITS: &[&str] = &[
-    "cycles",
-    "joules",
-    "bytes",
-    "descriptors",
-    "entries",
-    "plans",
-];
-
-/// True if a metric with this unit feeds the regression gate.
-pub fn is_gated_unit(unit: &str) -> bool {
-    GATED_UNITS.contains(&unit)
-}
 
 /// One measured series point: `{name, value, range, unit}`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -59,9 +28,11 @@ pub struct Bench {
     pub name: String,
     /// Measured value.
     pub value: f64,
-    /// Spread rendered github-action-benchmark style: `"± 1234"`.
+    /// Spread rendered github-action-benchmark style; always `"± 0"`,
+    /// since every series is exact.
     pub range: String,
-    /// Unit string; decides gated vs informational (see [`GATED_UNITS`]).
+    /// Unit string: `cycles`, `joules`, `bytes`, `descriptors`, `entries`
+    /// (join-order memo size) or `plans` (join orders enumerated).
     pub unit: String,
 }
 
@@ -110,99 +81,30 @@ pub struct BenchmarkData {
     pub benches: Vec<Bench>,
 }
 
-impl BenchmarkData {
-    /// The gated (deterministic) subset of [`BenchmarkData::benches`].
-    pub fn gated(&self) -> impl Iterator<Item = &Bench> {
-        self.benches.iter().filter(|b| is_gated_unit(&b.unit))
-    }
-}
-
-/// What to measure.
-#[derive(Debug, Clone)]
-pub struct ReportConfig {
-    /// TPC-H scale factor.
-    pub sf: f64,
-    /// Wall-clock iterations per query for the planning series.
-    pub planning_iters: usize,
-    /// Connection counts for the wire-throughput series.
-    pub wire_conns: Vec<usize>,
-    /// Queries per connection in each wire run.
-    pub wire_queries: usize,
-    /// Differential-fuzz cases for the fuzz-throughput series.
-    pub fuzz_queries: usize,
-    /// Collect only the gated (deterministic) series — what the CI gate
-    /// runs: no planning loop, no wire runs, no fuzzing, no wall timing.
-    pub deterministic_only: bool,
-}
-
-impl Default for ReportConfig {
-    fn default() -> Self {
-        ReportConfig {
-            sf: 0.01,
-            planning_iters: 5,
-            wire_conns: vec![1, 8, 32],
-            wire_queries: 16,
-            fuzz_queries: 64,
-            deterministic_only: false,
-        }
-    }
-}
-
-fn bench(name: String, value: f64, range: String, unit: &str) -> Bench {
+/// A deterministic point: exact value, zero spread.
+fn exact(name: String, value: f64, unit: &str) -> Bench {
     Bench {
         name,
         value,
-        range,
+        range: "± 0".to_string(),
         unit: unit.to_string(),
     }
 }
 
-/// A deterministic point: exact value, zero spread.
-fn exact(name: String, value: f64, unit: &str) -> Bench {
-    bench(name, value, "± 0".to_string(), unit)
-}
-
-fn mean_stddev(samples: &[f64]) -> (f64, f64) {
-    let n = samples.len().max(1) as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-    (mean, var.sqrt())
-}
-
-/// Run the measurement suite and return the series.
-///
-/// With `deterministic_only` the result contains exactly the gated
-/// benches: per-query simulated execution cycles, energy joules, DMS
-/// bytes, and DMS descriptors — bit-identical run to run. The full run
-/// adds wall planning/execution ns/iter, wire qps at each connection
-/// count, and fuzz qps.
-pub fn collect(cfg: &ReportConfig) -> BenchmarkData {
-    let (db, catalog) = crate::setup_tpch(cfg.sf, ExecContext::dpu());
+/// Compile and run all eleven TPC-H queries on the simulated DPU at
+/// scale factor `sf` and return their exact series: per query, the
+/// join-order search's memo entries and plans considered, and the
+/// execution's simulated cycles, energy joules, DMS bytes and DMS
+/// descriptors — bit-identical run to run.
+pub fn collect(sf: f64) -> BenchmarkData {
+    let (db, _) = crate::setup_tpch(sf, ExecContext::dpu());
     let params = CostParams::default();
-    let mut dpu = Engine::new(ExecContext::dpu());
-    for t in catalog.values() {
-        dpu.load_table(Arc::clone(t));
-    }
+    let dpu = db.rapid().read();
 
     let mut benches = Vec::new();
     for (name, lp) in tpch::queries::all() {
         let q = name.to_lowercase();
-        if !cfg.deterministic_only {
-            let mut ns = Vec::with_capacity(cfg.planning_iters);
-            for _ in 0..cfg.planning_iters.max(1) {
-                let t0 = Instant::now();
-                let _ = rapid_qcomp::compile(&lp, &catalog, &params).expect("compile");
-                ns.push(t0.elapsed().as_nanos() as f64);
-            }
-            let (mean, sd) = mean_stddev(&ns);
-            benches.push(bench(
-                format!("tpch/{q}/planning"),
-                mean.round(),
-                format!("± {}", sd.round()),
-                "ns/iter",
-            ));
-        }
-        let compiled = rapid_qcomp::compile(&lp, &catalog, &params).expect("compile");
+        let compiled = rapid_qcomp::compile(&lp, dpu.catalog(), &params).expect("compile");
         benches.push(exact(
             format!("tpch/{q}/optimize/memo"),
             compiled.optimize.memo_entries as f64,
@@ -213,17 +115,7 @@ pub fn collect(cfg: &ReportConfig) -> BenchmarkData {
             compiled.optimize.plans_considered as f64,
             "plans",
         ));
-        let t0 = Instant::now();
         let (_, report) = dpu.execute(&compiled.plan).expect("dpu run");
-        let wall_ns = t0.elapsed().as_nanos() as f64;
-        if !cfg.deterministic_only {
-            benches.push(bench(
-                format!("tpch/{q}/execution"),
-                wall_ns.round(),
-                "± 0".to_string(),
-                "ns/iter",
-            ));
-        }
         benches.push(exact(
             format!("tpch/{q}/execution/cycles"),
             report.sim_cycles,
@@ -243,37 +135,6 @@ pub fn collect(cfg: &ReportConfig) -> BenchmarkData {
             format!("tpch/{q}/execution/descriptors"),
             report.dms_descriptors as f64,
             "descriptors",
-        ));
-    }
-
-    if !cfg.deterministic_only {
-        let db = Arc::new(db);
-        for &conns in &cfg.wire_conns {
-            let wcfg = WireRunConfig {
-                conns,
-                queries: cfg.wire_queries,
-                ..WireRunConfig::default()
-            };
-            let r = run_wire(&db, &wcfg);
-            benches.push(exact(format!("wire/conns{conns}/qps"), r.wall.qps, "qps"));
-            benches.push(exact(
-                format!("wire/conns{conns}/sim_qps"),
-                r.sim.qps,
-                "qps",
-            ));
-        }
-
-        let t0 = Instant::now();
-        let fr = rapid_fuzz::fuzz_run(FUZZ_BENCH_SEED, cfg.fuzz_queries);
-        let secs = t0.elapsed().as_secs_f64();
-        benches.push(exact(
-            "fuzz/qps".to_string(),
-            if secs > 0.0 {
-                fr.executed as f64 / secs
-            } else {
-                0.0
-            },
-            "qps",
         ));
     }
 
@@ -389,31 +250,31 @@ pub fn load(path: &Path) -> io::Result<BenchmarkData> {
 /// Outcome of one gate comparison.
 #[derive(Debug, Clone)]
 pub struct GateOutcome {
-    /// Gated metrics compared.
+    /// Baseline series compared.
     pub checked: usize,
+    /// Of those, how many the current run reproduced bit-for-bit.
+    pub equal: usize,
     /// Human-readable failure lines; empty means the gate passes.
     pub failures: Vec<String>,
 }
 
 impl GateOutcome {
-    /// True when every gated metric stayed within tolerance.
+    /// True when every baseline series stayed within tolerance.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
 }
 
-/// Compare `current` against `baseline` on the gated metrics only.
+/// Compare `current` against every series of `baseline`.
 ///
-/// A gated metric fails when it grew by more than `tolerance`
-/// (e.g. `0.10`) over the baseline value, or when it disappeared from
-/// `current`. Improvements (smaller values) and informational wall
-/// metrics never fail. New gated metrics in `current` that the baseline
-/// lacks are ignored — bless the baseline to start tracking them.
+/// A series fails when it grew by more than `tolerance` (e.g. `0.10`)
+/// over the baseline value, or when it disappeared from `current`.
+/// Improvements (smaller values) never fail. Series in `current` that the
+/// baseline lacks are ignored — bless the baseline to start tracking them.
 pub fn compare(baseline: &BenchmarkData, current: &BenchmarkData, tolerance: f64) -> GateOutcome {
     let mut failures = Vec::new();
-    let mut checked = 0usize;
-    for base in baseline.gated() {
-        checked += 1;
+    let mut equal = 0usize;
+    for base in &baseline.benches {
         let Some(cur) = current.benches.iter().find(|b| b.name == base.name) else {
             failures.push(format!(
                 "{}: gated metric missing from current run (baseline {} {})",
@@ -421,6 +282,7 @@ pub fn compare(baseline: &BenchmarkData, current: &BenchmarkData, tolerance: f64
             ));
             continue;
         };
+        equal += usize::from(cur.value == base.value);
         let allowed = base.value * (1.0 + tolerance);
         if cur.value > allowed {
             let pct = if base.value > 0.0 {
@@ -439,69 +301,9 @@ pub fn compare(baseline: &BenchmarkData, current: &BenchmarkData, tolerance: f64
             ));
         }
     }
-    GateOutcome { checked, failures }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn data(benches: Vec<Bench>) -> BenchmarkData {
-        BenchmarkData {
-            commit: CommitInfo::default(),
-            date: 0,
-            tool: "cargo".to_string(),
-            benches,
-        }
-    }
-
-    #[test]
-    fn gated_units_are_exactly_the_deterministic_ones() {
-        for u in [
-            "cycles",
-            "joules",
-            "bytes",
-            "descriptors",
-            "entries",
-            "plans",
-        ] {
-            assert!(is_gated_unit(u), "{u} must be gated");
-        }
-        for u in ["ns/iter", "qps"] {
-            assert!(!is_gated_unit(u), "{u} must be informational");
-        }
-    }
-
-    #[test]
-    fn compare_ignores_informational_regressions() {
-        let base = data(vec![
-            exact("tpch/q1/execution/cycles".into(), 1000.0, "cycles"),
-            exact("tpch/q1/planning".into(), 1000.0, "ns/iter"),
-        ]);
-        let mut cur = base.clone();
-        cur.benches[1].value = 50_000.0; // wall metric blows up: not gated
-        let out = compare(&base, &cur, 0.10);
-        assert_eq!(out.checked, 1);
-        assert!(out.passed(), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn roundtrip_preserves_benches() {
-        let base = data(vec![
-            exact("tpch/q1/execution/cycles".into(), 12345.0, "cycles"),
-            bench(
-                "tpch/q1/planning".into(),
-                777.0,
-                "± 12".to_string(),
-                "ns/iter",
-            ),
-        ]);
-        let dir = std::env::temp_dir().join("rapid_report_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        save(&path, &base).unwrap();
-        let loaded = load(&path).unwrap();
-        assert_eq!(loaded.benches, base.benches);
-        std::fs::remove_file(&path).ok();
+    GateOutcome {
+        checked: baseline.benches.len(),
+        equal,
+        failures,
     }
 }

@@ -1,0 +1,138 @@
+//! The `rapid-report` command line, driven as a process: every subcommand
+//! is reachable, malformed command lines exit 2 naming what was wrong, and
+//! `gate` fails by name on a grown or vanished series.
+
+use std::process::{Command, Output};
+
+use rapid_report::report::{load, save};
+
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rapid-report"))
+        .args(args)
+        .output()
+        .expect("spawn rapid-report")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn every_subcommand_runs() {
+    let out = run(&["figures", "fig8"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("=== Figure 8"));
+
+    let out = run(&["trace", "--sf", "0.002", "--query", "q6"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).starts_with("{\"query\":\"Q6\""));
+
+    let out = run(&["verify", "--sf", "0.002"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("all plans PASS"));
+
+    let out = run(&[
+        "schedcheck",
+        "--sf",
+        "0.002",
+        "--queries",
+        "3",
+        "--mutations",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("all schedules PASS"));
+    assert!(!stdout(&out).contains("SURVIVED"));
+    // `gate` is covered by gate_blesses_passes_and_fails_by_name.
+}
+
+#[test]
+fn help_lists_every_subcommand() {
+    let out = run(&["--help"]);
+    assert!(out.status.success());
+    for sub in ["figures", "trace", "verify", "schedcheck", "gate"] {
+        assert!(
+            stdout(&out).contains(&format!("\n  {sub} ")),
+            "--help must list {sub}"
+        );
+    }
+}
+
+#[test]
+fn malformed_command_lines_exit_2_naming_the_problem() {
+    for (args, needle) in [
+        (&["frobnicate"][..], "frobnicate"),
+        (&[][..], "missing subcommand"),
+        (&["verify", "--sf", "abc"][..], "--sf"),
+        (&["figures", "--sf"][..], "--sf"),
+        (&["schedcheck", "--queries", "many"][..], "--queries"),
+        (&["verify", "--bogus"][..], "--bogus"),
+        (&["figures", "fig99"][..], "fig99"),
+        (&["trace", "--query", "Q2"][..], "Q2"),
+        (&["trace", "Q6"][..], "Q6"),
+        (&["gate"][..], "baseline.json"),
+        (&["gate", "a.json", "b.json"][..], "baseline.json"),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).lines().next().unwrap_or("").contains(needle),
+            "{args:?} must name '{needle}': {}",
+            stderr(&out)
+        );
+    }
+    // An unreadable baseline is also exit 2, not a gate verdict.
+    let out = run(&["gate", "/nonexistent/BENCH_baseline.json"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn gate_blesses_passes_and_fails_by_name() {
+    let dir = std::env::temp_dir().join(format!("rapid_report_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("BENCH_scratch.json");
+    let file = path.to_str().unwrap();
+
+    let out = run(&["gate", file, "--sf", "0.002", "--bless"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let blessed = load(&path).unwrap();
+    assert_eq!(blessed.benches.len(), 66);
+
+    let out = run(&["gate", file, "--sf", "0.002"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stdout(&out).contains("66 gated metrics checked"));
+    assert!(stdout(&out).contains("66 equal"), "{}", stdout(&out));
+    assert!(stdout(&out).contains("gate: PASS"));
+
+    // The run now looks 20 % above one baseline series, and the baseline
+    // tracks a series the run no longer produces.
+    let mut doctored = blessed.clone();
+    let q6 = doctored
+        .benches
+        .iter_mut()
+        .find(|b| b.name == "tpch/q6/execution/cycles")
+        .unwrap();
+    q6.value /= 1.2;
+    let mut vanished = doctored.benches[0].clone();
+    vanished.name = "tpch/q2/execution/cycles".to_string();
+    doctored.benches.push(vanished);
+    save(&path, &doctored).unwrap();
+
+    let out = run(&["gate", file, "--sf", "0.002"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("gate: FAIL tpch/q6/execution/cycles: regression +20.0%"),
+        "{text}"
+    );
+    assert!(
+        text.contains("gate: FAIL tpch/q2/execution/cycles: gated metric missing"),
+        "{text}"
+    );
+    assert!(text.contains("gate: 2 failure(s)"), "{text}");
+    assert!(text.contains("65 equal"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,10 +1,8 @@
 //! The regression gate, tested against itself: injected regressions must
 //! fail naming the offending metric, small drift must pass, and the
-//! deterministic series must be bit-identical across two collections.
+//! collected series must be bit-identical across two collections.
 
-use rapid_bench::report::{
-    collect, compare, is_gated_unit, load, save, Bench, BenchmarkData, CommitInfo, ReportConfig,
-};
+use rapid_report::report::{collect, compare, load, save, Bench, BenchmarkData, CommitInfo};
 
 fn gated(name: &str, value: f64) -> Bench {
     Bench {
@@ -12,15 +10,6 @@ fn gated(name: &str, value: f64) -> Bench {
         value,
         range: "± 0".to_string(),
         unit: "cycles".to_string(),
-    }
-}
-
-fn wall(name: &str, value: f64) -> Bench {
-    Bench {
-        name: name.to_string(),
-        value,
-        range: "± 10".to_string(),
-        unit: "ns/iter".to_string(),
     }
 }
 
@@ -38,14 +27,14 @@ fn injected_20pct_regression_fails_naming_the_metric() {
     let baseline = data(vec![
         gated("tpch/q1/execution/cycles", 100_000.0),
         gated("tpch/q6/execution/cycles", 50_000.0),
-        wall("tpch/q1/planning", 1_000.0),
     ]);
     let mut current = baseline.clone();
     current.benches[1].value = 60_000.0; // +20% on q6 cycles
 
     let out = compare(&baseline, &current, 0.10);
     assert!(!out.passed());
-    assert_eq!(out.checked, 2, "only the two gated metrics are checked");
+    assert_eq!(out.checked, 2);
+    assert_eq!(out.equal, 1, "q1 is unchanged");
     assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
     assert!(
         out.failures[0].contains("tpch/q6/execution/cycles"),
@@ -72,6 +61,7 @@ fn sub_tolerance_drift_passes() {
     let out = compare(&baseline, &current, 0.10);
     assert!(out.passed(), "{:?}", out.failures);
     assert_eq!(out.checked, 2);
+    assert_eq!(out.equal, 0, "within tolerance is not the same as equal");
 }
 
 #[test]
@@ -93,20 +83,16 @@ fn missing_gated_metric_fails() {
 }
 
 #[test]
-fn wall_only_regression_passes_and_new_gated_metrics_are_ignored() {
-    let baseline = data(vec![
-        gated("tpch/q1/execution/cycles", 100_000.0),
-        wall("wire/conns8/qps", 500.0),
-    ]);
+fn series_absent_from_the_baseline_are_ignored() {
+    let baseline = data(vec![gated("tpch/q1/execution/cycles", 100_000.0)]);
     let mut current = baseline.clone();
-    current.benches[1].value = 5.0; // wall collapse: informational
     current
         .benches
         .push(gated("tpch/q19/execution/cycles", 1.0e9)); // not in baseline
 
     let out = compare(&baseline, &current, 0.10);
     assert!(out.passed(), "{:?}", out.failures);
-    assert_eq!(out.checked, 1);
+    assert_eq!((out.checked, out.equal), (1, 1));
 }
 
 #[test]
@@ -119,6 +105,7 @@ fn gate_roundtrips_through_disk_like_ci_does() {
     let path = dir.join("BENCH_scratch.json");
     save(&path, &baseline).unwrap();
     let loaded = load(&path).unwrap();
+    assert_eq!(loaded.benches, baseline.benches);
 
     let regressed = data(vec![gated("tpch/q1/execution/cycles", 125_000.0)]);
     let out = compare(&loaded, &regressed, 0.10);
@@ -130,35 +117,20 @@ fn gate_roundtrips_through_disk_like_ci_does() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Two consecutive deterministic collections must agree bit-for-bit on
-/// every gated metric — the property the whole gate rests on.
+/// Two consecutive collections must agree bit-for-bit on every series —
+/// the property the whole gate rests on.
 #[test]
 fn deterministic_series_is_bit_identical_across_runs() {
-    let cfg = ReportConfig {
-        sf: 0.002,
-        deterministic_only: true,
-        ..ReportConfig::default()
-    };
-    let a = collect(&cfg);
-    let b = collect(&cfg);
+    let a = collect(0.002);
+    let b = collect(0.002);
 
-    let gated_a: Vec<&Bench> = a.gated().collect();
-    let gated_b: Vec<&Bench> = b.gated().collect();
-    assert!(!gated_a.is_empty());
-    // 11 queries x 6 gated metrics each (4 execution + 2 optimize).
-    assert_eq!(gated_a.len(), 66);
-    assert_eq!(gated_a, gated_b, "gated series must be bit-identical");
-    // The deterministic-only run contains nothing but gated metrics, so
-    // the serialized benches arrays are byte-identical too.
-    for bench in &a.benches {
-        assert!(
-            is_gated_unit(&bench.unit),
-            "stray wall metric {}",
-            bench.name
-        );
-    }
+    // 11 queries x 6 series each (4 execution + 2 optimize).
+    assert_eq!(a.benches.len(), 66);
+    assert_eq!(a.benches, b.benches, "series must be bit-identical");
     assert_eq!(
         serde_json::to_string(&a.benches).unwrap(),
         serde_json::to_string(&b.benches).unwrap()
     );
+    let out = compare(&a, &b, 0.0);
+    assert_eq!((out.checked, out.equal), (66, 66));
 }

@@ -14,14 +14,16 @@ use std::time::{Duration, Instant};
 
 use rapid_qcomp::cost::CostParams;
 use rapid_qcomp::logical::LogicalPlan;
+use rapid_qcomp::Compiled;
 use rapid_qef::engine::Engine;
 use rapid_qef::exec::{ExecContext, StageRouter};
 use rapid_qef::plan::ColMeta;
 use rapid_qef::trace::{MemorySink, StageEvent, TraceSink};
 use rapid_sched::{SchedConfig, SchedReport, Scheduler};
+use rapid_storage::bitvec::BitVec;
 use rapid_storage::schema::Schema;
 use rapid_storage::scn::{RowChange, Scn};
-use rapid_storage::table::TableBuilder;
+use rapid_storage::table::{Table, TableBuilder};
 use rapid_storage::types::{DataType, Value};
 
 use crate::cache::{CachedPlan, PlanCache};
@@ -282,6 +284,31 @@ impl HostDb {
     /// Bulk-insert rows (initial population).
     pub fn bulk_insert(&self, table: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
         self.store.bulk_insert(table, rows);
+    }
+
+    /// Import a columnar table wholesale: create the host table with its
+    /// schema, populate the row store with its decoded rows (NULLs,
+    /// decimals at the column's scale, dates, dictionary strings), and
+    /// `LOAD` it into RAPID — how generated data sets such as TPC-H get
+    /// into both engines.
+    pub fn import_table(&self, table: &Table) -> Result<(), DbError> {
+        self.create_table(&table.name, table.schema.clone());
+        let ncols = table.schema.len();
+        let cols: Vec<Vec<i64>> = (0..ncols).map(|c| table.column_i64(c)).collect();
+        let nulls: Vec<BitVec> = (0..ncols).map(|c| table.column_nulls(c)).collect();
+        let rows = (0..table.rows()).map(|r| {
+            (0..ncols)
+                .map(|c| {
+                    if nulls[c].get(r) {
+                        Value::Null
+                    } else {
+                        table.decode_value(c, cols[c][r])
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+        self.bulk_insert(&table.name, rows);
+        self.load_into_rapid(&table.name)
     }
 
     /// Commit journaled changes (DML path).
@@ -545,25 +572,17 @@ impl HostDb {
         let sink = MemorySink::new();
         let trace: Arc<dyn TraceSink> = Arc::clone(&sink) as _;
         match self.execute_on_rapid_routed(plan, None, Some(trace)) {
-            Ok(result) => {
+            Ok((result, compiled)) => {
                 let events = sink.take();
-                // Recompile (deterministic) for the estimator's view of
-                // the same physical plan: per-node estimated rows in the
-                // tracer's pre-order id space, so every operator line can
-                // carry its Q-error.
-                let estimates = {
-                    let rapid = self.rapid.read();
-                    rapid_qcomp::compile_unverified(plan, rapid.catalog(), &self.params)
-                        .ok()
-                        .map(|c| {
-                            rapid_qcomp::estimate_rows_per_node(
-                                &c.plan,
-                                rapid.catalog(),
-                                &self.params,
-                            )
-                        })
-                };
-                let text = render_explain(&events, &result, estimates.as_deref());
+                // The estimator's view of the physical plan that just ran:
+                // per-node estimated rows in the tracer's pre-order id
+                // space, so every operator line can carry its Q-error.
+                let estimates = rapid_qcomp::estimate_rows_per_node(
+                    &compiled.plan,
+                    self.rapid.read().catalog(),
+                    &self.params,
+                );
+                let text = render_explain(&events, &result, &estimates);
                 Ok(ExplainAnalysis {
                     result,
                     events,
@@ -587,9 +606,10 @@ impl HostDb {
         }
     }
 
-    /// Execute a logical plan end-to-end (offload decision included).
-    pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
-        let decision = match self.force_site {
+    /// Where `plan` runs: the `force_site` knob if set, else the cost-based
+    /// offload planner over the RAPID catalog.
+    fn offload_decision(&self, plan: &LogicalPlan) -> OffloadDecision {
+        match self.force_site {
             Some(ExecutionSite::Rapid) => OffloadDecision::Full,
             Some(ExecutionSite::Host) => {
                 OffloadDecision::None(crate::offload::NoOffloadReason::HostCheaper)
@@ -598,8 +618,12 @@ impl HostDb {
                 let rapid = self.rapid.read();
                 decide(plan, rapid.catalog(), &self.params)
             }
-        };
-        match decision {
+        }
+    }
+
+    /// Execute a logical plan end-to-end (offload decision included).
+    pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
+        match self.offload_decision(plan) {
             OffloadDecision::Full => match self.execute_on_rapid(plan) {
                 Ok(r) => Ok(r),
                 // §3.2: "In case ... execution in RAPID fails, the RAPID
@@ -711,22 +735,12 @@ impl HostDb {
             }
             BatchSource::Plan(plan) => plan.clone(),
         };
-        let decision = match self.force_site {
-            Some(ExecutionSite::Rapid) => OffloadDecision::Full,
-            Some(ExecutionSite::Host) => {
-                OffloadDecision::None(crate::offload::NoOffloadReason::HostCheaper)
-            }
-            _ => {
-                let rapid = self.rapid.read();
-                decide(&plan, rapid.catalog(), &self.params)
-            }
-        };
         let router: (Arc<dyn StageRouter>, u64) =
             (Arc::clone(sched) as Arc<dyn StageRouter>, handle.id());
-        match decision {
+        match self.offload_decision(&plan) {
             OffloadDecision::Full => {
                 match self.execute_on_rapid_routed(&plan, Some(&router), None) {
-                    Ok(r) => Ok(r),
+                    Ok((r, _)) => Ok(r),
                     // A cancelled or timed-out query aborts outright with
                     // the typed error; genuine engine failures fall back to
                     // the host as in the serial path (slot released first).
@@ -788,15 +802,11 @@ impl HostDb {
         for (name, frag_plan) in &fragments {
             let unique = format!("{name}__{uniq}");
             rename_table(&mut renamed, name, &unique);
-            let frag = self.execute_on_rapid_routed(frag_plan, router, None)?;
+            let (frag, compiled) = self.execute_on_rapid_routed(frag_plan, router, None)?;
             rapid_secs += frag.rapid_secs;
             host_secs += frag.host_secs;
-            // Infer the temp table's schema from the fragment's compiled
-            // output columns.
-            let rapid = self.rapid.read();
-            let compiled = rapid_qcomp::compile(frag_plan, rapid.catalog(), &self.params)
-                .map_err(|e| DbError::Rapid(e.to_string()))?;
-            drop(rapid);
+            // The temp table's schema is the fragment's compiled output
+            // columns.
             let fields = compiled
                 .output
                 .iter()
@@ -825,18 +835,20 @@ impl HostDb {
     /// Run the whole plan on the RAPID node (admission check + execute).
     pub fn execute_on_rapid(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
         self.execute_on_rapid_routed(plan, None, None)
+            .map(|(r, _)| r)
     }
 
     /// [`execute_on_rapid`](Self::execute_on_rapid), optionally placing
     /// every pipeline stage on a multi-query scheduler's shared timeline
     /// as the given query id, and optionally recording per-stage trace
-    /// events into `trace`.
+    /// events into `trace`. Hands back the compiled plan it executed, for
+    /// callers that need its output schema or per-node estimates.
     fn execute_on_rapid_routed(
         &self,
         plan: &LogicalPlan,
         router: Option<&(Arc<dyn StageRouter>, u64)>,
         trace: Option<Arc<dyn TraceSink>>,
-    ) -> Result<QueryResult, DbError> {
+    ) -> Result<(QueryResult, Compiled), DbError> {
         // Admission (§3.3): the query SCN must not be younger than any
         // referenced RAPID table. Checkpoint lagging tables first.
         let mut tables = std::collections::HashSet::new();
@@ -871,13 +883,14 @@ impl HostDb {
         let decode_start = Instant::now();
         let rows = decode_batch(&out.batch, &out.meta, engine.catalog());
         let host_secs = decode_start.elapsed().as_secs_f64();
-        Ok(QueryResult {
+        let result = QueryResult {
             columns: compiled.output.iter().map(|c| c.name.clone()).collect(),
             rows,
             site: ExecutionSite::Rapid,
             rapid_secs,
             host_secs,
-        })
+        };
+        Ok((result, compiled))
     }
 
     /// Run the whole plan on the host Volcano engine.
@@ -917,11 +930,7 @@ impl Drop for HostDb {
 /// `rapid_qcomp::estimate_rows_per_node`); each node's final stage line
 /// then shows `est=` and the Q-error `q = max(est/actual, actual/est)`,
 /// making mis-estimates visible next to the operator that suffered them.
-fn render_explain(
-    events: &[StageEvent],
-    result: &QueryResult,
-    estimates: Option<&[f64]>,
-) -> String {
+fn render_explain(events: &[StageEvent], result: &QueryResult, estimates: &[f64]) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     let _ = writeln!(
@@ -957,7 +966,7 @@ fn render_explain(
             indent = e.depth as usize * 2,
         );
         if last_stage.get(&e.node_id) == Some(&e.stage_id) {
-            if let Some(est) = estimates.and_then(|v| v.get(e.node_id as usize)) {
+            if let Some(est) = estimates.get(e.node_id as usize) {
                 let actual = (e.rows as f64).max(1.0);
                 let estimated = est.max(1.0);
                 let q = (estimated / actual).max(actual / estimated);
@@ -1204,6 +1213,77 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows[0][0], Value::Str("east".into()));
         assert_eq!(r.columns, vec!["region", "lo"]);
+    }
+
+    /// `import_table` must land the source table's exact logical rows in
+    /// both engines: NULLs stay NULL, decimals keep unscaled value and
+    /// scale, dates stay dates, dictionary codes decode to their strings.
+    #[test]
+    fn import_table_reads_back_equal_from_row_store_and_rapid() {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::nullable("price", DataType::Decimal { scale: 2 }),
+            Field::nullable("day", DataType::Date),
+            Field::nullable("tag", DataType::Varchar),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..300i64)
+            .map(|i| {
+                let unscaled = i * 37 - 4_000;
+                let tag = ["red", "green", "", "blue"][(i % 4) as usize];
+                let mut row = vec![
+                    Value::Int(i - 150),
+                    Value::Decimal { unscaled, scale: 2 },
+                    Value::Date(9_000 + (i % 40) as i32),
+                    Value::Str(tag.into()),
+                ];
+                // Every nullable column is NULL on its own seventh of the rows.
+                if let 1..=3 = i % 7 {
+                    row[(i % 7) as usize] = Value::Null;
+                }
+                row
+            })
+            .collect();
+        let mut b = TableBuilder::new("src", schema)
+            .chunk_rows(64)
+            .partitions(3);
+        b.extend_rows(rows.clone());
+        let source = b.finish();
+
+        // Partitioning may reorder rows; compare as sorted multisets keyed
+        // by the unique id column.
+        let by_id = |rows: &mut Vec<Vec<Value>>| rows.sort_by_key(|row| row[0].unscaled_at(0));
+        let decode = |t: &Table| -> Vec<Vec<Value>> {
+            let ncols = t.schema.len();
+            let cols: Vec<Vec<i64>> = (0..ncols).map(|c| t.column_i64(c)).collect();
+            let nulls: Vec<BitVec> = (0..ncols).map(|c| t.column_nulls(c)).collect();
+            let mut out: Vec<Vec<Value>> = (0..t.rows())
+                .map(|r| {
+                    (0..ncols)
+                        .map(|c| match nulls[c].get(r) {
+                            true => Value::Null,
+                            false => t.decode_value(c, cols[c][r]),
+                        })
+                        .collect()
+                })
+                .collect();
+            by_id(&mut out);
+            out
+        };
+        let want = decode(&source);
+        assert_eq!(want, rows, "the source table itself holds the rows");
+
+        let d = HostDb::new(ExecContext::dpu().with_cores(4));
+        d.import_table(&source).unwrap();
+
+        let host = d.store().table("src").expect("host table created");
+        let mut stored: Vec<Vec<Value>> = host.read().scan().cloned().collect();
+        by_id(&mut stored);
+        assert_eq!(stored, want, "row store");
+
+        let rapid = d.rapid().read();
+        let loaded = rapid.catalog().get("src").expect("loaded into RAPID");
+        assert_eq!(loaded.schema, source.schema);
+        assert_eq!(decode(loaded), want, "RAPID catalog");
     }
 
     #[test]

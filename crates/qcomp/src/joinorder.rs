@@ -22,7 +22,7 @@
 //!    partition rounds plus per-row join-kernel cycles. A greedy pairing
 //!    takes over past [`MAX_DP_RELATIONS`] relations. Iteration order and tie-breaking
 //!    are deterministic, so the chosen plan and the enumeration counters
-//!    are reproducible — the counters are gated in `bench_report`
+//!    are reproducible — the counters are gated by `rapid-report gate`
 //!    (optd-style planning metrics).
 //! 4. **Reconstruct**: every edge is applied exactly once, at the lowest
 //!    join above both its endpoints (so cyclic join graphs like Q5's
@@ -53,7 +53,7 @@ use crate::partition_opt::{optimize_partition_scheme, scheme_cost, PartitionOptI
 pub const MAX_DP_RELATIONS: usize = 12;
 
 /// Deterministic counters from the join-order search, for planning-cost
-/// regression gating (`tpch/q*/optimize/*` in `bench_report`).
+/// regression gating (`tpch/q*/optimize/*` in `BENCH_baseline.json`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizeStats {
     /// Relations in the largest inner-join chain considered.

@@ -12,7 +12,7 @@
 //! `f64` the engine absorbs into [`QueryReport::sim_secs`], and events are
 //! emitted in absorption order, so summing `sim_secs` over a query's events
 //! reproduces the report total bit-for-bit (f64 addition in the same order).
-//! `EXPLAIN ANALYZE` and the `trace_report` bench binary both lean on this.
+//! `EXPLAIN ANALYZE` and `rapid-report trace` both lean on this.
 //!
 //! [`QueryReport::sim_secs`]: crate::engine::QueryReport
 
@@ -92,7 +92,7 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
 }
 
 /// A sink that buffers events in memory, for `EXPLAIN ANALYZE`, tests, and
-/// the `trace_report` binary.
+/// `rapid-report trace`.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<StageEvent>>,

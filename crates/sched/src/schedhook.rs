@@ -16,7 +16,7 @@
 //! means the *scheduler* is broken, and no caller has a sensible way to
 //! continue. Release-mode callers that want a verdict instead of a panic
 //! use [`Scheduler::check_interference`](crate::scheduler::Scheduler::check_interference)
-//! (the fuzzer's concurrent mode and the `schedcheck_report` bench do).
+//! (the fuzzer's concurrent mode and `rapid-report schedcheck` do).
 
 use std::sync::OnceLock;
 

@@ -402,7 +402,7 @@ impl Scheduler {
     /// Replay the schedule trace through the installed interference
     /// analyzer, returning its verdict instead of panicking — the
     /// explicit release-mode entry point used by the fuzzer's concurrent
-    /// mode and the `schedcheck_report` bench. `Ok(())` when no analyzer
+    /// mode and `rapid-report schedcheck`. `Ok(())` when no analyzer
     /// is linked into the process.
     pub fn check_interference(&self) -> Result<(), String> {
         match schedhook::installed() {

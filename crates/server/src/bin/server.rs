@@ -21,35 +21,13 @@ use hostdb::HostDb;
 use rapid_qef::exec::ExecContext;
 use rapid_sched::SchedConfig;
 use rapid_server::{Server, ServerConfig};
-use rapid_storage::types::Value;
 
 /// Load TPC-H at `sf` into a fresh HostDb and ship every table to RAPID.
-/// (The bench crate has an equivalent loader, but depending on it here
-/// would cycle: bench's loadgen depends on this crate.)
 fn tpch_db(sf: f64, cores: usize) -> Result<HostDb, String> {
     let data = tpch::generate(&tpch::TpchConfig::sf(sf));
     let db = HostDb::new(ExecContext::dpu().with_cores(cores));
     for t in data.tables() {
-        db.create_table(&t.name, t.schema.clone());
-        let ncols = t.schema.len();
-        let cols: Vec<Vec<i64>> = (0..ncols).map(|c| t.column_i64(c)).collect();
-        let nulls: Vec<rapid_storage::bitvec::BitVec> =
-            (0..ncols).map(|c| t.column_nulls(c)).collect();
-        let rows: Vec<Vec<Value>> = (0..t.rows())
-            .map(|r| {
-                (0..ncols)
-                    .map(|c| {
-                        if nulls[c].get(r) {
-                            Value::Null
-                        } else {
-                            t.decode_value(c, cols[c][r])
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        db.bulk_insert(&t.name, rows);
-        db.load_into_rapid(&t.name)
+        db.import_table(t)
             .map_err(|e| format!("loading {} into RAPID: {e}", t.name))?;
     }
     Ok(db)

@@ -1,7 +1,7 @@
 //! A small blocking client for the wire protocol.
 //!
-//! Used by the integration tests, the `sql` binary, and the `loadgen`
-//! closed-loop load generator. One [`Client`] is one session; result sets
+//! Used by the integration tests, the `sql` binary, and the repository
+//! benchmark's wire workloads. One [`Client`] is one session; result sets
 //! are collected into a [`WireResult`]. Server-side failures surface as
 //! [`ClientError::Server`] carrying the same kind/message pair the
 //! in-process [`hostdb::DbError`] would produce — the error-parity tests

@@ -17,8 +17,8 @@
 //!   backpressure wired to the scheduler's bounded queue, per-connection
 //!   idle timeouts, per-query execution timeouts, and graceful shutdown
 //!   that drains in-flight queries and joins every spawned thread.
-//! * [`client`] — a small blocking client used by tests, benches, and the
-//!   `loadgen` load generator.
+//! * [`client`] — a small blocking client used by tests and the
+//!   repository benchmark's wire workloads.
 //!
 //! Run the bundled binaries:
 //!

@@ -588,7 +588,7 @@ fn check_program_order(recs: &[PlacementRecord], report: &mut VerifyReport) {
 }
 
 /// Render a human-readable schedule verification report — the body of the
-/// `schedcheck_report` bench bin.
+/// `rapid-report schedcheck`.
 pub fn render(trace: &SchedTrace, report: &VerifyReport) -> String {
     let mut s = format!(
         "SCHEDCHECK ({:?} mode, {} cores, {} B DMEM/core, {} placements, {} evicted)\n",

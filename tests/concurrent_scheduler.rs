@@ -19,7 +19,6 @@ use proptest::prelude::*;
 use hostdb::{BatchQuery, HostDb};
 use rapid::qcomp::logical::LogicalPlan;
 use rapid::sched::{DispatchMode, SchedConfig};
-use rapid::storage::types::Value;
 
 /// One shared TPC-H database for every test: queries are read-only, and
 /// building it is the expensive part.
@@ -34,24 +33,7 @@ fn db() -> &'static HostDb {
         });
         let db = HostDb::new(rapid::qef::exec::ExecContext::dpu().with_cores(8));
         for t in data.tables() {
-            db.create_table(&t.name, t.schema.clone());
-            let ncols = t.schema.len();
-            let cols: Vec<Vec<i64>> = (0..ncols).map(|c| t.column_i64(c)).collect();
-            let nulls: Vec<rapid::storage::bitvec::BitVec> =
-                (0..ncols).map(|c| t.column_nulls(c)).collect();
-            let rows = (0..t.rows()).map(|r| {
-                (0..ncols)
-                    .map(|c| {
-                        if nulls[c].get(r) {
-                            Value::Null
-                        } else {
-                            t.decode_value(c, cols[c][r])
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            });
-            db.bulk_insert(&t.name, rows);
-            db.load_into_rapid(&t.name).expect("load");
+            db.import_table(t).expect("load");
         }
         db
     })
@@ -71,7 +53,7 @@ fn cfg(mode: DispatchMode, max_active: usize, n: usize) -> SchedConfig {
 }
 
 /// ≥8 concurrent TPC-H queries against one simulated DPU produce exactly
-/// the rows the serial path produces — the headline acceptance criterion.
+/// the rows the serial path produces — the headline acceptance test.
 #[test]
 fn concurrent_batch_matches_serial_results_in_both_modes() {
     let db = db();

@@ -14,7 +14,6 @@ use rapid::qcomp::cost::CostParams;
 use rapid::qef::engine::Engine;
 use rapid::qef::exec::ExecContext;
 use rapid::qef::plan::Catalog;
-use rapid::storage::types::Value;
 use rapid_fuzz::canonical;
 
 fn setup() -> (HostDb, Catalog) {
@@ -25,30 +24,10 @@ fn setup() -> (HostDb, Catalog) {
         chunk_rows: 1024,
     });
     let db = HostDb::new(ExecContext::dpu().with_cores(8));
-    let mut catalog = Catalog::new();
     for t in data.tables() {
-        db.create_table(&t.name, t.schema.clone());
-        let ncols = t.schema.len();
-        let cols: Vec<Vec<i64>> = (0..ncols).map(|c| t.column_i64(c)).collect();
-        let nulls: Vec<rapid::storage::bitvec::BitVec> =
-            (0..ncols).map(|c| t.column_nulls(c)).collect();
-        let rows = (0..t.rows()).map(|r| {
-            (0..ncols)
-                .map(|c| {
-                    if nulls[c].get(r) {
-                        Value::Null
-                    } else {
-                        t.decode_value(c, cols[c][r])
-                    }
-                })
-                .collect::<Vec<_>>()
-        });
-        db.bulk_insert(&t.name, rows);
-        db.load_into_rapid(&t.name).expect("load");
+        db.import_table(t).expect("load");
     }
-    for t in db.rapid().read().catalog().values() {
-        catalog.insert(t.name.clone(), Arc::clone(t));
-    }
+    let catalog = db.rapid().read().catalog().clone();
     (db, catalog)
 }
 

@@ -34,24 +34,7 @@ fn db() -> Arc<HostDb> {
         });
         let db = HostDb::new(rapid::qef::exec::ExecContext::dpu().with_cores(8));
         for t in data.tables() {
-            db.create_table(&t.name, t.schema.clone());
-            let ncols = t.schema.len();
-            let cols: Vec<Vec<i64>> = (0..ncols).map(|c| t.column_i64(c)).collect();
-            let nulls: Vec<rapid::storage::bitvec::BitVec> =
-                (0..ncols).map(|c| t.column_nulls(c)).collect();
-            let rows = (0..t.rows()).map(|r| {
-                (0..ncols)
-                    .map(|c| {
-                        if nulls[c].get(r) {
-                            Value::Null
-                        } else {
-                            t.decode_value(c, cols[c][r])
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            });
-            db.bulk_insert(&t.name, rows);
-            db.load_into_rapid(&t.name).expect("load");
+            db.import_table(t).expect("load");
         }
         Arc::new(db)
     }))
@@ -199,7 +182,7 @@ fn concurrent_wire_sessions_match_direct_and_batch_results() {
     assert_eq!(stats.threads_spawned, stats.threads_joined);
 }
 
-/// The headline acceptance criterion: 32 closed-loop connections sustain
+/// The headline acceptance test: 32 closed-loop connections sustain
 /// more than 2× the simulated-DPU throughput of one connection. Wall
 /// clock is irrelevant on a small host; the simulated timeline is what
 /// the paper provisions (queries per second per fixed DPU watt).
