@@ -17,10 +17,10 @@ echo "== cargo test -q --workspace (root integration suites + every crate's unit
 cargo test -q --workspace
 
 echo "== cargo clippy (unwrap/expect escalation in request-path crates) =="
-# rapid-sched and rapid-server deny clippy::unwrap_used/expect_used in
-# non-test code (crate-level attributes); this plain sweep is where the
+# rapid-sched, rapid-server and hostdb deny clippy::unwrap_used/expect_used
+# in non-test code (crate-level attributes); this plain sweep is where the
 # denial actually gets evaluated with warnings-as-errors.
-cargo clippy -q --release -p rapid-sched -p rapid-server -- -D warnings
+cargo clippy -q --release -p rapid-sched -p rapid-server -p hostdb -- -D warnings
 
 echo "== differential fuzz smoke (200 queries, fixed seed) + corpus replay =="
 FUZZ_QUERIES=200 cargo test -q --release --test differential_fuzz

@@ -49,19 +49,11 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
             mode,
             ..SchedConfig::default()
         }));
-        let handles: Vec<_> = batch.iter().map(|q| db.submit_query(q, &sched)).collect();
-        std::thread::scope(|scope| {
-            for (q, h) in batch.iter().zip(handles) {
-                let sched = Arc::clone(&sched);
-                let db = &db;
-                scope.spawn(move || {
-                    let h = h.expect("batch fits the queue by construction");
-                    if let Err(e) = db.execute_scheduled(q, h, &sched) {
-                        panic!("scheduled query failed: {e:?}");
-                    }
-                });
+        for result in db.run_batch(&batch, &sched) {
+            if let Err(e) = result {
+                panic!("scheduled query failed: {e:?}");
             }
-        });
+        }
         let trace = sched.schedule_trace();
         let report = schedcheck::check_schedule(&trace);
         println!();

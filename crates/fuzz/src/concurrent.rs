@@ -181,36 +181,16 @@ pub fn run_concurrent(tables: &[TableSpec], sqls: &[String]) -> Result<BatchComp
         .iter()
         .map(|p| BatchQuery::from_plan(p.clone()))
         .collect();
-    // Submit in order so scheduler ids are a function of the batch alone,
-    // then run one session thread per query — the same shape as
-    // `HostDb::execute_batch`, but owning the scheduler so the analyzer
-    // can be consulted explicitly afterwards.
-    let handles: Vec<_> = batch.iter().map(|q| db.submit_query(q, &sched)).collect();
-    let scheduled: Vec<EngineOutcome> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = batch
-            .iter()
-            .zip(handles)
-            .map(|(q, h)| {
-                let sched = Arc::clone(&sched);
-                let db = &db;
-                scope.spawn(move || {
-                    guarded(|| {
-                        let h = h.map_err(|e| e.to_string())?;
-                        db.execute_scheduled(q, h, &sched)
-                            .map(|r| EngineOutcome::Rows(canonical(&r.rows)))
-                            .map_err(|e| e.to_string())
-                    })
-                })
-            })
-            .collect();
-        spawned
-            .into_iter()
-            .map(|j| match j.join() {
-                Ok(o) => o,
-                Err(_) => EngineOutcome::Error("session thread panicked".into()),
-            })
-            .collect()
-    });
+    // `run_batch` rather than `execute_batch`: the scheduler is ours, so
+    // the analyzer can be consulted explicitly afterwards.
+    let scheduled: Vec<EngineOutcome> = db
+        .run_batch(&batch, &sched)
+        .into_iter()
+        .map(|r| match r {
+            Ok(r) => EngineOutcome::Rows(canonical(&r.rows)),
+            Err(e) => EngineOutcome::Error(e.to_string()),
+        })
+        .collect();
 
     let interference = sched.check_interference().err();
     let placements = sched.placements().len();

@@ -5,6 +5,11 @@
 //! background checkpointer that ships journal changes to RAPID (§3.3).
 //! `execute_sql` is the end-to-end path: parse → plan → offload decision →
 //! admission check (SCNs) → RAPID execution with host fallback.
+//! Every entry point reaches that one path (`HostDb::run`, RAPID leg
+//! `run_on_rapid`) and differs only in the `Request` it brings. Compiling is
+//! [`crate::offload`]'s: the decision compiles a statement once, and
+//! `run_on_rapid` has it recompiled only if a table it was compiled against
+//! was reloaded in between.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -27,9 +32,9 @@ use rapid_storage::table::{Table, TableBuilder};
 use rapid_storage::types::{DataType, Value};
 
 use crate::cache::{CachedPlan, PlanCache};
-use crate::offload::{decide, OffloadDecision};
+use crate::offload::{plan_offload, BoundPlan, NoOffloadReason, OffloadPlan};
 use crate::sql::{parse_sql, SqlError};
-use crate::store::RowStore;
+use crate::store::{HostTable, RowStore};
 use crate::volcano;
 
 /// Where a query (or part of it) executed.
@@ -319,25 +324,11 @@ impl HostDb {
     /// The `LOAD` command (§4.4): snapshot a host table into RAPID's
     /// columnar store at the current SCN.
     pub fn load_into_rapid(&self, table: &str) -> Result<(), DbError> {
-        let t = self
+        let host = self
             .store
             .table(table)
             .ok_or_else(|| DbError::NoSuchTable(table.into()))?;
-        let guard = t.read();
-        let scn = guard.scn;
-        let mut b = TableBuilder::new(table, guard.schema.clone())
-            .chunk_rows(4096)
-            .partitions(4);
-        for row in guard.scan() {
-            b.push_row(row.clone());
-        }
-        drop(guard);
-        let columnar = Arc::new(b.finish_at_scn(scn));
-        self.rapid.write().load_table(columnar);
-        // Everything up to `scn` is now in RAPID.
-        if let Some(ht) = self.store.table(table) {
-            ht.write().journal.mark_checkpointed(scn);
-        }
+        ship_snapshot(&self.rapid, table, &host);
         Ok(())
     }
 
@@ -351,23 +342,7 @@ impl HostDb {
     /// [`rapid_storage::scn::Tracker`] covers the replay-onto-base path
     /// for per-vector versioning and is tested there).
     pub fn checkpoint(&self, table: &str) -> Result<(), DbError> {
-        let host = self
-            .store
-            .table(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.into()))?;
-        let current = {
-            let rapid = self.rapid.read();
-            match rapid.catalog().get(table) {
-                Some(t) => t.scn,
-                None => return Ok(()), // not loaded: nothing to keep fresh
-            }
-        };
-        let target_scn = host.read().scn;
-        if target_scn <= current {
-            return Ok(());
-        }
-        self.load_into_rapid(table)?;
-        Ok(())
+        checkpoint_table(&self.store, &self.rapid, table)
     }
 
     /// Start the periodic background checkpointer (§3.3: "we utilize
@@ -380,34 +355,8 @@ impl HostDb {
         self.checkpointer = Some(std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 for name in store.table_names() {
-                    let Some(host) = store.table(&name) else {
-                        continue;
-                    };
-                    let current = {
-                        let r = rapid.read();
-                        match r.catalog().get(&name) {
-                            Some(t) => t.scn,
-                            None => continue,
-                        }
-                    };
-                    let (schema, rows, target) = {
-                        let g = host.read();
-                        if g.scn <= current {
-                            continue;
-                        }
-                        (
-                            g.schema.clone(),
-                            g.scan().cloned().collect::<Vec<_>>(),
-                            g.scn,
-                        )
-                    };
-                    let mut b = TableBuilder::new(&name, schema)
-                        .chunk_rows(4096)
-                        .partitions(4);
-                    b.extend_rows(rows);
-                    let snap = Arc::new(b.finish_at_scn(target));
-                    rapid.write().load_table(snap);
-                    host.write().journal.mark_checkpointed(target);
+                    // A table dropped since the listing has nothing to ship.
+                    let _ = checkpoint_table(&store, &rapid, &name);
                 }
                 std::thread::sleep(interval);
             }
@@ -445,10 +394,7 @@ impl HostDb {
     /// every table the failed node held — from the host, the single
     /// source of truth.
     pub fn recover_rapid(&self, tables: &[&str]) -> Result<(), DbError> {
-        for t in tables {
-            self.load_into_rapid(t)?;
-        }
-        Ok(())
+        tables.iter().try_for_each(|t| self.load_into_rapid(t))
     }
 
     /// Parse and execute a SQL query end-to-end. A statement prefixed
@@ -570,8 +516,11 @@ impl HostDb {
     /// Volcano execution has no simulated trace.
     pub fn explain_analyze_plan(&self, plan: &LogicalPlan) -> Result<ExplainAnalysis, DbError> {
         let sink = MemorySink::new();
-        let trace: Arc<dyn TraceSink> = Arc::clone(&sink) as _;
-        match self.execute_on_rapid_routed(plan, None, Some(trace)) {
+        let traced = Request {
+            sched: None,
+            trace: Some(Arc::clone(&sink) as _),
+        };
+        match self.run_on_rapid(plan, None, &traced) {
             Ok((result, compiled)) => {
                 let events = sink.take();
                 // The estimator's view of the physical plan that just ran:
@@ -606,33 +555,49 @@ impl HostDb {
         }
     }
 
-    /// Where `plan` runs: the `force_site` knob if set, else the cost-based
-    /// offload planner over the RAPID catalog.
-    fn offload_decision(&self, plan: &LogicalPlan) -> OffloadDecision {
-        match self.force_site {
-            Some(ExecutionSite::Rapid) => OffloadDecision::Full,
-            Some(ExecutionSite::Host) => {
-                OffloadDecision::None(crate::offload::NoOffloadReason::HostCheaper)
-            }
-            _ => {
-                let rapid = self.rapid.read();
-                decide(plan, rapid.catalog(), &self.params)
-            }
-        }
-    }
-
     /// Execute a logical plan end-to-end (offload decision included).
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
-        match self.offload_decision(plan) {
-            OffloadDecision::Full => match self.execute_on_rapid(plan) {
-                Ok(r) => Ok(r),
-                // §3.2: "In case ... execution in RAPID fails, the RAPID
-                // operator can either fail or fallback".
-                Err(_) => self.execute_on_host(plan),
+        self.run(plan, &Request::default())
+    }
+
+    /// The request path: decide where `plan` runs — the `force_site` knob if
+    /// set, else the cost-based offload planner over the RAPID catalog, which
+    /// compiles the statement — and execute that decision.
+    ///
+    /// A failed full offload re-runs on the host (§3.2: "In case ...
+    /// execution in RAPID fails, the RAPID operator can either fail or
+    /// fallback"), a failed partial offload fails; a query its scheduler
+    /// cancelled or timed out aborts with that typed error in either case.
+    /// Host execution never holds a DPU admission slot.
+    fn run(&self, plan: &LogicalPlan, req: &Request<'_>) -> Result<QueryResult, DbError> {
+        let offload = match self.force_site {
+            Some(ExecutionSite::Rapid) => OffloadPlan::Full(None),
+            Some(ExecutionSite::Host) => OffloadPlan::None(NoOffloadReason::HostCheaper),
+            _ => plan_offload(plan, self.rapid.read().catalog(), &self.params),
+        };
+        match offload {
+            OffloadPlan::Full(bound) => match self.run_on_rapid(plan, bound, req) {
+                Ok((result, _)) => return Ok(result),
+                Err(_) => {
+                    if let Some(refused) = req.refusal() {
+                        return Err(refused);
+                    }
+                }
             },
-            OffloadDecision::Partial(_) => self.execute_partial(plan),
-            OffloadDecision::None(_) => self.execute_on_host(plan),
+            OffloadPlan::Partial {
+                remainder,
+                fragments,
+            } => {
+                return self
+                    .run_partial(&remainder, fragments, req)
+                    .map_err(|e| req.refusal().unwrap_or(e))
+            }
+            OffloadPlan::None(_) => {}
         }
+        if let Some((_, handle)) = req.sched {
+            handle.finish(); // give the DPU slot back first
+        }
+        self.execute_on_host(plan)
     }
 
     /// Execute a batch of SQL queries concurrently — one session thread
@@ -646,20 +611,31 @@ impl HostDb {
     /// per-query simulated latency and whole-DPU utilization/energy.
     pub fn execute_batch(&self, queries: &[BatchQuery], cfg: SchedConfig) -> BatchOutcome {
         let sched = Arc::new(Scheduler::new(cfg));
+        let results = self.run_batch(queries, &sched);
+        BatchOutcome {
+            results,
+            sched: sched.report(),
+        }
+    }
+
+    /// [`execute_batch`](Self::execute_batch) on a scheduler the caller owns
+    /// and can inspect afterwards (schedule trace, interference analyzer).
+    pub fn run_batch(
+        &self,
+        queries: &[BatchQuery],
+        sched: &Arc<Scheduler>,
+    ) -> Vec<Result<QueryResult, DbError>> {
         // Submit in input order so scheduler ids (and deterministic-mode
         // tie-breaks) are a function of the batch alone.
         let handles: Vec<_> = queries
             .iter()
-            .map(|q| self.submit_query(q, &sched))
+            .map(|q| self.submit_query_at(q, sched, None))
             .collect();
-        let results = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let spawned: Vec<_> = queries
                 .iter()
                 .zip(handles)
-                .map(|(q, h)| {
-                    let sched = Arc::clone(&sched);
-                    scope.spawn(move || self.execute_scheduled(q, h?, &sched))
-                })
+                .map(|(q, h)| scope.spawn(move || self.execute_scheduled(q, h?, sched)))
                 .collect();
             spawned
                 .into_iter()
@@ -672,31 +648,19 @@ impl HostDb {
                     Err(payload) => Err(DbError::SessionPanic(panic_message(&*payload).into())),
                 })
                 .collect()
-        });
-        BatchOutcome {
-            results,
-            sched: sched.report(),
-        }
+        })
     }
 
     /// Submit one query to a shared scheduler, mapping admission refusals to
     /// typed errors ([`DbError::Busy`] when the waiting queue is full). Wire
     /// services call this from connection threads against one long-lived
-    /// scheduler; [`execute_batch`](Self::execute_batch) uses it per batch.
-    pub fn submit_query(
-        &self,
-        q: &BatchQuery,
-        sched: &Arc<Scheduler>,
-    ) -> Result<rapid_sched::QueryHandle, DbError> {
-        self.submit_query_at(q, sched, None)
-    }
-
-    /// [`submit_query`](Self::submit_query) with an explicit simulated
-    /// arrival time. A closed-loop session passes the completion of its
-    /// own previous query ([`Scheduler::completion_cycles`]) so that N
-    /// independent sessions overlap on the shared DPU timeline instead of
-    /// serializing behind the global makespan; `None` keeps the
-    /// conservative makespan arrival.
+    /// scheduler; [`run_batch`](Self::run_batch) uses it per batch.
+    ///
+    /// `arrival` is the simulated arrival time. A closed-loop session passes
+    /// the completion of its own previous query
+    /// ([`Scheduler::completion_cycles`]) so that N independent sessions
+    /// overlap on the shared DPU timeline instead of serializing behind the
+    /// global makespan; `None` keeps the conservative makespan arrival.
     pub fn submit_query_at(
         &self,
         q: &BatchQuery,
@@ -708,9 +672,9 @@ impl HostDb {
             .map_err(sched_err)
     }
 
-    /// One concurrent session: admission, then the standard decision path
-    /// with RAPID stages routed through the shared scheduler. Scheduler
-    /// refusals surface as the same typed errors an in-process caller sees
+    /// One concurrent session: admission, then the request path with RAPID
+    /// stages routed through the shared scheduler. Scheduler refusals
+    /// surface as the same typed errors an in-process caller sees
     /// ([`DbError::Cancelled`] / [`DbError::QueryTimeout`]).
     pub fn execute_scheduled(
         &self,
@@ -719,6 +683,7 @@ impl HostDb {
         sched: &Arc<Scheduler>,
     ) -> Result<QueryResult, DbError> {
         handle.await_admission().map_err(sched_err)?;
+        let cached;
         let plan = match &q.source {
             BatchSource::Sql(sql) => {
                 // EXPLAIN ANALYZE needs the serial tracing path; it holds no
@@ -731,80 +696,36 @@ impl HostDb {
                     handle.finish();
                     return self.execute_sql(sql);
                 }
-                self.plan_sql_cached(sql)?
+                cached = self.plan_sql_cached(sql)?;
+                &cached
             }
-            BatchSource::Plan(plan) => plan.clone(),
+            BatchSource::Plan(plan) => plan,
         };
-        let router: (Arc<dyn StageRouter>, u64) =
-            (Arc::clone(sched) as Arc<dyn StageRouter>, handle.id());
-        match self.offload_decision(&plan) {
-            OffloadDecision::Full => {
-                match self.execute_on_rapid_routed(&plan, Some(&router), None) {
-                    Ok((r, _)) => Ok(r),
-                    // A cancelled or timed-out query aborts outright with
-                    // the typed error; genuine engine failures fall back to
-                    // the host as in the serial path (slot released first).
-                    Err(_) if handle.cancelled() => Err(DbError::Cancelled),
-                    Err(_) if handle.timed_out() => Err(DbError::QueryTimeout),
-                    Err(_) => {
-                        handle.finish();
-                        self.execute_on_host(&plan)
-                    }
-                }
-            }
-            OffloadDecision::Partial(_) => {
-                match self.execute_partial_routed(&plan, Some(&router)) {
-                    Ok(r) => Ok(r),
-                    Err(_) if handle.cancelled() => Err(DbError::Cancelled),
-                    Err(_) if handle.timed_out() => Err(DbError::QueryTimeout),
-                    Err(e) => Err(e),
-                }
-            }
-            OffloadDecision::None(_) => {
-                // Host-only: free the DPU slot before host execution.
-                handle.finish();
-                self.execute_on_host(&plan)
-            }
-        }
+        let scheduled = Request {
+            sched: Some((sched, &handle)),
+            trace: None,
+        };
+        self.run(plan, &scheduled)
     }
 
-    /// Partial offload (§3.1-§3.2): execute the maximal RAPID-resident
-    /// fragments on the node, land their results in host-side buffers (the
-    /// RAPID operator's result consumption), and finish the remainder on
-    /// the Volcano engine.
-    pub fn execute_partial(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
-        self.execute_partial_routed(plan, None)
-    }
-
-    /// [`execute_partial`](Self::execute_partial) with the RAPID fragments
-    /// optionally routed through a multi-query scheduler.
-    fn execute_partial_routed(
+    /// Partial offload (§3.1-§3.2): execute the fragments on the node, land
+    /// their results in host-side buffers under the temp-table names the
+    /// remainder scans (the RAPID operator's result consumption), and
+    /// finish the remainder on the Volcano engine.
+    fn run_partial(
         &self,
-        plan: &LogicalPlan,
-        router: Option<&(Arc<dyn StageRouter>, u64)>,
+        remainder: &LogicalPlan,
+        fragments: Vec<(String, LogicalPlan)>,
+        req: &Request<'_>,
     ) -> Result<QueryResult, DbError> {
-        use std::sync::atomic::AtomicU64;
-        static TEMP_ID: AtomicU64 = AtomicU64::new(0);
-
-        let (rewritten, fragments) = {
-            let rapid = self.rapid.read();
-            crate::offload::extract_fragments(plan, rapid.catalog())
-        };
-        if fragments.is_empty() {
-            return self.execute_on_host(plan);
-        }
         let mut rapid_secs = 0.0;
         let mut host_secs = 0.0;
-        let mut temp_names = Vec::new();
-        // Unique-ify temp names so concurrent queries cannot collide.
-        let uniq = TEMP_ID.fetch_add(1, Ordering::Relaxed);
-        let mut renamed = rewritten;
-        for (name, frag_plan) in &fragments {
-            let unique = format!("{name}__{uniq}");
-            rename_table(&mut renamed, name, &unique);
-            let (frag, compiled) = self.execute_on_rapid_routed(frag_plan, router, None)?;
-            rapid_secs += frag.rapid_secs;
-            host_secs += frag.host_secs;
+        // Dropped — and the buffers with it — however this function exits.
+        let mut landed = Vec::with_capacity(fragments.len());
+        for (name, fragment) in fragments {
+            let (result, compiled) = self.run_on_rapid(&fragment, None, req)?;
+            rapid_secs += result.rapid_secs;
+            host_secs += result.host_secs;
             // The temp table's schema is the fragment's compiled output
             // columns.
             let fields = compiled
@@ -812,19 +733,16 @@ impl HostDb {
                 .iter()
                 .map(|c| rapid_storage::schema::Field::nullable(c.name.clone(), c.dtype))
                 .collect();
-            self.store.create_table(&unique, Schema::new(fields));
-            self.store.bulk_insert(&unique, frag.rows);
-            temp_names.push(unique);
+            landed.push(
+                self.store
+                    .temp_table(name, Schema::new(fields), result.rows),
+            );
         }
         let t0 = Instant::now();
-        let result = volcano::execute(&renamed, &self.store).map_err(DbError::Volcano);
+        let (columns, rows) = volcano::execute(remainder, &self.store).map_err(DbError::Volcano)?;
         host_secs += t0.elapsed().as_secs_f64();
-        for name in temp_names {
-            self.store.drop_table(&name);
-        }
-        let (names, rows) = result?;
         Ok(QueryResult {
-            columns: names,
+            columns,
             rows,
             site: ExecutionSite::Mixed,
             rapid_secs,
@@ -834,20 +752,21 @@ impl HostDb {
 
     /// Run the whole plan on the RAPID node (admission check + execute).
     pub fn execute_on_rapid(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
-        self.execute_on_rapid_routed(plan, None, None)
+        self.run_on_rapid(plan, None, &Request::default())
             .map(|(r, _)| r)
     }
 
-    /// [`execute_on_rapid`](Self::execute_on_rapid), optionally placing
-    /// every pipeline stage on a multi-query scheduler's shared timeline
-    /// as the given query id, and optionally recording per-stage trace
-    /// events into `trace`. Hands back the compiled plan it executed, for
-    /// callers that need its output schema or per-node estimates.
-    fn execute_on_rapid_routed(
+    /// The RAPID leg of the request path: SCN admission, execution on a
+    /// per-query fork of the engine, decode. `bound`, the plan the offload
+    /// decision compiled, is reused if the fork still holds the tables it
+    /// was compiled against and recompiled if admission (or a concurrent
+    /// checkpoint) reloaded one. Hands back the compiled plan it executed,
+    /// for callers that need its output schema or per-node estimates.
+    fn run_on_rapid(
         &self,
         plan: &LogicalPlan,
-        router: Option<&(Arc<dyn StageRouter>, u64)>,
-        trace: Option<Arc<dyn TraceSink>>,
+        bound: Option<BoundPlan>,
+        req: &Request<'_>,
     ) -> Result<(QueryResult, Compiled), DbError> {
         // Admission (§3.3): the query SCN must not be younger than any
         // referenced RAPID table. Checkpoint lagging tables first.
@@ -859,19 +778,24 @@ impl HostDb {
         // Fork a per-query engine (the catalog shares table `Arc`s) so the
         // engine lock is NOT held while executing: concurrent sessions
         // parked inside the scheduler must not block checkpoint writers.
-        let (engine, compiled) = {
+        let engine = {
             let rapid = self.rapid.read();
-            let mut ctx = match router {
-                Some((r, qid)) => rapid.context().clone().with_router(Arc::clone(r), *qid),
-                None => rapid.context().clone(),
-            };
-            if let Some(sink) = trace {
-                ctx = ctx.with_trace(sink);
+            let mut ctx = rapid.context().clone();
+            if let Some((sched, handle)) = req.sched {
+                ctx = ctx.with_router(Arc::clone(sched) as Arc<dyn StageRouter>, handle.id());
             }
-            let engine = rapid.fork(ctx);
-            let compiled = rapid_qcomp::compile(plan, engine.catalog(), &self.params)
-                .map_err(|e| DbError::Rapid(e.to_string()))?;
-            (engine, compiled)
+            if let Some(sink) = &req.trace {
+                ctx = ctx.with_trace(Arc::clone(sink));
+            }
+            rapid.fork(ctx)
+        };
+        let compiled = match bound {
+            Some(bound) if bound.valid_on(engine.catalog()) => bound.compiled,
+            _ => {
+                BoundPlan::compile(plan, &tables, engine.catalog(), &self.params)
+                    .map_err(|e| DbError::Rapid(e.to_string()))?
+                    .compiled
+            }
         };
         let (out, report) = engine
             .execute(&compiled.plan)
@@ -905,6 +829,70 @@ impl HostDb {
             host_secs: start.elapsed().as_secs_f64(),
         })
     }
+}
+
+/// What one request brings to the request path besides its plan.
+#[derive(Default)]
+struct Request<'a> {
+    /// A scheduled session: RAPID stages are placed on this scheduler's
+    /// shared timeline as the handle's query.
+    sched: Option<(&'a Arc<Scheduler>, &'a rapid_sched::QueryHandle)>,
+    /// `EXPLAIN ANALYZE`: per-stage trace events are recorded here.
+    trace: Option<Arc<dyn TraceSink>>,
+}
+
+impl Request<'_> {
+    /// The typed error of a query its scheduler cancelled or timed out.
+    fn refusal(&self) -> Option<DbError> {
+        let (_, handle) = self.sched?;
+        if handle.cancelled() {
+            Some(DbError::Cancelled)
+        } else if handle.timed_out() {
+            Some(DbError::QueryTimeout)
+        } else {
+            None
+        }
+    }
+}
+
+/// The one snapshot routine behind `LOAD`, query checkpointing, recovery
+/// and the background checkpointer: build a columnar copy of `host` at its
+/// current SCN — outside the engine lock — and install it unless RAPID
+/// already holds the table at that SCN or a later one. A slower builder can
+/// finish after a faster one that started later; letting it win would put
+/// data older than an admitted query's SCN under that query (§3.3).
+fn ship_snapshot(rapid: &RwLock<Engine>, name: &str, host: &RwLock<HostTable>) {
+    let guard = host.read();
+    let scn = guard.scn;
+    let mut b = TableBuilder::new(name, guard.schema.clone())
+        .chunk_rows(4096)
+        .partitions(4);
+    b.extend_rows(guard.scan().cloned());
+    drop(guard);
+    let snapshot = Arc::new(b.finish_at_scn(scn));
+    {
+        let mut engine = rapid.write();
+        if engine.catalog().get(name).is_some_and(|t| t.scn >= scn) {
+            return;
+        }
+        engine.load_table(snapshot);
+    }
+    // Everything up to `scn` is now in RAPID.
+    host.write().journal.mark_checkpointed(scn);
+}
+
+/// Ship `table` to RAPID if RAPID holds it at an older SCN than the host.
+fn checkpoint_table(store: &RowStore, rapid: &RwLock<Engine>, table: &str) -> Result<(), DbError> {
+    let host = store
+        .table(table)
+        .ok_or_else(|| DbError::NoSuchTable(table.into()))?;
+    let Some(current) = rapid.read().catalog().get(table).map(|t| t.scn) else {
+        return Ok(()); // not loaded: nothing to keep fresh
+    };
+    if host.read().scn > current {
+        ship_snapshot(rapid, table, &host);
+    }
+    Ok(())
 }
 
 impl Drop for HostDb {
@@ -995,27 +983,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         s
     } else {
         "non-string panic payload"
-    }
-}
-
-/// Rename every scan of `from` to `to` in place.
-fn rename_table(plan: &mut LogicalPlan, from: &str, to: &str) {
-    match plan {
-        LogicalPlan::Scan { table, .. } => {
-            if table == from {
-                *table = to.to_string();
-            }
-        }
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Window { input, .. } => rename_table(input, from, to),
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-            rename_table(left, from, to);
-            rename_table(right, from, to);
-        }
     }
 }
 
@@ -1566,21 +1533,7 @@ mod tests {
         // concurrent sessions must not collide on those names. Join a
         // loaded table against an unloaded one so every query takes the
         // Mixed path, then hammer it from several threads at once.
-        let d = db();
-        d.load_into_rapid("sales").unwrap();
-        d.create_table(
-            "region_names",
-            Schema::new(vec![
-                Field::new("key", DataType::Varchar),
-                Field::new("pretty", DataType::Varchar),
-            ]),
-        );
-        d.bulk_insert(
-            "region_names",
-            ["north", "south", "east", "west"]
-                .iter()
-                .map(|r| vec![Value::Str((*r).into()), Value::Str(format!("The {r}"))]),
-        );
+        let d = db_with_unloaded_dimension();
         let sql = "SELECT pretty, COUNT(*) AS n FROM sales \
                    JOIN region_names ON region = key GROUP BY pretty ORDER BY pretty";
         let expected = d.execute_sql(sql).unwrap();
@@ -1605,6 +1558,123 @@ mod tests {
         });
         // No temp-table leftovers once every session finished.
         assert!(d.schemas().keys().all(|t| !t.contains("__")));
+    }
+
+    /// `sales` loaded plus an unloaded `region_names`: joins of the two
+    /// offload partially.
+    fn db_with_unloaded_dimension() -> HostDb {
+        let d = db();
+        d.load_into_rapid("sales").unwrap();
+        d.create_table(
+            "region_names",
+            Schema::new(vec![
+                Field::new("key", DataType::Varchar),
+                Field::new("pretty", DataType::Varchar),
+            ]),
+        );
+        d.bulk_insert(
+            "region_names",
+            ["north", "south", "east", "west"]
+                .iter()
+                .map(|r| vec![Value::Str((*r).into()), Value::Str(format!("The {r}"))]),
+        );
+        d
+    }
+
+    #[test]
+    fn partial_offload_leaves_cached_plans_valid() {
+        // Landing fragment results is not DDL: it used to bump the DDL
+        // epoch twice per Mixed query and stale every cached plan.
+        let d = db_with_unloaded_dimension();
+        let ps = d.prepare("SELECT COUNT(*) AS n FROM sales").unwrap();
+        d.execute_prepared(&ps).unwrap();
+        let before = d.plan_cache_stats();
+        let mixed = d
+            .execute_sql(
+                "SELECT pretty, COUNT(*) AS n FROM sales \
+                 JOIN region_names ON region = key GROUP BY pretty",
+            )
+            .unwrap();
+        assert_eq!(mixed.site, ExecutionSite::Mixed);
+        d.execute_prepared(&ps).unwrap();
+        let after = d.plan_cache_stats();
+        assert_eq!(after.invalidations, before.invalidations);
+        assert_eq!(after.hits, before.hits + 1, "the prepared plan was reused");
+    }
+
+    #[test]
+    fn failed_fragment_leaves_no_temp_tables_behind() {
+        // Two fragments; the second (an overflowing SUM) fails after the
+        // first has landed its result. Nothing may stay in the row store.
+        use rapid_qcomp::logical::{LAgg, LExpr, LNamed};
+        let d = db_with_unloaded_dimension();
+        d.create_table(
+            "huge",
+            Schema::new(vec![
+                Field::new("hk", DataType::Int),
+                Field::new("x", DataType::Int),
+            ]),
+        );
+        d.bulk_insert(
+            "huge",
+            (0..4).map(|_| vec![Value::Int(1), Value::Int(i64::MAX / 2)]),
+        );
+        d.load_into_rapid("huge").unwrap();
+        let overflowing = LogicalPlan::scan("huge").aggregate(
+            vec![LNamed::new("hk", LExpr::col("hk"))],
+            vec![LAgg {
+                func: rapid_qef::primitives::agg::AggFunc::Sum,
+                input: LExpr::col("x"),
+                name: "total".into(),
+            }],
+        );
+        let plan = LogicalPlan::scan("sales")
+            .join(LogicalPlan::scan("region_names"), &["region"], &["key"])
+            .join(overflowing, &["id"], &["hk"]);
+        let rapid = d.rapid.read();
+        let decision = crate::offload::decide(&plan, rapid.catalog(), &d.params);
+        drop(rapid);
+        assert_eq!(decision, crate::offload::OffloadDecision::Partial(2));
+
+        let mut before = d.store().table_names();
+        before.sort();
+        let err = d.execute_plan(&plan).unwrap_err();
+        assert_eq!(err.kind(), "Rapid", "{err}");
+        let mut after = d.store().table_names();
+        after.sort();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn an_older_snapshot_never_replaces_a_newer_one() {
+        // Snapshots are built outside the engine lock, so the slower of two
+        // builders can finish last; installing it would move RAPID's copy
+        // (and the query that forks it next) back in time.
+        let d = db();
+        let host = d.store().table("sales").unwrap();
+        let ship_at = |scn: u64| {
+            host.write().scn = Scn(scn);
+            ship_snapshot(&d.rapid, "sales", &host);
+            let held = d.rapid.read().catalog()["sales"].scn;
+            (held, host.read().journal.checkpointed())
+        };
+        assert_eq!(ship_at(7), (Scn(7), Scn(7)));
+        assert_eq!(
+            ship_at(6),
+            (Scn(7), Scn(7)),
+            "the older snapshot is refused"
+        );
+        assert_eq!(ship_at(8), (Scn(8), Scn(8)));
+    }
+
+    #[test]
+    fn a_recreated_table_replaces_its_loaded_predecessor() {
+        // The replacement starts empty, yet it is the later state.
+        let d = db();
+        d.load_into_rapid("sales").unwrap();
+        d.create_table("sales", Schema::new(vec![Field::new("id", DataType::Int)]));
+        d.load_into_rapid("sales").unwrap();
+        assert_eq!(d.rapid.read().catalog()["sales"].rows(), 0);
     }
 
     #[test]

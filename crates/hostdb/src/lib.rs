@@ -24,6 +24,9 @@
 //! differential tests exploit.
 
 #![warn(missing_docs)]
+// The request path must convert, not panic (same discipline as rapid-sched
+// and rapid-server; ci.sh's scoped clippy sweep evaluates it).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub mod db;

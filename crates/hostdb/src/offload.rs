@@ -11,21 +11,31 @@
 //! candidacy reduces to table residency; the cost comparison weighs the
 //! RAPID execution + result-return estimate (from `rapid-qcomp`'s cost
 //! model) against a calibrated per-row cost of the Volcano engine.
+//!
+//! This module owns compilation: [`BoundPlan::compile`] is the only call of
+//! the RAPID compiler in hostdb. The decision compiles a statement once to
+//! cost it and hands that [`BoundPlan`] to the executor, which recompiles
+//! only if a table was reloaded in between (see `db`'s request path).
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use rapid_qcomp::cost::{estimate, offload_cost, CostParams};
+use rapid_qcomp::cost::CostParams;
 use rapid_qcomp::logical::LogicalPlan;
+use rapid_qcomp::{CompileError, Compiled};
 use rapid_qef::plan::Catalog;
+use rapid_storage::table::Table;
 
-/// What the planner decided for a query.
+/// What the planner decided for a query: the public summary of an
+/// [`OffloadPlan`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum OffloadDecision {
     /// The whole plan runs on RAPID.
     Full,
-    /// The listed subtrees run on RAPID; the rest runs on the host. Each
-    /// fragment is identified by its pre-order index in the plan walk.
-    Partial(Vec<usize>),
+    /// This many maximal RAPID-resident subtrees run on RAPID; the rest
+    /// runs on the host.
+    Partial(usize),
     /// Everything runs on the host.
     None(NoOffloadReason),
 }
@@ -40,206 +50,173 @@ pub enum NoOffloadReason {
     HostCheaper,
 }
 
+/// A compiled statement together with the tables it was compiled against.
+///
+/// A [`Compiled`] embeds dictionary codes and column positions of those
+/// exact `Arc<Table>`s, so it may be executed only on an engine whose
+/// catalog still holds the same tables ([`valid_on`](Self::valid_on)); once
+/// a checkpoint has reloaded one of them the statement must be recompiled.
+#[derive(Debug)]
+pub(crate) struct BoundPlan {
+    pub(crate) compiled: Compiled,
+    tables: Vec<Arc<Table>>,
+}
+
+impl BoundPlan {
+    /// Compile `plan` against `catalog` — the one place hostdb runs the
+    /// RAPID compiler (join-order search, lowering, estimate, verifier gate).
+    /// `tables` are the plan's [`referenced_tables`].
+    pub(crate) fn compile(
+        plan: &LogicalPlan,
+        tables: &HashSet<String>,
+        catalog: &Catalog,
+        params: &CostParams,
+    ) -> Result<Self, CompileError> {
+        let compiled = rapid_qcomp::compile(plan, catalog, params)?;
+        let tables = tables
+            .iter()
+            .filter_map(|t| catalog.get(t).cloned())
+            .collect();
+        Ok(BoundPlan { compiled, tables })
+    }
+
+    /// Whether `catalog` holds exactly the tables this was compiled against.
+    pub(crate) fn valid_on(&self, catalog: &Catalog) -> bool {
+        self.tables.iter().all(|t| {
+            catalog
+                .get(&t.name)
+                .is_some_and(|held| Arc::ptr_eq(held, t))
+        })
+    }
+}
+
+/// The offload decision with the by-products the executor needs, so nothing
+/// the decision worked out is computed again.
+#[derive(Debug)]
+pub(crate) enum OffloadPlan {
+    /// The whole plan runs on RAPID. Carries the compiled plan the decision
+    /// costed; `None` when the site was forced without costing.
+    Full(Option<BoundPlan>),
+    /// Each maximal RAPID-resident subtree is a fragment, replaced in
+    /// `remainder` by a scan of the temporary table it is named after
+    /// (`__rapid_frag_<i>__<n>`, `n` unique per decision so concurrent
+    /// queries cannot collide), where the executor lands its result.
+    Partial {
+        /// The plan with every fragment replaced by its placeholder scan.
+        remainder: LogicalPlan,
+        /// `(temporary table name, fragment)`, in plan order.
+        fragments: Vec<(String, LogicalPlan)>,
+    },
+    /// Everything runs on the host.
+    None(NoOffloadReason),
+}
+
 /// Calibration of the host-side (Volcano) cost: seconds per row-operator
 /// touch. Interpreted row-at-a-time execution costs on the order of
 /// hundreds of nanoseconds per row per operator.
 pub const VOLCANO_SECS_PER_ROW_OP: f64 = 250.0e-9;
 
-/// Estimate local (Volcano) execution seconds from plan cardinalities.
-pub fn estimate_local_secs(plan: &LogicalPlan, catalog: &Catalog, p: &CostParams) -> f64 {
-    // Reuse the RAPID cardinality estimator by compiling; on failure
-    // (tables unknown to RAPID) fall back to a coarse sum of table sizes.
-    fn walk(plan: &LogicalPlan, catalog: &Catalog, acc: &mut f64) {
-        match plan {
-            LogicalPlan::Scan { table, .. } => {
-                if let Some(t) = catalog.get(table) {
-                    *acc += t.rows() as f64;
-                }
-            }
-            LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Window { input, .. } => walk(input, catalog, acc),
-            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-                walk(left, catalog, acc);
-                walk(right, catalog, acc);
-            }
-        }
+/// Estimate local (Volcano) execution seconds: every scanned row passes
+/// through a handful of operators.
+fn estimate_local_secs(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
+    fn scanned_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
+        let own = match plan {
+            LogicalPlan::Scan { table, .. } => catalog.get(table).map_or(0.0, |t| t.rows() as f64),
+            _ => 0.0,
+        };
+        own + plan
+            .inputs()
+            .map(|child| scanned_rows(child, catalog))
+            .sum::<f64>()
     }
-    let mut rows_touched = 0.0;
-    walk(plan, catalog, &mut rows_touched);
-    let _ = p;
-    // Every scanned row passes through a handful of operators.
-    rows_touched * 4.0 * VOLCANO_SECS_PER_ROW_OP
+    scanned_rows(plan, catalog) * 4.0 * VOLCANO_SECS_PER_ROW_OP
 }
 
 /// Tables referenced by a logical plan.
 pub fn referenced_tables(plan: &LogicalPlan, out: &mut HashSet<String>) {
-    match plan {
-        LogicalPlan::Scan { table, .. } => {
-            out.insert(table.clone());
-        }
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Window { input, .. } => referenced_tables(input, out),
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-            referenced_tables(left, out);
-            referenced_tables(right, out);
-        }
+    if let LogicalPlan::Scan { table, .. } = plan {
+        out.insert(table.clone());
+    }
+    for child in plan.inputs() {
+        referenced_tables(child, out);
     }
 }
 
 /// Make the offload decision for a query.
 pub fn decide(plan: &LogicalPlan, rapid_catalog: &Catalog, params: &CostParams) -> OffloadDecision {
+    match plan_offload(plan, rapid_catalog, params) {
+        OffloadPlan::Full(_) => OffloadDecision::Full,
+        OffloadPlan::Partial { fragments, .. } => OffloadDecision::Partial(fragments.len()),
+        OffloadPlan::None(why) => OffloadDecision::None(why),
+    }
+}
+
+/// [`decide`], keeping what the decision computed: the compiled plan of a
+/// full offload, the rewritten remainder and fragments of a partial one.
+pub(crate) fn plan_offload(
+    plan: &LogicalPlan,
+    rapid_catalog: &Catalog,
+    params: &CostParams,
+) -> OffloadPlan {
     let mut tables = HashSet::new();
     referenced_tables(plan, &mut tables);
-    let all_loaded = tables.iter().all(|t| rapid_catalog.contains_key(t));
-    if !all_loaded {
-        // Partial offload: collect maximal loaded subtrees.
+    let loaded = tables
+        .iter()
+        .filter(|t| rapid_catalog.contains_key(*t))
+        .count();
+    if loaded == 0 {
+        return OffloadPlan::None(NoOffloadReason::TablesNotLoaded);
+    }
+    if loaded < tables.len() {
+        static DECISION_SEQ: AtomicU64 = AtomicU64::new(0);
+        let uniq = DECISION_SEQ.fetch_add(1, Ordering::Relaxed);
+        let mut remainder = plan.clone();
         let mut fragments = Vec::new();
-        collect_fragments(plan, rapid_catalog, &mut 0, &mut fragments);
-        return if fragments.is_empty() {
-            OffloadDecision::None(NoOffloadReason::TablesNotLoaded)
-        } else {
-            OffloadDecision::Partial(fragments)
+        extract_fragments(&mut remainder, rapid_catalog, uniq, &mut fragments);
+        return OffloadPlan::Partial {
+            remainder,
+            fragments,
         };
     }
     // Cost-based full-vs-none.
-    match rapid_qcomp::compile(plan, rapid_catalog, params) {
-        Ok(c) => {
-            let rapid_secs = offload_cost(&c.plan, rapid_catalog, params);
-            let local_secs = estimate_local_secs(plan, rapid_catalog, params);
-            let _ = estimate(&c.plan, rapid_catalog, params);
-            if rapid_secs < local_secs {
-                OffloadDecision::Full
+    match BoundPlan::compile(plan, &tables, rapid_catalog, params) {
+        Ok(bound) => {
+            let rapid_secs = bound.compiled.cost.offload_secs(params);
+            if rapid_secs < estimate_local_secs(plan, rapid_catalog) {
+                OffloadPlan::Full(Some(bound))
             } else {
-                OffloadDecision::None(NoOffloadReason::HostCheaper)
+                OffloadPlan::None(NoOffloadReason::HostCheaper)
             }
         }
-        Err(_) => OffloadDecision::None(NoOffloadReason::TablesNotLoaded),
+        Err(_) => OffloadPlan::None(NoOffloadReason::TablesNotLoaded),
     }
 }
 
-/// Pre-order walk collecting indices of maximal subtrees whose referenced
-/// tables are all RAPID-resident.
-fn collect_fragments(plan: &LogicalPlan, catalog: &Catalog, idx: &mut usize, out: &mut Vec<usize>) {
-    let my_idx = *idx;
-    *idx += 1;
-    let mut tables = HashSet::new();
-    referenced_tables(plan, &mut tables);
-    if !tables.is_empty() && tables.iter().all(|t| catalog.contains_key(t)) {
-        out.push(my_idx);
+/// Whether every table under `plan` is loaded into RAPID.
+fn resident(plan: &LogicalPlan, catalog: &Catalog) -> bool {
+    match plan {
+        LogicalPlan::Scan { table, .. } => catalog.contains_key(table),
+        _ => plan.inputs().all(|child| resident(child, catalog)),
+    }
+}
+
+/// Move each **maximal** RAPID-resident subtree of `plan` into `fragments`,
+/// leaving a placeholder scan of its temporary table behind.
+fn extract_fragments(
+    plan: &mut LogicalPlan,
+    catalog: &Catalog,
+    uniq: u64,
+    fragments: &mut Vec<(String, LogicalPlan)>,
+) {
+    if resident(plan, catalog) {
+        let name = format!("__rapid_frag_{}__{uniq}", fragments.len());
+        let fragment = std::mem::replace(plan, LogicalPlan::scan(&name));
+        fragments.push((name, fragment));
         return; // maximal: don't descend
     }
-    match plan {
-        LogicalPlan::Scan { .. } => {}
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Window { input, .. } => collect_fragments(input, catalog, idx, out),
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
-            collect_fragments(left, catalog, idx, out);
-            collect_fragments(right, catalog, idx, out);
-        }
+    for child in plan.inputs_mut() {
+        extract_fragments(child, catalog, uniq, fragments);
     }
-}
-
-/// Rewrite the plan for partial offload: each **maximal** RAPID-resident
-/// subtree becomes a placeholder scan of a temporary table named
-/// `__rapid_frag_<i>`, and the extracted fragments are returned alongside.
-/// The caller executes the fragments on RAPID, materializes their results
-/// under those temp names in the host store (the RAPID-operator buffers of
-/// §3.2), and runs the rewritten remainder locally.
-pub fn extract_fragments(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-) -> (LogicalPlan, Vec<(String, LogicalPlan)>) {
-    fn walk(
-        plan: &LogicalPlan,
-        catalog: &Catalog,
-        frags: &mut Vec<(String, LogicalPlan)>,
-    ) -> LogicalPlan {
-        let mut tables = HashSet::new();
-        referenced_tables(plan, &mut tables);
-        if !tables.is_empty() && tables.iter().all(|t| catalog.contains_key(t)) {
-            let name = format!("__rapid_frag_{}", frags.len());
-            frags.push((name.clone(), plan.clone()));
-            return LogicalPlan::Scan {
-                table: name,
-                pred: None,
-                projection: None,
-            };
-        }
-        match plan {
-            LogicalPlan::Scan { .. } => plan.clone(),
-            LogicalPlan::Filter { input, pred } => LogicalPlan::Filter {
-                input: Box::new(walk(input, catalog, frags)),
-                pred: pred.clone(),
-            },
-            LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-                input: Box::new(walk(input, catalog, frags)),
-                exprs: exprs.clone(),
-            },
-            LogicalPlan::Sort { input, order } => LogicalPlan::Sort {
-                input: Box::new(walk(input, catalog, frags)),
-                order: order.clone(),
-            },
-            LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-                input: Box::new(walk(input, catalog, frags)),
-                n: *n,
-            },
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => LogicalPlan::Aggregate {
-                input: Box::new(walk(input, catalog, frags)),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            LogicalPlan::Window {
-                input,
-                partition_by,
-                order_by,
-                func,
-                name,
-            } => LogicalPlan::Window {
-                input: Box::new(walk(input, catalog, frags)),
-                partition_by: partition_by.clone(),
-                order_by: order_by.clone(),
-                func: func.clone(),
-                name: name.clone(),
-            },
-            LogicalPlan::Join {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                join_type,
-            } => LogicalPlan::Join {
-                left: Box::new(walk(left, catalog, frags)),
-                right: Box::new(walk(right, catalog, frags)),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                join_type: *join_type,
-            },
-            LogicalPlan::SetOp { left, right, op } => LogicalPlan::SetOp {
-                left: Box::new(walk(left, catalog, frags)),
-                right: Box::new(walk(right, catalog, frags)),
-                op: *op,
-            },
-        }
-    }
-    let mut frags = Vec::new();
-    let rewritten = walk(plan, catalog, &mut frags);
-    (rewritten, frags)
 }
 
 #[cfg(test)]
@@ -292,12 +269,83 @@ mod tests {
         let loaded = LogicalPlan::scan("t");
         let unloaded = LogicalPlan::scan("ghost");
         let join = loaded.join(unloaded, &["k"], &["g"]);
-        match decide(&join, &cat, &CostParams::default()) {
-            OffloadDecision::Partial(frags) => {
-                assert_eq!(frags.len(), 1, "the loaded scan is a fragment");
-            }
-            other => panic!("expected partial, got {other:?}"),
-        }
+        assert_eq!(
+            decide(&join, &cat, &CostParams::default()),
+            OffloadDecision::Partial(1),
+            "the loaded scan is a fragment"
+        );
+        let OffloadPlan::Partial {
+            remainder,
+            fragments,
+        } = plan_offload(&join, &cat, &CostParams::default())
+        else {
+            panic!("expected partial");
+        };
+        let [(temp, fragment)] = &fragments[..] else {
+            panic!("expected one fragment, got {fragments:?}");
+        };
+        assert_eq!(fragment, &LogicalPlan::scan("t"));
+        assert_eq!(
+            remainder,
+            LogicalPlan::scan(temp).join(LogicalPlan::scan("ghost"), &["k"], &["g"]),
+            "the remainder scans the fragment's temp table in its place"
+        );
+    }
+
+    /// A `BoundPlan` is valid exactly while the catalog holds the tables it
+    /// was compiled against: an equal-content reload invalidates it.
+    #[test]
+    fn bound_plan_is_invalidated_by_a_reload() {
+        let mut cat = catalog(100);
+        let plan = LogicalPlan::scan("t");
+        let tables = HashSet::from(["t".to_string()]);
+        let bound = BoundPlan::compile(&plan, &tables, &cat, &CostParams::default()).unwrap();
+        assert!(bound.valid_on(&cat));
+        let reloaded = catalog(100).remove("t").unwrap();
+        cat.insert("t".into(), reloaded);
+        assert!(!bound.valid_on(&cat), "same rows, different Arc<Table>");
+        cat.remove("t");
+        assert!(!bound.valid_on(&cat), "table gone");
+    }
+
+    /// `referenced_tables` recurses through `LogicalPlan::inputs()`: over a
+    /// plan holding all nine variants it finds every scanned table.
+    #[test]
+    fn referenced_tables_sees_under_every_variant() {
+        use rapid_qcomp::logical::{LAgg, LExpr, LNamed, LSortKey, LWindowFunc};
+        let window = LogicalPlan::Window {
+            input: Box::new(LogicalPlan::scan("w").limit(3)),
+            partition_by: vec![],
+            order_by: vec![],
+            func: LWindowFunc::RowNumber,
+            name: "rn".into(),
+        };
+        let agg = LogicalPlan::scan("a")
+            .filter(LPred::eq("k", Value::Int(1)))
+            .aggregate(
+                vec![LNamed::new("k", LExpr::col("k"))],
+                vec![LAgg {
+                    func: rapid_qef::primitives::agg::AggFunc::Count,
+                    input: LExpr::col("k"),
+                    name: "n".into(),
+                }],
+            );
+        let plan = LogicalPlan::SetOp {
+            left: Box::new(
+                agg.join(window, &["k"], &["k"])
+                    .project(vec![LNamed::new("k", LExpr::col("k"))])
+                    .sort(vec![LSortKey {
+                        col: "k".into(),
+                        desc: false,
+                    }]),
+            ),
+            right: Box::new(LogicalPlan::scan("s")),
+            op: rapid_qef::plan::SetOpKind::Union,
+        };
+        let mut tables = HashSet::new();
+        referenced_tables(&plan, &mut tables);
+        let want: HashSet<String> = ["a", "w", "s"].iter().map(|t| t.to_string()).collect();
+        assert_eq!(tables, want);
     }
 
     #[test]

@@ -368,10 +368,9 @@ impl Parser {
         while self.kw("OR") {
             terms.push(self.and_term()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one")
-        } else {
-            Ast::Or(terms)
+        Ok(match <[Ast; 1]>::try_from(terms) {
+            Ok([only]) => only,
+            Err(terms) => Ast::Or(terms),
         })
     }
 
@@ -380,10 +379,9 @@ impl Parser {
         while self.kw("AND") {
             terms.push(self.not_term()?);
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().expect("one")
-        } else {
-            Ast::And(terms)
+        Ok(match <[Ast; 1]>::try_from(terms) {
+            Ok([only]) => only,
+            Err(terms) => Ast::And(terms),
         })
     }
 
@@ -935,12 +933,10 @@ fn plan(
         let preds = scan_preds.get(t).cloned().unwrap_or_default();
         Ok(LogicalPlan::Scan {
             table: t.to_string(),
-            pred: if preds.is_empty() {
-                None
-            } else if preds.len() == 1 {
-                Some(preds.into_iter().next().expect("one"))
-            } else {
-                Some(LPred::And(preds))
+            pred: match <[LPred; 1]>::try_from(preds) {
+                Ok([only]) => Some(only),
+                Err(preds) if preds.is_empty() => None,
+                Err(preds) => Some(LPred::And(preds)),
             },
             projection: None,
         })

@@ -70,7 +70,7 @@ impl HostTable {
 pub struct RowStore {
     tables: RwLock<HashMap<String, Arc<RwLock<HostTable>>>>,
     clock: ScnClock,
-    /// Monotonic counter bumped by every DDL statement (create/drop); plan
+    /// Monotonic counter bumped by every DDL statement (create); plan
     /// caches key their validity on it.
     ddl_epoch: AtomicU64,
 }
@@ -87,16 +87,19 @@ impl RowStore {
     }
 
     /// Create a table (replacing any previous definition). DDL: bumps the
-    /// [`ddl_epoch`](Self::ddl_epoch), invalidating cached plans.
+    /// [`ddl_epoch`](Self::ddl_epoch), invalidating cached plans. The table
+    /// starts at a fresh SCN, so a replacement is newer than any snapshot of
+    /// the table it replaces.
     pub fn create_table(&self, name: &str, schema: Schema) {
-        self.tables.write().insert(
-            name.to_string(),
-            Arc::new(RwLock::new(HostTable::new(schema))),
-        );
+        let mut table = HostTable::new(schema);
+        table.scn = self.clock.tick();
+        self.tables
+            .write()
+            .insert(name.to_string(), Arc::new(RwLock::new(table)));
         self.ddl_epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// The current DDL epoch. Any create/drop since a plan was cached makes
+    /// The current DDL epoch. Any create since a plan was cached makes
     /// that plan's name resolution stale; caches compare epochs to decide.
     pub fn ddl_epoch(&self) -> u64 {
         self.ddl_epoch.load(Ordering::Acquire)
@@ -112,11 +115,22 @@ impl RowStore {
         self.tables.read().keys().cloned().collect()
     }
 
-    /// Drop a table (used for the offload path's temporary fragment
-    /// results). DDL: bumps the [`ddl_epoch`](Self::ddl_epoch).
-    pub fn drop_table(&self, name: &str) {
-        self.tables.write().remove(name);
-        self.ddl_epoch.fetch_add(1, Ordering::Release);
+    /// Land a query's intermediate result (the RAPID operator's fragment
+    /// buffers, §3.2) as a table the host executor can scan until the
+    /// returned guard drops. Not DDL: no epoch bump, no SCN tick, cached
+    /// plans stay valid.
+    pub(crate) fn temp_table(
+        &self,
+        name: String,
+        schema: Schema,
+        rows: Vec<Vec<Value>>,
+    ) -> TempTable<'_> {
+        let mut table = HostTable::new(schema);
+        table.rows = rows.into_iter().map(Some).collect();
+        self.tables
+            .write()
+            .insert(name.clone(), Arc::new(RwLock::new(table)));
+        TempTable { store: self, name }
     }
 
     /// Commit a batch of changes to one table: bumps the SCN, applies to
@@ -152,6 +166,20 @@ impl RowStore {
         }
         guard.scn = scn;
         Some(scn)
+    }
+}
+
+/// Removes its [`RowStore::temp_table`] when dropped — on every exit path
+/// of the query that landed it.
+#[derive(Debug)]
+pub(crate) struct TempTable<'a> {
+    store: &'a RowStore,
+    name: String,
+}
+
+impl Drop for TempTable<'_> {
+    fn drop(&mut self) {
+        self.store.tables.write().remove(&self.name);
     }
 }
 

@@ -66,16 +66,13 @@ fn align(a: (i64, u8), b: (i64, u8)) -> Result<(i64, i64, u8), MathError> {
     Ok((ua, ub, scale))
 }
 
-fn downscale(v: (i64, u8), max_scale: u8) -> (i64, u8) {
+fn downscale(v: (i64, u8), max_scale: u8) -> Result<(i64, u8), MathError> {
     if v.1 <= max_scale {
-        v
+        Ok(v)
     } else {
         let p = pow10(v.1 - max_scale).unwrap_or(1);
-        // Dividing by a positive power of ten cannot leave i64.
-        (
-            div_round_half_away(v.0, p).expect("downscale fits"),
-            max_scale,
-        )
+        let q = div_round_half_away(v.0, p).ok_or(MathError::Overflow)?;
+        Ok((q, max_scale))
     }
 }
 
@@ -102,8 +99,8 @@ pub fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value, MathError> {
         ArithOp::Div => {
             // Mirror the compiler: reduce operands to scale ≤ 2, then
             // out_scale = max(6, sa - sb) with dividend pre-scaling.
-            let (ua, sa) = downscale(na, 2);
-            let (ub, sb) = downscale(nb, 2);
+            let (ua, sa) = downscale(na, 2)?;
+            let (ub, sb) = downscale(nb, 2)?;
             if ub == 0 {
                 return Err(MathError::DivByZero);
             }
@@ -163,7 +160,9 @@ pub fn order_by_cmp(a: &Value, b: &Value, desc: bool) -> std::cmp::Ordering {
         (true, false) => std::cmp::Ordering::Greater,
         (false, true) => std::cmp::Ordering::Less,
         (false, false) => {
-            let ord = compare(a, b).expect("non-null");
+            // Values of unlike types do not order; a typed column never
+            // holds them side by side, so any fixed answer will do.
+            let ord = compare(a, b).unwrap_or(std::cmp::Ordering::Equal);
             if desc {
                 ord.reverse()
             } else {

@@ -477,9 +477,11 @@ impl Acc {
                 if self.count == 0 {
                     Value::Null
                 } else {
+                    // count >= 1, so the quotient is never larger than the
+                    // dividend and always fits.
                     let div = |v: i64| {
                         rapid_qef::primitives::arith::div_round_half_away(v, self.count)
-                            .expect("count >= 1 cannot overflow the quotient")
+                            .unwrap_or(v)
                     };
                     match &self.value {
                         Value::Int(v) => Value::Int(div(*v)),
@@ -730,7 +732,9 @@ impl VolcanoOp for WindowOp {
                     }
                 }
                 LWindowFunc::RunningSum { .. } => {
-                    let col = self.sum_col.expect("resolved");
+                    let col = self
+                        .sum_col
+                        .ok_or_else(|| VolcanoError("running sum without a column".into()))?;
                     let mut acc = Value::Int(0);
                     for &r in &ordered {
                         if !rows[r][col].is_null() {

@@ -74,6 +74,12 @@ impl PlanCost {
     pub fn output_bytes(&self) -> f64 {
         self.rows * self.row_bytes
     }
+
+    /// Total offload cost: execution + result transfer + fixed latency — the
+    /// quantity the host optimizer compares against local execution (§3.1).
+    pub fn offload_secs(&self, p: &CostParams) -> f64 {
+        self.exec_secs + self.output_bytes() / p.network_bytes_per_sec + p.offload_latency_secs
+    }
 }
 
 /// A node estimate: the cost plus *derived* per-output-column statistics,
@@ -502,13 +508,6 @@ pub fn estimate_rows_per_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams
     out
 }
 
-/// Total offload cost: execution + result transfer + fixed latency — the
-/// quantity the host optimizer compares against local execution (§3.1).
-pub fn offload_cost(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> f64 {
-    let c = estimate(plan, catalog, p);
-    c.exec_secs + c.output_bytes() / p.network_bytes_per_sec + p.offload_latency_secs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,9 +568,8 @@ mod tests {
     fn offload_cost_includes_network_and_latency() {
         let p = CostParams::default();
         let cat = catalog(1000);
-        let total = offload_cost(&scan(), &cat, &p);
-        let exec = estimate(&scan(), &cat, &p).exec_secs;
-        assert!(total > exec + p.offload_latency_secs - 1e-12);
+        let cost = estimate(&scan(), &cat, &p);
+        assert!(cost.offload_secs(&p) > cost.exec_secs + p.offload_latency_secs - 1e-12);
     }
 
     #[test]

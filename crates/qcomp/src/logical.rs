@@ -288,6 +288,42 @@ pub enum LWindowFunc {
 }
 
 impl LogicalPlan {
+    /// The node's child plans, left to right — the one place that spells
+    /// out which variants have which children, so plan walks elsewhere
+    /// recurse through this instead of matching every variant.
+    pub fn inputs(&self) -> impl Iterator<Item = &LogicalPlan> {
+        let (first, second) = match self {
+            LogicalPlan::Scan { .. } => (None, None),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Window { input, .. } => (Some(&**input), None),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
+                (Some(&**left), Some(&**right))
+            }
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`inputs`](Self::inputs), mutably: rewrite children in place.
+    pub fn inputs_mut(&mut self) -> impl Iterator<Item = &mut LogicalPlan> {
+        let (first, second) = match self {
+            LogicalPlan::Scan { .. } => (None, None),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Window { input, .. } => (Some(&mut **input), None),
+            LogicalPlan::Join { left, right, .. } | LogicalPlan::SetOp { left, right, .. } => {
+                (Some(&mut **left), Some(&mut **right))
+            }
+        };
+        first.into_iter().chain(second)
+    }
+
     /// Scan shorthand.
     pub fn scan(table: &str) -> LogicalPlan {
         LogicalPlan::Scan {
@@ -386,6 +422,80 @@ mod tests {
         };
         assert_eq!(n, 10);
         assert!(matches!(*input, LogicalPlan::Sort { .. }));
+    }
+
+    /// A plan holding all nine variants; its scans, left to right, are
+    /// a, b, c, d.
+    fn every_variant() -> LogicalPlan {
+        let key = |col: &str| LSortKey {
+            col: col.into(),
+            desc: false,
+        };
+        let window = LogicalPlan::Window {
+            input: Box::new(LogicalPlan::scan("b").limit(5)),
+            partition_by: vec![],
+            order_by: vec![key("k")],
+            func: LWindowFunc::RowNumber,
+            name: "rn".into(),
+        };
+        let joined = LogicalPlan::scan("a")
+            .filter(LPred::eq("k", Value::Int(1)))
+            .join(window, &["k"], &["k"])
+            .project(vec![LNamed::new("k", LExpr::col("k"))]);
+        let grouped = LogicalPlan::scan("c")
+            .aggregate(vec![LNamed::new("k", LExpr::col("k"))], vec![])
+            .sort(vec![key("k")]);
+        LogicalPlan::SetOp {
+            left: Box::new(LogicalPlan::SetOp {
+                left: Box::new(joined),
+                right: Box::new(grouped),
+                op: rapid_qef::plan::SetOpKind::Union,
+            }),
+            right: Box::new(LogicalPlan::scan("d")),
+            op: rapid_qef::plan::SetOpKind::Minus,
+        }
+    }
+
+    fn scans(plan: &LogicalPlan, out: &mut Vec<String>) {
+        if let LogicalPlan::Scan { table, .. } = plan {
+            out.push(table.clone());
+        }
+        plan.inputs().for_each(|child| scans(child, out));
+    }
+
+    #[test]
+    fn inputs_visit_every_child_of_every_variant() {
+        let mut plan = every_variant();
+        let mut nodes = 0;
+        let mut variants = std::collections::HashSet::new();
+        fn count(
+            plan: &LogicalPlan,
+            nodes: &mut usize,
+            variants: &mut std::collections::HashSet<std::mem::Discriminant<LogicalPlan>>,
+        ) {
+            *nodes += 1;
+            variants.insert(std::mem::discriminant(plan));
+            plan.inputs()
+                .for_each(|child| count(child, nodes, variants));
+        }
+        count(&plan, &mut nodes, &mut variants);
+        assert_eq!(variants.len(), 9, "the plan holds every variant");
+        assert_eq!(nodes, 13);
+        let mut found = Vec::new();
+        scans(&plan, &mut found);
+        assert_eq!(found, ["a", "b", "c", "d"], "children come left to right");
+
+        // The mutable walk reaches the same nodes.
+        fn rename(plan: &mut LogicalPlan) {
+            if let LogicalPlan::Scan { table, .. } = plan {
+                table.push('2');
+            }
+            plan.inputs_mut().for_each(rename);
+        }
+        rename(&mut plan);
+        let mut found = Vec::new();
+        scans(&plan, &mut found);
+        assert_eq!(found, ["a2", "b2", "c2", "d2"]);
     }
 
     #[test]
