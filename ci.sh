@@ -60,6 +60,26 @@ echo "== rapid_bench suite (five workloads at --quick size, results checked) =="
 # this is the only step that compiles it against the crates' public items.
 cargo test -q --release --offline --manifest-path rapid_bench/Cargo.toml
 
+echo "== rapid_bench repeatability (tpch_serial twice at --quick size: the counted metrics must repeat) =="
+# A host-path change that makes the allocation counters depend on anything
+# but the input (hash iteration order, say) fails here, before anyone
+# measures with them. setup_s and peak_rss_mb are host clocks and may move,
+# so the four counted metrics are checked by name, not by compare's status.
+BENCH_TMP=$(mktemp -d)
+trap 'rm -rf "$BENCH_TMP"' EXIT
+rapid_bench() {
+    cargo run -q --release --offline --manifest-path rapid_bench/Cargo.toml --bin rapid_bench -- "$@"
+}
+rapid_bench run --quick --seed 7 --workload tpch_serial --out "$BENCH_TMP/a.json" > /dev/null
+rapid_bench run --quick --seed 7 --workload tpch_serial --out "$BENCH_TMP/b.json" > /dev/null
+CMP=$(rapid_bench compare "$BENCH_TMP/a.json" "$BENCH_TMP/b.json" || true)
+echo "$CMP"
+for m in host_allocs_per_op host_alloc_kb_per_op sim_cycles_per_op sim_dms_bytes_per_op; do
+    echo "$CMP" | grep -q "^tpch_serial $m .* unchanged\$" || { echo "$m did not repeat"; exit 1; }
+done
+rm -rf "$BENCH_TMP"
+trap - EXIT
+
 echo "== wire server smoke (ephemeral port, client query, clean drain) =="
 # Idempotent cleanup, installed BEFORE the server spawn so no failure
 # window leaks the background process or the tempfile. Safe to call

@@ -5,7 +5,8 @@
 //! accessor or an upstream operator, process all rows vectorized, and push
 //! result batches downstream.
 
-use rapid_storage::vector::{ColumnData, Vector};
+use rapid_storage::bitvec::BitVec;
+use rapid_storage::vector::Vector;
 
 /// A tile of rows in columnar layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,41 +78,42 @@ impl Batch {
         self.columns.push(v);
     }
 
-    /// Concatenate batches of identical width.
-    pub fn concat(batches: &[Batch]) -> Batch {
-        let Some(first) = batches.first() else {
-            return Batch::empty(0);
-        };
-        let mut columns: Vec<ColumnData> =
-            first.columns.iter().map(|c| c.data.empty_like()).collect();
-        let mut any_nulls = vec![false; first.width()];
-        for b in batches {
-            for (i, c) in b.columns.iter().enumerate() {
-                columns[i].extend_from(&c.data);
-                any_nulls[i] |= c.has_nulls();
-            }
+    /// Concatenate batches of identical width. A single batch is handed
+    /// back as it came: nothing is copied.
+    pub fn concat(mut batches: Vec<Batch>) -> Batch {
+        if batches.len() <= 1 {
+            return batches.pop().unwrap_or_else(|| Batch::empty(0));
         }
         let total: usize = batches.iter().map(|b| b.rows).sum();
-        let out_columns = columns
-            .into_iter()
+        // Zero-width batches (an operator's empty output) carry no values.
+        let Some(layout) = batches.iter().find(|b| b.width() > 0) else {
+            return Batch::empty(total);
+        };
+        let columns = layout
+            .columns
+            .iter()
             .enumerate()
-            .map(|(i, data)| {
-                if any_nulls[i] {
-                    let mut nulls = rapid_storage::bitvec::BitVec::zeros(0);
-                    for b in batches {
-                        let v = &b.columns[i];
-                        for r in 0..v.len() {
-                            nulls.push(v.is_null(r));
-                        }
-                    }
-                    Vector::with_nulls(data, nulls)
-                } else {
-                    Vector::new(data)
+            .map(|(i, proto)| {
+                let parts = || batches.iter().filter_map(|b| b.columns.get(i));
+                let mut data = proto.data.empty_like_with_capacity(total);
+                for c in parts() {
+                    data.extend_from(&c.data);
                 }
+                if !parts().any(Vector::has_nulls) {
+                    return Vector::new(data);
+                }
+                let mut nulls = BitVec::with_capacity(total);
+                for c in parts() {
+                    match &c.nulls {
+                        Some(n) => nulls.extend_from(n),
+                        None => nulls.extend_zeros(c.len()),
+                    }
+                }
+                Vector::with_nulls(data, nulls)
             })
             .collect();
         Batch {
-            columns: out_columns,
+            columns,
             rows: total,
         }
     }
@@ -125,6 +127,7 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_storage::vector::ColumnData;
 
     fn b(vals: &[&[i64]]) -> Batch {
         Batch::new(
@@ -154,7 +157,7 @@ mod tests {
 
     #[test]
     fn concat_joins_batches() {
-        let joined = Batch::concat(&[b(&[&[1], &[10]]), b(&[&[2, 3], &[20, 30]])]);
+        let joined = Batch::concat(vec![b(&[&[1], &[10]]), b(&[&[2, 3], &[20, 30]])]);
         assert_eq!(joined.rows(), 3);
         assert_eq!(joined.column(0).data.to_i64_vec(), vec![1, 2, 3]);
         assert_eq!(joined.column(1).data.to_i64_vec(), vec![10, 20, 30]);
@@ -162,20 +165,42 @@ mod tests {
 
     #[test]
     fn concat_preserves_nulls() {
-        use rapid_storage::bitvec::BitVec;
         let mut nulls = BitVec::zeros(2);
         nulls.set(1, true);
         let withnull = Batch::new(vec![Vector::with_nulls(ColumnData::I64(vec![1, 0]), nulls)]);
         let plain = Batch::new(vec![Vector::new(ColumnData::I64(vec![7]))]);
-        let joined = Batch::concat(&[withnull, plain]);
+        let joined = Batch::concat(vec![withnull, plain]);
         assert_eq!(joined.column(0).get(0), Some(1));
         assert_eq!(joined.column(0).get(1), None);
         assert_eq!(joined.column(0).get(2), Some(7));
     }
 
     #[test]
+    fn concat_merges_null_bitmaps_across_word_boundaries() {
+        let piece = |rows: usize, null_every: Option<usize>| {
+            let data = ColumnData::I64((0..rows as i64).collect());
+            Batch::new(vec![match null_every {
+                Some(k) => {
+                    Vector::with_nulls(data, BitVec::from_bools((0..rows).map(|i| i % k == 0)))
+                }
+                None => Vector::new(data),
+            }])
+        };
+        let pieces = vec![piece(70, Some(7)), piece(3, None), piece(130, Some(11))];
+        let expect: Vec<Option<i64>> = pieces
+            .iter()
+            .flat_map(|b| (0..b.rows()).map(|i| b.column(0).get(i)))
+            .collect();
+        let joined = Batch::concat(pieces);
+        let got: Vec<Option<i64>> = (0..joined.rows())
+            .map(|i| joined.column(0).get(i))
+            .collect();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
     fn empty_concat() {
-        let e = Batch::concat(&[]);
+        let e = Batch::concat(vec![]);
         assert_eq!(e.rows(), 0);
         assert_eq!(e.width(), 0);
     }

@@ -5,13 +5,22 @@
 //! ("operators within a task pipeline results to each other via DMEM and
 //! only results at task boundaries are materialized to DRAM"):
 //!
-//! * a **scan task** fuses scan + filter + projection over each chunk
-//!   (predicate reordering, RID/bit-vector choice, late materialization),
+//! * a **scan task** runs filter then projection over each chunk: the
+//!   first conjunct reads the chunk's vectors in place, each later one
+//!   gathers only the columns it names at the still-qualifying rows, and
+//!   the projected columns are gathered last, at the final row set (late
+//!   materialization) — the only buffer the task writes (predicate
+//!   reordering and the RID/bit-vector choice as in §5.4),
 //! * a **join** runs partition stages (HW+SW), then per-partition-pair
 //!   build/probe kernels, with large-skew re-partitioning,
 //! * a **group-by** picks the on-the-fly or partitioned strategy and adds
 //!   the merge operator on the low-NDV path,
 //! * pipeline stages are parallelized across cores by the actor runner.
+//!
+//! An operator owns a buffer only where the DMS writes one: inputs are
+//! borrowed and read in place, batches that pass through unchanged are
+//! handed on by move, and a copy is made exactly where a charged gather,
+//! partition write or materialization produces new bytes.
 //!
 //! Timing is accumulated per stage: simulated time on the DPU backend,
 //! wall clock on the native backend.
@@ -130,7 +139,7 @@ impl Tracer {
         t: &StageTiming,
         node_id: u32,
         depth: u32,
-        operator: &str,
+        operator: impl std::fmt::Display,
         rows: u64,
     ) {
         report.absorb(t);
@@ -235,12 +244,7 @@ impl Engine {
         let mut tr = Tracer::new(&self.ctx);
         let batches = self.exec_node(plan, &mut report, &mut tr, 0)?;
         let meta = plan.output_meta(&self.catalog)?;
-        let mut batch = Batch::concat(
-            &batches
-                .into_iter()
-                .filter(|b| b.width() > 0)
-                .collect::<Vec<_>>(),
-        );
+        let mut batch = Batch::concat(batches.into_iter().filter(|b| b.width() > 0).collect());
         if batch.width() == 0 && !meta.is_empty() {
             // No surviving rows: synthesize an empty batch with the right
             // column layout so callers can rely on the shape.
@@ -266,9 +270,8 @@ impl Engine {
             } => self.exec_scan(table, columns, pred.as_ref(), report, tr, nid, depth),
             PlanNode::Filter { input, pred } => {
                 let batches = self.exec_node(input, report, tr, depth + 1)?;
-                let pred = pred.clone();
                 let (out, t) = run_stage(&self.ctx, batches, |core, b| {
-                    ops::filter::filter_batch(core, &b, &pred)
+                    ops::filter::filter_batch(core, b, pred)
                 })?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
                 tr.absorb(report, &t, nid, depth, "filter", batch_rows(&out));
@@ -276,15 +279,7 @@ impl Engine {
             }
             PlanNode::Map { input, exprs } => {
                 let batches = self.exec_node(input, report, tr, depth + 1)?;
-                let exprs = exprs.clone();
-                let (out, t) = run_stage(&self.ctx, batches, |core, b| {
-                    let mut cols = Vec::with_capacity(exprs.len());
-                    for e in &exprs {
-                        cols.push(e.expr.eval(core, &b)?);
-                    }
-                    core.charge_tile();
-                    Ok(Batch::new(cols))
-                })?;
+                let (out, t) = run_stage(&self.ctx, batches, |core, b| map_batch(core, b, exprs))?;
                 tr.absorb(report, &t, nid, depth, "map", batch_rows(&out));
                 Ok(out)
             }
@@ -321,7 +316,7 @@ impl Engine {
                 // Per-core top-k over assigned batches.
                 let (heaps, t) = run_stage(&self.ctx, batches, move |core, b| {
                     let mut acc = ops::topk::TopK::new(order2.clone(), kk);
-                    acc.consume(core, &b)?;
+                    acc.consume(core, b)?;
                     Ok(acc)
                 })?;
                 tr.absorb(report, &t, nid, depth, "topk.consume", in_rows);
@@ -358,9 +353,11 @@ impl Engine {
             }
             PlanNode::Limit { input, n } => {
                 let batches = self.exec_node(input, report, tr, depth + 1)?;
-                let all = Batch::concat(&batches);
-                let n = (*n).min(all.rows());
-                let rids: Vec<u32> = (0..n as u32).collect();
+                let all = Batch::concat(batches);
+                if *n >= all.rows() {
+                    return Ok(vec![all]);
+                }
+                let rids: Vec<u32> = (0..*n as u32).collect();
                 Ok(vec![all.gather(&rids)])
             }
             PlanNode::SetOp { left, right, op } => {
@@ -380,7 +377,7 @@ impl Engine {
                 func,
             } => {
                 let batches = self.exec_node(input, report, tr, depth + 1)?;
-                let all = Batch::concat(&batches);
+                let all = Batch::concat(batches);
                 let (pb, ob, f) = (partition_by.clone(), order_by.clone(), *func);
                 let (out, t) = run_stage(&self.ctx, vec![all], move |core, b| {
                     ops::window::window_batch(core, &b, &pb, &ob, f)
@@ -485,7 +482,7 @@ impl Engine {
             &timing,
             nid,
             depth,
-            &format!("scan({table})"),
+            format_args!("scan({table})"),
             batch_rows(&out),
         );
         Ok(out)
@@ -737,6 +734,41 @@ impl Engine {
     }
 }
 
+/// Evaluate a Map node's expressions over one batch. Computed columns are
+/// new buffers; a column that is only passed through is not rewritten and
+/// moves from the input to the output on its last use.
+fn map_batch(
+    core: &mut crate::exec::CoreCtx,
+    mut batch: Batch,
+    exprs: &[crate::plan::NamedExpr],
+) -> QefResult<Batch> {
+    use crate::expr::Expr;
+    use rapid_storage::vector::{ColumnData, Vector};
+    let rows = batch.rows();
+    let mut cols: Vec<Option<Vector>> = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        cols.push(match &e.expr {
+            Expr::Col(c) if *c < batch.width() => None,
+            expr => Some(expr.eval(core, &batch.columns, rows)?.into_owned()),
+        });
+    }
+    core.charge_tile();
+    for (i, e) in exprs.iter().enumerate() {
+        if let (None, Expr::Col(c)) = (&cols[i], &e.expr) {
+            let used_again = exprs[i + 1..].iter().any(|later| later.expr == e.expr);
+            cols[i] = Some(if used_again {
+                batch.columns[*c].clone()
+            } else {
+                std::mem::replace(
+                    &mut batch.columns[*c],
+                    Vector::new(ColumnData::I8(Vec::new())),
+                )
+            });
+        }
+    }
+    Ok(Batch::new(cols.into_iter().flatten().collect()))
+}
+
 /// Join one partition pair with large-skew resilience: when the build side
 /// is much larger than estimated, re-partition the pair and recurse.
 #[allow(clippy::too_many_arguments)]
@@ -792,10 +824,7 @@ fn join_pair_resilient(
             )?);
         }
         return Ok(Batch::concat(
-            &outs
-                .into_iter()
-                .filter(|b| !b.is_empty())
-                .collect::<Vec<_>>(),
+            outs.into_iter().filter(|b| !b.is_empty()).collect(),
         ));
     }
     if build.is_empty() || probe.is_empty() {
@@ -806,7 +835,7 @@ fn join_pair_resilient(
         };
     }
     ops::join::join_partition(
-        core, &build, &probe, build_keys, probe_keys, join_type, est_rows,
+        core, &build, probe, build_keys, probe_keys, join_type, est_rows,
     )
 }
 
@@ -820,13 +849,7 @@ fn pad_outer(probe: Batch, build_protos: &[rapid_storage::vector::ColumnData]) -
     let n = probe.rows();
     let mut out = probe;
     for proto in build_protos {
-        let mut data = proto.empty_like();
-        let mut nulls = rapid_storage::bitvec::BitVec::zeros(0);
-        for _ in 0..n {
-            data.push_i64(0);
-            nulls.push(true);
-        }
-        out.push_column(rapid_storage::vector::Vector::with_nulls(data, nulls));
+        out.push_column(ops::join::null_column(proto, n));
     }
     out
 }

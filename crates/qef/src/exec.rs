@@ -206,8 +206,7 @@ impl CoreCtx {
     #[inline]
     pub fn charge_kernel(&mut self, cost: &KernelCost) {
         if self.charging() {
-            let cm = Arc::clone(&self.cost_model);
-            self.account.charge_kernel(&cm, cost);
+            self.account.charge_kernel(&self.cost_model, cost);
         }
     }
 
@@ -215,8 +214,7 @@ impl CoreCtx {
     #[inline]
     pub fn charge_tile(&mut self) {
         if self.charging() {
-            let cm = Arc::clone(&self.cost_model);
-            self.account.charge_tile_overhead(&cm);
+            self.account.charge_tile_overhead(&self.cost_model);
         }
     }
 

@@ -6,13 +6,19 @@
 //! vectorized: each node produces a whole [`Vector`] per tile by calling
 //! the primitive library, so per-row interpretive overhead never appears
 //! in the hot path (the property Figure 13 measures).
+//!
+//! Both trees evaluate over a borrowed column slice plus a row count — a
+//! batch's columns or a chunk's vectors, read in place. Columns an
+//! expression does not reference are never touched, so a caller may pass
+//! zero-length placeholders at those positions.
+
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
 use rapid_storage::bitvec::BitVec;
 use rapid_storage::vector::{ColumnData, Vector};
 
-use crate::batch::Batch;
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
 use crate::primitives::arith::{self, ArithOp};
@@ -47,46 +53,56 @@ pub enum Expr {
     },
 }
 
+/// Column `i` of a borrowed column slice.
+fn column(cols: &[Vector], i: usize) -> QefResult<&Vector> {
+    cols.get(i).ok_or(QefError::BadColumn {
+        index: i,
+        available: cols.len(),
+    })
+}
+
 impl Expr {
-    /// Evaluate over a batch, producing one value per row.
-    pub fn eval(&self, ctx: &mut CoreCtx, batch: &Batch) -> QefResult<Vector> {
-        match self {
-            Expr::Col(i) => batch.columns.get(*i).cloned().ok_or(QefError::BadColumn {
-                index: *i,
-                available: batch.width(),
-            }),
-            Expr::Lit(v) => Ok(Vector::new(ColumnData::I64(vec![*v; batch.rows()]))),
+    /// Evaluate over `rows` rows of `cols`, producing one value per row. A
+    /// bare column reference is handed back borrowed.
+    pub fn eval<'a>(
+        &self,
+        ctx: &mut CoreCtx,
+        cols: &'a [Vector],
+        rows: usize,
+    ) -> QefResult<Cow<'a, Vector>> {
+        Ok(Cow::Owned(match self {
+            Expr::Col(i) => return column(cols, *i).map(Cow::Borrowed),
+            Expr::Lit(v) => Vector::new(ColumnData::I64(vec![*v; rows])),
             Expr::Arith { op, a, b } => {
                 // Constant-on-one-side goes through the cheaper map kernel.
                 match (a.as_ref(), b.as_ref()) {
                     (expr, Expr::Lit(c)) => {
-                        let av = expr.eval(ctx, batch)?;
-                        arith::arith_const(ctx, &av, *op, *c)
+                        let av = expr.eval(ctx, cols, rows)?;
+                        arith::arith_const(ctx, &av, *op, *c)?
                     }
                     (Expr::Lit(c), expr) if matches!(op, ArithOp::Add | ArithOp::Mul) => {
-                        let bv = expr.eval(ctx, batch)?;
-                        arith::arith_const(ctx, &bv, *op, *c)
+                        let bv = expr.eval(ctx, cols, rows)?;
+                        arith::arith_const(ctx, &bv, *op, *c)?
                     }
                     _ => {
-                        let av = a.eval(ctx, batch)?;
-                        let bv = b.eval(ctx, batch)?;
-                        arith::arith_col(ctx, &av, *op, &bv)
+                        let av = a.eval(ctx, cols, rows)?;
+                        let bv = b.eval(ctx, cols, rows)?;
+                        arith::arith_col(ctx, &av, *op, &bv)?
                     }
                 }
             }
             Expr::YearOf(e) => {
-                let v = e.eval(ctx, batch)?;
-                Ok(arith::year_from_days(ctx, &v))
+                let v = e.eval(ctx, cols, rows)?;
+                arith::year_from_days(ctx, &v)
             }
             Expr::Case { pred, then, els } => {
-                let mask = pred.eval(ctx, batch)?;
-                let t = then.eval(ctx, batch)?;
-                let e = els.eval(ctx, batch)?;
-                let n = batch.rows();
-                let mut out = Vec::with_capacity(n);
-                let mut nulls = BitVec::zeros(n);
+                let mask = pred.eval(ctx, cols, rows)?;
+                let t = then.eval(ctx, cols, rows)?;
+                let e = els.eval(ctx, cols, rows)?;
+                let mut out = Vec::with_capacity(rows);
+                let mut nulls = BitVec::zeros(rows);
                 let mut has_null = false;
-                for i in 0..n {
+                for i in 0..rows {
                     let src = if mask.get(i) { &t } else { &e };
                     match src.get(i) {
                         Some(v) => out.push(v),
@@ -105,14 +121,14 @@ impl Expr {
                     branches: 1.0 / 8.0,
                     ..Default::default()
                 };
-                ctx.charge_kernel(&k.scaled(n as f64));
-                Ok(if has_null {
+                ctx.charge_kernel(&k.scaled(rows as f64));
+                if has_null {
                     Vector::with_nulls(ColumnData::I64(out), nulls)
                 } else {
                     Vector::new(ColumnData::I64(out))
-                })
+                }
             }
-        }
+        }))
     }
 
     /// Convenience constructors.
@@ -236,32 +252,31 @@ pub enum Pred {
 }
 
 impl Pred {
-    /// Evaluate to a bit-vector over the batch's rows.
-    pub fn eval(&self, ctx: &mut CoreCtx, batch: &Batch) -> QefResult<BitVec> {
-        let col_ref = |i: usize| -> QefResult<&Vector> {
-            batch.columns.get(i).ok_or(QefError::BadColumn {
-                index: i,
-                available: batch.width(),
-            })
-        };
+    /// Evaluate to a bit-vector over `rows` rows of `cols`.
+    pub fn eval(&self, ctx: &mut CoreCtx, cols: &[Vector], rows: usize) -> QefResult<BitVec> {
         match self {
             Pred::CmpConst { col, op, value } => {
-                Ok(filter::cmp_const_bv(ctx, col_ref(*col)?, *op, *value))
+                Ok(filter::cmp_const_bv(ctx, column(cols, *col)?, *op, *value))
             }
-            Pred::CmpCols { left, op, right } => {
-                let l = col_ref(*left)?.clone();
-                let r = col_ref(*right)?;
-                Ok(filter::cmp_col_bv(ctx, &l, *op, r))
-            }
+            Pred::CmpCols { left, op, right } => Ok(filter::cmp_col_bv(
+                ctx,
+                column(cols, *left)?,
+                *op,
+                column(cols, *right)?,
+            )),
             Pred::CmpExpr { left, op, right } => {
-                let l = left.eval(ctx, batch)?;
-                let r = right.eval(ctx, batch)?;
+                let l = left.eval(ctx, cols, rows)?;
+                let r = right.eval(ctx, cols, rows)?;
                 Ok(filter::cmp_col_bv(ctx, &l, *op, &r))
             }
-            Pred::Between { col, lo, hi } => Ok(filter::between_bv(ctx, col_ref(*col)?, *lo, *hi)),
-            Pred::InCodes { col, codes } => Ok(filter::in_code_set_bv(ctx, col_ref(*col)?, codes)),
+            Pred::Between { col, lo, hi } => {
+                Ok(filter::between_bv(ctx, column(cols, *col)?, *lo, *hi))
+            }
+            Pred::InCodes { col, codes } => {
+                Ok(filter::in_code_set_bv(ctx, column(cols, *col)?, codes))
+            }
             Pred::InList { col, values } => {
-                let c = col_ref(*col)?;
+                let c = column(cols, *col)?;
                 let mut out = BitVec::zeros(c.len());
                 for i in 0..c.len() {
                     if !c.is_null(i) && values.binary_search(&c.data.get_i64(i)).is_ok() {
@@ -276,32 +291,32 @@ impl Pred {
             Pred::And(ps) => {
                 let mut it = ps.iter();
                 let Some(first) = it.next() else {
-                    return Ok(BitVec::ones(batch.rows()));
+                    return Ok(BitVec::ones(rows));
                 };
-                let mut acc = first.eval(ctx, batch)?;
+                let mut acc = first.eval(ctx, cols, rows)?;
                 for p in it {
                     // Short-circuit: nothing qualifies, stop evaluating.
                     if acc.count_ones() == 0 {
                         break;
                     }
-                    acc.and_with(&p.eval(ctx, batch)?);
+                    acc.and_with(&p.eval(ctx, cols, rows)?);
                 }
                 Ok(acc)
             }
             Pred::Or(ps) => {
-                let mut acc = BitVec::zeros(batch.rows());
+                let mut acc = BitVec::zeros(rows);
                 for p in ps {
-                    acc.or_with(&p.eval(ctx, batch)?);
+                    acc.or_with(&p.eval(ctx, cols, rows)?);
                 }
                 Ok(acc)
             }
             Pred::Not(p) => {
-                let mut bv = p.eval(ctx, batch)?;
+                let mut bv = p.eval(ctx, cols, rows)?;
                 bv.negate();
                 Ok(bv)
             }
             Pred::NotNull { col } => {
-                let c = col_ref(*col)?;
+                let c = column(cols, *col)?;
                 let mut out = BitVec::ones(c.len());
                 if let Some(nulls) = &c.nulls {
                     let mut not_null = nulls.clone();
@@ -311,9 +326,9 @@ impl Pred {
                 Ok(out)
             }
             Pred::Const(b) => Ok(if *b {
-                BitVec::ones(batch.rows())
+                BitVec::ones(rows)
             } else {
-                BitVec::zeros(batch.rows())
+                BitVec::zeros(rows)
             }),
         }
     }
@@ -357,6 +372,7 @@ impl Pred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
     use crate::exec::ExecContext;
 
     fn ctx() -> CoreCtx {
@@ -375,7 +391,7 @@ mod tests {
         let mut c = ctx();
         // (col0 + col1) * 2
         let e = Expr::mul(Expr::add(Expr::Col(0), Expr::Col(1)), Expr::Lit(2));
-        let v = e.eval(&mut c, &batch()).unwrap();
+        let v = e.eval(&mut c, &batch().columns, 4).unwrap().into_owned();
         assert_eq!(v.data.to_i64_vec(), vec![22, 44, 66, 88]);
     }
 
@@ -391,7 +407,7 @@ mod tests {
             then: Box::new(Expr::Col(1)),
             els: Box::new(Expr::Lit(0)),
         };
-        let v = e.eval(&mut c, &batch()).unwrap();
+        let v = e.eval(&mut c, &batch().columns, 4).unwrap().into_owned();
         assert_eq!(v.data.to_i64_vec(), vec![0, 0, 30, 40]);
     }
 
@@ -408,7 +424,9 @@ mod tests {
         )]);
         // This is what `col <> lit` compiles to when `lit` cannot match
         // any stored value: all rows except NULLs.
-        let bv = Pred::NotNull { col: 0 }.eval(&mut c, &b).unwrap();
+        let bv = Pred::NotNull { col: 0 }
+            .eval(&mut c, &b.columns, 4)
+            .unwrap();
         assert!(bv.get(0) && bv.get(2));
         assert!(!bv.get(1) && !bv.get(3));
     }
@@ -435,9 +453,11 @@ mod tests {
                 },
             ]),
         ]);
-        let bv = p.eval(&mut c, &batch()).unwrap();
+        let bv = p.eval(&mut c, &batch().columns, 4).unwrap();
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![1, 3]);
-        let inv = Pred::Not(Box::new(p)).eval(&mut c, &batch()).unwrap();
+        let inv = Pred::Not(Box::new(p))
+            .eval(&mut c, &batch().columns, 4)
+            .unwrap();
         assert_eq!(inv.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
     }
 
@@ -448,21 +468,22 @@ mod tests {
             col: 0,
             values: vec![2, 4],
         };
-        let bv = p.eval(&mut c, &batch()).unwrap();
+        let bv = p.eval(&mut c, &batch().columns, 4).unwrap();
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]
     fn empty_and_is_true() {
         let mut c = ctx();
-        let bv = Pred::And(vec![]).eval(&mut c, &batch()).unwrap();
+        let bv = Pred::And(vec![]).eval(&mut c, &batch().columns, 4).unwrap();
         assert_eq!(bv.count_ones(), 4);
     }
 
     #[test]
     fn bad_column_is_an_error() {
         let mut c = ctx();
-        let e = Expr::Col(9).eval(&mut c, &batch());
+        let b = batch();
+        let e = Expr::Col(9).eval(&mut c, &b.columns, 4);
         assert!(matches!(e, Err(QefError::BadColumn { index: 9, .. })));
     }
 

@@ -15,6 +15,7 @@
 
 use rapid_storage::bitvec::{BitVec, RowSet, RowSetKind};
 use rapid_storage::chunk::Chunk;
+use rapid_storage::vector::{ColumnData, Vector};
 
 use crate::batch::Batch;
 use crate::error::QefResult;
@@ -67,9 +68,9 @@ pub fn filter_chunk(
     ctx.charge_dms(&RelationAccessor::seq_read_cost(ctx, &widths, rows, tile));
     ctx.charge_tile();
 
-    // Evaluate over the whole chunk vector (the filter task's large tiles).
-    let full = Batch::new(chunk.vectors().to_vec());
-    let bv = first.eval(ctx, &full)?;
+    // Evaluate in place over the chunk's vectors (the filter task's large
+    // tiles): the DMS streams them, nothing is copied.
+    let bv = first.eval(ctx, chunk.vectors(), rows)?;
 
     let mut qualifying = match RowSet::choose(expected_selectivity) {
         RowSetKind::Rids => {
@@ -99,12 +100,22 @@ pub fn filter_chunk(
         ctx.charge_dms(&gcost);
         ctx.charge_tile();
 
-        // Evaluate on gathered rows only, then intersect.
+        // Evaluate on gathered rows only, then intersect. Only the columns
+        // the gather descriptor names are fetched; the rest stay
+        // zero-length placeholders at their positions.
         let mut rids = Vec::with_capacity(n);
         qualifying.for_each_row(|r| rids.push(r as u32));
-        let gathered = Batch::new(chunk.vectors().iter().map(|v| v.gather(&rids)).collect());
-        let pass = pred.eval(ctx, &gathered)?;
-        let surviving: Vec<u32> = pass.iter_ones().map(|i| rids[i]).collect();
+        let mut gathered: Vec<Vector> = (0..chunk.columns())
+            .map(|_| Vector::new(ColumnData::I8(Vec::new())))
+            .collect();
+        for &c in &pcols {
+            gathered[c] = chunk.vector(c).gather(&rids);
+        }
+        let pass = pred.eval(ctx, &gathered, n)?;
+        let mut surviving = pass.to_rids().rids;
+        for s in &mut surviving {
+            *s = rids[*s as usize];
+        }
         let sel = surviving.len() as f64 / rows.max(1) as f64;
         qualifying = match RowSet::choose(sel) {
             RowSetKind::Rids => RowSet::Rids(rapid_storage::bitvec::RidList { rids: surviving }),
@@ -136,14 +147,15 @@ pub fn materialize_projection(
     RelationAccessor::gather_chunk(ctx, chunk, proj_cols, rows, tile)
 }
 
-/// Filter a materialized batch (non-leaf Filter nodes).
-pub fn filter_batch(ctx: &mut CoreCtx, batch: &Batch, pred: &Pred) -> QefResult<Batch> {
+/// Filter a materialized batch (non-leaf Filter nodes). When every row
+/// passes the batch is handed on as it came.
+pub fn filter_batch(ctx: &mut CoreCtx, batch: Batch, pred: &Pred) -> QefResult<Batch> {
     ctx.charge_tile();
-    let bv = pred.eval(ctx, batch)?;
-    let rids: Vec<u32> = bv.iter_ones().map(|i| i as u32).collect();
-    if rids.len() == batch.rows() {
-        return Ok(batch.clone());
+    let bv = pred.eval(ctx, &batch.columns, batch.rows())?;
+    if bv.count_ones() == batch.rows() {
+        return Ok(batch);
     }
+    let rids = bv.to_rids().rids;
     ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(rids.len() as f64));
     Ok(batch.gather(&rids))
 }
@@ -153,7 +165,6 @@ mod tests {
     use super::*;
     use crate::exec::{CoreCtx, ExecContext};
     use crate::primitives::filter::CmpOp;
-    use rapid_storage::vector::{ColumnData, Vector};
 
     fn ctx() -> CoreCtx {
         CoreCtx::new(&ExecContext::dpu(), 0)
@@ -270,7 +281,7 @@ mod tests {
         let b = Batch::new(vec![Vector::new(ColumnData::I64(vec![1, 5, 3, 7]))]);
         let out = filter_batch(
             &mut c,
-            &b,
+            b,
             &Pred::CmpConst {
                 col: 0,
                 op: CmpOp::Gt,

@@ -75,7 +75,7 @@ impl Segment {
         Segment {
             buckets,
             link: SmallIntArray::new(cap, bits),
-            keys: vec![Vec::with_capacity(cap); nkeys],
+            keys: (0..nkeys).map(|_| Vec::with_capacity(cap)).collect(),
             rowids: Vec::with_capacity(cap),
             sentinel,
             mask: bucket_count - 1,
@@ -344,14 +344,14 @@ fn detect_heavy(keys: &[&Vector], rows: usize) -> Vec<Vec<i64>> {
         if let Some(s) = slots.iter_mut().find(|(k, _)| k == &keybuf) {
             s.1 += 1;
         } else if slots.len() < SKETCH_SLOTS {
-            slots.push((keybuf.clone(), 1));
+            slots.push((keybuf.to_vec(), 1));
         } else {
             // Space-saving: replace the minimum, inheriting its count.
             let min = slots
                 .iter_mut()
                 .min_by_key(|(_, c)| *c)
                 .expect("sketch non-empty");
-            min.0 = keybuf.clone();
+            min.0.copy_from_slice(&keybuf);
             min.1 += 1;
         }
     }
@@ -363,6 +363,30 @@ fn detect_heavy(keys: &[&Vector], rows: usize) -> Vec<Vec<i64>> {
         .collect()
 }
 
+/// `rows` NULLs in the physical variant of `proto` — the build side of an
+/// unmatched outer-join row. The variant must be the one matched rows
+/// gather, or concatenating the two mixes physical widths.
+pub(crate) fn null_column(proto: &rapid_storage::vector::ColumnData, rows: usize) -> Vector {
+    let mut data = proto.empty_like_with_capacity(rows);
+    for _ in 0..rows {
+        data.push_i64(0);
+    }
+    Vector::with_nulls(data, rapid_storage::bitvec::BitVec::ones(rows))
+}
+
+/// The rows of `probe` whose match count passes `keep`; when that is all
+/// of them the batch is handed on as it came.
+fn keep_rows(probe: Batch, counts: &[u32], keep: impl Fn(u32) -> bool) -> Batch {
+    let rids: Vec<u32> = (0..counts.len() as u32)
+        .filter(|&i| keep(counts[i as usize]))
+        .collect();
+    if rids.len() == probe.rows() {
+        probe
+    } else {
+        probe.gather(&rids)
+    }
+}
+
 /// Join one partition pair, producing the joined output batch.
 ///
 /// Output layout: probe columns then build columns (Inner/LeftOuter);
@@ -370,7 +394,7 @@ fn detect_heavy(keys: &[&Vector], rows: usize) -> Vec<Vec<i64>> {
 pub fn join_partition(
     ctx: &mut CoreCtx,
     build: &Batch,
-    probe: &Batch,
+    probe: Batch,
     build_keys: &[usize],
     probe_keys: &[usize],
     join_type: crate::plan::JoinType,
@@ -385,7 +409,7 @@ pub fn join_partition(
     if build.is_empty() {
         return match join_type {
             Inner | LeftSemi => Ok(Batch::empty(0)),
-            LeftAnti => Ok(probe.clone()),
+            LeftAnti => Ok(probe),
             LeftOuter => Err(QefError::Internal(
                 "outer join with empty build handled by engine padding".into(),
             )),
@@ -411,24 +435,8 @@ pub fn join_partition(
             }
             Ok(out)
         }
-        LeftSemi => {
-            let rids: Vec<u32> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-            Ok(probe.gather(&rids))
-        }
-        LeftAnti => {
-            let rids: Vec<u32> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c == 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-            Ok(probe.gather(&rids))
-        }
+        LeftSemi => Ok(keep_rows(probe, &counts, |c| c > 0)),
+        LeftAnti => Ok(keep_rows(probe, &counts, |c| c == 0)),
         LeftOuter => {
             // Assemble: [matched probe ++ matched build] concat
             //           [unmatched probe ++ NULL build].
@@ -443,17 +451,10 @@ pub fn join_partition(
                 .map(|(i, _)| i as u32)
                 .collect();
             let mut bottom = probe.gather(&unmatched);
-            for bc in 0..build.width() {
-                let proto = build.column(bc).data.empty_like();
-                let mut data = proto;
-                let mut nulls = rapid_storage::bitvec::BitVec::zeros(0);
-                for _ in 0..unmatched.len() {
-                    data.push_i64(0);
-                    nulls.push(true);
-                }
-                bottom.push_column(Vector::with_nulls(data, nulls));
+            for col in &build.columns {
+                bottom.push_column(null_column(&col.data, unmatched.len()));
             }
-            Ok(Batch::concat(&[top, bottom]))
+            Ok(Batch::concat(vec![top, bottom]))
         }
     }
 }
@@ -575,7 +576,16 @@ mod tests {
         let mut c = ctx();
         let build = Batch::new(vec![vcol(vec![1, 2]), vcol(vec![100, 200])]);
         let probe = Batch::new(vec![vcol(vec![2, 1, 3]), vcol(vec![-2, -1, -3])]);
-        let out = join_partition(&mut c, &build, &probe, &[0], &[0], JoinType::Inner, 2).unwrap();
+        let out = join_partition(
+            &mut c,
+            &build,
+            probe.clone(),
+            &[0],
+            &[0],
+            JoinType::Inner,
+            2,
+        )
+        .unwrap();
         assert_eq!(out.width(), 4);
         assert_eq!(out.rows(), 2);
         // Row for probe key 2: probe cols (2, -2), build cols (2, 200).
@@ -591,11 +601,27 @@ mod tests {
         let mut c = ctx();
         let build = Batch::new(vec![vcol(vec![1, 2, 2])]);
         let probe = Batch::new(vec![vcol(vec![1, 2, 3, 4])]);
-        let semi =
-            join_partition(&mut c, &build, &probe, &[0], &[0], JoinType::LeftSemi, 3).unwrap();
+        let semi = join_partition(
+            &mut c,
+            &build,
+            probe.clone(),
+            &[0],
+            &[0],
+            JoinType::LeftSemi,
+            3,
+        )
+        .unwrap();
         assert_eq!(semi.column(0).data.to_i64_vec(), vec![1, 2]);
-        let anti =
-            join_partition(&mut c, &build, &probe, &[0], &[0], JoinType::LeftAnti, 3).unwrap();
+        let anti = join_partition(
+            &mut c,
+            &build,
+            probe.clone(),
+            &[0],
+            &[0],
+            JoinType::LeftAnti,
+            3,
+        )
+        .unwrap();
         assert_eq!(anti.column(0).data.to_i64_vec(), vec![3, 4]);
     }
 
@@ -604,8 +630,16 @@ mod tests {
         let mut c = ctx();
         let build = Batch::new(vec![vcol(vec![1]), vcol(vec![100])]);
         let probe = Batch::new(vec![vcol(vec![1, 9])]);
-        let out =
-            join_partition(&mut c, &build, &probe, &[0], &[0], JoinType::LeftOuter, 1).unwrap();
+        let out = join_partition(
+            &mut c,
+            &build,
+            probe.clone(),
+            &[0],
+            &[0],
+            JoinType::LeftOuter,
+            1,
+        )
+        .unwrap();
         assert_eq!(out.rows(), 2);
         // Probe row 9 has NULL build columns.
         let probe_keys = out.column(0).data.to_i64_vec();

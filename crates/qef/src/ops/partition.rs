@@ -16,7 +16,7 @@ use rapid_storage::vector::Vector;
 use crate::batch::Batch;
 use crate::error::QefResult;
 use crate::exec::CoreCtx;
-use crate::primitives::hash::hash_rows;
+use crate::primitives::hash::hash_pieces;
 use crate::primitives::partition_map::{compute_partition_map, swpart_gather_column};
 use crate::ra::RelationAccessor;
 
@@ -38,9 +38,10 @@ impl HashBitCursor {
     }
 }
 
-/// Partition a set of batches into `fanout` partitions by the hash of
-/// `key_cols`, consuming hash bits at `shift`. Returns one batch per
-/// partition (empty partitions produce empty batches).
+/// Partition a set of batches — one logical input, read in place — into
+/// `fanout` partitions by the hash of `key_cols`, consuming hash bits at
+/// `shift`. Returns one batch per partition, rows in input order (empty
+/// partitions produce empty batches).
 pub fn partition_batches(
     ctx: &mut CoreCtx,
     batches: &[Batch],
@@ -50,43 +51,53 @@ pub fn partition_batches(
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
     debug_assert!(fanout.is_power_of_two());
-    let mut out: Vec<Vec<Batch>> = vec![Vec::new(); fanout];
-    for batch in batches {
-        if batch.is_empty() {
-            continue;
-        }
-        let keys: Vec<&Vector> = key_cols.iter().map(|&c| batch.column(c)).collect();
-        let hashes = hash_rows(ctx, &keys);
-        // Consume this round's bits of the hash.
-        let shifted: Vec<u32> = hashes.iter().map(|&h| h >> shift).collect();
-        let map = compute_partition_map(ctx, &shifted, fanout);
+    let pieces: Vec<&Batch> = batches.iter().filter(|b| !b.is_empty()).collect();
+    let Some(first) = pieces.first() else {
+        return Ok(vec![Batch::empty(0); fanout]);
+    };
+    let keys: Vec<Vec<&Vector>> = pieces
+        .iter()
+        .map(|b| key_cols.iter().map(|&c| b.column(c)).collect())
+        .collect();
+    let hashes = hash_pieces(ctx, &keys);
+    let map = compute_partition_map(ctx, &hashes, fanout, shift);
 
-        // Gather each column partition-by-partition (Listing 3), writing
-        // each partition's rows sequentially — charge the local-buffer
-        // flush as a sequential DMS write.
-        let mut per_part_cols: Vec<Vec<Vector>> = vec![Vec::new(); fanout];
-        for col in &batch.columns {
-            let gathered = swpart_gather_column(ctx, &map, col);
-            for (p, v) in gathered.into_iter().enumerate() {
-                per_part_cols[p].push(v);
-            }
-        }
-        let widths: Vec<usize> = batch.columns.iter().map(|c| c.data.width()).collect();
-        ctx.charge_dms(&RelationAccessor::seq_write_cost(
-            ctx,
-            &widths,
-            batch.rows(),
-            tile,
-        ));
-        ctx.charge_tile();
-        for (p, cols) in per_part_cols.into_iter().enumerate() {
-            let b = Batch::new(cols);
-            if !b.is_empty() {
-                out[p].push(b);
-            }
+    // Gather each column partition-by-partition (Listing 3), writing
+    // each partition's rows sequentially — charge the local-buffer
+    // flush as a sequential DMS write.
+    let mut per_part_cols: Vec<Vec<Vector>> = (0..fanout)
+        .map(|_| Vec::with_capacity(first.width()))
+        .collect();
+    let mut column: Vec<&Vector> = Vec::with_capacity(pieces.len());
+    for c in 0..first.width() {
+        column.clear();
+        column.extend(pieces.iter().map(|b| b.column(c)));
+        for (p, v) in swpart_gather_column(ctx, &map, &column)
+            .into_iter()
+            .enumerate()
+        {
+            per_part_cols[p].push(v);
         }
     }
-    Ok(out.into_iter().map(|bs| Batch::concat(&bs)).collect())
+    let widths: Vec<usize> = first.columns.iter().map(|c| c.data.width()).collect();
+    ctx.charge_dms(&RelationAccessor::seq_write_cost(
+        ctx,
+        &widths,
+        hashes.len(),
+        tile,
+    ));
+    ctx.charge_tile();
+    Ok(per_part_cols
+        .into_iter()
+        .enumerate()
+        .map(|(p, cols)| {
+            if map.rows_of(p).is_empty() {
+                Batch::empty(0)
+            } else {
+                Batch::new(cols)
+            }
+        })
+        .collect())
 }
 
 /// Apply a multi-round partition scheme, producing `scheme.product()`
@@ -115,9 +126,16 @@ pub fn partition_scheme(
             "partition scheme {scheme:?} consumes {total_bits} hash bits (32 available)"
         )));
     }
+    let Some((&first, later)) = scheme.split_first() else {
+        return Ok(vec![Batch::concat(batches)]);
+    };
+    // Round one reads the input batches where they are; later rounds split
+    // each partition the round before wrote.
     let mut cursor = HashBitCursor::default();
-    let mut current: Vec<Batch> = vec![Batch::concat(&batches)];
-    for &fanout in scheme {
+    let shift = cursor.take(first.trailing_zeros());
+    let mut current = partition_batches(ctx, &batches, key_cols, first, shift, tile)?;
+    drop(batches); // free the input before the later rounds allocate
+    for &fanout in later {
         let shift = cursor.take(fanout.trailing_zeros());
         let mut next = Vec::with_capacity(current.len() * fanout);
         for part in &current {
@@ -267,5 +285,141 @@ mod tests {
         let parts = partition_batches(&mut c, &[], &[0], 4, 0, 64).unwrap();
         assert_eq!(parts.len(), 4);
         assert!(parts.iter().all(Batch::is_empty));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    //! The scatter against its definition: concatenate the input, compute
+    //! the partition map, gather each partition.
+
+    use super::*;
+    use crate::exec::{CoreCtx, ExecContext};
+    use crate::primitives::costs;
+    use crate::primitives::hash::hash_rows;
+    use dpu_sim::account::CycleAccount;
+    use proptest::prelude::*;
+    use rapid_storage::bitvec::BitVec;
+    use rapid_storage::vector::ColumnData;
+
+    /// One input row: key, payload seed, and a roll that makes a value NULL.
+    type Row = (i64, i64, u8);
+
+    /// A batch of `rows`: two columns, or eight covering every physical
+    /// width. NULLs land in key and payload columns alike.
+    fn batch(rows: &[Row], wide: bool) -> Batch {
+        if rows.is_empty() {
+            return Batch::empty(0);
+        }
+        let col = |data: ColumnData, null_when: u8| {
+            Vector::with_nulls(
+                data,
+                BitVec::from_bools(rows.iter().map(|r| r.2 == null_when)),
+            )
+        };
+        let mut cols = vec![
+            col(ColumnData::I64(rows.iter().map(|r| r.0).collect()), 0),
+            col(
+                ColumnData::I32(rows.iter().map(|r| r.1 as i32).collect()),
+                1,
+            ),
+        ];
+        if wide {
+            cols.extend([
+                col(ColumnData::I8(rows.iter().map(|r| r.1 as i8).collect()), 2),
+                col(
+                    ColumnData::I16(rows.iter().map(|r| r.0 as i16).collect()),
+                    3,
+                ),
+                col(
+                    ColumnData::U32(rows.iter().map(|r| r.1 as u32).collect()),
+                    4,
+                ),
+                col(ColumnData::I64(rows.iter().map(|r| r.0 ^ r.1).collect()), 5),
+                col(
+                    ColumnData::I32(rows.iter().map(|r| r.0 as i32).collect()),
+                    6,
+                ),
+                col(ColumnData::I64(rows.iter().map(|r| r.1).collect()), 0),
+            ]);
+        }
+        Batch::new(cols)
+    }
+
+    /// The definition, charging what each step of it costs.
+    fn reference(
+        ctx: &mut CoreCtx,
+        batches: &[Batch],
+        key_cols: &[usize],
+        scheme: &[usize],
+        tile: usize,
+    ) -> Vec<Batch> {
+        let mut cursor = HashBitCursor::default();
+        let mut current = vec![Batch::concat(batches.to_vec())];
+        for &fanout in scheme {
+            let shift = cursor.take(fanout.trailing_zeros());
+            let mut next = Vec::new();
+            for part in &current {
+                if part.is_empty() {
+                    next.extend(vec![Batch::empty(0); fanout]);
+                    continue;
+                }
+                let keys: Vec<&Vector> = key_cols.iter().map(|&c| part.column(c)).collect();
+                let hashes = hash_rows(ctx, &keys);
+                let map = compute_partition_map(ctx, &hashes, fanout, shift);
+                for col in &part.columns {
+                    ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(col.len() as f64));
+                }
+                let widths: Vec<usize> = part.columns.iter().map(|c| c.data.width()).collect();
+                ctx.charge_dms(&RelationAccessor::seq_write_cost(
+                    ctx,
+                    &widths,
+                    part.rows(),
+                    tile,
+                ));
+                ctx.charge_tile();
+                next.extend((0..fanout).map(|p| match map.rows_of(p) {
+                    [] => Batch::empty(0),
+                    rids => part.gather(rids),
+                }));
+            }
+            current = next;
+        }
+        current
+    }
+
+    fn bits(a: &CycleAccount) -> (u64, u64, u64, dpu_sim::account::Counters) {
+        (
+            a.compute_cycles().get().to_bits(),
+            a.dms_cycles().get().to_bits(),
+            a.elapsed_cycles().get().to_bits(),
+            *a.counters(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn scatter_equals_concat_map_gather(
+            pieces in proptest::collection::vec(
+                proptest::collection::vec((-40i64..40, any::<i64>(), 0u8..12), 0..150),
+                0..6,
+            ),
+            wide in any::<bool>(),
+            two_keys in any::<bool>(),
+            round_one_bits in 0u32..7,
+            round_two_bits in proptest::option::of(0u32..4),
+        ) {
+            let batches: Vec<Batch> = pieces.iter().map(|rows| batch(rows, wide)).collect();
+            let key_cols: &[usize] = if two_keys { &[0, 1] } else { &[0] };
+            let mut scheme = vec![1usize << round_one_bits];
+            scheme.extend(round_two_bits.map(|b| 1usize << b));
+            let ectx = ExecContext::dpu();
+            let mut expect_ctx = CoreCtx::new(&ectx, 0);
+            let expect = reference(&mut expect_ctx, &batches, key_cols, &scheme, 128);
+            let mut ctx = CoreCtx::new(&ectx, 0);
+            let got = partition_scheme(&mut ctx, batches, key_cols, &scheme, 128).unwrap();
+            prop_assert_eq!(got, expect);
+            prop_assert_eq!(bits(&ctx.account), bits(&expect_ctx.account));
+        }
     }
 }

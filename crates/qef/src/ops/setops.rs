@@ -75,7 +75,7 @@ pub fn set_op(
         }
     }
     ctx.charge_tile();
-    Ok(Batch::concat(&keep))
+    Ok(Batch::concat(keep))
 }
 
 #[cfg(test)]

@@ -135,7 +135,7 @@ pub fn merge_sorted(ctx: &mut CoreCtx, batches: &[Batch], order: &[SortKey]) -> 
         pieces.push(batches[src].gather(&rids));
         i = j;
     }
-    Ok(Batch::concat(&pieces))
+    Ok(Batch::concat(pieces))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! host executor).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crate::batch::Batch;
 use crate::error::QefResult;
@@ -54,8 +55,9 @@ pub fn cmp_rows(
 pub struct TopK {
     order: Vec<SortKey>,
     k: usize,
-    /// Current candidates, kept loosely sorted only on overflow.
-    rows: Vec<(Batch, usize)>,
+    /// Current candidates, kept loosely sorted only on overflow. The rows
+    /// of one consumed batch share it.
+    rows: Vec<(Arc<Batch>, usize)>,
 }
 
 impl TopK {
@@ -69,11 +71,10 @@ impl TopK {
     }
 
     /// Consume a batch.
-    pub fn consume(&mut self, ctx: &mut CoreCtx, batch: &Batch) -> QefResult<()> {
+    pub fn consume(&mut self, ctx: &mut CoreCtx, batch: Batch) -> QefResult<()> {
         let n = batch.rows();
-        for i in 0..n {
-            self.rows.push((batch.clone(), i));
-        }
+        let batch = Arc::new(batch);
+        self.rows.extend((0..n).map(|i| (Arc::clone(&batch), i)));
         // Prune: keep the best k (amortized; a real heap on the DPU, a
         // sort-and-truncate here with the same cost declaration).
         if self.rows.len() > 4 * self.k.max(16) {
@@ -85,9 +86,9 @@ impl TopK {
     }
 
     fn prune(&mut self) {
-        let order = self.order.clone();
+        let order = &self.order;
         self.rows
-            .sort_by(|(ba, ra), (bb, rb)| cmp_rows(ba, *ra, bb, *rb, &order));
+            .sort_by(|(ba, ra), (bb, rb)| cmp_rows(ba, *ra, bb, *rb, order));
         self.rows.truncate(self.k);
     }
 
@@ -108,7 +109,7 @@ impl TopK {
             .map(|(b, r)| b.gather(&[*r as u32]))
             .collect();
         ctx.charge_kernel(&costs::topk_per_row().scaled(self.rows.len() as f64));
-        Batch::concat(&out)
+        Batch::concat(out)
     }
 }
 
@@ -130,7 +131,7 @@ mod tests {
     fn top3_descending() {
         let mut c = ctx();
         let mut t = TopK::new(vec![SortKey { col: 0, desc: true }], 3);
-        t.consume(&mut c, &batch(vec![5, 1, 9, 3, 7, 2])).unwrap();
+        t.consume(&mut c, batch(vec![5, 1, 9, 3, 7, 2])).unwrap();
         let out = t.finish(&mut c);
         assert_eq!(out.column(0).data.to_i64_vec(), vec![9, 7, 5]);
     }
@@ -145,7 +146,7 @@ mod tests {
             }],
             10,
         );
-        t.consume(&mut c, &batch(vec![3, 1, 2])).unwrap();
+        t.consume(&mut c, batch(vec![3, 1, 2])).unwrap();
         let out = t.finish(&mut c);
         assert_eq!(out.column(0).data.to_i64_vec(), vec![1, 2, 3]);
     }
@@ -154,9 +155,9 @@ mod tests {
     fn merge_across_cores() {
         let mut c = ctx();
         let mut a = TopK::new(vec![SortKey { col: 0, desc: true }], 2);
-        a.consume(&mut c, &batch(vec![10, 20])).unwrap();
+        a.consume(&mut c, batch(vec![10, 20])).unwrap();
         let mut b = TopK::new(vec![SortKey { col: 0, desc: true }], 2);
-        b.consume(&mut c, &batch(vec![15, 5])).unwrap();
+        b.consume(&mut c, batch(vec![15, 5])).unwrap();
         a.merge(&mut c, b).unwrap();
         let out = a.finish(&mut c);
         assert_eq!(out.column(0).data.to_i64_vec(), vec![20, 15]);
@@ -168,7 +169,7 @@ mod tests {
         let mut t = TopK::new(vec![SortKey { col: 0, desc: true }], 5);
         // Feed many batches to force pruning.
         for chunk in (0..10_000i64).collect::<Vec<_>>().chunks(100) {
-            t.consume(&mut c, &batch(chunk.to_vec())).unwrap();
+            t.consume(&mut c, batch(chunk.to_vec())).unwrap();
         }
         let out = t.finish(&mut c);
         assert_eq!(
@@ -194,7 +195,7 @@ mod tests {
             ],
             3,
         );
-        t.consume(&mut c, &b).unwrap();
+        t.consume(&mut c, b).unwrap();
         let out = t.finish(&mut c);
         assert_eq!(out.column(1).data.to_i64_vec(), vec![30, 10, 20]);
     }
@@ -216,7 +217,7 @@ mod tests {
             }],
             3,
         );
-        t.consume(&mut c, &b).unwrap();
+        t.consume(&mut c, b).unwrap();
         let out = t.finish(&mut c);
         assert_eq!(out.column(0).get(0), Some(1));
         assert_eq!(out.column(0).get(1), Some(5));
@@ -234,7 +235,7 @@ mod tests {
             nulls,
         )]);
         let mut t = TopK::new(vec![SortKey { col: 0, desc: true }], 3);
-        t.consume(&mut c, &b).unwrap();
+        t.consume(&mut c, b).unwrap();
         let out = t.finish(&mut c);
         assert_eq!(out.column(0).get(0), Some(5));
         assert_eq!(out.column(0).get(1), Some(1));

@@ -14,27 +14,37 @@ use crate::primitives::costs;
 /// chains at most 4 keys in hardware; the software path (this function,
 /// used by joins and group-bys) chains any number with the same CRC.
 pub fn hash_rows(ctx: &mut CoreCtx, keys: &[&Vector]) -> Vec<u32> {
-    assert!(!keys.is_empty(), "hash takes at least one key column");
-    let rows = keys[0].len();
-    debug_assert!(keys.iter().all(|k| k.len() == rows));
+    hash_pieces(ctx, &[keys])
+}
+
+/// [`hash_rows`] over an input that arrives in pieces (one key-column set
+/// per batch): the hashes come back to back in piece order, charged as the
+/// one logical input the pieces are.
+pub fn hash_pieces<'a, K: AsRef<[&'a Vector]>>(ctx: &mut CoreCtx, pieces: &[K]) -> Vec<u32> {
+    let nkeys = pieces.first().map_or(0, |k| k.as_ref().len());
+    assert!(nkeys > 0, "hash takes at least one key column");
+    let rows: usize = pieces.iter().map(|k| k.as_ref()[0].len()).sum();
     let mut out = Vec::with_capacity(rows);
-    match keys {
-        [k] => {
-            for i in 0..rows {
-                out.push(dpu_sim::crc32::hash_u64(k.data.get_i64(i) as u64));
+    // Single keys hash straight from their column; tuples go through `buf`.
+    let mut buf = vec![0u64; if nkeys > 1 { nkeys } else { 0 }];
+    for keys in pieces {
+        let keys = keys.as_ref();
+        debug_assert!(keys.len() == nkeys && keys.iter().all(|k| k.len() == keys[0].len()));
+        match keys {
+            [k] => {
+                out.extend((0..k.len()).map(|i| dpu_sim::crc32::hash_u64(k.data.get_i64(i) as u64)))
             }
-        }
-        _ => {
-            let mut buf = vec![0u64; keys.len()];
-            for i in 0..rows {
-                for (j, k) in keys.iter().enumerate() {
-                    buf[j] = k.data.get_i64(i) as u64;
+            _ => {
+                for i in 0..keys[0].len() {
+                    for (j, k) in keys.iter().enumerate() {
+                        buf[j] = k.data.get_i64(i) as u64;
+                    }
+                    out.push(dpu_sim::crc32::hash_keys(&buf));
                 }
-                out.push(dpu_sim::crc32::hash_keys(&buf));
             }
         }
     }
-    ctx.charge_kernel(&costs::hash_per_row_per_key().scaled((rows * keys.len()) as f64));
+    ctx.charge_kernel(&costs::hash_per_row_per_key().scaled((rows * nkeys) as f64));
     out
 }
 

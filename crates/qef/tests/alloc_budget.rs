@@ -1,0 +1,208 @@
+//! Allocation budgets of the operator data path: an operator owns a buffer
+//! only where the DMS writes one, so what it may allocate is bounded by
+//! what it produces — not by the width or row count of what it reads.
+//!
+//! Counts are per thread (the test harness runs tests side by side), and a
+//! reallocation counts as one allocation of its new size.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rapid_qef::exec::{CoreCtx, ExecContext};
+use rapid_qef::expr::Pred;
+use rapid_qef::ops::filter::filter_chunk;
+use rapid_qef::ops::join::JoinTable;
+use rapid_qef::ops::partition::partition_scheme;
+use rapid_qef::ops::topk::TopK;
+use rapid_qef::plan::SortKey;
+use rapid_qef::primitives::filter::CmpOp;
+use rapid_qef::Batch;
+use rapid_storage::chunk::Chunk;
+use rapid_storage::vector::{ColumnData, Vector};
+
+thread_local! {
+    // Const-initialised and without destructors: reading them inside the
+    // allocator neither allocates nor registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with` fails only while a thread's locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one `GlobalAlloc` states; counting touches only
+// const-initialised thread locals and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller guarantees `ptr` came from this allocator,
+        // that is from `System`, with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Run `f`, returning its result with the allocations and bytes this
+/// thread made meanwhile.
+fn measured<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let r = f();
+    (r, ALLOCS.with(Cell::get) - a0, BYTES.with(Cell::get) - b0)
+}
+
+fn core() -> CoreCtx {
+    CoreCtx::new(&ExecContext::dpu(), 0)
+}
+
+fn i64_col(rows: usize, f: impl Fn(i64) -> i64) -> Vector {
+    Vector::new(ColumnData::I64((0..rows as i64).map(f).collect()))
+}
+
+const ROWS: usize = 4096;
+const BITMAP_BYTES: u64 = (ROWS / 8) as u64;
+
+/// Sixteen 8-byte columns: 512 KiB that a filter must not copy.
+fn wide_chunk() -> Chunk {
+    Chunk::new((0..16).map(|c| i64_col(ROWS, |i| i + c)).collect())
+}
+
+#[test]
+fn one_conjunct_allocates_the_row_set_not_the_chunk() {
+    let chunk = wide_chunk();
+    let conjuncts = [Pred::CmpConst {
+        col: 3,
+        op: CmpOp::Lt,
+        value: 2048,
+    }];
+    let mut c = core();
+    let (r, allocs, bytes) = measured(|| filter_chunk(&mut c, &chunk, &conjuncts, 0.5, 256));
+    assert_eq!(r.unwrap().count(), 2045);
+    // The qualifying bitmap, plus the handful of one-element index lists
+    // that describe the stream to the DMS.
+    assert!(allocs <= 8, "{allocs} allocations");
+    assert!(
+        bytes <= BITMAP_BYTES + 256,
+        "{bytes} bytes to produce a {BITMAP_BYTES}-byte row set"
+    );
+}
+
+#[test]
+fn a_later_conjunct_gathers_only_the_columns_it_names() {
+    let chunk = wide_chunk();
+    let conjuncts = [
+        Pred::CmpConst {
+            col: 3,
+            op: CmpOp::Lt,
+            value: 2048,
+        },
+        Pred::CmpConst {
+            col: 7,
+            op: CmpOp::Ge,
+            value: 1000,
+        },
+    ];
+    let mut c = core();
+    let (r, _, bytes) = measured(|| filter_chunk(&mut c, &chunk, &conjuncts, 0.5, 256));
+    assert_eq!(r.unwrap().count(), 2045 - 993);
+    // After the first conjunct 2045 rows qualify. The second may allocate
+    // their row ids, ONE gathered 8-byte column, its verdict, the surviving
+    // row ids and the new bitmap — plus the first conjunct's bitmap, the
+    // sixteen placeholder headers and the small index lists.
+    let n = 2045u64;
+    let budget = 4 * n
+        + 8 * n
+        + n.div_ceil(8)
+        + 4 * n
+        + 2 * BITMAP_BYTES
+        + 16 * std::mem::size_of::<Vector>() as u64
+        + 512;
+    assert!(
+        bytes <= budget,
+        "{bytes} bytes against a budget of {budget}"
+    );
+}
+
+#[test]
+fn topk_consume_allocations_do_not_grow_with_the_batch() {
+    let consume = |rows: usize| {
+        let batch = Batch::new(vec![
+            i64_col(rows, |i| (i * 7919) % 10_007),
+            i64_col(rows, |i| i),
+        ]);
+        let mut c = core();
+        let mut acc = TopK::new(vec![SortKey { col: 0, desc: true }], 5);
+        let ((), allocs, _) = measured(|| acc.consume(&mut c, batch).unwrap());
+        allocs
+    };
+    let (small, large) = (consume(1_000), consume(16_000));
+    assert_eq!(small, large, "allocations for 1 000 vs 16 000 rows");
+    assert!(small <= 4, "{small} allocations in one consume");
+}
+
+#[test]
+fn join_build_allocations_do_not_grow_with_the_build_side() {
+    // 64 distinct keys: the heavy-hitter sketch fills its 16 slots and
+    // replaces its minimum for most rows.
+    let build = |rows: usize| {
+        let keys = i64_col(rows, |i| (i * 31) % 64);
+        let mut c = core();
+        let (r, allocs, _) = measured(|| JoinTable::build(&mut c, &[&keys], rows / 2, true));
+        let (table, stats) = r.unwrap();
+        assert!(table.overflowed(), "half the rows must spill to DRAM");
+        assert_eq!(stats.in_dmem + stats.overflowed + stats.heavy_rows, rows);
+        allocs
+    };
+    let (small, large) = (build(1_000), build(16_000));
+    // What may differ: shrinking the DMEM segment until it fits, and the
+    // growth steps of the match lists.
+    assert!(
+        large.abs_diff(small) <= 16,
+        "{small} allocations for 1 000 build rows, {large} for 16 000"
+    );
+}
+
+#[test]
+fn one_round_partition_writes_its_input_once() {
+    let batches: Vec<Batch> = (0..4)
+        .map(|b| Batch::new((0..4).map(|c| i64_col(ROWS, |i| i * 4 + b + c)).collect()))
+        .collect();
+    let rows = 4 * ROWS as u64;
+    let input: u64 = batches.iter().map(|b| b.size_bytes() as u64).sum();
+    let fanout = 32u64;
+    // The map: one row id per row, and the offsets with their cursor copy.
+    let map = 4 * rows + 2 * 4 * (fanout + 1);
+    let mut c = core();
+    let (parts, _, bytes) = measured(|| partition_scheme(&mut c, batches, &[0], &[32], 256));
+    let parts = parts.unwrap();
+    assert_eq!(parts.iter().map(Batch::rows).sum::<usize>() as u64, rows);
+    assert!(
+        bytes <= input * 3 / 2 + map,
+        "{bytes} bytes to partition {input} (budget {})",
+        input * 3 / 2 + map
+    );
+}

@@ -38,9 +38,18 @@ impl BitVec {
         bv
     }
 
+    /// An empty bit-vector with room for `bits` rows.
+    pub fn with_capacity(bits: usize) -> Self {
+        BitVec {
+            words: Vec::with_capacity(bits.div_ceil(64)),
+            len: 0,
+        }
+    }
+
     /// Build from a bool iterator.
     pub fn from_bools<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        let mut bv = BitVec::zeros(0);
+        let iter = iter.into_iter();
+        let mut bv = BitVec::with_capacity(iter.size_hint().0);
         for b in iter {
             bv.push(b);
         }
@@ -76,6 +85,31 @@ impl BitVec {
             self.words[word] |= 1u64 << (self.len % 64);
         }
         self.len += 1;
+    }
+
+    /// Append every bit of `other`, a word at a time.
+    pub fn extend_from(&mut self, other: &BitVec) {
+        let off = self.len % 64;
+        if off == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            // Bits past `len` are always clear, so OR-ing the shifted word
+            // into the partial last word is exact.
+            for &w in &other.words {
+                if let Some(last) = self.words.last_mut() {
+                    *last |= w << off;
+                }
+                self.words.push(w >> (64 - off));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
+    /// Append `n` clear bits.
+    pub fn extend_zeros(&mut self, n: usize) {
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
     }
 
     /// Get bit `i`.
@@ -154,9 +188,9 @@ impl BitVec {
 
     /// Convert to a RID-list.
     pub fn to_rids(&self) -> RidList {
-        RidList {
-            rids: self.iter_ones().map(|i| i as u32).collect(),
-        }
+        let mut rids = Vec::with_capacity(self.count_ones());
+        rids.extend(self.iter_ones().map(|i| i as u32));
+        RidList { rids }
     }
 
     /// Raw 64-bit words (for size accounting and `BVLD`-style access).
@@ -278,6 +312,32 @@ mod tests {
         }
         bv.set(1, true);
         assert!(bv.get(1));
+    }
+
+    #[test]
+    fn word_wise_extend_equals_bit_wise_push() {
+        // Every alignment of the seam, including empty pieces.
+        for (a, b, zeros) in [
+            (0, 70, 3),
+            (1, 64, 0),
+            (63, 129, 65),
+            (64, 0, 64),
+            (100, 5, 0),
+        ] {
+            let first: Vec<bool> = (0..a).map(|i| i % 3 == 0).collect();
+            let second: Vec<bool> = (0..b).map(|i| i % 5 != 0).collect();
+            let mut word_wise = BitVec::from_bools(first.iter().copied());
+            word_wise.extend_from(&BitVec::from_bools(second.iter().copied()));
+            word_wise.extend_zeros(zeros);
+            let bit_wise = BitVec::from_bools(
+                first
+                    .iter()
+                    .chain(&second)
+                    .copied()
+                    .chain(std::iter::repeat_n(false, zeros)),
+            );
+            assert_eq!(word_wise, bit_wise, "{a} + {b} + {zeros} zeros");
+        }
     }
 
     #[test]

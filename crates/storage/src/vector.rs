@@ -100,13 +100,9 @@ impl ColumnData {
 
     /// Gather elements by row offsets (the DMS RID-gather, functionally).
     pub fn gather(&self, rids: &[u32]) -> ColumnData {
-        match self {
-            ColumnData::I8(v) => ColumnData::I8(rids.iter().map(|&r| v[r as usize]).collect()),
-            ColumnData::I16(v) => ColumnData::I16(rids.iter().map(|&r| v[r as usize]).collect()),
-            ColumnData::I32(v) => ColumnData::I32(rids.iter().map(|&r| v[r as usize]).collect()),
-            ColumnData::I64(v) => ColumnData::I64(rids.iter().map(|&r| v[r as usize]).collect()),
-            ColumnData::U32(v) => ColumnData::U32(rids.iter().map(|&r| v[r as usize]).collect()),
-        }
+        let mut out = self.empty_like_with_capacity(rids.len());
+        out.extend_gather(self, rids, 0);
+        out
     }
 
     /// Contiguous sub-range `[from, to)` of the column.
@@ -136,15 +132,39 @@ impl ColumnData {
         }
     }
 
+    /// Append `other[r - base]` for each `r` in `rids` — one run of a
+    /// gather whose source is split over several columns (`base` is the
+    /// row id of `other`'s first element). Same variant required.
+    pub fn extend_gather(&mut self, other: &ColumnData, rids: &[u32], base: u32) {
+        let at = |r: &u32| (r - base) as usize;
+        match (self, other) {
+            (ColumnData::I8(a), ColumnData::I8(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
+            (ColumnData::I16(a), ColumnData::I16(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
+            (ColumnData::I32(a), ColumnData::I32(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
+            (ColumnData::I64(a), ColumnData::I64(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
+            (ColumnData::U32(a), ColumnData::U32(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
+            (a, b) => panic!(
+                "column variant mismatch: {:?} vs {:?}",
+                a.width(),
+                b.width()
+            ),
+        }
+    }
+
+    /// An empty column of the same physical variant with room for `rows`.
+    pub fn empty_like_with_capacity(&self, rows: usize) -> ColumnData {
+        match self {
+            ColumnData::I8(_) => ColumnData::I8(Vec::with_capacity(rows)),
+            ColumnData::I16(_) => ColumnData::I16(Vec::with_capacity(rows)),
+            ColumnData::I32(_) => ColumnData::I32(Vec::with_capacity(rows)),
+            ColumnData::I64(_) => ColumnData::I64(Vec::with_capacity(rows)),
+            ColumnData::U32(_) => ColumnData::U32(Vec::with_capacity(rows)),
+        }
+    }
+
     /// An empty column of the same physical variant.
     pub fn empty_like(&self) -> ColumnData {
-        match self {
-            ColumnData::I8(_) => ColumnData::I8(Vec::new()),
-            ColumnData::I16(_) => ColumnData::I16(Vec::new()),
-            ColumnData::I32(_) => ColumnData::I32(Vec::new()),
-            ColumnData::I64(_) => ColumnData::I64(Vec::new()),
-            ColumnData::U32(_) => ColumnData::U32(Vec::new()),
-        }
+        self.empty_like_with_capacity(0)
     }
 
     /// The default physical variant for a logical type.
@@ -293,6 +313,18 @@ mod tests {
         let col = ColumnData::I32(vec![10, 20, 30, 40, 50]);
         assert_eq!(col.gather(&[4, 0, 2]).to_i64_vec(), vec![50, 10, 30]);
         assert_eq!(col.slice(1, 4).to_i64_vec(), vec![20, 30, 40]);
+    }
+
+    #[test]
+    fn extend_gather_appends_runs_relative_to_a_base() {
+        // Rows 10..13 live in `second`; a gather over global row ids picks
+        // from each source with its own base.
+        let first = ColumnData::I16(vec![1, 2, 3]);
+        let second = ColumnData::I16(vec![40, 50, 60]);
+        let mut out = first.empty_like_with_capacity(4);
+        out.extend_gather(&first, &[2, 0], 0);
+        out.extend_gather(&second, &[10, 12], 10);
+        assert_eq!(out, ColumnData::I16(vec![3, 1, 40, 60]));
     }
 
     #[test]
