@@ -60,23 +60,31 @@ echo "== rapid_bench suite (five workloads at --quick size, results checked) =="
 # this is the only step that compiles it against the crates' public items.
 cargo test -q --release --offline --manifest-path rapid_bench/Cargo.toml
 
-echo "== rapid_bench repeatability (tpch_serial twice at --quick size: the counted metrics must repeat) =="
+echo "== rapid_bench repeatability (tpch_serial and dml_refresh twice at --quick size: the counted metrics must repeat) =="
 # A host-path change that makes the allocation counters depend on anything
 # but the input (hash iteration order, say) fails here, before anyone
 # measures with them. setup_s and peak_rss_mb are host clocks and may move,
-# so the four counted metrics are checked by name, not by compare's status.
+# so the counted metrics are checked by name, not by compare's status.
+# dml_refresh is the SQL workload whose DMS bytes the compiler's column
+# pruning decides: what its scans move must not depend on the run either.
 BENCH_TMP=$(mktemp -d)
 trap 'rm -rf "$BENCH_TMP"' EXIT
 rapid_bench() {
     cargo run -q --release --offline --manifest-path rapid_bench/Cargo.toml --bin rapid_bench -- "$@"
 }
-rapid_bench run --quick --seed 7 --workload tpch_serial --out "$BENCH_TMP/a.json" > /dev/null
-rapid_bench run --quick --seed 7 --workload tpch_serial --out "$BENCH_TMP/b.json" > /dev/null
-CMP=$(rapid_bench compare "$BENCH_TMP/a.json" "$BENCH_TMP/b.json" || true)
-echo "$CMP"
-for m in host_allocs_per_op host_alloc_kb_per_op sim_cycles_per_op sim_dms_bytes_per_op; do
-    echo "$CMP" | grep -q "^tpch_serial $m .* unchanged\$" || { echo "$m did not repeat"; exit 1; }
-done
+repeats() {
+    local workload=$1
+    shift
+    rapid_bench run --quick --seed 7 --workload "$workload" --out "$BENCH_TMP/a.json" > /dev/null
+    rapid_bench run --quick --seed 7 --workload "$workload" --out "$BENCH_TMP/b.json" > /dev/null
+    CMP=$(rapid_bench compare "$BENCH_TMP/a.json" "$BENCH_TMP/b.json" || true)
+    echo "$CMP"
+    for m in "$@"; do
+        echo "$CMP" | grep -q "^$workload $m .* unchanged\$" || { echo "$workload $m did not repeat"; exit 1; }
+    done
+}
+repeats tpch_serial host_allocs_per_op host_alloc_kb_per_op sim_cycles_per_op sim_dms_bytes_per_op
+repeats dml_refresh sim_cycles_per_op sim_dms_bytes_per_op
 rm -rf "$BENCH_TMP"
 trap - EXIT
 

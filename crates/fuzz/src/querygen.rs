@@ -18,6 +18,14 @@
 //! The boundary column `ta_big` still flows through comparisons, MIN/MAX,
 //! COUNT, GROUP BY keys and ORDER BY — everywhere it cannot create
 //! order-dependent overflow.
+//!
+//! The host oracle runs a statement as written while the compiler narrows
+//! every scan to the columns the statement reads, so three shapes are
+//! drawn on purpose: select lists over a strict subset of a table's
+//! columns (every projection query: at most four of `ta`'s seven),
+//! aggregates that are `COUNT(*)` alone and so name no column at all, and
+//! joins whose select list names only one side, leaving the other to
+//! contribute its key and nothing else.
 
 use rapid_storage::types::civil_from_days;
 use serde::{Deserialize, Serialize};
@@ -158,6 +166,28 @@ impl Env {
             dates: vec!["ta_d"],
             bigs: vec!["ta_big"],
         }
+    }
+
+    /// `tb`'s columns alone: the select list of a join that ignores `ta`.
+    /// Dates and the boundary column live on `ta`, so there are none.
+    fn tb_only() -> Env {
+        let both = Env::new(true);
+        let of_tb = |name: &str| name.starts_with("tb_");
+        Env {
+            nums: both.nums.into_iter().filter(|c| of_tb(c.name)).collect(),
+            strs: both.strs.into_iter().filter(|s| of_tb(s)).collect(),
+            dates: Vec::new(),
+            bigs: Vec::new(),
+        }
+    }
+
+    /// Every visible column name.
+    fn columns(&self) -> Vec<&'static str> {
+        let mut pool: Vec<&str> = self.nums.iter().map(|c| c.name).collect();
+        pool.extend(&self.strs);
+        pool.extend(&self.dates);
+        pool.extend(&self.bigs);
+        pool
     }
 }
 
@@ -325,7 +355,10 @@ fn simple_pred(rng: &mut Rng, env: &Env, depth: u32) -> String {
             format!("NOT ({a})")
         };
     }
-    match rng.below(8) {
+    // Dates and the boundary column are `ta`'s: their predicate kinds come
+    // last and are not drawn for a `tb`-only scope.
+    let has_ta = !env.dates.is_empty();
+    match rng.below(if has_ta { 8 } else { 6 }) {
         0 => {
             // Numeric column vs literal (decimal columns get decimal or
             // deliberately mis-scaled literals to exercise boundary
@@ -366,8 +399,8 @@ fn simple_pred(rng: &mut Rng, env: &Env, depth: u32) -> String {
             format!("{a} {} {b}", cmp_op(rng))
         }
         2 => {
-            // BETWEEN on int / date / decimal (sometimes empty-range).
-            match rng.below(3) {
+            // BETWEEN on int / decimal / date (sometimes empty-range).
+            match rng.below(if has_ta { 3 } else { 2 }) {
                 0 => {
                     let c = rng
                         .pick(&env.nums.iter().filter(|c| c.scale == 0).collect::<Vec<_>>())
@@ -380,19 +413,19 @@ fn simple_pred(rng: &mut Rng, env: &Env, depth: u32) -> String {
                     format!("{c} BETWEEN {lo} AND {hi}")
                 }
                 1 => {
+                    let c = rng
+                        .pick(&env.nums.iter().filter(|c| c.scale > 0).collect::<Vec<_>>())
+                        .name;
+                    let (a, b) = (dec_literal(rng).sql, dec_literal(rng).sql);
+                    format!("{c} BETWEEN {a} AND {b}")
+                }
+                _ => {
                     let d = *rng.pick(&env.dates);
                     format!(
                         "{d} BETWEEN {} AND {}",
                         date_literal(rng),
                         date_literal(rng)
                     )
-                }
-                _ => {
-                    let c = rng
-                        .pick(&env.nums.iter().filter(|c| c.scale > 0).collect::<Vec<_>>())
-                        .name;
-                    let (a, b) = (dec_literal(rng).sql, dec_literal(rng).sql);
-                    format!("{c} BETWEEN {a} AND {b}")
                 }
             }
         }
@@ -452,13 +485,7 @@ fn simple_pred(rng: &mut Rng, env: &Env, depth: u32) -> String {
 fn aggregate(rng: &mut Rng, env: &Env) -> String {
     match rng.below(6) {
         0 => "COUNT(*)".into(),
-        1 => {
-            let mut pool: Vec<&str> = env.nums.iter().map(|c| c.name).collect();
-            pool.extend(env.strs.iter().copied());
-            pool.extend(env.dates.iter().copied());
-            pool.extend(env.bigs.iter().copied());
-            format!("COUNT({})", rng.pick(&pool))
-        }
+        1 => format!("COUNT({})", rng.pick(&env.columns())),
         2 | 3 => {
             // SUM/AVG only over bounded columns: never `ta_big`.
             let c = rng.pick(&env.nums).name;
@@ -499,6 +526,25 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
     // Predicates on semi/anti-join results may only mention the left side,
     // which `Env::new(false)` already guarantees.
 
+    // A join that emits both sides sometimes gets a select list naming only
+    // one of them; WHERE still sees both.
+    let select_env = if !tb_visible || rng.chance(70) {
+        Env::new(tb_visible)
+    } else if rng.chance(50) {
+        Env::new(false)
+    } else {
+        Env::tb_only()
+    };
+    // `COUNT(*)` alone, or one to three aggregates.
+    let aggregates = |rng: &mut Rng| -> Vec<String> {
+        if rng.chance(20) {
+            return vec!["COUNT(*)".into()];
+        }
+        (0..1 + rng.below(3))
+            .map(|_| aggregate(rng, &select_env))
+            .collect()
+    };
+
     // Select shape.
     let mut items: Vec<Item> = Vec::new();
     let mut group_by: Vec<String> = Vec::new();
@@ -511,10 +557,11 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
 
     if rng.chance(40) {
         // Grouped aggregation.
-        let mut keys: Vec<&str> = vec!["ta_k", "ta_s", "ta_d", "ta_big"];
-        if tb_visible {
-            keys.extend(["tb_k", "tb_s"]);
-        }
+        let visible = select_env.columns();
+        let mut keys: Vec<&str> = ["ta_k", "ta_s", "ta_d", "ta_big", "tb_k", "tb_s"]
+            .into_iter()
+            .filter(|k| visible.contains(k))
+            .collect();
         rng.shuffle(&mut keys);
         keys.truncate(1 + rng.below(2) as usize);
         for k in &keys {
@@ -525,18 +572,18 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
             });
             group_by.push((*k).into());
         }
-        for _ in 0..1 + rng.below(3) {
+        for sql in aggregates(rng) {
             items.push(Item {
-                sql: aggregate(rng, &env),
+                sql,
                 alias: next_alias(),
                 grouping: false,
             });
         }
     } else if rng.chance(35) {
         // Ungrouped aggregation (single output row).
-        for _ in 0..1 + rng.below(3) {
+        for sql in aggregates(rng) {
             items.push(Item {
-                sql: aggregate(rng, &env),
+                sql,
                 alias: next_alias(),
                 grouping: false,
             });
@@ -544,16 +591,10 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
     } else {
         // Projection query.
         for _ in 0..1 + rng.below(4) {
-            let sql = match rng.below(100) {
-                0..=44 => {
-                    let mut pool: Vec<&str> = env.nums.iter().map(|c| c.name).collect();
-                    pool.extend(env.strs.iter().copied());
-                    pool.extend(env.dates.iter().copied());
-                    pool.extend(env.bigs.iter().copied());
-                    (*rng.pick(&pool)).into()
-                }
-                45..=84 => num_expr(rng, &env, 2).sql,
-                _ => format!("EXTRACT(YEAR FROM {})", rng.pick(&env.dates)),
+            let sql = match rng.below(if select_env.dates.is_empty() { 85 } else { 100 }) {
+                0..=44 => (*rng.pick(&select_env.columns())).into(),
+                45..=84 => num_expr(rng, &select_env, 2).sql,
+                _ => format!("EXTRACT(YEAR FROM {})", rng.pick(&select_env.dates)),
             };
             items.push(Item {
                 sql,
@@ -618,6 +659,29 @@ mod tests {
             saw[5] |= sql.contains("CASE WHEN");
         }
         assert!(saw.iter().all(|s| *s), "clause coverage: {saw:?}");
+    }
+
+    /// The shapes aimed at the compiler's column pruning all come up, and
+    /// the one-sided select lists really are one-sided.
+    #[test]
+    fn draws_the_column_pruning_shapes() {
+        let mut saw = [false; 4]; // COUNT(*) alone, join naming ta only, tb only, strict subset
+        let ta_columns = Env::new(false).columns();
+        for seed in 0..400 {
+            let q = gen_query(&mut Rng::new(seed));
+            let select: String = q.items.iter().map(|i| format!("{} ", i.sql)).collect();
+            let names = |table: &str| select.contains(table);
+            let emits_both = q
+                .join
+                .as_ref()
+                .is_some_and(|j| j.starts_with("JOIN") || j.starts_with("LEFT JOIN"));
+            saw[0] |= q.items.len() == 1 && q.items[0].sql == "COUNT(*)";
+            saw[1] |= emits_both && names("ta_") && !names("tb_");
+            saw[2] |= emits_both && names("tb_") && !names("ta_");
+            let named = ta_columns.iter().filter(|c| names(c)).count();
+            saw[3] |= q.join.is_none() && 0 < named && named < ta_columns.len();
+        }
+        assert!(saw.iter().all(|s| *s), "shape coverage: {saw:?}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use rapid_qcomp::logical::LogicalPlan;
 use rapid_qcomp::Compiled;
 use rapid_qef::engine::Engine;
 use rapid_qef::exec::{ExecContext, StageRouter};
-use rapid_qef::plan::ColMeta;
+use rapid_qef::plan::{Catalog, ColMeta, PlanNode};
 use rapid_qef::trace::{MemorySink, StageEvent, TraceSink};
 use rapid_sched::{SchedConfig, SchedReport, Scheduler};
 use rapid_storage::bitvec::BitVec;
@@ -526,12 +526,17 @@ impl HostDb {
                 // The estimator's view of the physical plan that just ran:
                 // per-node estimated rows in the tracer's pre-order id
                 // space, so every operator line can carry its Q-error.
-                let estimates = rapid_qcomp::estimate_rows_per_node(
-                    &compiled.plan,
-                    self.rapid.read().catalog(),
-                    &self.params,
-                );
-                let text = render_explain(&events, &result, &estimates);
+                let mut scans = Vec::new();
+                let estimates = {
+                    let rapid = self.rapid.read();
+                    scan_columns(&compiled.plan, rapid.catalog(), &mut scans);
+                    rapid_qcomp::estimate_rows_per_node(
+                        &compiled.plan,
+                        rapid.catalog(),
+                        &self.params,
+                    )
+                };
+                let text = render_explain(&events, &result, &estimates, &scans);
                 Ok(ExplainAnalysis {
                     result,
                     events,
@@ -918,7 +923,15 @@ impl Drop for HostDb {
 /// `rapid_qcomp::estimate_rows_per_node`); each node's final stage line
 /// then shows `est=` and the Q-error `q = max(est/actual, actual/est)`,
 /// making mis-estimates visible next to the operator that suffered them.
-fn render_explain(events: &[StageEvent], result: &QueryResult, estimates: &[f64]) -> String {
+///
+/// `scans` (from [`scan_columns`], same id space) puts `cols k/n` on every
+/// scan line: the columns the compiled scan moves, of its table's.
+fn render_explain(
+    events: &[StageEvent],
+    result: &QueryResult,
+    estimates: &[f64],
+    scans: &[Option<(usize, usize)>],
+) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     let _ = writeln!(
@@ -938,10 +951,18 @@ fn render_explain(events: &[StageEvent], result: &QueryResult, estimates: &[f64]
     for e in &tree {
         let _ = write!(
             s,
-            "{:indent$}{}  rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
-             bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
+            "{:indent$}{}",
             "",
             e.operator,
+            indent = e.depth as usize * 2
+        );
+        if let Some(Some((moved, of))) = scans.get(e.node_id as usize) {
+            let _ = write!(s, " cols {moved}/{of}");
+        }
+        let _ = write!(
+            s,
+            "  rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
+             bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
             e.rows,
             e.sim_secs,
             e.compute_cycles,
@@ -951,7 +972,6 @@ fn render_explain(events: &[StageEvent], result: &QueryResult, estimates: &[f64]
             e.dmem_peak_bytes,
             e.energy_joules,
             e.wall_secs,
-            indent = e.depth as usize * 2,
         );
         if last_stage.get(&e.node_id) == Some(&e.stage_id) {
             if let Some(est) = estimates.get(e.node_id as usize) {
@@ -973,6 +993,19 @@ fn render_explain(events: &[StageEvent], result: &QueryResult, estimates: &[f64]
     );
     let _ = writeln!(s, "host wall (decode + host ops): {:.6}s", result.host_secs);
     s
+}
+
+/// Per pre-order node id of a compiled plan (the tracer's `node_id`): for
+/// a scan, how many columns it moves and how many its table has.
+fn scan_columns(plan: &PlanNode, catalog: &Catalog, out: &mut Vec<Option<(usize, usize)>>) {
+    out.push(match plan {
+        PlanNode::Scan { table, columns, .. } => {
+            catalog.get(table).map(|t| (columns.len(), t.schema.len()))
+        }
+        _ => None,
+    });
+    plan.inputs()
+        .for_each(|child| scan_columns(child, catalog, out));
 }
 
 /// Best-effort text of a thread panic payload.
@@ -1279,11 +1312,14 @@ mod tests {
         let total: f64 = a.events.iter().map(|e| e.sim_secs).sum();
         assert_eq!(total.to_bits(), a.result.rapid_secs.to_bits());
         assert!(a.text.contains("TOTAL simulated"));
+        // The scan line says what moved — `id` did not — while the event's
+        // operator string stays the bare stage name.
         assert!(
-            a.text.contains("scan(sales)"),
-            "tree names the scan:\n{}",
+            a.text.contains("scan(sales) cols 2/3  rows="),
+            "tree names the scan and its columns:\n{}",
             a.text
         );
+        assert!(a.events.iter().any(|e| e.operator == "scan(sales)"));
     }
 
     #[test]
@@ -1325,7 +1361,8 @@ mod tests {
         let text = d
             .explain_verify("SELECT region, COUNT(*) AS n FROM sales GROUP BY region")
             .unwrap();
-        assert!(text.contains("scan(sales)"), "{text}");
+        let scan = text.lines().find(|l| l.contains("scan(sales)"));
+        assert!(scan.is_some_and(|l| l.ends_with("  cols 1/3")), "{text}");
         assert!(text.contains("groupby.consume"), "{text}");
         assert!(text.contains("PASS"), "{text}");
         // And through the SQL surface, as a QUERY PLAN result.

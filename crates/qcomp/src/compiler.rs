@@ -116,12 +116,15 @@ pub fn compile_unverified(
     // Logical-to-logical join-order search before lowering; `lower_join`
     // then picks build sides and partition schemes within the chosen
     // order from the same estimates.
-    let (reordered, optimize) = if params.reorder_joins {
+    let (mut logical, optimize) = if params.reorder_joins {
         crate::joinorder::reorder(lp, catalog, params)
     } else {
         (lp.clone(), crate::joinorder::OptimizeStats::default())
     };
-    let (plan, output) = lower(&reordered, catalog, params)?;
+    // The one owned copy of the statement is narrowed in place; the caller's
+    // plan (what the host's Volcano oracle runs) keeps every column.
+    logical.prune_columns(catalog);
+    let (plan, output) = lower(&logical, catalog, params)?;
     let cost = estimate(&plan, catalog, params);
     Ok(Compiled {
         plan,

@@ -484,24 +484,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
 pub fn estimate_rows_per_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Vec<f64> {
     fn walk(plan: &PlanNode, catalog: &Catalog, p: &CostParams, out: &mut Vec<f64>) {
         out.push(estimate_node(plan, catalog, p).cost.rows);
-        match plan {
-            PlanNode::Scan { .. } => {}
-            PlanNode::HashJoin { build, probe, .. } => {
-                walk(build, catalog, p, out);
-                walk(probe, catalog, p, out);
-            }
-            PlanNode::SetOp { left, right, .. } => {
-                walk(left, catalog, p, out);
-                walk(right, catalog, p, out);
-            }
-            PlanNode::Filter { input, .. }
-            | PlanNode::Map { input, .. }
-            | PlanNode::GroupBy { input, .. }
-            | PlanNode::TopK { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Limit { input, .. }
-            | PlanNode::Window { input, .. } => walk(input, catalog, p, out),
-        }
+        plan.inputs().for_each(|child| walk(child, catalog, p, out));
     }
     let mut out = Vec::new();
     walk(plan, catalog, p, &mut out);

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use rapid_qef::plan::{Catalog, JoinType};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::arith::ArithOp;
 use rapid_qef::primitives::filter::CmpOp;
@@ -65,6 +66,24 @@ impl LExpr {
             op,
             a: Box::new(a),
             b: Box::new(b),
+        }
+    }
+
+    /// Push the name of every column the expression reads onto `out`.
+    fn columns<'a>(&'a self, out: &mut Vec<&'a str>) {
+        match self {
+            LExpr::Col(name) => out.push(name),
+            LExpr::Lit(_) => {}
+            LExpr::Bin { a, b, .. } => {
+                a.columns(out);
+                b.columns(out);
+            }
+            LExpr::Year(e) => e.columns(out),
+            LExpr::Case { pred, then, els } => {
+                pred.columns(out);
+                then.columns(out);
+                els.columns(out);
+            }
         }
     }
 }
@@ -145,6 +164,23 @@ impl LPred {
     /// Conjunction shorthand.
     pub fn and(ps: Vec<LPred>) -> LPred {
         LPred::And(ps)
+    }
+
+    /// Push the name of every column the predicate reads onto `out`.
+    fn columns<'a>(&'a self, out: &mut Vec<&'a str>) {
+        match self {
+            LPred::Cmp { left, right, .. } => {
+                left.columns(out);
+                right.columns(out);
+            }
+            LPred::Between { col, .. }
+            | LPred::InList { col, .. }
+            | LPred::LikePrefix { col, .. }
+            | LPred::LikeContains { col, .. }
+            | LPred::Like { col, .. } => out.push(col),
+            LPred::And(ps) | LPred::Or(ps) => ps.iter().for_each(|p| p.columns(out)),
+            LPred::Not(p) => p.columns(out),
+        }
     }
 }
 
@@ -324,6 +360,26 @@ impl LogicalPlan {
         first.into_iter().chain(second)
     }
 
+    /// Required-column analysis: narrow every `Scan`'s projection to the
+    /// columns some node above it reads, so the DMS moves nothing else.
+    ///
+    /// The walk carries the set of column *names* the parent reads. The
+    /// root and both `SetOp` inputs (positional) need all of their outputs;
+    /// `Project` and `Aggregate` need what their expressions name;
+    /// `Filter`, `Sort`, `Limit` and `Window` add their own columns to the
+    /// parent's; a `Join` hands the parent's set plus its keys to each side
+    /// (semi/anti joins emit no right columns, so the right side needs only
+    /// its keys). A name the set holds is kept wherever it occurs below —
+    /// on both join sides, under a `Window` that shadows it — and kept
+    /// columns stay in the order they had, so every first-match name
+    /// resolution in [`crate::compiler`] finds the column it found before.
+    /// Scan predicates stream their own columns by table index and are not
+    /// touched.
+    pub(crate) fn prune_columns(&mut self, catalog: &Catalog) {
+        // Room for the names of an ordinary statement in one allocation.
+        narrow(self, catalog, &mut Vec::with_capacity(16), None);
+    }
+
     /// Scan shorthand.
     pub fn scan(table: &str) -> LogicalPlan {
         LogicalPlan::Scan {
@@ -391,6 +447,135 @@ impl LogicalPlan {
         LogicalPlan::Limit {
             input: Box::new(self),
             n,
+        }
+    }
+}
+
+/// One step of [`LogicalPlan::prune_columns`]. `need[from..]` are the names
+/// the parent reads from `plan`; `from == None` means every output. `need`
+/// is one stack for the whole walk, borrowing names from the plan it
+/// narrows: a node pushes what it reads, and what a subtree pushed is
+/// popped before its sibling runs.
+fn narrow<'a>(
+    plan: &'a mut LogicalPlan,
+    catalog: &Catalog,
+    need: &mut Vec<&'a str>,
+    from: Option<usize>,
+) {
+    let mark = need.len();
+    let sort_cols = |order: &'a [LSortKey]| order.iter().map(|k| k.col.as_str());
+    match plan {
+        LogicalPlan::Scan {
+            table, projection, ..
+        } => {
+            if let Some(from) = from {
+                narrow_scan(table, projection, &need[from..], catalog);
+            }
+        }
+        LogicalPlan::Filter { input, pred } => {
+            pred.columns(need);
+            narrow(input, catalog, need, from);
+        }
+        LogicalPlan::Project { input, exprs } => {
+            exprs.iter().for_each(|e| e.expr.columns(need));
+            narrow(input, catalog, need, Some(mark));
+        }
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
+            group_by.iter().for_each(|g| g.expr.columns(need));
+            aggs.iter().for_each(|a| a.input.columns(need));
+            narrow(input, catalog, need, Some(mark));
+        }
+        LogicalPlan::Sort { input, order } => {
+            need.extend(sort_cols(order));
+            narrow(input, catalog, need, from);
+        }
+        LogicalPlan::Limit { input, .. } => narrow(input, catalog, need, from),
+        LogicalPlan::Window {
+            input,
+            partition_by,
+            order_by,
+            func,
+            ..
+        } => {
+            need.extend(partition_by.iter().map(String::as_str));
+            need.extend(sort_cols(order_by));
+            if let LWindowFunc::RunningSum { col } = func {
+                need.push(col);
+            }
+            narrow(input, catalog, need, from);
+        }
+        LogicalPlan::SetOp { left, right, .. } => {
+            narrow(left, catalog, need, None);
+            narrow(right, catalog, need, None);
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            join_type,
+        } => {
+            need.extend(left_keys.iter().map(String::as_str));
+            narrow(left, catalog, need, from);
+            need.truncate(mark);
+            need.extend(right_keys.iter().map(String::as_str));
+            let emits_right = matches!(join_type, JoinType::Inner | JoinType::LeftOuter);
+            narrow(
+                right,
+                catalog,
+                need,
+                if emits_right { from } else { Some(mark) },
+            );
+        }
+    }
+    need.truncate(mark);
+}
+
+/// Narrow one scan to the columns named in `need`, in the order they had
+/// (table order, or the given projection's). A table or column the catalog
+/// does not know is left for lowering to report.
+fn narrow_scan(
+    table: &str,
+    projection: &mut Option<Vec<String>>,
+    need: &[&str],
+    catalog: &Catalog,
+) {
+    let Some(t) = catalog.get(table) else { return };
+    let needed = |name: &String| need.contains(&name.as_str());
+    // Something must still move for the rows to be counted (`COUNT(*)`):
+    // the first of the narrowest columns.
+    let width = |name: &String| t.schema.field(name).map(|f| f.dtype.physical_width());
+    match projection {
+        Some(names) => {
+            if names.iter().any(|n| t.schema.index_of(n).is_none()) {
+                return;
+            }
+            if names.iter().any(needed) {
+                names.retain(needed);
+            } else if let Some(keep) = (0..names.len()).min_by_key(|&i| width(&names[i])) {
+                names.swap(0, keep);
+                names.truncate(1);
+            }
+        }
+        None => {
+            let all = || t.schema.fields.iter().map(|f| &f.name);
+            let kept = all().filter(|n| needed(n)).count();
+            if kept == t.schema.len() {
+                return;
+            }
+            *projection = Some(if kept > 0 {
+                all().filter(|n| needed(n)).cloned().collect()
+            } else {
+                all()
+                    .min_by_key(|n| width(n))
+                    .cloned()
+                    .into_iter()
+                    .collect()
+            });
         }
     }
 }
@@ -509,5 +694,271 @@ mod tests {
         ]));
         let json = serde_json::to_string(&plan).unwrap();
         assert_eq!(serde_json::from_str::<LogicalPlan>(&json).unwrap(), plan);
+    }
+
+    /// `t(k INT, price DECIMAL, flag VARCHAR, d DATE)` and
+    /// `u(k INT, w INT, tag VARCHAR)`: `k` is on both, and `flag` is the
+    /// first of `t`'s narrowest columns.
+    fn catalog() -> Catalog {
+        use rapid_storage::schema::{Field, Schema};
+        use rapid_storage::types::DataType;
+        let table = |name: &str, fields: Vec<Field>| {
+            let t = rapid_storage::table::TableBuilder::new(name, Schema::new(fields)).finish();
+            (name.to_string(), std::sync::Arc::new(t))
+        };
+        Catalog::from([
+            table(
+                "t",
+                vec![
+                    Field::new("k", DataType::Int),
+                    Field::new("price", DataType::Decimal { scale: 2 }),
+                    Field::new("flag", DataType::Varchar),
+                    Field::new("d", DataType::Date),
+                ],
+            ),
+            table(
+                "u",
+                vec![
+                    Field::new("k", DataType::Int),
+                    Field::new("w", DataType::Int),
+                    Field::new("tag", DataType::Varchar),
+                ],
+            ),
+        ])
+    }
+
+    /// The projection of every scan, left to right, after the pass
+    /// (`None` = the whole table).
+    fn pruned(mut plan: LogicalPlan) -> Vec<Option<Vec<String>>> {
+        fn walk(plan: &LogicalPlan, out: &mut Vec<Option<Vec<String>>>) {
+            if let LogicalPlan::Scan { projection, .. } = plan {
+                out.push(projection.clone());
+            }
+            plan.inputs().for_each(|child| walk(child, out));
+        }
+        plan.prune_columns(&catalog());
+        let mut out = Vec::new();
+        walk(&plan, &mut out);
+        out
+    }
+
+    fn cols(names: &[&str]) -> Option<Vec<String>> {
+        Some(names.iter().map(|n| n.to_string()).collect())
+    }
+
+    fn pick(names: &[&str]) -> Vec<LNamed> {
+        names
+            .iter()
+            .map(|n| LNamed::new(n, LExpr::col(n)))
+            .collect()
+    }
+
+    fn key(col: &str) -> LSortKey {
+        LSortKey {
+            col: col.into(),
+            desc: false,
+        }
+    }
+
+    fn count_star() -> LAgg {
+        LAgg {
+            func: AggFunc::Count,
+            input: LExpr::int(1),
+            name: "n".into(),
+        }
+    }
+
+    fn join_as(left: LogicalPlan, right: LogicalPlan, join_type: JoinType) -> LogicalPlan {
+        let LogicalPlan::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            ..
+        } = left.join(right, &["k"], &["k"])
+        else {
+            unreachable!()
+        };
+        LogicalPlan::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            join_type,
+        }
+    }
+
+    #[test]
+    fn the_root_reads_every_column() {
+        assert_eq!(pruned(LogicalPlan::scan("t")), [None]);
+        // Filter, Sort and Limit hand "everything" on.
+        let plan = LogicalPlan::scan("t")
+            .filter(LPred::eq("k", Value::Int(1)))
+            .sort(vec![key("d")])
+            .limit(3);
+        assert_eq!(pruned(plan), [None]);
+    }
+
+    #[test]
+    fn project_needs_what_its_expressions_name() {
+        let case = LExpr::Case {
+            pred: Box::new(LPred::LikePrefix {
+                col: "flag".into(),
+                prefix: "A".into(),
+            }),
+            then: Box::new(LExpr::Year(Box::new(LExpr::col("d")))),
+            els: Box::new(LExpr::int(0)),
+        };
+        let plan = LogicalPlan::scan("t").project(vec![
+            LNamed::new("y", case),
+            LNamed::new(
+                "twice",
+                LExpr::bin(ArithOp::Add, LExpr::col("k"), LExpr::col("k")),
+            ),
+        ]);
+        // Table order, whatever order the expressions name them in.
+        assert_eq!(pruned(plan), [cols(&["k", "flag", "d"])]);
+        // Every column in another order is still the whole table.
+        let plan = LogicalPlan::scan("t").project(pick(&["d", "flag", "price", "k"]));
+        assert_eq!(pruned(plan), [None]);
+    }
+
+    #[test]
+    fn filter_sort_and_limit_add_their_columns_to_the_parents() {
+        let plan = LogicalPlan::scan("t")
+            .filter(LPred::Between {
+                col: "price".into(),
+                lo: Value::Int(1),
+                hi: Value::Int(2),
+            })
+            .sort(vec![key("d")])
+            .limit(5)
+            .project(pick(&["k"]));
+        assert_eq!(pruned(plan), [cols(&["k", "price", "d"])]);
+    }
+
+    #[test]
+    fn aggregate_needs_its_keys_and_inputs() {
+        let sum = LAgg {
+            func: AggFunc::Sum,
+            input: LExpr::col("price"),
+            name: "total".into(),
+        };
+        let plan = LogicalPlan::scan("t").aggregate(pick(&["flag"]), vec![sum]);
+        assert_eq!(pruned(plan), [cols(&["price", "flag"])]);
+        // The parent's names (here the aggregate's own outputs) stop at it.
+        let plan = LogicalPlan::scan("t")
+            .aggregate(pick(&["flag"]), vec![count_star()])
+            .sort(vec![key("n")]);
+        assert_eq!(pruned(plan), [cols(&["flag"])]);
+    }
+
+    #[test]
+    fn count_star_alone_moves_the_first_narrowest_column() {
+        let plan = LogicalPlan::scan("t").aggregate(vec![], vec![count_star()]);
+        assert_eq!(pruned(plan), [cols(&["flag"])]);
+        // The scan predicate streams `price` by table index regardless.
+        let plan = LogicalPlan::scan_where("t", LPred::eq("price", Value::Int(1)))
+            .aggregate(vec![], vec![count_star()]);
+        assert_eq!(pruned(plan), [cols(&["flag"])]);
+    }
+
+    #[test]
+    fn a_join_side_nobody_reads_contributes_only_its_key() {
+        let plan = LogicalPlan::scan("t")
+            .join(LogicalPlan::scan("u"), &["d"], &["w"])
+            .project(pick(&["price"]));
+        assert_eq!(pruned(plan), [cols(&["price", "d"]), cols(&["w"])]);
+    }
+
+    #[test]
+    fn a_name_on_both_join_sides_is_kept_on_both() {
+        // `k` resolves to t's column; dropping it there would silently
+        // re-resolve it to u's.
+        let plan = LogicalPlan::scan("t")
+            .join(LogicalPlan::scan("u"), &["d"], &["w"])
+            .project(pick(&["k"]));
+        assert_eq!(pruned(plan), [cols(&["k", "d"]), cols(&["k", "w"])]);
+    }
+
+    #[test]
+    fn semi_and_anti_joins_need_only_keys_from_the_right() {
+        for join_type in [JoinType::LeftSemi, JoinType::LeftAnti] {
+            let joined = join_as(LogicalPlan::scan("t"), LogicalPlan::scan("u"), join_type);
+            // Even when the parent reads everything the join emits.
+            assert_eq!(pruned(joined.clone()), [None, cols(&["k"])]);
+            let plan = joined.project(pick(&["flag"]));
+            assert_eq!(pruned(plan), [cols(&["k", "flag"]), cols(&["k"])]);
+        }
+        let outer = join_as(
+            LogicalPlan::scan("t"),
+            LogicalPlan::scan("u"),
+            JoinType::LeftOuter,
+        );
+        assert_eq!(pruned(outer.clone()), [None, None]);
+        let plan = outer.project(pick(&["flag", "tag"]));
+        assert_eq!(pruned(plan), [cols(&["k", "flag"]), cols(&["k", "tag"])]);
+    }
+
+    #[test]
+    fn a_window_adds_its_columns_and_keeps_a_name_it_shadows() {
+        let window = |func, name: &str| LogicalPlan::Window {
+            input: Box::new(LogicalPlan::scan("t")),
+            partition_by: vec!["flag".into()],
+            order_by: vec![key("d")],
+            func,
+            name: name.into(),
+        };
+        let plan =
+            window(LWindowFunc::RunningSum { col: "k".into() }, "run").project(pick(&["run"]));
+        assert_eq!(pruned(plan), [cols(&["k", "flag", "d"])]);
+        // A window column called `price` comes after t's `price`, which the
+        // name therefore still resolves to: t's column has to stay.
+        let plan = window(LWindowFunc::Rank, "price").project(pick(&["price"]));
+        assert_eq!(pruned(plan), [cols(&["price", "flag", "d"])]);
+    }
+
+    #[test]
+    fn set_operations_keep_everything_below_them() {
+        let plan = LogicalPlan::SetOp {
+            left: Box::new(LogicalPlan::scan("t").filter(LPred::eq("k", Value::Int(1)))),
+            right: Box::new(LogicalPlan::scan("t")),
+            op: rapid_qef::plan::SetOpKind::Union,
+        }
+        .project(pick(&["k"]));
+        assert_eq!(pruned(plan), [None, None]);
+    }
+
+    #[test]
+    fn a_given_projection_is_narrowed_and_never_reordered() {
+        let given = |names: &[&str]| LogicalPlan::Scan {
+            table: "t".into(),
+            pred: None,
+            projection: cols(names),
+        };
+        let plan = given(&["d", "k", "price"]).project(pick(&["price", "d"]));
+        assert_eq!(pruned(plan), [cols(&["d", "price"])]);
+        // A needed column the projection left out is not added back (the
+        // statement is wrong as written; lowering says so).
+        let plan = given(&["d", "k"]).project(pick(&["price", "d"]));
+        assert_eq!(pruned(plan), [cols(&["d"])]);
+        // Nothing needed: the first narrowest column of those given.
+        let plan = given(&["k", "d", "flag"]).aggregate(vec![], vec![count_star()]);
+        assert_eq!(pruned(plan), [cols(&["d"])]);
+        // At the root it is left as given.
+        assert_eq!(pruned(given(&["d", "k"])), [cols(&["d", "k"])]);
+    }
+
+    #[test]
+    fn unknown_tables_and_columns_are_left_for_lowering_to_report() {
+        let plan = LogicalPlan::scan("nosuch").project(pick(&["k"]));
+        assert_eq!(pruned(plan), [None]);
+        let plan = LogicalPlan::Scan {
+            table: "t".into(),
+            pred: None,
+            projection: cols(&["k", "nosuch"]),
+        }
+        .aggregate(vec![], vec![count_star()]);
+        assert_eq!(pruned(plan), [cols(&["k", "nosuch"])]);
     }
 }

@@ -357,26 +357,31 @@ impl PlanNode {
         }
     }
 
-    /// Tables referenced by the plan (for offload admissibility checks).
-    pub fn referenced_tables(&self, out: &mut Vec<String>) {
-        match self {
-            PlanNode::Scan { table, .. } => out.push(table.clone()),
+    /// The node's child plans in the order the engine runs them (build
+    /// before probe, left before right) — a pre-order walk through this
+    /// numbers nodes the way the tracer does.
+    pub fn inputs(&self) -> impl Iterator<Item = &PlanNode> {
+        let (first, second) = match self {
+            PlanNode::Scan { .. } => (None, None),
             PlanNode::Filter { input, .. }
             | PlanNode::Map { input, .. }
             | PlanNode::GroupBy { input, .. }
             | PlanNode::TopK { input, .. }
             | PlanNode::Sort { input, .. }
             | PlanNode::Limit { input, .. }
-            | PlanNode::Window { input, .. } => input.referenced_tables(out),
-            PlanNode::HashJoin { build, probe, .. } => {
-                build.referenced_tables(out);
-                probe.referenced_tables(out);
-            }
-            PlanNode::SetOp { left, right, .. } => {
-                left.referenced_tables(out);
-                right.referenced_tables(out);
-            }
+            | PlanNode::Window { input, .. } => (Some(&**input), None),
+            PlanNode::HashJoin { build, probe, .. } => (Some(&**build), Some(&**probe)),
+            PlanNode::SetOp { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Tables referenced by the plan (for offload admissibility checks).
+    pub fn referenced_tables(&self, out: &mut Vec<String>) {
+        if let PlanNode::Scan { table, .. } = self {
+            out.push(table.clone());
         }
+        self.inputs().for_each(|child| child.referenced_tables(out));
     }
 }
 

@@ -12,8 +12,9 @@
 //! ephemeral port), then blocks until a graceful shutdown is requested and
 //! reports the drain accounting.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,37 +34,81 @@ fn tpch_db(sf: f64, cores: usize) -> Result<HostDb, String> {
     Ok(db)
 }
 
+/// The command line, with the defaults for whatever it leaves out.
+#[derive(Debug, PartialEq)]
+struct Options {
+    sf: f64,
+    port: u16,
+    max_conns: usize,
+    active: usize,
+    queue: usize,
+    cores: usize,
+    idle_secs: u64,
+    query_timeout_ms: u64,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            sf: 0.01,
+            port: 0,
+            max_conns: 64,
+            active: 8,
+            queue: 64,
+            cores: 8,
+            idle_secs: 30,
+            query_timeout_ms: 0,
+        }
+    }
+}
+
+/// The value after `flag`, parsed. A missing or unparsable value is an
+/// error naming the flag — never the default, which would start a server
+/// on another port or scale factor than the one asked for.
+fn value<T: FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{raw}'"))
+}
+
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut o = Options::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let raw = args.next();
+        match flag.as_str() {
+            "--sf" => o.sf = value(flag, raw)?,
+            "--port" => o.port = value(flag, raw)?,
+            "--max-conns" => o.max_conns = value(flag, raw)?,
+            "--active" => o.active = value(flag, raw)?,
+            "--queue" => o.queue = value(flag, raw)?,
+            "--cores" => o.cores = value(flag, raw)?,
+            "--idle-secs" => o.idle_secs = value(flag, raw)?,
+            "--query-timeout-ms" => o.query_timeout_ms = value(flag, raw)?,
+            other => return Err(format!("unknown flag '{other}'")),
+        }
+    }
+    Ok(o)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut sf = 0.01f64;
-    let mut port = 0u16;
-    let mut max_conns = 64usize;
-    let mut active = 8usize;
-    let mut queue = 64usize;
-    let mut cores = 8usize;
-    let mut idle_secs = 30u64;
-    let mut query_timeout_ms = 0u64;
-    let mut i = 0;
-    while i < args.len() {
-        let val = args.get(i + 1);
-        match args[i].as_str() {
-            "--sf" => sf = val.and_then(|s| s.parse().ok()).unwrap_or(sf),
-            "--port" => port = val.and_then(|s| s.parse().ok()).unwrap_or(port),
-            "--max-conns" => max_conns = val.and_then(|s| s.parse().ok()).unwrap_or(max_conns),
-            "--active" => active = val.and_then(|s| s.parse().ok()).unwrap_or(active),
-            "--queue" => queue = val.and_then(|s| s.parse().ok()).unwrap_or(queue),
-            "--cores" => cores = val.and_then(|s| s.parse().ok()).unwrap_or(cores),
-            "--idle-secs" => idle_secs = val.and_then(|s| s.parse().ok()).unwrap_or(idle_secs),
-            "--query-timeout-ms" => {
-                query_timeout_ms = val.and_then(|s| s.parse().ok()).unwrap_or(query_timeout_ms)
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+    let Options {
+        sf,
+        port,
+        max_conns,
+        active,
+        queue,
+        cores,
+        idle_secs,
+        query_timeout_ms,
+    } = match parse_args(&args) {
+        Ok(options) => options,
+        Err(msg) => {
+            eprintln!("server: {msg}");
+            std::process::exit(2);
         }
-        i += 2;
-    }
+    };
 
     eprintln!("loading TPC-H sf {sf} ({cores} cores/query)...");
     let db = match tpch_db(sf, cores) {
@@ -110,4 +155,57 @@ fn main() {
         stats.threads_spawned, stats.threads_joined,
         "leaked connection threads"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn flags_override_their_defaults_only() {
+        assert_eq!(parse(""), Ok(Options::default()));
+        let expected = Options {
+            sf: 0.05,
+            port: 7878,
+            query_timeout_ms: 250,
+            ..Options::default()
+        };
+        assert_eq!(
+            parse("--port 7878 --sf 0.05 --query-timeout-ms 250"),
+            Ok(expected)
+        );
+    }
+
+    #[test]
+    fn an_unparsable_value_names_the_flag() {
+        let msg = parse("--sf 0.01 --port abc").unwrap_err();
+        assert!(msg.contains("--port") && msg.contains("abc"), "{msg}");
+        // Out of range for the flag's type is unparsable too.
+        assert!(parse("--port 70000").is_err());
+        assert!(parse("--active -1").is_err());
+    }
+
+    #[test]
+    fn a_flag_without_its_value_names_the_flag() {
+        let msg = parse("--sf 0.01 --port").unwrap_err();
+        assert!(
+            msg.contains("--port") && msg.contains("needs a value"),
+            "{msg}"
+        );
+        // The next flag is not a value.
+        let msg = parse("--port --sf 0.01").unwrap_err();
+        assert!(msg.contains("--port") && msg.contains("--sf"), "{msg}");
+    }
+
+    #[test]
+    fn an_unknown_flag_names_the_flag() {
+        let msg = parse("--prot 7878").unwrap_err();
+        assert!(msg.contains("unknown") && msg.contains("--prot"), "{msg}");
+        assert!(parse("7878").is_err());
+    }
 }

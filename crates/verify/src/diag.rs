@@ -204,6 +204,8 @@ pub struct StageReport {
     pub hash_bits: u32,
     /// Descriptors per loop iteration in the derived DMS program.
     pub descriptors: usize,
+    /// Scan stages only: columns the scan moves, and columns its table has.
+    pub scan_columns: Option<(usize, usize)>,
 }
 
 /// The verifier's output: per-stage resource reports plus diagnostics.
@@ -262,7 +264,7 @@ impl VerifyReport {
                 )
             };
             s.push_str(&format!(
-                "{:>4}  {:<24} {:>5} {:>10}  {:>5}  {:>5}  {}  {:<10} {:>5}\n",
+                "{:>4}  {:<24} {:>5} {:>10}  {:>5}  {:>5}  {}  {:<10} {:>5}",
                 r.node_id,
                 r.stage,
                 tile,
@@ -273,6 +275,10 @@ impl VerifyReport {
                 fan,
                 r.descriptors,
             ));
+            if let Some((moved, of)) = r.scan_columns {
+                s.push_str(&format!("  cols {moved}/{of}"));
+            }
+            s.push('\n');
         }
         if self.diagnostics.is_empty() {
             s.push_str("no findings\n");

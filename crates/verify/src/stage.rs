@@ -301,6 +301,7 @@ impl Walker<'_> {
             fanouts,
             hash_bits,
             descriptors,
+            scan_columns: None,
         });
     }
 
@@ -451,6 +452,9 @@ impl Walker<'_> {
                     widths,
                     Vec::new(),
                 );
+                if let Some(scan) = self.report.stages.last_mut() {
+                    scan.scan_columns = Some((columns.len(), nfields));
+                }
                 if bad {
                     return Err(());
                 }
