@@ -88,7 +88,7 @@ repeats dml_refresh sim_cycles_per_op sim_dms_bytes_per_op
 rm -rf "$BENCH_TMP"
 trap - EXIT
 
-echo "== wire server smoke (ephemeral port, client query, clean drain) =="
+echo "== wire server smoke (ephemeral port, client queries incl. TPC-H Q18 and Q14 as text, clean drain) =="
 # Idempotent cleanup, installed BEFORE the server spawn so no failure
 # window leaks the background process or the tempfile. Safe to call
 # twice: each resource is released exactly once.
@@ -120,6 +120,25 @@ echo "   server on $ADDR"
 OUT=$(cargo run -q --release -p rapid-server --bin sql -- --addr "$ADDR" \
     "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag")
 echo "$OUT" | grep -q "^l_returnflag" || { echo "smoke query failed: $OUT"; exit 1; }
+# TPC-H text over the wire: Q18 and Q14 as crates/tpch/src/queries.rs has
+# them, the two statements whose forms (IN subquery with a HAVING of its
+# own, arithmetic over aggregates) only the SQL front end can produce.
+Q18="SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice, SUM(l_quantity) AS sum_qty
+     FROM lineitem JOIN orders ON l_orderkey = o_orderkey JOIN customer ON o_custkey = c_custkey
+     WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem
+                          GROUP BY l_orderkey HAVING SUM(l_quantity) > 300)
+     GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
+     ORDER BY o_totalprice DESC, o_orderdate
+     LIMIT 100;"
+Q14="SELECT 100 * SUM(CASE WHEN p_type LIKE 'PROMO%'
+                           THEN l_extendedprice * (1 - l_discount) ELSE 0 END)
+                / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue
+     FROM lineitem JOIN part ON l_partkey = p_partkey
+     WHERE l_shipdate >= DATE '1995-09-01' AND l_shipdate < DATE '1995-10-01'"
+OUT=$(cargo run -q --release -p rapid-server --bin sql -- --addr "$ADDR" "$Q18")
+echo "$OUT" | grep -q "^c_name.*sum_qty\$" || { echo "Q18 over the wire failed: $OUT"; exit 1; }
+OUT=$(cargo run -q --release -p rapid-server --bin sql -- --addr "$ADDR" "$Q14")
+echo "$OUT" | grep -q "^promo_revenue\$" || { echo "Q14 over the wire failed: $OUT"; exit 1; }
 cargo run -q --release -p rapid-server --bin sql -- --addr "$ADDR" --shutdown > /dev/null
 wait "$SRV_PID"   # non-zero exit (incl. the leaked-thread assert) fails CI here
 SRV_PID=""        # drained; cleanup must not kill a reused pid

@@ -26,6 +26,13 @@
 //! aggregates that are `COUNT(*)` alone and so name no column at all, and
 //! joins whose select list names only one side, leaving the other to
 //! contribute its key and nothing else.
+//!
+//! Two shapes go through the front end's subquery and computed-aggregate
+//! lowering: a `col IN (SELECT k FROM t [WHERE p] [GROUP BY k HAVING agg >
+//! n])` conjunct — over `tb`, or over `ta` again so the key names collide —
+//! and a select item that is arithmetic over two aggregates, division by an
+//! aggregate included (every engine refuses a zero divisor, which is
+//! agreement).
 
 use rapid_storage::types::civil_from_days;
 use serde::{Deserialize, Serialize};
@@ -502,6 +509,78 @@ fn aggregate(rng: &mut Rng, env: &Env) -> String {
     }
 }
 
+/// Rows an aggregate can see at most: all of `ta` joined to all of `tb`.
+const MAX_ROWS: f64 = 40.0 * 30.0;
+
+/// An aggregate call with its magnitude bookkeeping: `COUNT(*)`, or
+/// SUM/MIN/MAX over a bounded column.
+fn bounded_aggregate(rng: &mut Rng, env: &Env) -> GenExpr {
+    let c = rng.pick(&env.nums);
+    match rng.below(4) {
+        0 => GenExpr {
+            sql: "COUNT(*)".into(),
+            vbound: MAX_ROWS,
+            scale: 0,
+        },
+        1 | 2 => GenExpr {
+            sql: format!("SUM({})", c.name),
+            vbound: c.vbound * MAX_ROWS,
+            scale: c.scale,
+        },
+        _ => GenExpr {
+            sql: format!("{}({})", if rng.chance(50) { "MIN" } else { "MAX" }, c.name),
+            vbound: c.vbound,
+            scale: c.scale,
+        },
+    }
+}
+
+/// A select item computed from two aggregates; an operator whose result
+/// could leave the safe mantissa range yields to `+`.
+fn aggregate_arith(rng: &mut Rng, env: &Env) -> String {
+    let mut l = bounded_aggregate(rng, env);
+    let r = bounded_aggregate(rng, env);
+    if rng.chance(30) {
+        let factor = rng.range_i64(2, 100);
+        l.sql = format!("{factor} * {}", l.sql);
+        l.vbound *= factor as f64;
+    }
+    let op = match rng.below(4) {
+        0 if mantissa(l.vbound * r.vbound, l.scale + r.scale) <= MANTISSA_LIMIT => "*",
+        // Division widens the output scale to 6.
+        1 if mantissa(l.vbound, 6) <= MANTISSA_LIMIT => "/",
+        2 => "-",
+        _ => "+",
+    };
+    format!("{} {op} {}", l.sql, r.sql)
+}
+
+/// `key IN (SELECT k FROM t ...)` with `key` an integer key of `env`'s
+/// scope and `t` either table — `ta` again makes the inner names the
+/// outer's.
+fn in_subquery(rng: &mut Rng, env: &Env) -> String {
+    let keys: Vec<&str> = ["ta_k", "ta_id", "tb_k", "tb_id"]
+        .into_iter()
+        .filter(|k| env.nums.iter().any(|c| c.name == *k))
+        .collect();
+    let (table, inner) = if rng.chance(50) {
+        ("ta", Env::new(false))
+    } else {
+        ("tb", Env::tb_only())
+    };
+    let k = format!("{table}_{}", if rng.chance(70) { "k" } else { "id" });
+    let mut sub = format!("SELECT {k} FROM {table}");
+    if rng.chance(40) {
+        sub.push_str(&format!(" WHERE {}", simple_pred(rng, &inner, 0)));
+    }
+    if rng.chance(60) {
+        let agg = bounded_aggregate(rng, &inner).sql;
+        let n = rng.range_i64(-3, 6);
+        sub.push_str(&format!(" GROUP BY {k} HAVING {agg} {} {n}", cmp_op(rng)));
+    }
+    format!("{} IN ({sub})", rng.pick(&keys))
+}
+
 /// Generate one query over the standard `ta`/`tb` tables.
 pub fn gen_query(rng: &mut Rng) -> QuerySpec {
     // FROM shape.
@@ -535,13 +614,20 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
     } else {
         Env::tb_only()
     };
-    // `COUNT(*)` alone, or one to three aggregates.
+    // `COUNT(*)` alone, or one to three aggregates, some of them computed
+    // from two.
     let aggregates = |rng: &mut Rng| -> Vec<String> {
         if rng.chance(20) {
             return vec!["COUNT(*)".into()];
         }
         (0..1 + rng.below(3))
-            .map(|_| aggregate(rng, &select_env))
+            .map(|_| {
+                if rng.chance(15) {
+                    aggregate_arith(rng, &select_env)
+                } else {
+                    aggregate(rng, &select_env)
+                }
+            })
             .collect()
     };
 
@@ -605,9 +691,12 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
     }
 
     // WHERE.
-    let filters: Vec<String> = (0..rng.below(4))
+    let mut filters: Vec<String> = (0..rng.below(4))
         .map(|_| simple_pred(rng, &env, 1))
         .collect();
+    if rng.chance(15) {
+        filters.push(in_subquery(rng, &env));
+    }
 
     // ORDER BY all aliases (deterministic LIMIT), sometimes neither.
     let (order_by, limit) = if rng.chance(70) {
@@ -647,7 +736,9 @@ mod tests {
 
     #[test]
     fn renders_every_clause_eventually() {
-        let mut saw = [false; 6]; // join, where, group, order, limit, case
+        // join, where, group, order, limit, case, IN subquery (plain and
+        // with HAVING), arithmetic over aggregates
+        let mut saw = [false; 9];
         for seed in 0..300 {
             let q = gen_query(&mut Rng::new(seed));
             let sql = q.to_sql();
@@ -657,6 +748,11 @@ mod tests {
             saw[3] |= !q.order_by.is_empty();
             saw[4] |= q.limit.is_some();
             saw[5] |= sql.contains("CASE WHEN");
+            saw[6] |= sql.contains("IN (SELECT") && !sql.contains("HAVING");
+            saw[7] |= sql.contains("IN (SELECT") && sql.contains("HAVING");
+            let calls =
+                |i: &Item| ["SUM(", "COUNT(", "MIN(", "MAX("].map(|f| i.sql.matches(f).count());
+            saw[8] |= q.items.iter().any(|i| calls(i).iter().sum::<usize>() == 2);
         }
         assert!(saw.iter().all(|s| *s), "clause coverage: {saw:?}");
     }

@@ -221,6 +221,57 @@ fn entries() -> Vec<CorpusEntry> {
                 ],
             }],
         },
+        CorpusEntry {
+            name: "having-over-a-group-by-without-groups".into(),
+            note: "An on-the-fly GROUP BY that no row reached emitted a batch with no rows \
+                   and no columns, and the HAVING filter above it failed with `column \
+                   index 1 out of range (0 columns)` on both columnar engines while the \
+                   host returned its rows. Found as soon as the generator drew `col IN \
+                   (SELECT k ... GROUP BY k HAVING agg > n)`; no SQL reached the shape \
+                   before. Fixed by emitting no batch at all, as the partitioned strategy \
+                   always did."
+                .into(),
+            seed: Some(0x140a2a6532ad071a),
+            sql: "SELECT ta_id AS c0 FROM ta WHERE ta_k IN (SELECT tb_id FROM tb \
+                  WHERE tb_s LIKE '_' GROUP BY tb_id HAVING SUM(tb_k) <= -1)"
+                .into(),
+            tables: vec![
+                TableSpec {
+                    name: "ta".into(),
+                    columns: vec![col("ta_id", DataType::Int), col("ta_k", DataType::Int)],
+                    rows: vec![vec![i(0), i(1)], vec![i(1), Value::Null]],
+                },
+                TableSpec {
+                    name: "tb".into(),
+                    columns: vec![
+                        col("tb_id", DataType::Int),
+                        col("tb_k", DataType::Int),
+                        col("tb_s", DataType::Varchar),
+                    ],
+                    rows: vec![vec![i(1), i(-2), s("pear")]],
+                },
+            ],
+        },
+        CorpusEntry {
+            name: "arithmetic-over-aggregates-without-groups".into(),
+            note: "The same column-less batch under the `Project` that a select item \
+                   computed from two aggregates lowers to: `column index 0 out of range \
+                   (0 columns)` on both columnar engines, zero rows on the host."
+                .into(),
+            seed: Some(0x2c22742c2d7c88fe),
+            sql: "SELECT ta_k AS c0, MIN(ta_id) * MAX(ta_a) AS c1 FROM ta \
+                  WHERE ta_id BETWEEN -36 AND -4 GROUP BY ta_k"
+                .into(),
+            tables: vec![TableSpec {
+                name: "ta".into(),
+                columns: vec![
+                    col("ta_id", DataType::Int),
+                    col("ta_k", DataType::Int),
+                    col("ta_a", DataType::Int),
+                ],
+                rows: vec![vec![i(0), i(1), Value::Null]],
+            }],
+        },
     ]
 }
 

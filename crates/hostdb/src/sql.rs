@@ -5,28 +5,39 @@
 //! Supported surface (enough for the TPC-H subset and the examples):
 //!
 //! ```sql
-//! SELECT expr [AS alias], ...
-//! FROM t [JOIN u ON t.a = u.b [AND t.c = u.d]]...
-//!        [SEMI JOIN ...] [ANTI JOIN ...] [LEFT JOIN ...]
-//! [WHERE pred]
-//! [GROUP BY expr, ...] [HAVING pred]
-//! [ORDER BY expr [DESC], ...] [LIMIT n]
+//! statement := select [(UNION | INTERSECT | MINUS | EXCEPT) select]... [;]
+//! select    := SELECT expr [AS alias], ...
+//!              FROM t [JOIN u ON t.a = u.b [AND t.c = u.d]]...
+//!                     [SEMI JOIN ...] [ANTI JOIN ...] [LEFT JOIN ...]
+//!              [WHERE pred]
+//!              [GROUP BY expr, ...] [HAVING pred]
+//!              [ORDER BY expr [DESC], ...] [LIMIT n]
 //! ```
 //!
 //! Expressions: `+ - * /`, comparisons, `AND/OR/NOT`, `BETWEEN`, `IN
 //! (...)`, `LIKE 'p%'` / `LIKE '%s%'`, `CASE WHEN ... THEN ... ELSE ...
 //! END`, `EXTRACT(YEAR FROM x)`, `DATE 'yyyy-mm-dd'`, decimal and integer
-//! literals, and `SUM/MIN/MAX/COUNT/AVG`.
+//! literals, strings with `''` for a quote, `SUM/MIN/MAX/COUNT/AVG` and
+//! arithmetic over them (`100 * SUM(a) / SUM(b)`), and the window
+//! functions `RANK() / ROW_NUMBER() / SUM(col) OVER (...)`. An aggregate
+//! call in HAVING need not be in the select list.
+//!
+//! One subquery form: `col IN (select)` as a top-level WHERE conjunct,
+//! where the inner `select` has one select item and no ORDER BY or LIMIT.
+//! There are no derived tables in FROM, no EXISTS and no correlation.
 //!
 //! Planning applies the host-side logical optimizations the paper assumes:
-//! single-table WHERE conjuncts are pushed into the scans, joins stay in
-//! FROM order (left-deep), and aggregate queries lower to
-//! `Aggregate(+Having)`.
+//! single-table WHERE conjuncts are pushed into the scans, and a
+//! `col IN (select)` conjunct becomes a left-semi join directly above the
+//! scan of `col`'s table; joins stay in FROM order (left-deep); aggregate
+//! queries lower to `Aggregate(+Having)`, with a `Project` on top when a
+//! select item computes over aggregates or HAVING needed one of its own.
+//! Set operators split the token stream at parenthesis depth 0.
 
 use std::collections::HashMap;
 
 use rapid_qcomp::logical::{LAgg, LExpr, LNamed, LPred, LSortKey, LWindowFunc, LogicalPlan};
-use rapid_qef::plan::JoinType;
+use rapid_qef::plan::{JoinType, SetOpKind};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::arith::ArithOp;
 use rapid_qef::primitives::filter::CmpOp;
@@ -100,14 +111,23 @@ fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
             }
         } else if c == '\'' {
             i += 1;
-            let start = i;
-            while i < b.len() && b[i] != '\'' {
-                i += 1;
+            let mut text = String::new();
+            loop {
+                match b.get(i) {
+                    None => return err("unterminated string literal"),
+                    // `''` inside a literal is one quote.
+                    Some('\'') if b.get(i + 1) == Some(&'\'') => {
+                        text.push('\'');
+                        i += 2;
+                    }
+                    Some('\'') => break,
+                    Some(&c) => {
+                        text.push(c);
+                        i += 1;
+                    }
+                }
             }
-            if i == b.len() {
-                return err("unterminated string literal");
-            }
-            out.push(Tok::Str(b[start..i].iter().collect()));
+            out.push(Tok::Str(text));
             i += 1;
         } else if c == '<' && i + 1 < b.len() && b[i + 1] == '=' {
             out.push(Tok::Le);
@@ -120,14 +140,13 @@ fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
         {
             out.push(Tok::Ne);
             i += 2;
-        } else if "(),=<>*+-/".contains(c) {
+        } else if "(),=<>*+-/;".contains(c) {
             out.push(Tok::Sym(c));
             i += 1;
         } else {
             return err(format!("unexpected character '{c}'"));
         }
     }
-    out.push(Tok::Eof);
     Ok(out)
 }
 
@@ -144,6 +163,8 @@ enum Ast {
     Not(Box<Ast>),
     Between(Box<Ast>, Value, Value),
     InList(Box<Ast>, Vec<Value>),
+    /// `expr IN (SELECT ...)`.
+    InSubquery(Box<Ast>, Box<SelectStmt>),
     Like(Box<Ast>, String),
     Case(Box<Ast>, Box<Ast>, Box<Ast>),
     Year(Box<Ast>),
@@ -157,14 +178,14 @@ enum Ast {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct JoinClause {
     table: String,
     on: Vec<(String, String)>,
     join_type: JoinType,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SelectStmt {
     items: Vec<(Ast, Option<String>)>,
     from: String,
@@ -178,32 +199,34 @@ struct SelectStmt {
 
 // --------------------------------------------------------------- parser --
 
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: &'a [Tok],
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Tok {
-        &self.toks[self.pos]
+        self.toks.get(self.pos).unwrap_or(&Tok::Eof)
     }
 
     fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].clone();
-        if self.pos + 1 < self.toks.len() {
+        let t = self.peek().clone();
+        if self.pos < self.toks.len() {
             self.pos += 1;
         }
         t
     }
 
+    fn peek_kw(&self, word: &str) -> bool {
+        matches!(self.peek(), Tok::Ident(s) if s.eq_ignore_ascii_case(word))
+    }
+
     fn kw(&mut self, word: &str) -> bool {
-        if let Tok::Ident(s) = self.peek() {
-            if s.eq_ignore_ascii_case(word) {
-                self.next();
-                return true;
-            }
+        let found = self.peek_kw(word);
+        if found {
+            self.next();
         }
-        false
+        found
     }
 
     fn expect_kw(&mut self, word: &str) -> Result<(), SqlError> {
@@ -230,6 +253,8 @@ impl Parser {
         }
     }
 
+    /// One `SELECT`, up to the first token that cannot continue it: the
+    /// caller checks for the end of input, or for the `)` of a subquery.
     fn select(&mut self) -> Result<SelectStmt, SqlError> {
         self.expect_kw("SELECT")?;
         let mut items = Vec::new();
@@ -347,9 +372,6 @@ impl Parser {
         } else {
             None
         };
-        if *self.peek() != Tok::Eof {
-            return err(format!("trailing tokens: {:?}", self.peek()));
-        }
         Ok(SelectStmt {
             items,
             from,
@@ -393,7 +415,8 @@ impl Parser {
         }
     }
 
-    /// predicate := additive [cmp additive | BETWEEN v AND v | IN (...) | LIKE 's']
+    /// predicate := additive [cmp additive | BETWEEN v AND v | IN (v, ...)
+    ///              | IN (select) | LIKE 's']
     fn predicate(&mut self) -> Result<Ast, SqlError> {
         let left = self.additive()?;
         let op = match self.peek() {
@@ -418,6 +441,11 @@ impl Parser {
         }
         if self.kw("IN") {
             self.expect_sym('(')?;
+            if self.peek_kw("SELECT") {
+                let sub = self.select()?;
+                self.expect_sym(')')?;
+                return Ok(Ast::InSubquery(Box::new(left), Box::new(sub)));
+            }
             let mut vals = Vec::new();
             loop {
                 vals.push(self.literal()?);
@@ -595,7 +623,7 @@ impl Parser {
 /// order-by pairs.
 type OverClause = (Vec<String>, Vec<(String, bool)>);
 
-impl Parser {
+impl Parser<'_> {
     /// `( [PARTITION BY col, ...] [ORDER BY col [DESC], ...] )`
     fn over_clause(&mut self) -> Result<OverClause, SqlError> {
         self.expect_sym('(')?;
@@ -732,6 +760,7 @@ fn to_lpred(a: &Ast) -> Result<LPred, SqlError> {
             Ast::Col(c) => like_to_pred(c, pattern),
             _ => err("LIKE requires a column"),
         },
+        Ast::InSubquery(..) => err("IN (SELECT ...) must be a top-level WHERE conjunct"),
         other => err(format!("expected predicate, found {other:?}")),
     }
 }
@@ -770,7 +799,8 @@ fn like_to_pred(col: &str, pattern: &str) -> Result<LPred, SqlError> {
     }
 }
 
-/// Columns referenced by an AST node.
+/// Columns referenced by an AST node (a subquery's columns are its own
+/// scope and do not count).
 fn ast_columns(a: &Ast, out: &mut Vec<String>) {
     match a {
         Ast::Col(c) => out.push(c.clone()),
@@ -780,7 +810,9 @@ fn ast_columns(a: &Ast, out: &mut Vec<String>) {
         }
         Ast::And(ps) | Ast::Or(ps) => ps.iter().for_each(|p| ast_columns(p, out)),
         Ast::Not(p) | Ast::Year(p) | Ast::Agg(_, p) => ast_columns(p, out),
-        Ast::Between(e, _, _) | Ast::InList(e, _) | Ast::Like(e, _) => ast_columns(e, out),
+        Ast::Between(e, _, _) | Ast::InList(e, _) | Ast::InSubquery(e, _) | Ast::Like(e, _) => {
+            ast_columns(e, out)
+        }
         Ast::Case(p, t, e) => {
             ast_columns(p, out);
             ast_columns(t, out);
@@ -801,35 +833,56 @@ fn contains_agg(a: &Ast) -> bool {
     }
 }
 
+/// Set operators, loosest-binding first.
+const SET_OPS: [(&str, SetOpKind); 4] = [
+    ("UNION", SetOpKind::Union),
+    ("INTERSECT", SetOpKind::Intersect),
+    ("MINUS", SetOpKind::Minus),
+    ("EXCEPT", SetOpKind::Minus),
+];
+
 /// Parse SQL into a logical plan, given each table's column names (for
 /// predicate pushdown and join-side resolution).
 pub fn parse_sql(
     sql: &str,
     table_columns: &HashMap<String, Vec<String>>,
 ) -> Result<LogicalPlan, SqlError> {
-    // Top-level set operations split the statement: each side is a full
-    // SELECT; sides must have equal arity (checked at compile).
-    for (kw, op) in [
-        (" UNION ", rapid_qef::plan::SetOpKind::Union),
-        (" INTERSECT ", rapid_qef::plan::SetOpKind::Intersect),
-        (" MINUS ", rapid_qef::plan::SetOpKind::Minus),
-        (" EXCEPT ", rapid_qef::plan::SetOpKind::Minus),
-    ] {
-        // Case-insensitive split outside string literals.
-        if let Some(pos) = find_keyword_outside_strings(sql, kw) {
-            let (l, r) = sql.split_at(pos);
-            let r = &r[kw.len()..];
-            return Ok(LogicalPlan::SetOp {
-                left: Box::new(parse_sql(l, table_columns)?),
-                right: Box::new(parse_sql(r, table_columns)?),
-                op,
-            });
+    let toks = lex(sql)?;
+    // A trailing `;` ends the statement.
+    let toks = toks.strip_suffix(&[Tok::Sym(';')]).unwrap_or(&toks);
+    statement(toks, table_columns)
+}
+
+/// `select [setop select]...`: a set operator outside every parenthesis
+/// splits the tokens, each side is a full statement, and sides must have
+/// equal arity (checked at compile).
+fn statement(
+    toks: &[Tok],
+    table_columns: &HashMap<String, Vec<String>>,
+) -> Result<LogicalPlan, SqlError> {
+    for (kw, op) in SET_OPS {
+        let mut depth = 0usize;
+        for (i, t) in toks.iter().enumerate() {
+            match t {
+                Tok::Sym('(') => depth += 1,
+                Tok::Sym(')') => depth = depth.saturating_sub(1),
+                Tok::Ident(word) if depth == 0 && word.eq_ignore_ascii_case(kw) => {
+                    return Ok(LogicalPlan::SetOp {
+                        left: Box::new(statement(&toks[..i], table_columns)?),
+                        right: Box::new(statement(&toks[i + 1..], table_columns)?),
+                        op,
+                    });
+                }
+                _ => {}
+            }
         }
     }
-    let toks = lex(sql)?;
     let mut p = Parser { toks, pos: 0 };
     let stmt = p.select()?;
-    plan(stmt, table_columns)
+    if *p.peek() != Tok::Eof {
+        return err(format!("trailing tokens: {:?}", p.peek()));
+    }
+    plan(&stmt, table_columns)
 }
 
 /// Strip a leading `EXPLAIN ANALYZE` prefix (case-insensitive), returning
@@ -863,28 +916,97 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
     }
 }
 
-/// Find a standalone keyword (spaces included in `kw`) outside single
-/// quotes, case-insensitively. Returns the byte offset of the match.
-fn find_keyword_outside_strings(sql: &str, kw: &str) -> Option<usize> {
-    let upper = sql.to_ascii_uppercase();
-    let kw = kw.to_ascii_uppercase();
-    let mut in_string = false;
-    let bytes = upper.as_bytes();
-    for i in 0..bytes.len() {
-        if bytes[i] == b'\'' {
-            in_string = !in_string;
-        }
-        if !in_string && upper[i..].starts_with(&kw) {
-            return Some(i);
-        }
-    }
-    None
+/// The output name of `e`: the alias of the select item it is, if it is
+/// one and has one, else a rendering of the expression.
+fn output_name(stmt: &SelectStmt, e: &Ast) -> String {
+    let item = stmt.items.iter().find(|(item, _)| item == e);
+    item.and_then(|(_, alias)| alias.clone())
+        .unwrap_or_else(|| ast_name(e))
 }
 
 fn plan(
-    stmt: SelectStmt,
+    stmt: &SelectStmt,
     table_columns: &HashMap<String, Vec<String>>,
 ) -> Result<LogicalPlan, SqlError> {
+    let (mut node, projection) = plan_unprojected(stmt, table_columns)?;
+    if let Some(exprs) = projection {
+        node = node.project(exprs);
+    }
+
+    // ORDER BY / LIMIT (names resolve against the output).
+    if !stmt.order_by.is_empty() {
+        let keys = stmt
+            .order_by
+            .iter()
+            .map(|(e, desc)| {
+                let name = match e {
+                    Ast::Col(c) => c.clone(),
+                    other => output_name(stmt, other),
+                };
+                LSortKey {
+                    col: name,
+                    desc: *desc,
+                }
+            })
+            .collect();
+        node = node.sort(keys);
+    }
+    if let Some(n) = stmt.limit {
+        node = node.limit(n);
+    }
+    Ok(node)
+}
+
+/// A planned `col IN (select)`: `col` semi-joins `key` of `right`.
+#[derive(Clone)]
+struct SemiJoin {
+    col: String,
+    right: LogicalPlan,
+    key: String,
+}
+
+/// Plan the inner `select` of a `col IN (select)` conjunct.
+fn in_subquery(
+    left: &Ast,
+    sub: &SelectStmt,
+    table_columns: &HashMap<String, Vec<String>>,
+) -> Result<SemiJoin, SqlError> {
+    let Ast::Col(col) = left else {
+        return err("IN (SELECT ...) requires a column on its left");
+    };
+    let [(item, _)] = &sub.items[..] else {
+        return err("an IN subquery selects exactly one item");
+    };
+    if !sub.order_by.is_empty() || sub.limit.is_some() {
+        return err("an IN subquery takes no ORDER BY or LIMIT");
+    }
+    let (node, projection) = plan_unprojected(sub, table_columns)?;
+    let (right, key) = match projection {
+        None => (node, output_name(sub, item)),
+        Some(exprs) => match &exprs[..] {
+            // The semi join reads nothing but its key: a projection that
+            // only names a column is not materialised.
+            [LNamed {
+                expr: LExpr::Col(source),
+                ..
+            }] => (node, source.clone()),
+            _ => (node.project(exprs), output_name(sub, item)),
+        },
+    };
+    Ok(SemiJoin {
+        col: col.clone(),
+        right,
+        key,
+    })
+}
+
+/// FROM, WHERE, window items, GROUP BY and HAVING of one `SELECT`: the plan
+/// below its select list, and the projection that produces the select list
+/// from it (`None` when the plan's output already is the select list).
+fn plan_unprojected(
+    stmt: &SelectStmt,
+    table_columns: &HashMap<String, Vec<String>>,
+) -> Result<(LogicalPlan, Option<Vec<LNamed>>), SqlError> {
     // Which table owns each column (TPC-H prefixes make names unique).
     let col_table = |c: &str| -> Option<&str> {
         std::iter::once(&stmt.from)
@@ -897,24 +1019,34 @@ fn plan(
             .map(String::as_str)
     };
 
-    // Split WHERE conjuncts: single-table ones push into scans.
+    // Split WHERE conjuncts: single-table ones push into scans, and
+    // `col IN (select)` becomes a semi join on the scan of `col`'s table.
     let mut scan_preds: HashMap<String, Vec<LPred>> = HashMap::new();
+    let mut scan_semis: HashMap<String, Vec<SemiJoin>> = HashMap::new();
     let mut residual: Vec<LPred> = Vec::new();
     if let Some(w) = &stmt.where_ {
-        let conjuncts: Vec<Ast> = match w {
-            Ast::And(ps) => ps.clone(),
-            other => vec![other.clone()],
+        let conjuncts = match w {
+            Ast::And(ps) => &ps[..],
+            other => std::slice::from_ref(other),
         };
         for c in conjuncts {
+            if let Ast::InSubquery(left, sub) = c {
+                let semi = in_subquery(left, sub, table_columns)?;
+                let Some(table) = col_table(&semi.col) else {
+                    return err(format!("no FROM table has column '{}'", semi.col));
+                };
+                scan_semis.entry(table.to_string()).or_default().push(semi);
+                continue;
+            }
             let mut cols = Vec::new();
-            ast_columns(&c, &mut cols);
+            ast_columns(c, &mut cols);
             let tables: Vec<&str> = {
                 let mut ts: Vec<&str> = cols.iter().filter_map(|c| col_table(c)).collect();
                 ts.sort_unstable();
                 ts.dedup();
                 ts
             };
-            let lp = to_lpred(&c)?;
+            let lp = to_lpred(c)?;
             if tables.len() == 1 && cols.iter().all(|c| col_table(c).is_some()) {
                 scan_preds
                     .entry(tables[0].to_string())
@@ -931,7 +1063,7 @@ fn plan(
             return err(format!("unknown table '{t}'"));
         }
         let preds = scan_preds.get(t).cloned().unwrap_or_default();
-        Ok(LogicalPlan::Scan {
+        let mut scan = LogicalPlan::Scan {
             table: t.to_string(),
             pred: match <[LPred; 1]>::try_from(preds) {
                 Ok([only]) => Some(only),
@@ -939,7 +1071,17 @@ fn plan(
                 Err(preds) => Some(LPred::And(preds)),
             },
             projection: None,
-        })
+        };
+        for semi in scan_semis.get(t).into_iter().flatten().cloned() {
+            scan = LogicalPlan::Join {
+                left: Box::new(scan),
+                right: Box::new(semi.right),
+                left_keys: vec![semi.col],
+                right_keys: vec![semi.key],
+                join_type: JoinType::LeftSemi,
+            };
+        }
+        Ok(scan)
     };
 
     // Left-deep join tree in FROM order.
@@ -1003,62 +1145,7 @@ fn plan(
 
     // Aggregation?
     let has_agg = stmt.items.iter().any(|(e, _)| contains_agg(e)) || !stmt.group_by.is_empty();
-    let mut output_names = Vec::new();
-    if has_agg {
-        let mut group = Vec::new();
-        for g in &stmt.group_by {
-            let name = stmt
-                .items
-                .iter()
-                .find(|(e, _)| e == g)
-                .and_then(|(_, a)| a.clone())
-                .unwrap_or_else(|| ast_name(g));
-            group.push(LNamed::new(&name, to_lexpr(g)?));
-        }
-        let mut aggs = Vec::new();
-        for (e, alias) in &stmt.items {
-            match e {
-                Ast::Agg(f, inner) => {
-                    let name = alias.clone().unwrap_or_else(|| ast_name(e));
-                    let input = match (f, inner.as_ref()) {
-                        // COUNT(*) counts rows, so its input must never be
-                        // NULL — a literal 1, not a group key (keys can be
-                        // NULL and their group still counts every row).
-                        (AggFunc::Count, Ast::Star) => LExpr::int(1),
-                        _ => to_lexpr(inner)?,
-                    };
-                    aggs.push(LAgg {
-                        func: *f,
-                        input,
-                        name: name.clone(),
-                    });
-                    output_names.push(name);
-                }
-                other if stmt.group_by.contains(other) => {
-                    let name = stmt
-                        .items
-                        .iter()
-                        .find(|(e2, _)| e2 == other)
-                        .and_then(|(_, a)| a.clone())
-                        .unwrap_or_else(|| ast_name(other));
-                    output_names.push(name);
-                }
-                other => {
-                    return err(format!(
-                        "non-aggregated select item {other:?} not in GROUP BY"
-                    ))
-                }
-            }
-        }
-        node = LogicalPlan::Aggregate {
-            input: Box::new(node),
-            group_by: group,
-            aggs,
-        };
-        if let Some(h) = &stmt.having {
-            node = node.filter(having_pred(h, &stmt)?);
-        }
-    } else {
+    if !has_agg {
         // Plain projection; window items project their appended column.
         let exprs = stmt
             .items
@@ -1073,58 +1160,136 @@ fn plan(
                 ))
             })
             .collect::<Result<Vec<_>, SqlError>>()?;
-        output_names.extend(exprs.iter().map(|e| e.name.clone()));
-        node = node.project(exprs);
+        return Ok((node, Some(exprs)));
     }
 
-    // ORDER BY / LIMIT (names resolve against the output).
-    if !stmt.order_by.is_empty() {
-        let keys = stmt
-            .order_by
-            .iter()
-            .map(|(e, desc)| {
-                let name = match e {
-                    Ast::Col(c) => c.clone(),
-                    other => stmt
-                        .items
-                        .iter()
-                        .find(|(e2, _)| e2 == other)
-                        .and_then(|(_, a)| a.clone())
-                        .unwrap_or_else(|| ast_name(other)),
-                };
-                Ok(LSortKey {
-                    col: name,
-                    desc: *desc,
-                })
-            })
-            .collect::<Result<Vec<_>, SqlError>>()?;
-        node = node.sort(keys);
+    let mut out = AggOutputs::default();
+    let mut group = Vec::with_capacity(stmt.group_by.len());
+    for g in &stmt.group_by {
+        let name = output_name(stmt, g);
+        group.push(LNamed::new(&name, to_lexpr(g)?));
+        out.names.push((g, name));
     }
-    if let Some(n) = stmt.limit {
-        node = node.limit(n);
+    // The `Aggregate` emits group keys, then aggregates: first the calls
+    // that are select items, under the item's name, then the ones only a
+    // computed select item or HAVING makes. A select item that is a key or
+    // a call is in place already; a computed one, or a call without an item
+    // to go by, asks for a `Project` on top.
+    let item_name =
+        |(e, alias): &(Ast, Option<String>)| alias.clone().unwrap_or_else(|| ast_name(e));
+    for item in &stmt.items {
+        if let (e @ Ast::Agg(f, inner), _) = item {
+            out.push(e, *f, inner, item_name(item))?;
+        }
     }
-    Ok(node)
+    let listed = out.aggs.len();
+    let mut select_list = Vec::with_capacity(stmt.items.len());
+    let mut computed = false;
+    for item in &stmt.items {
+        let e = &item.0;
+        select_list.push(match out.name_of(e) {
+            Some(_) if matches!(e, Ast::Agg(..)) => {
+                let name = item_name(item);
+                LNamed::new(&name, LExpr::Col(name.clone()))
+            }
+            Some(group_key) => LNamed::new(group_key, LExpr::col(group_key)),
+            None if contains_agg(e) => {
+                computed = true;
+                LNamed::new(&item_name(item), to_lexpr(&out.over_outputs(e)?)?)
+            }
+            None => return err(format!("non-aggregated select item {e:?} not in GROUP BY")),
+        });
+    }
+    let having = match &stmt.having {
+        Some(h) => Some(to_lpred(&out.over_outputs(h)?)?),
+        None => None,
+    };
+    let hidden = out.aggs.len() > listed;
+    node = LogicalPlan::Aggregate {
+        input: Box::new(node),
+        group_by: group,
+        aggs: out.aggs,
+    };
+    if let Some(h) = having {
+        node = node.filter(h);
+    }
+    Ok((node, (computed || hidden).then_some(select_list)))
 }
 
-/// HAVING predicates reference aggregate aliases (`HAVING sum_qty > 300`)
-/// or aggregate calls that appear in the select list.
-fn having_pred(h: &Ast, stmt: &SelectStmt) -> Result<LPred, SqlError> {
-    // Rewrite aggregate calls to the matching select alias.
-    fn rewrite(a: &Ast, stmt: &SelectStmt) -> Ast {
-        if let Some((_, Some(alias))) = stmt.items.iter().find(|(e, _)| e == a) {
-            return Ast::Col(alias.clone());
-        }
-        match a {
-            Ast::Cmp(op, l, r) => {
-                Ast::Cmp(*op, Box::new(rewrite(l, stmt)), Box::new(rewrite(r, stmt)))
-            }
-            Ast::And(ps) => Ast::And(ps.iter().map(|p| rewrite(p, stmt)).collect()),
-            Ast::Or(ps) => Ast::Or(ps.iter().map(|p| rewrite(p, stmt)).collect()),
-            Ast::Not(p) => Ast::Not(Box::new(rewrite(p, stmt))),
-            other => other.clone(),
-        }
+/// What the `Aggregate` of one `SELECT` emits: the lowered aggregate calls,
+/// and the output name each group key and each distinct call goes by.
+#[derive(Default)]
+struct AggOutputs<'a> {
+    aggs: Vec<LAgg>,
+    names: Vec<(&'a Ast, String)>,
+}
+
+impl<'a> AggOutputs<'a> {
+    fn name_of(&self, source: &Ast) -> Option<&str> {
+        let (_, name) = self.names.iter().find(|(e, _)| *e == source)?;
+        Some(name)
     }
-    to_lpred(&rewrite(h, stmt))
+
+    /// Lower the aggregate call `call` = `f(inner)` under `name`.
+    fn push(
+        &mut self,
+        call: &'a Ast,
+        f: AggFunc,
+        inner: &Ast,
+        name: String,
+    ) -> Result<(), SqlError> {
+        let input = match (f, inner) {
+            // COUNT(*) counts rows, so its input must never be NULL — a
+            // literal 1, not a group key (keys can be NULL and their group
+            // still counts every row).
+            (AggFunc::Count, Ast::Star) => LExpr::int(1),
+            _ => to_lexpr(inner)?,
+        };
+        if self.name_of(call).is_none() {
+            self.names.push((call, name.clone()));
+        }
+        self.aggs.push(LAgg {
+            func: f,
+            input,
+            name,
+        });
+        Ok(())
+    }
+
+    /// `a` over the `Aggregate`'s output: every group key and aggregate
+    /// call in it becomes a reference to its output column. A call that has
+    /// none yet (HAVING's own, or one inside a computed select item) is
+    /// lowered under a generated name.
+    fn over_outputs(&mut self, a: &'a Ast) -> Result<Ast, SqlError> {
+        if let Some(name) = self.name_of(a) {
+            return Ok(Ast::Col(name.to_string()));
+        }
+        let mut boxed = |x: &'a Ast| self.over_outputs(x).map(Box::new);
+        Ok(match a {
+            Ast::Agg(f, inner) => {
+                let name = format!("__agg{}", self.aggs.len());
+                self.push(a, *f, inner, name.clone())?;
+                Ast::Col(name)
+            }
+            Ast::Bin(op, l, r) => Ast::Bin(*op, boxed(l)?, boxed(r)?),
+            Ast::Cmp(op, l, r) => Ast::Cmp(*op, boxed(l)?, boxed(r)?),
+            Ast::Not(p) => Ast::Not(boxed(p)?),
+            Ast::Year(e) => Ast::Year(boxed(e)?),
+            Ast::Case(p, t, e) => Ast::Case(boxed(p)?, boxed(t)?, boxed(e)?),
+            Ast::And(ps) | Ast::Or(ps) => {
+                let ps = ps
+                    .iter()
+                    .map(|p| self.over_outputs(p))
+                    .collect::<Result<_, _>>()?;
+                if matches!(a, Ast::And(_)) {
+                    Ast::And(ps)
+                } else {
+                    Ast::Or(ps)
+                }
+            }
+            other => other.clone(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1358,6 +1523,130 @@ mod tests {
         };
         assert_eq!(exprs[0].expr, LExpr::col("l_orderkey"));
     }
+
+    #[test]
+    fn trailing_semicolon_ends_the_statement() {
+        let with = parse_sql("SELECT l_orderkey FROM lineitem;", &schemas()).unwrap();
+        let without = parse_sql("SELECT l_orderkey FROM lineitem", &schemas()).unwrap();
+        assert_eq!(with, without);
+        assert!(parse_sql("SELECT l_orderkey FROM lineitem; SELECT 1", &schemas()).is_err());
+    }
+
+    #[test]
+    fn doubled_quote_is_one_quote() {
+        let p = parse_sql(
+            "SELECT l_orderkey FROM lineitem WHERE l_shipmode = 'it''s' AND l_quantity < 2",
+            &schemas(),
+        )
+        .unwrap();
+        let LogicalPlan::Project { input, .. } = p else {
+            panic!()
+        };
+        let LogicalPlan::Scan {
+            pred: Some(LPred::And(ps)),
+            ..
+        } = *input
+        else {
+            panic!("{input:?}")
+        };
+        assert_eq!(ps[0], LPred::eq("l_shipmode", Value::Str("it's".into())));
+    }
+
+    #[test]
+    fn arithmetic_over_aggregates_projects_above_the_aggregate() {
+        let p = parse_sql(
+            "SELECT l_shipmode, 100 * SUM(l_discount) / SUM(l_quantity) AS ratio, \
+             SUM(l_quantity) AS qty FROM lineitem GROUP BY l_shipmode",
+            &schemas(),
+        )
+        .unwrap();
+        let LogicalPlan::Project { input, exprs } = p else {
+            panic!("{p:?}")
+        };
+        let LogicalPlan::Aggregate { aggs, .. } = *input else {
+            panic!("{input:?}")
+        };
+        // SUM(l_quantity) is lowered once, under the name its own select
+        // item gives it; SUM(l_discount) has no item to go by.
+        let names: Vec<&str> = aggs.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["qty", "__agg1"]);
+        assert_eq!(
+            exprs.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
+            ["l_shipmode", "ratio", "qty"]
+        );
+        let hundred_times = LExpr::bin(ArithOp::Mul, LExpr::int(100), LExpr::col("__agg1"));
+        assert_eq!(
+            exprs[1].expr,
+            LExpr::bin(ArithOp::Div, hundred_times, LExpr::col("qty"))
+        );
+    }
+
+    #[test]
+    fn having_may_call_an_aggregate_the_select_list_does_not() {
+        let p = parse_sql(
+            "SELECT l_shipmode FROM lineitem GROUP BY l_shipmode HAVING SUM(l_quantity) > 300",
+            &schemas(),
+        )
+        .unwrap();
+        // The hidden aggregate is projected away again.
+        let LogicalPlan::Project { input, exprs } = p else {
+            panic!("{p:?}")
+        };
+        assert_eq!(exprs, [LNamed::new("l_shipmode", LExpr::col("l_shipmode"))]);
+        let LogicalPlan::Filter { input, pred } = *input else {
+            panic!("{input:?}")
+        };
+        assert_eq!(pred, LPred::cmp("__agg0", CmpOp::Gt, Value::Int(300)));
+        assert!(matches!(*input, LogicalPlan::Aggregate { ref aggs, .. } if aggs.len() == 1));
+    }
+
+    #[test]
+    fn in_subquery_is_a_semi_join_on_the_owning_scan() {
+        let p = parse_sql(
+            "SELECT l_orderkey FROM lineitem JOIN orders ON l_orderkey = o_orderkey \
+             WHERE o_custkey < 10 AND o_orderkey IN \
+             (SELECT l_orderkey FROM lineitem GROUP BY l_orderkey HAVING SUM(l_quantity) > 300)",
+            &schemas(),
+        )
+        .unwrap();
+        let LogicalPlan::Project { input, .. } = p else {
+            panic!()
+        };
+        let LogicalPlan::Join { right, .. } = *input else {
+            panic!()
+        };
+        let LogicalPlan::Join {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            join_type: JoinType::LeftSemi,
+        } = *right
+        else {
+            panic!("{right:?}")
+        };
+        assert!(
+            matches!(*left, LogicalPlan::Scan { ref table, pred: Some(_), .. } if table == "orders")
+        );
+        // Only the key is read, so the subquery's select list is not built.
+        assert!(matches!(*right, LogicalPlan::Filter { .. }), "{right:?}");
+        assert_eq!(
+            (left_keys, right_keys),
+            (
+                vec!["o_orderkey".to_string()],
+                vec!["l_orderkey".to_string()]
+            )
+        );
+
+        for unsupported in [
+            "SELECT l_orderkey FROM lineitem WHERE NOT l_orderkey IN (SELECT o_orderkey FROM orders)",
+            "SELECT l_orderkey FROM lineitem WHERE l_orderkey IN (SELECT o_orderkey, o_custkey FROM orders)",
+            "SELECT l_orderkey FROM lineitem WHERE l_orderkey IN (SELECT o_orderkey FROM orders LIMIT 3)",
+            "SELECT l_orderkey FROM lineitem WHERE o_orderkey IN (SELECT o_orderkey FROM orders)",
+        ] {
+            assert!(parse_sql(unsupported, &schemas()).is_err(), "{unsupported}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1452,6 +1741,19 @@ mod window_setop_tests {
             assert!(matches!(*left, LogicalPlan::Project { .. }));
             assert!(matches!(*right, LogicalPlan::Project { .. }));
         }
+    }
+
+    #[test]
+    fn set_operators_split_on_tokens_outside_parentheses() {
+        let mut m = schemas();
+        m.insert("t".to_string(), vec!["s".to_string()]);
+        let p = parse_sql("SELECT id FROM emp\nUNION\nSELECT dept FROM emp", &m).unwrap();
+        assert!(matches!(p, LogicalPlan::SetOp { .. }), "{p:?}");
+        // A set operator inside a subquery is not the outer statement's.
+        let inner =
+            "SELECT id FROM emp WHERE id IN (SELECT dept FROM emp UNION SELECT id FROM emp)";
+        let e = parse_sql(inner, &m).unwrap_err();
+        assert!(e.0.contains("expected ')'"), "{e}");
     }
 
     #[test]

@@ -113,17 +113,20 @@ pub fn compile_unverified(
     catalog: &Catalog,
     params: &CostParams,
 ) -> Result<Compiled, CompileError> {
-    // Logical-to-logical join-order search before lowering; `lower_join`
-    // then picks build sides and partition schemes within the chosen
-    // order from the same estimates.
-    let (mut logical, optimize) = if params.reorder_joins {
-        crate::joinorder::reorder(lp, catalog, params)
-    } else {
-        (lp.clone(), crate::joinorder::OptimizeStats::default())
-    };
     // The one owned copy of the statement is narrowed in place; the caller's
     // plan (what the host's Volcano oracle runs) keeps every column.
+    let mut logical = lp.clone();
     logical.prune_columns(catalog);
+    // Logical-to-logical join-order search before lowering, and after
+    // pruning: the search weighs each relation by the bytes a row of it
+    // carries, which must be the bytes that will move, not the table's
+    // width. `lower_join` then picks build sides and partition schemes
+    // within the chosen order from the same estimates.
+    let (logical, optimize) = if params.reorder_joins {
+        crate::joinorder::reorder(logical, catalog, params)
+    } else {
+        (logical, crate::joinorder::OptimizeStats::default())
+    };
     let (plan, output) = lower(&logical, catalog, params)?;
     let cost = estimate(&plan, catalog, params);
     Ok(Compiled {

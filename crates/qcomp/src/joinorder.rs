@@ -12,7 +12,9 @@
 //! 2. **Estimate**: each relation is lowered and run through the
 //!    cardinality estimator ([`crate::cost::estimate_node`]), so edge
 //!    selectivities come from key NDVs and set sizes from *estimated*
-//!    (post-predicate) rather than declared cardinalities.
+//!    (post-predicate) rather than declared cardinalities. The compiler
+//!    prunes columns before this pass, so a relation's row width is the
+//!    width that will move, not its table's.
 //! 3. **Enumerate**: a DP-over-subsets memo (bushy trees, connected
 //!    subsets only — no Cartesian products) minimizes the summed
 //!    [`join_cycles`] of every split — a scheme-aware mirror of what
@@ -44,7 +46,7 @@
 use rapid_qef::plan::{Catalog, JoinType};
 use rapid_qef::primitives::costs;
 
-use crate::compiler::{lower, CompileError, OutCol};
+use crate::compiler::{lower, OutCol};
 use crate::cost::{estimate_node, CostParams, NodeEst};
 use crate::logical::{LExpr, LNamed, LogicalPlan};
 use crate::partition_opt::{optimize_partition_scheme, scheme_cost, PartitionOptInput};
@@ -76,29 +78,30 @@ struct Edge {
     b: (usize, String),
 }
 
-/// A flattened chain relation: the logical subtree plus its lowered
-/// output columns and cardinality estimate.
+/// A flattened chain relation's lowered output columns and cardinality
+/// estimate.
 struct Rel {
-    lp: LogicalPlan,
     cols: Vec<OutCol>,
     est: NodeEst,
 }
 
 /// Rewrite all maximal inner-join chains of `lp` into cost-chosen orders.
-/// Returns the (possibly unchanged) plan and the enumeration counters.
+/// The plan comes in by value and is rewritten where it stands: a chain
+/// that keeps its declared order — and a plan with no chain at all — is
+/// handed back untouched. Returns it with the enumeration counters.
 pub fn reorder(
-    lp: &LogicalPlan,
+    mut lp: LogicalPlan,
     catalog: &Catalog,
     params: &CostParams,
 ) -> (LogicalPlan, OptimizeStats) {
     let mut stats = OptimizeStats::default();
     // The root's positional layout IS the query's output layout.
-    let out = rewrite(lp, catalog, params, &mut stats, true);
-    (out, stats)
+    rewrite(&mut lp, catalog, params, &mut stats, true);
+    (lp, stats)
 }
 
-/// Recursively rewrite: inner-join roots become reordered chains, every
-/// other node keeps its shape with rewritten children.
+/// Recursively rewrite in place: inner-join roots become reordered chains,
+/// every other node keeps its shape with rewritten children.
 ///
 /// `positional` tracks whether this node's *column order* (not just its
 /// column names) is observable from above: true at the plan root and
@@ -108,87 +111,49 @@ pub fn reorder(
 /// reordered chain only needs its order-restoring `Project` wrapper when
 /// `positional` is set.
 fn rewrite(
-    lp: &LogicalPlan,
+    lp: &mut LogicalPlan,
     catalog: &Catalog,
     params: &CostParams,
     stats: &mut OptimizeStats,
     positional: bool,
-) -> LogicalPlan {
-    match lp {
+) {
+    let below = match lp {
         LogicalPlan::Join {
             join_type: JoinType::Inner,
             ..
-        } => reorder_chain(lp, catalog, params, stats, positional),
-        LogicalPlan::Scan { .. } => lp.clone(),
-        LogicalPlan::Filter { input, pred } => LogicalPlan::Filter {
-            input: Box::new(rewrite(input, catalog, params, stats, positional)),
-            pred: pred.clone(),
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(rewrite(input, catalog, params, stats, false)),
-            exprs: exprs.clone(),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-        } => LogicalPlan::Join {
-            left: Box::new(rewrite(left, catalog, params, stats, positional)),
-            right: Box::new(rewrite(right, catalog, params, stats, positional)),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            join_type: *join_type,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(rewrite(input, catalog, params, stats, false)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        LogicalPlan::Sort { input, order } => LogicalPlan::Sort {
-            input: Box::new(rewrite(input, catalog, params, stats, positional)),
-            order: order.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(rewrite(input, catalog, params, stats, positional)),
-            n: *n,
-        },
-        LogicalPlan::SetOp { left, right, op } => LogicalPlan::SetOp {
-            left: Box::new(rewrite(left, catalog, params, stats, true)),
-            right: Box::new(rewrite(right, catalog, params, stats, true)),
-            op: *op,
-        },
-        LogicalPlan::Window {
-            input,
-            func,
-            partition_by,
-            order_by,
-            name,
-        } => LogicalPlan::Window {
-            input: Box::new(rewrite(input, catalog, params, stats, positional)),
-            func: func.clone(),
-            partition_by: partition_by.clone(),
-            order_by: order_by.clone(),
-            name: name.clone(),
-        },
+        } => return reorder_chain(lp, catalog, params, stats, positional),
+        LogicalPlan::Project { .. } | LogicalPlan::Aggregate { .. } => false,
+        LogicalPlan::SetOp { .. } => true,
+        _ => positional,
+    };
+    for child in lp.inputs_mut() {
+        rewrite(child, catalog, params, stats, below);
     }
 }
 
-/// Flatten the inner-join chain rooted at `lp` into relations + edges.
-/// Relations are rewritten recursively as they are collected.
-fn flatten(
-    lp: &LogicalPlan,
-    catalog: &Catalog,
-    params: &CostParams,
-    stats: &mut OptimizeStats,
-    positional: bool,
-    rels: &mut Vec<LogicalPlan>,
-    raw_edges: &mut Vec<(String, String)>,
+/// Visit the relations of the inner-join chain rooted at `lp` — its
+/// maximal subtrees that are not inner joins — left to right.
+fn each_relation(lp: &mut LogicalPlan, f: &mut impl FnMut(&mut LogicalPlan)) {
+    match lp {
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type: JoinType::Inner,
+            ..
+        } => {
+            each_relation(left, f);
+            each_relation(right, f);
+        }
+        rel => f(rel),
+    }
+}
+
+/// Flatten the inner-join chain rooted at `lp` into relations + edges (one
+/// per key pair).
+fn flatten<'a>(
+    lp: &'a LogicalPlan,
+    rels: &mut Vec<&'a LogicalPlan>,
+    raw_edges: &mut Vec<(&'a str, &'a str)>,
 ) {
     match lp {
         LogicalPlan::Join {
@@ -198,94 +163,114 @@ fn flatten(
             right_keys,
             join_type: JoinType::Inner,
         } => {
-            flatten(left, catalog, params, stats, positional, rels, raw_edges);
-            flatten(right, catalog, params, stats, positional, rels, raw_edges);
-            for (lk, rk) in left_keys.iter().zip(right_keys.iter()) {
-                raw_edges.push((lk.clone(), rk.clone()));
-            }
+            flatten(left, rels, raw_edges);
+            flatten(right, rels, raw_edges);
+            raw_edges.extend(
+                left_keys
+                    .iter()
+                    .map(String::as_str)
+                    .zip(right_keys.iter().map(String::as_str)),
+            );
         }
-        // Relations inherit `positional`: if this chain ends up in
-        // declared order (no restoring wrapper), their own layout is
-        // still observable through the chain's concatenated output.
-        other => rels.push(rewrite(other, catalog, params, stats, positional)),
+        rel => rels.push(rel),
     }
 }
 
-/// Reorder one inner-join chain; returns the original subtree (rewritten
-/// children included) when any precondition fails or the chosen order is
-/// the declared one.
+/// Reorder one inner-join chain in place; the subtree is left as declared
+/// (relations rewritten) when any precondition fails or the chosen order
+/// is the declared one.
 fn reorder_chain(
-    lp: &LogicalPlan,
+    lp: &mut LogicalPlan,
     catalog: &Catalog,
     params: &CostParams,
     stats: &mut OptimizeStats,
     positional: bool,
-) -> LogicalPlan {
+) {
+    // Relations inherit `positional`: if this chain ends up in declared
+    // order (no restoring wrapper), their own layout is still observable
+    // through the chain's concatenated output.
+    each_relation(lp, &mut |rel| {
+        rewrite(rel, catalog, params, stats, positional)
+    });
+    let Some((tree, edges, rels)) = search(lp, catalog, params, stats) else {
+        return;
+    };
+    stats.reordered += 1;
+
+    // Every relation moves into the new tree; the declared skeleton is
+    // dropped with the assignment below.
+    let mut rel_plans = Vec::with_capacity(rels.len());
+    each_relation(lp, &mut |rel| {
+        rel_plans.push(std::mem::replace(rel, LogicalPlan::scan("")))
+    });
+    let new_chain = build_tree(&tree, &mut rel_plans, &edges);
+
+    // Only pay for an order-restoring projection when the chain's
+    // positional layout is observable downstream; under a `Project` or
+    // `Aggregate` the parent resolves columns by name anyway, and the
+    // wrapper would materialize a full-width copy of the join result.
+    *lp = if positional {
+        LogicalPlan::Project {
+            input: Box::new(new_chain),
+            exprs: rels
+                .iter()
+                .flat_map(|r| r.cols.iter())
+                .map(|c| LNamed::new(&c.name, LExpr::col(&c.name)))
+                .collect(),
+        }
+    } else {
+        new_chain
+    };
+}
+
+/// Search the join orders of the chain rooted at `lp`. `None` keeps the
+/// declared order: a precondition failed, or the search landed on it.
+fn search(
+    lp: &LogicalPlan,
+    catalog: &Catalog,
+    params: &CostParams,
+    stats: &mut OptimizeStats,
+) -> Option<(Tree, Vec<Edge>, Vec<Rel>)> {
     let mut rel_plans = Vec::new();
     let mut raw_edges = Vec::new();
-    flatten(
-        lp,
-        catalog,
-        params,
-        stats,
-        positional,
-        &mut rel_plans,
-        &mut raw_edges,
-    );
-
-    // Fallback tree: same chain, declared order, children rewritten.
-    let fallback = |rel_plans: Vec<LogicalPlan>| -> LogicalPlan {
-        rebuild_declared(lp, &mut rel_plans.into_iter())
-    };
+    flatten(lp, &mut rel_plans, &mut raw_edges);
 
     let n = rel_plans.len();
     // Below 3 relations only the build side can vary, and `lower_join`
     // already picks that; above 32 the bitmask representation runs out.
     if !(3..=32).contains(&n) {
-        return fallback(rel_plans);
+        return None;
     }
 
     // Lower every relation for output names and estimates.
-    let rels: Vec<Rel> = match rel_plans
+    let rels: Vec<Rel> = rel_plans
         .iter()
-        .map(|r| -> Result<Rel, CompileError> {
-            let (plan, cols) = lower(r, catalog, params)?;
+        .map(|r| {
+            let (plan, cols) = lower(r, catalog, params).ok()?;
             let est = estimate_node(&plan, catalog, params);
-            Ok(Rel {
-                lp: r.clone(),
-                cols,
-                est,
-            })
+            Some(Rel { cols, est })
         })
-        .collect()
-    {
-        Ok(v) => v,
-        Err(_) => return fallback(rel_plans),
-    };
+        .collect::<Option<_>>()?;
 
     // Global name resolution; bail on duplicates (ambiguous restore).
-    let mut by_name: std::collections::HashMap<&str, (usize, usize)> =
-        std::collections::HashMap::new();
+    let mut by_name: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     for (ri, r) in rels.iter().enumerate() {
-        for (ci, c) in r.cols.iter().enumerate() {
-            if by_name.insert(c.name.as_str(), (ri, ci)).is_some() {
-                return fallback(rel_plans);
+        for c in &r.cols {
+            if by_name.insert(c.name.as_str(), ri).is_some() {
+                return None;
             }
         }
     }
 
     let mut edges = Vec::with_capacity(raw_edges.len());
-    for (a, b) in &raw_edges {
-        let (Some(&(ra, _)), Some(&(rb, _))) = (by_name.get(a.as_str()), by_name.get(b.as_str()))
-        else {
-            return fallback(rel_plans);
-        };
+    for (a, b) in raw_edges {
+        let (ra, rb) = (*by_name.get(a)?, *by_name.get(b)?);
         if ra == rb {
-            return fallback(rel_plans);
+            return None;
         }
         edges.push(Edge {
-            a: (ra, a.clone()),
-            b: (rb, b.clone()),
+            a: (ra, a.to_string()),
+            b: (rb, b.to_string()),
         });
     }
 
@@ -312,66 +297,16 @@ fn reorder_chain(
         })
         .collect();
 
-    let order = if n <= MAX_DP_RELATIONS {
+    let tree = if n <= MAX_DP_RELATIONS {
         dp_order(&rels, &edges, &edge_sel, params, stats)
     } else {
         greedy_order(&rels, &edges, &edge_sel, params, stats)
-    };
-    let Some(tree) = order else {
-        return fallback(rel_plans);
-    };
-
-    // Materialize the join tree; bail out unchanged if the search landed
-    // on the declared order.
-    let new_chain = build_tree(&tree, &rels, &edges);
-    let declared = fallback(rel_plans);
-    if new_chain == declared {
-        return declared;
+    }?;
+    // Bail out unchanged if the search landed on the declared order.
+    if is_declared(&tree, lp, &edges, &mut 0) {
+        return None;
     }
-    stats.reordered += 1;
-
-    // Only pay for an order-restoring projection when the chain's
-    // positional layout is observable downstream; under a `Project` or
-    // `Aggregate` the parent resolves columns by name anyway, and the
-    // wrapper would materialize a full-width copy of the join result.
-    if !positional {
-        return new_chain;
-    }
-    let restore: Vec<LNamed> = rels
-        .iter()
-        .flat_map(|r| r.cols.iter())
-        .map(|c| LNamed::new(&c.name, LExpr::col(&c.name)))
-        .collect();
-    LogicalPlan::Project {
-        input: Box::new(new_chain),
-        exprs: restore,
-    }
-}
-
-/// Rebuild the chain skeleton of `lp` with relations drawn in order from
-/// `rels` (used for the unchanged/declared-order result so rewritten
-/// children are kept).
-fn rebuild_declared(lp: &LogicalPlan, rels: &mut impl Iterator<Item = LogicalPlan>) -> LogicalPlan {
-    match lp {
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type: JoinType::Inner,
-        } => {
-            let l = rebuild_declared(left, rels);
-            let r = rebuild_declared(right, rels);
-            LogicalPlan::Join {
-                left: Box::new(l),
-                right: Box::new(r),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                join_type: JoinType::Inner,
-            }
-        }
-        _ => rels.next().expect("chain shape matches flatten"),
-    }
+    Some((tree, edges, rels))
 }
 
 /// A join tree over relation indices: leaf or (left, right) pair.
@@ -621,26 +556,34 @@ fn greedy_order(
     comps.pop()
 }
 
-/// Materialize a `Tree` into `LogicalPlan::Join` nodes. Every edge whose
-/// endpoints land on opposite sides of a node is applied at that node (its
-/// LCA), so each edge is used exactly once.
-fn build_tree(tree: &Tree, rels: &[Rel], edges: &[Edge]) -> LogicalPlan {
+/// The equi-keys `(left, right)` of a join whose sides cover the relation
+/// sets `lm` and `rm`: every edge with one endpoint on each side, in edge
+/// order.
+fn crossing_keys(lm: u32, rm: u32, edges: &[Edge]) -> impl Iterator<Item = (&str, &str)> {
+    edges.iter().filter_map(move |e| {
+        let (ma, mb) = (1u32 << e.a.0, 1u32 << e.b.0);
+        if lm & ma != 0 && rm & mb != 0 {
+            Some((e.a.1.as_str(), e.b.1.as_str()))
+        } else if lm & mb != 0 && rm & ma != 0 {
+            Some((e.b.1.as_str(), e.a.1.as_str()))
+        } else {
+            None
+        }
+    })
+}
+
+/// Materialize a `Tree` into `LogicalPlan::Join` nodes, moving each
+/// relation out of `rels`. Every edge whose endpoints land on opposite
+/// sides of a node is applied at that node (its LCA), so each edge is used
+/// exactly once.
+fn build_tree(tree: &Tree, rels: &mut [LogicalPlan], edges: &[Edge]) -> LogicalPlan {
     match tree {
-        Tree::Leaf(i) => rels[*i].lp.clone(),
+        Tree::Leaf(i) => std::mem::replace(&mut rels[*i], LogicalPlan::scan("")),
         Tree::Node(l, r) => {
-            let (lm, rm) = (l.mask(), r.mask());
-            let mut left_keys = Vec::new();
-            let mut right_keys = Vec::new();
-            for e in edges {
-                let (ma, mb) = (1u32 << e.a.0, 1u32 << e.b.0);
-                if lm & ma != 0 && rm & mb != 0 {
-                    left_keys.push(e.a.1.clone());
-                    right_keys.push(e.b.1.clone());
-                } else if lm & mb != 0 && rm & ma != 0 {
-                    left_keys.push(e.b.1.clone());
-                    right_keys.push(e.a.1.clone());
-                }
-            }
+            let (left_keys, right_keys): (Vec<String>, Vec<String>) =
+                crossing_keys(l.mask(), r.mask(), edges)
+                    .map(|(lk, rk)| (lk.to_string(), rk.to_string()))
+                    .unzip();
             debug_assert!(!left_keys.is_empty(), "split without crossing edge");
             LogicalPlan::Join {
                 left: Box::new(build_tree(l, rels, edges)),
@@ -649,6 +592,42 @@ fn build_tree(tree: &Tree, rels: &[Rel], edges: &[Edge]) -> LogicalPlan {
                 right_keys,
                 join_type: JoinType::Inner,
             }
+        }
+    }
+}
+
+/// Whether [`build_tree`] would rebuild the declared chain `lp` as it
+/// stands: the relations in their places (`next_rel` counts them off left
+/// to right) and every join with the same keys in the same order.
+fn is_declared(tree: &Tree, lp: &LogicalPlan, edges: &[Edge], next_rel: &mut usize) -> bool {
+    match (tree, lp) {
+        (
+            Tree::Node(l, r),
+            LogicalPlan::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                join_type: JoinType::Inner,
+            },
+        ) => {
+            let declared = left_keys.iter().zip(right_keys);
+            crossing_keys(l.mask(), r.mask(), edges)
+                .eq(declared.map(|(lk, rk)| (lk.as_str(), rk.as_str())))
+                && is_declared(l, left, edges, next_rel)
+                && is_declared(r, right, edges, next_rel)
+        }
+        (
+            _,
+            LogicalPlan::Join {
+                join_type: JoinType::Inner,
+                ..
+            },
+        )
+        | (Tree::Node(..), _) => false,
+        (Tree::Leaf(i), _) => {
+            *next_rel += 1;
+            *i == *next_rel - 1
         }
     }
 }
@@ -705,7 +684,7 @@ mod tests {
     fn selective_join_moves_first() {
         let cat = catalog();
         let p = CostParams::default();
-        let (out, stats) = reorder(&chain(), &cat, &p);
+        let (out, stats) = reorder(chain(), &cat, &p);
         assert_eq!(stats.join_relations, 3);
         assert_eq!(stats.reordered, 1);
         assert!(stats.plans_considered > 0);
@@ -717,8 +696,8 @@ mod tests {
     fn search_is_deterministic() {
         let cat = catalog();
         let p = CostParams::default();
-        let (a, sa) = reorder(&chain(), &cat, &p);
-        let (b, sb) = reorder(&chain(), &cat, &p);
+        let (a, sa) = reorder(chain(), &cat, &p);
+        let (b, sb) = reorder(chain(), &cat, &p);
         assert_eq!(a, b);
         assert_eq!(sa, sb);
     }
@@ -766,7 +745,7 @@ mod tests {
         let lp = LogicalPlan::scan("big1")
             .join(LogicalPlan::scan("big2"), &["x_k"], &["y_k"])
             .join(LogicalPlan::scan("dup"), &["x_id"], &["x_id"]);
-        let (out, stats) = reorder(&lp, &cat, &CostParams::default());
+        let (out, stats) = reorder(lp.clone(), &cat, &CostParams::default());
         assert_eq!(stats.reordered, 0);
         assert_eq!(out, lp);
     }
@@ -775,7 +754,7 @@ mod tests {
     fn two_relation_joins_are_left_alone() {
         let cat = catalog();
         let lp = LogicalPlan::scan("big1").join(LogicalPlan::scan("small"), &["x_id"], &["z_id"]);
-        let (out, stats) = reorder(&lp, &cat, &CostParams::default());
+        let (out, stats) = reorder(lp.clone(), &cat, &CostParams::default());
         assert_eq!(stats.reordered, 0);
         assert_eq!(out, lp);
     }
@@ -792,7 +771,7 @@ mod tests {
                 &["x_id", "y_id"],
                 &["z_id", "z_k"],
             );
-        let (out, stats) = reorder(&lp, &cat, &CostParams::default());
+        let (out, stats) = reorder(lp, &cat, &CostParams::default());
         assert_eq!(stats.join_relations, 3);
         fn count_keys(lp: &LogicalPlan) -> usize {
             match lp {

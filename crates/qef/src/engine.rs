@@ -660,7 +660,7 @@ impl Engine {
                 // ...then the merge operator combines the per-core tables
                 // ("working on aggregated data, merge introduces low
                 // overhead").
-                let (out, t2) = run_stage(&self.ctx, vec![tables], move |core, ts| {
+                let (mut out, t2) = run_stage(&self.ctx, vec![tables], move |core, ts| {
                     let mut it = ts.into_iter();
                     let Some(mut first) = it.next() else {
                         return Ok(Batch::empty(0));
@@ -670,6 +670,9 @@ impl Engine {
                     }
                     Ok(first.emit(core))
                 })?;
+                // No groups, no batch — `Batch::empty(0)` has no columns for
+                // a Filter (HAVING) or Map above to index.
+                out.retain(|b| !b.is_empty());
                 tr.absorb(report, &t2, nid, depth, "groupby.merge", batch_rows(&out));
                 out
             }

@@ -172,6 +172,111 @@ fn dec(unscaled: i64) -> Value {
     Value::Decimal { unscaled, scale: 2 }
 }
 
+/// Every table's columns, in table order. The one list of them: `generate`
+/// builds its schemas from it and [`crate::queries`] binds its SQL against
+/// it.
+pub(crate) const TABLES: [(&str, &[(&str, DataType)]); 8] = {
+    use DataType::{Date, Int, Varchar};
+    const MONEY: DataType = DataType::Decimal { scale: 2 };
+    [
+        ("region", &[("r_regionkey", Int), ("r_name", Varchar)]),
+        (
+            "nation",
+            &[
+                ("n_nationkey", Int),
+                ("n_name", Varchar),
+                ("n_regionkey", Int),
+            ],
+        ),
+        (
+            "supplier",
+            &[
+                ("s_suppkey", Int),
+                ("s_name", Varchar),
+                ("s_nationkey", Int),
+                ("s_acctbal", MONEY),
+            ],
+        ),
+        (
+            "customer",
+            &[
+                ("c_custkey", Int),
+                ("c_name", Varchar),
+                ("c_nationkey", Int),
+                ("c_phone", Varchar),
+                ("c_acctbal", MONEY),
+                ("c_mktsegment", Varchar),
+            ],
+        ),
+        (
+            "part",
+            &[
+                ("p_partkey", Int),
+                ("p_name", Varchar),
+                ("p_brand", Varchar),
+                ("p_type", Varchar),
+                ("p_size", Int),
+                ("p_container", Varchar),
+                ("p_retailprice", MONEY),
+            ],
+        ),
+        (
+            "partsupp",
+            &[
+                ("ps_partkey", Int),
+                ("ps_suppkey", Int),
+                ("ps_availqty", Int),
+                ("ps_supplycost", MONEY),
+            ],
+        ),
+        (
+            "orders",
+            &[
+                ("o_orderkey", Int),
+                ("o_custkey", Int),
+                ("o_orderstatus", Varchar),
+                ("o_totalprice", MONEY),
+                ("o_orderdate", Date),
+                ("o_orderpriority", Varchar),
+                ("o_shippriority", Int),
+            ],
+        ),
+        (
+            "lineitem",
+            &[
+                ("l_orderkey", Int),
+                ("l_partkey", Int),
+                ("l_suppkey", Int),
+                ("l_linenumber", Int),
+                ("l_quantity", MONEY),
+                ("l_extendedprice", MONEY),
+                ("l_discount", MONEY),
+                ("l_tax", MONEY),
+                ("l_returnflag", Varchar),
+                ("l_linestatus", Varchar),
+                ("l_shipdate", Date),
+                ("l_commitdate", Date),
+                ("l_receiptdate", Date),
+                ("l_shipinstruct", Varchar),
+                ("l_shipmode", Varchar),
+            ],
+        ),
+    ]
+};
+
+fn schema(table: &str) -> Schema {
+    let (_, columns) = TABLES
+        .iter()
+        .find(|(name, _)| *name == table)
+        .expect("one of the eight tables");
+    Schema::new(
+        columns
+            .iter()
+            .map(|&(name, dtype)| Field::new(name, dtype))
+            .collect(),
+    )
+}
+
 /// Generate all tables.
 pub fn generate(cfg: &TpchConfig) -> TpchData {
     let opts = LoadOptions {
@@ -183,24 +288,15 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
 
     // region
     let region = {
-        let schema = Schema::new(vec![
-            Field::new("r_regionkey", DataType::Int),
-            Field::new("r_name", DataType::Varchar),
-        ]);
         let rows = REGIONS
             .iter()
             .enumerate()
             .map(|(i, r)| vec![Value::Int(i as i64), Value::Str(r.to_string())]);
-        load_table("region", schema, rows, &opts).expect("region load")
+        load_table("region", schema("region"), rows, &opts).expect("region load")
     };
 
     // nation
     let nation = {
-        let schema = Schema::new(vec![
-            Field::new("n_nationkey", DataType::Int),
-            Field::new("n_name", DataType::Varchar),
-            Field::new("n_regionkey", DataType::Int),
-        ]);
         let rows = NATIONS.iter().enumerate().map(|(i, (n, r))| {
             vec![
                 Value::Int(i as i64),
@@ -208,19 +304,13 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 Value::Int(*r),
             ]
         });
-        load_table("nation", schema, rows, &opts).expect("nation load")
+        load_table("nation", schema("nation"), rows, &opts).expect("nation load")
     };
 
     // supplier
     let n_supp = cfg.count(10_000);
     let supplier = {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5100);
-        let schema = Schema::new(vec![
-            Field::new("s_suppkey", DataType::Int),
-            Field::new("s_name", DataType::Varchar),
-            Field::new("s_nationkey", DataType::Int),
-            Field::new("s_acctbal", DataType::Decimal { scale: 2 }),
-        ]);
         let rows = (0..n_supp).map(|i| {
             vec![
                 Value::Int(i as i64 + 1),
@@ -229,21 +319,13 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 dec(rng.gen_range(-99999..999999)),
             ]
         });
-        load_table("supplier", schema, rows, &opts).expect("supplier load")
+        load_table("supplier", schema("supplier"), rows, &opts).expect("supplier load")
     };
 
     // customer
     let n_cust = cfg.count(150_000);
     let customer = {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xC057);
-        let schema = Schema::new(vec![
-            Field::new("c_custkey", DataType::Int),
-            Field::new("c_name", DataType::Varchar),
-            Field::new("c_nationkey", DataType::Int),
-            Field::new("c_phone", DataType::Varchar),
-            Field::new("c_acctbal", DataType::Decimal { scale: 2 }),
-            Field::new("c_mktsegment", DataType::Varchar),
-        ]);
         let rows = (0..n_cust).map(|i| {
             let nat = rng.gen_range(0..25i64);
             vec![
@@ -255,22 +337,13 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 Value::Str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())].to_string()),
             ]
         });
-        load_table("customer", schema, rows, &opts).expect("customer load")
+        load_table("customer", schema("customer"), rows, &opts).expect("customer load")
     };
 
     // part
     let n_part = cfg.count(200_000);
     let part = {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9A27);
-        let schema = Schema::new(vec![
-            Field::new("p_partkey", DataType::Int),
-            Field::new("p_name", DataType::Varchar),
-            Field::new("p_brand", DataType::Varchar),
-            Field::new("p_type", DataType::Varchar),
-            Field::new("p_size", DataType::Int),
-            Field::new("p_container", DataType::Varchar),
-            Field::new("p_retailprice", DataType::Decimal { scale: 2 }),
-        ]);
         let rows = (0..n_part).map(|i| {
             let c1 = COLORS[rng.gen_range(0..COLORS.len())];
             let c2 = COLORS[rng.gen_range(0..COLORS.len())];
@@ -290,18 +363,12 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 dec(90000 + (i as i64 % 200) * 100),
             ]
         });
-        load_table("part", schema, rows, &opts).expect("part load")
+        load_table("part", schema("part"), rows, &opts).expect("part load")
     };
 
     // partsupp: 4 suppliers per part.
     let partsupp = {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9A5B);
-        let schema = Schema::new(vec![
-            Field::new("ps_partkey", DataType::Int),
-            Field::new("ps_suppkey", DataType::Int),
-            Field::new("ps_availqty", DataType::Int),
-            Field::new("ps_supplycost", DataType::Decimal { scale: 2 }),
-        ]);
         let mut rows = Vec::with_capacity(n_part as usize * 4);
         for i in 0..n_part {
             for j in 0..4u64 {
@@ -314,7 +381,7 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 ]);
             }
         }
-        load_table("partsupp", schema, rows, &opts).expect("partsupp load")
+        load_table("partsupp", schema("partsupp"), rows, &opts).expect("partsupp load")
     };
 
     // orders + lineitem generated together (lineitem derives from orders).
@@ -388,38 +455,9 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
             Value::Int(rng.gen_range(0..1i64)), // o_shippriority: always 0 per spec
         ]);
     }
-    let orders = {
-        let schema = Schema::new(vec![
-            Field::new("o_orderkey", DataType::Int),
-            Field::new("o_custkey", DataType::Int),
-            Field::new("o_orderstatus", DataType::Varchar),
-            Field::new("o_totalprice", DataType::Decimal { scale: 2 }),
-            Field::new("o_orderdate", DataType::Date),
-            Field::new("o_orderpriority", DataType::Varchar),
-            Field::new("o_shippriority", DataType::Int),
-        ]);
-        load_table("orders", schema, orows, &opts).expect("orders load")
-    };
-    let lineitem = {
-        let schema = Schema::new(vec![
-            Field::new("l_orderkey", DataType::Int),
-            Field::new("l_partkey", DataType::Int),
-            Field::new("l_suppkey", DataType::Int),
-            Field::new("l_linenumber", DataType::Int),
-            Field::new("l_quantity", DataType::Decimal { scale: 2 }),
-            Field::new("l_extendedprice", DataType::Decimal { scale: 2 }),
-            Field::new("l_discount", DataType::Decimal { scale: 2 }),
-            Field::new("l_tax", DataType::Decimal { scale: 2 }),
-            Field::new("l_returnflag", DataType::Varchar),
-            Field::new("l_linestatus", DataType::Varchar),
-            Field::new("l_shipdate", DataType::Date),
-            Field::new("l_commitdate", DataType::Date),
-            Field::new("l_receiptdate", DataType::Date),
-            Field::new("l_shipinstruct", DataType::Varchar),
-            Field::new("l_shipmode", DataType::Varchar),
-        ]);
-        load_table("lineitem", schema, lrows, &opts).expect("lineitem load")
-    };
+    let orders = { load_table("orders", schema("orders"), orows, &opts).expect("orders load") };
+    let lineitem =
+        { load_table("lineitem", schema("lineitem"), lrows, &opts).expect("lineitem load") };
 
     TpchData {
         region,

@@ -1,929 +1,202 @@
-//! The paper's "representative half" of TPC-H as logical plans:
+//! The paper's "representative half" of TPC-H as SQL:
 //! Q1, Q3, Q4, Q5, Q6, Q9, Q10, Q12, Q14, Q18, Q19.
 //!
-//! Parameters are the spec's validation defaults. Plans are written the
-//! way the host database's logical optimizer would emit them (join order
-//! fixed, predicates pushed into scans, projections pruned); the RAPID
-//! compiler then makes the physical decisions.
+//! Parameters are the spec's validation defaults. The statements enter the
+//! way any statement does — through the host database's SQL front end,
+//! which pushes single-table predicates into the scans and keeps joins in
+//! FROM order; the RAPID compiler then prunes columns, orders the joins and
+//! makes the physical decisions. The text fixes what the front end leaves
+//! alone and the simulated series depend on: FROM order is the order the
+//! join search numbers its relations in, and an `Aggregate` emits group
+//! keys before aggregates whatever order the select list has.
 
-use rapid_qcomp::logical::{LAgg, LExpr, LNamed, LPred, LSortKey, LogicalPlan};
-use rapid_qef::plan::JoinType;
-use rapid_qef::primitives::agg::AggFunc;
-use rapid_qef::primitives::arith::ArithOp;
-use rapid_qef::primitives::filter::CmpOp;
-use rapid_storage::types::{days_from_civil, Value};
+use rapid_qcomp::logical::LogicalPlan;
 
-fn date(y: i32, m: u32, d: u32) -> Value {
-    Value::Date(days_from_civil(y, m, d))
-}
+/// The eleven statements by name.
+pub const STATEMENTS: [(&str, &str); 11] = [
+    // Pricing summary report: a scan-heavy, low-NDV aggregation.
+    (
+        "Q1",
+        "SELECT l_returnflag, l_linestatus,
+                SUM(l_quantity) AS sum_qty,
+                SUM(l_extendedprice) AS sum_base_price,
+                SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
+                SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
+                AVG(l_quantity) AS avg_qty,
+                AVG(l_extendedprice) AS avg_price,
+                AVG(l_discount) AS avg_disc,
+                COUNT(l_orderkey) AS count_order
+         FROM lineitem
+         WHERE l_shipdate <= DATE '1998-09-02'
+         GROUP BY l_returnflag, l_linestatus
+         ORDER BY l_returnflag, l_linestatus",
+    ),
+    // Shipping priority: 3-way join + top-10.
+    (
+        "Q3",
+        "SELECT l_orderkey, o_orderdate, o_shippriority,
+                SUM(l_extendedprice * (1 - l_discount)) AS revenue
+         FROM lineitem
+              JOIN orders ON l_orderkey = o_orderkey
+              JOIN customer ON o_custkey = c_custkey
+         WHERE c_mktsegment = 'BUILDING'
+           AND o_orderdate < DATE '1995-03-15'
+           AND l_shipdate > DATE '1995-03-15'
+         GROUP BY l_orderkey, o_orderdate, o_shippriority
+         ORDER BY revenue DESC, o_orderdate
+         LIMIT 10",
+    ),
+    // Order priority checking: date-windowed semi-join.
+    (
+        "Q4",
+        "SELECT o_orderpriority, COUNT(o_orderkey) AS order_count
+         FROM orders SEMI JOIN lineitem ON o_orderkey = l_orderkey
+         WHERE o_orderdate >= DATE '1993-07-01'
+           AND o_orderdate < DATE '1993-10-01'
+           AND l_commitdate < l_receiptdate
+         GROUP BY o_orderpriority
+         ORDER BY o_orderpriority",
+    ),
+    // Local supplier volume: 6-way join with a two-column key pair.
+    (
+        "Q5",
+        "SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+         FROM lineitem
+              JOIN orders ON l_orderkey = o_orderkey
+              JOIN customer ON o_custkey = c_custkey
+              JOIN supplier ON l_suppkey = s_suppkey AND c_nationkey = s_nationkey
+              JOIN nation ON s_nationkey = n_nationkey
+              JOIN region ON n_regionkey = r_regionkey
+         WHERE r_name = 'ASIA'
+           AND o_orderdate >= DATE '1994-01-01'
+           AND o_orderdate < DATE '1995-01-01'
+         GROUP BY n_name
+         ORDER BY revenue DESC",
+    ),
+    // Forecasting revenue change: the pure filter+aggregate query.
+    (
+        "Q6",
+        "SELECT SUM(l_extendedprice * l_discount) AS revenue
+         FROM lineitem
+         WHERE l_shipdate >= DATE '1994-01-01'
+           AND l_shipdate < DATE '1995-01-01'
+           AND l_discount BETWEEN 0.05 AND 0.07
+           AND l_quantity < 24",
+    ),
+    // Product type profit: 6-way join with a 2-key partsupp join and
+    // EXTRACT(YEAR).
+    (
+        "Q9",
+        "SELECT n_name AS nation, EXTRACT(YEAR FROM o_orderdate) AS o_year,
+                SUM(l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity)
+                    AS sum_profit
+         FROM lineitem
+              JOIN part ON l_partkey = p_partkey
+              JOIN supplier ON l_suppkey = s_suppkey
+              JOIN partsupp ON l_partkey = ps_partkey AND l_suppkey = ps_suppkey
+              JOIN orders ON l_orderkey = o_orderkey
+              JOIN nation ON s_nationkey = n_nationkey
+         WHERE p_name LIKE '%green%'
+         GROUP BY n_name, EXTRACT(YEAR FROM o_orderdate)
+         ORDER BY nation, o_year DESC",
+    ),
+    // Returned item reporting: join + group-by + top-20.
+    (
+        "Q10",
+        "SELECT c_custkey, c_name, c_acctbal, c_phone, n_name,
+                SUM(l_extendedprice * (1 - l_discount)) AS revenue
+         FROM lineitem
+              JOIN orders ON l_orderkey = o_orderkey
+              JOIN customer ON o_custkey = c_custkey
+              JOIN nation ON c_nationkey = n_nationkey
+         WHERE l_returnflag = 'R'
+           AND o_orderdate >= DATE '1993-10-01'
+           AND o_orderdate < DATE '1994-01-01'
+         GROUP BY c_custkey, c_name, c_acctbal, c_phone, n_name
+         ORDER BY revenue DESC
+         LIMIT 20",
+    ),
+    // Shipping modes and order priority: join + conditional sums.
+    (
+        "Q12",
+        "SELECT l_shipmode,
+                SUM(CASE WHEN o_orderpriority = '1-URGENT' OR o_orderpriority = '2-HIGH'
+                         THEN 1 ELSE 0 END) AS high_line_count,
+                SUM(CASE WHEN NOT (o_orderpriority = '1-URGENT' OR o_orderpriority = '2-HIGH')
+                         THEN 1 ELSE 0 END) AS low_line_count
+         FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+         WHERE l_shipmode IN ('MAIL', 'SHIP')
+           AND l_commitdate < l_receiptdate
+           AND l_shipdate < l_commitdate
+           AND l_receiptdate >= DATE '1994-01-01'
+           AND l_receiptdate < DATE '1995-01-01'
+         GROUP BY l_shipmode
+         ORDER BY l_shipmode",
+    ),
+    // Promotion effect: join + conditional-sum ratio.
+    (
+        "Q14",
+        "SELECT 100 * SUM(CASE WHEN p_type LIKE 'PROMO%'
+                               THEN l_extendedprice * (1 - l_discount) ELSE 0 END)
+                    / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue
+         FROM lineitem JOIN part ON l_partkey = p_partkey
+         WHERE l_shipdate >= DATE '1995-09-01'
+           AND l_shipdate < DATE '1995-10-01'",
+    ),
+    // Large volume customers: aggregate-filter-semijoin (the IN subquery
+    // with HAVING) + top-100.
+    (
+        "Q18",
+        "SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice,
+                SUM(l_quantity) AS sum_qty
+         FROM lineitem
+              JOIN orders ON l_orderkey = o_orderkey
+              JOIN customer ON o_custkey = c_custkey
+         WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem
+                              GROUP BY l_orderkey HAVING SUM(l_quantity) > 300)
+         GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
+         ORDER BY o_totalprice DESC, o_orderdate
+         LIMIT 100",
+    ),
+    // Discounted revenue: disjunctive multi-attribute predicate over a join
+    // (the OR-of-ANDs stress test).
+    (
+        "Q19",
+        "SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue
+         FROM lineitem JOIN part ON l_partkey = p_partkey
+         WHERE l_shipmode IN ('AIR', 'AIR REG')
+           AND l_shipinstruct = 'DELIVER IN PERSON'
+           AND (   (p_brand = 'Brand#12'
+                    AND p_container IN ('SM CASE', 'SM BOX', 'SM PACK', 'SM PKG')
+                    AND l_quantity BETWEEN 1 AND 11
+                    AND p_size BETWEEN 1 AND 5)
+                OR (p_brand = 'Brand#23'
+                    AND p_container IN ('MED BAG', 'MED BOX')
+                    AND l_quantity BETWEEN 10 AND 20
+                    AND p_size BETWEEN 1 AND 10)
+                OR (p_brand = 'Brand#34'
+                    AND p_container IN ('LG CASE', 'LG BOX')
+                    AND l_quantity BETWEEN 20 AND 30
+                    AND p_size BETWEEN 1 AND 15))",
+    ),
+];
 
-fn dec(unscaled: i64, scale: u8) -> Value {
-    Value::Decimal { unscaled, scale }
-}
-
-fn s(v: &str) -> Value {
-    Value::Str(v.to_string())
-}
-
-/// `l_extendedprice * (1 - l_discount)` — the revenue expression shared by
-/// most queries.
-fn disc_price() -> LExpr {
-    LExpr::bin(
-        ArithOp::Mul,
-        LExpr::col("l_extendedprice"),
-        LExpr::bin(ArithOp::Sub, LExpr::int(1), LExpr::col("l_discount")),
-    )
-}
-
-/// Q1 — pricing summary report: a scan-heavy, low-NDV aggregation.
-pub fn q1() -> LogicalPlan {
-    LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::cmp("l_shipdate", CmpOp::Le, date(1998, 9, 2))),
-        projection: Some(
-            [
-                "l_returnflag",
-                "l_linestatus",
-                "l_quantity",
-                "l_extendedprice",
-                "l_discount",
-                "l_tax",
-                "l_orderkey",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        ),
-    }
-    .aggregate(
-        vec![
-            LNamed::new("l_returnflag", LExpr::col("l_returnflag")),
-            LNamed::new("l_linestatus", LExpr::col("l_linestatus")),
-        ],
-        vec![
-            LAgg {
-                func: AggFunc::Sum,
-                input: LExpr::col("l_quantity"),
-                name: "sum_qty".into(),
-            },
-            LAgg {
-                func: AggFunc::Sum,
-                input: LExpr::col("l_extendedprice"),
-                name: "sum_base_price".into(),
-            },
-            LAgg {
-                func: AggFunc::Sum,
-                input: disc_price(),
-                name: "sum_disc_price".into(),
-            },
-            LAgg {
-                func: AggFunc::Sum,
-                input: LExpr::bin(
-                    ArithOp::Mul,
-                    disc_price(),
-                    LExpr::bin(ArithOp::Add, LExpr::int(1), LExpr::col("l_tax")),
-                ),
-                name: "sum_charge".into(),
-            },
-            LAgg {
-                func: AggFunc::Avg,
-                input: LExpr::col("l_quantity"),
-                name: "avg_qty".into(),
-            },
-            LAgg {
-                func: AggFunc::Avg,
-                input: LExpr::col("l_extendedprice"),
-                name: "avg_price".into(),
-            },
-            LAgg {
-                func: AggFunc::Avg,
-                input: LExpr::col("l_discount"),
-                name: "avg_disc".into(),
-            },
-            LAgg {
-                func: AggFunc::Count,
-                input: LExpr::col("l_orderkey"),
-                name: "count_order".into(),
-            },
-        ],
-    )
-    .sort(vec![
-        LSortKey {
-            col: "l_returnflag".into(),
-            desc: false,
-        },
-        LSortKey {
-            col: "l_linestatus".into(),
-            desc: false,
-        },
-    ])
-}
-
-/// Q3 — shipping priority: 3-way join + top-10.
-pub fn q3() -> LogicalPlan {
-    let customer = LogicalPlan::Scan {
-        table: "customer".into(),
-        pred: Some(LPred::eq("c_mktsegment", s("BUILDING"))),
-        projection: Some(vec!["c_custkey".into()]),
-    };
-    let orders = LogicalPlan::Scan {
-        table: "orders".into(),
-        pred: Some(LPred::cmp("o_orderdate", CmpOp::Lt, date(1995, 3, 15))),
-        projection: Some(vec![
-            "o_orderkey".into(),
-            "o_custkey".into(),
-            "o_orderdate".into(),
-            "o_shippriority".into(),
-        ]),
-    };
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::cmp("l_shipdate", CmpOp::Gt, date(1995, 3, 15))),
-        projection: Some(vec![
-            "l_orderkey".into(),
-            "l_extendedprice".into(),
-            "l_discount".into(),
-        ]),
-    };
-    lineitem
-        .join(
-            orders.join(customer, &["o_custkey"], &["c_custkey"]),
-            &["l_orderkey"],
-            &["o_orderkey"],
-        )
-        .aggregate(
-            vec![
-                LNamed::new("l_orderkey", LExpr::col("l_orderkey")),
-                LNamed::new("o_orderdate", LExpr::col("o_orderdate")),
-                LNamed::new("o_shippriority", LExpr::col("o_shippriority")),
-            ],
-            vec![LAgg {
-                func: AggFunc::Sum,
-                input: disc_price(),
-                name: "revenue".into(),
-            }],
-        )
-        .sort(vec![
-            LSortKey {
-                col: "revenue".into(),
-                desc: true,
-            },
-            LSortKey {
-                col: "o_orderdate".into(),
-                desc: false,
-            },
-        ])
-        .limit(10)
-}
-
-/// Q4 — order priority checking: date-windowed semi-join.
-pub fn q4() -> LogicalPlan {
-    let orders = LogicalPlan::Scan {
-        table: "orders".into(),
-        pred: Some(LPred::And(vec![
-            LPred::cmp("o_orderdate", CmpOp::Ge, date(1993, 7, 1)),
-            LPred::cmp("o_orderdate", CmpOp::Lt, date(1993, 10, 1)),
-        ])),
-        projection: Some(vec!["o_orderkey".into(), "o_orderpriority".into()]),
-    };
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::Cmp {
-            left: LExpr::col("l_commitdate"),
-            op: CmpOp::Lt,
-            right: LExpr::col("l_receiptdate"),
-        }),
-        projection: Some(vec!["l_orderkey".into()]),
-    };
-    LogicalPlan::Join {
-        left: Box::new(orders),
-        right: Box::new(lineitem),
-        left_keys: vec!["o_orderkey".into()],
-        right_keys: vec!["l_orderkey".into()],
-        join_type: JoinType::LeftSemi,
-    }
-    .aggregate(
-        vec![LNamed::new(
-            "o_orderpriority",
-            LExpr::col("o_orderpriority"),
-        )],
-        vec![LAgg {
-            func: AggFunc::Count,
-            input: LExpr::col("o_orderkey"),
-            name: "order_count".into(),
-        }],
-    )
-    .sort(vec![LSortKey {
-        col: "o_orderpriority".into(),
-        desc: false,
-    }])
-}
-
-/// Q5 — local supplier volume: 6-way join with a two-column key pair.
-pub fn q5() -> LogicalPlan {
-    let region = LogicalPlan::Scan {
-        table: "region".into(),
-        pred: Some(LPred::eq("r_name", s("ASIA"))),
-        projection: Some(vec!["r_regionkey".into()]),
-    };
-    let nation = LogicalPlan::Scan {
-        table: "nation".into(),
-        pred: None,
-        projection: Some(vec![
-            "n_nationkey".into(),
-            "n_name".into(),
-            "n_regionkey".into(),
-        ]),
-    };
-    let supplier = LogicalPlan::Scan {
-        table: "supplier".into(),
-        pred: None,
-        projection: Some(vec!["s_suppkey".into(), "s_nationkey".into()]),
-    };
-    let sup_nat_reg = supplier.join(
-        nation.join(region, &["n_regionkey"], &["r_regionkey"]),
-        &["s_nationkey"],
-        &["n_nationkey"],
-    );
-    let orders = LogicalPlan::Scan {
-        table: "orders".into(),
-        pred: Some(LPred::And(vec![
-            LPred::cmp("o_orderdate", CmpOp::Ge, date(1994, 1, 1)),
-            LPred::cmp("o_orderdate", CmpOp::Lt, date(1995, 1, 1)),
-        ])),
-        projection: Some(vec!["o_orderkey".into(), "o_custkey".into()]),
-    };
-    let customer = LogicalPlan::Scan {
-        table: "customer".into(),
-        pred: None,
-        projection: Some(vec!["c_custkey".into(), "c_nationkey".into()]),
-    };
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: None,
-        projection: Some(vec![
-            "l_orderkey".into(),
-            "l_suppkey".into(),
-            "l_extendedprice".into(),
-            "l_discount".into(),
-        ]),
-    };
-    lineitem
-        .join(orders, &["l_orderkey"], &["o_orderkey"])
-        .join(customer, &["o_custkey"], &["c_custkey"])
-        .join(
-            sup_nat_reg,
-            &["l_suppkey", "c_nationkey"],
-            &["s_suppkey", "s_nationkey"],
-        )
-        .aggregate(
-            vec![LNamed::new("n_name", LExpr::col("n_name"))],
-            vec![LAgg {
-                func: AggFunc::Sum,
-                input: disc_price(),
-                name: "revenue".into(),
-            }],
-        )
-        .sort(vec![LSortKey {
-            col: "revenue".into(),
-            desc: true,
-        }])
-}
-
-/// Q6 — forecasting revenue change: the pure filter+aggregate query.
-pub fn q6() -> LogicalPlan {
-    LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::And(vec![
-            LPred::cmp("l_shipdate", CmpOp::Ge, date(1994, 1, 1)),
-            LPred::cmp("l_shipdate", CmpOp::Lt, date(1995, 1, 1)),
-            LPred::Between {
-                col: "l_discount".into(),
-                lo: dec(5, 2),
-                hi: dec(7, 2),
-            },
-            LPred::cmp("l_quantity", CmpOp::Lt, Value::Int(24)),
-        ])),
-        projection: Some(vec!["l_extendedprice".into(), "l_discount".into()]),
-    }
-    .aggregate(
-        vec![],
-        vec![LAgg {
-            func: AggFunc::Sum,
-            input: LExpr::bin(
-                ArithOp::Mul,
-                LExpr::col("l_extendedprice"),
-                LExpr::col("l_discount"),
-            ),
-            name: "revenue".into(),
-        }],
-    )
-}
-
-/// Q9 — product type profit: 6-way join with a 2-key partsupp join and
-/// EXTRACT(YEAR).
-pub fn q9() -> LogicalPlan {
-    let part = LogicalPlan::Scan {
-        table: "part".into(),
-        pred: Some(LPred::LikeContains {
-            col: "p_name".into(),
-            needle: "green".into(),
-        }),
-        projection: Some(vec!["p_partkey".into()]),
-    };
-    let supplier = LogicalPlan::Scan {
-        table: "supplier".into(),
-        pred: None,
-        projection: Some(vec!["s_suppkey".into(), "s_nationkey".into()]),
-    };
-    let partsupp = LogicalPlan::Scan {
-        table: "partsupp".into(),
-        pred: None,
-        projection: Some(vec![
-            "ps_partkey".into(),
-            "ps_suppkey".into(),
-            "ps_supplycost".into(),
-        ]),
-    };
-    let orders = LogicalPlan::Scan {
-        table: "orders".into(),
-        pred: None,
-        projection: Some(vec!["o_orderkey".into(), "o_orderdate".into()]),
-    };
-    let nation = LogicalPlan::Scan {
-        table: "nation".into(),
-        pred: None,
-        projection: Some(vec!["n_nationkey".into(), "n_name".into()]),
-    };
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: None,
-        projection: Some(vec![
-            "l_orderkey".into(),
-            "l_partkey".into(),
-            "l_suppkey".into(),
-            "l_quantity".into(),
-            "l_extendedprice".into(),
-            "l_discount".into(),
-        ]),
-    };
-    lineitem
-        .join(part, &["l_partkey"], &["p_partkey"])
-        .join(supplier, &["l_suppkey"], &["s_suppkey"])
-        .join(
-            partsupp,
-            &["l_partkey", "l_suppkey"],
-            &["ps_partkey", "ps_suppkey"],
-        )
-        .join(orders, &["l_orderkey"], &["o_orderkey"])
-        .join(nation, &["s_nationkey"], &["n_nationkey"])
-        .aggregate(
-            vec![
-                LNamed::new("nation", LExpr::col("n_name")),
-                LNamed::new("o_year", LExpr::Year(Box::new(LExpr::col("o_orderdate")))),
-            ],
-            vec![LAgg {
-                func: AggFunc::Sum,
-                input: LExpr::bin(
-                    ArithOp::Sub,
-                    disc_price(),
-                    LExpr::bin(
-                        ArithOp::Mul,
-                        LExpr::col("ps_supplycost"),
-                        LExpr::col("l_quantity"),
-                    ),
-                ),
-                name: "sum_profit".into(),
-            }],
-        )
-        .sort(vec![
-            LSortKey {
-                col: "nation".into(),
-                desc: false,
-            },
-            LSortKey {
-                col: "o_year".into(),
-                desc: true,
-            },
-        ])
-}
-
-/// Q10 — returned item reporting: join + group-by + top-20.
-pub fn q10() -> LogicalPlan {
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::eq("l_returnflag", s("R"))),
-        projection: Some(vec![
-            "l_orderkey".into(),
-            "l_extendedprice".into(),
-            "l_discount".into(),
-        ]),
-    };
-    let orders = LogicalPlan::Scan {
-        table: "orders".into(),
-        pred: Some(LPred::And(vec![
-            LPred::cmp("o_orderdate", CmpOp::Ge, date(1993, 10, 1)),
-            LPred::cmp("o_orderdate", CmpOp::Lt, date(1994, 1, 1)),
-        ])),
-        projection: Some(vec!["o_orderkey".into(), "o_custkey".into()]),
-    };
-    let customer = LogicalPlan::Scan {
-        table: "customer".into(),
-        pred: None,
-        projection: Some(vec![
-            "c_custkey".into(),
-            "c_name".into(),
-            "c_acctbal".into(),
-            "c_phone".into(),
-            "c_nationkey".into(),
-        ]),
-    };
-    let nation = LogicalPlan::Scan {
-        table: "nation".into(),
-        pred: None,
-        projection: Some(vec!["n_nationkey".into(), "n_name".into()]),
-    };
-    lineitem
-        .join(orders, &["l_orderkey"], &["o_orderkey"])
-        .join(customer, &["o_custkey"], &["c_custkey"])
-        .join(nation, &["c_nationkey"], &["n_nationkey"])
-        .aggregate(
-            vec![
-                LNamed::new("c_custkey", LExpr::col("c_custkey")),
-                LNamed::new("c_name", LExpr::col("c_name")),
-                LNamed::new("c_acctbal", LExpr::col("c_acctbal")),
-                LNamed::new("c_phone", LExpr::col("c_phone")),
-                LNamed::new("n_name", LExpr::col("n_name")),
-            ],
-            vec![LAgg {
-                func: AggFunc::Sum,
-                input: disc_price(),
-                name: "revenue".into(),
-            }],
-        )
-        .sort(vec![LSortKey {
-            col: "revenue".into(),
-            desc: true,
-        }])
-        .limit(20)
-}
-
-/// Q12 — shipping modes and order priority: join + conditional sums.
-pub fn q12() -> LogicalPlan {
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::And(vec![
-            LPred::InList {
-                col: "l_shipmode".into(),
-                values: vec![s("MAIL"), s("SHIP")],
-            },
-            LPred::Cmp {
-                left: LExpr::col("l_commitdate"),
-                op: CmpOp::Lt,
-                right: LExpr::col("l_receiptdate"),
-            },
-            LPred::Cmp {
-                left: LExpr::col("l_shipdate"),
-                op: CmpOp::Lt,
-                right: LExpr::col("l_commitdate"),
-            },
-            LPred::cmp("l_receiptdate", CmpOp::Ge, date(1994, 1, 1)),
-            LPred::cmp("l_receiptdate", CmpOp::Lt, date(1995, 1, 1)),
-        ])),
-        projection: Some(vec!["l_orderkey".into(), "l_shipmode".into()]),
-    };
-    let orders = LogicalPlan::Scan {
-        table: "orders".into(),
-        pred: None,
-        projection: Some(vec!["o_orderkey".into(), "o_orderpriority".into()]),
-    };
-    let is_high = LPred::Or(vec![
-        LPred::eq("o_orderpriority", s("1-URGENT")),
-        LPred::eq("o_orderpriority", s("2-HIGH")),
-    ]);
-    lineitem
-        .join(orders, &["l_orderkey"], &["o_orderkey"])
-        .aggregate(
-            vec![LNamed::new("l_shipmode", LExpr::col("l_shipmode"))],
-            vec![
-                LAgg {
-                    func: AggFunc::Sum,
-                    input: LExpr::Case {
-                        pred: Box::new(is_high.clone()),
-                        then: Box::new(LExpr::int(1)),
-                        els: Box::new(LExpr::int(0)),
-                    },
-                    name: "high_line_count".into(),
-                },
-                LAgg {
-                    func: AggFunc::Sum,
-                    input: LExpr::Case {
-                        pred: Box::new(LPred::Not(Box::new(is_high))),
-                        then: Box::new(LExpr::int(1)),
-                        els: Box::new(LExpr::int(0)),
-                    },
-                    name: "low_line_count".into(),
-                },
-            ],
-        )
-        .sort(vec![LSortKey {
-            col: "l_shipmode".into(),
-            desc: false,
-        }])
-}
-
-/// Q14 — promotion effect: join + conditional-sum ratio.
-pub fn q14() -> LogicalPlan {
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::And(vec![
-            LPred::cmp("l_shipdate", CmpOp::Ge, date(1995, 9, 1)),
-            LPred::cmp("l_shipdate", CmpOp::Lt, date(1995, 10, 1)),
-        ])),
-        projection: Some(vec![
-            "l_partkey".into(),
-            "l_extendedprice".into(),
-            "l_discount".into(),
-        ]),
-    };
-    let part = LogicalPlan::Scan {
-        table: "part".into(),
-        pred: None,
-        projection: Some(vec!["p_partkey".into(), "p_type".into()]),
-    };
-    lineitem
-        .join(part, &["l_partkey"], &["p_partkey"])
-        .aggregate(
-            vec![],
-            vec![
-                LAgg {
-                    func: AggFunc::Sum,
-                    input: LExpr::Case {
-                        pred: Box::new(LPred::LikePrefix {
-                            col: "p_type".into(),
-                            prefix: "PROMO".into(),
-                        }),
-                        then: Box::new(disc_price()),
-                        els: Box::new(LExpr::int(0)),
-                    },
-                    name: "promo".into(),
-                },
-                LAgg {
-                    func: AggFunc::Sum,
-                    input: disc_price(),
-                    name: "total".into(),
-                },
-            ],
-        )
-        .project(vec![LNamed::new(
-            "promo_revenue",
-            LExpr::bin(
-                ArithOp::Div,
-                LExpr::bin(ArithOp::Mul, LExpr::int(100), LExpr::col("promo")),
-                LExpr::col("total"),
-            ),
-        )])
-}
-
-/// Q18 — large volume customers: aggregate-filter-semijoin (the IN
-/// subquery with HAVING) + top-100.
-pub fn q18() -> LogicalPlan {
-    let big_orders = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: None,
-        projection: Some(vec!["l_orderkey".into(), "l_quantity".into()]),
-    }
-    .aggregate(
-        vec![LNamed::new("big_okey", LExpr::col("l_orderkey"))],
-        vec![LAgg {
-            func: AggFunc::Sum,
-            input: LExpr::col("l_quantity"),
-            name: "qty_sum".into(),
-        }],
-    )
-    .filter(LPred::cmp("qty_sum", CmpOp::Gt, Value::Int(300)));
-
-    let orders = LogicalPlan::Scan {
-        table: "orders".into(),
-        pred: None,
-        projection: Some(vec![
-            "o_orderkey".into(),
-            "o_custkey".into(),
-            "o_orderdate".into(),
-            "o_totalprice".into(),
-        ]),
-    };
-    let orders_big = LogicalPlan::Join {
-        left: Box::new(orders),
-        right: Box::new(big_orders),
-        left_keys: vec!["o_orderkey".into()],
-        right_keys: vec!["big_okey".into()],
-        join_type: JoinType::LeftSemi,
-    };
-    let customer = LogicalPlan::Scan {
-        table: "customer".into(),
-        pred: None,
-        projection: Some(vec!["c_custkey".into(), "c_name".into()]),
-    };
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: None,
-        projection: Some(vec!["l_orderkey".into(), "l_quantity".into()]),
-    };
-    lineitem
-        .join(orders_big, &["l_orderkey"], &["o_orderkey"])
-        .join(customer, &["o_custkey"], &["c_custkey"])
-        .aggregate(
-            vec![
-                LNamed::new("c_name", LExpr::col("c_name")),
-                LNamed::new("c_custkey", LExpr::col("c_custkey")),
-                LNamed::new("o_orderkey", LExpr::col("o_orderkey")),
-                LNamed::new("o_orderdate", LExpr::col("o_orderdate")),
-                LNamed::new("o_totalprice", LExpr::col("o_totalprice")),
-            ],
-            vec![LAgg {
-                func: AggFunc::Sum,
-                input: LExpr::col("l_quantity"),
-                name: "sum_qty".into(),
-            }],
-        )
-        .sort(vec![
-            LSortKey {
-                col: "o_totalprice".into(),
-                desc: true,
-            },
-            LSortKey {
-                col: "o_orderdate".into(),
-                desc: false,
-            },
-        ])
-        .limit(100)
-}
-
-/// Q19 — discounted revenue: disjunctive multi-attribute predicate over a
-/// join (the OR-of-ANDs stress test).
-pub fn q19() -> LogicalPlan {
-    let lineitem = LogicalPlan::Scan {
-        table: "lineitem".into(),
-        pred: Some(LPred::And(vec![
-            LPred::InList {
-                col: "l_shipmode".into(),
-                values: vec![s("AIR"), s("AIR REG")],
-            },
-            LPred::eq("l_shipinstruct", s("DELIVER IN PERSON")),
-        ])),
-        projection: Some(vec![
-            "l_partkey".into(),
-            "l_quantity".into(),
-            "l_extendedprice".into(),
-            "l_discount".into(),
-        ]),
-    };
-    let part = LogicalPlan::Scan {
-        table: "part".into(),
-        pred: None,
-        projection: Some(vec![
-            "p_partkey".into(),
-            "p_brand".into(),
-            "p_container".into(),
-            "p_size".into(),
-        ]),
-    };
-    let group = |brand: &str, containers: &[&str], qlo: i64, qhi: i64, smax: i64| {
-        LPred::And(vec![
-            LPred::eq("p_brand", s(brand)),
-            LPred::InList {
-                col: "p_container".into(),
-                values: containers.iter().map(|c| s(c)).collect(),
-            },
-            LPred::Between {
-                col: "l_quantity".into(),
-                lo: Value::Int(qlo),
-                hi: Value::Int(qhi),
-            },
-            LPred::Between {
-                col: "p_size".into(),
-                lo: Value::Int(1),
-                hi: Value::Int(smax),
-            },
-        ])
-    };
-    lineitem
-        .join(part, &["l_partkey"], &["p_partkey"])
-        .filter(LPred::Or(vec![
-            group(
-                "Brand#12",
-                &["SM CASE", "SM BOX", "SM PACK", "SM PKG"],
-                1,
-                11,
-                5,
-            ),
-            group("Brand#23", &["MED BAG", "MED BOX"], 10, 20, 10),
-            group("Brand#34", &["LG CASE", "LG BOX"], 20, 30, 15),
-        ]))
-        .aggregate(
-            vec![],
-            vec![LAgg {
-                func: AggFunc::Sum,
-                input: disc_price(),
-                name: "revenue".into(),
-            }],
-        )
-}
-
-/// All eleven queries with their names.
+/// All eleven queries with their names, parsed against the generator's
+/// schemas.
 pub fn all() -> Vec<(&'static str, LogicalPlan)> {
-    vec![
-        ("Q1", q1()),
-        ("Q3", q3()),
-        ("Q4", q4()),
-        ("Q5", q5()),
-        ("Q6", q6()),
-        ("Q9", q9()),
-        ("Q10", q10()),
-        ("Q12", q12()),
-        ("Q14", q14()),
-        ("Q18", q18()),
-        ("Q19", q19()),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::gen::{generate, TpchConfig};
-    use rapid_qcomp::cost::CostParams;
-    use rapid_qef::engine::Engine;
-    use rapid_qef::exec::ExecContext;
-    use rapid_qef::plan::Catalog;
-    use std::sync::Arc;
-
-    fn catalog() -> Catalog {
-        let data = generate(&TpchConfig {
-            scale_factor: 0.002,
-            seed: 3,
-            partitions: 2,
-            chunk_rows: 1024,
-        });
-        let mut c = Catalog::new();
-        for t in [
-            data.region,
-            data.nation,
-            data.supplier,
-            data.customer,
-            data.part,
-            data.partsupp,
-            data.orders,
-            data.lineitem,
-        ] {
-            c.insert(t.name.clone(), Arc::new(t));
-        }
-        c
-    }
-
-    #[test]
-    fn all_queries_compile() {
-        let cat = catalog();
-        let params = CostParams::default();
-        for (name, lp) in all() {
-            let compiled = rapid_qcomp::compile(&lp, &cat, &params);
-            assert!(compiled.is_ok(), "{name}: {:?}", compiled.err());
-            let c = compiled.unwrap();
-            assert!(c.cost.exec_secs > 0.0, "{name} has zero estimated cost");
-        }
-    }
-
-    #[test]
-    fn all_queries_execute_on_the_dpu() {
-        let cat = catalog();
-        let params = CostParams::default();
-        let mut engine = Engine::new(ExecContext::dpu().with_cores(8));
-        for t in cat.values() {
-            engine.load_table(Arc::clone(t));
-        }
-        for (name, lp) in all() {
-            let compiled = rapid_qcomp::compile(&lp, &cat, &params).unwrap();
-            let result = engine.execute(&compiled.plan);
-            assert!(result.is_ok(), "{name}: {:?}", result.err());
-            let (out, report) = result.unwrap();
-            assert_eq!(out.meta.len(), compiled.output.len(), "{name} arity");
-            assert!(report.sim_secs > 0.0, "{name} simulated time");
-        }
-    }
-
-    /// Render the join structure of a physical plan: `(probe⋈build)`
-    /// over scan table names, ignoring non-join operators.
-    fn join_shape(plan: &rapid_qef::plan::PlanNode) -> String {
-        use rapid_qef::plan::PlanNode as P;
-        match plan {
-            P::Scan { table, .. } => table.clone(),
-            P::HashJoin { build, probe, .. } => {
-                format!("({}⋈{})", join_shape(probe), join_shape(build))
-            }
-            P::SetOp { left, right, .. } => {
-                format!("[{}|{}]", join_shape(left), join_shape(right))
-            }
-            P::Filter { input, .. }
-            | P::Map { input, .. }
-            | P::GroupBy { input, .. }
-            | P::TopK { input, .. }
-            | P::Sort { input, .. }
-            | P::Limit { input, .. }
-            | P::Window { input, .. } => join_shape(input),
-        }
-    }
-
-    #[test]
-    fn cost_based_search_reorders_a_join_heavy_query() {
-        let cat = catalog();
-        let fixed = CostParams {
-            reorder_joins: false,
-            ..CostParams::default()
-        };
-        let opt = CostParams::default();
-        let mut engine = Engine::new(ExecContext::dpu().with_cores(8));
-        for t in cat.values() {
-            engine.load_table(Arc::clone(t));
-        }
-        let mut any_changed = false;
-        for target in ["Q3", "Q5", "Q9", "Q10"] {
-            let lp = all().into_iter().find(|(n, _)| *n == target).unwrap().1;
-            let c0 = rapid_qcomp::compile(&lp, &cat, &fixed).unwrap();
-            let c1 = rapid_qcomp::compile(&lp, &cat, &opt).unwrap();
-            assert!(
-                c1.optimize.plans_considered > 0,
-                "{target}: search did not run"
-            );
-            if join_shape(&c0.plan) != join_shape(&c1.plan) {
-                any_changed = true;
-            }
-            // Reordered or not, results must be bit-identical (modulo
-            // output row order).
-            let rows_of = |c: &rapid_qcomp::Compiled| {
-                let (out, _) = engine.execute(&c.plan).unwrap();
-                let cols: Vec<Vec<i64>> = (0..out.meta.len())
-                    .map(|i| out.batch.column(i).data.to_i64_vec())
-                    .collect();
-                let mut rows: Vec<Vec<i64>> = (0..out.batch.rows())
-                    .map(|r| cols.iter().map(|c| c[r]).collect())
-                    .collect();
-                rows.sort();
-                rows
-            };
-            assert_eq!(rows_of(&c0), rows_of(&c1), "{target} results differ");
-        }
-        assert!(
-            any_changed,
-            "no join-heavy query (Q3/Q5/Q9/Q10) changed join order"
-        );
-    }
-
-    #[test]
-    fn q1_groups_are_flag_status_pairs() {
-        let cat = catalog();
-        let mut engine = Engine::new(ExecContext::dpu().with_cores(4));
-        for t in cat.values() {
-            engine.load_table(Arc::clone(t));
-        }
-        let c = rapid_qcomp::compile(&q1(), &cat, &CostParams::default()).unwrap();
-        let (out, _) = engine.execute(&c.plan).unwrap();
-        // R/F, A/F, N/F, N/O possible — between 3 and 4 groups.
-        assert!(
-            (3..=4).contains(&out.batch.rows()),
-            "groups = {}",
-            out.batch.rows()
-        );
-        // count_order column sums to the filtered row count.
-        let counts = out.batch.column(out.meta.len() - 1).data.to_i64_vec();
-        assert!(counts.iter().sum::<i64>() > 0);
-    }
-
-    #[test]
-    fn q6_matches_naive_evaluation() {
-        let cat = catalog();
-        let mut engine = Engine::new(ExecContext::dpu().with_cores(4));
-        for t in cat.values() {
-            engine.load_table(Arc::clone(t));
-        }
-        let c = rapid_qcomp::compile(&q6(), &cat, &CostParams::default()).unwrap();
-        let (out, _) = engine.execute(&c.plan).unwrap();
-        // Naive reference over the raw table.
-        let li = cat.get("lineitem").unwrap();
-        let ship = li.column_i64(li.schema.index_of("l_shipdate").unwrap());
-        let disc = li.column_i64(li.schema.index_of("l_discount").unwrap());
-        let qty = li.column_i64(li.schema.index_of("l_quantity").unwrap());
-        let price = li.column_i64(li.schema.index_of("l_extendedprice").unwrap());
-        let lo = rapid_storage::types::days_from_civil(1994, 1, 1) as i64;
-        let hi = rapid_storage::types::days_from_civil(1995, 1, 1) as i64;
-        // Bounds in each column's own DSB scale.
-        let qscale = li.scales[li.schema.index_of("l_quantity").unwrap()] as u32;
-        let q_bound = 24 * 10i64.pow(qscale);
-        let mut expect = 0i64;
-        for i in 0..ship.len() {
-            if ship[i] >= lo && ship[i] < hi && (5..=7).contains(&disc[i]) && qty[i] < q_bound {
-                expect += price[i] * disc[i];
-            }
-        }
-        assert_eq!(out.batch.column(0).data.get_i64(0), expect);
-    }
+    let table_columns = crate::gen::TABLES
+        .iter()
+        .map(|(table, columns)| {
+            let names = columns.iter().map(|(name, _)| name.to_string()).collect();
+            (table.to_string(), names)
+        })
+        .collect();
+    STATEMENTS
+        .iter()
+        .map(|&(name, sql)| {
+            let plan = hostdb::parse_sql(sql, &table_columns)
+                .unwrap_or_else(|e| panic!("{name} is in the supported grammar: {e}"));
+            (name, plan)
+        })
+        .collect()
 }

@@ -1,11 +1,6 @@
 //! Required-column pruning, seen from outside the compiler: what each
-//! compiled scan moves for the benchmark's SQL, and that the hand-pruned
-//! TPC-H plans give the pass nothing to do.
-//!
-//! The pass only ever writes `Scan.projection`, so "the physical plan is
-//! equal with and without it" is the same statement as "every compiled scan
-//! moves exactly the columns the logical plan listed" — which is checked
-//! here without a switch to turn the pass off.
+//! compiled scan moves for the benchmark's SQL. (What the TPC-H statements
+//! scan is `tests/tpch_sql.rs`'s.)
 
 use hostdb::sql::parse_sql;
 use hostdb::HostDb;
@@ -130,26 +125,5 @@ fn benchmark_statements_scan_only_the_columns_they_name() {
                 .all(|(t, cols)| cols.len() == catalog[t].schema.len()),
             "{sql}"
         );
-    }
-}
-
-#[test]
-fn hand_pruned_tpch_plans_are_left_as_written() {
-    let db = tpch_db();
-    let catalog = db.rapid().read().catalog().clone();
-    for reorder_joins in [true, false] {
-        let params = CostParams {
-            reorder_joins,
-            ..CostParams::default()
-        };
-        for (name, plan) in tpch::queries::all() {
-            let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                compiled_scans(&compiled.plan, &catalog),
-                declared_scans(&plan, &catalog),
-                "{name} (reorder_joins = {reorder_joins}): the pass found a dead column"
-            );
-        }
     }
 }

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use hostdb::HostDb;
 use rapid::qcomp::cost::CostParams;
+use rapid::qcomp::logical::LogicalPlan;
 use rapid::qef::engine::Engine;
 use rapid::qef::exec::ExecContext;
 use rapid::qef::plan::Catalog;
@@ -29,6 +30,12 @@ fn setup() -> (HostDb, Catalog) {
     }
     let catalog = db.rapid().read().catalog().clone();
     (db, catalog)
+}
+
+/// One of the eleven statements, planned.
+fn query(name: &str) -> LogicalPlan {
+    let found = tpch::queries::all().into_iter().find(|(n, _)| *n == name);
+    found.unwrap_or_else(|| panic!("no {name}")).1
 }
 
 // Canonicalization (numeric normalization + row sort) is shared with the
@@ -80,8 +87,7 @@ fn all_eleven_queries_agree_across_engines() {
 fn sorted_queries_respect_their_sort_keys() {
     // Beyond set equality: verify ordering on the engines' actual output.
     let (db, _) = setup();
-    let q3 = tpch::queries::q3();
-    let r = db.execute_on_rapid(&q3).expect("q3");
+    let r = db.execute_on_rapid(&query("Q3")).expect("q3");
     // Q3 output: l_orderkey, o_orderdate, o_shippriority, revenue — sorted
     // by revenue desc then o_orderdate asc.
     let rev: Vec<f64> = r
@@ -95,8 +101,7 @@ fn sorted_queries_respect_their_sort_keys() {
     );
     assert!(r.rows.len() <= 10, "top-10 respected");
 
-    let q1 = tpch::queries::q1();
-    let r = db.execute_on_rapid(&q1).expect("q1");
+    let r = db.execute_on_rapid(&query("Q1")).expect("q1");
     let keys: Vec<(String, String)> = r
         .rows
         .iter()
@@ -112,7 +117,7 @@ fn q18_having_filter_semantics() {
     // Q18 keeps only orders whose total quantity exceeds 300; verify the
     // aggregate in every returned row actually exceeds the threshold.
     let (db, _) = setup();
-    let r = db.execute_on_rapid(&tpch::queries::q18()).expect("q18");
+    let r = db.execute_on_rapid(&query("Q18")).expect("q18");
     for row in &r.rows {
         let qty = row[5].to_f64().expect("sum_qty");
         assert!(qty > 300.0, "row with sum_qty {qty} leaked through HAVING");
@@ -122,8 +127,9 @@ fn q18_having_filter_semantics() {
 #[test]
 fn q14_ratio_is_a_sane_percentage() {
     let (db, _) = setup();
-    let host = db.execute_on_host(&tpch::queries::q14()).expect("host");
-    let rapid = db.execute_on_rapid(&tpch::queries::q14()).expect("rapid");
+    let q14 = query("Q14");
+    let host = db.execute_on_host(&q14).expect("host");
+    let rapid = db.execute_on_rapid(&q14).expect("rapid");
     let h = host.rows[0][0].to_f64().expect("ratio");
     let r = rapid.rows[0][0].to_f64().expect("ratio");
     assert!((h - r).abs() < 1e-6, "promo ratio host {h} vs rapid {r}");
@@ -141,7 +147,7 @@ fn repeated_runs_are_deterministic() {
     for t in catalog.values() {
         engine.load_table(Arc::clone(t));
     }
-    for (name, lp) in [("Q3", tpch::queries::q3()), ("Q9", tpch::queries::q9())] {
+    for (name, lp) in ["Q3", "Q9"].map(|name| (name, query(name))) {
         let compiled = rapid::qcomp::compile(&lp, &catalog, &params).expect("compile");
         let (a, ra) = engine.execute(&compiled.plan).expect("run1");
         let (b, rb) = engine.execute(&compiled.plan).expect("run2");
