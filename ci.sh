@@ -50,9 +50,10 @@ echo "== regression gate (exact simulated series vs BENCH_baseline.json) =="
 # repro-report tests.
 cargo test -q --release -p rapid-report -p rapid-fuzz
 # Re-collects the exact series (simulated cycles, energy, DMS
-# bytes/descriptors, join-order counters — no wall time); fails on >10%
-# growth. To accept an intentional change: re-run with --bless and commit
-# the new baseline.
+# bytes/descriptors, join-order counters — no wall time); fails on a series
+# more than 10% above its baseline (a regression) or below it (a stale
+# baseline that would hide one). To accept an intentional change: re-run
+# with --bless and commit the new baseline.
 cargo run -q --release -p rapid-report -- gate BENCH_baseline.json
 
 echo "== rapid_bench suite (five workloads at --quick size, results checked) =="

@@ -2,7 +2,8 @@
 //! committed baseline, or (`--bless`) rewrite that baseline.
 //!
 //! ```text
-//! # CI gate: fail on >10% growth, or a vanished series, against the
+//! # CI gate: fail on a series that moved more than 10% either way (grown:
+//! # a regression; fallen: a stale baseline), or vanished, against the
 //! # committed baseline.
 //! cargo run --release -p rapid-report -- gate BENCH_baseline.json
 //!
@@ -17,7 +18,8 @@ use rapid_report::report;
 
 use crate::args::{Args, UsageError};
 
-/// Growth over the baseline value beyond which a series fails the gate.
+/// Distance from the baseline value, either way, beyond which a series
+/// fails the gate.
 const TOLERANCE: f64 = 0.10;
 
 pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {

@@ -11,9 +11,10 @@
 //! accounts, energy at provisioned power, DMS byte/descriptor counters)
 //! or from the join-order search's deterministic counters, so two runs on
 //! any machine agree bit-for-bit. The CI gate re-collects them and fails
-//! on >10 % growth against the committed baseline. Host wall-clock
-//! numbers are measured by the repository benchmark (`rapid_bench/`), not
-//! here.
+//! on a move of more than 10 % against the committed baseline — growth is
+//! a regression, a fall means the baseline no longer guards the series.
+//! Host wall-clock numbers are measured by the repository benchmark
+//! (`rapid_bench/`), not here.
 
 use std::io;
 use std::path::Path;
@@ -267,10 +268,13 @@ impl GateOutcome {
 
 /// Compare `current` against every series of `baseline`.
 ///
-/// A series fails when it grew by more than `tolerance` (e.g. `0.10`)
-/// over the baseline value, or when it disappeared from `current`.
-/// Improvements (smaller values) never fail. Series in `current` that the
-/// baseline lacks are ignored — bless the baseline to start tracking them.
+/// A series fails when it moved by more than `tolerance` (e.g. `0.10`)
+/// from the baseline value in either direction, or when it disappeared
+/// from `current`. Growth is a regression. A fall is a stale baseline: it
+/// would let a later regression of the same size pass unseen, so it fails
+/// too, asking for the baseline to be blessed. Series in `current` that
+/// the baseline lacks are ignored — bless the baseline to start tracking
+/// them.
 pub fn compare(baseline: &BenchmarkData, current: &BenchmarkData, tolerance: f64) -> GateOutcome {
     let mut failures = Vec::new();
     let mut equal = 0usize;
@@ -283,23 +287,27 @@ pub fn compare(baseline: &BenchmarkData, current: &BenchmarkData, tolerance: f64
             continue;
         };
         equal += usize::from(cur.value == base.value);
-        let allowed = base.value * (1.0 + tolerance);
-        if cur.value > allowed {
-            let pct = if base.value > 0.0 {
-                (cur.value / base.value - 1.0) * 100.0
-            } else {
-                f64::INFINITY
-            };
-            failures.push(format!(
-                "{}: regression +{:.1}% ({} -> {} {}, tolerance {:.0}%)",
-                base.name,
-                pct,
-                base.value,
-                cur.value,
-                base.unit,
-                tolerance * 100.0
-            ));
-        }
+        let verdict = if cur.value > base.value * (1.0 + tolerance) {
+            "regression"
+        } else if cur.value < base.value * (1.0 - tolerance) {
+            "stale baseline (bless to keep gating this series)"
+        } else {
+            continue;
+        };
+        let pct = if base.value > 0.0 {
+            (cur.value / base.value - 1.0) * 100.0
+        } else {
+            f64::INFINITY
+        };
+        failures.push(format!(
+            "{}: {verdict} {:+.1}% ({} -> {} {}, tolerance {:.0}%)",
+            base.name,
+            pct,
+            base.value,
+            cur.value,
+            base.unit,
+            tolerance * 100.0
+        ));
     }
     GateOutcome {
         checked: baseline.benches.len(),

@@ -56,12 +56,32 @@ fn sub_tolerance_drift_passes() {
     ]);
     let mut current = baseline.clone();
     current.benches[0].value = 109_000.0; // +9%: inside the 10% tolerance
-    current.benches[1].value = 2.0; // improvement: always fine
+    current.benches[1].value = 2.3; // -8%: a small improvement is fine
 
     let out = compare(&baseline, &current, 0.10);
     assert!(out.passed(), "{:?}", out.failures);
     assert_eq!(out.checked, 2);
     assert_eq!(out.equal, 0, "within tolerance is not the same as equal");
+}
+
+#[test]
+fn a_series_far_below_its_baseline_fails_asking_for_a_bless() {
+    // A stale baseline passes silently otherwise: after a 10x improvement
+    // a later 9x regression would still read "below baseline".
+    let baseline = data(vec![
+        gated("tpch/q9/execution/cycles", 21_950_000.0),
+        gated("tpch/q9/execution/dms_bytes", 7_000_000.0),
+    ]);
+    let mut current = baseline.clone();
+    current.benches[0].value = 1_320_000.0; // -94%
+
+    let out = compare(&baseline, &current, 0.10);
+    assert!(!out.passed());
+    assert_eq!((out.checked, out.equal), (2, 1));
+    assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+    let f = &out.failures[0];
+    assert!(f.contains("tpch/q9/execution/cycles"), "{f}");
+    assert!(f.contains("-94.0%") && f.contains("bless"), "{f}");
 }
 
 #[test]

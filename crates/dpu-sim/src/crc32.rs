@@ -88,7 +88,14 @@ pub fn hash_u64(key: u64) -> u32 {
 /// Hash a multi-column key: the CRC state is chained across the columns'
 /// values, matching the DMS "hash with 1, 2 or 4 keys" modes of Figure 8.
 pub fn hash_keys(keys: &[u64]) -> u32 {
-    keys.iter().fold(!0, |state, &k| crc32_update_u64(state, k)) ^ !0
+    hash_key_iter(keys.iter().copied())
+}
+
+/// [`hash_keys`] over key values produced one at a time (a row's values
+/// read straight from its columns, no tuple buffer).
+#[inline]
+pub fn hash_key_iter(keys: impl IntoIterator<Item = u64>) -> u32 {
+    keys.into_iter().fold(!0, crc32_update_u64) ^ !0
 }
 
 #[cfg(test)]

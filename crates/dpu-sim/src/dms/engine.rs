@@ -42,6 +42,17 @@ impl DmsCost {
         }
     }
 
+    /// The cost of `n` repetitions. A descriptor loop costs its iteration
+    /// `n` times over, so the cost of one iteration repeated is
+    /// bit-identical to [`DmsEngine::loop_cost`] of the `n`-iteration loop.
+    pub fn times(&self, n: usize) -> DmsCost {
+        DmsCost {
+            cycles: self.cycles * n as f64,
+            bytes: self.bytes * n as u64,
+            descriptors: self.descriptors * n as u64,
+        }
+    }
+
     /// As [`Cycles`].
     pub fn as_cycles(&self) -> Cycles {
         Cycles(self.cycles)
@@ -255,6 +266,18 @@ mod tests {
         assert!((m.cycles - (a.cycles + b.cycles)).abs() < 1e-9);
         assert_eq!(m.bytes, a.bytes + b.bytes);
         assert_eq!(m.descriptors, a.descriptors + b.descriptors);
+    }
+
+    #[test]
+    fn one_iteration_repeated_is_the_loop_bit_for_bit() {
+        let e = DmsEngine::default();
+        let one = e.loop_cost(&DescriptorLoop::sequential_read_write(3, 8, 100, 100));
+        for n in [0usize, 1, 7, 468, 100_003] {
+            let whole = e.loop_cost(&DescriptorLoop::sequential_read_write(3, 8, n * 100, 100));
+            let repeated = one.times(n);
+            assert_eq!(repeated.cycles.to_bits(), whole.cycles.to_bits(), "n = {n}");
+            assert_eq!(repeated, whole);
+        }
     }
 
     #[test]

@@ -961,8 +961,9 @@ fn render_explain(
         }
         let _ = write!(
             s,
-            "  rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
+            "  lanes={} rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
              bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
+            e.parallelism,
             e.rows,
             e.sim_secs,
             e.compute_cycles,
@@ -1315,7 +1316,7 @@ mod tests {
         // The scan line says what moved — `id` did not — while the event's
         // operator string stays the bare stage name.
         assert!(
-            a.text.contains("scan(sales) cols 2/3  rows="),
+            a.text.contains("scan(sales) cols 2/3  lanes="),
             "tree names the scan and its columns:\n{}",
             a.text
         );

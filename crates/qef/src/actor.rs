@@ -105,29 +105,25 @@ where
         Vec::new()
     };
 
-    // One simulated core at a time; its account covers all its items.
-    let mut assigned: Vec<Vec<(usize, W)>> = (0..cores).map(|_| Vec::new()).collect();
-    for (i, w) in items.into_iter().enumerate() {
-        assigned[i % cores].push((i, w));
-    }
-    for (core_id, work) in assigned.into_iter().enumerate() {
-        if work.is_empty() {
-            continue;
-        }
+    // One simulated core at a time; its account covers all its items:
+    // `core_id`, `core_id + cores`, ... in that order.
+    let mut items: Vec<Option<W>> = items.into_iter().map(Some).collect();
+    for core_id in 0..cores.min(n) {
         let mut core = CoreCtx::new(ctx, core_id);
-        if capture {
-            let mut stage_acc = CycleAccount::new();
-            for (i, w) in work {
+        let mut stage_acc = CycleAccount::new();
+        for i in (core_id..n).step_by(cores) {
+            let w = items[i].take().expect("each item is visited once");
+            if capture {
                 core.account.reset();
                 results[i] = Some(f(&mut core, w)?);
                 stage_acc.absorb(&core.account);
-                item_costs[i] = Some(std::mem::replace(&mut core.account, CycleAccount::new()));
-            }
-            core.account = stage_acc;
-        } else {
-            for (i, w) in work {
+                item_costs[i] = Some(std::mem::take(&mut core.account));
+            } else {
                 results[i] = Some(f(&mut core, w)?);
             }
+        }
+        if capture {
+            core.account = stage_acc;
         }
         max_elapsed = max_elapsed.max(core.account.elapsed_cycles());
         timing.max_compute = timing.max_compute.max(core.account.compute_cycles());
@@ -252,6 +248,15 @@ mod tests {
             let items: Vec<usize> = (0..37).collect();
             let (out, _) = run_stage(&ctx, items, |_, i| Ok(i * 2)).unwrap();
             assert_eq!(out, (0..37).map(|i| i * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn item_i_runs_on_core_i_mod_cores() {
+        for ctx in [ExecContext::dpu().with_cores(4), ExecContext::native(4)] {
+            let (cores, _) =
+                run_stage(&ctx, (0..10).collect(), |core, _: usize| Ok(core.core_id)).unwrap();
+            assert_eq!(cores, [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]);
         }
     }
 

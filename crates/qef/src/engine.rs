@@ -11,8 +11,10 @@
 //!   the projected columns are gathered last, at the final row set (late
 //!   materialization) — the only buffer the task writes (predicate
 //!   reordering and the RID/bit-vector choice as in §5.4),
-//! * a **join** runs partition stages (HW+SW), then per-partition-pair
-//!   build/probe kernels, with large-skew re-partitioning,
+//! * a **join** partitions both sides (HW+SW; every round of a pass a
+//!   stage of tile-aligned lanes on all cores), then runs
+//!   per-partition-pair build/probe kernels, with large-skew
+//!   re-partitioning,
 //! * a **group-by** picks the on-the-fly or partitioned strategy and adds
 //!   the merge operator on the low-NDV path,
 //! * pipeline stages are parallelized across cores by the actor runner.
@@ -488,6 +490,28 @@ impl Engine {
         Ok(out)
     }
 
+    /// Partition `batches` by `keys` through the rounds of `scheme` on all
+    /// cores ([`ops::partition::partition_pass`]): every round is a stage
+    /// of its own, absorbed under `operator` with the rows it partitioned.
+    #[allow(clippy::too_many_arguments)]
+    fn partition_stages(
+        &self,
+        batches: Vec<Batch>,
+        keys: &[usize],
+        scheme: &[usize],
+        tile: usize,
+        operator: &str,
+        report: &mut QueryReport,
+        tr: &mut Tracer,
+        nid: u32,
+        depth: u32,
+    ) -> QefResult<Vec<Batch>> {
+        let rows = batch_rows(&batches);
+        ops::partition::partition_pass(&self.ctx, batches, keys, scheme, tile, |t| {
+            tr.absorb(report, t, nid, depth, operator, rows)
+        })
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn exec_join(
         &self,
@@ -510,7 +534,6 @@ impl Engine {
         let build_batches = self.exec_node(build, report, tr, depth + 1)?;
         let probe_batches = self.exec_node(probe, report, tr, depth + 1)?;
         let build_rows: usize = build_batches.iter().map(Batch::rows).sum();
-        let probe_rows = batch_rows(&probe_batches);
         let build_row_bytes: usize = build_meta.iter().map(|m| m.dtype.physical_width()).sum();
         let probe_row_bytes: usize = probe_meta.iter().map(|m| m.dtype.physical_width()).sum();
 
@@ -520,20 +543,23 @@ impl Engine {
         // partitions"). The fallback caps each round by the wider side's
         // local-buffer budget (heuristic b); compiler schemes arrive
         // already capped.
-        let scheme_vec: Vec<usize> = match scheme {
-            Some(s) if !s.is_empty() => s.to_vec(),
-            _ => crate::budget::cap_rounds(
-                &default_scheme(build_rows, build_keys.len(), &self.ctx),
-                build_row_bytes.max(probe_row_bytes),
-                self.ctx.dmem_bytes,
-            ),
+        let fallback;
+        let scheme: &[usize] = match scheme {
+            Some(s) if !s.is_empty() => s,
+            _ => {
+                fallback = crate::budget::cap_rounds(
+                    &default_scheme(build_rows, build_keys.len(), &self.ctx),
+                    build_row_bytes.max(probe_row_bytes),
+                    self.ctx.dmem_bytes,
+                );
+                &fallback
+            }
         };
-        let partitions: usize = scheme_vec.iter().product();
+        let partitions: usize = scheme.iter().product();
         let est_per_partition = (build_rows / partitions.max(1)).max(1);
 
-        // Partition both sides (single stage each; the HW+SW split is
-        // captured by the per-round costs inside partition_scheme). Each
-        // side's tile is clamped to its own stream width.
+        // Partition both sides; each side's tile is clamped to its own
+        // stream width.
         let tile_b = self.stage_tile(
             crate::budget::BASE_STATE_BYTES,
             crate::budget::partition_stream_bytes(build_row_bytes),
@@ -542,31 +568,28 @@ impl Engine {
             crate::budget::BASE_STATE_BYTES,
             crate::budget::partition_stream_bytes(probe_row_bytes),
         )?;
-        let bk = build_keys.to_vec();
-        let sv = scheme_vec.clone();
-        let (bparts, t1) = run_stage(&self.ctx, vec![build_batches], move |core, bs| {
-            ops::partition::partition_scheme(core, bs, &bk, &sv, tile_b)
-        })?;
-        tr.absorb(
+        let bparts = self.partition_stages(
+            build_batches,
+            build_keys,
+            scheme,
+            tile_b,
+            "join.partition-build",
             report,
-            &t1,
+            tr,
             nid,
             depth,
-            "join.partition-build",
-            build_rows as u64,
-        );
-        let pk = probe_keys.to_vec();
-        let sv2 = scheme_vec.clone();
-        let (pparts, t2) = run_stage(&self.ctx, vec![probe_batches], move |core, bs| {
-            ops::partition::partition_scheme(core, bs, &pk, &sv2, tile_p)
-        })?;
-        tr.absorb(report, &t2, nid, depth, "join.partition-probe", probe_rows);
-        let bparts = bparts.into_iter().next().ok_or_else(|| {
-            QefError::Internal("join build partition stage lost its output".into())
-        })?;
-        let pparts = pparts.into_iter().next().ok_or_else(|| {
-            QefError::Internal("join probe partition stage lost its output".into())
-        })?;
+        )?;
+        let pparts = self.partition_stages(
+            probe_batches,
+            probe_keys,
+            scheme,
+            tile_p,
+            "join.partition-probe",
+            report,
+            tr,
+            nid,
+            depth,
+        )?;
 
         // Join partition pairs in parallel; handle large skew by extra
         // partitioning rounds inside the worker.
@@ -693,14 +716,17 @@ impl Engine {
                     crate::budget::BASE_STATE_BYTES,
                     crate::budget::partition_stream_bytes(row_bytes),
                 )?;
-                let (kk, sv) = (keys.to_vec(), scheme);
-                let (parts, t) = run_stage(&self.ctx, vec![batches], move |core, bs| {
-                    ops::partition::partition_scheme(core, bs, &kk, &sv, tile)
-                })?;
-                tr.absorb(report, &t, nid, depth, "groupby.partition", rows as u64);
-                let parts = parts.into_iter().next().ok_or_else(|| {
-                    QefError::Internal("group-by partition stage lost its output".into())
-                })?;
+                let parts = self.partition_stages(
+                    batches,
+                    keys,
+                    &scheme,
+                    tile,
+                    "groupby.partition",
+                    report,
+                    tr,
+                    nid,
+                    depth,
+                )?;
                 let (kk, aa) = (keys.to_vec(), aggs.to_vec());
                 let (out, t2) = run_stage(
                     &self.ctx,

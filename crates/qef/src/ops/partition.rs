@@ -7,17 +7,41 @@
 //! gathers, with per-partition **local buffers in DMEM** flushed to DRAM
 //! when they fill — turning random partition writes into sequential ones.
 //!
-//! Multi-round schemes (§5.3) are driven by the caller (join/group-by):
-//! each round partitions every current partition `fanout`-ways, so a
-//! scheme `[16, 4]` yields 64 partitions after two passes.
+//! Every dpCore partitions at once. A round's input — the batches of the
+//! operator below, or the partitions the round before wrote — is cut into
+//! tiles, and `min(cores, tiles)` **lanes** each take a contiguous run of
+//! them: a lane hashes the rows it owns, computes their partition map
+//! (Listing 2) and is charged their column gathers (Listing 3), the
+//! sequential DMS write of its tiles and one control-loop overhead per
+//! tile, all under its own [`CoreCtx`] while it holds the double-buffered
+//! tile working set in DMEM. Lanes are tile-aligned because the DMS moves
+//! whole tiles: any other cut would move more of them than one core
+//! streaming the input does. The lanes fill disjoint slices of one hash
+//! buffer, one row-id buffer and one histogram; once all are done the
+//! per-lane histograms give every row its place, and each (partition,
+//! column) comes out as one vector with rows in input order — on the chip
+//! it is the chain of the lanes' local-buffer flushes.
+//!
+//! Multi-round schemes (§5.3): each round partitions every current
+//! partition `fanout`-ways, so a scheme `[16, 4]` yields 64 partitions
+//! after two passes, with a barrier between rounds.
 
+use std::ops::Range;
+use std::time::Instant;
+
+use dpu_sim::dms::engine::DmsCost;
+use dpu_sim::isa::CostModel;
+use rapid_storage::bitvec::BitVec;
 use rapid_storage::vector::Vector;
 
+use crate::actor::{run_stage, StageTiming};
 use crate::batch::Batch;
-use crate::error::QefResult;
-use crate::exec::CoreCtx;
-use crate::primitives::hash::hash_pieces;
-use crate::primitives::partition_map::{compute_partition_map, swpart_gather_column};
+use crate::budget::{partition_stream_bytes, BASE_STATE_BYTES};
+use crate::error::{QefError, QefResult};
+use crate::exec::{Backend, CoreCtx, ExecContext};
+use crate::primitives::costs;
+use crate::primitives::hash::hash_pieces_into;
+use crate::primitives::partition_map::compute_partition_map;
 use crate::ra::RelationAccessor;
 
 /// How many radix bits of the hash each round consumes, tracked so that
@@ -38,10 +62,382 @@ impl HashBitCursor {
     }
 }
 
+/// A tile-aligned run of rows of one segment, owned by one lane.
+#[derive(Debug)]
+struct Slice {
+    lane: usize,
+    segment: usize,
+    /// Row ids, in the round's row-id space (all pieces back to back).
+    rows: Range<usize>,
+    tiles: usize,
+    /// The piece holding `rows.start`.
+    first_piece: usize,
+}
+
+/// What every lane of a round reads.
+#[derive(Debug)]
+struct Plan<'a> {
+    /// The non-empty batches of every segment, in order, read in place.
+    pieces: Vec<&'a Batch>,
+    /// `starts[i]..starts[i + 1]` are the row ids of `pieces[i]`.
+    starts: Vec<usize>,
+    /// Per segment, its pieces.
+    segments: Vec<Range<usize>>,
+    slices: Vec<Slice>,
+    /// Columns of the input.
+    width: usize,
+    key_cols: &'a [usize],
+    fanout: usize,
+    shift: u32,
+    /// Sequential DMS write of one tile of every column.
+    write_per_tile: DmsCost,
+    /// DMEM a lane holds while it streams: state plus the tile buffers.
+    working_set: usize,
+}
+
+/// One round of partitioning: every **segment** (one logical input, its
+/// batches laid back to back) is split `fanout` ways by the hash bits
+/// above `shift`. Built by [`Round::plan`], executed by running every
+/// [`Lane`] of [`Round::lanes`] — in any order, on any cores — and turned
+/// into the partitions by [`Round::finish`].
+#[derive(Debug)]
+struct Round<'a> {
+    plan: Plan<'a>,
+    hashes: Vec<u32>,
+    /// Per slice, its rows' ids grouped by partition (the gather lists).
+    rids: Vec<u32>,
+    /// Per slice, `fanout + 1` running offsets into its run of `rids`.
+    offsets: Vec<u32>,
+}
+
+/// The work of one dpCore in a round: its slices (at least one) of the
+/// plan and of the round's buffers.
+#[derive(Debug)]
+struct Lane<'r, 'a> {
+    plan: &'r Plan<'a>,
+    slices: &'r [Slice],
+    hashes: &'r mut [u32],
+    rids: &'r mut [u32],
+    offsets: &'r mut [u32],
+}
+
+/// What a round splits.
+#[derive(Debug, Clone, Copy)]
+enum Input<'a> {
+    /// The batches of one logical input: one segment (round one).
+    Whole(&'a [Batch]),
+    /// The partitions an earlier round wrote: a segment each.
+    Each(&'a [Batch]),
+}
+
+impl<'a> Input<'a> {
+    /// Round one reads the input batches where they are; later rounds split
+    /// each partition the round before wrote.
+    fn of_round(round: usize, current: &'a [Batch]) -> Self {
+        if round == 0 {
+            Input::Whole(current)
+        } else {
+            Input::Each(current)
+        }
+    }
+}
+
+impl<'a> Round<'a> {
+    /// Cut the input's segments into tiles of `tile` rows — a segment's
+    /// last tile may be short, as the DMS writes it — and deal the tiles,
+    /// in order, to `min(cores, tiles)` lanes.
+    #[allow(clippy::too_many_arguments)]
+    fn plan(
+        input: Input<'a>,
+        key_cols: &'a [usize],
+        fanout: usize,
+        shift: u32,
+        tile: usize,
+        cores: usize,
+        cm: &CostModel,
+        dmem_bytes: usize,
+    ) -> Round<'a> {
+        debug_assert!(fanout.is_power_of_two());
+        let tile = tile.max(1);
+        let mut pieces: Vec<&Batch> = Vec::new();
+        let mut starts = vec![0];
+        let mut segments: Vec<Range<usize>> = Vec::new();
+        let mut add_segment = |batches: &'a [Batch]| {
+            let first = pieces.len();
+            for b in batches.iter().filter(|b| !b.is_empty()) {
+                starts.push(starts[pieces.len()] + b.rows());
+                pieces.push(b);
+            }
+            segments.push(first..pieces.len());
+        };
+        match input {
+            Input::Whole(batches) => add_segment(batches),
+            Input::Each(partitions) => partitions.chunks(1).for_each(add_segment),
+        }
+        let tiles_of = |s: &Range<usize>| (starts[s.end] - starts[s.start]).div_ceil(tile);
+        let tiles: usize = segments.iter().map(tiles_of).sum();
+        let lanes = cores.clamp(1, tiles.max(1));
+        let mut slices = Vec::with_capacity(lanes + segments.len());
+        // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`.
+        let (mut lane, mut t) = (0, 0);
+        for (segment, of_segment) in segments.iter().enumerate() {
+            let (mut piece, mut start) = (of_segment.start, starts[of_segment.start]);
+            let (seg_end, rows_end) = (t + tiles_of(of_segment), starts[of_segment.end]);
+            while t < seg_end {
+                while t >= (lane + 1) * tiles / lanes {
+                    lane += 1;
+                }
+                let upto = seg_end.min((lane + 1) * tiles / lanes);
+                let end = rows_end.min(start + (upto - t) * tile);
+                while starts[piece + 1] <= start {
+                    piece += 1;
+                }
+                slices.push(Slice {
+                    lane,
+                    segment,
+                    rows: start..end,
+                    tiles: upto - t,
+                    first_piece: piece,
+                });
+                (t, start) = (upto, end);
+            }
+        }
+        let widths: Vec<usize> = pieces.first().map_or(Vec::new(), |b| {
+            b.columns.iter().map(|c| c.data.width()).collect()
+        });
+        // The working set the tile was sized from (`budget`): state plus a
+        // double-buffered tile of every column and the hash lane — single-
+        // buffered where `budget::fit_tile` had to give the second up.
+        let stream = partition_stream_bytes(widths.iter().sum()) * tile;
+        let working_set = if BASE_STATE_BYTES + 2 * stream <= dmem_bytes {
+            BASE_STATE_BYTES + 2 * stream
+        } else {
+            BASE_STATE_BYTES + stream
+        };
+        Round {
+            hashes: vec![0; starts[pieces.len()]],
+            rids: vec![0; starts[pieces.len()]],
+            offsets: vec![0; slices.len() * (fanout + 1)],
+            plan: Plan {
+                write_per_tile: RelationAccessor::seq_write_tile_cost(cm, &widths, tile),
+                working_set,
+                width: widths.len(),
+                pieces,
+                starts,
+                segments,
+                slices,
+                key_cols,
+                fanout,
+                shift,
+            },
+        }
+    }
+
+    /// The round's lanes, each with its own part of the shared buffers.
+    fn lanes(&mut self) -> Vec<Lane<'_, 'a>> {
+        let plan = &self.plan;
+        let stride = plan.fanout + 1;
+        let (mut hashes, mut rids, mut offsets) = (
+            self.hashes.as_mut_slice(),
+            self.rids.as_mut_slice(),
+            self.offsets.as_mut_slice(),
+        );
+        let mut lanes = Vec::with_capacity(plan.slices.last().map_or(0, |s| s.lane + 1));
+        for slices in plan.slices.chunk_by(|a, b| a.lane == b.lane) {
+            let rows: usize = slices.iter().map(|s| s.rows.len()).sum();
+            let (h, r, o);
+            (h, hashes) = std::mem::take(&mut hashes).split_at_mut(rows);
+            (r, rids) = std::mem::take(&mut rids).split_at_mut(rows);
+            (o, offsets) = std::mem::take(&mut offsets).split_at_mut(slices.len() * stride);
+            lanes.push(Lane {
+                plan,
+                slices,
+                hashes: h,
+                rids: r,
+                offsets: o,
+            });
+        }
+        lanes
+    }
+
+    /// Listing 3 for every lane at once: gather each projected column
+    /// partition by partition along the lanes' row-id lists, writing every
+    /// partition's rows sequentially, once. One batch per (segment,
+    /// partition), segment-major, rows in input order; an empty partition
+    /// is an empty batch.
+    fn finish(self) -> Vec<Batch> {
+        let Round {
+            plan,
+            rids,
+            offsets,
+            ..
+        } = self;
+        let stride = plan.fanout + 1;
+        // Partition `p`'s row ids within slice `k`.
+        let run = |k: usize, p: usize| {
+            let (at, o) = (plan.slices[k].rows.start, &offsets[k * stride..]);
+            &rids[at + o[p] as usize..at + o[p + 1] as usize]
+        };
+        let mut out = Vec::with_capacity(plan.segments.len() * plan.fanout);
+        let mut has_nulls: Vec<bool> = Vec::new();
+        let mut k = 0;
+        for (segment, pieces) in plan.segments.iter().enumerate() {
+            let of_segment = plan.slices[k..]
+                .iter()
+                .take_while(|s| s.segment == segment)
+                .count();
+            let slices = k..k + of_segment;
+            k = slices.end;
+            let pieces = &plan.pieces[pieces.clone()];
+            let Some(proto) = pieces.first() else {
+                out.extend((0..plan.fanout).map(|_| Batch::empty(0)));
+                continue;
+            };
+            has_nulls.clear();
+            has_nulls
+                .extend((0..plan.width).map(|c| pieces.iter().any(|b| b.column(c).has_nulls())));
+            for p in 0..plan.fanout {
+                let rows: usize = slices.clone().map(|k| run(k, p).len()).sum();
+                if rows == 0 {
+                    out.push(Batch::empty(0));
+                    continue;
+                }
+                let mut columns = Vec::with_capacity(plan.width);
+                for (c, &any_nulls) in has_nulls.iter().enumerate() {
+                    let mut data = proto.column(c).data.empty_like_with_capacity(rows);
+                    let mut nulls = any_nulls.then(|| BitVec::with_capacity(rows));
+                    for k in slices.clone() {
+                        let mut rest = run(k, p);
+                        let mut i = plan.slices[k].first_piece;
+                        while !rest.is_empty() {
+                            // A run's ids ascend, so those of one piece
+                            // are a run of their own.
+                            let (base, end) = (plan.starts[i], plan.starts[i + 1]);
+                            let of_piece;
+                            (of_piece, rest) =
+                                rest.split_at(rest.partition_point(|&r| (r as usize) < end));
+                            let piece = plan.pieces[i].column(c);
+                            data.extend_gather(&piece.data, of_piece, base as u32);
+                            match (&mut nulls, &piece.nulls) {
+                                (Some(nulls), Some(src)) => {
+                                    for &r in of_piece {
+                                        nulls.push(src.get(r as usize - base));
+                                    }
+                                }
+                                (Some(nulls), None) => nulls.extend_zeros(of_piece.len()),
+                                (None, _) => {}
+                            }
+                            i += 1;
+                        }
+                    }
+                    columns.push(match nulls {
+                        Some(nulls) => Vector::with_nulls(data, nulls),
+                        None => Vector::new(data),
+                    });
+                }
+                out.push(Batch::new(columns));
+            }
+        }
+        out
+    }
+}
+
+impl Lane<'_, '_> {
+    /// Stream the lane's tiles: hash, map, and the charges of the gather
+    /// and the local-buffer flushes, slice by slice.
+    fn run(self, ctx: &mut CoreCtx) -> QefResult<()> {
+        let plan = self.plan;
+        let _buffers = ctx.dmem.reserve_raw(plan.working_set)?;
+        let at = self.slices[0].rows.start;
+        for (slice, offsets) in self
+            .slices
+            .iter()
+            .zip(self.offsets.chunks_exact_mut(plan.fanout + 1))
+        {
+            let own = slice.rows.start - at..slice.rows.end - at;
+            let hashes = &mut self.hashes[own.clone()];
+            // The slice's rows, piece by piece.
+            let mut row = slice.rows.start;
+            let pieces = (slice.first_piece..).map_while(|i| {
+                (row < slice.rows.end).then(|| {
+                    let (piece, base) = (plan.pieces[i], plan.starts[i]);
+                    let end = slice.rows.end.min(plan.starts[i + 1]);
+                    let of_piece = row - base..end - base;
+                    row = end;
+                    (
+                        plan.key_cols.iter().map(move |&c| piece.column(c)),
+                        of_piece,
+                    )
+                })
+            });
+            hash_pieces_into(ctx, pieces, hashes);
+            compute_partition_map(
+                ctx,
+                hashes,
+                plan.fanout,
+                plan.shift,
+                slice.rows.start as u32,
+                offsets,
+                &mut self.rids[own],
+            );
+            // Listing 3 and the flush of the local buffers it fills are
+            // this core's work on the chip; `Round::finish` carries the
+            // copies out for all lanes once their histograms have met.
+            for _ in 0..plan.width {
+                ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(slice.rows.len() as f64));
+            }
+            ctx.charge_dms(&plan.write_per_tile.times(slice.tiles));
+            for _ in 0..slice.tiles {
+                ctx.charge_tile();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reject malformed schemes up front with a typed error instead of letting
+/// the bit cursor's invariant assert mid-partitioning: every round must be
+/// a power of two and the rounds together may consume at most the hash's
+/// 32 bits (the static verifier additionally reserves the top 4 for skew
+/// re-partitioning; by the time a scheme reaches this operator the hard
+/// limit is the hash width itself).
+fn check_scheme(scheme: &[usize]) -> QefResult<()> {
+    if let Some(&bad) = scheme.iter().find(|f| !f.is_power_of_two()) {
+        return Err(QefError::BadPlan(format!(
+            "partition scheme {scheme:?} has non-power-of-two fan-out {bad}"
+        )));
+    }
+    let total_bits: u32 = scheme.iter().map(|f| f.trailing_zeros()).sum();
+    if total_bits > 32 {
+        return Err(QefError::BadPlan(format!(
+            "partition scheme {scheme:?} consumes {total_bits} hash bits (32 available)"
+        )));
+    }
+    Ok(())
+}
+
+/// One round on this core alone: the single lane of the round's plan.
+fn round_on_core(
+    ctx: &mut CoreCtx,
+    input: Input<'_>,
+    key_cols: &[usize],
+    fanout: usize,
+    shift: u32,
+    tile: usize,
+) -> QefResult<Vec<Batch>> {
+    let (cm, dmem) = (&ctx.cost_model, ctx.dmem.capacity());
+    let mut round = Round::plan(input, key_cols, fanout, shift, tile, 1, cm, dmem);
+    for lane in round.lanes() {
+        lane.run(ctx)?;
+    }
+    Ok(round.finish())
+}
+
 /// Partition a set of batches — one logical input, read in place — into
 /// `fanout` partitions by the hash of `key_cols`, consuming hash bits at
-/// `shift`. Returns one batch per partition, rows in input order (empty
-/// partitions produce empty batches).
+/// `shift`, on this core alone (a join kernel splitting a skewed pair).
+/// Returns one batch per partition, rows in input order (empty partitions
+/// produce empty batches).
 pub fn partition_batches(
     ctx: &mut CoreCtx,
     batches: &[Batch],
@@ -50,58 +446,22 @@ pub fn partition_batches(
     shift: u32,
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
-    debug_assert!(fanout.is_power_of_two());
-    let pieces: Vec<&Batch> = batches.iter().filter(|b| !b.is_empty()).collect();
-    let Some(first) = pieces.first() else {
-        return Ok(vec![Batch::empty(0); fanout]);
-    };
-    let keys: Vec<Vec<&Vector>> = pieces
-        .iter()
-        .map(|b| key_cols.iter().map(|&c| b.column(c)).collect())
-        .collect();
-    let hashes = hash_pieces(ctx, &keys);
-    let map = compute_partition_map(ctx, &hashes, fanout, shift);
-
-    // Gather each column partition-by-partition (Listing 3), writing
-    // each partition's rows sequentially — charge the local-buffer
-    // flush as a sequential DMS write.
-    let mut per_part_cols: Vec<Vec<Vector>> = (0..fanout)
-        .map(|_| Vec::with_capacity(first.width()))
-        .collect();
-    let mut column: Vec<&Vector> = Vec::with_capacity(pieces.len());
-    for c in 0..first.width() {
-        column.clear();
-        column.extend(pieces.iter().map(|b| b.column(c)));
-        for (p, v) in swpart_gather_column(ctx, &map, &column)
-            .into_iter()
-            .enumerate()
-        {
-            per_part_cols[p].push(v);
-        }
-    }
-    let widths: Vec<usize> = first.columns.iter().map(|c| c.data.width()).collect();
-    ctx.charge_dms(&RelationAccessor::seq_write_cost(
-        ctx,
-        &widths,
-        hashes.len(),
-        tile,
-    ));
-    ctx.charge_tile();
-    Ok(per_part_cols
-        .into_iter()
-        .enumerate()
-        .map(|(p, cols)| {
-            if map.rows_of(p).is_empty() {
-                Batch::empty(0)
-            } else {
-                Batch::new(cols)
-            }
-        })
-        .collect())
+    round_on_core(ctx, Input::Whole(batches), key_cols, fanout, shift, tile)
 }
 
-/// Apply a multi-round partition scheme, producing `scheme.product()`
-/// partitions. Round `r` splits every partition of round `r-1`.
+/// The rounds of `scheme`: each one's number, fan-out and the hash bits it
+/// starts at.
+fn rounds(scheme: &[usize]) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+    let mut cursor = HashBitCursor::default();
+    scheme
+        .iter()
+        .enumerate()
+        .map(move |(round, &fanout)| (round, fanout, cursor.take(fanout.trailing_zeros())))
+}
+
+/// Apply a multi-round partition scheme on this core alone, producing
+/// `scheme.product()` partitions. Round `r` splits every partition of
+/// round `r-1`.
 pub fn partition_scheme(
     ctx: &mut CoreCtx,
     batches: Vec<Batch>,
@@ -109,45 +469,62 @@ pub fn partition_scheme(
     scheme: &[usize],
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
-    // Reject malformed schemes up front with a typed error instead of
-    // letting the bit cursor's invariant assert mid-partitioning: every
-    // round must be a power of two and the rounds together may consume at
-    // most the hash's 32 bits (the static verifier additionally reserves
-    // the top 4 for skew re-partitioning; by the time a scheme reaches
-    // this operator the hard limit is the hash width itself).
-    if let Some(&bad) = scheme.iter().find(|f| !f.is_power_of_two()) {
-        return Err(crate::error::QefError::BadPlan(format!(
-            "partition scheme {scheme:?} has non-power-of-two fan-out {bad}"
-        )));
-    }
-    let total_bits: u32 = scheme.iter().map(|f| f.trailing_zeros()).sum();
-    if total_bits > 32 {
-        return Err(crate::error::QefError::BadPlan(format!(
-            "partition scheme {scheme:?} consumes {total_bits} hash bits (32 available)"
-        )));
-    }
-    let Some((&first, later)) = scheme.split_first() else {
+    check_scheme(scheme)?;
+    if scheme.is_empty() {
         return Ok(vec![Batch::concat(batches)]);
-    };
-    // Round one reads the input batches where they are; later rounds split
-    // each partition the round before wrote.
-    let mut cursor = HashBitCursor::default();
-    let shift = cursor.take(first.trailing_zeros());
-    let mut current = partition_batches(ctx, &batches, key_cols, first, shift, tile)?;
-    drop(batches); // free the input before the later rounds allocate
-    for &fanout in later {
-        let shift = cursor.take(fanout.trailing_zeros());
-        let mut next = Vec::with_capacity(current.len() * fanout);
-        for part in &current {
-            next.extend(partition_batches(
-                ctx,
-                std::slice::from_ref(part),
-                key_cols,
-                fanout,
-                shift,
-                tile,
-            )?);
+    }
+    let mut current = batches;
+    for (round, fanout, shift) in rounds(scheme) {
+        let input = Input::of_round(round, &current);
+        current = round_on_core(ctx, input, key_cols, fanout, shift, tile)?;
+    }
+    Ok(current)
+}
+
+/// A partition pass across the context's cores: every round of `scheme` is
+/// one stage of `min(cores, tiles)` lanes, reported to `stage_done` when
+/// its barrier is reached. An input of at most one tile has no second lane
+/// to feed in its first round and runs all its rounds as one item on one
+/// core, a single stage.
+pub fn partition_pass(
+    ectx: &ExecContext,
+    batches: Vec<Batch>,
+    key_cols: &[usize],
+    scheme: &[usize],
+    tile: usize,
+    mut stage_done: impl FnMut(&StageTiming),
+) -> QefResult<Vec<Batch>> {
+    check_scheme(scheme)?;
+    let rows: usize = batches.iter().map(Batch::rows).sum();
+    if rows <= tile || scheme.is_empty() {
+        let (mut parts, t) = run_stage(ectx, vec![batches], |core, batches| {
+            partition_scheme(core, batches, key_cols, scheme, tile)
+        })?;
+        stage_done(&t);
+        return parts
+            .pop()
+            .ok_or_else(|| QefError::Internal("partition stage lost its output".into()));
+    }
+    let mut current = batches;
+    for (nth, fanout, shift) in rounds(scheme) {
+        let start = Instant::now();
+        let mut round = Round::plan(
+            Input::of_round(nth, &current),
+            key_cols,
+            fanout,
+            shift,
+            tile,
+            ectx.cores,
+            &ectx.cost_model,
+            ectx.dmem_bytes,
+        );
+        let (_, mut t) = run_stage(ectx, round.lanes(), |core, lane| lane.run(core))?;
+        let next = round.finish();
+        if ectx.backend == Backend::Native {
+            // The wall clock also covers the copies the lanes were charged.
+            t.wall = start.elapsed();
         }
+        stage_done(&t);
         current = next;
     }
     Ok(current)
@@ -280,6 +657,69 @@ mod tests {
     }
 
     #[test]
+    fn gather_reorders_by_partition_across_pieces() {
+        // Rows 0..3 in the first piece, 3..5 in the second (row 4 NULL).
+        let piece = |keys: Vec<i64>, values: Vector| {
+            Batch::new(vec![Vector::new(ColumnData::I64(keys)), values])
+        };
+        let first = piece(
+            vec![0, 1, 2],
+            Vector::new(ColumnData::I64(vec![10, 20, 30])),
+        );
+        let second = piece(
+            vec![3, 4],
+            Vector::with_nulls(
+                ColumnData::I64(vec![40, 0]),
+                BitVec::from_bools([false, true]),
+            ),
+        );
+        let part_of = |key: i64| (dpu_sim::crc32::hash_u64(key as u64) & 1) as usize;
+        let mut expect = [Vec::new(), Vec::new()];
+        for (key, value) in [Some(10), Some(20), Some(30), Some(40), None]
+            .into_iter()
+            .enumerate()
+        {
+            expect[part_of(key as i64)].push(value);
+        }
+        let mut c = ctx();
+        let parts = partition_batches(&mut c, &[first, second], &[0], 2, 0, 256).unwrap();
+        for (part, expect) in parts.iter().zip(&expect) {
+            let values = part.column(1);
+            let got: Vec<_> = (0..part.rows()).map(|i| values.get(i)).collect();
+            assert_eq!(&got, expect);
+        }
+        let clear = 1 - part_of(4);
+        assert!(
+            !parts[clear].column(1).has_nulls(),
+            "an all-clear bitmap is dropped"
+        );
+    }
+
+    #[test]
+    fn a_tile_that_does_not_fit_dmem_is_a_typed_error() {
+        // Two 8-byte columns and the hash lane: 20 B a row. 64 rows fit a
+        // 4 KiB scratchpad double-buffered, 128 single-buffered, 256 not.
+        let small = ExecContext {
+            dmem_bytes: 4096,
+            ..ExecContext::dpu()
+        };
+        let peak = |tile: usize| {
+            let mut c = CoreCtx::new(&small, 0);
+            partition_batches(&mut c, &[batch(1000)], &[0], 4, 0, tile).map(|_| c.dmem.peak())
+        };
+        assert_eq!(peak(64).unwrap(), BASE_STATE_BYTES + 2 * 20 * 64);
+        assert_eq!(peak(128).unwrap(), BASE_STATE_BYTES + 20 * 128);
+        assert!(matches!(peak(256), Err(QefError::DmemExhausted(_))));
+        // Across cores the stage reports what each lane held.
+        let mut peaks = Vec::new();
+        partition_pass(&small, vec![batch(1000)], &[0], &[4], 64, |t| {
+            peaks.push((t.parallelism, t.dmem_peak))
+        })
+        .unwrap();
+        assert_eq!(peaks, [(16, (BASE_STATE_BYTES + 2 * 20 * 64) as u64)]);
+    }
+
+    #[test]
     fn empty_input() {
         let mut c = ctx();
         let parts = partition_batches(&mut c, &[], &[0], 4, 0, 64).unwrap();
@@ -290,16 +730,13 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    //! The scatter against its definition: concatenate the input, compute
-    //! the partition map, gather each partition.
+    //! The scatter against its definition — concatenate the input, compute
+    //! the partition map, gather each partition — on one core and on many.
 
     use super::*;
-    use crate::exec::{CoreCtx, ExecContext};
-    use crate::primitives::costs;
     use crate::primitives::hash::hash_rows;
-    use dpu_sim::account::CycleAccount;
+    use dpu_sim::account::{Counters, CycleAccount};
     use proptest::prelude::*;
-    use rapid_storage::bitvec::BitVec;
     use rapid_storage::vector::ColumnData;
 
     /// One input row: key, payload seed, and a roll that makes a value NULL.
@@ -346,7 +783,9 @@ mod proptests {
         Batch::new(cols)
     }
 
-    /// The definition, charging what each step of it costs.
+    /// The definition on one core, charging what each step of it costs:
+    /// per non-empty input of a round one hash, one map, one gather per
+    /// column, the write of its tiles and one overhead per tile.
     fn reference(
         ctx: &mut CoreCtx,
         batches: &[Batch],
@@ -366,7 +805,8 @@ mod proptests {
                 }
                 let keys: Vec<&Vector> = key_cols.iter().map(|&c| part.column(c)).collect();
                 let hashes = hash_rows(ctx, &keys);
-                let map = compute_partition_map(ctx, &hashes, fanout, shift);
+                let (mut offsets, mut rids) = (vec![0; fanout + 1], vec![0; hashes.len()]);
+                compute_partition_map(ctx, &hashes, fanout, shift, 0, &mut offsets, &mut rids);
                 for col in &part.columns {
                     ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(col.len() as f64));
                 }
@@ -377,10 +817,14 @@ mod proptests {
                     part.rows(),
                     tile,
                 ));
-                ctx.charge_tile();
-                next.extend((0..fanout).map(|p| match map.rows_of(p) {
-                    [] => Batch::empty(0),
-                    rids => part.gather(rids),
+                for _ in 0..part.rows().div_ceil(tile) {
+                    ctx.charge_tile();
+                }
+                next.extend((0..fanout).map(|p| {
+                    match &rids[offsets[p] as usize..offsets[p + 1] as usize] {
+                        [] => Batch::empty(0),
+                        rids => part.gather(rids),
+                    }
                 }));
             }
             current = next;
@@ -388,13 +832,32 @@ mod proptests {
         current
     }
 
-    fn bits(a: &CycleAccount) -> (u64, u64, u64, dpu_sim::account::Counters) {
+    fn bits(a: &CycleAccount) -> (u64, u64, u64, Counters) {
         (
             a.compute_cycles().get().to_bits(),
             a.dms_cycles().get().to_bits(),
             a.elapsed_cycles().get().to_bits(),
             *a.counters(),
         )
+    }
+
+    /// `partition_pass` under `cores` cores: the partitions and the
+    /// counters of all its stages merged.
+    fn pass(
+        cores: usize,
+        batches: &[Batch],
+        key_cols: &[usize],
+        scheme: &[usize],
+        tile: usize,
+    ) -> (Vec<Batch>, Counters, Vec<usize>) {
+        let ectx = ExecContext::dpu().with_cores(cores);
+        let (mut sum, mut lanes) = (Counters::default(), Vec::new());
+        let parts = partition_pass(&ectx, batches.to_vec(), key_cols, scheme, tile, |t| {
+            sum = sum.merged(&t.counters);
+            lanes.push(t.parallelism);
+        })
+        .unwrap();
+        (parts, sum, lanes)
     }
 
     proptest! {
@@ -408,6 +871,7 @@ mod proptests {
             two_keys in any::<bool>(),
             round_one_bits in 0u32..7,
             round_two_bits in proptest::option::of(0u32..4),
+            tile in prop_oneof![Just(16usize), Just(128), Just(320)],
         ) {
             let batches: Vec<Batch> = pieces.iter().map(|rows| batch(rows, wide)).collect();
             let key_cols: &[usize] = if two_keys { &[0, 1] } else { &[0] };
@@ -415,11 +879,42 @@ mod proptests {
             scheme.extend(round_two_bits.map(|b| 1usize << b));
             let ectx = ExecContext::dpu();
             let mut expect_ctx = CoreCtx::new(&ectx, 0);
-            let expect = reference(&mut expect_ctx, &batches, key_cols, &scheme, 128);
+            let expect = reference(&mut expect_ctx, &batches, key_cols, &scheme, tile);
+            // One core, one account: the definition's, to the bit. For an
+            // input of one tile or less that is also the parent commit's
+            // account — one overhead per call was one per tile.
             let mut ctx = CoreCtx::new(&ectx, 0);
-            let got = partition_scheme(&mut ctx, batches, key_cols, &scheme, 128).unwrap();
-            prop_assert_eq!(got, expect);
+            let got = partition_scheme(&mut ctx, batches.clone(), key_cols, &scheme, tile).unwrap();
+            prop_assert_eq!(&got, &expect);
             prop_assert_eq!(bits(&ctx.account), bits(&expect_ctx.account));
+            prop_assert_eq!(ctx.dmem.used(), 0);
+            prop_assert!(batches.iter().all(Batch::is_empty) || ctx.dmem.peak() > BASE_STATE_BYTES);
+            // Any number of cores: the same partitions, rows in the same
+            // order with the same null bitmaps, and the same work in total.
+            let rows: usize = batches.iter().map(Batch::rows).sum();
+            let (_, one_core, _) = pass(1, &batches, key_cols, &scheme, tile);
+            for cores in [1, 3, 8, 32] {
+                let (parts, sum, lanes) = pass(cores, &batches, key_cols, &scheme, tile);
+                prop_assert_eq!(&parts, &expect, "{} cores", cores);
+                prop_assert_eq!(
+                    (sum.instructions, sum.dms_bytes, sum.dms_descriptors, sum.tiles),
+                    (
+                        one_core.instructions,
+                        one_core.dms_bytes,
+                        one_core.dms_descriptors,
+                        one_core.tiles,
+                    ),
+                    "{} cores", cores
+                );
+                prop_assert_eq!(sum.dms_bytes, expect_ctx.account.counters().dms_bytes);
+                if rows <= tile {
+                    prop_assert_eq!(lanes, vec![1], "one tile is one item on one core");
+                    prop_assert_eq!(sum, *expect_ctx.account.counters());
+                } else {
+                    prop_assert_eq!(lanes[0], cores.min(rows.div_ceil(tile)));
+                    prop_assert_eq!(lanes.len(), scheme.len(), "a stage per round");
+                }
+            }
         }
     }
 }

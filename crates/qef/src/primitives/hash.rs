@@ -5,6 +5,8 @@
 //! values computed in hardware") and the hash-join/group-by bucket
 //! indices — one function family, exactly like the chip.
 
+use std::ops::Range;
+
 use rapid_storage::vector::Vector;
 
 use crate::exec::CoreCtx;
@@ -14,38 +16,56 @@ use crate::primitives::costs;
 /// chains at most 4 keys in hardware; the software path (this function,
 /// used by joins and group-bys) chains any number with the same CRC.
 pub fn hash_rows(ctx: &mut CoreCtx, keys: &[&Vector]) -> Vec<u32> {
-    hash_pieces(ctx, &[keys])
+    assert!(!keys.is_empty(), "hash takes at least one key column");
+    let rows = keys[0].len();
+    debug_assert!(keys.iter().all(|k| k.len() == rows));
+    let mut out = vec![0; rows];
+    hash_pieces_into(
+        ctx,
+        std::iter::once((keys.iter().copied(), 0..rows)),
+        &mut out,
+    );
+    out
 }
 
-/// [`hash_rows`] over an input that arrives in pieces (one key-column set
-/// per batch): the hashes come back to back in piece order, charged as the
-/// one logical input the pieces are.
-pub fn hash_pieces<'a, K: AsRef<[&'a Vector]>>(ctx: &mut CoreCtx, pieces: &[K]) -> Vec<u32> {
-    let nkeys = pieces.first().map_or(0, |k| k.as_ref().len());
-    assert!(nkeys > 0, "hash takes at least one key column");
-    let rows: usize = pieces.iter().map(|k| k.as_ref()[0].len()).sum();
-    let mut out = Vec::with_capacity(rows);
-    // Single keys hash straight from their column; tuples go through `buf`.
-    let mut buf = vec![0u64; if nkeys > 1 { nkeys } else { 0 }];
-    for keys in pieces {
-        let keys = keys.as_ref();
-        debug_assert!(keys.len() == nkeys && keys.iter().all(|k| k.len() == keys[0].len()));
-        match keys {
-            [k] => {
-                out.extend((0..k.len()).map(|i| dpu_sim::crc32::hash_u64(k.data.get_i64(i) as u64)))
-            }
-            _ => {
-                for i in 0..keys[0].len() {
-                    for (j, k) in keys.iter().enumerate() {
-                        buf[j] = k.data.get_i64(i) as u64;
-                    }
-                    out.push(dpu_sim::crc32::hash_keys(&buf));
+/// [`hash_rows`] over row ranges of an input that arrives in pieces (each
+/// item: one piece's key columns and the rows of it to hash), written back
+/// to back into `out` and charged as the one logical input the ranges are.
+/// A partition lane hashes the rows it owns into its slice of the round's
+/// hash buffer this way.
+pub fn hash_pieces_into<'a, K>(
+    ctx: &mut CoreCtx,
+    pieces: impl Iterator<Item = (K, Range<usize>)>,
+    out: &mut [u32],
+) where
+    K: Iterator<Item = &'a Vector> + Clone,
+{
+    let mut done = 0;
+    let mut nkeys = 0;
+    for (keys, rows) in pieces {
+        let out = &mut out[done..done + rows.len()];
+        done += rows.len();
+        nkeys = keys.clone().count();
+        let mut single = keys.clone();
+        match (single.next(), nkeys) {
+            // Single keys hash straight from their column.
+            (Some(k), 1) => {
+                for (o, i) in out.iter_mut().zip(rows) {
+                    *o = dpu_sim::crc32::hash_u64(k.data.get_i64(i) as u64);
                 }
             }
+            (Some(_), _) => {
+                for (o, i) in out.iter_mut().zip(rows) {
+                    *o = dpu_sim::crc32::hash_key_iter(
+                        keys.clone().map(|k| k.data.get_i64(i) as u64),
+                    );
+                }
+            }
+            (None, _) => panic!("hash takes at least one key column"),
         }
     }
-    ctx.charge_kernel(&costs::hash_per_row_per_key().scaled((rows * nkeys) as f64));
-    out
+    debug_assert_eq!(done, out.len());
+    ctx.charge_kernel(&costs::hash_per_row_per_key().scaled((out.len() * nkeys) as f64));
 }
 
 /// Bucket index from a hash value: "a fast modulo using a bit-mask and a

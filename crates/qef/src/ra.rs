@@ -13,6 +13,7 @@
 
 use dpu_sim::dms::descriptor::{Descriptor, DescriptorLoop, Direction};
 use dpu_sim::dms::engine::DmsCost;
+use dpu_sim::isa::CostModel;
 
 use rapid_storage::bitvec::RowSet;
 use rapid_storage::chunk::Chunk;
@@ -54,6 +55,15 @@ impl RelationAccessor {
     pub fn seq_write_cost(ctx: &CoreCtx, widths: &[usize], rows: usize, tile: usize) -> DmsCost {
         let engine = dpu_sim::dms::engine::DmsEngine::new((*ctx.cost_model).clone());
         engine.loop_cost(&loop_for(widths, rows, tile, Direction::Write))
+    }
+
+    /// [`seq_write_cost`](Self::seq_write_cost) of one `tile`-row tile.
+    /// A partition round computes it once and every lane charges
+    /// [`DmsCost::times`] the tiles it owns: the bytes and descriptors of
+    /// the pass do not depend on how its tiles are split across lanes.
+    pub fn seq_write_tile_cost(cm: &CostModel, widths: &[usize], tile: usize) -> DmsCost {
+        let engine = dpu_sim::dms::engine::DmsEngine::new(cm.clone());
+        engine.loop_cost(&loop_for(widths, tile.max(1), tile, Direction::Write))
     }
 
     /// Cost of gathering `rows` selected rows of the given columns.

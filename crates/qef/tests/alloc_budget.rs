@@ -12,7 +12,7 @@ use rapid_qef::exec::{CoreCtx, ExecContext};
 use rapid_qef::expr::Pred;
 use rapid_qef::ops::filter::filter_chunk;
 use rapid_qef::ops::join::JoinTable;
-use rapid_qef::ops::partition::partition_scheme;
+use rapid_qef::ops::partition::{partition_pass, partition_scheme};
 use rapid_qef::ops::topk::TopK;
 use rapid_qef::plan::SortKey;
 use rapid_qef::primitives::filter::CmpOp;
@@ -204,5 +204,36 @@ fn one_round_partition_writes_its_input_once() {
         bytes <= input * 3 / 2 + map,
         "{bytes} bytes to partition {input} (budget {})",
         input * 3 / 2 + map
+    );
+}
+
+#[test]
+fn a_partition_round_allocates_per_round_not_per_lane() {
+    // 64 tiles of 256 rows: one lane on one core, 32 lanes on 32.
+    let pass = |cores: usize| {
+        let batches: Vec<Batch> = (0..4)
+            .map(|b| Batch::new((0..4).map(|c| i64_col(ROWS, |i| i * 4 + b + c)).collect()))
+            .collect();
+        let ectx = ExecContext::dpu().with_cores(cores);
+        let mut lanes = 0;
+        let (parts, allocs, bytes) = measured(|| {
+            partition_pass(&ectx, batches, &[0], &[32], 256, |t| lanes = t.parallelism)
+        });
+        assert_eq!(parts.unwrap().len(), 32);
+        assert_eq!(lanes, cores);
+        (allocs, bytes)
+    };
+    let ((one, one_bytes), (all, all_bytes)) = (pass(1), pass(32));
+    // A lane owns its core's DMEM budget handle and nothing else: the
+    // hashes, row ids and histograms of all lanes are slices of the
+    // round's three buffers, and the tile's DMS cost is computed once.
+    assert!(
+        all <= one + 31 + 2,
+        "{one} allocations on one lane, {all} on 32"
+    );
+    // 31 more histograms of 33 offsets, lane headers and budget handles.
+    assert!(
+        all_bytes <= one_bytes + 31 * (33 * 4 + 256),
+        "{one_bytes} bytes on one lane, {all_bytes} on 32"
     );
 }

@@ -1,0 +1,134 @@
+//! Partition passes run on every dpCore: over the eleven TPC-H statements
+//! at the benchmark's scale factor, a partition round is a stage of as many
+//! lanes as it has tiles (up to the 32 cores), no stage that streams more
+//! than a tile on one lane holds a real share of a query, and the lane
+//! count changes the clock only — the rows, the bytes the DMS moves and the
+//! instructions retired are those of one core streaming the input alone.
+
+use std::sync::Arc;
+
+use hostdb::db::decode_batch;
+use hostdb::HostDb;
+use rapid::qcomp::cost::CostParams;
+use rapid::qef::engine::{Engine, QueryReport};
+use rapid::qef::exec::ExecContext;
+use rapid::qef::trace::{MemorySink, StageEvent};
+use rapid_fuzz::canonical;
+
+const CORES: usize = 32;
+
+fn is_partition_stage(e: &StageEvent) -> bool {
+    matches!(
+        e.operator.as_str(),
+        "join.partition-build" | "join.partition-probe" | "groupby.partition"
+    )
+}
+
+#[test]
+fn partition_stages_use_every_core_and_change_only_the_clock() {
+    let data = tpch::generate(&tpch::TpchConfig::sf(0.02));
+    let db = HostDb::new(ExecContext::dpu());
+    for t in data.tables() {
+        db.import_table(t).expect("load");
+    }
+    let catalog = db.rapid().read().catalog().clone();
+    let engine = |ctx: ExecContext| {
+        let mut engine = Engine::new(ctx);
+        for t in catalog.values() {
+            engine.load_table(Arc::clone(t));
+        }
+        engine
+    };
+    let sink = MemorySink::new();
+    let dpu = engine(ExecContext::dpu().with_trace(sink.clone()));
+    let one_core_sink = MemorySink::new();
+    let one_core = engine(
+        ExecContext::dpu()
+            .with_cores(1)
+            .with_trace(one_core_sink.clone()),
+    );
+    let native = engine(ExecContext::native(4));
+    assert_eq!(dpu.context().cores, CORES);
+
+    let mut wide_rounds = 0;
+    for (name, plan) in tpch::queries::all() {
+        let compiled = rapid::qcomp::compile(&plan, &catalog, &CostParams::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let run = |engine: &Engine| -> (Vec<Vec<String>>, QueryReport) {
+            let (out, report) = engine.execute(&compiled.plan).expect("execute");
+            let rows = decode_batch(&out.batch, &out.meta, engine.catalog());
+            (canonical(&rows), report)
+        };
+        let (rows, report) = run(&dpu);
+        let events = sink.take();
+        assert_eq!(events.len(), report.stages, "{name}: an event per stage");
+
+        for e in events.iter().filter(|e| is_partition_stage(e)) {
+            // A round's tiles are dealt to min(cores, tiles) lanes; only an
+            // input of one tile or less runs its rounds as one item.
+            if e.tiles >= CORES as u64 {
+                assert_eq!(e.parallelism, CORES, "{name} {}: {e:?}", e.operator);
+                wide_rounds += 1;
+            }
+            assert!(
+                e.dmem_peak_bytes > rapid::qef::budget::BASE_STATE_BYTES as u64,
+                "{name} {}: lanes hold their tile buffers in DMEM",
+                e.operator
+            );
+        }
+        for e in events.iter().filter(|e| e.parallelism == 1 && e.tiles > 1) {
+            assert!(
+                e.sim_secs <= 0.05 * report.sim_secs,
+                "{name}: single-lane {} over {} tiles holds {:.1} % of the query",
+                e.operator,
+                e.tiles,
+                100.0 * e.sim_secs / report.sim_secs
+            );
+        }
+
+        // One core: the same rows, and in every round of a join's passes
+        // the same tiles, bytes, descriptors and instructions on one lane
+        // where there were many. (A partitioned group-by takes the engine's
+        // fallback scheme, which asks for a partition per core: on one core
+        // it is another scheme, so only queries without one move the same
+        // bytes in total.)
+        let (rows_one_core, report_one_core) = run(&one_core);
+        let events_one_core = one_core_sink.take();
+        assert_eq!(rows_one_core, rows, "{name}: 1 core vs {CORES}");
+        let join_rounds = |events: &[StageEvent]| -> Vec<(u64, u64, u64, u64)> {
+            let rounds = events
+                .iter()
+                .filter(|e| e.operator.starts_with("join.partition"));
+            rounds
+                .map(|e| (e.tiles, e.instructions, e.dms_bytes, e.dms_descriptors))
+                .collect()
+        };
+        assert_eq!(
+            join_rounds(&events_one_core),
+            join_rounds(&events),
+            "{name}"
+        );
+        if !events.iter().any(|e| e.operator == "groupby.partition") {
+            assert_eq!(report_one_core.dms_bytes, report.dms_bytes, "{name}");
+            assert_eq!(
+                report_one_core.dms_descriptors, report.dms_descriptors,
+                "{name}"
+            );
+        }
+        assert!(events_one_core.iter().all(|e| e.parallelism == 1));
+        assert!(
+            report_one_core.sim_cycles >= report.sim_cycles,
+            "{name}: more cores are not slower"
+        );
+
+        let host = db
+            .execute_on_host(&plan)
+            .unwrap_or_else(|e| panic!("{name} host: {e}"));
+        assert_eq!(canonical(&host.rows), rows, "{name}: Volcano vs DPU");
+        assert_eq!(run(&native).0, rows, "{name}: native vs DPU");
+    }
+    assert!(
+        wide_rounds >= 20,
+        "only {wide_rounds} partition rounds of {CORES} tiles or more at sf 0.02"
+    );
+}
