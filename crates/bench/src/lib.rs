@@ -511,8 +511,9 @@ pub fn attribution(timings: &[QueryTimings]) -> Vec<Point> {
 /// selectivities — the 1/32 rule's crossover.
 pub fn ablation_rid_vs_bitvector(rows: usize) -> Vec<Point> {
     use rapid_qef::expr::Pred;
-    use rapid_qef::ops::filter::filter_chunk;
+    use rapid_qef::ops::filter::ScanPlan;
     use rapid_qef::primitives::filter::CmpOp;
+    use rapid_qef::ra::AccessPath;
     let mut out = Vec::new();
     for &sel_ppm in &[1000usize, 10_000, 31_250, 100_000, 500_000] {
         let sel = sel_ppm as f64 / 1e6;
@@ -528,19 +529,15 @@ pub fn ablation_rid_vs_bitvector(rows: usize) -> Vec<Point> {
         for (label, forced) in [("rids", 0.001f64), ("bitvec", 0.5f64)] {
             let ctx = ExecContext::dpu().with_cores(1);
             let mut core = CoreCtx::new(&ctx, 0);
-            let r = filter_chunk(&mut core, &chunk, &pred, forced, 4096).expect("filter");
-            // Include the downstream gather of one 4-byte column, where
-            // the representations actually differ. The difference lives in
+            // The selective path with the representation forced, through
+            // the downstream gather of one 4-byte column, where the
+            // representations actually differ. The difference lives in
             // DMS traffic (descriptor bytes shipped to drive the gather),
             // so report engine-occupancy cycles — on a memory-bound query
             // that is the elapsed time.
-            let _ = rapid_qef::ops::filter::materialize_projection(
-                &mut core,
-                &chunk,
-                &r.rows,
-                &[0],
-                4096,
-            );
+            ScanPlan::forced(AccessPath::Gather, &pred, &[0], forced)
+                .scan_chunk(&mut core, &chunk, 4096)
+                .expect("scan");
             let cy = core.account.dms_cycles().get();
             out.push(Point::new(
                 format!("sel{:.3}%_{label}", sel * 100.0),

@@ -111,16 +111,26 @@ impl DmsEngine {
 
     /// Total engine cost of a descriptor loop.
     pub fn loop_cost(&self, l: &DescriptorLoop) -> DmsCost {
-        let streams = l.column_streams();
-        let per_iter: f64 = l
-            .descriptors
-            .iter()
-            .map(|d| self.descriptor_cycles(d, streams))
+        self.chain_cost(l.descriptors.iter().copied(), l.iterations)
+    }
+
+    /// [`loop_cost`](Self::loop_cost) of the loop that executes the chain
+    /// `descriptors` `iterations` times, for callers that describe the
+    /// chain without materializing it.
+    pub fn chain_cost(
+        &self,
+        descriptors: impl ExactSizeIterator<Item = Descriptor> + Clone,
+        iterations: usize,
+    ) -> DmsCost {
+        let streams = descriptors.len();
+        let per_iter: f64 = descriptors
+            .clone()
+            .map(|d| self.descriptor_cycles(&d, streams))
             .sum();
         DmsCost {
-            cycles: per_iter * l.iterations as f64,
-            bytes: l.total_bytes(),
-            descriptors: l.total_descriptors(),
+            cycles: per_iter * iterations as f64,
+            bytes: descriptors.map(|d| d.bytes()).sum::<u64>() * iterations as u64,
+            descriptors: (streams * iterations) as u64,
         }
     }
 
@@ -154,41 +164,32 @@ impl DmsEngine {
     /// Cost of gathering `rows` selected rows of one `width`-byte column via
     /// a RID-list or bit-vector (Figure: filter's subsequent predicates).
     pub fn gather(&self, cols: usize, width: usize, rows: usize, tile: usize) -> DmsCost {
-        let tile = tile.max(1);
-        let l = DescriptorLoop {
-            descriptors: vec![
-                Descriptor {
-                    direction: Direction::Read,
-                    rows: tile,
-                    width,
-                    gather: true
-                };
-                cols
-            ],
-            iterations: rows.div_ceil(tile),
-            double_buffered: true,
-        };
-        self.loop_cost(&l)
+        self.selective(Direction::Read, cols, width, rows, tile)
     }
 
     /// Cost of scattering `rows` rows of one `width`-byte column to DRAM via
     /// a RID-list (materialization of partitioned output).
     pub fn scatter(&self, cols: usize, width: usize, rows: usize, tile: usize) -> DmsCost {
+        self.selective(Direction::Write, cols, width, rows, tile)
+    }
+
+    /// A loop of `cols` row-set-driven descriptors over `rows` rows.
+    fn selective(
+        &self,
+        direction: Direction,
+        cols: usize,
+        width: usize,
+        rows: usize,
+        tile: usize,
+    ) -> DmsCost {
         let tile = tile.max(1);
-        let l = DescriptorLoop {
-            descriptors: vec![
-                Descriptor {
-                    direction: Direction::Write,
-                    rows: tile,
-                    width,
-                    gather: true
-                };
-                cols
-            ],
-            iterations: rows.div_ceil(tile),
-            double_buffered: true,
+        let descriptor = Descriptor {
+            direction,
+            rows: tile,
+            width,
+            gather: true,
         };
-        self.loop_cost(&l)
+        self.chain_cost((0..cols).map(|_| descriptor), rows.div_ceil(tile))
     }
 }
 

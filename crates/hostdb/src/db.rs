@@ -925,7 +925,9 @@ impl Drop for HostDb {
 /// making mis-estimates visible next to the operator that suffered them.
 ///
 /// `scans` (from [`scan_columns`], same id space) puts `cols k/n` on every
-/// scan line: the columns the compiled scan moves, of its table's.
+/// scan line: the columns the compiled scan moves, of its table's. Beside it
+/// the line names what ran: the access path (`stream` or `gather`) and the
+/// trips through the DMS each chunk took.
 fn render_explain(
     events: &[StageEvent],
     result: &QueryResult,
@@ -958,6 +960,9 @@ fn render_explain(
         );
         if let Some(Some((moved, of))) = scans.get(e.node_id as usize) {
             let _ = write!(s, " cols {moved}/{of}");
+        }
+        if let Some(scan) = e.scan {
+            let _ = write!(s, " {} passes={}", scan.path, scan.passes);
         }
         let _ = write!(
             s,
@@ -1313,14 +1318,25 @@ mod tests {
         let total: f64 = a.events.iter().map(|e| e.sim_secs).sum();
         assert_eq!(total.to_bits(), a.result.rapid_secs.to_bits());
         assert!(a.text.contains("TOTAL simulated"));
-        // The scan line says what moved — `id` did not — while the event's
-        // operator string stays the bare stage name.
+        // The scan line says what moved — `id` did not — and how: three
+        // chunks of an unfiltered table stream. The event's operator string
+        // stays the bare stage name; the access path is a field of its own.
         assert!(
-            a.text.contains("scan(sales) cols 2/3  lanes="),
-            "tree names the scan and its columns:\n{}",
+            a.text
+                .contains("scan(sales) cols 2/3 stream passes=1  lanes="),
+            "tree names the scan, its columns and its access path:\n{}",
             a.text
         );
-        assert!(a.events.iter().any(|e| e.operator == "scan(sales)"));
+        let scan = a.events.iter().find(|e| e.operator == "scan(sales)");
+        assert_eq!(
+            scan.and_then(|e| e.scan)
+                .map(|s| (s.path.to_string(), s.passes)),
+            Some(("stream".into(), 1))
+        );
+        assert!(a
+            .events
+            .iter()
+            .all(|e| e.scan.is_none() || e.operator.starts_with("scan(")));
     }
 
     #[test]
@@ -1375,6 +1391,38 @@ mod tests {
             .rows
             .iter()
             .any(|row| matches!(&row[0], Value::Str(s) if s.contains("PASS"))));
+    }
+
+    #[test]
+    fn explain_verify_bounds_what_a_scan_holds_in_dmem() {
+        let d = db();
+        d.load_into_rapid("sales").unwrap();
+        for sql in [
+            "SELECT region, SUM(amount) AS t FROM sales GROUP BY region",
+            "SELECT id, amount FROM sales WHERE amount >= 10 AND amount < 40 AND id < 5000",
+        ] {
+            let plan = parse_sql(sql, &d.schemas()).unwrap();
+            let rapid = d.rapid.read();
+            let compiled =
+                rapid_qcomp::compile_unverified(&plan, rapid.catalog(), &d.params).unwrap();
+            let cfg = rapid_qcomp::verify_config(&d.params);
+            let verified = rapid_verify::verify(&compiled.plan, rapid.catalog(), &cfg);
+            drop(rapid);
+            let a = d.explain_analyze(sql).unwrap();
+            let scan = a.events.iter().find(|e| e.scan.is_some()).expect("a scan");
+            let bound = verified
+                .stages
+                .iter()
+                .find(|s| s.node_id == scan.node_id as usize && s.stage == scan.operator)
+                .expect("the verifier derives the scan stage");
+            // Each scan item reserves the tile buffers its streams were
+            // sized from — the working set the verifier fitted.
+            assert!(scan.dmem_peak_bytes > 0, "{sql}: {}", a.text);
+            assert_eq!(
+                scan.dmem_peak_bytes, bound.working_set_bytes as u64,
+                "{sql}"
+            );
+        }
     }
 
     #[test]

@@ -17,10 +17,10 @@
 use dpu_sim::clock::SimTime;
 use dpu_sim::isa::CostModel;
 
-use rapid_qef::engine::estimate_selectivity_cols;
 use rapid_qef::plan::{Catalog, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::costs;
+use rapid_qef::selectivity::{estimate_selectivity, estimate_selectivity_cols};
 use rapid_storage::stats::ColumnStats;
 
 /// Tunables of the estimator.
@@ -201,7 +201,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
                 .sum();
             let sel = pred
                 .as_ref()
-                .map(|pr| rapid_qef::engine::estimate_selectivity(pr, &t.stats))
+                .map(|pr| estimate_selectivity(pr, &t.stats))
                 .unwrap_or(1.0);
             // Transfer: stream the filter column(s) + gather survivors;
             // compute: ~1.5 cy/row filter. Overlap: max of the two.

@@ -87,6 +87,24 @@ pub fn effective_tile(
     fit_tile(state_bytes, stream_bytes_per_row, dmem_bytes).map(|f| cfg_tile.min(f.rows))
 }
 
+/// DMEM a stage item holds while it streams at `tile` rows: its state plus
+/// the tile buffers of every stream — double-buffered, or single-buffered
+/// where [`fit_tile`] had to give the second buffer up. Items reserve
+/// exactly this, and the static verifier reports it as the stage's bound.
+pub fn working_set(
+    state_bytes: usize,
+    stream_bytes_per_row: usize,
+    tile: usize,
+    dmem_bytes: usize,
+) -> usize {
+    let stream = stream_bytes_per_row * tile;
+    if state_bytes + 2 * stream <= dmem_bytes {
+        state_bytes + 2 * stream
+    } else {
+        state_bytes + stream
+    }
+}
+
 /// Largest per-round partition fan-out whose per-partition local buffers
 /// (half of DMEM split `fanout` ways) still hold the 16-row minimum DMS
 /// burst for `row_bytes`-wide rows — heuristic (b) of §5.3, the same

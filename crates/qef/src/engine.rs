@@ -5,12 +5,14 @@
 //! ("operators within a task pipeline results to each other via DMEM and
 //! only results at task boundaries are materialized to DRAM"):
 //!
-//! * a **scan task** runs filter then projection over each chunk: the
-//!   first conjunct reads the chunk's vectors in place, each later one
-//!   gathers only the columns it names at the still-qualifying rows, and
-//!   the projected columns are gathered last, at the final row set (late
-//!   materialization) — the only buffer the task writes (predicate
-//!   reordering and the RID/bit-vector choice as in §5.4),
+//! * a **scan task** reads each chunk by the cheaper of the relation
+//!   accessor's two patterns, chosen once per scan
+//!   ([`ops::filter::ScanPlan`]): every touched column streamed once with
+//!   the conjuncts evaluated and the survivors compacted in DMEM, or the
+//!   selective pipeline of §5.4 — the first pass of conjuncts reads its
+//!   columns in place, each later pass gathers only its own at the
+//!   still-qualifying rows, and the projected columns are gathered last,
+//!   at the final row set (late materialization),
 //! * a **join** partitions both sides (HW+SW; every round of a pass a
 //!   stage of tile-aligned lanes on all cores), then runs
 //!   per-partition-pair build/probe kernels, with large-skew
@@ -29,7 +31,6 @@
 
 use std::sync::Arc;
 
-use rapid_storage::stats::ColumnStats;
 use rapid_storage::table::Table;
 
 use crate::actor::{run_stage, StageTiming};
@@ -39,7 +40,7 @@ use crate::exec::{Backend, ExecContext};
 use crate::expr::Pred;
 use crate::ops;
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
-use crate::trace::{StageEvent, TraceSink};
+use crate::trace::{ScanAccess, StageEvent, TraceSink};
 use crate::util::next_pow2_at_least;
 
 /// Result rows plus decode metadata.
@@ -144,6 +145,22 @@ impl Tracer {
         operator: impl std::fmt::Display,
         rows: u64,
     ) {
+        self.absorb_as(report, t, node_id, depth, operator, rows, None)
+    }
+
+    /// [`absorb`](Self::absorb) a stage whose event says, for a scan, how
+    /// it read its table.
+    #[allow(clippy::too_many_arguments)]
+    fn absorb_as(
+        &mut self,
+        report: &mut QueryReport,
+        t: &StageTiming,
+        node_id: u32,
+        depth: u32,
+        operator: impl std::fmt::Display,
+        rows: u64,
+        scan: Option<ScanAccess>,
+    ) {
         report.absorb(t);
         // The identical per-stage figure the trace event carries, absorbed
         // in emission order: report totals reproduce the event sums
@@ -171,6 +188,7 @@ impl Tracer {
                 tiles: c.tiles,
                 ate_messages: c.ate_messages,
                 dmem_peak_bytes: t.dmem_peak,
+                scan,
                 energy_joules: self.watts * sim_secs,
                 wall_secs: t.wall.as_secs_f64(),
             });
@@ -434,31 +452,11 @@ impl Engine {
                 });
             }
         }
-        // Order conjuncts most-selective-first from table statistics.
-        let mut conjuncts = pred.cloned().map(Pred::conjuncts).unwrap_or_default();
-        let stats = &t.stats;
-        conjuncts.sort_by(|a, b| {
-            estimate_selectivity(a, stats)
-                .partial_cmp(&estimate_selectivity(b, stats))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let expected = conjuncts
-            .first()
-            .map(|p| estimate_selectivity(p, stats))
-            .unwrap_or(1.0);
-
-        let chunks: Vec<&rapid_storage::chunk::Chunk> = t.chunks().collect();
-        let cols = columns.to_vec();
         // Clamp the tile so the scan task's DMEM working set — one
         // double-buffered stream per distinct column touched (predicate
         // inputs plus projected outputs) — fits the scratchpad.
-        let mut stream_cols: Vec<usize> = columns.to_vec();
-        for p in &conjuncts {
-            p.referenced_columns(&mut stream_cols);
-        }
-        stream_cols.sort_unstable();
-        stream_cols.dedup();
-        let stream_bytes: usize = stream_cols
+        let touched = ops::filter::touched_columns(columns, pred);
+        let stream_bytes: usize = touched
             .iter()
             .map(|&c| {
                 t.schema
@@ -468,25 +466,27 @@ impl Engine {
             })
             .sum();
         let tile = self.stage_tile(crate::budget::BASE_STATE_BYTES, stream_bytes)?;
-        let conj = conjuncts;
-        let (out, timing) = run_stage(&self.ctx, chunks, move |core, chunk| {
-            let fr = ops::filter::filter_chunk(core, chunk, &conj, expected, tile)?;
-            if fr.count() == 0 {
-                return Ok(Batch::empty(0));
-            }
-            Ok(ops::filter::materialize_projection(
-                core, chunk, &fr.rows, &cols, tile,
-            ))
+        let working_set = crate::budget::working_set(
+            crate::budget::BASE_STATE_BYTES,
+            stream_bytes,
+            tile,
+            self.ctx.dmem_bytes,
+        );
+        let plan = ops::filter::ScanPlan::decide(&self.ctx, t, columns, pred, touched, tile);
+        let chunks: Vec<&rapid_storage::chunk::Chunk> = t.chunks().collect();
+        let (out, timing) = run_stage(&self.ctx, chunks, |core, chunk| {
+            // The tile buffers the streams were sized from.
+            let _buffers = core.dmem.reserve_raw(working_set)?;
+            plan.scan_chunk(core, chunk, tile)
         })?;
         let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-        tr.absorb(
-            report,
-            &timing,
-            nid,
-            depth,
-            format_args!("scan({table})"),
-            batch_rows(&out),
-        );
+        let operator = format_args!("scan({table})");
+        let access = ScanAccess {
+            path: plan.path(),
+            passes: plan.dms_passes() as u32,
+        };
+        let rows = batch_rows(&out);
+        tr.absorb_as(report, &timing, nid, depth, operator, rows, Some(access));
         Ok(out)
     }
 
@@ -922,71 +922,6 @@ fn empty_with_layout(meta: &[ColMeta]) -> Batch {
             })
             .collect(),
     )
-}
-
-/// Selectivity estimate of a conjunct from table statistics (used for the
-/// most-selective-first ordering and by the compiler's cost model; coarse
-/// is fine).
-pub fn estimate_selectivity(pred: &Pred, stats: &rapid_storage::stats::TableStats) -> f64 {
-    let cols: Vec<Option<&ColumnStats>> = stats.columns.iter().map(Some).collect();
-    estimate_selectivity_cols(pred, &cols)
-}
-
-/// Core of [`estimate_selectivity`] over a positional slice of (possibly
-/// missing) column stats, so the compiler's cost model can feed it
-/// *derived* per-node stats — a Filter above a join sees the surviving
-/// columns, not a base table. `None` entries (computed/unknown columns)
-/// take the same coarse defaults as a missing table column.
-pub fn estimate_selectivity_cols(pred: &Pred, cols: &[Option<&ColumnStats>]) -> f64 {
-    use crate::primitives::filter::CmpOp;
-    let col_stats = |c: usize| -> Option<&ColumnStats> { cols.get(c).copied().flatten() };
-    match pred {
-        Pred::CmpConst { col, op, value } => {
-            let Some(s) = col_stats(*col) else { return 0.5 };
-            // Comparisons are false on NULL, so scale the non-null-row
-            // fraction the histogram models by the non-null fraction.
-            let not_null = 1.0 - s.null_fraction();
-            not_null
-                * match op {
-                    CmpOp::Eq => s.eq_selectivity(),
-                    CmpOp::Ne => 1.0 - s.eq_selectivity(),
-                    CmpOp::Lt | CmpOp::Le => s.range_selectivity(None, Some(*value)),
-                    CmpOp::Gt | CmpOp::Ge => s.range_selectivity(Some(*value), None),
-                }
-        }
-        Pred::Between { col, lo, hi } => col_stats(*col).map_or(0.25, |s| {
-            (1.0 - s.null_fraction()) * s.range_selectivity(Some(*lo), Some(*hi))
-        }),
-        Pred::InCodes { col, codes } => {
-            let Some(s) = col_stats(*col) else { return 0.3 };
-            (1.0 - s.null_fraction()) * (codes.count_ones() as f64 * s.eq_selectivity()).min(1.0)
-        }
-        Pred::InList { col, values } => {
-            let Some(s) = col_stats(*col) else { return 0.3 };
-            (1.0 - s.null_fraction()) * (values.len() as f64 * s.eq_selectivity()).min(1.0)
-        }
-        Pred::And(ps) => ps
-            .iter()
-            .map(|p| estimate_selectivity_cols(p, cols))
-            .product(),
-        Pred::Or(ps) => {
-            let mut none = 1.0;
-            for p in ps {
-                none *= 1.0 - estimate_selectivity_cols(p, cols);
-            }
-            1.0 - none
-        }
-        Pred::Not(p) => 1.0 - estimate_selectivity_cols(p, cols),
-        Pred::NotNull { col } => col_stats(*col).map_or(0.9, |s| 1.0 - s.null_fraction()),
-        Pred::CmpCols { .. } | Pred::CmpExpr { .. } => 0.3,
-        Pred::Const(b) => {
-            if *b {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@
 //! | [`expr`] | vectorized scalar expressions and predicates |
 //! | [`primitives`] | the generated primitive library (filter, arithmetic, hash, partition map, aggregation) |
 //! | [`ra`] | the relation accessor: sequential/gather DMS access patterns |
+//! | [`selectivity`] | predicate selectivity from column statistics, shared with the compiler's cost model |
 //! | [`ops`] | data processing operators: filter, partition, hash join, group-by, top-k, sort, window, set ops |
 //! | [`plan`] | the serializable physical query execution plan (QEP) |
 //! | [`engine`] | the plan interpreter driving tasks across dpCores |
@@ -48,6 +49,7 @@ pub mod ops;
 pub mod plan;
 pub mod primitives;
 pub mod ra;
+pub mod selectivity;
 pub mod trace;
 pub mod util;
 pub mod verifyhook;

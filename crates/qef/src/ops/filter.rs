@@ -1,150 +1,524 @@
-//! The filter operator (§5.4).
+//! The filter operator (§5.4) and the scan's two access paths.
 //!
-//! The paper's filter pipeline:
+//! A scan reads its chunks through one of the relation accessor's
+//! patterns, chosen once per scan ([`ScanPlan::decide`]):
 //!
-//! 1. predicates are evaluated **most selective first** (ordering decided
-//!    by the compiler from statistics; re-checked here from observed
-//!    selectivity so mis-estimates degrade gracefully),
-//! 2. the first predicate streams its column sequentially and produces
-//!    either a RID-list or a bit-vector — RIDs when fewer than 1/32 of the
-//!    rows are expected to qualify (a RID is 32 bits),
-//! 3. each subsequent predicate only **gathers** the still-qualifying rows
-//!    of its column through the DMS and narrows the row set,
-//! 4. projection columns are gathered last (late materialization), or the
-//!    row set is handed to the next operator when it can consume one.
+//! * **stream** — one sequential descriptor loop over every column the scan
+//!   touches, predicate and projected alike. Conjuncts are evaluated on the
+//!   tile in DMEM and the qualifying rows are compacted there: no row-set
+//!   descriptor crosses the DMS and nothing is gathered. A scan without a
+//!   predicate is the degenerate case — nothing to evaluate or compact.
+//! * **gather** — the paper's selective pipeline:
+//!   1. conjuncts are evaluated **most selective first**, grouped into
+//!      **DMS passes** by column set: a conjunct whose columns its pass
+//!      already holds in DMEM is evaluated in that pass, over the pass's
+//!      survivors, and moves nothing,
+//!   2. the first pass streams its columns sequentially and produces either
+//!      a RID-list or a bit-vector — RIDs when fewer than 1/32 of the rows
+//!      are expected to survive the pass (a RID is 32 bits),
+//!   3. each later pass only **gathers** the still-qualifying rows of its
+//!      columns through the DMS and narrows the row set,
+//!   4. projection columns are gathered last (late materialization).
+//!
+//! Passes run in the order that moves the fewest modelled DMS cycles —
+//! width times rows moved, not selectivity alone: a narrow column that
+//! halves the rows is a better first stream than a wide one that keeps a
+//! third of them. The path is the one with the shorter modelled *stage* —
+//! the DMS cycles of all chunks against the busiest core's compute, the
+//! `max` the actor runner resolves — because a one-lane table pays the
+//! stream's per-tile control loop on a single core.
 
-use rapid_storage::bitvec::{BitVec, RowSet, RowSetKind};
+use dpu_sim::isa::CostModel;
+use rapid_storage::bitvec::{BitVec, RidList, RowSet, RowSetKind};
 use rapid_storage::chunk::Chunk;
+use rapid_storage::stats::ColumnStats;
+use rapid_storage::table::Table;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use crate::batch::Batch;
 use crate::error::QefResult;
-use crate::exec::CoreCtx;
+use crate::exec::{CoreCtx, ExecContext};
 use crate::expr::Pred;
 use crate::primitives::costs;
-use crate::ra::RelationAccessor;
+use crate::ra::{chunk_widths, row_ids, AccessPath, RelationAccessor};
+use crate::selectivity::{conjunction_selectivity, estimate_selectivity_cols};
 
-/// Outcome of filtering one chunk.
+/// Orders of up to this many passes are enumerated; a scan with more (none
+/// we ship has over four) keeps them most selective first.
+const MAX_ORDERED_PASSES: usize = 8;
+
+/// One conjunct of a scan's predicate.
 #[derive(Debug)]
-pub struct FilterResult {
-    /// Qualifying rows of the chunk.
-    pub rows: RowSet,
-    /// Rows evaluated by the first (streaming) predicate.
-    pub scanned: usize,
+struct Conjunct<'a> {
+    pred: &'a Pred,
+    /// The columns it reads, ascending.
+    cols: Vec<usize>,
+    /// Its estimated selectivity on its own.
+    sel: f64,
 }
 
-impl FilterResult {
-    /// Qualifying-row count.
-    pub fn count(&self) -> usize {
-        self.rows.count()
+/// One trip of predicate columns through the DMS: the conjuncts that read
+/// one column set.
+#[derive(Debug)]
+struct Pass<'a> {
+    /// Most selective first.
+    conjuncts: Vec<Conjunct<'a>>,
+    /// Estimated joint selectivity of the conjuncts.
+    sel: f64,
+}
+
+impl Pass<'_> {
+    fn cols(&self) -> &[usize] {
+        &self.conjuncts[0].cols
     }
 }
 
-/// Evaluate ordered conjuncts over one chunk, producing the qualifying row
-/// set. `expected_selectivity` drives the RID/bit-vector representation
-/// choice for the first predicate (the 1/32 rule).
-pub fn filter_chunk(
-    ctx: &mut CoreCtx,
-    chunk: &Chunk,
-    conjuncts: &[Pred],
-    expected_selectivity: f64,
-    tile: usize,
-) -> QefResult<FilterResult> {
-    let rows = chunk.rows();
-    if conjuncts.is_empty() {
-        return Ok(FilterResult {
-            rows: RowSet::Bits(BitVec::ones(rows)),
-            scanned: rows,
-        });
-    }
+/// How one scan reads its table: the access path and the conjuncts in
+/// evaluation order, pass by pass — decided once per scan, run per chunk.
+#[derive(Debug)]
+pub struct ScanPlan<'a> {
+    path: AccessPath,
+    /// On the stream path one pass holds every conjunct.
+    passes: Vec<Pass<'a>>,
+    proj: &'a [usize],
+    /// Every column the scan touches, ascending: the stream path's loop.
+    touched: Vec<usize>,
+}
 
-    // First predicate: stream the referenced columns sequentially.
-    let first = &conjuncts[0];
-    let mut cols = Vec::new();
-    first.referenced_columns(&mut cols);
+/// The distinct columns a scan of `proj` under `preds` touches, ascending.
+pub fn touched_columns<'p>(
+    proj: &[usize],
+    preds: impl IntoIterator<Item = &'p Pred>,
+) -> Vec<usize> {
+    let mut cols = proj.to_vec();
+    for p in preds {
+        p.referenced_columns(&mut cols);
+    }
     cols.sort_unstable();
     cols.dedup();
-    let widths: Vec<usize> = cols.iter().map(|&c| chunk.vector(c).data.width()).collect();
-    ctx.charge_dms(&RelationAccessor::seq_read_cost(ctx, &widths, rows, tile));
-    ctx.charge_tile();
+    cols
+}
 
-    // Evaluate in place over the chunk's vectors (the filter task's large
-    // tiles): the DMS streams them, nothing is copied.
-    let bv = first.eval(ctx, chunk.vectors(), rows)?;
+/// Flatten the top-level conjunction of `pred`, by reference.
+fn collect_conjuncts<'a>(
+    pred: &'a Pred,
+    stats: &[Option<&ColumnStats>],
+    out: &mut Vec<Conjunct<'a>>,
+) {
+    match pred {
+        Pred::And(ps) => ps.iter().for_each(|p| collect_conjuncts(p, stats, out)),
+        pred => out.push(Conjunct {
+            pred,
+            cols: touched_columns(&[], [pred]),
+            sel: estimate_selectivity_cols(pred, stats),
+        }),
+    }
+}
 
-    let mut qualifying = match RowSet::choose(expected_selectivity) {
-        RowSetKind::Rids => {
-            let rids = bv.to_rids();
-            ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(rids.len() as f64));
-            RowSet::Rids(rids)
+/// Group conjuncts, in evaluation order, into one pass per column set.
+/// Passes come out in the order they were opened.
+fn into_passes<'a>(conjuncts: Vec<Conjunct<'a>>, stats: &[Option<&ColumnStats>]) -> Vec<Pass<'a>> {
+    let mut passes: Vec<Pass<'a>> = Vec::new();
+    for c in conjuncts {
+        match passes.iter().position(|p| p.cols() == c.cols) {
+            Some(p) => passes[p].conjuncts.push(c),
+            None => passes.push(Pass {
+                conjuncts: vec![c],
+                sel: 1.0,
+            }),
         }
-        RowSetKind::Bits => RowSet::Bits(bv),
-    };
+    }
+    for p in &mut passes {
+        p.sel = conjunction_selectivity(p.conjuncts.iter().map(|c| c.pred), stats);
+    }
+    passes
+}
 
-    // Subsequent predicates: gather only qualifying rows of their columns.
-    for pred in &conjuncts[1..] {
+/// Evaluations per entering row of `conjuncts` run in order, each over the
+/// survivors of those before it.
+fn evaluations<'c>(conjuncts: impl IntoIterator<Item = &'c Conjunct<'c>>) -> f64 {
+    let (mut evaluations, mut surviving) = (0.0, 1.0);
+    for c in conjuncts {
+        evaluations += surviving;
+        surviving *= c.sel;
+    }
+    evaluations
+}
+
+/// Modelled cost of one chunk: what its core computes, what the DMS moves.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkCost {
+    compute: f64,
+    dms: f64,
+}
+
+/// The scan's cost model over one chunk: the RA's cost
+/// functions and the kernels' per-row constants, none of its own.
+struct Model<'m> {
+    cm: &'m CostModel,
+    chunk: &'m Chunk,
+    tile: usize,
+}
+
+impl Model<'_> {
+    fn rows(&self) -> f64 {
+        self.chunk.rows() as f64
+    }
+
+    fn stream(&self, cols: &[usize]) -> f64 {
+        let widths = chunk_widths(self.chunk, cols);
+        RelationAccessor::seq_read_cost(self.cm, widths, self.chunk.rows(), self.tile).cycles
+    }
+
+    /// Gather of `cols` at `survivors` rows, with their row-set descriptor
+    /// in the representation the filter will have picked.
+    fn gather(&self, cols: &[usize], survivors: f64) -> f64 {
+        let n = survivors.ceil() as usize;
+        let kind = RowSet::choose(survivors / self.rows().max(1.0));
+        let descriptor = RelationAccessor::rowset_descriptor_bytes(kind, self.chunk.rows(), n);
+        let widths = chunk_widths(self.chunk, cols);
+        RelationAccessor::gather_cost(self.cm, widths, n, self.tile).cycles
+            + RelationAccessor::rowset_cost(self.cm, descriptor).cycles
+    }
+
+    /// DMS cycles of `pass` when `entering` rows survived those before it.
+    fn pass(&self, pass: &Pass<'_>, first: bool, entering: f64) -> f64 {
+        if first {
+            self.stream(pass.cols())
+        } else {
+            self.gather(pass.cols(), entering)
+        }
+    }
+
+    /// The order of `passes` that moves the fewest modelled DMS cycles —
+    /// the order given unless another is strictly cheaper.
+    fn cheapest_order(&self, passes: &[Pass<'_>]) -> Vec<usize> {
+        let (mut cost, mut entering) = (0.0, self.rows());
+        for (i, p) in passes.iter().enumerate() {
+            cost += self.pass(p, i == 0, entering);
+            entering *= p.sel;
+        }
+        let mut best = (cost, (0..passes.len()).collect());
+        if passes.len() <= MAX_ORDERED_PASSES {
+            self.search(passes, &mut Vec::new(), 0.0, self.rows(), &mut best);
+        }
+        best.1
+    }
+
+    /// Depth-first over the orders that extend `order`, cut where the
+    /// passes placed so far already cost what the best order does.
+    fn search(
+        &self,
+        passes: &[Pass<'_>],
+        order: &mut Vec<usize>,
+        cost: f64,
+        entering: f64,
+        best: &mut (f64, Vec<usize>),
+    ) {
+        if order.len() == passes.len() {
+            *best = (cost, order.clone());
+            return;
+        }
+        for (i, p) in passes.iter().enumerate() {
+            if order.contains(&i) {
+                continue;
+            }
+            let cost = cost + self.pass(p, order.is_empty(), entering);
+            if cost < best.0 {
+                order.push(i);
+                self.search(passes, order, cost, entering * p.sel, best);
+                order.pop();
+            }
+        }
+    }
+
+    /// One chunk on the gather path.
+    fn gather_path(&self, plan: &ScanPlan<'_>) -> ChunkCost {
+        let per_row = self.cm.kernel_cycles(&costs::filter_per_row());
+        let mut cost = ChunkCost::default();
+        let mut entering = self.rows();
+        for (i, p) in plan.passes.iter().enumerate() {
+            cost.dms += self.pass(p, i == 0, entering);
+            cost.compute += self.cm.per_tile_overhead_cycles * p.conjuncts.len() as f64
+                + per_row * entering * evaluations(&p.conjuncts);
+            entering *= p.sel;
+            if i == 0 && RowSet::choose(p.sel) == RowSetKind::Rids {
+                cost.compute +=
+                    self.cm.kernel_cycles(&costs::filter_rid_emit_per_match()) * entering;
+            }
+        }
+        cost.dms += self.gather(plan.proj, entering);
+        cost
+    }
+
+    /// One chunk on the stream path, its conjuncts costing `evaluations`
+    /// per row in the order that path runs them.
+    fn stream_path(&self, plan: &ScanPlan<'_>, evaluations: f64) -> ChunkCost {
+        let tiles = self.chunk.rows().div_ceil(self.tile.max(1));
+        let mut compute = self.cm.per_tile_overhead_cycles * tiles as f64
+            + self.cm.kernel_cycles(&costs::filter_per_row()) * self.rows() * evaluations;
+        if !plan.passes.is_empty() {
+            let qualifying = self.rows() * plan.passes.iter().map(|p| p.sel).product::<f64>();
+            compute += self.cm.kernel_cycles(&costs::swpart_gather_per_row())
+                * qualifying
+                * plan.proj.len() as f64;
+        }
+        ChunkCost {
+            compute,
+            dms: self.stream(&plan.touched),
+        }
+    }
+}
+
+impl<'a> ScanPlan<'a> {
+    /// Plan the scan of `proj` of `table` under `pred` on `ctx`'s cores,
+    /// from the table's statistics; `touched` is [`touched_columns`] of the
+    /// two and `tile` the tile their streams were sized at.
+    pub fn decide(
+        ctx: &ExecContext,
+        table: &Table,
+        proj: &'a [usize],
+        pred: Option<&'a Pred>,
+        touched: Vec<usize>,
+        tile: usize,
+    ) -> ScanPlan<'a> {
+        let stats: Vec<Option<&ColumnStats>> = table.stats.columns.iter().map(Some).collect();
+        let mut conjuncts = Vec::new();
+        if let Some(pred) = pred {
+            collect_conjuncts(pred, &stats, &mut conjuncts);
+        }
+        conjuncts.sort_by(|a, b| a.sel.total_cmp(&b.sel));
+        let mut plan = ScanPlan {
+            path: AccessPath::Gather,
+            passes: into_passes(conjuncts, &stats),
+            proj,
+            touched,
+        };
+        let model = |chunk| Model {
+            cm: &ctx.cost_model,
+            chunk,
+            tile,
+        };
+        if let (Some(first), true) = (table.chunks().next(), plan.passes.len() > 1) {
+            let order = model(first).cheapest_order(&plan.passes);
+            let mut passes: Vec<_> = plan.passes.into_iter().map(Some).collect();
+            plan.passes = order.iter().filter_map(|&i| passes[i].take()).collect();
+        }
+        // Stage time of either path, as the actor runner will resolve it:
+        // every chunk's transfers share the one DMS engine, and a core runs
+        // the chunks dealt to it back to back.
+        let streamed = match plan.passes.as_slice() {
+            [] => 0.0,
+            [only] => evaluations(&only.conjuncts),
+            passes => {
+                let mut conjuncts: Vec<_> = passes.iter().flat_map(|p| &p.conjuncts).collect();
+                conjuncts.sort_by(|a, b| a.sel.total_cmp(&b.sel));
+                evaluations(conjuncts)
+            }
+        };
+        let lanes = ctx.cores.min(table.chunks().count()).max(1);
+        let (mut dms, mut compute) = ([0.0; 2], vec![[0.0; 2]; lanes]);
+        for (i, chunk) in table.chunks().enumerate() {
+            let model = model(chunk);
+            let paths = [model.stream_path(&plan, streamed), model.gather_path(&plan)];
+            for (path, cost) in paths.into_iter().enumerate() {
+                dms[path] += cost.dms;
+                compute[i % lanes][path] += cost.compute;
+            }
+        }
+        let stage = |path: usize| compute.iter().map(|c| c[path]).fold(dms[path], f64::max);
+        let (stream, gather) = (stage(0), stage(1));
+        if stream < gather {
+            plan.take_stream_path();
+        }
+        plan
+    }
+
+    /// The plan that takes `path` with `conjuncts` in the order given and
+    /// `expected` as the first pass's selectivity — for tests and the
+    /// representation ablation, which pin what statistics would decide.
+    pub fn forced(
+        path: AccessPath,
+        conjuncts: &'a [Pred],
+        proj: &'a [usize],
+        expected: f64,
+    ) -> ScanPlan<'a> {
+        let in_order = conjuncts.iter().map(|pred| Conjunct {
+            pred,
+            cols: touched_columns(&[], [pred]),
+            sel: 1.0,
+        });
+        let mut plan = ScanPlan {
+            path: AccessPath::Gather,
+            passes: into_passes(in_order.collect(), &[]),
+            proj,
+            touched: touched_columns(proj, conjuncts),
+        };
+        if let Some(first) = plan.passes.first_mut() {
+            first.sel = expected;
+        }
+        if path == AccessPath::Stream {
+            plan.take_stream_path();
+        }
+        plan
+    }
+
+    /// Every conjunct into one pass, most selective first: on the stream
+    /// path all their columns are in DMEM together.
+    fn take_stream_path(&mut self) {
+        self.path = AccessPath::Stream;
+        let sel = self.passes.iter().map(|p| p.sel).product();
+        let mut conjuncts: Vec<_> = self.passes.drain(..).flat_map(|p| p.conjuncts).collect();
+        conjuncts.sort_by(|a, b| a.sel.total_cmp(&b.sel));
+        if !conjuncts.is_empty() {
+            self.passes.push(Pass { conjuncts, sel });
+        }
+    }
+
+    /// The access path the scan takes.
+    pub fn path(&self) -> AccessPath {
+        self.path
+    }
+
+    /// Trips through the DMS per chunk: the one stream, or the predicate
+    /// passes and the projection's gather.
+    pub fn dms_passes(&self) -> usize {
+        match self.path {
+            AccessPath::Stream => 1,
+            AccessPath::Gather => self.passes.len() + 1,
+        }
+    }
+
+    /// Scan one chunk: the projected columns at its qualifying rows.
+    pub fn scan_chunk(&self, ctx: &mut CoreCtx, chunk: &Chunk, tile: usize) -> QefResult<Batch> {
+        let column = |&c: &usize| chunk.vector(c);
+        match self.path {
+            AccessPath::Stream => {
+                let tiles = RelationAccessor::stream_chunk(ctx, chunk, &self.touched, tile);
+                for _ in 0..tiles {
+                    ctx.charge_tile();
+                }
+                if self.passes.is_empty() {
+                    return Ok(Batch::new(self.proj.iter().map(column).cloned().collect()));
+                }
+                // The tiles are in DMEM: compact the qualifying rows of
+                // each projected column there (Listing 3's gather loop).
+                let rids = row_ids(&self.filter_chunk(ctx, chunk, tile)?);
+                for _ in self.proj {
+                    ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(rids.len() as f64));
+                }
+                let compact = |c| column(c).gather(&rids);
+                Ok(Batch::new(self.proj.iter().map(compact).collect()))
+            }
+            AccessPath::Gather => {
+                let qualifying = self.filter_chunk(ctx, chunk, tile)?;
+                if qualifying.count() == 0 {
+                    return Ok(Batch::empty(0));
+                }
+                Ok(RelationAccessor::gather_chunk(
+                    ctx,
+                    chunk,
+                    self.proj,
+                    &qualifying,
+                    tile,
+                ))
+            }
+        }
+    }
+
+    /// The rows of `chunk` that every conjunct keeps. On the gather path
+    /// this is the paper's pipeline, charged as it moves data; on the
+    /// stream path the caller has streamed every column and the conjuncts
+    /// only compute.
+    pub fn filter_chunk(&self, ctx: &mut CoreCtx, chunk: &Chunk, tile: usize) -> QefResult<RowSet> {
+        let rows = chunk.rows();
+        let Some((first, later)) = self.passes.split_first() else {
+            return Ok(RowSet::Bits(BitVec::ones(rows)));
+        };
+        let gathers = self.path == AccessPath::Gather;
+        // The first conjunct reads its columns in place over the chunk's
+        // vectors as the DMS streams them (the filter task's large tiles):
+        // nothing is copied.
+        let (head, rest) = first
+            .conjuncts
+            .split_first()
+            .expect("a pass has a conjunct");
+        if gathers {
+            RelationAccessor::stream_chunk(ctx, chunk, &head.cols, tile);
+            ctx.charge_tile();
+        }
+        let mut qualifying = RowSet::Bits(head.pred.eval(ctx, chunk.vectors(), rows)?);
+        for conjunct in rest {
+            qualifying = self.narrow(ctx, chunk, conjunct, qualifying, false, tile)?;
+        }
+        // The 1/32 rule, on the row set the first pass ships: a RID-list is
+        // emitted where few rows are expected to survive the pass.
+        if gathers && RowSet::choose(first.sel) == RowSetKind::Rids {
+            let rids = match qualifying {
+                RowSet::Bits(bv) => bv.to_rids(),
+                RowSet::Rids(rids) => rids,
+            };
+            ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(rids.len() as f64));
+            qualifying = RowSet::Rids(rids);
+        }
+        for pass in later {
+            for (i, conjunct) in pass.conjuncts.iter().enumerate() {
+                qualifying = self.narrow(ctx, chunk, conjunct, qualifying, i == 0, tile)?;
+            }
+        }
+        Ok(qualifying)
+    }
+
+    /// Narrow `qualifying` to the rows `conjunct` keeps, evaluating it on
+    /// those rows only. On the gather path a conjunct is a trip round the
+    /// operator's control loop, and one that `opens_pass` has its columns
+    /// gathered at the qualifying rows first.
+    fn narrow(
+        &self,
+        ctx: &mut CoreCtx,
+        chunk: &Chunk,
+        conjunct: &Conjunct<'_>,
+        qualifying: RowSet,
+        opens_pass: bool,
+        tile: usize,
+    ) -> QefResult<RowSet> {
         let n = qualifying.count();
         if n == 0 {
-            break;
+            return Ok(qualifying);
         }
-        let mut pcols = Vec::new();
-        pred.referenced_columns(&mut pcols);
-        pcols.sort_unstable();
-        pcols.dedup();
-        let widths: Vec<usize> = pcols
-            .iter()
-            .map(|&c| chunk.vector(c).data.width())
-            .collect();
-        let gcost = RelationAccessor::gather_cost(ctx, &widths, n, tile)
-            .merged(&RelationAccessor::rowset_cost(ctx, &qualifying));
-        ctx.charge_dms(&gcost);
-        ctx.charge_tile();
-
-        // Evaluate on gathered rows only, then intersect. Only the columns
-        // the gather descriptor names are fetched; the rest stay
+        if self.path == AccessPath::Gather {
+            if opens_pass {
+                RelationAccessor::charge_gather(ctx, chunk, &conjunct.cols, &qualifying, tile);
+            }
+            ctx.charge_tile();
+        }
+        // Only the columns the conjunct names are fetched; the rest stay
         // zero-length placeholders at their positions.
-        let mut rids = Vec::with_capacity(n);
-        qualifying.for_each_row(|r| rids.push(r as u32));
+        let rids = row_ids(&qualifying);
         let mut gathered: Vec<Vector> = (0..chunk.columns())
             .map(|_| Vector::new(ColumnData::I8(Vec::new())))
             .collect();
-        for &c in &pcols {
+        for &c in &conjunct.cols {
             gathered[c] = chunk.vector(c).gather(&rids);
         }
-        let pass = pred.eval(ctx, &gathered, n)?;
-        let mut surviving = pass.to_rids().rids;
+        let mut surviving = conjunct.pred.eval(ctx, &gathered, n)?.to_rids().rids;
         for s in &mut surviving {
             *s = rids[*s as usize];
         }
-        let sel = surviving.len() as f64 / rows.max(1) as f64;
-        qualifying = match RowSet::choose(sel) {
-            RowSetKind::Rids => RowSet::Rids(rapid_storage::bitvec::RidList { rids: surviving }),
-            RowSetKind::Bits => {
-                let mut out = BitVec::zeros(rows);
-                for r in surviving {
-                    out.set(r as usize, true);
+        let rows = chunk.rows();
+        Ok(
+            match RowSet::choose(surviving.len() as f64 / rows.max(1) as f64) {
+                RowSetKind::Rids => RowSet::Rids(RidList { rids: surviving }),
+                RowSetKind::Bits => {
+                    let mut out = BitVec::zeros(rows);
+                    for r in surviving {
+                        out.set(r as usize, true);
+                    }
+                    RowSet::Bits(out)
                 }
-                RowSet::Bits(out)
-            }
-        };
+            },
+        )
     }
-
-    Ok(FilterResult {
-        rows: qualifying,
-        scanned: rows,
-    })
-}
-
-/// Materialize the projection of a filtered chunk (the late-materialization
-/// step), gathering `proj_cols` at the qualifying rows.
-pub fn materialize_projection(
-    ctx: &mut CoreCtx,
-    chunk: &Chunk,
-    rows: &RowSet,
-    proj_cols: &[usize],
-    tile: usize,
-) -> Batch {
-    RelationAccessor::gather_chunk(ctx, chunk, proj_cols, rows, tile)
 }
 
 /// Filter a materialized batch (non-leaf Filter nodes). When every row
@@ -165,6 +539,9 @@ mod tests {
     use super::*;
     use crate::exec::{CoreCtx, ExecContext};
     use crate::primitives::filter::CmpOp;
+    use rapid_storage::schema::{Field, Schema};
+    use rapid_storage::table::TableBuilder;
+    use rapid_storage::types::{DataType, Value};
 
     fn ctx() -> CoreCtx {
         CoreCtx::new(&ExecContext::dpu(), 0)
@@ -177,146 +554,325 @@ mod tests {
         ])
     }
 
+    fn cmp(col: usize, op: CmpOp, value: i64) -> Pred {
+        Pred::CmpConst { col, op, value }
+    }
+
+    /// The selective path over `preds` in the order given.
+    fn gather<'a>(preds: &'a [Pred], expected: f64) -> ScanPlan<'a> {
+        ScanPlan::forced(AccessPath::Gather, preds, &[], expected)
+    }
+
+    fn row_vec(rows: &RowSet) -> Vec<usize> {
+        let mut got = Vec::new();
+        rows.for_each_row(|i| got.push(i));
+        got
+    }
+
     #[test]
     fn single_predicate_selects_expected_rows() {
-        let mut c = ctx();
-        let ch = chunk(1000);
-        let preds = vec![Pred::CmpConst {
-            col: 0,
-            op: CmpOp::Lt,
-            value: 250,
-        }];
-        let r = filter_chunk(&mut c, &ch, &preds, 0.25, 256).unwrap();
+        let preds = [cmp(0, CmpOp::Lt, 250)];
+        let r = gather(&preds, 0.25)
+            .filter_chunk(&mut ctx(), &chunk(1000), 256)
+            .unwrap();
         assert_eq!(r.count(), 250);
-        assert!(
-            matches!(r.rows, RowSet::Bits(_)),
-            "25% selectivity uses bits"
-        );
+        assert!(matches!(r, RowSet::Bits(_)), "25% selectivity uses bits");
     }
 
     #[test]
     fn selective_predicate_uses_rids() {
-        let mut c = ctx();
-        let ch = chunk(1000);
-        let preds = vec![Pred::CmpConst {
-            col: 0,
-            op: CmpOp::Lt,
-            value: 10,
-        }];
-        let r = filter_chunk(&mut c, &ch, &preds, 0.01, 256).unwrap();
+        let preds = [cmp(0, CmpOp::Lt, 10)];
+        let r = gather(&preds, 0.01)
+            .filter_chunk(&mut ctx(), &chunk(1000), 256)
+            .unwrap();
         assert_eq!(r.count(), 10);
-        assert!(
-            matches!(r.rows, RowSet::Rids(_)),
-            "1% selectivity uses RIDs"
-        );
+        assert!(matches!(r, RowSet::Rids(_)), "1% selectivity uses RIDs");
     }
 
     #[test]
     fn conjunction_narrows_progressively() {
-        let mut c = ctx();
-        let ch = chunk(1000);
-        let preds = vec![
-            Pred::CmpConst {
-                col: 0,
-                op: CmpOp::Lt,
-                value: 500,
-            },
-            Pred::CmpConst {
-                col: 1,
-                op: CmpOp::Lt,
-                value: 50,
-            },
-        ];
-        let r = filter_chunk(&mut c, &ch, &preds, 0.5, 256).unwrap();
+        let preds = [cmp(0, CmpOp::Lt, 500), cmp(1, CmpOp::Lt, 50)];
+        let r = gather(&preds, 0.5)
+            .filter_chunk(&mut ctx(), &chunk(1000), 256)
+            .unwrap();
         // rows < 500 with (row % 100) < 50: 250 rows.
         assert_eq!(r.count(), 250);
     }
 
     #[test]
     fn empty_conjuncts_pass_everything() {
-        let mut c = ctx();
-        let ch = chunk(64);
-        let r = filter_chunk(&mut c, &ch, &[], 1.0, 64).unwrap();
+        let r = gather(&[], 1.0)
+            .filter_chunk(&mut ctx(), &chunk(64), 64)
+            .unwrap();
         assert_eq!(r.count(), 64);
     }
 
     #[test]
     fn no_survivors_short_circuits() {
+        let preds = [cmp(0, CmpOp::Gt, 1_000_000), cmp(1, CmpOp::Eq, 0)];
         let mut c = ctx();
-        let ch = chunk(100);
-        let preds = vec![
-            Pred::CmpConst {
-                col: 0,
-                op: CmpOp::Gt,
-                value: 1_000_000,
-            },
-            Pred::CmpConst {
-                col: 1,
-                op: CmpOp::Eq,
-                value: 0,
-            },
-        ];
-        let r = filter_chunk(&mut c, &ch, &preds, 0.001, 64).unwrap();
+        let r = gather(&preds, 0.001)
+            .filter_chunk(&mut c, &chunk(100), 64)
+            .unwrap();
         assert_eq!(r.count(), 0);
+        assert_eq!(c.account.counters().tiles, 1, "the second pass never ran");
     }
 
     #[test]
-    fn materialization_gathers_projection() {
-        let mut c = ctx();
-        let ch = chunk(100);
-        let preds = vec![Pred::CmpConst {
-            col: 0,
-            op: CmpOp::Ge,
-            value: 98,
-        }];
-        let r = filter_chunk(&mut c, &ch, &preds, 0.02, 64).unwrap();
-        let b = materialize_projection(&mut c, &ch, &r.rows, &[1], 64);
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b.column(0).data.to_i64_vec(), vec![98, 99]);
+    fn both_paths_materialize_the_projection() {
+        let preds = [cmp(0, CmpOp::Ge, 98)];
+        for path in [AccessPath::Gather, AccessPath::Stream] {
+            let b = ScanPlan::forced(path, &preds, &[1], 0.02)
+                .scan_chunk(&mut ctx(), &chunk(100), 64)
+                .unwrap();
+            assert_eq!(b.column(0).data.to_i64_vec(), vec![98, 99], "{path}");
+        }
     }
 
     #[test]
     fn filter_batch_on_intermediates() {
         let mut c = ctx();
         let b = Batch::new(vec![Vector::new(ColumnData::I64(vec![1, 5, 3, 7]))]);
-        let out = filter_batch(
-            &mut c,
-            b,
-            &Pred::CmpConst {
-                col: 0,
-                op: CmpOp::Gt,
-                value: 3,
-            },
-        )
-        .unwrap();
+        let out = filter_batch(&mut c, b, &cmp(0, CmpOp::Gt, 3)).unwrap();
         assert_eq!(out.column(0).data.to_i64_vec(), vec![5, 7]);
     }
 
     #[test]
     fn chunk_filter_agrees_with_naive() {
+        let preds = [cmp(1, CmpOp::Ge, 30), cmp(0, CmpOp::Lt, 600)];
+        let r = gather(&preds, 0.7)
+            .filter_chunk(&mut ctx(), &chunk(777), 128)
+            .unwrap();
+        let expect: Vec<usize> = (0..777).filter(|i| i % 100 >= 30 && *i < 600).collect();
+        assert_eq!(row_vec(&r), expect);
+    }
+
+    #[test]
+    fn an_unpredicated_stream_charges_the_sequential_loop_and_no_row_set() {
+        let (ch, mut c) = (chunk(1000), ctx());
+        let b = ScanPlan::forced(AccessPath::Stream, &[], &[0, 1], 1.0)
+            .scan_chunk(&mut c, &ch, 256)
+            .unwrap();
+        assert_eq!(b.rows(), 1000);
+        assert_eq!(b.column(1), ch.vector(1));
+        let seq = RelationAccessor::seq_read_cost(&c.cost_model, [4, 4].into_iter(), 1000, 256);
+        assert_eq!(c.account.dms_cycles().get().to_bits(), seq.cycles.to_bits());
+        assert_eq!(c.account.counters().dms_bytes, seq.bytes);
+        assert_eq!(c.account.counters().dms_descriptors, seq.descriptors);
+        // Four tiles round the control loop, nothing evaluated or compacted.
+        assert_eq!(c.account.counters().tiles, 4);
+        assert_eq!(c.account.counters().instructions, 0);
+
+        // The gather path moves the same tiles slower, behind a row set.
+        let mut g = ctx();
+        ScanPlan::forced(AccessPath::Gather, &[], &[0, 1], 1.0)
+            .scan_chunk(&mut g, &ch, 256)
+            .unwrap();
+        assert_eq!(
+            g.account.counters().dms_bytes,
+            seq.bytes + 1000usize.div_ceil(64) as u64 * 8
+        );
+        assert!(g.account.dms_cycles() > c.account.dms_cycles());
+    }
+
+    #[test]
+    fn a_range_on_one_column_streams_it_once_for_the_same_instructions() {
+        let ch = chunk(1000);
+        let range = [cmp(0, CmpOp::Ge, 200), cmp(0, CmpOp::Lt, 700)];
         let mut c = ctx();
-        let ch = chunk(777);
-        let preds = vec![
-            Pred::CmpConst {
-                col: 1,
-                op: CmpOp::Ge,
-                value: 30,
+        let plan = gather(&range, 0.5);
+        assert_eq!(
+            plan.dms_passes(),
+            2,
+            "one predicate pass and the projection"
+        );
+        assert_eq!(plan.filter_chunk(&mut c, &ch, 256).unwrap().count(), 500);
+        // One stream of the column; the second half of the range reads the
+        // 800 survivors of the first where they already are.
+        let seq = RelationAccessor::seq_read_cost(&c.cost_model, [4].into_iter(), 1000, 256);
+        assert_eq!(c.account.dms_cycles().get().to_bits(), seq.cycles.to_bits());
+        assert_eq!(c.account.counters().dms_bytes, seq.bytes);
+        // What one gather per conjunct retired: both compares over the rows
+        // they see, and a trip round the control loop each.
+        let on_two_columns = [cmp(0, CmpOp::Ge, 200), cmp(1, CmpOp::Lt, 1000)];
+        let mut apart = ctx();
+        gather(&on_two_columns, 0.5)
+            .filter_chunk(&mut apart, &ch, 256)
+            .unwrap();
+        assert_eq!(c.account.counters().instructions, 2 * 1000 + 2 * 800);
+        assert_eq!(
+            c.account.counters(),
+            &dpu_sim::account::Counters {
+                dms_bytes: seq.bytes,
+                dms_descriptors: seq.descriptors,
+                ..*apart.account.counters()
+            }
+        );
+        assert_eq!(
+            c.account.compute_cycles().get().to_bits(),
+            apart.account.compute_cycles().get().to_bits()
+        );
+    }
+
+    /// `rows` rows in `chunk_rows`-row chunks: a wide column `w` (8 bytes)
+    /// and two narrow ones `a`, `b` (1 byte), all uniform.
+    fn table(rows: i64, chunk_rows: usize) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("w", DataType::Int),
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]);
+        let mut t = TableBuilder::new("t", schema).chunk_rows(chunk_rows);
+        for i in 0..rows {
+            t.push_row(vec![
+                Value::Int(i << 33),
+                Value::Int(i % 100),
+                Value::Int((i * 7) % 50),
+            ]);
+        }
+        t.finish()
+    }
+
+    fn decide<'a>(t: &Table, proj: &'a [usize], pred: Option<&'a Pred>) -> ScanPlan<'a> {
+        let touched = touched_columns(proj, pred);
+        ScanPlan::decide(&ExecContext::dpu(), t, proj, pred, touched, 256)
+    }
+
+    #[test]
+    fn passes_run_in_the_order_that_moves_the_fewest_cycles() {
+        let t = table(40_000, 4_000);
+        assert_eq!(t.chunks().next().unwrap().vector(0).data.width(), 8);
+        assert_eq!(t.chunks().next().unwrap().vector(1).data.width(), 1);
+        // The range on the wide column keeps 40 % of the rows, `a < 50`
+        // half: most selective first puts the range in front. But streaming
+        // the 8-byte column at every row to gather a narrow one at 40 % of
+        // them moves more than streaming the narrow one and gathering the
+        // wide one at half.
+        let pred = Pred::And(vec![
+            cmp(0, CmpOp::Ge, 24_000 << 33),
+            cmp(0, CmpOp::Lt, 40_000 << 33),
+            cmp(1, CmpOp::Lt, 50),
+        ]);
+        let plan = decide(&t, &[2], Some(&pred));
+        assert_eq!(plan.path(), AccessPath::Gather);
+        let order: Vec<&[usize]> = plan.passes.iter().map(|p| p.cols()).collect();
+        assert_eq!(order, [&[1][..], &[0][..]]);
+        assert_eq!(plan.passes[1].conjuncts.len(), 2, "the range is one pass");
+        let (narrow, wide) = (plan.passes[0].sel, plan.passes[1].sel);
+        assert!((wide - 0.4).abs() < 0.02 && (narrow - 0.5).abs() < 0.02);
+    }
+
+    #[test]
+    fn the_path_is_chosen_by_stage_time_not_dms_time() {
+        // Ten lanes: the stream's per-tile control loop is spread over the
+        // cores and the sequential loop beats a gather of every row.
+        let many = table(40_000, 4_000);
+        assert_eq!(decide(&many, &[0, 1], None).path(), AccessPath::Stream);
+        // One lane: the same rows' tiles all cost one core its control
+        // loop, longer than the DMS takes either way.
+        let one = table(4_000, 4_000);
+        assert_eq!(decide(&one, &[0, 1], None).path(), AccessPath::Gather);
+        // A point predicate gathers a row or two: nothing to stream for.
+        let point = cmp(1, CmpOp::Eq, 7);
+        assert_eq!(
+            decide(&many, &[0, 2], Some(&point)).path(),
+            AccessPath::Gather
+        );
+        // One that keeps nearly every row streams, compaction included.
+        let most = cmp(1, CmpOp::Lt, 98);
+        assert_eq!(
+            decide(&many, &[0, 2], Some(&most)).path(),
+            AccessPath::Stream
+        );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::exec::{CoreCtx, ExecContext};
+    use crate::primitives::filter::CmpOp;
+    use proptest::prelude::*;
+
+    /// A row of three small values; `None` is NULL.
+    type Row = [Option<i8>; 3];
+
+    fn chunk_of(rows: &[Row]) -> Chunk {
+        let column = |c: usize| {
+            let data = ColumnData::I8(rows.iter().map(|r| r[c].unwrap_or(0)).collect());
+            let nulls = BitVec::from_bools(rows.iter().map(|r| r[c].is_none()));
+            Vector::with_nulls(data, nulls)
+        };
+        Chunk::new((0..3).map(column).collect())
+    }
+
+    fn conjunct(kind: u8, col: usize, other: usize, v: i64) -> Pred {
+        let op = [CmpOp::Lt, CmpOp::Ge, CmpOp::Ne, CmpOp::Eq][kind as usize % 4];
+        match kind / 4 {
+            0 => Pred::CmpConst { col, op, value: v },
+            1 => Pred::Between {
+                col,
+                lo: v - 3,
+                hi: v + 3,
             },
-            Pred::CmpConst {
-                col: 0,
-                op: CmpOp::Lt,
-                value: 600,
+            _ => Pred::CmpCols {
+                left: col,
+                op,
+                right: other,
             },
-        ];
-        let r = filter_chunk(&mut c, &ch, &preds, 0.7, 128).unwrap();
-        let mut expect = Vec::new();
-        for i in 0..777i64 {
-            if (i % 100) >= 30 && i < 600 {
-                expect.push(i as usize);
+        }
+    }
+
+    proptest! {
+        /// Both access paths keep exactly the rows every conjunct keeps
+        /// when evaluated on its own over the whole chunk, in row order.
+        #[test]
+        fn both_paths_return_the_rows_every_conjunct_keeps(
+            rows in proptest::collection::vec(
+                (
+                    proptest::option::of(-8i8..8),
+                    proptest::option::of(-8i8..8),
+                    proptest::option::of(-8i8..8),
+                ),
+                0..40,
+            ),
+            // Long chunks are several tiles; the short ones above include
+            // the empty and the one-row chunk.
+            long in any::<bool>(),
+            conjuncts in proptest::collection::vec((0u8..12, 0usize..3, 0usize..3, -8i64..8), 0..5),
+            sparse in any::<bool>(),
+        ) {
+            let rows: Vec<Row> = rows
+                .iter()
+                .cycle()
+                .take(rows.len() * if long { 9 } else { 1 })
+                .map(|&(a, b, c)| [a, b, c])
+                .collect();
+            let ch = chunk_of(&rows);
+            let preds: Vec<Pred> = conjuncts
+                .iter()
+                .map(|&(kind, col, other, v)| conjunct(kind, col, other, v))
+                .collect();
+            let ectx = ExecContext::dpu();
+            let mut oracle = BitVec::ones(ch.rows());
+            for p in &preds {
+                let mut c = CoreCtx::new(&ectx, 0);
+                oracle.and_with(&p.eval(&mut c, ch.vectors(), ch.rows()).unwrap());
+            }
+            let rids = oracle.to_rids().rids;
+            let proj = [2, 0];
+            let want = Batch::new(proj.iter().map(|&c| ch.vector(c).gather(&rids)).collect());
+            for path in [AccessPath::Stream, AccessPath::Gather] {
+                let mut c = CoreCtx::new(&ectx, 0);
+                let got = ScanPlan::forced(path, &preds, &proj, if sparse { 0.01 } else { 0.5 })
+                    .scan_chunk(&mut c, &ch, 16)
+                    .unwrap();
+                if rids.is_empty() {
+                    prop_assert!(got.is_empty(), "{path}: {got:?}");
+                } else {
+                    prop_assert_eq!(&got, &want, "{}", path);
+                }
             }
         }
-        let mut got = Vec::new();
-        r.rows.for_each_row(|i| got.push(i));
-        assert_eq!(got, expect);
     }
 }

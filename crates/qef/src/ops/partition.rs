@@ -36,7 +36,7 @@ use rapid_storage::vector::Vector;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::Batch;
-use crate::budget::{partition_stream_bytes, BASE_STATE_BYTES};
+use crate::budget::{partition_stream_bytes, working_set, BASE_STATE_BYTES};
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
 use crate::primitives::costs;
@@ -205,22 +205,24 @@ impl<'a> Round<'a> {
         let widths: Vec<usize> = pieces.first().map_or(Vec::new(), |b| {
             b.columns.iter().map(|c| c.data.width()).collect()
         });
-        // The working set the tile was sized from (`budget`): state plus a
-        // double-buffered tile of every column and the hash lane — single-
-        // buffered where `budget::fit_tile` had to give the second up.
-        let stream = partition_stream_bytes(widths.iter().sum()) * tile;
-        let working_set = if BASE_STATE_BYTES + 2 * stream <= dmem_bytes {
-            BASE_STATE_BYTES + 2 * stream
-        } else {
-            BASE_STATE_BYTES + stream
-        };
         Round {
             hashes: vec![0; starts[pieces.len()]],
             rids: vec![0; starts[pieces.len()]],
             offsets: vec![0; slices.len() * (fanout + 1)],
             plan: Plan {
-                write_per_tile: RelationAccessor::seq_write_tile_cost(cm, &widths, tile),
-                working_set,
+                write_per_tile: RelationAccessor::seq_write_tile_cost(
+                    cm,
+                    widths.iter().copied(),
+                    tile,
+                ),
+                // What the tile was sized from: state plus the tile buffers
+                // of every column and the hash lane.
+                working_set: working_set(
+                    BASE_STATE_BYTES,
+                    partition_stream_bytes(widths.iter().sum()),
+                    tile,
+                    dmem_bytes,
+                ),
                 width: widths.len(),
                 pieces,
                 starts,
@@ -812,8 +814,8 @@ mod proptests {
                 }
                 let widths: Vec<usize> = part.columns.iter().map(|c| c.data.width()).collect();
                 ctx.charge_dms(&RelationAccessor::seq_write_cost(
-                    ctx,
-                    &widths,
+                    &ctx.cost_model,
+                    widths.iter().copied(),
                     part.rows(),
                     tile,
                 ));

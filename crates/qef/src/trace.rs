@@ -18,6 +18,8 @@
 
 use std::sync::{Arc, Mutex};
 
+use crate::ra::AccessPath;
+
 /// One executed pipeline stage, as observed by the engine.
 ///
 /// Cycle/counter fields are the merge of the stage's per-core
@@ -66,10 +68,23 @@ pub struct StageEvent {
     pub ate_messages: u64,
     /// Max per-core DMEM high-water mark in bytes.
     pub dmem_peak_bytes: u64,
+    /// For a scan stage, how it read its table.
+    #[serde(default)]
+    pub scan: Option<ScanAccess>,
     /// Energy at the DPU's provisioned power over `sim_secs`, in joules.
     pub energy_joules: f64,
     /// Host wall-clock seconds (native backend; 0 on the DPU).
     pub wall_secs: f64,
+}
+
+/// How a scan stage read its table (see [`crate::ops::filter::ScanPlan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct ScanAccess {
+    /// The relation-accessor pattern its chunks were read by.
+    pub path: AccessPath,
+    /// Trips through the DMS per chunk: one on the stream path, the
+    /// predicate passes plus the projection's gather on the gather path.
+    pub passes: u32,
 }
 
 impl StageEvent {

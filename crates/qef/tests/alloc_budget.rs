@@ -10,14 +10,18 @@ use std::cell::Cell;
 
 use rapid_qef::exec::{CoreCtx, ExecContext};
 use rapid_qef::expr::Pred;
-use rapid_qef::ops::filter::filter_chunk;
+use rapid_qef::ops::filter::{touched_columns, ScanPlan};
 use rapid_qef::ops::join::JoinTable;
 use rapid_qef::ops::partition::{partition_pass, partition_scheme};
 use rapid_qef::ops::topk::TopK;
 use rapid_qef::plan::SortKey;
 use rapid_qef::primitives::filter::CmpOp;
+use rapid_qef::ra::AccessPath;
 use rapid_qef::Batch;
 use rapid_storage::chunk::Chunk;
+use rapid_storage::schema::{Field, Schema};
+use rapid_storage::table::TableBuilder;
+use rapid_storage::types::{DataType, Value};
 use rapid_storage::vector::{ColumnData, Vector};
 
 thread_local! {
@@ -99,14 +103,15 @@ fn one_conjunct_allocates_the_row_set_not_the_chunk() {
         op: CmpOp::Lt,
         value: 2048,
     }];
+    let plan = ScanPlan::forced(AccessPath::Gather, &conjuncts, &[], 0.5);
     let mut c = core();
-    let (r, allocs, bytes) = measured(|| filter_chunk(&mut c, &chunk, &conjuncts, 0.5, 256));
+    let (r, allocs, bytes) = measured(|| plan.filter_chunk(&mut c, &chunk, 256));
     assert_eq!(r.unwrap().count(), 2045);
-    // The qualifying bitmap, plus the handful of one-element index lists
-    // that describe the stream to the DMS.
-    assert!(allocs <= 8, "{allocs} allocations");
+    // The qualifying bitmap and nothing else: the plan names the columns
+    // and the DMS is costed without building its descriptor chain.
+    assert!(allocs <= 2, "{allocs} allocations");
     assert!(
-        bytes <= BITMAP_BYTES + 256,
+        bytes <= BITMAP_BYTES + 64,
         "{bytes} bytes to produce a {BITMAP_BYTES}-byte row set"
     );
 }
@@ -126,13 +131,14 @@ fn a_later_conjunct_gathers_only_the_columns_it_names() {
             value: 1000,
         },
     ];
+    let plan = ScanPlan::forced(AccessPath::Gather, &conjuncts, &[], 0.5);
     let mut c = core();
-    let (r, _, bytes) = measured(|| filter_chunk(&mut c, &chunk, &conjuncts, 0.5, 256));
+    let (r, _, bytes) = measured(|| plan.filter_chunk(&mut c, &chunk, 256));
     assert_eq!(r.unwrap().count(), 2045 - 993);
     // After the first conjunct 2045 rows qualify. The second may allocate
     // their row ids, ONE gathered 8-byte column, its verdict, the surviving
-    // row ids and the new bitmap — plus the first conjunct's bitmap, the
-    // sixteen placeholder headers and the small index lists.
+    // row ids and the new bitmap — plus the first conjunct's bitmap and the
+    // sixteen placeholder headers.
     let n = 2045u64;
     let budget = 4 * n
         + 8 * n
@@ -140,11 +146,79 @@ fn a_later_conjunct_gathers_only_the_columns_it_names() {
         + 4 * n
         + 2 * BITMAP_BYTES
         + 16 * std::mem::size_of::<Vector>() as u64
-        + 512;
+        + 256;
     assert!(
         bytes <= budget,
         "{bytes} bytes against a budget of {budget}"
     );
+}
+
+#[test]
+fn a_streamed_chunk_allocates_per_column_not_per_tile() {
+    // The same 4096 rows as one 4096-row tile and as 64 tiles of 64.
+    let chunk = wide_chunk();
+    let conjuncts = [Pred::CmpConst {
+        col: 3,
+        op: CmpOp::Lt,
+        value: 2048,
+    }];
+    let proj = [0, 5, 9];
+    let scan = |conjuncts: &[Pred], tile: usize| {
+        let plan = ScanPlan::forced(AccessPath::Stream, conjuncts, &proj, 0.5);
+        let mut c = core();
+        let (b, allocs, _) = measured(|| plan.scan_chunk(&mut c, &chunk, tile));
+        assert_eq!(c.account.counters().tiles, (ROWS / tile) as u64);
+        (b.unwrap().rows(), allocs)
+    };
+    for conjuncts in [&conjuncts[..], &[]] {
+        let ((rows, one_tile), (_, many_tiles)) = (scan(conjuncts, ROWS), scan(conjuncts, 64));
+        assert_eq!(rows, if conjuncts.is_empty() { ROWS } else { 2045 });
+        assert_eq!(one_tile, many_tiles, "allocations at 1 tile and at 64");
+        // One batch per chunk: its column list and a buffer per projected
+        // column, and with a predicate the verdict and the row ids.
+        assert!(
+            one_tile <= proj.len() as u64 + 1 + 2 * conjuncts.len() as u64,
+            "{one_tile} allocations for {} columns",
+            proj.len()
+        );
+    }
+}
+
+#[test]
+fn planning_a_one_pass_scan_allocates_for_its_conjunct_and_nothing_else() {
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::Int),
+        Field::new("w", DataType::Int),
+    ]);
+    let mut t = TableBuilder::new("t", schema).chunk_rows(1024);
+    for i in 0..8192i64 {
+        t.push_row(vec![Value::Int(i), Value::Int(i % 97), Value::Int(i * 3)]);
+    }
+    let t = t.finish();
+    let ectx = ExecContext::dpu();
+    let point = Pred::CmpConst {
+        col: 0,
+        op: CmpOp::Eq,
+        value: 4711,
+    };
+    let proj = [1, 2];
+    for pred in [Some(&point), None] {
+        let (plan, allocs, _) = measured(|| {
+            let touched = touched_columns(&proj, pred);
+            ScanPlan::decide(&ectx, &t, &proj, pred, touched, 256)
+        });
+        assert_eq!(plan.dms_passes(), 1 + pred.iter().count());
+        // The touched columns (grown once), the statistics view, the
+        // per-lane compute sums, and per conjunct its pass, its slot in it
+        // and its column list: no probe core, no cloned predicate, no pass
+        // orders, and both paths costed on every chunk without a
+        // descriptor chain or a width list being built.
+        assert!(
+            allocs <= 3 + 5 * pred.iter().count() as u64,
+            "{allocs} allocations to plan {pred:?}"
+        );
+    }
 }
 
 #[test]

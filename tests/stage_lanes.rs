@@ -91,7 +91,9 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         // where there were many. (A partitioned group-by takes the engine's
         // fallback scheme, which asks for a partition per core: on one core
         // it is another scheme, so only queries without one move the same
-        // bytes in total.)
+        // bytes in total. And a scan picks its access path by stage time,
+        // which one lane and thirty do not share: the total is of what the
+        // other stages move.)
         let (rows_one_core, report_one_core) = run(&one_core);
         let events_one_core = one_core_sink.take();
         assert_eq!(rows_one_core, rows, "{name}: 1 core vs {CORES}");
@@ -109,11 +111,13 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             "{name}"
         );
         if !events.iter().any(|e| e.operator == "groupby.partition") {
-            assert_eq!(report_one_core.dms_bytes, report.dms_bytes, "{name}");
-            assert_eq!(
-                report_one_core.dms_descriptors, report.dms_descriptors,
-                "{name}"
-            );
+            let moved = |events: &[StageEvent]| {
+                let past_scans = events.iter().filter(|e| e.scan.is_none());
+                past_scans.fold((0, 0), |(bytes, descriptors), e| {
+                    (bytes + e.dms_bytes, descriptors + e.dms_descriptors)
+                })
+            };
+            assert_eq!(moved(&events_one_core), moved(&events), "{name}");
         }
         assert!(events_one_core.iter().all(|e| e.parallelism == 1));
         assert!(
