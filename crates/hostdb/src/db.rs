@@ -927,7 +927,8 @@ impl Drop for HostDb {
 /// `scans` (from [`scan_columns`], same id space) puts `cols k/n` on every
 /// scan line: the columns the compiled scan moves, of its table's. Beside it
 /// the line names what ran: the access path (`stream` or `gather`) and the
-/// trips through the DMS each chunk took.
+/// trips through the DMS each chunk took. A partition line says after its
+/// lanes which round of its pass it is and the round's fan-out.
 fn render_explain(
     events: &[StageEvent],
     result: &QueryResult,
@@ -964,11 +965,14 @@ fn render_explain(
         if let Some(scan) = e.scan {
             let _ = write!(s, " {} passes={}", scan.path, scan.passes);
         }
+        let _ = write!(s, "  lanes={}", e.parallelism);
+        if let Some(p) = e.partition {
+            let _ = write!(s, " round {}/{} fanout {}", p.round, p.rounds, p.fanout);
+        }
         let _ = write!(
             s,
-            "  lanes={} rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
+            " rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
              bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
-            e.parallelism,
             e.rows,
             e.sim_secs,
             e.compute_cycles,
@@ -1423,6 +1427,49 @@ mod tests {
                 "{sql}"
             );
         }
+    }
+
+    #[test]
+    fn explain_verify_says_what_a_partition_lane_holds_in_dmem() {
+        // 10,000 distinct ids: the group-by partitions. `id` is stored in 2
+        // bytes and `amount` in 4, so a row streams 6 bytes and the hash
+        // lane 4 — not the 20 of two declared 8-byte columns.
+        let d = db();
+        d.load_into_rapid("sales").unwrap();
+        let sql = "SELECT id, SUM(amount) AS t FROM sales GROUP BY id";
+        let a = d.explain_analyze(sql).unwrap();
+        let rounds: Vec<_> = a
+            .events
+            .iter()
+            .filter(|e| e.operator == "groupby.partition")
+            .collect();
+        assert_eq!(rounds.len(), 1, "{}", a.text);
+        let round = rounds[0];
+        assert_eq!(round.dmem_peak_bytes, 64 + 2 * (6 + 4) * 256, "{}", a.text);
+        // The line says which round of how many it is, after its lanes.
+        let p = round.partition.expect("a partition stage says its round");
+        assert_eq!((p.round, p.rounds), (1, 1));
+        let line = format!(
+            "groupby.partition  lanes={} round 1/1 fanout {} rows=10000 ",
+            round.parallelism, p.fanout
+        );
+        assert!(a.text.contains(&line), "no `{line}` in:\n{}", a.text);
+        assert!(a
+            .events
+            .iter()
+            .all(|e| e.partition.is_none() || e.operator == "groupby.partition"));
+        // EXPLAIN VERIFY derives the same stage before anything runs: its
+        // `ws-bytes` is the lane's `dmem_peak`, its `B/row` the encoded
+        // row plus the hash lane.
+        let text = d.explain_verify(sql).unwrap();
+        let stage: Vec<&str> = text
+            .lines()
+            .find(|l| l.contains("groupby.partition"))
+            .unwrap_or_else(|| panic!("no partition stage in:\n{text}"))
+            .split_whitespace()
+            .collect();
+        let ws = round.dmem_peak_bytes.to_string();
+        assert_eq!(stage[1..6], ["groupby.partition", "256", &ws, "64", "10"]);
     }
 
     #[test]

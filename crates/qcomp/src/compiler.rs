@@ -20,7 +20,7 @@ use rapid_storage::types::{pow10, DataType, Value};
 
 use crate::cost::{estimate, CostParams, PlanCost};
 use crate::logical::{LExpr, LPred, LWindowFunc, LogicalPlan};
-use crate::partition_opt::{optimize_partition_scheme, PartitionOptInput};
+use crate::partition_opt::{optimize_for_partitions, required_partitions, PartitionOptInput};
 
 /// Extra fractional digits given to divisions.
 const DIV_EXTRA_SCALE: u8 = 6;
@@ -983,31 +983,42 @@ fn lower_join(
         );
         c.rows as u64
     };
-    // Both sides stream through the partition passes; the local-buffer
-    // limit (heuristic b) is set by the *widest* row, computed from the
-    // actual output layouts rather than a key-count guess. Feeding the
-    // real width to the optimizer both prices spills correctly and
-    // hard-bounds the per-round fan-out to what the DMEM buffers admit —
-    // the same `max_buffered_fanout` the verifier enforces (R-FANOUT-
-    // BUFFER), so a chosen scheme can never fail verification.
-    let phys_row = |cs: &[OutCol]| -> usize {
+    // Both sides stream through the partition passes, and the local-buffer
+    // limit (heuristic b) is set by the *widest* row as its columns are
+    // encoded (`PlanNode::output_widths`) — what the lanes buffer and the
+    // DMS writes. The same width prices a round (bytes moved, flushes,
+    // spill) and, through `max_buffered_fanout`, hard-bounds its fan-out;
+    // the engine caps and the verifier checks (R-FANOUT-BUFFER) with the
+    // same function over the same widths, so a chosen scheme can never
+    // fail verification. The partition *count* alone keeps the declared
+    // widths: it sizes what a join kernel holds, and a kernel widens keys
+    // to 8 bytes whatever they are stored in.
+    let encoded = |plan: &PlanNode| -> Result<usize, CompileError> {
+        let widths = plan
+            .output_widths(catalog)
+            .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
+        Ok(widths.iter().sum())
+    };
+    let declared = |cs: &[OutCol]| -> usize {
         cs.iter()
             .map(|c| c.dtype.physical_width())
             .sum::<usize>()
             .max(8)
     };
-    let row_bytes = phys_row(&lcols).max(phys_row(&rcols));
+    let row_bytes = encoded(&lplan)?.max(encoded(&rplan)?);
     let buffer_cap = rapid_qef::budget::max_buffered_fanout(row_bytes, params.dmem_bytes);
-    let scheme = optimize_partition_scheme(
-        &params.cm,
-        &PartitionOptInput {
-            rows: build_rows.max(1),
-            row_bytes,
-            dmem_bytes: params.dmem_bytes,
-            cores: params.cores,
-            max_round_fanout: buffer_cap.min(1024),
-        },
-    );
+    let streamed = PartitionOptInput {
+        rows: build_rows.max(1),
+        row_bytes,
+        dmem_bytes: params.dmem_bytes,
+        cores: params.cores,
+        max_round_fanout: buffer_cap.min(1024),
+    };
+    let partitions = required_partitions(&PartitionOptInput {
+        row_bytes: declared(&lcols).max(declared(&rcols)),
+        ..streamed.clone()
+    });
+    let scheme = optimize_for_partitions(&params.cm, &streamed, partitions);
 
     let (llen, rlen) = (lcols.len(), rcols.len());
     if build_is_right {
@@ -1381,18 +1392,23 @@ mod tests {
 
     #[test]
     fn join_scheme_respects_the_buffer_fanout_cap() {
-        // A join whose output rows are much wider than `keys * 8` bytes:
-        // sizing the partition buffers from the key count alone would
-        // admit fan-outs the real rows cannot buffer (the pre-fix
-        // formula gave 16 B here vs an actual 100+ B row).
+        // A join whose rows are much wider than `keys * 8` bytes: sizing
+        // the partition buffers from the key count alone would admit
+        // fan-outs the real rows cannot buffer. The real row is the row as
+        // its columns are encoded: `k` needs 2 bytes, `v0..v5` 8 each and
+        // `n0..n5` 1 each — 56 bytes where 104 are declared.
         let mut fields = vec![Field::new("k", DataType::Int)];
-        for i in 0..12 {
+        for i in 0..6 {
             fields.push(Field::new(format!("v{i}"), DataType::Int));
+        }
+        for i in 0..6 {
+            fields.push(Field::new(format!("n{i}"), DataType::Int));
         }
         let mut b = TableBuilder::new("wide", Schema::new(fields));
         for r in 0..4000i64 {
             let mut row = vec![Value::Int(r)];
-            row.extend((0..12).map(|i| Value::Int(r * 13 + i)));
+            row.extend((0..6).map(|i| Value::Int((r * 13 + i) << 33)));
+            row.extend((0..6).map(|i| Value::Int((r + i) % 100)));
             b.push_row(row);
         }
         let mut cat = Catalog::new();
@@ -1402,20 +1418,53 @@ mod tests {
         let p = params();
         let c = compile(&lp, &cat, &p).unwrap();
         let PlanNode::HashJoin {
-            scheme: Some(s), ..
+            scheme: Some(s),
+            probe,
+            ..
         } = &c.plan
         else {
             panic!("expected join root, got {:?}", c.plan)
         };
-        // 13 int columns -> 104 B rows; the buffer cap for those rows.
-        let cap = rapid_qef::budget::max_buffered_fanout(104, p.dmem_bytes);
+        let row: usize = probe.output_widths(&cat).unwrap().iter().sum();
+        assert_eq!(row, 2 + 6 * 8 + 6);
+        // 16 KiB of local buffers hold 18 sixteen-row bursts of 56 bytes:
+        // 16 ways a round, where the declared 104 bytes would allow 8.
+        let cap = rapid_qef::budget::max_buffered_fanout(row, p.dmem_bytes);
+        assert_eq!(cap, 16);
+        assert_eq!(rapid_qef::budget::max_buffered_fanout(104, p.dmem_bytes), 8);
+        assert_eq!(s.iter().product::<usize>(), 32, "a partition per core");
         assert!(
-            s.iter().all(|&f| f <= cap),
-            "scheme {s:?} exceeds the {cap}-way cap for 104-byte rows"
+            s.len() == 2 && s.iter().all(|&f| f <= cap),
+            "scheme {s:?} against the {cap}-way cap for {row}-byte rows"
         );
         // And the verifier agrees (the compile() gate already enforced
         // this; assert explicitly for the regression).
         assert!(rapid_verify::verify(&c.plan, &cat, &verify_config(&p)).ok());
+    }
+
+    #[test]
+    fn join_over_narrow_columns_partitions_in_one_round() {
+        // Six columns of small values: 48 declared bytes a row cap a round
+        // at 16 ways and would split 32 partitions in two rounds; the 8
+        // bytes they are stored in fit 32 buffers (and 128) at once.
+        let fields = (0..6).map(|i| Field::new(format!("c{i}"), DataType::Int));
+        let mut b = TableBuilder::new("narrow", Schema::new(fields.collect()));
+        for r in 0..4000i64 {
+            let mut row = vec![Value::Int(r)];
+            row.extend((1..6).map(|i| Value::Int((r + i) % 100)));
+            b.push_row(row);
+        }
+        let mut cat = Catalog::new();
+        cat.insert("narrow".into(), Arc::new(b.finish()));
+        let lp = LogicalPlan::scan("narrow").join(LogicalPlan::scan("narrow"), &["c0"], &["c0"]);
+        let p = params();
+        assert_eq!(rapid_qef::budget::max_buffered_fanout(48, p.dmem_bytes), 16);
+        let c = compile(&lp, &cat, &p).unwrap();
+        let PlanNode::HashJoin { scheme, probe, .. } = &c.plan else {
+            panic!("expected join root, got {:?}", c.plan)
+        };
+        assert_eq!(probe.output_widths(&cat).unwrap(), [2, 1, 1, 1, 1, 1]);
+        assert_eq!(scheme.as_deref(), Some(&[32][..]));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! 3. **Enumerate**: a DP-over-subsets memo (bushy trees, connected
 //!    subsets only — no Cartesian products) minimizes the summed
 //!    [`join_cycles`] of every split — a scheme-aware mirror of what
-//!    `lower_join` and the simulator will actually charge: the
-//!    smaller-row side builds, the partition scheme is chosen from the
-//!    build size and widest row, and both sides pay the scheme's
+//!    `lower_join` and the simulator will charge, at declared column
+//!    widths: the smaller-row side builds, the partition scheme is chosen
+//!    from the build size and widest row, and both sides pay the scheme's
 //!    partition rounds plus per-row join-kernel cycles. A greedy pairing
 //!    takes over past [`MAX_DP_RELATIONS`] relations. Iteration order and tie-breaking
 //!    are deterministic, so the chosen plan and the enumeration counters
@@ -375,11 +375,22 @@ fn mask_est(mask: u32, rels: &[Rel], edges: &[Edge], edge_sel: &[f64]) -> (f64, 
 
 /// Estimated cycles to hash-join two subsets, mirroring `lower_join` and
 /// the engine: the smaller-row side builds, the partition scheme is
-/// chosen from the build size and the *widest* row (exactly the inputs
-/// `lower_join` feeds [`optimize_partition_scheme`]), and BOTH sides
-/// then stream through that scheme's partition rounds — so a wide build
-/// that forces a deeper scheme correctly taxes a large probe, which is
-/// the dominant simulator cost the plain bytes objective misses.
+/// chosen from the build size and the *widest* row, and BOTH sides then
+/// stream through that scheme's partition rounds — so a wide build that
+/// forces a deeper scheme correctly taxes a large probe, which is the
+/// dominant simulator cost the plain bytes objective misses.
+///
+/// The widths here are the *declared* ones of [`PlanCost::row_bytes`]
+/// (8 bytes an Int or Decimal), not the encoded widths `lower_join` caps
+/// and prices the scheme it emits with: the search over-prices a wide join
+/// by the second round it no longer runs (Q9's `lineitem` probe is costed
+/// at 48 bytes a row and a 16-way cap, and runs at 12 and one 32-way
+/// round). The prototype of that change (ISSUE 20) also switched the
+/// search to encoded widths and measured Q5 −2.5 % and Q10 +0.7 %
+/// simulated cycles at sf 0.02; `row_bytes` moreover feeds the
+/// host-or-RAPID decision (`offload_secs`), so the search is left alone.
+///
+/// [`PlanCost::row_bytes`]: crate::cost::PlanCost
 fn join_cycles(params: &CostParams, a: (f64, f64), b: (f64, f64)) -> f64 {
     let cm = &params.cm;
     let ((build_rows, build_width), (probe_rows, probe_width)) =

@@ -3,8 +3,11 @@
 //! The required number of partitions is `max(data_size / DMEM, cores)`; a
 //! *scheme* is a factorization of that number into per-round fan-outs.
 //! More rounds mean re-scanning the data; bigger fan-outs per round mean
-//! smaller per-partition DMEM buffers and eventually spill. The optimizer
-//! explores factorizations with the paper's heuristics:
+//! smaller per-partition DMEM buffers and eventually spill. Every round is
+//! a software round on the dpCores (`rapid_qef::ops::partition`): the
+//! paper's 32-way hardware partitioner is modelled in `dpu_sim` but drives
+//! no query stage, so nothing here multiplies a fan-out by it. The
+//! optimizer explores factorizations with the paper's heuristics:
 //!
 //! a. fan-out at each round must be a power of two,
 //! b. fan-out is bounded by the relation's max fan-out (buffer budget),
@@ -37,14 +40,18 @@ impl PartitionScheme {
 pub struct PartitionOptInput {
     /// Rows to partition.
     pub rows: u64,
-    /// Bytes per row across partitioned columns.
+    /// Bytes per row across partitioned columns. What a round moves and
+    /// buffers is the width the columns are encoded in
+    /// (`PlanNode::output_widths`); [`required_partitions`] is asked at
+    /// the declared width, which is what a join kernel widens keys to.
     pub row_bytes: usize,
     /// DMEM bytes available per core.
     pub dmem_bytes: usize,
     /// Cores (the minimum useful number of partitions).
     pub cores: usize,
-    /// Maximum single-round fan-out: 32-way in hardware times the
-    /// software fan-out the DMEM buffers allow.
+    /// Maximum single-round fan-out: the radix bits one software round may
+    /// take (ten, 1024 ways), or fewer where the per-partition local
+    /// buffers stop fitting in DMEM (`budget::max_buffered_fanout`).
     pub max_round_fanout: usize,
 }
 
@@ -102,14 +109,24 @@ pub fn scheme_cost(cm: &CostModel, input: &PartitionOptInput, rounds: &[usize]) 
     total
 }
 
-/// Enumerate candidate factorizations of `target` into power-of-two
-/// rounds bounded by `max_round_fanout` (heuristics a–d), cost each, and
-/// return the cheapest.
+/// The cheapest scheme making [`required_partitions`] of `input`.
 pub fn optimize_partition_scheme(cm: &CostModel, input: &PartitionOptInput) -> PartitionScheme {
+    optimize_for_partitions(cm, input, required_partitions(input))
+}
+
+/// Enumerate candidate factorizations of `partitions` into power-of-two
+/// rounds bounded by `max_round_fanout` (heuristics a–d), cost each over
+/// `input`, and return the cheapest. The count is the caller's so that it
+/// can be sized from other widths than the rounds are priced at.
+pub fn optimize_for_partitions(
+    cm: &CostModel,
+    input: &PartitionOptInput,
+    partitions: usize,
+) -> PartitionScheme {
     // A scheme consumes one hash bit per doubling; the top 4 of the 32
     // hash bits stay reserved for skew re-partitioning (§6.4), so the
     // total partition count is capped at 2^28.
-    let target = required_partitions(input).min(1 << 28);
+    let target = partitions.next_power_of_two().min(1 << 28);
     let max_f = input.max_round_fanout.next_power_of_two();
     let mut best: Option<PartitionScheme> = None;
     let mut candidates: Vec<Vec<usize>> = Vec::new();

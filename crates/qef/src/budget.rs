@@ -13,6 +13,8 @@
 //! amortizing per-tile overheads; when even a single-buffered minimum
 //! vector does not fit, the plan cannot execute within the scratchpad.
 
+use std::borrow::Cow;
+
 /// Minimum rows per vector worth double-buffering (§5.2's floor; below
 /// this, per-tile descriptor setup dominates the transfer).
 pub const MIN_VECTOR_ROWS: usize = 64;
@@ -110,6 +112,9 @@ pub fn working_set(
 /// burst for `row_bytes`-wide rows — heuristic (b) of §5.3, the same
 /// bound `partition_opt::scheme_cost` prices as the spill penalty. Never
 /// below 2 (a round narrower than binary cannot make progress).
+/// `row_bytes` is the row as the buffers hold it: the sum of
+/// `PlanNode::output_widths` of the wider input, for compiler, engine and
+/// verifier alike.
 pub fn max_buffered_fanout(row_bytes: usize, dmem_bytes: usize) -> usize {
     let cap = (dmem_bytes / 2) / (16 * row_bytes.max(1));
     // Round down to a power of two, floor at 2.
@@ -125,10 +130,19 @@ pub fn max_buffered_fanout(row_bytes: usize, dmem_bytes: usize) -> usize {
 
 /// Split any round of `rounds` that exceeds [`max_buffered_fanout`] for
 /// this row width into multiple buffer-respecting rounds, preserving the
-/// total partition count. Used by the engine's fallback scheme (the
-/// compiler-optimized schemes already respect the cap).
-pub fn cap_rounds(rounds: &[usize], row_bytes: usize, dmem_bytes: usize) -> Vec<usize> {
+/// total partition count. The engine passes every scheme through it, its
+/// own fallback and the compiler's alike: a scheme that already respects
+/// the cap — every scheme compiled against the catalog it runs on — comes
+/// back borrowed, as it was.
+pub fn cap_rounds(rounds: &[usize], row_bytes: usize, dmem_bytes: usize) -> Cow<'_, [usize]> {
     let cap = max_buffered_fanout(row_bytes, dmem_bytes);
+    if !rounds.is_empty()
+        && rounds
+            .iter()
+            .all(|&f| f <= cap && (f > 1 || rounds.len() == 1))
+    {
+        return Cow::Borrowed(rounds);
+    }
     let mut out = Vec::with_capacity(rounds.len());
     for &f in rounds {
         let mut rest = f;
@@ -143,7 +157,7 @@ pub fn cap_rounds(rounds: &[usize], row_bytes: usize, dmem_bytes: usize) -> Vec<
     if out.is_empty() {
         out.push(1);
     }
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -203,10 +217,21 @@ mod tests {
     #[test]
     fn cap_rounds_preserves_total_partitions() {
         let capped = cap_rounds(&[1024], 100, DMEM);
+        assert!(matches!(capped, Cow::Owned(_)));
         assert!(capped.iter().all(|&f| f <= 8));
         assert_eq!(capped.iter().product::<usize>(), 1024);
-        // Already-fine schemes pass through.
-        assert_eq!(cap_rounds(&[8, 4], 8, DMEM), vec![8, 4]);
-        assert_eq!(cap_rounds(&[1], 8, DMEM), vec![1]);
+        // Already-fine schemes pass through, untouched.
+        assert!(matches!(
+            cap_rounds(&[8, 4], 8, DMEM),
+            Cow::Borrowed([8, 4])
+        ));
+        assert!(matches!(cap_rounds(&[1], 8, DMEM), Cow::Borrowed([1])));
+        // A round of one makes no partitions and is dropped.
+        assert_eq!(cap_rounds(&[32, 1], 8, DMEM)[..], [32]);
+        assert_eq!(cap_rounds(&[], 8, DMEM)[..], [1]);
+        // The same scheme over rows four times as wide: 32 bytes buffer 32
+        // ways, 128 bytes only 8.
+        assert!(matches!(cap_rounds(&[32], 32, DMEM), Cow::Borrowed(_)));
+        assert_eq!(cap_rounds(&[32], 128, DMEM)[..], [8, 4]);
     }
 }

@@ -13,10 +13,11 @@
 //!   columns in place, each later pass gathers only its own at the
 //!   still-qualifying rows, and the projected columns are gathered last,
 //!   at the final row set (late materialization),
-//! * a **join** partitions both sides (HW+SW; every round of a pass a
-//!   stage of tile-aligned lanes on all cores), then runs
-//!   per-partition-pair build/probe kernels, with large-skew
-//!   re-partitioning,
+//! * a **join** partitions both sides (in software on the dpCores; every
+//!   round of a pass a stage of tile-aligned lanes on all cores, its
+//!   fan-out and tile budgeted from the widths the columns arrive in,
+//!   [`PlanNode::output_widths`]), then runs per-partition-pair
+//!   build/probe kernels, with large-skew re-partitioning,
 //! * a **group-by** picks the on-the-fly or partitioned strategy and adds
 //!   the merge operator on the low-NDV path,
 //! * pipeline stages are parallelized across cores by the actor runner.
@@ -40,7 +41,7 @@ use crate::exec::{Backend, ExecContext};
 use crate::expr::Pred;
 use crate::ops;
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
-use crate::trace::{ScanAccess, StageEvent, TraceSink};
+use crate::trace::{PartitionRound, ScanAccess, StageEvent, TraceSink};
 use crate::util::next_pow2_at_least;
 
 /// Result rows plus decode metadata.
@@ -145,11 +146,11 @@ impl Tracer {
         operator: impl std::fmt::Display,
         rows: u64,
     ) {
-        self.absorb_as(report, t, node_id, depth, operator, rows, None)
+        self.absorb_as(report, t, node_id, depth, operator, rows, Detail::None)
     }
 
     /// [`absorb`](Self::absorb) a stage whose event says, for a scan, how
-    /// it read its table.
+    /// it read its table, or for a partition stage, which round it ran.
     #[allow(clippy::too_many_arguments)]
     fn absorb_as(
         &mut self,
@@ -159,7 +160,7 @@ impl Tracer {
         depth: u32,
         operator: impl std::fmt::Display,
         rows: u64,
-        scan: Option<ScanAccess>,
+        detail: Detail,
     ) {
         report.absorb(t);
         // The identical per-stage figure the trace event carries, absorbed
@@ -188,13 +189,31 @@ impl Tracer {
                 tiles: c.tiles,
                 ate_messages: c.ate_messages,
                 dmem_peak_bytes: t.dmem_peak,
-                scan,
+                scan: match detail {
+                    Detail::Scan(access) => Some(access),
+                    _ => None,
+                },
+                partition: match detail {
+                    Detail::Partition(round) => Some(round),
+                    _ => None,
+                },
                 energy_joules: self.watts * sim_secs,
                 wall_secs: t.wall.as_secs_f64(),
             });
         }
         self.stage_seq += 1;
     }
+}
+
+/// What a stage's event says beyond its counters.
+#[derive(Debug, Clone, Copy)]
+enum Detail {
+    /// Nothing more.
+    None,
+    /// How a scan read its table.
+    Scan(ScanAccess),
+    /// Which round of its pass a partition stage ran.
+    Partition(PartitionRound),
 }
 
 /// Total rows across a stage's output batches.
@@ -486,29 +505,67 @@ impl Engine {
             passes: plan.dms_passes() as u32,
         };
         let rows = batch_rows(&out);
-        tr.absorb_as(report, &timing, nid, depth, operator, rows, Some(access));
+        tr.absorb_as(
+            report,
+            &timing,
+            nid,
+            depth,
+            operator,
+            rows,
+            Detail::Scan(access),
+        );
         Ok(out)
     }
 
-    /// Partition `batches` by `keys` through the rounds of `scheme` on all
-    /// cores ([`ops::partition::partition_pass`]): every round is a stage
-    /// of its own, absorbed under `operator` with the rows it partitioned.
+    /// The tile of a partition pass over columns of `widths`: every column
+    /// streams through DMEM beside the hash lane.
+    fn partition_tile(&self, widths: &[usize]) -> QefResult<usize> {
+        self.stage_tile(
+            crate::budget::BASE_STATE_BYTES,
+            crate::budget::partition_stream_bytes(widths.iter().sum()),
+        )
+    }
+
+    /// Partition `batches` — the output of a node whose
+    /// [`PlanNode::output_widths`] are `widths` — by `keys` through the
+    /// rounds of `scheme` on all cores
+    /// ([`ops::partition::partition_pass`]): every round is a stage of its
+    /// own, absorbed under `operator` with the rows it partitioned.
     #[allow(clippy::too_many_arguments)]
     fn partition_stages(
         &self,
         batches: Vec<Batch>,
+        widths: &[usize],
         keys: &[usize],
         scheme: &[usize],
-        tile: usize,
         operator: &str,
         report: &mut QueryReport,
         tr: &mut Tracer,
         nid: u32,
         depth: u32,
     ) -> QefResult<Vec<Batch>> {
+        // The tile, and the fan-out cap of the scheme, were budgeted from
+        // the static widths: what arrives must be exactly that wide.
+        debug_assert!(
+            batches.iter().filter(|b| !b.is_empty()).all(|b| b
+                .columns
+                .iter()
+                .map(|c| c.data.width())
+                .eq(widths.iter().copied())),
+            "{operator}: batches are not {widths:?} bytes wide"
+        );
+        let tile = self.partition_tile(widths)?;
         let rows = batch_rows(&batches);
-        ops::partition::partition_pass(&self.ctx, batches, keys, scheme, tile, |t| {
-            tr.absorb(report, t, nid, depth, operator, rows)
+        ops::partition::partition_pass(&self.ctx, batches, keys, scheme, tile, |t, round| {
+            tr.absorb_as(
+                report,
+                t,
+                nid,
+                depth,
+                operator,
+                rows,
+                Detail::Partition(round),
+            )
         })
     }
 
@@ -530,49 +587,48 @@ impl Engine {
             return Err(QefError::BadPlan("join key arity mismatch".into()));
         }
         let build_meta = build.output_meta(&self.catalog)?;
-        let probe_meta = probe.output_meta(&self.catalog)?;
+        let build_widths = build.output_widths(&self.catalog)?;
+        let probe_widths = probe.output_widths(&self.catalog)?;
         let build_batches = self.exec_node(build, report, tr, depth + 1)?;
         let probe_batches = self.exec_node(probe, report, tr, depth + 1)?;
         let build_rows: usize = build_batches.iter().map(Batch::rows).sum();
-        let build_row_bytes: usize = build_meta.iter().map(|m| m.dtype.physical_width()).sum();
-        let probe_row_bytes: usize = probe_meta.iter().map(|m| m.dtype.physical_width()).sum();
+        let build_row_bytes: usize = build_widths.iter().sum();
+        let probe_row_bytes: usize = probe_widths.iter().sum();
 
         // Partition scheme: from the compiler, or the engine default —
         // enough partitions that each build side fits a DMEM join kernel,
         // and at least one per core (§5.3's "required number of
-        // partitions"). The fallback caps each round by the wider side's
-        // local-buffer budget (heuristic b); compiler schemes arrive
-        // already capped.
+        // partitions"). Either way each round is capped by the wider
+        // side's local-buffer budget (heuristic b) as this engine's catalog
+        // stores the columns: nothing to do for a scheme compiled against
+        // this catalog, and never an over-committed buffer for one compiled
+        // when a table's columns were narrower.
         let fallback;
         let scheme: &[usize] = match scheme {
-            Some(s) if !s.is_empty() => s,
+            Some(s) if !s.is_empty() => {
+                ops::partition::check_scheme(s)?;
+                s
+            }
             _ => {
-                fallback = crate::budget::cap_rounds(
-                    &default_scheme(build_rows, build_keys.len(), &self.ctx),
-                    build_row_bytes.max(probe_row_bytes),
-                    self.ctx.dmem_bytes,
-                );
+                fallback = default_scheme(build_rows, build_keys.len(), &self.ctx);
                 &fallback
             }
         };
+        let scheme = crate::budget::cap_rounds(
+            scheme,
+            build_row_bytes.max(probe_row_bytes),
+            self.ctx.dmem_bytes,
+        );
         let partitions: usize = scheme.iter().product();
         let est_per_partition = (build_rows / partitions.max(1)).max(1);
 
         // Partition both sides; each side's tile is clamped to its own
         // stream width.
-        let tile_b = self.stage_tile(
-            crate::budget::BASE_STATE_BYTES,
-            crate::budget::partition_stream_bytes(build_row_bytes),
-        )?;
-        let tile_p = self.stage_tile(
-            crate::budget::BASE_STATE_BYTES,
-            crate::budget::partition_stream_bytes(probe_row_bytes),
-        )?;
         let bparts = self.partition_stages(
             build_batches,
+            &build_widths,
             build_keys,
-            scheme,
-            tile_b,
+            &scheme,
             "join.partition-build",
             report,
             tr,
@@ -581,9 +637,9 @@ impl Engine {
         )?;
         let pparts = self.partition_stages(
             probe_batches,
+            &probe_widths,
             probe_keys,
-            scheme,
-            tile_p,
+            &scheme,
             "join.partition-probe",
             report,
             tr,
@@ -599,19 +655,23 @@ impl Engine {
         // Physical prototypes of the build columns, for outer-join NULL
         // padding: the pad must use the same variant the matched
         // partitions gather, or concatenating partition outputs mixes
-        // physical widths and panics.
-        let build_protos: Vec<rapid_storage::vector::ColumnData> = match pairs
-            .iter()
-            .map(|(b, _)| b)
-            .find(|b| b.width() == build_meta.len())
-        {
-            Some(b) => b.columns.iter().map(|c| c.data.empty_like()).collect(),
-            None => build_meta
-                .iter()
-                .map(|m| rapid_storage::vector::ColumnData::empty_for(m.dtype))
-                .collect(),
+        // physical widths and panics. That variant is the build side's
+        // static width (dictionary codes are the unsigned 4-byte one).
+        let build_protos: Vec<rapid_storage::vector::ColumnData> = {
+            use rapid_storage::types::DataType;
+            use rapid_storage::vector::ColumnData;
+            let proto = |(m, &width): (&ColMeta, &usize)| match (width, m.dtype) {
+                (1, _) => ColumnData::I8(Vec::new()),
+                (2, _) => ColumnData::I16(Vec::new()),
+                (4, DataType::Varchar) => ColumnData::U32(Vec::new()),
+                (4, _) => ColumnData::I32(Vec::new()),
+                _ => ColumnData::I64(Vec::new()),
+            };
+            build_meta.iter().zip(&build_widths).map(proto).collect()
         };
-        let pair_tile = tile_b.min(tile_p);
+        let pair_tile = self
+            .partition_tile(&build_widths)?
+            .min(self.partition_tile(&probe_widths)?);
         let (joined, t3) = run_stage(&self.ctx, pairs, move |core, (b, p)| {
             join_pair_resilient(
                 core,
@@ -702,25 +762,15 @@ impl Engine {
             GroupStrategy::Partitioned => {
                 // Partition by grouping keys so each partition's table fits.
                 let rows: usize = batches.iter().map(Batch::rows).sum();
-                let row_bytes: usize = input
-                    .output_meta(&self.catalog)?
-                    .iter()
-                    .map(|m| m.dtype.physical_width())
-                    .sum();
-                let scheme = crate::budget::cap_rounds(
-                    &default_scheme(rows, keys.len(), &self.ctx),
-                    row_bytes,
-                    self.ctx.dmem_bytes,
-                );
-                let tile = self.stage_tile(
-                    crate::budget::BASE_STATE_BYTES,
-                    crate::budget::partition_stream_bytes(row_bytes),
-                )?;
+                let widths = input.output_widths(&self.catalog)?;
+                let fallback = default_scheme(rows, keys.len(), &self.ctx);
+                let scheme =
+                    crate::budget::cap_rounds(&fallback, widths.iter().sum(), self.ctx.dmem_bytes);
                 let parts = self.partition_stages(
                     batches,
+                    &widths,
                     keys,
                     &scheme,
-                    tile,
                     "groupby.partition",
                     report,
                     tr,
@@ -885,14 +935,18 @@ fn pad_outer(probe: Batch, build_protos: &[rapid_storage::vector::ColumnData]) -
 
 /// The engine's fallback partition scheme (§5.3 heuristics): total
 /// partitions = max(build-side DMEM pressure, cores), factored into
-/// power-of-two rounds of at most 32-way HW + 64-way SW fan-out.
+/// power-of-two rounds of at most 1024 ways. The count sizes what a join
+/// kernel holds — 8-byte widened keys and row ids — whatever width the
+/// columns are stored in; the caller then caps each round by the local
+/// buffers the stored widths leave room for
+/// ([`crate::budget::cap_rounds`]).
 pub fn default_scheme(build_rows: usize, nkeys: usize, ctx: &ExecContext) -> Vec<usize> {
     // A DMEM join kernel comfortably handles this many build rows (keys +
     // compact table in 32 KiB with room for I/O vectors).
     let per_part = (ctx.dmem_bytes / 2) / (nkeys * 8 + 6).max(1);
     let needed = next_pow2_at_least(build_rows.div_ceil(per_part.max(1)), ctx.cores);
-    // Factor into rounds: ≤1024 per round (32 HW x 32 SW), minimal rounds,
-    // symmetric fan-outs preferred.
+    // Factor into rounds: ≤1024 per round (ten radix bits of the hash, all
+    // of them software rounds on the dpCores), minimal rounds.
     let mut rounds = Vec::new();
     let mut rest = needed;
     while rest > 1024 {
@@ -1238,6 +1292,204 @@ mod tests {
             "scheme {s:?} leaves partitions too big"
         );
         assert!(s.iter().all(|&f| f <= 1024));
+    }
+
+    #[test]
+    fn executed_batches_are_as_wide_as_output_widths() {
+        // What every partition budget is computed from must be what the
+        // operators hand on: this fails if `GroupTable::emit`, a Map or a
+        // join started narrowing (or widening) what it writes.
+        let lt = |value| {
+            Some(Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Lt,
+                value,
+            })
+        };
+        let named = |expr: Expr, name: &str| NamedExpr {
+            expr,
+            name: name.into(),
+            dtype: DataType::Int,
+            scale: 0,
+            dict: None,
+        };
+        let join_below = |build_rows, join_type| PlanNode::HashJoin {
+            build: Box::new(PlanNode::Scan {
+                table: "t".into(),
+                columns: vec![0, 2],
+                pred: lt(build_rows),
+            }),
+            probe: Box::new(scan(lt(900))),
+            build_keys: vec![0],
+            probe_keys: vec![0],
+            join_type,
+            scheme: None,
+        };
+        let join = |join_type| join_below(700, join_type);
+        let group = |strategy| PlanNode::GroupBy {
+            input: Box::new(scan(None)),
+            keys: vec![2],
+            aggs: vec![AggSpec {
+                func: AggFunc::Max,
+                col: 0,
+            }],
+            strategy,
+        };
+        let order = vec![SortKey { col: 1, desc: true }];
+        let plans = vec![
+            scan(lt(100)),
+            PlanNode::Filter {
+                input: Box::new(scan(None)),
+                pred: lt(100).unwrap(),
+            },
+            PlanNode::Map {
+                input: Box::new(scan(None)),
+                exprs: vec![
+                    named(Expr::Col(2), "grp"),
+                    named(Expr::mul(Expr::Col(0), Expr::Lit(3)), "tripled"),
+                    named(Expr::Lit(7), "seven"),
+                    named(Expr::Col(2), "grp_again"),
+                ],
+            },
+            join(JoinType::Inner),
+            join(JoinType::LeftOuter),
+            // No build row: all the build columns there are is NULL pads.
+            join_below(0, JoinType::LeftOuter),
+            join(JoinType::LeftSemi),
+            join(JoinType::LeftAnti),
+            group(GroupStrategy::OnTheFly),
+            group(GroupStrategy::Partitioned),
+            PlanNode::TopK {
+                input: Box::new(scan(None)),
+                order: order.clone(),
+                k: 5,
+            },
+            PlanNode::Sort {
+                input: Box::new(scan(lt(50))),
+                order,
+            },
+            PlanNode::Limit {
+                input: Box::new(scan(None)),
+                n: 9,
+            },
+            PlanNode::Window {
+                input: Box::new(scan(lt(50))),
+                partition_by: vec![2],
+                order_by: vec![],
+                func: crate::plan::WindowFunc::RowNumber,
+            },
+            PlanNode::SetOp {
+                left: Box::new(scan(lt(50))),
+                right: Box::new(scan(lt(80))),
+                op: crate::plan::SetOpKind::Union,
+            },
+        ];
+        for ctx in [ExecContext::dpu(), ExecContext::native(4)] {
+            let e = engine(ctx);
+            assert_eq!(
+                scan(None).output_widths(e.catalog()).unwrap(),
+                [2, 2, 1],
+                "the load path narrowed k, v and grp"
+            );
+            for plan in &plans {
+                let (out, _) = e.execute(plan).unwrap();
+                assert!(out.batch.rows() > 0, "{plan:?}");
+                let got: Vec<usize> = out.batch.columns.iter().map(|c| c.data.width()).collect();
+                assert_eq!(got, plan.output_widths(e.catalog()).unwrap(), "{plan:?}");
+            }
+        }
+    }
+
+    /// An eight-column table whose values need `bytes` bytes each; `c0`
+    /// and `c1` together are unique.
+    fn eight_columns(bytes: u32, ctx: ExecContext) -> Engine {
+        let fields = (0..8).map(|c| Field::new(format!("c{c}"), DataType::Int));
+        let mut b = TableBuilder::new("w", Schema::new(fields.collect())).chunk_rows(512);
+        let top = 1i64 << (8 * bytes - 2);
+        for i in 0..6000i64 {
+            let below_top = |c| match c {
+                0 => i % 100,
+                1 => i / 100,
+                c => (i * 8 + c) % 100,
+            };
+            b.push_row((0..8).map(|c| Value::Int(top - below_top(c))).collect());
+        }
+        let mut e = Engine::new(ctx);
+        e.load_table(Arc::new(b.finish()));
+        e
+    }
+
+    #[test]
+    fn a_scheme_compiled_against_narrower_columns_is_recapped() {
+        use crate::trace::MemorySink;
+        let self_join = |scheme: Option<Vec<usize>>| PlanNode::HashJoin {
+            build: Box::new(PlanNode::Scan {
+                table: "w".into(),
+                columns: (0..8).collect(),
+                pred: None,
+            }),
+            probe: Box::new(PlanNode::Scan {
+                table: "w".into(),
+                columns: (0..8).collect(),
+                pred: None,
+            }),
+            build_keys: vec![0, 1],
+            probe_keys: vec![0, 1],
+            join_type: JoinType::LeftSemi,
+            scheme,
+        };
+        let dmem = ExecContext::dpu().dmem_bytes;
+        // One byte a column: 8-byte rows buffer 128 ways, and a 128-way
+        // round is what a compiler looking at this catalog may ask for.
+        let narrow = eight_columns(1, ExecContext::dpu());
+        let widths = self_join(None).output_widths(narrow.catalog()).unwrap();
+        assert_eq!(widths, [1; 8]);
+        assert_eq!(crate::budget::max_buffered_fanout(8, dmem), 128);
+        // The same plan reaches an engine whose table has since grown
+        // values of eight bytes: 64-byte rows buffer 16 ways.
+        let stale = self_join(Some(vec![128]));
+        let sink = MemorySink::new();
+        let wide = eight_columns(8, ExecContext::dpu().with_trace(sink.clone()));
+        let widths = stale.output_widths(wide.catalog()).unwrap();
+        assert_eq!(widths, [8; 8]);
+        let cap = crate::budget::max_buffered_fanout(64, dmem);
+        assert_eq!(cap, 16);
+        let (out, _) = wide.execute(&stale).unwrap();
+        let rounds: Vec<_> = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| e.partition.map(|p| (e.operator, p)))
+            .collect();
+        assert_eq!(rounds.len(), 4, "two rounds a side: {rounds:?}");
+        for (operator, p) in &rounds {
+            assert_eq!(p.rounds, 2, "{operator}");
+            assert!(
+                (dmem / 2) / p.fanout as usize >= 16 * 64,
+                "{operator}: a local buffer of round {} holds under 16 rows",
+                p.round
+            );
+        }
+        let made: u32 = rounds[..2].iter().map(|(_, p)| p.fanout).product();
+        assert_eq!(made, 128, "the partition count is the scheme's");
+        // The rows are those of a scheme made for this catalog.
+        let rows = |batch: &Batch| {
+            let mut rows: Vec<Vec<i64>> = (0..batch.rows())
+                .map(|i| batch.columns.iter().map(|c| c.data.get_i64(i)).collect())
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let (fresh, _) = wide.execute(&self_join(None)).unwrap();
+        assert_eq!(out.batch.rows(), 6000);
+        assert_eq!(rows(&out.batch), rows(&fresh.batch));
+        // A scheme that already fits is run as it came.
+        let sink = MemorySink::new();
+        let narrow = eight_columns(1, ExecContext::dpu().with_trace(sink.clone()));
+        narrow.execute(&self_join(Some(vec![128]))).unwrap();
+        let events = sink.take();
+        let rounds = events.iter().filter_map(|e| e.partition);
+        assert!(rounds.clone().all(|p| (p.rounds, p.fanout) == (1, 128)));
+        assert_eq!(rounds.count(), 2);
     }
 
     #[test]

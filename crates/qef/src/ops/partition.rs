@@ -1,30 +1,37 @@
-//! The partitioning operator: combined hardware + software partitioning.
+//! The partitioning operator: software partitioning on the dpCores.
 //!
 //! "RAPID combines hardware and software partitioning for efficiently
-//! partitioning relations" (§5.4): the DMS delivers up to 32-way
-//! partitioning while the data moves; the dpCores add further rounds in
-//! software using `compute_partition_map` + per-partition sequential
-//! gathers, with per-partition **local buffers in DMEM** flushed to DRAM
-//! when they fill — turning random partition writes into sequential ones.
+//! partitioning relations" (§5.4). This engine runs every round in
+//! software: a dpCore computes the partition map of the rows it owns
+//! (`compute_partition_map`) and gathers them partition by partition into
+//! **local buffers in DMEM**, flushed to DRAM when they fill — turning
+//! random partition writes into sequential ones. The DMS's own
+//! partition-while-transfer engine is modelled (`dpu_sim::dms::partition`)
+//! and measured on its own (Figure 8, `examples/dpu_hardware.rs`), but no
+//! query stage drives it yet.
 //!
 //! Every dpCore partitions at once. A round's input — the batches of the
 //! operator below, or the partitions the round before wrote — is cut into
 //! tiles, and `min(cores, tiles)` **lanes** each take a contiguous run of
 //! them: a lane hashes the rows it owns, computes their partition map
 //! (Listing 2) and is charged their column gathers (Listing 3), the
-//! sequential DMS write of its tiles and one control-loop overhead per
-//! tile, all under its own [`CoreCtx`] while it holds the double-buffered
-//! tile working set in DMEM. Lanes are tile-aligned because the DMS moves
-//! whole tiles: any other cut would move more of them than one core
-//! streaming the input does. The lanes fill disjoint slices of one hash
-//! buffer, one row-id buffer and one histogram; once all are done the
-//! per-lane histograms give every row its place, and each (partition,
-//! column) comes out as one vector with rows in input order — on the chip
-//! it is the chain of the lanes' local-buffer flushes.
+//! sequential DMS write of its tiles — after round one also the sequential
+//! read of them, since its input is what the round before wrote to DRAM —
+//! and one control-loop overhead per tile, all under its own [`CoreCtx`]
+//! while it holds the double-buffered tile working set in DMEM. Lanes are
+//! tile-aligned because the DMS moves whole tiles: any other cut would move
+//! more of them than one core streaming the input does. The lanes fill
+//! disjoint slices of one hash buffer, one row-id buffer and one histogram;
+//! once all are done the per-lane histograms give every row its place, and
+//! each (partition, column) comes out as one vector with rows in input
+//! order — on the chip it is the chain of the lanes' local-buffer flushes.
 //!
 //! Multi-round schemes (§5.3): each round partitions every current
 //! partition `fanout`-ways, so a scheme `[16, 4]` yields 64 partitions
-//! after two passes, with a barrier between rounds.
+//! after two passes over the data, with a barrier between rounds. A round's
+//! fan-out is bounded by the local buffers that fit in DMEM
+//! ([`crate::budget::max_buffered_fanout`]), sized — like the tile — from
+//! the widths the columns arrive in ([`crate::plan::PlanNode::output_widths`]).
 
 use std::ops::Range;
 use std::time::Instant;
@@ -43,6 +50,7 @@ use crate::primitives::costs;
 use crate::primitives::hash::hash_pieces_into;
 use crate::primitives::partition_map::compute_partition_map;
 use crate::ra::RelationAccessor;
+use crate::trace::PartitionRound;
 
 /// How many radix bits of the hash each round consumes, tracked so that
 /// successive rounds use *disjoint* hash bits.
@@ -91,6 +99,9 @@ struct Plan<'a> {
     shift: u32,
     /// Sequential DMS write of one tile of every column.
     write_per_tile: DmsCost,
+    /// Sequential DMS read of one, where the round reads back from DRAM
+    /// the partitions the round before wrote ([`Input::Each`]).
+    read_per_tile: Option<DmsCost>,
     /// DMEM a lane holds while it streams: state plus the tile buffers.
     working_set: usize,
 }
@@ -205,6 +216,8 @@ impl<'a> Round<'a> {
         let widths: Vec<usize> = pieces.first().map_or(Vec::new(), |b| {
             b.columns.iter().map(|c| c.data.width()).collect()
         });
+        let read_per_tile = matches!(input, Input::Each(_))
+            .then(|| RelationAccessor::seq_read_cost(cm, widths.iter().copied(), tile, tile));
         Round {
             hashes: vec![0; starts[pieces.len()]],
             rids: vec![0; starts[pieces.len()]],
@@ -215,6 +228,7 @@ impl<'a> Round<'a> {
                     widths.iter().copied(),
                     tile,
                 ),
+                read_per_tile,
                 // What the tile was sized from: state plus the tile buffers
                 // of every column and the hash lane.
                 working_set: working_set(
@@ -388,6 +402,9 @@ impl Lane<'_, '_> {
             for _ in 0..plan.width {
                 ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(slice.rows.len() as f64));
             }
+            if let Some(read) = &plan.read_per_tile {
+                ctx.charge_dms(&read.times(slice.tiles));
+            }
             ctx.charge_dms(&plan.write_per_tile.times(slice.tiles));
             for _ in 0..slice.tiles {
                 ctx.charge_tile();
@@ -403,7 +420,7 @@ impl Lane<'_, '_> {
 /// 32 bits (the static verifier additionally reserves the top 4 for skew
 /// re-partitioning; by the time a scheme reaches this operator the hard
 /// limit is the hash width itself).
-fn check_scheme(scheme: &[usize]) -> QefResult<()> {
+pub(crate) fn check_scheme(scheme: &[usize]) -> QefResult<()> {
     if let Some(&bad) = scheme.iter().find(|f| !f.is_power_of_two()) {
         return Err(QefError::BadPlan(format!(
             "partition scheme {scheme:?} has non-power-of-two fan-out {bad}"
@@ -484,17 +501,17 @@ pub fn partition_scheme(
 }
 
 /// A partition pass across the context's cores: every round of `scheme` is
-/// one stage of `min(cores, tiles)` lanes, reported to `stage_done` when
-/// its barrier is reached. An input of at most one tile has no second lane
-/// to feed in its first round and runs all its rounds as one item on one
-/// core, a single stage.
+/// one stage of `min(cores, tiles)` lanes, reported to `stage_done` with
+/// its place in the pass when its barrier is reached. An input of at most
+/// one tile has no second lane to feed in its first round and runs all its
+/// rounds as one item on one core, a single stage.
 pub fn partition_pass(
     ectx: &ExecContext,
     batches: Vec<Batch>,
     key_cols: &[usize],
     scheme: &[usize],
     tile: usize,
-    mut stage_done: impl FnMut(&StageTiming),
+    mut stage_done: impl FnMut(&StageTiming, PartitionRound),
 ) -> QefResult<Vec<Batch>> {
     check_scheme(scheme)?;
     let rows: usize = batches.iter().map(Batch::rows).sum();
@@ -502,7 +519,12 @@ pub fn partition_pass(
         let (mut parts, t) = run_stage(ectx, vec![batches], |core, batches| {
             partition_scheme(core, batches, key_cols, scheme, tile)
         })?;
-        stage_done(&t);
+        let whole = PartitionRound {
+            round: 1,
+            rounds: 1,
+            fanout: scheme.iter().product::<usize>() as u32,
+        };
+        stage_done(&t, whole);
         return parts
             .pop()
             .ok_or_else(|| QefError::Internal("partition stage lost its output".into()));
@@ -526,7 +548,12 @@ pub fn partition_pass(
             // The wall clock also covers the copies the lanes were charged.
             t.wall = start.elapsed();
         }
-        stage_done(&t);
+        let nth_of = PartitionRound {
+            round: nth as u32 + 1,
+            rounds: scheme.len() as u32,
+            fanout: fanout as u32,
+        };
+        stage_done(&t, nth_of);
         current = next;
     }
     Ok(current)
@@ -714,7 +741,7 @@ mod tests {
         assert!(matches!(peak(256), Err(QefError::DmemExhausted(_))));
         // Across cores the stage reports what each lane held.
         let mut peaks = Vec::new();
-        partition_pass(&small, vec![batch(1000)], &[0], &[4], 64, |t| {
+        partition_pass(&small, vec![batch(1000)], &[0], &[4], 64, |t, _| {
             peaks.push((t.parallelism, t.dmem_peak))
         })
         .unwrap();
@@ -787,7 +814,8 @@ mod proptests {
 
     /// The definition on one core, charging what each step of it costs:
     /// per non-empty input of a round one hash, one map, one gather per
-    /// column, the write of its tiles and one overhead per tile.
+    /// column, after round one the read of its tiles, the write of its
+    /// tiles and one overhead per tile.
     fn reference(
         ctx: &mut CoreCtx,
         batches: &[Batch],
@@ -797,7 +825,7 @@ mod proptests {
     ) -> Vec<Batch> {
         let mut cursor = HashBitCursor::default();
         let mut current = vec![Batch::concat(batches.to_vec())];
-        for &fanout in scheme {
+        for (round, &fanout) in scheme.iter().enumerate() {
             let shift = cursor.take(fanout.trailing_zeros());
             let mut next = Vec::new();
             for part in &current {
@@ -813,6 +841,15 @@ mod proptests {
                     ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(col.len() as f64));
                 }
                 let widths: Vec<usize> = part.columns.iter().map(|c| c.data.width()).collect();
+                if round > 0 {
+                    // What the round before wrote to DRAM is read back.
+                    ctx.charge_dms(&RelationAccessor::seq_read_cost(
+                        &ctx.cost_model,
+                        widths.iter().copied(),
+                        part.rows(),
+                        tile,
+                    ));
+                }
                 ctx.charge_dms(&RelationAccessor::seq_write_cost(
                     &ctx.cost_model,
                     widths.iter().copied(),
@@ -853,12 +890,20 @@ mod proptests {
         tile: usize,
     ) -> (Vec<Batch>, Counters, Vec<usize>) {
         let ectx = ExecContext::dpu().with_cores(cores);
-        let (mut sum, mut lanes) = (Counters::default(), Vec::new());
-        let parts = partition_pass(&ectx, batches.to_vec(), key_cols, scheme, tile, |t| {
+        let (mut sum, mut lanes, mut rounds) = (Counters::default(), Vec::new(), Vec::new());
+        let parts = partition_pass(&ectx, batches.to_vec(), key_cols, scheme, tile, |t, r| {
             sum = sum.merged(&t.counters);
             lanes.push(t.parallelism);
+            rounds.push((r.round, r.rounds, r.fanout as usize));
         })
         .unwrap();
+        // Every stage says which round it is: a stage per round, or one
+        // for the whole scheme.
+        let expect: Vec<_> = match lanes.len() {
+            1 if scheme.len() > 1 => vec![(1, 1, scheme.iter().product())],
+            n => (1..).zip(scheme).map(|(r, &f)| (r, n as u32, f)).collect(),
+        };
+        assert_eq!(rounds, expect);
         (parts, sum, lanes)
     }
 

@@ -357,6 +357,84 @@ impl PlanNode {
         }
     }
 
+    /// Bytes per value of every output column **as a vector**: what a row
+    /// of this node's output costs a DMEM buffer and the DMS, as opposed to
+    /// the 8 bytes an Int or Decimal is declared at. A scan hands on the
+    /// width its table stores ([`Table::column_width`]); operators that
+    /// select, reorder or pair rows (Filter, Sort, TopK, Limit, a Map's bare
+    /// [`Expr::Col`], both sides of a join) copy values at the width they
+    /// came in; what an operator computes — a Map expression, every
+    /// GroupBy output, Window's appended column — it writes as 8-byte
+    /// values. A SetOp keeps rows of either input, so a column is as wide
+    /// as the wider of the two.
+    ///
+    /// Compiler, engine and verifier size every buffer of a partition pass
+    /// from this one answer, and the batches that reach a pass have exactly
+    /// these widths (the engine asserts it in debug builds).
+    pub fn output_widths(&self, catalog: &Catalog) -> QefResult<Vec<usize>> {
+        // `Expr::eval`, `GroupTable::emit` and `window_batch` write i64s.
+        let computed = std::mem::size_of::<i64>();
+        match self {
+            PlanNode::Scan { table, columns, .. } => {
+                let t = catalog
+                    .get(table)
+                    .ok_or_else(|| QefError::TableNotLoaded(table.clone()))?;
+                columns
+                    .iter()
+                    .map(|&c| {
+                        if c < t.schema.len() {
+                            Ok(t.column_width(c))
+                        } else {
+                            Err(QefError::BadColumn {
+                                index: c,
+                                available: t.schema.len(),
+                            })
+                        }
+                    })
+                    .collect()
+            }
+            PlanNode::Filter { input, .. }
+            | PlanNode::TopK { input, .. }
+            | PlanNode::Sort { input, .. }
+            | PlanNode::Limit { input, .. } => input.output_widths(catalog),
+            PlanNode::Map { input, exprs } => {
+                let below = input.output_widths(catalog)?;
+                exprs
+                    .iter()
+                    .map(|e| match e.expr {
+                        Expr::Col(c) => below.get(c).copied().ok_or(QefError::BadColumn {
+                            index: c,
+                            available: below.len(),
+                        }),
+                        _ => Ok(computed),
+                    })
+                    .collect()
+            }
+            PlanNode::HashJoin {
+                build,
+                probe,
+                join_type,
+                ..
+            } => {
+                let mut out = probe.output_widths(catalog)?;
+                if matches!(join_type, JoinType::Inner | JoinType::LeftOuter) {
+                    out.extend(build.output_widths(catalog)?);
+                }
+                Ok(out)
+            }
+            PlanNode::GroupBy { keys, aggs, .. } => Ok(vec![computed; keys.len() + aggs.len()]),
+            PlanNode::SetOp { left, right, .. } => {
+                let (l, r) = (left.output_widths(catalog)?, right.output_widths(catalog)?);
+                Ok(l.iter().zip(&r).map(|(&l, &r)| l.max(r)).collect())
+            }
+            PlanNode::Window { input, .. } => {
+                let mut out = input.output_widths(catalog)?;
+                out.push(computed);
+                Ok(out)
+            }
+        }
+    }
+
     /// The node's child plans in the order the engine runs them (build
     /// before probe, left before right) — a pre-order walk through this
     /// numbers nodes the way the tracer does.
@@ -501,6 +579,163 @@ mod tests {
             plan.output_meta(&catalog()),
             Err(QefError::TableNotLoaded(t)) if t == "ghost"
         ));
+    }
+
+    /// `t`'s one row stores k in 1 byte, price in 2 and flag's code in 4.
+    fn scan_of(columns: &[usize]) -> PlanNode {
+        PlanNode::Scan {
+            table: "t".into(),
+            columns: columns.to_vec(),
+            pred: None,
+        }
+    }
+
+    fn widths(plan: &PlanNode) -> Vec<usize> {
+        plan.output_widths(&catalog()).unwrap()
+    }
+
+    #[test]
+    fn scan_widths_are_the_stored_ones_in_projection_order() {
+        assert_eq!(widths(&scan_of(&[0, 1, 2])), [1, 2, 4]);
+        assert_eq!(widths(&scan_of(&[2, 0])), [4, 1]);
+        let declared: Vec<usize> = scan_of(&[0, 1, 2])
+            .output_meta(&catalog())
+            .unwrap()
+            .iter()
+            .map(|m| m.dtype.physical_width())
+            .collect();
+        assert_eq!(declared, [8, 8, 4], "what no vector of `t` is as wide as");
+        assert!(matches!(
+            scan_of(&[3]).output_widths(&catalog()),
+            Err(QefError::BadColumn {
+                index: 3,
+                available: 3
+            })
+        ));
+        assert!(matches!(
+            PlanNode::Scan {
+                table: "ghost".into(),
+                columns: vec![0],
+                pred: None
+            }
+            .output_widths(&catalog()),
+            Err(QefError::TableNotLoaded(_))
+        ));
+    }
+
+    #[test]
+    fn row_selecting_nodes_pass_widths_through() {
+        let input = Box::new(scan_of(&[1, 0]));
+        let order = vec![SortKey {
+            col: 0,
+            desc: false,
+        }];
+        for plan in [
+            PlanNode::Filter {
+                input: input.clone(),
+                pred: Pred::Const(true),
+            },
+            PlanNode::Sort {
+                input: input.clone(),
+                order: order.clone(),
+            },
+            PlanNode::TopK {
+                input: input.clone(),
+                order,
+                k: 3,
+            },
+            PlanNode::Limit {
+                input: input.clone(),
+                n: 3,
+            },
+        ] {
+            assert_eq!(widths(&plan), [2, 1], "{plan:?}");
+        }
+    }
+
+    #[test]
+    fn map_passes_bare_columns_and_computes_at_eight() {
+        let named = |expr: Expr| NamedExpr {
+            expr,
+            name: "e".into(),
+            dtype: DataType::Int,
+            scale: 0,
+            dict: None,
+        };
+        let map = |exprs: Vec<Expr>| PlanNode::Map {
+            input: Box::new(scan_of(&[0, 1, 2])),
+            exprs: exprs.into_iter().map(named).collect(),
+        };
+        let plan = map(vec![
+            Expr::Col(2),
+            Expr::mul(Expr::Col(0), Expr::Lit(3)),
+            Expr::Col(0),
+            Expr::Lit(7),
+            Expr::Col(0),
+        ]);
+        assert_eq!(widths(&plan), [4, 8, 1, 8, 1]);
+        assert!(matches!(
+            map(vec![Expr::Col(5)]).output_widths(&catalog()),
+            Err(QefError::BadColumn {
+                index: 5,
+                available: 3
+            })
+        ));
+    }
+
+    #[test]
+    fn join_widths_follow_its_output_layout() {
+        let join = |join_type| PlanNode::HashJoin {
+            build: Box::new(scan_of(&[0, 2])),
+            probe: Box::new(scan_of(&[0, 1])),
+            build_keys: vec![0],
+            probe_keys: vec![0],
+            join_type,
+            scheme: None,
+        };
+        assert_eq!(widths(&join(JoinType::Inner)), [1, 2, 1, 4]);
+        assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 2, 1, 4]);
+        assert_eq!(widths(&join(JoinType::LeftSemi)), [1, 2]);
+        assert_eq!(widths(&join(JoinType::LeftAnti)), [1, 2]);
+    }
+
+    #[test]
+    fn groupby_and_window_write_eight_byte_values() {
+        let group = PlanNode::GroupBy {
+            input: Box::new(scan_of(&[2, 1])),
+            keys: vec![0],
+            aggs: vec![
+                AggSpec {
+                    func: AggFunc::Min,
+                    col: 0,
+                },
+                AggSpec {
+                    func: AggFunc::Sum,
+                    col: 1,
+                },
+            ],
+            strategy: GroupStrategy::Auto,
+        };
+        assert_eq!(widths(&group), [8, 8, 8], "keys are re-emitted widened");
+        let window = PlanNode::Window {
+            input: Box::new(scan_of(&[0, 1])),
+            partition_by: vec![0],
+            order_by: vec![],
+            func: WindowFunc::RowNumber,
+        };
+        assert_eq!(widths(&window), [1, 2, 8]);
+    }
+
+    #[test]
+    fn setop_columns_are_as_wide_as_the_wider_input() {
+        let setop = |op| PlanNode::SetOp {
+            left: Box::new(scan_of(&[0, 2])),
+            right: Box::new(scan_of(&[1, 2])),
+            op,
+        };
+        for op in [SetOpKind::Union, SetOpKind::Intersect, SetOpKind::Minus] {
+            assert_eq!(widths(&setop(op)), [2, 4]);
+        }
     }
 
     #[test]

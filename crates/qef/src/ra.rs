@@ -12,8 +12,8 @@
 //! |---|---|---|
 //! | sequential read | [`stream_chunk`](RelationAccessor::stream_chunk) | the scan's stream path (all its columns, once) and the first pass of its selective path (the pass's predicate columns) |
 //! | gather | [`gather_chunk`](RelationAccessor::gather_chunk), [`gather_cost`](RelationAccessor::gather_cost) + [`rowset_cost`](RelationAccessor::rowset_cost) | the selective path: later passes fetch their columns at the surviving rows, the projection is fetched last at the final row set |
-//! | sequential write | [`seq_write_cost`](RelationAccessor::seq_write_cost), [`seq_write_tile_cost`](RelationAccessor::seq_write_tile_cost) | partition lanes flushing their local buffers, join and group-by materialization |
-//! | partitioned | `dpu_sim::dms::partition` | the hardware half of a partition pass |
+//! | sequential write | [`seq_write_cost`](RelationAccessor::seq_write_cost), [`seq_write_tile_cost`](RelationAccessor::seq_write_tile_cost) | partition lanes flushing their local buffers (a round after the first also pays [`seq_read_cost`](RelationAccessor::seq_read_cost) for what the round before wrote), join and group-by materialization |
+//! | partitioned | `dpu_sim::dms::partition` | no query stage: the DMS's partition-while-transfer engine is measured on its own (Figure 8, `examples/dpu_hardware.rs`); every round of a partition pass is software on the dpCores, its traffic the sequential patterns above |
 //!
 //! A streamed chunk is read where it lies — the simulator's DRAM is the
 //! host heap — so the sequential pattern hands nothing back; a gather

@@ -71,6 +71,9 @@ pub struct StageEvent {
     /// For a scan stage, how it read its table.
     #[serde(default)]
     pub scan: Option<ScanAccess>,
+    /// For a partition stage, which round of its pass it ran.
+    #[serde(default)]
+    pub partition: Option<PartitionRound>,
     /// Energy at the DPU's provisioned power over `sim_secs`, in joules.
     pub energy_joules: f64,
     /// Host wall-clock seconds (native backend; 0 on the DPU).
@@ -85,6 +88,20 @@ pub struct ScanAccess {
     /// Trips through the DMS per chunk: one on the stream path, the
     /// predicate passes plus the projection's gather on the gather path.
     pub passes: u32,
+}
+
+/// Which round of a partition pass a stage ran (see
+/// [`crate::ops::partition::partition_pass`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct PartitionRound {
+    /// The round, from 1.
+    pub round: u32,
+    /// Rounds the pass ran as stages. A pass of at most one tile runs its
+    /// whole scheme as one item of one stage: round 1 of 1.
+    pub rounds: u32,
+    /// Partitions the stage made of each one it read: the round's fan-out,
+    /// or the product of the scheme where one stage ran all of it.
+    pub fanout: u32,
 }
 
 impl StageEvent {

@@ -291,7 +291,9 @@ fn a_partition_round_allocates_per_round_not_per_lane() {
         let ectx = ExecContext::dpu().with_cores(cores);
         let mut lanes = 0;
         let (parts, allocs, bytes) = measured(|| {
-            partition_pass(&ectx, batches, &[0], &[32], 256, |t| lanes = t.parallelism)
+            partition_pass(&ectx, batches, &[0], &[32], 256, |t, _| {
+                lanes = t.parallelism
+            })
         });
         assert_eq!(parts.unwrap().len(), 32);
         assert_eq!(lanes, cores);

@@ -64,6 +64,19 @@ impl Table {
         self.partitions.iter().flat_map(|p| p.chunks.iter())
     }
 
+    /// Bytes per value of column `col` as its vectors are stored: the load
+    /// path narrows a column to the 1, 2, 4 or 8 bytes its values need and
+    /// keeps that width in every chunk, so the first chunk answers for the
+    /// table. A table without rows has stored nothing and answers with the
+    /// declared width. This is the width a scan hands on — what the DMS
+    /// moves and a DMEM buffer holds per row of the column.
+    pub fn column_width(&self, col: usize) -> usize {
+        match self.chunks().next() {
+            Some(chunk) => chunk.vector(col).data.width(),
+            None => self.schema.fields[col].dtype.physical_width(),
+        }
+    }
+
     /// Concatenate one column across all chunks, widened to `i64`
     /// (convenience for tests and the host engine; production operators
     /// stream chunk vectors instead).
@@ -462,6 +475,30 @@ mod tests {
         let t = b.finish();
         let chunk = t.chunks().next().unwrap();
         assert_eq!(chunk.vector(0).data.width(), 1, "values 0..100 fit in i8");
+        assert_eq!(t.column_width(0), 1);
+    }
+
+    #[test]
+    fn column_width_is_the_width_of_every_chunk() {
+        // k 0..100 fits one byte, price up to 9925 two; codes and dates
+        // keep their four whatever they hold.
+        let t = sample_table(3, 8);
+        assert_eq!(
+            (0..4).map(|c| t.column_width(c)).collect::<Vec<_>>(),
+            [1, 2, 4, 4]
+        );
+        for chunk in t.chunks() {
+            for c in 0..4 {
+                assert_eq!(chunk.vector(c).data.width(), t.column_width(c));
+            }
+        }
+        // Nothing stored: the declared width.
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Int),
+            Field::new("d", DataType::Date),
+        ]);
+        let empty = TableBuilder::new("e", schema).finish();
+        assert_eq!((empty.column_width(0), empty.column_width(1)), (8, 4));
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! plus a pair-join stage) and checking every rule in
 //! [`crate::diag::Rule`] against them. All DMEM arithmetic comes from
 //! `rapid_qef::budget`, the same module the engine sizes its vectors
-//! with — the static verdict and the runtime tile cannot drift apart.
+//! with — the static verdict and the runtime tile cannot drift apart. A
+//! partition pass is budgeted, here as in the compiler and the engine,
+//! from the widths its columns arrive in (`PlanNode::output_widths`): its
+//! stage's working set is what a lane of it holds in DMEM.
 
 use rapid_qef::budget::{self, BASE_STATE_BYTES, MIN_VECTOR_ROWS};
 use rapid_qef::expr::Expr;
@@ -638,14 +641,16 @@ impl Walker<'_> {
                         );
                     }
                 }
-                let brow: usize = b.meta.iter().map(width).sum();
-                let prow: usize = p.meta.iter().map(width).sum();
+                // Both inputs have passed the walk, so their widths resolve.
+                let mut bw = build.output_widths(self.catalog).map_err(|_| ())?;
+                let mut pw = probe.output_widths(self.catalog).map_err(|_| ())?;
+                let brow: usize = bw.iter().sum();
+                let prow: usize = pw.iter().sum();
                 let mut fanouts = Vec::new();
                 if let Some(s) = scheme {
                     fanouts = s.clone();
                     self.check_scheme(id, &path, s, brow.max(prow));
                 }
-                let mut bw: Vec<usize> = b.meta.iter().map(width).collect();
                 bw.push(4); // hash lane driving the partition map
                 self.stage(
                     id,
@@ -655,7 +660,6 @@ impl Walker<'_> {
                     bw,
                     fanouts.clone(),
                 );
-                let mut pw: Vec<usize> = p.meta.iter().map(width).collect();
                 pw.push(4);
                 self.stage(
                     id,
@@ -765,7 +769,7 @@ impl Walker<'_> {
                     Vec::new(),
                 );
                 if *strategy == GroupStrategy::Partitioned {
-                    let mut pw: Vec<usize> = info.meta.iter().map(width).collect();
+                    let mut pw = input.output_widths(self.catalog).map_err(|_| ())?;
                     pw.push(4);
                     self.stage(
                         id,

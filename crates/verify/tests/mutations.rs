@@ -150,3 +150,48 @@ fn stage_graph_matches_pre_order_walker_ids() {
         assert_eq!(node.path, s.path, "stage {} path mismatch", s.stage);
     }
 }
+
+#[test]
+fn over_fanout_is_killed_at_the_encoded_row_width() {
+    // R-FANOUT-BUFFER budgets the local buffers from the widths the join's
+    // inputs arrive in. The demo probe row is id (2 bytes as stored), grp
+    // (a 4-byte code) and price (2): 8 bytes where 20 are declared, so 128
+    // sixteen-row buffers fit half of DMEM — and 256 still do not.
+    use rapid_qef::plan::PlanNode;
+    use rapid_verify::diag::Rule;
+    let cat = demo_catalog();
+    let with_scheme = |fanout: usize| {
+        let mut plan = base_plan();
+        let PlanNode::GroupBy { input, .. } = &mut plan else {
+            panic!("demo plan shape changed")
+        };
+        let PlanNode::Map { input, .. } = input.as_mut() else {
+            panic!("demo plan shape changed")
+        };
+        let PlanNode::HashJoin { scheme, probe, .. } = input.as_mut() else {
+            panic!("demo plan shape changed")
+        };
+        assert_eq!(probe.output_widths(&cat).unwrap(), [2, 4, 2]);
+        *scheme = Some(vec![fanout]);
+        plan
+    };
+    let buffer_findings = |plan: &PlanNode| -> Vec<String> {
+        let report = verify(plan, &cat, &VerifyConfig::default());
+        let hits = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == Rule::FanoutBuffer);
+        hits.map(|d| d.message.clone()).collect()
+    };
+    assert!(buffer_findings(&with_scheme(128)).is_empty());
+    let Mutated::Plan(over) = Mutation::OverFanout.apply() else {
+        panic!("OverFanout mutates the plan")
+    };
+    assert_eq!(over, with_scheme(256));
+    let findings = buffer_findings(&over);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(
+        findings[0].contains("256 exceeds the 128-way local-buffer limit for 8-byte rows"),
+        "{findings:?}"
+    );
+}
