@@ -46,6 +46,13 @@ echo "== schedule interference verification (both modes) + mutation kill matrix 
 # with its own rule id — replayed here in release, outside cfg(test).
 cargo run -q --release -p rapid-report -- schedcheck --sf 0.01 --mutations
 
+echo "== hardware-model examples (dpu_hardware, task_formation) =="
+# Outside unit tests these two are the only executions of the DMS hardware
+# partitioner, the ATE crossbar and qcomp::task_formation: compiled by the
+# clippy step above, they must also run to the end.
+cargo run -q --release --example dpu_hardware > /dev/null
+cargo run -q --release --example task_formation > /dev/null
+
 echo "== trace smoke (sf 0.01) =="
 cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q6 > /dev/null
 

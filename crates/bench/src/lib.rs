@@ -36,6 +36,7 @@ use dpu_sim::isa::CostModel;
 use dpu_sim::power::PowerModel;
 
 use rapid_qcomp::cost::CostParams;
+use rapid_qef::actor::run_stage;
 use rapid_qef::batch::Batch;
 use rapid_qef::engine::Engine;
 use rapid_qef::exec::{CoreCtx, ExecContext};
@@ -150,14 +151,20 @@ pub fn filter_microbench(rows: usize) -> Vec<Point> {
     let cm = CostModel::default();
     let single = rows as f64 / (cy / cm.freq_hz);
 
-    // 32-core bandwidth: DMS-bound per the stage rule.
-    let engine = DmsEngine::default();
-    let per_core_rows = rows / 32;
-    let transfer = engine.sequential_read(1, 4, per_core_rows, tile);
-    let dms_total = transfer.cycles * 32.0;
-    let compute_each = cy / rows as f64 * per_core_rows as f64;
-    let elapsed = dms_total.max(compute_each);
-    let bw = (rows as f64 * 4.0) / (elapsed / cm.freq_hz) / 1e9;
+    // 32-core bandwidth: every core filters its share of the rows while the
+    // DMS streams it in; the stage rule says which of the two binds (the
+    // DMS).
+    let ctx = ExecContext::dpu();
+    let per_core_rows = rows / ctx.cores;
+    let transfer = ctx.dms().sequential_read(1, 4, per_core_rows, tile);
+    let compute_each = Cycles(cy / rows as f64 * per_core_rows as f64);
+    let (_, stage) = run_stage(&ctx, (0..ctx.cores).collect(), |core, _: usize| {
+        core.account.charge_compute(compute_each);
+        core.charge_dms(&transfer);
+        Ok(())
+    })
+    .expect("a stage that only charges cannot fail");
+    let bw = (rows as f64 * 4.0) / stage.sim.as_secs() / 1e9;
 
     vec![
         Point::new("single-core tuples/s", single, "tuples/s"),

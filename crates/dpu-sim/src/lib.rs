@@ -34,32 +34,30 @@
 //! |---|---|
 //! | [`clock`] | cycle/time arithmetic at the DPU clock frequency |
 //! | [`isa`] | instruction-class latencies and the calibrated [`isa::CostModel`] |
-//! | [`account`] | per-core [`account::CycleAccount`]: cycles + event counters |
+//! | [`account`] | per-core [`account::CycleAccount`] (cycles + event counters) and the stage rule, [`account::StageSpan`]: lane accounts → stage duration |
 //! | [`dmem`] | the 32 KiB scratchpad budget allocator |
 //! | [`crc32`] | the hardware CRC32 hash engine (software model) |
 //! | [`dms`] | descriptor-programmed transfers and partition-while-transfer engines |
 //! | [`ate`] | mailbox messaging, barriers (software-coherence primitives) |
 //! | [`power`] | provisioned-power / energy model for perf-per-watt numbers |
-//! | [`core`] | a dpCore: id + cycle account + DMEM |
-//! | [`dpu`] | the 32-core DPU, stage timing aggregation |
+//!
+//! There is no assembled-DPU type here: a stage runs on the query engine's
+//! `rapid_qef::actor::run_stage`, one `CoreCtx` (account + DMEM) per lane,
+//! and is timed by [`account::StageSpan`].
 
 #![warn(missing_docs)]
 
 pub mod account;
 pub mod ate;
 pub mod clock;
-pub mod core;
 pub mod crc32;
 pub mod dmem;
 pub mod dms;
-pub mod dpu;
 pub mod isa;
 pub mod power;
 
-pub use account::{Counters, CycleAccount};
+pub use account::{Counters, CycleAccount, StageSpan};
 pub use clock::{Cycles, SimTime};
-pub use core::DpCore;
 pub use dmem::{Dmem, DmemError};
-pub use dpu::{Dpu, DpuConfig, StageReport};
 pub use isa::{CostModel, KernelCost};
 pub use power::PowerModel;

@@ -262,8 +262,8 @@ impl HostDb {
     pub fn new(rapid_ctx: ExecContext) -> Self {
         HostDb {
             store: Arc::new(RowStore::new()),
+            params: CostParams::from_exec(&rapid_ctx),
             rapid: Arc::new(RwLock::new(Engine::new(rapid_ctx))),
-            params: CostParams::default(),
             plan_cache: PlanCache::default(),
             force_site: None,
             checkpointer_stop: Arc::new(AtomicBool::new(false)),
@@ -1101,6 +1101,39 @@ mod tests {
             }),
         );
         db
+    }
+
+    #[test]
+    fn plans_are_compiled_for_the_cores_the_context_has() {
+        fn join_scheme(plan: &PlanNode) -> Option<Vec<usize>> {
+            match plan {
+                PlanNode::HashJoin { scheme, .. } => scheme.clone(),
+                other => other.inputs().find_map(join_scheme),
+            }
+        }
+        let compiled_on = |ctx: ExecContext| {
+            let d = HostDb::new(ctx);
+            for name in ["a", "b"] {
+                d.create_table(name, Schema::new(vec![Field::new("k", DataType::Int)]));
+                d.bulk_insert(name, (0..2_000i64).map(|i| vec![Value::Int(i)]));
+                d.load_into_rapid(name).unwrap();
+            }
+            let plan = parse_sql("SELECT a.k FROM a JOIN b ON a.k = b.k", &d.schemas()).unwrap();
+            let (_, compiled) = d.run_on_rapid(&plan, None, &Request::default()).unwrap();
+            let expected = {
+                let rapid = d.rapid.read();
+                rapid_qcomp::compile(&plan, rapid.catalog(), &CostParams::default()).unwrap()
+            };
+            (compiled.plan, expected.plan)
+        };
+        // Two thousand one-column rows need no more partitions than there
+        // are cores to give one each.
+        let (on_eight, for_the_full_dpu) = compiled_on(ExecContext::dpu().with_cores(8));
+        assert_eq!(join_scheme(&on_eight), Some(vec![8]));
+        assert_eq!(join_scheme(&for_the_full_dpu), Some(vec![32]));
+        // The full DPU's parameters are `CostParams::default()`.
+        let (on_the_full_dpu, for_the_full_dpu) = compiled_on(ExecContext::dpu());
+        assert_eq!(on_the_full_dpu, for_the_full_dpu);
     }
 
     #[test]

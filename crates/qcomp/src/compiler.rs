@@ -1012,7 +1012,7 @@ fn lower_join(
         row_bytes,
         dmem_bytes: params.dmem_bytes,
         cores: params.cores,
-        max_round_fanout: buffer_cap.min(1024),
+        max_round_fanout: buffer_cap.min(rapid_qef::budget::MAX_ROUND_FANOUT),
     };
     let partitions = required_partitions(&PartitionOptInput {
         row_bytes: declared(&lcols).max(declared(&rcols)),

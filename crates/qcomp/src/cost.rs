@@ -17,6 +17,7 @@
 use dpu_sim::clock::SimTime;
 use dpu_sim::isa::CostModel;
 
+use rapid_qef::exec::ExecContext;
 use rapid_qef::plan::{Catalog, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::costs;
@@ -45,12 +46,22 @@ pub struct CostParams {
 }
 
 impl Default for CostParams {
+    /// The parameters of the full DPU, [`ExecContext::dpu`].
     fn default() -> Self {
+        CostParams::from_exec(&ExecContext::dpu())
+    }
+}
+
+impl CostParams {
+    /// The parameters an execution context implies: plans are costed,
+    /// partitioned and verified for the cores, DMEM and tiles they will
+    /// run on (see `rapid_verify::VerifyConfig::from_exec`).
+    pub fn from_exec(ctx: &ExecContext) -> CostParams {
         CostParams {
-            cm: CostModel::default(),
-            cores: 32,
-            tile_rows: 256,
-            dmem_bytes: dpu_sim::dmem::DMEM_BYTES,
+            cm: (*ctx.cost_model).clone(),
+            cores: ctx.cores,
+            tile_rows: ctx.tile_rows,
+            dmem_bytes: ctx.dmem_bytes,
             network_bytes_per_sec: 3.0e9, // IB FDR-class single link
             offload_latency_secs: 150.0e-6,
             reorder_joins: true,

@@ -396,7 +396,8 @@ fn join_cycles(params: &CostParams, a: (f64, f64), b: (f64, f64)) -> f64 {
     let ((build_rows, build_width), (probe_rows, probe_width)) =
         if a.0 <= b.0 { (a, b) } else { (b, a) };
     let row_bytes = (a.1.max(b.1) as usize).max(8);
-    let buffer_cap = rapid_qef::budget::max_buffered_fanout(row_bytes, params.dmem_bytes);
+    let max_round_fanout = rapid_qef::budget::max_buffered_fanout(row_bytes, params.dmem_bytes)
+        .min(rapid_qef::budget::MAX_ROUND_FANOUT);
     let scheme = optimize_partition_scheme(
         cm,
         &PartitionOptInput {
@@ -404,7 +405,7 @@ fn join_cycles(params: &CostParams, a: (f64, f64), b: (f64, f64)) -> f64 {
             row_bytes,
             dmem_bytes: params.dmem_bytes,
             cores: params.cores,
-            max_round_fanout: buffer_cap.min(1024),
+            max_round_fanout,
         },
     );
     let side = |rows: f64, width: f64| PartitionOptInput {
@@ -412,7 +413,7 @@ fn join_cycles(params: &CostParams, a: (f64, f64), b: (f64, f64)) -> f64 {
         row_bytes: (width as usize).max(8),
         dmem_bytes: params.dmem_bytes,
         cores: params.cores,
-        max_round_fanout: buffer_cap.min(1024),
+        max_round_fanout,
     };
     let partition = scheme_cost(cm, &side(build_rows, build_width), &scheme.rounds)
         + scheme_cost(cm, &side(probe_rows, probe_width), &scheme.rounds);

@@ -18,6 +18,8 @@
 //! cheapest.
 
 use dpu_sim::isa::CostModel;
+use rapid_qef::budget::MAX_ROUND_FANOUT;
+use rapid_qef::exec::ExecContext;
 
 /// A partitioning scheme: fan-out per round.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,19 +52,20 @@ pub struct PartitionOptInput {
     /// Cores (the minimum useful number of partitions).
     pub cores: usize,
     /// Maximum single-round fan-out: the radix bits one software round may
-    /// take (ten, 1024 ways), or fewer where the per-partition local
-    /// buffers stop fitting in DMEM (`budget::max_buffered_fanout`).
+    /// take (`budget::MAX_ROUND_FANOUT`), or fewer where the per-partition
+    /// local buffers stop fitting in DMEM (`budget::max_buffered_fanout`).
     pub max_round_fanout: usize,
 }
 
 impl Default for PartitionOptInput {
     fn default() -> Self {
+        let dpu = ExecContext::dpu();
         PartitionOptInput {
             rows: 0,
             row_bytes: 8,
-            dmem_bytes: dpu_sim::dmem::DMEM_BYTES,
-            cores: 32,
-            max_round_fanout: 1024,
+            dmem_bytes: dpu.dmem_bytes,
+            cores: dpu.cores,
+            max_round_fanout: MAX_ROUND_FANOUT,
         }
     }
 }

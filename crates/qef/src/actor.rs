@@ -13,15 +13,14 @@
 //!
 //! * On the **Dpu backend** the actors are simulated cores: they run
 //!   one after another in host time, each accruing its own simulated
-//!   cycle account; the stage's simulated elapsed time is
-//!   `max(max-core-compute, Σ DMS)` — the same rule as
-//!   [`dpu_sim::dpu::Dpu::stage_report`].
+//!   cycle account; the stage's simulated elapsed time is the stage
+//!   rule, [`dpu_sim::account::StageSpan`], folded over those accounts.
 //! * On the **Native backend** the actors are OS threads and the stage
 //!   time is the wall clock.
 
 use std::time::{Duration, Instant};
 
-use dpu_sim::account::{Counters, CycleAccount};
+use dpu_sim::account::{Counters, CycleAccount, StageSpan};
 use dpu_sim::clock::{Cycles, SimTime};
 
 use crate::error::{QefError, QefResult};
@@ -39,10 +38,9 @@ pub struct StageTiming {
     pub elapsed: Cycles,
     /// Wall-clock elapsed (Native backend; zero otherwise).
     pub wall: Duration,
-    /// Max per-core compute cycles (Dpu).
-    pub max_compute: Cycles,
-    /// Total DMS cycles (Dpu).
-    pub dms_total: Cycles,
+    /// What the stage rule saw: busiest lane's elapsed and compute
+    /// cycles, total DMS cycles (Dpu).
+    pub span: StageSpan,
     /// Operation counters merged across cores (Dpu; branches feed
     /// Figure 13, the rest the tracing subsystem).
     pub counters: Counters,
@@ -92,7 +90,6 @@ where
     let n = items.len();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut timing = StageTiming::default();
-    let mut max_elapsed = Cycles::ZERO;
 
     // When a multi-query router is installed, costs are additionally
     // captured per item so the router can re-balance lanes; absorbing the
@@ -125,36 +122,29 @@ where
         if capture {
             core.account = stage_acc;
         }
-        max_elapsed = max_elapsed.max(core.account.elapsed_cycles());
-        timing.max_compute = timing.max_compute.max(core.account.compute_cycles());
-        timing.dms_total += core.account.dms_cycles();
+        timing.span.add_lane(&core.account);
         timing.counters = timing.counters.merged(core.account.counters());
         timing.dmem_peak = timing.dmem_peak.max(core.dmem.peak() as u64);
     }
     timing.parallelism = cores.min(n).max(1);
-    match (&ctx.router, n) {
+    timing.elapsed = match (&ctx.router, n) {
         (Some(router), n) if n > 0 => {
             let profile = StageProfile {
                 query_id: ctx.query_id,
-                parallelism: cores.min(n).max(1),
+                parallelism: timing.parallelism,
                 items: item_costs
                     .into_iter()
                     .map(|c| c.expect("captured"))
                     .collect(),
                 dmem_peak: timing.dmem_peak,
             };
-            let duration = router
+            router
                 .route_stage(&profile)
-                .map_err(|a| QefError::Aborted(format!("query {}: {}", ctx.query_id, a.reason)))?;
-            timing.elapsed = duration;
-            timing.sim = duration.to_time(ctx.cost_model.freq_hz);
+                .map_err(|a| QefError::Aborted(format!("query {}: {}", ctx.query_id, a.reason)))?
         }
-        _ => {
-            let elapsed = max_elapsed.max(timing.dms_total);
-            timing.elapsed = elapsed;
-            timing.sim = elapsed.to_time(ctx.cost_model.freq_hz);
-        }
-    }
+        _ => timing.span.elapsed(),
+    };
+    timing.sim = timing.elapsed.to_time(ctx.cost_model.freq_hz);
     Ok((
         results
             .into_iter()
@@ -327,20 +317,67 @@ mod tests {
         assert_eq!(t.sim, SimTime::ZERO);
     }
 
+    fn dms(cycles: f64) -> dpu_sim::dms::engine::DmsCost {
+        dpu_sim::dms::engine::DmsCost {
+            cycles,
+            bytes: 4096,
+            descriptors: 1,
+        }
+    }
+
     #[test]
     fn dms_heavy_stage_serializes_on_engine() {
-        use dpu_sim::dms::engine::DmsCost;
         let work = |core: &mut CoreCtx, _: usize| {
-            core.charge_dms(&DmsCost {
-                cycles: 1000.0,
-                bytes: 4096,
-                descriptors: 1,
-            });
+            core.charge_dms(&dms(1000.0));
             Ok(())
         };
         let (_, t) = run_stage(&ExecContext::dpu().with_cores(4), (0..4).collect(), work).unwrap();
         // 4 cores x 1000 DMS cycles share one engine: 4000 cycles.
-        assert!((t.dms_total.get() - 4000.0).abs() < 1e-9);
+        assert!((t.span.dms_total.get() - 4000.0).abs() < 1e-9);
         assert!((t.sim.as_secs() - 4000.0 / 800.0e6).abs() < 1e-12);
+        assert_eq!(t.counters.dms_bytes, 4 * 4096);
+        assert_eq!(t.counters.dms_descriptors, 4);
+    }
+
+    #[test]
+    fn per_core_overlap_is_resolved_before_the_stage_rule() {
+        // Each core: compute 100 overlapped with transfer 60.
+        let work = |core: &mut CoreCtx, _: usize| {
+            core.charge_overlapped(Cycles(100.0), &dms(60.0));
+            Ok(())
+        };
+        let (_, t) = run_stage(&ExecContext::dpu().with_cores(2), (0..2).collect(), work).unwrap();
+        // Per-core elapsed = 100; cross-core DMS sum = 120 > 100.
+        assert_eq!(t.span.max_lane_compute, Cycles(100.0));
+        assert_eq!(t.elapsed, Cycles(120.0));
+    }
+
+    #[test]
+    fn every_stage_starts_from_empty_accounts_and_times_add_at_the_dpu_clock() {
+        let ctx = ExecContext::dpu().with_cores(2);
+        let work = |core: &mut CoreCtx, _: usize| {
+            core.account.charge_compute(Cycles(800.0));
+            Ok(core.account.compute_cycles())
+        };
+        let (seen1, t1) = run_stage(&ctx, (0..2).collect(), work).unwrap();
+        let (seen2, t2) = run_stage(&ctx, (0..2).collect(), work).unwrap();
+        // Nothing of the first stage is left on the second's cores.
+        assert_eq!(seen1, seen2);
+        assert_eq!(t2.elapsed, Cycles(800.0));
+        assert_eq!(t2.counters, t1.counters);
+        // Two stages of 800 cycles at 800 MHz = 2 us.
+        let total = t1.sim.as_secs() + t2.sim.as_secs();
+        assert!((total * 1e6 - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stage_energy_uses_provisioned_power() {
+        let work = |core: &mut CoreCtx, _: usize| {
+            core.account.charge_compute(Cycles(8.0e8)); // 1 s
+            Ok(())
+        };
+        let (_, t) = run_stage(&ExecContext::dpu().with_cores(1), vec![0], work).unwrap();
+        let joules = dpu_sim::PowerModel::dpu().energy_joules(t.sim);
+        assert!((joules - 5.8).abs() < 1e-6);
     }
 }

@@ -23,6 +23,11 @@ pub const MIN_VECTOR_ROWS: usize = 64;
 /// chain head) charged against DMEM before any vector.
 pub const BASE_STATE_BYTES: usize = 64;
 
+/// Widest fan-out one software partition round may take: ten radix bits
+/// of the hash. Local buffers cap a round lower for wide rows
+/// ([`max_buffered_fanout`]).
+pub const MAX_ROUND_FANOUT: usize = 1024;
+
 /// Per-row stream bytes of a partition pass over `row_bytes`-wide rows:
 /// every column streams through DMEM plus the 4-byte hash lane the
 /// partition map is computed from.

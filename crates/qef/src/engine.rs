@@ -36,6 +36,7 @@ use rapid_storage::table::Table;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::Batch;
+use crate::budget::MAX_ROUND_FANOUT;
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, ExecContext};
 use crate::expr::Pred;
@@ -179,8 +180,8 @@ impl Tracer {
                 parallelism: t.parallelism,
                 rows,
                 sim_secs,
-                compute_cycles: t.max_compute.get(),
-                dms_cycles: t.dms_total.get(),
+                compute_cycles: t.span.max_lane_compute.get(),
+                dms_cycles: t.span.dms_total.get(),
                 instructions: c.instructions,
                 branches: c.branches,
                 mispredicts: c.branch_mispredicts,
@@ -402,9 +403,9 @@ impl Engine {
             PlanNode::SetOp { left, right, op } => {
                 let l = self.exec_node(left, report, tr, depth + 1)?;
                 let r = self.exec_node(right, report, tr, depth + 1)?;
-                let op = *op;
+                let (op, widths) = (*op, node.output_widths(&self.catalog)?);
                 let (out, t) = run_stage(&self.ctx, vec![(l, r)], move |core, (l, r)| {
-                    ops::setops::set_op(core, &l, &r, op)
+                    ops::setops::set_op(core, &l, &r, op, &widths)
                 })?;
                 tr.absorb(report, &t, nid, depth, "setop", batch_rows(&out));
                 Ok(out)
@@ -935,23 +936,23 @@ fn pad_outer(probe: Batch, build_protos: &[rapid_storage::vector::ColumnData]) -
 
 /// The engine's fallback partition scheme (§5.3 heuristics): total
 /// partitions = max(build-side DMEM pressure, cores), factored into
-/// power-of-two rounds of at most 1024 ways. The count sizes what a join
-/// kernel holds — 8-byte widened keys and row ids — whatever width the
-/// columns are stored in; the caller then caps each round by the local
-/// buffers the stored widths leave room for
+/// power-of-two rounds of at most [`MAX_ROUND_FANOUT`] ways. The count
+/// sizes what a join kernel holds — 8-byte widened keys and row ids —
+/// whatever width the columns are stored in; the caller then caps each
+/// round by the local buffers the stored widths leave room for
 /// ([`crate::budget::cap_rounds`]).
 pub fn default_scheme(build_rows: usize, nkeys: usize, ctx: &ExecContext) -> Vec<usize> {
     // A DMEM join kernel comfortably handles this many build rows (keys +
     // compact table in 32 KiB with room for I/O vectors).
     let per_part = (ctx.dmem_bytes / 2) / (nkeys * 8 + 6).max(1);
     let needed = next_pow2_at_least(build_rows.div_ceil(per_part.max(1)), ctx.cores);
-    // Factor into rounds: ≤1024 per round (ten radix bits of the hash, all
-    // of them software rounds on the dpCores), minimal rounds.
+    // Factor into the fewest rounds, all of them software rounds on the
+    // dpCores.
     let mut rounds = Vec::new();
     let mut rest = needed;
-    while rest > 1024 {
-        rounds.push(1024);
-        rest = rest.div_ceil(1024).next_power_of_two();
+    while rest > MAX_ROUND_FANOUT {
+        rounds.push(MAX_ROUND_FANOUT);
+        rest = rest.div_ceil(MAX_ROUND_FANOUT).next_power_of_two();
     }
     if rest > 1 {
         rounds.push(rest);
@@ -1291,7 +1292,7 @@ mod tests {
             total * 1000 >= 10_000_000,
             "scheme {s:?} leaves partitions too big"
         );
-        assert!(s.iter().all(|&f| f <= 1024));
+        assert!(s.iter().all(|&f| f <= MAX_ROUND_FANOUT));
     }
 
     #[test]

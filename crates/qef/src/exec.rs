@@ -9,7 +9,7 @@
 //! * [`Backend::Native`] — charging is skipped (the accounting calls are
 //!   cheap, but zero is cheaper) and elapsed time is the wall clock.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dpu_sim::account::CycleAccount;
 use dpu_sim::clock::Cycles;
@@ -63,10 +63,11 @@ pub struct StageAbort {
 /// Places pipeline stages of concurrent queries onto the shared DPU.
 ///
 /// When installed in an [`ExecContext`], the timing of every simulated
-/// stage is delegated to the router instead of the engine-local
-/// `max(max-core-compute, Σ DMS)` rule. A router applies the same rule
-/// *within* a stage but decides when the stage's gang of cores and its DMS
-/// transfers fit on a timeline shared by all concurrent queries
+/// stage is delegated to the router instead of being read off the stage
+/// rule, [`dpu_sim::account::StageSpan`], directly. A router applies the
+/// same rule *within* a stage (`elapsed_behind` the DMS queue, where the
+/// engine alone calls `elapsed`) but decides when the stage's gang of cores
+/// and its DMS transfers fit on a timeline shared by all concurrent queries
 /// (implemented by the `rapid-sched` crate). Routing never changes query
 /// results — only the simulated clock.
 pub trait StageRouter: Send + Sync + std::fmt::Debug {
@@ -103,11 +104,16 @@ pub struct ExecContext {
 }
 
 impl ExecContext {
-    /// Context for the full simulated DPU.
+    /// Context for the full simulated DPU: the one place its core count,
+    /// DMEM and default tile are written. The default configurations of the
+    /// compiler, verifier and scheduler are derived from it, some of them
+    /// once per statement, so it shares one default cost model and
+    /// allocates nothing.
     pub fn dpu() -> Self {
+        static DEFAULT_COST_MODEL: OnceLock<Arc<CostModel>> = OnceLock::new();
         ExecContext {
             backend: Backend::Dpu,
-            cost_model: Arc::new(CostModel::default()),
+            cost_model: Arc::clone(DEFAULT_COST_MODEL.get_or_init(Arc::default)),
             cores: 32,
             dmem_bytes: dpu_sim::dmem::DMEM_BYTES,
             tile_rows: 256,

@@ -11,6 +11,7 @@ use crate::error::QefResult;
 use crate::exec::CoreCtx;
 use crate::plan::SetOpKind;
 use crate::primitives::costs;
+use rapid_storage::vector::Vector;
 
 type Row = Vec<Option<i64>>;
 
@@ -18,13 +19,29 @@ fn row_of(batch: &Batch, i: usize) -> Row {
     (0..batch.width()).map(|c| batch.column(c).get(i)).collect()
 }
 
+/// Rows `rids` of `batch`, column `c` written `widths[c]` bytes wide.
+fn gather_at(batch: &Batch, rids: &[u32], widths: &[usize]) -> Batch {
+    let mut out = batch.gather(rids);
+    out.columns = (out.columns.into_iter().zip(widths))
+        .map(|(col, &width)| Vector {
+            data: col.data.widened(width),
+            nulls: col.nulls,
+        })
+        .collect();
+    out
+}
+
 /// Evaluate a distinct set operation over two materialized inputs with
-/// identical column layouts.
+/// the same number of columns. The two sides may store a column at
+/// different widths; the output holds rows of either, so every column is
+/// written at `widths` — `PlanNode::output_widths` of the SetOp, the wider
+/// input's.
 pub fn set_op(
     ctx: &mut CoreCtx,
     left: &[Batch],
     right: &[Batch],
     op: SetOpKind,
+    widths: &[usize],
 ) -> QefResult<Batch> {
     let mut right_set: HashSet<Row> = HashSet::new();
     let mut right_rows = 0usize;
@@ -54,7 +71,7 @@ pub fn set_op(
             }
         }
         if !rids.is_empty() {
-            keep.push(b.gather(&rids));
+            keep.push(gather_at(b, &rids, widths));
         }
     }
     ctx.charge_kernel(&costs::group_lookup_per_row().scaled(left_rows as f64));
@@ -70,7 +87,7 @@ pub fn set_op(
                 }
             }
             if !rids.is_empty() {
-                keep.push(b.gather(&rids));
+                keep.push(gather_at(b, &rids, widths));
             }
         }
     }
@@ -106,6 +123,7 @@ mod tests {
             &[batch(vec![1, 2, 2])],
             &[batch(vec![2, 3])],
             SetOpKind::Union,
+            &[8],
         )
         .unwrap();
         assert_eq!(values(&out), vec![1, 2, 3]);
@@ -119,6 +137,7 @@ mod tests {
             &[batch(vec![1, 2, 2, 3])],
             &[batch(vec![2, 3, 4])],
             SetOpKind::Intersect,
+            &[8],
         )
         .unwrap();
         assert_eq!(values(&out), vec![2, 3]);
@@ -132,9 +151,28 @@ mod tests {
             &[batch(vec![1, 2, 2, 3])],
             &[batch(vec![2])],
             SetOpKind::Minus,
+            &[8],
         )
         .unwrap();
         assert_eq!(values(&out), vec![1, 3]);
+    }
+
+    #[test]
+    fn sides_of_different_widths_come_out_at_the_wider() {
+        let narrow = || Batch::new(vec![Vector::new(ColumnData::I8(vec![1, 2, 3]))]);
+        let wide = || Batch::new(vec![Vector::new(ColumnData::I16(vec![2, 1000]))]);
+        let mut c = ctx();
+        for (op, expect) in [
+            (SetOpKind::Union, vec![1, 2, 3, 1000]),
+            (SetOpKind::Intersect, vec![2]),
+            (SetOpKind::Minus, vec![1, 3]),
+        ] {
+            let out = set_op(&mut c, &[narrow()], &[wide()], op, &[2]).unwrap();
+            assert_eq!(values(&out), expect, "{op:?}");
+            assert_eq!(out.column(0).data.width(), 2, "{op:?}");
+        }
+        let out = set_op(&mut c, &[wide()], &[narrow()], SetOpKind::Union, &[2]).unwrap();
+        assert_eq!(values(&out), vec![1, 2, 3, 1000]);
     }
 
     #[test]
@@ -149,6 +187,7 @@ mod tests {
             std::slice::from_ref(&withnull),
             std::slice::from_ref(&withnull),
             SetOpKind::Intersect,
+            &[8],
         )
         .unwrap();
         assert_eq!(out.rows(), 2, "NULL row intersects with NULL row");
@@ -157,9 +196,9 @@ mod tests {
     #[test]
     fn empty_sides() {
         let mut c = ctx();
-        let out = set_op(&mut c, &[], &[batch(vec![1])], SetOpKind::Union).unwrap();
+        let out = set_op(&mut c, &[], &[batch(vec![1])], SetOpKind::Union, &[8]).unwrap();
         assert_eq!(values(&out), vec![1]);
-        let out = set_op(&mut c, &[batch(vec![1])], &[], SetOpKind::Intersect).unwrap();
+        let out = set_op(&mut c, &[batch(vec![1])], &[], SetOpKind::Intersect, &[8]).unwrap();
         assert_eq!(out.rows(), 0);
     }
 }

@@ -31,8 +31,9 @@
 //! Invariants the tests pin down:
 //!
 //! * routing never changes query *results* — only the simulated clock;
-//! * a query running alone reproduces the engine-local stage rule
-//!   `max(max-core-compute, Σ DMS)` stage by stage;
+//! * a query running alone reproduces the engine-local stage timing stage
+//!   by stage: both are [`dpu_sim::account::StageSpan`], the router's with
+//!   the DMS queue delay of an idle engine, zero;
 //! * [`DispatchMode::Deterministic`] timings are a pure function of the
 //!   submitted batch — bit-identical across runs regardless of host
 //!   thread interleaving.

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use dpu_sim::clock::{Cycles, SimTime};
 use dpu_sim::isa::CostModel;
 use dpu_sim::power::PowerModel;
-use rapid_qef::exec::{StageAbort, StageProfile, StageRouter};
+use rapid_qef::exec::{ExecContext, StageAbort, StageProfile, StageRouter};
 
 use crate::schedhook;
 use crate::timeline::{DispatchMode, DpuTimeline, Utilization};
@@ -64,14 +64,15 @@ pub struct SchedConfig {
 
 impl Default for SchedConfig {
     fn default() -> Self {
+        let dpu = ExecContext::dpu();
         SchedConfig {
-            cores: 32,
+            cores: dpu.cores,
             max_active: 8,
             queue_capacity: 64,
             mode: DispatchMode::Deterministic,
-            dmem_bytes: dpu_sim::dmem::DMEM_BYTES as u64,
+            dmem_bytes: dpu.dmem_bytes as u64,
             history_cap: 0,
-            cost_model: CostModel::default(),
+            cost_model: (*dpu.cost_model).clone(),
             power: PowerModel::dpu(),
         }
     }

@@ -2,23 +2,17 @@
 //! from concurrent queries onto one set of physical dpCores and the single
 //! shared DMS engine.
 //!
-//! The stage rule is exactly the one the engine applies when it owns the
-//! DPU alone (see [`dpu_sim::dpu::Dpu::stage_report`]):
-//!
-//! ```text
-//! stage_span = max( max_lane_elapsed , dms_queue_delay + Σ DMS )
-//! ```
-//!
-//! — per-lane compute runs in parallel on the granted cores, every lane's
-//! DMS transfers serialize on the shared engine (behind whatever transfer
-//! another query already queued), and double buffering overlaps the two
-//! streams. A stage placed on an otherwise idle timeline therefore takes
-//! exactly `max(max-core-compute, Σ DMS)` — bit-identical to the
-//! engine-local rule — while contention only ever *delays* stages.
+//! A stage's span is the stage rule the engine applies when it owns the
+//! DPU alone, [`dpu_sim::account::StageSpan`], with one input the engine
+//! never has: `dms_delay`, how long the stage's first descriptor waits
+//! behind transfers another query already queued on the shared engine. A
+//! stage placed on an otherwise idle timeline has `dms_delay == 0` and
+//! takes the bits `rapid_qef::actor::run_stage` computes without a router;
+//! contention only ever *delays* stages.
 
 use std::collections::{HashMap, VecDeque};
 
-use dpu_sim::account::CycleAccount;
+use dpu_sim::account::{CycleAccount, StageSpan};
 use dpu_sim::clock::{Cycles, SimTime};
 use dpu_sim::isa::CostModel;
 use dpu_sim::power::PowerModel;
@@ -241,29 +235,20 @@ impl DpuTimeline {
         }
 
         let lanes = assign_lanes(&profile.items, k, mode);
-        let mut max_lane = Cycles::ZERO;
-        for lane in &lanes {
-            max_lane = max_lane.max(lane.elapsed_cycles());
-        }
-        let mut dms_total = Cycles::ZERO;
-        for item in &profile.items {
-            dms_total += item.dms_cycles();
-        }
+        let stage = StageSpan::of_lanes(&lanes);
+        let dms_total = stage.dms_total;
 
-        // The engine-local stage rule, placed in time. `dms_delay` is how
-        // long this stage's first descriptor waits behind transfers another
-        // query already queued; it is zero for a query running alone. The
-        // engine window is derived with an exact f64 `max` (never a
-        // subtract-and-re-add round trip), so consecutive stages' recorded
-        // `[dms_start, dms_end)` windows are exactly non-overlapping — the
-        // interference analyzer compares them with strict `<`.
+        // The stage rule, placed in time. The engine window is derived
+        // with an exact f64 `max` (never a subtract-and-re-add round trip),
+        // so consecutive stages' recorded `[dms_start, dms_end)` windows
+        // are exactly non-overlapping — the interference analyzer compares
+        // them with strict `<`.
         let dms_busy_from = if dms_total.get() > 0.0 {
             self.dms_free.max(start)
         } else {
             start
         };
-        let dms_delay = dms_busy_from - start;
-        let span = max_lane.max(dms_delay + dms_total);
+        let span = stage.elapsed_behind(dms_busy_from - start);
         let end = start + span;
 
         let mut stage_busy = Cycles::ZERO;
@@ -306,7 +291,7 @@ impl DpuTimeline {
         self.trim_history();
 
         // Observed duration = wait for cores + the stage span; for a query
-        // alone this is exactly `max(max-core-compute, Σ DMS)`.
+        // alone this is exactly `StageSpan::elapsed`.
         Placement {
             start,
             end,
@@ -462,6 +447,67 @@ mod tests {
         assert_eq!(p.start, Cycles::ZERO);
         assert_eq!(p.duration, Cycles(1000.0));
         assert_eq!(p.end, Cycles(1000.0));
+    }
+
+    #[test]
+    fn solo_placement_has_the_bits_of_the_engine_local_stage() {
+        use rapid_qef::actor::run_stage;
+        use rapid_qef::exec::{CoreCtx, ExecContext};
+
+        let k = 3;
+        let ctx = ExecContext::dpu().with_cores(k);
+        let solo = |items: &[CycleAccount], mode| {
+            let p = DpuTimeline::new(32).place(Cycles::ZERO, &profile(1, k, items.to_vec()), mode);
+            assert_eq!(p.end, p.duration, "idle timeline");
+            p.duration.get().to_bits()
+        };
+        // Eleven skewed items on three lanes, every one with DMS, in
+        // fractions whose sums depend on the order they are added in; once
+        // bound by the busiest lane, once by the DMS total.
+        for dms_scale in [1.0, 40.0] {
+            let charges: Vec<(f64, f64)> = (0..11)
+                .map(|i| {
+                    let dms = 100.7 / (i + 3) as f64;
+                    (1000.3 / (i + 1) as f64, dms * dms_scale)
+                })
+                .collect();
+            let items: Vec<CycleAccount> = charges
+                .iter()
+                .map(|&(compute, dms)| {
+                    let mut a = compute_item(compute);
+                    a.charge_dms(Cycles(dms), 1024, 1);
+                    a
+                })
+                .collect();
+
+            // The engine's own layout, charged item by item as operators do.
+            let (_, local) = run_stage(&ctx, charges, |core: &mut CoreCtx, (compute, dms)| {
+                core.account.charge_compute(Cycles(compute));
+                core.account.charge_dms(Cycles(dms), 1024, 1);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(local.span.dms_bound(), dms_scale > 1.0);
+            assert_eq!(
+                solo(&items, DispatchMode::Deterministic),
+                local.elapsed.get().to_bits()
+            );
+
+            // Each mode's lane layout, run as a stage of one item per lane.
+            for mode in [DispatchMode::Deterministic, DispatchMode::WorkStealing] {
+                let lanes = assign_lanes(&items, k, mode);
+                let (_, local) = run_stage(&ctx, lanes, |core: &mut CoreCtx, lane| {
+                    core.account.absorb(&lane);
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(
+                    solo(&items, mode),
+                    local.elapsed.get().to_bits(),
+                    "{mode:?}"
+                );
+            }
+        }
     }
 
     #[test]

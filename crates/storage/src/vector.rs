@@ -105,6 +105,26 @@ impl ColumnData {
         out
     }
 
+    /// The same values as signed integers of `width` bytes, read the way
+    /// [`get_i64`](Self::get_i64) widens them; a column already that wide
+    /// comes back as it is. Panics if a value does not fit — callers pass a
+    /// width at least the column's own.
+    pub fn widened(self, width: usize) -> ColumnData {
+        if self.width() == width {
+            return self;
+        }
+        let mut out = match width {
+            1 => ColumnData::I8(Vec::with_capacity(self.len())),
+            2 => ColumnData::I16(Vec::with_capacity(self.len())),
+            4 => ColumnData::I32(Vec::with_capacity(self.len())),
+            _ => ColumnData::I64(Vec::with_capacity(self.len())),
+        };
+        for i in 0..self.len() {
+            out.push_i64(self.get_i64(i));
+        }
+        out
+    }
+
     /// Contiguous sub-range `[from, to)` of the column.
     pub fn slice(&self, from: usize, to: usize) -> ColumnData {
         match self {
@@ -291,6 +311,16 @@ mod tests {
         assert_eq!(ColumnData::I32(vec![-70000]).get_i64(0), -70000);
         assert_eq!(ColumnData::I64(vec![1 << 40]).get_i64(0), 1 << 40);
         assert_eq!(ColumnData::U32(vec![u32::MAX]).get_i64(0), u32::MAX as i64);
+    }
+
+    #[test]
+    fn widened_keeps_values_and_is_the_identity_at_the_same_width() {
+        let narrow = ColumnData::I8(vec![-5, 0, 127]);
+        assert_eq!(narrow.clone().widened(1), narrow);
+        assert_eq!(narrow.widened(2), ColumnData::I16(vec![-5, 0, 127]));
+        let codes = ColumnData::U32(vec![u32::MAX]);
+        assert_eq!(codes.clone().widened(4), codes);
+        assert_eq!(codes.widened(8), ColumnData::I64(vec![u32::MAX as i64]));
     }
 
     #[test]

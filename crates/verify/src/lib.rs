@@ -69,27 +69,23 @@ pub struct VerifyConfig {
 }
 
 impl Default for VerifyConfig {
+    /// The configuration of the full DPU, [`ExecContext::dpu`].
     fn default() -> Self {
-        VerifyConfig {
-            dmem_bytes: dpu_sim::dmem::DMEM_BYTES,
-            tile_rows: 256,
-            cores: 32,
-            max_round_fanout: 1024,
-            hash_bits: 32,
-            skew_reserved_bits: 4,
-        }
+        VerifyConfig::from_exec(&ExecContext::dpu())
     }
 }
 
 impl VerifyConfig {
-    /// Derive the configuration an execution context implies; everything
-    /// the context does not carry stays at the hardware default.
+    /// Derive the configuration an execution context implies; what the
+    /// context does not carry is a property of the engine and the hash.
     pub fn from_exec(ctx: &ExecContext) -> VerifyConfig {
         VerifyConfig {
             dmem_bytes: ctx.dmem_bytes,
             tile_rows: ctx.tile_rows,
             cores: ctx.cores,
-            ..VerifyConfig::default()
+            max_round_fanout: rapid_qef::budget::MAX_ROUND_FANOUT,
+            hash_bits: 32,
+            skew_reserved_bits: 4,
         }
     }
 }

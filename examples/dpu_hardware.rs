@@ -11,8 +11,10 @@ use dpu_sim::clock::rates;
 use dpu_sim::dms::descriptor::DescriptorLoop;
 use dpu_sim::dms::engine::DmsEngine;
 use dpu_sim::dms::partition::{HwPartitioner, PartitionStrategy};
-use dpu_sim::dpu::{Dpu, DpuConfig};
 use dpu_sim::isa::{CostModel, KernelCost};
+use dpu_sim::power::PowerModel;
+use rapid_qef::actor::run_stage;
+use rapid_qef::exec::{CoreCtx, ExecContext};
 
 fn main() {
     let cm = CostModel::default();
@@ -60,31 +62,34 @@ fn main() {
     );
 
     // --- 3. A parallel stage across all 32 dpCores ---------------------
-    let mut dpu = Dpu::new(DpuConfig::default());
-    let cm2 = dpu.cost_model().clone();
-    let report = dpu.run_stage(|core| {
+    // `run_stage` is the path every query stage takes: one `CoreCtx` per
+    // lane, timed by the stage rule (`dpu_sim::account::StageSpan`).
+    let ctx = ExecContext::dpu();
+    let (_, stage) = run_stage(&ctx, (0..ctx.cores).collect(), |core, _lane: usize| {
         // Each core runs a hand-scheduled kernel over its partition:
         // ~31250 rows at filter cost, plus its share of DMS traffic.
-        core.account
-            .charge_kernel(&cm2, &KernelCost::paired(31_250.0, 31_250.0));
+        core.charge_kernel(&KernelCost::paired(31_250.0, 31_250.0));
         core.account
             .charge_dms(dpu_sim::clock::Cycles(31_250.0 * 4.0 / 12.0), 125_000, 31);
-    });
+        Ok(())
+    })
+    .unwrap();
     println!(
         "\nstage: elapsed {:.3} ms ({}), max core compute {:.0} cy, DMS total {:.0} cy",
-        report.elapsed_time(&cm2).as_millis(),
-        if report.dms_bound {
+        stage.sim.as_millis(),
+        if stage.span.dms_bound() {
             "DMS-bound"
         } else {
             "compute-bound"
         },
-        report.max_core_compute.get(),
-        report.dms_total.get()
+        stage.span.max_lane_compute.get(),
+        stage.span.dms_total.get()
     );
+    let power = PowerModel::dpu();
     println!(
         "energy so far: {:.3} mJ at {} W provisioned",
-        dpu.energy_joules() * 1e3,
-        dpu.config().power.watts
+        power.energy_joules(stage.sim) * 1e3,
+        power.watts
     );
 
     // --- 4. ATE messaging between cores ---------------------------------
@@ -100,7 +105,7 @@ fn main() {
     );
 
     // --- 5. DMEM budget discipline --------------------------------------
-    let core = dpu.core_mut(0);
+    let core = CoreCtx::new(&ctx, 0);
     let a = core.dmem.alloc::<u32>(4096).unwrap(); // 16 KiB
     println!(
         "\nDMEM: reserved {} B, {} B free",

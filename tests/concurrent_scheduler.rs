@@ -119,8 +119,9 @@ fn deterministic_mode_is_bit_identical_across_runs() {
 }
 
 /// A query running alone through the scheduler sees the engine-local stage
-/// rule `max(max-core-compute, Σ DMS)` — the shared timeline only regroups
-/// per-lane float sums, so allow relative ulp-level tolerance.
+/// rule (`dpu_sim::account::StageSpan`) — a routed stage only regroups
+/// per-lane float sums (items are charged into accounts of their own and
+/// absorbed), so allow relative ulp-level tolerance.
 #[test]
 fn solo_query_through_scheduler_matches_engine_local_timing() {
     let db = db();

@@ -318,3 +318,44 @@ fn window_and_setop_sql_agree_across_engines() {
         .expect("union");
     assert_eq!(u.rows.len(), 60);
 }
+
+/// ROADMAP 5a: the two inputs of a set operation may store the column at
+/// different widths (1000.. takes two bytes, 0.. one); the output holds
+/// rows of either, at the wider.
+#[test]
+fn set_operations_over_columns_of_different_stored_widths() {
+    let mut db = HostDb::new(ExecContext::dpu().with_cores(4));
+    let mut schemas = std::collections::HashMap::new();
+    for (table, column, first) in [("t", "a", 1000), ("u", "b", 0)] {
+        db.create_table(table, Schema::new(vec![Field::new(column, DataType::Int)]));
+        db.bulk_insert(table, (first..first + 40).map(|i| vec![Value::Int(i)]));
+        db.load_into_rapid(table).expect("load");
+        schemas.insert(table.to_string(), vec![column.to_string()]);
+    }
+    db.force_site = Some(ExecutionSite::Rapid);
+    for (sql, rows) in [
+        ("SELECT a FROM t UNION SELECT b FROM u", 80),
+        ("SELECT b FROM u UNION SELECT a FROM t", 80),
+        (
+            "SELECT a FROM t INTERSECT SELECT b + 1000 FROM u WHERE b < 8",
+            8,
+        ),
+        (
+            "SELECT b FROM u INTERSECT SELECT a - 1000 FROM t WHERE a < 1008",
+            8,
+        ),
+        ("SELECT a FROM t MINUS SELECT b FROM u", 40),
+        ("SELECT b FROM u MINUS SELECT a FROM t", 40),
+    ] {
+        let on_rapid = db.execute_sql(sql).expect(sql);
+        assert_eq!(on_rapid.site, ExecutionSite::Rapid, "{sql}");
+        let plan = hostdb::parse_sql(sql, &schemas).expect(sql);
+        let on_host = db.execute_on_host(&plan).expect(sql);
+        let sorted = |mut rows: Vec<Vec<Value>>| {
+            rows.sort_by_key(|r| r.iter().map(|v| v.to_string()).collect::<Vec<_>>());
+            rows
+        };
+        assert_eq!(on_host.rows.len(), rows, "{sql}");
+        assert_eq!(sorted(on_rapid.rows), sorted(on_host.rows), "{sql}");
+    }
+}
