@@ -44,15 +44,6 @@ impl Counters {
             ate_messages: self.ate_messages + other.ate_messages,
         }
     }
-
-    /// Branch misprediction rate in [0, 1]; 0 when no branches ran.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.branch_mispredicts as f64 / self.branches as f64
-        }
-    }
 }
 
 /// Accrued simulated work of one dpCore.
@@ -345,17 +336,5 @@ mod tests {
         assert_eq!(span.elapsed_behind(Cycles(200.0)), Cycles(500.0));
         // An empty stage takes no time.
         assert_eq!(StageSpan::default().elapsed(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn mispredict_rate_handles_zero_branches() {
-        let c = Counters::default();
-        assert_eq!(c.mispredict_rate(), 0.0);
-        let c = Counters {
-            branches: 10,
-            branch_mispredicts: 3,
-            ..Default::default()
-        };
-        assert!((c.mispredict_rate() - 0.3).abs() < 1e-12);
     }
 }

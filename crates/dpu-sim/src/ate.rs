@@ -12,7 +12,8 @@
 //! a macro costs `ate_message_cycles`, one crossing a macro boundary adds
 //! `ate_cross_macro_cycles`.
 
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::account::CycleAccount;
 use crate::clock::Cycles;
@@ -30,11 +31,12 @@ pub struct AteMessage<T> {
     pub payload: T,
 }
 
-/// The crossbar: one mailbox per core.
+/// The crossbar: one mailbox per core. A mailbox's receiving end sits
+/// behind a mutex so the crossbar can be shared between core threads.
 #[derive(Debug)]
 pub struct Ate<T> {
     senders: Vec<Sender<AteMessage<T>>>,
-    receivers: Vec<Receiver<AteMessage<T>>>,
+    receivers: Vec<Mutex<Receiver<AteMessage<T>>>>,
 }
 
 impl<T: Send> Ate<T> {
@@ -43,9 +45,9 @@ impl<T: Send> Ate<T> {
         let mut senders = Vec::with_capacity(cores);
         let mut receivers = Vec::with_capacity(cores);
         for _ in 0..cores {
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = mpsc::channel();
             senders.push(tx);
-            receivers.push(rx);
+            receivers.push(Mutex::new(rx));
         }
         Ate { senders, receivers }
     }
@@ -84,21 +86,20 @@ impl<T: Send> Ate<T> {
             .map_err(|_| AteError::Disconnected(to))
     }
 
-    /// A clonable sender endpoint for core `to` (used by worker threads).
-    pub fn sender_to(&self, to: usize) -> Option<Sender<AteMessage<T>>> {
-        self.senders.get(to).cloned()
+    fn mailbox(&self, core: usize) -> Result<MutexGuard<'_, Receiver<AteMessage<T>>>, AteError> {
+        let rx = self.receivers.get(core).ok_or(AteError::NoSuchCore(core))?;
+        Ok(rx.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Blocking receive on core `core`'s mailbox.
     pub fn recv(&self, core: usize) -> Result<AteMessage<T>, AteError> {
-        let rx = self.receivers.get(core).ok_or(AteError::NoSuchCore(core))?;
+        let rx = self.mailbox(core)?;
         rx.recv().map_err(|_| AteError::Disconnected(core))
     }
 
     /// Non-blocking receive on core `core`'s mailbox.
     pub fn try_recv(&self, core: usize) -> Result<Option<AteMessage<T>>, AteError> {
-        let rx = self.receivers.get(core).ok_or(AteError::NoSuchCore(core))?;
-        match rx.try_recv() {
+        match self.mailbox(core)?.try_recv() {
             Ok(m) => Ok(Some(m)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(AteError::Disconnected(core)),

@@ -118,12 +118,6 @@ impl DescriptorLoop {
     pub fn total_descriptors(&self) -> u64 {
         (self.descriptors.len() * self.iterations) as u64
     }
-
-    /// Number of distinct columns touched per iteration (used by the DRAM
-    /// page-locality model).
-    pub fn column_streams(&self) -> usize {
-        self.descriptors.len()
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@
 //! plus a bus-turnaround penalty per write buffer when a loop mixes reads
 //! and writes.
 
-use crate::clock::Cycles;
 use crate::isa::CostModel;
 
 use super::descriptor::{Descriptor, DescriptorLoop, Direction};
@@ -50,20 +49,6 @@ impl DmsCost {
             cycles: self.cycles * n as f64,
             bytes: self.bytes * n as u64,
             descriptors: self.descriptors * n as u64,
-        }
-    }
-
-    /// As [`Cycles`].
-    pub fn as_cycles(&self) -> Cycles {
-        Cycles(self.cycles)
-    }
-
-    /// Effective bandwidth in bytes per cycle.
-    pub fn bytes_per_cycle(&self) -> f64 {
-        if self.cycles <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.cycles
         }
     }
 }
@@ -202,7 +187,7 @@ impl Default for DmsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::rates;
+    use crate::clock::{rates, Cycles};
 
     fn eff_gibps(cost: &DmsCost) -> f64 {
         let cm = CostModel::default();
@@ -279,10 +264,5 @@ mod tests {
             assert_eq!(repeated.cycles.to_bits(), whole.cycles.to_bits(), "n = {n}");
             assert_eq!(repeated, whole);
         }
-    }
-
-    #[test]
-    fn bytes_per_cycle_guard_against_zero() {
-        assert_eq!(DmsCost::default().bytes_per_cycle(), 0.0);
     }
 }

@@ -68,15 +68,6 @@ impl PartitionStrategy {
             PartitionStrategy::RoundRobin { fanout } => *fanout,
         }
     }
-
-    /// Number of key columns the strategy consumes.
-    pub fn key_columns(&self) -> usize {
-        match self {
-            PartitionStrategy::Hash { .. } => 1, // 1..=4 accepted at assign()
-            PartitionStrategy::RoundRobin { .. } => 0,
-            _ => 1,
-        }
-    }
 }
 
 /// Error from hardware-partitioning configuration.
@@ -237,16 +228,6 @@ impl HwPartitioner {
     }
 }
 
-/// Build per-partition row-id lists from an assignment vector — the shape
-/// in which partitioned data lands in the target cores' DMEM.
-pub fn partition_rids(assign: &[u32], fanout: usize) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); fanout];
-    for (row, &t) in assign.iter().enumerate() {
-        out[t as usize].push(row as u32);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,9 +303,9 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.iter().all(|&t| t < 32));
         // Roughly uniform across targets.
-        let rids = partition_rids(&a, 32);
-        for p in &rids {
-            let frac = p.len() as f64 / keys.len() as f64;
+        for target in 0..32 {
+            let rows = a.iter().filter(|&&t| t == target).count();
+            let frac = rows as f64 / keys.len() as f64;
             assert!((frac - 1.0 / 32.0).abs() < 0.01, "load {frac}");
         }
     }
@@ -381,22 +362,5 @@ mod tests {
             hw.assign(&[&a, &b]).unwrap_err(),
             HwPartitionError::RaggedKeys
         );
-    }
-
-    #[test]
-    fn partition_rids_preserve_every_row_once() {
-        let hw =
-            HwPartitioner::new(PartitionStrategy::Hash { bits: 4 }, CostModel::default()).unwrap();
-        let keys: Vec<i64> = (0..5000).map(|i| i * 7919).collect();
-        let a = hw.assign(&[&keys]).unwrap();
-        let rids = partition_rids(&a, 16);
-        let mut seen = vec![false; keys.len()];
-        for p in &rids {
-            for &r in p {
-                assert!(!seen[r as usize], "row {r} appears twice");
-                seen[r as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

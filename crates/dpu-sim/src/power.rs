@@ -52,18 +52,6 @@ impl PowerModel {
     pub fn energy_joules(&self, elapsed: SimTime) -> f64 {
         self.watts * elapsed.as_secs()
     }
-
-    /// "Performance per watt" for a unit of work completed in `elapsed`:
-    /// work-units per joule. The paper's Figure 14 plots the *ratio* of this
-    /// metric between RAPID and System X per query.
-    pub fn perf_per_watt(&self, work_units: f64, elapsed: SimTime) -> f64 {
-        let joules = self.energy_joules(elapsed);
-        if joules <= 0.0 {
-            0.0
-        } else {
-            work_units / joules
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,20 +70,5 @@ mod tests {
         let m = PowerModel { watts: 10.0 };
         let e = m.energy_joules(SimTime::from_secs(2.5));
         assert!((e - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perf_per_watt_ratio_favors_low_power_at_equal_speed() {
-        // Same elapsed time, 50x less power -> 50x better perf/watt.
-        let t = SimTime::from_secs(1.0);
-        let dpu = PowerModel::dpu().perf_per_watt(1.0, t);
-        let x86 = PowerModel::x86_dual_socket().perf_per_watt(1.0, t);
-        assert!((dpu / x86 - 290.0 / 5.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_energy_guard() {
-        let m = PowerModel { watts: 5.8 };
-        assert_eq!(m.perf_per_watt(1.0, SimTime::ZERO), 0.0);
     }
 }

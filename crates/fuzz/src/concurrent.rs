@@ -9,11 +9,10 @@
 //! results.
 //!
 //! Every batch additionally replays its schedule trace through the
-//! `rapid-verify` interference analyzer via
-//! [`Scheduler::check_interference`] — explicitly, so the check runs in
-//! release builds where the debug post-run hook is off by default. An
-//! analyzer finding (a C-* rule violation) is a fuzz finding exactly like
-//! a row divergence.
+//! `rapid-verify` interference analyzer
+//! ([`rapid_verify::schedcheck::check_trace`]), in release builds as in
+//! debug ones. An analyzer finding (a C-* rule violation) is a fuzz finding
+//! exactly like a row divergence.
 //!
 //! Divergent batches are minimized by dropping whole queries first, then
 //! unreferenced tables, then rows ([`shrink_concurrent`]), and saved as
@@ -129,9 +128,16 @@ fn describe(o: &EngineOutcome) -> String {
 /// take the same offload-decision path; only the scheduler sits between
 /// them.
 pub fn run_concurrent(tables: &[TableSpec], sqls: &[String]) -> Result<BatchComparison, String> {
-    // The analyzer must be linked before `check_interference` can see it.
-    rapid_verify::install();
+    run_scheduled(tables, sqls, SchedConfig::default())
+}
 
+/// [`run_concurrent`] on a scheduler over the DPU `dpu` describes (its
+/// admission bounds and dispatch mode are the batch's either way).
+fn run_scheduled(
+    tables: &[TableSpec],
+    sqls: &[String],
+    dpu: SchedConfig,
+) -> Result<BatchComparison, String> {
     let schemas: std::collections::HashMap<String, Vec<String>> = tables
         .iter()
         .map(|t| {
@@ -175,14 +181,14 @@ pub fn run_concurrent(tables: &[TableSpec], sqls: &[String]) -> Result<BatchComp
         max_active: plans.len().clamp(1, 4),
         queue_capacity: plans.len(),
         mode: DispatchMode::WorkStealing,
-        ..SchedConfig::default()
+        ..dpu
     }));
     let batch: Vec<BatchQuery> = plans
         .iter()
         .map(|p| BatchQuery::from_plan(p.clone()))
         .collect();
     // `run_batch` rather than `execute_batch`: the scheduler is ours, so
-    // the analyzer can be consulted explicitly afterwards.
+    // the analyzer's verdict is a finding to report, not a panic.
     let scheduled: Vec<EngineOutcome> = db
         .run_batch(&batch, &sched)
         .into_iter()
@@ -192,7 +198,7 @@ pub fn run_concurrent(tables: &[TableSpec], sqls: &[String]) -> Result<BatchComp
         })
         .collect();
 
-    let interference = sched.check_interference().err();
+    let interference = rapid_verify::schedcheck::check_trace(&sched.schedule_trace()).err();
     let placements = sched.placements().len();
     Ok(BatchComparison {
         serial,
@@ -261,32 +267,14 @@ pub fn shrink_concurrent(case: &ConcurrentCase, mut budget: usize) -> Concurrent
         }
 
         // Row-level drops, as in the serial shrinker.
-        'rows: for ti in 0..best.tables.len() {
-            let n = best.tables[ti].rows.len();
-            if n > 1 {
-                for (lo, hi) in [(0, n / 2), (n / 2, n)] {
-                    let mut v = best.clone();
-                    v.tables[ti].rows = v.tables[ti].rows[lo..hi].to_vec();
-                    if diverges(&v, &mut budget) {
-                        best = v;
-                        changed = true;
-                        break 'rows;
-                    }
-                }
-            }
-            for r in (0..best.tables[ti].rows.len()).rev() {
-                if best.tables[ti].rows.len() <= 1 {
-                    break;
-                }
-                let mut v = best.clone();
-                v.tables[ti].rows.remove(r);
-                if diverges(&v, &mut budget) {
-                    best = v;
-                    changed = true;
-                    break 'rows;
-                }
-            }
-        }
+        let queries = &best.queries;
+        changed = crate::shrink::drop_rows(&mut best.tables, |tables| {
+            let case = ConcurrentCase {
+                tables: tables.to_vec(),
+                queries: queries.clone(),
+            };
+            diverges(&case, &mut budget)
+        });
     }
     best
 }
@@ -333,8 +321,8 @@ impl ConcurrentReport {
             self.divergences.len()
         );
         s.push_str(&format!(
-            "\nre-run the exact sweep: RAPID_SCHEDCHECK=1 FUZZ_SEED={run_seed:#x} \
-             FUZZ_QUERIES={min_queries} cargo test --release --test concurrent_fuzz \
+            "\nre-run the exact sweep: FUZZ_SEED={run_seed:#x} FUZZ_QUERIES={min_queries} \
+             cargo test --release --test concurrent_fuzz \
              concurrent_fuzz_smoke_finds_no_divergence"
         ));
         for (i, d) in self.divergences.iter().enumerate() {
@@ -480,6 +468,27 @@ mod tests {
         );
     }
 
+    /// The replay is a check that can fail, in whatever build runs it: on
+    /// a scheduler told its DPU has 64-byte scratchpads every placed stage
+    /// is over budget, and the batch is a finding although its rows agree.
+    #[test]
+    fn an_interfering_schedule_is_a_divergence() {
+        let sqls = vec![
+            "SELECT ta_id AS c0, ta_a AS c1 FROM ta".to_string(),
+            "SELECT SUM(ta_a) AS c0 FROM ta".to_string(),
+        ];
+        let cramped = SchedConfig {
+            dmem_bytes: 64,
+            ..SchedConfig::default()
+        };
+        let cmp = run_scheduled(&tiny_tables(), &sqls, cramped).expect("batch reaches the engines");
+        assert_eq!(cmp.serial, cmp.scheduled, "the rows still agree");
+        let verdict = cmp.interference.as_deref().unwrap_or("clean");
+        assert!(verdict.contains("C-QUERY-BUDGET"), "{verdict}");
+        let detail = cmp.divergence().expect("an analyzer finding is a finding");
+        assert!(detail.starts_with("schedule interference"), "{detail}");
+    }
+
     #[test]
     fn parse_failure_is_a_skip_not_a_divergence() {
         let sqls = vec![
@@ -520,6 +529,7 @@ mod tests {
                     group_by: vec![],
                     order_by: vec![],
                     limit: None,
+                    set_op: None,
                 };
                 2
             ],
@@ -552,7 +562,7 @@ mod tests {
         assert!(entries.iter().all(|(_, e)| e.seed == Some(7)));
         assert!(entries[0].1.note.contains("scheduled batch"));
         let rendered = report.render_repro(0x5EED, 100, &saved);
-        assert!(rendered.contains("RAPID_SCHEDCHECK=1"), "{rendered}");
+        assert!(rendered.contains("FUZZ_SEED=0x5eed"), "{rendered}");
         assert!(rendered.contains("concurrent_fuzz"), "{rendered}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -33,6 +33,18 @@
 //! and a select item that is arithmetic over two aggregates, division by an
 //! aggregate included (every engine refuses a zero divisor, which is
 //! agreement).
+//!
+//! Window functions and set operations ship, so both are drawn. A
+//! projection query may carry `RANK() / ROW_NUMBER() / SUM(col) OVER
+//! (PARTITION BY ... ORDER BY ...)` items; the window's ORDER BY ends in
+//! the row ids of the FROM shape whenever ties would let engines number or
+//! accumulate rows differently (always, except for some `RANK()`s, where
+//! peers share a rank). A set operation joins two or three projection
+//! queries of equal arity whose items agree position by position in type,
+//! scale and dictionary — a string position is `ta_s` on every side, as
+//! joins are on integer keys — while the widths the values are stored in
+//! differ freely. Each side is a statement of its own (the grammar binds
+//! ORDER BY and LIMIT to the select they follow).
 
 use rapid_storage::types::civil_from_days;
 use serde::{Deserialize, Serialize};
@@ -65,6 +77,9 @@ pub struct QuerySpec {
     pub order_by: Vec<(String, bool)>,
     /// LIMIT row count.
     pub limit: Option<usize>,
+    /// `UNION`, `INTERSECT` or `MINUS`, and the statement on its right:
+    /// projection items of this one's arity and types.
+    pub set_op: Option<(String, Box<QuerySpec>)>,
 }
 
 impl QuerySpec {
@@ -101,6 +116,9 @@ impl QuerySpec {
         }
         if let Some(n) = self.limit {
             s.push_str(&format!(" LIMIT {n}"));
+        }
+        if let Some((op, right)) = &self.set_op {
+            s.push_str(&format!(" {op} {}", right.to_sql()));
         }
         s
     }
@@ -581,8 +599,105 @@ fn in_subquery(rng: &mut Rng, env: &Env) -> String {
     format!("{} IN ({sub})", rng.pick(&keys))
 }
 
-/// Generate one query over the standard `ta`/`tb` tables.
+/// `RANK() | ROW_NUMBER() | SUM(col) OVER (PARTITION BY ... ORDER BY ...)`
+/// over the columns of `env`, the FROM shape. ROW_NUMBER and the running
+/// SUM number and accumulate row by row, so their order must be total: it
+/// ends in the shape's row ids, as does every other RANK's.
+fn window_item(rng: &mut Rng, env: &Env) -> String {
+    let func = match rng.below(3) {
+        0 => "RANK()".to_string(),
+        1 => "ROW_NUMBER()".to_string(),
+        _ => format!("SUM({})", rng.pick(&env.nums).name),
+    };
+    let mut columns = env.columns();
+    rng.shuffle(&mut columns);
+    let partition_by = columns[..rng.below(3) as usize].join(", ");
+    rng.shuffle(&mut columns);
+    let mut order_by: Vec<String> = columns[..1 + rng.below(2) as usize]
+        .iter()
+        .map(|c| format!("{c}{}", if rng.chance(40) { " DESC" } else { "" }))
+        .collect();
+    if func != "RANK()" || rng.chance(50) {
+        for id in ["ta_id", "tb_id"] {
+            let in_scope = env.nums.iter().any(|c| c.name == id);
+            if in_scope && !order_by.iter().any(|k| k.starts_with(id)) {
+                order_by.push(id.into());
+            }
+        }
+    }
+    let mut over = String::new();
+    if !partition_by.is_empty() {
+        over.push_str(&format!("PARTITION BY {partition_by} "));
+    }
+    format!("{func} OVER ({over}ORDER BY {})", order_by.join(", "))
+}
+
+/// What one position of a set operation holds on every side: values that
+/// compare the same in every engine whichever side they came from.
+#[derive(Clone, Copy)]
+enum SetOpClass {
+    /// An integer: a column of any stored width, a literal, or a sum.
+    Int,
+    /// A two-digit decimal column.
+    Dec,
+    /// `ta_d`.
+    Date,
+    /// `ta_s`: one dictionary on every side.
+    Str,
+}
+
+fn set_op_item(rng: &mut Rng, env: &Env, class: SetOpClass) -> String {
+    let of_scale = |scale: u32| -> Vec<&'static str> {
+        let at_scale = env.nums.iter().filter(|c| c.scale == scale);
+        at_scale.map(|c| c.name).collect()
+    };
+    match class {
+        SetOpClass::Int => {
+            let mut pool = of_scale(0);
+            pool.extend(&env.bigs);
+            match rng.below(10) {
+                0..=6 => (*rng.pick(&pool)).into(),
+                7 => format!("{}", rng.range_i64(-20, 20)),
+                _ => {
+                    let (l, r) = (int_atom(rng, env), int_atom(rng, env));
+                    format!("({} + {})", l.sql, r.sql)
+                }
+            }
+        }
+        SetOpClass::Dec => (*rng.pick(&of_scale(2))).into(),
+        SetOpClass::Date => "ta_d".into(),
+        SetOpClass::Str => "ta_s".into(),
+    }
+}
+
+/// Generate one query over the standard `ta`/`tb` tables: a select, or now
+/// and then a set operation over two or three of them.
 pub fn gen_query(rng: &mut Rng) -> QuerySpec {
+    if !rng.chance(12) {
+        return gen_select(rng, None);
+    }
+    let classes: Vec<SetOpClass> = (0..1 + rng.below(3))
+        .map(|_| match rng.below(10) {
+            0..=5 => SetOpClass::Int,
+            6 | 7 => SetOpClass::Dec,
+            8 => SetOpClass::Date,
+            _ => SetOpClass::Str,
+        })
+        .collect();
+    // Built from the rightmost side: `a OP b OP c` renders as it nests.
+    let mut query = gen_select(rng, Some(&classes));
+    for _ in 0..if rng.chance(25) { 2 } else { 1 } {
+        let mut left = gen_select(rng, Some(&classes));
+        let op = *rng.pick(&["UNION", "INTERSECT", "MINUS", "EXCEPT"]);
+        left.set_op = Some((op.into(), Box::new(query)));
+        query = left;
+    }
+    query
+}
+
+/// One select statement; with `set_op_classes`, a projection whose items
+/// are of those classes in that order.
+fn gen_select(rng: &mut Rng, set_op_classes: Option<&[SetOpClass]>) -> QuerySpec {
     // FROM shape.
     let join = if rng.chance(50) {
         let kind = match rng.below(100) {
@@ -641,7 +756,16 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
         a
     };
 
-    if rng.chance(40) {
+    if let Some(classes) = set_op_classes {
+        // One side of a set operation: `ta` is in every FROM shape.
+        for class in classes {
+            items.push(Item {
+                sql: set_op_item(rng, &env, *class),
+                alias: next_alias(),
+                grouping: false,
+            });
+        }
+    } else if rng.chance(40) {
         // Grouped aggregation.
         let visible = select_env.columns();
         let mut keys: Vec<&str> = ["ta_k", "ta_s", "ta_d", "ta_big", "tb_k", "tb_s"]
@@ -675,9 +799,12 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
             });
         }
     } else {
-        // Projection query.
+        // Projection query, one in four with window functions among its
+        // items.
+        let windows = rng.chance(25);
         for _ in 0..1 + rng.below(4) {
             let sql = match rng.below(if select_env.dates.is_empty() { 85 } else { 100 }) {
+                _ if windows && rng.chance(50) => window_item(rng, &env),
                 0..=44 => (*rng.pick(&select_env.columns())).into(),
                 45..=84 => num_expr(rng, &select_env, 2).sql,
                 _ => format!("EXTRACT(YEAR FROM {})", rng.pick(&select_env.dates)),
@@ -720,6 +847,7 @@ pub fn gen_query(rng: &mut Rng) -> QuerySpec {
         group_by,
         order_by,
         limit,
+        set_op: None,
     }
 }
 
@@ -737,8 +865,9 @@ mod tests {
     #[test]
     fn renders_every_clause_eventually() {
         // join, where, group, order, limit, case, IN subquery (plain and
-        // with HAVING), arithmetic over aggregates
-        let mut saw = [false; 9];
+        // with HAVING), arithmetic over aggregates, the three window
+        // functions, the three set operations and a chain of two
+        let mut saw = [false; 16];
         for seed in 0..300 {
             let q = gen_query(&mut Rng::new(seed));
             let sql = q.to_sql();
@@ -753,6 +882,19 @@ mod tests {
             let calls =
                 |i: &Item| ["SUM(", "COUNT(", "MIN(", "MAX("].map(|f| i.sql.matches(f).count());
             saw[8] |= q.items.iter().any(|i| calls(i).iter().sum::<usize>() == 2);
+            for (i, func) in ["RANK() OVER", "ROW_NUMBER() OVER", ") OVER (PARTITION BY"]
+                .into_iter()
+                .enumerate()
+            {
+                saw[9 + i] |= sql.contains(func);
+            }
+            for (i, op) in [" UNION ", " INTERSECT ", " MINUS "]
+                .into_iter()
+                .enumerate()
+            {
+                saw[12 + i] |= sql.contains(op);
+            }
+            saw[15] |= q.set_op.as_ref().is_some_and(|(_, r)| r.set_op.is_some());
         }
         assert!(saw.iter().all(|s| *s), "clause coverage: {saw:?}");
     }
@@ -778,6 +920,52 @@ mod tests {
             saw[3] |= q.join.is_none() && 0 < named && named < ta_columns.len();
         }
         assert!(saw.iter().all(|s| *s), "shape coverage: {saw:?}");
+    }
+
+    /// Every side of a set operation is a projection of the same arity,
+    /// and a string position is the same column on every side.
+    #[test]
+    fn set_operation_sides_agree_position_by_position() {
+        let mut seen = 0;
+        for seed in 0..400 {
+            let q = gen_query(&mut Rng::new(seed));
+            let mut side = &q;
+            while let Some((_, right)) = &side.set_op {
+                seen += 1;
+                assert_eq!(right.items.len(), q.items.len(), "seed {seed}");
+                assert!(right.group_by.is_empty() && side.group_by.is_empty());
+                for (l, r) in q.items.iter().zip(&right.items) {
+                    assert_eq!(l.sql == "ta_s", r.sql == "ta_s", "seed {seed}");
+                    assert_eq!(l.sql == "ta_d", r.sql == "ta_d", "seed {seed}");
+                }
+                side = right;
+            }
+        }
+        assert!(seen > 20, "only {seen} set operations in 400 queries");
+    }
+
+    /// ROW_NUMBER and the running SUM always order by the row ids of their
+    /// FROM shape last: no ties for engines to break differently.
+    #[test]
+    fn row_by_row_windows_order_totally() {
+        let mut seen = 0;
+        for seed in 0..400 {
+            let q = gen_query(&mut Rng::new(seed));
+            let both = q
+                .join
+                .as_ref()
+                .is_some_and(|j| j.starts_with("JOIN") || j.starts_with("LEFT JOIN"));
+            for it in q.items.iter().filter(|i| i.sql.contains(" OVER (")) {
+                if it.sql.starts_with("RANK()") {
+                    continue;
+                }
+                seen += 1;
+                let order = it.sql.split("ORDER BY ").nth(1).expect("an ORDER BY");
+                assert!(order.contains("ta_id"), "seed {seed}: {}", it.sql);
+                assert_eq!(order.contains("tb_id"), both, "seed {seed}: {}", it.sql);
+            }
+        }
+        assert!(seen > 20, "only {seen} row-by-row windows in 400 queries");
     }
 
     #[test]

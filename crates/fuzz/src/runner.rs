@@ -157,13 +157,12 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         }
         let compiled = rapid_qcomp::compile(&plan, &catalog, &CostParams::default())
             .map_err(|e| format!("compile: {e}"))?;
-        // Third verification layer: the compile() gate checked the plan
-        // against the costed (DPU-shaped) configuration; the fuzz soak
-        // additionally re-verifies under the context this arm actually
-        // executes with, since release builds skip the engine's
-        // debug-only re-check. A rejection here surfaces as an error
-        // asymmetry against the host engine — a verifier false positive
-        // is a fuzz finding like any other.
+        // The compile() gate checked the plan against the costed
+        // (DPU-shaped) configuration and this arm executes it under
+        // another: the engine checks nothing it is handed, so verify under
+        // the context that will run it. A rejection here surfaces as an
+        // error asymmetry against the host engine — a verifier false
+        // positive is a fuzz finding like any other.
         rapid_verify::check(&compiled.plan, &catalog, &vcfg).map_err(|e| format!("verify: {e}"))?;
         let (out, _) = engine.execute(&compiled.plan).map_err(|e| e.to_string())?;
         let rows = hostdb::db::decode_batch(&out.batch, &out.meta, engine.catalog());

@@ -272,6 +272,40 @@ fn entries() -> Vec<CorpusEntry> {
                 rows: vec![vec![i(0), i(1), Value::Null]],
             }],
         },
+        CorpusEntry {
+            name: "window-over-an-empty-input".into(),
+            note: "The first window function the grammar emitted over a WHERE that keeps \
+                   no row: the engine concatenated no batches into a column-less one, \
+                   appended the window column to it and failed the Map above with `column \
+                   index 2 out of range (1 columns)`; zero rows on the host. Fixed by \
+                   handing on no batch, as every other operator does for no rows."
+                .into(),
+            seed: Some(0xc7070103f072756b),
+            sql: "SELECT ROW_NUMBER() OVER (PARTITION BY ta_k ORDER BY ta_k, ta_id) AS c2 \
+                  FROM ta WHERE ta_k BETWEEN 27 AND 38"
+                .into(),
+            tables: vec![TableSpec {
+                name: "ta".into(),
+                columns: vec![col("ta_id", DataType::Int), col("ta_k", DataType::Int)],
+                rows: vec![vec![i(0), i(3)]],
+            }],
+        },
+        CorpusEntry {
+            name: "rank-null-keys-are-peers".into(),
+            note: "RANK() over rows whose ORDER BY key is NULL: the columnar engines rank \
+                   them 1, 1 (rows the window order leaves equal are peers), the host's \
+                   Volcano oracle 1, 2 — its tie test asked `compare`, which has no answer \
+                   for NULLs, instead of the comparator it had just sorted by. Fixed in the \
+                   oracle."
+                .into(),
+            seed: Some(0x47610f5d893ae116),
+            sql: "SELECT RANK() OVER (ORDER BY ta_big) AS c1 FROM ta".into(),
+            tables: vec![TableSpec {
+                name: "ta".into(),
+                columns: vec![col("ta_id", DataType::Int), col("ta_big", DataType::Int)],
+                rows: vec![vec![i(0), Value::Null], vec![i(2), Value::Null]],
+            }],
+        },
     ]
 }
 

@@ -613,10 +613,19 @@ impl HostDb {
     /// admission slot before running.
     ///
     /// Results come back in submission order; the scheduler report carries
-    /// per-query simulated latency and whole-DPU utilization/energy.
+    /// per-query simulated latency and whole-DPU utilization/energy. A
+    /// debug build first replays the batch's schedule through the
+    /// interference analyzer and panics on a finding, like a race detector
+    /// firing: it means the scheduler is broken, and no caller has a
+    /// sensible way to continue.
     pub fn execute_batch(&self, queries: &[BatchQuery], cfg: SchedConfig) -> BatchOutcome {
         let sched = Arc::new(Scheduler::new(cfg));
         let results = self.run_batch(queries, &sched);
+        if cfg!(debug_assertions) {
+            if let Err(e) = rapid_verify::schedcheck::check_trace(&sched.schedule_trace()) {
+                panic!("schedule interference detected: {e}");
+            }
+        }
         BatchOutcome {
             results,
             sched: sched.report(),
@@ -624,7 +633,8 @@ impl HostDb {
     }
 
     /// [`execute_batch`](Self::execute_batch) on a scheduler the caller owns
-    /// and can inspect afterwards (schedule trace, interference analyzer).
+    /// and can inspect afterwards; checking its schedule trace
+    /// (`rapid_verify::schedcheck::check_trace`) is then the caller's too.
     pub fn run_batch(
         &self,
         queries: &[BatchQuery],

@@ -1115,9 +1115,10 @@ fn plan_unprojected(
         node = node.filter(r);
     }
 
-    // Window functions: each window item appends a Window node; the final
-    // projection then selects it by name.
-    let mut window_names: Vec<(Ast, String)> = Vec::new();
+    // Window functions: each window item appends a Window node under the
+    // item's alias; the final projection then selects it by that name (two
+    // items may be the same function over the same window).
+    let window_name = |alias: &Option<String>| alias.clone().unwrap_or_else(|| "window".into());
     for (e, alias) in &stmt.items {
         if let Ast::Window {
             func,
@@ -1125,7 +1126,6 @@ fn plan_unprojected(
             order_by,
         } = e
         {
-            let name = alias.clone().unwrap_or_else(|| "window".to_string());
             node = LogicalPlan::Window {
                 input: Box::new(node),
                 partition_by: partition_by.clone(),
@@ -1137,9 +1137,8 @@ fn plan_unprojected(
                     })
                     .collect(),
                 func: func.clone(),
-                name: name.clone(),
+                name: window_name(alias),
             };
-            window_names.push((e.clone(), name));
         }
     }
 
@@ -1151,8 +1150,9 @@ fn plan_unprojected(
             .items
             .iter()
             .map(|(e, alias)| {
-                if let Some((_, name)) = window_names.iter().find(|(w, _)| w == e) {
-                    return Ok(LNamed::new(name, LExpr::Col(name.clone())));
+                if let Ast::Window { .. } = e {
+                    let name = window_name(alias);
+                    return Ok(LNamed::new(&name, LExpr::Col(name.clone())));
                 }
                 Ok(LNamed::new(
                     &alias.clone().unwrap_or_else(|| ast_name(e)),
@@ -1690,6 +1690,25 @@ mod window_setop_tests {
         assert!(order_by[0].desc);
         assert_eq!(func, LWindowFunc::Rank);
         assert_eq!(name, "r");
+    }
+
+    #[test]
+    fn the_same_window_twice_is_two_columns() {
+        let p = parse_sql(
+            "SELECT ROW_NUMBER() OVER (ORDER BY id) AS a, ROW_NUMBER() OVER (ORDER BY id) AS b \
+             FROM emp ORDER BY b",
+            &schemas(),
+        )
+        .unwrap();
+        let LogicalPlan::Sort { input, .. } = p else {
+            panic!("{p:?}")
+        };
+        let LogicalPlan::Project { exprs, .. } = *input else {
+            panic!()
+        };
+        let names: Vec<&str> = exprs.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(exprs[1].expr, LExpr::Col("b".into()));
     }
 
     #[test]

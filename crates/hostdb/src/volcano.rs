@@ -699,8 +699,9 @@ impl VolcanoOp for WindowOp {
         }
         let mut out_vals = vec![Value::Null; rows.len()];
         for members in groups.values() {
-            let mut ordered = members.clone();
-            ordered.sort_by(|&a, &b| {
+            // The window order; rows it leaves equal — NULL keys included —
+            // are RANK's peers.
+            let window_order = |a: usize, b: usize| {
                 for &(c, desc) in &self.order_by {
                     let ord = valmath::order_by_cmp(&rows[a][c], &rows[b][c], desc);
                     if ord != std::cmp::Ordering::Equal {
@@ -708,7 +709,9 @@ impl VolcanoOp for WindowOp {
                     }
                 }
                 std::cmp::Ordering::Equal
-            });
+            };
+            let mut ordered = members.clone();
+            ordered.sort_by(|&a, &b| window_order(a, b));
             match &self.func {
                 LWindowFunc::RowNumber => {
                     for (p, &r) in ordered.iter().enumerate() {
@@ -718,15 +721,8 @@ impl VolcanoOp for WindowOp {
                 LWindowFunc::Rank => {
                     let mut rank = 1i64;
                     for (p, &r) in ordered.iter().enumerate() {
-                        if p > 0 {
-                            let prev = ordered[p - 1];
-                            let tie = self.order_by.iter().all(|&(c, _)| {
-                                valmath::compare(&rows[prev][c], &rows[r][c])
-                                    == Some(std::cmp::Ordering::Equal)
-                            });
-                            if !tie {
-                                rank = p as i64 + 1;
-                            }
+                        if p > 0 && window_order(ordered[p - 1], r).is_ne() {
+                            rank = p as i64 + 1;
                         }
                         out_vals[r] = Value::Int(rank);
                     }

@@ -90,15 +90,15 @@ pub struct Compiled {
 /// Compile a logical plan against the catalog and gate the result on the
 /// static verifier: a plan that violates a structural, resource or
 /// accounting invariant is a [`CompileError::Verify`], never a `Compiled`.
-/// Compiling also registers the verifier as the engine's pre-execution
-/// re-check (see `rapid_qef::verifyhook`).
+/// This gate is the one plan check of the request path, in every build: the
+/// engine runs what it is handed under its own typed errors, and a plan
+/// that did not come through here answers to whoever built it.
 pub fn compile(
     lp: &LogicalPlan,
     catalog: &Catalog,
     params: &CostParams,
 ) -> Result<Compiled, CompileError> {
     let compiled = compile_unverified(lp, catalog, params)?;
-    rapid_verify::install();
     rapid_verify::check(&compiled.plan, catalog, &verify_config(params))
         .map_err(CompileError::Verify)?;
     Ok(compiled)
@@ -144,7 +144,6 @@ pub fn verify_config(params: &CostParams) -> rapid_verify::VerifyConfig {
         dmem_bytes: params.dmem_bytes,
         tile_rows: params.tile_rows,
         cores: params.cores,
-        ..rapid_verify::VerifyConfig::default()
     }
 }
 

@@ -28,6 +28,14 @@ pub const BASE_STATE_BYTES: usize = 64;
 /// ([`max_buffered_fanout`]).
 pub const MAX_ROUND_FANOUT: usize = 1024;
 
+/// Bits of the partitioning hash: the rounds of a scheme together may
+/// consume no more.
+pub const HASH_BITS: u32 = 32;
+
+/// High hash bits the static verifier holds back from compiled schemes for
+/// skew re-partitioning (paper §6.4).
+pub const SKEW_RESERVED_BITS: u32 = 4;
+
 /// Per-row stream bytes of a partition pass over `row_bytes`-wide rows:
 /// every column streams through DMEM plus the 4-byte hash lane the
 /// partition map is computed from.

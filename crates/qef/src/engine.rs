@@ -104,78 +104,67 @@ impl QueryReport {
     }
 }
 
-/// Tags stage timings with their plan position and forwards them to the
-/// context's trace sink. With no sink installed the cost is one `Option`
-/// test per stage.
-struct Tracer {
+/// One query's run through the engine: the report it accumulates, the
+/// trace sink it emits to and the plan position its next stage belongs to.
+/// The operators below are its methods; each finished stage goes through
+/// [`Run::stage`]. With no sink installed the cost of tracing is one
+/// `Option` test per stage.
+struct Run<'e> {
+    ctx: &'e ExecContext,
+    catalog: &'e Catalog,
+    report: QueryReport,
     sink: Option<Arc<dyn TraceSink>>,
-    query_id: u64,
     watts: f64,
     stage_seq: u32,
     node_seq: u32,
+    /// Pre-order id of the plan node whose stages are being absorbed.
+    node_id: u32,
+    /// Nodes on the path from the root to that node, itself included.
+    open: u32,
 }
 
-impl Tracer {
-    fn new(ctx: &ExecContext) -> Tracer {
-        Tracer {
-            sink: ctx.trace.clone(),
-            query_id: ctx.query_id,
+impl<'e> Run<'e> {
+    fn new(engine: &'e Engine) -> Run<'e> {
+        Run {
+            ctx: &engine.ctx,
+            catalog: &engine.catalog,
+            report: QueryReport::default(),
+            sink: engine.ctx.trace.clone(),
             watts: dpu_sim::power::PowerModel::dpu().watts,
             stage_seq: 0,
             node_seq: 0,
+            node_id: 0,
+            open: 0,
         }
     }
 
-    /// Pre-order id for the plan node about to execute.
-    fn enter_node(&mut self) -> u32 {
-        let id = self.node_seq;
-        self.node_seq += 1;
-        id
-    }
-
-    /// Absorb one stage into the report, emitting its trace event.
+    /// Absorb one stage of the current node into the report, emitting its
+    /// trace event; `detail` says, for a scan, how it read its table, or
+    /// for a partition stage, which round it ran.
     ///
     /// The event's `sim_secs` is the exact `f64` added to the report and
     /// events are emitted in absorption order, so summing them reproduces
     /// `QueryReport::sim_secs` bit-for-bit.
-    fn absorb(
+    fn stage(
         &mut self,
-        report: &mut QueryReport,
         t: &StageTiming,
-        node_id: u32,
-        depth: u32,
-        operator: impl std::fmt::Display,
-        rows: u64,
-    ) {
-        self.absorb_as(report, t, node_id, depth, operator, rows, Detail::None)
-    }
-
-    /// [`absorb`](Self::absorb) a stage whose event says, for a scan, how
-    /// it read its table, or for a partition stage, which round it ran.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_as(
-        &mut self,
-        report: &mut QueryReport,
-        t: &StageTiming,
-        node_id: u32,
-        depth: u32,
         operator: impl std::fmt::Display,
         rows: u64,
         detail: Detail,
     ) {
-        report.absorb(t);
+        self.report.absorb(t);
         // The identical per-stage figure the trace event carries, absorbed
         // in emission order: report totals reproduce the event sums
         // bit-for-bit whether or not a sink is installed.
-        report.energy_joules += self.watts * t.sim.as_secs();
+        self.report.energy_joules += self.watts * t.sim.as_secs();
         if let Some(sink) = &self.sink {
             let sim_secs = t.sim.as_secs();
             let c = t.counters;
             sink.record(StageEvent {
-                query_id: self.query_id,
+                query_id: self.ctx.query_id,
                 stage_id: self.stage_seq,
-                node_id,
-                depth,
+                node_id: self.node_id,
+                depth: self.open - 1,
                 operator: operator.to_string(),
                 parallelism: t.parallelism,
                 rows,
@@ -270,19 +259,9 @@ impl Engine {
     /// [`StageEvent`](crate::trace::StageEvent) is emitted per executed
     /// stage; their `sim_secs` sum to the report's exactly.
     pub fn execute(&self, plan: &PlanNode) -> QefResult<(QueryOutput, QueryReport)> {
-        // Second verification layer: when the static verifier is linked
-        // into the process (rapid-verify installs itself through the
-        // compiler) re-check every plan before spending cycles on it —
-        // always in debug builds, controlled by RAPID_VERIFY in release.
-        if crate::verifyhook::recheck_enabled() {
-            if let Some(check) = crate::verifyhook::installed() {
-                check(plan, &self.catalog, &self.ctx)
-                    .map_err(|e| QefError::BadPlan(format!("verifier rejected plan: {e}")))?;
-            }
-        }
-        let mut report = QueryReport::default();
-        let mut tr = Tracer::new(&self.ctx);
-        let batches = self.exec_node(plan, &mut report, &mut tr, 0)?;
+        let mut run = Run::new(self);
+        let batches = run.exec_node(plan)?;
+        let mut report = run.report;
         let meta = plan.output_meta(&self.catalog)?;
         let mut batch = Batch::concat(batches.into_iter().filter(|b| b.width() > 0).collect());
         if batch.width() == 0 && !meta.is_empty() {
@@ -293,34 +272,41 @@ impl Engine {
         report.rows = batch.rows();
         Ok((QueryOutput { batch, meta }, report))
     }
+}
 
-    fn exec_node(
-        &self,
-        node: &PlanNode,
-        report: &mut QueryReport,
-        tr: &mut Tracer,
-        depth: u32,
-    ) -> QefResult<Vec<Batch>> {
-        let nid = tr.enter_node();
+impl Run<'_> {
+    /// Execute `node` at the next pre-order position: its inputs run at
+    /// theirs, then its own stages are absorbed at this one.
+    fn exec_node(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
+        let parent = std::mem::replace(&mut self.node_id, self.node_seq);
+        self.node_seq += 1;
+        self.open += 1;
+        let out = self.exec_op(node);
+        self.open -= 1;
+        self.node_id = parent;
+        out
+    }
+
+    fn exec_op(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
         match node {
             PlanNode::Scan {
                 table,
                 columns,
                 pred,
-            } => self.exec_scan(table, columns, pred.as_ref(), report, tr, nid, depth),
+            } => self.exec_scan(table, columns, pred.as_ref()),
             PlanNode::Filter { input, pred } => {
-                let batches = self.exec_node(input, report, tr, depth + 1)?;
-                let (out, t) = run_stage(&self.ctx, batches, |core, b| {
+                let batches = self.exec_node(input)?;
+                let (out, t) = run_stage(self.ctx, batches, |core, b| {
                     ops::filter::filter_batch(core, b, pred)
                 })?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                tr.absorb(report, &t, nid, depth, "filter", batch_rows(&out));
+                self.stage(&t, "filter", batch_rows(&out), Detail::None);
                 Ok(out)
             }
             PlanNode::Map { input, exprs } => {
-                let batches = self.exec_node(input, report, tr, depth + 1)?;
-                let (out, t) = run_stage(&self.ctx, batches, |core, b| map_batch(core, b, exprs))?;
-                tr.absorb(report, &t, nid, depth, "map", batch_rows(&out));
+                let batches = self.exec_node(input)?;
+                let (out, t) = run_stage(self.ctx, batches, |core, b| map_batch(core, b, exprs))?;
+                self.stage(&t, "map", batch_rows(&out), Detail::None);
                 Ok(out)
             }
             PlanNode::HashJoin {
@@ -337,32 +323,25 @@ impl Engine {
                 probe_keys,
                 *join_type,
                 scheme.as_deref(),
-                report,
-                tr,
-                nid,
-                depth,
             ),
             PlanNode::GroupBy {
                 input,
                 keys,
                 aggs,
                 strategy,
-            } => self.exec_groupby(input, keys, aggs, *strategy, report, tr, nid, depth),
+            } => self.exec_groupby(input, keys, aggs, *strategy),
             PlanNode::TopK { input, order, k } => {
-                let batches = self.exec_node(input, report, tr, depth + 1)?;
+                let batches = self.exec_node(input)?;
                 let in_rows = batch_rows(&batches);
-                let order2 = order.clone();
-                let kk = *k;
                 // Per-core top-k over assigned batches.
-                let (heaps, t) = run_stage(&self.ctx, batches, move |core, b| {
-                    let mut acc = ops::topk::TopK::new(order2.clone(), kk);
+                let (heaps, t) = run_stage(self.ctx, batches, |core, b| {
+                    let mut acc = ops::topk::TopK::new(order.clone(), *k);
                     acc.consume(core, b)?;
                     Ok(acc)
                 })?;
-                tr.absorb(report, &t, nid, depth, "topk.consume", in_rows);
+                self.stage(&t, "topk.consume", in_rows, Detail::None);
                 // Merge on one core.
-                let order3 = order.clone();
-                let (merged, t2) = run_stage(&self.ctx, vec![heaps], move |core, hs| {
+                let (merged, t2) = run_stage(self.ctx, vec![heaps], |core, hs| {
                     let mut it = hs.into_iter();
                     let Some(mut first) = it.next() else {
                         return Ok(Batch::empty(0));
@@ -370,29 +349,26 @@ impl Engine {
                     for h in it {
                         first.merge(core, h)?;
                     }
-                    let _ = &order3;
                     Ok(first.finish(core))
                 })?;
-                tr.absorb(report, &t2, nid, depth, "topk.merge", batch_rows(&merged));
+                self.stage(&t2, "topk.merge", batch_rows(&merged), Detail::None);
                 Ok(merged)
             }
             PlanNode::Sort { input, order } => {
-                let batches = self.exec_node(input, report, tr, depth + 1)?;
+                let batches = self.exec_node(input)?;
                 let in_rows = batch_rows(&batches);
-                let order2 = order.clone();
-                let (sorted, t) = run_stage(&self.ctx, batches, move |core, b| {
-                    ops::sort::sort_batch(core, &b, &order2)
+                let (sorted, t) = run_stage(self.ctx, batches, |core, b| {
+                    ops::sort::sort_batch(core, &b, order)
                 })?;
-                tr.absorb(report, &t, nid, depth, "sort.local", in_rows);
-                let order3 = order.clone();
-                let (merged, t2) = run_stage(&self.ctx, vec![sorted], move |core, bs| {
-                    ops::sort::merge_sorted(core, &bs, &order3)
+                self.stage(&t, "sort.local", in_rows, Detail::None);
+                let (merged, t2) = run_stage(self.ctx, vec![sorted], |core, bs| {
+                    ops::sort::merge_sorted(core, &bs, order)
                 })?;
-                tr.absorb(report, &t2, nid, depth, "sort.merge", batch_rows(&merged));
+                self.stage(&t2, "sort.merge", batch_rows(&merged), Detail::None);
                 Ok(merged)
             }
             PlanNode::Limit { input, n } => {
-                let batches = self.exec_node(input, report, tr, depth + 1)?;
+                let batches = self.exec_node(input)?;
                 let all = Batch::concat(batches);
                 if *n >= all.rows() {
                     return Ok(vec![all]);
@@ -401,13 +377,13 @@ impl Engine {
                 Ok(vec![all.gather(&rids)])
             }
             PlanNode::SetOp { left, right, op } => {
-                let l = self.exec_node(left, report, tr, depth + 1)?;
-                let r = self.exec_node(right, report, tr, depth + 1)?;
-                let (op, widths) = (*op, node.output_widths(&self.catalog)?);
-                let (out, t) = run_stage(&self.ctx, vec![(l, r)], move |core, (l, r)| {
-                    ops::setops::set_op(core, &l, &r, op, &widths)
+                let l = self.exec_node(left)?;
+                let r = self.exec_node(right)?;
+                let widths = node.output_widths(self.catalog)?;
+                let (out, t) = run_stage(self.ctx, vec![(l, r)], |core, (l, r)| {
+                    ops::setops::set_op(core, &l, &r, *op, &widths)
                 })?;
-                tr.absorb(report, &t, nid, depth, "setop", batch_rows(&out));
+                self.stage(&t, "setop", batch_rows(&out), Detail::None);
                 Ok(out)
             }
             PlanNode::Window {
@@ -416,13 +392,17 @@ impl Engine {
                 order_by,
                 func,
             } => {
-                let batches = self.exec_node(input, report, tr, depth + 1)?;
+                let batches = self.exec_node(input)?;
+                if batches.is_empty() {
+                    // No rows, no batch: one concatenated from nothing has
+                    // no columns for the Map above to index.
+                    return Ok(batches);
+                }
                 let all = Batch::concat(batches);
-                let (pb, ob, f) = (partition_by.clone(), order_by.clone(), *func);
-                let (out, t) = run_stage(&self.ctx, vec![all], move |core, b| {
-                    ops::window::window_batch(core, &b, &pb, &ob, f)
+                let (out, t) = run_stage(self.ctx, vec![all], |core, b| {
+                    ops::window::window_batch(core, &b, partition_by, order_by, *func)
                 })?;
-                tr.absorb(report, &t, nid, depth, "window", batch_rows(&out));
+                self.stage(&t, "window", batch_rows(&out), Detail::None);
                 Ok(out)
             }
         }
@@ -449,16 +429,11 @@ impl Engine {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_scan(
-        &self,
+        &mut self,
         table: &str,
         columns: &[usize],
         pred: Option<&Pred>,
-        report: &mut QueryReport,
-        tr: &mut Tracer,
-        nid: u32,
-        depth: u32,
     ) -> QefResult<Vec<Batch>> {
         let t = self
             .catalog
@@ -492,9 +467,9 @@ impl Engine {
             tile,
             self.ctx.dmem_bytes,
         );
-        let plan = ops::filter::ScanPlan::decide(&self.ctx, t, columns, pred, touched, tile);
+        let plan = ops::filter::ScanPlan::decide(self.ctx, t, columns, pred, touched, tile);
         let chunks: Vec<&rapid_storage::chunk::Chunk> = t.chunks().collect();
-        let (out, timing) = run_stage(&self.ctx, chunks, |core, chunk| {
+        let (out, timing) = run_stage(self.ctx, chunks, |core, chunk| {
             // The tile buffers the streams were sized from.
             let _buffers = core.dmem.reserve_raw(working_set)?;
             plan.scan_chunk(core, chunk, tile)
@@ -505,16 +480,7 @@ impl Engine {
             path: plan.path(),
             passes: plan.dms_passes() as u32,
         };
-        let rows = batch_rows(&out);
-        tr.absorb_as(
-            report,
-            &timing,
-            nid,
-            depth,
-            operator,
-            rows,
-            Detail::Scan(access),
-        );
+        self.stage(&timing, operator, batch_rows(&out), Detail::Scan(access));
         Ok(out)
     }
 
@@ -532,18 +498,13 @@ impl Engine {
     /// rounds of `scheme` on all cores
     /// ([`ops::partition::partition_pass`]): every round is a stage of its
     /// own, absorbed under `operator` with the rows it partitioned.
-    #[allow(clippy::too_many_arguments)]
     fn partition_stages(
-        &self,
+        &mut self,
         batches: Vec<Batch>,
         widths: &[usize],
         keys: &[usize],
         scheme: &[usize],
         operator: &str,
-        report: &mut QueryReport,
-        tr: &mut Tracer,
-        nid: u32,
-        depth: u32,
     ) -> QefResult<Vec<Batch>> {
         // The tile, and the fan-out cap of the scheme, were budgeted from
         // the static widths: what arrives must be exactly that wide.
@@ -557,41 +518,28 @@ impl Engine {
         );
         let tile = self.partition_tile(widths)?;
         let rows = batch_rows(&batches);
-        ops::partition::partition_pass(&self.ctx, batches, keys, scheme, tile, |t, round| {
-            tr.absorb_as(
-                report,
-                t,
-                nid,
-                depth,
-                operator,
-                rows,
-                Detail::Partition(round),
-            )
+        ops::partition::partition_pass(self.ctx, batches, keys, scheme, tile, |t, round| {
+            self.stage(t, operator, rows, Detail::Partition(round))
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_join(
-        &self,
+        &mut self,
         build: &PlanNode,
         probe: &PlanNode,
         build_keys: &[usize],
         probe_keys: &[usize],
         join_type: JoinType,
         scheme: Option<&[usize]>,
-        report: &mut QueryReport,
-        tr: &mut Tracer,
-        nid: u32,
-        depth: u32,
     ) -> QefResult<Vec<Batch>> {
         if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
             return Err(QefError::BadPlan("join key arity mismatch".into()));
         }
-        let build_meta = build.output_meta(&self.catalog)?;
-        let build_widths = build.output_widths(&self.catalog)?;
-        let probe_widths = probe.output_widths(&self.catalog)?;
-        let build_batches = self.exec_node(build, report, tr, depth + 1)?;
-        let probe_batches = self.exec_node(probe, report, tr, depth + 1)?;
+        let build_meta = build.output_meta(self.catalog)?;
+        let build_widths = build.output_widths(self.catalog)?;
+        let probe_widths = probe.output_widths(self.catalog)?;
+        let build_batches = self.exec_node(build)?;
+        let probe_batches = self.exec_node(probe)?;
         let build_rows: usize = build_batches.iter().map(Batch::rows).sum();
         let build_row_bytes: usize = build_widths.iter().sum();
         let probe_row_bytes: usize = probe_widths.iter().sum();
@@ -611,7 +559,7 @@ impl Engine {
                 s
             }
             _ => {
-                fallback = default_scheme(build_rows, build_keys.len(), &self.ctx);
+                fallback = default_scheme(build_rows, build_keys.len(), self.ctx);
                 &fallback
             }
         };
@@ -631,10 +579,6 @@ impl Engine {
             build_keys,
             &scheme,
             "join.partition-build",
-            report,
-            tr,
-            nid,
-            depth,
         )?;
         let pparts = self.partition_stages(
             probe_batches,
@@ -642,17 +586,11 @@ impl Engine {
             probe_keys,
             &scheme,
             "join.partition-probe",
-            report,
-            tr,
-            nid,
-            depth,
         )?;
 
         // Join partition pairs in parallel; handle large skew by extra
         // partitioning rounds inside the worker.
         let pairs: Vec<(Batch, Batch)> = bparts.into_iter().zip(pparts).collect();
-        let bk = build_keys.to_vec();
-        let pk = probe_keys.to_vec();
         // Physical prototypes of the build columns, for outer-join NULL
         // padding: the pad must use the same variant the matched
         // partitions gather, or concatenating partition outputs mixes
@@ -670,41 +608,30 @@ impl Engine {
             };
             build_meta.iter().zip(&build_widths).map(proto).collect()
         };
-        let pair_tile = self
-            .partition_tile(&build_widths)?
-            .min(self.partition_tile(&probe_widths)?);
-        let (joined, t3) = run_stage(&self.ctx, pairs, move |core, (b, p)| {
-            join_pair_resilient(
-                core,
-                b,
-                p,
-                &bk,
-                &pk,
-                join_type,
-                est_per_partition,
-                &build_protos,
-                pair_tile,
-                0,
-            )
-        })?;
+        let join = PairJoin {
+            build_keys,
+            probe_keys,
+            join_type,
+            est_rows: est_per_partition,
+            build_protos,
+            tile: self
+                .partition_tile(&build_widths)?
+                .min(self.partition_tile(&probe_widths)?),
+        };
+        let (joined, t3) = run_stage(self.ctx, pairs, |core, (b, p)| join.pair(core, b, p, 0))?;
         let joined: Vec<Batch> = joined.into_iter().filter(|b| !b.is_empty()).collect();
-        tr.absorb(report, &t3, nid, depth, "join.pairs", batch_rows(&joined));
+        self.stage(&t3, "join.pairs", batch_rows(&joined), Detail::None);
         Ok(joined)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_groupby(
-        &self,
+        &mut self,
         input: &PlanNode,
         keys: &[usize],
         aggs: &[crate::plan::AggSpec],
         strategy: GroupStrategy,
-        report: &mut QueryReport,
-        tr: &mut Tracer,
-        nid: u32,
-        depth: u32,
     ) -> QefResult<Vec<Batch>> {
-        let batches = self.exec_node(input, report, tr, depth + 1)?;
+        let batches = self.exec_node(input)?;
         let limit =
             ops::groupby::on_the_fly_group_limit(self.ctx.dmem_bytes, keys.len(), aggs.len());
 
@@ -716,7 +643,7 @@ impl Engine {
                     .first()
                     .map(|b| {
                         let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 64);
-                        let mut core = crate::exec::CoreCtx::new(&self.ctx, 0);
+                        let mut core = crate::exec::CoreCtx::new(self.ctx, 0);
                         let _ = t.consume(&mut core, b, keys);
                         t.groups()
                     })
@@ -733,18 +660,17 @@ impl Engine {
         let mut out = match strategy {
             GroupStrategy::OnTheFly | GroupStrategy::Auto => {
                 // Per-core local aggregation...
-                let (kk, aa) = (keys.to_vec(), aggs.to_vec());
-                let (tables, t) = run_stage(&self.ctx, batches, move |core, b| {
-                    let mut t = ops::groupby::GroupTable::new(kk.len(), &aa, 256);
-                    t.consume(core, &b, &kk)?;
+                let (tables, t) = run_stage(self.ctx, batches, |core, b| {
+                    let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
+                    t.consume(core, &b, keys)?;
                     Ok(t)
                 })?;
                 let groups: u64 = tables.iter().map(|t| t.groups() as u64).sum();
-                tr.absorb(report, &t, nid, depth, "groupby.consume", groups);
+                self.stage(&t, "groupby.consume", groups, Detail::None);
                 // ...then the merge operator combines the per-core tables
                 // ("working on aggregated data, merge introduces low
                 // overhead").
-                let (mut out, t2) = run_stage(&self.ctx, vec![tables], move |core, ts| {
+                let (mut out, t2) = run_stage(self.ctx, vec![tables], |core, ts| {
                     let mut it = ts.into_iter();
                     let Some(mut first) = it.next() else {
                         return Ok(Batch::empty(0));
@@ -757,46 +683,29 @@ impl Engine {
                 // No groups, no batch — `Batch::empty(0)` has no columns for
                 // a Filter (HAVING) or Map above to index.
                 out.retain(|b| !b.is_empty());
-                tr.absorb(report, &t2, nid, depth, "groupby.merge", batch_rows(&out));
+                self.stage(&t2, "groupby.merge", batch_rows(&out), Detail::None);
                 out
             }
             GroupStrategy::Partitioned => {
                 // Partition by grouping keys so each partition's table fits.
                 let rows: usize = batches.iter().map(Batch::rows).sum();
-                let widths = input.output_widths(&self.catalog)?;
-                let fallback = default_scheme(rows, keys.len(), &self.ctx);
+                let widths = input.output_widths(self.catalog)?;
+                let fallback = default_scheme(rows, keys.len(), self.ctx);
                 let scheme =
                     crate::budget::cap_rounds(&fallback, widths.iter().sum(), self.ctx.dmem_bytes);
-                let parts = self.partition_stages(
-                    batches,
-                    &widths,
-                    keys,
-                    &scheme,
-                    "groupby.partition",
-                    report,
-                    tr,
-                    nid,
-                    depth,
-                )?;
-                let (kk, aa) = (keys.to_vec(), aggs.to_vec());
+                let parts =
+                    self.partition_stages(batches, &widths, keys, &scheme, "groupby.partition")?;
                 let (out, t2) = run_stage(
-                    &self.ctx,
+                    self.ctx,
                     parts.into_iter().filter(|p| !p.is_empty()).collect(),
-                    move |core, b| {
-                        let mut t = ops::groupby::GroupTable::new(kk.len(), &aa, 256);
-                        t.consume(core, &b, &kk)?;
+                    |core, b| {
+                        let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
+                        t.consume(core, &b, keys)?;
                         Ok(t.emit(core))
                     },
                 )?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                tr.absorb(
-                    report,
-                    &t2,
-                    nid,
-                    depth,
-                    "groupby.aggregate",
-                    batch_rows(&out),
-                );
+                self.stage(&t2, "groupby.aggregate", batch_rows(&out), Detail::None);
                 out
             }
         };
@@ -807,7 +716,7 @@ impl Engine {
         if keys.is_empty() && out.iter().all(|b| b.rows() == 0) {
             let mut t = ops::groupby::GroupTable::new(0, aggs, 16);
             t.force_global_group();
-            let mut core = crate::exec::CoreCtx::new(&self.ctx, 0);
+            let mut core = crate::exec::CoreCtx::new(self.ctx, 0);
             out = vec![t.emit(&mut core)];
         }
         Ok(out)
@@ -849,74 +758,76 @@ fn map_batch(
     Ok(Batch::new(cols.into_iter().flatten().collect()))
 }
 
-/// Join one partition pair with large-skew resilience: when the build side
-/// is much larger than estimated, re-partition the pair and recurse.
-#[allow(clippy::too_many_arguments)]
-fn join_pair_resilient(
-    core: &mut crate::exec::CoreCtx,
-    build: Batch,
-    probe: Batch,
-    build_keys: &[usize],
-    probe_keys: &[usize],
+/// What the partition pairs of one join share.
+struct PairJoin<'a> {
+    build_keys: &'a [usize],
+    probe_keys: &'a [usize],
     join_type: JoinType,
+    /// Build rows a partition was sized for.
     est_rows: usize,
-    build_protos: &[rapid_storage::vector::ColumnData],
+    build_protos: Vec<rapid_storage::vector::ColumnData>,
     tile: usize,
-    depth: usize,
-) -> QefResult<Batch> {
-    if build.is_empty() && join_type == JoinType::LeftOuter {
-        return Ok(pad_outer(probe, build_protos));
-    }
-    let oversized = build.rows() > est_rows.saturating_mul(ops::join::LARGE_SKEW_FACTOR);
-    if oversized && depth < 3 && build.rows() > 256 {
-        // Large skew: extra partitioning rounds introduced dynamically.
-        let extra = 8usize;
-        let shift = 28 - (depth as u32 * 3); // high hash bits, disjoint from earlier rounds
-        let bsub = ops::partition::partition_batches(
-            core,
-            std::slice::from_ref(&build),
-            build_keys,
-            extra,
-            shift,
-            tile,
-        )?;
-        let psub = ops::partition::partition_batches(
-            core,
-            std::slice::from_ref(&probe),
-            probe_keys,
-            extra,
-            shift,
-            tile,
-        )?;
-        let mut outs = Vec::with_capacity(extra);
-        for (b, p) in bsub.into_iter().zip(psub) {
-            outs.push(join_pair_resilient(
-                core,
-                b,
-                p,
-                build_keys,
-                probe_keys,
-                join_type,
-                est_rows,
-                build_protos,
-                tile,
-                depth + 1,
-            )?);
+}
+
+impl PairJoin<'_> {
+    /// Join one partition pair with large-skew resilience: when the build
+    /// side is much larger than estimated, re-partition the pair and recurse.
+    fn pair(
+        &self,
+        core: &mut crate::exec::CoreCtx,
+        build: Batch,
+        probe: Batch,
+        depth: usize,
+    ) -> QefResult<Batch> {
+        if build.is_empty() && self.join_type == JoinType::LeftOuter {
+            return Ok(pad_outer(probe, &self.build_protos));
         }
-        return Ok(Batch::concat(
-            outs.into_iter().filter(|b| !b.is_empty()).collect(),
-        ));
+        let oversized = build.rows() > self.est_rows.saturating_mul(ops::join::LARGE_SKEW_FACTOR);
+        if oversized && depth < 3 && build.rows() > 256 {
+            // Large skew: extra partitioning rounds introduced dynamically.
+            let extra = 8usize;
+            let shift = 28 - (depth as u32 * 3); // high hash bits, disjoint from earlier rounds
+            let bsub = ops::partition::partition_batches(
+                core,
+                std::slice::from_ref(&build),
+                self.build_keys,
+                extra,
+                shift,
+                self.tile,
+            )?;
+            let psub = ops::partition::partition_batches(
+                core,
+                std::slice::from_ref(&probe),
+                self.probe_keys,
+                extra,
+                shift,
+                self.tile,
+            )?;
+            let mut outs = Vec::with_capacity(extra);
+            for (b, p) in bsub.into_iter().zip(psub) {
+                outs.push(self.pair(core, b, p, depth + 1)?);
+            }
+            return Ok(Batch::concat(
+                outs.into_iter().filter(|b| !b.is_empty()).collect(),
+            ));
+        }
+        if build.is_empty() || probe.is_empty() {
+            return match self.join_type {
+                JoinType::Inner | JoinType::LeftSemi => Ok(Batch::empty(0)),
+                JoinType::LeftAnti => Ok(probe),
+                JoinType::LeftOuter => Ok(pad_outer(probe, &self.build_protos)),
+            };
+        }
+        ops::join::join_partition(
+            core,
+            &build,
+            probe,
+            self.build_keys,
+            self.probe_keys,
+            self.join_type,
+            self.est_rows,
+        )
     }
-    if build.is_empty() || probe.is_empty() {
-        return match join_type {
-            JoinType::Inner | JoinType::LeftSemi => Ok(Batch::empty(0)),
-            JoinType::LeftAnti => Ok(probe),
-            JoinType::LeftOuter => Ok(pad_outer(probe, build_protos)),
-        };
-    }
-    ops::join::join_partition(
-        core, &build, probe, build_keys, probe_keys, join_type, est_rows,
-    )
 }
 
 /// Pad probe rows with NULL build columns for outer joins with no build.

@@ -28,7 +28,6 @@
 //! | [`plan`] | the serializable physical query execution plan (QEP) |
 //! | [`engine`] | the plan interpreter driving tasks across dpCores |
 //! | [`actor`] | message-passing scheduler used for exchange/merge steps |
-//! | [`verifyhook`] | registration point for the `rapid-verify` static checker |
 //!
 //! An engine normally owns the whole simulated DPU. For concurrent
 //! multi-query execution, [`Engine::fork`](engine::Engine::fork) a
@@ -52,7 +51,6 @@ pub mod ra;
 pub mod selectivity;
 pub mod trace;
 pub mod util;
-pub mod verifyhook;
 
 pub use batch::Batch;
 pub use engine::{Engine, QueryOutput, QueryReport};

@@ -43,7 +43,7 @@ use rapid_storage::vector::Vector;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::Batch;
-use crate::budget::{partition_stream_bytes, working_set, BASE_STATE_BYTES};
+use crate::budget::{partition_stream_bytes, working_set, BASE_STATE_BYTES, HASH_BITS};
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
 use crate::primitives::costs;
@@ -65,7 +65,10 @@ impl HashBitCursor {
     pub fn take(&mut self, bits: u32) -> u32 {
         let shift = self.consumed;
         self.consumed += bits;
-        assert!(self.consumed <= 32, "hash bits exhausted; scheme too deep");
+        assert!(
+            self.consumed <= HASH_BITS,
+            "hash bits exhausted; scheme too deep"
+        );
         shift
     }
 }
@@ -417,7 +420,8 @@ impl Lane<'_, '_> {
 /// Reject malformed schemes up front with a typed error instead of letting
 /// the bit cursor's invariant assert mid-partitioning: every round must be
 /// a power of two and the rounds together may consume at most the hash's
-/// 32 bits (the static verifier additionally reserves the top 4 for skew
+/// [`HASH_BITS`] (the static verifier additionally reserves the top
+/// [`SKEW_RESERVED_BITS`](crate::budget::SKEW_RESERVED_BITS) for skew
 /// re-partitioning; by the time a scheme reaches this operator the hard
 /// limit is the hash width itself).
 pub(crate) fn check_scheme(scheme: &[usize]) -> QefResult<()> {
@@ -427,9 +431,9 @@ pub(crate) fn check_scheme(scheme: &[usize]) -> QefResult<()> {
         )));
     }
     let total_bits: u32 = scheme.iter().map(|f| f.trailing_zeros()).sum();
-    if total_bits > 32 {
+    if total_bits > HASH_BITS {
         return Err(QefError::BadPlan(format!(
-            "partition scheme {scheme:?} consumes {total_bits} hash bits (32 available)"
+            "partition scheme {scheme:?} consumes {total_bits} hash bits ({HASH_BITS} available)"
         )));
     }
     Ok(())

@@ -110,22 +110,6 @@ impl AggState {
     }
 }
 
-/// Fold a whole vector into one state (ungrouped aggregation).
-pub fn agg_vector(
-    ctx: &mut CoreCtx,
-    f: AggFunc,
-    col: &Vector,
-    state: &mut AggState,
-) -> QefResult<()> {
-    for i in 0..col.len() {
-        if !col.is_null(i) {
-            state.update(f, col.data.get_i64(i))?;
-        }
-    }
-    ctx.charge_kernel(&costs::agg_per_row().scaled(col.len() as f64));
-    Ok(())
-}
-
 /// Fold a vector into per-group states via a dense group-index vector
 /// (produced by the group-by operator's hash table).
 pub fn agg_grouped(
@@ -168,7 +152,7 @@ mod tests {
             (AggFunc::Avg, Some(3)),
         ] {
             let mut s = AggState::init(f);
-            agg_vector(&mut c, f, &col, &mut s).unwrap();
+            agg_grouped(&mut c, f, &col, &[0; 4], std::slice::from_mut(&mut s)).unwrap();
             assert_eq!(s.finalize(f), expect, "{f:?}");
         }
     }
@@ -180,7 +164,14 @@ mod tests {
         nulls.set(0, true);
         let col = Vector::with_nulls(ColumnData::I64(vec![100, 2, 4]), nulls);
         let mut s = AggState::init(AggFunc::Sum);
-        agg_vector(&mut c, AggFunc::Sum, &col, &mut s).unwrap();
+        agg_grouped(
+            &mut c,
+            AggFunc::Sum,
+            &col,
+            &[0; 3],
+            std::slice::from_mut(&mut s),
+        )
+        .unwrap();
         assert_eq!(s.finalize(AggFunc::Sum), Some(6));
         assert_eq!(s.count, 2);
     }

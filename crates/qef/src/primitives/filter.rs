@@ -7,7 +7,7 @@
 //! expands the template for every physical type × comparison operator,
 //! mirroring the primitive generator framework.
 
-use rapid_storage::bitvec::{BitVec, RidList};
+use rapid_storage::bitvec::BitVec;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use crate::exec::CoreCtx;
@@ -172,49 +172,6 @@ pub fn cmp_const_bv(ctx: &mut CoreCtx, col: &Vector, op: CmpOp, cval: i64) -> Bi
     out
 }
 
-/// Evaluate `col <op> cval` only on rows set in `candidates` (the
-/// bit-vector-driven `bvld` gather of Listing 1), clearing bits that fail.
-pub fn cmp_const_bv_masked(
-    ctx: &mut CoreCtx,
-    col: &Vector,
-    op: CmpOp,
-    cval: i64,
-    candidates: &mut BitVec,
-) {
-    let mut evaluated = 0usize;
-    // Walk only candidate rows — this is what BVLD does in hardware.
-    let survivors: Vec<usize> = candidates
-        .iter_ones()
-        .filter(|&i| {
-            evaluated += 1;
-            !col.is_null(i) && op.apply(col.data.get_i64(i), cval)
-        })
-        .collect();
-    let mut out = BitVec::zeros(candidates.len());
-    for i in survivors {
-        out.set(i, true);
-    }
-    *candidates = out;
-    ctx.charge_kernel(&costs::filter_per_row().scaled(evaluated as f64));
-}
-
-/// Evaluate `col <op> cval` over all rows, producing a RID-list (the
-/// sparse representation for selective predicates).
-pub fn cmp_const_rids(ctx: &mut CoreCtx, col: &Vector, op: CmpOp, cval: i64) -> RidList {
-    let mut rids = Vec::new();
-    dispatch_cmp!(&col.data, cval, op, |i, q: bool| {
-        if q {
-            rids.push(i as u32);
-        }
-    });
-    if col.has_nulls() {
-        rids.retain(|&r| !col.is_null(r as usize));
-    }
-    ctx.charge_kernel(&costs::filter_per_row().scaled(col.len() as f64));
-    ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(rids.len() as f64));
-    RidList { rids }
-}
-
 /// Evaluate `col BETWEEN lo AND hi` (inclusive) over all rows.
 pub fn between_bv(ctx: &mut CoreCtx, col: &Vector, lo: i64, hi: i64) -> BitVec {
     let mut out = cmp_const_bv(ctx, col, CmpOp::Ge, lo);
@@ -308,28 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn rid_and_bv_variants_agree() {
-        let mut c = ctx();
-        let col = col_i32(&(0..1000).map(|i| i % 37).collect::<Vec<_>>());
-        let bv = cmp_const_bv(&mut c, &col, CmpOp::Eq, 5);
-        let rids = cmp_const_rids(&mut c, &col, CmpOp::Eq, 5);
-        assert_eq!(bv.to_rids(), rids);
-    }
-
-    #[test]
-    fn masked_evaluation_only_touches_candidates() {
-        let mut c = ctx();
-        let col = col_i32(&[1, 2, 3, 4, 5, 6]);
-        let mut cand = BitVec::from_bools([true, false, true, false, true, false]);
-        cmp_const_bv_masked(&mut c, &col, CmpOp::Gt, 2, &mut cand);
-        // Only rows 2 and 4 survive (rows 1,3,5 were never candidates).
-        assert_eq!(
-            cand,
-            BitVec::from_bools([false, false, true, false, true, false])
-        );
-    }
-
-    #[test]
     fn out_of_range_constants_resolve_statically() {
         let mut c = ctx();
         let col = Vector::new(ColumnData::I8(vec![1, 2, 3]));
@@ -350,8 +285,6 @@ mod tests {
         let bv = cmp_const_bv(&mut c, &col, CmpOp::Eq, 5);
         assert_eq!(bv.count_ones(), 2);
         assert!(!bv.get(1));
-        let rids = cmp_const_rids(&mut c, &col, CmpOp::Eq, 5);
-        assert_eq!(rids.rids, vec![0, 2]);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! | [`timeline`] | [`DpuTimeline`]: sim-time placement of stages onto cores + the DMS engine |
 //! | [`scheduler`] | [`Scheduler`]: admission queue, priorities, cancellation, the two dispatch modes |
 //! | [`trace`] | [`SchedTrace`]: a run's placement + admission evidence for interference analysis |
-//! | [`schedhook`] | registration point for `rapid-verify`'s schedule interference analyzer |
 //!
 //! The scheduler implements [`rapid_qef::exec::StageRouter`]; install it
 //! into a forked engine context per session:
@@ -44,7 +43,6 @@
 // denial-of-service panic, so escalate the lints outside test code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod schedhook;
 pub mod scheduler;
 pub mod timeline;
 pub mod trace;

@@ -21,7 +21,7 @@
 //!   items rebalance onto the least-loaded lanes; throughput is better on
 //!   skew, timings are not reproducible run to run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -31,7 +31,6 @@ use dpu_sim::isa::CostModel;
 use dpu_sim::power::PowerModel;
 use rapid_qef::exec::{ExecContext, StageAbort, StageProfile, StageRouter};
 
-use crate::schedhook;
 use crate::timeline::{DispatchMode, DpuTimeline, Utilization};
 use crate::trace::{AdmissionEvent, SchedTrace};
 
@@ -52,7 +51,8 @@ pub struct SchedConfig {
     /// engine contexts routing stages here (both default to the
     /// hardware's 32 KiB).
     pub dmem_bytes: u64,
-    /// Placement/admission records retained for analysis; 0 (the default)
+    /// Records retained of each kind — placements, admissions and finished
+    /// queries (their [`QueryStats`] and completion times); 0 (the default)
     /// keeps everything. Long-lived servers set a cap so soak runs don't
     /// grow without bound; evictions are counted, not silent.
     pub history_cap: usize,
@@ -128,8 +128,12 @@ pub struct QueryStats {
 /// Snapshot of finished queries plus whole-DPU utilization.
 #[derive(Debug, Clone)]
 pub struct SchedReport {
-    /// Per-query stats, ordered by query id.
+    /// Per-query stats, ordered by query id (the most recently finished
+    /// `history_cap` when the scheduler's history is capped).
     pub queries: Vec<QueryStats>,
+    /// Queries finished over the scheduler's life, evicted records
+    /// included.
+    pub finished: u64,
     /// Core/DMS occupancy and energy over everything placed so far.
     pub utilization: Utilization,
 }
@@ -166,19 +170,37 @@ struct Inner {
     parked: usize,
     /// Deterministic mode: the query whose parked stage request may proceed.
     baton: Option<u64>,
-    finished: Vec<QueryStats>,
-    /// Admission log for the interference analyzer, capped like the
-    /// timeline history.
-    admissions: Vec<AdmissionEvent>,
-    admissions_dropped: u64,
+    /// Stats of finished queries in completion order, a ring capped like
+    /// the timeline history; a query evicted here leaves `queries` too.
+    finished: VecDeque<QueryStats>,
+    /// Queries ever finished, evicted ones included.
+    finished_total: u64,
+    /// Admission log for the interference analyzer, capped the same way.
+    admissions: VecDeque<AdmissionEvent>,
+    /// Finished-query and admission records evicted from their rings.
+    records_dropped: u64,
 }
 
 impl Inner {
     fn log_admission(&mut self, ev: AdmissionEvent, cap: usize) {
-        self.admissions.push(ev);
+        self.admissions.push_back(ev);
         if cap > 0 && self.admissions.len() > cap {
-            self.admissions.remove(0);
-            self.admissions_dropped += 1;
+            self.admissions.pop_front();
+            self.records_dropped += 1;
+        }
+    }
+
+    /// Record a finished query, forgetting the oldest finished one — its
+    /// stats and its completion time — past the cap.
+    fn log_finished(&mut self, stats: QueryStats, cap: usize) {
+        self.timeline.retire(stats.query_id);
+        self.finished.push_back(stats);
+        self.finished_total += 1;
+        if cap > 0 && self.finished.len() > cap {
+            if let Some(old) = self.finished.pop_front() {
+                self.queries.remove(&old.query_id);
+            }
+            self.records_dropped += 1;
         }
     }
 }
@@ -217,9 +239,10 @@ impl Scheduler {
                 waiting: 0,
                 parked: 0,
                 baton: None,
-                finished: Vec::new(),
-                admissions: Vec::new(),
-                admissions_dropped: 0,
+                finished: VecDeque::new(),
+                finished_total: 0,
+                admissions: VecDeque::new(),
+                records_dropped: 0,
             }),
             cv: Condvar::new(),
         }
@@ -311,7 +334,8 @@ impl Scheduler {
     }
 
     /// Simulated completion time (cycles) of a finished query, or `None`
-    /// while it is still live or the id is unknown. This is what a
+    /// while it is still live or the id is unknown — never submitted, or
+    /// finished more than `history_cap` queries ago. This is what a
     /// closed-loop session feeds back into
     /// [`submit_at`](Self::submit_at) as its next query's arrival.
     pub fn completion_cycles(&self, id: u64) -> Option<Cycles> {
@@ -349,66 +373,47 @@ impl Scheduler {
     }
 
     /// Snapshot: finished queries (by id) plus whole-DPU utilization.
-    ///
-    /// When `rapid-verify` is linked (its `install()` registers the
-    /// analyzer via [`crate::schedhook`]) and rechecking is enabled
-    /// (`debug_assertions` or `RAPID_SCHEDCHECK=1`), the run's schedule
-    /// trace is replayed through the interference analyzer first — a
-    /// violation panics, like a race detector firing.
+    /// Whether the schedule behind it was interference-free is a question
+    /// for `rapid_verify::schedcheck::check_trace` on
+    /// [`schedule_trace`](Self::schedule_trace).
     pub fn report(&self) -> SchedReport {
-        let (report, trace) = {
-            let inner = self.lock();
-            let mut queries = inner.finished.clone();
-            queries.sort_by_key(|q| q.query_id);
-            let report = SchedReport {
-                queries,
-                utilization: inner
-                    .timeline
-                    .utilization(&self.cfg.cost_model, &self.cfg.power),
-            };
-            let trace = if schedhook::recheck_enabled() && schedhook::installed().is_some() {
-                Some(self.trace_locked(&inner))
-            } else {
-                None
-            };
-            (report, trace)
-        };
-        if let (Some(trace), Some(check)) = (trace, schedhook::installed()) {
-            if let Err(e) = check(&trace) {
-                panic!("schedule interference detected (set RAPID_SCHEDCHECK=0 to disable): {e}");
-            }
+        let inner = self.lock();
+        let mut queries: Vec<QueryStats> = inner.finished.iter().cloned().collect();
+        queries.sort_by_key(|q| q.query_id);
+        let (finished, utilization) = self.totals_locked(&inner);
+        SchedReport {
+            queries,
+            finished,
+            utilization,
         }
-        report
     }
 
-    fn trace_locked(&self, inner: &Inner) -> SchedTrace {
-        SchedTrace {
-            mode: self.cfg.mode,
-            cores: self.cfg.cores,
-            dmem_bytes: self.cfg.dmem_bytes,
-            max_active: self.cfg.max_active,
-            placements: inner.timeline.placements(),
-            admissions: inner.admissions.clone(),
-            history_dropped: inner.timeline.history_dropped() + inner.admissions_dropped,
-        }
+    /// Queries finished so far and whole-DPU utilization: the
+    /// [`report`](Self::report) without its per-query records, in O(cores)
+    /// — what a server's STATS frame reads.
+    pub fn totals(&self) -> (u64, Utilization) {
+        self.totals_locked(&self.lock())
+    }
+
+    fn totals_locked(&self, inner: &Inner) -> (u64, Utilization) {
+        let utilization = inner
+            .timeline
+            .utilization(&self.cfg.cost_model, &self.cfg.power);
+        (inner.finished_total, utilization)
     }
 
     /// The run's schedule trace so far: placement records plus admission
     /// events, the input to `rapid-verify`'s interference analyzer.
     pub fn schedule_trace(&self) -> SchedTrace {
         let inner = self.lock();
-        self.trace_locked(&inner)
-    }
-
-    /// Replay the schedule trace through the installed interference
-    /// analyzer, returning its verdict instead of panicking — the
-    /// explicit release-mode entry point used by the fuzzer's concurrent
-    /// mode and `rapid-report schedcheck`. `Ok(())` when no analyzer
-    /// is linked into the process.
-    pub fn check_interference(&self) -> Result<(), String> {
-        match schedhook::installed() {
-            Some(check) => check(&self.schedule_trace()),
-            None => Ok(()),
+        SchedTrace {
+            mode: self.cfg.mode,
+            cores: self.cfg.cores,
+            dmem_bytes: self.cfg.dmem_bytes,
+            max_active: self.cfg.max_active,
+            placements: inner.timeline.placements(),
+            admissions: inner.admissions.iter().copied().collect(),
+            history_dropped: inner.timeline.history_dropped() + inner.records_dropped,
         }
     }
 
@@ -586,7 +591,7 @@ impl Scheduler {
         if inner.baton == Some(id) {
             inner.baton = None;
         }
-        inner.finished.push(stats);
+        inner.log_finished(stats, self.cfg.history_cap);
         self.promote_locked(inner, at, Some(id));
         Self::refresh_baton(&self.cfg, inner);
         self.cv.notify_all();
@@ -1097,9 +1102,6 @@ mod tests {
         assert_eq!(trace.admissions[1].query_id, b.id());
         assert_eq!(trace.admissions[1].after, Some(a.id()));
         assert!(trace.admissions[1].at >= trace.placements[0].end);
-        // With no analyzer linked into this crate's tests, the explicit
-        // check is a no-op success.
-        assert_eq!(s.check_interference(), Ok(()));
     }
 
     #[test]
@@ -1122,5 +1124,45 @@ mod tests {
         assert_eq!(trace.placements.len(), 3, "placement ring capped");
         assert!(trace.admissions.len() <= 3, "admission log capped");
         assert!(trace.history_dropped > 0, "evictions are counted");
+    }
+
+    /// A long-lived scheduler holds `history_cap` records of each kind, not
+    /// one per query it ever served, and still counts every query.
+    #[test]
+    fn history_cap_bounds_a_long_lived_scheduler() {
+        let s = Arc::new(Scheduler::new(SchedConfig {
+            max_active: 2,
+            queue_capacity: 8,
+            mode: DispatchMode::WorkStealing,
+            history_cap: 3,
+            ..Default::default()
+        }));
+        let mut last = None;
+        for _ in 0..1000 {
+            let h = s.submit(0, None).unwrap();
+            h.await_admission().unwrap();
+            s.route_stage(&stage(h.id(), 1, vec![compute_item(10.0)]))
+                .unwrap();
+            h.finish();
+            // A session asks about its own previous query: always inside
+            // the window.
+            last = s.completion_cycles(h.id());
+            assert!(last.is_some(), "query {} just finished", h.id());
+        }
+        assert_eq!(last, Some(Cycles(10_000.0)));
+        {
+            let inner = s.lock();
+            assert!(inner.finished.len() <= 3, "finished ring capped");
+            assert!(inner.queries.len() <= 3, "done entries leave with it");
+            assert!(inner.admissions.len() <= 3, "admission ring capped");
+        }
+        let r = s.report();
+        assert_eq!(r.queries.len(), 3);
+        assert_eq!(r.queries[2].query_id, 999, "the most recent are kept");
+        assert_eq!(r.finished, 1000, "evicted queries still count");
+        assert_eq!(s.totals().0, 1000);
+        assert_eq!(s.completion_cycles(0), None, "outside the window");
+        // 997 placements, 997 admissions and 997 finished records went.
+        assert_eq!(s.schedule_trace().history_dropped, 3 * 997);
     }
 }

@@ -199,6 +199,12 @@ impl DpuTimeline {
         self.history_dropped
     }
 
+    /// Forget the stage counter of a query that will place no more stages,
+    /// so a long-lived timeline holds one per live query.
+    pub fn retire(&mut self, query_id: u64) {
+        self.query_seq.remove(&query_id);
+    }
+
     /// Latest stage end placed so far.
     pub fn makespan(&self) -> Cycles {
         self.makespan
@@ -728,6 +734,21 @@ mod tests {
         let width = tl.makespan().get() / 8.0;
         let core_total: f64 = series.iter().map(|s| s.core_busy_frac * 4.0 * width).sum();
         assert!((core_total - 1400.0).abs() < 1e-6, "{core_total}");
+    }
+
+    #[test]
+    fn a_retired_query_leaves_no_stage_counter_behind() {
+        let mut tl = DpuTimeline::new(2);
+        for q in 0..3 {
+            tl.place(
+                Cycles::ZERO,
+                &profile(q, 1, vec![compute_item(10.0)]),
+                DispatchMode::WorkStealing,
+            );
+        }
+        tl.retire(0);
+        tl.retire(2);
+        assert_eq!(tl.query_seq.keys().collect::<Vec<_>>(), [&1]);
     }
 
     #[test]

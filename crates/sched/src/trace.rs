@@ -47,8 +47,9 @@ pub struct SchedTrace {
     pub placements: Vec<PlacementRecord>,
     /// Admission events, in admission order (capped like the placements).
     pub admissions: Vec<AdmissionEvent>,
-    /// Placement records evicted from the capped history ring; when
-    /// nonzero the analyzer is looking at a truncated window and edges to
-    /// evicted placements are skipped rather than reported.
+    /// Records evicted from the capped history rings (placements,
+    /// admissions, finished queries); when nonzero the analyzer is looking
+    /// at a truncated window and edges to evicted placements are skipped
+    /// rather than reported.
     pub history_dropped: u64,
 }

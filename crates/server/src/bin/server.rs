@@ -142,14 +142,11 @@ fn main() {
 
     server.wait_shutdown_requested();
     eprintln!("shutdown requested; draining...");
-    let report = server.scheduler().report();
+    let (queries, _) = server.scheduler().totals();
     let stats = server.shutdown();
     println!(
         "served {} connections; {} queries; threads spawned {} / joined {}",
-        stats.connections_served,
-        report.queries.len(),
-        stats.threads_spawned,
-        stats.threads_joined
+        stats.connections_served, queries, stats.threads_spawned, stats.threads_joined
     );
     assert_eq!(
         stats.threads_spawned, stats.threads_joined,

@@ -202,9 +202,19 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight queries, join
-    /// every thread, and report the accounting.
+    /// every thread, and report the accounting. A debug build then replays
+    /// the retained schedule (the last `history_cap` records) through the
+    /// interference analyzer and panics on a finding, as
+    /// `HostDb::execute_batch` does for its batch.
     pub fn shutdown(mut self) -> ShutdownStats {
-        self.shutdown_inner()
+        let stats = self.shutdown_inner();
+        if cfg!(debug_assertions) {
+            let trace = self.shared.sched.schedule_trace();
+            if let Err(e) = rapid_verify::schedcheck::check_trace(&trace) {
+                panic!("schedule interference detected: {e}");
+            }
+        }
+        stats
     }
 
     fn shutdown_inner(&mut self) -> ShutdownStats {
@@ -545,14 +555,14 @@ impl Session {
     }
 
     fn gather_stats(&self) -> ServerStats {
-        let rep = self.shared.sched.report();
+        let (queries_finished, utilization) = self.shared.sched.totals();
         let cache = self.shared.db.plan_cache_stats();
         ServerStats {
-            queries_finished: rep.queries.len() as u64,
-            makespan_secs: rep.utilization.makespan.as_secs(),
-            core_utilization: rep.utilization.core_utilization,
-            dms_utilization: rep.utilization.dms_utilization,
-            energy_joules: rep.utilization.energy_joules,
+            queries_finished,
+            makespan_secs: utilization.makespan.as_secs(),
+            core_utilization: utilization.core_utilization,
+            dms_utilization: utilization.dms_utilization,
+            energy_joules: utilization.energy_joules,
             plan_cache_hits: cache.hits,
             plan_cache_misses: cache.misses,
             plan_cache_invalidations: cache.invalidations,

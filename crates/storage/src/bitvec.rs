@@ -231,15 +231,6 @@ impl RidList {
     pub fn size_bytes(&self) -> usize {
         self.rids.len() * 4
     }
-
-    /// Convert back to a bit-vector over `len` rows.
-    pub fn to_bitvec(&self, len: usize) -> BitVec {
-        let mut bv = BitVec::zeros(len);
-        for &r in &self.rids {
-            bv.set(r as usize, true);
-        }
-        bv
-    }
 }
 
 /// Either qualifying-row representation, as flowed between operators.
@@ -373,10 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn rid_bitvec_roundtrip() {
+    fn rid_list_holds_the_set_bits() {
         let bv = BitVec::from_bools((0..100).map(|i| i % 13 == 5));
         let rids = bv.to_rids();
-        assert_eq!(rids.to_bitvec(100), bv);
+        assert_eq!(rids.rids, [5, 18, 31, 44, 57, 70, 83, 96]);
         assert_eq!(rids.len(), bv.count_ones());
     }
 

@@ -67,16 +67,6 @@ impl Dictionary {
         }
     }
 
-    /// Rebuild the value->code map (after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i as u32))
-            .collect();
-    }
-
     /// Number of distinct values.
     pub fn len(&self) -> usize {
         self.values.len()

@@ -126,14 +126,6 @@ impl DsbVector {
     }
 }
 
-/// Arithmetic on DSB mantissas: multiply two vectors at scales `(sa, sb)`
-/// yielding scale `sa + sb` — the integer-only arithmetic that replaces
-/// floating point on the DPU. Returns `None` on mantissa overflow (the
-/// compiler then plans a rescale).
-pub fn mul_unscaled(a: i64, b: i64) -> Option<i64> {
-    a.checked_mul(b)
-}
-
 /// Rescale a mantissa from `from` to `to` digits, rounding half away from
 /// zero when digits are dropped.
 pub fn rescale(unscaled: i64, from: u8, to: u8) -> Option<i64> {

@@ -49,6 +49,3 @@ pub const VECTOR_BYTES: usize = 16 * 1024;
 
 /// Default rows per chunk: a 16 KiB vector of 4-byte elements.
 pub const DEFAULT_CHUNK_ROWS: usize = VECTOR_BYTES / 4;
-
-/// Minimum tile size: operators consume data at least 64 rows at a time.
-pub const MIN_TILE_ROWS: usize = 64;

@@ -201,11 +201,6 @@ impl TableBuilder {
         }
     }
 
-    /// Number of buffered rows.
-    pub fn buffered_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Build the table: derive encodings, chunk, compute statistics.
     pub fn finish(self) -> Table {
         self.finish_at_scn(Scn::ZERO)

@@ -35,13 +35,6 @@ impl DataType {
             DataType::Varchar => 4, // dictionary code
         }
     }
-
-    /// Whether values order the same as their physical representation
-    /// (true for everything here: DSB preserves order at a common scale and
-    /// the dictionary is order-preserving).
-    pub fn order_preserving(&self) -> bool {
-        true
-    }
 }
 
 impl fmt::Display for DataType {
@@ -77,16 +70,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Construct a decimal from a float at a given scale (used by data
-    /// generators; exact for the value ranges TPC-H produces).
-    pub fn decimal_from_f64(v: f64, scale: u8) -> Value {
-        let factor = 10f64.powi(scale as i32);
-        Value::Decimal {
-            unscaled: (v * factor).round() as i64,
-            scale,
-        }
-    }
-
     /// The decimal's numeric value as f64 (reporting only).
     pub fn to_f64(&self) -> Option<f64> {
         match self {
@@ -293,30 +276,5 @@ mod tests {
         assert_eq!(parse_date("1995-06-17"), Some(days_from_civil(1995, 6, 17)));
         assert_eq!(parse_date("1995-13-01"), None);
         assert_eq!(parse_date("nonsense"), None);
-    }
-
-    #[test]
-    fn decimal_from_f64_rounds() {
-        assert_eq!(
-            Value::decimal_from_f64(1.25, 2),
-            Value::Decimal {
-                unscaled: 125,
-                scale: 2
-            }
-        );
-        assert_eq!(
-            Value::decimal_from_f64(0.1, 1),
-            Value::Decimal {
-                unscaled: 1,
-                scale: 1
-            }
-        );
-        assert_eq!(
-            Value::decimal_from_f64(-3.999, 2),
-            Value::Decimal {
-                unscaled: -400,
-                scale: 2
-            }
-        );
     }
 }

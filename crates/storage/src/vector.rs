@@ -11,7 +11,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::bitvec::BitVec;
-use crate::types::DataType;
 
 /// Physical column data at one of the four supported fixed widths, plus an
 /// unsigned 4-byte variant for dictionary codes.
@@ -185,15 +184,6 @@ impl ColumnData {
     /// An empty column of the same physical variant.
     pub fn empty_like(&self) -> ColumnData {
         self.empty_like_with_capacity(0)
-    }
-
-    /// The default physical variant for a logical type.
-    pub fn empty_for(dt: DataType) -> ColumnData {
-        match dt {
-            DataType::Int | DataType::Decimal { .. } => ColumnData::I64(Vec::new()),
-            DataType::Date => ColumnData::I32(Vec::new()),
-            DataType::Varchar => ColumnData::U32(Vec::new()),
-        }
     }
 
     /// Push a widened value, narrowing into the variant (panics if the

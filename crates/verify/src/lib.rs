@@ -30,12 +30,17 @@
 //! All DMEM arithmetic is shared with the engine via `rapid_qef::budget`,
 //! so the static verdict and the runtime tile choice cannot drift apart.
 //!
-//! The verifier runs at three layers: the compiler gates every compiled
-//! plan (hard error), the engine re-checks plans before execution via
-//! [`rapid_qef::verifyhook`] (under `debug_assertions` or
-//! `RAPID_VERIFY=1`), and the differential fuzzer verifies every plan it
-//! generates. The [`mutate`] harness proves each rule actually fires by
-//! corrupting known-good plans, one mutation class per rule.
+//! Nothing here is installed anywhere: whoever wants a verdict calls
+//! [`check`] or [`schedcheck::check_trace`]. The compiler gates every
+//! compiled plan on [`check`] (a hard error, in every build — the engine
+//! then runs what it is handed under its own typed errors); the two owners
+//! of a scheduler, `HostDb::execute_batch` and the wire server's drain,
+//! replay the finished run's trace through [`schedcheck::check_trace`] in
+//! debug builds and panic on a finding; the fuzzer's concurrent mode calls
+//! it after every batch, in release too; and `rapid-report
+//! verify|schedcheck` sweep TPC-H and the fuzz corpus in CI. The [`mutate`]
+//! harness proves each rule actually fires by corrupting known-good plans
+//! and schedules, one mutation class per rule.
 
 #![warn(missing_docs)]
 
@@ -60,12 +65,6 @@ pub struct VerifyConfig {
     pub tile_rows: usize,
     /// Number of dpCores partitions should cover.
     pub cores: usize,
-    /// Maximum fan-out of one partition round (radix bits of one pass).
-    pub max_round_fanout: usize,
-    /// Total hash bits available to partition schemes.
-    pub hash_bits: u32,
-    /// High hash bits reserved for skew re-partitioning (paper §6.4).
-    pub skew_reserved_bits: u32,
 }
 
 impl Default for VerifyConfig {
@@ -77,15 +76,13 @@ impl Default for VerifyConfig {
 
 impl VerifyConfig {
     /// Derive the configuration an execution context implies; what the
-    /// context does not carry is a property of the engine and the hash.
+    /// context does not carry — the round fan-out cap, the hash width and
+    /// its skew reserve — is a constant of `rapid_qef::budget`.
     pub fn from_exec(ctx: &ExecContext) -> VerifyConfig {
         VerifyConfig {
             dmem_bytes: ctx.dmem_bytes,
             tile_rows: ctx.tile_rows,
             cores: ctx.cores,
-            max_round_fanout: rapid_qef::budget::MAX_ROUND_FANOUT,
-            hash_bits: 32,
-            skew_reserved_bits: 4,
         }
     }
 }
@@ -105,20 +102,6 @@ pub fn check(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> Result<(
     } else {
         Err(report.error_summary())
     }
-}
-
-fn hook(plan: &PlanNode, catalog: &Catalog, ctx: &ExecContext) -> Result<(), String> {
-    check(plan, catalog, &VerifyConfig::from_exec(ctx))
-}
-
-/// Register the verifier as the engine's pre-execution plan check (see
-/// [`rapid_qef::verifyhook`]) and the schedule interference analyzer as
-/// the scheduler's post-run check (see [`rapid_sched::schedhook`]).
-/// Idempotent; the compiler calls this as a side effect of its own
-/// verification gate.
-pub fn install() {
-    rapid_qef::verifyhook::install(hook);
-    rapid_sched::schedhook::install(schedcheck::check_trace);
 }
 
 #[cfg(test)]
@@ -142,13 +125,5 @@ mod tests {
         };
         let err = check(&plan, &cat, &cfg).unwrap_err();
         assert!(err.contains("R-DMEM-FIT"), "{err}");
-    }
-
-    #[test]
-    fn install_is_idempotent_and_registers_the_hooks() {
-        install();
-        install();
-        assert!(rapid_qef::verifyhook::installed().is_some());
-        assert!(rapid_sched::schedhook::installed().is_some());
     }
 }

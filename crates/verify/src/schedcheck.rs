@@ -91,8 +91,9 @@ pub fn check_schedule_with_spans(trace: &SchedTrace, spans: &SpanMap) -> VerifyR
     report
 }
 
-/// Render the analyzer's verdict the way `Scheduler::report` wants it:
-/// `Ok` on a clean trace, `Err` carrying one line per violation.
+/// The analyzer's verdict on a scheduler's `schedule_trace()`, as its
+/// callers take it: `Ok` on a clean trace, `Err` carrying one line per
+/// violation.
 pub fn check_trace(trace: &SchedTrace) -> Result<(), String> {
     let report = check_schedule(trace);
     if report.ok() {

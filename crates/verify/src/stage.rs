@@ -13,7 +13,9 @@
 //! from the widths its columns arrive in (`PlanNode::output_widths`): its
 //! stage's working set is what a lane of it holds in DMEM.
 
-use rapid_qef::budget::{self, BASE_STATE_BYTES, MIN_VECTOR_ROWS};
+use rapid_qef::budget::{
+    self, BASE_STATE_BYTES, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
+};
 use rapid_qef::expr::Expr;
 use rapid_qef::ops::groupby::on_the_fly_group_limit;
 use rapid_qef::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
@@ -313,15 +315,14 @@ impl Walker<'_> {
     /// through the partition passes.
     fn check_scheme(&mut self, id: usize, path: &str, scheme: &[usize], row_bytes: usize) {
         for &f in scheme {
-            if f == 0 || !f.is_power_of_two() || f > self.cfg.max_round_fanout {
+            if f == 0 || !f.is_power_of_two() || f > MAX_ROUND_FANOUT {
                 self.diag(
                     Rule::FanoutPow2,
                     id,
                     path,
                     format!(
-                        "partition round fan-out {f} must be a power of two in 1..={} \
-                         (radix bits of one hash round)",
-                        self.cfg.max_round_fanout
+                        "partition round fan-out {f} must be a power of two in \
+                         1..={MAX_ROUND_FANOUT} (radix bits of one hash round)"
                     ),
                 );
             }
@@ -336,19 +337,16 @@ impl Walker<'_> {
                 }
             })
             .sum();
-        let schedulable = self
-            .cfg
-            .hash_bits
-            .saturating_sub(self.cfg.skew_reserved_bits);
+        let schedulable = HASH_BITS - SKEW_RESERVED_BITS;
         if bits > schedulable {
             self.diag(
                 Rule::HashBits,
                 id,
                 path,
                 format!(
-                    "scheme {scheme:?} consumes {bits} hash bits; only {schedulable} of {} are \
-                     schedulable ({} reserved for skew re-partitioning)",
-                    self.cfg.hash_bits, self.cfg.skew_reserved_bits
+                    "scheme {scheme:?} consumes {bits} hash bits; only {schedulable} of \
+                     {HASH_BITS} are schedulable ({SKEW_RESERVED_BITS} reserved for skew \
+                     re-partitioning)"
                 ),
             );
         }

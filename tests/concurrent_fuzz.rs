@@ -5,9 +5,9 @@
 //!   batches run through the work-stealing scheduler (one session thread
 //!   per query, shared simulated DPU) and must return exactly the serial
 //!   rows; every batch's placement trace is additionally replayed through
-//!   `rapid-verify`'s C-* interference rules via
-//!   `Scheduler::check_interference` — explicitly, so the check runs in
-//!   release builds too. `FUZZ_QUERIES` raises the query floor for soak
+//!   `rapid-verify`'s C-* interference rules
+//!   (`rapid_verify::schedcheck::check_trace`), in release builds as in
+//!   debug ones. `FUZZ_QUERIES` raises the query floor for soak
 //!   runs (ci.sh drives the 1000-query release soak); `FUZZ_SEED`
 //!   re-seeds. A finding is reported with the per-batch seed plus the
 //!   *minimized* batch, and saved as pending corpus entries.

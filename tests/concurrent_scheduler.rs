@@ -183,6 +183,35 @@ fn zero_timeout_aborts_only_the_impatient_query() {
     assert!(outcome.results[2].is_ok(), "prioritized query unaffected");
 }
 
+/// `execute_batch` replays its schedule through the interference analyzer
+/// in a debug build, and that replay can fail: a scheduler told its DPU has
+/// 64-byte scratchpads places every stage over budget. The same batch on
+/// the scratchpads the engine really has returns (every other test here is
+/// that clean run).
+#[test]
+#[cfg(debug_assertions)]
+fn execute_batch_panics_on_an_interfering_schedule_only() {
+    let db = db();
+    let batch = [BatchQuery::from_plan(plans()[0].1.clone())];
+    let clean = db.execute_batch(&batch, cfg(DispatchMode::WorkStealing, 1, 1));
+    assert!(
+        clean.sched.utilization.stages > 0,
+        "the batch placed stages"
+    );
+    let cramped = SchedConfig {
+        dmem_bytes: 64,
+        ..cfg(DispatchMode::WorkStealing, 1, 1)
+    };
+    let run = std::panic::AssertUnwindSafe(|| db.execute_batch(&batch, cramped));
+    let panic = std::panic::catch_unwind(run)
+        .expect_err("an over-budget schedule must not come back as an outcome");
+    let message = panic.downcast_ref::<String>().expect("a formatted panic");
+    assert!(
+        message.contains("schedule interference") && message.contains("C-QUERY-BUDGET"),
+        "{message}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 

@@ -320,3 +320,22 @@ fn prepared_statements_over_the_wire() {
     let stats = server.shutdown();
     assert_eq!(stats.threads_spawned, stats.threads_joined);
 }
+
+/// The drain replays the server's schedule through the interference
+/// analyzer in a debug build, and that replay can fail: a scheduler told its
+/// DPU has 64-byte scratchpads placed every stage over budget. (Every other
+/// test's `shutdown` is the clean replay.)
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "C-QUERY-BUDGET")]
+fn drain_panics_on_an_interfering_schedule() {
+    let mut cfg = ServerConfig::default();
+    cfg.sched.dmem_bytes = 64;
+    let server = start(cfg);
+    assert_serving(server.local_addr());
+    assert!(
+        !server.scheduler().placements().is_empty(),
+        "the query placed no stage: nothing to replay"
+    );
+    server.shutdown();
+}
