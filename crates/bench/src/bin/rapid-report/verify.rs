@@ -9,7 +9,9 @@
 //! prints a one-line verdict per query (`--full` dumps the per-stage
 //! working-set table as well). Exits non-zero if any plan fails
 //! verification — this is the CI gate proving the verifier has no false
-//! positives on compiler-produced plans.
+//! positives on compiler-produced plans — or has a partition stage without
+//! a declared fan-out: the plan says what runs, and a pass whose rounds
+//! something after the compiler would have to choose is a finding here.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -18,6 +20,7 @@ use hostdb::HostDb;
 use rapid_qcomp::CostParams;
 use rapid_qef::exec::ExecContext;
 use rapid_qef::plan::Catalog;
+use rapid_verify::{StageReport, VerifyReport};
 
 use crate::args::{Args, UsageError};
 
@@ -123,18 +126,66 @@ fn verify_one(
             }
         };
         let report = rapid_verify::verify(&compiled.plan, catalog, cfg);
-        let verdict = if report.ok() { "PASS" } else { "FAIL" };
+        let undeclared: Vec<&StageReport> = undeclared_passes(&report).collect();
+        let ok = report.ok() && undeclared.is_empty();
+        let verdict = if ok { "PASS" } else { "FAIL" };
         println!(
             "{label:28} {verdict}  ({} stages, {} diagnostics)",
             report.stages.len(),
             report.diagnostics.len()
         );
-        if full || !report.ok() {
+        for s in undeclared {
+            eprintln!(
+                "{label}: node {} ({}) runs {} with no declared fan-out",
+                s.node_id, s.path, s.stage
+            );
+        }
+        if full || !ok {
             for line in report.render(cfg.dmem_bytes, cfg.tile_rows).lines() {
                 println!("    {line}");
             }
         }
-        failures += usize::from(!report.ok());
+        failures += usize::from(!ok);
     }
     failures
+}
+
+/// Partition stages of a verified plan that declare no fan-out.
+fn undeclared_passes(report: &VerifyReport) -> impl Iterator<Item = &StageReport> {
+    let is_pass = |stage: &str| {
+        ["partition", "partition-build", "partition-probe"]
+            .iter()
+            .any(|suffix| stage.ends_with(suffix))
+    };
+    report
+        .stages
+        .iter()
+        .filter(move |s| is_pass(&s.stage) && s.fanouts.is_empty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rapid_qef::plan::PlanNode;
+    use rapid_verify::mutate::{base_plan, demo_catalog, partition_groupby, set_scheme};
+
+    #[test]
+    fn a_pass_without_a_declared_fan_out_is_named() {
+        let cfg = rapid_verify::VerifyConfig::default();
+        let passes_of = |plan: &PlanNode| -> Vec<(usize, String)> {
+            let report = rapid_verify::verify(plan, &demo_catalog(), &cfg);
+            undeclared_passes(&report)
+                .map(|s| (s.node_id, s.stage.clone()))
+                .collect()
+        };
+        assert_eq!(passes_of(&base_plan()), []);
+        assert_eq!(passes_of(&partition_groupby(vec![32])), []);
+        // The group-by (node 0) and the join under its Map (node 2), each
+        // with a scheme of no rounds.
+        let of_groupby = passes_of(&partition_groupby(vec![]));
+        assert_eq!(of_groupby, [(0, "groupby.partition".to_string())]);
+        let both_sides = ["join.partition-build", "join.partition-probe"];
+        let of_join = passes_of(&set_scheme(vec![]));
+        assert_eq!(of_join, both_sides.map(|s| (2, s.to_string())));
+    }
 }

@@ -116,12 +116,6 @@ impl SimTime {
         SimTime { secs }
     }
 
-    /// Construct from microseconds.
-    #[inline]
-    pub fn from_micros(us: f64) -> SimTime {
-        SimTime { secs: us * 1e-6 }
-    }
-
     /// The duration in seconds.
     #[inline]
     pub fn as_secs(self) -> f64 {
@@ -132,12 +126,6 @@ impl SimTime {
     #[inline]
     pub fn as_millis(self) -> f64 {
         self.secs * 1e3
-    }
-
-    /// The duration in microseconds.
-    #[inline]
-    pub fn as_micros(self) -> f64 {
-        self.secs * 1e6
     }
 
     /// Largest of two durations.
@@ -215,7 +203,7 @@ mod tests {
     fn cycles_to_time_at_dpu_clock() {
         // 800 cycles at 800 MHz is exactly one microsecond.
         let t = Cycles(800.0).to_dpu_time();
-        assert!((t.as_micros() - 1.0).abs() < 1e-12);
+        assert!((t.as_secs() - 1e-6).abs() < 1e-18);
     }
 
     #[test]
@@ -246,6 +234,6 @@ mod tests {
     fn display_picks_unit() {
         assert_eq!(format!("{}", SimTime::from_secs(1.5)), "1.500 s");
         assert_eq!(format!("{}", SimTime::from_secs(0.0015)), "1.500 ms");
-        assert_eq!(format!("{}", SimTime::from_micros(12.0)), "12.000 us");
+        assert_eq!(format!("{}", SimTime::from_secs(12e-6)), "12.000 us");
     }
 }

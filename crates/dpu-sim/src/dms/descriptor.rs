@@ -108,16 +108,6 @@ impl DescriptorLoop {
             double_buffered: true,
         }
     }
-
-    /// Total bytes moved across all iterations.
-    pub fn total_bytes(&self) -> u64 {
-        self.descriptors.iter().map(|d| d.bytes()).sum::<u64>() * self.iterations as u64
-    }
-
-    /// Total descriptor executions across all iterations.
-    pub fn total_descriptors(&self) -> u64 {
-        (self.descriptors.len() * self.iterations) as u64
-    }
 }
 
 #[cfg(test)]
@@ -129,8 +119,6 @@ mod tests {
         let l = DescriptorLoop::sequential_read(4, 4, 1_000_000, 128);
         assert_eq!(l.descriptors.len(), 4);
         assert_eq!(l.iterations, 7813); // ceil(1e6 / 128)
-        assert_eq!(l.total_descriptors(), 4 * 7813);
-        assert_eq!(l.total_bytes(), 4 * 7813 * 128 * 4);
     }
 
     #[test]

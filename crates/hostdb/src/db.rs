@@ -1117,7 +1117,7 @@ mod tests {
     fn plans_are_compiled_for_the_cores_the_context_has() {
         fn join_scheme(plan: &PlanNode) -> Option<Vec<usize>> {
             match plan {
-                PlanNode::HashJoin { scheme, .. } => scheme.clone(),
+                PlanNode::HashJoin { scheme, .. } => Some(scheme.clone()),
                 other => other.inputs().find_map(join_scheme),
             }
         }

@@ -70,8 +70,13 @@ pub struct OutCol {
     pub scale: u8,
     /// Dictionary provenance for Varchar columns.
     pub dict: Option<(String, usize)>,
-    /// NDV estimate, when derivable from base-table statistics.
-    pub ndv: Option<u64>,
+    /// Upper bound on the distinct values, when base-table statistics give
+    /// one (a bound past `u32::MAX` decides nothing and is not kept).
+    pub ndv: Option<u32>,
+    /// First and last day of a Date column, when base-table statistics give
+    /// them (`ColumnStats::{min, max}`): what bounds the years its dates
+    /// fall in.
+    pub days: Option<(i32, i32)>,
 }
 
 /// A compiled query.
@@ -181,6 +186,7 @@ pub(crate) fn lower(
                     scale: t.scale,
                     dict: t.dict.clone(),
                     ndv: t.ndv,
+                    days: t.days,
                 });
                 out_exprs.push(NamedExpr {
                     expr: t.expr,
@@ -325,6 +331,7 @@ pub(crate) fn lower(
                 scale,
                 dict: None,
                 ndv: None,
+                days: None,
             });
             Ok((
                 PlanNode::Window {
@@ -354,12 +361,18 @@ fn lower_scan(
         .fields
         .iter()
         .enumerate()
-        .map(|(i, f)| OutCol {
-            name: f.name.clone(),
-            dtype: f.dtype,
-            scale: t.scales[i],
-            dict: matches!(f.dtype, DataType::Varchar).then(|| (table.to_string(), i)),
-            ndv: t.stats.columns.get(i).map(|s| s.ndv),
+        .map(|(i, f)| {
+            let stats = t.stats.column(i);
+            OutCol {
+                name: f.name.clone(),
+                dtype: f.dtype,
+                scale: t.scales[i],
+                dict: matches!(f.dtype, DataType::Varchar).then(|| (table.to_string(), i)),
+                ndv: stats.and_then(|s| u32::try_from(s.ndv).ok()),
+                days: stats
+                    .filter(|_| f.dtype == DataType::Date)
+                    .and_then(|s| Some((s.min? as i32, s.max? as i32))),
+            }
         })
         .collect();
     let p = pred
@@ -405,7 +418,33 @@ struct Typed {
     dtype: DataType,
     scale: u8,
     dict: Option<(String, usize)>,
-    ndv: Option<u64>,
+    ndv: Option<u32>,
+    days: Option<(i32, i32)>,
+}
+
+impl Typed {
+    /// A computed value: no dictionary, no bound but its columns'.
+    fn computed(expr: Expr, dtype: DataType, scale: u8) -> Typed {
+        Typed {
+            expr,
+            dtype,
+            scale,
+            dict: None,
+            ndv: None,
+            days: None,
+        }
+    }
+
+    /// The most distinct values the expression can take over `cols`: its
+    /// own bound, or — any expression over a single column — that column's.
+    fn ndv_bound(&self, cols: &[OutCol]) -> Option<u32> {
+        self.ndv.or_else(|| {
+            let mut refs = Vec::new();
+            self.expr.referenced_columns(&mut refs);
+            let (first, rest) = refs.split_first()?;
+            rest.iter().all(|c| c == first).then(|| cols[*first].ndv)?
+        })
+    }
 }
 
 fn lower_expr(e: &LExpr, cols: &[OutCol], catalog: &Catalog) -> Result<Typed, CompileError> {
@@ -419,29 +458,25 @@ fn lower_expr(e: &LExpr, cols: &[OutCol], catalog: &Catalog) -> Result<Typed, Co
                 scale: c.scale,
                 dict: c.dict.clone(),
                 ndv: c.ndv,
+                days: c.days,
             })
         }
         LExpr::Lit(v) => match v {
             Value::Int(x) => Ok(Typed {
-                expr: Expr::Lit(*x),
-                dtype: DataType::Int,
-                scale: 0,
-                dict: None,
                 ndv: Some(1),
+                ..Typed::computed(Expr::Lit(*x), DataType::Int, 0)
             }),
-            Value::Decimal { unscaled, scale } => Ok(Typed {
-                expr: Expr::Lit(*unscaled),
-                dtype: DataType::Decimal { scale: *scale },
-                scale: *scale,
-                dict: None,
-                ndv: Some(1),
-            }),
+            Value::Decimal { unscaled, scale } => {
+                let dtype = DataType::Decimal { scale: *scale };
+                Ok(Typed {
+                    ndv: Some(1),
+                    ..Typed::computed(Expr::Lit(*unscaled), dtype, *scale)
+                })
+            }
             Value::Date(d) => Ok(Typed {
-                expr: Expr::Lit(*d as i64),
-                dtype: DataType::Date,
-                scale: 0,
-                dict: None,
                 ndv: Some(1),
+                days: Some((*d, *d)),
+                ..Typed::computed(Expr::Lit(*d as i64), DataType::Date, 0)
             }),
             other => Err(CompileError::Unsupported(format!(
                 "literal {other} in scalar expression"
@@ -454,12 +489,19 @@ fn lower_expr(e: &LExpr, cols: &[OutCol], catalog: &Catalog) -> Result<Typed, Co
         }
         LExpr::Year(e) => {
             let t = lower_expr(e, cols, catalog)?;
+            // Dates between two days fall in the years between theirs, and
+            // in no more years than there are dates.
+            let year = |day: i32| rapid_storage::types::civil_from_days(day).0;
+            let years = t
+                .days
+                .and_then(|(first, last)| u32::try_from(year(last) - year(first) + 1).ok());
+            let ndv = match (t.ndv_bound(cols), years) {
+                (Some(dates), Some(years)) => Some(dates.min(years)),
+                (dates, years) => dates.or(years),
+            };
             Ok(Typed {
-                expr: Expr::YearOf(Box::new(t.expr)),
-                dtype: DataType::Int,
-                scale: 0,
-                dict: None,
-                ndv: None,
+                ndv,
+                ..Typed::computed(Expr::YearOf(Box::new(t.expr)), DataType::Int, 0)
             })
         }
         LExpr::Case { pred, then, els } => {
@@ -467,17 +509,16 @@ fn lower_expr(e: &LExpr, cols: &[OutCol], catalog: &Catalog) -> Result<Typed, Co
             let tt = lower_expr(then, cols, catalog)?;
             let te = lower_expr(els, cols, catalog)?;
             let (tt, te) = unify_scales(tt, te)?;
-            Ok(Typed {
-                expr: Expr::Case {
-                    pred: Box::new(p),
-                    then: Box::new(tt.expr),
-                    els: Box::new(te.expr),
-                },
-                dtype: widen_type(tt.dtype, te.dtype),
-                scale: tt.scale,
-                dict: None,
-                ndv: None,
-            })
+            let expr = Expr::Case {
+                pred: Box::new(p),
+                then: Box::new(tt.expr),
+                els: Box::new(te.expr),
+            };
+            Ok(Typed::computed(
+                expr,
+                widen_type(tt.dtype, te.dtype),
+                tt.scale,
+            ))
         }
     }
 }
@@ -494,16 +535,14 @@ fn rescale_expr(t: Typed, target: u8) -> Result<Typed, CompileError> {
     }
     let factor = pow10(target - t.scale)
         .ok_or_else(|| CompileError::BadLiteral("rescale overflow".into()))?;
+    let dtype = if t.scale == 0 && target > 0 {
+        DataType::Decimal { scale: target }
+    } else {
+        t.dtype
+    };
     Ok(Typed {
-        expr: Expr::mul(t.expr, Expr::Lit(factor)),
-        scale: target,
-        dtype: if t.scale == 0 && target > 0 {
-            DataType::Decimal { scale: target }
-        } else {
-            t.dtype
-        },
-        dict: None,
         ndv: t.ndv,
+        ..Typed::computed(Expr::mul(t.expr, Expr::Lit(factor)), dtype, target)
     })
 }
 
@@ -520,16 +559,15 @@ fn downscale_to(t: Typed, max_scale: u8) -> Result<Typed, CompileError> {
     }
     let div = pow10(t.scale - max_scale)
         .ok_or_else(|| CompileError::BadLiteral("downscale overflow".into()))?;
+    let expr = Expr::Arith {
+        op: ArithOp::Div,
+        a: Box::new(t.expr),
+        b: Box::new(Expr::Lit(div)),
+    };
+    let dtype = DataType::Decimal { scale: max_scale };
     Ok(Typed {
-        expr: Expr::Arith {
-            op: ArithOp::Div,
-            a: Box::new(t.expr),
-            b: Box::new(Expr::Lit(div)),
-        },
-        scale: max_scale,
-        dtype: DataType::Decimal { scale: max_scale },
-        dict: None,
         ndv: t.ndv,
+        ..Typed::computed(expr, dtype, max_scale)
     })
 }
 
@@ -546,35 +584,27 @@ fn lower_arith(op: ArithOp, a: Typed, b: Typed) -> Result<Typed, CompileError> {
     match op {
         ArithOp::Add | ArithOp::Sub => {
             let (a, b) = unify_scales(a, b)?;
-            Ok(Typed {
-                dtype: widen_type(a.dtype, b.dtype),
-                scale: a.scale,
-                expr: Expr::Arith {
-                    op,
-                    a: Box::new(a.expr),
-                    b: Box::new(b.expr),
-                },
-                dict: None,
-                ndv: None,
-            })
+            let (dtype, scale) = (widen_type(a.dtype, b.dtype), a.scale);
+            let expr = Expr::Arith {
+                op,
+                a: Box::new(a.expr),
+                b: Box::new(b.expr),
+            };
+            Ok(Typed::computed(expr, dtype, scale))
         }
         ArithOp::Mul => {
             let scale = a.scale + b.scale;
-            Ok(Typed {
-                dtype: if scale > 0 {
-                    DataType::Decimal { scale }
-                } else {
-                    widen_type(a.dtype, b.dtype)
-                },
-                scale,
-                expr: Expr::Arith {
-                    op,
-                    a: Box::new(a.expr),
-                    b: Box::new(b.expr),
-                },
-                dict: None,
-                ndv: None,
-            })
+            let dtype = if scale > 0 {
+                DataType::Decimal { scale }
+            } else {
+                widen_type(a.dtype, b.dtype)
+            };
+            let expr = Expr::Arith {
+                op,
+                a: Box::new(a.expr),
+                b: Box::new(b.expr),
+            };
+            Ok(Typed::computed(expr, dtype, scale))
         }
         ArithOp::Div => {
             // Deep operand scales would force a huge dividend pre-scale
@@ -599,17 +629,13 @@ fn lower_arith(op: ArithOp, a: Typed, b: Typed) -> Result<Typed, CompileError> {
             } else {
                 a.expr
             };
-            Ok(Typed {
-                dtype: DataType::Decimal { scale: out_scale },
-                scale: out_scale,
-                expr: Expr::Arith {
-                    op: ArithOp::Div,
-                    a: Box::new(dividend),
-                    b: Box::new(b.expr),
-                },
-                dict: None,
-                ndv: None,
-            })
+            let expr = Expr::Arith {
+                op: ArithOp::Div,
+                a: Box::new(dividend),
+                b: Box::new(b.expr),
+            };
+            let dtype = DataType::Decimal { scale: out_scale };
+            Ok(Typed::computed(expr, dtype, out_scale))
         }
     }
 }
@@ -961,63 +987,34 @@ fn lower_join(
 
     // For semi/anti/outer the left side must stay the probe/outer input.
     // For inner joins the compiler picks the smaller side as build.
-    let (build_is_right, needs_reorder) = match join_type {
+    let rcost = estimate(&rplan, catalog, params);
+    let (build_is_right, build_rows) = match join_type {
         JoinType::Inner => {
-            let lc = estimate(&lplan, catalog, params);
-            let rc = estimate(&rplan, catalog, params);
-            if rc.rows <= lc.rows {
-                (true, false)
+            let lcost = estimate(&lplan, catalog, params);
+            if rcost.rows <= lcost.rows {
+                (true, rcost.rows)
             } else {
-                (false, true)
+                (false, lcost.rows)
             }
         }
-        _ => (true, false),
-    };
-
-    let build_rows = {
-        let c = estimate(
-            if build_is_right { &rplan } else { &lplan },
-            catalog,
-            params,
-        );
-        c.rows as u64
+        _ => (true, rcost.rows),
     };
     // Both sides stream through the partition passes, and the local-buffer
-    // limit (heuristic b) is set by the *widest* row as its columns are
-    // encoded (`PlanNode::output_widths`) — what the lanes buffer and the
-    // DMS writes. The same width prices a round (bytes moved, flushes,
-    // spill) and, through `max_buffered_fanout`, hard-bounds its fan-out;
-    // the engine caps and the verifier checks (R-FANOUT-BUFFER) with the
-    // same function over the same widths, so a chosen scheme can never
-    // fail verification. The partition *count* alone keeps the declared
-    // widths: it sizes what a join kernel holds, and a kernel widens keys
-    // to 8 bytes whatever they are stored in.
-    let encoded = |plan: &PlanNode| -> Result<usize, CompileError> {
-        let widths = plan
-            .output_widths(catalog)
-            .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
-        Ok(widths.iter().sum())
-    };
+    // limit (heuristic b) is set by the *widest* row. The partition *count*
+    // alone keeps the declared widths: it sizes what a join kernel holds,
+    // and a kernel widens keys to 8 bytes whatever they are stored in.
     let declared = |cs: &[OutCol]| -> usize {
         cs.iter()
             .map(|c| c.dtype.physical_width())
             .sum::<usize>()
             .max(8)
     };
-    let row_bytes = encoded(&lplan)?.max(encoded(&rplan)?);
-    let buffer_cap = rapid_qef::budget::max_buffered_fanout(row_bytes, params.dmem_bytes);
-    let streamed = PartitionOptInput {
-        rows: build_rows.max(1),
-        row_bytes,
-        dmem_bytes: params.dmem_bytes,
-        cores: params.cores,
-        max_round_fanout: buffer_cap.min(rapid_qef::budget::MAX_ROUND_FANOUT),
-    };
-    let partitions = required_partitions(&PartitionOptInput {
-        row_bytes: declared(&lcols).max(declared(&rcols)),
-        ..streamed.clone()
-    });
-    let scheme = optimize_for_partitions(&params.cm, &streamed, partitions);
+    let scheme = partition_scheme(
+        build_rows,
+        encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?),
+        declared(&lcols).max(declared(&rcols)),
+        params,
+    );
 
     let (llen, rlen) = (lcols.len(), rcols.len());
     if build_is_right {
@@ -1027,7 +1024,7 @@ fn lower_join(
             build_keys: rk,
             probe_keys: lk,
             join_type,
-            scheme: Some(scheme.rounds),
+            scheme,
         };
         // Output: probe (left) then build (right) — already logical order.
         let mut cols = lcols;
@@ -1042,11 +1039,10 @@ fn lower_join(
             build_keys: lk,
             probe_keys: rk,
             join_type,
-            scheme: Some(scheme.rounds),
+            scheme,
         };
         // Physical layout: probe (right) ++ build (left). Reorder back to
         // the logical left-then-right layout with a projection.
-        debug_assert!(needs_reorder);
         let mut physical = rcols;
         physical.extend(lcols);
         let mut exprs = Vec::with_capacity(llen + rlen);
@@ -1072,6 +1068,45 @@ fn lower_join(
     }
 }
 
+/// A row of `plan`'s output as its columns are encoded
+/// (`PlanNode::output_widths`): what the lanes of a partition pass buffer
+/// and the DMS writes.
+fn encoded_row_bytes(plan: &PlanNode, catalog: &Catalog) -> Result<usize, CompileError> {
+    let widths = plan
+        .output_widths(catalog)
+        .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
+    Ok(widths.iter().sum())
+}
+
+/// The scheme of a partition pass (§5.3), for joins and group-bys alike:
+/// as many partitions as `rows` rows of `kernel_row_bytes` — the row as the
+/// kernel that consumes a partition holds it — need to fit DMEM, never
+/// fewer than the cores, in the cheapest rounds over rows of `row_bytes` as
+/// they are encoded. That width prices a round (bytes moved, flushes,
+/// spill) and, through `max_buffered_fanout`, hard-bounds its fan-out; the
+/// verifier checks (R-FANOUT-BUFFER) and the engine refuses with the same
+/// function over the same widths, so a chosen scheme fails neither.
+fn partition_scheme(
+    rows: f64,
+    row_bytes: usize,
+    kernel_row_bytes: usize,
+    params: &CostParams,
+) -> Vec<usize> {
+    let buffer_cap = rapid_qef::budget::max_buffered_fanout(row_bytes, params.dmem_bytes);
+    let streamed = PartitionOptInput {
+        rows: (rows as u64).max(1),
+        row_bytes,
+        dmem_bytes: params.dmem_bytes,
+        cores: params.cores,
+        max_round_fanout: buffer_cap.min(rapid_qef::budget::MAX_ROUND_FANOUT),
+    };
+    let partitions = required_partitions(&PartitionOptInput {
+        row_bytes: kernel_row_bytes,
+        ..streamed.clone()
+    });
+    optimize_for_partitions(&params.cm, &streamed, partitions).rounds
+}
+
 fn lower_aggregate(
     input: &LogicalPlan,
     group_by: &[crate::logical::LNamed],
@@ -1086,8 +1121,9 @@ fn lower_aggregate(
     let mut known_ndv: Option<u64> = Some(1);
     for g in group_by {
         let t = lower_expr(&g.expr, &cols, catalog)?;
-        known_ndv = match (known_ndv, t.ndv) {
-            (Some(a), Some(b)) => a.checked_mul(b),
+        let ndv = t.ndv_bound(&cols);
+        known_ndv = match (known_ndv, ndv) {
+            (Some(a), Some(b)) => a.checked_mul(b.into()),
             _ => None,
         };
         out_cols.push(OutCol {
@@ -1095,7 +1131,8 @@ fn lower_aggregate(
             dtype: t.dtype,
             scale: t.scale,
             dict: t.dict.clone(),
-            ndv: t.ndv,
+            ndv,
+            days: t.days,
         });
         exprs.push(NamedExpr {
             expr: t.expr,
@@ -1122,6 +1159,7 @@ fn lower_aggregate(
                 _ => None,
             },
             ndv: None,
+            days: None,
         });
         exprs.push(NamedExpr {
             expr: t.expr,
@@ -1136,17 +1174,28 @@ fn lower_aggregate(
         });
     }
 
-    // Strategy selection from NDV statistics (§5.4's two group-by cases).
-    let limit = rapid_qef::ops::groupby::on_the_fly_group_limit(params.dmem_bytes, k, specs.len());
-    let strategy = match known_ndv {
-        Some(ndv) if (ndv as usize) <= limit => GroupStrategy::OnTheFly,
-        Some(_) => GroupStrategy::Partitioned,
-        None => GroupStrategy::Auto,
-    };
-
     let mapped = PlanNode::Map {
         input: Box::new(child),
         exprs,
+    };
+    // Strategy selection (§5.4's two group-by cases) from the most groups
+    // there can be: the product of the keys' NDV bounds, or — a key without
+    // one — the rows estimated to arrive. Few enough for a per-core DMEM
+    // table aggregate on the fly; the rest are partitioned first, into as
+    // many partitions as a group table of widened 8-byte keys and its chain
+    // entries needs, by a scheme chosen the way a join's is.
+    let limit = rapid_qef::ops::groupby::on_the_fly_group_limit(params.dmem_bytes, k, specs.len());
+    let strategy = match known_ndv {
+        Some(ndv) if ndv as usize <= limit => GroupStrategy::OnTheFly,
+        _ => {
+            let rows = estimate(&mapped, catalog, params).rows;
+            if known_ndv.is_none() && rows <= limit as f64 {
+                GroupStrategy::OnTheFly
+            } else {
+                let row_bytes = encoded_row_bytes(&mapped, catalog)?;
+                GroupStrategy::Partitioned(partition_scheme(rows, row_bytes, k * 8 + 6, params))
+            }
+        }
     };
     Ok((
         PlanNode::GroupBy {
@@ -1368,7 +1417,7 @@ mod tests {
         let PlanNode::HashJoin { scheme, probe, .. } = &c.plan else {
             panic!("expected bare join, got {:?}", c.plan)
         };
-        assert!(scheme.is_some());
+        assert_eq!(scheme[..], [32], "a partition per core");
         // The filtered (smaller) side builds, the big scan probes.
         assert!(matches!(**probe, PlanNode::Scan { pred: None, .. }));
         // Output columns: left's then right's.
@@ -1417,9 +1466,7 @@ mod tests {
         let p = params();
         let c = compile(&lp, &cat, &p).unwrap();
         let PlanNode::HashJoin {
-            scheme: Some(s),
-            probe,
-            ..
+            scheme: s, probe, ..
         } = &c.plan
         else {
             panic!("expected join root, got {:?}", c.plan)
@@ -1463,7 +1510,7 @@ mod tests {
             panic!("expected join root, got {:?}", c.plan)
         };
         assert_eq!(probe.output_widths(&cat).unwrap(), [2, 1, 1, 1, 1, 1]);
-        assert_eq!(scheme.as_deref(), Some(&[32][..]));
+        assert_eq!(scheme[..], [32]);
     }
 
     #[test]
@@ -1494,7 +1541,104 @@ mod tests {
         let PlanNode::GroupBy { strategy, .. } = &c.plan else {
             panic!()
         };
-        assert_eq!(*strategy, GroupStrategy::Partitioned);
+        let GroupStrategy::Partitioned(scheme) = strategy else {
+            panic!("100 groups in 2 KiB: {strategy:?}")
+        };
+        assert_eq!(scheme.iter().product::<usize>(), 32, "{scheme:?}");
+    }
+
+    /// 3000 rows: `k` unique, `name` of 25 values, `d` a distinct day each
+    /// from 1992-01-01 into 1998 (seven calendar years).
+    fn seven_years() -> Catalog {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("name", DataType::Varchar),
+            Field::new("d", DataType::Date),
+            Field::new("v", DataType::Int),
+        ]);
+        let first = rapid_storage::types::days_from_civil(1992, 1, 1);
+        let mut b = TableBuilder::new("o", schema);
+        for i in 0..3000i64 {
+            b.push_row(vec![
+                Value::Int(i),
+                Value::Str(format!("n{:02}", i % 25)),
+                Value::Date(first + (i as i32 * 2400) / 3000),
+                Value::Int(i % 11),
+            ]);
+        }
+        let mut c = Catalog::new();
+        c.insert("o".into(), Arc::new(b.finish()));
+        c
+    }
+
+    fn strategy_of(group_by: Vec<LNamed>, input: LogicalPlan, cat: &Catalog) -> GroupStrategy {
+        let lp = input.aggregate(
+            group_by,
+            vec![LAgg {
+                func: AggFunc::Sum,
+                input: LExpr::col("v"),
+                name: "s".into(),
+            }],
+        );
+        let c = compile(&lp, cat, &params()).unwrap();
+        let PlanNode::GroupBy { strategy, .. } = c.plan else {
+            panic!("expected a group-by root, got {:?}", c.plan)
+        };
+        strategy
+    }
+
+    #[test]
+    fn year_of_a_date_is_bounded_by_the_years_it_spans() {
+        // Q9's shape: GROUP BY n_name, EXTRACT(YEAR FROM o_orderdate). The
+        // dates alone are 2400 values; their years are 1992..=1998, and
+        // 25 names x 7 years fit a per-core table.
+        let cat = seven_years();
+        let p = params();
+        let limit = rapid_qef::ops::groupby::on_the_fly_group_limit(p.dmem_bytes, 2, 1);
+        assert!((25 * 7..2400).contains(&limit), "limit {limit}");
+        let name = || LNamed::new("name", LExpr::col("name"));
+        let year = LNamed::new("y", LExpr::Year(Box::new(LExpr::col("d"))));
+        let by_year = strategy_of(vec![name(), year], LogicalPlan::scan("o"), &cat);
+        assert_eq!(by_year, GroupStrategy::OnTheFly);
+        // By the day it is partitioned, a partition per core in one round.
+        let day = LNamed::new("d", LExpr::col("d"));
+        let by_day = strategy_of(vec![name(), day], LogicalPlan::scan("o"), &cat);
+        assert_eq!(by_day, GroupStrategy::Partitioned(vec![32]));
+    }
+
+    #[test]
+    fn computed_keys_are_bounded_by_their_column_or_the_rows() {
+        let cat = seven_years();
+        let doubled = || {
+            LNamed::new(
+                "k2",
+                LExpr::bin(ArithOp::Mul, LExpr::col("k"), LExpr::int(2)),
+            )
+        };
+        // An expression over one column takes no more values than the
+        // column: 3000 of them, partitioned, with a scheme that verifies
+        // (`compile` gates on it).
+        let over_k = strategy_of(vec![doubled()], LogicalPlan::scan("o"), &cat);
+        assert_eq!(over_k, GroupStrategy::Partitioned(vec![32]));
+        // Over the 11-value column it aggregates on the fly.
+        let v1 = LNamed::new(
+            "v1",
+            LExpr::bin(ArithOp::Add, LExpr::col("v"), LExpr::int(1)),
+        );
+        let over_v = strategy_of(vec![v1], LogicalPlan::scan("o"), &cat);
+        assert_eq!(over_v, GroupStrategy::OnTheFly);
+        // Two columns: no NDV bound, so as many groups as rows arrive —
+        // all 3000, or the 100 a filter lets through.
+        let sum = || {
+            LNamed::new(
+                "kv",
+                LExpr::bin(ArithOp::Add, LExpr::col("k"), LExpr::col("v")),
+            )
+        };
+        let all_rows = strategy_of(vec![sum()], LogicalPlan::scan("o"), &cat);
+        assert_eq!(all_rows, GroupStrategy::Partitioned(vec![32]));
+        let few = LogicalPlan::scan_where("o", LPred::cmp("k", CmpOp::Lt, Value::Int(100)));
+        assert_eq!(strategy_of(vec![sum()], few, &cat), GroupStrategy::OnTheFly);
     }
 
     #[test]

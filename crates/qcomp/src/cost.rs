@@ -332,9 +332,10 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             let per_row = cm.kernel_cycles(&costs::group_lookup_per_row())
                 + aggs.len() as f64 * cm.kernel_cycles(&costs::grouped_agg_per_row());
             let mut cycles = c.cost.rows * per_row / p.cores as f64;
-            if *strategy == GroupStrategy::Partitioned {
-                // Extra pass through the DMS to partition by keys.
-                cycles += 2.0 * c.cost.output_bytes() / cm.dms_bytes_per_cycle();
+            if let GroupStrategy::Partitioned(scheme) = strategy {
+                // A pass through the DMS per round to partition by keys.
+                cycles +=
+                    scheme.len() as f64 * 2.0 * c.cost.output_bytes() / cm.dms_bytes_per_cycle();
             }
             // Group count: product of key NDVs, capped by input rows.
             // Unknown keys contribute no factor (a lower bound); with no
@@ -551,7 +552,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::Inner,
-            scheme: None,
+            scheme: vec![32],
         };
         let jc = estimate(&join, &cat, &p);
         let sc = estimate(&scan(), &cat, &p);
@@ -606,7 +607,7 @@ mod tests {
             build_keys: vec![build_key],
             probe_keys: vec![probe_key],
             join_type,
-            scheme: None,
+            scheme: vec![32],
         }
     }
 
@@ -674,7 +675,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::Inner,
-            scheme: None,
+            scheme: vec![32],
         };
         let c = estimate(&j, &cat, &p);
         // Old behavior: probe rows.
@@ -692,7 +693,7 @@ mod tests {
                 func: rapid_qef::primitives::agg::AggFunc::Count,
                 col: 0,
             }],
-            strategy: GroupStrategy::Auto,
+            strategy: GroupStrategy::OnTheFly,
         };
         let c = estimate(&gb, &cat, &p);
         assert!((c.rows - 10.0).abs() < 1e-6, "groups = {}", c.rows);
@@ -715,7 +716,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::Inner,
-            scheme: None,
+            scheme: vec![32],
         };
         let est = estimate_rows_per_node(&plan, &cat, &p);
         // Pre-order: join(0), build scan(1), probe filter(2), its scan(3).
@@ -736,7 +737,7 @@ mod tests {
                 func: rapid_qef::primitives::agg::AggFunc::Count,
                 col: 0,
             }],
-            strategy: GroupStrategy::Auto,
+            strategy: GroupStrategy::OnTheFly,
         };
         let c = estimate(&gb, &cat, &p);
         assert!(c.rows < 10_000.0);

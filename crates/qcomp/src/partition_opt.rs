@@ -45,7 +45,9 @@ pub struct PartitionOptInput {
     /// Bytes per row across partitioned columns. What a round moves and
     /// buffers is the width the columns are encoded in
     /// (`PlanNode::output_widths`); [`required_partitions`] is asked at
-    /// the declared width, which is what a join kernel widens keys to.
+    /// the width the kernel consuming a partition holds a row in: the
+    /// declared one a join kernel widens keys to, 8-byte keys and a chain
+    /// entry for a group table.
     pub row_bytes: usize,
     /// DMEM bytes available per core.
     pub dmem_bytes: usize,

@@ -13,8 +13,6 @@
 //! amortizing per-tile overheads; when even a single-buffered minimum
 //! vector does not fit, the plan cannot execute within the scratchpad.
 
-use std::borrow::Cow;
-
 /// Minimum rows per vector worth double-buffering (§5.2's floor; below
 /// this, per-tile descriptor setup dominates the transfer).
 pub const MIN_VECTOR_ROWS: usize = 64;
@@ -126,8 +124,9 @@ pub fn working_set(
 /// bound `partition_opt::scheme_cost` prices as the spill penalty. Never
 /// below 2 (a round narrower than binary cannot make progress).
 /// `row_bytes` is the row as the buffers hold it: the sum of
-/// `PlanNode::output_widths` of the wider input, for compiler, engine and
-/// verifier alike.
+/// `PlanNode::output_widths` of the pass's input (the wider one of a join's
+/// two). The compiler factors a scheme under this cap, the verifier checks
+/// it (R-FANOUT-BUFFER) and the engine refuses a round over it.
 pub fn max_buffered_fanout(row_bytes: usize, dmem_bytes: usize) -> usize {
     let cap = (dmem_bytes / 2) / (16 * row_bytes.max(1));
     // Round down to a power of two, floor at 2.
@@ -139,38 +138,6 @@ pub fn max_buffered_fanout(row_bytes: usize, dmem_bytes: usize) -> usize {
         p /= 2;
     }
     p
-}
-
-/// Split any round of `rounds` that exceeds [`max_buffered_fanout`] for
-/// this row width into multiple buffer-respecting rounds, preserving the
-/// total partition count. The engine passes every scheme through it, its
-/// own fallback and the compiler's alike: a scheme that already respects
-/// the cap — every scheme compiled against the catalog it runs on — comes
-/// back borrowed, as it was.
-pub fn cap_rounds(rounds: &[usize], row_bytes: usize, dmem_bytes: usize) -> Cow<'_, [usize]> {
-    let cap = max_buffered_fanout(row_bytes, dmem_bytes);
-    if !rounds.is_empty()
-        && rounds
-            .iter()
-            .all(|&f| f <= cap && (f > 1 || rounds.len() == 1))
-    {
-        return Cow::Borrowed(rounds);
-    }
-    let mut out = Vec::with_capacity(rounds.len());
-    for &f in rounds {
-        let mut rest = f;
-        while rest > cap {
-            out.push(cap);
-            rest = rest.div_ceil(cap).next_power_of_two();
-        }
-        if rest > 1 {
-            out.push(rest);
-        }
-    }
-    if out.is_empty() {
-        out.push(1);
-    }
-    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -225,26 +192,5 @@ mod tests {
         assert_eq!(max_buffered_fanout(100, DMEM), 8);
         // Absurdly wide rows still allow binary rounds.
         assert_eq!(max_buffered_fanout(10_000, DMEM), 2);
-    }
-
-    #[test]
-    fn cap_rounds_preserves_total_partitions() {
-        let capped = cap_rounds(&[1024], 100, DMEM);
-        assert!(matches!(capped, Cow::Owned(_)));
-        assert!(capped.iter().all(|&f| f <= 8));
-        assert_eq!(capped.iter().product::<usize>(), 1024);
-        // Already-fine schemes pass through, untouched.
-        assert!(matches!(
-            cap_rounds(&[8, 4], 8, DMEM),
-            Cow::Borrowed([8, 4])
-        ));
-        assert!(matches!(cap_rounds(&[1], 8, DMEM), Cow::Borrowed([1])));
-        // A round of one makes no partitions and is dropped.
-        assert_eq!(cap_rounds(&[32, 1], 8, DMEM)[..], [32]);
-        assert_eq!(cap_rounds(&[], 8, DMEM)[..], [1]);
-        // The same scheme over rows four times as wide: 32 bytes buffer 32
-        // ways, 128 bytes only 8.
-        assert!(matches!(cap_rounds(&[32], 32, DMEM), Cow::Borrowed(_)));
-        assert_eq!(cap_rounds(&[32], 128, DMEM)[..], [8, 4]);
     }
 }

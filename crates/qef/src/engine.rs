@@ -36,14 +36,12 @@ use rapid_storage::table::Table;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::Batch;
-use crate::budget::MAX_ROUND_FANOUT;
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, ExecContext};
 use crate::expr::Pred;
 use crate::ops;
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
 use crate::trace::{PartitionRound, ScanAccess, StageEvent, TraceSink};
-use crate::util::next_pow2_at_least;
 
 /// Result rows plus decode metadata.
 #[derive(Debug, Clone)]
@@ -316,20 +314,13 @@ impl Run<'_> {
                 probe_keys,
                 join_type,
                 scheme,
-            } => self.exec_join(
-                build,
-                probe,
-                build_keys,
-                probe_keys,
-                *join_type,
-                scheme.as_deref(),
-            ),
+            } => self.exec_join(build, probe, build_keys, probe_keys, *join_type, scheme),
             PlanNode::GroupBy {
                 input,
                 keys,
                 aggs,
                 strategy,
-            } => self.exec_groupby(input, keys, aggs, *strategy),
+            } => self.exec_groupby(input, keys, aggs, strategy),
             PlanNode::TopK { input, order, k } => {
                 let batches = self.exec_node(input)?;
                 let in_rows = batch_rows(&batches);
@@ -498,6 +489,12 @@ impl Run<'_> {
     /// rounds of `scheme` on all cores
     /// ([`ops::partition::partition_pass`]): every round is a stage of its
     /// own, absorbed under `operator` with the rows it partitioned.
+    ///
+    /// The scheme is the plan's and runs as declared. A round wider than
+    /// the local buffers of these rows allow
+    /// ([`crate::budget::max_buffered_fanout`], at the widths this engine's
+    /// catalog stores) is refused: the plan was compiled when a table's
+    /// columns were narrower and is the caller's to recompile.
     fn partition_stages(
         &mut self,
         batches: Vec<Batch>,
@@ -516,6 +513,17 @@ impl Run<'_> {
                 .eq(widths.iter().copied())),
             "{operator}: batches are not {widths:?} bytes wide"
         );
+        let row_bytes: usize = widths.iter().sum();
+        let cap = crate::budget::max_buffered_fanout(row_bytes, self.ctx.dmem_bytes);
+        if let Some(round) = scheme.iter().position(|&fanout| fanout > cap) {
+            return Err(QefError::BadPlan(format!(
+                "{operator}: round {} of scheme {scheme:?} is {}-way, over the {cap}-way \
+                 local-buffer cap of {row_bytes}-byte rows in {} B of DMEM",
+                round + 1,
+                scheme[round],
+                self.ctx.dmem_bytes
+            )));
+        }
         let tile = self.partition_tile(widths)?;
         let rows = batch_rows(&batches);
         ops::partition::partition_pass(self.ctx, batches, keys, scheme, tile, |t, round| {
@@ -530,7 +538,7 @@ impl Run<'_> {
         build_keys: &[usize],
         probe_keys: &[usize],
         join_type: JoinType,
-        scheme: Option<&[usize]>,
+        scheme: &[usize],
     ) -> QefResult<Vec<Batch>> {
         if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
             return Err(QefError::BadPlan("join key arity mismatch".into()));
@@ -541,33 +549,6 @@ impl Run<'_> {
         let build_batches = self.exec_node(build)?;
         let probe_batches = self.exec_node(probe)?;
         let build_rows: usize = build_batches.iter().map(Batch::rows).sum();
-        let build_row_bytes: usize = build_widths.iter().sum();
-        let probe_row_bytes: usize = probe_widths.iter().sum();
-
-        // Partition scheme: from the compiler, or the engine default —
-        // enough partitions that each build side fits a DMEM join kernel,
-        // and at least one per core (§5.3's "required number of
-        // partitions"). Either way each round is capped by the wider
-        // side's local-buffer budget (heuristic b) as this engine's catalog
-        // stores the columns: nothing to do for a scheme compiled against
-        // this catalog, and never an over-committed buffer for one compiled
-        // when a table's columns were narrower.
-        let fallback;
-        let scheme: &[usize] = match scheme {
-            Some(s) if !s.is_empty() => {
-                ops::partition::check_scheme(s)?;
-                s
-            }
-            _ => {
-                fallback = default_scheme(build_rows, build_keys.len(), self.ctx);
-                &fallback
-            }
-        };
-        let scheme = crate::budget::cap_rounds(
-            scheme,
-            build_row_bytes.max(probe_row_bytes),
-            self.ctx.dmem_bytes,
-        );
         let partitions: usize = scheme.iter().product();
         let est_per_partition = (build_rows / partitions.max(1)).max(1);
 
@@ -577,14 +558,14 @@ impl Run<'_> {
             build_batches,
             &build_widths,
             build_keys,
-            &scheme,
+            scheme,
             "join.partition-build",
         )?;
         let pparts = self.partition_stages(
             probe_batches,
             &probe_widths,
             probe_keys,
-            &scheme,
+            scheme,
             "join.partition-probe",
         )?;
 
@@ -629,36 +610,11 @@ impl Run<'_> {
         input: &PlanNode,
         keys: &[usize],
         aggs: &[crate::plan::AggSpec],
-        strategy: GroupStrategy,
+        strategy: &GroupStrategy,
     ) -> QefResult<Vec<Batch>> {
         let batches = self.exec_node(input)?;
-        let limit =
-            ops::groupby::on_the_fly_group_limit(self.ctx.dmem_bytes, keys.len(), aggs.len());
-
-        let strategy = match strategy {
-            GroupStrategy::Auto => {
-                // Sample the first batch: if its observed group density
-                // suggests few distinct values, aggregate on the fly.
-                let sample_groups = batches
-                    .first()
-                    .map(|b| {
-                        let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 64);
-                        let mut core = crate::exec::CoreCtx::new(self.ctx, 0);
-                        let _ = t.consume(&mut core, b, keys);
-                        t.groups()
-                    })
-                    .unwrap_or(0);
-                if sample_groups < limit / 2 {
-                    GroupStrategy::OnTheFly
-                } else {
-                    GroupStrategy::Partitioned
-                }
-            }
-            s => s,
-        };
-
         let mut out = match strategy {
-            GroupStrategy::OnTheFly | GroupStrategy::Auto => {
+            GroupStrategy::OnTheFly => {
                 // Per-core local aggregation...
                 let (tables, t) = run_stage(self.ctx, batches, |core, b| {
                     let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
@@ -686,15 +642,11 @@ impl Run<'_> {
                 self.stage(&t2, "groupby.merge", batch_rows(&out), Detail::None);
                 out
             }
-            GroupStrategy::Partitioned => {
+            GroupStrategy::Partitioned(scheme) => {
                 // Partition by grouping keys so each partition's table fits.
-                let rows: usize = batches.iter().map(Batch::rows).sum();
                 let widths = input.output_widths(self.catalog)?;
-                let fallback = default_scheme(rows, keys.len(), self.ctx);
-                let scheme =
-                    crate::budget::cap_rounds(&fallback, widths.iter().sum(), self.ctx.dmem_bytes);
                 let parts =
-                    self.partition_stages(batches, &widths, keys, &scheme, "groupby.partition")?;
+                    self.partition_stages(batches, &widths, keys, scheme, "groupby.partition")?;
                 let (out, t2) = run_stage(
                     self.ctx,
                     parts.into_iter().filter(|p| !p.is_empty()).collect(),
@@ -845,35 +797,6 @@ fn pad_outer(probe: Batch, build_protos: &[rapid_storage::vector::ColumnData]) -
     out
 }
 
-/// The engine's fallback partition scheme (§5.3 heuristics): total
-/// partitions = max(build-side DMEM pressure, cores), factored into
-/// power-of-two rounds of at most [`MAX_ROUND_FANOUT`] ways. The count
-/// sizes what a join kernel holds — 8-byte widened keys and row ids —
-/// whatever width the columns are stored in; the caller then caps each
-/// round by the local buffers the stored widths leave room for
-/// ([`crate::budget::cap_rounds`]).
-pub fn default_scheme(build_rows: usize, nkeys: usize, ctx: &ExecContext) -> Vec<usize> {
-    // A DMEM join kernel comfortably handles this many build rows (keys +
-    // compact table in 32 KiB with room for I/O vectors).
-    let per_part = (ctx.dmem_bytes / 2) / (nkeys * 8 + 6).max(1);
-    let needed = next_pow2_at_least(build_rows.div_ceil(per_part.max(1)), ctx.cores);
-    // Factor into the fewest rounds, all of them software rounds on the
-    // dpCores.
-    let mut rounds = Vec::new();
-    let mut rest = needed;
-    while rest > MAX_ROUND_FANOUT {
-        rounds.push(MAX_ROUND_FANOUT);
-        rest = rest.div_ceil(MAX_ROUND_FANOUT).next_power_of_two();
-    }
-    if rest > 1 {
-        rounds.push(rest);
-    }
-    if rounds.is_empty() {
-        rounds.push(1);
-    }
-    rounds
-}
-
 fn empty_with_layout(meta: &[ColMeta]) -> Batch {
     use rapid_storage::types::DataType;
     use rapid_storage::vector::{ColumnData, Vector};
@@ -988,10 +911,10 @@ mod tests {
         let mut results = Vec::new();
         for strategy in [
             GroupStrategy::OnTheFly,
-            GroupStrategy::Partitioned,
-            GroupStrategy::Auto,
+            GroupStrategy::Partitioned(vec![32]),
+            GroupStrategy::Partitioned(vec![4, 2]),
         ] {
-            let (out, _) = e.execute(&mk(strategy)).unwrap();
+            let (out, _) = e.execute(&mk(strategy.clone())).unwrap();
             assert_eq!(out.batch.rows(), 7, "{strategy:?}");
             let mut rows: Vec<(i64, i64, i64)> = (0..7)
                 .map(|i| {
@@ -1035,7 +958,7 @@ mod tests {
                         col: 0,
                     },
                 ],
-                strategy: GroupStrategy::Auto,
+                strategy: GroupStrategy::OnTheFly,
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 1);
@@ -1056,7 +979,7 @@ mod tests {
                 func: AggFunc::Count,
                 col: 0,
             }],
-            strategy: GroupStrategy::Auto,
+            strategy: GroupStrategy::OnTheFly,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 0);
@@ -1083,7 +1006,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::Inner,
-            scheme: None,
+            scheme: vec![32],
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 500);
@@ -1123,7 +1046,7 @@ mod tests {
                 build_keys: vec![0],
                 probe_keys: vec![2],
                 join_type: JoinType::LeftOuter,
-                scheme: None,
+                scheme: vec![32],
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 5000, "outer join keeps every probe row");
@@ -1189,24 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn default_scheme_covers_cores_and_dmem() {
-        let ctx = ExecContext::dpu();
-        let s = default_scheme(10, 1, &ctx);
-        assert_eq!(
-            s.iter().product::<usize>(),
-            32,
-            "at least one partition per core"
-        );
-        let s = default_scheme(10_000_000, 1, &ctx);
-        let total: usize = s.iter().product();
-        assert!(
-            total * 1000 >= 10_000_000,
-            "scheme {s:?} leaves partitions too big"
-        );
-        assert!(s.iter().all(|&f| f <= MAX_ROUND_FANOUT));
-    }
-
-    #[test]
     fn executed_batches_are_as_wide_as_output_widths() {
         // What every partition budget is computed from must be what the
         // operators hand on: this fails if `GroupTable::emit`, a Map or a
@@ -1235,7 +1140,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type,
-            scheme: None,
+            scheme: vec![32],
         };
         let join = |join_type| join_below(700, join_type);
         let group = |strategy| PlanNode::GroupBy {
@@ -1270,7 +1175,7 @@ mod tests {
             join(JoinType::LeftSemi),
             join(JoinType::LeftAnti),
             group(GroupStrategy::OnTheFly),
-            group(GroupStrategy::Partitioned),
+            group(GroupStrategy::Partitioned(vec![32])),
             PlanNode::TopK {
                 input: Box::new(scan(None)),
                 order: order.clone(),
@@ -1332,9 +1237,9 @@ mod tests {
     }
 
     #[test]
-    fn a_scheme_compiled_against_narrower_columns_is_recapped() {
+    fn a_scheme_over_the_cap_of_this_catalog_is_a_bad_plan() {
         use crate::trace::MemorySink;
-        let self_join = |scheme: Option<Vec<usize>>| PlanNode::HashJoin {
+        let self_join = |scheme: Vec<usize>| PlanNode::HashJoin {
             build: Box::new(PlanNode::Scan {
                 table: "w".into(),
                 columns: (0..8).collect(),
@@ -1352,38 +1257,54 @@ mod tests {
         };
         let dmem = ExecContext::dpu().dmem_bytes;
         // One byte a column: 8-byte rows buffer 128 ways, and a 128-way
-        // round is what a compiler looking at this catalog may ask for.
-        let narrow = eight_columns(1, ExecContext::dpu());
-        let widths = self_join(None).output_widths(narrow.catalog()).unwrap();
+        // round is what a compiler looking at this catalog may ask for. It
+        // runs as it came.
+        let sink = MemorySink::new();
+        let narrow = eight_columns(1, ExecContext::dpu().with_trace(sink.clone()));
+        let widths = self_join(vec![128])
+            .output_widths(narrow.catalog())
+            .unwrap();
         assert_eq!(widths, [1; 8]);
         assert_eq!(crate::budget::max_buffered_fanout(8, dmem), 128);
+        narrow.execute(&self_join(vec![128])).unwrap();
+        let events = sink.take();
+        let rounds = events.iter().filter_map(|e| e.partition);
+        assert!(rounds.clone().all(|p| (p.rounds, p.fanout) == (1, 128)));
+        assert_eq!(rounds.count(), 2);
         // The same plan reaches an engine whose table has since grown
-        // values of eight bytes: 64-byte rows buffer 16 ways.
-        let stale = self_join(Some(vec![128]));
+        // values of eight bytes: 64-byte rows buffer 16 ways. The engine
+        // does not re-factor the scheme; the plan is the caller's to
+        // recompile.
         let sink = MemorySink::new();
         let wide = eight_columns(8, ExecContext::dpu().with_trace(sink.clone()));
-        let widths = stale.output_widths(wide.catalog()).unwrap();
-        assert_eq!(widths, [8; 8]);
-        let cap = crate::budget::max_buffered_fanout(64, dmem);
-        assert_eq!(cap, 16);
-        let (out, _) = wide.execute(&stale).unwrap();
+        let stale = self_join(vec![128]);
+        assert_eq!(stale.output_widths(wide.catalog()).unwrap(), [8; 8]);
+        assert_eq!(crate::budget::max_buffered_fanout(64, dmem), 16);
+        let Err(QefError::BadPlan(msg)) = wide.execute(&stale) else {
+            panic!("a 128-way round over 64-byte rows must be refused")
+        };
+        assert!(
+            msg.contains("round 1 of scheme [128] is 128-way, over the 16-way"),
+            "{msg}"
+        );
+        assert!(sink.take().iter().all(|e| e.partition.is_none()));
+        // Declared in two rounds that fit, the pass runs both, and the
+        // second pays to read back what the first wrote.
+        let (out, _) = wide.execute(&self_join(vec![8, 4])).unwrap();
         let rounds: Vec<_> = sink
             .take()
             .into_iter()
-            .filter_map(|e| e.partition.map(|p| (e.operator, p)))
+            .filter_map(|e| e.partition.map(|p| (e.operator, p, e.dms_bytes)))
             .collect();
-        assert_eq!(rounds.len(), 4, "two rounds a side: {rounds:?}");
-        for (operator, p) in &rounds {
-            assert_eq!(p.rounds, 2, "{operator}");
-            assert!(
-                (dmem / 2) / p.fanout as usize >= 16 * 64,
-                "{operator}: a local buffer of round {} holds under 16 rows",
-                p.round
-            );
+        let declared: Vec<_> = rounds
+            .iter()
+            .map(|(_, p, _)| (p.round, p.rounds, p.fanout))
+            .collect();
+        assert_eq!(declared, [(1, 2, 8), (2, 2, 4), (1, 2, 8), (2, 2, 4)]);
+        for side in rounds.chunks(2) {
+            assert!(side[1].2 > side[0].2, "{}: round two re-reads", side[0].0);
         }
-        let made: u32 = rounds[..2].iter().map(|(_, p)| p.fanout).product();
-        assert_eq!(made, 128, "the partition count is the scheme's");
-        // The rows are those of a scheme made for this catalog.
+        // The rows are those of one round over the same catalog.
         let rows = |batch: &Batch| {
             let mut rows: Vec<Vec<i64>> = (0..batch.rows())
                 .map(|i| batch.columns.iter().map(|c| c.data.get_i64(i)).collect())
@@ -1391,17 +1312,9 @@ mod tests {
             rows.sort_unstable();
             rows
         };
-        let (fresh, _) = wide.execute(&self_join(None)).unwrap();
+        let (one_round, _) = wide.execute(&self_join(vec![16])).unwrap();
         assert_eq!(out.batch.rows(), 6000);
-        assert_eq!(rows(&out.batch), rows(&fresh.batch));
-        // A scheme that already fits is run as it came.
-        let sink = MemorySink::new();
-        let narrow = eight_columns(1, ExecContext::dpu().with_trace(sink.clone()));
-        narrow.execute(&self_join(Some(vec![128]))).unwrap();
-        let events = sink.take();
-        let rounds = events.iter().filter_map(|e| e.partition);
-        assert!(rounds.clone().all(|p| (p.rounds, p.fanout) == (1, 128)));
-        assert_eq!(rounds.count(), 2);
+        assert_eq!(rows(&out.batch), rows(&one_round.batch));
     }
 
     #[test]
@@ -1423,7 +1336,7 @@ mod tests {
                 func: AggFunc::Sum,
                 col: 1,
             }],
-            strategy: GroupStrategy::Partitioned,
+            strategy: GroupStrategy::Partitioned(vec![32]),
         };
         let (_, report) = e.execute(&plan).unwrap();
         let events = sink.take();
@@ -1644,7 +1557,7 @@ mod plan_node_tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::Inner,
-            scheme: None,
+            scheme: vec![4],
         };
         let (out, report) = slow.execute(&join).unwrap();
         assert_eq!(out.batch.rows(), 50);

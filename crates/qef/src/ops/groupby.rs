@@ -1,6 +1,7 @@
 //! Group-by / aggregation (§5.4).
 //!
-//! Two strategies, chosen by NDV statistics:
+//! Two strategies, chosen by the compiler from the group count it can bound
+//! and declared in the plan ([`crate::plan::GroupStrategy`]):
 //!
 //! * **Partitioned** (high NDV): a partitioning phase distributes distinct
 //!   groups across cores so each core's group hash table fits in DMEM;

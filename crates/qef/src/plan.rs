@@ -36,13 +36,14 @@ pub enum JoinType {
     LeftOuter,
 }
 
-/// Group-by execution strategy (§5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Group-by execution strategy (§5.4), chosen by the compiler from the
+/// group count it can bound.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GroupStrategy {
-    /// Let the engine pick from the NDV estimate.
-    Auto,
-    /// High-NDV path: partition so each core's hash table fits in DMEM.
-    Partitioned,
+    /// High-NDV path: partition by the keys so each core's hash table fits
+    /// in DMEM. Carries the fan-out per round of that pass, chosen like a
+    /// join's `scheme`.
+    Partitioned(Vec<usize>),
     /// Low-NDV path: every core aggregates its stream on the fly; a merge
     /// operator combines the per-core tables.
     OnTheFly,
@@ -151,9 +152,10 @@ pub enum PlanNode {
         probe_keys: Vec<usize>,
         /// Join variant.
         join_type: JoinType,
-        /// Partition fan-out per round, chosen by the compiler's partition
-        /// scheme optimization; `None` lets the engine pick.
-        scheme: Option<Vec<usize>>,
+        /// Partition fan-out per round of both sides' passes, chosen by the
+        /// compiler's partition scheme optimization. The engine runs it as
+        /// declared; no rounds is one partition.
+        scheme: Vec<usize>,
     },
     /// Group-by + aggregation. Output: keys ++ aggregates.
     GroupBy {
@@ -522,7 +524,7 @@ mod tests {
                     col: 0,
                 },
             ],
-            strategy: GroupStrategy::Auto,
+            strategy: GroupStrategy::OnTheFly,
         };
         let meta = plan.output_meta(&catalog()).unwrap();
         assert_eq!(meta.len(), 3);
@@ -544,7 +546,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::Inner,
-            scheme: None,
+            scheme: vec![],
         };
         assert_eq!(inner.output_meta(&catalog()).unwrap().len(), 2);
         let semi = PlanNode::HashJoin {
@@ -553,7 +555,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::LeftSemi,
-            scheme: None,
+            scheme: vec![],
         };
         assert_eq!(semi.output_meta(&catalog()).unwrap().len(), 1);
         let outer = PlanNode::HashJoin {
@@ -562,7 +564,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::LeftOuter,
-            scheme: None,
+            scheme: vec![],
         };
         let meta = outer.output_meta(&catalog()).unwrap();
         assert!(meta[1].nullable);
@@ -691,7 +693,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type,
-            scheme: None,
+            scheme: vec![],
         };
         assert_eq!(widths(&join(JoinType::Inner)), [1, 2, 1, 4]);
         assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 2, 1, 4]);
@@ -714,7 +716,7 @@ mod tests {
                     col: 1,
                 },
             ],
-            strategy: GroupStrategy::Auto,
+            strategy: GroupStrategy::OnTheFly,
         };
         assert_eq!(widths(&group), [8, 8, 8], "keys are re-emitted widened");
         let window = PlanNode::Window {
@@ -754,7 +756,7 @@ mod tests {
             build_keys: vec![0],
             probe_keys: vec![0],
             join_type: JoinType::Inner,
-            scheme: None,
+            scheme: vec![],
         };
         let mut tables = Vec::new();
         plan.referenced_tables(&mut tables);

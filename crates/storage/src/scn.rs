@@ -136,11 +136,6 @@ impl Journal {
         self.units.iter().filter(move |u| u.scn > mark)
     }
 
-    /// Highest SCN present in the journal.
-    pub fn high_scn(&self) -> Scn {
-        self.units.last().map_or(Scn::ZERO, |u| u.scn)
-    }
-
     /// Record that everything up to `scn` has been shipped.
     pub fn mark_checkpointed(&mut self, scn: Scn) {
         self.checkpointed = self.checkpointed.max(scn);
@@ -374,7 +369,6 @@ mod tests {
         assert_eq!(j.pending().count(), 2);
         j.mark_checkpointed(Scn(1));
         assert_eq!(j.pending().count(), 1);
-        assert_eq!(j.high_scn(), Scn(2));
     }
 
     #[test]

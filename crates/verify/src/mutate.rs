@@ -95,7 +95,7 @@ pub fn base_plan() -> PlanNode {
         build_keys: vec![0],
         probe_keys: vec![0],
         join_type: JoinType::Inner,
-        scheme: Some(vec![32]),
+        scheme: vec![32],
     };
     // Join output: [fact.id Int, grp Varchar, price Dec(2), dim.id Int,
     // rate Dec(4)].
@@ -180,6 +180,11 @@ pub enum Mutation {
     OverFanout,
     /// Single 2-way round: fewer partitions than cores (warning).
     StarveCores,
+    /// Group-by partitioned in one 128-way round: past the local-buffer
+    /// limit of its 14-byte input rows, within that of the join's 8.
+    GroupByOverFanout,
+    /// Group-by partitioned in one 48-way round (not a power of two).
+    GroupByNonPow2Fanout,
     /// DMEM shrunk to 1 KiB under the same plan.
     InflatePastDmem,
     /// Tile configured below the 64-row minimum vector.
@@ -199,7 +204,8 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Every mutation class, one per rule.
+    /// Every mutation class: one per rule, and the two fan-out rules once
+    /// more over a partitioned group-by.
     pub fn all() -> Vec<Mutation> {
         use Mutation::*;
         vec![
@@ -213,6 +219,8 @@ impl Mutation {
             ExcessHashBits,
             OverFanout,
             StarveCores,
+            GroupByOverFanout,
+            GroupByNonPow2Fanout,
             InflatePastDmem,
             TileBelowMin,
             OnTheFlyOverLimit,
@@ -237,6 +245,8 @@ impl Mutation {
             Mutation::ExcessHashBits => Rule::HashBits,
             Mutation::OverFanout => Rule::FanoutBuffer,
             Mutation::StarveCores => Rule::SchemeCores,
+            Mutation::GroupByOverFanout => Rule::FanoutBuffer,
+            Mutation::GroupByNonPow2Fanout => Rule::FanoutPow2,
             Mutation::InflatePastDmem => Rule::DmemFit,
             Mutation::TileBelowMin => Rule::TileMin,
             Mutation::OnTheFlyOverLimit => Rule::GroupLimit,
@@ -292,6 +302,8 @@ impl Mutation {
             Mutation::ExcessHashBits => Mutated::Plan(set_scheme(vec![1024, 1024, 1024])),
             Mutation::OverFanout => Mutated::Plan(set_scheme(vec![256])),
             Mutation::StarveCores => Mutated::Plan(set_scheme(vec![2])),
+            Mutation::GroupByOverFanout => Mutated::Plan(partition_groupby(vec![128])),
+            Mutation::GroupByNonPow2Fanout => Mutated::Plan(partition_groupby(vec![48])),
             Mutation::InflatePastDmem => Mutated::Config(VerifyConfig {
                 dmem_bytes: 1024,
                 ..VerifyConfig::default()
@@ -353,10 +365,20 @@ fn demo_join(p: &mut PlanNode) -> &mut PlanNode {
     input.as_mut()
 }
 
-fn set_scheme(s: Vec<usize>) -> PlanNode {
+/// The demo plan with `s` as its join's scheme.
+pub fn set_scheme(s: Vec<usize>) -> PlanNode {
     plan_mut(|p| {
         if let PlanNode::HashJoin { scheme, .. } = demo_join(p) {
-            *scheme = Some(s);
+            *scheme = s;
+        }
+    })
+}
+
+/// The demo plan with its group-by partitioned through `scheme` first.
+pub fn partition_groupby(scheme: Vec<usize>) -> PlanNode {
+    plan_mut(|p| {
+        if let PlanNode::GroupBy { strategy, .. } = p {
+            *strategy = GroupStrategy::Partitioned(scheme);
         }
     })
 }
@@ -389,14 +411,19 @@ mod tests {
     #[test]
     fn every_rule_has_a_mutation() {
         use std::collections::HashSet;
-        let covered: HashSet<&str> = Mutation::all()
-            .into_iter()
-            .map(|m| m.expected_rule().id())
-            .collect();
-        assert_eq!(
-            covered.len(),
-            Mutation::all().len(),
-            "one rule per mutation"
-        );
+        // The group-by's two are the join's rules over another node.
+        let (of_groupby, of_rule): (Vec<Mutation>, Vec<Mutation>) =
+            Mutation::all().into_iter().partition(|m| {
+                matches!(
+                    m,
+                    Mutation::GroupByOverFanout | Mutation::GroupByNonPow2Fanout
+                )
+            });
+        let covered: HashSet<&str> = of_rule.iter().map(|m| m.expected_rule().id()).collect();
+        assert_eq!(covered.len(), of_rule.len(), "one rule per mutation");
+        assert_eq!(of_groupby.len(), 2);
+        assert!(of_groupby
+            .iter()
+            .all(|m| covered.contains(m.expected_rule().id())));
     }
 }

@@ -181,7 +181,7 @@ impl StageGraph {
 }
 
 /// Configuration-level accounting checks (A-TILE-MIN).
-pub fn check_config(cfg: &VerifyConfig, report: &mut VerifyReport) {
+fn check_config(cfg: &VerifyConfig, report: &mut VerifyReport) {
     if cfg.tile_rows < MIN_VECTOR_ROWS {
         report.diagnostics.push(Diagnostic::new(
             Rule::TileMin,
@@ -644,11 +644,7 @@ impl Walker<'_> {
                 let mut pw = probe.output_widths(self.catalog).map_err(|_| ())?;
                 let brow: usize = bw.iter().sum();
                 let prow: usize = pw.iter().sum();
-                let mut fanouts = Vec::new();
-                if let Some(s) = scheme {
-                    fanouts = s.clone();
-                    self.check_scheme(id, &path, s, brow.max(prow));
-                }
+                self.check_scheme(id, &path, scheme, brow.max(prow));
                 bw.push(4); // hash lane driving the partition map
                 self.stage(
                     id,
@@ -656,7 +652,7 @@ impl Walker<'_> {
                     "join.partition-build",
                     BASE_STATE_BYTES,
                     bw,
-                    fanouts.clone(),
+                    scheme.clone(),
                 );
                 pw.push(4);
                 self.stage(
@@ -665,7 +661,7 @@ impl Walker<'_> {
                     "join.partition-probe",
                     BASE_STATE_BYTES,
                     pw,
-                    fanouts,
+                    scheme.clone(),
                 );
                 // Pair stage: the DMEM-resident hash table takes half the
                 // scratchpad; key streams plus the matched row-id pairs.
@@ -766,8 +762,11 @@ impl Walker<'_> {
                     widths,
                     Vec::new(),
                 );
-                if *strategy == GroupStrategy::Partitioned {
+                if let GroupStrategy::Partitioned(scheme) = strategy {
+                    // The pass over the group-by's input is a join side's:
+                    // the same rules over its declared scheme.
                     let mut pw = input.output_widths(self.catalog).map_err(|_| ())?;
+                    self.check_scheme(id, &path, scheme, pw.iter().sum());
                     pw.push(4);
                     self.stage(
                         id,
@@ -775,7 +774,7 @@ impl Walker<'_> {
                         "groupby.partition",
                         BASE_STATE_BYTES,
                         pw,
-                        Vec::new(),
+                        scheme.clone(),
                     );
                 }
                 let mut meta = Vec::with_capacity(keys.len() + aggs.len());

@@ -172,7 +172,7 @@ fn over_fanout_is_killed_at_the_encoded_row_width() {
             panic!("demo plan shape changed")
         };
         assert_eq!(probe.output_widths(&cat).unwrap(), [2, 4, 2]);
-        *scheme = Some(vec![fanout]);
+        *scheme = vec![fanout];
         plan
     };
     let buffer_findings = |plan: &PlanNode| -> Vec<String> {
@@ -194,4 +194,48 @@ fn over_fanout_is_killed_at_the_encoded_row_width() {
         findings[0].contains("256 exceeds the 128-way local-buffer limit for 8-byte rows"),
         "{findings:?}"
     );
+}
+
+#[test]
+fn a_partitioned_group_by_is_checked_like_a_join_pass() {
+    // The group-by's input is the Map's output: id as stored (2 bytes), the
+    // 4-byte grp code and the 8-byte product, 14 bytes a row where the
+    // join's sides are 8. Its pass buffers 64 ways, not 128, and the stage
+    // table carries the fan-outs it declares.
+    use rapid_qef::plan::PlanNode;
+    use rapid_verify::diag::Rule;
+    use rapid_verify::mutate::partition_groupby;
+    let cat = demo_catalog();
+    let report_of = |plan: &PlanNode| verify(plan, &cat, &VerifyConfig::default());
+    for fits in [vec![32], vec![64], vec![8, 4]] {
+        let report = report_of(&partition_groupby(fits.clone()));
+        assert!(report.diagnostics.is_empty(), "{fits:?}: {report:?}");
+        let declared: Vec<_> = report
+            .stages
+            .iter()
+            .filter(|s| s.stage == "groupby.partition")
+            .map(|s| (s.fanouts.clone(), s.stream_bytes_per_row))
+            .collect();
+        assert_eq!(declared, [(fits, 14 + 4)]);
+    }
+    let Mutated::Plan(over) = Mutation::GroupByOverFanout.apply() else {
+        panic!("GroupByOverFanout mutates the plan")
+    };
+    assert_eq!(over, partition_groupby(vec![128]));
+    let report = report_of(&over);
+    let findings: Vec<_> = report.errors().map(|d| (d.rule, &d.message)).collect();
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].0, Rule::FanoutBuffer);
+    assert!(
+        findings[0]
+            .1
+            .contains("128 exceeds the 64-way local-buffer limit for 14-byte rows"),
+        "{findings:?}"
+    );
+    let Mutated::Plan(odd) = Mutation::GroupByNonPow2Fanout.apply() else {
+        panic!("GroupByNonPow2Fanout mutates the plan")
+    };
+    let report = report_of(&odd);
+    let rules: Vec<_> = report.errors().map(|d| d.rule).collect();
+    assert_eq!(rules, [Rule::FanoutPow2]);
 }

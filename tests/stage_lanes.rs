@@ -5,6 +5,8 @@
 //! count changes the clock only — the rows, the bytes the DMS moves and the
 //! instructions retired are those of one core streaming the input alone.
 //!
+//! A pass runs the rounds its plan node declares, joins and group-bys alike.
+//!
 //! And a pass is budgeted from the widths its columns are encoded in: every
 //! pass of the eleven statements is a single round, a lane holds in DMEM
 //! exactly the working set the verifier derives for its stage, and against
@@ -18,6 +20,7 @@ use hostdb::HostDb;
 use rapid::qcomp::cost::CostParams;
 use rapid::qef::engine::{Engine, QueryReport};
 use rapid::qef::exec::ExecContext;
+use rapid::qef::plan::{GroupStrategy, PlanNode};
 use rapid::qef::trace::{MemorySink, StageEvent};
 use rapid_fuzz::canonical;
 
@@ -46,6 +49,100 @@ fn is_partition_stage(e: &StageEvent) -> bool {
         e.operator.as_str(),
         "join.partition-build" | "join.partition-probe" | "groupby.partition"
     )
+}
+
+/// The scheme `node` declares for its partition passes, if it has any.
+fn declared_scheme(node: &PlanNode) -> Option<&[usize]> {
+    match node {
+        PlanNode::HashJoin { scheme, .. } => Some(scheme),
+        PlanNode::GroupBy {
+            strategy: GroupStrategy::Partitioned(scheme),
+            ..
+        } => Some(scheme),
+        _ => None,
+    }
+}
+
+/// Nodes of `plan` in the pre-order the tracer numbers them in.
+fn pre_order<'a>(plan: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
+    out.push(plan);
+    plan.inputs().for_each(|child| pre_order(child, out));
+}
+
+#[test]
+fn partition_stages_run_the_rounds_their_plan_node_declares() {
+    // The plan says what runs: every partition stage of the eleven
+    // statements is a round of the scheme its join or group-by node
+    // carries — nothing between compiler and lanes chooses a fan-out.
+    for sf in [0.01, 0.02] {
+        let data = tpch::generate(&tpch::TpchConfig::sf(sf));
+        let db = HostDb::new(ExecContext::dpu());
+        for t in data.tables() {
+            db.import_table(t).expect("load");
+        }
+        let catalog = db.rapid().read().catalog().clone();
+        let sink = MemorySink::new();
+        let mut engine = Engine::new(ExecContext::dpu().with_trace(sink.clone()));
+        for t in catalog.values() {
+            engine.load_table(Arc::clone(t));
+        }
+        let mut group_by_schemes = Vec::new();
+        for (name, plan) in tpch::queries::all() {
+            let compiled = rapid::qcomp::compile(&plan, &catalog, &CostParams::default())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut nodes = Vec::new();
+            pre_order(&compiled.plan, &mut nodes);
+            engine.execute(&compiled.plan).expect("execute");
+            let events = sink.take();
+            for (id, node) in nodes.iter().enumerate() {
+                let ran: Vec<(u32, u32, u32)> = events
+                    .iter()
+                    .filter(|e| e.node_id as usize == id && is_partition_stage(e))
+                    .map(|e| {
+                        let p = e.partition.expect("a partition stage says its round");
+                        (p.round, p.rounds, p.fanout)
+                    })
+                    .collect();
+                let Some(scheme) = declared_scheme(node) else {
+                    assert_eq!(ran, [], "{name} node {id} declares no pass");
+                    continue;
+                };
+                // A pass of more than a tile is a stage a round; an input of
+                // one tile or less runs the whole scheme as one item.
+                let by_round: Vec<_> = (1..)
+                    .zip(scheme)
+                    .map(|(round, &fanout)| (round, scheme.len() as u32, fanout as u32))
+                    .collect();
+                let at_once = [(1, 1, scheme.iter().product::<usize>() as u32)];
+                let passes = if matches!(node, PlanNode::HashJoin { .. }) {
+                    2
+                } else {
+                    1
+                };
+                assert_eq!(ran.len() % passes, 0, "{name} node {id}: {ran:?}");
+                for pass in ran.chunks(ran.len() / passes) {
+                    assert!(
+                        pass == by_round || pass == at_once,
+                        "{name} sf {sf} node {id} declares {scheme:?} and ran {pass:?}"
+                    );
+                }
+                if matches!(node, PlanNode::GroupBy { .. }) {
+                    group_by_schemes.push((name, scheme.to_vec()));
+                }
+            }
+        }
+        let inner = if sf < 0.02 { 64 } else { 128 };
+        assert_eq!(
+            group_by_schemes,
+            [
+                ("Q3", vec![32]),
+                ("Q10", vec![32]),
+                ("Q18", vec![32]),
+                ("Q18", vec![inner])
+            ],
+            "sf {sf}"
+        );
+    }
 }
 
 #[test]
@@ -151,39 +248,29 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             );
         }
 
-        // One core: the same rows, and in every round of a join's passes
-        // the same tiles, bytes, descriptors and instructions on one lane
-        // where there were many. (A partitioned group-by takes the engine's
-        // fallback scheme, which asks for a partition per core: on one core
-        // it is another scheme, so only queries without one move the same
-        // bytes in total. And a scan picks its access path by stage time,
+        // One core: the same rows, and in every round of every pass — the
+        // scheme is the plan's, for a group-by as for a join — the same
+        // tiles, bytes, descriptors and instructions on one lane where
+        // there were many. (A scan picks its access path by stage time,
         // which one lane and thirty do not share: the total is of what the
         // other stages move.)
         let (rows_one_core, report_one_core) = run(&one_core);
         let events_one_core = one_core_sink.take();
         assert_eq!(rows_one_core, rows, "{name}: 1 core vs {CORES}");
-        let join_rounds = |events: &[StageEvent]| -> Vec<(u64, u64, u64, u64)> {
-            let rounds = events
-                .iter()
-                .filter(|e| e.operator.starts_with("join.partition"));
+        let rounds = |events: &[StageEvent]| -> Vec<(u64, u64, u64, u64)> {
+            let rounds = events.iter().filter(|e| is_partition_stage(e));
             rounds
                 .map(|e| (e.tiles, e.instructions, e.dms_bytes, e.dms_descriptors))
                 .collect()
         };
-        assert_eq!(
-            join_rounds(&events_one_core),
-            join_rounds(&events),
-            "{name}"
-        );
-        if !events.iter().any(|e| e.operator == "groupby.partition") {
-            let moved = |events: &[StageEvent]| {
-                let past_scans = events.iter().filter(|e| e.scan.is_none());
-                past_scans.fold((0, 0), |(bytes, descriptors), e| {
-                    (bytes + e.dms_bytes, descriptors + e.dms_descriptors)
-                })
-            };
-            assert_eq!(moved(&events_one_core), moved(&events), "{name}");
-        }
+        assert_eq!(rounds(&events_one_core), rounds(&events), "{name}");
+        let moved = |events: &[StageEvent]| {
+            let past_scans = events.iter().filter(|e| e.scan.is_none());
+            past_scans.fold((0, 0), |(bytes, descriptors), e| {
+                (bytes + e.dms_bytes, descriptors + e.dms_descriptors)
+            })
+        };
+        assert_eq!(moved(&events_one_core), moved(&events), "{name}");
         assert!(events_one_core.iter().all(|e| e.parallelism == 1));
         assert!(
             report_one_core.sim_cycles >= report.sim_cycles,
