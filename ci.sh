@@ -19,6 +19,14 @@ if git grep -n "env::var" -- 'crates/*/src/*'; then
     exit 1
 fi
 
+echo "== task formation is on the request path =="
+# §5.2's task formation decides which operators the engine runs as one stage;
+# a refactor that stops calling it leaves a model nothing runs behind.
+if ! git grep -q "task_formation::" -- 'crates/*/src/*' ':!crates/qcomp/src/task_formation.rs'; then
+    echo "qcomp::task_formation has no caller under crates/*/src outside its own file"
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -41,12 +49,14 @@ echo "== concurrent fuzz soak (1000 queries, work stealing, every schedule repla
 FUZZ_QUERIES=1000 cargo test -q --release --test concurrent_fuzz
 
 echo "== static plan verification (TPC-H sf 0.01 and 0.02 + fuzz corpus) + mutation harness =="
-# Fan-out caps and partition schemes are budgeted from the widths a table's
-# columns are stored in, and those depend on the data: sf 0.01 is what the
-# gate collects at, sf 0.02 what the benchmark loads (o_orderkey outgrows
-# its two bytes between 0.02 and 0.05). The sweep also fails on a partition
-# stage that declares no fan-out: the plan says what runs, so a pass whose
-# rounds something after the compiler chose does not get through here.
+# Fan-out caps, partition schemes and task vector sizes are budgeted from the
+# widths a table's columns are stored in, and those depend on the data: sf
+# 0.01 is what the gate collects at, sf 0.02 what the benchmark loads
+# (o_orderkey outgrows its two bytes between 0.02 and 0.05). The sweep also
+# fails on a partition stage that declares no fan-out: the plan says what
+# runs, so a pass whose rounds something after the compiler chose does not
+# get through here. `--full` lists one row per task: its operators, its one
+# vector size and the working set they hold together.
 cargo run -q --release -p rapid-report -- verify --sf 0.01
 cargo run -q --release -p rapid-report -- verify --sf 0.02
 cargo test -q --release -p rapid-verify
@@ -59,8 +69,9 @@ cargo run -q --release -p rapid-report -- schedcheck --sf 0.01 --mutations
 
 echo "== hardware-model examples (dpu_hardware, task_formation) =="
 # Outside unit tests these two are the only executions of the DMS hardware
-# partitioner, the ATE crossbar and qcomp::task_formation: compiled by the
-# clippy step above, they must also run to the end.
+# partitioner, the ATE crossbar and task formation's exhaustive search
+# (`optimize_tasks`; the compiler weighs the two formations the engine can
+# run): compiled by the clippy step above, they must also run to the end.
 cargo run -q --release --example dpu_hardware > /dev/null
 cargo run -q --release --example task_formation > /dev/null
 
@@ -76,7 +87,8 @@ cargo test -q --release -p rapid-report -p rapid-fuzz
 # bytes/descriptors, join-order counters — no wall time); fails on a series
 # more than 10% above its baseline (a regression) or below it (a stale
 # baseline that would hide one). To accept an intentional change: re-run
-# with --bless and commit the new baseline.
+# with --bless and commit the new baseline and BENCH_history.json, which the
+# bless appends the entry to.
 cargo run -q --release -p rapid-report -- gate BENCH_baseline.json
 
 echo "== rapid_bench suite (five workloads at --quick size, results checked) =="

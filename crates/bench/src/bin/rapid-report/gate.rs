@@ -7,7 +7,8 @@
 //! # committed baseline.
 //! cargo run --release -p rapid-report -- gate BENCH_baseline.json
 //!
-//! # Intentional baseline update: re-collect and overwrite the baseline.
+//! # Intentional baseline update: re-collect, overwrite the baseline and
+//! # append the entry to BENCH_history.json beside it.
 //! cargo run --release -p rapid-report -- gate BENCH_baseline.json --bless
 //! ```
 
@@ -33,6 +34,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
     if bless {
         eprintln!("collecting exact series at sf {sf} ...");
         let data = report::collect(sf);
+        let replaced = report::load(&baseline_path).ok();
         if let Err(e) = report::save(&baseline_path, &data) {
             eprintln!("cannot write {}: {e}", baseline_path.display());
             return Ok(ExitCode::from(2));
@@ -42,6 +44,15 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
             baseline_path.display(),
             data.benches.len()
         );
+        // The trajectory: the baseline is one point, the history all of them.
+        let history_path = baseline_path.with_file_name("BENCH_history.json");
+        match report::append_history(&history_path, replaced, &data) {
+            Ok(entries) => println!("appended to {} ({entries} entries)", history_path.display()),
+            Err(e) => {
+                eprintln!("cannot append to {}: {e}", history_path.display());
+                return Ok(ExitCode::from(2));
+            }
+        }
         return Ok(ExitCode::SUCCESS);
     }
 

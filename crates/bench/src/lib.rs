@@ -143,7 +143,7 @@ pub fn filter_microbench(rows: usize) -> Vec<Point> {
     while done < rows {
         let n = tile.min(rows - done);
         let col = Vector::new(ColumnData::I32((0..n as i32).collect()));
-        cmp_const_bv(&mut core, &col, CmpOp::Gt, 100);
+        cmp_const_bv(&mut core, &col, 0..col.len(), CmpOp::Gt, 100);
         core.charge_tile();
         done += n;
     }
@@ -517,6 +517,7 @@ pub fn attribution(timings: &[QueryTimings]) -> Vec<Point> {
 /// Ablation: RID-list vs bit-vector filter representation across
 /// selectivities — the 1/32 rule's crossover.
 pub fn ablation_rid_vs_bitvector(rows: usize) -> Vec<Point> {
+    use rapid_qef::batch::Span;
     use rapid_qef::expr::Pred;
     use rapid_qef::ops::filter::ScanPlan;
     use rapid_qef::primitives::filter::CmpOp;
@@ -543,7 +544,7 @@ pub fn ablation_rid_vs_bitvector(rows: usize) -> Vec<Point> {
             // so report engine-occupancy cycles — on a memory-bound query
             // that is the elapsed time.
             ScanPlan::forced(AccessPath::Gather, &pred, &[0], forced)
-                .scan_chunk(&mut core, &chunk, 4096)
+                .scan_rows(&mut core, Span::Chunk(&chunk, 0..rows), 4096)
                 .expect("scan");
             let cy = core.account.dms_cycles().get();
             out.push(Point::new(

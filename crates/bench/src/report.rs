@@ -7,6 +7,11 @@
 //! (ms epoch), `tool: "cargo"`, and a flat `benches` array of
 //! `{name, value, range, unit}`.
 //!
+//! A bless also appends the entry to `BENCH_history.json`, the
+//! `{"entries": {"Rust Benchmark": [...]}}` file those projects keep: the
+//! baseline is the one point the gate compares with, the history every
+//! point a PR has blessed, oldest first.
+//!
 //! Every series here is **exact**: it comes from the simulated DPU (cycle
 //! accounts, energy at provisioned power, DMS byte/descriptor counters)
 //! or from the join-order search's deterministic counters, so two runs on
@@ -246,6 +251,49 @@ pub fn save(path: &Path, data: &BenchmarkData) -> io::Result<()> {
 pub fn load(path: &Path) -> io::Result<BenchmarkData> {
     let text = std::fs::read_to_string(path)?;
     serde_json::from_str(&text).map_err(io::Error::other)
+}
+
+/// The history file's one series, named as github-action-benchmark names a
+/// Rust benchmark's.
+const HISTORY_SERIES: &str = "Rust Benchmark";
+
+/// `BENCH_history.json`: every blessed entry, oldest first.
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+pub struct History {
+    /// Entries by series name; this repository has [`HISTORY_SERIES`].
+    pub entries: std::collections::BTreeMap<String, Vec<BenchmarkData>>,
+}
+
+/// Append `blessed` to the history at `path`. A history that does not exist
+/// yet starts with `replaced`, the baseline the bless overwrote: the point
+/// before the first one recorded is not lost.
+pub fn append_history(
+    path: &Path,
+    replaced: Option<BenchmarkData>,
+    blessed: &BenchmarkData,
+) -> io::Result<usize> {
+    let mut history = match std::fs::read_to_string(path) {
+        Ok(text) => serde_json::from_str(&text).map_err(io::Error::other)?,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let mut history = History::default();
+            history
+                .entries
+                .insert(HISTORY_SERIES.to_string(), replaced.into_iter().collect());
+            history
+        }
+        Err(e) => return Err(e),
+    };
+    let entries = history
+        .entries
+        .entry(HISTORY_SERIES.to_string())
+        .or_default();
+    entries.push(blessed.clone());
+    let len = entries.len();
+    let compact = serde_json::to_string(&history).map_err(io::Error::other)?;
+    let mut text = pretty(&compact);
+    text.push('\n');
+    std::fs::write(path, text)?;
+    Ok(len)
 }
 
 /// Outcome of one gate comparison.

@@ -100,6 +100,39 @@ fn gate_blesses_passes_and_fails_by_name() {
     assert!(out.status.success(), "{}", stderr(&out));
     let blessed = load(&path).unwrap();
     assert_eq!(blessed.benches.len(), 66);
+    // A bless is also a point of the trajectory: it lands in the history
+    // beside the baseline — after the baseline it replaced, where the
+    // history starts here — and the next one after it.
+    let history_path = dir.join("BENCH_history.json");
+    let history = || -> Vec<Vec<f64>> {
+        let text = std::fs::read_to_string(&history_path).unwrap();
+        let history: rapid_report::report::History = serde_json::from_str(&text).unwrap();
+        assert_eq!(history.entries.len(), 1, "one series");
+        let entries = &history.entries["Rust Benchmark"];
+        let values = |e: &rapid_report::report::BenchmarkData| {
+            assert_eq!(e.benches.len(), 66);
+            e.benches.iter().map(|b| b.value).collect()
+        };
+        entries.iter().map(values).collect()
+    };
+    let first: Vec<f64> = blessed.benches.iter().map(|b| b.value).collect();
+    assert_eq!(
+        history(),
+        std::slice::from_ref(&first),
+        "nothing was replaced"
+    );
+    let mut older = blessed.clone();
+    older.benches[2].value *= 2.0;
+    save(&path, &older).unwrap();
+    std::fs::remove_file(&history_path).unwrap();
+    let out = run(&["gate", file, "--sf", "0.002", "--bless"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("BENCH_history.json (2 entries)"));
+    let replaced: Vec<f64> = older.benches.iter().map(|b| b.value).collect();
+    assert_eq!(history(), [replaced.clone(), first.clone()]);
+    let out = run(&["gate", file, "--sf", "0.002", "--bless"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(history(), [replaced, first.clone(), first]);
 
     let out = run(&["gate", file, "--sf", "0.002"]);
     assert!(out.status.success(), "{}", stdout(&out));

@@ -98,6 +98,14 @@ impl Dmem {
         self.budget.peak.load(Ordering::Relaxed)
     }
 
+    /// Forget the high-water mark: the scratchpad of the next simulated
+    /// core. Nothing may be reserved (what is would be released into the
+    /// next core's budget).
+    pub fn reset(&self) {
+        debug_assert_eq!(self.used(), 0, "a reservation outlives its core");
+        self.budget.peak.store(0, Ordering::Relaxed);
+    }
+
     /// Reserve space for `len` elements of `T`, zero-initialised.
     ///
     /// Fails with [`DmemError`] when the reservation exceeds the remaining
@@ -276,6 +284,17 @@ mod tests {
         assert_eq!(dmem.peak(), 80);
         let _c = dmem.reserve_raw(16).unwrap();
         assert_eq!(dmem.peak(), 80);
+    }
+
+    #[test]
+    fn reset_forgets_the_peak() {
+        let dmem = Dmem::with_capacity(128);
+        drop(dmem.reserve_raw(48).unwrap());
+        assert_eq!(dmem.peak(), 48);
+        dmem.reset();
+        assert_eq!((dmem.used(), dmem.peak()), (0, 0));
+        let _r = dmem.reserve_raw(16).unwrap();
+        assert_eq!(dmem.peak(), 16);
     }
 
     #[test]

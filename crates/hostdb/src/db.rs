@@ -923,22 +923,25 @@ impl Drop for HostDb {
 ///
 /// Tree lines are ordered by `(node_id, stage_id)` — node ids are assigned
 /// pre-order over the plan, so a parent prints above its children, indented
-/// by depth; a node's stages keep their emission order. The TOTAL footer
-/// sums `sim_secs` in stage-emission order, which reproduces the engine's
-/// `QueryReport::sim_secs` bit-for-bit (same f64 values, same addition
-/// order — see `rapid_qef::trace`).
+/// by depth; a node's stages keep their emission order. A stage is a task:
+/// its line is its topmost operator's, with the stage's lanes, cycles and
+/// bytes, and the operators that ran in its lanes beneath it follow, one
+/// line each down to the scan, with the rows each handed on. The TOTAL
+/// footer sums `sim_secs` in stage-emission order, which reproduces the
+/// engine's `QueryReport::sim_secs` bit-for-bit (same f64 values, same
+/// addition order — see `rapid_qef::trace`).
 ///
 /// `estimates` carries the compiler's estimated output rows per node
 /// (indexed by the same pre-order node id, from
-/// `rapid_qcomp::estimate_rows_per_node`); each node's final stage line
-/// then shows `est=` and the Q-error `q = max(est/actual, actual/est)`,
-/// making mis-estimates visible next to the operator that suffered them.
+/// `rapid_qcomp::estimate_rows_per_node`); each operator's last line then
+/// shows `est=` and the Q-error `q = max(est/actual, actual/est)`, making
+/// mis-estimates visible next to the operator that suffered them.
 ///
 /// `scans` (from [`scan_columns`], same id space) puts `cols k/n` on every
 /// scan line: the columns the compiled scan moves, of its table's. Beside it
 /// the line names what ran: the access path (`stream` or `gather`) and the
-/// trips through the DMS each chunk took. A partition line says after its
-/// lanes which round of its pass it is and the round's fan-out.
+/// trips through the DMS each run of rows took. A partition line says after
+/// its lanes which round of its pass it is and the round's fan-out.
 fn render_explain(
     events: &[StageEvent],
     result: &QueryResult,
@@ -959,49 +962,55 @@ fn render_explain(
         let st = last_stage.entry(e.node_id).or_insert(e.stage_id);
         *st = (*st).max(e.stage_id);
     }
+    let estimated = |s: &mut String, node_id: u32, rows: u64| {
+        if let Some(est) = estimates.get(node_id as usize) {
+            let actual = (rows as f64).max(1.0);
+            let estimated = est.max(1.0);
+            let q = (estimated / actual).max(actual / estimated);
+            let _ = write!(s, " est={:.0} q={:.2}", est, q);
+        }
+    };
     let mut tree: Vec<&StageEvent> = events.iter().collect();
     tree.sort_by_key(|e| (e.node_id, e.stage_id));
     for e in &tree {
-        let _ = write!(
-            s,
-            "{:indent$}{}",
-            "",
-            e.operator,
-            indent = e.depth as usize * 2
-        );
-        if let Some(Some((moved, of))) = scans.get(e.node_id as usize) {
-            let _ = write!(s, " cols {moved}/{of}");
-        }
-        if let Some(scan) = e.scan {
-            let _ = write!(s, " {} passes={}", scan.path, scan.passes);
-        }
-        let _ = write!(s, "  lanes={}", e.parallelism);
-        if let Some(p) = e.partition {
-            let _ = write!(s, " round {}/{} fanout {}", p.round, p.rounds, p.fanout);
-        }
-        let _ = write!(
-            s,
-            " rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
-             bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
-            e.rows,
-            e.sim_secs,
-            e.compute_cycles,
-            e.dms_cycles,
-            e.instructions,
-            e.dms_bytes,
-            e.dmem_peak_bytes,
-            e.energy_joules,
-            e.wall_secs,
-        );
-        if last_stage.get(&e.node_id) == Some(&e.stage_id) {
-            if let Some(est) = estimates.get(e.node_id as usize) {
-                let actual = (e.rows as f64).max(1.0);
-                let estimated = est.max(1.0);
-                let q = (estimated / actual).max(actual / estimated);
-                let _ = write!(s, " est={:.0} q={:.2}", est, q);
+        for (i, (node_id, depth, operator, rows)) in e.operators().enumerate() {
+            let _ = write!(s, "{:indent$}{operator}", "", indent = depth as usize * 2);
+            if let Some(Some((moved, of))) = scans.get(node_id as usize) {
+                let _ = write!(s, " cols {moved}/{of}");
+                if let Some(scan) = e.scan {
+                    let _ = write!(s, " {} passes={}", scan.path, scan.passes);
+                }
             }
+            if i > 0 {
+                // An operator of the task above: the rows it handed on.
+                let _ = write!(s, "  rows={rows}");
+                estimated(&mut s, node_id, rows);
+                let _ = writeln!(s);
+                continue;
+            }
+            let _ = write!(s, "  lanes={}", e.parallelism);
+            if let Some(p) = e.partition {
+                let _ = write!(s, " round {}/{} fanout {}", p.round, p.rounds, p.fanout);
+            }
+            let _ = write!(
+                s,
+                " rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
+                 bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
+                e.rows,
+                e.sim_secs,
+                e.compute_cycles,
+                e.dms_cycles,
+                e.instructions,
+                e.dms_bytes,
+                e.dmem_peak_bytes,
+                e.energy_joules,
+                e.wall_secs,
+            );
+            if last_stage.get(&e.node_id) == Some(&e.stage_id) {
+                estimated(&mut s, e.node_id, e.rows);
+            }
+            let _ = writeln!(s);
         }
-        let _ = writeln!(s);
     }
     let mut emission: Vec<&StageEvent> = events.iter().collect();
     emission.sort_by_key(|e| e.stage_id);
@@ -1365,25 +1374,29 @@ mod tests {
         let total: f64 = a.events.iter().map(|e| e.sim_secs).sum();
         assert_eq!(total.to_bits(), a.result.rapid_secs.to_bits());
         assert!(a.text.contains("TOTAL simulated"));
-        // The scan line says what moved — `id` did not — and how: three
-        // chunks of an unfiltered table stream. The event's operator string
-        // stays the bare stage name; the access path is a field of its own.
+        // The scan, the map over it and `groupby.consume` are one task: one
+        // stage, one event, one line with the operators beneath it. The scan
+        // line says what moved — `id` did not — and how: an unfiltered table
+        // streams. Operator strings stay bare stage names; the access path
+        // is a field of the event.
+        let task = "  groupby.consume  lanes=4 rows=16 ";
+        let beneath = "\n    map  rows=10000 est=10000 q=1.00\n      \
+                       scan(sales) cols 2/3 stream passes=1  rows=10000 est=10000 q=1.00\n";
         assert!(
-            a.text
-                .contains("scan(sales) cols 2/3 stream passes=1  lanes="),
-            "tree names the scan, its columns and its access path:\n{}",
+            a.text.contains(task) && a.text.contains(beneath),
+            "tree names the task, and beneath it the scan, its columns and its access path:\n{}",
             a.text
         );
-        let scan = a.events.iter().find(|e| e.operator == "scan(sales)");
+        let scans: Vec<_> = a.events.iter().filter(|e| e.scan.is_some()).collect();
+        assert_eq!(scans.len(), 1, "{}", a.text);
+        assert_eq!(scans[0].operator, "groupby.consume");
         assert_eq!(
-            scan.and_then(|e| e.scan)
-                .map(|s| (s.path.to_string(), s.passes)),
+            scans[0].scan.map(|s| (s.path.to_string(), s.passes)),
             Some(("stream".into(), 1))
         );
-        assert!(a
-            .events
-            .iter()
-            .all(|e| e.scan.is_none() || e.operator.starts_with("scan(")));
+        let ops: Vec<&str> = scans[0].operators().map(|op| op.2).collect();
+        assert_eq!(ops, ["groupby.consume", "map", "scan(sales)"]);
+        assert!(a.events.iter().all(|e| e.operator != "scan(sales)"));
     }
 
     #[test]
@@ -1398,8 +1411,13 @@ mod tests {
         // Every operator's final stage line carries the estimator's view.
         assert!(a.text.contains(" est="), "no estimates:\n{}", a.text);
         assert!(a.text.contains(" q="), "no Q-error column:\n{}", a.text);
-        // Each traced node gets exactly one est/q annotation.
-        let nodes: std::collections::HashSet<u32> = a.events.iter().map(|e| e.node_id).collect();
+        // Each traced node gets exactly one est/q annotation — the operators
+        // beneath a task's own among them.
+        let nodes: std::collections::HashSet<u32> = a
+            .events
+            .iter()
+            .flat_map(|e| e.operators().map(|op| op.0))
+            .collect();
         let annotations = a.text.matches(" q=").count();
         assert_eq!(annotations, nodes.len(), "{}", a.text);
     }
@@ -1425,9 +1443,17 @@ mod tests {
         let text = d
             .explain_verify("SELECT region, COUNT(*) AS n FROM sales GROUP BY region")
             .unwrap();
-        let scan = text.lines().find(|l| l.contains("scan(sales)"));
-        assert!(scan.is_some_and(|l| l.ends_with("  cols 1/3")), "{text}");
-        assert!(text.contains("groupby.consume"), "{text}");
+        // One row per task, with its operators, its one vector size and the
+        // working set they hold together.
+        let task: Vec<&str> = text
+            .lines()
+            .find(|l| l.contains("groupby.consume"))
+            .unwrap_or_else(|| panic!("no task in:\n{text}"))
+            .split("  cols 1/3  ")
+            .collect();
+        assert_eq!(task[1], "[scan(sales) -> map -> groupby.consume]", "{text}");
+        let columns: Vec<&str> = task[0].split_whitespace().collect();
+        assert_eq!(columns[1..4], ["groupby.consume", "256", "22656"], "{text}");
         assert!(text.contains("PASS"), "{text}");
         // And through the SQL surface, as a QUERY PLAN result.
         let r = d
@@ -1474,9 +1500,11 @@ mod tests {
 
     #[test]
     fn explain_verify_says_what_a_partition_lane_holds_in_dmem() {
-        // 10,000 distinct ids: the group-by partitions. `id` is stored in 2
-        // bytes and `amount` in 4, so a row streams 6 bytes and the hash
-        // lane 4 — not the 20 of two declared 8-byte columns.
+        // 10,000 distinct ids: the group-by partitions, round one in the
+        // lanes of the scan's task. `id` is stored in 2 bytes and `amount` in
+        // 4, so a row streams 6 bytes and the hash lane 4 — not the 20 of two
+        // declared 8-byte columns — beside the state of the task's three
+        // operators.
         let d = db();
         d.load_into_rapid("sales").unwrap();
         let sql = "SELECT id, SUM(amount) AS t FROM sales GROUP BY id";
@@ -1488,7 +1516,12 @@ mod tests {
             .collect();
         assert_eq!(rounds.len(), 1, "{}", a.text);
         let round = rounds[0];
-        assert_eq!(round.dmem_peak_bytes, 64 + 2 * (6 + 4) * 256, "{}", a.text);
+        assert_eq!(
+            round.dmem_peak_bytes,
+            3 * 64 + 2 * (6 + 4) * 256,
+            "{}",
+            a.text
+        );
         // The line says which round of how many it is, after its lanes.
         let p = round.partition.expect("a partition stage says its round");
         assert_eq!((p.round, p.rounds), (1, 1));
@@ -1512,7 +1545,11 @@ mod tests {
             .split_whitespace()
             .collect();
         let ws = round.dmem_peak_bytes.to_string();
-        assert_eq!(stage[1..6], ["groupby.partition", "256", &ws, "64", "10"]);
+        assert_eq!(stage[1..6], ["groupby.partition", "256", &ws, "192", "10"]);
+        assert_eq!(
+            stage[stage.len() - 5..].join(" "),
+            "[scan(sales) -> map -> groupby.partition]"
+        );
     }
 
     #[test]

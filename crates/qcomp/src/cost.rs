@@ -327,6 +327,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             keys,
             aggs,
             strategy,
+            ..
         } => {
             let c = estimate_node(input, catalog, p);
             let per_row = cm.kernel_cycles(&costs::group_lookup_per_row())
@@ -553,6 +554,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            fused_build: false,
+            fused_probe: false,
         };
         let jc = estimate(&join, &cat, &p);
         let sc = estimate(&scan(), &cat, &p);
@@ -608,6 +611,8 @@ mod tests {
             probe_keys: vec![probe_key],
             join_type,
             scheme: vec![32],
+            fused_build: false,
+            fused_probe: false,
         }
     }
 
@@ -676,6 +681,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            fused_build: false,
+            fused_probe: false,
         };
         let c = estimate(&j, &cat, &p);
         // Old behavior: probe rows.
@@ -694,6 +701,7 @@ mod tests {
                 col: 0,
             }],
             strategy: GroupStrategy::OnTheFly,
+            fused: false,
         };
         let c = estimate(&gb, &cat, &p);
         assert!((c.rows - 10.0).abs() < 1e-6, "groups = {}", c.rows);
@@ -717,6 +725,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            fused_build: false,
+            fused_probe: false,
         };
         let est = estimate_rows_per_node(&plan, &cat, &p);
         // Pre-order: join(0), build scan(1), probe filter(2), its scan(3).
@@ -738,6 +748,7 @@ mod tests {
                 col: 0,
             }],
             strategy: GroupStrategy::OnTheFly,
+            fused: false,
         };
         let c = estimate(&gb, &cat, &p);
         assert!(c.rows < 10_000.0);

@@ -4,17 +4,25 @@
 //! preemption: operators inside a task pipeline tiles to each other
 //! through DMEM, and only results at task boundaries are materialized to
 //! DRAM. Fewer boundaries mean less DRAM traffic, but every operator in a
-//! task needs its input/output vectors (double-buffered) plus its state in
-//! the same 32 KiB — so packing more operators shrinks everyone's vectors
-//! and raises per-tile overhead.
+//! task needs its vectors (double-buffered) plus its state in the same
+//! 32 KiB — what the first operator reads and what each writes for the
+//! next, the vector between two of them counted once — so packing more
+//! operators shrinks everyone's vectors and raises per-tile overhead. The
+//! arithmetic is `rapid_qef::budget`'s, the engine's and the verifier's.
 //!
-//! The optimizer enumerates the contiguous groupings of the operator
+//! [`optimize_tasks`] enumerates the contiguous groupings of an operator
 //! chain (the candidate set the paper describes, including the
 //! one-operator-per-task-with-big-vectors extreme), sizes each task's
 //! vectors from the leftover DMEM, costs the formation (materialization
-//! traffic + per-tile overhead), and keeps the cheapest.
+//! traffic + per-tile overhead), and keeps the cheapest. The compiler
+//! (`compiler::form_tasks`) weighs with [`vector_rows_for`] and
+//! [`formation_cost`] the two formations the engine can run of a scan-fed
+//! chain and the first stage of the operator that consumes it — one task, or
+//! the chain's task and the stage on its own — and marks the plan's edge
+//! where one task fits and is no dearer.
 
 use dpu_sim::isa::CostModel;
+use rapid_qef::budget::{task_tile, Declares};
 
 /// Shape of one pipeline operator for DMEM budgeting.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +39,18 @@ pub struct OpShape {
     pub state_bytes: usize,
     /// Selectivity: output rows / input rows.
     pub selectivity: f64,
+}
+
+impl Declares for OpShape {
+    fn state_bytes(&self) -> usize {
+        self.state_bytes
+    }
+    fn in_widths(&self) -> impl Iterator<Item = usize> + Clone {
+        std::iter::once(self.in_bytes_per_row)
+    }
+    fn out_widths(&self) -> impl Iterator<Item = usize> + Clone {
+        std::iter::once(self.out_bytes_per_row)
+    }
 }
 
 impl OpShape {
@@ -71,37 +91,23 @@ pub struct Formation {
 }
 
 /// Minimum tile size (§4.1: tiles are 64+ rows).
-pub const MIN_VECTOR_ROWS: usize = 64;
+pub use rapid_qef::budget::MIN_VECTOR_ROWS;
 
-/// Bytes-per-row footprint of a task: every operator's input and output
-/// vectors, double-buffered.
-fn task_bytes_per_row(ops: &[OpShape]) -> usize {
-    ops.iter()
-        .map(|o| 2 * (o.in_bytes_per_row + o.out_bytes_per_row))
-        .sum()
-}
-
-fn task_state_bytes(ops: &[OpShape]) -> usize {
-    ops.iter().map(|o| o.state_bytes).sum()
-}
-
-/// The largest vector size a task supports in `dmem_bytes`, or `None` if
-/// even 64-row vectors do not fit (the paper's halting condition).
-pub fn vector_rows_for(ops: &[OpShape], dmem_bytes: usize) -> Option<usize> {
-    let state = task_state_bytes(ops);
-    let per_row = task_bytes_per_row(ops).max(1);
-    let avail = dmem_bytes.checked_sub(state)?;
-    let rows = avail / per_row;
-    if rows < MIN_VECTOR_ROWS {
-        None
-    } else {
-        Some(rows)
-    }
+/// The vector size a task of `ops` runs at in `dmem_bytes`: the largest
+/// that fits, double-buffered or else single-buffered, and no more than
+/// `tile_rows`, the configured vector (`usize::MAX` for whatever fits) —
+/// `rapid_qef::budget::task_tile` of what the operators declare, what the
+/// engine runs the task at. `None` if even 64-row vectors do not fit (the
+/// paper's halting condition).
+pub fn vector_rows_for(ops: &[OpShape], dmem_bytes: usize, tile_rows: usize) -> Option<usize> {
+    task_tile(tile_rows, ops, dmem_bytes).map(|(tile, _)| tile)
 }
 
 /// Cost of a formation over `input_rows`: task-boundary materialization
 /// (DMS write + re-read of the intermediate) plus per-tile control
-/// overhead inside each task.
+/// overhead inside each task — every operator takes a trip round its
+/// control loop per vector of the rows it is handed, at the vector size of
+/// the task it runs in (what the engine charges a task's lanes).
 pub fn formation_cost(cm: &CostModel, ops: &[OpShape], tasks: &[Task], input_rows: u64) -> f64 {
     // Rows entering each operator.
     let mut rows_in = Vec::with_capacity(ops.len());
@@ -114,10 +120,11 @@ pub fn formation_cost(cm: &CostModel, ops: &[OpShape], tasks: &[Task], input_row
 
     let mut cost = 0.0;
     for (ti, task) in tasks.iter().enumerate() {
-        // Per-tile control overhead for every operator in the task.
-        let task_ops = task.ops.end - task.ops.start;
-        let tiles = rows_in[task.ops.start] / task.vector_rows as f64;
-        cost += tiles * task_ops as f64 * cm.per_tile_overhead_cycles;
+        let tiles: f64 = rows_in[task.ops.clone()]
+            .iter()
+            .map(|rows| rows / task.vector_rows as f64)
+            .sum();
+        cost += tiles * cm.per_tile_overhead_cycles;
         // Boundary materialization: the task's final output goes to DRAM
         // and is re-read by the next task (skip after the last task —
         // final results always materialize and are charged to the query
@@ -158,7 +165,7 @@ pub fn optimize_tasks(
             if !boundary {
                 continue;
             }
-            match vector_rows_for(&ops[start..end], dmem_bytes) {
+            match vector_rows_for(&ops[start..end], dmem_bytes, usize::MAX) {
                 Some(rows) => tasks.push(Task {
                     ops: start..end,
                     vector_rows: rows,
@@ -214,8 +221,10 @@ mod tests {
         let ops = vec![OpShape::new("filter", 4, 1, 0, 0.5)];
         let f = optimize_tasks(&cm(), &ops, 32 * 1024, 1_000_000).unwrap();
         assert_eq!(f.tasks.len(), 1);
-        // 32 KiB / (2*(4+1)) = ~3276 rows.
+        // 32 KiB / (2*(4+1)) = ~3276 rows, and no more than the configured
+        // vector where there is one.
         assert!(f.tasks[0].vector_rows > 3000);
+        assert_eq!(vector_rows_for(&ops, 32 * 1024, 256), Some(256));
     }
 
     #[test]
@@ -234,12 +243,12 @@ mod tests {
         let best = optimize_tasks(&c, &ops, 32 * 1024, 1_000_000).unwrap();
         let fused = vec![Task {
             ops: 0..4,
-            vector_rows: vector_rows_for(&ops, 32 * 1024).unwrap(),
+            vector_rows: vector_rows_for(&ops, 32 * 1024, usize::MAX).unwrap(),
         }];
         let split: Vec<Task> = (0..4)
             .map(|i| Task {
                 ops: i..i + 1,
-                vector_rows: vector_rows_for(&ops[i..=i], 32 * 1024).unwrap(),
+                vector_rows: vector_rows_for(&ops[i..=i], 32 * 1024, usize::MAX).unwrap(),
             })
             .collect();
         assert!(best.cost_cycles <= formation_cost(&c, &ops, &fused, 1_000_000) + 1e-6);
@@ -269,10 +278,15 @@ mod tests {
 
     #[test]
     fn tight_dmem_forces_split() {
-        // Shrink DMEM so the 4-op chain cannot fit at 64-row vectors.
+        // Shrink DMEM so the 4-op chain cannot fit at 64-row vectors, even
+        // single-buffered.
         let ops = figure4_chain();
-        let needed =
-            super::task_bytes_per_row(&ops) * MIN_VECTOR_ROWS + super::task_state_bytes(&ops);
+        let needed = rapid_qef::budget::task_streams(&ops).sum::<usize>() * MIN_VECTOR_ROWS
+            + rapid_qef::budget::task_state(&ops);
+        assert_eq!(
+            vector_rows_for(&ops, needed, usize::MAX),
+            Some(MIN_VECTOR_ROWS)
+        );
         let f = optimize_tasks(&cm(), &ops, needed - 1, 1_000_000).unwrap();
         assert!(f.tasks.len() >= 2, "must split under tight DMEM");
         // Every task must individually fit.

@@ -5,16 +5,22 @@
 //! explicitly communicate and share data via asynchronous message passing."
 //! (§5.1)
 //!
-//! A pipeline stage is a set of independent work items (chunks, partitions,
-//! partition pairs) processed by `cores` actors. Work is assigned
+//! A pipeline stage is a **task**: a set of independent work items — the
+//! lanes of a scan and of the operators that run in its task, each a
+//! tile-aligned range of the table's rows; the lanes of a partition round;
+//! partitions; partition pairs — processed by `cores` actors. An item runs
+//! every operator of its task under the one `CoreCtx` it is handed, so a
+//! task's compute adds up per lane and its transfers per stage, and the
+//! stage rule below is applied once to all of it. Work is assigned
 //! statically round-robin — the QEF scheduling is "explicitly driven (by
 //! the query compiler) in an asynchronous and non-preemptive manner", and
 //! static assignment keeps simulated timing deterministic.
 //!
 //! * On the **Dpu backend** the actors are simulated cores: they run
-//!   one after another in host time, each accruing its own simulated
-//!   cycle account; the stage's simulated elapsed time is the stage
-//!   rule, [`dpu_sim::account::StageSpan`], folded over those accounts.
+//!   one after another in host time (one handle stands for each in turn),
+//!   each accruing its own simulated cycle account; the stage's simulated
+//!   elapsed time is the stage rule, [`dpu_sim::account::StageSpan`],
+//!   folded over those accounts: max(busiest lane's compute, Σ DMS).
 //! * On the **Native backend** the actors are OS threads and the stage
 //!   time is the wall clock.
 
@@ -96,17 +102,18 @@ where
     // per-item accounts back into a per-core account is exact (all cycle
     // streams compose additively), so the stage rule below is unchanged.
     let capture = ctx.router.is_some();
-    let mut item_costs: Vec<Option<CycleAccount>> = if capture {
-        (0..n).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
+    let mut item_costs = vec![CycleAccount::new(); if capture { n } else { 0 }];
 
     // One simulated core at a time; its account covers all its items:
-    // `core_id`, `core_id + cores`, ... in that order.
+    // `core_id`, `core_id + cores`, ... in that order. The cores run one
+    // after another, so one handle stands for each in turn, its account and
+    // scratchpad emptied in between.
     let mut items: Vec<Option<W>> = items.into_iter().map(Some).collect();
+    let mut core = CoreCtx::new(ctx, 0);
     for core_id in 0..cores.min(n) {
-        let mut core = CoreCtx::new(ctx, core_id);
+        core.core_id = core_id;
+        core.account.reset();
+        core.dmem.reset();
         let mut stage_acc = CycleAccount::new();
         for i in (core_id..n).step_by(cores) {
             let w = items[i].take().expect("each item is visited once");
@@ -114,7 +121,7 @@ where
                 core.account.reset();
                 results[i] = Some(f(&mut core, w)?);
                 stage_acc.absorb(&core.account);
-                item_costs[i] = Some(std::mem::take(&mut core.account));
+                item_costs[i] = std::mem::take(&mut core.account);
             } else {
                 results[i] = Some(f(&mut core, w)?);
             }
@@ -132,10 +139,7 @@ where
             let profile = StageProfile {
                 query_id: ctx.query_id,
                 parallelism: timing.parallelism,
-                items: item_costs
-                    .into_iter()
-                    .map(|c| c.expect("captured"))
-                    .collect(),
+                items: item_costs,
                 dmem_peak: timing.dmem_peak,
             };
             router

@@ -1,17 +1,18 @@
 //! Shared DMEM working-set arithmetic (§5.2 task formation).
 //!
-//! Both the engine (per-stage tile clamping) and the static verifier
-//! (`rapid-verify`) size vectors from this one module, so the static
-//! verdict and the runtime behavior cannot drift apart: a stage the
-//! verifier reports as fitting at tile `t` is exactly the stage the
+//! The compiler (task formation), the engine (per-task tile clamping) and
+//! the static verifier (`rapid-verify`) size vectors from this one module,
+//! so the static verdict and the runtime behavior cannot drift apart: a
+//! task the verifier reports as fitting at tile `t` is exactly the task the
 //! engine will run at tile `t`.
 //!
-//! The model follows the paper's task-formation rule: a stage holds its
-//! operator state plus one double-buffered DMEM buffer per column stream
-//! (input and output buffers counted once per distinct stream, double
-//! buffering doubles each). Vectors below [`MIN_VECTOR_ROWS`] rows stop
-//! amortizing per-tile overheads; when even a single-buffered minimum
-//! vector does not fit, the plan cannot execute within the scratchpad.
+//! The model follows the paper's task-formation rule: a task holds the
+//! state of every operator in it plus one double-buffered DMEM buffer per
+//! column stream — the streams its first operator reads and the ones each
+//! operator writes for the next, a vector between two operators of a task
+//! counted once ([`task_streams`]). Vectors below [`MIN_VECTOR_ROWS`] rows
+//! stop amortizing per-tile overheads; when even a single-buffered minimum
+//! vector does not fit, the task cannot execute within the scratchpad.
 
 /// Minimum rows per vector worth double-buffering (§5.2's floor; below
 /// this, per-tile descriptor setup dominates the transfer).
@@ -39,6 +40,100 @@ pub const SKEW_RESERVED_BITS: u32 = 4;
 /// partition map is computed from.
 pub fn partition_stream_bytes(row_bytes: usize) -> usize {
     row_bytes + 4
+}
+
+/// The stage label an operator runs under on its own: `scan(lineitem)`,
+/// `map`, `groupby.consume`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpName<'a> {
+    /// The operator's stage, e.g. `scan`, `join.partition-probe`.
+    pub stage: &'static str,
+    /// The table, for a scan.
+    pub table: Option<&'a str>,
+}
+
+impl OpName<'static> {
+    /// The label of a stage that names no table.
+    pub fn of(stage: &'static str) -> Self {
+        OpName { stage, table: None }
+    }
+}
+
+impl std::fmt::Display for OpName<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.table {
+            Some(table) => write!(f, "{}({table})", self.stage),
+            None => f.write_str(self.stage),
+        }
+    }
+}
+
+/// What one operator declares against the DMEM of the task it runs in
+/// ("each RAPID operator declares its internal state and data structure
+/// sizes at implementation", §5.2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpDecl<'a> {
+    /// The stage label the operator runs under on its own.
+    pub name: OpName<'a>,
+    /// Fixed state: cursors, hash tables, heaps.
+    pub state_bytes: usize,
+    /// Bytes per row of each column stream it reads: from DRAM where it
+    /// opens a task, else the vectors the operator below it wrote.
+    pub in_widths: Vec<usize>,
+    /// Bytes per row of each column stream it writes in DMEM.
+    pub out_widths: Vec<usize>,
+}
+
+/// What a task is sized from: the state an operator declares and the column
+/// streams it reads and writes. [`OpDecl`] is the engine's and the
+/// verifier's; the compiler's task formation sizes its own operator shapes
+/// through the same three functions below.
+pub trait Declares {
+    /// Fixed state, in bytes.
+    fn state_bytes(&self) -> usize;
+    /// Bytes per row of each column stream the operator reads.
+    fn in_widths(&self) -> impl Iterator<Item = usize> + Clone;
+    /// Bytes per row of each column stream it writes in DMEM.
+    fn out_widths(&self) -> impl Iterator<Item = usize> + Clone;
+}
+
+impl Declares for OpDecl<'_> {
+    fn state_bytes(&self) -> usize {
+        self.state_bytes
+    }
+    fn in_widths(&self) -> impl Iterator<Item = usize> + Clone {
+        self.in_widths.iter().copied()
+    }
+    fn out_widths(&self) -> impl Iterator<Item = usize> + Clone {
+        self.out_widths.iter().copied()
+    }
+}
+
+/// State bytes of a task of `ops`.
+pub fn task_state<D: Declares>(ops: &[D]) -> usize {
+    ops.iter().map(Declares::state_bytes).sum()
+}
+
+/// The column streams a task of `ops` (bottom first) holds a vector of:
+/// what its first operator reads and what every operator writes. The
+/// vector an operator hands the next one is that operator's input.
+pub fn task_streams<D: Declares>(ops: &[D]) -> impl Iterator<Item = usize> + Clone + '_ {
+    let read = ops.first().into_iter().flat_map(Declares::in_widths);
+    read.chain(ops.iter().flat_map(Declares::out_widths))
+}
+
+/// The tile a task of `ops` runs at — [`effective_tile`] of its state and
+/// streams — and the DMEM each of its lanes holds at that tile
+/// ([`working_set`]). `None` is the halting condition: the operators do not
+/// fit one scratchpad at a minimum vector, and the task has to be cut.
+pub fn task_tile<D: Declares>(
+    cfg_tile: usize,
+    ops: &[D],
+    dmem_bytes: usize,
+) -> Option<(usize, usize)> {
+    let (state, streams) = (task_state(ops), task_streams(ops).sum());
+    let tile = effective_tile(cfg_tile, state, streams, dmem_bytes)?;
+    Some((tile, working_set(state, streams, tile, dmem_bytes)))
 }
 
 /// How a stage's vectors fit into DMEM.
@@ -182,6 +277,52 @@ mod tests {
     #[test]
     fn zero_stream_stage_accepts_any_tile() {
         assert_eq!(effective_tile(256, 1024, 0, DMEM), Some(256));
+    }
+
+    #[test]
+    fn a_task_counts_the_vector_between_two_operators_once() {
+        let op = |stage, state_bytes, in_widths: &[usize], out_widths: &[usize]| OpDecl {
+            name: OpName::of(stage),
+            state_bytes,
+            in_widths: in_widths.to_vec(),
+            out_widths: out_widths.to_vec(),
+        };
+        let scan = op("scan", BASE_STATE_BYTES, &[4, 2, 1], &[]);
+        let map = op("map", BASE_STATE_BYTES, &[4, 2], &[8]);
+        let consume = op("groupby.consume", DMEM / 2, &[4, 8], &[]);
+        // Alone, each is the stage it always was: state plus what it reads
+        // and writes, double-buffered at the configured tile.
+        assert_eq!(
+            task_tile(256, std::slice::from_ref(&scan), DMEM),
+            Some((256, 64 + 2 * 7 * 256))
+        );
+        assert_eq!(
+            task_tile(256, std::slice::from_ref(&map), DMEM),
+            Some((256, 64 + 2 * 14 * 256))
+        );
+        // Together they hold every state, the scan's streams and what the
+        // map writes: the map reads, and the group-by consumes, vectors
+        // that are already there.
+        let task = [scan, map, consume];
+        assert_eq!(task_state(&task), 64 + 64 + DMEM / 2);
+        assert_eq!(task_streams(&task).collect::<Vec<_>>(), [4, 2, 1, 8]);
+        assert_eq!(
+            task_tile(256, &task, DMEM),
+            Some((256, 128 + DMEM / 2 + 2 * 15 * 256))
+        );
+        // Wider, the vector shrinks to what the shared scratchpad leaves...
+        let wide = [
+            task[0].clone(),
+            op("map", 64, &[4], &[8; 4]),
+            task[2].clone(),
+        ];
+        let free = DMEM - 128 - DMEM / 2;
+        assert_eq!(
+            task_tile(256, &wide, DMEM).map(|t| t.0),
+            Some(free / (2 * 39))
+        );
+        // ...and with no room for 64 rows the task has to be cut.
+        assert_eq!(task_tile(256, &wide, DMEM / 2 + 128 + 39 * 64 - 1), None);
     }
 
     #[test]

@@ -1,47 +1,64 @@
 //! The execution engine: interprets a QEP across the dpCores.
 //!
-//! The engine walks the plan DAG bottom-up, materializing intermediate
-//! collections at task boundaries exactly as the paper describes
-//! ("operators within a task pipeline results to each other via DMEM and
-//! only results at task boundaries are materialized to DRAM"):
+//! The engine walks the plan DAG bottom-up and runs it **task by task**,
+//! exactly as the paper describes ("operators within a task pipeline results
+//! to each other via DMEM and only results at task boundaries are
+//! materialized to DRAM"). A task is one stage of the actor runner:
 //!
-//! * a **scan task** reads each chunk by the cheaper of the relation
-//!   accessor's two patterns, chosen once per scan
-//!   ([`ops::filter::ScanPlan`]): every touched column streamed once with
-//!   the conjuncts evaluated and the survivors compacted in DMEM, or the
-//!   selective pipeline of §5.4 — the first pass of conjuncts reads its
-//!   columns in place, each later pass gathers only its own at the
-//!   still-qualifying rows, and the projected columns are gathered last,
-//!   at the final row set (late materialization),
-//! * a **join** partitions both sides (in software on the dpCores; every
-//!   round of a pass a stage of tile-aligned lanes on all cores, its
-//!   fan-out and tile budgeted from the widths the columns arrive in,
-//!   [`PlanNode::output_widths`]), then runs per-partition-pair
-//!   build/probe kernels, with large-skew re-partitioning,
-//! * a **group-by** picks the on-the-fly or partitioned strategy and adds
-//!   the merge operator on the low-NDV path,
-//! * pipeline stages are parallelized across cores by the actor runner.
+//! * a task opens with a **scan**. Its items are `min(cores, tiles)` lanes,
+//!   each a contiguous, tile-aligned range of the table's rows — not
+//!   chunks: a one-chunk table of sixteen tiles scans on sixteen cores. A
+//!   lane reads its rows by the cheaper of the relation accessor's two
+//!   patterns, chosen once per scan ([`ops::filter::ScanPlan`]), takes them
+//!   through the `Filter`s and `Map`s over the scan, and — where the plan
+//!   marks the edge ([`PlanNode::fused`], the compiler's task formation) —
+//!   through the first stage of the operator that consumes them: round one
+//!   of a join side's or a group-by's partition pass, `groupby.consume`,
+//!   `topk.consume`, `sort.local`. All of it runs under the lane's one
+//!   `CoreCtx`, holding at once the DMEM every operator of the task declares
+//!   at the task's one vector size ([`crate::budget::task_tile`]), every
+//!   operator's control loop charged per tile, and the stage rule
+//!   ([`dpu_sim::account::StageSpan`]) applied once: the task costs
+//!   max(busiest lane's compute, Σ DMS), the transfer of one operator hidden
+//!   under the compute of the next. A lone scan is a task of one operator,
+//! * everything else is a task of one operator over what the tasks below it
+//!   materialized, a stage as it always was: a **join** partitions both
+//!   sides (in software on the dpCores; every round of a pass a stage of
+//!   tile-aligned lanes on all cores, its fan-out and tile budgeted from the
+//!   widths the columns arrive in, [`PlanNode::output_widths`]), then runs
+//!   per-partition-pair build/probe kernels, with large-skew
+//!   re-partitioning; a **group-by** runs the on-the-fly or partitioned
+//!   strategy its node declares and adds the merge operator on the low-NDV
+//!   path.
 //!
 //! An operator owns a buffer only where the DMS writes one: inputs are
-//! borrowed and read in place, batches that pass through unchanged are
-//! handed on by move, and a copy is made exactly where a charged gather,
+//! borrowed and read in place — a lane hands on the rows of an unpredicated
+//! scan where the table stores them — batches that pass through unchanged
+//! are handed on by move, and a copy is made exactly where a charged gather,
 //! partition write or materialization produces new bytes.
 //!
 //! Timing is accumulated per stage: simulated time on the DPU backend,
 //! wall clock on the native backend.
 
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use rapid_storage::table::Table;
 
 use crate::actor::{run_stage, StageTiming};
-use crate::batch::Batch;
+use crate::batch::{Batch, Rows, Span};
+use crate::budget::{OpDecl, OpName};
 use crate::error::{QefError, QefResult};
-use crate::exec::{Backend, ExecContext};
-use crate::expr::Pred;
+use crate::exec::{Backend, CoreCtx, ExecContext};
+use crate::expr::Expr;
 use crate::ops;
+use crate::ops::partition::RoundStep;
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
-use crate::trace::{PartitionRound, ScanAccess, StageEvent, TraceSink};
+use crate::task::ScanChain;
+use crate::trace::{FusedOp, PartitionRound, ScanAccess, StageEvent, TraceSink};
 
 /// Result rows plus decode metadata.
 #[derive(Debug, Clone)]
@@ -137,8 +154,9 @@ impl<'e> Run<'e> {
     }
 
     /// Absorb one stage of the current node into the report, emitting its
-    /// trace event; `detail` says, for a scan, how it read its table, or
-    /// for a partition stage, which round it ran.
+    /// trace event; `detail` says, for a task, how its scan read its table
+    /// and which operators ran beneath the stage's own, and for a stage that
+    /// partitions, which round it ran.
     ///
     /// The event's `sim_secs` is the exact `f64` added to the report and
     /// events are emitted in absorption order, so summing them reproduces
@@ -177,14 +195,9 @@ impl<'e> Run<'e> {
                 tiles: c.tiles,
                 ate_messages: c.ate_messages,
                 dmem_peak_bytes: t.dmem_peak,
-                scan: match detail {
-                    Detail::Scan(access) => Some(access),
-                    _ => None,
-                },
-                partition: match detail {
-                    Detail::Partition(round) => Some(round),
-                    _ => None,
-                },
+                scan: detail.scan,
+                partition: detail.partition,
+                fused: detail.fused,
                 energy_joules: self.watts * sim_secs,
                 wall_secs: t.wall.as_secs_f64(),
             });
@@ -194,14 +207,45 @@ impl<'e> Run<'e> {
 }
 
 /// What a stage's event says beyond its counters.
-#[derive(Debug, Clone, Copy)]
-enum Detail {
-    /// Nothing more.
-    None,
-    /// How a scan read its table.
-    Scan(ScanAccess),
-    /// Which round of its pass a partition stage ran.
-    Partition(PartitionRound),
+#[derive(Debug, Default)]
+struct Detail {
+    /// How the stage's scan read its table.
+    scan: Option<ScanAccess>,
+    /// Which round of its pass the stage ran.
+    partition: Option<PartitionRound>,
+    /// The operators that ran beneath the stage's own.
+    fused: Vec<FusedOp>,
+}
+
+impl Detail {
+    fn round(round: PartitionRound) -> Detail {
+        Detail {
+            partition: Some(round),
+            ..Detail::default()
+        }
+    }
+}
+
+/// What a task ran as: the lanes' results and what its event says.
+struct TaskRun<'a, R> {
+    results: Vec<R>,
+    /// The stage label of the chain's topmost operator.
+    top: OpName<'a>,
+    timing: StageTiming,
+    /// The scan's access and the chain's operators beneath the stage's own.
+    detail: Detail,
+    /// Rows the topmost operator of the chain handed on (counted for the
+    /// trace: 0 without a sink).
+    rows: u64,
+}
+
+/// A step function charges the trip round its operator's control loop that
+/// its call is. In a task the operator runs once per tile of the rows it is
+/// handed: charge the trips past the first.
+fn charge_further_tiles(core: &mut CoreCtx, rows: usize, tile: usize) {
+    for _ in 1..rows.div_ceil(tile.max(1)) {
+        core.charge_tile();
+    }
 }
 
 /// Total rows across a stage's output batches.
@@ -272,7 +316,7 @@ impl Engine {
     }
 }
 
-impl Run<'_> {
+impl<'e> Run<'e> {
     /// Execute `node` at the next pre-order position: its inputs run at
     /// theirs, then its own stages are absorbed at this one.
     fn exec_node(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
@@ -286,25 +330,24 @@ impl Run<'_> {
     }
 
     fn exec_op(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
+        if let Some(chain) = node.scan_chain() {
+            return self.exec_chain(&chain);
+        }
         match node {
-            PlanNode::Scan {
-                table,
-                columns,
-                pred,
-            } => self.exec_scan(table, columns, pred.as_ref()),
+            PlanNode::Scan { .. } => unreachable!("a scan is a chain of one"),
             PlanNode::Filter { input, pred } => {
                 let batches = self.exec_node(input)?;
                 let (out, t) = run_stage(self.ctx, batches, |core, b| {
                     ops::filter::filter_batch(core, b, pred)
                 })?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.stage(&t, "filter", batch_rows(&out), Detail::None);
+                self.stage(&t, "filter", batch_rows(&out), Detail::default());
                 Ok(out)
             }
             PlanNode::Map { input, exprs } => {
                 let batches = self.exec_node(input)?;
                 let (out, t) = run_stage(self.ctx, batches, |core, b| map_batch(core, b, exprs))?;
-                self.stage(&t, "map", batch_rows(&out), Detail::None);
+                self.stage(&t, "map", batch_rows(&out), Detail::default());
                 Ok(out)
             }
             PlanNode::HashJoin {
@@ -314,23 +357,29 @@ impl Run<'_> {
                 probe_keys,
                 join_type,
                 scheme,
-            } => self.exec_join(build, probe, build_keys, probe_keys, *join_type, scheme),
+                ..
+            } => self.exec_join(
+                node, build, probe, build_keys, probe_keys, *join_type, scheme,
+            ),
             PlanNode::GroupBy {
                 input,
                 keys,
                 aggs,
                 strategy,
-            } => self.exec_groupby(input, keys, aggs, strategy),
-            PlanNode::TopK { input, order, k } => {
-                let batches = self.exec_node(input)?;
-                let in_rows = batch_rows(&batches);
-                // Per-core top-k over assigned batches.
-                let (heaps, t) = run_stage(self.ctx, batches, |core, b| {
+                ..
+            } => self.exec_groupby(node, input, keys, aggs, strategy),
+            PlanNode::TopK {
+                input, order, k, ..
+            } => {
+                // Per-lane top-k over the rows each is handed.
+                let (heaps, t, detail, in_rows) = self.first_stage(node, input, |core, b| {
                     let mut acc = ops::topk::TopK::new(order.clone(), *k);
-                    acc.consume(core, b)?;
+                    if !b.is_empty() {
+                        acc.consume(core, b)?;
+                    }
                     Ok(acc)
                 })?;
-                self.stage(&t, "topk.consume", in_rows, Detail::None);
+                self.stage(&t, "topk.consume", in_rows, detail);
                 // Merge on one core.
                 let (merged, t2) = run_stage(self.ctx, vec![heaps], |core, hs| {
                     let mut it = hs.into_iter();
@@ -342,20 +391,21 @@ impl Run<'_> {
                     }
                     Ok(first.finish(core))
                 })?;
-                self.stage(&t2, "topk.merge", batch_rows(&merged), Detail::None);
+                self.stage(&t2, "topk.merge", batch_rows(&merged), Detail::default());
                 Ok(merged)
             }
-            PlanNode::Sort { input, order } => {
-                let batches = self.exec_node(input)?;
-                let in_rows = batch_rows(&batches);
-                let (sorted, t) = run_stage(self.ctx, batches, |core, b| {
+            PlanNode::Sort { input, order, .. } => {
+                let (sorted, t, detail, in_rows) = self.first_stage(node, input, |core, b| {
+                    if b.is_empty() {
+                        return Ok(b);
+                    }
                     ops::sort::sort_batch(core, &b, order)
                 })?;
-                self.stage(&t, "sort.local", in_rows, Detail::None);
+                self.stage(&t, "sort.local", in_rows, detail);
                 let (merged, t2) = run_stage(self.ctx, vec![sorted], |core, bs| {
                     ops::sort::merge_sorted(core, &bs, order)
                 })?;
-                self.stage(&t2, "sort.merge", batch_rows(&merged), Detail::None);
+                self.stage(&t2, "sort.merge", batch_rows(&merged), Detail::default());
                 Ok(merged)
             }
             PlanNode::Limit { input, n } => {
@@ -374,7 +424,7 @@ impl Run<'_> {
                 let (out, t) = run_stage(self.ctx, vec![(l, r)], |core, (l, r)| {
                     ops::setops::set_op(core, &l, &r, *op, &widths)
                 })?;
-                self.stage(&t, "setop", batch_rows(&out), Detail::None);
+                self.stage(&t, "setop", batch_rows(&out), Detail::default());
                 Ok(out)
             }
             PlanNode::Window {
@@ -393,126 +443,250 @@ impl Run<'_> {
                 let (out, t) = run_stage(self.ctx, vec![all], |core, b| {
                     ops::window::window_batch(core, &b, partition_by, order_by, *func)
                 })?;
-                self.stage(&t, "window", batch_rows(&out), Detail::None);
+                self.stage(&t, "window", batch_rows(&out), Detail::default());
                 Ok(out)
             }
         }
     }
 
-    /// The tile this stage actually runs at: the configured tile clamped
-    /// to what the stage's DMEM working set supports (same math as the
-    /// static verifier, via [`crate::budget`]). `Err` is the §5.2 halting
-    /// condition: even a minimum vector does not fit.
-    fn stage_tile(&self, state_bytes: usize, stream_bytes_per_row: usize) -> QefResult<usize> {
-        crate::budget::effective_tile(
-            self.ctx.tile_rows,
-            state_bytes,
-            stream_bytes_per_row,
-            self.ctx.dmem_bytes,
-        )
-        .ok_or_else(|| {
+    /// Run the task of `chain` — a scan and the filters and maps over it —
+    /// and, as its last operator, `last`: the first stage of the node that
+    /// consumes the chain, where the plan marks that edge.
+    ///
+    /// The task is ONE stage. Its items are `min(cores, tiles)` lanes, each
+    /// a contiguous, tile-aligned range of the table's rows; a lane scans
+    /// its rows, takes them through the chain and hands what is left to
+    /// `step`, all under one `CoreCtx` that holds the DMEM every operator
+    /// of the task declares at the task's one vector size. Every operator's
+    /// control loop is charged per tile of the rows it is handed (`step`
+    /// charges its own).
+    ///
+    /// The vector size is [`crate::budget::task_tile`] of the declarations
+    /// at the widths this engine's catalog stores — what compiler and
+    /// verifier derived the marks from. A task that does not fit is
+    /// refused ([`QefError::DmemExhausted`]), never cut here: the plan is
+    /// the caller's to recompile.
+    fn run_task<'a, R: Send>(
+        &mut self,
+        chain: &ScanChain<'a>,
+        last: Option<OpDecl<'static>>,
+        step: impl Fn(&mut CoreCtx, Rows<'a>, usize) -> QefResult<R> + Sync,
+    ) -> QefResult<TaskRun<'a, R>>
+    where
+        'e: 'a,
+    {
+        let catalog: &'a Catalog = self.catalog;
+        let table: &'a Table = catalog
+            .get(chain.table)
+            .ok_or_else(|| QefError::TableNotLoaded(chain.table.to_string()))?;
+        let touched = chain.touched();
+        let (mut decls, _) = chain.decls(catalog, &touched)?;
+        // The chain's topmost operator is the stage's own unless `last` is.
+        let own_top = last.is_none();
+        decls.extend(last);
+        let fit = crate::budget::task_tile(self.ctx.tile_rows, &decls, self.ctx.dmem_bytes);
+        let (tile, working_set) = fit.ok_or_else(|| {
+            let names: Vec<String> = decls.iter().map(|d| d.name.to_string()).collect();
             QefError::DmemExhausted(format!(
-                "stage working set ({state_bytes} B state + {stream_bytes_per_row} B/row) \
-                 exceeds DMEM ({} B) even at {}-row vectors",
+                "task [{}] holds {} B of state and {} B/row of vectors: over DMEM ({} B) even at \
+                 {}-row vectors",
+                names.join(" -> "),
+                crate::budget::task_state(&decls),
+                crate::budget::task_streams(&decls).sum::<usize>(),
                 self.ctx.dmem_bytes,
                 crate::budget::MIN_VECTOR_ROWS
             ))
+        })?;
+        let (columns, pred) = (chain.columns, chain.pred);
+        let scan = ops::filter::ScanPlan::decide(self.ctx, table, columns, pred, touched, tile);
+        // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`.
+        let rows = table.rows();
+        let tiles = rows.div_ceil(tile);
+        let lanes = self.ctx.cores.clamp(1, tiles.max(1));
+        let lanes: Vec<Range<usize>> = (0..lanes.min(tiles))
+            .map(|l| l * tiles / lanes * tile..rows.min((l + 1) * tiles / lanes * tile))
+            .collect();
+        // For the trace: rows each operator of the chain hands on, scan
+        // first, and the bytes the scan moves — statistics the lanes add up,
+        // nothing a lane reads.
+        let ops_of_chain = chain.above.len() + 1;
+        let traced = if self.sink.is_some() { ops_of_chain } else { 0 };
+        let handed: Vec<AtomicU64> = (0..traced).map(|_| AtomicU64::new(0)).collect();
+        let scanned_bytes = AtomicU64::new(0);
+        let count = |op: usize, rows: &Rows<'_>| {
+            if let Some(handed) = handed.get(op) {
+                handed.fetch_add(rows.rows() as u64, Ordering::Relaxed);
+            }
+        };
+        let (results, timing) = run_stage(self.ctx, lanes, |core, lane| {
+            let _vectors = core.dmem.reserve_raw(working_set)?;
+            let mut rows = scan.scan_rows(core, Span::Table(table, lane), tile)?;
+            scanned_bytes.fetch_add(core.account.counters().dms_bytes, Ordering::Relaxed);
+            count(0, &rows);
+            for (op, node) in (1..).zip(&chain.above) {
+                if rows.rows() == 0 {
+                    break;
+                }
+                charge_further_tiles(core, rows.rows(), tile);
+                rows = match node {
+                    PlanNode::Map { exprs, .. } => map_rows(core, rows, exprs)?,
+                    PlanNode::Filter { pred, .. } => {
+                        Rows::Owned(ops::filter::filter_batch(core, rows.into_batch(), pred)?)
+                    }
+                    _ => unreachable!("a scan chain is filters and maps over a scan"),
+                };
+                count(op, &rows);
+            }
+            step(core, rows, tile)
+        })?;
+        // Pre-order ids: the chain's nodes follow the node whose stage this
+        // is — which is the topmost of them where no consumer joined.
+        let first_id = self.node_seq;
+        self.node_seq += (ops_of_chain - usize::from(own_top)) as u32;
+        let mut ops = Vec::with_capacity(traced);
+        for (i, rows) in handed.iter().rev().enumerate() {
+            let (node_id, depth) = match (own_top, i as u32) {
+                (true, 0) => (self.node_id, self.open - 1),
+                (true, i) => (first_id + i - 1, self.open + i - 1),
+                (false, i) => (first_id + i, self.open + i),
+            };
+            ops.push(FusedOp {
+                node_id,
+                depth,
+                operator: decls[ops_of_chain - 1 - i].name.to_string(),
+                rows: rows.load(Ordering::Relaxed),
+                dms_bytes: 0,
+            });
+        }
+        if let Some(scan) = ops.last_mut() {
+            scan.dms_bytes = scanned_bytes.load(Ordering::Relaxed);
+        }
+        let rows = ops.first().map_or(0, |top| top.rows);
+        if own_top && !ops.is_empty() {
+            ops.remove(0);
+        }
+        Ok(TaskRun {
+            results,
+            timing,
+            detail: Detail {
+                scan: Some(ScanAccess {
+                    path: scan.path(),
+                    passes: scan.dms_passes() as u32,
+                }),
+                partition: None,
+                fused: ops,
+            },
+            rows,
+            top: decls[ops_of_chain - 1].name,
         })
     }
 
-    fn exec_scan(
-        &mut self,
-        table: &str,
-        columns: &[usize],
-        pred: Option<&Pred>,
-    ) -> QefResult<Vec<Batch>> {
-        let t = self
-            .catalog
-            .get(table)
-            .ok_or_else(|| QefError::TableNotLoaded(table.to_string()))?;
-        for &c in columns {
-            if c >= t.schema.len() {
-                return Err(QefError::BadColumn {
-                    index: c,
-                    available: t.schema.len(),
-                });
-            }
-        }
-        // Clamp the tile so the scan task's DMEM working set — one
-        // double-buffered stream per distinct column touched (predicate
-        // inputs plus projected outputs) — fits the scratchpad.
-        let touched = ops::filter::touched_columns(columns, pred);
-        let stream_bytes: usize = touched
-            .iter()
-            .map(|&c| {
-                t.schema
-                    .fields
-                    .get(c)
-                    .map_or(8, |f| f.dtype.physical_width())
-            })
-            .sum();
-        let tile = self.stage_tile(crate::budget::BASE_STATE_BYTES, stream_bytes)?;
-        let working_set = crate::budget::working_set(
-            crate::budget::BASE_STATE_BYTES,
-            stream_bytes,
-            tile,
-            self.ctx.dmem_bytes,
-        );
-        let plan = ops::filter::ScanPlan::decide(self.ctx, t, columns, pred, touched, tile);
-        let chunks: Vec<&rapid_storage::chunk::Chunk> = t.chunks().collect();
-        let (out, timing) = run_stage(self.ctx, chunks, |core, chunk| {
-            // The tile buffers the streams were sized from.
-            let _buffers = core.dmem.reserve_raw(working_set)?;
-            plan.scan_chunk(core, chunk, tile)
-        })?;
-        let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-        let operator = format_args!("scan({table})");
-        let access = ScanAccess {
-            path: plan.path(),
-            passes: plan.dms_passes() as u32,
-        };
-        self.stage(&timing, operator, batch_rows(&out), Detail::Scan(access));
+    /// A scan-fed chain nothing above joined: a task of its own, handing on
+    /// one batch per lane that kept a row.
+    fn exec_chain(&mut self, chain: &ScanChain<'_>) -> QefResult<Vec<Batch>> {
+        let run = self.run_task(chain, None, |_, rows, _| Ok(rows.into_batch()))?;
+        let out: Vec<Batch> = run.results.into_iter().filter(|b| !b.is_empty()).collect();
+        self.stage(&run.timing, run.top, run.rows, run.detail);
         Ok(out)
     }
 
-    /// The tile of a partition pass over columns of `widths`: every column
-    /// streams through DMEM beside the hash lane.
-    fn partition_tile(&self, widths: &[usize]) -> QefResult<usize> {
-        self.stage_tile(
-            crate::budget::BASE_STATE_BYTES,
-            crate::budget::partition_stream_bytes(widths.iter().sum()),
-        )
+    /// The chain under input `edge` of `node` and what `node`'s first stage
+    /// over it declares, where the plan marks the edge as one a task
+    /// crosses; `None` where it does not. A mark the node cannot honour —
+    /// the input is not a scan-fed chain, or the node has no stage to run in
+    /// its task — is a bad plan.
+    fn fused_input<'a>(
+        &self,
+        node: &PlanNode,
+        edge: usize,
+        input: &'a PlanNode,
+    ) -> QefResult<Option<(ScanChain<'a>, OpDecl<'static>)>> {
+        if !node.fused(edge) {
+            return Ok(None);
+        }
+        let Some(chain) = input.scan_chain() else {
+            return Err(QefError::BadPlan(format!(
+                "input {edge} of a {} is marked as run in its task, but is not a scan-fed chain",
+                node_kind(node)
+            )));
+        };
+        let widths = input.output_widths(self.catalog)?;
+        match node.stage_in_task(edge, &widths, self.ctx.dmem_bytes) {
+            Some(last) => Ok(Some((chain, last))),
+            None => Err(QefError::BadPlan(format!(
+                "input {edge} of a {} is marked as run in its task, but the node has no stage to \
+                 run there",
+                node_kind(node)
+            ))),
+        }
     }
 
-    /// Partition `batches` — the output of a node whose
-    /// [`PlanNode::output_widths`] are `widths` — by `keys` through the
-    /// rounds of `scheme` on all cores
-    /// ([`ops::partition::partition_pass`]): every round is a stage of its
-    /// own, absorbed under `operator` with the rows it partitioned.
+    /// Run `step` — the first stage of `node` — over what `input` hands on:
+    /// in the lanes of the input's task where the plan marks the edge, the
+    /// task's last operator; else as a stage of its own over the input's
+    /// batches. Returns the results, the stage's timing and detail, and the
+    /// rows that reached the step.
+    fn first_stage<R: Send>(
+        &mut self,
+        node: &PlanNode,
+        input: &PlanNode,
+        step: impl Fn(&mut CoreCtx, Batch) -> QefResult<R> + Sync,
+    ) -> QefResult<(Vec<R>, StageTiming, Detail, u64)> {
+        if let Some((chain, last)) = self.fused_input(node, 0, input)? {
+            let run = self.run_task(&chain, Some(last), |core, rows, tile| {
+                charge_further_tiles(core, rows.rows(), tile);
+                step(core, rows.into_batch())
+            })?;
+            return Ok((run.results, run.timing, run.detail, run.rows));
+        }
+        let batches = self.exec_node(input)?;
+        let in_rows = batch_rows(&batches);
+        let (out, t) = run_stage(self.ctx, batches, step)?;
+        Ok((out, t, Detail::default(), in_rows))
+    }
+
+    /// The tile of a partition pass over columns of `widths`: every column
+    /// streams through DMEM beside the hash lane. `Err` is the §5.2 halting
+    /// condition: even a minimum vector does not fit.
+    fn partition_tile(&self, widths: &[usize]) -> QefResult<usize> {
+        let stream = crate::budget::partition_stream_bytes(widths.iter().sum());
+        let state = crate::budget::BASE_STATE_BYTES;
+        crate::budget::effective_tile(self.ctx.tile_rows, state, stream, self.ctx.dmem_bytes)
+            .ok_or_else(|| {
+                QefError::DmemExhausted(format!(
+                    "partition pass ({state} B state + {stream} B/row) exceeds DMEM ({} B) even \
+                     at {}-row vectors",
+                    self.ctx.dmem_bytes,
+                    crate::budget::MIN_VECTOR_ROWS
+                ))
+            })
+    }
+
+    /// Partition what input `edge` of `node` hands on by `keys` through the
+    /// rounds of `scheme` on all cores: every round is a stage, absorbed
+    /// under `operator` with the rows it partitioned. Where the plan marks
+    /// the edge, round one is the last operator of the input's task — each
+    /// lane partitions the rows it scanned
+    /// ([`ops::partition::RoundStep::map_rows`]) — and the rounds after it
+    /// are stages over what it wrote; else the input runs first and every
+    /// round is a stage over its batches
+    /// ([`ops::partition::partition_pass`]).
     ///
     /// The scheme is the plan's and runs as declared. A round wider than
     /// the local buffers of these rows allow
     /// ([`crate::budget::max_buffered_fanout`], at the widths this engine's
     /// catalog stores) is refused: the plan was compiled when a table's
     /// columns were narrower and is the caller's to recompile.
-    fn partition_stages(
+    fn partition_input(
         &mut self,
-        batches: Vec<Batch>,
-        widths: &[usize],
+        node: &PlanNode,
+        edge: usize,
+        input: &PlanNode,
         keys: &[usize],
         scheme: &[usize],
         operator: &str,
     ) -> QefResult<Vec<Batch>> {
-        // The tile, and the fan-out cap of the scheme, were budgeted from
-        // the static widths: what arrives must be exactly that wide.
-        debug_assert!(
-            batches.iter().filter(|b| !b.is_empty()).all(|b| b
-                .columns
-                .iter()
-                .map(|c| c.data.width())
-                .eq(widths.iter().copied())),
-            "{operator}: batches are not {widths:?} bytes wide"
-        );
+        let widths = input.output_widths(self.catalog)?;
         let row_bytes: usize = widths.iter().sum();
         let cap = crate::budget::max_buffered_fanout(row_bytes, self.ctx.dmem_bytes);
         if let Some(round) = scheme.iter().position(|&fanout| fanout > cap) {
@@ -524,15 +698,58 @@ impl Run<'_> {
                 self.ctx.dmem_bytes
             )));
         }
-        let tile = self.partition_tile(widths)?;
-        let rows = batch_rows(&batches);
-        ops::partition::partition_pass(self.ctx, batches, keys, scheme, tile, |t, round| {
-            self.stage(t, operator, rows, Detail::Partition(round))
+        let tile = self.partition_tile(&widths)?;
+        let Some((chain, last)) = self.fused_input(node, edge, input)? else {
+            let batches = self.exec_node(input)?;
+            // The tile, and the fan-out cap of the scheme, were budgeted
+            // from the static widths: what arrives must be exactly that wide.
+            debug_assert!(
+                batches.iter().filter(|b| !b.is_empty()).all(|b| b
+                    .columns
+                    .iter()
+                    .map(|c| c.data.width())
+                    .eq(widths.iter().copied())),
+                "{operator}: batches are not {widths:?} bytes wide"
+            );
+            let rows = batch_rows(&batches);
+            return ops::partition::partition_pass(
+                self.ctx,
+                batches,
+                keys,
+                scheme,
+                tile,
+                |t, round| self.stage(t, operator, rows, Detail::round(round)),
+            );
+        };
+        ops::partition::check_scheme(scheme)?;
+        // `fused_input` found a round one to run in the task.
+        let fanout = scheme[0];
+        let start = Instant::now();
+        let mut run = self.run_task(&chain, Some(last), |core, rows, tile| {
+            let map = RoundStep::first(keys, fanout, tile).map_rows(core, &rows);
+            Ok((rows, map))
+        })?;
+        let first = ops::partition::scatter_lanes(fanout, &run.results);
+        if self.ctx.backend == Backend::Native {
+            // The wall clock also covers the copies the lanes were charged.
+            run.timing.wall = start.elapsed();
+        }
+        run.detail.partition = Some(PartitionRound {
+            round: 1,
+            rounds: scheme.len() as u32,
+            fanout: fanout as u32,
+        });
+        let rows = run.rows;
+        self.stage(&run.timing, operator, rows, run.detail);
+        ops::partition::partition_rounds_after(self.ctx, first, keys, scheme, tile, |t, round| {
+            self.stage(t, operator, rows, Detail::round(round))
         })
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn exec_join(
         &mut self,
+        node: &PlanNode,
         build: &PlanNode,
         probe: &PlanNode,
         build_keys: &[usize],
@@ -546,28 +763,16 @@ impl Run<'_> {
         let build_meta = build.output_meta(self.catalog)?;
         let build_widths = build.output_widths(self.catalog)?;
         let probe_widths = probe.output_widths(self.catalog)?;
-        let build_batches = self.exec_node(build)?;
-        let probe_batches = self.exec_node(probe)?;
-        let build_rows: usize = build_batches.iter().map(Batch::rows).sum();
-        let partitions: usize = scheme.iter().product();
-        let est_per_partition = (build_rows / partitions.max(1)).max(1);
 
         // Partition both sides; each side's tile is clamped to its own
         // stream width.
-        let bparts = self.partition_stages(
-            build_batches,
-            &build_widths,
-            build_keys,
-            scheme,
-            "join.partition-build",
-        )?;
-        let pparts = self.partition_stages(
-            probe_batches,
-            &probe_widths,
-            probe_keys,
-            scheme,
-            "join.partition-probe",
-        )?;
+        let bparts =
+            self.partition_input(node, 0, build, build_keys, scheme, "join.partition-build")?;
+        let pparts =
+            self.partition_input(node, 1, probe, probe_keys, scheme, "join.partition-probe")?;
+        let build_rows: usize = bparts.iter().map(Batch::rows).sum();
+        let partitions: usize = scheme.iter().product();
+        let est_per_partition = (build_rows / partitions.max(1)).max(1);
 
         // Join partition pairs in parallel; handle large skew by extra
         // partitioning rounds inside the worker.
@@ -601,28 +806,28 @@ impl Run<'_> {
         };
         let (joined, t3) = run_stage(self.ctx, pairs, |core, (b, p)| join.pair(core, b, p, 0))?;
         let joined: Vec<Batch> = joined.into_iter().filter(|b| !b.is_empty()).collect();
-        self.stage(&t3, "join.pairs", batch_rows(&joined), Detail::None);
+        self.stage(&t3, "join.pairs", batch_rows(&joined), Detail::default());
         Ok(joined)
     }
 
     fn exec_groupby(
         &mut self,
+        node: &PlanNode,
         input: &PlanNode,
         keys: &[usize],
         aggs: &[crate::plan::AggSpec],
         strategy: &GroupStrategy,
     ) -> QefResult<Vec<Batch>> {
-        let batches = self.exec_node(input)?;
         let mut out = match strategy {
             GroupStrategy::OnTheFly => {
-                // Per-core local aggregation...
-                let (tables, t) = run_stage(self.ctx, batches, |core, b| {
+                // Per-lane local aggregation...
+                let (tables, t, detail, _) = self.first_stage(node, input, |core, b| {
                     let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
                     t.consume(core, &b, keys)?;
                     Ok(t)
                 })?;
                 let groups: u64 = tables.iter().map(|t| t.groups() as u64).sum();
-                self.stage(&t, "groupby.consume", groups, Detail::None);
+                self.stage(&t, "groupby.consume", groups, detail);
                 // ...then the merge operator combines the per-core tables
                 // ("working on aggregated data, merge introduces low
                 // overhead").
@@ -639,14 +844,13 @@ impl Run<'_> {
                 // No groups, no batch — `Batch::empty(0)` has no columns for
                 // a Filter (HAVING) or Map above to index.
                 out.retain(|b| !b.is_empty());
-                self.stage(&t2, "groupby.merge", batch_rows(&out), Detail::None);
+                self.stage(&t2, "groupby.merge", batch_rows(&out), Detail::default());
                 out
             }
             GroupStrategy::Partitioned(scheme) => {
                 // Partition by grouping keys so each partition's table fits.
-                let widths = input.output_widths(self.catalog)?;
                 let parts =
-                    self.partition_stages(batches, &widths, keys, scheme, "groupby.partition")?;
+                    self.partition_input(node, 0, input, keys, scheme, "groupby.partition")?;
                 let (out, t2) = run_stage(
                     self.ctx,
                     parts.into_iter().filter(|p| !p.is_empty()).collect(),
@@ -657,7 +861,12 @@ impl Run<'_> {
                     },
                 )?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.stage(&t2, "groupby.aggregate", batch_rows(&out), Detail::None);
+                self.stage(
+                    &t2,
+                    "groupby.aggregate",
+                    batch_rows(&out),
+                    Detail::default(),
+                );
                 out
             }
         };
@@ -673,6 +882,45 @@ impl Run<'_> {
         }
         Ok(out)
     }
+}
+
+/// What kind of node `node` is, for an error message.
+fn node_kind(node: &PlanNode) -> &'static str {
+    match node {
+        PlanNode::Scan { .. } => "Scan",
+        PlanNode::Filter { .. } => "Filter",
+        PlanNode::Map { .. } => "Map",
+        PlanNode::HashJoin { .. } => "HashJoin",
+        PlanNode::GroupBy { .. } => "GroupBy",
+        PlanNode::TopK { .. } => "TopK",
+        PlanNode::Sort { .. } => "Sort",
+        PlanNode::Limit { .. } => "Limit",
+        PlanNode::SetOp { .. } => "SetOp",
+        PlanNode::Window { .. } => "Window",
+    }
+}
+
+/// A Map node in a task's lane: where every expression is a bare column of
+/// rows still read in place nothing is written — the lane hands the same
+/// rows on through the map's choice of columns; else the expressions are
+/// evaluated over vectors of the lane's own ([`map_batch`]).
+fn map_rows<'a>(
+    core: &mut CoreCtx,
+    mut rows: Rows<'a>,
+    exprs: &[crate::plan::NamedExpr],
+) -> QefResult<Rows<'a>> {
+    if let Rows::InPlace { projection, .. } = &mut rows {
+        let chosen = |e: &crate::plan::NamedExpr| match e.expr {
+            Expr::Col(c) => projection.get(c).copied(),
+            _ => None,
+        };
+        if let Some(chosen) = exprs.iter().map(chosen).collect::<Option<Vec<usize>>>() {
+            core.charge_tile();
+            *projection = Cow::Owned(chosen);
+            return Ok(rows);
+        }
+    }
+    map_batch(core, rows.into_batch(), exprs).map(Rows::Owned)
 }
 
 /// Evaluate a Map node's expressions over one batch. Computed columns are
@@ -816,7 +1064,7 @@ fn empty_with_layout(meta: &[ColMeta]) -> Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
+    use crate::expr::{Expr, Pred};
     use crate::plan::{AggSpec, NamedExpr, SortKey};
     use crate::primitives::agg::AggFunc;
     use crate::primitives::filter::CmpOp;
@@ -907,6 +1155,7 @@ mod tests {
                 },
             ],
             strategy,
+            fused: false,
         };
         let mut results = Vec::new();
         for strategy in [
@@ -959,6 +1208,7 @@ mod tests {
                     },
                 ],
                 strategy: GroupStrategy::OnTheFly,
+                fused: false,
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 1);
@@ -980,6 +1230,7 @@ mod tests {
                 col: 0,
             }],
             strategy: GroupStrategy::OnTheFly,
+            fused: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 0);
@@ -1007,6 +1258,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            fused_build: false,
+            fused_probe: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 500);
@@ -1047,6 +1300,8 @@ mod tests {
                 probe_keys: vec![2],
                 join_type: JoinType::LeftOuter,
                 scheme: vec![32],
+                fused_build: false,
+                fused_probe: false,
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 5000, "outer join keeps every probe row");
@@ -1073,6 +1328,7 @@ mod tests {
             input: Box::new(scan(None)),
             order: vec![SortKey { col: 1, desc: true }],
             k: 3,
+            fused: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(
@@ -1091,6 +1347,7 @@ mod tests {
                 value: 50,
             }))),
             order: vec![SortKey { col: 0, desc: true }],
+            fused: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         let v = out.batch.column(0).data.to_i64_vec();
@@ -1141,6 +1398,8 @@ mod tests {
             probe_keys: vec![0],
             join_type,
             scheme: vec![32],
+            fused_build: false,
+            fused_probe: false,
         };
         let join = |join_type| join_below(700, join_type);
         let group = |strategy| PlanNode::GroupBy {
@@ -1151,6 +1410,7 @@ mod tests {
                 col: 0,
             }],
             strategy,
+            fused: false,
         };
         let order = vec![SortKey { col: 1, desc: true }];
         let plans = vec![
@@ -1180,10 +1440,12 @@ mod tests {
                 input: Box::new(scan(None)),
                 order: order.clone(),
                 k: 5,
+                fused: false,
             },
             PlanNode::Sort {
                 input: Box::new(scan(lt(50))),
                 order,
+                fused: false,
             },
             PlanNode::Limit {
                 input: Box::new(scan(None)),
@@ -1215,6 +1477,99 @@ mod tests {
                 assert_eq!(got, plan.output_widths(e.catalog()).unwrap(), "{plan:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_lane_that_keeps_no_row_does_not_decide_the_layout_of_a_fused_round() {
+        // The predicate empties the first lanes of the task, which leave the
+        // chain before its Map runs and still see the scan's three columns;
+        // the lanes that keep rows hand on the Map's one, or four.
+        let late = Some(Pred::CmpConst {
+            col: 0,
+            op: CmpOp::Ge,
+            value: 4000,
+        });
+        let named = |expr: Expr, name: &str| NamedExpr {
+            expr,
+            name: name.into(),
+            dtype: DataType::Int,
+            scale: 0,
+            dict: None,
+        };
+        let mapped = |exprs: Vec<NamedExpr>| PlanNode::Map {
+            input: Box::new(scan(late.clone())),
+            exprs,
+        };
+        let narrower = || mapped(vec![named(Expr::Col(0), "k")]);
+        let wider = || {
+            mapped(vec![
+                named(Expr::Col(2), "grp"),
+                named(Expr::Col(0), "k"),
+                named(Expr::Col(1), "v"),
+                named(Expr::mul(Expr::Col(0), Expr::Lit(3)), "tripled"),
+            ])
+        };
+        let join = |build: PlanNode, probe: PlanNode, fused| PlanNode::HashJoin {
+            build: Box::new(build),
+            probe: Box::new(probe),
+            build_keys: vec![0],
+            probe_keys: vec![1],
+            join_type: JoinType::Inner,
+            scheme: vec![8],
+            fused_build: fused,
+            fused_probe: fused,
+        };
+        let group = |fused| PlanNode::GroupBy {
+            input: Box::new(wider()),
+            keys: vec![0],
+            aggs: vec![AggSpec {
+                func: AggFunc::Sum,
+                col: 3,
+            }],
+            strategy: GroupStrategy::Partitioned(vec![4]),
+            fused,
+        };
+        let rows = |batch: &Batch| {
+            let mut rows: Vec<Vec<i64>> = (0..batch.rows())
+                .map(|i| batch.columns.iter().map(|c| c.data.get_i64(i)).collect())
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        for ctx in [ExecContext::dpu(), ExecContext::native(4)] {
+            let e = engine(ctx);
+            let (joined, _) = e.execute(&join(narrower(), wider(), true)).unwrap();
+            let (apart, _) = e.execute(&join(narrower(), wider(), false)).unwrap();
+            assert_eq!((joined.batch.rows(), joined.batch.width()), (1000, 5));
+            assert_eq!(rows(&joined.batch), rows(&apart.batch));
+            let (grouped, _) = e.execute(&group(true)).unwrap();
+            let (apart, _) = e.execute(&group(false)).unwrap();
+            assert_eq!(grouped.batch.rows(), 7);
+            assert_eq!(rows(&grouped.batch), rows(&apart.batch));
+        }
+    }
+
+    #[test]
+    fn a_mark_into_a_pass_of_no_rounds_is_a_bad_plan_even_over_no_rows() {
+        // No rows, no lanes: the refusal cannot be left to a lane.
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        let mut e = Engine::new(ExecContext::dpu());
+        e.load_table(Arc::new(TableBuilder::new("t", schema).finish()));
+        let plan = PlanNode::GroupBy {
+            input: Box::new(PlanNode::Scan {
+                table: "t".into(),
+                columns: vec![0],
+                pred: None,
+            }),
+            keys: vec![0],
+            aggs: vec![],
+            strategy: GroupStrategy::Partitioned(vec![]),
+            fused: true,
+        };
+        let Err(QefError::BadPlan(msg)) = e.execute(&plan) else {
+            panic!("a task cannot run round one of a pass that has none")
+        };
+        assert!(msg.contains("no stage to run there"), "{msg}");
     }
 
     /// An eight-column table whose values need `bytes` bytes each; `c0`
@@ -1254,6 +1609,8 @@ mod tests {
             probe_keys: vec![0, 1],
             join_type: JoinType::LeftSemi,
             scheme,
+            fused_build: false,
+            fused_probe: false,
         };
         let dmem = ExecContext::dpu().dmem_bytes;
         // One byte a column: 8-byte rows buffer 128 ways, and a 128-way
@@ -1337,6 +1694,7 @@ mod tests {
                 col: 1,
             }],
             strategy: GroupStrategy::Partitioned(vec![32]),
+            fused: false,
         };
         let (_, report) = e.execute(&plan).unwrap();
         let events = sink.take();
@@ -1348,34 +1706,48 @@ mod tests {
         let branches: u64 = events.iter().map(|e| e.branches).sum();
         assert_eq!(branches, report.branches);
         // Stage ids are emission order; node ids are pre-order, so the
-        // deeper scan node has a larger id than its groupby ancestor.
+        // deeper nodes have larger ids than their groupby ancestor.
         for (i, ev) in events.iter().enumerate() {
             assert_eq!(ev.stage_id, i as u32);
         }
-        let scan_ev = events.iter().find(|e| e.operator == "scan(t)").unwrap();
+        // The scan and the filter over it are one task, one stage, one
+        // event: the filter's, with the scan beneath it.
+        let task = events.iter().find(|e| e.operator == "filter").unwrap();
         let group_ev = events
             .iter()
             .find(|e| e.operator == "groupby.partition")
             .unwrap();
-        assert!(scan_ev.node_id > group_ev.node_id);
-        assert_eq!(scan_ev.depth, 2);
+        assert!(events.iter().all(|e| e.operator != "scan(t)"));
+        let ops: Vec<_> = task.operators().collect();
+        assert_eq!(
+            ops,
+            [
+                (task.node_id, 1, "filter", 4000),
+                (task.node_id + 1, 2, "scan(t)", 5000)
+            ]
+        );
+        assert!(task.node_id > group_ev.node_id);
         assert_eq!(group_ev.depth, 0);
-        // A bare scan (its predicate lives in the Filter node above) is
-        // pure DMS traffic; the filter stage retires instructions.
-        assert!(scan_ev.dms_bytes > 0);
-        assert!(scan_ev.energy_joules > 0.0);
-        let filter_ev = events.iter().find(|e| e.operator == "filter").unwrap();
-        assert!(filter_ev.instructions > 0);
+        assert!(group_ev.fused.is_empty() && group_ev.scan.is_none());
+        // The lanes stream the table and evaluate the predicate on it: DMS
+        // traffic and retired instructions in the same stage.
+        assert!(task.scan.is_some());
+        assert!(task.dms_bytes > 0);
+        assert!(task.energy_joules > 0.0);
+        assert!(task.instructions > 0);
+        // 5000 rows are 20 tiles: a lane each.
+        assert_eq!(task.parallelism, 20);
     }
 
     #[test]
     fn tile_clamp_under_small_dmem_is_trace_observable() {
         use crate::trace::MemorySink;
         // At the default 32 KiB the configured 256-row tile fits. In a
-        // 4 KiB scratchpad the stage's double-buffered 24 B/row stream
-        // only admits ~84 rows per vector, so the same data needs more
-        // descriptor bursts to move — visible in the trace — while
-        // producing identical results.
+        // 1 KiB scratchpad the task's double-buffered 5 B/row stream (k, v
+        // and grp are stored in 2, 2 and 1 bytes) beside the state of its
+        // two operators only admits 89 rows per vector, so the same data
+        // needs more descriptor bursts to move — visible in the trace —
+        // while producing identical results.
         let plan = || PlanNode::Filter {
             input: Box::new(scan(None)),
             pred: Pred::CmpConst {
@@ -1392,12 +1764,14 @@ mod tests {
         };
         let sink = MemorySink::new();
         let e = engine(ExecContext {
-            dmem_bytes: 4096,
+            dmem_bytes: 1024,
             ..ExecContext::dpu().with_trace(sink.clone())
         });
         let (out, _) = e.execute(&plan()).unwrap();
         assert_eq!(out.batch.rows(), 5000, "clamping must not change results");
-        let clamped: u64 = sink.take().iter().map(|ev| ev.dms_descriptors).sum();
+        let events = sink.take();
+        assert_eq!(events[0].dmem_peak_bytes, 128 + 2 * 5 * 89);
+        let clamped: u64 = events.iter().map(|ev| ev.dms_descriptors).sum();
         assert!(
             clamped > baseline,
             "clamped run executed {clamped} descriptors vs {baseline} at full DMEM"
@@ -1558,6 +1932,8 @@ mod plan_node_tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![4],
+            fused_build: false,
+            fused_probe: false,
         };
         let (out, report) = slow.execute(&join).unwrap();
         assert_eq!(out.batch.rows(), 50);

@@ -13,6 +13,7 @@
 //! zero-length placeholders at those positions.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -254,26 +255,124 @@ pub enum Pred {
 impl Pred {
     /// Evaluate to a bit-vector over `rows` rows of `cols`.
     pub fn eval(&self, ctx: &mut CoreCtx, cols: &[Vector], rows: usize) -> QefResult<BitVec> {
+        self.eval_rows(ctx, cols, 0..rows)
+    }
+
+    /// Append to `out` the id `base + i` of every row `rows.start + i` of
+    /// `rows` the predicate keeps, ascending: [`eval_rows`](Self::eval_rows)
+    /// without the bit-vector where the predicate compares a column with
+    /// constants or with another column, charged the same.
+    pub fn select_rows(
+        &self,
+        ctx: &mut CoreCtx,
+        cols: &[Vector],
+        rows: Range<usize>,
+        base: u32,
+        out: &mut Vec<u32>,
+    ) -> QefResult<()> {
+        let n = rows.len() as f64;
+        // Counted before they are written: `out` grows once, by what is kept.
+        let mut keep = |kept: &dyn Fn(usize) -> bool| {
+            let ids = || rows.clone().zip(base..).filter(|(row, _)| kept(*row));
+            out.reserve(ids().count());
+            out.extend(ids().map(|(_, id)| id));
+        };
+        let per_row = crate::primitives::costs::filter_per_row();
+        // A probe or a second operand is one more load than the compare.
+        let two_loads = {
+            let mut k = per_row;
+            k.lsu += 1.0;
+            k
+        };
         match self {
             Pred::CmpConst { col, op, value } => {
-                Ok(filter::cmp_const_bv(ctx, column(cols, *col)?, *op, *value))
+                let c = column(cols, *col)?;
+                keep(&|r| !c.is_null(r) && op.apply(c.data.get_i64(r), *value));
+                ctx.charge_kernel(&per_row.scaled(n));
             }
-            Pred::CmpCols { left, op, right } => Ok(filter::cmp_col_bv(
-                ctx,
-                column(cols, *left)?,
-                *op,
-                column(cols, *right)?,
-            )),
+            Pred::Between { col, lo, hi } => {
+                let c = column(cols, *col)?;
+                keep(&|r| !c.is_null(r) && (*lo..=*hi).contains(&c.data.get_i64(r)));
+                ctx.charge_kernel(&per_row.scaled(n));
+                ctx.charge_kernel(&per_row.scaled(n));
+            }
+            Pred::InCodes { col, codes } => {
+                let c = column(cols, *col)?;
+                let member = |v: i64| v >= 0 && (v as usize) < codes.len() && codes.get(v as usize);
+                keep(&|r| !c.is_null(r) && member(c.data.get_i64(r)));
+                ctx.charge_kernel(&two_loads.scaled(n));
+            }
+            Pred::CmpCols { left, op, right } => {
+                let (a, b) = (column(cols, *left)?, column(cols, *right)?);
+                keep(&|r| {
+                    !a.is_null(r) && !b.is_null(r) && op.apply(a.data.get_i64(r), b.data.get_i64(r))
+                });
+                ctx.charge_kernel(&two_loads.scaled(n));
+            }
+            _ => {
+                let verdict = self.eval_rows(ctx, cols, rows.clone())?;
+                out.reserve(verdict.count_ones());
+                out.extend(verdict.iter_ones().map(|i| base + i as u32));
+            }
+        }
+        Ok(())
+    }
+
+    /// Evaluate over rows `rows` of `cols`: bit `i` of the result is row
+    /// `rows.start + i`. A comparison of a column with constants or with
+    /// another column reads the rows where they lie; any other predicate
+    /// over a part of its columns is evaluated over a copy of that part of
+    /// the columns it names.
+    pub fn eval_rows(
+        &self,
+        ctx: &mut CoreCtx,
+        cols: &[Vector],
+        rows: Range<usize>,
+    ) -> QefResult<BitVec> {
+        match self {
+            Pred::CmpConst { col, op, value } => {
+                let col = column(cols, *col)?;
+                return Ok(filter::cmp_const_bv(ctx, col, rows, *op, *value));
+            }
+            Pred::CmpCols { left, op, right } => {
+                let (left, right) = (column(cols, *left)?, column(cols, *right)?);
+                return Ok(filter::cmp_col_bv(ctx, left, rows, *op, right));
+            }
+            Pred::Between { col, lo, hi } => {
+                return Ok(filter::between_bv(ctx, column(cols, *col)?, rows, *lo, *hi));
+            }
+            Pred::InCodes { col, codes } => {
+                return Ok(filter::in_code_set_bv(
+                    ctx,
+                    column(cols, *col)?,
+                    rows,
+                    codes,
+                ));
+            }
+            _ => {}
+        }
+        let mut named = Vec::new();
+        self.referenced_columns(&mut named);
+        let whole = |&c: &usize| cols.get(c).is_none_or(|v| v.len() == rows.len());
+        if rows.start > 0 || !named.iter().all(whole) {
+            let mut part: Vec<Vector> = (0..cols.len())
+                .map(|_| Vector::new(ColumnData::I8(Vec::new())))
+                .collect();
+            for &c in &named {
+                part[c] = column(cols, c)?.slice(rows.start, rows.end);
+            }
+            return self.eval_rows(ctx, &part, 0..rows.len());
+        }
+        let rows = rows.len();
+        match self {
+            Pred::CmpConst { .. }
+            | Pred::CmpCols { .. }
+            | Pred::Between { .. }
+            | Pred::InCodes { .. } => unreachable!("evaluated where the rows lie"),
             Pred::CmpExpr { left, op, right } => {
                 let l = left.eval(ctx, cols, rows)?;
                 let r = right.eval(ctx, cols, rows)?;
-                Ok(filter::cmp_col_bv(ctx, &l, *op, &r))
-            }
-            Pred::Between { col, lo, hi } => {
-                Ok(filter::between_bv(ctx, column(cols, *col)?, *lo, *hi))
-            }
-            Pred::InCodes { col, codes } => {
-                Ok(filter::in_code_set_bv(ctx, column(cols, *col)?, codes))
+                Ok(filter::cmp_col_bv(ctx, &l, 0..rows, *op, &r))
             }
             Pred::InList { col, values } => {
                 let c = column(cols, *col)?;
@@ -384,6 +483,100 @@ mod tests {
             Vector::new(ColumnData::I64(vec![1, 2, 3, 4])),
             Vector::new(ColumnData::I64(vec![10, 20, 30, 40])),
         ])
+    }
+
+    #[test]
+    fn a_part_of_the_rows_selects_and_evaluates_as_the_whole_does_there() {
+        // Two columns of every width with NULLs in both, and every kind of
+        // predicate: the four that read rows where they lie, and others
+        // that evaluate over a copy of the part.
+        let n = 200usize;
+        let nulls = |k: usize| BitVec::from_bools((0..n).map(|i| i % k == 0));
+        let cols = [
+            Vector::with_nulls(
+                ColumnData::I16((0..n as i16).map(|i| i % 37).collect()),
+                nulls(7),
+            ),
+            Vector::with_nulls(
+                ColumnData::U32((0..n as u32).map(|i| i % 5).collect()),
+                nulls(11),
+            ),
+            Vector::new(ColumnData::I64(
+                (0..n as i64).map(|i| 36 - i % 37).collect(),
+            )),
+        ];
+        let preds = [
+            Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Lt,
+                value: 20,
+            },
+            Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Ne,
+                value: 100_000,
+            },
+            Pred::Between {
+                col: 0,
+                lo: 5,
+                hi: 30,
+            },
+            Pred::InCodes {
+                col: 1,
+                codes: BitVec::from_bools([true, false, true]),
+            },
+            Pred::CmpCols {
+                left: 0,
+                op: CmpOp::Ge,
+                right: 2,
+            },
+            Pred::InList {
+                col: 0,
+                values: vec![3, 9, 27],
+            },
+            Pred::Not(Box::new(Pred::NotNull { col: 1 })),
+            Pred::Or(vec![
+                Pred::CmpConst {
+                    col: 0,
+                    op: CmpOp::Eq,
+                    value: 1,
+                },
+                Pred::CmpExpr {
+                    left: Box::new(Expr::add(Expr::Col(0), Expr::Lit(1))),
+                    op: CmpOp::Gt,
+                    right: Box::new(Expr::Col(2)),
+                },
+            ]),
+        ];
+        let charged = |c: &CoreCtx| {
+            let a = &c.account;
+            (a.compute_cycles().get().to_bits(), *a.counters())
+        };
+        for pred in &preds {
+            let mut whole_ctx = ctx();
+            let whole = pred.eval(&mut whole_ctx, &cols, n).unwrap();
+            for rows in [0..n, 0..64, 13..141, 199..200, 50..50] {
+                let (mut bits_ctx, mut ids_ctx) = (ctx(), ctx());
+                let bits = pred.eval_rows(&mut bits_ctx, &cols, rows.clone()).unwrap();
+                let expect: Vec<bool> = rows.clone().map(|r| whole.get(r)).collect();
+                assert_eq!(bits, BitVec::from_bools(expect), "{pred:?} over {rows:?}");
+                let mut ids = vec![7];
+                pred.select_rows(&mut ids_ctx, &cols, rows.clone(), 1000, &mut ids)
+                    .unwrap();
+                let expect: Vec<u32> = bits.iter_ones().map(|i| 1000 + i as u32).collect();
+                assert_eq!(ids[1..], expect, "{pred:?} over {rows:?}");
+                // Selecting is charged what evaluating is, and a part of
+                // the rows its share of the whole.
+                assert_eq!(
+                    charged(&ids_ctx),
+                    charged(&bits_ctx),
+                    "{pred:?} over {rows:?}"
+                );
+                if rows.len() == n {
+                    assert_eq!(charged(&bits_ctx), charged(&whole_ctx), "{pred:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`batch`] | the tile of column vectors flowing between operators |
-//! | [`budget`] | shared DMEM working-set math: tile fitting, fan-out caps |
+//! | [`budget`] | shared DMEM working-set math: task and tile fitting, fan-out caps |
 //! | [`exec`] | execution context: backend (simulated DPU vs native x86), core handle, [`StageRouter`](exec::StageRouter) hook |
 //! | [`expr`] | vectorized scalar expressions and predicates |
 //! | [`primitives`] | the generated primitive library (filter, arithmetic, hash, partition map, aggregation) |
@@ -26,6 +26,7 @@
 //! | [`selectivity`] | predicate selectivity from column statistics, shared with the compiler's cost model |
 //! | [`ops`] | data processing operators: filter, partition, hash join, group-by, top-k, sort, window, set ops |
 //! | [`plan`] | the serializable physical query execution plan (QEP) |
+//! | [`task`] | which operators of a plan run as one stage: scan-fed chains, the marked edges into their consumers, what each operator declares against DMEM |
 //! | [`engine`] | the plan interpreter driving tasks across dpCores |
 //! | [`actor`] | message-passing scheduler used for exchange/merge steps |
 //!
@@ -49,6 +50,7 @@ pub mod plan;
 pub mod primitives;
 pub mod ra;
 pub mod selectivity;
+pub mod task;
 pub mod trace;
 pub mod util;
 

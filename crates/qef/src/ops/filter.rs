@@ -1,14 +1,19 @@
 //! The filter operator (§5.4) and the scan's two access paths.
 //!
-//! A scan reads its chunks through one of the relation accessor's
+//! A scan is the first operator of a task: each lane of the task reads a
+//! contiguous, tile-aligned range of the table's rows — a run of rows of
+//! every chunk the range crosses — through one of the relation accessor's
 //! patterns, chosen once per scan ([`ScanPlan::decide`]):
 //!
 //! * **stream** — one sequential descriptor loop over every column the scan
-//!   touches, predicate and projected alike. Conjuncts are evaluated on the
-//!   tile in DMEM and the qualifying rows are compacted there: no row-set
-//!   descriptor crosses the DMS and nothing is gathered. A scan without a
-//!   predicate is the degenerate case — nothing to evaluate or compact.
-//! * **gather** — the paper's selective pipeline:
+//!   touches, predicate and projected alike, charged once for the lane's
+//!   rows with a trip round the control loop per tile. Conjuncts are
+//!   evaluated on the tile in DMEM and the qualifying rows are compacted
+//!   there: no row-set descriptor crosses the DMS and nothing is gathered. A
+//!   scan without a predicate is the degenerate case — nothing to evaluate
+//!   or compact, and the lane hands on the rows where they lie
+//!   ([`Rows::InPlace`]): nothing is copied until an operator writes.
+//! * **gather** — the paper's selective pipeline, run by run:
 //!   1. conjuncts are evaluated **most selective first**, grouped into
 //!      **DMS passes** by column set: a conjunct whose columns its pass
 //!      already holds in DMEM is evaluated in that pass, over the pass's
@@ -17,30 +22,39 @@
 //!      a RID-list or a bit-vector — RIDs when fewer than 1/32 of the rows
 //!      are expected to survive the pass (a RID is 32 bits),
 //!   3. each later pass only **gathers** the still-qualifying rows of its
-//!      columns through the DMS and narrows the row set,
+//!      columns through the DMS and narrows the row set, shipped as RIDs
+//!      once fewer than 1/32 of the rows are expected to be left — the
+//!      scan's choice, the same for every run of every lane,
 //!   4. projection columns are gathered last (late materialization).
+//!
+//! Either way a lane writes the rows it keeps into one batch of its own,
+//! whatever chunks they came from: what the operators above it in the task
+//! work on.
 //!
 //! Passes run in the order that moves the fewest modelled DMS cycles —
 //! width times rows moved, not selectivity alone: a narrow column that
 //! halves the rows is a better first stream than a wide one that keeps a
 //! third of them. The path is the one with the shorter modelled *stage* —
-//! the DMS cycles of all chunks against the busiest core's compute, the
-//! `max` the actor runner resolves — because a one-lane table pays the
-//! stream's per-tile control loop on a single core.
+//! the DMS cycles of the whole table against the compute of the busiest of
+//! the task's `min(cores, tiles)` lanes, the `max` the stage rule resolves —
+//! because a table of one tile pays the stream's control loop on one core.
 
 use dpu_sim::isa::CostModel;
-use rapid_storage::bitvec::{BitVec, RidList, RowSet, RowSetKind};
+use rapid_storage::bitvec::{RowSet, RowSetKind};
 use rapid_storage::chunk::Chunk;
 use rapid_storage::stats::ColumnStats;
 use rapid_storage::table::Table;
 use rapid_storage::vector::{ColumnData, Vector};
 
-use crate::batch::Batch;
+use std::borrow::Cow;
+use std::ops::Range;
+
+use crate::batch::{Batch, ColumnBuilder, Rows, Span};
 use crate::error::QefResult;
 use crate::exec::{CoreCtx, ExecContext};
 use crate::expr::Pred;
 use crate::primitives::costs;
-use crate::ra::{chunk_widths, row_ids, AccessPath, RelationAccessor};
+use crate::ra::{chunk_widths, AccessPath, RelationAccessor};
 use crate::selectivity::{conjunction_selectivity, estimate_selectivity_cols};
 
 /// Orders of up to this many passes are enumerated; a scan with more (none
@@ -145,7 +159,9 @@ fn evaluations<'c>(conjuncts: impl IntoIterator<Item = &'c Conjunct<'c>>) -> f64
     evaluations
 }
 
-/// Modelled cost of one chunk: what its core computes, what the DMS moves.
+/// Modelled cost of one chunk: what the cores compute over its rows, what
+/// the DMS moves. The trips round the control loop a path takes per run of
+/// rows are the plan's ([`ScanPlan::trips_per_run`]), not the chunk's.
 #[derive(Debug, Clone, Copy, Default)]
 struct ChunkCost {
     compute: f64,
@@ -239,8 +255,7 @@ impl Model<'_> {
         let mut entering = self.rows();
         for (i, p) in plan.passes.iter().enumerate() {
             cost.dms += self.pass(p, i == 0, entering);
-            cost.compute += self.cm.per_tile_overhead_cycles * p.conjuncts.len() as f64
-                + per_row * entering * evaluations(&p.conjuncts);
+            cost.compute += per_row * entering * evaluations(&p.conjuncts);
             entering *= p.sel;
             if i == 0 && RowSet::choose(p.sel) == RowSetKind::Rids {
                 cost.compute +=
@@ -254,8 +269,8 @@ impl Model<'_> {
     /// One chunk on the stream path, its conjuncts costing `evaluations`
     /// per row in the order that path runs them.
     fn stream_path(&self, plan: &ScanPlan<'_>, evaluations: f64) -> ChunkCost {
-        let tiles = self.chunk.rows().div_ceil(self.tile.max(1));
-        let mut compute = self.cm.per_tile_overhead_cycles * tiles as f64
+        let tiles = self.rows() / self.tile.max(1) as f64;
+        let mut compute = self.cm.per_tile_overhead_cycles * tiles
             + self.cm.kernel_cycles(&costs::filter_per_row()) * self.rows() * evaluations;
         if !plan.passes.is_empty() {
             let qualifying = self.rows() * plan.passes.iter().map(|p| p.sel).product::<f64>();
@@ -304,9 +319,11 @@ impl<'a> ScanPlan<'a> {
             let mut passes: Vec<_> = plan.passes.into_iter().map(Some).collect();
             plan.passes = order.iter().filter_map(|&i| passes[i].take()).collect();
         }
-        // Stage time of either path, as the actor runner will resolve it:
-        // every chunk's transfers share the one DMS engine, and a core runs
-        // the chunks dealt to it back to back.
+        // Stage time of either path, as the stage rule will resolve it: the
+        // transfers of every lane share the one DMS engine, and the busiest
+        // of the `min(cores, tiles)` lanes computes over its share of the
+        // rows and takes the gather path's trips round the control loop once
+        // per run — per chunk its range crosses.
         let streamed = match plan.passes.as_slice() {
             [] => 0.0,
             [only] => evaluations(&only.conjuncts),
@@ -316,19 +333,26 @@ impl<'a> ScanPlan<'a> {
                 evaluations(conjuncts)
             }
         };
-        let lanes = ctx.cores.min(table.chunks().count()).max(1);
-        let (mut dms, mut compute) = ([0.0; 2], vec![[0.0; 2]; lanes]);
-        for (i, chunk) in table.chunks().enumerate() {
+        let (mut stream, mut gather) = (ChunkCost::default(), ChunkCost::default());
+        let mut chunks = 0;
+        for chunk in table.chunks() {
             let model = model(chunk);
-            let paths = [model.stream_path(&plan, streamed), model.gather_path(&plan)];
-            for (path, cost) in paths.into_iter().enumerate() {
-                dms[path] += cost.dms;
-                compute[i % lanes][path] += cost.compute;
+            for (total, cost) in [
+                (&mut stream, model.stream_path(&plan, streamed)),
+                (&mut gather, model.gather_path(&plan)),
+            ] {
+                total.compute += cost.compute;
+                total.dms += cost.dms;
             }
+            chunks += 1;
         }
-        let stage = |path: usize| compute.iter().map(|c| c[path]).fold(dms[path], f64::max);
-        let (stream, gather) = (stage(0), stage(1));
-        if stream < gather {
+        let tiles = table.rows().div_ceil(tile.max(1)).max(1);
+        let lanes = ctx.cores.clamp(1, tiles);
+        let share = tiles.div_ceil(lanes) as f64 / tiles as f64;
+        let runs = (chunks + lanes - 1).div_ceil(lanes) as f64;
+        let trips = ctx.cost_model.per_tile_overhead_cycles * plan.trips_per_run() as f64;
+        let stage = |path: ChunkCost, trips: f64| path.dms.max(path.compute * share + trips * runs);
+        if stage(stream, 0.0) < stage(gather, trips) {
             plan.take_stream_path();
         }
         plan
@@ -389,135 +413,194 @@ impl<'a> ScanPlan<'a> {
         }
     }
 
-    /// Scan one chunk: the projected columns at its qualifying rows.
-    pub fn scan_chunk(&self, ctx: &mut CoreCtx, chunk: &Chunk, tile: usize) -> QefResult<Batch> {
-        let column = |&c: &usize| chunk.vector(c);
-        match self.path {
-            AccessPath::Stream => {
-                let tiles = RelationAccessor::stream_chunk(ctx, chunk, &self.touched, tile);
-                for _ in 0..tiles {
-                    ctx.charge_tile();
-                }
-                if self.passes.is_empty() {
-                    return Ok(Batch::new(self.proj.iter().map(column).cloned().collect()));
-                }
-                // The tiles are in DMEM: compact the qualifying rows of
-                // each projected column there (Listing 3's gather loop).
-                let rids = row_ids(&self.filter_chunk(ctx, chunk, tile)?);
-                for _ in self.proj {
-                    ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(rids.len() as f64));
-                }
-                let compact = |c| column(c).gather(&rids);
-                Ok(Batch::new(self.proj.iter().map(compact).collect()))
-            }
-            AccessPath::Gather => {
-                let qualifying = self.filter_chunk(ctx, chunk, tile)?;
-                if qualifying.count() == 0 {
-                    return Ok(Batch::empty(0));
-                }
-                Ok(RelationAccessor::gather_chunk(
-                    ctx,
-                    chunk,
-                    self.proj,
-                    &qualifying,
-                    tile,
-                ))
-            }
-        }
+    /// Trips round the operator's control loop per run of rows on the
+    /// gather path: one per conjunct. (The stream path takes one per tile.)
+    fn trips_per_run(&self) -> usize {
+        self.passes.iter().map(|p| p.conjuncts.len()).sum()
     }
 
-    /// The rows of `chunk` that every conjunct keeps. On the gather path
-    /// this is the paper's pipeline, charged as it moves data; on the
-    /// stream path the caller has streamed every column and the conjuncts
-    /// only compute.
-    pub fn filter_chunk(&self, ctx: &mut CoreCtx, chunk: &Chunk, tile: usize) -> QefResult<RowSet> {
-        let rows = chunk.rows();
+    /// Scan the rows of one lane — `span`, a run of rows per chunk it
+    /// crosses, in table order — and hand them on where they lie: the span
+    /// through the scan's projection, and which of its rows the predicate
+    /// kept. Nothing is copied; the stream path is charged the compaction of
+    /// the qualifying rows in DMEM, the gather path the gather of them.
+    pub fn scan_rows(&self, ctx: &mut CoreCtx, span: Span<'a>, tile: usize) -> QefResult<Rows<'a>> {
+        let of_lane = span.rows();
+        if let (AccessPath::Stream, Some((first, _))) = (self.path, span.runs().next()) {
+            let touched = chunk_widths(first, &self.touched);
+            for _ in 0..RelationAccessor::stream(ctx, touched, of_lane, tile) {
+                ctx.charge_tile();
+            }
+        }
+        let mut picked = Vec::new();
+        let (mut at, mut fetched) = (0, Vec::new());
+        let predicated = self.path == AccessPath::Gather || !self.passes.is_empty();
+        for (chunk, rows) in span.runs().filter(|_| predicated) {
+            let run = Run {
+                chunk,
+                rows,
+                at,
+                tile,
+            };
+            at += run.rows.len();
+            let before = picked.len();
+            let kind = self.qualifying(ctx, &run, &mut picked, &mut fetched)?;
+            let kept = picked.len() - before;
+            if kept == 0 {
+                continue;
+            }
+            match self.path {
+                // The tiles are in DMEM: compact the qualifying rows of
+                // each projected column there (Listing 3's gather loop).
+                AccessPath::Stream => {
+                    let compact = costs::swpart_gather_per_row().scaled(kept as f64);
+                    self.proj.iter().for_each(|_| ctx.charge_kernel(&compact));
+                }
+                AccessPath::Gather => {
+                    let widths = chunk_widths(chunk, self.proj);
+                    RelationAccessor::charge_gather(ctx, widths, run.within(), kind, kept, tile);
+                }
+            }
+        }
+        Ok(Rows::InPlace {
+            span,
+            projection: Cow::Borrowed(self.proj),
+            picked: predicated.then_some(picked),
+        })
+    }
+
+    /// Append to `picked` the rows of `run` that every conjunct keeps,
+    /// ascending, numbered as the lane scans them, and say in which
+    /// representation the filter ships them to the DMS. On the gather path
+    /// this is the paper's pipeline, charged as it moves data; on the stream
+    /// path the caller has streamed every column and the conjuncts only
+    /// compute. `fetched` is the lane's scratch list of columns
+    /// ([`narrow`]).
+    ///
+    /// [`narrow`]: Self::narrow
+    fn qualifying(
+        &self,
+        ctx: &mut CoreCtx,
+        run: &Run<'_>,
+        picked: &mut Vec<u32>,
+        fetched: &mut Vec<Vector>,
+    ) -> QefResult<RowSetKind> {
+        let (n, from) = (run.rows.len(), picked.len());
         let Some((first, later)) = self.passes.split_first() else {
-            return Ok(RowSet::Bits(BitVec::ones(rows)));
+            picked.extend(run.within().map(|id| id as u32));
+            return Ok(RowSetKind::Bits);
         };
         let gathers = self.path == AccessPath::Gather;
-        // The first conjunct reads its columns in place over the chunk's
-        // vectors as the DMS streams them (the filter task's large tiles):
-        // nothing is copied.
         let (head, rest) = first
             .conjuncts
             .split_first()
             .expect("a pass has a conjunct");
         if gathers {
-            RelationAccessor::stream_chunk(ctx, chunk, &head.cols, tile);
+            RelationAccessor::stream(ctx, chunk_widths(run.chunk, &head.cols), n, run.tile);
             ctx.charge_tile();
         }
-        let mut qualifying = RowSet::Bits(head.pred.eval(ctx, chunk.vectors(), rows)?);
+        // The first conjunct reads its columns in place as the DMS streams
+        // them (the filter task's large tiles): nothing is copied.
+        let at = run.at as u32;
+        head.pred
+            .select_rows(ctx, run.chunk.vectors(), run.rows.clone(), at, picked)?;
         for conjunct in rest {
-            qualifying = self.narrow(ctx, chunk, conjunct, qualifying, false, tile)?;
+            self.narrow(ctx, run, conjunct, picked, from, None, fetched)?;
         }
-        // The 1/32 rule, on the row set the first pass ships: a RID-list is
-        // emitted where few rows are expected to survive the pass.
-        if gathers && RowSet::choose(first.sel) == RowSetKind::Rids {
-            let rids = match qualifying {
-                RowSet::Bits(bv) => bv.to_rids(),
-                RowSet::Rids(rids) => rids,
-            };
-            ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(rids.len() as f64));
-            qualifying = RowSet::Rids(rids);
+        // The 1/32 rule, on the share of the rows each pass is expected to
+        // leave — decided for the scan, not by what a run of it happens to
+        // keep, so that however a table is cut into lanes its row sets are
+        // the same bytes: a RID-list is emitted where few rows are expected
+        // to survive.
+        let mut expected = first.sel;
+        let mut kind = RowSet::choose(expected);
+        if gathers && kind == RowSetKind::Rids {
+            let emitted = (picked.len() - from) as f64;
+            ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(emitted));
         }
         for pass in later {
             for (i, conjunct) in pass.conjuncts.iter().enumerate() {
-                qualifying = self.narrow(ctx, chunk, conjunct, qualifying, i == 0, tile)?;
+                let opens_pass = (i == 0).then_some(kind);
+                self.narrow(ctx, run, conjunct, picked, from, opens_pass, fetched)?;
             }
+            expected *= pass.sel;
+            kind = RowSet::choose(expected);
         }
-        Ok(qualifying)
+        Ok(kind)
     }
 
-    /// Narrow `qualifying` to the rows `conjunct` keeps, evaluating it on
-    /// those rows only. On the gather path a conjunct is a trip round the
-    /// operator's control loop, and one that `opens_pass` has its columns
-    /// gathered at the qualifying rows first.
+    /// Narrow `picked[from..]` — the qualifying rows of `run` — to those
+    /// `conjunct` keeps, evaluating it on those rows only. On the gather
+    /// path a conjunct is a trip round the operator's control loop, and one
+    /// that `opens_pass` has its columns gathered at the qualifying rows
+    /// first, shipped to the DMS in the representation given. `fetched` is
+    /// scratch: the chunk's column list with the copies of the columns the
+    /// conjunct names in it while it is evaluated, empty placeholders
+    /// otherwise.
+    #[allow(clippy::too_many_arguments)]
     fn narrow(
         &self,
         ctx: &mut CoreCtx,
-        chunk: &Chunk,
+        run: &Run<'_>,
         conjunct: &Conjunct<'_>,
-        qualifying: RowSet,
-        opens_pass: bool,
-        tile: usize,
-    ) -> QefResult<RowSet> {
-        let n = qualifying.count();
-        if n == 0 {
-            return Ok(qualifying);
+        picked: &mut Vec<u32>,
+        from: usize,
+        opens_pass: Option<RowSetKind>,
+        fetched: &mut Vec<Vector>,
+    ) -> QefResult<()> {
+        let qualifying = &mut picked[from..];
+        if qualifying.is_empty() {
+            return Ok(());
         }
         if self.path == AccessPath::Gather {
-            if opens_pass {
-                RelationAccessor::charge_gather(ctx, chunk, &conjunct.cols, &qualifying, tile);
+            if let Some(kind) = opens_pass {
+                let widths = chunk_widths(run.chunk, &conjunct.cols);
+                let count = qualifying.len();
+                RelationAccessor::charge_gather(ctx, widths, run.within(), kind, count, run.tile);
             }
             ctx.charge_tile();
         }
         // Only the columns the conjunct names are fetched; the rest stay
         // zero-length placeholders at their positions.
-        let rids = row_ids(&qualifying);
-        let mut gathered: Vec<Vector> = (0..chunk.columns())
-            .map(|_| Vector::new(ColumnData::I8(Vec::new())))
-            .collect();
+        let placeholder = || Vector::new(ColumnData::I8(Vec::new()));
+        fetched.resize_with(run.chunk.columns(), placeholder);
+        let of_chunk = qualifying
+            .iter()
+            .map(|&id| id as usize - run.at + run.rows.start);
         for &c in &conjunct.cols {
-            gathered[c] = chunk.vector(c).gather(&rids);
+            let mut at_rows = ColumnBuilder::default();
+            at_rows.append(run.chunk.vector(c), of_chunk.clone(), qualifying.len());
+            fetched[c] = at_rows.finish();
         }
-        let mut surviving = conjunct.pred.eval(ctx, &gathered, n)?.to_rids().rids;
-        for s in &mut surviving {
-            *s = rids[*s as usize];
+        let verdict = conjunct.pred.eval(ctx, fetched, qualifying.len());
+        for &c in &conjunct.cols {
+            fetched[c] = placeholder();
         }
-        let rows = chunk.rows();
-        Ok(
-            match RowSet::choose(surviving.len() as f64 / rows.max(1) as f64) {
-                RowSetKind::Rids => RowSet::Rids(RidList { rids: surviving }),
-                RowSetKind::Bits => {
-                    let mut out = BitVec::zeros(rows);
-                    for r in surviving {
-                        out.set(r as usize, true);
-                    }
-                    RowSet::Bits(out)
-                }
-            },
-        )
+        let mut surviving = 0;
+        for at in verdict?.iter_ones() {
+            qualifying[surviving] = qualifying[at];
+            surviving += 1;
+        }
+        picked.truncate(from + surviving);
+        Ok(())
+    }
+}
+
+/// The rows a lane reads of one chunk.
+struct Run<'a> {
+    chunk: &'a Chunk,
+    /// Which rows of the chunk.
+    rows: Range<usize>,
+    /// Rows the lane scans before them.
+    at: usize,
+    /// The tile it scans them at.
+    tile: usize,
+}
+
+impl Run<'_> {
+    /// The run's rows as the lane numbers them.
+    fn within(&self) -> Range<usize> {
+        self.at..self.at + self.rows.len()
     }
 }
 
@@ -539,6 +622,7 @@ mod tests {
     use super::*;
     use crate::exec::{CoreCtx, ExecContext};
     use crate::primitives::filter::CmpOp;
+    use rapid_storage::bitvec::{BitVec, RidList};
     use rapid_storage::schema::{Field, Schema};
     use rapid_storage::table::TableBuilder;
     use rapid_storage::types::{DataType, Value};
@@ -563,6 +647,41 @@ mod tests {
         ScanPlan::forced(AccessPath::Gather, preds, &[], expected)
     }
 
+    /// The rows of all of `chunk` that `plan` keeps, as the filter ships
+    /// them.
+    fn filter_all(plan: &ScanPlan<'_>, ctx: &mut CoreCtx, chunk: &Chunk, tile: usize) -> RowSet {
+        let run = Run {
+            chunk,
+            rows: 0..chunk.rows(),
+            at: 0,
+            tile,
+        };
+        let mut rids = Vec::new();
+        let kind = plan
+            .qualifying(ctx, &run, &mut rids, &mut Vec::new())
+            .unwrap();
+        match kind {
+            RowSetKind::Rids => RowSet::Rids(RidList { rids }),
+            RowSetKind::Bits => {
+                let mut bits = BitVec::zeros(chunk.rows());
+                rids.iter().for_each(|&r| bits.set(r as usize, true));
+                RowSet::Bits(bits)
+            }
+        }
+    }
+
+    /// `plan`'s scan of all of `chunk`, as a batch.
+    fn scan_all<'a>(
+        plan: &ScanPlan<'a>,
+        ctx: &mut CoreCtx,
+        chunk: &'a Chunk,
+        tile: usize,
+    ) -> Batch {
+        plan.scan_rows(ctx, Span::Chunk(chunk, 0..chunk.rows()), tile)
+            .unwrap()
+            .into_batch()
+    }
+
     fn row_vec(rows: &RowSet) -> Vec<usize> {
         let mut got = Vec::new();
         rows.for_each_row(|i| got.push(i));
@@ -572,9 +691,7 @@ mod tests {
     #[test]
     fn single_predicate_selects_expected_rows() {
         let preds = [cmp(0, CmpOp::Lt, 250)];
-        let r = gather(&preds, 0.25)
-            .filter_chunk(&mut ctx(), &chunk(1000), 256)
-            .unwrap();
+        let r = filter_all(&gather(&preds, 0.25), &mut ctx(), &chunk(1000), 256);
         assert_eq!(r.count(), 250);
         assert!(matches!(r, RowSet::Bits(_)), "25% selectivity uses bits");
     }
@@ -582,9 +699,7 @@ mod tests {
     #[test]
     fn selective_predicate_uses_rids() {
         let preds = [cmp(0, CmpOp::Lt, 10)];
-        let r = gather(&preds, 0.01)
-            .filter_chunk(&mut ctx(), &chunk(1000), 256)
-            .unwrap();
+        let r = filter_all(&gather(&preds, 0.01), &mut ctx(), &chunk(1000), 256);
         assert_eq!(r.count(), 10);
         assert!(matches!(r, RowSet::Rids(_)), "1% selectivity uses RIDs");
     }
@@ -592,18 +707,14 @@ mod tests {
     #[test]
     fn conjunction_narrows_progressively() {
         let preds = [cmp(0, CmpOp::Lt, 500), cmp(1, CmpOp::Lt, 50)];
-        let r = gather(&preds, 0.5)
-            .filter_chunk(&mut ctx(), &chunk(1000), 256)
-            .unwrap();
+        let r = filter_all(&gather(&preds, 0.5), &mut ctx(), &chunk(1000), 256);
         // rows < 500 with (row % 100) < 50: 250 rows.
         assert_eq!(r.count(), 250);
     }
 
     #[test]
     fn empty_conjuncts_pass_everything() {
-        let r = gather(&[], 1.0)
-            .filter_chunk(&mut ctx(), &chunk(64), 64)
-            .unwrap();
+        let r = filter_all(&gather(&[], 1.0), &mut ctx(), &chunk(64), 64);
         assert_eq!(r.count(), 64);
     }
 
@@ -611,9 +722,7 @@ mod tests {
     fn no_survivors_short_circuits() {
         let preds = [cmp(0, CmpOp::Gt, 1_000_000), cmp(1, CmpOp::Eq, 0)];
         let mut c = ctx();
-        let r = gather(&preds, 0.001)
-            .filter_chunk(&mut c, &chunk(100), 64)
-            .unwrap();
+        let r = filter_all(&gather(&preds, 0.001), &mut c, &chunk(100), 64);
         assert_eq!(r.count(), 0);
         assert_eq!(c.account.counters().tiles, 1, "the second pass never ran");
     }
@@ -622,9 +731,12 @@ mod tests {
     fn both_paths_materialize_the_projection() {
         let preds = [cmp(0, CmpOp::Ge, 98)];
         for path in [AccessPath::Gather, AccessPath::Stream] {
-            let b = ScanPlan::forced(path, &preds, &[1], 0.02)
-                .scan_chunk(&mut ctx(), &chunk(100), 64)
-                .unwrap();
+            let b = scan_all(
+                &ScanPlan::forced(path, &preds, &[1], 0.02),
+                &mut ctx(),
+                &chunk(100),
+                64,
+            );
             assert_eq!(b.column(0).data.to_i64_vec(), vec![98, 99], "{path}");
         }
     }
@@ -640,9 +752,7 @@ mod tests {
     #[test]
     fn chunk_filter_agrees_with_naive() {
         let preds = [cmp(1, CmpOp::Ge, 30), cmp(0, CmpOp::Lt, 600)];
-        let r = gather(&preds, 0.7)
-            .filter_chunk(&mut ctx(), &chunk(777), 128)
-            .unwrap();
+        let r = filter_all(&gather(&preds, 0.7), &mut ctx(), &chunk(777), 128);
         let expect: Vec<usize> = (0..777).filter(|i| i % 100 >= 30 && *i < 600).collect();
         assert_eq!(row_vec(&r), expect);
     }
@@ -650,9 +760,12 @@ mod tests {
     #[test]
     fn an_unpredicated_stream_charges_the_sequential_loop_and_no_row_set() {
         let (ch, mut c) = (chunk(1000), ctx());
-        let b = ScanPlan::forced(AccessPath::Stream, &[], &[0, 1], 1.0)
-            .scan_chunk(&mut c, &ch, 256)
-            .unwrap();
+        let b = scan_all(
+            &ScanPlan::forced(AccessPath::Stream, &[], &[0, 1], 1.0),
+            &mut c,
+            &ch,
+            256,
+        );
         assert_eq!(b.rows(), 1000);
         assert_eq!(b.column(1), ch.vector(1));
         let seq = RelationAccessor::seq_read_cost(&c.cost_model, [4, 4].into_iter(), 1000, 256);
@@ -665,9 +778,12 @@ mod tests {
 
         // The gather path moves the same tiles slower, behind a row set.
         let mut g = ctx();
-        ScanPlan::forced(AccessPath::Gather, &[], &[0, 1], 1.0)
-            .scan_chunk(&mut g, &ch, 256)
-            .unwrap();
+        scan_all(
+            &ScanPlan::forced(AccessPath::Gather, &[], &[0, 1], 1.0),
+            &mut g,
+            &ch,
+            256,
+        );
         assert_eq!(
             g.account.counters().dms_bytes,
             seq.bytes + 1000usize.div_ceil(64) as u64 * 8
@@ -686,7 +802,7 @@ mod tests {
             2,
             "one predicate pass and the projection"
         );
-        assert_eq!(plan.filter_chunk(&mut c, &ch, 256).unwrap().count(), 500);
+        assert_eq!(filter_all(&plan, &mut c, &ch, 256).count(), 500);
         // One stream of the column; the second half of the range reads the
         // 800 survivors of the first where they already are.
         let seq = RelationAccessor::seq_read_cost(&c.cost_model, [4].into_iter(), 1000, 256);
@@ -696,9 +812,7 @@ mod tests {
         // they see, and a trip round the control loop each.
         let on_two_columns = [cmp(0, CmpOp::Ge, 200), cmp(1, CmpOp::Lt, 1000)];
         let mut apart = ctx();
-        gather(&on_two_columns, 0.5)
-            .filter_chunk(&mut apart, &ch, 256)
-            .unwrap();
+        filter_all(&gather(&on_two_columns, 0.5), &mut apart, &ch, 256);
         assert_eq!(c.account.counters().instructions, 2 * 1000 + 2 * 800);
         assert_eq!(
             c.account.counters(),
@@ -764,14 +878,18 @@ mod tests {
 
     #[test]
     fn the_path_is_chosen_by_stage_time_not_dms_time() {
-        // Ten lanes: the stream's per-tile control loop is spread over the
-        // cores and the sequential loop beats a gather of every row.
+        // 157 tiles on 32 lanes: the stream's per-tile control loop is
+        // spread over the cores and the sequential loop beats a gather of
+        // every row — from one chunk of sixteen tiles as from ten, because
+        // lanes are runs of tiles, not chunks.
         let many = table(40_000, 4_000);
         assert_eq!(decide(&many, &[0, 1], None).path(), AccessPath::Stream);
-        // One lane: the same rows' tiles all cost one core its control
-        // loop, longer than the DMS takes either way.
-        let one = table(4_000, 4_000);
-        assert_eq!(decide(&one, &[0, 1], None).path(), AccessPath::Gather);
+        let one_chunk = table(4_000, 4_000);
+        assert_eq!(decide(&one_chunk, &[0, 1], None).path(), AccessPath::Stream);
+        // One tile, one lane: a trip round the control loop on one core is
+        // longer than the DMS takes either way.
+        let one_tile = table(200, 4_000);
+        assert_eq!(decide(&one_tile, &[0, 1], None).path(), AccessPath::Gather);
         // A point predicate gathers a row or two: nothing to stream for.
         let point = cmp(1, CmpOp::Eq, 7);
         assert_eq!(
@@ -793,6 +911,7 @@ mod proptests {
     use crate::exec::{CoreCtx, ExecContext};
     use crate::primitives::filter::CmpOp;
     use proptest::prelude::*;
+    use rapid_storage::bitvec::BitVec;
 
     /// A row of three small values; `None` is NULL.
     type Row = [Option<i8>; 3];
@@ -865,8 +984,9 @@ mod proptests {
             for path in [AccessPath::Stream, AccessPath::Gather] {
                 let mut c = CoreCtx::new(&ectx, 0);
                 let got = ScanPlan::forced(path, &preds, &proj, if sparse { 0.01 } else { 0.5 })
-                    .scan_chunk(&mut c, &ch, 16)
-                    .unwrap();
+                    .scan_rows(&mut c, Span::Chunk(&ch, 0..ch.rows()), 16)
+                    .unwrap()
+                    .into_batch();
                 if rids.is_empty() {
                     prop_assert!(got.is_empty(), "{path}: {got:?}");
                 } else {

@@ -10,21 +10,35 @@
 //! and measured on its own (Figure 8, `examples/dpu_hardware.rs`), but no
 //! query stage drives it yet.
 //!
-//! Every dpCore partitions at once. A round's input — the batches of the
-//! operator below, or the partitions the round before wrote — is cut into
-//! tiles, and `min(cores, tiles)` **lanes** each take a contiguous run of
-//! them: a lane hashes the rows it owns, computes their partition map
+//! Every dpCore partitions at once, and what a core does to the rows it owns
+//! is one step ([`RoundStep`]): it hashes them, computes their partition map
 //! (Listing 2) and is charged their column gathers (Listing 3), the
-//! sequential DMS write of its tiles — after round one also the sequential
-//! read of them, since its input is what the round before wrote to DRAM —
-//! and one control-loop overhead per tile, all under its own [`CoreCtx`]
-//! while it holds the double-buffered tile working set in DMEM. Lanes are
-//! tile-aligned because the DMS moves whole tiles: any other cut would move
-//! more of them than one core streaming the input does. The lanes fill
-//! disjoint slices of one hash buffer, one row-id buffer and one histogram;
-//! once all are done the per-lane histograms give every row its place, and
-//! each (partition, column) comes out as one vector with rows in input
-//! order — on the chip it is the chain of the lanes' local-buffer flushes.
+//! sequential DMS write of them — after round one also the sequential read,
+//! since its input is what the round before wrote to DRAM — and one
+//! control-loop overhead per tile, the last tile for the rows it holds. Two
+//! kinds of lane take that step:
+//!
+//! * **the lanes of a task.** Where round one of a pass is the last operator
+//!   of the task that scans its input ([`crate::task`]), each lane of the
+//!   task partitions *the rows it scanned* — read where they lie, the picked
+//!   rows of its chunks — as its last step
+//!   ([`RoundStep::map_rows`]), holding the task's one working set, and
+//!   [`scatter_lanes`] makes the partitions of all lanes' maps once the
+//!   stage has returned,
+//! * **the lanes of a round over batches.** A round over what a join or a
+//!   round before it materialized is a stage of its own: its input — the
+//!   batches of the operator below, or the partitions the round before
+//!   wrote — is cut into tiles, and `min(cores, tiles)` lanes each take a
+//!   contiguous run of them under their own [`CoreCtx`], holding the
+//!   double-buffered tile working set in DMEM and filling disjoint slices of
+//!   one hash buffer, one row-id buffer and one histogram. Lanes are
+//!   tile-aligned because the DMS moves tiles: any other cut would make more
+//!   of them than one core streaming the input does.
+//!
+//! Either way, once all lanes are done the per-lane histograms give every
+//! row its place, and each (partition, column) comes out as one vector with
+//! rows in input order — on the chip it is the chain of the lanes'
+//! local-buffer flushes.
 //!
 //! Multi-round schemes (§5.3): each round partitions every current
 //! partition `fanout`-ways, so a scheme `[16, 4]` yields 64 partitions
@@ -36,13 +50,8 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use dpu_sim::dms::engine::DmsCost;
-use dpu_sim::isa::CostModel;
-use rapid_storage::bitvec::BitVec;
-use rapid_storage::vector::Vector;
-
 use crate::actor::{run_stage, StageTiming};
-use crate::batch::Batch;
+use crate::batch::{Batch, ColumnBuilder, Columns, Rows, Run};
 use crate::budget::{partition_stream_bytes, working_set, BASE_STATE_BYTES, HASH_BITS};
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
@@ -73,6 +82,197 @@ impl HashBitCursor {
     }
 }
 
+/// What one round does to every row it is handed.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundStep<'a> {
+    /// Columns the rows are hashed on.
+    pub key_cols: &'a [usize],
+    /// Partitions the round makes of each input: a power of two.
+    pub fanout: usize,
+    /// Hash bits earlier rounds consumed.
+    pub shift: u32,
+    /// Rows per tile.
+    pub tile: usize,
+    /// Whether the rows are read back from DRAM, where the round before
+    /// wrote them, rather than handed on in DMEM or streamed by a scan.
+    pub reads_back: bool,
+}
+
+impl RoundStep<'_> {
+    /// Round one of a pass, `fanout`-way, over rows its lane already holds.
+    pub fn first(key_cols: &[usize], fanout: usize, tile: usize) -> RoundStep<'_> {
+        RoundStep {
+            key_cols,
+            fanout,
+            shift: 0,
+            tile: tile.max(1),
+            reads_back: false,
+        }
+    }
+
+    /// Hash the rows of `runs` — `hashes.len()` of them — and compute their
+    /// partition map (Listing 2) into `offsets` and `rids`, row ids counted
+    /// from the first row of the first run; charge that, the column gathers
+    /// of Listing 3, the sequential DMS write of the rows (and the read of
+    /// them, where they come from DRAM) and a trip round the control loop
+    /// per tile, the last one for the rows it holds.
+    fn map<'r>(
+        &self,
+        ctx: &mut CoreCtx,
+        runs: impl Iterator<Item = Run<'r>> + Clone,
+        hashes: &mut [u32],
+        offsets: &mut [u32],
+        rids: &mut [u32],
+    ) {
+        let Some(first) = runs.clone().next() else {
+            offsets.fill(0);
+            return;
+        };
+        let key_cols = self.key_cols;
+        let keyed = runs.map(|run| {
+            let cols = run.cols;
+            (key_cols.iter().map(move |&c| cols.column(c)), run.row_ids())
+        });
+        hash_pieces_into(ctx, keyed, hashes);
+        compute_partition_map(ctx, hashes, self.fanout, self.shift, 0, offsets, rids);
+        // Listing 3 and the flush of the local buffers it fills are this
+        // core's work on the chip; `scatter` carries the copies out for all
+        // lanes once their histograms have met.
+        let rows = hashes.len();
+        let cols = first.cols;
+        let widths = (0..cols.width()).map(move |c| cols.column(c).data.width());
+        for _ in 0..cols.width() {
+            ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(rows as f64));
+        }
+        let cm = ctx.cost_model.clone();
+        if self.reads_back {
+            ctx.charge_dms(&RelationAccessor::seq_read_cost(
+                &cm,
+                widths.clone(),
+                rows,
+                self.tile,
+            ));
+        }
+        ctx.charge_dms(&RelationAccessor::seq_write_cost(
+            &cm, widths, rows, self.tile,
+        ));
+        for _ in 0..rows.div_ceil(self.tile) {
+            ctx.charge_tile();
+        }
+    }
+
+    /// The step of a task's lane: the map of the rows the lane holds, as
+    /// `fanout + 1` offsets followed by the row ids they index (and, behind
+    /// them, the hashes the map was computed from). Empty for no rows.
+    pub fn map_rows(&self, ctx: &mut CoreCtx, rows: &Rows<'_>) -> Vec<u32> {
+        let n = rows.rows();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut map = vec![0; self.fanout + 1 + 2 * n];
+        let (offsets, rest) = map.split_at_mut(self.fanout + 1);
+        let (rids, hashes) = rest.split_at_mut(n);
+        self.map(ctx, rows.runs(), hashes, offsets, rids);
+        map
+    }
+}
+
+/// The partitions a task's lanes made in round one: every lane's rows and
+/// its [`RoundStep::map_rows`] of them, in lane order. One batch per
+/// partition, rows in table order.
+pub fn scatter_lanes(fanout: usize, lanes: &[(Rows<'_>, Vec<u32>)]) -> Vec<Batch> {
+    let mapped: Vec<Mapped<'_>> = lanes
+        .iter()
+        .map(|(rows, map)| {
+            let (offsets, rest) = map.split_at(map.len().min(fanout + 1));
+            Mapped {
+                segment: 0,
+                offsets,
+                rids: &rest[..rows.rows().min(rest.len())],
+            }
+        })
+        .collect();
+    scatter(fanout, 1, &mapped, |lane| lanes[lane].0.runs())
+}
+
+/// One slice's share of a round's output: where the map sends its rows.
+#[derive(Debug)]
+struct Mapped<'m> {
+    segment: usize,
+    /// `fanout + 1` running offsets into `rids`; none for no rows.
+    offsets: &'m [u32],
+    /// The slice's row ids grouped by partition, counted from its first row.
+    rids: &'m [u32],
+}
+
+/// Listing 3 for every lane at once: gather each projected column
+/// partition by partition along the slices' row-id lists, writing every
+/// partition's rows sequentially, once. `runs_of(k)` are the rows slice `k`
+/// mapped, where they lie. One batch per (segment, partition),
+/// segment-major, rows in input order; an empty partition is an empty batch.
+fn scatter<'r, R>(
+    fanout: usize,
+    segments: usize,
+    slices: &[Mapped<'_>],
+    runs_of: impl Fn(usize) -> R,
+) -> Vec<Batch>
+where
+    R: Iterator<Item = Run<'r>>,
+{
+    // Partition `p`'s row ids within slice `k`.
+    let part = |k: usize, p: usize| match slices[k].offsets {
+        [] => &[][..],
+        o => &slices[k].rids[o[p] as usize..o[p + 1] as usize],
+    };
+    let mut out = Vec::with_capacity(segments * fanout);
+    let mut k = 0;
+    for segment in 0..segments {
+        let of_segment = slices[k..]
+            .iter()
+            .take_while(|s| s.segment == segment)
+            .count();
+        let slices = k..k + of_segment;
+        k = slices.end;
+        // A lane whose scan kept no row left its chain early and still sees
+        // the scan's columns: the layout is that of a run that holds rows.
+        let width = slices
+            .clone()
+            .flat_map(&runs_of)
+            .find(|run| !run.is_empty())
+            .map_or(0, |run| run.cols.width());
+        for p in 0..fanout {
+            let rows: usize = slices.clone().map(|k| part(k, p).len()).sum();
+            if rows == 0 {
+                out.push(Batch::empty(0));
+                continue;
+            }
+            let columns = (0..width).map(|c| {
+                let mut column = ColumnBuilder::default();
+                for k in slices.clone() {
+                    let (mut rest, mut at) = (part(k, p), 0);
+                    for run in runs_of(k) {
+                        if rest.is_empty() {
+                            break;
+                        }
+                        // A partition's ids ascend, so those of one run are
+                        // a run of their own.
+                        let end = at + run.len();
+                        let of_run;
+                        (of_run, rest) =
+                            rest.split_at(rest.partition_point(|&r| (r as usize) < end));
+                        let of_cols = of_run.iter().map(|&r| run.row(r as usize - at));
+                        column.append(run.cols.column(c), of_cols, rows);
+                        at = end;
+                    }
+                }
+                column.finish()
+            });
+            out.push(Batch::new(columns.collect()));
+        }
+    }
+    out
+}
+
 /// A tile-aligned run of rows of one segment, owned by one lane.
 #[derive(Debug)]
 struct Slice {
@@ -80,38 +280,46 @@ struct Slice {
     segment: usize,
     /// Row ids, in the round's row-id space (all pieces back to back).
     rows: Range<usize>,
-    tiles: usize,
     /// The piece holding `rows.start`.
     first_piece: usize,
 }
 
-/// What every lane of a round reads.
+/// What every lane of a round over batches reads.
 #[derive(Debug)]
 struct Plan<'a> {
     /// The non-empty batches of every segment, in order, read in place.
     pieces: Vec<&'a Batch>,
     /// `starts[i]..starts[i + 1]` are the row ids of `pieces[i]`.
     starts: Vec<usize>,
-    /// Per segment, its pieces.
-    segments: Vec<Range<usize>>,
+    /// Segments of the input.
+    segments: usize,
     slices: Vec<Slice>,
-    /// Columns of the input.
-    width: usize,
-    key_cols: &'a [usize],
-    fanout: usize,
-    shift: u32,
-    /// Sequential DMS write of one tile of every column.
-    write_per_tile: DmsCost,
-    /// Sequential DMS read of one, where the round reads back from DRAM
-    /// the partitions the round before wrote ([`Input::Each`]).
-    read_per_tile: Option<DmsCost>,
+    step: RoundStep<'a>,
     /// DMEM a lane holds while it streams: state plus the tile buffers.
     working_set: usize,
 }
 
-/// One round of partitioning: every **segment** (one logical input, its
-/// batches laid back to back) is split `fanout` ways by the hash bits
-/// above `shift`. Built by [`Round::plan`], executed by running every
+impl<'a> Plan<'a> {
+    /// The rows of `slice`, piece by piece.
+    fn runs_of(&self, slice: &Slice) -> impl Iterator<Item = Run<'a>> + Clone + '_ {
+        let rows = slice.rows.clone();
+        (slice.first_piece..self.pieces.len())
+            .map(move |i| {
+                let base = self.starts[i];
+                let of_piece = rows.start.max(base)..rows.end.min(self.starts[i + 1]);
+                Run {
+                    cols: Columns::Batch(self.pieces[i]),
+                    rows: of_piece.start.saturating_sub(base)..of_piece.end.saturating_sub(base),
+                    picked: None,
+                }
+            })
+            .take_while(|run| !run.rows.is_empty())
+    }
+}
+
+/// One round of partitioning over batches: every **segment** (one logical
+/// input, its batches laid back to back) is split `fanout` ways by the hash
+/// bits above `shift`. Built by [`Round::plan`], executed by running every
 /// [`Lane`] of [`Round::lanes`] — in any order, on any cores — and turned
 /// into the partitions by [`Round::finish`].
 #[derive(Debug)]
@@ -160,7 +368,6 @@ impl<'a> Round<'a> {
     /// Cut the input's segments into tiles of `tile` rows — a segment's
     /// last tile may be short, as the DMS writes it — and deal the tiles,
     /// in order, to `min(cores, tiles)` lanes.
-    #[allow(clippy::too_many_arguments)]
     fn plan(
         input: Input<'a>,
         key_cols: &'a [usize],
@@ -168,7 +375,6 @@ impl<'a> Round<'a> {
         shift: u32,
         tile: usize,
         cores: usize,
-        cm: &CostModel,
         dmem_bytes: usize,
     ) -> Round<'a> {
         debug_assert!(fanout.is_power_of_two());
@@ -210,44 +416,38 @@ impl<'a> Round<'a> {
                     lane,
                     segment,
                     rows: start..end,
-                    tiles: upto - t,
                     first_piece: piece,
                 });
                 (t, start) = (upto, end);
             }
         }
-        let widths: Vec<usize> = pieces.first().map_or(Vec::new(), |b| {
-            b.columns.iter().map(|c| c.data.width()).collect()
-        });
-        let read_per_tile = matches!(input, Input::Each(_))
-            .then(|| RelationAccessor::seq_read_cost(cm, widths.iter().copied(), tile, tile));
+        let row_bytes: usize = pieces
+            .first()
+            .map_or(0, |b| b.columns.iter().map(|c| c.data.width()).sum());
         Round {
             hashes: vec![0; starts[pieces.len()]],
             rids: vec![0; starts[pieces.len()]],
             offsets: vec![0; slices.len() * (fanout + 1)],
             plan: Plan {
-                write_per_tile: RelationAccessor::seq_write_tile_cost(
-                    cm,
-                    widths.iter().copied(),
+                step: RoundStep {
+                    key_cols,
+                    fanout,
+                    shift,
                     tile,
-                ),
-                read_per_tile,
+                    reads_back: matches!(input, Input::Each(_)),
+                },
                 // What the tile was sized from: state plus the tile buffers
                 // of every column and the hash lane.
                 working_set: working_set(
                     BASE_STATE_BYTES,
-                    partition_stream_bytes(widths.iter().sum()),
+                    partition_stream_bytes(row_bytes),
                     tile,
                     dmem_bytes,
                 ),
-                width: widths.len(),
+                segments: segments.len(),
                 pieces,
                 starts,
-                segments,
                 slices,
-                key_cols,
-                fanout,
-                shift,
             },
         }
     }
@@ -255,7 +455,7 @@ impl<'a> Round<'a> {
     /// The round's lanes, each with its own part of the shared buffers.
     fn lanes(&mut self) -> Vec<Lane<'_, 'a>> {
         let plan = &self.plan;
-        let stride = plan.fanout + 1;
+        let stride = plan.step.fanout + 1;
         let (mut hashes, mut rids, mut offsets) = (
             self.hashes.as_mut_slice(),
             self.rids.as_mut_slice(),
@@ -279,11 +479,7 @@ impl<'a> Round<'a> {
         lanes
     }
 
-    /// Listing 3 for every lane at once: gather each projected column
-    /// partition by partition along the lanes' row-id lists, writing every
-    /// partition's rows sequentially, once. One batch per (segment,
-    /// partition), segment-major, rows in input order; an empty partition
-    /// is an empty batch.
+    /// The partitions: [`scatter`] along every slice's map.
     fn finish(self) -> Vec<Batch> {
         let Round {
             plan,
@@ -291,73 +487,20 @@ impl<'a> Round<'a> {
             offsets,
             ..
         } = self;
-        let stride = plan.fanout + 1;
-        // Partition `p`'s row ids within slice `k`.
-        let run = |k: usize, p: usize| {
-            let (at, o) = (plan.slices[k].rows.start, &offsets[k * stride..]);
-            &rids[at + o[p] as usize..at + o[p + 1] as usize]
-        };
-        let mut out = Vec::with_capacity(plan.segments.len() * plan.fanout);
-        let mut has_nulls: Vec<bool> = Vec::new();
-        let mut k = 0;
-        for (segment, pieces) in plan.segments.iter().enumerate() {
-            let of_segment = plan.slices[k..]
-                .iter()
-                .take_while(|s| s.segment == segment)
-                .count();
-            let slices = k..k + of_segment;
-            k = slices.end;
-            let pieces = &plan.pieces[pieces.clone()];
-            let Some(proto) = pieces.first() else {
-                out.extend((0..plan.fanout).map(|_| Batch::empty(0)));
-                continue;
-            };
-            has_nulls.clear();
-            has_nulls
-                .extend((0..plan.width).map(|c| pieces.iter().any(|b| b.column(c).has_nulls())));
-            for p in 0..plan.fanout {
-                let rows: usize = slices.clone().map(|k| run(k, p).len()).sum();
-                if rows == 0 {
-                    out.push(Batch::empty(0));
-                    continue;
-                }
-                let mut columns = Vec::with_capacity(plan.width);
-                for (c, &any_nulls) in has_nulls.iter().enumerate() {
-                    let mut data = proto.column(c).data.empty_like_with_capacity(rows);
-                    let mut nulls = any_nulls.then(|| BitVec::with_capacity(rows));
-                    for k in slices.clone() {
-                        let mut rest = run(k, p);
-                        let mut i = plan.slices[k].first_piece;
-                        while !rest.is_empty() {
-                            // A run's ids ascend, so those of one piece
-                            // are a run of their own.
-                            let (base, end) = (plan.starts[i], plan.starts[i + 1]);
-                            let of_piece;
-                            (of_piece, rest) =
-                                rest.split_at(rest.partition_point(|&r| (r as usize) < end));
-                            let piece = plan.pieces[i].column(c);
-                            data.extend_gather(&piece.data, of_piece, base as u32);
-                            match (&mut nulls, &piece.nulls) {
-                                (Some(nulls), Some(src)) => {
-                                    for &r in of_piece {
-                                        nulls.push(src.get(r as usize - base));
-                                    }
-                                }
-                                (Some(nulls), None) => nulls.extend_zeros(of_piece.len()),
-                                (None, _) => {}
-                            }
-                            i += 1;
-                        }
-                    }
-                    columns.push(match nulls {
-                        Some(nulls) => Vector::with_nulls(data, nulls),
-                        None => Vector::new(data),
-                    });
-                }
-                out.push(Batch::new(columns));
-            }
-        }
-        out
+        let stride = plan.step.fanout + 1;
+        let mapped: Vec<Mapped<'_>> = plan
+            .slices
+            .iter()
+            .zip(offsets.chunks_exact(stride))
+            .map(|(slice, offsets)| Mapped {
+                segment: slice.segment,
+                offsets,
+                rids: &rids[slice.rows.clone()],
+            })
+            .collect();
+        scatter(plan.step.fanout, plan.segments, &mapped, |k| {
+            plan.runs_of(&plan.slices[k])
+        })
     }
 }
 
@@ -371,47 +514,17 @@ impl Lane<'_, '_> {
         for (slice, offsets) in self
             .slices
             .iter()
-            .zip(self.offsets.chunks_exact_mut(plan.fanout + 1))
+            .zip(self.offsets.chunks_exact_mut(plan.step.fanout + 1))
         {
             let own = slice.rows.start - at..slice.rows.end - at;
             let hashes = &mut self.hashes[own.clone()];
-            // The slice's rows, piece by piece.
-            let mut row = slice.rows.start;
-            let pieces = (slice.first_piece..).map_while(|i| {
-                (row < slice.rows.end).then(|| {
-                    let (piece, base) = (plan.pieces[i], plan.starts[i]);
-                    let end = slice.rows.end.min(plan.starts[i + 1]);
-                    let of_piece = row - base..end - base;
-                    row = end;
-                    (
-                        plan.key_cols.iter().map(move |&c| piece.column(c)),
-                        of_piece,
-                    )
-                })
-            });
-            hash_pieces_into(ctx, pieces, hashes);
-            compute_partition_map(
+            plan.step.map(
                 ctx,
+                plan.runs_of(slice),
                 hashes,
-                plan.fanout,
-                plan.shift,
-                slice.rows.start as u32,
                 offsets,
                 &mut self.rids[own],
             );
-            // Listing 3 and the flush of the local buffers it fills are
-            // this core's work on the chip; `Round::finish` carries the
-            // copies out for all lanes once their histograms have met.
-            for _ in 0..plan.width {
-                ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(slice.rows.len() as f64));
-            }
-            if let Some(read) = &plan.read_per_tile {
-                ctx.charge_dms(&read.times(slice.tiles));
-            }
-            ctx.charge_dms(&plan.write_per_tile.times(slice.tiles));
-            for _ in 0..slice.tiles {
-                ctx.charge_tile();
-            }
         }
         Ok(())
     }
@@ -448,8 +561,8 @@ fn round_on_core(
     shift: u32,
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
-    let (cm, dmem) = (&ctx.cost_model, ctx.dmem.capacity());
-    let mut round = Round::plan(input, key_cols, fanout, shift, tile, 1, cm, dmem);
+    let dmem = ctx.dmem.capacity();
+    let mut round = Round::plan(input, key_cols, fanout, shift, tile, 1, dmem);
     for lane in round.lanes() {
         lane.run(ctx)?;
     }
@@ -533,8 +646,34 @@ pub fn partition_pass(
             .pop()
             .ok_or_else(|| QefError::Internal("partition stage lost its output".into()));
     }
-    let mut current = batches;
-    for (nth, fanout, shift) in rounds(scheme) {
+    rounds_from(0, ectx, batches, key_cols, scheme, tile, stage_done)
+}
+
+/// The rounds of a pass after the first, over the partitions `first` that
+/// round one — the step of a task's lanes ([`RoundStep::map_rows`]) — wrote
+/// to DRAM: a stage each, as in [`partition_pass`].
+pub fn partition_rounds_after(
+    ectx: &ExecContext,
+    first: Vec<Batch>,
+    key_cols: &[usize],
+    scheme: &[usize],
+    tile: usize,
+    stage_done: impl FnMut(&StageTiming, PartitionRound),
+) -> QefResult<Vec<Batch>> {
+    rounds_from(1, ectx, first, key_cols, scheme, tile, stage_done)
+}
+
+/// Rounds `from..` of `scheme` over `current`, what the round before left.
+fn rounds_from(
+    from: usize,
+    ectx: &ExecContext,
+    mut current: Vec<Batch>,
+    key_cols: &[usize],
+    scheme: &[usize],
+    tile: usize,
+    mut stage_done: impl FnMut(&StageTiming, PartitionRound),
+) -> QefResult<Vec<Batch>> {
+    for (nth, fanout, shift) in rounds(scheme).skip(from) {
         let start = Instant::now();
         let mut round = Round::plan(
             Input::of_round(nth, &current),
@@ -543,7 +682,6 @@ pub fn partition_pass(
             shift,
             tile,
             ectx.cores,
-            &ectx.cost_model,
             ectx.dmem_bytes,
         );
         let (_, mut t) = run_stage(ectx, round.lanes(), |core, lane| lane.run(core))?;
@@ -567,7 +705,8 @@ pub fn partition_pass(
 mod tests {
     use super::*;
     use crate::exec::{CoreCtx, ExecContext};
-    use rapid_storage::vector::ColumnData;
+    use rapid_storage::bitvec::BitVec;
+    use rapid_storage::vector::{ColumnData, Vector};
 
     fn ctx() -> CoreCtx {
         CoreCtx::new(&ExecContext::dpu(), 0)
@@ -770,7 +909,8 @@ mod proptests {
     use crate::primitives::hash::hash_rows;
     use dpu_sim::account::{Counters, CycleAccount};
     use proptest::prelude::*;
-    use rapid_storage::vector::ColumnData;
+    use rapid_storage::bitvec::BitVec;
+    use rapid_storage::vector::{ColumnData, Vector};
 
     /// One input row: key, payload seed, and a roll that makes a value NULL.
     type Row = (i64, i64, u8);

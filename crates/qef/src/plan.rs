@@ -156,6 +156,14 @@ pub enum PlanNode {
         /// compiler's partition scheme optimization. The engine runs it as
         /// declared; no rounds is one partition.
         scheme: Vec<usize>,
+        /// Whether round one of the build side's pass runs in the task of
+        /// the scan-fed chain that is the build input
+        /// ([`PlanNode::scan_chain`]): the compiler's task formation.
+        #[serde(default)]
+        fused_build: bool,
+        /// The same for the probe side.
+        #[serde(default)]
+        fused_probe: bool,
     },
     /// Group-by + aggregation. Output: keys ++ aggregates.
     GroupBy {
@@ -167,6 +175,11 @@ pub enum PlanNode {
         aggs: Vec<AggSpec>,
         /// Strategy selection.
         strategy: GroupStrategy,
+        /// Whether the first stage over the input — `groupby.consume`, or
+        /// round one of `groupby.partition` — runs in the task of the
+        /// scan-fed chain that is the input.
+        #[serde(default)]
+        fused: bool,
     },
     /// Top-K by sort keys.
     TopK {
@@ -176,6 +189,10 @@ pub enum PlanNode {
         order: Vec<SortKey>,
         /// Result size.
         k: usize,
+        /// Whether `topk.consume` runs in the task of the scan-fed chain
+        /// that is the input.
+        #[serde(default)]
+        fused: bool,
     },
     /// Full sort.
     Sort {
@@ -183,6 +200,10 @@ pub enum PlanNode {
         input: Box<PlanNode>,
         /// Ordering.
         order: Vec<SortKey>,
+        /// Whether `sort.local` runs in the task of the scan-fed chain that
+        /// is the input.
+        #[serde(default)]
+        fused: bool,
     },
     /// First `n` rows (in current order).
     Limit {
@@ -211,6 +232,26 @@ pub enum PlanNode {
         /// The function.
         func: WindowFunc,
     },
+}
+
+/// Bytes per value of what an operator computes: `Expr::eval`,
+/// `GroupTable::emit` and `window_batch` write i64s.
+const COMPUTED_WIDTH: usize = std::mem::size_of::<i64>();
+
+/// [`PlanNode::output_widths`] of a Map of `exprs` over columns of `below`:
+/// a bare column is handed on as wide as it came, an expression it computes
+/// is written as 8-byte values.
+pub fn map_widths(exprs: &[NamedExpr], below: &[usize]) -> QefResult<Vec<usize>> {
+    exprs
+        .iter()
+        .map(|e| match e.expr {
+            Expr::Col(c) => below.get(c).copied().ok_or(QefError::BadColumn {
+                index: c,
+                available: below.len(),
+            }),
+            _ => Ok(COMPUTED_WIDTH),
+        })
+        .collect()
 }
 
 /// Decode metadata of one output column.
@@ -374,8 +415,7 @@ impl PlanNode {
     /// from this one answer, and the batches that reach a pass have exactly
     /// these widths (the engine asserts it in debug builds).
     pub fn output_widths(&self, catalog: &Catalog) -> QefResult<Vec<usize>> {
-        // `Expr::eval`, `GroupTable::emit` and `window_batch` write i64s.
-        let computed = std::mem::size_of::<i64>();
+        let computed = COMPUTED_WIDTH;
         match self {
             PlanNode::Scan { table, columns, .. } => {
                 let t = catalog
@@ -399,19 +439,7 @@ impl PlanNode {
             | PlanNode::TopK { input, .. }
             | PlanNode::Sort { input, .. }
             | PlanNode::Limit { input, .. } => input.output_widths(catalog),
-            PlanNode::Map { input, exprs } => {
-                let below = input.output_widths(catalog)?;
-                exprs
-                    .iter()
-                    .map(|e| match e.expr {
-                        Expr::Col(c) => below.get(c).copied().ok_or(QefError::BadColumn {
-                            index: c,
-                            available: below.len(),
-                        }),
-                        _ => Ok(computed),
-                    })
-                    .collect()
-            }
+            PlanNode::Map { input, exprs } => map_widths(exprs, &input.output_widths(catalog)?),
             PlanNode::HashJoin {
                 build,
                 probe,
@@ -452,6 +480,23 @@ impl PlanNode {
             | PlanNode::Window { input, .. } => (Some(&**input), None),
             PlanNode::HashJoin { build, probe, .. } => (Some(&**build), Some(&**probe)),
             PlanNode::SetOp { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// [`inputs`](Self::inputs), to rewrite them in place.
+    pub fn inputs_mut(&mut self) -> impl Iterator<Item = &mut PlanNode> {
+        let (first, second) = match self {
+            PlanNode::Scan { .. } => (None, None),
+            PlanNode::Filter { input, .. }
+            | PlanNode::Map { input, .. }
+            | PlanNode::GroupBy { input, .. }
+            | PlanNode::TopK { input, .. }
+            | PlanNode::Sort { input, .. }
+            | PlanNode::Limit { input, .. }
+            | PlanNode::Window { input, .. } => (Some(&mut **input), None),
+            PlanNode::HashJoin { build, probe, .. } => (Some(&mut **build), Some(&mut **probe)),
+            PlanNode::SetOp { left, right, .. } => (Some(&mut **left), Some(&mut **right)),
         };
         first.into_iter().chain(second)
     }
@@ -525,6 +570,7 @@ mod tests {
                 },
             ],
             strategy: GroupStrategy::OnTheFly,
+            fused: false,
         };
         let meta = plan.output_meta(&catalog()).unwrap();
         assert_eq!(meta.len(), 3);
@@ -547,6 +593,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![],
+            fused_build: false,
+            fused_probe: false,
         };
         assert_eq!(inner.output_meta(&catalog()).unwrap().len(), 2);
         let semi = PlanNode::HashJoin {
@@ -556,6 +604,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::LeftSemi,
             scheme: vec![],
+            fused_build: false,
+            fused_probe: false,
         };
         assert_eq!(semi.output_meta(&catalog()).unwrap().len(), 1);
         let outer = PlanNode::HashJoin {
@@ -565,6 +615,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::LeftOuter,
             scheme: vec![],
+            fused_build: false,
+            fused_probe: false,
         };
         let meta = outer.output_meta(&catalog()).unwrap();
         assert!(meta[1].nullable);
@@ -640,11 +692,13 @@ mod tests {
             PlanNode::Sort {
                 input: input.clone(),
                 order: order.clone(),
+                fused: false,
             },
             PlanNode::TopK {
                 input: input.clone(),
                 order,
                 k: 3,
+                fused: false,
             },
             PlanNode::Limit {
                 input: input.clone(),
@@ -694,6 +748,8 @@ mod tests {
             probe_keys: vec![0],
             join_type,
             scheme: vec![],
+            fused_build: false,
+            fused_probe: false,
         };
         assert_eq!(widths(&join(JoinType::Inner)), [1, 2, 1, 4]);
         assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 2, 1, 4]);
@@ -717,6 +773,7 @@ mod tests {
                 },
             ],
             strategy: GroupStrategy::OnTheFly,
+            fused: false,
         };
         assert_eq!(widths(&group), [8, 8, 8], "keys are re-emitted widened");
         let window = PlanNode::Window {
@@ -757,6 +814,8 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![],
+            fused_build: false,
+            fused_probe: false,
         };
         let mut tables = Vec::new();
         plan.referenced_tables(&mut tables);
@@ -773,6 +832,7 @@ mod tests {
             }),
             order: vec![SortKey { col: 1, desc: true }],
             k: 10,
+            fused: false,
         };
         let json = serde_json::to_string(&plan).unwrap();
         let back: PlanNode = serde_json::from_str(&json).unwrap();

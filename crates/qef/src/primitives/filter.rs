@@ -7,6 +7,8 @@
 //! expands the template for every physical type × comparison operator,
 //! mirroring the primitive generator framework.
 
+use std::ops::Range;
+
 use rapid_storage::bitvec::BitVec;
 use rapid_storage::vector::{ColumnData, Vector};
 
@@ -98,41 +100,42 @@ macro_rules! cmp_loop {
 /// constant is narrowed once per tile. Out-of-range constants resolve the
 /// predicate statically (e.g. `i8 column < 1000` is always true).
 macro_rules! dispatch_cmp {
-    ($col:expr, $cval:expr, $op:expr, $emit:expr) => {{
+    ($col:expr, $rows:expr, $cval:expr, $op:expr, $emit:expr) => {{
+        let rows: Range<usize> = $rows;
         match $col {
             ColumnData::I8(d) => match i8::try_from($cval) {
-                Ok(c) => cmp_loop!(d, c, $op, $emit),
+                Ok(c) => cmp_loop!(d[rows], c, $op, $emit),
                 Err(_) => {
                     let always = static_truth($cval, $op, i8::MIN as i64, i8::MAX as i64);
-                    for i in 0..d.len() {
+                    for i in 0..rows.len() {
                         $emit(i, always);
                     }
                 }
             },
             ColumnData::I16(d) => match i16::try_from($cval) {
-                Ok(c) => cmp_loop!(d, c, $op, $emit),
+                Ok(c) => cmp_loop!(d[rows], c, $op, $emit),
                 Err(_) => {
                     let always = static_truth($cval, $op, i16::MIN as i64, i16::MAX as i64);
-                    for i in 0..d.len() {
+                    for i in 0..rows.len() {
                         $emit(i, always);
                     }
                 }
             },
             ColumnData::I32(d) => match i32::try_from($cval) {
-                Ok(c) => cmp_loop!(d, c, $op, $emit),
+                Ok(c) => cmp_loop!(d[rows], c, $op, $emit),
                 Err(_) => {
                     let always = static_truth($cval, $op, i32::MIN as i64, i32::MAX as i64);
-                    for i in 0..d.len() {
+                    for i in 0..rows.len() {
                         $emit(i, always);
                     }
                 }
             },
-            ColumnData::I64(d) => cmp_loop!(d, $cval, $op, $emit),
+            ColumnData::I64(d) => cmp_loop!(d[rows], $cval, $op, $emit),
             ColumnData::U32(d) => match u32::try_from($cval) {
-                Ok(c) => cmp_loop!(d, c, $op, $emit),
+                Ok(c) => cmp_loop!(d[rows], c, $op, $emit),
                 Err(_) => {
                     let always = static_truth($cval, $op, 0, u32::MAX as i64);
-                    for i in 0..d.len() {
+                    for i in 0..rows.len() {
                         $emit(i, always);
                     }
                 }
@@ -154,77 +157,100 @@ fn static_truth(cval: i64, op: CmpOp, lo: i64, hi: i64) -> bool {
     }
 }
 
-/// Evaluate `col <op> cval` over all rows of a vector, producing a
-/// bit-vector. NULL rows never qualify.
-pub fn cmp_const_bv(ctx: &mut CoreCtx, col: &Vector, op: CmpOp, cval: i64) -> BitVec {
-    let mut out = BitVec::zeros(col.len());
-    dispatch_cmp!(&col.data, cval, op, |i, q: bool| {
+/// Clear the bits of `out` — one per row of `rows` — whose row of `col` is
+/// NULL: NULL rows never qualify.
+fn clear_nulls(out: &mut BitVec, col: &Vector, rows: &Range<usize>) {
+    if let Some(nulls) = &col.nulls {
+        for (bit, row) in rows.clone().enumerate() {
+            if nulls.get(row) {
+                out.set(bit, false);
+            }
+        }
+    }
+}
+
+/// Evaluate `col <op> cval` over rows `rows` of a vector, read where they
+/// lie, producing a bit-vector of them. NULL rows never qualify.
+pub fn cmp_const_bv(
+    ctx: &mut CoreCtx,
+    col: &Vector,
+    rows: Range<usize>,
+    op: CmpOp,
+    cval: i64,
+) -> BitVec {
+    let mut out = BitVec::zeros(rows.len());
+    dispatch_cmp!(&col.data, rows.clone(), cval, op, |i, q: bool| {
         if q {
             out.set(i, true);
         }
     });
-    if let Some(nulls) = &col.nulls {
-        let mut not_null = nulls.clone();
-        not_null.negate();
-        out.and_with(&not_null);
-    }
-    ctx.charge_kernel(&costs::filter_per_row().scaled(col.len() as f64));
+    clear_nulls(&mut out, col, &rows);
+    ctx.charge_kernel(&costs::filter_per_row().scaled(rows.len() as f64));
     out
 }
 
-/// Evaluate `col BETWEEN lo AND hi` (inclusive) over all rows.
-pub fn between_bv(ctx: &mut CoreCtx, col: &Vector, lo: i64, hi: i64) -> BitVec {
-    let mut out = cmp_const_bv(ctx, col, CmpOp::Ge, lo);
-    let hi_bv = cmp_const_bv(ctx, col, CmpOp::Le, hi);
+/// Evaluate `col BETWEEN lo AND hi` (inclusive) over rows `rows`.
+pub fn between_bv(ctx: &mut CoreCtx, col: &Vector, rows: Range<usize>, lo: i64, hi: i64) -> BitVec {
+    let mut out = cmp_const_bv(ctx, col, rows.clone(), CmpOp::Ge, lo);
+    let hi_bv = cmp_const_bv(ctx, col, rows, CmpOp::Le, hi);
     out.and_with(&hi_bv);
     out
 }
 
-/// Evaluate `col IN <code set>` where the set is a bitmap over dictionary
-/// codes (how string IN-lists and post-update range predicates compile).
-pub fn in_code_set_bv(ctx: &mut CoreCtx, col: &Vector, codes: &BitVec) -> BitVec {
-    let mut out = BitVec::zeros(col.len());
+/// Evaluate `col IN <code set>` over rows `rows`, where the set is a bitmap
+/// over dictionary codes (how string IN-lists and post-update range
+/// predicates compile).
+pub fn in_code_set_bv(
+    ctx: &mut CoreCtx,
+    col: &Vector,
+    rows: Range<usize>,
+    codes: &BitVec,
+) -> BitVec {
+    let mut out = BitVec::zeros(rows.len());
+    let member = |c: i64| c >= 0 && (c as usize) < codes.len() && codes.get(c as usize);
     match &col.data {
         ColumnData::U32(d) => {
-            for (i, &c) in d.iter().enumerate() {
-                if (c as usize) < codes.len() && codes.get(c as usize) {
+            for (i, &c) in d[rows.clone()].iter().enumerate() {
+                if member(c as i64) {
                     out.set(i, true);
                 }
             }
         }
         other => {
-            for i in 0..other.len() {
-                let c = other.get_i64(i);
-                if c >= 0 && (c as usize) < codes.len() && codes.get(c as usize) {
+            for (i, row) in rows.clone().enumerate() {
+                if member(other.get_i64(row)) {
                     out.set(i, true);
                 }
             }
         }
     }
-    if let Some(nulls) = &col.nulls {
-        let mut not_null = nulls.clone();
-        not_null.negate();
-        out.and_with(&not_null);
-    }
+    clear_nulls(&mut out, col, &rows);
     // Bitmap probe: one extra load vs the compare loop.
     let mut k = costs::filter_per_row();
     k.lsu += 1.0;
-    ctx.charge_kernel(&k.scaled(col.len() as f64));
+    ctx.charge_kernel(&k.scaled(rows.len() as f64));
     out
 }
 
-/// Column-vs-column compare (e.g. `l_commitdate < l_receiptdate`).
-pub fn cmp_col_bv(ctx: &mut CoreCtx, a: &Vector, op: CmpOp, b: &Vector) -> BitVec {
+/// Column-vs-column compare (e.g. `l_commitdate < l_receiptdate`) over rows
+/// `rows` of both.
+pub fn cmp_col_bv(
+    ctx: &mut CoreCtx,
+    a: &Vector,
+    rows: Range<usize>,
+    op: CmpOp,
+    b: &Vector,
+) -> BitVec {
     debug_assert_eq!(a.len(), b.len());
-    let mut out = BitVec::zeros(a.len());
-    for i in 0..a.len() {
+    let mut out = BitVec::zeros(rows.len());
+    for (bit, i) in rows.clone().enumerate() {
         if !a.is_null(i) && !b.is_null(i) && op.apply(a.data.get_i64(i), b.data.get_i64(i)) {
-            out.set(i, true);
+            out.set(bit, true);
         }
     }
     let mut k = costs::filter_per_row();
     k.lsu += 1.0; // second operand load
-    ctx.charge_kernel(&k.scaled(a.len() as f64));
+    ctx.charge_kernel(&k.scaled(rows.len() as f64));
     out
 }
 
@@ -253,7 +279,7 @@ mod tests {
             CmpOp::Gt,
             CmpOp::Ge,
         ] {
-            let bv = cmp_const_bv(&mut c, &col, op, 7);
+            let bv = cmp_const_bv(&mut c, &col, 0..col.len(), op, 7);
             for i in 0..col.len() {
                 assert_eq!(
                     bv.get(i),
@@ -268,11 +294,26 @@ mod tests {
     fn out_of_range_constants_resolve_statically() {
         let mut c = ctx();
         let col = Vector::new(ColumnData::I8(vec![1, 2, 3]));
-        assert_eq!(cmp_const_bv(&mut c, &col, CmpOp::Lt, 1000).count_ones(), 3);
-        assert_eq!(cmp_const_bv(&mut c, &col, CmpOp::Gt, 1000).count_ones(), 0);
-        assert_eq!(cmp_const_bv(&mut c, &col, CmpOp::Eq, 1000).count_ones(), 0);
-        assert_eq!(cmp_const_bv(&mut c, &col, CmpOp::Ne, -1000).count_ones(), 3);
-        assert_eq!(cmp_const_bv(&mut c, &col, CmpOp::Gt, -1000).count_ones(), 3);
+        assert_eq!(
+            cmp_const_bv(&mut c, &col, 0..col.len(), CmpOp::Lt, 1000).count_ones(),
+            3
+        );
+        assert_eq!(
+            cmp_const_bv(&mut c, &col, 0..col.len(), CmpOp::Gt, 1000).count_ones(),
+            0
+        );
+        assert_eq!(
+            cmp_const_bv(&mut c, &col, 0..col.len(), CmpOp::Eq, 1000).count_ones(),
+            0
+        );
+        assert_eq!(
+            cmp_const_bv(&mut c, &col, 0..col.len(), CmpOp::Ne, -1000).count_ones(),
+            3
+        );
+        assert_eq!(
+            cmp_const_bv(&mut c, &col, 0..col.len(), CmpOp::Gt, -1000).count_ones(),
+            3
+        );
     }
 
     #[test]
@@ -282,7 +323,7 @@ mod tests {
         let mut nulls = BV::zeros(3);
         nulls.set(1, true);
         let col = Vector::with_nulls(ColumnData::I32(vec![5, 5, 5]), nulls);
-        let bv = cmp_const_bv(&mut c, &col, CmpOp::Eq, 5);
+        let bv = cmp_const_bv(&mut c, &col, 0..col.len(), CmpOp::Eq, 5);
         assert_eq!(bv.count_ones(), 2);
         assert!(!bv.get(1));
     }
@@ -291,7 +332,7 @@ mod tests {
     fn between_is_inclusive() {
         let mut c = ctx();
         let col = col_i32(&[1, 2, 3, 4, 5]);
-        let bv = between_bv(&mut c, &col, 2, 4);
+        let bv = between_bv(&mut c, &col, 0..col.len(), 2, 4);
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
@@ -302,7 +343,7 @@ mod tests {
         let mut codes = BitVec::zeros(4);
         codes.set(1, true);
         codes.set(3, true);
-        let bv = in_code_set_bv(&mut c, &col, &codes);
+        let bv = in_code_set_bv(&mut c, &col, 0..col.len(), &codes);
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![1, 3, 4]);
     }
 
@@ -311,9 +352,9 @@ mod tests {
         let mut c = ctx();
         let a = col_i32(&[1, 5, 3]);
         let b = col_i32(&[2, 4, 3]);
-        let bv = cmp_col_bv(&mut c, &a, CmpOp::Lt, &b);
+        let bv = cmp_col_bv(&mut c, &a, 0..a.len(), CmpOp::Lt, &b);
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![0]);
-        let bv = cmp_col_bv(&mut c, &a, CmpOp::Ge, &b);
+        let bv = cmp_col_bv(&mut c, &a, 0..a.len(), CmpOp::Ge, &b);
         assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![1, 2]);
     }
 
@@ -322,7 +363,7 @@ mod tests {
         let mut c = ctx();
         let col = col_i32(&[0; 1000]);
         let before = c.account.compute_cycles().get();
-        cmp_const_bv(&mut c, &col, CmpOp::Eq, 0);
+        cmp_const_bv(&mut c, &col, 0..col.len(), CmpOp::Eq, 0);
         let after = c.account.compute_cycles().get();
         assert!(after - before >= 1000.0, "at least 1 cycle/row charged");
     }
@@ -352,7 +393,7 @@ mod proptests {
             let op = ops[op_idx];
             let mut ctx = crate::exec::CoreCtx::new(&ExecContext::dpu(), 0);
             let col = Vector::new(ColumnData::I16(vals.clone()));
-            let bv = cmp_const_bv(&mut ctx, &col, op, cval as i64);
+            let bv = cmp_const_bv(&mut ctx, &col, 0..col.len(), op, cval as i64);
             for (i, &v) in vals.iter().enumerate() {
                 prop_assert_eq!(bv.get(i), op.apply(v as i64, cval as i64));
             }

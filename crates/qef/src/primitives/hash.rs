@@ -5,8 +5,6 @@
 //! values computed in hardware") and the hash-join/group-by bucket
 //! indices — one function family, exactly like the chip.
 
-use std::ops::Range;
-
 use rapid_storage::vector::Vector;
 
 use crate::exec::CoreCtx;
@@ -28,17 +26,18 @@ pub fn hash_rows(ctx: &mut CoreCtx, keys: &[&Vector]) -> Vec<u32> {
     out
 }
 
-/// [`hash_rows`] over row ranges of an input that arrives in pieces (each
-/// item: one piece's key columns and the rows of it to hash), written back
-/// to back into `out` and charged as the one logical input the ranges are.
-/// A partition lane hashes the rows it owns into its slice of the round's
-/// hash buffer this way.
-pub fn hash_pieces_into<'a, K>(
+/// [`hash_rows`] over rows of an input that arrives in pieces (each item:
+/// one piece's key columns and the rows of it to hash), written back to back
+/// into `out` and charged as the one logical input the rows are. A partition
+/// lane hashes the rows it owns into its slice of the round's hash buffer
+/// this way.
+pub fn hash_pieces_into<'a, K, R>(
     ctx: &mut CoreCtx,
-    pieces: impl Iterator<Item = (K, Range<usize>)>,
+    pieces: impl Iterator<Item = (K, R)>,
     out: &mut [u32],
 ) where
     K: Iterator<Item = &'a Vector> + Clone,
+    R: ExactSizeIterator<Item = usize>,
 {
     let mut done = 0;
     let mut nkeys = 0;

@@ -1,0 +1,284 @@
+//! Tasks (§5.2): the operators of a plan that run as one stage.
+//!
+//! "Operators within a task pipeline results to each other via DMEM and
+//! only results at task boundaries are materialized to DRAM." A task here
+//! opens with a scan: the **scan-fed chain** `Scan → {Filter | Map}*`
+//! ([`PlanNode::scan_chain`]) always runs in its scan's task, and the first
+//! stage of the node that consumes the chain joins it where the plan marks
+//! that edge ([`PlanNode::fused`]) — round one of a join side's or a
+//! group-by's partition pass, `groupby.consume`, `topk.consume`,
+//! `sort.local` ([`PlanNode::stage_in_task`]). The compiler sets the marks
+//! (`rapid_qcomp::task_formation`), the engine runs them and the verifier
+//! checks them, all three sizing the task from the same declarations
+//! ([`OpDecl`], [`crate::budget::task_tile`]).
+
+use crate::budget::{OpDecl, OpName, BASE_STATE_BYTES};
+use crate::error::{QefError, QefResult};
+use crate::expr::{Expr, Pred};
+use crate::ops::filter::touched_columns;
+use crate::plan::{Catalog, GroupStrategy, PlanNode};
+
+/// A scan and the row-at-a-time operators over it.
+#[derive(Debug, Clone)]
+pub struct ScanChain<'p> {
+    /// The scanned table.
+    pub table: &'p str,
+    /// Its projected columns.
+    pub columns: &'p [usize],
+    /// The scan's predicate, over table columns.
+    pub pred: Option<&'p Pred>,
+    /// The `Filter` and `Map` nodes over the scan, bottom first.
+    pub above: Vec<&'p PlanNode>,
+}
+
+impl PlanNode {
+    /// Whether this node is the top of a scan-fed chain: a `Scan`, or
+    /// `Filter`s and `Map`s over one.
+    pub fn is_scan_chain(&self) -> bool {
+        match self {
+            PlanNode::Scan { .. } => true,
+            PlanNode::Filter { input, .. } | PlanNode::Map { input, .. } => input.is_scan_chain(),
+            _ => false,
+        }
+    }
+
+    /// The scan-fed chain this node is the top of, if it is one.
+    pub fn scan_chain(&self) -> Option<ScanChain<'_>> {
+        match self {
+            PlanNode::Scan {
+                table,
+                columns,
+                pred,
+            } => Some(ScanChain {
+                table,
+                columns,
+                pred: pred.as_ref(),
+                above: Vec::new(),
+            }),
+            PlanNode::Filter { input, .. } | PlanNode::Map { input, .. } => {
+                let mut chain = input.scan_chain()?;
+                chain.above.push(self);
+                Some(chain)
+            }
+            _ => None,
+        }
+    }
+
+    /// The scheme this node declares for its partition passes, if it runs
+    /// any: a join's, or a partitioned group-by's.
+    pub fn partition_scheme(&self) -> Option<&[usize]> {
+        match self {
+            PlanNode::HashJoin { scheme, .. }
+            | PlanNode::GroupBy {
+                strategy: GroupStrategy::Partitioned(scheme),
+                ..
+            } => Some(scheme),
+            _ => None,
+        }
+    }
+
+    /// Whether the plan marks input `edge` of this node (its position in
+    /// [`inputs`](Self::inputs)) as crossed by a task.
+    pub fn fused(&self, edge: usize) -> bool {
+        match (self, edge) {
+            (PlanNode::HashJoin { fused_build, .. }, 0) => *fused_build,
+            (PlanNode::HashJoin { fused_probe, .. }, 1) => *fused_probe,
+            (
+                PlanNode::GroupBy { fused, .. }
+                | PlanNode::TopK { fused, .. }
+                | PlanNode::Sort { fused, .. },
+                0,
+            ) => *fused,
+            _ => false,
+        }
+    }
+
+    /// The mark of input `edge`, for the nodes that have one.
+    pub fn fused_mut(&mut self, edge: usize) -> Option<&mut bool> {
+        match (self, edge) {
+            (PlanNode::HashJoin { fused_build, .. }, 0) => Some(fused_build),
+            (PlanNode::HashJoin { fused_probe, .. }, 1) => Some(fused_probe),
+            (
+                PlanNode::GroupBy { fused, .. }
+                | PlanNode::TopK { fused, .. }
+                | PlanNode::Sort { fused, .. },
+                0,
+            ) => Some(fused),
+            _ => None,
+        }
+    }
+
+    /// What the first stage this node runs over input `edge` declares
+    /// against DMEM, the input handing on columns of `widths`: a partition
+    /// pass's round one, `groupby.consume`, `topk.consume` or `sort.local`.
+    /// `None` where the node has no such stage: it is not a join, group-by,
+    /// top-k or sort.
+    pub fn first_stage(
+        &self,
+        edge: usize,
+        widths: &[usize],
+        dmem_bytes: usize,
+    ) -> Option<OpDecl<'static>> {
+        let partition = |stage: &'static str| {
+            Some(OpDecl {
+                name: OpName::of(stage),
+                state_bytes: BASE_STATE_BYTES,
+                in_widths: widths.to_vec(),
+                // The hash lane the partition map is computed from.
+                out_widths: vec![4],
+            })
+        };
+        match (self, edge) {
+            (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build"),
+            (PlanNode::HashJoin { .. }, 1) => partition("join.partition-probe"),
+            (
+                PlanNode::GroupBy {
+                    strategy: GroupStrategy::Partitioned(_),
+                    ..
+                },
+                0,
+            ) => partition("groupby.partition"),
+            (PlanNode::GroupBy { keys, aggs, .. }, 0) => {
+                Some(group_consume_decl(keys, aggs, widths, dmem_bytes))
+            }
+            (PlanNode::TopK { k, .. }, 0) => Some(OpDecl {
+                name: OpName::of("topk.consume"),
+                // The heap of k candidate rows, capped at half of DMEM
+                // (larger k spills merge rounds, not state).
+                state_bytes: BASE_STATE_BYTES
+                    + k.saturating_mul(widths.iter().sum()).min(dmem_bytes / 2),
+                in_widths: widths.to_vec(),
+                out_widths: Vec::new(),
+            }),
+            (PlanNode::Sort { .. }, 0) => Some(OpDecl {
+                name: OpName::of("sort.local"),
+                state_bytes: dmem_bytes / 2,
+                in_widths: widths.to_vec(),
+                out_widths: Vec::new(),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The stage of this node that can run in the task of input `edge`: its
+    /// [`first_stage`](Self::first_stage) over it — but a partition pass of
+    /// no rounds has no round one to run there. The one rule the compiler
+    /// marks by, the engine refuses by and the verifier reports by.
+    pub fn stage_in_task(
+        &self,
+        edge: usize,
+        widths: &[usize],
+        dmem_bytes: usize,
+    ) -> Option<OpDecl<'static>> {
+        if self.partition_scheme().is_some_and(<[usize]>::is_empty) {
+            return None;
+        }
+        self.first_stage(edge, widths, dmem_bytes)
+    }
+}
+
+/// What a group table consuming columns of `widths` declares: the
+/// DMEM-resident table takes half the scratchpad, and the key and aggregate
+/// input columns stream past it.
+pub fn group_consume_decl(
+    keys: &[usize],
+    aggs: &[crate::plan::AggSpec],
+    widths: &[usize],
+    dmem_bytes: usize,
+) -> OpDecl<'static> {
+    let cols = keys.iter().copied().chain(aggs.iter().map(|a| a.col));
+    OpDecl {
+        name: OpName::of("groupby.consume"),
+        state_bytes: dmem_bytes / 2,
+        in_widths: cols.filter_map(|c| widths.get(c).copied()).collect(),
+        out_widths: Vec::new(),
+    }
+}
+
+/// What a `Filter` over columns of `widths` declares: it compacts every
+/// column where it lies.
+pub fn filter_decl(widths: &[usize]) -> OpDecl<'static> {
+    OpDecl {
+        name: OpName::of("filter"),
+        state_bytes: BASE_STATE_BYTES,
+        in_widths: widths.to_vec(),
+        out_widths: Vec::new(),
+    }
+}
+
+/// What a `Map` of `exprs` over columns of `widths` declares: the input
+/// columns its expressions read, and a vector of 8-byte values per
+/// expression it computes (a bare column is handed on where it is).
+pub fn map_decl(widths: &[usize], exprs: &[crate::plan::NamedExpr]) -> OpDecl<'static> {
+    let mut refs = Vec::new();
+    for e in exprs {
+        e.expr.referenced_columns(&mut refs);
+    }
+    refs.sort_unstable();
+    refs.dedup();
+    let computed = exprs
+        .iter()
+        .filter(|e| !matches!(e.expr, Expr::Col(_)))
+        .count();
+    OpDecl {
+        name: OpName::of("map"),
+        state_bytes: BASE_STATE_BYTES,
+        in_widths: refs
+            .iter()
+            .filter_map(|&c| widths.get(c).copied())
+            .collect(),
+        out_widths: vec![std::mem::size_of::<i64>(); computed],
+    }
+}
+
+impl<'p> ScanChain<'p> {
+    /// The distinct table columns the scan streams: projected and predicate
+    /// columns alike, ascending.
+    pub fn touched(&self) -> Vec<usize> {
+        touched_columns(self.columns, self.pred)
+    }
+
+    /// What each operator of the chain declares, scan first, and the widths
+    /// of the columns the chain hands on. The scan reads its `touched`
+    /// columns ([`touched`](Self::touched)) at the widths the table stores
+    /// them in.
+    pub fn decls(
+        &self,
+        catalog: &Catalog,
+        touched: &[usize],
+    ) -> QefResult<(Vec<OpDecl<'p>>, Vec<usize>)> {
+        let t = catalog
+            .get(self.table)
+            .ok_or_else(|| QefError::TableNotLoaded(self.table.to_string()))?;
+        let stored = |&c: &usize| {
+            if c < t.schema.len() {
+                Ok(t.column_width(c))
+            } else {
+                Err(QefError::BadColumn {
+                    index: c,
+                    available: t.schema.len(),
+                })
+            }
+        };
+        let mut decls = Vec::with_capacity(self.above.len() + 2);
+        decls.push(OpDecl {
+            name: OpName {
+                stage: "scan",
+                table: Some(self.table),
+            },
+            state_bytes: BASE_STATE_BYTES,
+            in_widths: touched.iter().map(stored).collect::<QefResult<_>>()?,
+            out_widths: Vec::new(),
+        });
+        let mut widths: Vec<usize> = self.columns.iter().map(stored).collect::<QefResult<_>>()?;
+        for node in &self.above {
+            if let PlanNode::Map { exprs, .. } = node {
+                decls.push(map_decl(&widths, exprs));
+                widths = crate::plan::map_widths(exprs, &widths)?;
+            } else {
+                decls.push(filter_decl(&widths));
+            }
+        }
+        Ok((decls, widths))
+    }
+}

@@ -3,7 +3,10 @@
 //! The paper's whole evaluation (§7) is a set of per-stage breakdowns —
 //! cycles per operator, DMS bytes moved, energy per query — so the engine
 //! emits one [`StageEvent`] per executed pipeline stage, tagged with the
-//! (query id, stage id, operator, plan node) it belongs to. Events flow to
+//! (query id, stage id, operator, plan node) it belongs to. A task — a scan
+//! and the operators that run in its lanes — is one stage and one event:
+//! the event is its topmost operator's and lists the others beneath it
+//! ([`StageEvent::fused`]). Events flow to
 //! a pluggable [`TraceSink`]; when no sink is installed the engine skips
 //! event construction entirely, so tracing is a single `Option` test per
 //! *stage* (not per row) when disabled.
@@ -68,24 +71,46 @@ pub struct StageEvent {
     pub ate_messages: u64,
     /// Max per-core DMEM high-water mark in bytes.
     pub dmem_peak_bytes: u64,
-    /// For a scan stage, how it read its table.
+    /// For a stage that scans — a task — how it read its table.
     #[serde(default)]
     pub scan: Option<ScanAccess>,
-    /// For a partition stage, which round of its pass it ran.
+    /// For a stage that partitions, which round of its pass it ran.
     #[serde(default)]
     pub partition: Option<PartitionRound>,
+    /// The operators that ran in this stage's lanes beneath `operator`, in
+    /// plan order down to the scan: empty unless the stage is a task of
+    /// more than one operator.
+    #[serde(default)]
+    pub fused: Vec<FusedOp>,
     /// Energy at the DPU's provisioned power over `sim_secs`, in joules.
     pub energy_joules: f64,
     /// Host wall-clock seconds (native backend; 0 on the DPU).
     pub wall_secs: f64,
 }
 
-/// How a scan stage read its table (see [`crate::ops::filter::ScanPlan`]).
+/// An operator of a task beneath the one its event is named for.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct FusedOp {
+    /// Plan node the operator implements (pre-order id within the query).
+    pub node_id: u32,
+    /// Depth of that node in the plan tree.
+    pub depth: u32,
+    /// Operator label, e.g. `"map"`, `"scan(lineitem)"`.
+    pub operator: String,
+    /// Rows it handed to the operator above it, over all lanes.
+    pub rows: u64,
+    /// Bytes its descriptor programs moved, of the stage's `dms_bytes`: the
+    /// scan's share of a task's traffic is its own line's.
+    #[serde(default)]
+    pub dms_bytes: u64,
+}
+
+/// How a scan read its table (see [`crate::ops::filter::ScanPlan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ScanAccess {
     /// The relation-accessor pattern its chunks were read by.
     pub path: AccessPath,
-    /// Trips through the DMS per chunk: one on the stream path, the
+    /// Trips through the DMS per run of rows: one on the stream path, the
     /// predicate passes plus the projection's gather on the gather path.
     pub passes: u32,
 }
@@ -105,6 +130,27 @@ pub struct PartitionRound {
 }
 
 impl StageEvent {
+    /// Every operator that ran in the stage, topmost first, as `(node id,
+    /// depth, label, rows it handed on)`: the event's own, then the fused
+    /// ones down to the scan.
+    pub fn operators(&self) -> impl Iterator<Item = (u32, u32, &str, u64)> {
+        let own = (self.node_id, self.depth, self.operator.as_str(), self.rows);
+        let fused = self.fused.iter();
+        let fused = fused.map(|op| (op.node_id, op.depth, op.operator.as_str(), op.rows));
+        std::iter::once(own).chain(fused)
+    }
+
+    /// The DMS bytes of the stage's scan, where it has one: the whole of a
+    /// lone scan's traffic, the scan's share of a task's.
+    pub fn scan_dms_bytes(&self) -> Option<u64> {
+        self.scan?;
+        let fused = self
+            .fused
+            .iter()
+            .find(|op| op.operator.starts_with("scan("));
+        Some(fused.map_or(self.dms_bytes, |scan| scan.dms_bytes))
+    }
+
     /// The event with host-side wall-clock zeroed — the deterministic
     /// portion compared bit-for-bit across runs in baton dispatch mode.
     pub fn deterministic_view(&self) -> StageEvent {

@@ -8,6 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rapid_qef::batch::{Rows, Span};
 use rapid_qef::exec::{CoreCtx, ExecContext};
 use rapid_qef::expr::Pred;
 use rapid_qef::ops::filter::{touched_columns, ScanPlan};
@@ -88,11 +89,19 @@ fn i64_col(rows: usize, f: impl Fn(i64) -> i64) -> Vector {
 }
 
 const ROWS: usize = 4096;
-const BITMAP_BYTES: u64 = (ROWS / 8) as u64;
 
 /// Sixteen 8-byte columns: 512 KiB that a filter must not copy.
 fn wide_chunk() -> Chunk {
     Chunk::new((0..16).map(|c| i64_col(ROWS, |i| i + c)).collect())
+}
+
+/// `plan`'s scan of all of `chunk`: the rows it keeps, and what finding
+/// them allocated.
+fn kept(plan: &ScanPlan<'_>, chunk: &Chunk) -> (usize, u64, u64) {
+    let mut c = core();
+    let (rows, allocs, bytes) =
+        measured(|| plan.scan_rows(&mut c, Span::Chunk(chunk, 0..ROWS), 256));
+    (rows.unwrap().rows(), allocs, bytes)
 }
 
 #[test]
@@ -103,16 +112,17 @@ fn one_conjunct_allocates_the_row_set_not_the_chunk() {
         op: CmpOp::Lt,
         value: 2048,
     }];
-    let plan = ScanPlan::forced(AccessPath::Gather, &conjuncts, &[], 0.5);
-    let mut c = core();
-    let (r, allocs, bytes) = measured(|| plan.filter_chunk(&mut c, &chunk, 256));
-    assert_eq!(r.unwrap().count(), 2045);
-    // The qualifying bitmap and nothing else: the plan names the columns
-    // and the DMS is costed without building its descriptor chain.
+    let plan = ScanPlan::forced(AccessPath::Gather, &conjuncts, &[3], 0.5);
+    let (rows, allocs, bytes) = kept(&plan, &chunk);
+    assert_eq!(rows, 2045);
+    // The ids of the rows it keeps and nothing else — the projected column
+    // is read where it lies: the plan names the columns and the DMS is
+    // costed without building its descriptor chain.
     assert!(allocs <= 2, "{allocs} allocations");
+    let ids = 4 * 2045u64;
     assert!(
-        bytes <= BITMAP_BYTES + 64,
-        "{bytes} bytes to produce a {BITMAP_BYTES}-byte row set"
+        bytes <= ids + 64,
+        "{bytes} bytes to produce a {ids}-byte row set"
     );
 }
 
@@ -131,22 +141,15 @@ fn a_later_conjunct_gathers_only_the_columns_it_names() {
             value: 1000,
         },
     ];
-    let plan = ScanPlan::forced(AccessPath::Gather, &conjuncts, &[], 0.5);
-    let mut c = core();
-    let (r, _, bytes) = measured(|| plan.filter_chunk(&mut c, &chunk, 256));
-    assert_eq!(r.unwrap().count(), 2045 - 993);
-    // After the first conjunct 2045 rows qualify. The second may allocate
-    // their row ids, ONE gathered 8-byte column, its verdict, the surviving
-    // row ids and the new bitmap — plus the first conjunct's bitmap and the
+    let plan = ScanPlan::forced(AccessPath::Gather, &conjuncts, &[3], 0.5);
+    let (rows, _, bytes) = kept(&plan, &chunk);
+    assert_eq!(rows, 2045 - 993);
+    // After the first conjunct 2045 rows qualify: their row ids. The
+    // second may allocate ONE gathered 8-byte column and its verdict — the
+    // survivors stay in the row-id list — plus, once for the lane, the
     // sixteen placeholder headers.
     let n = 2045u64;
-    let budget = 4 * n
-        + 8 * n
-        + n.div_ceil(8)
-        + 4 * n
-        + 2 * BITMAP_BYTES
-        + 16 * std::mem::size_of::<Vector>() as u64
-        + 256;
+    let budget = 4 * n + 8 * n + n.div_ceil(8) + 16 * std::mem::size_of::<Vector>() as u64 + 256;
     assert!(
         bytes <= budget,
         "{bytes} bytes against a budget of {budget}"
@@ -166,7 +169,10 @@ fn a_streamed_chunk_allocates_per_column_not_per_tile() {
     let scan = |conjuncts: &[Pred], tile: usize| {
         let plan = ScanPlan::forced(AccessPath::Stream, conjuncts, &proj, 0.5);
         let mut c = core();
-        let (b, allocs, _) = measured(|| plan.scan_chunk(&mut c, &chunk, tile));
+        let (b, allocs, _) = measured(|| {
+            let rows = plan.scan_rows(&mut c, Span::Chunk(&chunk, 0..ROWS), tile);
+            rows.map(Rows::into_batch)
+        });
         assert_eq!(c.account.counters().tiles, (ROWS / tile) as u64);
         (b.unwrap().rows(), allocs)
     };
@@ -174,7 +180,7 @@ fn a_streamed_chunk_allocates_per_column_not_per_tile() {
         let ((rows, one_tile), (_, many_tiles)) = (scan(conjuncts, ROWS), scan(conjuncts, 64));
         assert_eq!(rows, if conjuncts.is_empty() { ROWS } else { 2045 });
         assert_eq!(one_tile, many_tiles, "allocations at 1 tile and at 64");
-        // One batch per chunk: its column list and a buffer per projected
+        // One batch per lane: its column list and a buffer per projected
         // column, and with a predicate the verdict and the row ids.
         assert!(
             one_tile <= proj.len() as u64 + 1 + 2 * conjuncts.len() as u64,

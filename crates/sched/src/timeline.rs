@@ -10,6 +10,7 @@
 //! takes the bits `rapid_qef::actor::run_stage` computes without a router;
 //! contention only ever *delays* stages.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 use dpu_sim::account::{CycleAccount, StageSpan};
@@ -240,8 +241,15 @@ impl DpuTimeline {
             start = start.max(self.core_free[c]);
         }
 
-        let lanes = assign_lanes(&profile.items, k, mode);
-        let stage = StageSpan::of_lanes(&lanes);
+        // A stage of one item a granted core — every task, every partition
+        // round: `min(cores, tiles)` lanes — runs each where it is; only
+        // more items than cores have to be composed into lanes.
+        let lanes = if profile.items.len() == k {
+            Cow::Borrowed(profile.items.as_slice())
+        } else {
+            Cow::Owned(assign_lanes(&profile.items, k, mode))
+        };
+        let stage = StageSpan::of_lanes(lanes.iter());
         let dms_total = stage.dms_total;
 
         // The stage rule, placed in time. The engine window is derived

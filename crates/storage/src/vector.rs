@@ -100,7 +100,7 @@ impl ColumnData {
     /// Gather elements by row offsets (the DMS RID-gather, functionally).
     pub fn gather(&self, rids: &[u32]) -> ColumnData {
         let mut out = self.empty_like_with_capacity(rids.len());
-        out.extend_gather(self, rids, 0);
+        out.extend_rows(self, rids.iter().map(|&r| r as usize));
         out
     }
 
@@ -151,17 +151,15 @@ impl ColumnData {
         }
     }
 
-    /// Append `other[r - base]` for each `r` in `rids` — one run of a
-    /// gather whose source is split over several columns (`base` is the
-    /// row id of `other`'s first element). Same variant required.
-    pub fn extend_gather(&mut self, other: &ColumnData, rids: &[u32], base: u32) {
-        let at = |r: &u32| (r - base) as usize;
+    /// Append `other[i]` for each `i` of `rows` — one run of a gather whose
+    /// source is split over several columns. Same variant required.
+    pub fn extend_rows(&mut self, other: &ColumnData, rows: impl Iterator<Item = usize>) {
         match (self, other) {
-            (ColumnData::I8(a), ColumnData::I8(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
-            (ColumnData::I16(a), ColumnData::I16(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
-            (ColumnData::I32(a), ColumnData::I32(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
-            (ColumnData::I64(a), ColumnData::I64(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
-            (ColumnData::U32(a), ColumnData::U32(b)) => a.extend(rids.iter().map(|r| b[at(r)])),
+            (ColumnData::I8(a), ColumnData::I8(b)) => a.extend(rows.map(|i| b[i])),
+            (ColumnData::I16(a), ColumnData::I16(b)) => a.extend(rows.map(|i| b[i])),
+            (ColumnData::I32(a), ColumnData::I32(b)) => a.extend(rows.map(|i| b[i])),
+            (ColumnData::I64(a), ColumnData::I64(b)) => a.extend(rows.map(|i| b[i])),
+            (ColumnData::U32(a), ColumnData::U32(b)) => a.extend(rows.map(|i| b[i])),
             (a, b) => panic!(
                 "column variant mismatch: {:?} vs {:?}",
                 a.width(),
@@ -336,15 +334,17 @@ mod tests {
     }
 
     #[test]
-    fn extend_gather_appends_runs_relative_to_a_base() {
+    fn extend_rows_appends_runs_of_a_gather_from_their_sources() {
         // Rows 10..13 live in `second`; a gather over global row ids picks
-        // from each source with its own base.
+        // from each source the rows of it.
         let first = ColumnData::I16(vec![1, 2, 3]);
         let second = ColumnData::I16(vec![40, 50, 60]);
-        let mut out = first.empty_like_with_capacity(4);
-        out.extend_gather(&first, &[2, 0], 0);
-        out.extend_gather(&second, &[10, 12], 10);
-        assert_eq!(out, ColumnData::I16(vec![3, 1, 40, 60]));
+        let mut out = first.empty_like_with_capacity(7);
+        out.extend_rows(&first, [2, 0].into_iter());
+        out.extend_rows(&second, [10usize, 12].into_iter().map(|r| r - 10));
+        out.extend_rows(&second, 1..2);
+        out.extend_rows(&first, 1..3);
+        assert_eq!(out, ColumnData::I16(vec![3, 1, 40, 60, 50, 2, 3]));
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub enum Rule {
     TypeMismatch,
     /// Schema resolution (tables, scan columns) must succeed.
     Schema,
+    /// An edge marked as crossed by a task must lead from a scan-fed chain
+    /// into a node with a stage to run in the chain's task.
+    TaskEdge,
     /// Each stage's DMEM working set must fit the 32 KiB scratchpad at a
     /// >= 64-row vector.
     DmemFit,
@@ -101,6 +104,7 @@ impl Rule {
             Rule::JoinArity => "S-JOIN-ARITY",
             Rule::TypeMismatch => "S-TYPE-MISMATCH",
             Rule::Schema => "S-SCHEMA",
+            Rule::TaskEdge => "S-TASK-EDGE",
             Rule::DmemFit => "R-DMEM-FIT",
             Rule::FanoutPow2 => "R-FANOUT-POW2",
             Rule::HashBits => "R-HASH-BITS",
@@ -175,9 +179,10 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Resource summary of one engine stage derived from a plan node (a node
-/// can yield several stages, e.g. a join's two partition passes plus the
-/// pair-join stage).
+/// Resource summary of one engine stage — a task — derived from a plan
+/// node (a node can yield several stages, e.g. a join's two partition
+/// passes plus the pair-join stage; a scan-fed chain and, across a marked
+/// edge, the first stage of its consumer are one).
 #[derive(Debug, Clone)]
 pub struct StageReport {
     /// Pre-order id of the owning plan node.
@@ -185,14 +190,20 @@ pub struct StageReport {
     /// Operator path from the root.
     pub path: String,
     /// Stage label, matching the engine tracer's operator names
-    /// (`scan(t)`, `join.partition-build`, `groupby.consume`, ...).
+    /// (`scan(t)`, `join.partition-build`, `groupby.consume`, ...): the
+    /// task's last operator.
     pub stage: String,
-    /// Fixed operator state charged against DMEM.
+    /// The operators that run in the stage's lanes, scan first, as
+    /// `a -> b -> c`: empty for a stage of one operator, which `stage` names.
+    pub operators: String,
+    /// Fixed state of every operator, charged against DMEM.
     pub state_bytes: usize,
-    /// Per-row bytes across the stage's column streams.
+    /// Per-row bytes across the column streams the operators hold a vector
+    /// of together.
     pub stream_bytes_per_row: usize,
-    /// Tile the engine will run this stage at (configured tile clamped to
-    /// the working set); `None` when even a minimum vector does not fit.
+    /// Tile the engine will run this stage at — the task's one vector size
+    /// (configured tile clamped to the working set); `None` when even a
+    /// minimum vector does not fit.
     pub effective_tile: Option<usize>,
     /// Whether the fit keeps double buffering.
     pub double_buffered: bool,
@@ -278,6 +289,9 @@ impl VerifyReport {
             if let Some((moved, of)) = r.scan_columns {
                 s.push_str(&format!("  cols {moved}/{of}"));
             }
+            if !r.operators.is_empty() {
+                s.push_str(&format!("  [{}]", r.operators));
+            }
             s.push('\n');
         }
         if self.diagnostics.is_empty() {
@@ -314,6 +328,7 @@ mod tests {
             Rule::JoinArity,
             Rule::TypeMismatch,
             Rule::Schema,
+            Rule::TaskEdge,
             Rule::DmemFit,
             Rule::FanoutPow2,
             Rule::HashBits,

@@ -6,20 +6,30 @@
 //! engine follows. [`check_plan`] then walks the plan once, deriving the
 //! engine stages each node executes as (a join is two partition passes
 //! plus a pair-join stage) and checking every rule in
-//! [`crate::diag::Rule`] against them. All DMEM arithmetic comes from
-//! `rapid_qef::budget`, the same module the engine sizes its vectors
-//! with — the static verdict and the runtime tile cannot drift apart. A
-//! partition pass is budgeted, here as in the compiler and the engine,
-//! from the widths its columns arrive in (`PlanNode::output_widths`): its
-//! stage's working set is what a lane of it holds in DMEM.
+//! [`crate::diag::Rule`] against them.
+//!
+//! A stage is a **task**: a scan-fed chain (`PlanNode::scan_chain`) runs as
+//! one, and where the plan marks the edge into the node that consumes it
+//! (`PlanNode::fused`) that node's first stage is the task's last operator.
+//! The walk derives the same tasks the engine runs, from the same
+//! declarations (`rapid_qef::task`, `rapid_qef::budget::OpDecl`): R-DMEM-FIT
+//! is checked on the working set the operators hold together, the R-DESC-*
+//! rules on their concatenated descriptor program, and a mark on an edge
+//! that is not scan-fed, or into a node with no stage to run there, is
+//! S-TASK-EDGE. All DMEM arithmetic comes from `rapid_qef::budget`, the
+//! same module the engine sizes its vectors with — the static verdict and
+//! the runtime tile cannot drift apart — over the widths columns are
+//! stored and handed on in (`PlanNode::output_widths`): a stage's working
+//! set is what a lane of it holds in DMEM.
 
 use rapid_qef::budget::{
-    self, BASE_STATE_BYTES, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
+    self, OpDecl, OpName, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
 };
 use rapid_qef::expr::Expr;
 use rapid_qef::ops::groupby::on_the_fly_group_limit;
 use rapid_qef::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
+use rapid_qef::task;
 use rapid_storage::types::DataType;
 
 use crate::diag::{Diagnostic, Rule, StageReport, VerifyReport};
@@ -208,7 +218,7 @@ pub fn check_plan(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> Ver
         report: &mut report,
         next_id: 0,
     };
-    let _ = w.node(plan, "");
+    let _ = w.node(plan, "", false);
     report
 }
 
@@ -220,10 +230,6 @@ pub fn check_plan(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> Ver
 struct NodeInfo {
     meta: Vec<ColMeta>,
     ndv: Vec<Option<u64>>,
-}
-
-fn width(m: &ColMeta) -> usize {
-    m.dtype.physical_width()
 }
 
 struct Walker<'a> {
@@ -240,30 +246,44 @@ impl Walker<'_> {
             .push(Diagnostic::new(rule, id, path, msg));
     }
 
-    /// Derive one engine stage: fit its working set (R-DMEM-FIT), derive
-    /// its DMS descriptor program at the effective tile and check it
-    /// (R-DESC-*, R-PART-TARGET), and record the stage report.
-    fn stage(
-        &mut self,
-        node_id: usize,
-        path: &str,
-        label: &str,
-        state_bytes: usize,
-        stream_widths: Vec<usize>,
-        fanouts: Vec<usize>,
-    ) {
+    /// Derive one engine stage — the task of `ops`, bottom first, reported
+    /// under the label of the last: fit the working set the operators hold
+    /// together (R-DMEM-FIT), derive their DMS descriptor program at the
+    /// effective tile and check it (R-DESC-*, R-PART-TARGET), and record
+    /// the stage report.
+    fn stage(&mut self, node_id: usize, path: &str, ops: &[OpDecl<'_>], fanouts: Vec<usize>) {
+        use std::fmt::Write;
+        let mut label = String::with_capacity(32);
+        if let Some(op) = ops.last() {
+            let _ = write!(label, "{}", op.name);
+        }
+        // A task of several operators lists them; the label of a stage of
+        // one says all there is.
+        let several = ops.len() > 1;
+        let mut operators = String::with_capacity(if several { 24 * ops.len() } else { 0 });
+        for op in ops.iter().filter(|_| several) {
+            let arrow = if operators.is_empty() { "" } else { " -> " };
+            let _ = write!(operators, "{arrow}{}", op.name);
+        }
+        let state_bytes = budget::task_state(ops);
+        let stream_widths: Vec<usize> = budget::task_streams(ops).collect();
         let per_row: usize = stream_widths.iter().sum();
         let fit = budget::fit_tile(state_bytes, per_row, self.cfg.dmem_bytes);
         let eff = fit.map(|f| self.cfg.tile_rows.min(f.rows));
         let double = fit.is_some_and(|f| f.double_buffered);
         if eff.is_none() {
+            let together = match operators.as_str() {
+                "" => String::new(),
+                operators => format!(" (the task of {operators})"),
+            };
             self.diag(
                 Rule::DmemFit,
                 node_id,
                 path,
                 format!(
-                    "stage '{label}' needs {state_bytes} B state + {per_row} B/row; even a \
-                     single-buffered {MIN_VECTOR_ROWS}-row vector ({} B) exceeds DMEM ({} B)",
+                    "stage '{label}'{together} needs {state_bytes} B state + {per_row} B/row; \
+                     even a single-buffered {MIN_VECTOR_ROWS}-row vector ({} B) exceeds DMEM \
+                     ({} B)",
                     state_bytes + per_row * MIN_VECTOR_ROWS,
                     self.cfg.dmem_bytes
                 ),
@@ -282,8 +302,8 @@ impl Walker<'_> {
             descriptors = program.transfers.len();
             dms::check_program(&program, node_id, path, self.report);
         }
-        let buffers = if double { 2 } else { 1 };
-        let working_set = state_bytes + buffers * per_row * eff.unwrap_or(MIN_VECTOR_ROWS);
+        let tile = eff.unwrap_or(MIN_VECTOR_ROWS);
+        let working_set = budget::working_set(state_bytes, per_row, tile, self.cfg.dmem_bytes);
         let hash_bits = fanouts
             .iter()
             .map(|&f| {
@@ -297,7 +317,8 @@ impl Walker<'_> {
         self.report.stages.push(StageReport {
             node_id,
             path: path.to_string(),
-            stage: label.to_string(),
+            stage: label,
+            operators,
             state_bytes,
             stream_bytes_per_row: per_row,
             effective_tile: eff,
@@ -308,6 +329,110 @@ impl Walker<'_> {
             descriptors,
             scan_columns: None,
         });
+    }
+
+    /// The stage input `edge` of `node` is consumed by — `node`'s first
+    /// stage over it: visit the input, then report the stage. Where the
+    /// plan marks the edge the stage is the task of the input's scan-fed
+    /// chain with that first stage as its last operator; a mark on an edge
+    /// that cannot carry one is S-TASK-EDGE. Returns what the input exposes.
+    #[allow(clippy::too_many_arguments)]
+    fn consumed(
+        &mut self,
+        node: &PlanNode,
+        edge: usize,
+        input: &PlanNode,
+        id: usize,
+        path: &str,
+        input_path: &str,
+        fanouts: &[usize],
+    ) -> Result<NodeInfo, ()> {
+        let chain = input.scan_chain();
+        let fused = node.fused(edge);
+        if fused && chain.is_none() {
+            self.diag(
+                Rule::TaskEdge,
+                id,
+                path,
+                format!(
+                    "input {edge} ({}) is marked as running in the task of its scan, but is not \
+                     a scan-fed chain: a task opens with a scan",
+                    node_label(input)
+                ),
+            );
+        }
+        let info = self.node(input, input_path, fused && chain.is_some())?;
+        // The operators of the input's task, where the stage joins it, and
+        // the widths the input hands on.
+        let task = chain.as_ref().filter(|_| fused);
+        let (mut ops, widths) = match task {
+            Some(chain) => chain
+                .decls(self.catalog, &chain.touched())
+                .map_err(|_| ())?,
+            None => (
+                Vec::new(),
+                input.output_widths(self.catalog).map_err(|_| ())?,
+            ),
+        };
+        let dmem = self.cfg.dmem_bytes;
+        let mut first = node.stage_in_task(edge, &widths, dmem);
+        if first.is_none() {
+            if fused {
+                self.diag(
+                    Rule::TaskEdge,
+                    id,
+                    path,
+                    format!(
+                        "input {edge} is marked as running a stage of this node in its task, \
+                         but the node has none to run there"
+                    ),
+                );
+            }
+            // A pass of no rounds is still a stage of its own.
+            first = node.first_stage(edge, &widths, dmem);
+        }
+        let Some(first) = first else {
+            return Ok(info);
+        };
+        ops.push(first);
+        self.stage(id, path, &ops, fanouts.to_vec());
+        if let Some(chain) = task {
+            self.note_scan(chain);
+        }
+        Ok(info)
+    }
+
+    /// Put `cols k/n` of `chain`'s scan on the stage just reported.
+    fn note_scan(&mut self, chain: &task::ScanChain<'_>) {
+        let of = self.catalog.get(chain.table).map(|t| t.schema.len());
+        if let (Some(stage), Some(of)) = (self.report.stages.last_mut(), of) {
+            stage.scan_columns = Some((chain.columns.len(), of));
+        }
+    }
+
+    /// After `plan` — a `Scan`, `Filter` or `Map` — passed its checks:
+    /// report its stage. The top of a scan-fed chain nothing above joined
+    /// is the task of the chain; a node of a chain a stage above reports is
+    /// reported there; anything else is a stage of its own.
+    fn chain_stage(
+        &mut self,
+        plan: &PlanNode,
+        id: usize,
+        path: &str,
+        in_task: bool,
+        alone: impl FnOnce() -> OpDecl<'static>,
+    ) {
+        if in_task {
+            return;
+        }
+        let Some(chain) = plan.scan_chain() else {
+            return self.stage(id, path, &[alone()], Vec::new());
+        };
+        // A chain whose scan is broken has said so.
+        if let Ok((ops, _)) = chain.decls(self.catalog, &chain.touched()) {
+            self.stage(id, path, &ops, Vec::new());
+            self.note_scan(&chain);
+        }
     }
 
     /// Check a declared partition scheme (R-FANOUT-POW2, R-HASH-BITS,
@@ -377,7 +502,11 @@ impl Walker<'_> {
         }
     }
 
-    fn node(&mut self, plan: &PlanNode, parent_path: &str) -> Result<NodeInfo, ()> {
+    /// Walk `plan`. `in_task` says a stage above reports this node as an
+    /// operator of its task: a scan-fed chain under a marked edge.
+    fn node(&mut self, plan: &PlanNode, parent_path: &str, in_task: bool) -> Result<NodeInfo, ()> {
+        // The nodes under the top of a scan-fed chain run in its task.
+        let under = in_task || plan.is_scan_chain();
         let id = self.next_id;
         self.next_id += 1;
         let label = node_label(plan);
@@ -431,34 +560,12 @@ impl Walker<'_> {
                         bad = true;
                     }
                 }
-                // Streams: projection union predicate columns, each column
-                // buffer counted once (matches the engine's scan task).
-                let mut stream_cols: Vec<usize> = columns
-                    .iter()
-                    .chain(pred_cols.iter())
-                    .copied()
-                    .filter(|&c| c < nfields)
-                    .collect();
-                stream_cols.sort_unstable();
-                stream_cols.dedup();
-                let widths: Vec<usize> = stream_cols
-                    .iter()
-                    .map(|&c| t.schema.fields[c].dtype.physical_width())
-                    .collect();
-                self.stage(
-                    id,
-                    &path,
-                    &format!("scan({table})"),
-                    BASE_STATE_BYTES,
-                    widths,
-                    Vec::new(),
-                );
-                if let Some(scan) = self.report.stages.last_mut() {
-                    scan.scan_columns = Some((columns.len(), nfields));
-                }
                 if bad {
                     return Err(());
                 }
+                self.chain_stage(plan, id, &path, in_task, || {
+                    unreachable!("a scan is a chain")
+                });
                 let meta = columns
                     .iter()
                     .map(|&c| {
@@ -479,7 +586,7 @@ impl Walker<'_> {
                 Ok(NodeInfo { meta, ndv })
             }
             PlanNode::Filter { input, pred } => {
-                let info = self.node(input, &path)?;
+                let info = self.node(input, &path, under)?;
                 let arity = info.meta.len();
                 let mut refs = Vec::new();
                 pred.referenced_columns(&mut refs);
@@ -495,15 +602,16 @@ impl Walker<'_> {
                         bad = true;
                     }
                 }
-                let widths: Vec<usize> = info.meta.iter().map(width).collect();
-                self.stage(id, &path, "filter", BASE_STATE_BYTES, widths, Vec::new());
                 if bad {
                     return Err(());
                 }
+                let catalog = self.catalog;
+                let widths = || input.output_widths(catalog).unwrap_or_default();
+                self.chain_stage(plan, id, &path, in_task, || task::filter_decl(&widths()));
                 Ok(info)
             }
             PlanNode::Map { input, exprs } => {
-                let info = self.node(input, &path)?;
+                let info = self.node(input, &path, under)?;
                 let arity = info.meta.len();
                 let mut refs = Vec::new();
                 for e in exprs {
@@ -525,22 +633,14 @@ impl Walker<'_> {
                         bad = true;
                     }
                 }
-                // Streams: each referenced input column once, plus an
-                // output buffer per computed (non-pass-through) expression.
-                let mut widths: Vec<usize> = refs
-                    .iter()
-                    .filter(|&&c| c < arity)
-                    .map(|&c| width(&info.meta[c]))
-                    .collect();
-                for e in exprs {
-                    if !matches!(e.expr, Expr::Col(_)) {
-                        widths.push(e.dtype.physical_width());
-                    }
-                }
-                self.stage(id, &path, "map", BASE_STATE_BYTES, widths, Vec::new());
                 if bad {
                     return Err(());
                 }
+                let catalog = self.catalog;
+                let widths = || input.output_widths(catalog).unwrap_or_default();
+                self.chain_stage(plan, id, &path, in_task, || {
+                    task::map_decl(&widths(), exprs)
+                });
                 let meta = exprs
                     .iter()
                     .map(|e| ColMeta {
@@ -568,11 +668,13 @@ impl Walker<'_> {
                 probe_keys,
                 join_type,
                 scheme,
+                ..
             } => {
                 // Visit both children even if one fails, so pre-order ids
-                // stay aligned with the stage graph.
-                let b = self.node(build, &format!("{path}.build"));
-                let p = self.node(probe, &format!("{path}.probe"));
+                // stay aligned with the stage graph. Each side's partition
+                // pass is reported behind the input it reads.
+                let b = self.consumed(plan, 0, build, id, &path, &format!("{path}.build"), scheme);
+                let p = self.consumed(plan, 1, probe, id, &path, &format!("{path}.probe"), scheme);
                 let (b, p) = (b?, p?);
                 let (nb, np) = (build_keys.len(), probe_keys.len());
                 if nb == 0 || np == 0 || nb != np {
@@ -640,42 +742,20 @@ impl Walker<'_> {
                     }
                 }
                 // Both inputs have passed the walk, so their widths resolve.
-                let mut bw = build.output_widths(self.catalog).map_err(|_| ())?;
-                let mut pw = probe.output_widths(self.catalog).map_err(|_| ())?;
+                let bw = build.output_widths(self.catalog).map_err(|_| ())?;
+                let pw = probe.output_widths(self.catalog).map_err(|_| ())?;
                 let brow: usize = bw.iter().sum();
                 let prow: usize = pw.iter().sum();
                 self.check_scheme(id, &path, scheme, brow.max(prow));
-                bw.push(4); // hash lane driving the partition map
-                self.stage(
-                    id,
-                    &path,
-                    "join.partition-build",
-                    BASE_STATE_BYTES,
-                    bw,
-                    scheme.clone(),
-                );
-                pw.push(4);
-                self.stage(
-                    id,
-                    &path,
-                    "join.partition-probe",
-                    BASE_STATE_BYTES,
-                    pw,
-                    scheme.clone(),
-                );
                 // Pair stage: the DMEM-resident hash table takes half the
                 // scratchpad; key streams plus the matched row-id pairs.
-                let mut pairw = vec![8usize; nb + np];
-                pairw.push(8);
-                pairw.push(8);
-                self.stage(
-                    id,
-                    &path,
-                    "join.pairs",
-                    self.cfg.dmem_bytes / 2,
-                    pairw,
-                    Vec::new(),
-                );
+                let pairs = OpDecl {
+                    name: OpName::of("join.pairs"),
+                    state_bytes: self.cfg.dmem_bytes / 2,
+                    in_widths: vec![8; nb + np],
+                    out_widths: vec![8, 8],
+                };
+                self.stage(id, &path, &[pairs], Vec::new());
                 let (mut meta, mut ndv) = (p.meta, p.ndv);
                 match join_type {
                     JoinType::LeftSemi | JoinType::LeftAnti => {}
@@ -698,8 +778,10 @@ impl Walker<'_> {
                 keys,
                 aggs,
                 strategy,
+                ..
             } => {
-                let info = self.node(input, &path)?;
+                let fanouts = plan.partition_scheme().unwrap_or_default();
+                let info = self.consumed(plan, 0, input, id, &path, &path, fanouts)?;
                 let arity = info.meta.len();
                 let mut bad = false;
                 for &k in keys {
@@ -752,30 +834,15 @@ impl Walker<'_> {
                         }
                     }
                 }
-                let mut widths: Vec<usize> = keys.iter().map(|&k| width(&info.meta[k])).collect();
-                widths.extend(aggs.iter().map(|a| width(&info.meta[a.col])));
-                self.stage(
-                    id,
-                    &path,
-                    "groupby.consume",
-                    self.cfg.dmem_bytes / 2,
-                    widths,
-                    Vec::new(),
-                );
                 if let GroupStrategy::Partitioned(scheme) = strategy {
                     // The pass over the group-by's input is a join side's:
-                    // the same rules over its declared scheme.
-                    let mut pw = input.output_widths(self.catalog).map_err(|_| ())?;
-                    self.check_scheme(id, &path, scheme, pw.iter().sum());
-                    pw.push(4);
-                    self.stage(
-                        id,
-                        &path,
-                        "groupby.partition",
-                        BASE_STATE_BYTES,
-                        pw,
-                        scheme.clone(),
-                    );
+                    // the same rules over its declared scheme. What it
+                    // wrote, a group table per partition consumes.
+                    let widths = input.output_widths(self.catalog).map_err(|_| ())?;
+                    self.check_scheme(id, &path, scheme, widths.iter().sum());
+                    let consume =
+                        task::group_consume_decl(keys, aggs, &widths, self.cfg.dmem_bytes);
+                    self.stage(id, &path, &[consume], Vec::new());
                 }
                 let mut meta = Vec::with_capacity(keys.len() + aggs.len());
                 let mut ndv = Vec::with_capacity(keys.len() + aggs.len());
@@ -807,8 +874,8 @@ impl Walker<'_> {
                 }
                 Ok(NodeInfo { meta, ndv })
             }
-            PlanNode::TopK { input, order, k } => {
-                let info = self.node(input, &path)?;
+            PlanNode::TopK { input, order, .. } | PlanNode::Sort { input, order, .. } => {
+                let info = self.consumed(plan, 0, input, id, &path, &path, &[])?;
                 let arity = info.meta.len();
                 let mut bad = false;
                 for s in order {
@@ -825,53 +892,15 @@ impl Walker<'_> {
                         bad = true;
                     }
                 }
-                let row: usize = info.meta.iter().map(width).sum();
-                let widths: Vec<usize> = info.meta.iter().map(width).collect();
-                // The heap of k candidate rows is operator state, capped at
-                // half of DMEM (larger k spills merge rounds, not state).
-                let state = BASE_STATE_BYTES + k.saturating_mul(row).min(self.cfg.dmem_bytes / 2);
-                self.stage(id, &path, "topk.consume", state, widths, Vec::new());
                 if bad {
                     return Err(());
                 }
                 Ok(info)
             }
-            PlanNode::Sort { input, order } => {
-                let info = self.node(input, &path)?;
-                let arity = info.meta.len();
-                let mut bad = false;
-                for s in order {
-                    if s.col >= arity {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!(
-                                "sort key {} out of bounds for a {arity}-column input",
-                                s.col
-                            ),
-                        );
-                        bad = true;
-                    }
-                }
-                let widths: Vec<usize> = info.meta.iter().map(width).collect();
-                self.stage(
-                    id,
-                    &path,
-                    "sort.local",
-                    self.cfg.dmem_bytes / 2,
-                    widths,
-                    Vec::new(),
-                );
-                if bad {
-                    return Err(());
-                }
-                Ok(info)
-            }
-            PlanNode::Limit { input, .. } => self.node(input, &path),
+            PlanNode::Limit { input, .. } => self.node(input, &path, false),
             PlanNode::SetOp { left, right, .. } => {
-                let l = self.node(left, &format!("{path}.left"));
-                let r = self.node(right, &format!("{path}.right"));
+                let l = self.node(left, &format!("{path}.left"), false);
+                let r = self.node(right, &format!("{path}.right"), false);
                 let (l, r) = (l?, r?);
                 if l.meta.len() != r.meta.len() {
                     self.diag(
@@ -911,15 +940,13 @@ impl Walker<'_> {
                         }
                     }
                 }
-                let widths: Vec<usize> = l.meta.iter().map(width).collect();
-                self.stage(
-                    id,
-                    &path,
-                    "setop",
-                    self.cfg.dmem_bytes / 2,
-                    widths,
-                    Vec::new(),
-                );
+                let setop = OpDecl {
+                    name: OpName::of("setop"),
+                    state_bytes: self.cfg.dmem_bytes / 2,
+                    in_widths: plan.output_widths(self.catalog).map_err(|_| ())?,
+                    out_widths: Vec::new(),
+                };
+                self.stage(id, &path, &[setop], Vec::new());
                 let arity = l.meta.len();
                 Ok(NodeInfo {
                     meta: l.meta,
@@ -932,7 +959,7 @@ impl Walker<'_> {
                 order_by,
                 func,
             } => {
-                let info = self.node(input, &path)?;
+                let info = self.node(input, &path, false)?;
                 let arity = info.meta.len();
                 let mut bad = false;
                 let mut cols: Vec<usize> = partition_by.clone();
@@ -951,19 +978,16 @@ impl Walker<'_> {
                         bad = true;
                     }
                 }
-                let mut widths: Vec<usize> = info.meta.iter().map(width).collect();
-                widths.push(8); // appended output column
-                self.stage(
-                    id,
-                    &path,
-                    "window",
-                    self.cfg.dmem_bytes / 2,
-                    widths,
-                    Vec::new(),
-                );
                 if bad {
                     return Err(());
                 }
+                let window = OpDecl {
+                    name: OpName::of("window"),
+                    state_bytes: self.cfg.dmem_bytes / 2,
+                    in_widths: input.output_widths(self.catalog).map_err(|_| ())?,
+                    out_widths: vec![8], // the appended column
+                };
+                self.stage(id, &path, &[window], Vec::new());
                 let mut meta = info.meta;
                 let mut ndv = info.ndv;
                 let (name, dtype, scale) = match func {

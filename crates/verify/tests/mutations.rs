@@ -30,6 +30,7 @@ fn every_mutation_class_is_rejected_with_its_rule_id() {
         let report = match m.apply() {
             Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
             Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
+            Mutated::PlanUnder(p, cfg) => verify(&p, &cat, &cfg),
             Mutated::Graph(g) => {
                 let mut r = VerifyReport::default();
                 g.check(&mut r);
@@ -79,6 +80,7 @@ fn diagnostics_are_human_readable_and_located() {
         let report = match m.apply() {
             Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
             Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
+            Mutated::PlanUnder(p, cfg) => verify(&p, &cat, &cfg),
             Mutated::Graph(g) => {
                 let mut r = VerifyReport::default();
                 g.check(&mut r);
@@ -113,6 +115,7 @@ fn mutation_diagnostics_are_distinct_per_class() {
         let report = match m.apply() {
             Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
             Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
+            Mutated::PlanUnder(p, cfg) => verify(&p, &cat, &cfg),
             Mutated::Graph(g) => {
                 let mut r = VerifyReport::default();
                 g.check(&mut r);
@@ -238,4 +241,101 @@ fn a_partitioned_group_by_is_checked_like_a_join_pass() {
     let report = report_of(&odd);
     let rules: Vec<_> = report.errors().map(|d| d.rule).collect();
     assert_eq!(rules, [Rule::FanoutPow2]);
+}
+
+#[test]
+fn a_task_mark_is_checked_on_what_the_task_holds_together_and_on_what_it_opens_with() {
+    use rapid_qef::plan::PlanNode;
+    use rapid_verify::diag::Rule;
+    use rapid_verify::mutate::{task_plan, task_plan_tight_config};
+    let cat = demo_catalog();
+    // In the whole scratchpad the marked chain and its consumer are one
+    // stage: one row, its three operators, one vector size, the working set
+    // they hold together.
+    let whole = verify(&task_plan(), &cat, &VerifyConfig::default());
+    assert!(whole.diagnostics.is_empty(), "{whole:?}");
+    let [task] = whole.stages.as_slice() else {
+        panic!("one task, not {:?}", whole.stages)
+    };
+    assert_eq!(task.operators, "scan(t_fact) -> map -> groupby.consume");
+    assert_eq!((task.node_id, task.stage.as_str()), (0, "groupby.consume"));
+    assert_eq!(task.state_bytes, 64 + 64 + 32 * 1024 / 2);
+    assert_eq!(task.stream_bytes_per_row, 4 + 2 + 8);
+    assert_eq!(task.effective_tile, Some(256));
+    assert_eq!(task.working_set_bytes, 128 + 16 * 1024 + 2 * 14 * 256);
+    assert_eq!(task.scan_columns, Some((2, 5)));
+    assert_eq!(task.descriptors, 6, "the descriptor program of all three");
+    let line = whole.render(32 * 1024, 256);
+    assert!(
+        line.contains("cols 2/5  [scan(t_fact) -> map -> groupby.consume]"),
+        "{line}"
+    );
+
+    // Tight, the same operators fit as two tasks and not as one: only the
+    // mark is wrong.
+    let tight = task_plan_tight_config();
+    let mut cut = task_plan();
+    let PlanNode::GroupBy { fused, .. } = &mut cut else {
+        panic!("task plan shape changed")
+    };
+    *fused = false;
+    let two = verify(&cut, &cat, &tight);
+    assert!(two.diagnostics.is_empty(), "{two:?}");
+    let stages: Vec<_> = two
+        .stages
+        .iter()
+        .map(|s| (&*s.stage, &*s.operators))
+        .collect();
+    assert_eq!(
+        stages,
+        [("map", "scan(t_fact) -> map"), ("groupby.consume", "")]
+    );
+    let Mutated::PlanUnder(marked, cfg) = Mutation::TaskOverDmem.apply() else {
+        panic!("TaskOverDmem mutates a plan under a configuration")
+    };
+    assert_eq!((&marked, cfg.dmem_bytes), (&task_plan(), tight.dmem_bytes));
+    let one = verify(&marked, &cat, &cfg);
+    let findings: Vec<_> = one.errors().map(|d| (d.rule, &d.message)).collect();
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].0, Rule::DmemFit);
+    assert!(
+        findings[0].1.contains(
+            "the task of scan(t_fact) -> map -> groupby.consume) needs 1028 B state + 14 B/row"
+        ),
+        "{findings:?}"
+    );
+
+    // A mark on an edge that does not come from a scan names the edge.
+    let Mutated::Plan(unfed) = Mutation::TaskOnJoinOutput.apply() else {
+        panic!("TaskOnJoinOutput mutates the plan")
+    };
+    let report = verify(&unfed, &cat, &VerifyConfig::default());
+    let findings: Vec<_> = report.errors().collect();
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::TaskEdge);
+    assert_eq!(
+        (findings[0].node_id, findings[0].path.as_str()),
+        (0, "GroupBy")
+    );
+    assert!(
+        findings[0].message.contains("input 0 (Map) is marked")
+            && findings[0].message.contains("not a scan-fed chain"),
+        "{}",
+        findings[0]
+    );
+    // And on one into a node with no stage to run there: a partition pass
+    // without a round.
+    let mut no_round = task_plan();
+    let PlanNode::GroupBy { strategy, .. } = &mut no_round else {
+        panic!("task plan shape changed")
+    };
+    *strategy = rapid_qef::plan::GroupStrategy::Partitioned(vec![]);
+    let report = verify(&no_round, &cat, &VerifyConfig::default());
+    assert!(
+        report
+            .errors()
+            .any(|d| d.rule == Rule::TaskEdge && d.message.contains("none to run there")),
+        "{}",
+        report.error_summary()
+    );
 }

@@ -48,7 +48,7 @@ fn main() {
             None => println!("\nDMEM = {} KiB -> infeasible", dmem / 1024),
         }
     }
-    let full = vector_rows_for(&ops, 32 * 1024).expect("fits");
+    let full = vector_rows_for(&ops, 32 * 1024, usize::MAX).expect("fits");
     println!("\nfully fused vectors at 32 KiB: {full} rows per operator");
 
     // --- §5.3: the partition scheme search -------------------------------

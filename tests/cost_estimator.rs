@@ -223,14 +223,15 @@ fn tpch_scans_are_estimated_within_q_error_2_5() {
         let estimates =
             rapid::qcomp::estimate_rows_per_node(&compiled.plan, rapid.catalog(), &params);
         rapid.execute(&compiled.plan).expect("execute");
+        // A scan is the bottom operator of its task's event.
         for e in sink.take().iter().filter(|e| e.scan.is_some()) {
-            let q = q_error(estimates[e.node_id as usize], e.rows as usize);
+            let (node_id, _, operator, rows) = e.operators().last().expect("the event's own");
+            assert!(operator.starts_with("scan("), "{name}: {e:?}");
+            let q = q_error(estimates[node_id as usize], rows as usize);
             assert!(
                 q <= 2.5,
-                "{name} {}: estimated {:.0} rows, returned {} (q = {q:.2})",
-                e.operator,
-                estimates[e.node_id as usize],
-                e.rows
+                "{name} {operator}: estimated {:.0} rows, returned {rows} (q = {q:.2})",
+                estimates[node_id as usize],
             );
             scans += 1;
         }

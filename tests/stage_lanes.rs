@@ -1,46 +1,54 @@
-//! Partition passes run on every dpCore: over the eleven TPC-H statements
-//! at the benchmark's scale factor, a partition round is a stage of as many
-//! lanes as it has tiles (up to the 32 cores), no stage that streams more
-//! than a tile on one lane holds a real share of a query, and the lane
-//! count changes the clock only — the rows, the bytes the DMS moves and the
-//! instructions retired are those of one core streaming the input alone.
+//! Tasks run on every dpCore: over the eleven TPC-H statements at the
+//! benchmark's scale factor, a scan and the operators the plan marks as
+//! running in its task are ONE stage of `min(cores, tiles)` tile-aligned
+//! lanes — whatever the table's chunks — holding in DMEM exactly the working
+//! set the verifier derives for the task, timed by the stage rule applied
+//! once; a partition round over what a task materialized is a stage of as
+//! many lanes as it has tiles; no stage that streams more than a tile on one
+//! lane holds a real share of a query; and the lane count changes the clock
+//! only — the rows, the bytes the DMS moves and the instructions retired are
+//! those of one core streaming the input alone.
 //!
-//! A pass runs the rounds its plan node declares, joins and group-bys alike.
+//! A pass runs the rounds its plan node declares, joins and group-bys alike,
+//! every pass of the eleven statements a single round.
 //!
-//! And a pass is budgeted from the widths its columns are encoded in: every
-//! pass of the eleven statements is a single round, a lane holds in DMEM
-//! exactly the working set the verifier derives for its stage, and against
-//! the figures recorded from the commit that budgeted from declared widths
-//! no statement takes more cycles or moves more bytes.
+//! Against the figures recorded from the commit that ran one operator per
+//! stage no statement takes more cycles or moves more bytes; and where the
+//! operators of a chain and its consumer do not fit one scratchpad the
+//! compiler cuts the task and the engine refuses a plan that does not.
 
 use std::sync::Arc;
 
 use hostdb::db::decode_batch;
 use hostdb::HostDb;
 use rapid::qcomp::cost::CostParams;
+use rapid::qef::budget;
 use rapid::qef::engine::{Engine, QueryReport};
+use rapid::qef::error::QefError;
 use rapid::qef::exec::ExecContext;
-use rapid::qef::plan::{GroupStrategy, PlanNode};
+use rapid::qef::plan::{Catalog, PlanNode};
 use rapid::qef::trace::{MemorySink, StageEvent};
 use rapid_fuzz::canonical;
+use rapid_verify::diag::Rule;
 
 const CORES: usize = 32;
 
 /// `(statement, simulated cycles, DMS bytes)` at sf 0.02 on 32 cores when
-/// partition passes were budgeted from declared widths: `rapid-report trace
-/// --sf 0.02` at commit da0c5d9, cycles rounded up. Seventeen of its 65
-/// partition stages were second rounds.
-const DECLARED_WIDTHS: [(&str, f64, u64); 11] = [
+/// every operator was a stage of its own and scans ran a lane a chunk:
+/// `rapid-report trace --sf 0.02` at commit cd3e0bb, cycles rounded up.
+/// 33 scan-fed chains ran as 33 scan stages and the filters, maps and first
+/// consumer stages over them.
+const PER_OPERATOR: [(&str, f64, u64); 11] = [
     ("Q1", 571_555.0, 2_515_968),
-    ("Q3", 372_151.0, 2_353_104),
+    ("Q3", 306_346.0, 1_869_008),
     ("Q4", 206_477.0, 1_443_768),
-    ("Q5", 495_721.0, 3_045_911),
+    ("Q5", 437_320.0, 2_677_856),
     ("Q6", 42_098.0, 315_400),
-    ("Q9", 1_198_535.0, 8_361_492),
-    ("Q10", 253_608.0, 1_603_008),
+    ("Q9", 809_819.0, 5_042_128),
+    ("Q10", 221_245.0, 1_369_536),
     ("Q12", 152_447.0, 1_152_964),
     ("Q14", 75_102.0, 603_292),
-    ("Q18", 530_521.0, 2_639_832),
+    ("Q18", 439_582.0, 2_215_384),
     ("Q19", 133_007.0, 922_112),
 ];
 
@@ -51,22 +59,29 @@ fn is_partition_stage(e: &StageEvent) -> bool {
     )
 }
 
-/// The scheme `node` declares for its partition passes, if it has any.
-fn declared_scheme(node: &PlanNode) -> Option<&[usize]> {
-    match node {
-        PlanNode::HashJoin { scheme, .. } => Some(scheme),
-        PlanNode::GroupBy {
-            strategy: GroupStrategy::Partitioned(scheme),
-            ..
-        } => Some(scheme),
-        _ => None,
-    }
-}
-
 /// Nodes of `plan` in the pre-order the tracer numbers them in.
 fn pre_order<'a>(plan: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
     out.push(plan);
     plan.inputs().for_each(|child| pre_order(child, out));
+}
+
+/// The TPC-H tables at `sf`, loaded.
+fn tpch_catalog(sf: f64) -> (HostDb, Catalog) {
+    let data = tpch::generate(&tpch::TpchConfig::sf(sf));
+    let db = HostDb::new(ExecContext::dpu());
+    for t in data.tables() {
+        db.import_table(t).expect("load");
+    }
+    let catalog = db.rapid().read().catalog().clone();
+    (db, catalog)
+}
+
+fn engine(catalog: &Catalog, ctx: ExecContext) -> Engine {
+    let mut engine = Engine::new(ctx);
+    for t in catalog.values() {
+        engine.load_table(Arc::clone(t));
+    }
+    engine
 }
 
 #[test]
@@ -75,17 +90,9 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
     // statements is a round of the scheme its join or group-by node
     // carries — nothing between compiler and lanes chooses a fan-out.
     for sf in [0.01, 0.02] {
-        let data = tpch::generate(&tpch::TpchConfig::sf(sf));
-        let db = HostDb::new(ExecContext::dpu());
-        for t in data.tables() {
-            db.import_table(t).expect("load");
-        }
-        let catalog = db.rapid().read().catalog().clone();
+        let (_db, catalog) = tpch_catalog(sf);
         let sink = MemorySink::new();
-        let mut engine = Engine::new(ExecContext::dpu().with_trace(sink.clone()));
-        for t in catalog.values() {
-            engine.load_table(Arc::clone(t));
-        }
+        let engine = engine(&catalog, ExecContext::dpu().with_trace(sink.clone()));
         let mut group_by_schemes = Vec::new();
         for (name, plan) in tpch::queries::all() {
             let compiled = rapid::qcomp::compile(&plan, &catalog, &CostParams::default())
@@ -103,12 +110,14 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
                         (p.round, p.rounds, p.fanout)
                     })
                     .collect();
-                let Some(scheme) = declared_scheme(node) else {
+                let Some(scheme) = node.partition_scheme() else {
                     assert_eq!(ran, [], "{name} node {id} declares no pass");
                     continue;
                 };
-                // A pass of more than a tile is a stage a round; an input of
-                // one tile or less runs the whole scheme as one item.
+                // A pass is a stage a round — round one the last operator
+                // of a task where the side is a scan — and an input of one
+                // tile or less that is no task runs the whole scheme as one
+                // item.
                 let by_round: Vec<_> = (1..)
                     .zip(scheme)
                     .map(|(round, &fanout)| (round, scheme.len() as u32, fanout as u32))
@@ -145,34 +154,30 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
     }
 }
 
+/// The table a task's scan reads: its bottom operator is `scan(<table>)`.
+fn scanned_table(e: &StageEvent) -> &str {
+    let (.., scan, _) = e.operators().last().expect("the event's own operator");
+    scan.strip_prefix("scan(")
+        .and_then(|t| t.strip_suffix(')'))
+        .unwrap_or_else(|| panic!("{e:?}: a task opens with a scan"))
+}
+
 #[test]
 fn partition_stages_use_every_core_and_change_only_the_clock() {
-    let data = tpch::generate(&tpch::TpchConfig::sf(0.02));
-    let db = HostDb::new(ExecContext::dpu());
-    for t in data.tables() {
-        db.import_table(t).expect("load");
-    }
-    let catalog = db.rapid().read().catalog().clone();
-    let engine = |ctx: ExecContext| {
-        let mut engine = Engine::new(ctx);
-        for t in catalog.values() {
-            engine.load_table(Arc::clone(t));
-        }
-        engine
+    let (db, catalog) = tpch_catalog(0.02);
+    let traced = |cores: usize| {
+        let sink = MemorySink::new();
+        let ctx = ExecContext::dpu().with_cores(cores);
+        (engine(&catalog, ctx.with_trace(sink.clone())), sink)
     };
-    let sink = MemorySink::new();
-    let dpu = engine(ExecContext::dpu().with_trace(sink.clone()));
-    let one_core_sink = MemorySink::new();
-    let one_core = engine(
-        ExecContext::dpu()
-            .with_cores(1)
-            .with_trace(one_core_sink.clone()),
-    );
-    let native = engine(ExecContext::native(4));
+    let (dpu, sink) = traced(CORES);
+    let fewer_cores = [traced(1), traced(8)];
+    let native = engine(&catalog, ExecContext::native(4));
     assert_eq!(dpu.context().cores, CORES);
 
     let params = CostParams::default();
-    let (mut wide_rounds, mut a_tenth_fewer) = (0, Vec::new());
+    let (mut tasks, mut fused_tasks, mut dms_bound, mut wide_rounds) = (0, 0, 0, 0);
+    let mut other_path = Vec::new();
     for (name, plan) in tpch::queries::all() {
         let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -185,58 +190,101 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         let events = sink.take();
         assert_eq!(events.len(), report.stages, "{name}: an event per stage");
 
-        let &(_, cycles, bytes) = DECLARED_WIDTHS
+        let &(_, cycles, bytes) = PER_OPERATOR
             .iter()
             .find(|(q, ..)| *q == name)
             .unwrap_or_else(|| panic!("{name}: no figure recorded"));
         assert!(
             report.sim_cycles <= cycles,
-            "{name}: {} cycles, {cycles} at declared widths",
+            "{name}: {} cycles, {cycles} an operator a stage",
             report.sim_cycles
         );
         assert!(
             report.dms_bytes <= bytes,
-            "{name}: {} DMS bytes, {bytes} at declared widths",
+            "{name}: {} DMS bytes, {bytes} an operator a stage",
             report.dms_bytes
         );
-        if report.dms_bytes * 10 <= bytes * 9 {
-            a_tenth_fewer.push(name);
-        }
 
         let verified = rapid_verify::verify(
             &compiled.plan,
             &catalog,
             &rapid::qcomp::verify_config(&params),
         );
-        for e in events.iter().filter(|e| is_partition_stage(e)) {
-            // At the widths the columns are encoded in every pass fits its
-            // partitions into one round, at the configured tile.
-            let round = e.partition.map(|p| (p.round, p.rounds));
-            assert_eq!(round, Some((1, 1)), "{name} {}: {e:?}", e.operator);
-            // What a lane reserved is what the verifier derives: the
-            // `ws-bytes` of EXPLAIN VERIFY is the stage's `dmem_peak`.
-            let stage = verified
+        let stage_of = |e: &StageEvent| {
+            verified
                 .stages
                 .iter()
                 .find(|s| s.node_id == e.node_id as usize && s.stage == e.operator)
-                .unwrap_or_else(|| panic!("{name}: no {} stage verified", e.operator));
-            assert_eq!(stage.effective_tile, Some(params.tile_rows), "{name}");
+                .unwrap_or_else(|| panic!("{name}: no {} stage verified", e.operator))
+        };
+        // Every scan is in a task, and a task is one event: the chain the
+        // compiler marked with the stage that consumes it.
+        let mut nodes = Vec::new();
+        pre_order(&compiled.plan, &mut nodes);
+        let scans = nodes.iter().filter(|n| matches!(n, PlanNode::Scan { .. }));
+        let of_tasks: Vec<&StageEvent> = events.iter().filter(|e| e.scan.is_some()).collect();
+        assert_eq!(of_tasks.len(), scans.count(), "{name}: a task per scan");
+        for e in &of_tasks {
+            let stage = stage_of(e);
+            // Its operators are the verifier's, scan first there, last here.
+            let ran: Vec<&str> = e.operators().map(|op| op.2).collect();
+            let derived: Vec<&str> = stage.operators.rsplit(" -> ").collect();
+            assert_eq!(ran, derived, "{name}");
+            // min(cores, tiles) lanes at the task's one vector size: a
+            // table of one chunk and sixteen tiles scans on sixteen cores.
+            let tile = stage.effective_tile.expect("a verified task fits");
+            let tiles = catalog[scanned_table(e)].rows().div_ceil(tile);
+            assert_eq!(e.parallelism, CORES.min(tiles).max(1), "{name}: {e:?}");
+            // What a lane reserved is what the verifier derives: the
+            // `ws-bytes` of EXPLAIN VERIFY is the task's `dmem_peak`.
             assert_eq!(
                 e.dmem_peak_bytes, stage.working_set_bytes as u64,
                 "{name} {}",
                 e.operator
             );
-            // A round's tiles are dealt to min(cores, tiles) lanes; only an
-            // input of one tile or less runs its rounds as one item.
-            if e.tiles >= CORES as u64 {
-                assert_eq!(e.parallelism, CORES, "{name} {}: {e:?}", e.operator);
-                wide_rounds += 1;
-            }
             assert!(
-                e.dmem_peak_bytes > rapid::qef::budget::BASE_STATE_BYTES as u64,
-                "{name} {}: lanes hold their tile buffers in DMEM",
+                e.dmem_peak_bytes <= params.dmem_bytes as u64,
+                "{name}: {e:?}"
+            );
+            assert!(
+                e.dmem_peak_bytes > (1 + e.fused.len()) as u64 * budget::BASE_STATE_BYTES as u64,
+                "{name} {}: lanes hold their tile buffers beside every operator's state",
                 e.operator
             );
+            // The stage rule, once: the busiest lane's compute of every
+            // operator, or the DMS time of all of them, to the bit.
+            let elapsed = dpu_sim::clock::Cycles(e.compute_cycles.max(e.dms_cycles));
+            let sim = elapsed.to_time(dpu.context().cost_model.freq_hz);
+            assert_eq!(
+                e.sim_secs.to_bits(),
+                sim.as_secs().to_bits(),
+                "{name}: {e:?}"
+            );
+            tasks += 1;
+            fused_tasks += usize::from(ran.len() > 1 && stage.stage != "map");
+            dms_bound += usize::from(e.dms_cycles >= e.compute_cycles);
+        }
+        for e in events.iter().filter(|e| is_partition_stage(e)) {
+            // At the widths the columns are encoded in every pass fits its
+            // partitions into one round.
+            let round = e.partition.map(|p| (p.round, p.rounds));
+            assert_eq!(round, Some((1, 1)), "{name} {}: {e:?}", e.operator);
+            if e.scan.is_none() {
+                assert_eq!(stage_of(e).effective_tile, Some(params.tile_rows), "{name}");
+                assert_eq!(
+                    e.dmem_peak_bytes,
+                    stage_of(e).working_set_bytes as u64,
+                    "{name} {}",
+                    e.operator
+                );
+            }
+            // A round's tiles are dealt to min(cores, tiles) lanes; only an
+            // input of one tile or less runs its rounds as one item. (A
+            // task's lanes, checked above, are its table's tiles.)
+            if e.scan.is_none() && e.tiles >= CORES as u64 {
+                assert_eq!(e.parallelism, CORES, "{name} {}: {e:?}", e.operator);
+            }
+            wide_rounds += usize::from(e.parallelism == CORES);
         }
         for e in events.iter().filter(|e| e.parallelism == 1 && e.tiles > 1) {
             assert!(
@@ -248,34 +296,57 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             );
         }
 
-        // One core: the same rows, and in every round of every pass — the
-        // scheme is the plan's, for a group-by as for a join — the same
-        // tiles, bytes, descriptors and instructions on one lane where
-        // there were many. (A scan picks its access path by stage time,
-        // which one lane and thirty do not share: the total is of what the
-        // other stages move.)
-        let (rows_one_core, report_one_core) = run(&one_core);
-        let events_one_core = one_core_sink.take();
-        assert_eq!(rows_one_core, rows, "{name}: 1 core vs {CORES}");
-        let rounds = |events: &[StageEvent]| -> Vec<(u64, u64, u64, u64)> {
-            let rounds = events.iter().filter(|e| is_partition_stage(e));
-            rounds
-                .map(|e| (e.tiles, e.instructions, e.dms_bytes, e.dms_descriptors))
+        // Fewer cores: the same rows, and in every stage that partitions or
+        // scans the same rows, bytes and instructions on fewer lanes — a
+        // lane's last tile is charged for the rows it holds, a bit-vector
+        // for the words of it a run ends and a row set in the representation
+        // its scan chose, so how the rows are cut into lanes moves nothing;
+        // a round over batches, whose lanes are whole tiles of its input,
+        // also takes the same tiles and descriptors. One thing a scan
+        // decides from the cores it has: its access path, by stage time,
+        // which one lane and thirty do not share — a task whose scan changed
+        // path is compared on its rows alone.
+        type Work = (String, Vec<u64>, (u64, u64), Option<(u64, u64)>);
+        let work = |events: &[StageEvent]| -> Vec<Work> {
+            let streamed = events
+                .iter()
+                .filter(|e| e.scan.is_some() || is_partition_stage(e));
+            streamed
+                .map(|e| {
+                    let path = e.scan.map(|s| s.path.to_string()).unwrap_or_default();
+                    // What every operator beneath the stage's own handed on;
+                    // of a stage that is no task, what it was handed.
+                    let rows = match e.fused.as_slice() {
+                        [] => vec![e.rows],
+                        fused => fused.iter().map(|op| op.rows).collect(),
+                    };
+                    let moved = (e.dms_bytes, e.instructions);
+                    let over_batches = e.scan.is_none().then_some((e.tiles, e.dms_descriptors));
+                    (format!("{} {path}", e.operator), rows, moved, over_batches)
+                })
                 .collect()
         };
-        assert_eq!(rounds(&events_one_core), rounds(&events), "{name}");
-        let moved = |events: &[StageEvent]| {
-            let past_scans = events.iter().filter(|e| e.scan.is_none());
-            past_scans.fold((0, 0), |(bytes, descriptors), e| {
-                (bytes + e.dms_bytes, descriptors + e.dms_descriptors)
-            })
-        };
-        assert_eq!(moved(&events_one_core), moved(&events), "{name}");
-        assert!(events_one_core.iter().all(|e| e.parallelism == 1));
-        assert!(
-            report_one_core.sim_cycles >= report.sim_cycles,
-            "{name}: more cores are not slower"
-        );
+        let at_all_cores = work(&events);
+        for (fewer, fewer_sink) in &fewer_cores {
+            let cores = fewer.context().cores;
+            let (rows_fewer, report_fewer) = run(fewer);
+            let events_fewer = fewer_sink.take();
+            assert_eq!(rows_fewer, rows, "{name}: {cores} cores vs {CORES}");
+            assert_eq!(events_fewer.len(), events.len(), "{name}: {cores} cores");
+            for (few, all) in work(&events_fewer).iter().zip(&at_all_cores) {
+                assert_eq!(few.1, all.1, "{name}: {cores} cores vs {CORES}");
+                if few.0 == all.0 {
+                    assert_eq!(few, all, "{name}: {cores} cores vs {CORES}");
+                } else {
+                    other_path.push(cores);
+                }
+            }
+            assert!(events_fewer.iter().all(|e| e.parallelism <= cores));
+            assert!(
+                report_fewer.sim_cycles >= report.sim_cycles,
+                "{name}: more cores are not slower"
+            );
+        }
 
         let host = db
             .execute_on_host(&plan)
@@ -283,11 +354,136 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         assert_eq!(canonical(&host.rows), rows, "{name}: Volcano vs DPU");
         assert_eq!(run(&native).0, rows, "{name}: native vs DPU");
     }
-    // Q3 2, Q4 1, Q5 2, Q9 6, Q10 1, Q12 1, Q18 3, Q19 1: none of them a
-    // second round over rows a first already moved.
+    // Gathering computes less and moves more: on one core, where compute
+    // is the stage, eleven of the 33 scans gather that stream on 32; on
+    // eight, the lineitem scans of Q1 and Q3.
+    let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
+    assert_eq!((gathers_on(1), gathers_on(8)), (11, 2), "{other_path:?}");
+    // 33 scans, 33 tasks, each with the first stage of its consumer as its
+    // last operator: in 32 KiB every one of them fits.
+    assert_eq!((tasks, fused_tasks), (33, 33));
+    // Half of them end bound by the DMS — every large one but Q1's, Q5's
+    // and Q18's: fewer bytes is the next lever, not more cores.
     assert_eq!(
-        wide_rounds, 17,
-        "partition rounds of {CORES} tiles or more at sf 0.02"
+        dms_bound, 17,
+        "tasks whose DMS time is their compute time or more"
     );
-    assert_eq!(a_tenth_fewer, ["Q3", "Q5", "Q9", "Q10", "Q18"]);
+    // Rounds on all 32 cores, in tasks and over what joins handed on.
+    assert_eq!(
+        wide_rounds, 22,
+        "partition rounds on {CORES} lanes at sf 0.02"
+    );
+}
+
+#[test]
+fn a_task_that_does_not_fit_is_cut_by_the_compiler_and_refused_by_the_engine() {
+    let (_db, catalog) = tpch_catalog(0.002);
+    // Q1 without its sort: scan(lineitem) -> map -> groupby.consume. In the
+    // whole scratchpad the three are one task.
+    let schemas = catalog
+        .iter()
+        .map(|(name, t)| {
+            let columns = t.schema.fields.iter().map(|f| f.name.clone());
+            (name.clone(), columns.collect())
+        })
+        .collect();
+    let sql = "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, \
+               SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price, COUNT(*) AS n \
+               FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
+               GROUP BY l_returnflag, l_linestatus";
+    let q1 = hostdb::parse_sql(sql, &schemas).expect("parse");
+    let group_by = |plan: &PlanNode| -> PlanNode {
+        let mut nodes = Vec::new();
+        pre_order(plan, &mut nodes);
+        let found = nodes.iter().find(|n| matches!(n, PlanNode::GroupBy { .. }));
+        (*found.expect("Q1 aggregates")).clone()
+    };
+    let whole = rapid::qcomp::compile(&q1, &catalog, &CostParams::default()).expect("Q1");
+    let marked = group_by(&whole.plan);
+    assert!(marked.fused(0), "{marked:?}");
+    let input = marked.inputs().next().expect("the map");
+    let chain = input.scan_chain().expect("map over scan");
+    let (mut ops, widths) = chain
+        .decls(&catalog, &chain.touched())
+        .expect("declarations");
+    assert_eq!(ops.len(), 2, "{ops:?}");
+    // Shrink the scratchpad until scan + map + consume no longer fit at 64
+    // rows, the chain and the group table each still do.
+    let fits = |ops: &[budget::OpDecl], dmem: usize| budget::task_tile(256, ops, dmem).is_some();
+    let dmem = (1024..32 * 1024)
+        .rev()
+        .step_by(64)
+        .find(|&dmem| {
+            let mut task = ops.clone();
+            task.extend(marked.first_stage(0, &widths, dmem));
+            !fits(&task, dmem)
+        })
+        .expect("a scratchpad the task does not fit");
+    let consume = marked
+        .first_stage(0, &widths, dmem)
+        .expect("groupby.consume");
+    assert!(fits(&ops, dmem) && fits(std::slice::from_ref(&consume), dmem));
+    ops.push(consume);
+    assert!(!fits(&ops, dmem) && fits(&ops, dmem + 64), "{dmem}");
+
+    // The compiler cuts the chain from its consumer: two tasks.
+    let params = CostParams {
+        dmem_bytes: dmem,
+        ..CostParams::default()
+    };
+    let cut = rapid::qcomp::compile(&q1, &catalog, &params).expect("Q1 in a small scratchpad");
+    assert!(!group_by(&cut.plan).fused(0));
+    let sink = MemorySink::new();
+    let ctx = ExecContext {
+        dmem_bytes: dmem,
+        ..ExecContext::dpu().with_trace(sink.clone())
+    };
+    let small = engine(&catalog, ctx);
+    let (out, _) = small.execute(&cut.plan).expect("the cut plan runs");
+    let events = sink.take();
+    let ran: Vec<Vec<&str>> = events
+        .iter()
+        .take(2)
+        .map(|e| e.operators().map(|op| op.2).collect())
+        .collect();
+    assert_eq!(
+        ran,
+        [vec!["map", "scan(lineitem)"], vec!["groupby.consume"]]
+    );
+    let full = engine(&catalog, ExecContext::dpu());
+    let (expect, _) = full.execute(&whole.plan).expect("Q1");
+    assert_eq!(out.batch, expect.batch);
+
+    // The plan marked by hand is refused, by the verifier and — handed to it
+    // all the same — by the engine: never cut again behind the plan's back.
+    let mut by_hand = cut.plan.clone();
+    fn mark(node: &mut PlanNode) {
+        if let PlanNode::GroupBy { fused, .. } = node {
+            *fused = true;
+        }
+        node.inputs_mut().for_each(mark);
+    }
+    mark(&mut by_hand);
+    let report = rapid_verify::verify(&by_hand, &catalog, &rapid::qcomp::verify_config(&params));
+    let fit: Vec<_> = report
+        .errors()
+        .filter(|d| d.rule == Rule::DmemFit)
+        .collect();
+    assert_eq!(fit.len(), 1, "{}", report.error_summary());
+    assert!(
+        fit[0]
+            .message
+            .contains("scan(lineitem) -> map -> groupby.consume"),
+        "{}",
+        fit[0]
+    );
+    match small.execute(&by_hand) {
+        Err(QefError::DmemExhausted(msg)) => {
+            assert!(
+                msg.contains("scan(lineitem) -> map -> groupby.consume"),
+                "{msg}"
+            )
+        }
+        other => panic!("a task over DMEM must be refused, not {other:?}"),
+    }
 }

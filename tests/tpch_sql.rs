@@ -264,9 +264,10 @@ fn q6_matches_naive_evaluation() {
 #[test]
 fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
     // The partition twin of hostdb's scan check, on the statement with the
-    // widest passes: EXPLAIN VERIFY budgets a pass from the widths its
-    // columns are encoded in, which is what a lane of it reserves — so the
-    // table's `ws-bytes` is the trace's `dmem_peak`, not a bound above it.
+    // widest passes: EXPLAIN VERIFY budgets a pass — and the task it runs in,
+    // where the side is a scan — from the widths its columns are encoded in,
+    // which is what a lane of it reserves — so the table's `ws-bytes` is the
+    // trace's `dmem_peak`, not a bound above it.
     let data = tpch::generate(&tpch::TpchConfig::sf(0.02));
     let db = HostDb::new(ExecContext::dpu());
     for t in data.tables() {
@@ -291,17 +292,23 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
             .map(|l| l.split_whitespace().collect::<Vec<_>>())
             .find(|l| l.len() > 5 && l[0] == e.node_id.to_string() && l[1] == e.operator)
             .unwrap_or_else(|| panic!("node {} {} not in:\n{verify}", e.node_id, e.operator));
-        let (tile, ws_bytes, b_per_row) = (line[2], line[3], line[5]);
+        let (tile, ws_bytes, state, b_per_row) = (line[2], line[3], line[4], line[5]);
         assert_eq!(tile, "256", "{line:?}");
         assert_eq!(ws_bytes, e.dmem_peak_bytes.to_string(), "{line:?}");
-        // State, then two tile buffers of every stream.
+        // The state of every operator of the task, then two tile buffers of
+        // every stream.
+        let state: u64 = state.parse().expect("state");
+        assert_eq!(state, 64 * (1 + e.fused.len() as u64), "{line:?}");
         let row: u64 = b_per_row.parse().expect("B/row");
-        assert_eq!(e.dmem_peak_bytes, 64 + 2 * row * 256, "{line:?}");
+        assert_eq!(e.dmem_peak_bytes, state + 2 * row * 256, "{line:?}");
         let line = format!("{}  lanes={} round 1/1 fanout ", e.operator, e.parallelism);
         assert!(analyzed.text.contains(&line), "{}", analyzed.text);
     }
-    // The lineitem probe: six columns, 48 declared bytes a row, 12 stored.
+    // The lineitem probe: six columns, 48 declared bytes a row, 12 stored,
+    // partitioned by the lanes that scan them.
     let mut passes = analyzed.events.iter().filter(|e| e.partition.is_some());
     let widest = passes.find(|e| e.rows == 119_771).expect("the probe");
-    assert_eq!(widest.dmem_peak_bytes, 64 + 2 * (12 + 4) * 256);
+    assert_eq!(widest.fused.len(), 1, "{widest:?}");
+    assert_eq!(widest.fused[0].operator, "scan(lineitem)");
+    assert_eq!(widest.dmem_peak_bytes, 2 * 64 + 2 * (12 + 4) * 256);
 }
