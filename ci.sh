@@ -19,6 +19,21 @@ if git grep -n "env::var" -- 'crates/*/src/*'; then
     exit 1
 fi
 
+echo "== stored widths come from the values, not the declared type =="
+# A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
+# min/max needs (dictionary codes and dates too), and a vector is built at a
+# width (`ColumnData::with_width`) taken from `PlanNode::output_widths`. An
+# unsigned code variant, or an arm on a declared Varchar or Date type that
+# picks a vector variant, is a second rule beside that one.
+if git grep -n "ColumnData::U3[2]" -- ':!*.md'; then
+    echo "the unsigned U32 code variant is back: dictionary codes are signed narrowed integers"
+    exit 1
+fi
+if git grep -n -A3 -E "DataType::(Varchar|Date)\b[^,]*=>" -- 'crates/*/src/*' | grep "ColumnData::"; then
+    echo "a DataType::{Varchar,Date} arm picks a ColumnData variant: take the width from output_widths"
+    exit 1
+fi
+
 echo "== task formation is on the request path =="
 # §5.2's task formation decides which operators the engine runs as one stage;
 # a refactor that stops calling it leaves a model nothing runs behind.
@@ -75,8 +90,11 @@ echo "== hardware-model examples (dpu_hardware, task_formation) =="
 cargo run -q --release --example dpu_hardware > /dev/null
 cargo run -q --release --example task_formation > /dev/null
 
-echo "== trace smoke (sf 0.01) =="
+echo "== trace and widths smoke (sf 0.01) =="
 cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q6 > /dev/null
+# Stored against needed bytes of every scanned column, scan bytes against
+# the floor per statement: the table encoding work starts from.
+cargo run -q --release -p rapid-report -- widths --sf 0.01 > /dev/null
 
 echo "== regression gate (exact simulated series vs BENCH_baseline.json) =="
 # The gate's own tests (injected regressions fail naming the metric,

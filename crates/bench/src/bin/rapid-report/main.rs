@@ -1,7 +1,8 @@
 //! `rapid-report` — everything this repository reports that is not the
 //! benchmark: the paper's §7 figures and ablations, the plan and schedule
-//! verification sweeps, the per-stage trace dump, and the CI gate over the
-//! exact simulated series in `BENCH_baseline.json`.
+//! verification sweeps, the per-stage trace dump, the table of stored
+//! against needed column widths, and the CI gate over the exact simulated
+//! series in `BENCH_baseline.json`.
 //!
 //! ```text
 //! cargo run --release -p rapid-report -- <subcommand> [options]
@@ -17,6 +18,7 @@ mod gate;
 mod schedcheck;
 mod trace;
 mod verify;
+mod widths;
 
 use args::{Args, UsageError};
 
@@ -36,6 +38,10 @@ subcommands:
              [--mutations]
       schedule-interference check of real scheduler runs in both dispatch
       modes; --mutations adds the kill matrix (default: sf 0.01, 12, 4)
+  widths [--sf <scale-factor>]
+      declared, stored and range-needed bytes of every column the TPC-H
+      statements scan, and each statement's scan bytes against the floor
+      rows handed on x bits / 8 (default: sf 0.02)
   gate <baseline.json> [--sf <scale-factor>] [--bless]
       re-collect the exact simulated series and fail on >10% growth or a
       vanished series; --bless rewrites the baseline (default: sf 0.01)
@@ -58,6 +64,7 @@ fn main() -> ExitCode {
         "verify" => verify::run(args),
         "schedcheck" => schedcheck::run(args),
         "gate" => gate::run(args),
+        "widths" => widths::run(args),
         other => Err(UsageError(format!("unknown subcommand '{other}'"))),
     };
     match result {

@@ -46,6 +46,26 @@ fn every_subcommand_runs() {
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("all schedules PASS"));
     assert!(!stdout(&out).contains("SURVIVED"));
+
+    // Declared, stored, needed bytes and bits of a code and a date, and a
+    // statement's scan bytes against its floor.
+    let out = run(&["widths", "--sf", "0.002"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let row = |prefix: &str| -> Vec<String> {
+        let line = text.lines().find(|l| l.starts_with(prefix));
+        let line = line.unwrap_or_else(|| panic!("no {prefix} row in:\n{text}"));
+        line.split_whitespace().map(String::from).collect()
+    };
+    assert_eq!(row("lineitem.l_returnflag")[1..5], ["4", "1", "1", "2"]);
+    assert_eq!(row("orders.o_orderdate")[1..5], ["4", "2", "2", "12"]);
+    let q1: Vec<f64> = row("Q1 ")[1..].iter().map(|v| v.parse().unwrap()).collect();
+    let [scans, rows, moved, floor, ratio] = q1[..] else {
+        panic!("{q1:?}")
+    };
+    assert_eq!(scans, 1.0);
+    assert!(rows > 0.0 && moved > floor && floor > 0.0, "{q1:?}");
+    assert!((ratio - moved / floor).abs() < 0.01, "{q1:?}");
     // `gate` is covered by gate_blesses_passes_and_fails_by_name.
 }
 
@@ -53,7 +73,7 @@ fn every_subcommand_runs() {
 fn help_lists_every_subcommand() {
     let out = run(&["--help"]);
     assert!(out.status.success());
-    for sub in ["figures", "trace", "verify", "schedcheck", "gate"] {
+    for sub in ["figures", "trace", "verify", "schedcheck", "widths", "gate"] {
         assert!(
             stdout(&out).contains(&format!("\n  {sub} ")),
             "--help must list {sub}"
@@ -73,6 +93,8 @@ fn malformed_command_lines_exit_2_naming_the_problem() {
         (&["figures", "fig99"][..], "fig99"),
         (&["trace", "--query", "Q2"][..], "Q2"),
         (&["trace", "Q6"][..], "Q6"),
+        (&["widths", "--sf", "abc"][..], "--sf"),
+        (&["widths", "Q1"][..], "Q1"),
         (&["gate"][..], "baseline.json"),
         (&["gate", "a.json", "b.json"][..], "baseline.json"),
     ] {

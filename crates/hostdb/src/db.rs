@@ -1452,8 +1452,13 @@ mod tests {
             .split("  cols 1/3  ")
             .collect();
         assert_eq!(task[1], "[scan(sales) -> map -> groupby.consume]", "{text}");
+        // `region`'s dictionary code is stored in one byte: 9 B a row.
         let columns: Vec<&str> = task[0].split_whitespace().collect();
-        assert_eq!(columns[1..4], ["groupby.consume", "256", "22656"], "{text}");
+        assert_eq!(
+            columns[1..6],
+            ["groupby.consume", "256", "21120", "16512", "9"],
+            "{text}"
+        );
         assert!(text.contains("PASS"), "{text}");
         // And through the SQL surface, as a QUERY PLAN result.
         let r = d

@@ -547,8 +547,8 @@ fn narrow_scan(
     let Some(t) = catalog.get(table) else { return };
     let needed = |name: &String| need.contains(&name.as_str());
     // Something must still move for the rows to be counted (`COUNT(*)`):
-    // the first of the narrowest columns.
-    let width = |name: &String| t.schema.field(name).map(|f| f.dtype.physical_width());
+    // the first of the columns stored narrowest.
+    let width = |name: &String| t.schema.index_of(name).map(|c| t.column_width(c));
     match projection {
         Some(names) => {
             if names.iter().any(|n| t.schema.index_of(n).is_none()) {
@@ -697,14 +697,16 @@ mod tests {
     }
 
     /// `t(k INT, price DECIMAL, flag VARCHAR, d DATE)` and
-    /// `u(k INT, w INT, tag VARCHAR)`: `k` is on both, and `flag` is the
-    /// first of `t`'s narrowest columns.
+    /// `u(k INT, w INT, tag VARCHAR)`: `k` is on both. `t`'s one row stores
+    /// k and flag in 1 byte, d in 2 and price in 4 — declared, k and price
+    /// are the widest — so `k` is the first of its narrowest columns.
     fn catalog() -> Catalog {
         use rapid_storage::schema::{Field, Schema};
         use rapid_storage::types::DataType;
-        let table = |name: &str, fields: Vec<Field>| {
-            let t = rapid_storage::table::TableBuilder::new(name, Schema::new(fields)).finish();
-            (name.to_string(), std::sync::Arc::new(t))
+        let table = |name: &str, fields: Vec<Field>, rows: Vec<Vec<Value>>| {
+            let mut b = rapid_storage::table::TableBuilder::new(name, Schema::new(fields));
+            b.extend_rows(rows);
+            (name.to_string(), std::sync::Arc::new(b.finish()))
         };
         Catalog::from([
             table(
@@ -715,6 +717,15 @@ mod tests {
                     Field::new("flag", DataType::Varchar),
                     Field::new("d", DataType::Date),
                 ],
+                vec![vec![
+                    Value::Int(1),
+                    Value::Decimal {
+                        unscaled: 100_000_000,
+                        scale: 2,
+                    },
+                    Value::Str("A".into()),
+                    Value::Date(20_000),
+                ]],
             ),
             table(
                 "u",
@@ -723,6 +734,7 @@ mod tests {
                     Field::new("w", DataType::Int),
                     Field::new("tag", DataType::Varchar),
                 ],
+                vec![],
             ),
         ])
     }
@@ -854,13 +866,14 @@ mod tests {
     }
 
     #[test]
-    fn count_star_alone_moves_the_first_narrowest_column() {
+    fn count_star_alone_moves_the_first_column_stored_narrowest() {
+        // `k` is declared 8 bytes and stored in 1.
         let plan = LogicalPlan::scan("t").aggregate(vec![], vec![count_star()]);
-        assert_eq!(pruned(plan), [cols(&["flag"])]);
+        assert_eq!(pruned(plan), [cols(&["k"])]);
         // The scan predicate streams `price` by table index regardless.
         let plan = LogicalPlan::scan_where("t", LPred::eq("price", Value::Int(1)))
             .aggregate(vec![], vec![count_star()]);
-        assert_eq!(pruned(plan), [cols(&["flag"])]);
+        assert_eq!(pruned(plan), [cols(&["k"])]);
     }
 
     #[test]
@@ -942,9 +955,10 @@ mod tests {
         // statement is wrong as written; lowering says so).
         let plan = given(&["d", "k"]).project(pick(&["price", "d"]));
         assert_eq!(pruned(plan), [cols(&["d"])]);
-        // Nothing needed: the first narrowest column of those given.
-        let plan = given(&["k", "d", "flag"]).aggregate(vec![], vec![count_star()]);
-        assert_eq!(pruned(plan), [cols(&["d"])]);
+        // Nothing needed: the first column of those given stored narrowest
+        // (`d` and `flag` are both declared 4 bytes; `flag` stores 1).
+        let plan = given(&["price", "d", "flag"]).aggregate(vec![], vec![count_star()]);
+        assert_eq!(pruned(plan), [cols(&["flag"])]);
         // At the root it is left as given.
         assert_eq!(pruned(given(&["d", "k"])), [cols(&["d", "k"])]);
     }

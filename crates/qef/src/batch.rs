@@ -100,7 +100,7 @@ impl Batch {
             .enumerate()
             .map(|(i, proto)| {
                 let parts = || batches.iter().filter_map(|b| b.columns.get(i));
-                let mut data = proto.data.empty_like_with_capacity(total);
+                let mut data = ColumnData::with_width(proto.data.width(), total);
                 for c in parts() {
                     data.extend_from(&c.data);
                 }
@@ -346,7 +346,7 @@ impl ColumnBuilder {
     ) {
         let data = self
             .data
-            .get_or_insert_with(|| src.data.empty_like_with_capacity(capacity));
+            .get_or_insert_with(|| ColumnData::with_width(src.data.width(), capacity));
         let before = data.len();
         data.extend_rows(&src.data, rows.clone());
         match (&mut self.nulls, &src.nulls) {

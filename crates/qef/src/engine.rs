@@ -309,7 +309,7 @@ impl Engine {
         if batch.width() == 0 && !meta.is_empty() {
             // No surviving rows: synthesize an empty batch with the right
             // column layout so callers can rely on the shape.
-            batch = empty_with_layout(&meta);
+            batch = empty_with_layout(&plan.output_widths(&self.catalog)?);
         }
         report.rows = batch.rows();
         Ok((QueryOutput { batch, meta }, report))
@@ -760,7 +760,6 @@ impl<'e> Run<'e> {
         if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
             return Err(QefError::BadPlan("join key arity mismatch".into()));
         }
-        let build_meta = build.output_meta(self.catalog)?;
         let build_widths = build.output_widths(self.catalog)?;
         let probe_widths = probe.output_widths(self.catalog)?;
 
@@ -777,29 +776,12 @@ impl<'e> Run<'e> {
         // Join partition pairs in parallel; handle large skew by extra
         // partitioning rounds inside the worker.
         let pairs: Vec<(Batch, Batch)> = bparts.into_iter().zip(pparts).collect();
-        // Physical prototypes of the build columns, for outer-join NULL
-        // padding: the pad must use the same variant the matched
-        // partitions gather, or concatenating partition outputs mixes
-        // physical widths and panics. That variant is the build side's
-        // static width (dictionary codes are the unsigned 4-byte one).
-        let build_protos: Vec<rapid_storage::vector::ColumnData> = {
-            use rapid_storage::types::DataType;
-            use rapid_storage::vector::ColumnData;
-            let proto = |(m, &width): (&ColMeta, &usize)| match (width, m.dtype) {
-                (1, _) => ColumnData::I8(Vec::new()),
-                (2, _) => ColumnData::I16(Vec::new()),
-                (4, DataType::Varchar) => ColumnData::U32(Vec::new()),
-                (4, _) => ColumnData::I32(Vec::new()),
-                _ => ColumnData::I64(Vec::new()),
-            };
-            build_meta.iter().zip(&build_widths).map(proto).collect()
-        };
         let join = PairJoin {
             build_keys,
             probe_keys,
             join_type,
             est_rows: est_per_partition,
-            build_protos,
+            build_widths: &build_widths,
             tile: self
                 .partition_tile(&build_widths)?
                 .min(self.partition_tile(&probe_widths)?),
@@ -965,7 +947,9 @@ struct PairJoin<'a> {
     join_type: JoinType,
     /// Build rows a partition was sized for.
     est_rows: usize,
-    build_protos: Vec<rapid_storage::vector::ColumnData>,
+    /// The build side's [`PlanNode::output_widths`]: what an outer join's
+    /// NULL pad is stored at, so it concatenates with matched partitions.
+    build_widths: &'a [usize],
     tile: usize,
 }
 
@@ -980,7 +964,7 @@ impl PairJoin<'_> {
         depth: usize,
     ) -> QefResult<Batch> {
         if build.is_empty() && self.join_type == JoinType::LeftOuter {
-            return Ok(pad_outer(probe, &self.build_protos));
+            return Ok(pad_outer(probe, self.build_widths));
         }
         let oversized = build.rows() > self.est_rows.saturating_mul(ops::join::LARGE_SKEW_FACTOR);
         if oversized && depth < 3 && build.rows() > 256 {
@@ -1015,7 +999,7 @@ impl PairJoin<'_> {
             return match self.join_type {
                 JoinType::Inner | JoinType::LeftSemi => Ok(Batch::empty(0)),
                 JoinType::LeftAnti => Ok(probe),
-                JoinType::LeftOuter => Ok(pad_outer(probe, &self.build_protos)),
+                JoinType::LeftOuter => Ok(pad_outer(probe, self.build_widths)),
             };
         }
         ops::join::join_partition(
@@ -1031,32 +1015,27 @@ impl PairJoin<'_> {
 }
 
 /// Pad probe rows with NULL build columns for outer joins with no build.
-/// Each pad column clones its prototype's physical variant so the result
-/// concatenates cleanly with partitions that did find matches.
-fn pad_outer(probe: Batch, build_protos: &[rapid_storage::vector::ColumnData]) -> Batch {
+/// Each pad column is stored at its build column's static width so the
+/// result concatenates cleanly with partitions that did find matches.
+fn pad_outer(probe: Batch, build_widths: &[usize]) -> Batch {
     if probe.is_empty() {
         return Batch::empty(0);
     }
     let n = probe.rows();
     let mut out = probe;
-    for proto in build_protos {
-        out.push_column(ops::join::null_column(proto, n));
+    for &width in build_widths {
+        out.push_column(ops::join::null_column(width, n));
     }
     out
 }
 
-fn empty_with_layout(meta: &[ColMeta]) -> Batch {
-    use rapid_storage::types::DataType;
+/// No rows, one column per static width.
+fn empty_with_layout(widths: &[usize]) -> Batch {
     use rapid_storage::vector::{ColumnData, Vector};
     Batch::new(
-        meta.iter()
-            .map(|m| {
-                Vector::new(match m.dtype {
-                    DataType::Date => ColumnData::I32(Vec::new()),
-                    DataType::Varchar => ColumnData::U32(Vec::new()),
-                    _ => ColumnData::I64(Vec::new()),
-                })
-            })
+        widths
+            .iter()
+            .map(|&w| Vector::new(ColumnData::with_width(w, 0)))
             .collect(),
     )
 }

@@ -498,7 +498,7 @@ mod tests {
                 nulls(7),
             ),
             Vector::with_nulls(
-                ColumnData::U32((0..n as u32).map(|i| i % 5).collect()),
+                ColumnData::I8((0..n).map(|i| (i % 5) as i8).collect()),
                 nulls(11),
             ),
             Vector::new(ColumnData::I64(

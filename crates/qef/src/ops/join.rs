@@ -363,11 +363,11 @@ fn detect_heavy(keys: &[&Vector], rows: usize) -> Vec<Vec<i64>> {
         .collect()
 }
 
-/// `rows` NULLs in the physical variant of `proto` — the build side of an
-/// unmatched outer-join row. The variant must be the one matched rows
+/// `rows` NULLs stored `width` bytes a value — the build side of an
+/// unmatched outer-join row. The width must be the one matched rows
 /// gather, or concatenating the two mixes physical widths.
-pub(crate) fn null_column(proto: &rapid_storage::vector::ColumnData, rows: usize) -> Vector {
-    let mut data = proto.empty_like_with_capacity(rows);
+pub(crate) fn null_column(width: usize, rows: usize) -> Vector {
+    let mut data = rapid_storage::vector::ColumnData::with_width(width, rows);
     for _ in 0..rows {
         data.push_i64(0);
     }
@@ -452,7 +452,7 @@ pub fn join_partition(
                 .collect();
             let mut bottom = probe.gather(&unmatched);
             for col in &build.columns {
-                bottom.push_column(null_column(&col.data, unmatched.len()));
+                bottom.push_column(null_column(col.data.width(), unmatched.len()));
             }
             Ok(Batch::concat(vec![top, bottom]))
         }

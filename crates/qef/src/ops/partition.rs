@@ -942,7 +942,7 @@ mod proptests {
                     3,
                 ),
                 col(
-                    ColumnData::U32(rows.iter().map(|r| r.1 as u32).collect()),
+                    ColumnData::I16(rows.iter().map(|r| r.1 as i16).collect()),
                     4,
                 ),
                 col(ColumnData::I64(rows.iter().map(|r| r.0 ^ r.1).collect()), 5),

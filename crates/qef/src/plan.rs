@@ -524,14 +524,16 @@ mod tests {
             Field::new("flag", DataType::Varchar),
         ]);
         let mut b = TableBuilder::new("t", schema);
-        b.push_row(vec![
-            Value::Int(1),
-            Value::Decimal {
-                unscaled: 155,
-                scale: 2,
-            },
-            Value::Str("x".into()),
-        ]);
+        for i in 0..129 {
+            b.push_row(vec![
+                Value::Int(1),
+                Value::Decimal {
+                    unscaled: 100_000_001,
+                    scale: 2,
+                },
+                Value::Str(format!("x{i:03}")),
+            ]);
+        }
         let mut c = Catalog::new();
         c.insert("t".into(), Arc::new(b.finish()));
         c
@@ -635,7 +637,8 @@ mod tests {
         ));
     }
 
-    /// `t`'s one row stores k in 1 byte, price in 2 and flag's code in 4.
+    /// `t` stores k in 1 byte, price in 4 and flag's code in 2 (129
+    /// strings: codes 0..=128).
     fn scan_of(columns: &[usize]) -> PlanNode {
         PlanNode::Scan {
             table: "t".into(),
@@ -650,8 +653,8 @@ mod tests {
 
     #[test]
     fn scan_widths_are_the_stored_ones_in_projection_order() {
-        assert_eq!(widths(&scan_of(&[0, 1, 2])), [1, 2, 4]);
-        assert_eq!(widths(&scan_of(&[2, 0])), [4, 1]);
+        assert_eq!(widths(&scan_of(&[0, 1, 2])), [1, 4, 2]);
+        assert_eq!(widths(&scan_of(&[2, 0])), [2, 1]);
         let declared: Vec<usize> = scan_of(&[0, 1, 2])
             .output_meta(&catalog())
             .unwrap()
@@ -705,7 +708,7 @@ mod tests {
                 n: 3,
             },
         ] {
-            assert_eq!(widths(&plan), [2, 1], "{plan:?}");
+            assert_eq!(widths(&plan), [4, 1], "{plan:?}");
         }
     }
 
@@ -729,7 +732,7 @@ mod tests {
             Expr::Lit(7),
             Expr::Col(0),
         ]);
-        assert_eq!(widths(&plan), [4, 8, 1, 8, 1]);
+        assert_eq!(widths(&plan), [2, 8, 1, 8, 1]);
         assert!(matches!(
             map(vec![Expr::Col(5)]).output_widths(&catalog()),
             Err(QefError::BadColumn {
@@ -751,10 +754,10 @@ mod tests {
             fused_build: false,
             fused_probe: false,
         };
-        assert_eq!(widths(&join(JoinType::Inner)), [1, 2, 1, 4]);
-        assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 2, 1, 4]);
-        assert_eq!(widths(&join(JoinType::LeftSemi)), [1, 2]);
-        assert_eq!(widths(&join(JoinType::LeftAnti)), [1, 2]);
+        assert_eq!(widths(&join(JoinType::Inner)), [1, 4, 1, 2]);
+        assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 4, 1, 2]);
+        assert_eq!(widths(&join(JoinType::LeftSemi)), [1, 4]);
+        assert_eq!(widths(&join(JoinType::LeftAnti)), [1, 4]);
     }
 
     #[test]
@@ -782,7 +785,7 @@ mod tests {
             order_by: vec![],
             func: WindowFunc::RowNumber,
         };
-        assert_eq!(widths(&window), [1, 2, 8]);
+        assert_eq!(widths(&window), [1, 4, 8]);
     }
 
     #[test]
@@ -793,7 +796,7 @@ mod tests {
             op,
         };
         for op in [SetOpKind::Union, SetOpKind::Intersect, SetOpKind::Minus] {
-            assert_eq!(widths(&setop(op)), [2, 4]);
+            assert_eq!(widths(&setop(op)), [4, 2]);
         }
     }
 

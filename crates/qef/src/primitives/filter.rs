@@ -131,15 +131,6 @@ macro_rules! dispatch_cmp {
                 }
             },
             ColumnData::I64(d) => cmp_loop!(d[rows], $cval, $op, $emit),
-            ColumnData::U32(d) => match u32::try_from($cval) {
-                Ok(c) => cmp_loop!(d[rows], c, $op, $emit),
-                Err(_) => {
-                    let always = static_truth($cval, $op, 0, u32::MAX as i64);
-                    for i in 0..rows.len() {
-                        $emit(i, always);
-                    }
-                }
-            },
         }
     }};
 }
@@ -207,22 +198,21 @@ pub fn in_code_set_bv(
     codes: &BitVec,
 ) -> BitVec {
     let mut out = BitVec::zeros(rows.len());
-    let member = |c: i64| c >= 0 && (c as usize) < codes.len() && codes.get(c as usize);
+    // One typed loop per stored width: codes are as narrow as the
+    // dictionary lets them be.
+    fn probe<T: Copy + Into<i64>>(codes: &BitVec, data: &[T], out: &mut BitVec) {
+        for (i, &c) in data.iter().enumerate() {
+            let c: i64 = c.into();
+            if c >= 0 && (c as usize) < codes.len() && codes.get(c as usize) {
+                out.set(i, true);
+            }
+        }
+    }
     match &col.data {
-        ColumnData::U32(d) => {
-            for (i, &c) in d[rows.clone()].iter().enumerate() {
-                if member(c as i64) {
-                    out.set(i, true);
-                }
-            }
-        }
-        other => {
-            for (i, row) in rows.clone().enumerate() {
-                if member(other.get_i64(row)) {
-                    out.set(i, true);
-                }
-            }
-        }
+        ColumnData::I8(d) => probe(codes, &d[rows.clone()], &mut out),
+        ColumnData::I16(d) => probe(codes, &d[rows.clone()], &mut out),
+        ColumnData::I32(d) => probe(codes, &d[rows.clone()], &mut out),
+        ColumnData::I64(d) => probe(codes, &d[rows.clone()], &mut out),
     }
     clear_nulls(&mut out, col, &rows);
     // Bitmap probe: one extra load vs the compare loop.
@@ -337,14 +327,24 @@ mod tests {
     }
 
     #[test]
-    fn in_code_set_on_dictionary_codes() {
+    fn in_code_set_on_dictionary_codes_of_every_width() {
         let mut c = ctx();
-        let col = Vector::new(ColumnData::U32(vec![0, 1, 2, 1, 3]));
         let mut codes = BitVec::zeros(4);
         codes.set(1, true);
         codes.set(3, true);
-        let bv = in_code_set_bv(&mut c, &col, 0..col.len(), &codes);
-        assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![1, 3, 4]);
+        for width in [1, 2, 4, 8] {
+            let mut data = ColumnData::with_width(width, 6);
+            for code in [0, 1, 2, 1, 3, 9] {
+                data.push_i64(code);
+            }
+            let mut nulls = BitVec::zeros(6);
+            nulls.set(3, true);
+            let col = Vector::with_nulls(data, nulls);
+            let bv = in_code_set_bv(&mut c, &col, 0..col.len(), &codes);
+            assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![1, 4], "{width}");
+            let bv = in_code_set_bv(&mut c, &col, 2..6, &codes);
+            assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![2], "{width}");
+        }
     }
 
     #[test]

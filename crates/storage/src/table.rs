@@ -5,8 +5,9 @@
 //! source of truth, and changes flow in through SCN-stamped update units
 //! resolved by the [`crate::scn::Tracker`]. [`TableBuilder`] is the load
 //! path: it buffers rows, derives per-column encodings (order-preserving
-//! dictionary codes for strings, a common DSB scale for decimals, narrowed
-//! integer widths), splits rows into chunks and computes statistics.
+//! dictionary codes for strings, a common DSB scale for decimals), computes
+//! statistics, stores every column at the narrowest of 1, 2, 4 or 8 bytes
+//! its min/max needs, and splits rows into chunks.
 
 use serde::{Deserialize, Serialize};
 
@@ -65,15 +66,16 @@ impl Table {
     }
 
     /// Bytes per value of column `col` as its vectors are stored: the load
-    /// path narrows a column to the 1, 2, 4 or 8 bytes its values need and
-    /// keeps that width in every chunk, so the first chunk answers for the
-    /// table. A table without rows has stored nothing and answers with the
-    /// declared width. This is the width a scan hands on — what the DMS
-    /// moves and a DMEM buffer holds per row of the column.
+    /// path narrows a column to the 1, 2, 4 or 8 bytes its values need —
+    /// whatever its declared type — and keeps that width in every chunk, so
+    /// the first chunk answers for the table. A table without rows has
+    /// stored nothing and answers with what its empty range needs, one
+    /// byte. This is the width a scan hands on — what the DMS moves and a
+    /// DMEM buffer holds per row of the column.
     pub fn column_width(&self, col: usize) -> usize {
         match self.chunks().next() {
             Some(chunk) => chunk.vector(col).data.width(),
-            None => self.schema.fields[col].dtype.physical_width(),
+            None => ColumnData::width_for(0, 0),
         }
     }
 
@@ -300,13 +302,13 @@ impl TableBuilder {
             columns,
         };
 
-        // Choose one physical width per column (consistent across chunks).
-        let protos: Vec<ColumnData> = (0..ncols)
-            .map(|c| match self.schema.fields[c].dtype {
-                DataType::Varchar => ColumnData::U32(Vec::new()),
-                DataType::Date => ColumnData::I32(Vec::new()),
-                _ => ColumnData::from_i64_narrowed(&widened[c]).empty_like(),
-            })
+        // One stored width per column, the same in every chunk: the
+        // narrowest that holds the column's range — codes, dates, integers
+        // and DSB decimals alike — and the 0 a NULL row stores.
+        let widths: Vec<usize> = stats
+            .columns
+            .iter()
+            .map(|s| ColumnData::width_for(s.min.unwrap_or(0).min(0), s.max.unwrap_or(0).max(0)))
             .collect();
 
         // Chunk and distribute round-robin over partitions.
@@ -317,7 +319,7 @@ impl TableBuilder {
             let end = (start + self.chunk_rows).min(nrows);
             let mut vectors = Vec::with_capacity(ncols);
             for c in 0..ncols {
-                let mut data = protos[c].empty_like();
+                let mut data = ColumnData::with_width(widths[c], end - start);
                 let mut nmask = BitVec::zeros(0);
                 for (i, &w) in widened[c].iter().enumerate().take(end).skip(start) {
                     data.push_i64(if nulls[c].get(i) { 0 } else { w });
@@ -475,25 +477,81 @@ mod tests {
 
     #[test]
     fn column_width_is_the_width_of_every_chunk() {
-        // k 0..100 fits one byte, price up to 9925 two; codes and dates
-        // keep their four whatever they hold.
+        // k 0..100 fits one byte, price up to 9925 two; flag's two codes
+        // and d's first hundred days of 1970 one each.
         let t = sample_table(3, 8);
         assert_eq!(
             (0..4).map(|c| t.column_width(c)).collect::<Vec<_>>(),
-            [1, 2, 4, 4]
+            [1, 2, 1, 1]
         );
         for chunk in t.chunks() {
             for c in 0..4 {
                 assert_eq!(chunk.vector(c).data.width(), t.column_width(c));
             }
         }
-        // Nothing stored: the declared width.
+        // Nothing stored: what an empty range needs, whatever the type.
         let schema = Schema::new(vec![
             Field::new("x", DataType::Int),
             Field::new("d", DataType::Date),
         ]);
         let empty = TableBuilder::new("e", schema).finish();
-        assert_eq!((empty.column_width(0), empty.column_width(1)), (8, 4));
+        assert_eq!((empty.column_width(0), empty.column_width(1)), (1, 1));
+    }
+
+    /// One nullable column of `dtype` holding `values` and a NULL.
+    fn one_column(dtype: DataType, values: impl IntoIterator<Item = Value>) -> Table {
+        let mut b = TableBuilder::new("w", Schema::new(vec![Field::nullable("c", dtype)]));
+        b.extend_rows(values.into_iter().map(|v| vec![v]));
+        b.push_row(vec![Value::Null]);
+        b.finish()
+    }
+
+    #[test]
+    fn dictionary_codes_take_the_bytes_their_count_needs() {
+        // Codes are 0..n-1, so one byte holds 128 strings and two 32,768.
+        for (distinct, width) in [
+            (127, 1),
+            (128, 1),
+            (129, 2),
+            (32_767, 2),
+            (32_768, 2),
+            (32_769, 4),
+        ] {
+            // Pushed in reverse: the codes still follow string order.
+            let t = one_column(
+                DataType::Varchar,
+                (0..distinct).rev().map(|i| Value::Str(format!("s{i:05}"))),
+            );
+            assert_eq!(t.column_width(0), width, "{distinct} strings");
+            assert!(t.dicts[0].as_ref().unwrap().codes_ordered());
+            let codes = t.column_i64(0);
+            assert_eq!(codes[0], distinct - 1, "{distinct} strings");
+            assert_eq!(codes[distinct as usize - 1], 0);
+            assert_eq!(t.column_nulls(0).count_ones(), 1);
+            let last = Value::Str(format!("s{:05}", distinct - 1));
+            assert_eq!(t.decode_value(0, distinct - 1), last);
+            assert_eq!(t.encode_value(0, &last), Some(distinct - 1));
+        }
+    }
+
+    #[test]
+    fn dates_take_two_bytes_inside_the_i16_day_range_and_four_outside() {
+        use crate::types::parse_date;
+        let date = |s: &str| parse_date(s).expect("date");
+        // Day −32,768 is 1880-04-14 and day 32,767 2059-09-18.
+        for (dates, width) in [
+            (["1969-08-26", "1970-05-08"], 1),
+            (["1969-08-25", "1970-05-08"], 2),
+            (["1880-04-14", "2059-09-18"], 2),
+            (["1880-04-13", "1995-01-01"], 4),
+            (["1995-01-01", "2059-09-19"], 4),
+        ] {
+            let t = one_column(DataType::Date, dates.map(|d| Value::Date(date(d))));
+            assert_eq!(t.column_width(0), width, "{dates:?}");
+            let days = t.column_i64(0);
+            assert_eq!(&days[..2], &dates.map(|d| date(d) as i64), "{dates:?}");
+            assert_eq!(t.decode_value(0, days[1]), Value::Date(date(dates[1])));
+        }
     }
 
     #[test]

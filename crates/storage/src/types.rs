@@ -19,14 +19,17 @@ pub enum DataType {
         /// Digits after the decimal point.
         scale: u8,
     },
-    /// Calendar date, stored as days since 1970-01-01 in an `i32`.
+    /// Calendar date: days since 1970-01-01, an `i32` value (stored at the
+    /// width its range needs, like every column).
     Date,
     /// Fixed or variable length string, dictionary encoded.
     Varchar,
 }
 
 impl DataType {
-    /// Width in bytes of the physical in-memory representation.
+    /// Declared width in bytes: what the cost model prices a value at. A
+    /// loaded column is stored at the width its values need
+    /// (`Table::column_width`).
     pub fn physical_width(&self) -> usize {
         match self {
             DataType::Int => 8,

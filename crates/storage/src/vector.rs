@@ -2,30 +2,29 @@
 //! chunk and the unit of transfer programmed into the DMS.
 //!
 //! [`ColumnData`] is the physical array in one of the DPU's supported
-//! widths (1, 2, 4 or 8 bytes). [`Vector`] adds an optional null bitmap.
-//! The engine's canonical compute representation is `i64` (the widening
-//! accessors below); narrow widths matter for storage footprint and for
-//! DMS byte accounting, which is why they are preserved here rather than
-//! widened at load time.
+//! widths (1, 2, 4 or 8 bytes), always signed: integers, DSB decimals,
+//! dates and dictionary codes alike are stored at the narrowest width their
+//! values need ([`ColumnData::width_for`]). [`Vector`] adds an optional null
+//! bitmap. The engine's canonical compute representation is `i64` (the
+//! widening accessors below); narrow widths matter for storage footprint
+//! and for DMS byte accounting, which is why they are preserved here rather
+//! than widened at load time.
 
 use serde::{Deserialize, Serialize};
 
 use crate::bitvec::BitVec;
 
-/// Physical column data at one of the four supported fixed widths, plus an
-/// unsigned 4-byte variant for dictionary codes.
+/// Physical column data at one of the four supported fixed widths.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ColumnData {
     /// 1-byte signed integers.
     I8(Vec<i8>),
     /// 2-byte signed integers.
     I16(Vec<i16>),
-    /// 4-byte signed integers (also dates).
+    /// 4-byte signed integers.
     I32(Vec<i32>),
-    /// 8-byte signed integers (also DSB decimals).
+    /// 8-byte signed integers.
     I64(Vec<i64>),
-    /// 4-byte unsigned dictionary codes.
-    U32(Vec<u32>),
 }
 
 impl ColumnData {
@@ -36,7 +35,6 @@ impl ColumnData {
             ColumnData::I16(v) => v.len(),
             ColumnData::I32(v) => v.len(),
             ColumnData::I64(v) => v.len(),
-            ColumnData::U32(v) => v.len(),
         }
     }
 
@@ -50,7 +48,7 @@ impl ColumnData {
         match self {
             ColumnData::I8(_) => 1,
             ColumnData::I16(_) => 2,
-            ColumnData::I32(_) | ColumnData::U32(_) => 4,
+            ColumnData::I32(_) => 4,
             ColumnData::I64(_) => 8,
         }
     }
@@ -60,8 +58,7 @@ impl ColumnData {
         self.len() * self.width()
     }
 
-    /// Widening read of element `i` as `i64` (dictionary codes widen
-    /// zero-extended; everything else sign-extends).
+    /// Widening (sign-extending) read of element `i` as `i64`.
     #[inline]
     pub fn get_i64(&self, i: usize) -> i64 {
         match self {
@@ -69,7 +66,6 @@ impl ColumnData {
             ColumnData::I16(v) => v[i] as i64,
             ColumnData::I32(v) => v[i] as i64,
             ColumnData::I64(v) => v[i],
-            ColumnData::U32(v) => v[i] as i64,
         }
     }
 
@@ -78,28 +74,48 @@ impl ColumnData {
         (0..self.len()).map(|i| self.get_i64(i)).collect()
     }
 
-    /// Build the narrowest signed representation that holds every value in
-    /// `values` (the encoding-selection step of the compiler).
-    pub fn from_i64_narrowed(values: &[i64]) -> ColumnData {
-        let (mut lo, mut hi) = (0i64, 0i64);
-        for &v in values {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if lo >= i8::MIN as i64 && hi <= i8::MAX as i64 {
-            ColumnData::I8(values.iter().map(|&v| v as i8).collect())
-        } else if lo >= i16::MIN as i64 && hi <= i16::MAX as i64 {
-            ColumnData::I16(values.iter().map(|&v| v as i16).collect())
-        } else if lo >= i32::MIN as i64 && hi <= i32::MAX as i64 {
-            ColumnData::I32(values.iter().map(|&v| v as i32).collect())
+    /// Bytes of the narrowest signed width — 1, 2, 4 or 8 — that holds
+    /// every value of `[lo, hi]`: the one rule by which the load path picks
+    /// a column's stored width.
+    pub fn width_for(lo: i64, hi: i64) -> usize {
+        let fits = |min: i64, max: i64| lo >= min && hi <= max;
+        if fits(i8::MIN.into(), i8::MAX.into()) {
+            1
+        } else if fits(i16::MIN.into(), i16::MAX.into()) {
+            2
+        } else if fits(i32::MIN.into(), i32::MAX.into()) {
+            4
         } else {
-            ColumnData::I64(values.to_vec())
+            8
         }
+    }
+
+    /// An empty column of `width` bytes a value (1, 2, 4, else 8) with room
+    /// for `rows`: the one place a variant is chosen from a width.
+    pub fn with_width(width: usize, rows: usize) -> ColumnData {
+        match width {
+            1 => ColumnData::I8(Vec::with_capacity(rows)),
+            2 => ColumnData::I16(Vec::with_capacity(rows)),
+            4 => ColumnData::I32(Vec::with_capacity(rows)),
+            _ => ColumnData::I64(Vec::with_capacity(rows)),
+        }
+    }
+
+    /// Build the narrowest signed representation that holds every value in
+    /// `values` (and 0).
+    pub fn from_i64_narrowed(values: &[i64]) -> ColumnData {
+        let lo = values.iter().copied().fold(0, i64::min);
+        let hi = values.iter().copied().fold(0, i64::max);
+        let mut out = ColumnData::with_width(ColumnData::width_for(lo, hi), values.len());
+        for &v in values {
+            out.push_i64(v);
+        }
+        out
     }
 
     /// Gather elements by row offsets (the DMS RID-gather, functionally).
     pub fn gather(&self, rids: &[u32]) -> ColumnData {
-        let mut out = self.empty_like_with_capacity(rids.len());
+        let mut out = ColumnData::with_width(self.width(), rids.len());
         out.extend_rows(self, rids.iter().map(|&r| r as usize));
         out
     }
@@ -112,12 +128,7 @@ impl ColumnData {
         if self.width() == width {
             return self;
         }
-        let mut out = match width {
-            1 => ColumnData::I8(Vec::with_capacity(self.len())),
-            2 => ColumnData::I16(Vec::with_capacity(self.len())),
-            4 => ColumnData::I32(Vec::with_capacity(self.len())),
-            _ => ColumnData::I64(Vec::with_capacity(self.len())),
-        };
+        let mut out = ColumnData::with_width(width, self.len());
         for i in 0..self.len() {
             out.push_i64(self.get_i64(i));
         }
@@ -131,7 +142,6 @@ impl ColumnData {
             ColumnData::I16(v) => ColumnData::I16(v[from..to].to_vec()),
             ColumnData::I32(v) => ColumnData::I32(v[from..to].to_vec()),
             ColumnData::I64(v) => ColumnData::I64(v[from..to].to_vec()),
-            ColumnData::U32(v) => ColumnData::U32(v[from..to].to_vec()),
         }
     }
 
@@ -142,7 +152,6 @@ impl ColumnData {
             (ColumnData::I16(a), ColumnData::I16(b)) => a.extend_from_slice(b),
             (ColumnData::I32(a), ColumnData::I32(b)) => a.extend_from_slice(b),
             (ColumnData::I64(a), ColumnData::I64(b)) => a.extend_from_slice(b),
-            (ColumnData::U32(a), ColumnData::U32(b)) => a.extend_from_slice(b),
             (a, b) => panic!(
                 "column variant mismatch: {:?} vs {:?}",
                 a.width(),
@@ -159,29 +168,12 @@ impl ColumnData {
             (ColumnData::I16(a), ColumnData::I16(b)) => a.extend(rows.map(|i| b[i])),
             (ColumnData::I32(a), ColumnData::I32(b)) => a.extend(rows.map(|i| b[i])),
             (ColumnData::I64(a), ColumnData::I64(b)) => a.extend(rows.map(|i| b[i])),
-            (ColumnData::U32(a), ColumnData::U32(b)) => a.extend(rows.map(|i| b[i])),
             (a, b) => panic!(
                 "column variant mismatch: {:?} vs {:?}",
                 a.width(),
                 b.width()
             ),
         }
-    }
-
-    /// An empty column of the same physical variant with room for `rows`.
-    pub fn empty_like_with_capacity(&self, rows: usize) -> ColumnData {
-        match self {
-            ColumnData::I8(_) => ColumnData::I8(Vec::with_capacity(rows)),
-            ColumnData::I16(_) => ColumnData::I16(Vec::with_capacity(rows)),
-            ColumnData::I32(_) => ColumnData::I32(Vec::with_capacity(rows)),
-            ColumnData::I64(_) => ColumnData::I64(Vec::with_capacity(rows)),
-            ColumnData::U32(_) => ColumnData::U32(Vec::with_capacity(rows)),
-        }
-    }
-
-    /// An empty column of the same physical variant.
-    pub fn empty_like(&self) -> ColumnData {
-        self.empty_like_with_capacity(0)
     }
 
     /// Push a widened value, narrowing into the variant (panics if the
@@ -192,7 +184,6 @@ impl ColumnData {
             ColumnData::I16(c) => c.push(i16::try_from(v).expect("i16 overflow")),
             ColumnData::I32(c) => c.push(i32::try_from(v).expect("i32 overflow")),
             ColumnData::I64(c) => c.push(v),
-            ColumnData::U32(c) => c.push(u32::try_from(v).expect("u32 overflow")),
         }
     }
 }
@@ -298,7 +289,6 @@ mod tests {
         assert_eq!(ColumnData::I16(vec![-500]).get_i64(0), -500);
         assert_eq!(ColumnData::I32(vec![-70000]).get_i64(0), -70000);
         assert_eq!(ColumnData::I64(vec![1 << 40]).get_i64(0), 1 << 40);
-        assert_eq!(ColumnData::U32(vec![u32::MAX]).get_i64(0), u32::MAX as i64);
     }
 
     #[test]
@@ -306,9 +296,9 @@ mod tests {
         let narrow = ColumnData::I8(vec![-5, 0, 127]);
         assert_eq!(narrow.clone().widened(1), narrow);
         assert_eq!(narrow.widened(2), ColumnData::I16(vec![-5, 0, 127]));
-        let codes = ColumnData::U32(vec![u32::MAX]);
-        assert_eq!(codes.clone().widened(4), codes);
-        assert_eq!(codes.widened(8), ColumnData::I64(vec![u32::MAX as i64]));
+        let wide = ColumnData::I32(vec![i32::MIN]);
+        assert_eq!(wide.clone().widened(4), wide);
+        assert_eq!(wide.widened(8), ColumnData::I64(vec![i32::MIN as i64]));
     }
 
     #[test]
@@ -317,6 +307,24 @@ mod tests {
         assert_eq!(ColumnData::from_i64_narrowed(&[1, 300]).width(), 2);
         assert_eq!(ColumnData::from_i64_narrowed(&[1, 70_000]).width(), 4);
         assert_eq!(ColumnData::from_i64_narrowed(&[1, 1 << 40]).width(), 8);
+    }
+
+    #[test]
+    fn width_for_is_the_signed_range_of_each_width() {
+        for (lo, hi, width) in [
+            (0, 127, 1),
+            (-128, 0, 1),
+            (0, 128, 2),
+            (-129, 0, 2),
+            (-32_768, 32_767, 2),
+            (0, 32_768, 4),
+            (-32_769, 0, 4),
+            (i32::MIN as i64, i32::MAX as i64, 4),
+            (0, i32::MAX as i64 + 1, 8),
+        ] {
+            assert_eq!(ColumnData::width_for(lo, hi), width, "[{lo}, {hi}]");
+            assert_eq!(ColumnData::with_width(width, 0).width(), width);
+        }
     }
 
     #[test]
@@ -339,7 +347,7 @@ mod tests {
         // from each source the rows of it.
         let first = ColumnData::I16(vec![1, 2, 3]);
         let second = ColumnData::I16(vec![40, 50, 60]);
-        let mut out = first.empty_like_with_capacity(7);
+        let mut out = ColumnData::with_width(first.width(), 7);
         out.extend_rows(&first, [2, 0].into_iter());
         out.extend_rows(&second, [10usize, 12].into_iter().map(|r| r - 10));
         out.extend_rows(&second, 1..2);

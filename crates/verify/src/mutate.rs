@@ -140,8 +140,9 @@ pub fn base_plan() -> PlanNode {
 }
 
 /// A scan-fed chain and its consumer, marked as one task: an on-the-fly
-/// group-by of `t_fact` on `grp` over a map that doubles `price`. `grp` is
-/// stored in 4 bytes and `price` in 2; the map writes one 8-byte vector.
+/// group-by of `t_fact` on `grp` over a map that doubles `price`. `grp`'s
+/// code is stored in 1 byte and `price` in 2; the map writes one 8-byte
+/// vector.
 pub fn task_plan() -> PlanNode {
     let scan = PlanNode::Scan {
         table: "t_fact".into(),
@@ -180,12 +181,12 @@ pub fn task_plan() -> PlanNode {
 }
 
 /// A scratchpad in which [`task_plan`]'s scan and map fit as a task of
-/// their own (128 B of state + 14 B/row), its group table as a stage of its
-/// own (half the scratchpad + 12 B/row), and the three together — 128 B +
-/// half the scratchpad + 14 B/row — do not, even single-buffered at 64 rows.
+/// their own (128 B of state + 11 B/row), its group table as a stage of its
+/// own (half the scratchpad + 9 B/row), and the three together — 128 B +
+/// half the scratchpad + 11 B/row — do not, even single-buffered at 64 rows.
 pub fn task_plan_tight_config() -> VerifyConfig {
     VerifyConfig {
-        dmem_bytes: 1800,
+        dmem_bytes: 1600,
         ..VerifyConfig::default()
     }
 }
@@ -238,7 +239,7 @@ pub enum Mutation {
     /// Single 2-way round: fewer partitions than cores (warning).
     StarveCores,
     /// Group-by partitioned in one 128-way round: past the local-buffer
-    /// limit of its 14-byte input rows, within that of the join's 8.
+    /// limit of its 11-byte input rows, within that of the join's 5.
     GroupByOverFanout,
     /// Group-by partitioned in one 48-way round (not a power of two).
     GroupByNonPow2Fanout,

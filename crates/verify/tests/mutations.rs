@@ -158,8 +158,9 @@ fn stage_graph_matches_pre_order_walker_ids() {
 fn over_fanout_is_killed_at_the_encoded_row_width() {
     // R-FANOUT-BUFFER budgets the local buffers from the widths the join's
     // inputs arrive in. The demo probe row is id (2 bytes as stored), grp
-    // (a 4-byte code) and price (2): 8 bytes where 20 are declared, so 128
-    // sixteen-row buffers fit half of DMEM — and 256 still do not.
+    // (a 1-byte code: three strings) and price (2): 5 bytes where 20 are
+    // declared, so 128 sixteen-row buffers fit half of DMEM — and 256 still
+    // do not.
     use rapid_qef::plan::PlanNode;
     use rapid_verify::diag::Rule;
     let cat = demo_catalog();
@@ -174,7 +175,7 @@ fn over_fanout_is_killed_at_the_encoded_row_width() {
         let PlanNode::HashJoin { scheme, probe, .. } = input.as_mut() else {
             panic!("demo plan shape changed")
         };
-        assert_eq!(probe.output_widths(&cat).unwrap(), [2, 4, 2]);
+        assert_eq!(probe.output_widths(&cat).unwrap(), [2, 1, 2]);
         *scheme = vec![fanout];
         plan
     };
@@ -194,7 +195,7 @@ fn over_fanout_is_killed_at_the_encoded_row_width() {
     let findings = buffer_findings(&over);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(
-        findings[0].contains("256 exceeds the 128-way local-buffer limit for 8-byte rows"),
+        findings[0].contains("256 exceeds the 128-way local-buffer limit for 5-byte rows"),
         "{findings:?}"
     );
 }
@@ -202,8 +203,8 @@ fn over_fanout_is_killed_at_the_encoded_row_width() {
 #[test]
 fn a_partitioned_group_by_is_checked_like_a_join_pass() {
     // The group-by's input is the Map's output: id as stored (2 bytes), the
-    // 4-byte grp code and the 8-byte product, 14 bytes a row where the
-    // join's sides are 8. Its pass buffers 64 ways, not 128, and the stage
+    // 1-byte grp code and the 8-byte product, 11 bytes a row where the
+    // join's sides are 5. Its pass buffers 64 ways, not 128, and the stage
     // table carries the fan-outs it declares.
     use rapid_qef::plan::PlanNode;
     use rapid_verify::diag::Rule;
@@ -219,7 +220,7 @@ fn a_partitioned_group_by_is_checked_like_a_join_pass() {
             .filter(|s| s.stage == "groupby.partition")
             .map(|s| (s.fanouts.clone(), s.stream_bytes_per_row))
             .collect();
-        assert_eq!(declared, [(fits, 14 + 4)]);
+        assert_eq!(declared, [(fits, 11 + 4)]);
     }
     let Mutated::Plan(over) = Mutation::GroupByOverFanout.apply() else {
         panic!("GroupByOverFanout mutates the plan")
@@ -232,7 +233,7 @@ fn a_partitioned_group_by_is_checked_like_a_join_pass() {
     assert!(
         findings[0]
             .1
-            .contains("128 exceeds the 64-way local-buffer limit for 14-byte rows"),
+            .contains("128 exceeds the 64-way local-buffer limit for 11-byte rows"),
         "{findings:?}"
     );
     let Mutated::Plan(odd) = Mutation::GroupByNonPow2Fanout.apply() else {
@@ -260,9 +261,9 @@ fn a_task_mark_is_checked_on_what_the_task_holds_together_and_on_what_it_opens_w
     assert_eq!(task.operators, "scan(t_fact) -> map -> groupby.consume");
     assert_eq!((task.node_id, task.stage.as_str()), (0, "groupby.consume"));
     assert_eq!(task.state_bytes, 64 + 64 + 32 * 1024 / 2);
-    assert_eq!(task.stream_bytes_per_row, 4 + 2 + 8);
+    assert_eq!(task.stream_bytes_per_row, 1 + 2 + 8);
     assert_eq!(task.effective_tile, Some(256));
-    assert_eq!(task.working_set_bytes, 128 + 16 * 1024 + 2 * 14 * 256);
+    assert_eq!(task.working_set_bytes, 128 + 16 * 1024 + 2 * 11 * 256);
     assert_eq!(task.scan_columns, Some((2, 5)));
     assert_eq!(task.descriptors, 6, "the descriptor program of all three");
     let line = whole.render(32 * 1024, 256);
@@ -300,7 +301,7 @@ fn a_task_mark_is_checked_on_what_the_task_holds_together_and_on_what_it_opens_w
     assert_eq!(findings[0].0, Rule::DmemFit);
     assert!(
         findings[0].1.contains(
-            "the task of scan(t_fact) -> map -> groupby.consume) needs 1028 B state + 14 B/row"
+            "the task of scan(t_fact) -> map -> groupby.consume) needs 928 B state + 11 B/row"
         ),
         "{findings:?}"
     );
