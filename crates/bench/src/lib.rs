@@ -22,9 +22,11 @@
 //! | [`fig16_software_only`] | Fig 16: RAPID software vs System X on x86 |
 //! | [`ablation_rid_vs_bitvector`] | §5.4's 1/32 representation rule |
 //! | [`ablation_skew_resilience`] | §6.4's small/large-skew handling |
+//! | [`ablation_hash_vs_sortmerge`] | §6.5: hash join vs the sort-merge join kept here (`mergejoin`) |
 
 #![warn(missing_docs)]
 
+mod mergejoin;
 pub mod report;
 
 use std::sync::Arc;
@@ -605,7 +607,7 @@ pub fn ablation_skew_resilience(rows: usize) -> Vec<Point> {
 /// Ablation: hash join vs sort-merge join on the same DMEM-sized
 /// partitions (§6.5 / the paper's own sort-vs-hash prior work, its ref 5).
 pub fn ablation_hash_vs_sortmerge(rows: usize) -> Vec<Point> {
-    use rapid_qef::ops::mergejoin::merge_join_partition;
+    use mergejoin::merge_join_partition;
     use rapid_qef::plan::JoinType;
     let cm = CostModel::default();
     let mut out = Vec::new();

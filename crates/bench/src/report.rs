@@ -62,13 +62,14 @@ pub struct CommitInfo {
     pub committer: GitPerson,
     /// Always true for a single-entry file.
     pub distinct: bool,
-    /// Commit hash (`HEAD` at collection time).
+    /// Commit hash (`HEAD` at collection time), or [`UNCOMMITTED`].
     pub id: String,
-    /// Commit subject line.
+    /// Commit subject line; for an uncommitted tree, the commit it was
+    /// measured on.
     pub message: String,
-    /// Committer timestamp, ISO-8601.
+    /// Committer timestamp, ISO-8601; empty for an uncommitted tree.
     pub timestamp: String,
-    /// Tree hash.
+    /// Tree hash, or [`UNCOMMITTED`].
     pub tree_id: String,
     /// Commit URL; empty for a local-only repository.
     pub url: String,
@@ -145,7 +146,7 @@ pub fn collect(sf: f64) -> BenchmarkData {
     }
 
     BenchmarkData {
-        commit: commit_info(),
+        commit: commit_info(Path::new(".")),
         date: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
@@ -155,11 +156,21 @@ pub fn collect(sf: f64) -> BenchmarkData {
     }
 }
 
-/// Best-effort commit header from the local repository; falls back to
-/// `"unknown"` fields when `git` is unavailable.
-pub fn commit_info() -> CommitInfo {
+/// What [`CommitInfo::id`] and [`CommitInfo::tree_id`] say of a tree that
+/// is not a commit yet.
+pub const UNCOMMITTED: &str = "uncommitted";
+
+/// Best-effort commit header of the git repository at `repo`; `"unknown"`
+/// fields when `git` is unavailable. A tree with changes HEAD does not
+/// hold is no commit yet: its header names HEAD only as the parent it was
+/// measured on, instead of claiming HEAD's id, subject and time.
+pub fn commit_info(repo: &Path) -> CommitInfo {
     let git = |args: &[&str]| -> Option<String> {
-        let out = std::process::Command::new("git").args(args).output().ok()?;
+        let out = std::process::Command::new("git")
+            .current_dir(repo)
+            .args(args)
+            .output()
+            .ok()?;
         if !out.status.success() {
             return None;
         }
@@ -176,14 +187,30 @@ pub fn commit_info() -> CommitInfo {
         name: field(&["log", "-1", "--pretty=%an"]),
         username: String::new(),
     };
+    let head = field(&["rev-parse", "HEAD"]);
+    let (id, message, timestamp, tree_id) = if git(&["status", "--porcelain"]).is_some() {
+        (
+            UNCOMMITTED.to_string(),
+            format!("{UNCOMMITTED} changes on {head}"),
+            String::new(),
+            UNCOMMITTED.to_string(),
+        )
+    } else {
+        (
+            head,
+            field(&["log", "-1", "--pretty=%s"]),
+            field(&["log", "-1", "--pretty=%cI"]),
+            field(&["rev-parse", "HEAD^{tree}"]),
+        )
+    };
     CommitInfo {
         author: person.clone(),
         committer: person,
         distinct: true,
-        id: field(&["rev-parse", "HEAD"]),
-        message: field(&["log", "-1", "--pretty=%s"]),
-        timestamp: field(&["log", "-1", "--pretty=%cI"]),
-        tree_id: field(&["rev-parse", "HEAD^{tree}"]),
+        id,
+        message,
+        timestamp,
+        tree_id,
         url: String::new(),
     }
 }

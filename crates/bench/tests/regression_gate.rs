@@ -1,8 +1,14 @@
 //! The regression gate, tested against itself: injected regressions must
-//! fail naming the offending metric, small drift must pass, and the
-//! collected series must be bit-identical across two collections.
+//! fail naming the offending metric, small drift must pass, the collected
+//! series must be bit-identical across two collections, and an entry
+//! measured on an uncommitted tree does not claim HEAD as its commit.
 
-use rapid_report::report::{collect, compare, load, save, Bench, BenchmarkData, CommitInfo};
+use std::path::Path;
+use std::process::Command;
+
+use rapid_report::report::{
+    collect, commit_info, compare, load, save, Bench, BenchmarkData, CommitInfo, UNCOMMITTED,
+};
 
 fn gated(name: &str, value: f64) -> Bench {
     Bench {
@@ -153,4 +159,46 @@ fn deterministic_series_is_bit_identical_across_runs() {
     );
     let out = compare(&a, &b, 0.0);
     assert_eq!((out.checked, out.equal), (66, 66));
+}
+
+/// A bless runs before its change is committed: what it measured is HEAD
+/// plus the changes, so its entry must not carry HEAD's id, subject or
+/// tree — only name HEAD as the commit it was measured on.
+#[test]
+fn an_uncommitted_tree_is_not_labelled_as_head() {
+    let repo = std::env::temp_dir().join(format!("rapid_bless_label_{}", std::process::id()));
+    std::fs::create_dir_all(&repo).unwrap();
+    let git = |args: &[&str]| {
+        let out = Command::new("git")
+            .current_dir(&repo)
+            .args(["-c", "user.name=t", "-c", "user.email=t@t"])
+            .args(["-c", "commit.gpgsign=false"])
+            .args(args)
+            .output()
+            .expect("git runs");
+        assert!(out.status.success(), "git {args:?}: {out:?}");
+        String::from_utf8_lossy(&out.stdout).trim().to_string()
+    };
+    git(&["init", "-q"]);
+    std::fs::write(repo.join("engine.rs"), "fn a() {}\n").unwrap();
+    git(&["add", "engine.rs"]);
+    git(&["commit", "-q", "-m", "the parent"]);
+    let head = git(&["rev-parse", "HEAD"]);
+
+    let clean = commit_info(Path::new(&repo));
+    assert_eq!(
+        (clean.id.as_str(), clean.message.as_str()),
+        (head.as_str(), "the parent")
+    );
+    assert_eq!(clean.tree_id, git(&["rev-parse", "HEAD^{tree}"]));
+
+    std::fs::write(repo.join("engine.rs"), "fn b() {}\n").unwrap();
+    let dirty = commit_info(Path::new(&repo));
+    assert_eq!(
+        (dirty.id.as_str(), dirty.tree_id.as_str()),
+        (UNCOMMITTED, UNCOMMITTED)
+    );
+    assert_eq!(dirty.message, format!("uncommitted changes on {head}"));
+    assert!(dirty.timestamp.is_empty());
+    std::fs::remove_dir_all(&repo).ok();
 }

@@ -11,7 +11,8 @@
 //!   between DRAM and DMEM and can hash/range/radix/round-robin partition
 //!   rows *while* transferring them,
 //! * an **Atomic Transaction Engine (ATE)** crossbar for point-to-point
-//!   ordered messaging between cores (no cache coherency),
+//!   ordered messaging between cores (no cache coherency), modelled here by
+//!   the hop latency a message is charged,
 //! * a provisioned power budget of 5.8 W (51 mW dynamic per core).
 //!
 //! That silicon does not exist outside Oracle Labs, so this crate provides the
@@ -38,7 +39,7 @@
 //! | [`dmem`] | the 32 KiB scratchpad budget allocator |
 //! | [`crc32`] | the hardware CRC32 hash engine (software model) |
 //! | [`dms`] | descriptor-programmed transfers and partition-while-transfer engines |
-//! | [`ate`] | mailbox messaging, barriers (software-coherence primitives) |
+//! | [`ate`] | the hop latency of a core-to-core message, within or across a macro |
 //! | [`power`] | provisioned-power / energy model for perf-per-watt numbers |
 //!
 //! There is no assembled-DPU type here: a stage runs on the query engine's

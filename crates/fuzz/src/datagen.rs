@@ -3,7 +3,7 @@
 //! Tables are deliberately small (tens of rows) but adversarial: columns
 //! are NULL-dense, mix negative and positive values, and one column draws
 //! from the i64 boundary (`i64::MIN`, `i64::MAX`, `±1`, `±10^18`) so that
-//! overflow handling, order-preserving key transforms, and encoding
+//! overflow handling, order-preserving key transforms, and stored-width
 //! selection all get exercised on every run.
 //!
 //! Column names are globally unique across tables because the SQL layer
@@ -190,8 +190,8 @@ pub fn gen_tables(rng: &mut Rng) -> Vec<TableSpec> {
 }
 
 /// A vector of boundary-heavy i64s with occasional runs — feedstock for
-/// the encoding round-trip tests (RLE wants runs, bitpack wants narrow
-/// ranges, and the extremes stress both).
+/// the encoding round-trip tests: the extremes force the widest stored
+/// width, and a vector without them stays narrow.
 pub fn gen_extreme_i64s(rng: &mut Rng, n: usize) -> Vec<i64> {
     let mut out = Vec::with_capacity(n);
     while out.len() < n {

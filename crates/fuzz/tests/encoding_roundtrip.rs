@@ -1,92 +1,48 @@
 //! Encoding round-trips under the fuzzer's adversarial value generator
-//! (satellite of the differential-fuzzing work): RLE, frame-of-reference
-//! bit-packing, the `compress` selector, DSB, and the string dictionary
-//! must all survive i64 extremes and mixed-scale decimals losslessly.
+//! (satellite of the differential-fuzzing work): stored widths, DSB and the
+//! string dictionary must all survive i64 extremes and mixed-scale decimals
+//! losslessly.
 //!
 //! DSB comparisons are exact mantissa math — `to_f64` would hide
 //! precision loss exactly where these values live.
 
 use rapid_fuzz::datagen::{gen_extreme_i64s, EXTREME_INTS, STRING_POOL};
 use rapid_fuzz::rng::{mix, Rng};
-use rapid_storage::encoding::bitpack::PackedVector;
 use rapid_storage::encoding::dict::Dictionary;
 use rapid_storage::encoding::dsb::DsbVector;
-use rapid_storage::encoding::rle::RleVector;
-use rapid_storage::encoding::{compress, Compressed};
 use rapid_storage::like::like_match;
-use rapid_storage::types::Value;
+use rapid_storage::types::{DataType, Value};
+use rapid_storage::{ColumnData, Field, Schema, TableBuilder};
 
 const SEED: u64 = 0xE27C0DE;
 
 #[test]
-fn rle_roundtrips_extreme_values() {
+fn stored_widths_roundtrip_extreme_values() {
+    // The one at-rest encoding a scan reads: each column at the narrowest
+    // of 1, 2, 4 or 8 bytes its range (and the 0 a NULL stores) needs.
+    // Without the extremes the same vector is stored narrower.
     for case in 0..20u64 {
         let mut rng = Rng::new(mix(SEED, case));
-        let vals = gen_extreme_i64s(&mut rng, 300);
-        // RLE declines vectors with too few runs; when it accepts, every
-        // element must come back exactly, positionally and in bulk.
-        if let Some(r) = RleVector::encode(&vals) {
-            assert_eq!(r.len(), vals.len());
-            assert_eq!(r.decode(), vals);
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(r.get(i), Some(v), "row {i} of case {case}");
-            }
-            assert_eq!(r.get(vals.len()), None);
+        let extreme = gen_extreme_i64s(&mut rng, 300);
+        let small: Vec<i64> = extreme
+            .iter()
+            .copied()
+            .filter(|v| !EXTREME_INTS.contains(v))
+            .collect();
+        for vals in [extreme, small] {
+            let schema = Schema::new(vec![Field::new("v", DataType::Int)]);
+            let mut b = TableBuilder::new("t", schema).chunk_rows(64);
+            b.extend_rows(vals.iter().map(|&v| vec![Value::Int(v)]));
+            let t = b.finish();
+            let (lo, hi) = vals.iter().fold((0, 0), |(l, h), &v| (v.min(l), v.max(h)));
+            assert_eq!(
+                t.column_width(0),
+                ColumnData::width_for(lo, hi),
+                "case {case}"
+            );
+            assert_eq!(t.column_i64(0), vals, "case {case}");
         }
     }
-}
-
-#[test]
-fn rle_roundtrips_runs_of_extremes() {
-    // Force run-heavy input: long runs of i64::MIN / i64::MAX neighbors.
-    let mut vals = Vec::new();
-    for &v in &EXTREME_INTS {
-        vals.extend(std::iter::repeat_n(v, 37));
-    }
-    let r = RleVector::encode(&vals).expect("run-heavy vector should RLE-encode");
-    assert_eq!(r.decode(), vals);
-    assert_eq!(r.get(36), Some(EXTREME_INTS[0]));
-    assert_eq!(r.get(37), Some(EXTREME_INTS[1]));
-}
-
-#[test]
-fn bitpack_roundtrips_when_it_accepts() {
-    for case in 0..20u64 {
-        let mut rng = Rng::new(mix(SEED, case.wrapping_add(100)));
-        let vals = gen_extreme_i64s(&mut rng, 300);
-        let p = PackedVector::encode(&vals).expect("any i64 range fits u64 deltas");
-        assert_eq!(p.decode(), vals);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(p.get(i), Some(v), "row {i} of case {case}");
-        }
-        assert_eq!(p.get(vals.len()), None);
-    }
-    // The widest possible span — delta exactly u64::MAX — needs 64-bit
-    // deltas and must still round-trip, not wrap.
-    let p = PackedVector::encode(&[i64::MIN, i64::MAX]).expect("u64::MAX delta is representable");
-    assert_eq!(p.bits(), 64);
-    assert_eq!(p.decode(), vec![i64::MIN, i64::MAX]);
-}
-
-#[test]
-fn compress_selector_is_lossless_on_extremes() {
-    for case in 0..40u64 {
-        let mut rng = Rng::new(mix(SEED, case.wrapping_add(200)));
-        let vals = gen_extreme_i64s(&mut rng, 257);
-        let c = compress(&vals);
-        assert_eq!(c.len(), vals.len());
-        assert_eq!(
-            c.decode(),
-            vals,
-            "lossy {} encoding in case {case}",
-            c.encoding_name()
-        );
-    }
-    // Whole-domain span forces the Plain fallback and still round-trips.
-    let span = vec![i64::MIN, i64::MAX, 0, -1, i64::MIN + 1];
-    let c = compress(&span);
-    assert!(matches!(c, Compressed::Plain(_)));
-    assert_eq!(c.decode(), span);
 }
 
 #[test]

@@ -8,11 +8,15 @@
 //! is analytically modeled on top of data transfer (I/O) and compute cost
 //! functions considering the potential overlap."
 //!
-//! The model here is *literally* the simulator's timing rules applied to
-//! estimated cardinalities — which is why it is accurate against the
-//! simulator by construction, mirroring how the real system's model was
-//! "accurately calibrated with micro-benchmarks". The host database reuses
-//! it for offload decisions.
+//! The model here prices each operator with the simulator's per-row kernel
+//! costs and DMS transfer rules applied to estimated cardinalities. It is
+//! *not* the engine's charging rule: it prices declared column widths
+//! rather than stored ones, sums operators one by one rather than per
+//! task, and does not model scan access paths. Measured at sf 0.02 on 32
+//! cores, its estimate is 1.22–6.08× the simulated cycles of the eleven
+//! TPC-H statements, every one over-estimated (ROADMAP item 7);
+//! `tests/tpch_sql.rs` holds it within 7× either way. The host database
+//! reuses it for offload decisions.
 
 use dpu_sim::clock::SimTime;
 use dpu_sim::isa::CostModel;

@@ -502,13 +502,14 @@ fn dp_order(
         }
     }
 
-    memo[full as usize].as_ref()?;
-    fn extract(mask: u32, memo: &[Option<Entry>]) -> Tree {
-        let e = memo[mask as usize].as_ref().expect("reachable mask");
-        match e.split {
+    // The plan of `mask`, or none when no split of it connects (a split's
+    // halves always have plans of their own).
+    fn extract(mask: u32, memo: &[Option<Entry>]) -> Option<Tree> {
+        let e = memo[mask as usize].as_ref()?;
+        Some(match e.split {
             None => Tree::Leaf(mask.trailing_zeros() as usize),
             Some((a, b)) => {
-                let (l, r) = (extract(a, memo), extract(b, memo));
+                let (l, r) = (extract(a, memo)?, extract(b, memo)?);
                 // Deterministic orientation: lowest relation goes left.
                 if l.min_rel() <= r.min_rel() {
                     Tree::Node(Box::new(l), Box::new(r))
@@ -516,9 +517,9 @@ fn dp_order(
                     Tree::Node(Box::new(r), Box::new(l))
                 }
             }
-        }
+        })
     }
-    Some(extract(full, &memo))
+    extract(full, &memo)
 }
 
 /// Greedy pairing for chains too wide for exhaustive DP: repeatedly join

@@ -21,6 +21,7 @@
 //!   decision.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod compiler;
 pub mod cost;

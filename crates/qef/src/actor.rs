@@ -116,7 +116,9 @@ where
         core.dmem.reset();
         let mut stage_acc = CycleAccount::new();
         for i in (core_id..n).step_by(cores) {
-            let w = items[i].take().expect("each item is visited once");
+            let w = items[i]
+                .take()
+                .ok_or_else(|| QefError::Internal(format!("stage item {i} visited twice")))?;
             if capture {
                 core.account.reset();
                 results[i] = Some(f(&mut core, w)?);
@@ -149,13 +151,7 @@ where
         _ => timing.span.elapsed(),
     };
     timing.sim = timing.elapsed.to_time(ctx.cost_model.freq_hz);
-    Ok((
-        results
-            .into_iter()
-            .map(|r| r.expect("all items processed"))
-            .collect(),
-        timing,
-    ))
+    Ok((every_result(results)?, timing))
 }
 
 fn run_native<W, R, F>(ctx: &ExecContext, items: Vec<W>, f: F) -> QefResult<(Vec<R>, StageTiming)>
@@ -211,13 +207,17 @@ where
         parallelism: cores,
         ..Default::default()
     };
-    Ok((
-        results
-            .into_iter()
-            .map(|r| r.expect("all items processed"))
-            .collect(),
-        timing,
-    ))
+    Ok((every_result(results)?, timing))
+}
+
+/// The stage's results in item order; an item without one is an engine
+/// bug, failed as the stage's error.
+fn every_result<R>(results: Vec<Option<R>>) -> QefResult<Vec<R>> {
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.ok_or_else(|| QefError::Internal(format!("stage item {i} has no result"))))
+        .collect()
 }
 
 /// Best-effort text of a thread panic payload.

@@ -37,6 +37,7 @@
 //! from many queries on one shared simulated DPU.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod actor;
 pub mod batch;

@@ -50,7 +50,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::batch::{Batch, ColumnBuilder, Rows, Span};
-use crate::error::QefResult;
+use crate::error::{QefError, QefResult};
 use crate::exec::{CoreCtx, ExecContext};
 use crate::expr::Pred;
 use crate::primitives::costs;
@@ -494,7 +494,7 @@ impl<'a> ScanPlan<'a> {
         let (head, rest) = first
             .conjuncts
             .split_first()
-            .expect("a pass has a conjunct");
+            .ok_or_else(|| QefError::Internal("a scan pass without a conjunct".into()))?;
         if gathers {
             RelationAccessor::stream(ctx, chunk_widths(run.chunk, &head.cols), n, run.tile);
             ctx.charge_tile();

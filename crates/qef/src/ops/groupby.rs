@@ -14,6 +14,7 @@
 //! (buckets + link arrays of ⌈log₂N⌉-bit entries) mapping key tuples to
 //! dense group indices.
 
+use dpu_sim::ate;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use crate::batch::Batch;
@@ -202,12 +203,11 @@ impl GroupTable {
                 self.states[a][me].merge(spec.func, &o)?;
             }
         }
-        // Message-passing cost: the other core ships its aggregated table.
-        let cm = ctx.cost_model.clone();
+        // Message-passing cost: the other core ships its aggregated table,
+        // charged as one message across a macro boundary.
         if ctx.charging() {
-            ctx.account.charge_ate(dpu_sim::clock::Cycles(
-                cm.ate_message_cycles + cm.ate_cross_macro_cycles,
-            ));
+            let hop = ate::message_cost(&ctx.cost_model, 0, ate::CORES_PER_MACRO);
+            ctx.account.charge_ate(hop);
         }
         ctx.charge_kernel(&costs::grouped_agg_per_row().scaled(other.groups() as f64));
         Ok(())

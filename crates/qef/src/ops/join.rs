@@ -345,12 +345,8 @@ fn detect_heavy(keys: &[&Vector], rows: usize) -> Vec<Vec<i64>> {
             s.1 += 1;
         } else if slots.len() < SKETCH_SLOTS {
             slots.push((keybuf.to_vec(), 1));
-        } else {
+        } else if let Some(min) = slots.iter_mut().min_by_key(|(_, c)| *c) {
             // Space-saving: replace the minimum, inheriting its count.
-            let min = slots
-                .iter_mut()
-                .min_by_key(|(_, c)| *c)
-                .expect("sketch non-empty");
             min.0.copy_from_slice(&keybuf);
             min.1 += 1;
         }

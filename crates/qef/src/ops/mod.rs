@@ -8,7 +8,6 @@
 pub mod filter;
 pub mod groupby;
 pub mod join;
-pub mod mergejoin;
 pub mod partition;
 pub mod setops;
 pub mod sort;

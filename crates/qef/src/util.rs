@@ -4,9 +4,9 @@
 /// compact hash table of §6.3: "If we store N items in the hash table, each
 /// element is only ⌈log₂N⌉ bits."
 ///
-/// Entries are stored little-endian in a `u64` word stream, like the
-/// read-only [`rapid_storage::encoding::bitpack::PackedVector`] but
-/// writable in place (hash-table builds mutate buckets as rows stream in).
+/// Entries are stored little-endian in a `u64` word stream and are writable
+/// in place (hash-table builds mutate buckets as rows stream in). It is the
+/// repository's one bit-packed integer array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmallIntArray {
     words: Vec<u64>,

@@ -1,159 +1,12 @@
-//! Column encodings (§4.2).
+//! Column encodings (§4.2): the type-level transforms that make every
+//! value fixed-width — [`dsb`] (decimal scaled binary with exception
+//! values) for numerics and [`dict`] (order-preserving, updatable
+//! dictionary) for strings.
 //!
-//! Two kinds of encoding compose in RAPID:
-//!
-//! * **type-level transforms** that make every value fixed-width:
-//!   [`dsb`] (decimal scaled binary with exception values) for numerics
-//!   and [`dict`] (order-preserving, updatable dictionary) for strings;
-//! * **lightweight compression** applied per column vector at rest:
-//!   [`rle`] run-length encoding and [`bitpack`] frame-of-reference
-//!   bit-packing, selected per vector by [`compress`].
-//!
-//! Compressed vectors are decoded on their way into DMEM; the published
-//! storage API always hands operators flat [`crate::vector::ColumnData`].
+//! The one at-rest encoding a scan reads is the stored width: the load path
+//! keeps each column at the narrowest of 1, 2, 4 or 8 bytes its values need
+//! (see [`crate::table::TableBuilder`]). §4.2's per-vector lightweight
+//! compression (RLE, bit-packing) is not reproduced.
 
-pub mod bitpack;
 pub mod dict;
 pub mod dsb;
-pub mod rle;
-
-use serde::{Deserialize, Serialize};
-
-use crate::vector::ColumnData;
-
-/// A column vector in one of the at-rest representations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Compressed {
-    /// Uncompressed flat array.
-    Plain(ColumnData),
-    /// Run-length encoded.
-    Rle(rle::RleVector),
-    /// Frame-of-reference bit-packed.
-    Packed(bitpack::PackedVector),
-}
-
-impl Compressed {
-    /// Number of logical elements.
-    pub fn len(&self) -> usize {
-        match self {
-            Compressed::Plain(c) => c.len(),
-            Compressed::Rle(r) => r.len(),
-            Compressed::Packed(p) => p.len(),
-        }
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes of the at-rest representation.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            Compressed::Plain(c) => c.size_bytes(),
-            Compressed::Rle(r) => r.size_bytes(),
-            Compressed::Packed(p) => p.size_bytes(),
-        }
-    }
-
-    /// Decode to a flat array (widened to `i64`).
-    pub fn decode(&self) -> Vec<i64> {
-        match self {
-            Compressed::Plain(c) => c.to_i64_vec(),
-            Compressed::Rle(r) => r.decode(),
-            Compressed::Packed(p) => p.decode(),
-        }
-    }
-
-    /// A short name for statistics and plan explain output.
-    pub fn encoding_name(&self) -> &'static str {
-        match self {
-            Compressed::Plain(_) => "plain",
-            Compressed::Rle(_) => "rle",
-            Compressed::Packed(_) => "bitpack",
-        }
-    }
-}
-
-/// Compress a vector by trying each encoding and keeping the smallest
-/// representation — the "stack of encodings on each column vector for
-/// lightweight compression" of §4.2.
-pub fn compress(values: &[i64]) -> Compressed {
-    let plain = ColumnData::from_i64_narrowed(values);
-    let mut best = Compressed::Plain(plain);
-    if let Some(r) = rle::RleVector::encode(values) {
-        if r.size_bytes() < best.size_bytes() {
-            best = Compressed::Rle(r);
-        }
-    }
-    if let Some(p) = bitpack::PackedVector::encode(values) {
-        if p.size_bytes() < best.size_bytes() {
-            best = Compressed::Packed(p);
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn compress_picks_rle_for_runs() {
-        let values: Vec<i64> = std::iter::repeat_n(7, 10_000).collect();
-        let c = compress(&values);
-        assert_eq!(c.encoding_name(), "rle");
-        assert_eq!(c.decode(), values);
-    }
-
-    #[test]
-    fn compress_picks_bitpack_for_small_range() {
-        // Alternating values in a tiny range: terrible for RLE, great for
-        // frame-of-reference packing (1 bit/value vs 8 bits for plain i8).
-        let values: Vec<i64> = (0..10_000).map(|i| 1_000_000 + (i % 2)).collect();
-        let c = compress(&values);
-        assert_eq!(c.encoding_name(), "bitpack");
-        assert_eq!(c.decode(), values);
-    }
-
-    #[test]
-    fn compress_keeps_plain_for_random_wide_data() {
-        let values: Vec<i64> = (0..1000)
-            .map(|i| (i * 2_654_435_761i64) ^ (i << 32))
-            .collect();
-        let c = compress(&values);
-        assert_eq!(c.decode(), values);
-        // Whatever won, it must not be bigger than plain.
-        assert!(c.size_bytes() <= values.len() * 8);
-    }
-
-    #[test]
-    fn empty_vector_roundtrip() {
-        let c = compress(&[]);
-        assert!(c.is_empty());
-        assert_eq!(c.decode(), Vec::<i64>::new());
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn compress_roundtrips_arbitrary_vectors(values in proptest::collection::vec(any::<i64>(), 0..500)) {
-            let c = compress(&values);
-            prop_assert_eq!(c.decode(), values);
-        }
-
-        #[test]
-        fn compress_roundtrips_runny_vectors(
-            runs in proptest::collection::vec((any::<i32>(), 1usize..20), 0..50)
-        ) {
-            let values: Vec<i64> = runs.iter().flat_map(|&(v, n)| std::iter::repeat_n(v as i64, n)).collect();
-            let c = compress(&values);
-            prop_assert_eq!(c.decode(), values);
-        }
-    }
-}

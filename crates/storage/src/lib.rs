@@ -13,14 +13,15 @@
 //! **everything is fixed width**: decimals become *decimal scaled binary*
 //! (DSB) integers with a common per-vector scale and out-of-line exception
 //! values; strings become order-preserving dictionary codes supporting
-//! range and prefix predicates; a stack of lightweight encodings (RLE,
-//! bit-packing) compresses vectors at rest.
+//! range and prefix predicates; and every column is stored at the
+//! narrowest of 1, 2, 4 or 8 bytes its values need.
 //!
 //! The crate also owns what the host-database integration needs: SCN
 //! timestamps, in-memory update journals grouped into update units, and the
 //! tracker that serves consistent snapshots to queries (§3.3/§4.3).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bitvec;
 pub mod chunk;

@@ -98,19 +98,20 @@ where
         .collect();
     drop(done_tx);
 
+    // A send fails only once every worker has gone, which only a panic
+    // does: stop feeding, and the join below reports it.
     let mut batch = Vec::with_capacity(LOAD_BATCH_ROWS);
     let mut sent = 0usize;
     for row in rows {
         batch.push(row);
         if batch.len() == LOAD_BATCH_ROWS {
-            work_tx
-                .send((sent, std::mem::take(&mut batch)))
-                .expect("workers alive");
+            if work_tx.send((sent, std::mem::take(&mut batch))).is_err() {
+                break;
+            }
             sent += 1;
         }
     }
-    if !batch.is_empty() {
-        work_tx.send((sent, batch)).expect("workers alive");
+    if !batch.is_empty() && work_tx.send((sent, batch)).is_ok() {
         sent += 1;
     }
     drop(work_tx);
@@ -123,8 +124,12 @@ where
             Err(e) => first_err = first_err.or(Some(e)),
         }
     }
+    let mut panicked = false;
     for h in handles {
-        h.join().expect("loader worker panicked");
+        panicked |= h.join().is_err();
+    }
+    if panicked {
+        return Err(LoadError::WorkerPanicked);
     }
     if let Some(e) = first_err {
         return Err(e);
@@ -134,7 +139,7 @@ where
         .partitions(opts.partitions)
         .chunk_rows(opts.chunk_rows);
     for slot in slots {
-        builder.extend_rows(slot.expect("all batches returned"));
+        builder.extend_rows(slot.ok_or(LoadError::WorkerPanicked)?);
     }
     Ok(builder.finish_at_scn(opts.scn))
 }
@@ -149,6 +154,8 @@ pub enum LoadError {
         /// Columns in the offending row.
         got: usize,
     },
+    /// A validation worker panicked; its batches never came back.
+    WorkerPanicked,
 }
 
 impl std::fmt::Display for LoadError {
@@ -157,6 +164,7 @@ impl std::fmt::Display for LoadError {
             LoadError::Arity { expected, got } => {
                 write!(f, "row arity {got} does not match schema arity {expected}")
             }
+            LoadError::WorkerPanicked => write!(f, "a load worker panicked"),
         }
     }
 }

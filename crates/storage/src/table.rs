@@ -114,12 +114,13 @@ impl Table {
                 unscaled: widened,
                 scale: self.scales[col],
             },
-            DataType::Varchar => {
-                let dict = self.dicts[col]
+            DataType::Varchar => Value::Str(
+                self.dicts[col]
                     .as_ref()
-                    .expect("varchar column has dictionary");
-                Value::Str(dict.value_of(widened as u32).unwrap_or("").to_string())
-            }
+                    .and_then(|d| d.value_of(widened as u32))
+                    .unwrap_or("")
+                    .to_string(),
+            ),
         }
     }
 
@@ -223,16 +224,17 @@ impl TableBuilder {
             match field.dtype {
                 DataType::Varchar => {
                     // Two passes: build a sorted dictionary so initial codes
-                    // are order-preserving, then encode.
-                    let dict = Dictionary::build(self.rows.iter().filter_map(|r| match &r[c] {
-                        Value::Str(s) => Some(s.clone()),
-                        _ => None,
-                    }));
+                    // are order-preserving, then encode (every value is in
+                    // it, so `insert` only looks its code up).
+                    let mut dict =
+                        Dictionary::build(self.rows.iter().filter_map(|r| match &r[c] {
+                            Value::Str(s) => Some(s.clone()),
+                            _ => None,
+                        }));
                     for row in &self.rows {
                         match &row[c] {
                             Value::Str(s) => {
-                                widened[c]
-                                    .push(dict.code_of(s).expect("dict covers values") as i64);
+                                widened[c].push(dict.insert(s) as i64);
                                 nulls[c].push(false);
                             }
                             Value::Null => {
@@ -569,109 +571,5 @@ mod tests {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
         let mut b = TableBuilder::new("e", schema);
         b.push_row(vec![Value::Int(1), Value::Int(2)]);
-    }
-}
-
-/// At-rest compression: per-column encoding choice and footprint (§4.2's
-/// "stack of encodings on each column vector for lightweight compression").
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressionReport {
-    /// Per column: (name, winning encoding, plain bytes, compressed bytes).
-    pub columns: Vec<(String, &'static str, usize, usize)>,
-}
-
-impl CompressionReport {
-    /// Total plain bytes.
-    pub fn plain_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.2).sum()
-    }
-
-    /// Total compressed bytes.
-    pub fn compressed_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.3).sum()
-    }
-
-    /// Overall compression ratio (plain / compressed).
-    pub fn ratio(&self) -> f64 {
-        let c = self.compressed_bytes();
-        if c == 0 {
-            1.0
-        } else {
-            self.plain_bytes() as f64 / c as f64
-        }
-    }
-}
-
-impl Table {
-    /// Evaluate the lightweight-compression stack per column vector and
-    /// report the chosen encodings and footprints. Chunks are compressed
-    /// vector-by-vector, as they would be stored at rest; execution always
-    /// sees decoded flat vectors (decode happens on the DMS path into
-    /// DMEM).
-    pub fn compression_report(&self) -> CompressionReport {
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for (c, field) in self.schema.fields.iter().enumerate() {
-            let mut plain = 0usize;
-            let mut compressed = 0usize;
-            // Count encoding wins by name to report the dominant choice.
-            let mut wins: std::collections::HashMap<&'static str, usize> =
-                std::collections::HashMap::new();
-            for chunk in self.chunks() {
-                let v = chunk.vector(c);
-                let values = v.data.to_i64_vec();
-                let enc = crate::encoding::compress(&values);
-                plain += v.data.size_bytes();
-                compressed += enc.size_bytes();
-                *wins.entry(enc.encoding_name()).or_default() += 1;
-            }
-            let dominant = wins
-                .into_iter()
-                .max_by_key(|&(_, n)| n)
-                .map(|(name, _)| name)
-                .unwrap_or("plain");
-            columns.push((field.name.clone(), dominant, plain, compressed));
-        }
-        CompressionReport { columns }
-    }
-}
-
-#[cfg(test)]
-mod compression_tests {
-    use super::*;
-    use crate::schema::Field;
-
-    #[test]
-    fn report_reflects_column_shapes() {
-        let schema = Schema::new(vec![
-            Field::new("constant", DataType::Int),
-            Field::new("narrow", DataType::Int),
-            Field::new("wide", DataType::Int),
-        ]);
-        let mut b = TableBuilder::new("c", schema).chunk_rows(512);
-        for i in 0..4096i64 {
-            b.push_row(vec![
-                Value::Int(7),                     // constant -> RLE
-                Value::Int(1_000_000 + i % 4),     // narrow range -> bitpack
-                Value::Int(i * 7_919 - (i << 33)), // wide -> likely plain
-            ]);
-        }
-        let t = b.finish();
-        let r = t.compression_report();
-        assert_eq!(r.columns[0].1, "rle", "constant column: {:?}", r.columns[0]);
-        assert_eq!(
-            r.columns[1].1, "bitpack",
-            "narrow column: {:?}",
-            r.columns[1]
-        );
-        assert!(
-            r.ratio() > 2.0,
-            "overall ratio {} should be substantial",
-            r.ratio()
-        );
-        // Every compressed vector decodes back (spot-check one chunk).
-        let chunk = t.chunks().next().expect("chunk");
-        let vals = chunk.vector(1).data.to_i64_vec();
-        let enc = crate::encoding::compress(&vals);
-        assert_eq!(enc.decode(), vals);
     }
 }

@@ -101,18 +101,6 @@ impl ColumnData {
         }
     }
 
-    /// Build the narrowest signed representation that holds every value in
-    /// `values` (and 0).
-    pub fn from_i64_narrowed(values: &[i64]) -> ColumnData {
-        let lo = values.iter().copied().fold(0, i64::min);
-        let hi = values.iter().copied().fold(0, i64::max);
-        let mut out = ColumnData::with_width(ColumnData::width_for(lo, hi), values.len());
-        for &v in values {
-            out.push_i64(v);
-        }
-        out
-    }
-
     /// Gather elements by row offsets (the DMS RID-gather, functionally).
     pub fn gather(&self, rids: &[u32]) -> ColumnData {
         let mut out = ColumnData::with_width(self.width(), rids.len());
@@ -121,18 +109,21 @@ impl ColumnData {
     }
 
     /// The same values as signed integers of `width` bytes, read the way
-    /// [`get_i64`](Self::get_i64) widens them; a column already that wide
-    /// comes back as it is. Panics if a value does not fit — callers pass a
-    /// width at least the column's own.
+    /// [`get_i64`](Self::get_i64) widens them. A column already that wide,
+    /// or wider, comes back as it is: widening never loses a value.
     pub fn widened(self, width: usize) -> ColumnData {
-        if self.width() == width {
-            return self;
+        fn widen<T: Copy, U: From<T>>(v: Vec<T>) -> Vec<U> {
+            v.into_iter().map(U::from).collect()
         }
-        let mut out = ColumnData::with_width(width, self.len());
-        for i in 0..self.len() {
-            out.push_i64(self.get_i64(i));
+        match (self, width) {
+            (ColumnData::I8(v), 2) => ColumnData::I16(widen(v)),
+            (ColumnData::I8(v), 4) => ColumnData::I32(widen(v)),
+            (ColumnData::I8(v), 8) => ColumnData::I64(widen(v)),
+            (ColumnData::I16(v), 4) => ColumnData::I32(widen(v)),
+            (ColumnData::I16(v), 8) => ColumnData::I64(widen(v)),
+            (ColumnData::I32(v), 8) => ColumnData::I64(widen(v)),
+            (same, _) => same,
         }
-        out
     }
 
     /// Contiguous sub-range `[from, to)` of the column.
@@ -176,14 +167,24 @@ impl ColumnData {
         }
     }
 
-    /// Push a widened value, narrowing into the variant (panics if the
-    /// value does not fit — narrowing decisions are made before writes).
+    /// Push a widened value, narrowing into the variant. Writers pick the
+    /// width from the values' range first ([`width_for`](Self::width_for)),
+    /// so every value fits; one that does not widens the column rather than
+    /// lose its high bits.
     pub fn push_i64(&mut self, v: i64) {
-        match self {
-            ColumnData::I8(c) => c.push(i8::try_from(v).expect("i8 overflow")),
-            ColumnData::I16(c) => c.push(i16::try_from(v).expect("i16 overflow")),
-            ColumnData::I32(c) => c.push(i32::try_from(v).expect("i32 overflow")),
-            ColumnData::I64(c) => c.push(v),
+        let pushed = match self {
+            ColumnData::I8(c) => i8::try_from(v).map(|x| c.push(x)),
+            ColumnData::I16(c) => i16::try_from(v).map(|x| c.push(x)),
+            ColumnData::I32(c) => i32::try_from(v).map(|x| c.push(x)),
+            ColumnData::I64(c) => {
+                c.push(v);
+                Ok(())
+            }
+        };
+        if pushed.is_err() {
+            let narrow = std::mem::replace(self, ColumnData::I64(Vec::new()));
+            *self = narrow.widened(Self::width_for(v, v));
+            self.push_i64(v);
         }
     }
 }
@@ -292,21 +293,23 @@ mod tests {
     }
 
     #[test]
-    fn widened_keeps_values_and_is_the_identity_at_the_same_width() {
+    fn widened_keeps_values_and_never_narrows() {
         let narrow = ColumnData::I8(vec![-5, 0, 127]);
         assert_eq!(narrow.clone().widened(1), narrow);
         assert_eq!(narrow.widened(2), ColumnData::I16(vec![-5, 0, 127]));
         let wide = ColumnData::I32(vec![i32::MIN]);
         assert_eq!(wide.clone().widened(4), wide);
+        assert_eq!(wide.clone().widened(2), wide);
         assert_eq!(wide.widened(8), ColumnData::I64(vec![i32::MIN as i64]));
     }
 
     #[test]
-    fn narrowing_picks_smallest_width() {
-        assert_eq!(ColumnData::from_i64_narrowed(&[1, -2, 100]).width(), 1);
-        assert_eq!(ColumnData::from_i64_narrowed(&[1, 300]).width(), 2);
-        assert_eq!(ColumnData::from_i64_narrowed(&[1, 70_000]).width(), 4);
-        assert_eq!(ColumnData::from_i64_narrowed(&[1, 1 << 40]).width(), 8);
+    fn a_value_too_wide_for_the_column_widens_it() {
+        let mut col = ColumnData::I8(vec![-5]);
+        col.push_i64(300);
+        assert_eq!(col, ColumnData::I16(vec![-5, 300]));
+        col.push_i64(-7);
+        assert_eq!(col, ColumnData::I16(vec![-5, 300, -7]));
     }
 
     #[test]
@@ -325,13 +328,6 @@ mod tests {
             assert_eq!(ColumnData::width_for(lo, hi), width, "[{lo}, {hi}]");
             assert_eq!(ColumnData::with_width(width, 0).width(), width);
         }
-    }
-
-    #[test]
-    fn narrowed_roundtrips_values() {
-        let values = vec![-4000i64, 0, 17, 32000];
-        let col = ColumnData::from_i64_narrowed(&values);
-        assert_eq!(col.to_i64_vec(), values);
     }
 
     #[test]

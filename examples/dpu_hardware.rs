@@ -1,12 +1,12 @@
 //! Programming the simulated DPU directly: DMS descriptor loops,
-//! hardware partitioning, the compact join kernel, ATE messaging and
+//! hardware partitioning, a parallel stage, ATE hop latencies and
 //! cycle/energy accounting — the substrate under the query engine.
 //!
 //! ```text
 //! cargo run --release --example dpu_hardware
 //! ```
 
-use dpu_sim::ate::Ate;
+use dpu_sim::ate;
 use dpu_sim::clock::rates;
 use dpu_sim::dms::descriptor::DescriptorLoop;
 use dpu_sim::dms::engine::DmsEngine;
@@ -92,16 +92,13 @@ fn main() {
         power.watts
     );
 
-    // --- 4. ATE messaging between cores ---------------------------------
-    let ate: Ate<u64> = Ate::new(32);
-    let mut account = dpu_sim::account::CycleAccount::new();
-    ate.send(&cm, &mut account, 0, 31, 0xDEAD_BEEF).unwrap();
-    let msg = ate.recv(31).unwrap();
+    // --- 4. ATE hop latency between cores -----------------------------
+    // What a core-to-core message is charged: the group-by merge pays one
+    // cross-macro hop per per-core table it folds in.
     println!(
-        "\nATE: core {} -> core 31 delivered {:#x} (cross-macro latency {} cy)",
-        msg.from,
-        msg.payload,
-        cm.ate_message_cycles + cm.ate_cross_macro_cycles
+        "\nATE: core 0 -> core 7 (same macro) {} cy, core 0 -> core 31 (cross-macro) {} cy",
+        ate::message_cost(&cm, 0, 7).get(),
+        ate::message_cost(&cm, 0, 31).get()
     );
 
     // --- 5. DMEM budget discipline --------------------------------------
