@@ -37,9 +37,9 @@ fi
 echo "== the library is what a query runs: every engine module has a caller =="
 # Every module file under crates/{qef,qcomp,storage,dpu-sim}/src is named by
 # non-test code outside its own file and its parent mod.rs/lib.rs; figures,
-# fuzzers, examples and tests keep their own machinery (ROADMAP item 10).
-# Task formation (§5.2) is one such module: a refactor that stops calling it
-# leaves a model nothing runs behind. The one named exception,
+# fuzzers, examples and tests keep their own machinery (ROADMAP item 10):
+# Figure 4's task-formation search lives in crates/bench beside its example,
+# since the compiler no longer weighs formations. The one named exception,
 # dpu_sim::dms::partition, waits for ROADMAP 1(c).
 bash scripts/module_gate.sh
 
@@ -86,12 +86,13 @@ echo "== schedule interference verification (both modes) + mutation kill matrix 
 cargo run -q --release -p rapid-report -- schedcheck --sf 0.01 --mutations
 
 echo "== hardware-model examples (dpu_hardware, task_formation) =="
-# Outside unit tests and Figure 8 these two are the only executions of the
-# DMS hardware partitioner and of task formation's exhaustive search
-# (`optimize_tasks`; the compiler weighs the two formations the engine can
-# run): compiled by the clippy step above, they must also run to the end.
+# Outside unit tests and Figure 8, dpu_hardware is the only run of the DMS
+# hardware partitioner and task_formation the only run of Figure 4's
+# exhaustive search (`optimize_tasks`, crates/bench): no compiler pass weighs
+# formations, a task ends where its operators stop fitting DMEM. Compiled by
+# the clippy step above, both must also run to the end.
 cargo run -q --release --example dpu_hardware > /dev/null
-cargo run -q --release --example task_formation > /dev/null
+cargo run -q --release -p rapid-report --example task_formation > /dev/null
 
 echo "== trace and widths smoke (sf 0.01) =="
 cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q6 > /dev/null

@@ -28,6 +28,7 @@
 
 mod mergejoin;
 pub mod report;
+pub mod task_formation;
 
 use std::sync::Arc;
 

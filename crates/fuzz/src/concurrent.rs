@@ -29,7 +29,7 @@ use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
 use crate::canonical;
 use crate::datagen::TableSpec;
 use crate::querygen::QuerySpec;
-use crate::runner::{guarded, EngineOutcome};
+use crate::runner::{guarded, preview, schemas, EngineOutcome};
 use crate::{corpus, datagen, querygen, rng};
 
 /// A reproducible concurrent case: shared tables plus a batch of queries.
@@ -100,24 +100,13 @@ impl BatchComparison {
                 _ => {
                     return Some(format!(
                         "query {i}: error asymmetry: serial=[{}] scheduled=[{}]",
-                        describe(s),
-                        describe(c)
+                        s.describe(),
+                        c.describe()
                     ));
                 }
             }
         }
         None
-    }
-}
-
-fn preview(rows: &[Vec<String>]) -> Vec<Vec<String>> {
-    rows.iter().take(6).cloned().collect()
-}
-
-fn describe(o: &EngineOutcome) -> String {
-    match o {
-        EngineOutcome::Rows(r) => format!("{} rows", r.len()),
-        EngineOutcome::Error(e) => format!("error: {e}"),
     }
 }
 
@@ -138,15 +127,7 @@ fn run_scheduled(
     sqls: &[String],
     dpu: SchedConfig,
 ) -> Result<BatchComparison, String> {
-    let schemas: std::collections::HashMap<String, Vec<String>> = tables
-        .iter()
-        .map(|t| {
-            (
-                t.name.clone(),
-                t.columns.iter().map(|c| c.name.clone()).collect(),
-            )
-        })
-        .collect();
+    let schemas = schemas(tables);
     let plans: Vec<_> = sqls
         .iter()
         .map(|sql| hostdb::sql::parse_sql(sql, &schemas).map_err(|e| format!("parse: {e}")))

@@ -37,7 +37,7 @@ pub enum EngineOutcome {
 }
 
 impl EngineOutcome {
-    fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             EngineOutcome::Rows(r) => format!("{} rows", r.len()),
             EngineOutcome::Error(e) => format!("error: {e}"),
@@ -88,7 +88,7 @@ impl TriOutcome {
     }
 }
 
-fn preview(rows: &[Vec<String>]) -> Vec<Vec<String>> {
+pub(crate) fn preview(rows: &[Vec<String>]) -> Vec<Vec<String>> {
     rows.iter().take(6).cloned().collect()
 }
 
@@ -100,6 +100,16 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".into()
     }
+}
+
+/// Each table's column names, by table: what the SQL front end resolves
+/// names against.
+pub(crate) fn schemas(tables: &[TableSpec]) -> HashMap<String, Vec<String>> {
+    let columns = |t: &TableSpec| t.columns.iter().map(|c| c.name.clone()).collect();
+    tables
+        .iter()
+        .map(|t| (t.name.clone(), columns(t)))
+        .collect()
 }
 
 pub(crate) fn guarded(f: impl FnOnce() -> Result<EngineOutcome, String>) -> EngineOutcome {
@@ -115,16 +125,7 @@ pub(crate) fn guarded(f: impl FnOnce() -> Result<EngineOutcome, String>) -> Engi
 /// `Err` means the case never reached the engines (parse or load failure)
 /// and should be counted as skipped, not as agreement.
 pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
-    let schemas: HashMap<String, Vec<String>> = tables
-        .iter()
-        .map(|t| {
-            (
-                t.name.clone(),
-                t.columns.iter().map(|c| c.name.clone()).collect(),
-            )
-        })
-        .collect();
-    let plan = hostdb::sql::parse_sql(sql, &schemas).map_err(|e| format!("parse: {e}"))?;
+    let plan = hostdb::sql::parse_sql(sql, &schemas(tables)).map_err(|e| format!("parse: {e}"))?;
 
     let db = HostDb::new(ExecContext::dpu().with_cores(4));
     for t in tables {

@@ -8,6 +8,10 @@
 //! ranges (ordered dictionaries) or code bitmaps (post-update
 //! dictionaries), picks join build sides and group-by strategies from
 //! statistics, and chooses partition schemes via [`crate::partition_opt`].
+//! Where a task ends (§5.2) is no choice made here: a scan-fed chain and
+//! its consumer's first stage are one task wherever they fit DMEM together,
+//! the rule (`rapid_qef::plan::PlanNode::input_task`) the engine runs the
+//! lowered plan by and the verifier checks it by.
 
 use std::ops::Bound;
 
@@ -21,7 +25,6 @@ use rapid_storage::types::{pow10, DataType, Value};
 use crate::cost::{estimate, CostParams, PlanCost};
 use crate::logical::{LExpr, LPred, LWindowFunc, LogicalPlan};
 use crate::partition_opt::{optimize_for_partitions, required_partitions, PartitionOptInput};
-use crate::task_formation::{formation_cost, vector_rows_for, OpShape, Task};
 
 /// Extra fractional digits given to divisions.
 const DIV_EXTRA_SCALE: u8 = 6;
@@ -133,8 +136,7 @@ pub fn compile_unverified(
     } else {
         (logical, crate::joinorder::OptimizeStats::default())
     };
-    let (mut plan, output) = lower(&logical, catalog, params)?;
-    form_tasks(&mut plan, catalog, params)?;
+    let (plan, output) = lower(&logical, catalog, params)?;
     let cost = estimate(&plan, catalog, params);
     Ok(Compiled {
         plan,
@@ -152,85 +154,6 @@ pub fn verify_config(params: &CostParams) -> rapid_verify::VerifyConfig {
         tile_rows: params.tile_rows,
         cores: params.cores,
     }
-}
-
-/// §5.2 task formation over the lowered plan: mark every edge from a
-/// scan-fed chain (`Scan → {Filter | Map}*`, which runs as its scan's task)
-/// into a join, group-by, top-k or sort whose first stage over it — round
-/// one of the side's partition pass, `groupby.consume`, `topk.consume`,
-/// `sort.local` — should be the task's last operator. The engine can run two
-/// formations of such a chain and stage, one task or a cut between them; the
-/// edge is marked where the operators fit one scratchpad at a minimum vector
-/// ([`vector_rows_for`], the arithmetic engine and verifier size the task
-/// with) and [`formation_cost`] prices one task no dearer than two. A chain
-/// that does not fit DMEM on its own is left for the verifier to refuse.
-fn form_tasks(
-    plan: &mut PlanNode,
-    catalog: &Catalog,
-    params: &CostParams,
-) -> Result<(), CompileError> {
-    for input in plan.inputs_mut() {
-        form_tasks(input, catalog, params)?;
-    }
-    for edge in 0..2 {
-        if !matches!(plan.fused_mut(edge), Some(false)) {
-            continue;
-        }
-        let Some(chain) = plan.inputs().nth(edge).and_then(PlanNode::scan_chain) else {
-            continue;
-        };
-        let bad_catalog = |e: rapid_qef::QefError| CompileError::BadCatalog(e.to_string());
-        let (decls, widths) = chain
-            .decls(catalog, &chain.touched())
-            .map_err(bad_catalog)?;
-        let Some(last) = plan.stage_in_task(edge, &widths, params.dmem_bytes) else {
-            continue;
-        };
-        // Rows the scan reads, and the share of them its predicate is
-        // estimated to keep: what every operator above it is handed.
-        let table = catalog.get(chain.table);
-        let scanned = table.map_or(0, |t| t.rows());
-        let kept = match (table, chain.pred) {
-            (Some(t), Some(pred)) => rapid_qef::selectivity::estimate_selectivity(pred, &t.stats),
-            _ => 1.0,
-        };
-        // What `formation_cost` prices a formation from; only the scan
-        // drops rows.
-        let shape = |(i, decl): (usize, &rapid_qef::budget::OpDecl<'_>)| OpShape {
-            name: String::new(),
-            in_bytes_per_row: decl.in_widths.iter().sum(),
-            out_bytes_per_row: decl.out_widths.iter().sum(),
-            state_bytes: decl.state_bytes,
-            selectivity: if i == 0 { kept } else { 1.0 },
-        };
-        let mut ops: Vec<OpShape> = decls.iter().chain([&last]).enumerate().map(shape).collect();
-        let n = ops.len();
-        let sized = |ops: std::ops::Range<usize>, all: &[OpShape]| {
-            let vector_rows =
-                vector_rows_for(&all[ops.clone()], params.dmem_bytes, params.tile_rows)?;
-            Some(Task { ops, vector_rows })
-        };
-        let (Some(one), Some(chain_alone), Some(last_alone)) = (
-            sized(0..n, &ops),
-            sized(0..n - 1, &ops),
-            sized(n - 1..n, &ops),
-        ) else {
-            continue;
-        };
-        let cost = |ops: &[OpShape], tasks: &[Task]| {
-            formation_cost(&params.cm, ops, tasks, scanned as u64)
-        };
-        let in_one = cost(&ops, &[one]);
-        // Cut, the chain's task writes the columns it hands on to DRAM for
-        // the stage to read back; in one task they stay in DMEM.
-        ops[n - 2].out_bytes_per_row = widths.iter().sum();
-        if in_one <= cost(&ops, &[chain_alone, last_alone]) {
-            if let Some(mark) = plan.fused_mut(edge) {
-                *mark = true;
-            }
-        }
-    }
-    Ok(())
 }
 
 pub(crate) fn lower(
@@ -314,7 +237,6 @@ pub(crate) fn lower(
                 PlanNode::Sort {
                     input: Box::new(child),
                     order: keys,
-                    fused: false,
                 },
                 cols,
             ))
@@ -341,7 +263,6 @@ pub(crate) fn lower(
                         input: Box::new(child),
                         order: keys,
                         k: *n,
-                        fused: false,
                     },
                     cols,
                 ));
@@ -1108,8 +1029,6 @@ fn lower_join(
             probe_keys: lk,
             join_type,
             scheme,
-            fused_build: false,
-            fused_probe: false,
         };
         // Output: probe (left) then build (right) — already logical order.
         let mut cols = lcols;
@@ -1125,8 +1044,6 @@ fn lower_join(
             probe_keys: rk,
             join_type,
             scheme,
-            fused_build: false,
-            fused_probe: false,
         };
         // Physical layout: probe (right) ++ build (left). Reorder back to
         // the logical left-then-right layout with a projection.
@@ -1290,7 +1207,6 @@ fn lower_aggregate(
             keys: (0..k).collect(),
             aggs: specs,
             strategy,
-            fused: false,
         },
         out_cols,
     ))

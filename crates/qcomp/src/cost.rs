@@ -558,8 +558,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
-            fused_build: false,
-            fused_probe: false,
         };
         let jc = estimate(&join, &cat, &p);
         let sc = estimate(&scan(), &cat, &p);
@@ -615,8 +613,6 @@ mod tests {
             probe_keys: vec![probe_key],
             join_type,
             scheme: vec![32],
-            fused_build: false,
-            fused_probe: false,
         }
     }
 
@@ -685,8 +681,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
-            fused_build: false,
-            fused_probe: false,
         };
         let c = estimate(&j, &cat, &p);
         // Old behavior: probe rows.
@@ -705,7 +699,6 @@ mod tests {
                 col: 0,
             }],
             strategy: GroupStrategy::OnTheFly,
-            fused: false,
         };
         let c = estimate(&gb, &cat, &p);
         assert!((c.rows - 10.0).abs() < 1e-6, "groups = {}", c.rows);
@@ -729,8 +722,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
-            fused_build: false,
-            fused_probe: false,
         };
         let est = estimate_rows_per_node(&plan, &cat, &p);
         // Pre-order: join(0), build scan(1), probe filter(2), its scan(3).
@@ -752,7 +743,6 @@ mod tests {
                 col: 0,
             }],
             strategy: GroupStrategy::OnTheFly,
-            fused: false,
         };
         let c = estimate(&gb, &cat, &p);
         assert!(c.rows < 10_000.0);

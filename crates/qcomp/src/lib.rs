@@ -15,7 +15,6 @@
 //!   predicates),
 //! * degree of parallelization,
 //! * partition scheme optimization ([`partition_opt`], §5.3),
-//! * task formation and DMEM/vector sizing ([`task_formation`], §5.2),
 //! * an analytically calibrated cost model ([`cost`]) with derived
 //!   per-node column statistics, reused by the host database's offload
 //!   decision.
@@ -28,7 +27,6 @@ pub mod cost;
 pub mod joinorder;
 pub mod logical;
 pub mod partition_opt;
-pub mod task_formation;
 
 pub use compiler::{compile, compile_unverified, verify_config, CompileError, Compiled};
 pub use cost::{estimate_rows_per_node, CostParams, PlanCost};

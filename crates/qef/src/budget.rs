@@ -1,10 +1,10 @@
 //! Shared DMEM working-set arithmetic (§5.2 task formation).
 //!
-//! The compiler (task formation), the engine (per-task tile clamping) and
-//! the static verifier (`rapid-verify`) size vectors from this one module,
-//! so the static verdict and the runtime behavior cannot drift apart: a
-//! task the verifier reports as fitting at tile `t` is exactly the task the
-//! engine will run at tile `t`.
+//! Where a task ends (`PlanNode::input_task`), the engine (per-task tile
+//! clamping) and the static verifier (`rapid-verify`) size vectors from
+//! this one module, so the static verdict and the runtime behavior cannot
+//! drift apart: a task the verifier reports as fitting at tile `t` is
+//! exactly the task the engine will run at tile `t`.
 //!
 //! The model follows the paper's task-formation rule: a task holds the
 //! state of every operator in it plus one double-buffered DMEM buffer per
@@ -86,8 +86,8 @@ pub struct OpDecl<'a> {
 
 /// What a task is sized from: the state an operator declares and the column
 /// streams it reads and writes. [`OpDecl`] is the engine's and the
-/// verifier's; the compiler's task formation sizes its own operator shapes
-/// through the same three functions below.
+/// verifier's; Figure 4's task-formation search sizes its own operator
+/// shapes through the same three functions below.
 pub trait Declares {
     /// Fixed state, in bytes.
     fn state_bytes(&self) -> usize;

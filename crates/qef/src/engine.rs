@@ -10,11 +10,12 @@
 //!   chunks: a one-chunk table of sixteen tiles scans on sixteen cores. A
 //!   lane reads its rows by the cheaper of the relation accessor's two
 //!   patterns, chosen once per scan ([`ops::filter::ScanPlan`]), takes them
-//!   through the `Filter`s and `Map`s over the scan, and — where the plan
-//!   marks the edge ([`PlanNode::fused`], the compiler's task formation) —
-//!   through the first stage of the operator that consumes them: round one
-//!   of a join side's or a group-by's partition pass, `groupby.consume`,
-//!   `topk.consume`, `sort.local`. All of it runs under the lane's one
+//!   through the `Filter`s and `Map`s over the scan, and — wherever the
+//!   operators fit DMEM together ([`PlanNode::input_task`], the rule the
+//!   verifier reports by) — through the first stage of the operator that
+//!   consumes them: round one of a join side's or a group-by's partition
+//!   pass, `groupby.consume`, `topk.consume`, `sort.local`. Where they do
+//!   not, the task is cut there. All of it runs under the lane's one
 //!   `CoreCtx`, holding at once the DMEM every operator of the task declares
 //!   at the task's one vector size ([`crate::budget::task_tile`]), every
 //!   operator's control loop charged per tile, and the stage rule
@@ -50,14 +51,14 @@ use rapid_storage::table::Table;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::{Batch, Rows, Span};
-use crate::budget::{OpDecl, OpName};
+use crate::budget::OpName;
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
 use crate::expr::Expr;
 use crate::ops;
 use crate::ops::partition::RoundStep;
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
-use crate::task::ScanChain;
+use crate::task::{ScanChain, Task};
 use crate::trace::{FusedOp, PartitionRound, ScanAccess, StageEvent, TraceSink};
 
 /// Result rows plus decode metadata.
@@ -331,7 +332,7 @@ impl<'e> Run<'e> {
 
     fn exec_op(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
         if let Some(chain) = node.scan_chain() {
-            return self.exec_chain(&chain);
+            return self.exec_chain(chain);
         }
         match node {
             PlanNode::Scan { .. } => unreachable!("a scan is a chain of one"),
@@ -449,41 +450,40 @@ impl<'e> Run<'e> {
         }
     }
 
-    /// Run the task of `chain` — a scan and the filters and maps over it —
-    /// and, as its last operator, `last`: the first stage of the node that
-    /// consumes the chain, where the plan marks that edge.
+    /// Run `task` — a scan, the filters and maps over it and, where
+    /// [`PlanNode::input_task`] put it there, the first stage of the node
+    /// that consumes them.
     ///
     /// The task is ONE stage. Its items are `min(cores, tiles)` lanes, each
     /// a contiguous, tile-aligned range of the table's rows; a lane scans
     /// its rows, takes them through the chain and hands what is left to
     /// `step`, all under one `CoreCtx` that holds the DMEM every operator
-    /// of the task declares at the task's one vector size. Every operator's
-    /// control loop is charged per tile of the rows it is handed (`step`
-    /// charges its own).
-    ///
-    /// The vector size is [`crate::budget::task_tile`] of the declarations
-    /// at the widths this engine's catalog stores — what compiler and
-    /// verifier derived the marks from. A task that does not fit is
-    /// refused ([`QefError::DmemExhausted`]), never cut here: the plan is
-    /// the caller's to recompile.
+    /// of the task declares at the task's one vector size
+    /// ([`crate::budget::task_tile`], at the widths this engine's catalog
+    /// stores). Every operator's control loop is charged per tile of the
+    /// rows it is handed (`step` charges its own). A chain that does not fit
+    /// on its own is refused ([`QefError::DmemExhausted`]): there is nothing
+    /// left to cut.
     fn run_task<'a, R: Send>(
         &mut self,
-        chain: &ScanChain<'a>,
-        last: Option<OpDecl<'static>>,
+        task: Task<'a>,
         step: impl Fn(&mut CoreCtx, Rows<'a>, usize) -> QefResult<R> + Sync,
     ) -> QefResult<TaskRun<'a, R>>
     where
         'e: 'a,
     {
         let catalog: &'a Catalog = self.catalog;
+        let Task {
+            chain,
+            touched,
+            decls,
+        } = task;
         let table: &'a Table = catalog
             .get(chain.table)
             .ok_or_else(|| QefError::TableNotLoaded(chain.table.to_string()))?;
-        let touched = chain.touched();
-        let (mut decls, _) = chain.decls(catalog, &touched)?;
-        // The chain's topmost operator is the stage's own unless `last` is.
-        let own_top = last.is_none();
-        decls.extend(last);
+        // The chain's topmost operator is the stage's own unless the
+        // consumer's first stage ended the task.
+        let own_top = decls.len() == chain.above.len() + 1;
         let fit = crate::budget::task_tile(self.ctx.tile_rows, &decls, self.ctx.dmem_bytes);
         let (tile, working_set) = fit.ok_or_else(|| {
             let names: Vec<String> = decls.iter().map(|d| d.name.to_string()).collect();
@@ -583,57 +583,28 @@ impl<'e> Run<'e> {
 
     /// A scan-fed chain nothing above joined: a task of its own, handing on
     /// one batch per lane that kept a row.
-    fn exec_chain(&mut self, chain: &ScanChain<'_>) -> QefResult<Vec<Batch>> {
-        let run = self.run_task(chain, None, |_, rows, _| Ok(rows.into_batch()))?;
+    fn exec_chain(&mut self, chain: ScanChain<'_>) -> QefResult<Vec<Batch>> {
+        let (task, _) = chain.task(self.catalog)?;
+        let run = self.run_task(task, |_, rows, _| Ok(rows.into_batch()))?;
         let out: Vec<Batch> = run.results.into_iter().filter(|b| !b.is_empty()).collect();
         self.stage(&run.timing, run.top, run.rows, run.detail);
         Ok(out)
     }
 
-    /// The chain under input `edge` of `node` and what `node`'s first stage
-    /// over it declares, where the plan marks the edge as one a task
-    /// crosses; `None` where it does not. A mark the node cannot honour —
-    /// the input is not a scan-fed chain, or the node has no stage to run in
-    /// its task — is a bad plan.
-    fn fused_input<'a>(
-        &self,
-        node: &PlanNode,
-        edge: usize,
-        input: &'a PlanNode,
-    ) -> QefResult<Option<(ScanChain<'a>, OpDecl<'static>)>> {
-        if !node.fused(edge) {
-            return Ok(None);
-        }
-        let Some(chain) = input.scan_chain() else {
-            return Err(QefError::BadPlan(format!(
-                "input {edge} of a {} is marked as run in its task, but is not a scan-fed chain",
-                node_kind(node)
-            )));
-        };
-        let widths = input.output_widths(self.catalog)?;
-        match node.stage_in_task(edge, &widths, self.ctx.dmem_bytes) {
-            Some(last) => Ok(Some((chain, last))),
-            None => Err(QefError::BadPlan(format!(
-                "input {edge} of a {} is marked as run in its task, but the node has no stage to \
-                 run there",
-                node_kind(node)
-            ))),
-        }
-    }
-
     /// Run `step` — the first stage of `node` — over what `input` hands on:
-    /// in the lanes of the input's task where the plan marks the edge, the
-    /// task's last operator; else as a stage of its own over the input's
-    /// batches. Returns the results, the stage's timing and detail, and the
-    /// rows that reached the step.
+    /// in the lanes of the input's task wherever it fits there
+    /// ([`PlanNode::input_task`]), the task's last operator; else as a stage
+    /// of its own over the input's batches. Returns the results, the stage's
+    /// timing and detail, and the rows that reached the step.
     fn first_stage<R: Send>(
         &mut self,
         node: &PlanNode,
         input: &PlanNode,
         step: impl Fn(&mut CoreCtx, Batch) -> QefResult<R> + Sync,
     ) -> QefResult<(Vec<R>, StageTiming, Detail, u64)> {
-        if let Some((chain, last)) = self.fused_input(node, 0, input)? {
-            let run = self.run_task(&chain, Some(last), |core, rows, tile| {
+        let (catalog, ctx) = (self.catalog, self.ctx);
+        if let Some(task) = node.input_task(0, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
+            let run = self.run_task(task, |core, rows, tile| {
                 charge_further_tiles(core, rows.rows(), tile);
                 step(core, rows.into_batch())
             })?;
@@ -664,8 +635,8 @@ impl<'e> Run<'e> {
 
     /// Partition what input `edge` of `node` hands on by `keys` through the
     /// rounds of `scheme` on all cores: every round is a stage, absorbed
-    /// under `operator` with the rows it partitioned. Where the plan marks
-    /// the edge, round one is the last operator of the input's task — each
+    /// under `operator` with the rows it partitioned. Wherever it fits there,
+    /// round one is the last operator of the input's task — each
     /// lane partitions the rows it scanned
     /// ([`ops::partition::RoundStep::map_rows`]) — and the rounds after it
     /// are stages over what it wrote; else the input runs first and every
@@ -699,7 +670,8 @@ impl<'e> Run<'e> {
             )));
         }
         let tile = self.partition_tile(&widths)?;
-        let Some((chain, last)) = self.fused_input(node, edge, input)? else {
+        let (catalog, ctx) = (self.catalog, self.ctx);
+        let Some(task) = node.input_task(edge, catalog, ctx.tile_rows, ctx.dmem_bytes)? else {
             let batches = self.exec_node(input)?;
             // The tile, and the fan-out cap of the scheme, were budgeted
             // from the static widths: what arrives must be exactly that wide.
@@ -722,10 +694,10 @@ impl<'e> Run<'e> {
             );
         };
         ops::partition::check_scheme(scheme)?;
-        // `fused_input` found a round one to run in the task.
+        // `input_task` found a round one to run in the task.
         let fanout = scheme[0];
         let start = Instant::now();
-        let mut run = self.run_task(&chain, Some(last), |core, rows, tile| {
+        let mut run = self.run_task(task, |core, rows, tile| {
             let map = RoundStep::first(keys, fanout, tile).map_rows(core, &rows);
             Ok((rows, map))
         })?;
@@ -863,22 +835,6 @@ impl<'e> Run<'e> {
             out = vec![t.emit(&mut core)];
         }
         Ok(out)
-    }
-}
-
-/// What kind of node `node` is, for an error message.
-fn node_kind(node: &PlanNode) -> &'static str {
-    match node {
-        PlanNode::Scan { .. } => "Scan",
-        PlanNode::Filter { .. } => "Filter",
-        PlanNode::Map { .. } => "Map",
-        PlanNode::HashJoin { .. } => "HashJoin",
-        PlanNode::GroupBy { .. } => "GroupBy",
-        PlanNode::TopK { .. } => "TopK",
-        PlanNode::Sort { .. } => "Sort",
-        PlanNode::Limit { .. } => "Limit",
-        PlanNode::SetOp { .. } => "SetOp",
-        PlanNode::Window { .. } => "Window",
     }
 }
 
@@ -1134,7 +1090,6 @@ mod tests {
                 },
             ],
             strategy,
-            fused: false,
         };
         let mut results = Vec::new();
         for strategy in [
@@ -1187,7 +1142,6 @@ mod tests {
                     },
                 ],
                 strategy: GroupStrategy::OnTheFly,
-                fused: false,
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 1);
@@ -1209,7 +1163,6 @@ mod tests {
                 col: 0,
             }],
             strategy: GroupStrategy::OnTheFly,
-            fused: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 0);
@@ -1237,8 +1190,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
-            fused_build: false,
-            fused_probe: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 500);
@@ -1279,8 +1230,6 @@ mod tests {
                 probe_keys: vec![2],
                 join_type: JoinType::LeftOuter,
                 scheme: vec![32],
-                fused_build: false,
-                fused_probe: false,
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 5000, "outer join keeps every probe row");
@@ -1307,7 +1256,6 @@ mod tests {
             input: Box::new(scan(None)),
             order: vec![SortKey { col: 1, desc: true }],
             k: 3,
-            fused: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(
@@ -1326,7 +1274,6 @@ mod tests {
                 value: 50,
             }))),
             order: vec![SortKey { col: 0, desc: true }],
-            fused: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         let v = out.batch.column(0).data.to_i64_vec();
@@ -1377,8 +1324,6 @@ mod tests {
             probe_keys: vec![0],
             join_type,
             scheme: vec![32],
-            fused_build: false,
-            fused_probe: false,
         };
         let join = |join_type| join_below(700, join_type);
         let group = |strategy| PlanNode::GroupBy {
@@ -1389,7 +1334,6 @@ mod tests {
                 col: 0,
             }],
             strategy,
-            fused: false,
         };
         let order = vec![SortKey { col: 1, desc: true }];
         let plans = vec![
@@ -1419,12 +1363,10 @@ mod tests {
                 input: Box::new(scan(None)),
                 order: order.clone(),
                 k: 5,
-                fused: false,
             },
             PlanNode::Sort {
                 input: Box::new(scan(lt(50))),
                 order,
-                fused: false,
             },
             PlanNode::Limit {
                 input: Box::new(scan(None)),
@@ -1459,7 +1401,7 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_that_keeps_no_row_does_not_decide_the_layout_of_a_fused_round() {
+    fn a_lane_that_keeps_no_row_does_not_decide_the_layout_of_a_round_in_a_task() {
         // The predicate empties the first lanes of the task, which leave the
         // chain before its Map runs and still see the scan's three columns;
         // the lanes that keep rows hand on the Map's one, or four.
@@ -1488,25 +1430,22 @@ mod tests {
                 named(Expr::mul(Expr::Col(0), Expr::Lit(3)), "tripled"),
             ])
         };
-        let join = |build: PlanNode, probe: PlanNode, fused| PlanNode::HashJoin {
-            build: Box::new(build),
-            probe: Box::new(probe),
+        let join = || PlanNode::HashJoin {
+            build: Box::new(narrower()),
+            probe: Box::new(wider()),
             build_keys: vec![0],
             probe_keys: vec![1],
             join_type: JoinType::Inner,
-            scheme: vec![8],
-            fused_build: fused,
-            fused_probe: fused,
+            scheme: vec![2],
         };
-        let group = |fused| PlanNode::GroupBy {
+        let group = || PlanNode::GroupBy {
             input: Box::new(wider()),
             keys: vec![0],
             aggs: vec![AggSpec {
                 func: AggFunc::Sum,
                 col: 3,
             }],
-            strategy: GroupStrategy::Partitioned(vec![4]),
-            fused,
+            strategy: GroupStrategy::Partitioned(vec![2]),
         };
         let rows = |batch: &Batch| {
             let mut rows: Vec<Vec<i64>> = (0..batch.rows())
@@ -1515,22 +1454,44 @@ mod tests {
             rows.sort_unstable();
             rows
         };
+        // The wider chain's task holds 192 B of state and 17 B/row of vectors
+        // (the scan's 5, the map's 8, the hash lane's 4): over 1216 B at 64
+        // rows, where the chain alone (128 B + 13 B/row) and the round alone
+        // (64 B + 17 B/row) each fit. There its round runs apart; the
+        // narrower chain's task (192 B + 9 B/row) still fits. Two ways are
+        // what the local buffers of 13-byte rows allow there.
+        let tasks = |e: &Engine, plan: &PlanNode| -> Vec<bool> {
+            let (c, catalog) = (e.context(), e.catalog());
+            (0..plan.inputs().count())
+                .map(|edge| {
+                    let task = plan.input_task(edge, catalog, c.tile_rows, c.dmem_bytes);
+                    task.unwrap().is_some()
+                })
+                .collect()
+        };
         for ctx in [ExecContext::dpu(), ExecContext::native(4)] {
-            let e = engine(ctx);
-            let (joined, _) = e.execute(&join(narrower(), wider(), true)).unwrap();
-            let (apart, _) = e.execute(&join(narrower(), wider(), false)).unwrap();
-            assert_eq!((joined.batch.rows(), joined.batch.width()), (1000, 5));
-            assert_eq!(rows(&joined.batch), rows(&apart.batch));
-            let (grouped, _) = e.execute(&group(true)).unwrap();
-            let (apart, _) = e.execute(&group(false)).unwrap();
-            assert_eq!(grouped.batch.rows(), 7);
-            assert_eq!(rows(&grouped.batch), rows(&apart.batch));
+            let whole = engine(ctx.clone());
+            let cut = engine(ExecContext {
+                dmem_bytes: 1216,
+                ..ctx
+            });
+            for (plan, shape, in_cut) in [
+                (join(), (1000, 5), vec![true, false]),
+                (group(), (7, 2), vec![false]),
+            ] {
+                assert!(tasks(&whole, &plan).iter().all(|&t| t), "{plan:?}");
+                assert_eq!(tasks(&cut, &plan), in_cut, "{plan:?}");
+                let (a, _) = whole.execute(&plan).unwrap();
+                let (b, _) = cut.execute(&plan).unwrap();
+                assert_eq!((a.batch.rows(), a.batch.width()), shape);
+                assert_eq!(rows(&a.batch), rows(&b.batch));
+            }
         }
     }
 
     #[test]
-    fn a_mark_into_a_pass_of_no_rounds_is_a_bad_plan_even_over_no_rows() {
-        // No rows, no lanes: the refusal cannot be left to a lane.
+    fn a_pass_of_no_rounds_runs_apart_from_its_scan_even_over_no_rows() {
+        // A pass of no rounds has no round one to end the scan's task with.
         let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
         let mut e = Engine::new(ExecContext::dpu());
         e.load_table(Arc::new(TableBuilder::new("t", schema).finish()));
@@ -1543,12 +1504,12 @@ mod tests {
             keys: vec![0],
             aggs: vec![],
             strategy: GroupStrategy::Partitioned(vec![]),
-            fused: true,
         };
-        let Err(QefError::BadPlan(msg)) = e.execute(&plan) else {
-            panic!("a task cannot run round one of a pass that has none")
-        };
-        assert!(msg.contains("no stage to run there"), "{msg}");
+        let c = e.context();
+        let task = plan.input_task(0, e.catalog(), c.tile_rows, c.dmem_bytes);
+        assert!(task.unwrap().is_none());
+        let (out, _) = e.execute(&plan).unwrap();
+        assert_eq!(out.batch.rows(), 0);
     }
 
     /// An eight-column table whose values need `bytes` bytes each; `c0`
@@ -1588,8 +1549,6 @@ mod tests {
             probe_keys: vec![0, 1],
             join_type: JoinType::LeftSemi,
             scheme,
-            fused_build: false,
-            fused_probe: false,
         };
         let dmem = ExecContext::dpu().dmem_bytes;
         // One byte a column: 8-byte rows buffer 128 ways, and a 128-way
@@ -1625,12 +1584,17 @@ mod tests {
         );
         assert!(sink.take().iter().all(|e| e.partition.is_none()));
         // Declared in two rounds that fit, the pass runs both, and the
-        // second pays to read back what the first wrote.
+        // second pays to read back what the first wrote: round one, the last
+        // operator of its side's task, moves its scan's bytes and its own
+        // writes.
         let (out, _) = wide.execute(&self_join(vec![8, 4])).unwrap();
         let rounds: Vec<_> = sink
             .take()
             .into_iter()
-            .filter_map(|e| e.partition.map(|p| (e.operator, p, e.dms_bytes)))
+            .filter_map(|e| {
+                let own = e.dms_bytes - e.scan_dms_bytes().unwrap_or(0);
+                e.partition.map(|p| (e.operator, p, own))
+            })
             .collect();
         let declared: Vec<_> = rounds
             .iter()
@@ -1656,8 +1620,6 @@ mod tests {
     #[test]
     fn trace_events_reconcile_exactly_with_report() {
         use crate::trace::MemorySink;
-        let sink = MemorySink::new();
-        let e = engine(ExecContext::dpu().with_trace(sink.clone()));
         let plan = PlanNode::GroupBy {
             input: Box::new(PlanNode::Filter {
                 input: Box::new(scan(None)),
@@ -1672,50 +1634,62 @@ mod tests {
                 func: AggFunc::Sum,
                 col: 1,
             }],
-            strategy: GroupStrategy::Partitioned(vec![32]),
-            fused: false,
+            strategy: GroupStrategy::Partitioned(vec![4]),
         };
-        let (_, report) = e.execute(&plan).unwrap();
-        let events = sink.take();
-        assert_eq!(events.len(), report.stages);
-        // Exact (bit-level) reconciliation: events carry the same f64s the
-        // report summed, in the same order.
-        let total: f64 = events.iter().map(|e| e.sim_secs).sum();
-        assert_eq!(total.to_bits(), report.sim_secs.to_bits());
-        let branches: u64 = events.iter().map(|e| e.branches).sum();
-        assert_eq!(branches, report.branches);
-        // Stage ids are emission order; node ids are pre-order, so the
-        // deeper nodes have larger ids than their groupby ancestor.
-        for (i, ev) in events.iter().enumerate() {
-            assert_eq!(ev.stage_id, i as u32);
+        // In 32 KiB the scan, the filter and round one of the pass are one
+        // task: 192 B of state and 9 B/row of vectors. In 704 B they do not
+        // fit at 64 rows, the chain (128 B + 5 B/row) and the round (64 B +
+        // 9 B/row) each do, and the round runs over what the chain wrote.
+        // Four ways are what the local buffers of 5-byte rows allow there.
+        for dmem_bytes in [ExecContext::dpu().dmem_bytes, 704] {
+            let sink = MemorySink::new();
+            let e = engine(ExecContext {
+                dmem_bytes,
+                ..ExecContext::dpu().with_trace(sink.clone())
+            });
+            let (_, report) = e.execute(&plan).unwrap();
+            let events = sink.take();
+            assert_eq!(events.len(), report.stages);
+            // Exact (bit-level) reconciliation: events carry the same f64s
+            // the report summed, in the same order.
+            let total: f64 = events.iter().map(|e| e.sim_secs).sum();
+            assert_eq!(total.to_bits(), report.sim_secs.to_bits());
+            let branches: u64 = events.iter().map(|e| e.branches).sum();
+            assert_eq!(branches, report.branches);
+            // Stage ids are emission order; node ids are pre-order.
+            for (i, ev) in events.iter().enumerate() {
+                assert_eq!(ev.stage_id, i as u32);
+            }
+            // A task is one stage, one event, named for its topmost
+            // operator with the rest beneath it.
+            assert!(events.iter().all(|e| e.operator != "scan(t)"));
+            let task = events.iter().find(|e| e.scan.is_some()).unwrap();
+            let round = events
+                .iter()
+                .find(|e| e.operator == "groupby.partition")
+                .unwrap();
+            let chain = [(1, 1, "filter", 4000), (2, 2, "scan(t)", 5000)];
+            let ops: Vec<_> = task.operators().collect();
+            let (vector, lanes) = if dmem_bytes == 704 {
+                assert_eq!(ops, chain);
+                assert!(round.fused.is_empty() && round.scan.is_none());
+                assert_eq!((round.node_id, round.depth), (0, 0));
+                (115, 32)
+            } else {
+                assert_eq!(ops[0], (0, 0, "groupby.partition", 4000));
+                assert_eq!(ops[1..], chain);
+                assert_eq!(round.stage_id, task.stage_id);
+                (256, 20)
+            };
+            // The lanes stream the table and evaluate the predicate on it:
+            // DMS traffic and retired instructions in the same stage.
+            assert!(task.dms_bytes > 0);
+            assert!(task.energy_joules > 0.0);
+            assert!(task.instructions > 0);
+            // A lane a tile of 5000 rows, up to the 32 cores.
+            assert_eq!(5000usize.div_ceil(vector).min(32), lanes);
+            assert_eq!(task.parallelism, lanes);
         }
-        // The scan and the filter over it are one task, one stage, one
-        // event: the filter's, with the scan beneath it.
-        let task = events.iter().find(|e| e.operator == "filter").unwrap();
-        let group_ev = events
-            .iter()
-            .find(|e| e.operator == "groupby.partition")
-            .unwrap();
-        assert!(events.iter().all(|e| e.operator != "scan(t)"));
-        let ops: Vec<_> = task.operators().collect();
-        assert_eq!(
-            ops,
-            [
-                (task.node_id, 1, "filter", 4000),
-                (task.node_id + 1, 2, "scan(t)", 5000)
-            ]
-        );
-        assert!(task.node_id > group_ev.node_id);
-        assert_eq!(group_ev.depth, 0);
-        assert!(group_ev.fused.is_empty() && group_ev.scan.is_none());
-        // The lanes stream the table and evaluate the predicate on it: DMS
-        // traffic and retired instructions in the same stage.
-        assert!(task.scan.is_some());
-        assert!(task.dms_bytes > 0);
-        assert!(task.energy_joules > 0.0);
-        assert!(task.instructions > 0);
-        // 5000 rows are 20 tiles: a lane each.
-        assert_eq!(task.parallelism, 20);
     }
 
     #[test]
@@ -1911,8 +1885,6 @@ mod plan_node_tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![4],
-            fused_build: false,
-            fused_probe: false,
         };
         let (out, report) = slow.execute(&join).unwrap();
         assert_eq!(out.batch.rows(), 50);

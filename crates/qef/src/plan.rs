@@ -156,14 +156,6 @@ pub enum PlanNode {
         /// compiler's partition scheme optimization. The engine runs it as
         /// declared; no rounds is one partition.
         scheme: Vec<usize>,
-        /// Whether round one of the build side's pass runs in the task of
-        /// the scan-fed chain that is the build input
-        /// ([`PlanNode::scan_chain`]): the compiler's task formation.
-        #[serde(default)]
-        fused_build: bool,
-        /// The same for the probe side.
-        #[serde(default)]
-        fused_probe: bool,
     },
     /// Group-by + aggregation. Output: keys ++ aggregates.
     GroupBy {
@@ -175,11 +167,6 @@ pub enum PlanNode {
         aggs: Vec<AggSpec>,
         /// Strategy selection.
         strategy: GroupStrategy,
-        /// Whether the first stage over the input — `groupby.consume`, or
-        /// round one of `groupby.partition` — runs in the task of the
-        /// scan-fed chain that is the input.
-        #[serde(default)]
-        fused: bool,
     },
     /// Top-K by sort keys.
     TopK {
@@ -189,10 +176,6 @@ pub enum PlanNode {
         order: Vec<SortKey>,
         /// Result size.
         k: usize,
-        /// Whether `topk.consume` runs in the task of the scan-fed chain
-        /// that is the input.
-        #[serde(default)]
-        fused: bool,
     },
     /// Full sort.
     Sort {
@@ -200,10 +183,6 @@ pub enum PlanNode {
         input: Box<PlanNode>,
         /// Ordering.
         order: Vec<SortKey>,
-        /// Whether `sort.local` runs in the task of the scan-fed chain that
-        /// is the input.
-        #[serde(default)]
-        fused: bool,
     },
     /// First `n` rows (in current order).
     Limit {
@@ -572,7 +551,6 @@ mod tests {
                 },
             ],
             strategy: GroupStrategy::OnTheFly,
-            fused: false,
         };
         let meta = plan.output_meta(&catalog()).unwrap();
         assert_eq!(meta.len(), 3);
@@ -595,8 +573,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![],
-            fused_build: false,
-            fused_probe: false,
         };
         assert_eq!(inner.output_meta(&catalog()).unwrap().len(), 2);
         let semi = PlanNode::HashJoin {
@@ -606,8 +582,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::LeftSemi,
             scheme: vec![],
-            fused_build: false,
-            fused_probe: false,
         };
         assert_eq!(semi.output_meta(&catalog()).unwrap().len(), 1);
         let outer = PlanNode::HashJoin {
@@ -617,8 +591,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::LeftOuter,
             scheme: vec![],
-            fused_build: false,
-            fused_probe: false,
         };
         let meta = outer.output_meta(&catalog()).unwrap();
         assert!(meta[1].nullable);
@@ -695,13 +667,11 @@ mod tests {
             PlanNode::Sort {
                 input: input.clone(),
                 order: order.clone(),
-                fused: false,
             },
             PlanNode::TopK {
                 input: input.clone(),
                 order,
                 k: 3,
-                fused: false,
             },
             PlanNode::Limit {
                 input: input.clone(),
@@ -751,8 +721,6 @@ mod tests {
             probe_keys: vec![0],
             join_type,
             scheme: vec![],
-            fused_build: false,
-            fused_probe: false,
         };
         assert_eq!(widths(&join(JoinType::Inner)), [1, 4, 1, 2]);
         assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 4, 1, 2]);
@@ -776,7 +744,6 @@ mod tests {
                 },
             ],
             strategy: GroupStrategy::OnTheFly,
-            fused: false,
         };
         assert_eq!(widths(&group), [8, 8, 8], "keys are re-emitted widened");
         let window = PlanNode::Window {
@@ -817,8 +784,6 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![],
-            fused_build: false,
-            fused_probe: false,
         };
         let mut tables = Vec::new();
         plan.referenced_tables(&mut tables);
@@ -835,7 +800,6 @@ mod tests {
             }),
             order: vec![SortKey { col: 1, desc: true }],
             k: 10,
-            fused: false,
         };
         let json = serde_json::to_string(&plan).unwrap();
         let back: PlanNode = serde_json::from_str(&json).unwrap();

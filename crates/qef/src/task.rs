@@ -4,13 +4,15 @@
 //! only results at task boundaries are materialized to DRAM." A task here
 //! opens with a scan: the **scan-fed chain** `Scan → {Filter | Map}*`
 //! ([`PlanNode::scan_chain`]) always runs in its scan's task, and the first
-//! stage of the node that consumes the chain joins it where the plan marks
-//! that edge ([`PlanNode::fused`]) — round one of a join side's or a
-//! group-by's partition pass, `groupby.consume`, `topk.consume`,
-//! `sort.local` ([`PlanNode::stage_in_task`]). The compiler sets the marks
-//! (`rapid_qcomp::task_formation`), the engine runs them and the verifier
-//! checks them, all three sizing the task from the same declarations
-//! ([`OpDecl`], [`crate::budget::task_tile`]).
+//! stage of the node that consumes the chain — round one of a join side's or
+//! a group-by's partition pass, `groupby.consume`, `topk.consume`,
+//! `sort.local` ([`PlanNode::first_stage`]) — joins it wherever
+//! [`crate::budget::task_tile`] of what they declare together ([`OpDecl`])
+//! fits DMEM. Where it does not, the chain's task materializes and the stage
+//! runs over what it wrote: cut, never refused. One function says so,
+//! [`PlanNode::input_task`]; the engine runs by it and the verifier
+//! (`EXPLAIN VERIFY`, `rapid-report verify`) reports by it, so the two cannot
+//! disagree about where a task ends.
 
 use crate::budget::{OpDecl, OpName, BASE_STATE_BYTES};
 use crate::error::{QefError, QefResult};
@@ -77,37 +79,6 @@ impl PlanNode {
         }
     }
 
-    /// Whether the plan marks input `edge` of this node (its position in
-    /// [`inputs`](Self::inputs)) as crossed by a task.
-    pub fn fused(&self, edge: usize) -> bool {
-        match (self, edge) {
-            (PlanNode::HashJoin { fused_build, .. }, 0) => *fused_build,
-            (PlanNode::HashJoin { fused_probe, .. }, 1) => *fused_probe,
-            (
-                PlanNode::GroupBy { fused, .. }
-                | PlanNode::TopK { fused, .. }
-                | PlanNode::Sort { fused, .. },
-                0,
-            ) => *fused,
-            _ => false,
-        }
-    }
-
-    /// The mark of input `edge`, for the nodes that have one.
-    pub fn fused_mut(&mut self, edge: usize) -> Option<&mut bool> {
-        match (self, edge) {
-            (PlanNode::HashJoin { fused_build, .. }, 0) => Some(fused_build),
-            (PlanNode::HashJoin { fused_probe, .. }, 1) => Some(fused_probe),
-            (
-                PlanNode::GroupBy { fused, .. }
-                | PlanNode::TopK { fused, .. }
-                | PlanNode::Sort { fused, .. },
-                0,
-            ) => Some(fused),
-            _ => None,
-        }
-    }
-
     /// What the first stage this node runs over input `edge` declares
     /// against DMEM, the input handing on columns of `widths`: a partition
     /// pass's round one, `groupby.consume`, `topk.consume` or `sort.local`.
@@ -160,20 +131,35 @@ impl PlanNode {
         }
     }
 
-    /// The stage of this node that can run in the task of input `edge`: its
-    /// [`first_stage`](Self::first_stage) over it — but a partition pass of
-    /// no rounds has no round one to run there. The one rule the compiler
-    /// marks by, the engine refuses by and the verifier reports by.
-    pub fn stage_in_task(
+    /// The task input `edge` of this node runs in, with this node's
+    /// [`first_stage`](Self::first_stage) over it as the task's last
+    /// operator — the one rule of where a task ends. `Some` wherever the
+    /// input is a scan-fed chain and [`crate::budget::task_tile`] of what the
+    /// chain and the stage declare together fits `dmem_bytes`; `None` where
+    /// the input is no chain, the node has no such stage (a partition pass of
+    /// no rounds has no round one), or the operators do not fit one
+    /// scratchpad: the chain then runs as a task of its own and the stage
+    /// over what it materialized.
+    pub fn input_task(
         &self,
         edge: usize,
-        widths: &[usize],
+        catalog: &Catalog,
+        tile_rows: usize,
         dmem_bytes: usize,
-    ) -> Option<OpDecl<'static>> {
+    ) -> QefResult<Option<Task<'_>>> {
         if self.partition_scheme().is_some_and(<[usize]>::is_empty) {
-            return None;
+            return Ok(None);
         }
-        self.first_stage(edge, widths, dmem_bytes)
+        let Some(chain) = self.inputs().nth(edge).and_then(PlanNode::scan_chain) else {
+            return Ok(None);
+        };
+        let (mut task, widths) = chain.task(catalog)?;
+        let Some(last) = self.first_stage(edge, &widths, dmem_bytes) else {
+            return Ok(None);
+        };
+        task.decls.push(last);
+        let fits = crate::budget::task_tile(tile_rows, &task.decls, dmem_bytes).is_some();
+        Ok(fits.then_some(task))
     }
 }
 
@@ -231,22 +217,26 @@ pub fn map_decl(widths: &[usize], exprs: &[crate::plan::NamedExpr]) -> OpDecl<'s
     }
 }
 
-impl<'p> ScanChain<'p> {
+/// A task: a scan-fed chain and what its operators declare, scan first —
+/// and last, where [`PlanNode::input_task`] put it there, the first stage of
+/// the node that consumes the chain.
+#[derive(Debug)]
+pub struct Task<'p> {
+    /// The chain the task opens with.
+    pub chain: ScanChain<'p>,
     /// The distinct table columns the scan streams: projected and predicate
     /// columns alike, ascending.
-    pub fn touched(&self) -> Vec<usize> {
-        touched_columns(self.columns, self.pred)
-    }
+    pub touched: Vec<usize>,
+    /// What each operator declares, bottom first.
+    pub decls: Vec<OpDecl<'p>>,
+}
 
-    /// What each operator of the chain declares, scan first, and the widths
-    /// of the columns the chain hands on. The scan reads its `touched`
-    /// columns ([`touched`](Self::touched)) at the widths the table stores
-    /// them in.
-    pub fn decls(
-        &self,
-        catalog: &Catalog,
-        touched: &[usize],
-    ) -> QefResult<(Vec<OpDecl<'p>>, Vec<usize>)> {
+impl<'p> ScanChain<'p> {
+    /// The chain as a task of its own, and the widths of the columns it
+    /// hands on. The scan reads its touched columns at the widths the table
+    /// stores them in.
+    pub fn task(self, catalog: &Catalog) -> QefResult<(Task<'p>, Vec<usize>)> {
+        let touched = touched_columns(self.columns, self.pred);
         let t = catalog
             .get(self.table)
             .ok_or_else(|| QefError::TableNotLoaded(self.table.to_string()))?;
@@ -279,6 +269,11 @@ impl<'p> ScanChain<'p> {
                 decls.push(filter_decl(&widths));
             }
         }
-        Ok((decls, widths))
+        let task = Task {
+            chain: self,
+            touched,
+            decls,
+        };
+        Ok((task, widths))
     }
 }

@@ -41,9 +41,6 @@ pub enum Rule {
     TypeMismatch,
     /// Schema resolution (tables, scan columns) must succeed.
     Schema,
-    /// An edge marked as crossed by a task must lead from a scan-fed chain
-    /// into a node with a stage to run in the chain's task.
-    TaskEdge,
     /// Each stage's DMEM working set must fit the 32 KiB scratchpad at a
     /// >= 64-row vector.
     DmemFit,
@@ -104,7 +101,6 @@ impl Rule {
             Rule::JoinArity => "S-JOIN-ARITY",
             Rule::TypeMismatch => "S-TYPE-MISMATCH",
             Rule::Schema => "S-SCHEMA",
-            Rule::TaskEdge => "S-TASK-EDGE",
             Rule::DmemFit => "R-DMEM-FIT",
             Rule::FanoutPow2 => "R-FANOUT-POW2",
             Rule::HashBits => "R-HASH-BITS",
@@ -181,8 +177,8 @@ impl fmt::Display for Diagnostic {
 
 /// Resource summary of one engine stage — a task — derived from a plan
 /// node (a node can yield several stages, e.g. a join's two partition
-/// passes plus the pair-join stage; a scan-fed chain and, across a marked
-/// edge, the first stage of its consumer are one).
+/// passes plus the pair-join stage; a scan-fed chain and, where they fit
+/// together, the first stage of its consumer are one).
 #[derive(Debug, Clone)]
 pub struct StageReport {
     /// Pre-order id of the owning plan node.
@@ -328,7 +324,6 @@ mod tests {
             Rule::JoinArity,
             Rule::TypeMismatch,
             Rule::Schema,
-            Rule::TaskEdge,
             Rule::DmemFit,
             Rule::FanoutPow2,
             Rule::HashBits,

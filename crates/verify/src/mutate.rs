@@ -96,8 +96,6 @@ pub fn base_plan() -> PlanNode {
         probe_keys: vec![0],
         join_type: JoinType::Inner,
         scheme: vec![32],
-        fused_build: false,
-        fused_probe: false,
     };
     // Join output: [fact.id Int, grp Varchar, price Dec(2), dim.id Int,
     // rate Dec(4)].
@@ -135,59 +133,6 @@ pub fn base_plan() -> PlanNode {
             col: 2,
         }],
         strategy: GroupStrategy::OnTheFly,
-        fused: false,
-    }
-}
-
-/// A scan-fed chain and its consumer, marked as one task: an on-the-fly
-/// group-by of `t_fact` on `grp` over a map that doubles `price`. `grp`'s
-/// code is stored in 1 byte and `price` in 2; the map writes one 8-byte
-/// vector.
-pub fn task_plan() -> PlanNode {
-    let scan = PlanNode::Scan {
-        table: "t_fact".into(),
-        columns: vec![1, 2], // grp, price
-        pred: None,
-    };
-    let map = PlanNode::Map {
-        input: Box::new(scan),
-        exprs: vec![
-            NamedExpr {
-                expr: Expr::Col(0),
-                name: "grp".into(),
-                dtype: DataType::Varchar,
-                scale: 0,
-                dict: Some(("t_fact".into(), 1)),
-            },
-            NamedExpr {
-                expr: Expr::mul(Expr::Col(1), Expr::Lit(2)),
-                name: "twice".into(),
-                dtype: DataType::Decimal { scale: 2 },
-                scale: 2,
-                dict: None,
-            },
-        ],
-    };
-    PlanNode::GroupBy {
-        input: Box::new(map),
-        keys: vec![0],
-        aggs: vec![AggSpec {
-            func: AggFunc::Sum,
-            col: 1,
-        }],
-        strategy: GroupStrategy::OnTheFly,
-        fused: true,
-    }
-}
-
-/// A scratchpad in which [`task_plan`]'s scan and map fit as a task of
-/// their own (128 B of state + 11 B/row), its group table as a stage of its
-/// own (half the scratchpad + 9 B/row), and the three together — 128 B +
-/// half the scratchpad + 11 B/row — do not, even single-buffered at 64 rows.
-pub fn task_plan_tight_config() -> VerifyConfig {
-    VerifyConfig {
-        dmem_bytes: 1600,
-        ..VerifyConfig::default()
     }
 }
 
@@ -210,9 +155,6 @@ pub enum Mutated {
     Program(DmsProgram),
     /// A corrupted engine configuration (verify the base plan under it).
     Config(VerifyConfig),
-    /// A corrupted plan that only a configuration shows to be one (verify
-    /// the plan under it).
-    PlanUnder(PlanNode, VerifyConfig),
 }
 
 /// One mutation class per verifier rule.
@@ -245,12 +187,6 @@ pub enum Mutation {
     GroupByNonPow2Fanout,
     /// DMEM shrunk to 1 KiB under the same plan.
     InflatePastDmem,
-    /// A task mark on an edge whose chain and consumer each fit the
-    /// scratchpad and do not fit it together.
-    TaskOverDmem,
-    /// A task mark on the group-by's edge from the map over the join: no
-    /// scan to open the task with.
-    TaskOnJoinOutput,
     /// Tile configured below the 64-row minimum vector.
     TileBelowMin,
     /// On-the-fly group-by re-keyed to the 2000-distinct column.
@@ -268,8 +204,8 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Every mutation class: one per rule, the two fan-out rules once more
-    /// over a partitioned group-by and the DMEM fit once more over a task.
+    /// Every mutation class: one per rule, and the two fan-out rules once
+    /// more over a partitioned group-by.
     pub fn all() -> Vec<Mutation> {
         use Mutation::*;
         vec![
@@ -286,8 +222,6 @@ impl Mutation {
             GroupByOverFanout,
             GroupByNonPow2Fanout,
             InflatePastDmem,
-            TaskOverDmem,
-            TaskOnJoinOutput,
             TileBelowMin,
             OnTheFlyOverLimit,
             ZeroLenDescriptor,
@@ -314,8 +248,6 @@ impl Mutation {
             Mutation::GroupByOverFanout => Rule::FanoutBuffer,
             Mutation::GroupByNonPow2Fanout => Rule::FanoutPow2,
             Mutation::InflatePastDmem => Rule::DmemFit,
-            Mutation::TaskOverDmem => Rule::DmemFit,
-            Mutation::TaskOnJoinOutput => Rule::TaskEdge,
             Mutation::TileBelowMin => Rule::TileMin,
             Mutation::OnTheFlyOverLimit => Rule::GroupLimit,
             Mutation::ZeroLenDescriptor => Rule::DescEmpty,
@@ -376,12 +308,6 @@ impl Mutation {
                 dmem_bytes: 1024,
                 ..VerifyConfig::default()
             }),
-            Mutation::TaskOverDmem => Mutated::PlanUnder(task_plan(), task_plan_tight_config()),
-            Mutation::TaskOnJoinOutput => Mutated::Plan(plan_mut(|p| {
-                if let PlanNode::GroupBy { fused, .. } = p {
-                    *fused = true;
-                }
-            })),
             Mutation::TileBelowMin => Mutated::Config(VerifyConfig {
                 tile_rows: 16,
                 ..VerifyConfig::default()
@@ -470,9 +396,29 @@ mod tests {
             report.diagnostics
         );
         assert!(report.ok());
-        // Sanity on the derived stages: scans, three join stages, map,
-        // group-by consume.
-        assert!(report.stages.len() >= 6, "stages: {:?}", report.stages);
+        // The derived stages: each join side a task of its scan and round
+        // one of its pass, the pair joins, the map and the group table.
+        let stages: Vec<_> = report
+            .stages
+            .iter()
+            .map(|s| (&*s.stage, &*s.operators))
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                (
+                    "join.partition-build",
+                    "scan(t_dim) -> join.partition-build"
+                ),
+                (
+                    "join.partition-probe",
+                    "scan(t_fact) -> join.partition-probe"
+                ),
+                ("join.pairs", ""),
+                ("map", ""),
+                ("groupby.consume", ""),
+            ]
+        );
     }
 
     #[test]
@@ -485,20 +431,17 @@ mod tests {
     #[test]
     fn every_rule_has_a_mutation() {
         use std::collections::HashSet;
-        // The group-by's two are the join's rules over another node, the
-        // task's the stage's over several operators.
+        // The group-by's two are the join's rules over another node.
         let (once_more, of_rule): (Vec<Mutation>, Vec<Mutation>) =
             Mutation::all().into_iter().partition(|m| {
                 matches!(
                     m,
-                    Mutation::GroupByOverFanout
-                        | Mutation::GroupByNonPow2Fanout
-                        | Mutation::TaskOverDmem
+                    Mutation::GroupByOverFanout | Mutation::GroupByNonPow2Fanout
                 )
             });
         let covered: HashSet<&str> = of_rule.iter().map(|m| m.expected_rule().id()).collect();
         assert_eq!(covered.len(), of_rule.len(), "one rule per mutation");
-        assert_eq!(once_more.len(), 3);
+        assert_eq!(once_more.len(), 2);
         assert!(once_more
             .iter()
             .all(|m| covered.contains(m.expected_rule().id())));

@@ -9,18 +9,17 @@
 //! [`crate::diag::Rule`] against them.
 //!
 //! A stage is a **task**: a scan-fed chain (`PlanNode::scan_chain`) runs as
-//! one, and where the plan marks the edge into the node that consumes it
-//! (`PlanNode::fused`) that node's first stage is the task's last operator.
-//! The walk derives the same tasks the engine runs, from the same
+//! one, and its consumer's first stage is the task's last operator wherever
+//! the engine puts it there — `PlanNode::input_task`, the one rule both
+//! call. The walk derives the same tasks the engine runs, from the same
 //! declarations (`rapid_qef::task`, `rapid_qef::budget::OpDecl`): R-DMEM-FIT
-//! is checked on the working set the operators hold together, the R-DESC-*
-//! rules on their concatenated descriptor program, and a mark on an edge
-//! that is not scan-fed, or into a node with no stage to run there, is
-//! S-TASK-EDGE. All DMEM arithmetic comes from `rapid_qef::budget`, the
-//! same module the engine sizes its vectors with — the static verdict and
-//! the runtime tile cannot drift apart — over the widths columns are
-//! stored and handed on in (`PlanNode::output_widths`): a stage's working
-//! set is what a lane of it holds in DMEM.
+//! is checked on the working set the operators hold together and the
+//! R-DESC-* rules on their concatenated descriptor program. All DMEM
+//! arithmetic comes from `rapid_qef::budget`, the same module the engine
+//! sizes its vectors with — the static verdict and the runtime tile cannot
+//! drift apart — over the widths columns are stored and handed on in
+//! (`PlanNode::output_widths`): a stage's working set is what a lane of it
+//! holds in DMEM.
 
 use rapid_qef::budget::{
     self, OpDecl, OpName, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
@@ -333,9 +332,9 @@ impl Walker<'_> {
 
     /// The stage input `edge` of `node` is consumed by — `node`'s first
     /// stage over it: visit the input, then report the stage. Where the
-    /// plan marks the edge the stage is the task of the input's scan-fed
-    /// chain with that first stage as its last operator; a mark on an edge
-    /// that cannot carry one is S-TASK-EDGE. Returns what the input exposes.
+    /// engine runs that stage in the task of the input's scan-fed chain
+    /// (`PlanNode::input_task`) the stage is that task. Returns what the
+    /// input exposes.
     #[allow(clippy::too_many_arguments)]
     fn consumed(
         &mut self,
@@ -347,58 +346,23 @@ impl Walker<'_> {
         input_path: &str,
         fanouts: &[usize],
     ) -> Result<NodeInfo, ()> {
-        let chain = input.scan_chain();
-        let fused = node.fused(edge);
-        if fused && chain.is_none() {
-            self.diag(
-                Rule::TaskEdge,
-                id,
-                path,
-                format!(
-                    "input {edge} ({}) is marked as running in the task of its scan, but is not \
-                     a scan-fed chain: a task opens with a scan",
-                    node_label(input)
-                ),
-            );
-        }
-        let info = self.node(input, input_path, fused && chain.is_some())?;
-        // The operators of the input's task, where the stage joins it, and
-        // the widths the input hands on.
-        let task = chain.as_ref().filter(|_| fused);
-        let (mut ops, widths) = match task {
-            Some(chain) => chain
-                .decls(self.catalog, &chain.touched())
-                .map_err(|_| ())?,
-            None => (
-                Vec::new(),
-                input.output_widths(self.catalog).map_err(|_| ())?,
-            ),
-        };
-        let dmem = self.cfg.dmem_bytes;
-        let mut first = node.stage_in_task(edge, &widths, dmem);
-        if first.is_none() {
-            if fused {
-                self.diag(
-                    Rule::TaskEdge,
-                    id,
-                    path,
-                    format!(
-                        "input {edge} is marked as running a stage of this node in its task, \
-                         but the node has none to run there"
-                    ),
-                );
-            }
+        let (catalog, cfg) = (self.catalog, self.cfg);
+        // A chain whose scan cannot be declared is no task: its walk says why.
+        let task = node
+            .input_task(edge, catalog, cfg.tile_rows, cfg.dmem_bytes)
+            .ok()
+            .flatten();
+        let info = self.node(input, input_path, task.is_some())?;
+        let Some(task) = task else {
+            let widths = input.output_widths(catalog).map_err(|_| ())?;
             // A pass of no rounds is still a stage of its own.
-            first = node.first_stage(edge, &widths, dmem);
-        }
-        let Some(first) = first else {
+            if let Some(first) = node.first_stage(edge, &widths, cfg.dmem_bytes) {
+                self.stage(id, path, &[first], fanouts.to_vec());
+            }
             return Ok(info);
         };
-        ops.push(first);
-        self.stage(id, path, &ops, fanouts.to_vec());
-        if let Some(chain) = task {
-            self.note_scan(chain);
-        }
+        self.stage(id, path, &task.decls, fanouts.to_vec());
+        self.note_scan(&task.chain);
         Ok(info)
     }
 
@@ -429,9 +393,9 @@ impl Walker<'_> {
             return self.stage(id, path, &[alone()], Vec::new());
         };
         // A chain whose scan is broken has said so.
-        if let Ok((ops, _)) = chain.decls(self.catalog, &chain.touched()) {
-            self.stage(id, path, &ops, Vec::new());
-            self.note_scan(&chain);
+        if let Ok((task, _)) = chain.task(self.catalog) {
+            self.stage(id, path, &task.decls, Vec::new());
+            self.note_scan(&task.chain);
         }
     }
 
@@ -503,7 +467,8 @@ impl Walker<'_> {
     }
 
     /// Walk `plan`. `in_task` says a stage above reports this node as an
-    /// operator of its task: a scan-fed chain under a marked edge.
+    /// operator of its task: a scan-fed chain its consumer's first stage
+    /// ends the task of.
     fn node(&mut self, plan: &PlanNode, parent_path: &str, in_task: bool) -> Result<NodeInfo, ()> {
         // The nodes under the top of a scan-fed chain run in its task.
         let under = in_task || plan.is_scan_chain();

@@ -30,7 +30,6 @@ fn every_mutation_class_is_rejected_with_its_rule_id() {
         let report = match m.apply() {
             Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
             Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
-            Mutated::PlanUnder(p, cfg) => verify(&p, &cat, &cfg),
             Mutated::Graph(g) => {
                 let mut r = VerifyReport::default();
                 g.check(&mut r);
@@ -80,7 +79,6 @@ fn diagnostics_are_human_readable_and_located() {
         let report = match m.apply() {
             Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
             Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
-            Mutated::PlanUnder(p, cfg) => verify(&p, &cat, &cfg),
             Mutated::Graph(g) => {
                 let mut r = VerifyReport::default();
                 g.check(&mut r);
@@ -115,7 +113,6 @@ fn mutation_diagnostics_are_distinct_per_class() {
         let report = match m.apply() {
             Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
             Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
-            Mutated::PlanUnder(p, cfg) => verify(&p, &cat, &cfg),
             Mutated::Graph(g) => {
                 let mut r = VerifyReport::default();
                 g.check(&mut r);
@@ -244,15 +241,55 @@ fn a_partitioned_group_by_is_checked_like_a_join_pass() {
     assert_eq!(rules, [Rule::FanoutPow2]);
 }
 
+/// A scan-fed chain and its consumer: an on-the-fly group-by of `t_fact`
+/// on `grp` over a map that doubles `price`. `grp`'s code is stored in 1
+/// byte and `price` in 2; the map writes one 8-byte vector.
+fn task_plan() -> rapid_qef::plan::PlanNode {
+    use rapid_qef::expr::Expr;
+    use rapid_qef::plan::{AggSpec, GroupStrategy, NamedExpr, PlanNode};
+    use rapid_qef::primitives::agg::AggFunc;
+    use rapid_storage::types::DataType;
+    let scan = PlanNode::Scan {
+        table: "t_fact".into(),
+        columns: vec![1, 2], // grp, price
+        pred: None,
+    };
+    let map = PlanNode::Map {
+        input: Box::new(scan),
+        exprs: vec![
+            NamedExpr {
+                expr: Expr::Col(0),
+                name: "grp".into(),
+                dtype: DataType::Varchar,
+                scale: 0,
+                dict: Some(("t_fact".into(), 1)),
+            },
+            NamedExpr {
+                expr: Expr::mul(Expr::Col(1), Expr::Lit(2)),
+                name: "twice".into(),
+                dtype: DataType::Decimal { scale: 2 },
+                scale: 2,
+                dict: None,
+            },
+        ],
+    };
+    PlanNode::GroupBy {
+        input: Box::new(map),
+        keys: vec![0],
+        aggs: vec![AggSpec {
+            func: AggFunc::Sum,
+            col: 1,
+        }],
+        strategy: GroupStrategy::OnTheFly,
+    }
+}
+
 #[test]
-fn a_task_mark_is_checked_on_what_the_task_holds_together_and_on_what_it_opens_with() {
-    use rapid_qef::plan::PlanNode;
-    use rapid_verify::diag::Rule;
-    use rapid_verify::mutate::{task_plan, task_plan_tight_config};
+fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
     let cat = demo_catalog();
-    // In the whole scratchpad the marked chain and its consumer are one
-    // stage: one row, its three operators, one vector size, the working set
-    // they hold together.
+    // In the whole scratchpad the chain and its consumer are one stage: one
+    // row, its three operators, one vector size, the working set they hold
+    // together.
     let whole = verify(&task_plan(), &cat, &VerifyConfig::default());
     assert!(whole.diagnostics.is_empty(), "{whole:?}");
     let [task] = whole.stages.as_slice() else {
@@ -272,15 +309,16 @@ fn a_task_mark_is_checked_on_what_the_task_holds_together_and_on_what_it_opens_w
         "{line}"
     );
 
-    // Tight, the same operators fit as two tasks and not as one: only the
-    // mark is wrong.
-    let tight = task_plan_tight_config();
-    let mut cut = task_plan();
-    let PlanNode::GroupBy { fused, .. } = &mut cut else {
-        panic!("task plan shape changed")
+    // In 1600 B the scan and map fit as a task of their own (128 B of state
+    // + 11 B/row), the group table as a stage of its own (half the
+    // scratchpad + 9 B/row), and the three together — 128 B + half the
+    // scratchpad + 11 B/row — do not, even single-buffered at 64 rows. The
+    // task is cut where the engine cuts it: two stages, and no finding.
+    let tight = VerifyConfig {
+        dmem_bytes: 1600,
+        ..VerifyConfig::default()
     };
-    *fused = false;
-    let two = verify(&cut, &cat, &tight);
+    let two = verify(&task_plan(), &cat, &tight);
     assert!(two.diagnostics.is_empty(), "{two:?}");
     let stages: Vec<_> = two
         .stages
@@ -290,53 +328,5 @@ fn a_task_mark_is_checked_on_what_the_task_holds_together_and_on_what_it_opens_w
     assert_eq!(
         stages,
         [("map", "scan(t_fact) -> map"), ("groupby.consume", "")]
-    );
-    let Mutated::PlanUnder(marked, cfg) = Mutation::TaskOverDmem.apply() else {
-        panic!("TaskOverDmem mutates a plan under a configuration")
-    };
-    assert_eq!((&marked, cfg.dmem_bytes), (&task_plan(), tight.dmem_bytes));
-    let one = verify(&marked, &cat, &cfg);
-    let findings: Vec<_> = one.errors().map(|d| (d.rule, &d.message)).collect();
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].0, Rule::DmemFit);
-    assert!(
-        findings[0].1.contains(
-            "the task of scan(t_fact) -> map -> groupby.consume) needs 928 B state + 11 B/row"
-        ),
-        "{findings:?}"
-    );
-
-    // A mark on an edge that does not come from a scan names the edge.
-    let Mutated::Plan(unfed) = Mutation::TaskOnJoinOutput.apply() else {
-        panic!("TaskOnJoinOutput mutates the plan")
-    };
-    let report = verify(&unfed, &cat, &VerifyConfig::default());
-    let findings: Vec<_> = report.errors().collect();
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, Rule::TaskEdge);
-    assert_eq!(
-        (findings[0].node_id, findings[0].path.as_str()),
-        (0, "GroupBy")
-    );
-    assert!(
-        findings[0].message.contains("input 0 (Map) is marked")
-            && findings[0].message.contains("not a scan-fed chain"),
-        "{}",
-        findings[0]
-    );
-    // And on one into a node with no stage to run there: a partition pass
-    // without a round.
-    let mut no_round = task_plan();
-    let PlanNode::GroupBy { strategy, .. } = &mut no_round else {
-        panic!("task plan shape changed")
-    };
-    *strategy = rapid_qef::plan::GroupStrategy::Partitioned(vec![]);
-    let report = verify(&no_round, &cat, &VerifyConfig::default());
-    assert!(
-        report
-            .errors()
-            .any(|d| d.rule == Rule::TaskEdge && d.message.contains("none to run there")),
-        "{}",
-        report.error_summary()
     );
 }

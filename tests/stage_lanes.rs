@@ -1,6 +1,6 @@
 //! Tasks run on every dpCore: over the eleven TPC-H statements at the
-//! benchmark's scale factor, a scan and the operators the plan marks as
-//! running in its task are ONE stage of `min(cores, tiles)` tile-aligned
+//! benchmark's scale factor, a scan and the operators that run in its task
+//! are ONE stage of `min(cores, tiles)` tile-aligned
 //! lanes — whatever the table's chunks — holding in DMEM exactly the working
 //! set the verifier derives for the task, timed by the stage rule applied
 //! once; a partition round over what a task materialized is a stage of as
@@ -15,7 +15,8 @@
 //! Against the figures recorded from the commit that ran one operator per
 //! stage no statement takes more cycles or moves more bytes; and where the
 //! operators of a chain and its consumer do not fit one scratchpad the
-//! compiler cuts the task and the engine refuses a plan that does not.
+//! engine runs them cut, whatever scratchpad the plan was compiled for, and
+//! the verifier reports the same two stages.
 
 use std::sync::Arc;
 
@@ -24,12 +25,10 @@ use hostdb::HostDb;
 use rapid::qcomp::cost::CostParams;
 use rapid::qef::budget;
 use rapid::qef::engine::{Engine, QueryReport};
-use rapid::qef::error::QefError;
 use rapid::qef::exec::ExecContext;
 use rapid::qef::plan::{Catalog, PlanNode};
 use rapid::qef::trace::{MemorySink, StageEvent};
 use rapid_fuzz::canonical;
-use rapid_verify::diag::Rule;
 
 const CORES: usize = 32;
 
@@ -217,8 +216,8 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                 .find(|s| s.node_id == e.node_id as usize && s.stage == e.operator)
                 .unwrap_or_else(|| panic!("{name}: no {} stage verified", e.operator))
         };
-        // Every scan is in a task, and a task is one event: the chain the
-        // compiler marked with the stage that consumes it.
+        // Every scan is in a task, and a task is one event: the chain with
+        // the stage that consumes it, wherever they fit together.
         let mut nodes = Vec::new();
         pre_order(&compiled.plan, &mut nodes);
         let scans = nodes.iter().filter(|n| matches!(n, PlanNode::Scan { .. }));
@@ -379,7 +378,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
 }
 
 #[test]
-fn a_task_that_does_not_fit_is_cut_by_the_compiler_and_refused_by_the_engine() {
+fn a_task_that_does_not_fit_runs_cut() {
     let (_db, catalog) = tpch_catalog(0.002);
     // Q1 without its sort: scan(lineitem) -> map -> groupby.consume. In the
     // whole scratchpad the three are one task.
@@ -402,91 +401,72 @@ fn a_task_that_does_not_fit_is_cut_by_the_compiler_and_refused_by_the_engine() {
         (*found.expect("Q1 aggregates")).clone()
     };
     let whole = rapid::qcomp::compile(&q1, &catalog, &CostParams::default()).expect("Q1");
-    let marked = group_by(&whole.plan);
-    assert!(marked.fused(0), "{marked:?}");
-    let input = marked.inputs().next().expect("the map");
-    let chain = input.scan_chain().expect("map over scan");
-    let (mut ops, widths) = chain
-        .decls(&catalog, &chain.touched())
-        .expect("declarations");
-    assert_eq!(ops.len(), 2, "{ops:?}");
+    let consumer = group_by(&whole.plan);
+    let tile = CostParams::default().tile_rows;
+    let task_in = |dmem: usize| {
+        consumer
+            .input_task(0, &catalog, tile, dmem)
+            .expect("declared")
+    };
+    let task = task_in(32 * 1024).expect("one task in 32 KiB");
+    let names: Vec<String> = task.decls.iter().map(|d| d.name.to_string()).collect();
+    assert_eq!(names, ["scan(lineitem)", "map", "groupby.consume"]);
     // Shrink the scratchpad until scan + map + consume no longer fit at 64
     // rows, the chain and the group table each still do.
-    let fits = |ops: &[budget::OpDecl], dmem: usize| budget::task_tile(256, ops, dmem).is_some();
     let dmem = (1024..32 * 1024)
         .rev()
         .step_by(64)
-        .find(|&dmem| {
-            let mut task = ops.clone();
-            task.extend(marked.first_stage(0, &widths, dmem));
-            !fits(&task, dmem)
-        })
+        .find(|&dmem| task_in(dmem).is_none())
         .expect("a scratchpad the task does not fit");
-    let consume = marked
+    assert!(task_in(dmem + 64).is_some(), "{dmem}");
+    let (chain, widths) = task.chain.clone().task(&catalog).expect("the chain");
+    let consume = consumer
         .first_stage(0, &widths, dmem)
         .expect("groupby.consume");
-    assert!(fits(&ops, dmem) && fits(std::slice::from_ref(&consume), dmem));
-    ops.push(consume);
-    assert!(!fits(&ops, dmem) && fits(&ops, dmem + 64), "{dmem}");
+    assert!(budget::task_tile(tile, &chain.decls, dmem).is_some());
+    assert!(budget::task_tile(tile, std::slice::from_ref(&consume), dmem).is_some());
 
-    // The compiler cuts the chain from its consumer: two tasks.
+    // Compiled for the small scratchpad or for 32 KiB, the plan runs cut in
+    // the small one: two tasks, and the rows of the whole scratchpad.
+    let full = engine(&catalog, ExecContext::dpu());
+    let (expect, _) = full.execute(&whole.plan).expect("Q1");
     let params = CostParams {
         dmem_bytes: dmem,
         ..CostParams::default()
     };
     let cut = rapid::qcomp::compile(&q1, &catalog, &params).expect("Q1 in a small scratchpad");
-    assert!(!group_by(&cut.plan).fused(0));
     let sink = MemorySink::new();
     let ctx = ExecContext {
         dmem_bytes: dmem,
         ..ExecContext::dpu().with_trace(sink.clone())
     };
     let small = engine(&catalog, ctx);
-    let (out, _) = small.execute(&cut.plan).expect("the cut plan runs");
-    let events = sink.take();
-    let ran: Vec<Vec<&str>> = events
+    for plan in [&cut.plan, &whole.plan] {
+        let (out, _) = small.execute(plan).expect("the task runs cut");
+        let events = sink.take();
+        let ran: Vec<Vec<&str>> = events
+            .iter()
+            .take(2)
+            .map(|e| e.operators().map(|op| op.2).collect())
+            .collect();
+        assert_eq!(
+            ran,
+            [vec!["map", "scan(lineitem)"], vec!["groupby.consume"]]
+        );
+        assert_eq!(out.batch, expect.batch);
+    }
+
+    // The verifier reports the same two stages, and no finding.
+    let report = rapid_verify::verify(&cut.plan, &catalog, &rapid::qcomp::verify_config(&params));
+    assert!(report.diagnostics.is_empty(), "{report:?}");
+    let stages: Vec<(&str, &str)> = report
+        .stages
         .iter()
         .take(2)
-        .map(|e| e.operators().map(|op| op.2).collect())
+        .map(|s| (&*s.stage, &*s.operators))
         .collect();
     assert_eq!(
-        ran,
-        [vec!["map", "scan(lineitem)"], vec!["groupby.consume"]]
+        stages,
+        [("map", "scan(lineitem) -> map"), ("groupby.consume", "")]
     );
-    let full = engine(&catalog, ExecContext::dpu());
-    let (expect, _) = full.execute(&whole.plan).expect("Q1");
-    assert_eq!(out.batch, expect.batch);
-
-    // The plan marked by hand is refused, by the verifier and — handed to it
-    // all the same — by the engine: never cut again behind the plan's back.
-    let mut by_hand = cut.plan.clone();
-    fn mark(node: &mut PlanNode) {
-        if let PlanNode::GroupBy { fused, .. } = node {
-            *fused = true;
-        }
-        node.inputs_mut().for_each(mark);
-    }
-    mark(&mut by_hand);
-    let report = rapid_verify::verify(&by_hand, &catalog, &rapid::qcomp::verify_config(&params));
-    let fit: Vec<_> = report
-        .errors()
-        .filter(|d| d.rule == Rule::DmemFit)
-        .collect();
-    assert_eq!(fit.len(), 1, "{}", report.error_summary());
-    assert!(
-        fit[0]
-            .message
-            .contains("scan(lineitem) -> map -> groupby.consume"),
-        "{}",
-        fit[0]
-    );
-    match small.execute(&by_hand) {
-        Err(QefError::DmemExhausted(msg)) => {
-            assert!(
-                msg.contains("scan(lineitem) -> map -> groupby.consume"),
-                "{msg}"
-            )
-        }
-        other => panic!("a task over DMEM must be refused, not {other:?}"),
-    }
 }
