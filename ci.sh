@@ -74,15 +74,18 @@ echo "== static plan verification (TPC-H sf 0.01 and 0.02 + fuzz corpus) + mutat
 # fails on a partition stage that declares no fan-out: the plan says what
 # runs, so a pass whose rounds something after the compiler chose does not
 # get through here. `--full` lists one row per task: its operators, its one
-# vector size and the working set they hold together.
+# vector size and the working set they hold together. The 11 plan rules check
+# the plan and nothing the verifier builds itself; the crate's tests hold a
+# mutation that trips each of them and of the 7 schedule rules (`Rule::ALL`).
 cargo run -q --release -p rapid-report -- verify --sf 0.01
 cargo run -q --release -p rapid-report -- verify --sf 0.02
 cargo test -q --release -p rapid-verify
 
 echo "== schedule interference verification (both modes) + mutation kill matrix =="
 # Real scheduled TPC-H batches must pass the C-* analyzer (no false
-# positives), and every injected interference bug class must be rejected
-# with its own rule id — replayed here in release, outside cfg(test).
+# positives), and each of the seven injected interference bug classes must
+# be rejected with its own rule id — replayed here in release, outside
+# cfg(test). Two stages on one core at once are one finding, C-CORE-EXCL.
 cargo run -q --release -p rapid-report -- schedcheck --sf 0.01 --mutations
 
 echo "== hardware-model examples (dpu_hardware, task_formation) =="
@@ -99,6 +102,21 @@ cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q6 > /dev/null
 # Stored against needed bytes of every scanned column, scan bytes against
 # the floor per statement: the table encoding work starts from.
 cargo run -q --release -p rapid-report -- widths --sf 0.01 > /dev/null
+
+echo "== figures_output.txt (the simulated figure sections, regenerated and diffed) =="
+# Figures 8-13, the filter micro-benchmark and the three ablations come from
+# the simulator and print the same numbers on every run, so the file is what
+# this command prints and any difference fails. A change that moves a figure
+# regenerates the file with the same command and commits it. Figures 14-16
+# and the speedup attribution divide by host wall clocks and are not in it:
+# EXPERIMENTS.md keeps their recorded runs.
+FIG_TMP=$(mktemp)
+trap 'rm -f "$FIG_TMP"' EXIT
+cargo run -q --release -p rapid-report -- \
+    figures fig8 fig9 filter fig10 fig11 fig12 fig13 ablations --sf 0.05 > "$FIG_TMP"
+diff -u figures_output.txt "$FIG_TMP" || { echo "figures_output.txt is not what the figures print"; exit 1; }
+rm -f "$FIG_TMP"
+trap - EXIT
 
 echo "== regression gate (exact simulated series vs BENCH_baseline.json) =="
 # The gate's own tests (injected regressions fail naming the metric,

@@ -74,7 +74,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
         for m in InterferenceMutation::all() {
             let mutated = m.apply();
             let expected = m.expected_rule().id();
-            let report = schedcheck::check_schedule_with_spans(&mutated.trace, &mutated.spans);
+            let report = schedcheck::check_schedule(&mutated.trace);
             let killed = report.errors().any(|d| d.rule.id() == expected);
             let located = report
                 .errors()

@@ -22,6 +22,5 @@ pub mod descriptor;
 pub mod engine;
 pub mod partition;
 
-pub use descriptor::{Descriptor, DescriptorLoop, Direction};
 pub use engine::{DmsCost, DmsEngine};
 pub use partition::{HwPartitioner, PartitionStrategy};

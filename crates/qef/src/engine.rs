@@ -815,12 +815,9 @@ impl<'e> Run<'e> {
                     },
                 )?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.stage(
-                    &t2,
-                    "groupby.aggregate",
-                    batch_rows(&out),
-                    Detail::default(),
-                );
+                // A group table per partition: the stage the verifier derives
+                // from `task::group_consume_decl`, under its name.
+                self.stage(&t2, "groupby.consume", batch_rows(&out), Detail::default());
                 out
             }
         };

@@ -251,6 +251,26 @@ pub struct ColMeta {
 impl PlanNode {
     /// Compute the output column metadata of this plan against a catalog.
     pub fn output_meta(&self, catalog: &Catalog) -> QefResult<Vec<ColMeta>> {
+        self.output_meta_from(catalog, |edge| {
+            self.inputs()
+                .nth(edge)
+                .map_or_else(|| Ok(Vec::new()), |input| input.output_meta(catalog))
+        })
+    }
+
+    /// This node's output metadata from its inputs': `input(edge)` is the
+    /// metadata of input `edge` in [`inputs`](Self::inputs) order, asked for
+    /// where the output is derived from it (not a semi join's build side, not
+    /// a set operation's right) and of a Map's input, which its output
+    /// replaces, to validate it. The one place column names, aggregate types,
+    /// outer-join nullability and dictionary provenance are derived:
+    /// [`output_meta`](Self::output_meta) recurses through it, and the
+    /// verifier calls it with the metadata its walk already holds.
+    pub fn output_meta_from(
+        &self,
+        catalog: &Catalog,
+        mut input: impl FnMut(usize) -> QefResult<Vec<ColMeta>>,
+    ) -> QefResult<Vec<ColMeta>> {
         match self {
             PlanNode::Scan { table, columns, .. } => {
                 let t = catalog
@@ -273,12 +293,13 @@ impl PlanNode {
                     })
                     .collect()
             }
-            PlanNode::Filter { input, .. }
-            | PlanNode::TopK { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Limit { input, .. } => input.output_meta(catalog),
-            PlanNode::Map { input, exprs } => {
-                let _ = input.output_meta(catalog)?; // validates the child
+            PlanNode::Filter { .. }
+            | PlanNode::TopK { .. }
+            | PlanNode::Sort { .. }
+            | PlanNode::Limit { .. }
+            | PlanNode::SetOp { .. } => input(0),
+            PlanNode::Map { exprs, .. } => {
+                input(0)?;
                 Ok(exprs
                     .iter()
                     .map(|e| ColMeta {
@@ -290,34 +311,20 @@ impl PlanNode {
                     })
                     .collect())
             }
-            PlanNode::HashJoin {
-                build,
-                probe,
-                join_type,
-                ..
-            } => {
-                let p = probe.output_meta(catalog)?;
+            PlanNode::HashJoin { join_type, .. } => {
+                let mut out = input(1)?;
                 match join_type {
-                    JoinType::LeftSemi | JoinType::LeftAnti => Ok(p),
-                    JoinType::Inner => {
-                        let mut out = p;
-                        out.extend(build.output_meta(catalog)?);
-                        Ok(out)
-                    }
-                    JoinType::LeftOuter => {
-                        let mut out = p;
-                        out.extend(build.output_meta(catalog)?.into_iter().map(|mut m| {
-                            m.nullable = true;
-                            m
-                        }));
-                        Ok(out)
-                    }
+                    JoinType::LeftSemi | JoinType::LeftAnti => {}
+                    JoinType::Inner => out.extend(input(0)?),
+                    JoinType::LeftOuter => out.extend(input(0)?.into_iter().map(|mut m| {
+                        m.nullable = true;
+                        m
+                    })),
                 }
+                Ok(out)
             }
-            PlanNode::GroupBy {
-                input, keys, aggs, ..
-            } => {
-                let im = input.output_meta(catalog)?;
+            PlanNode::GroupBy { keys, aggs, .. } => {
+                let im = input(0)?;
                 let mut out = Vec::with_capacity(keys.len() + aggs.len());
                 for &k in keys {
                     out.push(im.get(k).cloned().ok_or(QefError::BadColumn {
@@ -353,9 +360,8 @@ impl PlanNode {
                 }
                 Ok(out)
             }
-            PlanNode::SetOp { left, .. } => left.output_meta(catalog),
-            PlanNode::Window { input, func, .. } => {
-                let mut out = input.output_meta(catalog)?;
+            PlanNode::Window { func, .. } => {
+                let mut out = input(0)?;
                 let (name, dtype, scale) = match func {
                     WindowFunc::Rank => ("rank".to_string(), DataType::Int, 0),
                     WindowFunc::RowNumber => ("row_number".to_string(), DataType::Int, 0),

@@ -1,10 +1,10 @@
 //! Rules, diagnostics and the verification report.
 //!
 //! Every check the verifier performs is named by a [`Rule`] with a stable
-//! id. Diagnostics carry the rule id, the plan node's pre-order id (the
-//! same numbering the engine's tracer assigns, so a diagnostic points at
-//! the exact stage an `EXPLAIN ANALYZE` would show) and the operator path
-//! from the plan root.
+//! id, and [`Rule::ALL`] lists them. Diagnostics carry the rule id, the
+//! plan node's pre-order id (the same numbering the engine's tracer
+//! assigns, so a diagnostic points at the exact stage an `EXPLAIN ANALYZE`
+//! would show) and the operator path from the plan root.
 
 use std::fmt;
 
@@ -21,17 +21,13 @@ pub enum Severity {
 /// Every invariant the verifier checks, named by a stable rule id.
 ///
 /// `S-*` are structural IR rules, `R-*` resource rules from the paper's
-/// hardware model (32 KiB DMEM, DMS fan-out, descriptor well-formedness),
-/// `A-*` accounting rules (declared cost-model parameters vs what the
-/// engine executes), `C-*` concurrency rules checked by the schedule
-/// interference analyzer over a completed run's placement trace. See
-/// README/EXPERIMENTS.md for the rule table with paper justifications.
+/// hardware model (32 KiB DMEM, DMS fan-out), `A-*` accounting rules
+/// (declared cost-model parameters vs what the engine executes), `C-*`
+/// concurrency rules checked by the schedule interference analyzer over a
+/// completed run's placement trace. See README/EXPERIMENTS.md for the rule
+/// table with paper justifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Stage DAG must be acyclic.
-    DagCycle,
-    /// No stage may consume a temp produced later in the schedule.
-    UseBeforeDef,
     /// Every column reference must be within its input's arity.
     ColBounds,
     /// Join key lists must be non-empty and of equal length.
@@ -50,16 +46,6 @@ pub enum Rule {
     HashBits,
     /// Per-round fan-out is capped by the 16-row minimum DMS burst.
     FanoutBuffer,
-    /// No zero-length descriptors.
-    DescEmpty,
-    /// Descriptor element width must be 1, 2, 4 or 8 bytes.
-    DescWidth,
-    /// Concurrently-live DMEM buffer spans must not overlap.
-    DescOverlap,
-    /// Buffer spans must lie inside DMEM.
-    DescRange,
-    /// Partition write targets must be below the fan-out.
-    PartTarget,
     /// The declared tile size must be at least the 64-row minimum vector.
     TileMin,
     /// An on-the-fly group-by must fit its statically-known NDV in DMEM.
@@ -83,20 +69,38 @@ pub enum Rule {
     /// Each placement's per-core DMEM peak must fit the query's 32 KiB
     /// scratchpad budget.
     QueryBudget,
-    /// Concurrent same-core stages must not target overlapping DMEM
-    /// descriptor live spans.
-    SpanAlias,
     /// A stage must not be dispatched before its program-order
     /// predecessor completes (the lost-wakeup shape).
     LostWakeup,
 }
 
 impl Rule {
+    /// Every rule, plan rules first: a variant added above belongs here,
+    /// and a mutation that trips it in `mutate` or `schedcheck`.
+    pub const ALL: [Rule; 18] = [
+        Rule::ColBounds,
+        Rule::JoinArity,
+        Rule::TypeMismatch,
+        Rule::Schema,
+        Rule::DmemFit,
+        Rule::FanoutPow2,
+        Rule::HashBits,
+        Rule::FanoutBuffer,
+        Rule::TileMin,
+        Rule::GroupLimit,
+        Rule::SchemeCores,
+        Rule::HbCycle,
+        Rule::StealOrder,
+        Rule::DmsExcl,
+        Rule::CoreExcl,
+        Rule::DmemCap,
+        Rule::QueryBudget,
+        Rule::LostWakeup,
+    ];
+
     /// The stable rule id used in diagnostics and documentation.
     pub fn id(&self) -> &'static str {
         match self {
-            Rule::DagCycle => "S-DAG-CYCLE",
-            Rule::UseBeforeDef => "S-USE-BEFORE-DEF",
             Rule::ColBounds => "S-COL-BOUNDS",
             Rule::JoinArity => "S-JOIN-ARITY",
             Rule::TypeMismatch => "S-TYPE-MISMATCH",
@@ -105,11 +109,6 @@ impl Rule {
             Rule::FanoutPow2 => "R-FANOUT-POW2",
             Rule::HashBits => "R-HASH-BITS",
             Rule::FanoutBuffer => "R-FANOUT-BUFFER",
-            Rule::DescEmpty => "R-DESC-EMPTY",
-            Rule::DescWidth => "R-DESC-WIDTH",
-            Rule::DescOverlap => "R-DESC-OVERLAP",
-            Rule::DescRange => "R-DESC-RANGE",
-            Rule::PartTarget => "R-PART-TARGET",
             Rule::TileMin => "A-TILE-MIN",
             Rule::GroupLimit => "A-GROUP-LIMIT",
             Rule::SchemeCores => "A-SCHEME-CORES",
@@ -119,7 +118,6 @@ impl Rule {
             Rule::CoreExcl => "C-CORE-EXCL",
             Rule::DmemCap => "C-DMEM-CAP",
             Rule::QueryBudget => "C-QUERY-BUDGET",
-            Rule::SpanAlias => "C-SPAN-ALIAS",
             Rule::LostWakeup => "C-LOST-WAKEUP",
         }
     }
@@ -209,7 +207,8 @@ pub struct StageReport {
     pub fanouts: Vec<usize>,
     /// Hash bits the scheme consumes (partition stages only).
     pub hash_bits: u32,
-    /// Descriptors per loop iteration in the derived DMS program.
+    /// Descriptors per loop iteration: one per stream buffer, two buffers a
+    /// stream when double-buffered; none where the stage does not fit.
     pub descriptors: usize,
     /// Scan stages only: columns the scan moves, and columns its table has.
     pub scan_columns: Option<(usize, usize)>,
@@ -317,37 +316,9 @@ mod tests {
 
     #[test]
     fn rule_ids_are_unique_and_stable() {
-        let all = [
-            Rule::DagCycle,
-            Rule::UseBeforeDef,
-            Rule::ColBounds,
-            Rule::JoinArity,
-            Rule::TypeMismatch,
-            Rule::Schema,
-            Rule::DmemFit,
-            Rule::FanoutPow2,
-            Rule::HashBits,
-            Rule::FanoutBuffer,
-            Rule::DescEmpty,
-            Rule::DescWidth,
-            Rule::DescOverlap,
-            Rule::DescRange,
-            Rule::PartTarget,
-            Rule::TileMin,
-            Rule::GroupLimit,
-            Rule::SchemeCores,
-            Rule::HbCycle,
-            Rule::StealOrder,
-            Rule::DmsExcl,
-            Rule::CoreExcl,
-            Rule::DmemCap,
-            Rule::QueryBudget,
-            Rule::SpanAlias,
-            Rule::LostWakeup,
-        ];
-        let ids: std::collections::HashSet<&str> = all.iter().map(|r| r.id()).collect();
-        assert_eq!(ids.len(), all.len());
-        for r in &all {
+        let ids: std::collections::HashSet<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
+        assert_eq!(ids.len(), Rule::ALL.len());
+        for r in &Rule::ALL {
             let id = r.id();
             assert!(
                 id.starts_with("S-")

@@ -1,21 +1,18 @@
-//! rapid-verify: static plan and DMS-descriptor verifier.
+//! rapid-verify: static plan verifier and schedule interference analyzer.
 //!
 //! A compiled physical plan is a program for the simulated RAPID DPU: a
-//! DAG of engine stages, each of which tiles its input through the 32 KiB
+//! tree of engine stages, each of which tiles its input through the 32 KiB
 //! DMEM scratchpad with DMS descriptor transfers and (for joins and
 //! partitioned aggregations) hash-partitions rows across dpCores. This
-//! crate checks such programs *statically*, before a single row moves:
+//! crate checks such programs *statically*, before a single row moves,
+//! and checks nothing it builds itself — only the plan:
 //!
-//! * **Structural rules (`S-*`)** — the stage DAG is acyclic and
-//!   schedulable, every column reference is in bounds, join key lists
-//!   agree in arity and type (including dictionary provenance for
-//!   encoded varchars), and every scanned table resolves.
+//! * **Structural rules (`S-*`)** — every column reference is in bounds,
+//!   join key lists agree in arity and type (including dictionary
+//!   provenance for encoded varchars), and every scanned table resolves.
 //! * **Resource rules (`R-*`)** — each stage's working set fits DMEM at a
-//!   minimum 64-row vector, partition fan-outs are powers of two within
-//!   the schedulable hash bits and the local-buffer limit, and the
-//!   derived descriptor programs are well-formed (no empty transfers,
-//!   legal element widths, non-overlapping in-range buffer spans, valid
-//!   partition targets).
+//!   minimum 64-row vector, and partition fan-outs are powers of two
+//!   within the schedulable hash bits and the local-buffer limit.
 //! * **Accounting rules (`A-*`)** — declared cost-model parameters match
 //!   what the engine will execute: the configured tile is at least the
 //!   minimum vector, and an on-the-fly aggregation's statically-known
@@ -24,8 +21,8 @@
 //!   a completed scheduler run's placement trace against the
 //!   interference invariants: an acyclic happens-before order the record
 //!   order linearizes to, exclusivity of the single DMS engine and of
-//!   each dpCore, DMEM capacity/budget at every placement boundary, no
-//!   descriptor live-span aliasing, and no lost-wakeup dispatches.
+//!   each dpCore, DMEM capacity/budget at every placement boundary, and
+//!   no lost-wakeup dispatches.
 //!
 //! All DMEM arithmetic is shared with the engine via `rapid_qef::budget`,
 //! so the static verdict and the runtime tile choice cannot drift apart.
@@ -39,19 +36,18 @@
 //! debug builds and panic on a finding; the fuzzer's concurrent mode calls
 //! it after every batch, in release too; and `rapid-report
 //! verify|schedcheck` sweep TPC-H and the fuzz corpus in CI. The [`mutate`]
-//! harness proves each rule actually fires by corrupting known-good plans
-//! and schedules, one mutation class per rule.
+//! harness and [`schedcheck::InterferenceMutation`] prove each rule of
+//! [`Rule::ALL`] actually fires by corrupting known-good plans and
+//! schedules, at least one mutation class per rule.
 
 #![warn(missing_docs)]
 
 pub mod diag;
-pub mod dms;
 pub mod mutate;
 pub mod schedcheck;
 pub mod stage;
 
 pub use diag::{Diagnostic, Rule, Severity, StageReport, VerifyReport};
-pub use stage::StageGraph;
 
 use rapid_qef::exec::ExecContext;
 use rapid_qef::plan::{Catalog, PlanNode};

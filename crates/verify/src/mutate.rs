@@ -6,9 +6,9 @@
 //! physical plan that verifies **clean** under the default configuration,
 //! then provides one mutation per invariant class — swap a column
 //! reference out of bounds, inflate a fan-out past the DMS buffer limit,
-//! break a descriptor span, introduce a cycle — each of which must
-//! produce a diagnostic carrying its rule id. The `mutations` integration
-//! test asserts exactly that, for every class.
+//! shrink DMEM under the working set — each of which must produce a
+//! diagnostic carrying its rule id. The `mutations` integration test
+//! asserts exactly that, for every class.
 
 use std::sync::Arc;
 
@@ -21,8 +21,6 @@ use rapid_storage::table::TableBuilder;
 use rapid_storage::types::{DataType, Value};
 
 use crate::diag::Rule;
-use crate::dms::{self, DmsProgram};
-use crate::stage::StageGraph;
 use crate::VerifyConfig;
 
 /// Two-table demo catalog: a 2000-row fact table (unique `id`, 3-distinct
@@ -136,25 +134,23 @@ pub fn base_plan() -> PlanNode {
     }
 }
 
-/// A well-formed descriptor program (two double-buffered streams after a
-/// 64-byte state block, 32-way partition targets) for program-level
-/// mutations to corrupt.
-pub fn demo_program() -> DmsProgram {
-    dms::derive_program(64, &[8, 4], 256, true, Some(32), 32 * 1024)
-}
-
-/// What a mutation produced: the corrupted artifact to re-verify.
+/// What a mutation produced: the corrupted input to re-verify.
 #[derive(Debug, Clone)]
 pub enum Mutated {
     /// A corrupted physical plan (verify with [`crate::verify`]).
     Plan(PlanNode),
-    /// A corrupted stage graph (check with [`StageGraph::check`]).
-    Graph(StageGraph),
-    /// A corrupted descriptor program (check with
-    /// [`crate::dms::check_program`]).
-    Program(DmsProgram),
     /// A corrupted engine configuration (verify the base plan under it).
     Config(VerifyConfig),
+}
+
+impl Mutated {
+    /// Verify what the mutation produced against `catalog`.
+    pub fn verify(&self, catalog: &Catalog) -> crate::VerifyReport {
+        match self {
+            Mutated::Plan(p) => crate::verify(p, catalog, &VerifyConfig::default()),
+            Mutated::Config(cfg) => crate::verify(&base_plan(), catalog, cfg),
+        }
+    }
 }
 
 /// One mutation class per verifier rule.
@@ -168,10 +164,6 @@ pub enum Mutation {
     MismatchJoinKeyTypes,
     /// Scan re-pointed at a table that is not in the catalog.
     CorruptSchema,
-    /// Back edge added from a leaf scan to the plan root.
-    IntroduceCycle,
-    /// Root stage moved to the front of the execution schedule.
-    SwapScheduleOrder,
     /// Partition round fan-out set to 24 (not a power of two).
     NonPow2Fanout,
     /// Three 1024-way rounds: 30 hash bits against a 28-bit budget.
@@ -191,16 +183,6 @@ pub enum Mutation {
     TileBelowMin,
     /// On-the-fly group-by re-keyed to the 2000-distinct column.
     OnTheFlyOverLimit,
-    /// Descriptor transferring zero bytes.
-    ZeroLenDescriptor,
-    /// Descriptor with a 3-byte element width.
-    BadDescWidth,
-    /// Two live buffer spans overlapping in DMEM.
-    OverlapSpans,
-    /// Buffer span extending past the end of DMEM.
-    OutOfRangeSpan,
-    /// Partition write target equal to the fan-out.
-    BadPartitionTarget,
 }
 
 impl Mutation {
@@ -213,8 +195,6 @@ impl Mutation {
             BreakJoinArity,
             MismatchJoinKeyTypes,
             CorruptSchema,
-            IntroduceCycle,
-            SwapScheduleOrder,
             NonPow2Fanout,
             ExcessHashBits,
             OverFanout,
@@ -224,11 +204,6 @@ impl Mutation {
             InflatePastDmem,
             TileBelowMin,
             OnTheFlyOverLimit,
-            ZeroLenDescriptor,
-            BadDescWidth,
-            OverlapSpans,
-            OutOfRangeSpan,
-            BadPartitionTarget,
         ]
     }
 
@@ -239,8 +214,6 @@ impl Mutation {
             Mutation::BreakJoinArity => Rule::JoinArity,
             Mutation::MismatchJoinKeyTypes => Rule::TypeMismatch,
             Mutation::CorruptSchema => Rule::Schema,
-            Mutation::IntroduceCycle => Rule::DagCycle,
-            Mutation::SwapScheduleOrder => Rule::UseBeforeDef,
             Mutation::NonPow2Fanout => Rule::FanoutPow2,
             Mutation::ExcessHashBits => Rule::HashBits,
             Mutation::OverFanout => Rule::FanoutBuffer,
@@ -250,15 +223,10 @@ impl Mutation {
             Mutation::InflatePastDmem => Rule::DmemFit,
             Mutation::TileBelowMin => Rule::TileMin,
             Mutation::OnTheFlyOverLimit => Rule::GroupLimit,
-            Mutation::ZeroLenDescriptor => Rule::DescEmpty,
-            Mutation::BadDescWidth => Rule::DescWidth,
-            Mutation::OverlapSpans => Rule::DescOverlap,
-            Mutation::OutOfRangeSpan => Rule::DescRange,
-            Mutation::BadPartitionTarget => Rule::PartTarget,
         }
     }
 
-    /// Apply the mutation to the appropriate known-good artifact.
+    /// Apply the mutation to the known-good plan or configuration.
     pub fn apply(self) -> Mutated {
         match self {
             Mutation::SwapColumnRef => Mutated::Plan(plan_mut(|p| {
@@ -283,21 +251,6 @@ impl Mutation {
                     }
                 }
             })),
-            Mutation::IntroduceCycle => {
-                let mut g = StageGraph::from_plan(&base_plan());
-                // The last pre-order node is the probe scan; feeding it the
-                // root's output closes a cycle.
-                if let Some(leaf) = g.nodes.last_mut() {
-                    leaf.inputs.push(0);
-                }
-                Mutated::Graph(g)
-            }
-            Mutation::SwapScheduleOrder => {
-                let mut g = StageGraph::from_plan(&base_plan());
-                let last = g.schedule.len() - 1;
-                g.schedule.swap(0, last); // root now runs first
-                Mutated::Graph(g)
-            }
             Mutation::NonPow2Fanout => Mutated::Plan(set_scheme(vec![24])),
             Mutation::ExcessHashBits => Mutated::Plan(set_scheme(vec![1024, 1024, 1024])),
             Mutation::OverFanout => Mutated::Plan(set_scheme(vec![256])),
@@ -317,33 +270,6 @@ impl Mutation {
                     *keys = vec![0]; // fact.id: 2000 distinct values
                 }
             })),
-            Mutation::ZeroLenDescriptor => {
-                let mut p = demo_program();
-                p.transfers[0].desc.rows = 0;
-                p.transfers[0].span.len = 0;
-                Mutated::Program(p)
-            }
-            Mutation::BadDescWidth => {
-                let mut p = demo_program();
-                p.transfers[0].desc.width = 3;
-                Mutated::Program(p)
-            }
-            Mutation::OverlapSpans => {
-                let mut p = demo_program();
-                p.transfers[1].span.offset = p.transfers[0].span.offset + 8;
-                Mutated::Program(p)
-            }
-            Mutation::OutOfRangeSpan => {
-                let mut p = demo_program();
-                let last = p.transfers.len() - 1;
-                p.transfers[last].span.offset = p.dmem_bytes - 16;
-                Mutated::Program(p)
-            }
-            Mutation::BadPartitionTarget => {
-                let mut p = demo_program();
-                p.partition_targets.push(32);
-                Mutated::Program(p)
-            }
         }
     }
 }
@@ -419,13 +345,6 @@ mod tests {
                 ("groupby.consume", ""),
             ]
         );
-    }
-
-    #[test]
-    fn demo_program_is_well_formed() {
-        let mut r = crate::VerifyReport::default();
-        dms::check_program(&demo_program(), 0, "demo", &mut r);
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     }
 
     #[test]

@@ -20,15 +20,14 @@
 //!   single shared DMS engine or hold the same dpCore at the same
 //!   instant. The timeline derives both windows with exact f64 `max`
 //!   operations (never a subtract-and-re-add round trip), so these are
-//!   strict comparisons with zero false positives.
+//!   strict comparisons with zero false positives. Two stages on one core
+//!   at once are one finding, `C-CORE-EXCL`: a stage's buffers are
+//!   bump-allocated from offset 0 of its core's scratchpad, so stages that
+//!   share a core in time share its DMEM as well.
 //! * **`C-DMEM-CAP` / `C-QUERY-BUDGET`** — at every placement boundary
 //!   the live placements' aggregate footprint `Σ lanes × dmem_peak` fits
 //!   `cores × dmem_bytes`, and each stage's per-core peak fits the
 //!   query's scratchpad budget.
-//! * **`C-SPAN-ALIAS`** — same-core, time-overlapping stages must not
-//!   target overlapping DMEM descriptor live spans. Spans default to the
-//!   bump-allocator region `[0, dmem_peak)` and can be supplied
-//!   explicitly from verified [`DmsProgram`](crate::dms::DmsProgram)s.
 //! * **`C-LOST-WAKEUP`** — no stage is dispatched before its
 //!   program-order predecessor completes, and none starts before its own
 //!   ready instant (the lost-wakeup shape).
@@ -46,11 +45,6 @@ use rapid_sched::timeline::PlacementRecord;
 use rapid_sched::trace::SchedTrace;
 
 use crate::diag::{Diagnostic, Rule, VerifyReport};
-use crate::dms::Span;
-
-/// Explicit descriptor live spans per `(query_id, seq)` placement,
-/// typically lifted from verified [`DmsProgram`](crate::dms::DmsProgram)s.
-pub type SpanMap = HashMap<(u64, u64), Vec<Span>>;
 
 /// Above this many placements the analyzer skips vector-clock
 /// construction (quadratic in admission-chained queries) and relies on
@@ -66,15 +60,8 @@ struct Edge {
     kind: &'static str,
 }
 
-/// Check a schedule trace; spans default to each placement's
-/// bump-allocator region `[0, dmem_peak)`.
+/// Check a schedule trace against every `C-*` rule.
 pub fn check_schedule(trace: &SchedTrace) -> VerifyReport {
-    check_schedule_with_spans(trace, &SpanMap::new())
-}
-
-/// Check a schedule trace with explicit descriptor live spans for some
-/// (or all) placements.
-pub fn check_schedule_with_spans(trace: &SchedTrace, spans: &SpanMap) -> VerifyReport {
     let mut report = VerifyReport::default();
     let recs = &trace.placements;
     if recs.is_empty() {
@@ -85,9 +72,9 @@ pub fn check_schedule_with_spans(trace: &SchedTrace, spans: &SpanMap) -> VerifyR
     check_linear_extension(recs, &edges, &mut report);
     let clocks = check_acyclic(recs, &edges, &mut report);
     check_dms_exclusive(recs, clocks.as_ref(), &mut report);
-    check_cores_and_spans(trace, spans, clocks.as_ref(), &mut report);
+    check_cores(trace, clocks.as_ref(), &mut report);
     check_dmem(trace, &mut report);
-    check_program_order(recs, &mut report);
+    check_dispatch_order(recs, &mut report);
     report
 }
 
@@ -393,44 +380,9 @@ fn check_dms_exclusive(
     }
 }
 
-/// The descriptor live spans of one placement: explicit if supplied,
-/// otherwise the bump-allocator region `[0, dmem_peak)`.
-fn live_spans(r: &PlacementRecord, spans: &SpanMap) -> Vec<Span> {
-    if let Some(s) = spans.get(&(r.query_id, r.seq)) {
-        return s.clone();
-    }
-    if r.dmem_peak > 0 {
-        vec![Span {
-            offset: 0,
-            len: r.dmem_peak as usize,
-        }]
-    } else {
-        Vec::new()
-    }
-}
-
-fn spans_alias(a: &[Span], b: &[Span]) -> Option<(Span, Span)> {
-    for &x in a {
-        for &y in b {
-            if x.len > 0 && y.len > 0 && x.offset < y.offset + y.len && y.offset < x.offset + x.len
-            {
-                return Some((x, y));
-            }
-        }
-    }
-    None
-}
-
-/// C-CORE-EXCL and C-SPAN-ALIAS: per physical core, placements holding
-/// the core must not overlap in time; when they do, overlapping DMEM
-/// descriptor spans are a second, distinct finding (the stages would
-/// corrupt each other's buffers, not merely contend).
-fn check_cores_and_spans(
-    trace: &SchedTrace,
-    spans: &SpanMap,
-    clocks: Option<&Vec<VectorClock>>,
-    report: &mut VerifyReport,
-) {
+/// C-CORE-EXCL: per physical core, placements holding the core must not
+/// overlap in time.
+fn check_cores(trace: &SchedTrace, clocks: Option<&Vec<VectorClock>>, report: &mut VerifyReport) {
     let recs = &trace.placements;
     for core in 0..trace.cores.min(64) {
         let bit = 1u64 << core;
@@ -456,23 +408,6 @@ fn check_cores_and_spans(
                         recs[j].end.get(),
                     ),
                 ));
-                if let Some((x, y)) =
-                    spans_alias(&live_spans(&recs[i], spans), &live_spans(&recs[j], spans))
-                {
-                    report.diagnostics.push(Diagnostic::new(
-                        Rule::SpanAlias,
-                        j,
-                        &pair_path(&recs[i], &recs[j]),
-                        format!(
-                            "concurrent stages alias DMEM on core {core}: \
-                             span [{}, {}) overlaps [{}, {})",
-                            x.offset,
-                            x.offset + x.len,
-                            y.offset,
-                            y.offset + y.len,
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -550,7 +485,7 @@ fn check_dmem(trace: &SchedTrace, report: &mut VerifyReport) {
 /// C-LOST-WAKEUP: program order must be respected in time — a stage is
 /// dispatched no earlier than its predecessor's completion and placed no
 /// earlier than its own ready instant.
-fn check_program_order(recs: &[PlacementRecord], report: &mut VerifyReport) {
+fn check_dispatch_order(recs: &[PlacementRecord], report: &mut VerifyReport) {
     for (i, r) in recs.iter().enumerate() {
         if r.start.get() < r.ready.get() {
             report.diagnostics.push(Diagnostic::new(
@@ -618,16 +553,13 @@ pub fn render(trace: &SchedTrace, report: &VerifyReport) -> String {
 // Mutation harness: one injected interference bug per C-* rule class.
 // ---------------------------------------------------------------------------
 
-/// A corrupted schedule trace plus the explicit spans it should be
-/// checked with.
+/// A corrupted schedule trace and the rule it must trip.
 #[derive(Debug)]
 pub struct MutatedTrace {
     /// Human-readable mutation name.
     pub name: &'static str,
     /// The corrupted trace.
     pub trace: SchedTrace,
-    /// Explicit descriptor spans (empty for most mutations).
-    pub spans: SpanMap,
     /// The rule the mutation must trip.
     pub expected: Rule,
 }
@@ -648,8 +580,6 @@ pub enum InterferenceMutation {
     OvercommitDmem,
     /// A placement's DMEM peak inflated past the scratchpad.
     ExceedQueryBudget,
-    /// Same-core concurrent stages given overlapping descriptor spans.
-    AliasSpans,
     /// A stage dispatched before its predecessor completed.
     EarlyPlace,
 }
@@ -664,7 +594,6 @@ impl InterferenceMutation {
             InterferenceMutation::DoubleBookCore,
             InterferenceMutation::OvercommitDmem,
             InterferenceMutation::ExceedQueryBudget,
-            InterferenceMutation::AliasSpans,
             InterferenceMutation::EarlyPlace,
         ]
     }
@@ -678,7 +607,6 @@ impl InterferenceMutation {
             InterferenceMutation::DoubleBookCore => Rule::CoreExcl,
             InterferenceMutation::OvercommitDmem => Rule::DmemCap,
             InterferenceMutation::ExceedQueryBudget => Rule::QueryBudget,
-            InterferenceMutation::AliasSpans => Rule::SpanAlias,
             InterferenceMutation::EarlyPlace => Rule::LostWakeup,
         }
     }
@@ -686,7 +614,6 @@ impl InterferenceMutation {
     /// Apply the mutation to a fresh [`base_trace`].
     pub fn apply(&self) -> MutatedTrace {
         let mut trace = base_trace();
-        let mut spans = SpanMap::new();
         // Base layout (see `base_trace`): record 0 = q0 stage 0 (compute,
         // cores {0,1}), record 1 = q0 stage 1 (DMS, core 2), record 2 =
         // q1 stage 0 (compute+DMS, cores {3,4}), record 3 = q2 stage 0
@@ -721,15 +648,12 @@ impl InterferenceMutation {
             }
             InterferenceMutation::DoubleBookCore => {
                 // Put q1 stage 0 on one of q0 stage 0's cores while both
-                // run; zero DMEM peaks keep the spans empty so only the
-                // core conflict fires.
-                trace.placements[0].dmem_peak = 0;
+                // run.
                 let bit =
                     trace.placements[0].core_mask & trace.placements[0].core_mask.wrapping_neg();
                 let r = &mut trace.placements[2];
                 r.core_mask = bit;
                 r.lanes = 1;
-                r.dmem_peak = 0;
                 "double-book-core: two stages hold one core at once"
             }
             InterferenceMutation::OvercommitDmem => {
@@ -744,33 +668,6 @@ impl InterferenceMutation {
                 let r = &mut trace.placements[3];
                 r.dmem_peak = 40_000;
                 "exceed-query-budget: stage peak above the 32 KiB scratchpad"
-            }
-            InterferenceMutation::AliasSpans => {
-                // Same double-booking shape, but with explicit verified
-                // descriptor spans that overlap: the stages would corrupt
-                // each other's DMEM buffers.
-                let bit =
-                    trace.placements[0].core_mask & trace.placements[0].core_mask.wrapping_neg();
-                let r = &mut trace.placements[2];
-                r.core_mask = bit;
-                r.lanes = 1;
-                let q0 = (trace.placements[0].query_id, trace.placements[0].seq);
-                let q1 = (trace.placements[2].query_id, trace.placements[2].seq);
-                spans.insert(
-                    q0,
-                    vec![Span {
-                        offset: 0,
-                        len: 4096,
-                    }],
-                );
-                spans.insert(
-                    q1,
-                    vec![Span {
-                        offset: 2048,
-                        len: 4096,
-                    }],
-                );
-                "alias-spans: concurrent same-core stages share DMEM bytes"
             }
             InterferenceMutation::EarlyPlace => {
                 // q0 stage 1 dispatched at 500, before stage 0's barrier
@@ -788,7 +685,6 @@ impl InterferenceMutation {
         MutatedTrace {
             name,
             trace,
-            spans,
             expected: self.expected_rule(),
         }
     }
@@ -900,7 +796,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for m in InterferenceMutation::all() {
             let mutated = m.apply();
-            let report = check_schedule_with_spans(&mutated.trace, &mutated.spans);
+            let report = check_schedule(&mutated.trace);
             assert!(!report.ok(), "{}: mutation must be rejected", mutated.name);
             let hit: Vec<&Diagnostic> = report
                 .diagnostics
@@ -980,10 +876,7 @@ mod tests {
         let clean = render(&trace, &check_schedule(&trace));
         assert!(clean.contains("PASS"));
         let mutated = InterferenceMutation::OverlapDms.apply();
-        let text = render(
-            &mutated.trace,
-            &check_schedule_with_spans(&mutated.trace, &mutated.spans),
-        );
+        let text = render(&mutated.trace, &check_schedule(&mutated.trace));
         assert!(text.contains("FAIL"));
         assert!(text.contains("C-DMS-EXCL"));
     }

@@ -1,25 +1,26 @@
-//! Stage-graph construction and the structural/resource/accounting walk.
+//! The structural/resource/accounting walk.
 //!
-//! [`StageGraph::from_plan`] assigns every plan node the same pre-order id
-//! the engine's tracer uses, so diagnostics line up with `EXPLAIN
-//! ANALYZE` output, and derives the post-order execution schedule the
-//! engine follows. [`check_plan`] then walks the plan once, deriving the
-//! engine stages each node executes as (a join is two partition passes
-//! plus a pair-join stage) and checking every rule in
-//! [`crate::diag::Rule`] against them.
+//! [`check_plan`] walks the plan once, numbering nodes in the pre-order the
+//! engine's tracer uses — so a diagnostic or a stage row points at the node
+//! `EXPLAIN ANALYZE` shows — deriving the engine stages each node executes
+//! as (a join is two partition passes plus a pair-join stage) and checking
+//! every rule in [`crate::diag::Rule`] against them. The plan is a tree the
+//! engine runs bottom-up, so no schedule of it can be cyclic or use a stage
+//! before it ran; the walk checks what a plan can get wrong.
 //!
 //! A stage is a **task**: a scan-fed chain (`PlanNode::scan_chain`) runs as
 //! one, and its consumer's first stage is the task's last operator wherever
 //! the engine puts it there — `PlanNode::input_task`, the one rule both
 //! call. The walk derives the same tasks the engine runs, from the same
 //! declarations (`rapid_qef::task`, `rapid_qef::budget::OpDecl`): R-DMEM-FIT
-//! is checked on the working set the operators hold together and the
-//! R-DESC-* rules on their concatenated descriptor program. All DMEM
+//! is checked on the working set the operators hold together. All DMEM
 //! arithmetic comes from `rapid_qef::budget`, the same module the engine
 //! sizes its vectors with — the static verdict and the runtime tile cannot
 //! drift apart — over the widths columns are stored and handed on in
 //! (`PlanNode::output_widths`): a stage's working set is what a lane of it
-//! holds in DMEM.
+//! holds in DMEM. What a node hands on is described by
+//! `PlanNode::output_meta_from`, the step the engine's metadata derives
+//! through, over the metadata the walk holds for its inputs.
 
 use rapid_qef::budget::{
     self, OpDecl, OpName, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
@@ -27,38 +28,14 @@ use rapid_qef::budget::{
 use rapid_qef::expr::Expr;
 use rapid_qef::ops::groupby::on_the_fly_group_limit;
 use rapid_qef::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
-use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::task;
 use rapid_storage::types::DataType;
 
 use crate::diag::{Diagnostic, Rule, StageReport, VerifyReport};
-use crate::dms;
 use crate::VerifyConfig;
 
-/// One node of the stage DAG.
-#[derive(Debug, Clone)]
-pub struct GraphNode {
-    /// Pre-order id (== the engine tracer's node id).
-    pub id: usize,
-    /// Operator label, e.g. `Scan(lineitem)` or `HashJoin`.
-    pub label: String,
-    /// Operator path from the plan root.
-    pub path: String,
-    /// Ids of the nodes whose output this node consumes.
-    pub inputs: Vec<usize>,
-}
-
-/// The stage DAG plus the post-order schedule the engine executes it in.
-#[derive(Debug, Clone)]
-pub struct StageGraph {
-    /// Nodes in pre-order.
-    pub nodes: Vec<GraphNode>,
-    /// Execution schedule (post-order: producers before consumers).
-    pub schedule: Vec<usize>,
-}
-
 /// Operator label of a plan node, as used in paths and diagnostics.
-pub fn node_label(plan: &PlanNode) -> String {
+fn node_label(plan: &PlanNode) -> String {
     match plan {
         PlanNode::Scan { table, .. } => format!("Scan({table})"),
         PlanNode::Filter { .. } => "Filter".into(),
@@ -73,120 +50,21 @@ pub fn node_label(plan: &PlanNode) -> String {
     }
 }
 
-impl StageGraph {
-    /// Build the graph from a plan, assigning pre-order ids.
-    pub fn from_plan(plan: &PlanNode) -> StageGraph {
-        let mut g = StageGraph {
-            nodes: Vec::new(),
-            schedule: Vec::new(),
-        };
-        g.add(plan, "");
-        g
-    }
-
-    fn add(&mut self, plan: &PlanNode, parent_path: &str) -> usize {
-        let id = self.nodes.len();
-        let label = node_label(plan);
-        let path = if parent_path.is_empty() {
-            label.clone()
-        } else {
-            format!("{parent_path}/{label}")
-        };
-        self.nodes.push(GraphNode {
-            id,
-            label,
-            path: path.clone(),
-            inputs: Vec::new(),
-        });
-        let inputs = match plan {
-            PlanNode::Scan { .. } => Vec::new(),
-            PlanNode::Filter { input, .. }
-            | PlanNode::Map { input, .. }
-            | PlanNode::GroupBy { input, .. }
-            | PlanNode::TopK { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Limit { input, .. }
-            | PlanNode::Window { input, .. } => vec![self.add(input, &path)],
-            PlanNode::HashJoin { build, probe, .. } => vec![
-                self.add(build, &format!("{path}.build")),
-                self.add(probe, &format!("{path}.probe")),
-            ],
-            PlanNode::SetOp { left, right, .. } => vec![
-                self.add(left, &format!("{path}.left")),
-                self.add(right, &format!("{path}.right")),
-            ],
-        };
-        self.nodes[id].inputs = inputs;
-        self.schedule.push(id);
-        id
-    }
-
-    /// Check S-DAG-CYCLE (Kahn's algorithm over producer->consumer edges)
-    /// and S-USE-BEFORE-DEF (every input produced earlier in the
-    /// schedule).
-    pub fn check(&self, report: &mut VerifyReport) {
-        let n = self.nodes.len();
-        let mut indeg: Vec<usize> = self.nodes.iter().map(|nd| nd.inputs.len()).collect();
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for nd in &self.nodes {
-            for &i in &nd.inputs {
-                if i < n {
-                    consumers[i].push(nd.id);
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(v) = queue.pop() {
-            seen += 1;
-            for &c in &consumers[v] {
-                indeg[c] -= 1;
-                if indeg[c] == 0 {
-                    queue.push(c);
-                }
-            }
-        }
-        if seen < n {
-            let stuck: Vec<&GraphNode> = self.nodes.iter().filter(|nd| indeg[nd.id] > 0).collect();
-            let chain = stuck
-                .iter()
-                .map(|nd| format!("{}#{}", nd.label, nd.id))
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            let first = stuck[0];
-            report.diagnostics.push(Diagnostic::new(
-                Rule::DagCycle,
-                first.id,
-                &first.path,
-                format!(
-                    "stage graph has a cycle through {chain}; no schedule can order these stages"
-                ),
-            ));
-        }
-        let mut produced = vec![false; n];
-        for &s in &self.schedule {
-            let Some(nd) = self.nodes.get(s) else {
-                continue;
-            };
-            for &i in &nd.inputs {
-                if !produced.get(i).copied().unwrap_or(false) {
-                    let src = self
-                        .nodes
-                        .get(i)
-                        .map_or_else(|| format!("#{i}"), |p| format!("{}#{}", p.label, p.id));
-                    report.diagnostics.push(Diagnostic::new(
-                        Rule::UseBeforeDef,
-                        nd.id,
-                        &nd.path,
-                        format!(
-                            "stage consumes the output of {src} before the schedule produces it"
-                        ),
-                    ));
-                }
-            }
-            produced[s] = true;
-        }
-    }
+/// `plan`'s output metadata from the metadata the walk holds for its inputs,
+/// in `PlanNode::inputs` order.
+fn meta_of<const N: usize>(
+    plan: &PlanNode,
+    catalog: &Catalog,
+    inputs: [Vec<ColMeta>; N],
+) -> Result<Vec<ColMeta>, ()> {
+    let mut inputs = inputs.map(Some);
+    plan.output_meta_from(catalog, |edge| {
+        Ok(inputs
+            .get_mut(edge)
+            .and_then(Option::take)
+            .unwrap_or_default())
+    })
+    .map_err(|_| ())
 }
 
 /// Configuration-level accounting checks (A-TILE-MIN).
@@ -205,11 +83,10 @@ fn check_config(cfg: &VerifyConfig, report: &mut VerifyReport) {
     }
 }
 
-/// Run every check over a plan: graph rules, configuration rules, then
-/// the per-node structural/resource/accounting walk.
+/// Run every check over a plan: configuration rules, then the per-node
+/// structural/resource/accounting walk.
 pub fn check_plan(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> VerifyReport {
     let mut report = VerifyReport::default();
-    StageGraph::from_plan(plan).check(&mut report);
     check_config(cfg, &mut report);
     let mut w = Walker {
         catalog,
@@ -247,9 +124,7 @@ impl Walker<'_> {
 
     /// Derive one engine stage — the task of `ops`, bottom first, reported
     /// under the label of the last: fit the working set the operators hold
-    /// together (R-DMEM-FIT), derive their DMS descriptor program at the
-    /// effective tile and check it (R-DESC-*, R-PART-TARGET), and record
-    /// the stage report.
+    /// together (R-DMEM-FIT) and record the stage report.
     fn stage(&mut self, node_id: usize, path: &str, ops: &[OpDecl<'_>], fanouts: Vec<usize>) {
         use std::fmt::Write;
         let mut label = String::with_capacity(32);
@@ -265,8 +140,8 @@ impl Walker<'_> {
             let _ = write!(operators, "{arrow}{}", op.name);
         }
         let state_bytes = budget::task_state(ops);
-        let stream_widths: Vec<usize> = budget::task_streams(ops).collect();
-        let per_row: usize = stream_widths.iter().sum();
+        let (streams, per_row) =
+            budget::task_streams(ops).fold((0, 0), |(n, bytes), w| (n + 1, bytes + w));
         let fit = budget::fit_tile(state_bytes, per_row, self.cfg.dmem_bytes);
         let eff = fit.map(|f| self.cfg.tile_rows.min(f.rows));
         let double = fit.is_some_and(|f| f.double_buffered);
@@ -288,19 +163,12 @@ impl Walker<'_> {
                 ),
             );
         }
-        let mut descriptors = 0;
-        if let Some(t) = eff {
-            let program = dms::derive_program(
-                state_bytes,
-                &stream_widths,
-                t,
-                double,
-                fanouts.first().copied(),
-                self.cfg.dmem_bytes,
-            );
-            descriptors = program.transfers.len();
-            dms::check_program(&program, node_id, path, self.report);
-        }
+        // A descriptor per stream buffer each loop iteration.
+        let descriptors = match (eff, double) {
+            (None, _) => 0,
+            (Some(_), false) => streams,
+            (Some(_), true) => 2 * streams,
+        };
         let tile = eff.unwrap_or(MIN_VECTOR_ROWS);
         let working_set = budget::working_set(state_bytes, per_row, tile, self.cfg.dmem_bytes);
         let hash_bits = fanouts
@@ -531,19 +399,7 @@ impl Walker<'_> {
                 self.chain_stage(plan, id, &path, in_task, || {
                     unreachable!("a scan is a chain")
                 });
-                let meta = columns
-                    .iter()
-                    .map(|&c| {
-                        let f = &t.schema.fields[c];
-                        ColMeta {
-                            name: f.name.clone(),
-                            dtype: f.dtype,
-                            scale: t.scales[c],
-                            dict: matches!(f.dtype, DataType::Varchar).then(|| (table.clone(), c)),
-                            nullable: f.nullable,
-                        }
-                    })
-                    .collect();
+                let meta = meta_of(plan, self.catalog, [])?;
                 let ndv = columns
                     .iter()
                     .map(|&c| t.stats.column(c).map(|s| s.ndv))
@@ -606,16 +462,7 @@ impl Walker<'_> {
                 self.chain_stage(plan, id, &path, in_task, || {
                     task::map_decl(&widths(), exprs)
                 });
-                let meta = exprs
-                    .iter()
-                    .map(|e| ColMeta {
-                        name: e.name.clone(),
-                        dtype: e.dtype,
-                        scale: e.scale,
-                        dict: e.dict.clone(),
-                        nullable: true,
-                    })
-                    .collect();
+                let meta = meta_of(plan, catalog, [info.meta])?;
                 let ndv = exprs
                     .iter()
                     .map(|e| match &e.expr {
@@ -636,7 +483,7 @@ impl Walker<'_> {
                 ..
             } => {
                 // Visit both children even if one fails, so pre-order ids
-                // stay aligned with the stage graph. Each side's partition
+                // stay aligned with the tracer's. Each side's partition
                 // pass is reported behind the input it reads.
                 let b = self.consumed(plan, 0, build, id, &path, &format!("{path}.build"), scheme);
                 let p = self.consumed(plan, 1, probe, id, &path, &format!("{path}.probe"), scheme);
@@ -721,21 +568,11 @@ impl Walker<'_> {
                     out_widths: vec![8, 8],
                 };
                 self.stage(id, &path, &[pairs], Vec::new());
-                let (mut meta, mut ndv) = (p.meta, p.ndv);
-                match join_type {
-                    JoinType::LeftSemi | JoinType::LeftAnti => {}
-                    JoinType::Inner => {
-                        meta.extend(b.meta);
-                        ndv.extend(b.ndv);
-                    }
-                    JoinType::LeftOuter => {
-                        meta.extend(b.meta.into_iter().map(|mut m| {
-                            m.nullable = true;
-                            m
-                        }));
-                        ndv.extend(b.ndv);
-                    }
+                let mut ndv = p.ndv;
+                if matches!(join_type, JoinType::Inner | JoinType::LeftOuter) {
+                    ndv.extend(b.ndv);
                 }
+                let meta = meta_of(plan, self.catalog, [b.meta, p.meta])?;
                 Ok(NodeInfo { meta, ndv })
             }
             PlanNode::GroupBy {
@@ -809,34 +646,10 @@ impl Walker<'_> {
                         task::group_consume_decl(keys, aggs, &widths, self.cfg.dmem_bytes);
                     self.stage(id, &path, &[consume], Vec::new());
                 }
-                let mut meta = Vec::with_capacity(keys.len() + aggs.len());
                 let mut ndv = Vec::with_capacity(keys.len() + aggs.len());
-                for &k in keys {
-                    meta.push(info.meta[k].clone());
-                    ndv.push(info.ndv[k]);
-                }
-                for a in aggs {
-                    let src = &info.meta[a.col];
-                    let (name, dtype, scale) = match a.func {
-                        AggFunc::Count => (format!("count_{}", src.name), DataType::Int, 0),
-                        AggFunc::Sum => (format!("sum_{}", src.name), src.dtype, src.scale),
-                        AggFunc::Avg => (format!("avg_{}", src.name), src.dtype, src.scale),
-                        AggFunc::Min => (format!("min_{}", src.name), src.dtype, src.scale),
-                        AggFunc::Max => (format!("max_{}", src.name), src.dtype, src.scale),
-                    };
-                    let dict = match a.func {
-                        AggFunc::Min | AggFunc::Max => src.dict.clone(),
-                        _ => None,
-                    };
-                    meta.push(ColMeta {
-                        name,
-                        dtype,
-                        scale,
-                        dict,
-                        nullable: true,
-                    });
-                    ndv.push(None);
-                }
+                ndv.extend(keys.iter().map(|&k| info.ndv[k]));
+                ndv.resize(keys.len() + aggs.len(), None);
+                let meta = meta_of(plan, self.catalog, [info.meta])?;
                 Ok(NodeInfo { meta, ndv })
             }
             PlanNode::TopK { input, order, .. } | PlanNode::Sort { input, order, .. } => {
@@ -912,11 +725,9 @@ impl Walker<'_> {
                     out_widths: Vec::new(),
                 };
                 self.stage(id, &path, &[setop], Vec::new());
-                let arity = l.meta.len();
-                Ok(NodeInfo {
-                    meta: l.meta,
-                    ndv: vec![None; arity],
-                })
+                let ndv = vec![None; l.meta.len()];
+                let meta = meta_of(plan, self.catalog, [l.meta, r.meta])?;
+                Ok(NodeInfo { meta, ndv })
             }
             PlanNode::Window {
                 input,
@@ -953,26 +764,9 @@ impl Walker<'_> {
                     out_widths: vec![8], // the appended column
                 };
                 self.stage(id, &path, &[window], Vec::new());
-                let mut meta = info.meta;
                 let mut ndv = info.ndv;
-                let (name, dtype, scale) = match func {
-                    rapid_qef::plan::WindowFunc::Rank => ("rank".to_string(), DataType::Int, 0),
-                    rapid_qef::plan::WindowFunc::RowNumber => {
-                        ("row_number".to_string(), DataType::Int, 0)
-                    }
-                    rapid_qef::plan::WindowFunc::RunningSum { col } => {
-                        let src = &meta[*col];
-                        (format!("running_sum_{}", src.name), src.dtype, src.scale)
-                    }
-                };
-                meta.push(ColMeta {
-                    name,
-                    dtype,
-                    scale,
-                    dict: None,
-                    nullable: false,
-                });
                 ndv.push(None);
+                let meta = meta_of(plan, self.catalog, [info.meta])?;
                 Ok(NodeInfo { meta, ndv })
             }
         }

@@ -1,10 +1,20 @@
-//! The mutation harness contract: every invariant class has a mutation,
-//! every mutation is rejected with its rule id, and the un-mutated
-//! artifacts verify clean.
+//! The mutation harness contract: every rule has a mutation, every mutation
+//! is rejected with its rule id, and the un-mutated plan verifies clean.
 
 use rapid_verify::diag::Severity;
 use rapid_verify::mutate::{base_plan, demo_catalog, Mutated, Mutation};
-use rapid_verify::{dms, verify, StageGraph, VerifyConfig, VerifyReport};
+use rapid_verify::schedcheck::InterferenceMutation;
+use rapid_verify::{verify, Rule, VerifyConfig};
+
+#[test]
+fn every_rule_is_the_expected_rule_of_a_mutation() {
+    let plan = Mutation::all().into_iter().map(Mutation::expected_rule);
+    let schedule = InterferenceMutation::all().into_iter();
+    let killed: Vec<Rule> = plan.chain(schedule.map(|m| m.expected_rule())).collect();
+    for rule in Rule::ALL {
+        assert!(killed.contains(&rule), "no mutation trips {}", rule.id());
+    }
+}
 
 #[test]
 fn base_artifacts_are_clean() {
@@ -27,20 +37,7 @@ fn every_mutation_class_is_rejected_with_its_rule_id() {
     let cat = demo_catalog();
     for m in Mutation::all() {
         let expected = m.expected_rule();
-        let report = match m.apply() {
-            Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
-            Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
-            Mutated::Graph(g) => {
-                let mut r = VerifyReport::default();
-                g.check(&mut r);
-                r
-            }
-            Mutated::Program(p) => {
-                let mut r = VerifyReport::default();
-                dms::check_program(&p, 0, "(program)", &mut r);
-                r
-            }
-        };
+        let report = m.apply().verify(&cat);
         let hit: Vec<_> = report
             .diagnostics
             .iter()
@@ -76,20 +73,7 @@ fn every_mutation_class_is_rejected_with_its_rule_id() {
 fn diagnostics_are_human_readable_and_located() {
     let cat = demo_catalog();
     for m in Mutation::all() {
-        let report = match m.apply() {
-            Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
-            Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
-            Mutated::Graph(g) => {
-                let mut r = VerifyReport::default();
-                g.check(&mut r);
-                r
-            }
-            Mutated::Program(p) => {
-                let mut r = VerifyReport::default();
-                dms::check_program(&p, 3, "GroupBy/Map/HashJoin", &mut r);
-                r
-            }
-        };
+        let report = m.apply().verify(&cat);
         let d = report
             .diagnostics
             .iter()
@@ -110,20 +94,7 @@ fn mutation_diagnostics_are_distinct_per_class() {
     let cat = demo_catalog();
     let mut seen = std::collections::HashSet::new();
     for m in Mutation::all() {
-        let report = match m.apply() {
-            Mutated::Plan(p) => verify(&p, &cat, &VerifyConfig::default()),
-            Mutated::Config(cfg) => verify(&base_plan(), &cat, &cfg),
-            Mutated::Graph(g) => {
-                let mut r = VerifyReport::default();
-                g.check(&mut r);
-                r
-            }
-            Mutated::Program(p) => {
-                let mut r = VerifyReport::default();
-                dms::check_program(&p, 0, "(program)", &mut r);
-                r
-            }
-        };
+        let report = m.apply().verify(&cat);
         let d = report
             .diagnostics
             .iter()
@@ -133,21 +104,6 @@ fn mutation_diagnostics_are_distinct_per_class() {
             seen.insert(format!("{} {}", d.rule.id(), d.message)),
             "{m:?} duplicates another class's diagnostic"
         );
-    }
-}
-
-#[test]
-fn stage_graph_matches_pre_order_walker_ids() {
-    // The graph's ids must agree with the walker's numbering, otherwise
-    // diagnostics from the two passes point at different nodes.
-    let cat = demo_catalog();
-    let plan = base_plan();
-    let g = StageGraph::from_plan(&plan);
-    let report = verify(&plan, &cat, &VerifyConfig::default());
-    assert_eq!(g.nodes.len(), 5); // GroupBy, Map, HashJoin, two scans
-    for s in &report.stages {
-        let node = &g.nodes[s.node_id];
-        assert_eq!(node.path, s.path, "stage {} path mismatch", s.stage);
     }
 }
 
@@ -302,7 +258,10 @@ fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
     assert_eq!(task.effective_tile, Some(256));
     assert_eq!(task.working_set_bytes, 128 + 16 * 1024 + 2 * 11 * 256);
     assert_eq!(task.scan_columns, Some((2, 5)));
-    assert_eq!(task.descriptors, 6, "the descriptor program of all three");
+    assert_eq!(
+        task.descriptors, 6,
+        "two buffers of each of the three streams"
+    );
     let line = whole.render(32 * 1024, 256);
     assert!(
         line.contains("cols 2/5  [scan(t_fact) -> map -> groupby.consume]"),

@@ -9,7 +9,8 @@ use dpu_sim::account::CycleAccount;
 use dpu_sim::clock::Cycles;
 use rapid_qef::exec::{StageProfile, StageRouter};
 use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
-use rapid_verify::schedcheck::{base_trace, check_trace, InterferenceMutation};
+use rapid_verify::schedcheck::{base_trace, check_schedule, check_trace, InterferenceMutation};
+use rapid_verify::Rule;
 
 /// Two queries on two host threads through a work-stealing scheduler:
 /// whatever order their stages arrived in, the recorded schedule is clean.
@@ -67,4 +68,23 @@ fn one_mutation_of_a_real_run_is_rejected_with_its_rule_id() {
             mutated.expected.id()
         );
     }
+}
+
+/// Two stages holding one core at once, each with the DMEM peak the real
+/// run recorded, are one finding: the core conflict, named once.
+#[test]
+fn a_double_booked_core_is_one_finding() {
+    let mutated = InterferenceMutation::DoubleBookCore.apply();
+    let peaks = |trace: &rapid_sched::trace::SchedTrace| {
+        trace
+            .placements
+            .iter()
+            .map(|p| p.dmem_peak)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(peaks(&mutated.trace), peaks(&base_trace()));
+    assert!(peaks(&mutated.trace).iter().all(|&peak| peak > 0));
+    let report = check_schedule(&mutated.trace);
+    let errors: Vec<Rule> = report.errors().map(|d| d.rule).collect();
+    assert_eq!(errors, [Rule::CoreExcl], "{}", report.error_summary());
 }

@@ -177,6 +177,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     let params = CostParams::default();
     let (mut tasks, mut fused_tasks, mut dms_bound, mut wide_rounds) = (0, 0, 0, 0);
     let mut other_path = Vec::new();
+    let mut underived = std::collections::BTreeSet::new();
     for (name, plan) in tpch::queries::all() {
         let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -209,13 +210,23 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             &catalog,
             &rapid::qcomp::verify_config(&params),
         );
-        let stage_of = |e: &StageEvent| {
+        let derived = |e: &StageEvent| {
             verified
                 .stages
                 .iter()
                 .find(|s| s.node_id == e.node_id as usize && s.stage == e.operator)
-                .unwrap_or_else(|| panic!("{name}: no {} stage verified", e.operator))
         };
+        let stage_of = |e: &StageEvent| {
+            derived(e).unwrap_or_else(|| panic!("{name}: no {} stage verified", e.operator))
+        };
+        // The verifier numbers nodes in the tracer's pre-order and names a
+        // stage as the engine does: every stage that ran is one it derived.
+        underived.extend(
+            events
+                .iter()
+                .filter(|e| derived(e).is_none())
+                .map(|e| e.operator.clone()),
+        );
         // Every scan is in a task, and a task is one event: the chain with
         // the stage that consumes it, wherever they fit together.
         let mut nodes = Vec::new();
@@ -357,6 +368,10 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // is the stage, thirteen of the 33 scans gather that stream on 32 (two
     // more since codes and dates are stored narrow: a gather pass moves
     // fewer bytes); on eight, the lineitem scans of Q1 and Q3.
+    // The merges are the stages it does not derive: one core folds what the
+    // lanes of the stage before left.
+    let merges = ["groupby.merge", "sort.merge", "topk.merge"];
+    assert_eq!(underived, merges.map(String::from).into());
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
     assert_eq!((gathers_on(1), gathers_on(8)), (13, 2), "{other_path:?}");
     // 33 scans, 33 tasks, each with the first stage of its consumer as its
