@@ -180,12 +180,17 @@ mod tests {
         };
         assert_eq!(passes_of(&base_plan()), []);
         assert_eq!(passes_of(&partition_groupby(vec![32])), []);
-        // The group-by (node 0) and the join under its Map (node 2), each
-        // with a scheme of no rounds.
+        // A group-by (node 0) with a scheme of no rounds still partitions:
+        // its pass is named.
         let of_groupby = passes_of(&partition_groupby(vec![]));
         assert_eq!(of_groupby, [(0, "groupby.partition".to_string())]);
-        let both_sides = ["join.partition-build", "join.partition-probe"];
-        let of_join = passes_of(&set_scheme(vec![]));
-        assert_eq!(of_join, both_sides.map(|s| (2, s.to_string())));
+        // A join of no rounds is broadcast: it has no pass to name, only the
+        // probe stage that ends its probe side's task.
+        let broadcast = set_scheme(vec![]);
+        assert_eq!(passes_of(&broadcast), []);
+        let report = rapid_verify::verify(&broadcast, &demo_catalog(), &cfg);
+        let of_join: Vec<_> = report.stages.iter().filter(|s| s.node_id == 2).collect();
+        let stages: Vec<_> = of_join.iter().map(|s| (&*s.stage, &*s.operators)).collect();
+        assert_eq!(stages, [("join.probe", "scan(t_fact) -> join.probe")]);
     }
 }

@@ -992,33 +992,42 @@ fn lower_join(
     // For semi/anti/outer the left side must stay the probe/outer input.
     // For inner joins the compiler picks the smaller side as build.
     let rcost = estimate(&rplan, catalog, params);
-    let (build_is_right, build_rows) = match join_type {
-        JoinType::Inner => {
-            let lcost = estimate(&lplan, catalog, params);
-            if rcost.rows <= lcost.rows {
-                (true, rcost.rows)
-            } else {
-                (false, lcost.rows)
-            }
-        }
-        _ => (true, rcost.rows),
+    let lcost = estimate(&lplan, catalog, params);
+    let build_is_right = join_type != JoinType::Inner || rcost.rows <= lcost.rows;
+    let ((build, build_rows), (probe, probe_rows)) = if build_is_right {
+        ((&rplan, rcost.rows), (&lplan, lcost.rows))
+    } else {
+        ((&lplan, lcost.rows), (&rplan, rcost.rows))
     };
-    // Both sides stream through the partition passes, and the local-buffer
-    // limit (heuristic b) is set by the *widest* row. The partition *count*
-    // alone keeps the declared widths: it sizes what a join kernel holds,
-    // and a kernel widens keys to 8 bytes whatever they are stored in.
-    let declared = |cs: &[OutCol]| -> usize {
-        cs.iter()
-            .map(|c| c.dtype.physical_width())
-            .sum::<usize>()
-            .max(8)
-    };
-    let scheme = partition_scheme(
+    let scheme = if broadcasts(
+        build,
         build_rows,
-        encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?),
-        declared(&lcols).max(declared(&rcols)),
+        probe,
+        probe_rows,
+        lk.len(),
+        catalog,
         params,
-    );
+    )? {
+        Vec::new()
+    } else {
+        // Both sides stream through the partition passes, and the
+        // local-buffer limit (heuristic b) is set by the *widest* row. The
+        // partition *count* alone keeps the declared widths: it sizes what a
+        // join kernel holds, and a kernel widens keys to 8 bytes whatever
+        // they are stored in.
+        let declared = |cs: &[OutCol]| -> usize {
+            cs.iter()
+                .map(|c| c.dtype.physical_width())
+                .sum::<usize>()
+                .max(8)
+        };
+        partition_scheme(
+            build_rows,
+            encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?),
+            declared(&lcols).max(declared(&rcols)),
+            params,
+        )
+    };
 
     let (llen, rlen) = (lcols.len(), rcols.len());
     if build_is_right {
@@ -1070,6 +1079,50 @@ fn lower_join(
             reordered,
         ))
     }
+}
+
+/// Whether a join of `build_rows` estimated rows from `build` into
+/// `probe_rows` from `probe`, on `nkeys` keys, is broadcast — declared with
+/// no rounds — rather than partitioned. Two conditions, both on estimates:
+///
+/// * (a) the build side's table (`ops::join::broadcast_bytes`: its bucket,
+///   link, key and row-id arrays and the build rows' encoded columns) fits
+///   the state the probe stage declares (`task::join_probe_decl`), and that
+///   stage fits DMEM on its own, so it runs wherever the probe's task is cut;
+/// * (b) build rows × cores ≤ probe rows: no lane builds more rows than it
+///   probes, which every lane building the whole table would otherwise
+///   cost more than partitioning saves.
+///
+/// A build side larger than estimated overflows to the table's DRAM
+/// segment at run time: the estimate decides the cost, never the rows.
+fn broadcasts(
+    build: &PlanNode,
+    build_rows: f64,
+    probe: &PlanNode,
+    probe_rows: f64,
+    nkeys: usize,
+    catalog: &Catalog,
+    params: &CostParams,
+) -> Result<bool, CompileError> {
+    if build_rows * params.cores as f64 > probe_rows {
+        return Ok(false);
+    }
+    let widths = |plan: &PlanNode| {
+        plan.output_widths(catalog)
+            .map_err(|e| CompileError::BadCatalog(e.to_string()))
+    };
+    let decl = rapid_qef::task::join_probe_decl(&widths(probe)?, params.dmem_bytes);
+    let table = rapid_qef::ops::join::broadcast_bytes(
+        build_rows.ceil() as usize,
+        nkeys,
+        widths(build)?.iter().sum(),
+    );
+    let fits = rapid_qef::budget::task_tile(
+        params.tile_rows,
+        std::slice::from_ref(&decl),
+        params.dmem_bytes,
+    );
+    Ok(table <= decl.state_bytes && fits.is_some())
 }
 
 /// A row of `plan`'s output as its columns are encoded

@@ -9,14 +9,18 @@
 //! functions considering the potential overlap."
 //!
 //! The model here prices each operator with the simulator's per-row kernel
-//! costs and DMS transfer rules applied to estimated cardinalities. It is
-//! *not* the engine's charging rule: it prices declared column widths
-//! rather than stored ones, sums operators one by one rather than per
-//! task, and does not model scan access paths. Measured at sf 0.02 on 32
-//! cores, its estimate is 1.22–6.08× the simulated cycles of the eleven
-//! TPC-H statements, every one over-estimated (ROADMAP item 7);
-//! `tests/tpch_sql.rs` holds it within 7× either way. The host database
-//! reuses it for offload decisions.
+//! costs and DMS transfer rules applied to estimated cardinalities — a join
+//! the way its scheme runs it: partitioned, both sides through the DMS; or,
+//! with no rounds, broadcast, every lane reading the build side and building
+//! the whole table. It is *not* the engine's charging rule: it prices
+//! declared column widths rather than stored ones, sums operators one by one
+//! rather than per task, and does not model scan access paths. Measured at
+//! sf 0.02 on 32 cores, its estimate is 1.22–6.08× the simulated cycles of
+//! the eleven TPC-H statements (Q4 1.22, Q1 1.36, Q9 2.30, Q12 2.41, Q3
+//! 2.75, Q5 3.11, Q10 3.13, Q18 3.20, Q6 5.57, Q19 5.72, Q14 6.08; geomean
+//! 2.96), every one over-estimated (ROADMAP item 7); `tests/tpch_sql.rs`
+//! holds it within 7× either way. The host database reuses it for offload
+//! decisions.
 
 use dpu_sim::clock::SimTime;
 use dpu_sim::isa::CostModel;
@@ -277,19 +281,27 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             build_keys,
             probe_keys,
             join_type,
-            ..
+            scheme,
         } => {
             let b = estimate_node(build, catalog, p);
             let pr = estimate_node(probe, catalog, p);
-            // Partition both sides (read+write through the DMS), build,
-            // probe.
-            let part_bytes = b.cost.output_bytes() + pr.cost.output_bytes();
-            let wire = 2.0 * part_bytes / cm.dms_bytes_per_cycle();
             let build_cy = b.cost.rows * cm.kernel_cycles(&costs::join_build_per_row());
             let probe_cy = pr.cost.rows
                 * (cm.kernel_cycles(&costs::join_probe_per_row())
                     + cm.kernel_cycles(&costs::join_probe_per_link()));
-            let compute = (build_cy + probe_cy) / p.cores as f64;
+            let cores = p.cores as f64;
+            let (wire, compute) = if scheme.is_empty() {
+                // Broadcast: every lane reads the build side and builds the
+                // whole table, then probes its share of rows where they lie.
+                let wire = cores * b.cost.output_bytes() / cm.dms_bytes_per_cycle();
+                (wire, build_cy + probe_cy / cores)
+            } else {
+                // Partition both sides (read+write through the DMS), build,
+                // probe.
+                let part_bytes = b.cost.output_bytes() + pr.cost.output_bytes();
+                let wire = 2.0 * part_bytes / cm.dms_bytes_per_cycle();
+                (wire, (build_cy + probe_cy) / cores)
+            };
             let cycles = wire.max(compute) + wire.min(compute) * 0.15;
             let inner_rows = containment_rows(&b, &pr, build_keys, probe_keys)
                 .unwrap_or_else(|| pr.cost.rows.max(1.0));

@@ -484,19 +484,7 @@ impl<'e> Run<'e> {
         // The chain's topmost operator is the stage's own unless the
         // consumer's first stage ended the task.
         let own_top = decls.len() == chain.above.len() + 1;
-        let fit = crate::budget::task_tile(self.ctx.tile_rows, &decls, self.ctx.dmem_bytes);
-        let (tile, working_set) = fit.ok_or_else(|| {
-            let names: Vec<String> = decls.iter().map(|d| d.name.to_string()).collect();
-            QefError::DmemExhausted(format!(
-                "task [{}] holds {} B of state and {} B/row of vectors: over DMEM ({} B) even at \
-                 {}-row vectors",
-                names.join(" -> "),
-                crate::budget::task_state(&decls),
-                crate::budget::task_streams(&decls).sum::<usize>(),
-                self.ctx.dmem_bytes,
-                crate::budget::MIN_VECTOR_ROWS
-            ))
-        })?;
+        let (tile, working_set) = self.task_tile(&decls)?;
         let (columns, pred) = (chain.columns, chain.pred);
         let scan = ops::filter::ScanPlan::decide(self.ctx, table, columns, pred, touched, tile);
         // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`.
@@ -578,6 +566,25 @@ impl<'e> Run<'e> {
             },
             rows,
             top: decls[ops_of_chain - 1].name,
+        })
+    }
+
+    /// The tile a task of `decls` runs at and the DMEM each of its lanes
+    /// holds ([`crate::budget::task_tile`]) in this engine's scratchpad;
+    /// [`QefError::DmemExhausted`] where they do not fit at a minimum vector.
+    fn task_tile(&self, decls: &[crate::budget::OpDecl<'_>]) -> QefResult<(usize, usize)> {
+        let fit = crate::budget::task_tile(self.ctx.tile_rows, decls, self.ctx.dmem_bytes);
+        fit.ok_or_else(|| {
+            let names: Vec<String> = decls.iter().map(|d| d.name.to_string()).collect();
+            QefError::DmemExhausted(format!(
+                "task [{}] holds {} B of state and {} B/row of vectors: over DMEM ({} B) even at \
+                 {}-row vectors",
+                names.join(" -> "),
+                crate::budget::task_state(decls),
+                crate::budget::task_streams(decls).sum::<usize>(),
+                self.ctx.dmem_bytes,
+                crate::budget::MIN_VECTOR_ROWS
+            ))
         })
     }
 
@@ -732,6 +739,9 @@ impl<'e> Run<'e> {
         if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
             return Err(QefError::BadPlan("join key arity mismatch".into()));
         }
+        if scheme.is_empty() {
+            return self.exec_broadcast(node, build, probe, build_keys, probe_keys, join_type);
+        }
         let build_widths = build.output_widths(self.catalog)?;
         let probe_widths = probe.output_widths(self.catalog)?;
 
@@ -762,6 +772,70 @@ impl<'e> Run<'e> {
         let joined: Vec<Batch> = joined.into_iter().filter(|b| !b.is_empty()).collect();
         self.stage(&t3, "join.pairs", batch_rows(&joined), Detail::default());
         Ok(joined)
+    }
+
+    /// A join of no rounds, broadcast ([`ops::join::Broadcast`]): the build
+    /// side runs as a node of its own and is concatenated, and every lane of
+    /// the probe's `join.probe` stage reads all of it, builds its table in
+    /// the state the stage declares and probes its own rows. The stage is
+    /// the last operator of the probe's task wherever they fit together
+    /// ([`PlanNode::input_task`]); else it runs over the probe's batches,
+    /// dealt to the lanes in runs so that a lane builds the table once.
+    fn exec_broadcast(
+        &mut self,
+        node: &PlanNode,
+        build: &PlanNode,
+        probe: &PlanNode,
+        build_keys: &[usize],
+        probe_keys: &[usize],
+        join_type: JoinType,
+    ) -> QefResult<Vec<Batch>> {
+        let (catalog, ctx) = (self.catalog, self.ctx);
+        let build_widths = build.output_widths(catalog)?;
+        let probe_widths = probe.output_widths(catalog)?;
+        let built = self.exec_node(build)?;
+        let built = Batch::concat(built.into_iter().filter(|b| !b.is_empty()).collect());
+        let decl = crate::task::join_probe_decl(&probe_widths, ctx.dmem_bytes);
+        let join = ops::join::Broadcast {
+            build: &built,
+            build_keys,
+            probe_keys,
+            join_type,
+            build_widths: &build_widths,
+            capacity: ops::join::broadcast_capacity(
+                built.rows(),
+                build_keys.len(),
+                build_widths.iter().sum(),
+                decl.state_bytes,
+            ),
+        };
+        let (out, timing, detail) =
+            if let Some(task) = node.input_task(1, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
+                let run = self.run_task(task, |core, rows, tile| join.lane(core, [rows], tile))?;
+                (run.results, run.timing, run.detail)
+            } else {
+                let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
+                let batches: Vec<Batch> = self.exec_node(probe)?;
+                let batches: Vec<Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
+                // Lane `l` holds batches `l * n / lanes .. (l + 1) * n / lanes`.
+                let (n, lanes) = (batches.len(), ctx.cores.min(batches.len()));
+                let mut dealt: Vec<Vec<Batch>> = (0..lanes).map(|_| Vec::new()).collect();
+                for (i, batch) in batches.into_iter().enumerate() {
+                    dealt[i * lanes / n].push(batch);
+                }
+                let (out, t) = run_stage(ctx, dealt, |core, lane| {
+                    let _state = core.dmem.reserve_raw(working_set)?;
+                    join.lane(core, lane.into_iter().map(Rows::Owned), tile)
+                })?;
+                (out, t, Detail::default())
+            };
+        let out: Vec<Batch> = out
+            .into_iter()
+            .flatten()
+            .filter(|b| !b.is_empty())
+            .collect();
+        self.stage(&timing, "join.probe", batch_rows(&out), detail);
+        Ok(out)
     }
 
     fn exec_groupby(
@@ -917,7 +991,7 @@ impl PairJoin<'_> {
         depth: usize,
     ) -> QefResult<Batch> {
         if build.is_empty() && self.join_type == JoinType::LeftOuter {
-            return Ok(pad_outer(probe, self.build_widths));
+            return Ok(ops::join::pad_outer(probe, self.build_widths));
         }
         let oversized = build.rows() > self.est_rows.saturating_mul(ops::join::LARGE_SKEW_FACTOR);
         if oversized && depth < 3 && build.rows() > 256 {
@@ -952,7 +1026,7 @@ impl PairJoin<'_> {
             return match self.join_type {
                 JoinType::Inner | JoinType::LeftSemi => Ok(Batch::empty(0)),
                 JoinType::LeftAnti => Ok(probe),
-                JoinType::LeftOuter => Ok(pad_outer(probe, self.build_widths)),
+                JoinType::LeftOuter => Ok(ops::join::pad_outer(probe, self.build_widths)),
             };
         }
         ops::join::join_partition(
@@ -965,21 +1039,6 @@ impl PairJoin<'_> {
             self.est_rows,
         )
     }
-}
-
-/// Pad probe rows with NULL build columns for outer joins with no build.
-/// Each pad column is stored at its build column's static width so the
-/// result concatenates cleanly with partitions that did find matches.
-fn pad_outer(probe: Batch, build_widths: &[usize]) -> Batch {
-    if probe.is_empty() {
-        return Batch::empty(0);
-    }
-    let n = probe.rows();
-    let mut out = probe;
-    for &width in build_widths {
-        out.push_column(ops::join::null_column(width, n));
-    }
-    out
 }
 
 /// No rows, one column per static width.
@@ -1241,6 +1300,126 @@ mod tests {
                 } else {
                     assert_eq!(build_k, None, "unmatched row must be NULL-padded");
                     assert_eq!(build_v, None);
+                }
+            }
+        }
+    }
+
+    /// `n`: 5000 rows of `k` (NULL every eleventh row), `v` = the row number
+    /// and `h` (42 on three rows in five, else the row number).
+    fn nullable_engine(ctx: ExecContext) -> Engine {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+            Field::new("h", DataType::Int),
+        ]);
+        let mut b = TableBuilder::new("n", schema).chunk_rows(512);
+        for i in 0..5000i64 {
+            let k = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 1700)
+            };
+            let h = if i % 5 < 3 { 42 } else { i };
+            b.push_row(vec![k, Value::Int(i), Value::Int(h)]);
+        }
+        let mut e = Engine::new(ctx);
+        e.load_table(Arc::new(b.finish()));
+        e
+    }
+
+    #[test]
+    fn a_broadcast_join_returns_the_rows_of_a_partitioned_one() {
+        use crate::trace::MemorySink;
+        let scan = |pred: Option<Pred>| PlanNode::Scan {
+            table: "n".into(),
+            columns: vec![0, 1, 2],
+            pred,
+        };
+        let v_below = |value| {
+            Some(Pred::CmpConst {
+                col: 1,
+                op: CmpOp::Lt,
+                value,
+            })
+        };
+        let join = |build, probe, key, join_type, scheme| PlanNode::HashJoin {
+            build: Box::new(build),
+            probe: Box::new(probe),
+            build_keys: vec![key],
+            probe_keys: vec![key],
+            join_type,
+            scheme,
+        };
+        let rows = |batch: &Batch| {
+            let mut rows: Vec<Vec<Option<i64>>> = (0..batch.rows())
+                .map(|i| batch.columns.iter().map(|c| c.get(i)).collect())
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        // A lane's DMEM segment holds the build rows whose table fits the
+        // half of DMEM the probe stage declares, at the widths `n` stores
+        // its columns in: a build side four times that overflows to DRAM.
+        let dmem = ExecContext::dpu().dmem_bytes;
+        let widths = scan(None).output_widths(nullable_engine(ExecContext::dpu()).catalog());
+        let row_bytes: usize = widths.unwrap().iter().sum();
+        let capacity = ops::join::broadcast_capacity(5000, 1, row_bytes, dmem / 2);
+        assert!((500..1000).contains(&capacity), "{capacity}");
+        // A join's output is no scan-fed chain: over it the probe is a stage
+        // of its own, each lane a run of the batches the join's lanes handed
+        // on. This one keeps all 5000 rows, `n`'s three columns first.
+        let batches = join(
+            scan(v_below(50)),
+            scan(None),
+            1,
+            JoinType::LeftOuter,
+            vec![],
+        );
+        let cases = [
+            // NULL keys on both sides, which never match.
+            ("nulls", scan(v_below(300)), scan(None), 0),
+            ("empty", scan(Some(Pred::Const(false))), scan(None), 0),
+            (
+                "overflow",
+                scan(v_below(4 * capacity as i64)),
+                scan(None),
+                0,
+            ),
+            // 42 is three in five of the build rows: a heavy hitter.
+            ("heavy", scan(v_below(500)), scan(v_below(100)), 2),
+            ("batches", scan(v_below(300)), batches, 0),
+        ];
+        for ctx in [ExecContext::dpu(), ExecContext::native(4)] {
+            let sink = MemorySink::new();
+            let e = nullable_engine(ctx.with_trace(sink.clone()));
+            for (case, build, probe, key) in &cases {
+                for join_type in [
+                    JoinType::Inner,
+                    JoinType::LeftSemi,
+                    JoinType::LeftAnti,
+                    JoinType::LeftOuter,
+                ] {
+                    let of = |scheme| join(build.clone(), probe.clone(), *key, join_type, scheme);
+                    let (partitioned, _) = e.execute(&of(vec![32])).unwrap();
+                    sink.take();
+                    let plan = of(vec![]);
+                    let (broadcast, _) = e.execute(&plan).unwrap();
+                    let what = format!("{case} {join_type:?} on {:?}", e.context().backend);
+                    assert_eq!(rows(&broadcast.batch), rows(&partitioned.batch), "{what}");
+                    let columns = broadcast.batch.columns.iter();
+                    let widths: Vec<usize> = columns.map(|c| c.data.width()).collect();
+                    if broadcast.batch.rows() > 0 {
+                        assert_eq!(widths, plan.output_widths(e.catalog()).unwrap(), "{what}");
+                    }
+                    // No pass, no pairs: the build side's scan, then the
+                    // probe — its side's task, or a stage after it.
+                    let ran: Vec<String> = sink.take().into_iter().map(|e| e.operator).collect();
+                    let expect: &[&str] = match *case {
+                        "batches" => &["scan(n)", "scan(n)", "join.probe", "join.probe"],
+                        _ => &["scan(n)", "join.probe"],
+                    };
+                    assert_eq!(ran, expect, "{what}");
                 }
             }
         }

@@ -1,5 +1,8 @@
 //! Hash join (§6): partitioned join with the compact bit-array hash table,
-//! DMEM-overflow resilience and skew handling.
+//! DMEM-overflow resilience and skew handling — and, where the whole build
+//! side's table fits the state a probe stage declares, the broadcast join
+//! ([`Broadcast`]): nothing is partitioned, every lane builds the table and
+//! probes its own rows.
 //!
 //! ## The join kernel (§6.3)
 //!
@@ -22,13 +25,17 @@
 //!   that chains degenerate; their rows are joined in a dense broadcast
 //!   pass instead (the flow-join technique, the paper's ref 30).
 
+use dpu_sim::dmem::DmemReservation;
 use rapid_storage::vector::Vector;
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Rows};
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
+use crate::ops::partition::gather_rows;
+use crate::plan::JoinType;
 use crate::primitives::costs;
-use crate::primitives::hash::{bucket_of, hash_rows};
+use crate::primitives::hash::{bucket_of, hash_pieces_into, hash_rows};
+use crate::ra::RelationAccessor;
 use crate::util::{next_pow2_at_least, SmallIntArray};
 
 /// Default ratio of hash-buckets to build rows: the paper reduces the
@@ -136,7 +143,7 @@ pub struct JoinTable {
     /// Overflow segment in DRAM (created lazily on mis-estimates).
     dram_seg: Option<Segment>,
     /// DMEM reservation held for the primary segment's lifetime.
-    _dmem_hold: Option<dpu_sim::dmem::DmemReservation>,
+    _dmem_hold: Option<DmemReservation>,
     /// Heavy-hitter keys excluded from the chained table, with their rows
     /// stored densely (flow-join broadcast list).
     heavy: Vec<(Vec<i64>, Vec<u32>)>,
@@ -179,6 +186,48 @@ impl JoinTable {
         detect_heavy_hitters: bool,
         bucket_count: Option<usize>,
     ) -> QefResult<(JoinTable, BuildStats)> {
+        Self::build_into(ctx, keys, detect_heavy_hitters, |ctx, rows, nkeys| {
+            let est = estimated_rows.max(1).min(rows.max(1));
+            let mut dmem_seg = match bucket_count {
+                Some(b) => Segment::with_buckets(est, nkeys, b),
+                None => Segment::new(est, nkeys, BUCKETS_PER_ROW_SHRINK),
+            };
+            // Reserve the primary segment in DMEM; if even the estimate does
+            // not fit, shrink until it does and let the rest overflow — the
+            // resilient path keeps execution correct regardless.
+            let mut hold = ctx.dmem.reserve_raw(dmem_seg.bytes()).ok();
+            while hold.is_none() && dmem_seg.capacity() > 64 {
+                dmem_seg = Segment::new(dmem_seg.capacity() / 2, nkeys, BUCKETS_PER_ROW_SHRINK);
+                hold = ctx.dmem.reserve_raw(dmem_seg.bytes()).ok();
+            }
+            (dmem_seg, hold)
+        })
+    }
+
+    /// A broadcast join's table: its DMEM segment holds up to `capacity`
+    /// rows in the state the lane's stage already holds — the table makes
+    /// no reservation of its own — and the rows past it overflow to DRAM,
+    /// charged like any overflow.
+    pub fn build_within(
+        ctx: &mut CoreCtx,
+        keys: &[&Vector],
+        capacity: usize,
+    ) -> QefResult<(JoinTable, BuildStats)> {
+        Self::build_into(ctx, keys, true, |_, rows, nkeys| {
+            let segment = Segment::new(capacity.min(rows), nkeys, BUCKETS_PER_ROW_SHRINK);
+            (segment, None)
+        })
+    }
+
+    /// Hash the build keys, then fill the DMEM segment `segment` makes for
+    /// the rows and keys there are (with the reservation it holds, if any),
+    /// overflowing to DRAM.
+    fn build_into(
+        ctx: &mut CoreCtx,
+        keys: &[&Vector],
+        detect_heavy_hitters: bool,
+        segment: impl FnOnce(&mut CoreCtx, usize, usize) -> (Segment, Option<DmemReservation>),
+    ) -> QefResult<(JoinTable, BuildStats)> {
         let nkeys = keys.len();
         if nkeys == 0 {
             return Err(QefError::BadPlan("join requires at least one key".into()));
@@ -193,20 +242,7 @@ impl JoinTable {
             Vec::new()
         };
 
-        let est = estimated_rows.max(1).min(rows.max(1));
-        let mut dmem_seg = match bucket_count {
-            Some(b) => Segment::with_buckets(est, nkeys, b),
-            None => Segment::new(est, nkeys, BUCKETS_PER_ROW_SHRINK),
-        };
-        // Reserve the primary segment in DMEM; if even the estimate does
-        // not fit, shrink until it does and let the rest overflow — the
-        // resilient path keeps execution correct regardless.
-        let mut hold = ctx.dmem.reserve_raw(dmem_seg.bytes()).ok();
-        while hold.is_none() && dmem_seg.capacity() > 64 {
-            dmem_seg = Segment::new(dmem_seg.capacity() / 2, nkeys, BUCKETS_PER_ROW_SHRINK);
-            hold = ctx.dmem.reserve_raw(dmem_seg.bytes()).ok();
-        }
-
+        let (dmem_seg, hold) = segment(ctx, rows, nkeys);
         let mut table = JoinTable {
             dmem_seg,
             dram_seg: None,
@@ -279,48 +315,79 @@ impl JoinTable {
         keys: &[&Vector],
         on_match: &mut dyn FnMut(u32, u32),
     ) -> QefResult<Vec<u32>> {
-        if keys.len() != self.nkeys {
+        let rows = keys.first().map_or(0, |k| k.len());
+        self.probe_pieces(
+            ctx,
+            std::iter::once((keys.iter().copied(), 0..rows)),
+            on_match,
+        )
+    }
+
+    /// [`JoinTable::probe`] over rows of an input that arrives in pieces
+    /// (each item: one piece's key columns and the rows of it to probe),
+    /// numbered back to back — the runs of rows a lane holds, probed where
+    /// they lie.
+    pub fn probe_pieces<'v, K, R>(
+        &self,
+        ctx: &mut CoreCtx,
+        pieces: impl Iterator<Item = (K, R)> + Clone,
+        on_match: &mut dyn FnMut(u32, u32),
+    ) -> QefResult<Vec<u32>>
+    where
+        K: Iterator<Item = &'v Vector> + Clone,
+        R: ExactSizeIterator<Item = usize>,
+    {
+        if let Some(arity) = pieces
+            .clone()
+            .map(|(keys, _)| keys.count())
+            .find(|&n| n != self.nkeys)
+        {
             return Err(QefError::BadPlan(format!(
-                "probe key arity {} != build key arity {}",
-                keys.len(),
+                "probe key arity {arity} != build key arity {}",
                 self.nkeys
             )));
         }
-        let rows = keys[0].len();
-        let hashes = hash_rows(ctx, keys);
+        let rows: usize = pieces.clone().map(|(_, ids)| ids.len()).sum();
+        let mut hashes = vec![0; rows];
+        hash_pieces_into(ctx, pieces.clone(), &mut hashes);
         let mut match_counts = vec![0u32; rows];
         let mut total_links = 0usize;
         let mut total_matches = 0usize;
         let mut keybuf = vec![0i64; self.nkeys];
-        for i in 0..rows {
-            if keys.iter().any(|k| k.is_null(i)) {
-                continue;
-            }
-            for (j, k) in keys.iter().enumerate() {
-                keybuf[j] = k.data.get_i64(i);
-            }
-            let mut count = 0u32;
-            total_links += self.dmem_seg.probe(hashes[i], &keybuf, |b| {
-                count += 1;
-                on_match(i as u32, b);
-            });
-            if let Some(seg) = &self.dram_seg {
-                total_links += seg.probe(hashes[i], &keybuf, |b| {
+        let mut p = 0;
+        for (keys, ids) in pieces {
+            for i in ids {
+                let at = p;
+                p += 1;
+                if keys.clone().any(|k| k.is_null(i)) {
+                    continue;
+                }
+                for (slot, k) in keybuf.iter_mut().zip(keys.clone()) {
+                    *slot = k.data.get_i64(i);
+                }
+                let mut count = 0u32;
+                total_links += self.dmem_seg.probe(hashes[at], &keybuf, |b| {
                     count += 1;
-                    on_match(i as u32, b);
+                    on_match(at as u32, b);
                 });
-            }
-            // Heavy hitters: dense broadcast list.
-            for (hk, rows_of_key) in &self.heavy {
-                if hk == &keybuf {
-                    for &b in rows_of_key {
+                if let Some(seg) = &self.dram_seg {
+                    total_links += seg.probe(hashes[at], &keybuf, |b| {
                         count += 1;
-                        on_match(i as u32, b);
+                        on_match(at as u32, b);
+                    });
+                }
+                // Heavy hitters: dense broadcast list.
+                for (hk, rows_of_key) in &self.heavy {
+                    if hk == &keybuf {
+                        for &b in rows_of_key {
+                            count += 1;
+                            on_match(at as u32, b);
+                        }
                     }
                 }
+                match_counts[at] = count;
+                total_matches += count as usize;
             }
-            match_counts[i] = count;
-            total_matches += count as usize;
         }
         ctx.charge_kernel(&costs::join_probe_per_row().scaled(rows as f64));
         ctx.charge_kernel(&costs::join_probe_per_link().scaled(total_links as f64));
@@ -335,27 +402,32 @@ impl JoinTable {
 /// Space-saving heavy-hitter detection over build keys.
 fn detect_heavy(keys: &[&Vector], rows: usize) -> Vec<Vec<i64>> {
     const SKETCH_SLOTS: usize = 16;
-    let mut slots: Vec<(Vec<i64>, usize)> = Vec::with_capacity(SKETCH_SLOTS);
-    let mut keybuf = vec![0i64; keys.len()];
+    let nkeys = keys.len();
+    // Slot `s` counts `counts[s]` sightings of key `slots[s * nkeys..][..nkeys]`.
+    let mut slots: Vec<i64> = Vec::with_capacity(SKETCH_SLOTS * nkeys);
+    let mut counts: Vec<usize> = Vec::with_capacity(SKETCH_SLOTS);
+    let mut keybuf = vec![0i64; nkeys];
+    let key_of = |s: usize| s * nkeys..(s + 1) * nkeys;
     for i in 0..rows {
         for (j, k) in keys.iter().enumerate() {
             keybuf[j] = k.data.get_i64(i);
         }
-        if let Some(s) = slots.iter_mut().find(|(k, _)| k == &keybuf) {
-            s.1 += 1;
-        } else if slots.len() < SKETCH_SLOTS {
-            slots.push((keybuf.to_vec(), 1));
-        } else if let Some(min) = slots.iter_mut().min_by_key(|(_, c)| *c) {
+        if let Some(s) = (0..counts.len()).find(|&s| slots[key_of(s)] == keybuf[..]) {
+            counts[s] += 1;
+        } else if counts.len() < SKETCH_SLOTS {
+            slots.extend_from_slice(&keybuf);
+            counts.push(1);
+        } else if let Some(min) = (0..counts.len()).min_by_key(|&s| counts[s]) {
             // Space-saving: replace the minimum, inheriting its count.
-            min.0.copy_from_slice(&keybuf);
-            min.1 += 1;
+            let at = key_of(min);
+            slots[at].copy_from_slice(&keybuf);
+            counts[min] += 1;
         }
     }
     let threshold = ((rows as f64) * HEAVY_HITTER_FRACTION) as usize;
-    slots
-        .into_iter()
-        .filter(|(_, c)| *c > threshold.max(8))
-        .map(|(k, _)| k)
+    (0..counts.len())
+        .filter(|&s| counts[s] > threshold.max(8))
+        .map(|s| slots[key_of(s)].to_vec())
         .collect()
 }
 
@@ -370,17 +442,26 @@ pub(crate) fn null_column(width: usize, rows: usize) -> Vector {
     Vector::with_nulls(data, rapid_storage::bitvec::BitVec::ones(rows))
 }
 
-/// The rows of `probe` whose match count passes `keep`; when that is all
-/// of them the batch is handed on as it came.
-fn keep_rows(probe: Batch, counts: &[u32], keep: impl Fn(u32) -> bool) -> Batch {
-    let rids: Vec<u32> = (0..counts.len() as u32)
-        .filter(|&i| keep(counts[i as usize]))
-        .collect();
-    if rids.len() == probe.rows() {
-        probe
-    } else {
-        probe.gather(&rids)
+/// Pad probe rows with NULL build columns (an outer join's rows without a
+/// match). Each pad column is stored at its build column's static width, so
+/// the result concatenates cleanly with rows that did find matches.
+pub(crate) fn pad_outer(probe: Batch, build_widths: &[usize]) -> Batch {
+    if probe.is_empty() {
+        return Batch::empty(0);
     }
+    let n = probe.rows();
+    let mut out = probe;
+    for &width in build_widths {
+        out.push_column(null_column(width, n));
+    }
+    out
+}
+
+/// The probe rows whose match count passes `keep`, ascending.
+fn passing(counts: &[u32], keep: impl Fn(u32) -> bool) -> Vec<u32> {
+    (0..counts.len() as u32)
+        .filter(|&i| keep(counts[i as usize]))
+        .collect()
 }
 
 /// Join one partition pair, producing the joined output batch.
@@ -393,10 +474,10 @@ pub fn join_partition(
     probe: Batch,
     build_keys: &[usize],
     probe_keys: &[usize],
-    join_type: crate::plan::JoinType,
+    join_type: JoinType,
     estimated_build_rows: usize,
 ) -> QefResult<Batch> {
-    use crate::plan::JoinType::*;
+    use JoinType::*;
     if probe.is_empty() {
         // Preserve layout: zero-row output with the right column count is
         // assembled by the engine from metadata; empty is fine here.
@@ -413,45 +494,190 @@ pub fn join_partition(
     }
     let bkeys: Vec<&Vector> = build_keys.iter().map(|&c| build.column(c)).collect();
     let (table, _stats) = JoinTable::build(ctx, &bkeys, estimated_build_rows, true)?;
-    let pkeys: Vec<&Vector> = probe_keys.iter().map(|&c| probe.column(c)).collect();
+    let widths: Vec<usize> = build.columns.iter().map(|c| c.data.width()).collect();
+    let probe = Rows::Owned(probe);
+    probe_rows(ctx, &table, build, &widths, probe_keys, join_type, probe)
+}
 
-    let mut probe_rids: Vec<u32> = Vec::new();
-    let mut build_rids: Vec<u32> = Vec::new();
-    let counts = table.probe(ctx, &pkeys, &mut |p, b| {
-        probe_rids.push(p);
-        build_rids.push(b);
+/// DMEM a broadcast join's table over `rows` build rows holds: the bucket,
+/// link, key and row-id arrays of a DMEM segment of that capacity, and the
+/// build rows themselves, `row_bytes` encoded bytes each.
+pub fn broadcast_bytes(rows: usize, nkeys: usize, row_bytes: usize) -> usize {
+    let capacity = rows.max(1);
+    let buckets = next_pow2_at_least(capacity / BUCKETS_PER_ROW_SHRINK, 4);
+    let bits = SmallIntArray::bits_for(capacity + 1);
+    let per_row = nkeys * std::mem::size_of::<i64>() + std::mem::size_of::<u32>() + row_bytes;
+    SmallIntArray::size_bytes_of(buckets, bits)
+        + SmallIntArray::size_bytes_of(capacity, bits)
+        + capacity * per_row
+}
+
+/// How many of `rows` build rows a broadcast table holds in `state_bytes`
+/// ([`broadcast_bytes`]): the capacity of a lane's DMEM segment. Rows past
+/// it overflow to DRAM.
+pub fn broadcast_capacity(
+    rows: usize,
+    nkeys: usize,
+    row_bytes: usize,
+    state_bytes: usize,
+) -> usize {
+    // The bytes grow with the rows: the most that fit, by bisection.
+    let (mut fits, mut over) = (0, rows + 1);
+    while over - fits > 1 {
+        let mid = fits + (over - fits) / 2;
+        if broadcast_bytes(mid, nkeys, row_bytes) <= state_bytes {
+            fits = mid;
+        } else {
+            over = mid;
+        }
+    }
+    fits
+}
+
+/// A broadcast join (§6, for a build side whose table fits the state its
+/// probe stage declares): every lane holds all of the table. A lane reads
+/// the whole build side from DRAM, builds the table in its own DMEM and
+/// probes the rows it holds against it, where they lie — the rows of its
+/// scan's task, or batches dealt to it. Nothing is partitioned, and no pair
+/// of partitions waits for one core.
+#[derive(Debug)]
+pub struct Broadcast<'a> {
+    /// The build side, concatenated.
+    pub build: &'a Batch,
+    /// Key positions in the build side.
+    pub build_keys: &'a [usize],
+    /// Key positions in the probe side.
+    pub probe_keys: &'a [usize],
+    /// Join variant.
+    pub join_type: JoinType,
+    /// The build side's `PlanNode::output_widths`: what a lane reads, and
+    /// what an outer join's NULL pad is stored at.
+    pub build_widths: &'a [usize],
+    /// Build rows a lane's DMEM segment holds ([`broadcast_capacity`] of
+    /// the probe stage's state); the rest overflow to DRAM.
+    pub capacity: usize,
+}
+
+impl Broadcast<'_> {
+    /// One lane's work: read the build side and build its table, then probe
+    /// `parts` — the rows the lane holds, in order — against it, a trip
+    /// round the control loop per tile. One output batch per part.
+    pub fn lane<'r>(
+        &self,
+        ctx: &mut CoreCtx,
+        parts: impl IntoIterator<Item = Rows<'r>>,
+        tile: usize,
+    ) -> QefResult<Vec<Batch>> {
+        let tile = tile.max(1);
+        let table = if self.build.is_empty() {
+            None
+        } else {
+            let cm = ctx.cost_model.clone();
+            let widths = self.build_widths.iter().copied();
+            ctx.charge_dms(&RelationAccessor::seq_read_cost(
+                &cm,
+                widths,
+                self.build.rows(),
+                tile,
+            ));
+            let keys: Vec<&Vector> = self
+                .build_keys
+                .iter()
+                .map(|&c| self.build.column(c))
+                .collect();
+            Some(JoinTable::build_within(ctx, &keys, self.capacity)?.0)
+        };
+        let mut out = Vec::new();
+        for rows in parts {
+            for _ in 0..rows.rows().div_ceil(tile) {
+                ctx.charge_tile();
+            }
+            out.push(match &table {
+                Some(table) => probe_rows(
+                    ctx,
+                    table,
+                    self.build,
+                    self.build_widths,
+                    self.probe_keys,
+                    self.join_type,
+                    rows,
+                )?,
+                // No build row: the variant alone says what a probe row
+                // becomes.
+                None => match self.join_type {
+                    JoinType::Inner | JoinType::LeftSemi => Batch::empty(0),
+                    JoinType::LeftAnti => rows.into_batch(),
+                    JoinType::LeftOuter => pad_outer(rows.into_batch(), self.build_widths),
+                },
+            });
+        }
+        Ok(out)
+    }
+}
+
+/// Probe `rows` against `table`, built over `build` (stored at
+/// `build_widths`): the matched probe rows and, beside them for an inner or
+/// outer join, their build rows — or NULLs, for an outer join's unmatched
+/// rows.
+fn probe_rows(
+    ctx: &mut CoreCtx,
+    table: &JoinTable,
+    build: &Batch,
+    build_widths: &[usize],
+    probe_keys: &[usize],
+    join_type: JoinType,
+    rows: Rows<'_>,
+) -> QefResult<Batch> {
+    if rows.rows() == 0 {
+        return Ok(Batch::empty(0));
+    }
+    let pieces = rows.runs().map(|run| {
+        let cols = run.cols;
+        (
+            probe_keys.iter().map(move |&c| cols.column(c)),
+            run.row_ids(),
+        )
+    });
+    // Semi and anti joins keep probe rows by their match counts alone.
+    let pairs = matches!(join_type, JoinType::Inner | JoinType::LeftOuter);
+    let expected = if pairs { rows.rows() } else { 0 };
+    let (mut matched, mut build_rids) =
+        (Vec::with_capacity(expected), Vec::with_capacity(expected));
+    let counts = table.probe_pieces(ctx, pieces, &mut |p, b| {
+        if pairs {
+            matched.push(p);
+            build_rids.push(b);
+        }
     })?;
-
-    match join_type {
-        Inner => {
-            let mut out = probe.gather(&probe_rids);
-            let b = build.gather(&build_rids);
-            for col in b.columns {
+    let with_build = |probe: Batch| {
+        let mut out = probe;
+        if !out.is_empty() {
+            for col in build.gather(&build_rids).columns {
                 out.push_column(col);
             }
-            Ok(out)
         }
-        LeftSemi => Ok(keep_rows(probe, &counts, |c| c > 0)),
-        LeftAnti => Ok(keep_rows(probe, &counts, |c| c == 0)),
-        LeftOuter => {
-            // Assemble: [matched probe ++ matched build] concat
-            //           [unmatched probe ++ NULL build].
-            let mut top = probe.gather(&probe_rids);
-            for col in build.gather(&build_rids).columns {
-                top.push_column(col);
-            }
-            let unmatched: Vec<u32> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c == 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-            let mut bottom = probe.gather(&unmatched);
-            for col in &build.columns {
-                bottom.push_column(null_column(col.data.width(), unmatched.len()));
-            }
-            Ok(Batch::concat(vec![top, bottom]))
+        out
+    };
+    Ok(match join_type {
+        JoinType::Inner => with_build(gather_rows(&rows, &matched)),
+        JoinType::LeftSemi => keep(rows, &passing(&counts, |c| c > 0)),
+        JoinType::LeftAnti => keep(rows, &passing(&counts, |c| c == 0)),
+        JoinType::LeftOuter => {
+            // [matched probe ++ matched build] then [unmatched probe ++ NULLs].
+            let unmatched = passing(&counts, |c| c == 0);
+            let bottom = pad_outer(gather_rows(&rows, &unmatched), build_widths);
+            Batch::concat(vec![with_build(gather_rows(&rows, &matched)), bottom])
         }
+    })
+}
+
+/// The rows of `rows` at `positions`, distinct and ascending; where that is
+/// all of them, they are handed on as they came.
+fn keep(rows: Rows<'_>, positions: &[u32]) -> Batch {
+    if positions.len() == rows.rows() {
+        rows.into_batch()
+    } else {
+        gather_rows(&rows, positions)
     }
 }
 
@@ -644,6 +870,97 @@ mod tests {
         assert_eq!(out.column(2).get(idx9), None);
         let idx1 = probe_keys.iter().position(|&k| k == 1).unwrap();
         assert_eq!(out.column(2).get(idx1), Some(100));
+    }
+
+    #[test]
+    fn a_broadcast_table_is_what_its_segment_and_rows_hold() {
+        // The segment's bucket, link and key arrays, a row id and the
+        // encoded row per build row.
+        for rows in [1, 63, 64, 700, 5000] {
+            for nkeys in [1, 2] {
+                let segment = Segment::new(rows, nkeys, BUCKETS_PER_ROW_SHRINK);
+                let expect = segment.bytes() + rows * (4 + 6);
+                assert_eq!(broadcast_bytes(rows, nkeys, 6), expect, "{rows} {nkeys}");
+            }
+        }
+        // The capacity is the most rows that fit, never more than there are.
+        let state = 16 * 1024;
+        let capacity = broadcast_capacity(5000, 1, 6, state);
+        assert!(broadcast_bytes(capacity, 1, 6) <= state);
+        assert!(broadcast_bytes(capacity + 1, 1, 6) > state);
+        assert_eq!(broadcast_capacity(10, 1, 6, state), 10);
+        assert_eq!(broadcast_capacity(5000, 1, 6, 0), 0);
+    }
+
+    #[test]
+    fn a_table_built_within_a_stage_reserves_nothing_and_overflows_past_it() {
+        let mut c = ctx();
+        let keys = vcol((0..2000).collect());
+        let (t, stats) = JoinTable::build_within(&mut c, &[&keys], 500).unwrap();
+        // The stage's own reservation holds the segment.
+        assert_eq!(c.dmem.peak(), 0);
+        assert_eq!((stats.in_dmem, stats.overflowed), (500, 1500));
+        // The overflow is charged, and every key is still found once.
+        assert_eq!(c.account.counters().dms_bytes, 1500 * 16);
+        let counts = t.probe(&mut c, &[&keys], &mut |_, _| {}).unwrap();
+        assert!(counts.iter().all(|&n| n == 1));
+    }
+
+    #[test]
+    fn a_broadcast_lane_reads_the_build_side_once_and_probes_its_rows_where_they_lie() {
+        use crate::batch::Span;
+        use rapid_storage::chunk::Chunk;
+        let build = Batch::new(vec![vcol(vec![1, 2, 2, 7]), vcol(vec![10, 20, 21, 70])]);
+        let chunk = Chunk::new(vec![
+            Vector::new(ColumnData::I16((0..100).collect())),
+            Vector::new(ColumnData::I32((0..100).map(|i| i * 3).collect())),
+        ]);
+        let join = |join_type| Broadcast {
+            build: &build,
+            build_keys: &[0],
+            probe_keys: &[1],
+            join_type,
+            build_widths: &[8, 8],
+            capacity: 4,
+        };
+        // Rows 1, 2, 5 and 7 of the chunk, picked by a scan.
+        let in_place = || Rows::InPlace {
+            span: Span::Chunk(&chunk, 0..100),
+            projection: std::borrow::Cow::Owned(vec![1, 0]),
+            picked: Some(vec![1, 2, 5, 7]),
+        };
+        let mut c = ctx();
+        let out = join(JoinType::Inner)
+            .lane(&mut c, [in_place()], 64)
+            .unwrap();
+        // The build side's 4 rows of 16 bytes, read once.
+        assert_eq!(c.account.counters().dms_bytes, 4 * 16);
+        let rows: Vec<Vec<i64>> = (0..out[0].rows())
+            .map(|i| out[0].columns.iter().map(|c| c.data.get_i64(i)).collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                vec![3, 1, 1, 10],
+                vec![6, 2, 2, 21],
+                vec![6, 2, 2, 20],
+                vec![21, 7, 7, 70]
+            ]
+        );
+        // Probe columns at the widths the chunk stores them in.
+        let widths: Vec<usize> = out[0].columns.iter().map(|c| c.data.width()).collect();
+        assert_eq!(widths, [4, 2, 8, 8]);
+        let kept = |join_type| {
+            let out = join(join_type).lane(&mut ctx(), [in_place()], 64).unwrap();
+            out[0].column(1).data.to_i64_vec()
+        };
+        assert_eq!(kept(JoinType::LeftSemi), [1, 2, 7]);
+        assert_eq!(kept(JoinType::LeftAnti), [5]);
+        let outer = join(JoinType::LeftOuter)
+            .lane(&mut ctx(), [in_place()], 64)
+            .unwrap();
+        assert_eq!(outer[0].rows(), 5);
+        assert_eq!(outer[0].column(3).get(4), None, "row 5 is padded");
     }
 
     #[test]

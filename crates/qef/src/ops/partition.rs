@@ -195,6 +195,20 @@ pub fn scatter_lanes(fanout: usize, lanes: &[(Rows<'_>, Vec<u32>)]) -> Vec<Batch
     scatter(fanout, 1, &mapped, |lane| lanes[lane].0.runs())
 }
 
+/// The rows of `rows` at `positions` — ascending, repeats allowed, numbered
+/// in the order the runs hand them on — as vectors of the lane's own: the
+/// one partition a map of them all makes. No position, no batch.
+pub(crate) fn gather_rows(rows: &Rows<'_>, positions: &[u32]) -> Batch {
+    let offsets = [0, positions.len() as u32];
+    let all = Mapped {
+        segment: 0,
+        offsets: &offsets,
+        rids: positions,
+    };
+    let mut out = scatter(1, 1, std::slice::from_ref(&all), |_| rows.runs());
+    out.pop().unwrap_or_else(|| Batch::empty(0))
+}
+
 /// One slice's share of a round's output: where the map sends its rows.
 #[derive(Debug)]
 struct Mapped<'m> {

@@ -139,7 +139,8 @@ pub enum PlanNode {
         /// Output expressions.
         exprs: Vec<NamedExpr>,
     },
-    /// Partitioned hash join (§6). Output: probe columns ++ build columns
+    /// Hash join (§6): partitioned, or broadcast where the build side's
+    /// table fits a dpCore's DMEM. Output: probe columns ++ build columns
     /// (inner/outer) or probe columns (semi/anti).
     HashJoin {
         /// Build (smaller) input.
@@ -154,7 +155,10 @@ pub enum PlanNode {
         join_type: JoinType,
         /// Partition fan-out per round of both sides' passes, chosen by the
         /// compiler's partition scheme optimization. The engine runs it as
-        /// declared; no rounds is one partition.
+        /// declared. No rounds is a broadcast join: every lane reads the
+        /// whole build side, builds its table in the state the probe stage
+        /// declares and probes its own rows against it
+        /// ([`crate::ops::join::Broadcast`]).
         scheme: Vec<usize>,
     },
     /// Group-by + aggregation. Output: keys ++ aggregates.

@@ -5,8 +5,9 @@
 //! opens with a scan: the **scan-fed chain** `Scan → {Filter | Map}*`
 //! ([`PlanNode::scan_chain`]) always runs in its scan's task, and the first
 //! stage of the node that consumes the chain — round one of a join side's or
-//! a group-by's partition pass, `groupby.consume`, `topk.consume`,
-//! `sort.local` ([`PlanNode::first_stage`]) — joins it wherever
+//! a group-by's partition pass, a broadcast join's `join.probe`,
+//! `groupby.consume`, `topk.consume`, `sort.local`
+//! ([`PlanNode::first_stage`]) — joins it wherever
 //! [`crate::budget::task_tile`] of what they declare together ([`OpDecl`])
 //! fits DMEM. Where it does not, the chain's task materializes and the stage
 //! runs over what it wrote: cut, never refused. One function says so,
@@ -81,9 +82,10 @@ impl PlanNode {
 
     /// What the first stage this node runs over input `edge` declares
     /// against DMEM, the input handing on columns of `widths`: a partition
-    /// pass's round one, `groupby.consume`, `topk.consume` or `sort.local`.
-    /// `None` where the node has no such stage: it is not a join, group-by,
-    /// top-k or sort.
+    /// pass's round one, a broadcast join's `join.probe`, `groupby.consume`,
+    /// `topk.consume` or `sort.local`. `None` where the node has no such
+    /// stage: it is not a join, group-by, top-k or sort, or it is the build
+    /// side of a broadcast join, which runs as a node of its own.
     pub fn first_stage(
         &self,
         edge: usize,
@@ -100,6 +102,10 @@ impl PlanNode {
             })
         };
         match (self, edge) {
+            (PlanNode::HashJoin { scheme, .. }, 0) if scheme.is_empty() => None,
+            (PlanNode::HashJoin { scheme, .. }, 1) if scheme.is_empty() => {
+                Some(join_probe_decl(widths, dmem_bytes))
+            }
             (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build"),
             (PlanNode::HashJoin { .. }, 1) => partition("join.partition-probe"),
             (
@@ -136,10 +142,10 @@ impl PlanNode {
     /// operator — the one rule of where a task ends. `Some` wherever the
     /// input is a scan-fed chain and [`crate::budget::task_tile`] of what the
     /// chain and the stage declare together fits `dmem_bytes`; `None` where
-    /// the input is no chain, the node has no such stage (a partition pass of
-    /// no rounds has no round one), or the operators do not fit one
-    /// scratchpad: the chain then runs as a task of its own and the stage
-    /// over what it materialized.
+    /// the input is no chain, the node has no such stage (a group-by's
+    /// partition pass of no rounds has no round one), or the operators do not
+    /// fit one scratchpad: the chain then runs as a task of its own and the
+    /// stage over what it materialized.
     pub fn input_task(
         &self,
         edge: usize,
@@ -147,7 +153,11 @@ impl PlanNode {
         tile_rows: usize,
         dmem_bytes: usize,
     ) -> QefResult<Option<Task<'_>>> {
-        if self.partition_scheme().is_some_and(<[usize]>::is_empty) {
+        let no_round_one = matches!(self, PlanNode::GroupBy {
+            strategy: GroupStrategy::Partitioned(scheme),
+            ..
+        } if scheme.is_empty());
+        if no_round_one {
             return Ok(None);
         }
         let Some(chain) = self.inputs().nth(edge).and_then(PlanNode::scan_chain) else {
@@ -178,6 +188,19 @@ pub fn group_consume_decl(
         state_bytes: dmem_bytes / 2,
         in_widths: cols.filter_map(|c| widths.get(c).copied()).collect(),
         out_widths: Vec::new(),
+    }
+}
+
+/// What a broadcast join's probe over columns of `widths` declares: the
+/// build side's table takes half the scratchpad — a lane's DMEM segment
+/// holds [`crate::ops::join::broadcast_capacity`] of it — and the probe
+/// writes the hash lane its rows are looked up by.
+pub fn join_probe_decl(widths: &[usize], dmem_bytes: usize) -> OpDecl<'static> {
+    OpDecl {
+        name: OpName::of("join.probe"),
+        state_bytes: dmem_bytes / 2,
+        in_widths: widths.to_vec(),
+        out_widths: vec![4],
     }
 }
 

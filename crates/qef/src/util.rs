@@ -18,9 +18,8 @@ impl SmallIntArray {
     /// `len` zeroed entries of `bits` bits each (1..=64).
     pub fn new(len: usize, bits: u8) -> Self {
         assert!((1..=64).contains(&bits), "bits must be 1..=64");
-        let total = bits as usize * len;
         SmallIntArray {
-            words: vec![0; total.div_ceil(64)],
+            words: vec![0; Self::size_bytes_of(len, bits) / 8],
             bits,
             len,
         }
@@ -49,6 +48,12 @@ impl SmallIntArray {
     /// Bytes of backing storage — what counts against the DMEM budget.
     pub fn size_bytes(&self) -> usize {
         self.words.len() * 8
+    }
+
+    /// [`size_bytes`](Self::size_bytes) of an array of `len` entries of
+    /// `bits` bits, without building it.
+    pub fn size_bytes_of(len: usize, bits: u8) -> usize {
+        (bits as usize * len).div_ceil(64) * 8
     }
 
     /// Read entry `i`.

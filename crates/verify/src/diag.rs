@@ -50,7 +50,8 @@ pub enum Rule {
     TileMin,
     /// An on-the-fly group-by must fit its statically-known NDV in DMEM.
     GroupLimit,
-    /// A scheme should produce at least one partition per core.
+    /// A scheme should produce at least one partition per core. A join of
+    /// no rounds partitions nothing: it is broadcast to every core.
     SchemeCores,
     /// The happens-before graph over a schedule's placements must be
     /// acyclic (program + resource + admission edges).

@@ -3,7 +3,8 @@
 //! [`check_plan`] walks the plan once, numbering nodes in the pre-order the
 //! engine's tracer uses — so a diagnostic or a stage row points at the node
 //! `EXPLAIN ANALYZE` shows — deriving the engine stages each node executes
-//! as (a join is two partition passes plus a pair-join stage) and checking
+//! as (a partitioned join is two partition passes plus a pair-join stage, a
+//! broadcast join — no rounds — its probe stage alone) and checking
 //! every rule in [`crate::diag::Rule`] against them. The plan is a tree the
 //! engine runs bottom-up, so no schedule of it can be cyclic or use a stage
 //! before it ran; the walk checks what a plan can get wrong.
@@ -223,7 +224,9 @@ impl Walker<'_> {
         let info = self.node(input, input_path, task.is_some())?;
         let Some(task) = task else {
             let widths = input.output_widths(catalog).map_err(|_| ())?;
-            // A pass of no rounds is still a stage of its own.
+            // A group-by's pass of no rounds and a broadcast join's probe are
+            // still stages of their own; a broadcast join's build side is
+            // consumed by no stage but its own.
             if let Some(first) = node.first_stage(edge, &widths, cfg.dmem_bytes) {
                 self.stage(id, path, &[first], fanouts.to_vec());
             }
@@ -553,21 +556,26 @@ impl Walker<'_> {
                         );
                     }
                 }
-                // Both inputs have passed the walk, so their widths resolve.
-                let bw = build.output_widths(self.catalog).map_err(|_| ())?;
-                let pw = probe.output_widths(self.catalog).map_err(|_| ())?;
-                let brow: usize = bw.iter().sum();
-                let prow: usize = pw.iter().sum();
-                self.check_scheme(id, &path, scheme, brow.max(prow));
-                // Pair stage: the DMEM-resident hash table takes half the
-                // scratchpad; key streams plus the matched row-id pairs.
-                let pairs = OpDecl {
-                    name: OpName::of("join.pairs"),
-                    state_bytes: self.cfg.dmem_bytes / 2,
-                    in_widths: vec![8; nb + np],
-                    out_widths: vec![8, 8],
-                };
-                self.stage(id, &path, &[pairs], Vec::new());
+                // A join of no rounds is broadcast: its probe stage, derived
+                // above, is all it runs. The rest is the partitioned join's.
+                if !scheme.is_empty() {
+                    // Both inputs have passed the walk, so their widths
+                    // resolve.
+                    let bw = build.output_widths(self.catalog).map_err(|_| ())?;
+                    let pw = probe.output_widths(self.catalog).map_err(|_| ())?;
+                    let brow: usize = bw.iter().sum();
+                    let prow: usize = pw.iter().sum();
+                    self.check_scheme(id, &path, scheme, brow.max(prow));
+                    // Pair stage: the DMEM-resident hash table takes half the
+                    // scratchpad; key streams plus the matched row-id pairs.
+                    let pairs = OpDecl {
+                        name: OpName::of("join.pairs"),
+                        state_bytes: self.cfg.dmem_bytes / 2,
+                        in_widths: vec![8; nb + np],
+                        out_widths: vec![8, 8],
+                    };
+                    self.stage(id, &path, &[pairs], Vec::new());
+                }
                 let mut ndv = p.ndv;
                 if matches!(join_type, JoinType::Inner | JoinType::LeftOuter) {
                     ndv.extend(b.ndv);

@@ -197,6 +197,29 @@ fn a_partitioned_group_by_is_checked_like_a_join_pass() {
     assert_eq!(rules, [Rule::FanoutPow2]);
 }
 
+#[test]
+fn a_join_of_no_rounds_is_broadcast_and_starves_no_core() {
+    // A join of no rounds partitions nothing, so A-SCHEME-CORES has no
+    // partitions to count: every core holds the whole build side's table.
+    // One round of two still leaves thirty cores idle, and warns.
+    use rapid_verify::mutate::set_scheme;
+    let cat = demo_catalog();
+    let report = verify(&set_scheme(vec![]), &cat, &VerifyConfig::default());
+    assert!(report.diagnostics.is_empty(), "{report:?}");
+    let stages: Vec<_> = report.stages.iter().map(|s| &*s.stage).collect();
+    assert_eq!(
+        stages,
+        ["scan(t_dim)", "join.probe", "map", "groupby.consume"]
+    );
+    let Mutated::Plan(starved) = Mutation::StarveCores.apply() else {
+        panic!("StarveCores mutates the plan")
+    };
+    assert_eq!(starved, set_scheme(vec![2]));
+    let report = verify(&starved, &cat, &VerifyConfig::default());
+    let rules: Vec<_> = report.diagnostics.iter().map(|d| d.rule).collect();
+    assert_eq!(rules, [Rule::SchemeCores]);
+}
+
 /// A scan-fed chain and its consumer: an on-the-fly group-by of `t_fact`
 /// on `grp` over a map that doubles `price`. `grp`'s code is stored in 1
 /// byte and `price` in 2; the map writes one 8-byte vector.

@@ -10,7 +10,9 @@
 //! those of one core streaming the input alone.
 //!
 //! A pass runs the rounds its plan node declares, joins and group-bys alike,
-//! every pass of the eleven statements a single round.
+//! every pass of the eleven statements a single round; a join of no rounds
+//! is broadcast and runs no pass and no pairs stage, only the probe its
+//! every lane builds the whole table for.
 //!
 //! Against the figures recorded from the commit that ran one operator per
 //! stage no statement takes more cycles or moves more bytes; and where the
@@ -51,10 +53,36 @@ const PER_OPERATOR: [(&str, f64, u64); 11] = [
     ("Q19", 133_007.0, 922_112),
 ];
 
+/// `(statement, node id)` of every join broadcast at sf 0.02 on 32 cores:
+/// a build side whose table fits half a scratchpad, of at most a 32nd of
+/// the probe's rows. The build sides of Q9's node 11 (part), Q10's node 8
+/// (nation) and Q12's node 4 (lineitem) are scans; the rest are what a join
+/// handed on, or — Q18's node 6 — the HAVING filter over a group-by. All
+/// probe in their scan's task but Q9's node 3, whose probe side is a join.
+const BROADCAST: [(&str, u32); 9] = [
+    ("Q5", 4),
+    ("Q5", 5),
+    ("Q9", 3),
+    ("Q9", 11),
+    ("Q10", 8),
+    ("Q12", 4),
+    ("Q18", 4),
+    ("Q18", 5),
+    ("Q18", 6),
+];
+
 fn is_partition_stage(e: &StageEvent) -> bool {
     matches!(
         e.operator.as_str(),
         "join.partition-build" | "join.partition-probe" | "groupby.partition"
+    )
+}
+
+/// Every stage a node's partitioned join runs.
+fn is_partitioned_join_stage(e: &StageEvent) -> bool {
+    matches!(
+        e.operator.as_str(),
+        "join.partition-build" | "join.partition-probe" | "join.pairs"
     )
 }
 
@@ -113,6 +141,10 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
                     assert_eq!(ran, [], "{name} node {id} declares no pass");
                     continue;
                 };
+                if scheme.is_empty() && matches!(node, PlanNode::HashJoin { .. }) {
+                    assert_eq!(ran, [], "{name} node {id} is broadcast");
+                    continue;
+                }
                 // A pass is a stage a round — round one the last operator
                 // of a task where the side is a scan — and an input of one
                 // tile or less that is no task runs the whole scheme as one
@@ -178,9 +210,24 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     let (mut tasks, mut fused_tasks, mut dms_bound, mut wide_rounds) = (0, 0, 0, 0);
     let mut other_path = Vec::new();
     let mut underived = std::collections::BTreeSet::new();
+    let (mut broadcast, mut builds_subtracted) = (Vec::new(), 0);
     for (name, plan) in tpch::queries::all() {
         let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut nodes = Vec::new();
+        pre_order(&compiled.plan, &mut nodes);
+        // The joins of no rounds, and what one lane of each reads of its
+        // build side: the build node's rows at the widths it hands them on.
+        let mut build_bytes = std::collections::HashMap::new();
+        for (id, node) in nodes.iter().enumerate() {
+            if let PlanNode::HashJoin { build, scheme, .. } = node {
+                if scheme.is_empty() {
+                    let widths = build.output_widths(&catalog).expect("widths");
+                    build_bytes.insert(id as u32, widths.iter().sum::<usize>() as u64);
+                    broadcast.push((name, id as u32));
+                }
+            }
+        }
         let run = |engine: &Engine| -> (Vec<Vec<String>>, QueryReport) {
             let (out, report) = engine.execute(&compiled.plan).expect("execute");
             let rows = decode_batch(&out.batch, &out.meta, engine.catalog());
@@ -227,18 +274,42 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                 .filter(|e| derived(e).is_none())
                 .map(|e| e.operator.clone()),
         );
+        // A broadcast join runs its probe and nothing else: no partition
+        // pass and no pairs stage. Its `join.probe` — the last operator of
+        // its probe's task, or a stage over what the probe side handed on —
+        // holds in DMEM what the verifier derives for it.
+        for e in &events {
+            let broadcast = build_bytes.contains_key(&e.node_id);
+            assert!(
+                !(broadcast && is_partitioned_join_stage(e)),
+                "{name}: node {} is broadcast and ran {}",
+                e.node_id,
+                e.operator
+            );
+            if e.operator == "join.probe" {
+                assert!(broadcast, "{name}: node {} probes unpartitioned", e.node_id);
+                assert_eq!(
+                    e.dmem_peak_bytes,
+                    stage_of(e).working_set_bytes as u64,
+                    "{name}: node {} join.probe",
+                    e.node_id
+                );
+            }
+        }
         // Every scan is in a task, and a task is one event: the chain with
         // the stage that consumes it, wherever they fit together.
-        let mut nodes = Vec::new();
-        pre_order(&compiled.plan, &mut nodes);
         let scans = nodes.iter().filter(|n| matches!(n, PlanNode::Scan { .. }));
         let of_tasks: Vec<&StageEvent> = events.iter().filter(|e| e.scan.is_some()).collect();
         assert_eq!(of_tasks.len(), scans.count(), "{name}: a task per scan");
         for e in &of_tasks {
             let stage = stage_of(e);
-            // Its operators are the verifier's, scan first there, last here.
+            // Its operators are the verifier's, scan first there, last here;
+            // a lone scan's is its label.
             let ran: Vec<&str> = e.operators().map(|op| op.2).collect();
-            let derived: Vec<&str> = stage.operators.rsplit(" -> ").collect();
+            let derived: Vec<&str> = match stage.operators.as_str() {
+                "" => vec![stage.stage.as_str()],
+                operators => operators.rsplit(" -> ").collect(),
+            };
             assert_eq!(ran, derived, "{name}");
             // min(cores, tiles) lanes at the task's one vector size: a
             // table of one chunk and sixteen tiles scans on sixteen cores.
@@ -315,8 +386,23 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         // also takes the same tiles and descriptors. One thing a scan
         // decides from the cores it has: its access path, by stage time,
         // which one lane and thirty do not share — a task whose scan changed
-        // path is compared on its rows alone.
-        type Work = (String, Vec<u64>, (u64, u64), Option<(u64, u64)>);
+        // path is compared on its rows alone. And one thing a broadcast
+        // join's task does once per lane: every lane reads the build side
+        // and builds its table. With one build a lane subtracted — the bytes
+        // of the build side's rows, and the same instructions whichever
+        // lanes are compared — the task moves and retires what it does on
+        // one core.
+        type Work = (
+            String,
+            Vec<u64>,
+            (u64, u64),
+            Option<(u64, u64)>,
+            Option<(u32, u64)>,
+        );
+        let build_read = |join: u32| {
+            let build = events.iter().rfind(|e| e.node_id == join + 1);
+            build.map_or(0, |e| e.rows) * build_bytes[&join]
+        };
         let work = |events: &[StageEvent]| -> Vec<Work> {
             let streamed = events
                 .iter()
@@ -332,11 +418,15 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     };
                     let moved = (e.dms_bytes, e.instructions);
                     let over_batches = e.scan.is_none().then_some((e.tiles, e.dms_descriptors));
-                    (format!("{} {path}", e.operator), rows, moved, over_batches)
+                    let builds =
+                        (e.operator == "join.probe").then_some((e.node_id, e.parallelism as u64));
+                    let label = format!("{} {path}", e.operator);
+                    (label, rows, moved, over_batches, builds)
                 })
                 .collect()
         };
         let at_all_cores = work(&events);
+        let mut one_build = std::collections::HashMap::new();
         for (fewer, fewer_sink) in &fewer_cores {
             let cores = fewer.context().cores;
             let (rows_fewer, report_fewer) = run(fewer);
@@ -345,11 +435,28 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             assert_eq!(events_fewer.len(), events.len(), "{name}: {cores} cores");
             for (few, all) in work(&events_fewer).iter().zip(&at_all_cores) {
                 assert_eq!(few.1, all.1, "{name}: {cores} cores vs {CORES}");
-                if few.0 == all.0 {
-                    assert_eq!(few, all, "{name}: {cores} cores vs {CORES}");
-                } else {
+                if few.0 != all.0 {
                     other_path.push(cores);
+                    continue;
                 }
+                assert_eq!(few.4.map(|b| b.0), all.4.map(|b| b.0), "{name}");
+                let lanes = |w: &Work| w.4.map_or(0, |(_, lanes)| lanes);
+                let extra = lanes(all) - lanes(few);
+                if let (Some((join, _)), true) = (all.4, extra > 0) {
+                    let (bytes, instructions) = (all.2 .0 - few.2 .0, all.2 .1 - few.2 .1);
+                    assert_eq!((bytes % extra, instructions % extra), (0, 0), "{name}");
+                    let per_lane = (bytes / extra, instructions / extra);
+                    assert_eq!(per_lane.0, build_read(join), "{name}: node {join}");
+                    let first = *one_build.entry(join).or_insert(per_lane);
+                    assert_eq!(per_lane, first, "{name}: node {join}, {cores} cores");
+                } else {
+                    assert_eq!(few.2, all.2, "{name}: {cores} cores vs {CORES}");
+                }
+                assert_eq!(
+                    (&few.0, &few.3),
+                    (&all.0, &all.3),
+                    "{name}: {cores} cores vs {CORES}"
+                );
             }
             assert!(events_fewer.iter().all(|e| e.parallelism <= cores));
             assert!(
@@ -357,6 +464,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                 "{name}: more cores are not slower"
             );
         }
+        builds_subtracted += one_build.len();
 
         let host = db
             .execute_on_host(&plan)
@@ -372,22 +480,34 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // lanes of the stage before left.
     let merges = ["groupby.merge", "sort.merge", "topk.merge"];
     assert_eq!(underived, merges.map(String::from).into());
+    assert_eq!(broadcast, BROADCAST);
+    // Every broadcast task but Q5's one-tile supplier probe has fewer lanes
+    // on fewer cores: seven joins whose per-lane build was subtracted.
+    assert_eq!(builds_subtracted, 7);
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
     assert_eq!((gathers_on(1), gathers_on(8)), (13, 2), "{other_path:?}");
-    // 33 scans, 33 tasks, each with the first stage of its consumer as its
-    // last operator: in 32 KiB every one of them fits.
-    assert_eq!((tasks, fused_tasks), (33, 33));
-    // Fourteen end bound by the DMS — every large one but Q1's and Q18's
+    // 33 scans, 33 tasks. All but three end with the first stage of their
+    // consumer, which in 32 KiB fits every time: the three are the build
+    // sides of broadcast joins (Q9's part, Q10's nation, Q12's lineitem),
+    // whose consumer has no stage over them.
+    assert_eq!((tasks, fused_tasks), (33, 30));
+    // Fifteen end bound by the DMS — every large one but Q1's and Q18's
     // two over lineitem: fewer bytes is the next lever, not more cores. The
     // orders probes of Q3, Q9 and Q12 were DMS-bound too until dates and
-    // codes were stored at the width their values need.
+    // codes were stored at the width their values need. Broadcast joins
+    // took the partition write off Q9's lineitem probe and Q18's orders
+    // probe, which stay DMS-bound; Q12's lineitem scan is DMS-bound as a
+    // task of its own as it was with its partition round; the one added is
+    // Q10's nation scan, 25 rows a task of their own with nothing to
+    // compute.
     assert_eq!(
-        dms_bound, 14,
+        dms_bound, 15,
         "tasks whose DMS time is their compute time or more"
     );
-    // Rounds on all 32 cores, in tasks and over what joins handed on.
+    // Rounds on all 32 cores, in tasks and over what joins handed on: the
+    // broadcast joins partition nothing.
     assert_eq!(
-        wide_rounds, 22,
+        wide_rounds, 16,
         "partition rounds on {CORES} lanes at sf 0.02"
     );
 }

@@ -166,7 +166,7 @@ fn every_statement_parses_prunes_and_agrees_on_three_engines() {
         let (on_dpu, report) = run(&dpu, &compiled);
         assert!(report.sim_secs > 0.0, "{name} simulated time");
         // The compiler's estimate against the cycles the simulator charged,
-        // within 7x either way: 0.45-1.53x here, 1.22-6.08x at sf 0.02 on
+        // within 7x either way: 0.45-1.79x here, 1.22-6.08x at sf 0.02 on
         // 32 cores (ROADMAP item 7, which tightens this to 1.5x).
         let estimated = compiled.cost.exec_secs * params.cm.freq_hz;
         let ratio = estimated / report.sim_cycles;
@@ -273,10 +273,11 @@ fn q6_matches_naive_evaluation() {
 #[test]
 fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
     // The partition twin of hostdb's scan check, on the statement with the
-    // widest passes: EXPLAIN VERIFY budgets a pass — and the task it runs in,
-    // where the side is a scan — from the widths its columns are encoded in,
-    // which is what a lane of it reserves — so the table's `ws-bytes` is the
-    // trace's `dmem_peak`, not a bound above it.
+    // widest passes: EXPLAIN VERIFY budgets a pass or a broadcast probe —
+    // and the task it runs in, where the side is a scan — from the widths
+    // its columns are encoded in, which is what a lane of it reserves — so
+    // the table's `ws-bytes` is the trace's `dmem_peak`, not a bound above
+    // it.
     let data = tpch::generate(&tpch::TpchConfig::sf(0.02));
     let db = HostDb::new(ExecContext::dpu());
     for t in data.tables() {
@@ -289,13 +290,19 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
     let verify = db.explain_verify(q9).expect("EXPLAIN VERIFY");
     assert!(verify.contains("PASS"), "{verify}");
     let analyzed = db.explain_analyze(q9).expect("EXPLAIN ANALYZE");
-    let passes: Vec<_> = analyzed
+    // Three joins partition, a round a side; the other two — part into
+    // lineitem, and the nation-supplier join into what the partsupp and
+    // orders joins handed on — are broadcast, a probe stage each whose
+    // state is the half of DMEM its build side's table is built in.
+    let staged: Vec<_> = analyzed
         .events
         .iter()
-        .filter(|e| e.partition.is_some())
+        .filter(|e| e.partition.is_some() || e.operator == "join.probe")
         .collect();
-    assert_eq!(passes.len(), 10, "five joins, a round a side");
-    for e in passes {
+    let probes = staged.iter().filter(|e| e.partition.is_none()).count();
+    assert_eq!((staged.len() - probes, probes), (6, 2));
+    let dmem = ExecContext::dpu().dmem_bytes as u64;
+    for e in staged {
         let line = verify
             .lines()
             .map(|l| l.split_whitespace().collect::<Vec<_>>())
@@ -307,17 +314,29 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
         // The state of every operator of the task, then two tile buffers of
         // every stream.
         let state: u64 = state.parse().expect("state");
-        assert_eq!(state, 64 * (1 + e.fused.len() as u64), "{line:?}");
+        let own = if e.partition.is_some() { 64 } else { dmem / 2 };
+        assert_eq!(state, own + 64 * e.fused.len() as u64, "{line:?}");
         let row: u64 = b_per_row.parse().expect("B/row");
         assert_eq!(e.dmem_peak_bytes, state + 2 * row * 256, "{line:?}");
-        let line = format!("{}  lanes={} round 1/1 fanout ", e.operator, e.parallelism);
+        let line = match e.partition {
+            Some(_) => format!("{}  lanes={} round 1/1 fanout ", e.operator, e.parallelism),
+            None => format!("{}  lanes={} rows=", e.operator, e.parallelism),
+        };
         assert!(analyzed.text.contains(&line), "{}", analyzed.text);
     }
     // The lineitem probe: six columns, 48 declared bytes a row, 12 stored,
-    // partitioned by the lanes that scan them.
-    let mut passes = analyzed.events.iter().filter(|e| e.partition.is_some());
-    let widest = passes.find(|e| e.rows == 119_771).expect("the probe");
-    assert_eq!(widest.fused.len(), 1, "{widest:?}");
-    assert_eq!(widest.fused[0].operator, "scan(lineitem)");
-    assert_eq!(widest.dmem_peak_bytes, 2 * 64 + 2 * (12 + 4) * 256);
+    // probed by the lanes that scan them beside the hash lane they are
+    // looked up by.
+    let widest = analyzed
+        .events
+        .iter()
+        .find(|e| e.operator == "join.probe" && e.scan.is_some())
+        .expect("the probe");
+    let scan: Vec<_> = widest
+        .fused
+        .iter()
+        .map(|op| (&*op.operator, op.rows))
+        .collect();
+    assert_eq!(scan, [("scan(lineitem)", 119_771)], "{widest:?}");
+    assert_eq!(widest.dmem_peak_bytes, 64 + dmem / 2 + 2 * (12 + 4) * 256);
 }
