@@ -37,7 +37,8 @@ fi
 echo "== the library is what a query runs: every engine module has a caller =="
 # Every module file under crates/{qef,qcomp,storage,dpu-sim}/src is named by
 # non-test code outside its own file and its parent mod.rs/lib.rs; figures,
-# fuzzers, examples and tests keep their own machinery (ROADMAP item 10):
+# fuzzers, the TPC-H generator, examples and tests keep their own machinery
+# and do not count as callers (ROADMAP item 10):
 # Figure 4's task-formation search lives in crates/bench beside its example,
 # since the compiler no longer weighs formations. The one named exception,
 # dpu_sim::dms::partition, waits for ROADMAP 1(c).

@@ -9,7 +9,7 @@
 use rapid_fuzz::datagen::{gen_extreme_i64s, EXTREME_INTS, STRING_POOL};
 use rapid_fuzz::rng::{mix, Rng};
 use rapid_storage::encoding::dict::Dictionary;
-use rapid_storage::encoding::dsb::DsbVector;
+use rapid_storage::encoding::dsb::common_scale;
 use rapid_storage::like::like_match;
 use rapid_storage::types::{DataType, Value};
 use rapid_storage::{ColumnData, Field, Schema, TableBuilder};
@@ -46,103 +46,30 @@ fn stored_widths_roundtrip_extreme_values() {
 }
 
 #[test]
-fn dsb_roundtrips_exactly_including_exceptions() {
+fn decimal_columns_store_mixed_scales_exactly() {
+    // DSB at the load path: one common scale per column, and every value
+    // of a mixed-scale column is its exact mantissa at that scale.
     let mut rng = Rng::new(mix(SEED, 777));
-    let mut vals: Vec<Value> = Vec::new();
-    for _ in 0..200 {
-        vals.push(if rng.chance(40) {
-            Value::Int(*rng.pick(&EXTREME_INTS))
-        } else {
-            Value::Decimal {
-                unscaled: rng.range_i64(-100_000, 100_000),
-                scale: rng.below(7) as u8,
-            }
-        });
-    }
-    let v = DsbVector::encode(&vals);
-    assert_eq!(v.len(), vals.len());
+    let vals: Vec<Value> = (0..200)
+        .map(|_| Value::Decimal {
+            unscaled: rng.range_i64(-100_000, 100_000),
+            scale: rng.below(7) as u8,
+        })
+        .collect();
+    let schema = Schema::new(vec![Field::new("d", DataType::Decimal { scale: 6 })]);
+    let mut b = TableBuilder::new("t", schema).chunk_rows(64);
+    b.extend_rows(vals.iter().map(|v| vec![v.clone()]));
+    let t = b.finish();
+    let scale = common_scale(&vals);
+    assert_eq!(t.scales[0], scale);
+    let stored = t.column_i64(0);
     for (row, original) in vals.iter().enumerate() {
-        let decoded = v.decode_row(row);
-        match original.unscaled_at(v.scale) {
-            // Representable at the common scale: the decoded decimal must
-            // carry the exact mantissa.
-            Some(u) => {
-                assert_eq!(
-                    decoded,
-                    Value::Decimal {
-                        unscaled: u,
-                        scale: v.scale
-                    },
-                    "row {row} ({original:?}) lost precision in-line"
-                );
-                assert!(!v.is_exception(row as u32));
-            }
-            // Not representable (i64::MAX at scale 3, ...): must have been
-            // an exception and decode bit-for-bit.
-            None => {
-                assert!(
-                    v.is_exception(row as u32),
-                    "row {row} should be an exception"
-                );
-                assert_eq!(decoded, *original, "row {row} exception not exact");
-            }
-        }
+        assert_eq!(
+            Some(stored[row]),
+            original.unscaled_at(scale),
+            "row {row} ({original:?}) lost precision"
+        );
     }
-}
-
-#[test]
-fn dsb_whole_extreme_vector_is_exact() {
-    let vals: Vec<Value> = EXTREME_INTS.iter().map(|&v| Value::Int(v)).collect();
-    let v = DsbVector::encode(&vals);
-    // All ints: common scale stays 0 and nothing needs the exception path.
-    assert_eq!(v.scale, 0);
-    assert!(v.exceptions.is_empty());
-    assert_eq!(
-        v.decode(),
-        vec![
-            // Ints come back as scale-0 decimals with identical mantissas.
-            Value::Decimal {
-                unscaled: EXTREME_INTS[0],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[1],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[2],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[3],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[4],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[5],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[6],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[7],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[8],
-                scale: 0
-            },
-            Value::Decimal {
-                unscaled: EXTREME_INTS[9],
-                scale: 0
-            },
-        ]
-    );
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //!
 //! [`HostDb`] owns the row store (single source of truth), the RAPID node
 //! (a `rapid-qef` engine on either backend), the offload planner, and the
-//! background checkpointer that ships journal changes to RAPID (§3.3).
+//! background checkpointer that keeps RAPID's tables at the host's SCNs
+//! (§3.3). A change reaches RAPID one way: a commit moves a host table to a
+//! new SCN, and the next checkpoint rebuilds that table from the row store.
 //! `execute_sql` is the end-to-end path: parse → plan → offload decision →
 //! admission check (SCNs) → RAPID execution with host fallback.
 //! Every entry point reaches that one path (`HostDb::run`, RAPID leg
@@ -316,7 +318,11 @@ impl HostDb {
         self.load_into_rapid(&table.name)
     }
 
-    /// Commit journaled changes (DML path).
+    /// Commit changes to one table (DML path): apply them to the row store
+    /// and return the table's new SCN. A commit with a row the table's
+    /// schema does not admit (wrong arity, or a value its column cannot
+    /// store as given, see [`Schema::admits`]) is refused whole: `None`,
+    /// nothing applied, no SCN ticked. `None` too for an unknown table.
     pub fn commit(&self, table: &str, changes: Vec<RowChange>) -> Option<Scn> {
         self.store.commit(table, changes)
     }
@@ -332,22 +338,22 @@ impl HostDb {
         Ok(())
     }
 
-    /// Ship pending journal changes of one table to RAPID (§3.3's query
-    /// checkpointing). No-op when the table is current.
+    /// Bring one table in RAPID up to the host's SCN (§3.3's query
+    /// checkpointing). No-op when RAPID holds the table at that SCN, or does
+    /// not hold it at all.
     ///
-    /// The host row store is the single source of truth, and journal rids
-    /// index its stable heap slots — so the consistent snapshot is rebuilt
-    /// from the store itself rather than by replaying units onto the
-    /// (compacted) previous snapshot (the RAPID-side
-    /// [`rapid_storage::scn::Tracker`] covers the replay-onto-base path
-    /// for per-vector versioning and is tested there).
+    /// The host row store is the single source of truth: the table is
+    /// rebuilt from its live rows at the host's SCN. A `RowChange` rid is a
+    /// heap slot that survives deletes, while a snapshot holds only live
+    /// rows, so changes are never replayed onto the previous snapshot.
     pub fn checkpoint(&self, table: &str) -> Result<(), DbError> {
         checkpoint_table(&self.store, &self.rapid, table)
     }
 
     /// Start the periodic background checkpointer (§3.3: "we utilize
     /// periodic background threads for scanning and propagating the
-    /// changes from the journals").
+    /// changes"): every interval, [`checkpoint`](Self::checkpoint) each
+    /// table.
     pub fn start_checkpointer(&mut self, interval: Duration) {
         let stop = Arc::clone(&self.checkpointer_stop);
         let store = Arc::clone(&self.store);
@@ -892,8 +898,6 @@ fn ship_snapshot(rapid: &RwLock<Engine>, name: &str, host: &RwLock<HostTable>) {
         }
         engine.load_table(snapshot);
     }
-    // Everything up to `scn` is now in RAPID.
-    host.write().journal.mark_checkpointed(scn);
 }
 
 /// Ship `table` to RAPID if RAPID holds it at an older SCN than the host.
@@ -1197,7 +1201,7 @@ mod tests {
     fn updates_are_visible_after_admission_checkpoint() {
         let d = db();
         d.load_into_rapid("sales").unwrap();
-        // Commit a journaled change after the load.
+        // Commit a change after the load.
         d.commit(
             "sales",
             vec![RowChange::Insert(vec![
@@ -1873,16 +1877,11 @@ mod tests {
         let ship_at = |scn: u64| {
             host.write().scn = Scn(scn);
             ship_snapshot(&d.rapid, "sales", &host);
-            let held = d.rapid.read().catalog()["sales"].scn;
-            (held, host.read().journal.checkpointed())
+            d.rapid.read().catalog()["sales"].scn
         };
-        assert_eq!(ship_at(7), (Scn(7), Scn(7)));
-        assert_eq!(
-            ship_at(6),
-            (Scn(7), Scn(7)),
-            "the older snapshot is refused"
-        );
-        assert_eq!(ship_at(8), (Scn(8), Scn(8)));
+        assert_eq!(ship_at(7), Scn(7));
+        assert_eq!(ship_at(6), Scn(7), "the older snapshot is refused");
+        assert_eq!(ship_at(8), Scn(8));
     }
 
     #[test]

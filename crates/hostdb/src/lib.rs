@@ -5,8 +5,7 @@
 //! commercial RDBMS it calls *System X*; this crate is the from-scratch
 //! stand-in:
 //!
-//! * a **row-store** with SCN-stamped commits and in-memory change
-//!   journals ([`store`]),
+//! * a **row-store** with SCN-stamped commits ([`store`]),
 //! * a small **SQL front end** ([`sql`]) producing the same logical plans
 //!   the RAPID compiler consumes,
 //! * a **Volcano executor** ([`volcano`]) implementing the classic
@@ -15,8 +14,9 @@
 //! * the **offload planner** ([`offload`]): cost-based full/partial/no
 //!   offload decisions, the RAPID placeholder operator with SCN admission
 //!   checks, and fallback to local execution,
-//! * the assembled database ([`db`]): `LOAD` into RAPID, background
-//!   checkpointing of journals, and end-to-end `execute_sql`.
+//! * the assembled database ([`db`]): `LOAD` into RAPID, checkpointing
+//!   (a stale table is rebuilt from the row store at the host's SCN, by
+//!   admission or by a background thread), and end-to-end `execute_sql`.
 //!
 //! Exact-decimal arithmetic over [`rapid_storage::types::Value`] lives in
 //! [`valmath`] and deliberately mirrors the RAPID compiler's DSB scale

@@ -1,9 +1,9 @@
-//! The host row store: heap tables, SCN-stamped commits, change journals.
+//! The host row store: heap tables and SCN-stamped commits.
 //!
 //! The host database is "the single source of truth" (§3): every change
-//! lands here first, stamped by the global SCN clock and recorded in the
-//! table's in-memory journal for the background checkpointer to ship to
-//! RAPID (§3.3).
+//! lands here first and stamps its table with the next SCN of the global
+//! clock. Checkpointing (§3.3) compares that SCN with the one RAPID holds
+//! and ships the whole table again when RAPID is behind.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -11,18 +11,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rapid_storage::schema::Schema;
-use rapid_storage::scn::{Journal, RowChange, Scn, ScnClock, UpdateUnit};
+use rapid_storage::scn::{RowChange, Scn, ScnClock};
 use rapid_storage::types::Value;
 
-/// A heap table of rows plus its journal.
+/// A heap table of rows.
 #[derive(Debug)]
 pub struct HostTable {
     /// Schema.
     pub schema: Schema,
-    /// Rows (None = deleted slot).
+    /// Rows by heap slot (None = deleted slot); a `RowChange` rid indexes
+    /// this vector.
     rows: Vec<Option<Vec<Value>>>,
-    /// Change journal since the last RAPID load.
-    pub journal: Journal,
     /// SCN of the last committed change.
     pub scn: Scn,
 }
@@ -33,7 +32,6 @@ impl HostTable {
         HostTable {
             schema,
             rows: Vec::new(),
-            journal: Journal::new(),
             scn: Scn::ZERO,
         }
     }
@@ -48,16 +46,16 @@ impl HostTable {
         self.rows.iter().filter(|r| r.is_some()).count()
     }
 
-    fn apply(&mut self, change: &RowChange) {
+    fn apply(&mut self, change: RowChange) {
         match change {
-            RowChange::Insert(row) => self.rows.push(Some(row.clone())),
+            RowChange::Insert(row) => self.rows.push(Some(row)),
             RowChange::Update { rid, row } => {
-                if let Some(slot) = self.rows.get_mut(*rid as usize) {
-                    *slot = Some(row.clone());
+                if let Some(slot) = self.rows.get_mut(rid as usize) {
+                    *slot = Some(row);
                 }
             }
             RowChange::Delete { rid } => {
-                if let Some(slot) = self.rows.get_mut(*rid as usize) {
+                if let Some(slot) = self.rows.get_mut(rid as usize) {
                     *slot = None;
                 }
             }
@@ -133,26 +131,30 @@ impl RowStore {
         TempTable { store: self, name }
     }
 
-    /// Commit a batch of changes to one table: bumps the SCN, applies to
-    /// the heap, appends one update unit to the journal.
+    /// Commit a batch of changes to one table: applies them to the heap
+    /// and stamps the table with the next SCN. `None`, with nothing applied
+    /// and no SCN ticked, for an unknown table or when any row is one
+    /// [`Schema::admits`] refuses.
     pub fn commit(&self, table: &str, changes: Vec<RowChange>) -> Option<Scn> {
         let t = self.table(table)?;
-        let scn = self.clock.tick();
         let mut guard = t.write();
-        for c in &changes {
+        let admitted = changes.iter().all(|c| match c {
+            RowChange::Insert(row) | RowChange::Update { row, .. } => guard.schema.admits(row),
+            RowChange::Delete { .. } => true,
+        });
+        if !admitted {
+            return None;
+        }
+        let scn = self.clock.tick();
+        for c in changes {
             guard.apply(c);
         }
         guard.scn = scn;
-        guard.journal.append(UpdateUnit {
-            scn,
-            expiry: None,
-            rows: changes,
-        });
         Some(scn)
     }
 
-    /// Bulk-insert without journaling (initial population before any RAPID
-    /// load; the subsequent `LOAD` ships the whole table anyway).
+    /// Bulk-insert rows (initial population before a RAPID load, which
+    /// ships the whole table).
     pub fn bulk_insert(
         &self,
         table: &str,
@@ -203,11 +205,10 @@ mod tests {
         s.bulk_insert("t", (0..5).map(|i| vec![Value::Int(i), Value::Int(i * 2)]));
         let t = s.table("t").unwrap();
         assert_eq!(t.read().row_count(), 5);
-        assert!(t.read().journal.is_empty(), "bulk load is not journaled");
     }
 
     #[test]
-    fn commit_journals_and_bumps_scn() {
+    fn commit_applies_and_bumps_scn() {
         let s = RowStore::new();
         s.create_table("t", schema());
         let scn1 = s
@@ -220,7 +221,6 @@ mod tests {
         assert!(scn2 > scn1);
         let t = s.table("t").unwrap();
         assert_eq!(t.read().row_count(), 0);
-        assert_eq!(t.read().journal.len(), 2);
         assert_eq!(t.read().scn, scn2);
     }
 
@@ -242,6 +242,21 @@ mod tests {
         let t = s.table("t").unwrap();
         let rows: Vec<_> = t.read().scan().cloned().collect();
         assert_eq!(rows[0][1], Value::Int(99));
+    }
+
+    #[test]
+    fn a_malformed_commit_applies_nothing() {
+        // One row of the wrong arity refuses the whole commit, the valid
+        // change beside it included.
+        let s = RowStore::new();
+        s.create_table("t", schema());
+        let ok = RowChange::Insert(vec![Value::Int(1), Value::Int(10)]);
+        let before = s.clock().current();
+        let bad = RowChange::Insert(vec![Value::Int(2)]);
+        assert_eq!(s.commit("t", vec![ok.clone(), bad]), None);
+        assert_eq!(s.clock().current(), before, "no SCN ticked");
+        assert_eq!(s.table("t").unwrap().read().row_count(), 0);
+        assert!(s.commit("t", vec![ok]).is_some());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Column encodings (§4.2): the type-level transforms that make every
-//! value fixed-width — [`dsb`] (decimal scaled binary with exception
-//! values) for numerics and [`dict`] (order-preserving, updatable
+//! value fixed-width — [`dsb`] (decimal scaled binary at one common scale
+//! per column) for numerics and [`dict`] (order-preserving, updatable
 //! dictionary) for strings.
 //!
 //! The one at-rest encoding a scan reads is the stored width: the load path

@@ -11,14 +11,15 @@
 //!
 //! The DPU has no floating-point unit and strict alignment rules, so
 //! **everything is fixed width**: decimals become *decimal scaled binary*
-//! (DSB) integers with a common per-vector scale and out-of-line exception
-//! values; strings become order-preserving dictionary codes supporting
-//! range and prefix predicates; and every column is stored at the
-//! narrowest of 1, 2, 4 or 8 bytes its values need.
+//! (DSB) integers at one common scale per column; strings become
+//! order-preserving dictionary codes supporting range and prefix
+//! predicates; and every column is stored at the narrowest of 1, 2, 4 or 8
+//! bytes its values need.
 //!
-//! The crate also owns what the host-database integration needs: SCN
-//! timestamps, in-memory update journals grouped into update units, and the
-//! tracker that serves consistent snapshots to queries (§3.3/§4.3).
+//! [`TableBuilder`] is the one way rows become a [`Table`]: the TPC-H
+//! generator, `LOAD` and every checkpoint build through it. The crate also
+//! owns the SCN timestamps and the row changes of a host commit (§3.3); a
+//! table records the SCN it was built at.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -27,7 +28,6 @@ pub mod bitvec;
 pub mod chunk;
 pub mod encoding;
 pub mod like;
-pub mod load;
 pub mod schema;
 pub mod scn;
 pub mod stats;
@@ -38,7 +38,7 @@ pub mod vector;
 pub use bitvec::{BitVec, RidList};
 pub use chunk::Chunk;
 pub use schema::{Field, Schema};
-pub use scn::{Journal, Scn, Tracker, UpdateUnit};
+pub use scn::Scn;
 pub use stats::{ColumnStats, TableStats};
 pub use table::{Table, TableBuilder};
 pub use types::{DataType, Value};

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::DataType;
+use crate::types::{DataType, Value};
 
 /// One column of a relation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,6 +82,25 @@ impl Schema {
             .collect::<Option<Vec<_>>>()?;
         Some(Schema { fields })
     }
+
+    /// Whether [`crate::table::TableBuilder`] stores `row` as given: one
+    /// value per column, NULL in any column, a string only in a VARCHAR
+    /// column, and neither a string nor a decimal in an INT or DATE column.
+    pub fn admits(&self, row: &[Value]) -> bool {
+        row.len() == self.len()
+            && self
+                .fields
+                .iter()
+                .zip(row)
+                .all(|(f, v)| match (f.dtype, v) {
+                    (_, Value::Null) => true,
+                    (DataType::Varchar, v) => matches!(v, Value::Str(_)),
+                    (DataType::Int | DataType::Date, v) => {
+                        matches!(v, Value::Int(_) | Value::Date(_))
+                    }
+                    (DataType::Decimal { .. }, v) => !matches!(v, Value::Str(_)),
+                })
+    }
 }
 
 #[cfg(test)]
@@ -120,5 +139,27 @@ mod tests {
         assert_eq!(p.fields[0].name, "l_shipdate");
         assert_eq!(p.fields[1].name, "l_orderkey");
         assert!(s.project(&["ghost"]).is_none());
+    }
+
+    #[test]
+    fn admits_what_the_builder_stores_as_given() {
+        let s = lineitem_ish();
+        let dec = Value::Decimal {
+            unscaled: 5,
+            scale: 2,
+        };
+        let flag = || Value::Str("R".into());
+        let row = |v: [Value; 4]| s.admits(&v);
+        assert!(row([Value::Int(1), dec.clone(), Value::Date(3), flag()]));
+        assert!(row([Value::Null, Value::Null, Value::Null, Value::Null]));
+        // Integers and dates stand for each other; a decimal column scales
+        // an integer.
+        assert!(row([Value::Date(1), Value::Int(2), Value::Int(3), flag()]));
+        assert!(!s.admits(&[Value::Int(1)]), "arity");
+        assert!(!row([dec.clone(), dec.clone(), Value::Date(3), flag()]));
+        assert!(!row([Value::Int(1), dec.clone(), dec.clone(), flag()]));
+        assert!(!row([Value::Int(1), flag(), Value::Date(3), flag()]));
+        assert!(!row([flag(), dec.clone(), Value::Date(3), flag()]));
+        assert!(!row([Value::Int(1), dec, Value::Date(3), Value::Int(0)]));
     }
 }

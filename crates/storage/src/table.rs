@@ -1,11 +1,12 @@
 //! Tables: partitions of chunks of column vectors, plus the column-level
 //! transforms (dictionaries, DSB scales) and statistics.
 //!
-//! A [`Table`] is immutable once built — the host database is the single
-//! source of truth, and changes flow in through SCN-stamped update units
-//! resolved by the [`crate::scn::Tracker`]. [`TableBuilder`] is the load
-//! path: it buffers rows, derives per-column encodings (order-preserving
-//! dictionary codes for strings, a common DSB scale for decimals), computes
+//! A [`Table`] is immutable once built. The host database is the single
+//! source of truth: a change reaches RAPID as a new table, rebuilt from the
+//! host row store and stamped with the host's SCN. [`TableBuilder`] is the
+//! one load path, for generated data, `LOAD` and checkpoints alike: it
+//! buffers rows, derives per-column encodings (order-preserving dictionary
+//! codes for strings, a common DSB scale for decimals), computes
 //! statistics, stores every column at the narrowest of 1, 2, 4 or 8 bytes
 //! its min/max needs, and splits rows into chunks.
 
@@ -14,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::bitvec::BitVec;
 use crate::chunk::Chunk;
 use crate::encoding::dict::Dictionary;
-use crate::encoding::dsb::DsbVector;
+use crate::encoding::dsb::common_scale;
 use crate::schema::Schema;
 use crate::scn::Scn;
 use crate::stats::{ColumnStats, TableStats};
@@ -248,8 +249,7 @@ impl TableBuilder {
                     scales.push(0);
                 }
                 DataType::Decimal { .. } => {
-                    let vals: Vec<Value> = self.rows.iter().map(|r| r[c].clone()).collect();
-                    let scale = common_scale(&vals);
+                    let scale = common_scale(self.rows.iter().map(|r| &r[c]));
                     for row in &self.rows {
                         match &row[c] {
                             Value::Null => {
@@ -257,9 +257,8 @@ impl TableBuilder {
                                 nulls[c].push(true);
                             }
                             v => {
-                                // Values outside the common scale's exact
-                                // range round (rare; the DSB exception path
-                                // is exercised in the encoding module).
+                                // A value the common scale cannot hold
+                                // exactly stores the nearest mantissa.
                                 let u = v
                                     .unscaled_at(scale)
                                     .unwrap_or_else(|| approx_unscaled(v, scale));
@@ -348,13 +347,8 @@ impl TableBuilder {
     }
 }
 
-/// The minimal common scale covering all decimal values (cf.
-/// [`DsbVector::encode`]'s first pass), capped at
-/// [`crate::encoding::dsb::MAX_DSB_SCALE`].
-fn common_scale(values: &[Value]) -> u8 {
-    DsbVector::encode(values).scale
-}
-
+/// `v` at `scale`, rounded to the nearest mantissa; 0 when that is past
+/// `i64`.
 fn approx_unscaled(v: &Value, scale: u8) -> i64 {
     v.to_f64()
         .map(|f| (f * 10f64.powi(scale as i32)).round())
@@ -434,6 +428,27 @@ mod tests {
                 unscaled: 325,
                 scale: 2
             }
+        );
+    }
+
+    #[test]
+    fn values_past_the_common_scale_store_the_nearest_mantissa() {
+        // 1/3 to 15 digits caps the column at scale 12 and stores rounded;
+        // a mantissa past i64 at that scale stores 0.
+        let dec = |unscaled, scale| Value::Decimal { unscaled, scale };
+        let t = one_column(
+            DataType::Decimal { scale: 2 },
+            [
+                dec(5, 1),
+                dec(333_333_333_333_333, 15),
+                Value::Int(i64::MAX / 2),
+            ],
+        );
+        assert_eq!(t.scales[0], crate::encoding::dsb::MAX_DSB_SCALE);
+        assert_eq!(
+            t.column_i64(0),
+            [500_000_000_000, 333_333_333_333, 0, 0],
+            "the NULL row stores 0 too"
         );
     }
 

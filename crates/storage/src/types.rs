@@ -91,8 +91,8 @@ impl Value {
     }
 
     /// Rescale a decimal/int to an unscaled integer at `scale` digits.
-    /// Fails (returns None) on overflow — such values become DSB
-    /// *exceptions* in the storage layer.
+    /// Fails (returns None) on overflow or on digits the scale would drop;
+    /// the load path then stores the nearest mantissa.
     pub fn unscaled_at(&self, scale: u8) -> Option<i64> {
         match self {
             Value::Int(v) => v.checked_mul(pow10(scale)?),

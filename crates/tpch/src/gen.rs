@@ -10,9 +10,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rapid_storage::load::{load_table, LoadOptions};
 use rapid_storage::schema::{Field, Schema};
-use rapid_storage::table::Table;
+use rapid_storage::table::{Table, TableBuilder};
 use rapid_storage::types::{days_from_civil, DataType, Value};
 
 /// Generator configuration.
@@ -277,22 +276,25 @@ fn schema(table: &str) -> Schema {
     )
 }
 
+/// Build `table` from `rows`, in their order, at the configured partitions
+/// and chunk size.
+fn build(cfg: &TpchConfig, table: &str, rows: impl IntoIterator<Item = Vec<Value>>) -> Table {
+    let mut b = TableBuilder::new(table, schema(table))
+        .partitions(cfg.partitions)
+        .chunk_rows(cfg.chunk_rows);
+    b.extend_rows(rows);
+    b.finish()
+}
+
 /// Generate all tables.
 pub fn generate(cfg: &TpchConfig) -> TpchData {
-    let opts = LoadOptions {
-        parallelism: 4,
-        partitions: cfg.partitions,
-        chunk_rows: cfg.chunk_rows,
-        ..Default::default()
-    };
-
     // region
     let region = {
         let rows = REGIONS
             .iter()
             .enumerate()
             .map(|(i, r)| vec![Value::Int(i as i64), Value::Str(r.to_string())]);
-        load_table("region", schema("region"), rows, &opts).expect("region load")
+        build(cfg, "region", rows)
     };
 
     // nation
@@ -304,7 +306,7 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 Value::Int(*r),
             ]
         });
-        load_table("nation", schema("nation"), rows, &opts).expect("nation load")
+        build(cfg, "nation", rows)
     };
 
     // supplier
@@ -319,7 +321,7 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 dec(rng.gen_range(-99999..999999)),
             ]
         });
-        load_table("supplier", schema("supplier"), rows, &opts).expect("supplier load")
+        build(cfg, "supplier", rows)
     };
 
     // customer
@@ -337,7 +339,7 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 Value::Str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())].to_string()),
             ]
         });
-        load_table("customer", schema("customer"), rows, &opts).expect("customer load")
+        build(cfg, "customer", rows)
     };
 
     // part
@@ -363,7 +365,7 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 dec(90000 + (i as i64 % 200) * 100),
             ]
         });
-        load_table("part", schema("part"), rows, &opts).expect("part load")
+        build(cfg, "part", rows)
     };
 
     // partsupp: 4 suppliers per part.
@@ -381,7 +383,7 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
                 ]);
             }
         }
-        load_table("partsupp", schema("partsupp"), rows, &opts).expect("partsupp load")
+        build(cfg, "partsupp", rows)
     };
 
     // orders + lineitem generated together (lineitem derives from orders).
@@ -455,9 +457,8 @@ pub fn generate(cfg: &TpchConfig) -> TpchData {
             Value::Int(rng.gen_range(0..1i64)), // o_shippriority: always 0 per spec
         ]);
     }
-    let orders = { load_table("orders", schema("orders"), orows, &opts).expect("orders load") };
-    let lineitem =
-        { load_table("lineitem", schema("lineitem"), lrows, &opts).expect("lineitem load") };
+    let orders = build(cfg, "orders", orows);
+    let lineitem = build(cfg, "lineitem", lrows);
 
     TpchData {
         region,

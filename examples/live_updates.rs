@@ -1,7 +1,8 @@
-//! Consistent query execution under updates (§3.3, §4.3): SCN-stamped
-//! commits land in the host journal, the background checkpointer ships
-//! them to RAPID, and admission checks guarantee every offloaded query
-//! sees exactly the data its SCN entitles it to.
+//! Consistent query execution under updates (§3.3, §4.3): a commit lands
+//! in the host row store and moves its table to a new SCN; a checkpoint,
+//! run by a query's admission check or by the background checkpointer,
+//! rebuilds the table in RAPID from the row store at that SCN, so every
+//! offloaded query sees exactly the data its SCN entitles it to.
 //!
 //! ```text
 //! cargo run --release --example live_updates
@@ -50,7 +51,7 @@ fn main() {
     let (s0, n0, site) = total(&db);
     println!("baseline: stock={s0} rows={n0} (ran on {site:?})");
 
-    // --- Commit changes: journaled with a fresh SCN ----------------------
+    // --- Commit changes: the table moves to a fresh SCN ------------------
     let scn = db
         .commit(
             "inventory",
@@ -70,7 +71,7 @@ fn main() {
         .expect("commit");
     println!("\ncommitted 1 insert, 1 update, 1 delete at {scn}");
 
-    // The very next query's admission check sees the journal is ahead of
+    // The very next query's admission check sees the host table is ahead of
     // the RAPID snapshot and checkpoints before executing (§3.3).
     let (s1, n1, site) = total(&db);
     println!("after commit: stock={s1} rows={n1} (ran on {site:?}) — changes visible");

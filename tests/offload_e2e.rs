@@ -75,7 +75,7 @@ fn unloaded_tables_run_on_host() {
 fn admission_checkpoint_makes_committed_data_visible() {
     let db = db_with_table(200_000);
     db.load_into_rapid("metrics").expect("load");
-    // Journal three commits after the load.
+    // Three commits after the load move the host table past RAPID's SCN.
     for i in 0..3 {
         db.commit(
             "metrics",

@@ -1,6 +1,6 @@
 //! Property-based consistency under updates: after any sequence of
-//! journaled commits, an offloaded query must see exactly the same state
-//! the host row store sees (§3.3's transactional guarantee).
+//! commits, an offloaded query must see exactly the same state the host
+//! row store sees (§3.3's transactional guarantee).
 
 use proptest::prelude::*;
 
@@ -89,11 +89,9 @@ proptest! {
     }
 }
 
-#[test]
-fn snapshot_cache_serves_repeated_scns() {
-    // Repeated queries at the same SCN reuse the tracker's snapshot: the
-    // second run must not rebuild (observable through stable results and
-    // the RAPID table pointer).
+/// A two-column table `t(k, v)` holding `(i, f(i))` for `i` in `0..n`,
+/// loaded into RAPID.
+fn loaded(n: i64, f: impl Fn(i64) -> i64) -> HostDb {
     let db = HostDb::new(ExecContext::dpu().with_cores(2));
     db.create_table(
         "t",
@@ -102,8 +100,17 @@ fn snapshot_cache_serves_repeated_scns() {
             Field::new("v", DataType::Int),
         ]),
     );
-    db.bulk_insert("t", (0..100i64).map(|i| vec![Value::Int(i), Value::Int(i)]));
+    db.bulk_insert("t", (0..n).map(|i| vec![Value::Int(i), Value::Int(f(i))]));
     db.load_into_rapid("t").expect("load");
+    db
+}
+
+#[test]
+fn a_checkpoint_with_no_new_commit_ships_nothing() {
+    // RAPID is behind the host only after a commit: the first query ships
+    // the table at the commit's SCN, and the second, with nothing committed
+    // in between, runs on the very same table.
+    let db = loaded(100, |i| i);
     db.commit("t", vec![RowChange::Delete { rid: 5 }]);
 
     let a = db.execute_sql("SELECT COUNT(*) AS n FROM t").expect("q1");
@@ -115,66 +122,50 @@ fn snapshot_cache_serves_repeated_scns() {
 }
 
 #[test]
-fn dsb_exceptions_survive_the_round_trip() {
-    // Values too deep or too large for the common scale become DSB
-    // exceptions in the encoding layer; at the table level they store a
-    // best-effort approximation. Verify the encode path and that ordinary
-    // values keep exact semantics next to an extreme one.
-    use rapid::storage::encoding::dsb::DsbVector;
-    let vals = vec![
-        Value::Decimal {
-            unscaled: 150,
-            scale: 2,
-        },
-        Value::Int(i64::MAX / 2), // cannot rescale to scale 2
-        Value::Decimal {
-            unscaled: 333_333_333_333_333,
-            scale: 15,
-        }, // ~1/3
-    ];
-    let v = DsbVector::encode(&vals);
-    assert_eq!(v.exceptions.len(), 2);
-    // Row 0 decodes at the vector's common scale (12, forced by the deep
-    // value) but is numerically exact; the exceptions decode verbatim.
-    assert_eq!(v.decode_row(0).to_f64(), Some(1.5));
-    assert_eq!(v.decode_row(1), vals[1]);
-    assert_eq!(v.decode_row(2), vals[2]);
-    assert!(v.exception_rate() > 0.6);
+fn a_malformed_commit_is_refused_and_rapid_keeps_serving() {
+    // A row the table cannot store would fail the next checkpoint's build,
+    // and with it every offloaded query on the table. The commit is refused
+    // instead, whole, before it reaches the row store.
+    let mut db = loaded(10, |i| i);
+    let scn = db.store().clock().current();
+    let refused = db.commit("t", vec![RowChange::Insert(vec![Value::Int(10)])]);
+    db.force_site = Some(hostdb::ExecutionSite::Rapid);
+    let r = db
+        .execute_sql("SELECT COUNT(*) AS n FROM t")
+        .expect("query");
+    assert_eq!(r.rows[0][0], Value::Int(10));
+    assert_eq!(refused, None);
+    assert_eq!(db.store().clock().current(), scn, "no SCN ticked");
 }
 
 #[test]
-fn tracker_snapshots_are_scn_isolated() {
-    // Two queries at different SCNs must see different consistent states
-    // from the same base + journal.
-    use rapid::storage::schema::{Field as F, Schema as S};
-    use rapid::storage::scn::{Journal, Scn, Tracker, UpdateUnit};
-    use rapid::storage::table::TableBuilder;
-    let mut b = TableBuilder::new("t", S::new(vec![F::new("k", DataType::Int)]));
-    for i in 0..10 {
-        b.push_row(vec![Value::Int(i)]);
-    }
-    let base = b.finish();
-    let mut j = Journal::new();
-    j.append(UpdateUnit {
-        scn: Scn(1),
-        expiry: None,
-        rows: vec![RowChange::Insert(vec![Value::Int(100)])],
-    });
-    j.append(UpdateUnit {
-        scn: Scn(2),
-        expiry: None,
-        rows: vec![RowChange::Delete { rid: 0 }],
-    });
-    let tracker = Tracker::new();
-    let at0 = tracker.snapshot(&base, &j, Scn(0));
-    let at1 = tracker.snapshot(&base, &j, Scn(1));
-    let at2 = tracker.snapshot(&base, &j, Scn(2));
-    assert_eq!(at0.rows(), 10);
-    assert_eq!(at1.rows(), 11);
-    assert_eq!(at2.rows(), 10);
-    assert!(at1.column_i64(0).contains(&100));
-    assert!(!at2.column_i64(0).contains(&0), "rid 0 deleted at scn 2");
-    assert_eq!(tracker.cached(), 3);
+fn an_update_after_a_delete_lands_on_its_heap_slot() {
+    // Rid 5 is heap slot 5 of the host table. After rid 2 is deleted and
+    // checkpointed, RAPID's table holds k = 6 at offset 5: replaying the
+    // update there, as a replay onto the previous snapshot would, rewrites
+    // the wrong row.
+    let mut db = loaded(10, |i| i);
+    db.commit("t", vec![RowChange::Delete { rid: 2 }]);
+    db.checkpoint("t").expect("checkpoint");
+    db.commit(
+        "t",
+        vec![RowChange::Update {
+            rid: 5,
+            row: vec![Value::Int(5), Value::Int(500)],
+        }],
+    );
+    db.force_site = Some(hostdb::ExecutionSite::Rapid);
+    let r = db
+        .execute_sql("SELECT k, v FROM t WHERE k >= 5 AND k <= 6 ORDER BY k")
+        .expect("query");
+    assert_eq!(r.site, hostdb::ExecutionSite::Rapid);
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Int(5), Value::Int(500)],
+            vec![Value::Int(6), Value::Int(6)],
+        ]
+    );
 }
 
 #[test]
