@@ -8,6 +8,7 @@
 //! [`crate::ablation_hash_vs_sortmerge`], which compares it against the
 //! hash join on the same partitions.
 
+use dpu_sim::account::Kernel;
 use rapid_qef::batch::Batch;
 use rapid_qef::error::{QefError, QefResult};
 use rapid_qef::exec::CoreCtx;
@@ -119,6 +120,7 @@ pub fn merge_join_partition(
     }
     // Merge cursor advances are compare+branch pairs.
     ctx.charge_kernel(
+        Kernel::Join,
         &dpu_sim::isa::KernelCost {
             alu: 2.0,
             lsu: 2.0,
@@ -129,7 +131,10 @@ pub fn merge_join_partition(
         }
         .scaled(steps as f64),
     );
-    ctx.charge_kernel(&costs::join_emit_per_match().scaled(l_rids.len() as f64));
+    ctx.charge_kernel(
+        Kernel::Join,
+        &costs::join_emit_per_match().scaled(l_rids.len() as f64),
+    );
     ctx.charge_tile();
 
     match join_type {
@@ -164,6 +169,7 @@ fn sort_if_needed(ctx: &mut CoreCtx, batch: &Batch, key: usize) -> QefResult<Bat
         }
     }
     ctx.charge_kernel(
+        Kernel::Join,
         &dpu_sim::isa::KernelCost {
             alu: 1.0,
             lsu: 1.0,

@@ -46,6 +46,126 @@ impl Counters {
     }
 }
 
+/// The kernel family a compute charge is tagged with: what a stage's
+/// cycles were spent on ([`KernelSplit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Predicate loops of a scan or filter: compares, bit-vectors, RID emit.
+    Predicate,
+    /// Compaction and gather of the rows a predicate kept.
+    Compact,
+    /// An addition loop.
+    Add,
+    /// A subtraction loop.
+    Sub,
+    /// A multiply loop (the multiplier stalls).
+    Mul,
+    /// A division loop.
+    Div,
+    /// CRC32 over key columns.
+    Hash,
+    /// Group-table lookup and insert by hash.
+    GroupLookup,
+    /// Group slot from code keys, by shifts and ORs.
+    GroupSlot,
+    /// Aggregate accumulation, merge and finalize.
+    Aggregate,
+    /// Join build, probe and emit.
+    Join,
+    /// Partition maps and their column gathers.
+    Partition,
+    /// The per-tile operator control loop.
+    TileControl,
+    /// The rest: sort, top-k, window, CASE, YEAR, row-at-a-time dispatch,
+    /// ATE messages.
+    Other,
+}
+
+impl Kernel {
+    /// Every kernel, in [`KernelSplit`] order.
+    pub const ALL: [Kernel; 14] = [
+        Kernel::Predicate,
+        Kernel::Compact,
+        Kernel::Add,
+        Kernel::Sub,
+        Kernel::Mul,
+        Kernel::Div,
+        Kernel::Hash,
+        Kernel::GroupLookup,
+        Kernel::GroupSlot,
+        Kernel::Aggregate,
+        Kernel::Join,
+        Kernel::Partition,
+        Kernel::TileControl,
+        Kernel::Other,
+    ];
+
+    /// Short lower-case name, as traces and `EXPLAIN ANALYZE` print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Predicate => "predicate",
+            Kernel::Compact => "compact",
+            Kernel::Add => "add",
+            Kernel::Sub => "sub",
+            Kernel::Mul => "mul",
+            Kernel::Div => "div",
+            Kernel::Hash => "hash",
+            Kernel::GroupLookup => "group-lookup",
+            Kernel::GroupSlot => "group-slot",
+            Kernel::Aggregate => "aggregate",
+            Kernel::Join => "join",
+            Kernel::Partition => "partition",
+            Kernel::TileControl => "tile-control",
+            Kernel::Other => "other",
+        }
+    }
+}
+
+/// Compute cycles and instructions charged to one [`Kernel`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct KernelTally {
+    /// Compute cycles.
+    pub cycles: f64,
+    /// Instructions retired, truncated per charge as
+    /// [`Counters::instructions`] is.
+    pub instructions: u64,
+}
+
+/// A core's or a stage's compute split by kernel, in a fixed array:
+/// tallying a charge allocates nothing. The account a charge goes to does
+/// not carry it (the scheduler copies accounts per work item); the core
+/// that charged does, `rapid_qef::exec::CoreCtx`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct KernelSplit([KernelTally; Kernel::ALL.len()]);
+
+impl KernelSplit {
+    /// Tally a charge of `cycles` and `instructions` to `kernel`.
+    pub fn add(&mut self, kernel: Kernel, cycles: f64, instructions: u64) {
+        let tally = &mut self.0[kernel as usize];
+        tally.cycles += cycles;
+        tally.instructions += instructions;
+    }
+
+    /// What `kernel` was charged.
+    pub fn get(&self, kernel: Kernel) -> KernelTally {
+        self.0[kernel as usize]
+    }
+
+    /// Every kernel with what it was charged, in [`Kernel::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Kernel, KernelTally)> + '_ {
+        Kernel::ALL.into_iter().zip(self.0.iter().copied())
+    }
+
+    /// Component-wise sum of two splits.
+    pub fn merged(&self, other: &KernelSplit) -> KernelSplit {
+        let mut out = *self;
+        for (kernel, tally) in other.iter() {
+            out.add(kernel, tally.cycles, tally.instructions);
+        }
+        out
+    }
+}
+
 /// Accrued simulated work of one dpCore.
 #[derive(Debug, Clone, Default)]
 pub struct CycleAccount {
@@ -74,12 +194,18 @@ impl CycleAccount {
         self.compute += cycles;
     }
 
-    /// Charge a kernel described by measured operation counts.
-    pub fn charge_kernel(&mut self, cm: &CostModel, cost: &KernelCost) {
-        self.compute += Cycles(cm.kernel_cycles(cost));
-        self.counters.instructions += (cost.alu + cost.lsu + cost.mul) as u64;
+    /// Charge a kernel described by measured operation counts; returns the
+    /// cycles and instructions it added.
+    pub fn charge_kernel(&mut self, cm: &CostModel, cost: &KernelCost) -> KernelTally {
+        let tally = KernelTally {
+            cycles: cm.kernel_cycles(cost),
+            instructions: (cost.alu + cost.lsu + cost.mul) as u64,
+        };
+        self.compute += Cycles(tally.cycles);
+        self.counters.instructions += tally.instructions;
         self.counters.branches += cost.branches as u64;
         self.counters.branch_mispredicts += cost.mispredicts as u64;
+        tally
     }
 
     /// Charge the per-tile operator control-flow overhead.
@@ -242,6 +368,27 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_split_tallies_and_merges_what_each_kernel_was_charged() {
+        let cm = CostModel::default();
+        let mut acc = CycleAccount::new();
+        let mut split = KernelSplit::default();
+        for (kernel, n) in [(Kernel::Mul, 64.0), (Kernel::Add, 10.0), (Kernel::Mul, 6.0)] {
+            let t = acc.charge_kernel(&cm, &KernelCost::paired(n, n));
+            split.add(kernel, t.cycles, t.instructions);
+        }
+        assert_eq!(split.get(Kernel::Mul).cycles, 70.0);
+        assert_eq!(split.get(Kernel::Mul).instructions, 140);
+        assert_eq!(split.get(Kernel::Add).instructions, 20);
+        let total: f64 = split.iter().map(|(_, t)| t.cycles).sum();
+        assert_eq!(total, acc.compute_cycles().get());
+        let instructions: u64 = split.iter().map(|(_, t)| t.instructions).sum();
+        assert_eq!(instructions, acc.counters().instructions);
+        let twice = split.merged(&split);
+        assert_eq!(twice.get(Kernel::Mul).cycles, 140.0);
+        assert_eq!(twice.get(Kernel::Hash), KernelTally::default());
+    }
+
+    #[test]
     fn overlapped_charge_takes_max() {
         let mut acc = CycleAccount::new();
         acc.charge_overlapped(Cycles(100.0), Cycles(40.0));
@@ -295,7 +442,7 @@ mod tests {
     fn span_compute_parallelizes_across_lanes() {
         let cm = CostModel::default();
         let span = StageSpan::of_lanes(&lanes(4, |l| {
-            l.charge_kernel(&cm, &KernelCost::paired(1000.0, 1000.0))
+            l.charge_kernel(&cm, &KernelCost::paired(1000.0, 1000.0));
         }));
         // 4 lanes each doing 1000 cycles of paired work -> 1000 elapsed.
         assert_eq!(span.elapsed(), Cycles(1000.0));

@@ -530,6 +530,34 @@ fn aggregate(rng: &mut Rng, env: &Env) -> String {
 /// Rows an aggregate can see at most: all of `ta` joined to all of `tb`.
 const MAX_ROWS: f64 = 40.0 * 30.0;
 
+/// Aggregates over one input: two or more of SUM, AVG and COUNT of a
+/// bounded expression — which a group table folds into one accumulator —
+/// and now and then the sum of that expression times another, which holds
+/// it whole, so a Map computes it once for both.
+fn shared_aggregates(rng: &mut Rng, env: &Env) -> Vec<String> {
+    let summable = |e: &GenExpr| mantissa(e.vbound * MAX_ROWS, e.scale) <= MANTISSA_LIMIT;
+    let mut input = num_expr(rng, env, 2);
+    if !summable(&input) {
+        input = num_atom(rng, env);
+    }
+    let mut calls: Vec<String> = ["SUM", "AVG", "COUNT"]
+        .iter()
+        .map(|f| format!("{f}({})", input.sql))
+        .collect();
+    rng.shuffle(&mut calls);
+    calls.truncate(2 + rng.below(2) as usize);
+    let factor = int_atom(rng, env);
+    let larger = GenExpr {
+        sql: format!("({} * {})", input.sql, factor.sql),
+        vbound: input.vbound * factor.vbound,
+        scale: input.scale,
+    };
+    if rng.chance(60) && summable(&larger) {
+        calls.push(format!("SUM({})", larger.sql));
+    }
+    calls
+}
+
 /// An aggregate call with its magnitude bookkeeping: `COUNT(*)`, or
 /// SUM/MIN/MAX over a bounded column.
 fn bounded_aggregate(rng: &mut Rng, env: &Env) -> GenExpr {
@@ -735,6 +763,9 @@ fn gen_select(rng: &mut Rng, set_op_classes: Option<&[SetOpClass]>) -> QuerySpec
         if rng.chance(20) {
             return vec!["COUNT(*)".into()];
         }
+        if rng.chance(20) {
+            return shared_aggregates(rng, &select_env);
+        }
         (0..1 + rng.below(3))
             .map(|_| {
                 if rng.chance(15) {
@@ -766,12 +797,18 @@ fn gen_select(rng: &mut Rng, set_op_classes: Option<&[SetOpClass]>) -> QuerySpec
             });
         }
     } else if rng.chance(40) {
-        // Grouped aggregation.
+        // Grouped aggregation, over keys whose values span a few codes or
+        // integers (`ta_k`, `ta_s`, `ta_id`, the years of `ta_d`, `tb_*`)
+        // — a table indexed by slot — or too many for one (`ta_a`, `ta_d`,
+        // `ta_big`), NULLs among them.
         let visible = select_env.columns();
-        let mut keys: Vec<&str> = ["ta_k", "ta_s", "ta_d", "ta_big", "tb_k", "tb_s"]
-            .into_iter()
-            .filter(|k| visible.contains(k))
-            .collect();
+        let year = "EXTRACT(YEAR FROM ta_d)";
+        let mut keys: Vec<&str> = [
+            "ta_k", "ta_s", "ta_d", "ta_big", "ta_id", "ta_a", year, "tb_k", "tb_s", "tb_id",
+        ]
+        .into_iter()
+        .filter(|k| visible.contains(k) || (*k == year && visible.contains(&"ta_d")))
+        .collect();
         rng.shuffle(&mut keys);
         keys.truncate(1 + rng.below(2) as usize);
         for k in &keys {
@@ -897,6 +934,44 @@ mod tests {
             saw[15] |= q.set_op.as_ref().is_some_and(|(_, r)| r.set_op.is_some());
         }
         assert!(saw.iter().all(|s| *s), "clause coverage: {saw:?}");
+    }
+
+    /// Group-bys over keys a table indexes by slot and keys it hashes, and
+    /// aggregates that share one input — some inside a larger one — come up.
+    #[test]
+    fn draws_shared_inputs_and_keys_under_and_over_the_slot_limit() {
+        // Keys of a few values, of too many, and SUM/AVG/COUNT of one input
+        // with the input again inside a larger one.
+        let mut saw = [false; 4];
+        for seed in 0..400 {
+            let q = gen_query(&mut Rng::new(seed));
+            saw[0] |= q
+                .group_by
+                .iter()
+                .any(|k| k.starts_with("EXTRACT") || k == "ta_id");
+            saw[1] |= q.group_by.iter().any(|k| k == "ta_a" || k == "ta_big");
+            let inputs: Vec<&str> = q
+                .items
+                .iter()
+                .filter_map(|i| {
+                    ["SUM(", "AVG(", "COUNT("]
+                        .iter()
+                        .find_map(|f| i.sql.strip_prefix(f))
+                })
+                .filter_map(|rest| rest.strip_suffix(')'))
+                .collect();
+            let shared = inputs
+                .iter()
+                .enumerate()
+                .any(|(i, a)| inputs[..i].contains(a));
+            saw[2] |= !q.group_by.is_empty() && shared;
+            let inside = |a: &&str| inputs.iter().any(|b| b.len() > a.len() && b.contains(*a));
+            saw[3] |= inputs
+                .iter()
+                .filter(|a| !a.is_empty() && *a != &"*")
+                .any(inside);
+        }
+        assert!(saw.iter().all(|s| *s), "coverage: {saw:?}");
     }
 
     /// The shapes aimed at the compiler's column pruning all come up, and

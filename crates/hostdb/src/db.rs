@@ -929,8 +929,10 @@ impl Drop for HostDb {
 /// pre-order over the plan, so a parent prints above its children, indented
 /// by depth; a node's stages keep their emission order. A stage is a task:
 /// its line is its topmost operator's, with the stage's lanes, cycles and
-/// bytes, and the operators that ran in its lanes beneath it follow, one
-/// line each down to the scan, with the rows each handed on. The TOTAL
+/// bytes, then a `kernels:` line splitting its compute cycles by kernel
+/// family (summed over the lanes), and the operators that ran in its lanes
+/// beneath it follow, one line each down to the scan, with the rows each
+/// handed on. The TOTAL
 /// footer sums `sim_secs` in stage-emission order, which reproduces the
 /// engine's `QueryReport::sim_secs` bit-for-bit (same f64 values, same
 /// addition order — see `rapid_qef::trace`).
@@ -1014,6 +1016,14 @@ fn render_explain(
                 estimated(&mut s, e.node_id, e.rows);
             }
             let _ = writeln!(s);
+            if !e.kernels.is_empty() {
+                // Where the stage's compute went, summed over its lanes.
+                let _ = write!(s, "{:indent$}kernels:", "", indent = depth as usize * 2 + 4);
+                for k in &e.kernels {
+                    let _ = write!(s, " {}={:.0}c", k.kernel, k.cycles);
+                }
+                let _ = writeln!(s);
+            }
         }
     }
     let mut emission: Vec<&StageEvent> = events.iter().collect();
@@ -1401,6 +1411,12 @@ mod tests {
         let ops: Vec<&str> = scans[0].operators().map(|op| op.2).collect();
         assert_eq!(ops, ["groupby.consume", "map", "scan(sales)"]);
         assert!(a.events.iter().all(|e| e.operator != "scan(sales)"));
+        // Under the task line, its compute by kernel: the region codes index
+        // their group's slot, nothing is hashed.
+        let kernels = a.text.lines().find(|l| l.starts_with("      kernels:"));
+        let kernels = kernels.unwrap_or_else(|| panic!("no kernels line:\n{}", a.text));
+        assert!(kernels.contains(" group-slot="), "{}", a.text);
+        assert!(!kernels.contains(" hash="), "{kernels}");
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! the whole table. It is *not* the engine's charging rule: it prices
 //! declared column widths rather than stored ones, sums operators one by one
 //! rather than per task, and does not model scan access paths. Measured at
-//! sf 0.02 on 32 cores, its estimate is 1.22–6.08× the simulated cycles of
-//! the eleven TPC-H statements (Q4 1.22, Q1 1.36, Q9 2.30, Q12 2.41, Q3
-//! 2.75, Q5 3.11, Q10 3.13, Q18 3.20, Q6 5.57, Q19 5.72, Q14 6.08; geomean
-//! 2.96), every one over-estimated (ROADMAP item 7); `tests/tpch_sql.rs`
+//! sf 0.02 on 32 cores, its estimate is 1.22–6.33× the simulated cycles of
+//! the eleven TPC-H statements (Q4 1.22, Q1 1.92, Q9 2.35, Q12 2.42, Q3
+//! 2.75, Q5 3.11, Q10 3.14, Q18 3.20, Q6 5.57, Q19 5.72, Q14 6.33; geomean
+//! 3.07), every one over-estimated (ROADMAP item 7): it charges a group
+//! lookup and an accumulator loop per aggregate where the engine indexes
+//! code keys by slot and shares accumulators, and computes every Map
+//! expression whole; `tests/tpch_sql.rs`
 //! holds it within 7× either way. The host database reuses it for offload
 //! decisions.
 
@@ -710,7 +713,7 @@ mod tests {
                 func: rapid_qef::primitives::agg::AggFunc::Count,
                 col: 0,
             }],
-            strategy: GroupStrategy::OnTheFly,
+            strategy: GroupStrategy::OnTheFly { slots: None },
         };
         let c = estimate(&gb, &cat, &p);
         assert!((c.rows - 10.0).abs() < 1e-6, "groups = {}", c.rows);
@@ -754,7 +757,7 @@ mod tests {
                 func: rapid_qef::primitives::agg::AggFunc::Count,
                 col: 0,
             }],
-            strategy: GroupStrategy::OnTheFly,
+            strategy: GroupStrategy::OnTheFly { slots: None },
         };
         let c = estimate(&gb, &cat, &p);
         assert!(c.rows < 10_000.0);

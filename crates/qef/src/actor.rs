@@ -26,7 +26,7 @@
 
 use std::time::{Duration, Instant};
 
-use dpu_sim::account::{Counters, CycleAccount, StageSpan};
+use dpu_sim::account::{Counters, CycleAccount, KernelSplit, StageSpan};
 use dpu_sim::clock::{Cycles, SimTime};
 
 use crate::error::{QefError, QefResult};
@@ -50,6 +50,9 @@ pub struct StageTiming {
     /// Operation counters merged across cores (Dpu; branches feed
     /// Figure 13, the rest the tracing subsystem).
     pub counters: Counters,
+    /// Compute cycles and instructions by kernel, summed across cores
+    /// (Dpu).
+    pub kernels: KernelSplit,
     /// Lanes the stage ran with: `min(cores, items)`, at least 1.
     pub parallelism: usize,
     /// Max per-core DMEM high-water mark in bytes (Dpu).
@@ -113,6 +116,7 @@ where
     for core_id in 0..cores.min(n) {
         core.core_id = core_id;
         core.account.reset();
+        core.kernels = KernelSplit::default();
         core.dmem.reset();
         let mut stage_acc = CycleAccount::new();
         for i in (core_id..n).step_by(cores) {
@@ -133,6 +137,7 @@ where
         }
         timing.span.add_lane(&core.account);
         timing.counters = timing.counters.merged(core.account.counters());
+        timing.kernels = timing.kernels.merged(&core.kernels);
         timing.dmem_peak = timing.dmem_peak.max(core.dmem.peak() as u64);
     }
     timing.parallelism = cores.min(n).max(1);
@@ -234,6 +239,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpu_sim::account::Kernel;
     use dpu_sim::isa::KernelCost;
 
     #[test]
@@ -259,7 +265,7 @@ mod tests {
         // 32 items of equal compute across 32 cores should take ~1 item's
         // time; across 1 core, 32x that.
         let work = |core: &mut CoreCtx, _: usize| {
-            core.charge_kernel(&KernelCost::paired(1000.0, 1000.0));
+            core.charge_kernel(Kernel::Other, &KernelCost::paired(1000.0, 1000.0));
             Ok(())
         };
         let (_, t32) =

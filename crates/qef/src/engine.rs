@@ -199,6 +199,7 @@ impl<'e> Run<'e> {
                 scan: detail.scan,
                 partition: detail.partition,
                 fused: detail.fused,
+                kernels: crate::trace::KernelShare::of(&t.kernels),
                 energy_joules: self.watts * sim_secs,
                 wall_secs: t.wall.as_secs_f64(),
             });
@@ -847,10 +848,12 @@ impl<'e> Run<'e> {
         strategy: &GroupStrategy,
     ) -> QefResult<Vec<Batch>> {
         let mut out = match strategy {
-            GroupStrategy::OnTheFly => {
+            GroupStrategy::OnTheFly { slots } => {
                 // Per-lane local aggregation...
+                let dmem = self.ctx.dmem_bytes;
                 let (tables, t, detail, _) = self.first_stage(node, input, |core, b| {
-                    let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
+                    let slots = slots.as_deref();
+                    let mut t = ops::groupby::GroupTable::on_the_fly(keys.len(), aggs, slots, dmem);
                     t.consume(core, &b, keys)?;
                     Ok(t)
                 })?;
@@ -934,21 +937,18 @@ fn map_rows<'a>(
 
 /// Evaluate a Map node's expressions over one batch. Computed columns are
 /// new buffers; a column that is only passed through is not rewritten and
-/// moves from the input to the output on its last use.
+/// moves from the input to the output on its last use. Each expression is
+/// computed once: one that recurs inside another is evaluated first and
+/// read, borrowed, where the other needs it ([`Expr::eval_sharing`]).
 fn map_batch(
     core: &mut crate::exec::CoreCtx,
     mut batch: Batch,
     exprs: &[crate::plan::NamedExpr],
 ) -> QefResult<Batch> {
-    use crate::expr::Expr;
     use rapid_storage::vector::{ColumnData, Vector};
-    let rows = batch.rows();
-    let mut cols: Vec<Option<Vector>> = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        cols.push(match &e.expr {
-            Expr::Col(c) if *c < batch.width() => None,
-            expr => Some(expr.eval(core, &batch.columns, rows)?.into_owned()),
-        });
+    let mut cols: Vec<Option<Vector>> = vec![None; exprs.len()];
+    for i in 0..exprs.len() {
+        compute_expr(core, &batch, exprs, &mut cols, i)?;
     }
     core.charge_tile();
     for (i, e) in exprs.iter().enumerate() {
@@ -965,6 +965,36 @@ fn map_batch(
         }
     }
     Ok(Batch::new(cols.into_iter().flatten().collect()))
+}
+
+/// Compute expression `i` of a Map into `cols[i]`, unless it is a bare
+/// column of `batch` or computed already: the Map's expressions it contains
+/// first, then it, reading those.
+fn compute_expr(
+    core: &mut CoreCtx,
+    batch: &Batch,
+    exprs: &[crate::plan::NamedExpr],
+    cols: &mut [Option<rapid_storage::vector::Vector>],
+    i: usize,
+) -> QefResult<()> {
+    let expr = &exprs[i].expr;
+    if cols[i].is_some() || matches!(expr, Expr::Col(c) if *c < batch.width()) {
+        return Ok(());
+    }
+    for k in 0..exprs.len() {
+        if expr.contains(&exprs[k].expr) {
+            compute_expr(core, batch, exprs, cols, k)?;
+        }
+    }
+    let done = |sub: &Expr| {
+        let mut computed = exprs.iter().zip(cols.iter());
+        computed.find_map(|(e, v)| v.as_ref().filter(|_| e.expr == *sub))
+    };
+    let v = expr
+        .eval_sharing(core, &batch.columns, batch.rows(), &done)?
+        .into_owned();
+    cols[i] = Some(v);
+    Ok(())
 }
 
 /// What the partition pairs of one join share.
@@ -1059,9 +1089,11 @@ mod tests {
     use crate::plan::{AggSpec, NamedExpr, SortKey};
     use crate::primitives::agg::AggFunc;
     use crate::primitives::filter::CmpOp;
+    use dpu_sim::account::Kernel;
     use rapid_storage::schema::{Field, Schema};
     use rapid_storage::table::TableBuilder;
     use rapid_storage::types::{DataType, Value};
+    use rapid_storage::vector::{ColumnData, Vector};
 
     fn engine(ctx: ExecContext) -> Engine {
         let schema = Schema::new(vec![
@@ -1130,6 +1162,45 @@ mod tests {
     }
 
     #[test]
+    fn a_map_computes_an_expression_it_holds_twice_once() {
+        // x = k * (100 - v) and x * (100 + grp): the product x is computed
+        // once and read where the second needs it, whichever comes first.
+        let x = Expr::mul(Expr::Col(0), Expr::sub(Expr::Lit(100), Expr::Col(1)));
+        let y = Expr::mul(x.clone(), Expr::add(Expr::Lit(100), Expr::Col(2)));
+        let named = |expr: &Expr| NamedExpr {
+            expr: expr.clone(),
+            name: "e".into(),
+            dtype: DataType::Int,
+            scale: 0,
+            dict: None,
+        };
+        let cols = || {
+            let col = |f: fn(i64) -> i64| Vector::new(ColumnData::I64((0..300).map(f).collect()));
+            Batch::new(vec![col(|i| i), col(|i| i % 90), col(|i| i % 7)])
+        };
+        let ctx = ExecContext::dpu();
+        let alone = |exprs: &[&Expr]| {
+            let mut core = CoreCtx::new(&ctx, 0);
+            let exprs: Vec<NamedExpr> = exprs.iter().map(|e| named(e)).collect();
+            let out = map_batch(&mut core, cols(), &exprs).unwrap();
+            (out, core.kernels)
+        };
+        let (x_out, x_alone) = alone(&[&x]);
+        let (y_out, y_alone) = alone(&[&y]);
+        for (both, order) in [(alone(&[&x, &y]), [0, 1]), (alone(&[&y, &x]), [1, 0])] {
+            let ((out, charged), [xi, yi]) = (both, order);
+            assert_eq!(out.column(xi), x_out.column(0));
+            assert_eq!(out.column(yi), y_out.column(0));
+            // x's multiply and subtraction once; y's own multiply and add.
+            for k in [Kernel::Mul, Kernel::Sub, Kernel::Add] {
+                assert_eq!(charged.get(k), y_alone.get(k), "{k:?}");
+            }
+            let tiles = Kernel::TileControl;
+            assert_eq!(charged.get(tiles), x_alone.get(tiles));
+        }
+    }
+
+    #[test]
     fn groupby_both_strategies_agree() {
         let e = engine(ExecContext::dpu());
         let mk = |strategy| PlanNode::GroupBy {
@@ -1148,8 +1219,13 @@ mod tests {
             strategy,
         };
         let mut results = Vec::new();
+        // `grp` is 0..=6: slots over its range; over a range it leaves,
+        // which the table falls back from to hashing.
+        let slots = |hi| Some(vec![crate::plan::KeyRange { lo: 0, hi }]);
         for strategy in [
-            GroupStrategy::OnTheFly,
+            GroupStrategy::OnTheFly { slots: None },
+            GroupStrategy::OnTheFly { slots: slots(6) },
+            GroupStrategy::OnTheFly { slots: slots(3) },
             GroupStrategy::Partitioned(vec![32]),
             GroupStrategy::Partitioned(vec![4, 2]),
         ] {
@@ -1167,8 +1243,7 @@ mod tests {
             rows.sort_unstable();
             results.push(rows);
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
+        assert!(results.iter().all(|r| *r == results[0]));
         // Spot-check group 0: keys 0,7,14,... -> count = ceil(5000/7).
         assert_eq!(results[0][0].1, 715);
     }
@@ -1197,7 +1272,7 @@ mod tests {
                         col: 0,
                     },
                 ],
-                strategy: GroupStrategy::OnTheFly,
+                strategy: GroupStrategy::OnTheFly { slots: None },
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 1);
@@ -1218,7 +1293,7 @@ mod tests {
                 func: AggFunc::Count,
                 col: 0,
             }],
-            strategy: GroupStrategy::OnTheFly,
+            strategy: GroupStrategy::OnTheFly { slots: None },
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 0);
@@ -1533,7 +1608,7 @@ mod tests {
             join_below(0, JoinType::LeftOuter),
             join(JoinType::LeftSemi),
             join(JoinType::LeftAnti),
-            group(GroupStrategy::OnTheFly),
+            group(GroupStrategy::OnTheFly { slots: None }),
             group(GroupStrategy::Partitioned(vec![32])),
             PlanNode::TopK {
                 input: Box::new(scan(None)),

@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dpu_sim::account::CycleAccount;
+use dpu_sim::account::{CycleAccount, Kernel, KernelSplit};
 use dpu_sim::clock::Cycles;
 use dpu_sim::dmem::Dmem;
 use dpu_sim::dms::engine::{DmsCost, DmsEngine};
@@ -183,6 +183,10 @@ pub struct CoreCtx {
     pub cost_model: Arc<CostModel>,
     /// This core's cycle account (read back by the engine per stage).
     pub account: CycleAccount,
+    /// The compute this core charged, by kernel family (read back with the
+    /// account; kept here, not in it, so the per-item accounts a router
+    /// takes stay as small as they were).
+    pub kernels: KernelSplit,
     /// This core's DMEM budget handle.
     pub dmem: Dmem,
     /// Whether primitives run vectorized (see [`ExecContext::vectorized`]).
@@ -197,6 +201,7 @@ impl CoreCtx {
             backend: ctx.backend,
             cost_model: Arc::clone(&ctx.cost_model),
             account: CycleAccount::new(),
+            kernels: KernelSplit::default(),
             dmem: Dmem::with_capacity(ctx.dmem_bytes),
             vectorized: ctx.vectorized,
         }
@@ -208,11 +213,13 @@ impl CoreCtx {
         self.backend == Backend::Dpu
     }
 
-    /// Charge a kernel's measured operation counts.
+    /// Charge a kernel's measured operation counts, tagged with the kernel
+    /// family it belongs to.
     #[inline]
-    pub fn charge_kernel(&mut self, cost: &KernelCost) {
+    pub fn charge_kernel(&mut self, kernel: Kernel, cost: &KernelCost) {
         if self.charging() {
-            self.account.charge_kernel(&self.cost_model, cost);
+            let t = self.account.charge_kernel(&self.cost_model, cost);
+            self.kernels.add(kernel, t.cycles, t.instructions);
         }
     }
 
@@ -221,6 +228,17 @@ impl CoreCtx {
     pub fn charge_tile(&mut self) {
         if self.charging() {
             self.account.charge_tile_overhead(&self.cost_model);
+            let cycles = self.cost_model.per_tile_overhead_cycles;
+            self.kernels.add(Kernel::TileControl, cycles, 0);
+        }
+    }
+
+    /// Charge an ATE message send of `cycles`.
+    #[inline]
+    pub fn charge_ate(&mut self, cycles: Cycles) {
+        if self.charging() {
+            self.account.charge_ate(cycles);
+            self.kernels.add(Kernel::Other, cycles.get(), 0);
         }
     }
 
@@ -240,6 +258,7 @@ impl CoreCtx {
         if self.charging() {
             self.account
                 .charge_overlapped(compute, Cycles(transfer.cycles));
+            self.kernels.add(Kernel::Other, compute.get(), 0);
         }
     }
 }
@@ -260,18 +279,24 @@ mod tests {
     fn native_backend_skips_charging() {
         let ctx = ExecContext::native(4);
         let mut core = CoreCtx::new(&ctx, 0);
-        core.charge_kernel(&KernelCost::paired(100.0, 100.0));
+        core.charge_kernel(Kernel::Other, &KernelCost::paired(100.0, 100.0));
         assert_eq!(core.account.compute_cycles().get(), 0.0);
+        assert_eq!(core.kernels, KernelSplit::default());
     }
 
     #[test]
     fn dpu_backend_charges() {
         let ctx = ExecContext::dpu();
         let mut core = CoreCtx::new(&ctx, 0);
-        core.charge_kernel(&KernelCost::paired(100.0, 100.0));
+        core.charge_kernel(Kernel::Mul, &KernelCost::paired(100.0, 100.0));
         assert!((core.account.compute_cycles().get() - 100.0).abs() < 1e-9);
         core.charge_tile();
         assert_eq!(core.account.counters().tiles, 1);
+        // The core tallies each charge to its kernel.
+        assert_eq!(core.kernels.get(Kernel::Mul).cycles, 100.0);
+        assert_eq!(core.kernels.get(Kernel::Mul).instructions, 200);
+        let tiles = core.kernels.get(Kernel::TileControl).cycles;
+        assert_eq!(tiles, core.cost_model.per_tile_overhead_cycles);
     }
 
     #[test]

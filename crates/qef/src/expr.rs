@@ -12,6 +12,7 @@
 //! expression does not reference are never touched, so a caller may pass
 //! zero-length placeholders at those positions.
 
+use dpu_sim::account::Kernel;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -71,6 +72,26 @@ impl Expr {
         cols: &'a [Vector],
         rows: usize,
     ) -> QefResult<Cow<'a, Vector>> {
+        self.eval_sharing(ctx, cols, rows, &|_| None)
+    }
+
+    /// [`eval`](Self::eval), where a computed subtree that `done` holds a
+    /// value for — an expression evaluated before over the same rows — is
+    /// read from there, borrowed, and neither computed nor charged again.
+    pub fn eval_sharing<'a>(
+        &self,
+        ctx: &mut CoreCtx,
+        cols: &'a [Vector],
+        rows: usize,
+        done: &dyn Fn(&Expr) -> Option<&'a Vector>,
+    ) -> QefResult<Cow<'a, Vector>> {
+        let operand = |e: &Expr, ctx: &mut CoreCtx| match e {
+            Expr::Col(_) | Expr::Lit(_) => e.eval_sharing(ctx, cols, rows, done),
+            _ => match done(e) {
+                Some(v) => Ok(Cow::Borrowed(v)),
+                None => e.eval_sharing(ctx, cols, rows, done),
+            },
+        };
         Ok(Cow::Owned(match self {
             Expr::Col(i) => return column(cols, *i).map(Cow::Borrowed),
             Expr::Lit(v) => Vector::new(ColumnData::I64(vec![*v; rows])),
@@ -78,28 +99,32 @@ impl Expr {
                 // Constant-on-one-side goes through the cheaper map kernel.
                 match (a.as_ref(), b.as_ref()) {
                     (expr, Expr::Lit(c)) => {
-                        let av = expr.eval(ctx, cols, rows)?;
+                        let av = operand(expr, ctx)?;
                         arith::arith_const(ctx, &av, *op, *c)?
                     }
                     (Expr::Lit(c), expr) if matches!(op, ArithOp::Add | ArithOp::Mul) => {
-                        let bv = expr.eval(ctx, cols, rows)?;
+                        let bv = operand(expr, ctx)?;
                         arith::arith_const(ctx, &bv, *op, *c)?
                     }
+                    (Expr::Lit(c), expr) => {
+                        let bv = operand(expr, ctx)?;
+                        arith::const_arith(ctx, *c, *op, &bv)?
+                    }
                     _ => {
-                        let av = a.eval(ctx, cols, rows)?;
-                        let bv = b.eval(ctx, cols, rows)?;
+                        let av = operand(a, ctx)?;
+                        let bv = operand(b, ctx)?;
                         arith::arith_col(ctx, &av, *op, &bv)?
                     }
                 }
             }
             Expr::YearOf(e) => {
-                let v = e.eval(ctx, cols, rows)?;
+                let v = operand(e, ctx)?;
                 arith::year_from_days(ctx, &v)
             }
             Expr::Case { pred, then, els } => {
                 let mask = pred.eval(ctx, cols, rows)?;
-                let t = then.eval(ctx, cols, rows)?;
-                let e = els.eval(ctx, cols, rows)?;
+                let t = operand(then, ctx)?;
+                let e = operand(els, ctx)?;
                 let mut out = Vec::with_capacity(rows);
                 let mut nulls = BitVec::zeros(rows);
                 let mut has_null = false;
@@ -122,7 +147,7 @@ impl Expr {
                     branches: 1.0 / 8.0,
                     ..Default::default()
                 };
-                ctx.charge_kernel(&k.scaled(rows as f64));
+                ctx.charge_kernel(Kernel::Other, &k.scaled(rows as f64));
                 if has_null {
                     Vector::with_nulls(ColumnData::I64(out), nulls)
                 } else {
@@ -159,6 +184,17 @@ impl Expr {
             op: ArithOp::Mul,
             a: Box::new(a),
             b: Box::new(b),
+        }
+    }
+
+    /// Whether `sub` is a proper subtree of this expression.
+    pub fn contains(&self, sub: &Expr) -> bool {
+        let inside = |e: &Expr| e == sub || e.contains(sub);
+        match self {
+            Expr::Col(_) | Expr::Lit(_) => false,
+            Expr::Arith { a, b, .. } => inside(a) || inside(b),
+            Expr::YearOf(e) => inside(e),
+            Expr::Case { then, els, .. } => inside(then) || inside(els),
         }
     }
 
@@ -288,26 +324,26 @@ impl Pred {
             Pred::CmpConst { col, op, value } => {
                 let c = column(cols, *col)?;
                 keep(&|r| !c.is_null(r) && op.apply(c.data.get_i64(r), *value));
-                ctx.charge_kernel(&per_row.scaled(n));
+                ctx.charge_kernel(Kernel::Predicate, &per_row.scaled(n));
             }
             Pred::Between { col, lo, hi } => {
                 let c = column(cols, *col)?;
                 keep(&|r| !c.is_null(r) && (*lo..=*hi).contains(&c.data.get_i64(r)));
-                ctx.charge_kernel(&per_row.scaled(n));
-                ctx.charge_kernel(&per_row.scaled(n));
+                ctx.charge_kernel(Kernel::Predicate, &per_row.scaled(n));
+                ctx.charge_kernel(Kernel::Predicate, &per_row.scaled(n));
             }
             Pred::InCodes { col, codes } => {
                 let c = column(cols, *col)?;
                 let member = |v: i64| v >= 0 && (v as usize) < codes.len() && codes.get(v as usize);
                 keep(&|r| !c.is_null(r) && member(c.data.get_i64(r)));
-                ctx.charge_kernel(&two_loads.scaled(n));
+                ctx.charge_kernel(Kernel::Predicate, &two_loads.scaled(n));
             }
             Pred::CmpCols { left, op, right } => {
                 let (a, b) = (column(cols, *left)?, column(cols, *right)?);
                 keep(&|r| {
                     !a.is_null(r) && !b.is_null(r) && op.apply(a.data.get_i64(r), b.data.get_i64(r))
                 });
-                ctx.charge_kernel(&two_loads.scaled(n));
+                ctx.charge_kernel(Kernel::Predicate, &two_loads.scaled(n));
             }
             _ => {
                 let verdict = self.eval_rows(ctx, cols, rows.clone())?;
@@ -384,7 +420,7 @@ impl Pred {
                 }
                 let k = crate::primitives::costs::filter_per_row()
                     .scaled((c.len() * (values.len().max(2)).ilog2() as usize) as f64);
-                ctx.charge_kernel(&k);
+                ctx.charge_kernel(Kernel::Predicate, &k);
                 Ok(out)
             }
             Pred::And(ps) => {

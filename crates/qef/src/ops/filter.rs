@@ -39,6 +39,7 @@
 //! the task's `min(cores, tiles)` lanes, the `max` the stage rule resolves —
 //! because a table of one tile pays the stream's control loop on one core.
 
+use dpu_sim::account::Kernel;
 use dpu_sim::isa::CostModel;
 use rapid_storage::bitvec::{RowSet, RowSetKind};
 use rapid_storage::chunk::Chunk;
@@ -454,7 +455,9 @@ impl<'a> ScanPlan<'a> {
                 // each projected column there (Listing 3's gather loop).
                 AccessPath::Stream => {
                     let compact = costs::swpart_gather_per_row().scaled(kept as f64);
-                    self.proj.iter().for_each(|_| ctx.charge_kernel(&compact));
+                    self.proj
+                        .iter()
+                        .for_each(|_| ctx.charge_kernel(Kernel::Compact, &compact));
                 }
                 AccessPath::Gather => {
                     let widths = chunk_widths(chunk, self.proj);
@@ -516,7 +519,10 @@ impl<'a> ScanPlan<'a> {
         let mut kind = RowSet::choose(expected);
         if gathers && kind == RowSetKind::Rids {
             let emitted = (picked.len() - from) as f64;
-            ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(emitted));
+            ctx.charge_kernel(
+                Kernel::Predicate,
+                &costs::filter_rid_emit_per_match().scaled(emitted),
+            );
         }
         for pass in later {
             for (i, conjunct) in pass.conjuncts.iter().enumerate() {
@@ -613,7 +619,10 @@ pub fn filter_batch(ctx: &mut CoreCtx, batch: Batch, pred: &Pred) -> QefResult<B
         return Ok(batch);
     }
     let rids = bv.to_rids().rids;
-    ctx.charge_kernel(&costs::filter_rid_emit_per_match().scaled(rids.len() as f64));
+    ctx.charge_kernel(
+        Kernel::Predicate,
+        &costs::filter_rid_emit_per_match().scaled(rids.len() as f64),
+    );
     Ok(batch.gather(&rids))
 }
 

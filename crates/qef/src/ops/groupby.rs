@@ -10,32 +10,167 @@
 //!   a small DMEM-resident table; a **merge operator** folds the per-core
 //!   tables afterwards — cheap, because it runs on already-aggregated data.
 //!
-//! The group hash table reuses the compact chained layout of the join
-//! (buckets + link arrays of ⌈log₂N⌉-bit entries) mapping key tuples to
-//! dense group indices.
+//! A [`GroupTable`] maps key tuples to dense group indices. By default it
+//! hashes them into the compact chained layout of the join (buckets + link
+//! arrays of ⌈log₂N⌉-bit entries). Where the plan declares a range for every
+//! key of an on-the-fly table — dictionary codes and narrow integers (§4.2)
+//! — it finds each group by its **slot** instead ([`SlotIndex`]): the key
+//! values shifted to power-of-two strides and ORed, with no CRC, no chain
+//! walk and no key compare. The lanes' slots line up, so the merge operator
+//! adds state slot by slot. A key outside its declared range sends the table
+//! back to hashing for good: it never lands in a wrong slot.
+//!
+//! The table keeps one accumulator per distinct aggregate input and state
+//! kind ([`accumulators`]): SUM, AVG and COUNT of one column fold into one
+//! `(sum, count)` state, and each aggregate reads its value from there when
+//! the table emits.
 
+use dpu_sim::account::Kernel;
 use dpu_sim::ate;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use crate::batch::Batch;
 use crate::error::QefResult;
 use crate::exec::CoreCtx;
-use crate::plan::AggSpec;
-use crate::primitives::agg::{agg_grouped, AggState};
+use crate::plan::{AggSpec, KeyRange};
+use crate::primitives::agg::{agg_grouped, AggFunc, AggState};
 use crate::primitives::costs;
 use crate::primitives::hash::{bucket_of, hash_rows};
 use crate::util::{next_pow2_at_least, SmallIntArray};
 
-/// A dense group table: key tuples -> group index, plus accumulator state.
+/// The accumulators a group table keeps for `aggs`, one per input column
+/// and state kind, in the order their first aggregate comes: an input
+/// column and the function its state folds by. SUM, AVG and COUNT of one
+/// column share one `(sum, count)` state: it folds as SUM where any of them
+/// needs the sum, as COUNT where none does, so a COUNT alone never adds (nor
+/// overflows). MIN and MAX of a column keep their own.
+pub fn accumulators(aggs: &[AggSpec]) -> Vec<AggSpec> {
+    let opening = (0..aggs.len()).filter(|&j| opener(aggs, j) == j);
+    let fold = |j: usize| {
+        let sums = aggs
+            .iter()
+            .any(|a| same_state(a, &aggs[j]) && matches!(a.func, AggFunc::Sum | AggFunc::Avg));
+        if sums {
+            AggFunc::Sum
+        } else {
+            aggs[j].func
+        }
+    };
+    opening
+        .map(|j| AggSpec {
+            func: fold(j),
+            col: aggs[j].col,
+        })
+        .collect()
+}
+
+/// The accumulator aggregate `j` of `aggs` reads, an index into
+/// [`accumulators`].
+pub fn accumulator_of(aggs: &[AggSpec], j: usize) -> usize {
+    let first = opener(aggs, j);
+    (0..first).filter(|&i| opener(aggs, i) == i).count()
+}
+
+/// How many accumulators [`accumulators`] keeps for `aggs`.
+pub fn accumulator_count(aggs: &[AggSpec]) -> usize {
+    (0..aggs.len()).filter(|&j| opener(aggs, j) == j).count()
+}
+
+/// The first aggregate of `aggs` whose state aggregate `j` shares.
+fn opener(aggs: &[AggSpec], j: usize) -> usize {
+    (0..j)
+        .find(|&i| same_state(&aggs[i], &aggs[j]))
+        .unwrap_or(j)
+}
+
+/// Whether two aggregates fold into one state: one column, and SUM, AVG
+/// and COUNT alike or one of MIN and MAX twice.
+fn same_state(a: &AggSpec, b: &AggSpec) -> bool {
+    let class = |f: AggFunc| match f {
+        AggFunc::Sum | AggFunc::Avg | AggFunc::Count => AggFunc::Sum,
+        other => other,
+    };
+    a.col == b.col && class(a.func) == class(b.func)
+}
+
+/// Slots of a table whose keys lie in `ranges`: key `j` takes
+/// `hi - lo + 1` values and NULL, coded `0..=hi - lo` and `hi - lo + 1` in
+/// a field of ⌈log₂(hi − lo + 2)⌉ bits, and the fields sit side by side.
+/// `None` where a range is empty or the slots would number more than 2³¹.
+pub fn slot_count(ranges: &[KeyRange]) -> Option<usize> {
+    let bits = ranges
+        .iter()
+        .try_fold(0u32, |bits, r| bits.checked_add(field_bits(r)?))?;
+    (bits <= 31).then(|| 1 << bits)
+}
+
+/// Bits of one key's field: its values and NULL.
+fn field_bits(r: &KeyRange) -> Option<u32> {
+    let values = u64::try_from(r.hi.checked_sub(r.lo)?)
+        .ok()?
+        .checked_add(2)?;
+    Some(values.checked_next_power_of_two()?.ilog2())
+}
+
+/// Slot addressing of a table whose keys all lie in declared ranges
+/// ([`slot_count`]): a slot is the keys' codes shifted to their fields and
+/// ORed — no multiply, the multiplier stalls.
+#[derive(Debug, Clone)]
+struct SlotIndex<'p> {
+    /// Per key, the range the plan declares.
+    ranges: &'p [KeyRange],
+    /// Per slot: the dense index of its group, or [`EMPTY_SLOT`].
+    group_of: Vec<u32>,
+}
+
+/// A slot no row has reached.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+impl<'p> SlotIndex<'p> {
+    /// The index over `ranges`, where their slots number at most `limit`.
+    fn new(ranges: &'p [KeyRange], limit: usize) -> Option<SlotIndex<'p>> {
+        let slots = slot_count(ranges).filter(|&n| n <= limit)?;
+        Some(SlotIndex {
+            ranges,
+            group_of: vec![EMPTY_SLOT; slots],
+        })
+    }
+
+    /// The slot of a key tuple, `None` where a value lies outside its key's
+    /// range.
+    fn slot(&self, key: &[(i64, bool)]) -> Option<usize> {
+        let (mut slot, mut shift) = (0, 0);
+        for (&(v, is_null), r) in key.iter().zip(self.ranges) {
+            let code = if is_null {
+                r.hi - r.lo + 1
+            } else if (r.lo..=r.hi).contains(&v) {
+                v - r.lo
+            } else {
+                return None;
+            };
+            slot |= (code as usize) << shift;
+            shift += field_bits(r)?;
+        }
+        Some(slot)
+    }
+}
+
+/// A dense group table: key tuples -> group index, plus accumulator state,
+/// for the aggregates and key ranges of the plan node `'p`.
 #[derive(Debug)]
-pub struct GroupTable {
+pub struct GroupTable<'p> {
     /// Key columns of discovered groups (column-major, dense by index).
-    pub key_values: Vec<Vec<i64>>,
+    key_values: Vec<Vec<i64>>,
     /// Null flags for group keys (column-major), for NULL group keys.
-    pub key_nulls: Vec<Vec<bool>>,
-    /// Accumulators: `states[agg][group]`.
-    pub states: Vec<Vec<AggState>>,
-    aggs: Vec<AggSpec>,
+    key_nulls: Vec<Vec<bool>>,
+    /// Accumulators: `states[accumulator][group]`.
+    states: Vec<Vec<AggState>>,
+    /// Per accumulator: its input column and folding function.
+    accs: Vec<AggSpec>,
+    /// The aggregates, each read from its accumulator.
+    aggs: &'p [AggSpec],
+    /// The slot addressing, while every key has been in its range.
+    slots: Option<SlotIndex<'p>>,
     buckets: SmallIntArray,
     link: SmallIntArray,
     hashes: Vec<u32>,
@@ -43,10 +178,11 @@ pub struct GroupTable {
     sentinel: u64,
 }
 
-impl GroupTable {
-    /// A table expecting up to `expected_groups` distinct groups with
-    /// `nkeys` key columns.
-    pub fn new(nkeys: usize, aggs: &[AggSpec], expected_groups: usize) -> GroupTable {
+impl<'p> GroupTable<'p> {
+    /// A hashed table expecting up to `expected_groups` distinct groups
+    /// with `nkeys` key columns.
+    pub fn new(nkeys: usize, aggs: &'p [AggSpec], expected_groups: usize) -> GroupTable<'p> {
+        let accs = accumulators(aggs);
         let cap = next_pow2_at_least(expected_groups, 16);
         let bits = SmallIntArray::bits_for(cap + 1);
         let mut buckets = SmallIntArray::new(cap * 2, bits);
@@ -57,8 +193,10 @@ impl GroupTable {
         GroupTable {
             key_values: vec![Vec::new(); nkeys],
             key_nulls: vec![Vec::new(); nkeys],
-            states: vec![Vec::new(); aggs.len()],
-            aggs: aggs.to_vec(),
+            states: vec![Vec::new(); accs.len()],
+            accs,
+            aggs,
+            slots: None,
             buckets,
             link: SmallIntArray::new(cap, bits),
             hashes: Vec::new(),
@@ -67,17 +205,32 @@ impl GroupTable {
         }
     }
 
+    /// A lane's table of an on-the-fly group-by: indexed by slot where the
+    /// plan declares a range per key and the slots fit the table a DMEM of
+    /// `dmem_bytes` holds ([`on_the_fly_group_limit`]), hashed otherwise.
+    pub fn on_the_fly(
+        nkeys: usize,
+        aggs: &'p [AggSpec],
+        slots: Option<&'p [KeyRange]>,
+        dmem_bytes: usize,
+    ) -> GroupTable<'p> {
+        let mut t = GroupTable::new(nkeys, aggs, 256);
+        let limit = on_the_fly_group_limit(dmem_bytes, nkeys, aggs);
+        t.slots = slots
+            .filter(|ranges| ranges.len() == nkeys)
+            .and_then(|ranges| SlotIndex::new(ranges, limit));
+        t
+    }
+
     /// Number of groups discovered.
     pub fn groups(&self) -> usize {
         self.hashes.len()
     }
 
-    /// Bytes the table's core structures occupy (DMEM budget accounting).
-    pub fn size_bytes(&self) -> usize {
-        self.buckets.size_bytes()
-            + self.link.size_bytes()
-            + self.key_values.iter().map(|k| k.len() * 8).sum::<usize>()
-            + self.states.iter().map(|s| s.len() * 16).sum::<usize>()
+    /// Whether groups are still found by slot.
+    #[cfg(test)]
+    fn slotted(&self) -> bool {
+        self.slots.is_some()
     }
 
     fn grow(&mut self) {
@@ -115,7 +268,33 @@ impl GroupTable {
             }
             slot = self.link.get(g);
         }
-        // New group.
+        self.push_group(hash, key)
+    }
+
+    /// The group in `slot`, created for `key` where the slot is empty. A
+    /// group created here enters the hash chains too, under the hash
+    /// [`hash_rows`] gives its key (a NULL key's value is 0), so the table
+    /// can go on hashed at any point.
+    fn slot_upsert(&mut self, slot: usize, key: &[(i64, bool)]) -> u32 {
+        let found = self.slots.as_ref().map(|s| s.group_of[slot]);
+        if let Some(g) = found.filter(|&g| g != EMPTY_SLOT) {
+            return g;
+        }
+        let value = |&(v, is_null): &(i64, bool)| if is_null { 0 } else { v as u64 };
+        let hash = match key {
+            [] => 0,
+            [k] => dpu_sim::crc32::hash_u64(value(k)),
+            _ => dpu_sim::crc32::hash_key_iter(key.iter().map(value)),
+        };
+        let g = self.push_group(hash, key);
+        if let Some(slots) = self.slots.as_mut() {
+            slots.group_of[slot] = g;
+        }
+        g
+    }
+
+    /// Append a new group for `key`, hashed to `hash`.
+    fn push_group(&mut self, hash: u32, key: &[(i64, bool)]) -> u32 {
         if self.groups() == self.capacity {
             self.grow();
         }
@@ -125,10 +304,10 @@ impl GroupTable {
             self.key_values[j].push(if is_null { 0 } else { v });
             self.key_nulls[j].push(is_null);
         }
-        for (a, spec) in self.aggs.iter().enumerate() {
-            self.states[a].push(AggState::init(spec.func));
+        for (acc, states) in self.accs.iter().zip(&mut self.states) {
+            states.push(AggState::init(acc.func));
         }
-        let b = bucket_of(self.hashes[g], self.buckets.len());
+        let b = bucket_of(hash, self.buckets.len());
         self.link.set(g, self.buckets.get(b));
         self.buckets.set(b, g as u64);
         g as u32
@@ -150,8 +329,9 @@ impl GroupTable {
         }
     }
 
-    /// Consume one batch: assign each row its group index, then run the
-    /// grouped-aggregation primitives per aggregate.
+    /// Consume one batch: assign each row its group index — by slot where
+    /// every key of the batch lies in its range, else by hash — then run
+    /// one grouped-aggregation loop per accumulator.
     pub fn consume(
         &mut self,
         ctx: &mut CoreCtx,
@@ -163,57 +343,88 @@ impl GroupTable {
             return Ok(());
         }
         let keys: Vec<&Vector> = key_cols.iter().map(|&c| batch.column(c)).collect();
-        let hashes = if keys.is_empty() {
-            vec![0u32; rows] // global aggregate: one group
-        } else {
-            hash_rows(ctx, &keys)
+        let key_of = |i: usize, keybuf: &mut [(i64, bool)]| {
+            for (kb, k) in keybuf.iter_mut().zip(&keys) {
+                *kb = (k.data.get_i64(i), k.is_null(i));
+            }
         };
         let mut group_idx = Vec::with_capacity(rows);
         let mut keybuf = vec![(0i64, false); keys.len()];
-        for (i, &h) in hashes.iter().enumerate().take(rows) {
-            for (j, k) in keys.iter().enumerate() {
-                keybuf[j] = (k.data.get_i64(i), k.is_null(i));
+        if self.slots.is_some() {
+            // The slot loop runs over the whole batch and flags a key out of
+            // its range; the batch is then looked up by hash after all.
+            let slot_loop = costs::group_slot_per_row(keys.len()).scaled(rows as f64);
+            ctx.charge_kernel(Kernel::GroupSlot, &slot_loop);
+            for i in 0..rows {
+                key_of(i, &mut keybuf);
+                match self.slots.as_ref().and_then(|s| s.slot(&keybuf)) {
+                    Some(slot) => group_idx.push(self.slot_upsert(slot, &keybuf)),
+                    None => {
+                        self.slots = None;
+                        group_idx.clear();
+                        break;
+                    }
+                }
             }
-            group_idx.push(self.upsert(h, &keybuf));
         }
-        ctx.charge_kernel(&costs::group_lookup_per_row().scaled(rows as f64));
+        if self.slots.is_none() {
+            let hashes = if keys.is_empty() {
+                vec![0u32; rows] // global aggregate: one group
+            } else {
+                hash_rows(ctx, &keys)
+            };
+            for (i, &h) in hashes.iter().enumerate() {
+                key_of(i, &mut keybuf);
+                group_idx.push(self.upsert(h, &keybuf));
+            }
+            let lookup = costs::group_lookup_per_row().scaled(rows as f64);
+            ctx.charge_kernel(Kernel::GroupLookup, &lookup);
+        }
         if !ctx.vectorized {
-            ctx.charge_kernel(&costs::row_at_a_time_overhead_per_row().scaled(rows as f64));
+            let dispatch = costs::row_at_a_time_overhead_per_row().scaled(rows as f64);
+            ctx.charge_kernel(Kernel::Other, &dispatch);
         }
-        for (a, spec) in self.aggs.iter().enumerate() {
-            let col = batch.column(spec.col);
-            agg_grouped(ctx, spec.func, col, &group_idx, &mut self.states[a])?;
+        for (acc, states) in self.accs.iter().zip(&mut self.states) {
+            agg_grouped(ctx, acc.func, batch.column(acc.col), &group_idx, states)?;
         }
         ctx.charge_tile();
         Ok(())
     }
 
-    /// Merge another table into this one (the merge operator after
-    /// on-the-fly aggregation). Charges ATE transfer of the other table.
+    /// Merge another table of the same plan node into this one (the merge
+    /// operator after on-the-fly aggregation): slot by slot where both
+    /// tables still index by slot, else by hash. Charges ATE transfer of the
+    /// other table.
     pub fn merge_from(&mut self, ctx: &mut CoreCtx, other: &GroupTable) -> QefResult<()> {
+        if other.slots.is_none() {
+            self.slots = None;
+        }
         let mut keybuf = vec![(0i64, false); self.key_values.len()];
-        let aggs = self.aggs.clone();
         for g in 0..other.groups() {
             for (j, kb) in keybuf.iter_mut().enumerate() {
                 *kb = (other.key_values[j][g], other.key_nulls[j][g]);
             }
-            let me = self.upsert(other.hashes[g], &keybuf) as usize;
-            for (a, spec) in aggs.iter().enumerate() {
-                let o = other.states[a][g];
-                self.states[a][me].merge(spec.func, &o)?;
+            let me = match self.slots.as_ref().and_then(|s| s.slot(&keybuf)) {
+                Some(slot) => self.slot_upsert(slot, &keybuf),
+                None => self.upsert(other.hashes[g], &keybuf),
+            } as usize;
+            for ((acc, mine), theirs) in self.accs.iter().zip(&mut self.states).zip(&other.states) {
+                mine[me].merge(acc.func, &theirs[g])?;
             }
         }
         // Message-passing cost: the other core ships its aggregated table,
         // charged as one message across a macro boundary.
         if ctx.charging() {
             let hop = ate::message_cost(&ctx.cost_model, 0, ate::CORES_PER_MACRO);
-            ctx.account.charge_ate(hop);
+            ctx.charge_ate(hop);
         }
-        ctx.charge_kernel(&costs::grouped_agg_per_row().scaled(other.groups() as f64));
+        let fold = costs::grouped_agg_per_row().scaled(other.groups() as f64);
+        ctx.charge_kernel(Kernel::Aggregate, &fold);
         Ok(())
     }
 
-    /// Emit the result batch: key columns then finalized aggregates.
+    /// Emit the result batch: key columns then finalized aggregates, each
+    /// read from its accumulator.
     pub fn emit(&self, ctx: &mut CoreCtx) -> Batch {
         let n = self.groups();
         let mut cols = Vec::with_capacity(self.key_values.len() + self.aggs.len());
@@ -224,11 +435,11 @@ impl GroupTable {
             }
             cols.push(Vector::with_nulls(ColumnData::I64(kv.clone()), nulls));
         }
-        for (a, spec) in self.aggs.iter().enumerate() {
+        for (j, agg) in self.aggs.iter().enumerate() {
             let mut data = Vec::with_capacity(n);
             let mut nulls = rapid_storage::bitvec::BitVec::zeros(0);
-            for g in 0..n {
-                match self.states[a][g].finalize(spec.func) {
+            for state in &self.states[accumulator_of(self.aggs, j)] {
+                match state.finalize(agg.func) {
                     Some(v) => {
                         data.push(v);
                         nulls.push(false);
@@ -241,17 +452,19 @@ impl GroupTable {
             }
             cols.push(Vector::with_nulls(ColumnData::I64(data), nulls));
         }
-        ctx.charge_kernel(&costs::agg_per_row().scaled(n as f64));
+        let finalize = costs::agg_per_row().scaled(n as f64);
+        ctx.charge_kernel(Kernel::Aggregate, &finalize);
         Batch::new(cols)
     }
 }
 
 /// Number of groups whose table still fits comfortably in one core's
-/// DMEM alongside input/output vectors (the on-the-fly cutoff).
-pub fn on_the_fly_group_limit(dmem_bytes: usize, nkeys: usize, naggs: usize) -> usize {
+/// DMEM alongside input/output vectors (the on-the-fly cutoff), for
+/// `nkeys` keys and the accumulators `aggs` keep ([`accumulators`]).
+pub fn on_the_fly_group_limit(dmem_bytes: usize, nkeys: usize, aggs: &[AggSpec]) -> usize {
     // Per group: keys (8B each) + states (16B each) + ~3 bits of index
     // structures; leave half of DMEM for vectors.
-    let per_group = nkeys * 8 + naggs * 16 + 8;
+    let per_group = nkeys * 8 + accumulator_count(aggs) * 16 + 8;
     (dmem_bytes / 2) / per_group.max(1)
 }
 
@@ -259,7 +472,7 @@ pub fn on_the_fly_group_limit(dmem_bytes: usize, nkeys: usize, naggs: usize) -> 
 mod tests {
     use super::*;
     use crate::exec::{CoreCtx, ExecContext};
-    use crate::primitives::agg::AggFunc;
+    use rapid_storage::bitvec::BitVec;
 
     fn ctx() -> CoreCtx {
         CoreCtx::new(&ExecContext::dpu(), 0)
@@ -272,27 +485,25 @@ mod tests {
         ])
     }
 
-    fn specs() -> Vec<AggSpec> {
-        vec![
-            AggSpec {
-                func: AggFunc::Sum,
-                col: 1,
-            },
-            AggSpec {
-                func: AggFunc::Count,
-                col: 0,
-            },
-            AggSpec {
-                func: AggFunc::Min,
-                col: 1,
-            },
-        ]
-    }
+    const SPECS: [AggSpec; 3] = [
+        AggSpec {
+            func: AggFunc::Sum,
+            col: 1,
+        },
+        AggSpec {
+            func: AggFunc::Count,
+            col: 0,
+        },
+        AggSpec {
+            func: AggFunc::Min,
+            col: 1,
+        },
+    ];
 
     #[test]
     fn groups_and_aggregates() {
         let mut c = ctx();
-        let mut t = GroupTable::new(1, &specs(), 4);
+        let mut t = GroupTable::new(1, &SPECS, 4);
         t.consume(
             &mut c,
             &batch(vec![1, 2, 1, 2, 1], vec![10, 20, 30, 40, 50]),
@@ -312,7 +523,7 @@ mod tests {
     #[test]
     fn table_grows_past_expected_capacity() {
         let mut c = ctx();
-        let mut t = GroupTable::new(1, &specs(), 4);
+        let mut t = GroupTable::new(1, &SPECS, 4);
         let keys: Vec<i64> = (0..1000).collect();
         let vals: Vec<i64> = (0..1000).collect();
         t.consume(&mut c, &batch(keys, vals), &[0]).unwrap();
@@ -324,10 +535,10 @@ mod tests {
     #[test]
     fn merge_combines_per_core_tables() {
         let mut c = ctx();
-        let mut a = GroupTable::new(1, &specs(), 8);
+        let mut a = GroupTable::new(1, &SPECS, 8);
         a.consume(&mut c, &batch(vec![1, 2], vec![10, 20]), &[0])
             .unwrap();
-        let mut b = GroupTable::new(1, &specs(), 8);
+        let mut b = GroupTable::new(1, &SPECS, 8);
         b.consume(&mut c, &batch(vec![2, 3], vec![200, 300]), &[0])
             .unwrap();
         a.merge_from(&mut c, &b).unwrap();
@@ -363,7 +574,6 @@ mod tests {
 
     #[test]
     fn null_keys_form_their_own_group() {
-        use rapid_storage::bitvec::BitVec;
         let mut c = ctx();
         let mut nulls = BitVec::zeros(4);
         nulls.set(1, true);
@@ -389,15 +599,214 @@ mod tests {
     #[test]
     fn sum_of_no_rows_is_null_but_count_is_zero() {
         let mut c = ctx();
-        let t = GroupTable::new(0, &specs(), 1);
+        let t = GroupTable::new(0, &SPECS, 1);
         let out = t.emit(&mut c);
         assert_eq!(out.rows(), 0, "no input, no groups");
     }
 
     #[test]
     fn on_the_fly_limit_is_reasonable() {
-        let limit = on_the_fly_group_limit(32 * 1024, 1, 2);
+        let limit = on_the_fly_group_limit(32 * 1024, 1, &SPECS[..2]);
         assert!(limit > 100 && limit < 32 * 1024);
+    }
+
+    fn every_kind(col: usize) -> Vec<AggSpec> {
+        [
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Count,
+            AggFunc::Min,
+            AggFunc::Max,
+        ]
+        .map(|func| AggSpec { func, col })
+        .to_vec()
+    }
+
+    /// Keys 0..=2 (NULL every fifth row, stored as 0 like every NULL) and
+    /// 10..=11, values with NULLs.
+    fn keyed(rows: usize, offset: i64) -> Batch {
+        let nulls = |k: usize| BitVec::from_bools((0..rows).map(|i| i % k == 0));
+        let i = |r: usize| r as i64 + offset;
+        let code = |r: usize| {
+            if r.is_multiple_of(5) {
+                0
+            } else {
+                (i(r) % 3) as i8
+            }
+        };
+        Batch::new(vec![
+            Vector::with_nulls(ColumnData::I8((0..rows).map(code).collect()), nulls(5)),
+            Vector::new(ColumnData::I64((0..rows).map(|r| 10 + i(r) % 2).collect())),
+            Vector::with_nulls(
+                ColumnData::I64((0..rows).map(|r| i(r) * 7 - 40).collect()),
+                nulls(3),
+            ),
+        ])
+    }
+
+    const RANGES: [KeyRange; 2] = [KeyRange { lo: 0, hi: 2 }, KeyRange { lo: 10, hi: 11 }];
+
+    #[test]
+    fn shared_accumulators_give_what_separate_ones_gave() {
+        let mut aggs = every_kind(2);
+        aggs.push(AggSpec {
+            func: AggFunc::Count,
+            col: 0,
+        });
+        // SUM, AVG and COUNT of column 2 share one state; MIN, MAX and the
+        // COUNT of column 0 keep their own.
+        let accs = accumulators(&aggs);
+        assert_eq!(accs.len(), 4);
+        assert_eq!(accumulator_count(&aggs), 4);
+        let reads: Vec<usize> = (0..aggs.len()).map(|j| accumulator_of(&aggs, j)).collect();
+        assert_eq!(reads, [0, 0, 0, 1, 2, 3]);
+        assert_eq!(accs[0].func, AggFunc::Sum);
+        assert_eq!(accs[3].func, AggFunc::Count, "a COUNT alone does not sum");
+        let mut c = ctx();
+        let mut shared = GroupTable::new(2, &aggs, 16);
+        shared.consume(&mut c, &keyed(100, 0), &[0, 1]).unwrap();
+        let shared = shared.emit(&mut c);
+        for (j, agg) in aggs.iter().enumerate() {
+            let mut alone = GroupTable::new(2, std::slice::from_ref(agg), 16);
+            alone.consume(&mut c, &keyed(100, 0), &[0, 1]).unwrap();
+            let alone = alone.emit(&mut c);
+            assert_eq!(shared.column(2 + j), alone.column(2), "{agg:?}");
+        }
+        // One accumulator loop per accumulator, not per aggregate.
+        let mut loops = ctx();
+        GroupTable::new(2, &aggs, 16)
+            .consume(&mut loops, &keyed(100, 0), &[0, 1])
+            .unwrap();
+        let per_loop = loops
+            .cost_model
+            .kernel_cycles(&costs::grouped_agg_per_row())
+            * 100.0;
+        let charged = loops.kernels.get(Kernel::Aggregate).cycles;
+        assert!(
+            (charged - 4.0 * per_loop).abs() < 1e-6,
+            "{charged} vs 4 × {per_loop}"
+        );
+    }
+
+    #[test]
+    fn a_count_sharing_nothing_never_overflows_and_a_sum_beside_it_does() {
+        let big = Batch::new(vec![Vector::new(ColumnData::I64(vec![i64::MAX, i64::MAX]))]);
+        let count = AggSpec {
+            func: AggFunc::Count,
+            col: 0,
+        };
+        let mut c = ctx();
+        let aggs = [count];
+        let mut t = GroupTable::new(0, &aggs, 1);
+        t.consume(&mut c, &big, &[]).unwrap();
+        assert_eq!(t.emit(&mut c).column(0).get(0), Some(2));
+        let sum = AggSpec {
+            func: AggFunc::Sum,
+            col: 0,
+        };
+        let aggs = [count, sum];
+        let mut t = GroupTable::new(0, &aggs, 1);
+        assert!(t.consume(&mut c, &big, &[]).is_err());
+    }
+
+    #[test]
+    fn a_slot_table_handles_null_keys_and_merges_by_addition() {
+        assert_eq!(
+            slot_count(&RANGES),
+            Some(16),
+            "2 bits and 2 bits, NULL included"
+        );
+        let aggs = every_kind(2);
+        let dmem = 32 * 1024;
+        let mut c = ctx();
+        let run = |slots: Option<&[KeyRange]>, c: &mut CoreCtx| {
+            let mut first = GroupTable::on_the_fly(2, &aggs, slots, dmem);
+            first.consume(c, &keyed(64, 0), &[0, 1]).unwrap();
+            let mut second = GroupTable::on_the_fly(2, &aggs, slots, dmem);
+            second.consume(c, &keyed(50, 1), &[0, 1]).unwrap();
+            first.merge_from(c, &second).unwrap();
+            (first.slotted(), first.groups(), first.emit(c))
+        };
+        let (slotted, groups, by_slot) = run(Some(&RANGES), &mut c);
+        assert!(slotted);
+        // Three codes and NULL by two values: eight groups.
+        assert_eq!(groups, 8);
+        let (hashed, _, by_hash) = run(None, &mut c);
+        assert!(!hashed);
+        assert_eq!(by_slot, by_hash, "same groups, same order, same sums");
+        // No CRC and no chain walk: the slot kernel alone finds the groups.
+        let mut lane = ctx();
+        let mut t = GroupTable::on_the_fly(2, &aggs, Some(&RANGES), dmem);
+        t.consume(&mut lane, &keyed(64, 0), &[0, 1]).unwrap();
+        let split = &lane.kernels;
+        assert!(split.get(Kernel::GroupSlot).cycles > 0.0);
+        assert_eq!(split.get(Kernel::Hash).cycles, 0.0);
+        assert_eq!(split.get(Kernel::GroupLookup).cycles, 0.0);
+    }
+
+    #[test]
+    fn a_key_out_of_its_range_falls_back_to_the_hashed_table() {
+        let aggs = every_kind(2);
+        let dmem = 32 * 1024;
+        // Key 0 declared 0..=1 where it takes 2 too.
+        let narrow = [KeyRange { lo: 0, hi: 1 }, RANGES[1]];
+        let mut c = ctx();
+        let mut hashed = GroupTable::on_the_fly(2, &aggs, None, dmem);
+        hashed.consume(&mut c, &keyed(64, 0), &[0, 1]).unwrap();
+        let mut fell = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem);
+        fell.consume(&mut c, &keyed(64, 0), &[0, 1]).unwrap();
+        assert!(!fell.slotted());
+        assert_eq!(fell.emit(&mut c), hashed.emit(&mut c));
+        // A table still slotted merges with one that fell back, either way
+        // round, into what two hashed tables merge into.
+        // Its first two rows have keys 0 and 1.
+        let head = Batch::new(keyed(64, 0).columns.iter().map(|k| k.slice(0, 2)).collect());
+        let in_range = || {
+            let mut t = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem);
+            t.consume(&mut ctx(), &head, &[0, 1]).unwrap();
+            assert!(t.slotted());
+            t
+        };
+        let expect = {
+            let mut a = GroupTable::on_the_fly(2, &aggs, None, dmem);
+            a.consume(&mut c, &head, &[0, 1]).unwrap();
+            a.merge_from(&mut c, &hashed).unwrap();
+            a.emit(&mut c)
+        };
+        let mut slotted = in_range();
+        slotted.merge_from(&mut c, &fell).unwrap();
+        assert!(!slotted.slotted());
+        assert_eq!(slotted.emit(&mut c), expect);
+        let mut fell_first = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem);
+        fell_first.consume(&mut c, &keyed(64, 0), &[0, 1]).unwrap();
+        fell_first.merge_from(&mut c, &in_range()).unwrap();
+        let mut hashed_first = GroupTable::on_the_fly(2, &aggs, None, dmem);
+        hashed_first
+            .consume(&mut c, &keyed(64, 0), &[0, 1])
+            .unwrap();
+        hashed_first.merge_from(&mut c, &in_range()).unwrap();
+        assert_eq!(fell_first.emit(&mut c), hashed_first.emit(&mut c));
+    }
+
+    #[test]
+    fn slots_past_the_table_a_scratchpad_holds_are_hashed() {
+        let wide = [KeyRange { lo: 0, hi: 4000 }];
+        let aggs = every_kind(1);
+        assert_eq!(slot_count(&wide), Some(4096));
+        assert!(on_the_fly_group_limit(32 * 1024, 1, &aggs) < 4096);
+        assert!(!GroupTable::on_the_fly(1, &aggs, Some(&wide), 32 * 1024).slotted());
+        assert_eq!(
+            slot_count(&[KeyRange { lo: 1, hi: 0 }]),
+            None,
+            "an empty range"
+        );
+        assert_eq!(
+            slot_count(&[KeyRange {
+                lo: i64::MIN,
+                hi: i64::MAX
+            }]),
+            None
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!   that chains degenerate; their rows are joined in a dense broadcast
 //!   pass instead (the flow-join technique, the paper's ref 30).
 
+use dpu_sim::account::Kernel;
 use dpu_sim::dmem::DmemReservation;
 use rapid_storage::vector::Vector;
 
@@ -281,9 +282,15 @@ impl JoinTable {
                 stats.overflowed += 1;
             }
         }
-        ctx.charge_kernel(&costs::join_build_per_row().scaled(rows as f64));
+        ctx.charge_kernel(
+            Kernel::Join,
+            &costs::join_build_per_row().scaled(rows as f64),
+        );
         if !ctx.vectorized {
-            ctx.charge_kernel(&costs::row_at_a_time_overhead_per_row().scaled(rows as f64));
+            ctx.charge_kernel(
+                Kernel::Other,
+                &costs::row_at_a_time_overhead_per_row().scaled(rows as f64),
+            );
         }
         // Overflow inserts hit DRAM latency rather than DMEM: charge the
         // extra transfer (one cache-line-ish access per overflow row).
@@ -389,11 +396,23 @@ impl JoinTable {
                 total_matches += count as usize;
             }
         }
-        ctx.charge_kernel(&costs::join_probe_per_row().scaled(rows as f64));
-        ctx.charge_kernel(&costs::join_probe_per_link().scaled(total_links as f64));
-        ctx.charge_kernel(&costs::join_emit_per_match().scaled(total_matches as f64));
+        ctx.charge_kernel(
+            Kernel::Join,
+            &costs::join_probe_per_row().scaled(rows as f64),
+        );
+        ctx.charge_kernel(
+            Kernel::Join,
+            &costs::join_probe_per_link().scaled(total_links as f64),
+        );
+        ctx.charge_kernel(
+            Kernel::Join,
+            &costs::join_emit_per_match().scaled(total_matches as f64),
+        );
         if !ctx.vectorized {
-            ctx.charge_kernel(&costs::row_at_a_time_overhead_per_row().scaled(rows as f64));
+            ctx.charge_kernel(
+                Kernel::Other,
+                &costs::row_at_a_time_overhead_per_row().scaled(rows as f64),
+            );
         }
         Ok(match_counts)
     }

@@ -47,6 +47,7 @@
 //! ([`crate::budget::max_buffered_fanout`]), sized — like the tile — from
 //! the widths the columns arrive in ([`crate::plan::PlanNode::output_widths`]).
 
+use dpu_sim::account::Kernel;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -142,7 +143,10 @@ impl RoundStep<'_> {
         let cols = first.cols;
         let widths = (0..cols.width()).map(move |c| cols.column(c).data.width());
         for _ in 0..cols.width() {
-            ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(rows as f64));
+            ctx.charge_kernel(
+                Kernel::Partition,
+                &costs::swpart_gather_per_row().scaled(rows as f64),
+            );
         }
         let cm = ctx.cost_model.clone();
         if self.reads_back {
@@ -996,7 +1000,10 @@ mod proptests {
                 let (mut offsets, mut rids) = (vec![0; fanout + 1], vec![0; hashes.len()]);
                 compute_partition_map(ctx, &hashes, fanout, shift, 0, &mut offsets, &mut rids);
                 for col in &part.columns {
-                    ctx.charge_kernel(&costs::swpart_gather_per_row().scaled(col.len() as f64));
+                    ctx.charge_kernel(
+                        Kernel::Partition,
+                        &costs::swpart_gather_per_row().scaled(col.len() as f64),
+                    );
                 }
                 let widths: Vec<usize> = part.columns.iter().map(|c| c.data.width()).collect();
                 if round > 0 {

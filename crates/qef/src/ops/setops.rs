@@ -4,6 +4,7 @@
 //! group-by: build a distinct set of the right input, then stream the left
 //! input against it.
 
+use dpu_sim::account::Kernel;
 use std::collections::HashSet;
 
 use crate::batch::Batch;
@@ -51,7 +52,10 @@ pub fn set_op(
             right_rows += 1;
         }
     }
-    ctx.charge_kernel(&costs::group_lookup_per_row().scaled(right_rows as f64));
+    ctx.charge_kernel(
+        Kernel::GroupLookup,
+        &costs::group_lookup_per_row().scaled(right_rows as f64),
+    );
 
     let mut emitted: HashSet<Row> = HashSet::new();
     let mut keep: Vec<Batch> = Vec::new();
@@ -74,7 +78,10 @@ pub fn set_op(
             keep.push(gather_at(b, &rids, widths));
         }
     }
-    ctx.charge_kernel(&costs::group_lookup_per_row().scaled(left_rows as f64));
+    ctx.charge_kernel(
+        Kernel::GroupLookup,
+        &costs::group_lookup_per_row().scaled(left_rows as f64),
+    );
 
     // UNION also emits right rows not seen on the left.
     if op == SetOpKind::Union {

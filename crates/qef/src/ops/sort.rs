@@ -15,6 +15,7 @@ use crate::error::QefResult;
 use crate::exec::CoreCtx;
 use crate::plan::SortKey;
 use crate::primitives::costs;
+use dpu_sim::account::Kernel;
 
 /// Order-preserving transform: signed `i64` (with optional NULL) into an
 /// unsigned 65-bit key whose natural order matches the SQL order. The
@@ -75,7 +76,10 @@ fn radix_pass_column(ctx: &mut CoreCtx, batch: &Batch, key: SortKey, perm: &mut 
         cur = next;
     }
     *perm = cur.into_iter().map(|(_, r)| r).collect();
-    ctx.charge_kernel(&costs::radix_sort_per_row_per_pass().scaled((n * passes.max(1)) as f64));
+    ctx.charge_kernel(
+        Kernel::Other,
+        &costs::radix_sort_per_row_per_pass().scaled((n * passes.max(1)) as f64),
+    );
 }
 
 /// Sort a batch by the given keys, returning the permuted batch.
@@ -119,7 +123,10 @@ pub fn merge_sorted(ctx: &mut CoreCtx, batches: &[Batch], order: &[SortKey]) -> 
             cursors.swap_remove(best);
         }
     }
-    ctx.charge_kernel(&costs::topk_per_row().scaled(out_rows.len() as f64));
+    ctx.charge_kernel(
+        Kernel::Other,
+        &costs::topk_per_row().scaled(out_rows.len() as f64),
+    );
     // Gather per source batch, then interleave via concat of singletons is
     // wasteful; gather runs of consecutive rows from the same source.
     let mut pieces: Vec<Batch> = Vec::new();

@@ -7,6 +7,7 @@
 //! engine-wide NULLS LAST semantics shared with the radix sort and the
 //! host executor).
 
+use dpu_sim::account::Kernel;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -80,7 +81,7 @@ impl TopK {
         if self.rows.len() > 4 * self.k.max(16) {
             self.prune();
         }
-        ctx.charge_kernel(&costs::topk_per_row().scaled(n as f64));
+        ctx.charge_kernel(Kernel::Other, &costs::topk_per_row().scaled(n as f64));
         ctx.charge_tile();
         Ok(())
     }
@@ -96,7 +97,7 @@ impl TopK {
     pub fn merge(&mut self, ctx: &mut CoreCtx, other: TopK) -> QefResult<()> {
         let n = other.rows.len();
         self.rows.extend(other.rows);
-        ctx.charge_kernel(&costs::topk_per_row().scaled(n as f64));
+        ctx.charge_kernel(Kernel::Other, &costs::topk_per_row().scaled(n as f64));
         Ok(())
     }
 
@@ -108,7 +109,10 @@ impl TopK {
             .iter()
             .map(|(b, r)| b.gather(&[*r as u32]))
             .collect();
-        ctx.charge_kernel(&costs::topk_per_row().scaled(self.rows.len() as f64));
+        ctx.charge_kernel(
+            Kernel::Other,
+            &costs::topk_per_row().scaled(self.rows.len() as f64),
+        );
         Batch::concat(out)
     }
 }

@@ -6,6 +6,7 @@
 //! function appends one output column; the original row order of the batch
 //! is preserved in the output (values are scattered back by row id).
 
+use dpu_sim::account::Kernel;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use crate::batch::Batch;
@@ -35,14 +36,20 @@ pub fn window_batch(
             .collect();
         groups.entry(key).or_default().push(i as u32);
     }
-    ctx.charge_kernel(&costs::group_lookup_per_row().scaled(n as f64));
+    ctx.charge_kernel(
+        Kernel::GroupLookup,
+        &costs::group_lookup_per_row().scaled(n as f64),
+    );
 
     let mut out = vec![0i64; n];
     for rows in groups.values() {
         // Order within the partition.
         let mut ordered = rows.clone();
         ordered.sort_by(|&a, &b| cmp_rows(batch, a as usize, batch, b as usize, order_by));
-        ctx.charge_kernel(&costs::radix_sort_per_row_per_pass().scaled((ordered.len() * 2) as f64));
+        ctx.charge_kernel(
+            Kernel::Other,
+            &costs::radix_sort_per_row_per_pass().scaled((ordered.len() * 2) as f64),
+        );
         match func {
             WindowFunc::RowNumber => {
                 for (pos, &r) in ordered.iter().enumerate() {
@@ -69,7 +76,10 @@ pub fn window_batch(
                 }
             }
         }
-        ctx.charge_kernel(&costs::agg_per_row().scaled(ordered.len() as f64));
+        ctx.charge_kernel(
+            Kernel::Aggregate,
+            &costs::agg_per_row().scaled(ordered.len() as f64),
+        );
     }
 
     let mut result = batch.clone();

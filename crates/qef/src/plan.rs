@@ -46,7 +46,24 @@ pub enum GroupStrategy {
     Partitioned(Vec<usize>),
     /// Low-NDV path: every core aggregates its stream on the fly; a merge
     /// operator combines the per-core tables.
-    OnTheFly,
+    OnTheFly {
+        /// Where every key is a dictionary code or a narrow integer whose
+        /// values the compiler knows the range of, one range per key: the
+        /// table then finds each group by its slot, the key values shifted
+        /// to their fields and ORed ([`crate::ops::groupby::slot_count`]),
+        /// instead of hashing them. `None` hashes.
+        slots: Option<Vec<KeyRange>>,
+    },
+}
+
+/// The values a group key takes, `lo..=hi`, as its dictionary or its
+/// column's statistics bound them (NULL aside, which every key may be).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct KeyRange {
+    /// Least value.
+    pub lo: i64,
+    /// Greatest value.
+    pub hi: i64,
 }
 
 /// A sort key.
@@ -560,7 +577,7 @@ mod tests {
                     col: 0,
                 },
             ],
-            strategy: GroupStrategy::OnTheFly,
+            strategy: GroupStrategy::OnTheFly { slots: None },
         };
         let meta = plan.output_meta(&catalog()).unwrap();
         assert_eq!(meta.len(), 3);
@@ -753,7 +770,7 @@ mod tests {
                     col: 1,
                 },
             ],
-            strategy: GroupStrategy::OnTheFly,
+            strategy: GroupStrategy::OnTheFly { slots: None },
         };
         assert_eq!(widths(&group), [8, 8, 8], "keys are re-emitted widened");
         let window = PlanNode::Window {

@@ -3,7 +3,15 @@
 //! Aggregates run on DSB mantissas, so SUM/MIN/MAX of a decimal column are
 //! plain integer loops; AVG is carried as (sum, count) and finalized at the
 //! result boundary. NULLs are skipped per SQL semantics.
+//!
+//! Every state is a `(value, count)` pair, so one state serves every
+//! aggregate of an input that reads those two: a group table keeps one
+//! accumulator for SUM, AVG and COUNT of a column
+//! ([`crate::ops::groupby::accumulators`]), folds it once per row, and
+//! [`AggState::finalize`] reads each aggregate's value from it — SUM the
+//! value, COUNT the count, AVG the one over the other.
 
+use dpu_sim::account::Kernel;
 use rapid_storage::vector::Vector;
 use serde::{Deserialize, Serialize};
 
@@ -125,7 +133,10 @@ pub fn agg_grouped(
             states[g as usize].update(f, col.data.get_i64(i))?;
         }
     }
-    ctx.charge_kernel(&costs::grouped_agg_per_row().scaled(col.len() as f64));
+    ctx.charge_kernel(
+        Kernel::Aggregate,
+        &costs::grouped_agg_per_row().scaled(col.len() as f64),
+    );
     Ok(())
 }
 

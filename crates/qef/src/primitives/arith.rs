@@ -5,6 +5,7 @@
 //! (the compiler assigns every expression an output scale); these kernels
 //! just run the checked integer loops and charge the multiplier stalls.
 
+use dpu_sim::account::Kernel;
 use rapid_storage::bitvec::BitVec;
 use rapid_storage::vector::{ColumnData, Vector};
 
@@ -60,22 +61,41 @@ fn apply(op: ArithOp, a: i64, b: i64) -> QefResult<i64> {
 }
 
 fn charge(ctx: &mut CoreCtx, op: ArithOp, rows: usize) {
-    let k = match op {
-        ArithOp::Mul | ArithOp::Div => costs::mul_per_row(),
-        _ => costs::arith_per_row(),
+    let (kernel, k) = match op {
+        ArithOp::Add => (Kernel::Add, costs::arith_per_row()),
+        ArithOp::Sub => (Kernel::Sub, costs::arith_per_row()),
+        ArithOp::Mul => (Kernel::Mul, costs::mul_per_row()),
+        ArithOp::Div => (Kernel::Div, costs::mul_per_row()),
     };
-    ctx.charge_kernel(&k.scaled(rows as f64));
+    ctx.charge_kernel(kernel, &k.scaled(rows as f64));
 }
 
 /// `out[i] = col[i] op const`, null-propagating.
 pub fn arith_const(ctx: &mut CoreCtx, col: &Vector, op: ArithOp, cval: i64) -> QefResult<Vector> {
+    map_values(ctx, col, op, |v| apply(op, v, cval))
+}
+
+/// `out[i] = const op col[i]`, null-propagating: a literal on the left of an
+/// operator that does not commute (`100 - l_discount`). Charged what
+/// [`arith_col`] charges, with no vector of the literal built for it.
+pub fn const_arith(ctx: &mut CoreCtx, cval: i64, op: ArithOp, col: &Vector) -> QefResult<Vector> {
+    map_values(ctx, col, op, |v| apply(op, cval, v))
+}
+
+/// `out[i] = f(col[i])` for an `op` loop over one column, null-propagating.
+fn map_values(
+    ctx: &mut CoreCtx,
+    col: &Vector,
+    op: ArithOp,
+    f: impl Fn(i64) -> QefResult<i64>,
+) -> QefResult<Vector> {
     let n = col.len();
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         if col.is_null(i) {
             out.push(0);
         } else {
-            out.push(apply(op, col.data.get_i64(i), cval)?);
+            out.push(f(col.data.get_i64(i))?);
         }
     }
     charge(ctx, op, n);
@@ -135,7 +155,7 @@ pub fn year_from_days(ctx: &mut CoreCtx, col: &Vector) -> Vector {
         mispredicts: 0.02,
         mul: 0.0,
     };
-    ctx.charge_kernel(&k.scaled(n as f64));
+    ctx.charge_kernel(Kernel::Other, &k.scaled(n as f64));
     match &col.nulls {
         Some(nulls) => Vector::with_nulls(ColumnData::I64(out), nulls.clone()),
         None => Vector::new(ColumnData::I64(out)),
@@ -189,6 +209,38 @@ mod tests {
         assert_eq!(r.get(0), Some(11));
         assert_eq!(r.get(1), None, "null propagates");
         assert_eq!(r.get(2), Some(33));
+    }
+
+    #[test]
+    fn a_literal_on_the_left_is_charged_what_a_column_of_it_was() {
+        let nulls = BitVec::from_bools((0..40).map(|i| i % 6 == 0));
+        let col = Vector::with_nulls(
+            ColumnData::I16((1..=40).map(|i| i * 3 - 61).collect()),
+            nulls,
+        );
+        let lit = Vector::new(ColumnData::I64(vec![100; 40]));
+        for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div] {
+            let (mut by_col, mut by_lit) = (ctx(), ctx());
+            let expect = arith_col(&mut by_col, &lit, op, &col).unwrap();
+            let got = super::const_arith(&mut by_lit, 100, op, &col).unwrap();
+            assert_eq!(
+                (0..40).map(|i| got.get(i)).collect::<Vec<_>>(),
+                (0..40).map(|i| expect.get(i)).collect::<Vec<_>>(),
+                "{op:?}"
+            );
+            let charged = |c: &CoreCtx| {
+                let a = &c.account;
+                (a.compute_cycles().get().to_bits(), *a.counters(), c.kernels)
+            };
+            assert_eq!(charged(&by_lit), charged(&by_col), "{op:?}");
+        }
+        // The overflow names the operands in the order they were written.
+        let one = Vector::new(ColumnData::I64(vec![1]));
+        let err = super::const_arith(&mut ctx(), i64::MIN, ArithOp::Sub, &one).unwrap_err();
+        assert_eq!(
+            err,
+            QefError::NumericOverflow(format!("{} Sub 1", i64::MIN))
+        );
     }
 
     #[test]

@@ -188,6 +188,23 @@ pub fn group_lookup_per_row() -> KernelCost {
     }
 }
 
+/// Group slot from `nkeys` code keys per row, where an on-the-fly table
+/// indexes its groups by slot: per key a load, the subtraction of its base,
+/// a shift to its power-of-two stride and an OR into the slot — no CRC, no
+/// chain walk, no key compare and no multiply — then the slot's group index
+/// is loaded. Stands in for [`hash_per_row_per_key`] × keys plus
+/// [`group_lookup_per_row`].
+pub fn group_slot_per_row(nkeys: usize) -> KernelCost {
+    let keys = nkeys as f64;
+    KernelCost {
+        alu: 3.0 * keys,
+        lsu: keys + 1.0,
+        dual_issue_frac: 1.0,
+        branches: 1.0 / 8.0,
+        ..Default::default()
+    }
+}
+
 /// Radix-sort per row per pass (counting + scatter).
 pub fn radix_sort_per_row_per_pass() -> KernelCost {
     KernelCost {
@@ -287,6 +304,20 @@ mod tests {
                 dpu_rows_per_sec / 1e9
             );
         }
+    }
+
+    #[test]
+    fn a_group_slot_is_cheaper_than_a_hash_and_a_lookup_and_never_multiplies() {
+        let cm = CostModel::default();
+        for keys in 1..=4 {
+            let slot = group_slot_per_row(keys);
+            assert_eq!(slot.mul, 0.0);
+            let hashed = keys as f64 * cm.kernel_cycles(&hash_per_row_per_key())
+                + cm.kernel_cycles(&group_lookup_per_row());
+            assert!(cm.kernel_cycles(&slot) < hashed, "{keys} keys");
+        }
+        // Q1's two code keys: 6.125 cycles a row where hashing took 12.775.
+        assert_eq!(cm.kernel_cycles(&group_slot_per_row(2)), 6.125);
     }
 
     #[test]

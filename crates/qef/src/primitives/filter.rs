@@ -7,6 +7,7 @@
 //! expands the template for every physical type × comparison operator,
 //! mirroring the primitive generator framework.
 
+use dpu_sim::account::Kernel;
 use std::ops::Range;
 
 use rapid_storage::bitvec::BitVec;
@@ -176,7 +177,10 @@ pub fn cmp_const_bv(
         }
     });
     clear_nulls(&mut out, col, &rows);
-    ctx.charge_kernel(&costs::filter_per_row().scaled(rows.len() as f64));
+    ctx.charge_kernel(
+        Kernel::Predicate,
+        &costs::filter_per_row().scaled(rows.len() as f64),
+    );
     out
 }
 
@@ -218,7 +222,7 @@ pub fn in_code_set_bv(
     // Bitmap probe: one extra load vs the compare loop.
     let mut k = costs::filter_per_row();
     k.lsu += 1.0;
-    ctx.charge_kernel(&k.scaled(rows.len() as f64));
+    ctx.charge_kernel(Kernel::Predicate, &k.scaled(rows.len() as f64));
     out
 }
 
@@ -240,7 +244,7 @@ pub fn cmp_col_bv(
     }
     let mut k = costs::filter_per_row();
     k.lsu += 1.0; // second operand load
-    ctx.charge_kernel(&k.scaled(rows.len() as f64));
+    ctx.charge_kernel(Kernel::Predicate, &k.scaled(rows.len() as f64));
     out
 }
 

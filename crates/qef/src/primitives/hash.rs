@@ -5,6 +5,7 @@
 //! values computed in hardware") and the hash-join/group-by bucket
 //! indices — one function family, exactly like the chip.
 
+use dpu_sim::account::Kernel;
 use rapid_storage::vector::Vector;
 
 use crate::exec::CoreCtx;
@@ -64,7 +65,10 @@ pub fn hash_pieces_into<'a, K, R>(
         }
     }
     debug_assert_eq!(done, out.len());
-    ctx.charge_kernel(&costs::hash_per_row_per_key().scaled((out.len() * nkeys) as f64));
+    ctx.charge_kernel(
+        Kernel::Hash,
+        &costs::hash_per_row_per_key().scaled((out.len() * nkeys) as f64),
+    );
 }
 
 /// Bucket index from a hash value: "a fast modulo using a bit-mask and a

@@ -10,6 +10,7 @@
 
 use crate::exec::CoreCtx;
 use crate::primitives::costs;
+use dpu_sim::account::Kernel;
 
 /// Listing 2: the partition map of `hashes` — a counting sort of their row
 /// ids by the `log2(fanout)` hash bits above `shift` — written into the
@@ -49,7 +50,10 @@ pub fn compute_partition_map(
     }
     offsets.copy_within(0..fanout, 1);
     offsets[0] = 0;
-    ctx.charge_kernel(&costs::partition_map_per_row().scaled(2.0 * hashes.len() as f64));
+    ctx.charge_kernel(
+        Kernel::Partition,
+        &costs::partition_map_per_row().scaled(2.0 * hashes.len() as f64),
+    );
 }
 
 #[cfg(test)]

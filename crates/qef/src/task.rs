@@ -175,18 +175,20 @@ impl PlanNode {
 
 /// What a group table consuming columns of `widths` declares: the
 /// DMEM-resident table takes half the scratchpad, and the key and aggregate
-/// input columns stream past it.
+/// input columns stream past it, each once however many aggregates read it.
 pub fn group_consume_decl(
     keys: &[usize],
     aggs: &[crate::plan::AggSpec],
     widths: &[usize],
     dmem_bytes: usize,
 ) -> OpDecl<'static> {
-    let cols = keys.iter().copied().chain(aggs.iter().map(|a| a.col));
+    let cols = || keys.iter().copied().chain(aggs.iter().map(|a| a.col));
+    let first = |(i, c): &(usize, usize)| cols().take(*i).all(|earlier| earlier != *c);
+    let once = cols().enumerate().filter(first).map(|(_, c)| c);
     OpDecl {
         name: OpName::of("groupby.consume"),
         state_bytes: dmem_bytes / 2,
-        in_widths: cols.filter_map(|c| widths.get(c).copied()).collect(),
+        in_widths: once.filter_map(|c| widths.get(c).copied()).collect(),
         out_widths: Vec::new(),
     }
 }

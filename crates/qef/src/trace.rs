@@ -82,6 +82,12 @@ pub struct StageEvent {
     /// more than one operator.
     #[serde(default)]
     pub fused: Vec<FusedOp>,
+    /// The stage's compute by kernel family, summed over its lanes, in
+    /// [`Kernel::ALL`] order: the families it charged nothing are left out.
+    ///
+    /// [`Kernel::ALL`]: dpu_sim::account::Kernel::ALL
+    #[serde(default)]
+    pub kernels: Vec<KernelShare>,
     /// Energy at the DPU's provisioned power over `sim_secs`, in joules.
     pub energy_joules: f64,
     /// Host wall-clock seconds (native backend; 0 on the DPU).
@@ -103,6 +109,33 @@ pub struct FusedOp {
     /// scan's share of a task's traffic is its own line's.
     #[serde(default)]
     pub dms_bytes: u64,
+}
+
+/// What one kernel family was charged in a stage (see
+/// [`dpu_sim::account::KernelSplit`]).
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct KernelShare {
+    /// The family's name, e.g. `"mul"`, `"group-slot"`.
+    pub kernel: String,
+    /// Compute cycles, summed over the stage's lanes.
+    pub cycles: f64,
+    /// Instructions retired, summed over the stage's lanes.
+    pub instructions: u64,
+}
+
+impl KernelShare {
+    /// The families of `split` that were charged anything, in order.
+    pub fn of(split: &dpu_sim::account::KernelSplit) -> Vec<KernelShare> {
+        split
+            .iter()
+            .filter(|(_, t)| t.cycles != 0.0 || t.instructions != 0)
+            .map(|(k, t)| KernelShare {
+                kernel: k.name().to_string(),
+                cycles: t.cycles,
+                instructions: t.instructions,
+            })
+            .collect()
+    }
 }
 
 /// How a scan read its table (see [`crate::ops::filter::ScanPlan`]).

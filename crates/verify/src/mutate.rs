@@ -130,7 +130,7 @@ pub fn base_plan() -> PlanNode {
             func: AggFunc::Sum,
             col: 2,
         }],
-        strategy: GroupStrategy::OnTheFly,
+        strategy: GroupStrategy::OnTheFly { slots: None },
     }
 }
 

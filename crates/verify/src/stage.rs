@@ -27,7 +27,7 @@ use rapid_qef::budget::{
     self, OpDecl, OpName, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
 };
 use rapid_qef::expr::Expr;
-use rapid_qef::ops::groupby::on_the_fly_group_limit;
+use rapid_qef::ops::groupby::{accumulator_count, on_the_fly_group_limit, slot_count};
 use rapid_qef::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::task;
 use rapid_storage::types::DataType;
@@ -622,26 +622,37 @@ impl Walker<'_> {
                 if bad {
                     return Err(());
                 }
-                if *strategy == GroupStrategy::OnTheFly {
+                if let GroupStrategy::OnTheFly { slots } = strategy {
                     let known = keys
                         .iter()
                         .try_fold(1u64, |acc, &k| info.ndv[k].and_then(|n| acc.checked_mul(n)));
-                    let limit = on_the_fly_group_limit(self.cfg.dmem_bytes, keys.len(), aggs.len());
-                    if let Some(n) = known {
-                        if n as usize > limit {
-                            self.diag(
-                                Rule::GroupLimit,
-                                id,
-                                &path,
-                                format!(
-                                    "on-the-fly group-by must hold ~{n} groups but the per-core \
-                                     DMEM table caps at {limit} ({} B DMEM, {} keys, {} aggregates)",
-                                    self.cfg.dmem_bytes,
-                                    keys.len(),
-                                    aggs.len()
-                                ),
-                            );
+                    let limit = on_the_fly_group_limit(self.cfg.dmem_bytes, keys.len(), aggs);
+                    let table = || {
+                        format!(
+                            "the per-core DMEM table caps at {limit} ({} B DMEM, {} keys, {} \
+                             accumulators)",
+                            self.cfg.dmem_bytes,
+                            keys.len(),
+                            accumulator_count(aggs)
+                        )
+                    };
+                    let mut over = Vec::new();
+                    if let Some(n) = known.filter(|&n| n as usize > limit) {
+                        over.push(format!("must hold ~{n} groups"));
+                    }
+                    // A slot table holds a group per slot, every slot of it.
+                    if let Some(ranges) = slots {
+                        let n = slot_count(ranges).filter(|_| ranges.len() == keys.len());
+                        if n.is_none_or(|n| n > limit) {
+                            let n = n.map_or("too many".into(), |n| n.to_string());
+                            let declared =
+                                format!("{} key ranges for {} keys", ranges.len(), keys.len());
+                            over.push(format!("declares {declared}, {n} slots"));
                         }
+                    }
+                    for what in over {
+                        let msg = format!("on-the-fly group-by {what} but {}", table());
+                        self.diag(Rule::GroupLimit, id, &path, msg);
                     }
                 }
                 if let GroupStrategy::Partitioned(scheme) = strategy {

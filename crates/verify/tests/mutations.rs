@@ -259,7 +259,7 @@ fn task_plan() -> rapid_qef::plan::PlanNode {
             func: AggFunc::Sum,
             col: 1,
         }],
-        strategy: GroupStrategy::OnTheFly,
+        strategy: GroupStrategy::OnTheFly { slots: None },
     }
 }
 

@@ -6,6 +6,7 @@
 //! cargo run --release --example dpu_hardware
 //! ```
 
+use dpu_sim::account::Kernel;
 use dpu_sim::ate;
 use dpu_sim::clock::rates;
 use dpu_sim::dms::descriptor::DescriptorLoop;
@@ -68,7 +69,7 @@ fn main() {
     let (_, stage) = run_stage(&ctx, (0..ctx.cores).collect(), |core, _lane: usize| {
         // Each core runs a hand-scheduled kernel over its partition:
         // ~31250 rows at filter cost, plus its share of DMS traffic.
-        core.charge_kernel(&KernelCost::paired(31_250.0, 31_250.0));
+        core.charge_kernel(Kernel::Other, &KernelCost::paired(31_250.0, 31_250.0));
         core.account
             .charge_dms(dpu_sim::clock::Cycles(31_250.0 * 4.0 / 12.0), 125_000, 31);
         Ok(())

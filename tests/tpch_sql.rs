@@ -166,7 +166,7 @@ fn every_statement_parses_prunes_and_agrees_on_three_engines() {
         let (on_dpu, report) = run(&dpu, &compiled);
         assert!(report.sim_secs > 0.0, "{name} simulated time");
         // The compiler's estimate against the cycles the simulator charged,
-        // within 7x either way: 0.45-1.79x here, 1.22-6.08x at sf 0.02 on
+        // within 7x either way: 0.46-1.79x here, 1.22-6.33x at sf 0.02 on
         // 32 cores (ROADMAP item 7, which tightens this to 1.5x).
         let estimated = compiled.cost.exec_secs * params.cm.freq_hz;
         let ratio = estimated / report.sim_cycles;
