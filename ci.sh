@@ -143,7 +143,9 @@ echo "== rapid_bench repeatability (tpch_serial and dml_refresh twice at --quick
 # measures with them. setup_s and peak_rss_mb are host clocks and may move,
 # so the counted metrics are checked by name, not by compare's status.
 # dml_refresh is the SQL workload whose DMS bytes the compiler's column
-# pruning decides: what its scans move must not depend on the run either.
+# pruning decides: what its scans move must not depend on the run either,
+# and a checkpoint encodes only the chunks a commit touched, so what it
+# allocates is the commit's and the statements', the same on every run.
 BENCH_TMP=$(mktemp -d)
 trap 'rm -rf "$BENCH_TMP"' EXIT
 rapid_bench() {
@@ -161,7 +163,7 @@ repeats() {
     done
 }
 repeats tpch_serial host_allocs_per_op host_alloc_kb_per_op sim_cycles_per_op sim_dms_bytes_per_op
-repeats dml_refresh sim_cycles_per_op sim_dms_bytes_per_op
+repeats dml_refresh host_allocs_per_op host_alloc_kb_per_op sim_cycles_per_op sim_dms_bytes_per_op
 rm -rf "$BENCH_TMP"
 trap - EXIT
 # Building the benchmark rewrites its tracked lock file whenever a crate's

@@ -343,9 +343,11 @@ impl HostDb {
     /// not hold it at all.
     ///
     /// The host row store is the single source of truth: the table is
-    /// rebuilt from its live rows at the host's SCN. A `RowChange` rid is a
-    /// heap slot that survives deletes, while a snapshot holds only live
-    /// rows, so changes are never replayed onto the previous snapshot.
+    /// shipped from its heap slots at the host's SCN, the chunks whose slots
+    /// changed encoded anew and the rest shared with RAPID's copy. A
+    /// `RowChange` rid is a heap slot that survives deletes, while a
+    /// snapshot holds only live rows, so changes are never replayed onto
+    /// the previous snapshot.
     pub fn checkpoint(&self, table: &str) -> Result<(), DbError> {
         checkpoint_table(&self.store, &self.rapid, table)
     }
@@ -882,15 +884,27 @@ impl Request<'_> {
 /// already holds the table at that SCN or a later one. A slower builder can
 /// finish after a faster one that started later; letting it win would put
 /// data older than an admitted query's SCN under that query (§3.3).
+///
+/// Chunk `k` of the copy holds the live rows of heap slots `[k ×
+/// DEFAULT_CHUNK_ROWS, (k + 1) × DEFAULT_CHUNK_ROWS)`. Against the copy RAPID
+/// holds, only the chunks stamped after its SCN are encoded again, with its
+/// encodings, and the others are shared; a copy of a table this one replaced
+/// is no base. The host table is read-locked only while the chunks are
+/// encoded: the statistics read the chunks, so a commit need not wait them
+/// out.
 fn ship_snapshot(rapid: &RwLock<Engine>, name: &str, host: &RwLock<HostTable>) {
+    let base = rapid.read().catalog().get(name).cloned();
     let guard = host.read();
     let scn = guard.scn;
-    let mut b = TableBuilder::new(name, guard.schema.clone())
-        .chunk_rows(4096)
+    let mut b = TableBuilder::over_slots(name, guard.schema.clone(), guard.slots())
+        .chunk_rows(rapid_storage::DEFAULT_CHUNK_ROWS)
         .partitions(4);
-    b.extend_rows(guard.scan().cloned());
+    if let Some(base) = base.as_deref().filter(|t| t.scn >= guard.created) {
+        b = b.reusing(base, guard.stamps());
+    }
+    let encoded = b.encode();
     drop(guard);
-    let snapshot = Arc::new(b.finish_at_scn(scn));
+    let snapshot = Arc::new(encoded.finish_at_scn(scn));
     {
         let mut engine = rapid.write();
         if engine.catalog().get(name).is_some_and(|t| t.scn >= scn) {

@@ -15,7 +15,8 @@
 //!   offload decisions, the RAPID placeholder operator with SCN admission
 //!   checks, and fallback to local execution,
 //! * the assembled database ([`db`]): `LOAD` into RAPID, checkpointing
-//!   (a stale table is rebuilt from the row store at the host's SCN, by
+//!   (a stale table is shipped again from the row store at the host's SCN,
+//!   the chunks a commit touched encoded anew and the rest shared, by
 //!   admission or by a background thread), and end-to-end `execute_sql`.
 //!
 //! Exact-decimal arithmetic over [`rapid_storage::types::Value`] lives in

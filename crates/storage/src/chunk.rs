@@ -4,6 +4,12 @@
 //! chunks. The data inside a chunk is a set of rows of the table stored in
 //! columnar layout. Each column of a table stored inside a chunk is called
 //! a vector, which is a flat array of column's data." (§4.1)
+//!
+//! A chunk's vectors sit behind one `Arc`: a checkpoint that did not touch
+//! a chunk's rows hands the new table the same vectors, and a clone copies
+//! no data.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -12,7 +18,7 @@ use crate::vector::Vector;
 /// A row slice of a relation in columnar layout: one [`Vector`] per column.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Chunk {
-    vectors: Vec<Vector>,
+    vectors: Arc<Vec<Vector>>,
     rows: usize,
 }
 
@@ -24,7 +30,10 @@ impl Chunk {
             vectors.iter().all(|v| v.len() == rows),
             "chunk vectors must have equal length"
         );
-        Chunk { vectors, rows }
+        Chunk {
+            vectors: Arc::new(vectors),
+            rows,
+        }
     }
 
     /// Number of rows.
@@ -50,6 +59,11 @@ impl Chunk {
     /// All vectors.
     pub fn vectors(&self) -> &[Vector] {
         &self.vectors
+    }
+
+    /// Whether `other` holds the very vectors of this chunk, not a copy.
+    pub fn shares_vectors(&self, other: &Chunk) -> bool {
+        Arc::ptr_eq(&self.vectors, &other.vectors)
     }
 
     /// Gather the same row subset from every column.
@@ -86,6 +100,13 @@ mod tests {
         assert_eq!(c.rows(), 3);
         assert_eq!(c.columns(), 2);
         assert_eq!(c.size_bytes(), 3 * 8 + 3 * 4);
+    }
+
+    #[test]
+    fn a_clone_shares_the_vectors() {
+        let c = chunk();
+        assert!(c.clone().shares_vectors(&c));
+        assert!(!chunk().shares_vectors(&c), "an equal chunk built apart");
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! bytes its values need.
 //!
 //! [`TableBuilder`] is the one way rows become a [`Table`]: the TPC-H
-//! generator, `LOAD` and every checkpoint build through it. The crate also
+//! generator, `LOAD` and every checkpoint build through it. A chunk's
+//! vectors are shared by `Arc`, so a checkpoint re-encodes only the chunks
+//! whose heap slots a commit changed and shares the rest with the table
+//! RAPID already holds. The crate also
 //! owns the SCN timestamps and the row changes of a host commit (§3.3); a
 //! table records the SCN it was built at.
 

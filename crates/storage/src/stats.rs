@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::chunk::Chunk;
+
 /// Number of buckets in the equi-width histograms.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
@@ -38,41 +40,46 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Compute stats from widened values and a null mask accessor.
     pub fn compute(values: &[i64], is_null: impl Fn(usize) -> bool) -> ColumnStats {
-        let mut min = None;
-        let mut max = None;
-        let mut null_count = 0u64;
-        let mut distinct = std::collections::HashSet::new();
-        for (i, &v) in values.iter().enumerate() {
-            if is_null(i) {
-                null_count += 1;
-                continue;
-            }
-            min = Some(min.map_or(v, |m: i64| m.min(v)));
-            max = Some(max.map_or(v, |m: i64| m.max(v)));
-            distinct.insert(v);
-        }
+        let mut non_null: Vec<i64> = (0..values.len())
+            .filter(|&i| !is_null(i))
+            .map(|i| values[i])
+            .collect();
+        non_null.sort_unstable();
+        let nulls = values.len() - non_null.len();
+        ColumnStats::of_sorted(&non_null, nulls as u64)
+    }
+
+    /// Stats of a column whose non-null values, sorted ascending, are
+    /// `sorted`, beside `null_count` NULLs: the one pass every table's
+    /// statistics come from.
+    pub(crate) fn of_sorted(sorted: &[i64], null_count: u64) -> ColumnStats {
+        let (min, max) = (sorted.first().copied(), sorted.last().copied());
         let mut histogram = vec![0u64; HISTOGRAM_BUCKETS];
-        let mut non_null: Vec<i64> = Vec::with_capacity(values.len());
         if let (Some(lo), Some(hi)) = (min, max) {
             let span = (hi as i128 - lo as i128).max(1) as f64;
-            for (i, &v) in values.iter().enumerate() {
-                if is_null(i) {
-                    continue;
-                }
+            let bucket = |v: i64| {
                 let b = (((v as i128 - lo as i128) as f64 / span) * (HISTOGRAM_BUCKETS - 1) as f64)
                     .round() as usize;
-                histogram[b.min(HISTOGRAM_BUCKETS - 1)] += 1;
-                non_null.push(v);
+                b.min(HISTOGRAM_BUCKETS - 1)
+            };
+            // Every step of `bucket` rounds monotonically, so over sorted
+            // values a bucket's members are one run, found by bisection.
+            let mut start = 0;
+            for (b, count) in histogram.iter_mut().enumerate() {
+                let end = start + sorted[start..].partition_point(|&v| bucket(v) <= b);
+                *count = (end - start) as u64;
+                start = end;
             }
         }
-        non_null.sort_unstable();
+        let ndv =
+            sorted.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!sorted.is_empty());
         ColumnStats {
             min,
             max,
-            ndv: distinct.len() as u64,
+            ndv: ndv as u64,
             null_count,
             histogram,
-            bounds: equi_depth_bounds(&non_null),
+            bounds: equi_depth_bounds(sorted),
         }
     }
 
@@ -217,6 +224,32 @@ pub struct TableStats {
 }
 
 impl TableStats {
+    /// Exact statistics of the rows of `chunks`: per column, the non-null
+    /// values are copied into one buffer, reused column to column, and
+    /// sorted once ([`ColumnStats::of_sorted`]).
+    pub(crate) fn of_chunks<'c>(
+        chunks: impl Iterator<Item = &'c Chunk> + Clone,
+        columns: usize,
+    ) -> TableStats {
+        let rows: usize = chunks.clone().map(Chunk::rows).sum();
+        let mut sorted = Vec::with_capacity(rows);
+        let columns = (0..columns)
+            .map(|c| {
+                sorted.clear();
+                for chunk in chunks.clone() {
+                    let v = chunk.vector(c);
+                    sorted.extend((0..v.len()).filter_map(|i| v.get(i)));
+                }
+                sorted.sort_unstable();
+                ColumnStats::of_sorted(&sorted, (rows - sorted.len()) as u64)
+            })
+            .collect();
+        TableStats {
+            rows: rows as u64,
+            columns,
+        }
+    }
+
     /// Stats for the column at schema index `i`.
     pub fn column(&self, i: usize) -> Option<&ColumnStats> {
         self.columns.get(i)
@@ -226,6 +259,7 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn compute_basic_stats() {
@@ -326,6 +360,88 @@ mod tests {
         assert!(trimmed.bounds.is_empty());
         let sel = trimmed.range_selectivity(Some(0), Some(249));
         assert!((sel - 0.25).abs() < 0.05, "sel = {sel}");
+    }
+
+    /// The statistics as they were computed before the sorted pass: min and
+    /// max by folding, NDV by hashing every value, the histogram and the
+    /// quantile bounds from a second pass.
+    fn hashed_reference(values: &[i64], is_null: impl Fn(usize) -> bool) -> ColumnStats {
+        let mut min = None;
+        let mut max = None;
+        let mut null_count = 0u64;
+        let mut distinct = std::collections::HashSet::new();
+        for (i, &v) in values.iter().enumerate() {
+            if is_null(i) {
+                null_count += 1;
+                continue;
+            }
+            min = Some(min.map_or(v, |m: i64| m.min(v)));
+            max = Some(max.map_or(v, |m: i64| m.max(v)));
+            distinct.insert(v);
+        }
+        let mut histogram = vec![0u64; HISTOGRAM_BUCKETS];
+        let mut non_null: Vec<i64> = Vec::with_capacity(values.len());
+        if let (Some(lo), Some(hi)) = (min, max) {
+            let span = (hi as i128 - lo as i128).max(1) as f64;
+            for (i, &v) in values.iter().enumerate() {
+                if is_null(i) {
+                    continue;
+                }
+                let b = (((v as i128 - lo as i128) as f64 / span) * (HISTOGRAM_BUCKETS - 1) as f64)
+                    .round() as usize;
+                histogram[b.min(HISTOGRAM_BUCKETS - 1)] += 1;
+                non_null.push(v);
+            }
+        }
+        non_null.sort_unstable();
+        ColumnStats {
+            min,
+            max,
+            ndv: distinct.len() as u64,
+            null_count,
+            histogram,
+            bounds: equi_depth_bounds(&non_null),
+        }
+    }
+
+    #[test]
+    fn empty_and_all_null_columns_match_the_hashed_reference() {
+        for (values, nulls) in [(vec![], 0), (vec![0i64; 5], 5), (vec![i64::MIN, 0], 1)] {
+            let is_null = |i: usize| i < nulls;
+            assert_eq!(
+                ColumnStats::compute(&values, is_null),
+                hashed_reference(&values, is_null)
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn the_sorted_pass_matches_the_hashed_reference(
+            column in proptest::collection::vec(
+                proptest::option::of(prop_oneof![
+                    Just(i64::MIN),
+                    Just(i64::MAX),
+                    -8i64..8,
+                    any::<i64>(),
+                ]),
+                0..80,
+            ),
+            all_null in any::<bool>(),
+        ) {
+            let values: Vec<i64> = column.iter().map(|v| v.unwrap_or(0)).collect();
+            let is_null = |i: usize| all_null || column[i].is_none();
+            let (got, want) = (
+                ColumnStats::compute(&values, is_null),
+                hashed_reference(&values, is_null),
+            );
+            prop_assert_eq!(got.min, want.min);
+            prop_assert_eq!(got.max, want.max);
+            prop_assert_eq!(got.ndv, want.ndv);
+            prop_assert_eq!(got.null_count, want.null_count);
+            prop_assert_eq!(&got.histogram, &want.histogram);
+            prop_assert_eq!(&got.bounds, &want.bounds);
+        }
     }
 
     #[test]

@@ -2,13 +2,22 @@
 //! transforms (dictionaries, DSB scales) and statistics.
 //!
 //! A [`Table`] is immutable once built. The host database is the single
-//! source of truth: a change reaches RAPID as a new table, rebuilt from the
-//! host row store and stamped with the host's SCN. [`TableBuilder`] is the
-//! one load path, for generated data, `LOAD` and checkpoints alike: it
-//! buffers rows, derives per-column encodings (order-preserving dictionary
-//! codes for strings, a common DSB scale for decimals), computes
-//! statistics, stores every column at the narrowest of 1, 2, 4 or 8 bytes
-//! its min/max needs, and splits rows into chunks.
+//! source of truth: a change reaches RAPID as a new table, built from the
+//! host row store's heap slots and stamped with the host's SCN.
+//! [`TableBuilder`] is the one load path, for generated data, `LOAD` and
+//! checkpoints alike: chunk `k` holds the live rows of slots `[k ×
+//! chunk_rows, (k + 1) × chunk_rows)`. A full build derives per-column
+//! encodings (order-preserving dictionary codes for strings, a common DSB
+//! scale for decimals, the narrowest of 1, 2, 4 or 8 bytes a column's
+//! min/max needs) and encodes every chunk; a checkpoint's build shares the
+//! chunks no commit touched with the table RAPID holds and encodes the
+//! others with that table's encodings, where those are still what a full
+//! build derives. Either way the table is a full build's, and the
+//! statistics are computed exactly, one sorted pass per column over the
+//! new chunks, after the rows have been read.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -16,9 +25,9 @@ use crate::bitvec::BitVec;
 use crate::chunk::Chunk;
 use crate::encoding::dict::Dictionary;
 use crate::encoding::dsb::common_scale;
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::scn::Scn;
-use crate::stats::{ColumnStats, TableStats};
+use crate::stats::TableStats;
 use crate::types::{DataType, Value};
 use crate::vector::{ColumnData, Vector};
 
@@ -45,8 +54,12 @@ pub struct Table {
     pub schema: Schema,
     /// Horizontal partitions.
     pub partitions: Vec<TablePartition>,
-    /// Per-column dictionary (Varchar columns only).
-    pub dicts: Vec<Option<Dictionary>>,
+    /// Heap slots per chunk: chunk `k` holds the live rows of slots
+    /// `[k × chunk_rows, (k + 1) × chunk_rows)`.
+    pub chunk_rows: usize,
+    /// Per-column dictionary (Varchar columns only), shared with every
+    /// table a checkpoint builds with the same encodings.
+    pub dicts: Arc<Vec<Option<Dictionary>>>,
     /// Per-column DSB scale (Decimal columns; 0 otherwise).
     pub scales: Vec<u8>,
     /// Table statistics.
@@ -157,29 +170,55 @@ impl Table {
 }
 
 /// Builder for [`Table`]: the load path.
+///
+/// Rows sit in heap slots, and chunk `k` holds the live rows of slots
+/// `[k × chunk_rows, (k + 1) × chunk_rows)`, in partition `k % partitions`.
+/// Rows pushed here fill slots in order; a checkpoint hands over the host
+/// heap's slots, deleted ones included, without copying them
+/// ([`over_slots`](Self::over_slots)). A rebuild against the table RAPID
+/// holds ([`reusing`](Self::reusing)) shares every chunk no change has
+/// touched since and encodes the others with that table's encodings.
 #[derive(Debug)]
-pub struct TableBuilder {
+pub struct TableBuilder<'a> {
     name: String,
     schema: Schema,
     chunk_rows: usize,
     target_partitions: usize,
-    /// Row-major buffered values.
-    rows: Vec<Vec<Value>>,
+    /// Heap slots in order: a row, or `None` where one was deleted.
+    slots: Cow<'a, [Option<Vec<Value>>]>,
+    /// The previous build of these slots and, per chunk, the SCN of the
+    /// last change to one of its slots.
+    base: Option<(&'a Table, &'a [Scn])>,
 }
 
-impl TableBuilder {
+impl<'a> TableBuilder<'a> {
     /// Start building a table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+        TableBuilder::over(name.into(), schema, Cow::Owned(Vec::new()))
+    }
+
+    /// Build from heap slots the caller keeps: each `None` is a deleted
+    /// row, and no row is copied.
+    pub fn over_slots(
+        name: impl Into<String>,
+        schema: Schema,
+        slots: &'a [Option<Vec<Value>>],
+    ) -> Self {
+        TableBuilder::over(name.into(), schema, Cow::Borrowed(slots))
+    }
+
+    fn over(name: String, schema: Schema, slots: Cow<'a, [Option<Vec<Value>>]>) -> Self {
         TableBuilder {
-            name: name.into(),
+            name,
             schema,
             chunk_rows: crate::DEFAULT_CHUNK_ROWS,
             target_partitions: 1,
-            rows: Vec::new(),
+            slots,
+            base: None,
         }
     }
 
-    /// Rows per chunk (defaults to a 16 KiB vector of 4-byte elements).
+    /// Slots per chunk (defaults to a 16 KiB vector of 4-byte elements).
     pub fn chunk_rows(mut self, rows: usize) -> Self {
         self.chunk_rows = rows.max(1);
         self
@@ -191,11 +230,27 @@ impl TableBuilder {
         self
     }
 
+    /// Rebuild against `base`, an earlier build of the same slots: chunk `k`
+    /// is `base`'s own where `stamps[k]`, the SCN of the last change to one
+    /// of its `chunk_rows` slots, is not past `base.scn`. Every other chunk
+    /// is encoded with `base`'s dictionaries, DSB scales and stored widths.
+    /// The build derives every encoding afresh and encodes every chunk, as
+    /// without a base, where `base` is chunked, partitioned or typed
+    /// otherwise, where those encodings do not hold a value exactly — a
+    /// string the dictionary lacks, a decimal the scale cannot hold, a value
+    /// past the stored width — and where they are more than the rows need:
+    /// a string no row holds, a scale or a width no value needs any more.
+    /// Either way the table is the one a build without a base gives.
+    pub fn reusing(mut self, base: &'a Table, stamps: &'a [Scn]) -> Self {
+        self.base = Some((base, stamps));
+        self
+    }
+
     /// Append one row. Panics on arity mismatch; type errors surface at
     /// [`TableBuilder::finish`].
     pub fn push_row(&mut self, row: Vec<Value>) {
         assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
-        self.rows.push(row);
+        self.slots.to_mut().push(Some(row));
     }
 
     /// Append many rows.
@@ -212,138 +267,234 @@ impl TableBuilder {
 
     /// Build stamped with a load SCN.
     pub fn finish_at_scn(self, scn: Scn) -> Table {
-        let ncols = self.schema.len();
-        let nrows = self.rows.len();
+        self.encode().finish_at_scn(scn)
+    }
 
-        // Per-column widened physical values + null masks.
-        let mut widened: Vec<Vec<i64>> = vec![Vec::with_capacity(nrows); ncols];
-        let mut nulls: Vec<BitVec> = vec![BitVec::zeros(0); ncols];
-        let mut dicts: Vec<Option<Dictionary>> = Vec::with_capacity(ncols);
-        let mut scales: Vec<u8> = Vec::with_capacity(ncols);
+    /// Encode every chunk. What is left, the statistics, reads the chunks
+    /// and not the slots, so a caller that lent the slots can take them
+    /// back before [`EncodedTable::finish_at_scn`].
+    pub fn encode(self) -> EncodedTable {
+        let parts = self.target_partitions;
+        let chunked = || self.slots.chunks(self.chunk_rows);
+        let patched = self
+            .base
+            .filter(|(base, _)| {
+                base.schema == self.schema
+                    && base.chunk_rows == self.chunk_rows
+                    && base.partitions.len() == parts
+            })
+            .and_then(|(base, stamps)| {
+                let enc = Encodings::of(base);
+                let chunks = chunked().enumerate().map(|(k, slots)| {
+                    let unchanged = stamps.get(k).is_some_and(|&at| at <= base.scn);
+                    match base.partitions[k % parts].chunks.get(k / parts) {
+                        Some(kept) if unchanged => Some(kept.clone()),
+                        _ => match enc.encode(&self.schema, slots) {
+                            (chunk, true) => Some(chunk),
+                            (_, false) => None,
+                        },
+                    }
+                });
+                let chunks = chunks.collect::<Option<Vec<_>>>()?;
+                enc.derived_from(&chunks).then_some((chunks, enc))
+            });
+        let (chunks, enc) = patched.unwrap_or_else(|| {
+            let enc = Encodings::derive(&self.schema, &self.slots);
+            let chunks = chunked().map(|slots| enc.encode(&self.schema, slots).0);
+            (chunks.collect(), enc)
+        });
 
-        for (c, field) in self.schema.fields.iter().enumerate() {
-            match field.dtype {
-                DataType::Varchar => {
-                    // Two passes: build a sorted dictionary so initial codes
-                    // are order-preserving, then encode (every value is in
-                    // it, so `insert` only looks its code up).
-                    let mut dict =
-                        Dictionary::build(self.rows.iter().filter_map(|r| match &r[c] {
-                            Value::Str(s) => Some(s.clone()),
-                            _ => None,
-                        }));
-                    for row in &self.rows {
-                        match &row[c] {
-                            Value::Str(s) => {
-                                widened[c].push(dict.insert(s) as i64);
-                                nulls[c].push(false);
-                            }
-                            Value::Null => {
-                                widened[c].push(0);
-                                nulls[c].push(true);
-                            }
-                            other => panic!("type mismatch in column {}: {other:?}", field.name),
-                        }
-                    }
-                    dicts.push(Some(dict));
-                    scales.push(0);
-                }
-                DataType::Decimal { .. } => {
-                    let scale = common_scale(self.rows.iter().map(|r| &r[c]));
-                    for row in &self.rows {
-                        match &row[c] {
-                            Value::Null => {
-                                widened[c].push(0);
-                                nulls[c].push(true);
-                            }
-                            v => {
-                                // A value the common scale cannot hold
-                                // exactly stores the nearest mantissa.
-                                let u = v
-                                    .unscaled_at(scale)
-                                    .unwrap_or_else(|| approx_unscaled(v, scale));
-                                widened[c].push(u);
-                                nulls[c].push(false);
-                            }
-                        }
-                    }
-                    dicts.push(None);
-                    scales.push(scale);
-                }
-                DataType::Int | DataType::Date => {
-                    for row in &self.rows {
-                        match &row[c] {
-                            Value::Int(v) => {
-                                widened[c].push(*v);
-                                nulls[c].push(false);
-                            }
-                            Value::Date(d) => {
-                                widened[c].push(*d as i64);
-                                nulls[c].push(false);
-                            }
-                            Value::Null => {
-                                widened[c].push(0);
-                                nulls[c].push(true);
-                            }
-                            other => panic!("type mismatch in column {}: {other:?}", field.name),
-                        }
-                    }
-                    dicts.push(None);
-                    scales.push(0);
-                }
-            }
+        let mut partitions = vec![TablePartition::default(); parts];
+        for (k, chunk) in chunks.into_iter().enumerate() {
+            partitions[k % parts].chunks.push(chunk);
         }
-
-        // Statistics over the whole table.
-        let columns = (0..ncols)
-            .map(|c| ColumnStats::compute(&widened[c], |i| nulls[c].get(i)))
-            .collect();
-        let stats = TableStats {
-            rows: nrows as u64,
-            columns,
-        };
-
-        // One stored width per column, the same in every chunk: the
-        // narrowest that holds the column's range — codes, dates, integers
-        // and DSB decimals alike — and the 0 a NULL row stores.
-        let widths: Vec<usize> = stats
-            .columns
-            .iter()
-            .map(|s| ColumnData::width_for(s.min.unwrap_or(0).min(0), s.max.unwrap_or(0).max(0)))
-            .collect();
-
-        // Chunk and distribute round-robin over partitions.
-        let mut partitions = vec![TablePartition::default(); self.target_partitions];
-        let mut start = 0usize;
-        let mut chunk_idx = 0usize;
-        while start < nrows {
-            let end = (start + self.chunk_rows).min(nrows);
-            let mut vectors = Vec::with_capacity(ncols);
-            for c in 0..ncols {
-                let mut data = ColumnData::with_width(widths[c], end - start);
-                let mut nmask = BitVec::zeros(0);
-                for (i, &w) in widened[c].iter().enumerate().take(end).skip(start) {
-                    data.push_i64(if nulls[c].get(i) { 0 } else { w });
-                    nmask.push(nulls[c].get(i));
-                }
-                vectors.push(Vector::with_nulls(data, nmask));
-            }
-            partitions[chunk_idx % self.target_partitions]
-                .chunks
-                .push(Chunk::new(vectors));
-            chunk_idx += 1;
-            start = end;
+        EncodedTable {
+            name: self.name,
+            schema: self.schema,
+            chunk_rows: self.chunk_rows,
+            partitions,
+            enc,
         }
+    }
+}
 
+/// A table whose chunks [`TableBuilder::encode`] has encoded, before its
+/// statistics.
+#[derive(Debug)]
+pub struct EncodedTable {
+    name: String,
+    schema: Schema,
+    chunk_rows: usize,
+    partitions: Vec<TablePartition>,
+    enc: Encodings,
+}
+
+impl EncodedTable {
+    /// Compute the statistics, one sorted pass per column over the chunks,
+    /// and stamp the table with `scn`.
+    pub fn finish_at_scn(self, scn: Scn) -> Table {
+        let chunks = self.partitions.iter().flat_map(|p| &p.chunks);
+        let stats = TableStats::of_chunks(chunks, self.schema.len());
         Table {
             name: self.name,
             schema: self.schema,
-            partitions,
-            dicts,
-            scales,
+            partitions: self.partitions,
+            chunk_rows: self.chunk_rows,
+            dicts: self.enc.dicts,
+            scales: self.enc.scales,
             stats,
             scn,
         }
+    }
+}
+
+/// How a table's columns are encoded: dictionaries for strings, DSB scales
+/// for decimals, and one stored width per column, the same in every chunk.
+#[derive(Debug)]
+struct Encodings {
+    dicts: Arc<Vec<Option<Dictionary>>>,
+    scales: Vec<u8>,
+    widths: Vec<usize>,
+}
+
+impl Encodings {
+    /// The encodings `table` was built with; its dictionaries are shared,
+    /// not copied.
+    fn of(table: &Table) -> Encodings {
+        Encodings {
+            dicts: Arc::clone(&table.dicts),
+            scales: table.scales.clone(),
+            widths: (0..table.schema.len())
+                .map(|c| table.column_width(c))
+                .collect(),
+        }
+    }
+
+    /// Encodings derived from the live rows of `slots`: a sorted dictionary
+    /// per string column, so that codes are order-preserving; the common
+    /// DSB scale per decimal column; and the narrowest width that holds a
+    /// column's range — codes, dates, integers and DSB decimals alike — and
+    /// the 0 a NULL row stores.
+    fn derive(schema: &Schema, slots: &[Option<Vec<Value>>]) -> Encodings {
+        let rows = || slots.iter().flatten();
+        let fields = || schema.fields.iter().enumerate();
+        let dicts = fields()
+            .map(|(c, f)| {
+                (f.dtype == DataType::Varchar).then(|| {
+                    let mut strings: Vec<&str> = rows()
+                        .filter_map(|r| match &r[c] {
+                            Value::Str(s) => Some(s.as_str()),
+                            _ => None,
+                        })
+                        .collect();
+                    strings.sort_unstable();
+                    strings.dedup();
+                    Dictionary::build(strings)
+                })
+            })
+            .collect();
+        let scales = fields()
+            .map(|(c, f)| match f.dtype {
+                DataType::Decimal { .. } => common_scale(rows().map(|r| &r[c])),
+                _ => 0,
+            })
+            .collect();
+        let mut enc = Encodings {
+            dicts: Arc::new(dicts),
+            scales,
+            widths: Vec::new(),
+        };
+        enc.widths = fields()
+            .map(|(c, f)| {
+                let values = rows().filter_map(|r| enc.value(c, f, &r[c]));
+                let (lo, hi) = values.fold((0, 0), |(lo, hi), (v, _)| (v.min(lo), v.max(hi)));
+                ColumnData::width_for(lo, hi)
+            })
+            .collect();
+        enc
+    }
+
+    /// The live rows of `slots` as one chunk, and whether these encodings
+    /// hold every value exactly at its column's stored width. Where they do
+    /// not, the chunk holds the nearest mantissa of a decimal past the
+    /// scale, code 0 for a string past the dictionary, and a column widened
+    /// past its stored width.
+    fn encode(&self, schema: &Schema, slots: &[Option<Vec<Value>>]) -> (Chunk, bool) {
+        let live = slots.iter().flatten().count();
+        let mut exact = true;
+        let vectors = schema
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(c, field)| {
+                let mut data = ColumnData::with_width(self.widths[c], live);
+                let mut nulls = BitVec::zeros(live);
+                for (i, row) in slots.iter().flatten().enumerate() {
+                    match self.value(c, field, &row[c]) {
+                        Some((v, held)) => {
+                            exact &= held && ColumnData::width_for(v, v) <= self.widths[c];
+                            data.push_i64(v);
+                        }
+                        None => {
+                            nulls.set(i, true);
+                            data.push_i64(0);
+                        }
+                    }
+                }
+                Vector::with_nulls(data, nulls)
+            })
+            .collect();
+        (Chunk::new(vectors), exact)
+    }
+
+    /// Whether [`derive`](Self::derive) over the rows of `chunks`, which
+    /// these encodings hold exactly, gives these very encodings: some row
+    /// holds every string of each dictionary, some mantissa of each decimal
+    /// column past scale 0 does not end in a 0 digit (else a smaller scale
+    /// holds them all), and each column's range needs its whole stored
+    /// width.
+    fn derived_from(&self, chunks: &[Chunk]) -> bool {
+        (0..self.widths.len()).all(|c| {
+            let mut unused = self.dicts[c].as_ref().map_or(0, Dictionary::len);
+            let mut held = BitVec::zeros(unused);
+            let mut needs_scale = self.scales[c] == 0;
+            let (mut lo, mut hi) = (0, 0);
+            for vector in chunks.iter().map(|chunk| chunk.vector(c)) {
+                for v in (0..vector.len()).filter_map(|i| vector.get(i)) {
+                    (lo, hi) = (lo.min(v), hi.max(v));
+                    needs_scale |= v % 10 != 0;
+                    if unused > 0 && !held.get(v as usize) {
+                        held.set(v as usize, true);
+                        unused -= 1;
+                    }
+                }
+            }
+            unused == 0 && needs_scale && ColumnData::width_for(lo, hi) == self.widths[c]
+        })
+    }
+
+    /// The widened value `v` of column `c` stores, `None` for NULL, and
+    /// whether these encodings hold it exactly. Panics on a value of
+    /// another type.
+    fn value(&self, c: usize, field: &Field, v: &Value) -> Option<(i64, bool)> {
+        Some(match (field.dtype, v) {
+            (_, Value::Null) => return None,
+            (DataType::Varchar, Value::Str(s)) => {
+                match self.dicts[c].as_ref().and_then(|d| d.code_of(s)) {
+                    Some(code) => (code as i64, true),
+                    None => (0, false),
+                }
+            }
+            (DataType::Decimal { .. }, v) => match v.unscaled_at(self.scales[c]) {
+                Some(u) => (u, true),
+                // A value the common scale cannot hold exactly stores the
+                // nearest mantissa.
+                None => (approx_unscaled(v, self.scales[c]), false),
+            },
+            (DataType::Int | DataType::Date, Value::Int(x)) => (*x, true),
+            (DataType::Int | DataType::Date, Value::Date(d)) => (*d as i64, true),
+            (_, other) => panic!("type mismatch in column {}: {other:?}", field.name),
+        })
     }
 }
 
@@ -360,7 +511,6 @@ fn approx_unscaled(v: &Value, scale: u8) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Field;
 
     fn sample_table(partitions: usize, chunk_rows: usize) -> Table {
         let schema = Schema::new(vec![
@@ -568,6 +718,178 @@ mod tests {
             let days = t.column_i64(0);
             assert_eq!(&days[..2], &dates.map(|d| date(d) as i64), "{dates:?}");
             assert_eq!(t.decode_value(0, days[1]), Value::Date(date(dates[1])));
+        }
+    }
+
+    /// Heap slot `i` of a four-column table: key `i`, a price, a flag
+    /// string and a date that is NULL on every fifth row.
+    fn slot(i: i64) -> Option<Vec<Value>> {
+        Some(vec![
+            Value::Int(i),
+            Value::Decimal {
+                unscaled: i * 10 + 5,
+                scale: 1,
+            },
+            Value::Str(["A", "N", "R"][i as usize % 3].into()),
+            if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Date(100 + i as i32)
+            },
+        ])
+    }
+
+    fn slot_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("price", DataType::Decimal { scale: 2 }),
+            Field::new("flag", DataType::Varchar),
+            Field::nullable("d", DataType::Date),
+        ])
+    }
+
+    /// `slots` built at `scn` in chunks of 4 slots over 2 partitions,
+    /// against `base` where given.
+    fn build(slots: &[Option<Vec<Value>>], scn: u64, base: Option<(&Table, &[Scn])>) -> Table {
+        let mut b = TableBuilder::over_slots("s", slot_schema(), slots)
+            .chunk_rows(4)
+            .partitions(2);
+        if let Some((table, stamps)) = base {
+            b = b.reusing(table, stamps);
+        }
+        b.finish_at_scn(Scn(scn))
+    }
+
+    /// Chunk `k` of a table built by [`build`].
+    fn chunk(t: &Table, k: usize) -> &Chunk {
+        &t.partitions[k % 2].chunks[k / 2]
+    }
+
+    fn keys(chunk: &Chunk) -> Vec<i64> {
+        chunk.vector(0).data.to_i64_vec()
+    }
+
+    /// Everything a full build derives, compared with `t`.
+    fn assert_same_as_full_build(t: &Table, slots: &[Option<Vec<Value>>]) {
+        let full = build(slots, t.scn.0, None);
+        assert_eq!(t.partitions, full.partitions);
+        assert_eq!(t.stats, full.stats);
+        assert_eq!(t.scales, full.scales);
+        let values = |t: &Table| -> Vec<Option<Vec<String>>> {
+            t.dicts
+                .iter()
+                .map(|d| d.as_ref().map(|d| d.values().to_vec()))
+                .collect()
+        };
+        assert_eq!(values(t), values(&full));
+    }
+
+    #[test]
+    fn chunks_follow_heap_slots() {
+        // Slot 1 and all of chunk 1 (slots 4..8) are deleted: chunk 1 stays,
+        // empty, so chunk 2 still sits second in partition 0.
+        let mut slots: Vec<_> = (0..10).map(slot).collect();
+        slots[1] = None;
+        slots[4..8].fill(None);
+        let t = build(&slots, 1, None);
+        assert_eq!(t.rows(), 5);
+        assert_eq!(keys(chunk(&t, 0)), [0, 2, 3]);
+        assert!(chunk(&t, 1).is_empty());
+        assert_eq!(keys(chunk(&t, 2)), [8, 9]);
+        assert_eq!(t.column_width(1), 1, "an empty chunk keeps its widths");
+        assert_eq!(chunk(&t, 1).vector(1).data.width(), 1);
+        assert_eq!(t.stats.columns[0].min, Some(0));
+        assert_eq!(t.stats.columns[3].null_count, 1, "slot 0 (slot 5 is gone)");
+    }
+
+    #[test]
+    fn a_rebuild_encodes_only_the_chunks_stamped_after_its_base() {
+        let mut slots: Vec<_> = (0..10).map(slot).collect();
+        let base = build(&slots, 1, None);
+        // SCN 2 rewrites slot 5 (chunk 1) and deletes slot 9 (chunk 2); SCN 3
+        // appends slots 10..=12 (chunks 2 and 3).
+        slots[5] = Some(vec![
+            Value::Int(5),
+            Value::Int(7),
+            Value::Str("N".into()),
+            Value::Null,
+        ]);
+        slots[9] = None;
+        slots.extend((10..13).map(slot));
+        let stamps = [Scn(1), Scn(2), Scn(3), Scn(3)];
+        let t = build(&slots, 3, Some((&base, &stamps)));
+        assert!(chunk(&t, 0).shares_vectors(chunk(&base, 0)));
+        for k in 1..3 {
+            assert!(!chunk(&t, k).shares_vectors(chunk(&base, k)), "chunk {k}");
+        }
+        assert_eq!(keys(chunk(&t, 2)), [8, 10, 11]);
+        assert_eq!(keys(chunk(&t, 3)), [12]);
+        assert_same_as_full_build(&t, &slots);
+
+        // A chunk past the heap's end, or a chunk with no stamp, is not kept.
+        let t = build(&slots[..6], 3, Some((&base, &stamps[..1])));
+        assert_eq!(t.chunks().count(), 2);
+        assert!(!chunk(&t, 1).shares_vectors(chunk(&base, 1)));
+        assert_same_as_full_build(&t, &slots[..6]);
+    }
+
+    #[test]
+    fn a_value_the_base_encodings_do_not_hold_rebuilds_every_chunk() {
+        let slots: Vec<_> = (0..10).map(slot).collect();
+        let base = build(&slots, 1, None);
+        let dec = |unscaled, scale| Value::Decimal { unscaled, scale };
+        for (col, value) in [
+            (2, Value::Str("B".into())),
+            (1, dec(12_345, 4)),
+            (0, Value::Int(1_000)),
+            (3, Value::Date(-200)),
+        ] {
+            let mut changed = slots.clone();
+            changed[9].as_mut().unwrap()[col] = value.clone();
+            let stamps = [Scn(1), Scn(1), Scn(2)];
+            let t = build(&changed, 2, Some((&base, &stamps)));
+            assert!(!chunk(&t, 0).shares_vectors(chunk(&base, 0)), "{value:?}");
+            assert_same_as_full_build(&t, &changed);
+        }
+        // A base partitioned or chunked otherwise shares nothing either.
+        for (rows, parts) in [(4, 1), (5, 2)] {
+            let other = TableBuilder::over_slots("s", slot_schema(), &slots)
+                .chunk_rows(rows)
+                .partitions(parts)
+                .finish_at_scn(Scn(1));
+            let t = build(&slots, 2, Some((&other, &[Scn(1); 3])));
+            assert!(!chunk(&t, 0).shares_vectors(&other.partitions[0].chunks[0]));
+            assert_same_as_full_build(&t, &slots);
+        }
+    }
+
+    #[test]
+    fn a_patch_that_leaves_an_encoding_more_than_its_rows_need_rebuilds_every_chunk() {
+        // Slot 9 alone holds a wide key, a price of three decimal places or
+        // the string "Z". Deleting it, or writing an ordinary row over it,
+        // leaves the base's width, scale or dictionary past what a full
+        // build derives.
+        for col in 0..3 {
+            let mut slots: Vec<_> = (0..10).map(slot).collect();
+            slots[9].as_mut().unwrap()[col] = match col {
+                0 => Value::Int(1_000),
+                1 => Value::Decimal {
+                    unscaled: 12_345,
+                    scale: 3,
+                },
+                _ => Value::Str("Z".into()),
+            };
+            let base = build(&slots, 1, None);
+            for row in [None, slot(9)] {
+                let mut changed = slots.clone();
+                changed[9] = row;
+                let t = build(&changed, 2, Some((&base, &[Scn(1), Scn(1), Scn(2)])));
+                assert!(
+                    !chunk(&t, 0).shares_vectors(chunk(&base, 0)),
+                    "column {col}"
+                );
+                assert_same_as_full_build(&t, &changed);
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! Consistent query execution under updates (§3.3, §4.3): a commit lands
 //! in the host row store and moves its table to a new SCN; a checkpoint,
 //! run by a query's admission check or by the background checkpointer,
-//! rebuilds the table in RAPID from the row store at that SCN, so every
-//! offloaded query sees exactly the data its SCN entitles it to.
+//! ships the table to RAPID from the row store at that SCN — the chunks
+//! the commit touched encoded anew, the rest shared with RAPID's copy — so
+//! every offloaded query sees exactly the data its SCN entitles it to.
 //!
 //! ```text
 //! cargo run --release --example live_updates

@@ -2,27 +2,131 @@
 //! commits, an offloaded query must see exactly the same state the host
 //! row store sees (§3.3's transactional guarantee).
 
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
+use hostdb::db::decode_batch;
 use hostdb::HostDb;
+use rapid::qcomp::cost::CostParams;
+use rapid::qef::engine::Engine;
 use rapid::qef::exec::ExecContext;
+use rapid::storage::chunk::Chunk;
 use rapid::storage::schema::{Field, Schema};
 use rapid::storage::scn::RowChange;
+use rapid::storage::table::{Table, TableBuilder};
 use rapid::storage::types::{DataType, Value};
+use rapid::storage::DEFAULT_CHUNK_ROWS;
+
+/// Partitions of every table a checkpoint ships.
+const PARTITIONS: usize = 4;
 
 #[derive(Debug, Clone)]
 enum Dml {
     Insert { k: i64, v: i64 },
-    Update { rid: u8, v: i64 },
-    Delete { rid: u8 },
+    Update { rid: u16, v: i64 },
+    Delete { rid: u16 },
 }
 
 fn arb_dml() -> impl Strategy<Value = Dml> {
     prop_oneof![
-        (1000i64..2000, -500i64..500).prop_map(|(k, v)| Dml::Insert { k, v }),
-        (any::<u8>(), -500i64..500).prop_map(|(rid, v)| Dml::Update { rid, v }),
-        any::<u8>().prop_map(|rid| Dml::Delete { rid }),
+        (20_000i64..30_000, -500i64..500).prop_map(|(k, v)| Dml::Insert { k, v }),
+        (any::<u16>(), -500i64..500).prop_map(|(rid, v)| Dml::Update { rid, v }),
+        any::<u16>().prop_map(|rid| Dml::Delete { rid }),
     ]
+}
+
+/// `t(k, v, tag)`: `tag` is one of three strings, or NULL on every seventh
+/// row.
+fn tagged_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("v", DataType::Int),
+        Field::nullable("tag", DataType::Varchar),
+    ])
+}
+
+fn tagged_row(k: i64, v: i64) -> Vec<Value> {
+    let tag = match k % 7 {
+        0 => Value::Null,
+        m => Value::Str(["red", "green", "blue"][m as usize % 3].into()),
+    };
+    vec![Value::Int(k), Value::Int(v), tag]
+}
+
+/// `t` holding `tagged_row(i, 3i)` for `i` in `0..rows`, loaded into RAPID.
+fn tagged(rows: i64) -> HostDb {
+    let db = HostDb::new(ExecContext::dpu().with_cores(2));
+    db.create_table("t", tagged_schema());
+    db.bulk_insert("t", (0..rows).map(|i| tagged_row(i, i * 3)));
+    db.load_into_rapid("t").expect("load");
+    db
+}
+
+/// The table RAPID holds as `t`.
+fn rapid_t(db: &HostDb) -> Arc<Table> {
+    Arc::clone(db.rapid().read().catalog().get("t").expect("t loaded"))
+}
+
+/// Chunk `k` of a shipped table: chunks go round-robin over partitions.
+fn chunk(table: &Table, k: usize) -> &Chunk {
+    &table.partitions[k % PARTITIONS].chunks[k / PARTITIONS]
+}
+
+/// The rows of `chunk`, decoded through `table`'s encodings.
+fn decoded(table: &Table, chunk: &Chunk) -> Vec<Vec<Value>> {
+    (0..chunk.rows())
+        .map(|i| {
+            (0..table.schema.len())
+                .map(|c| match chunk.vector(c).get(i) {
+                    Some(v) => table.decode_value(c, v),
+                    None => Value::Null,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// What a checkpoint must have shipped: chunk `k` of RAPID's `t` holds the
+/// host's live rows of heap slots `[k × DEFAULT_CHUNK_ROWS, (k + 1) ×
+/// DEFAULT_CHUNK_ROWS)`; its chunks, encodings and statistics are those of a
+/// full rebuild of the heap; and every chunk no commit in `touched` changed
+/// is `previous`'s own.
+fn assert_shipped(db: &HostDb, previous: &Table, touched: &HashSet<usize>) -> Arc<Table> {
+    let table = rapid_t(db);
+    let host = db.store().table("t").expect("t");
+    let host = host.read();
+    assert_eq!(table.scn, host.scn, "RAPID is at the host's SCN");
+    let slots = host.slots().chunks(DEFAULT_CHUNK_ROWS);
+    assert_eq!(table.chunks().count(), slots.len());
+    for (k, slots) in slots.enumerate() {
+        let live: Vec<Vec<Value>> = slots.iter().flatten().cloned().collect();
+        assert_eq!(decoded(&table, chunk(&table, k)), live, "chunk {k}");
+        let kept =
+            k < previous.chunks().count() && chunk(&table, k).shares_vectors(chunk(previous, k));
+        assert_eq!(kept, !touched.contains(&k), "chunk {k} shared");
+    }
+    let full = TableBuilder::over_slots("t", host.schema.clone(), host.slots())
+        .partitions(PARTITIONS)
+        .finish_at_scn(host.scn);
+    assert_eq!(
+        table.partitions, full.partitions,
+        "chunks of a full rebuild"
+    );
+    assert_eq!(table.scales, full.scales, "scales of a full rebuild");
+    assert_eq!(dict_values(&table), dict_values(&full), "dictionaries");
+    assert_eq!(table.stats, full.stats, "statistics of a full rebuild");
+    table
+}
+
+/// The strings of each column's dictionary, in code order.
+fn dict_values(table: &Table) -> Vec<Option<&[String]>> {
+    table
+        .dicts
+        .iter()
+        .map(|d| d.as_ref().map(|d| d.values()))
+        .collect()
 }
 
 proptest! {
@@ -30,36 +134,37 @@ proptest! {
 
     #[test]
     fn offloaded_queries_see_every_commit(
-        base_rows in 1usize..60,
+        base_rows in 10_000usize..12_500,
         dml in proptest::collection::vec(arb_dml(), 0..20),
         checkpoint_after in proptest::collection::vec(any::<bool>(), 20),
     ) {
-        let mut db = HostDb::new(ExecContext::dpu().with_cores(2));
-        db.create_table(
-            "t",
-            Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Int)]),
-        );
-        db.bulk_insert(
-            "t",
-            (0..base_rows as i64).map(|i| vec![Value::Int(i), Value::Int(i * 3)]),
-        );
-        db.load_into_rapid("t").expect("load");
-
+        let mut db = tagged(base_rows as i64);
+        let mut previous = rapid_t(&db);
+        let mut touched = HashSet::new();
+        let mut heap = base_rows;
         for (i, op) in dml.iter().enumerate() {
-            let change = match op {
-                Dml::Insert { k, v } => RowChange::Insert(vec![Value::Int(*k), Value::Int(*v)]),
-                Dml::Update { rid, v } => RowChange::Update {
-                    rid: (*rid as usize % base_rows) as u64,
-                    row: vec![Value::Int((*rid as usize % base_rows) as i64), Value::Int(*v)],
-                },
+            let (slot, change) = match *op {
+                Dml::Insert { k, v } => (heap, RowChange::Insert(tagged_row(k, v))),
+                Dml::Update { rid, v } => {
+                    let rid = rid as usize % heap;
+                    (rid, RowChange::Update { rid: rid as u64, row: tagged_row(rid as i64, v) })
+                }
                 Dml::Delete { rid } => {
-                    RowChange::Delete { rid: (*rid as usize % base_rows) as u64 }
+                    let rid = rid as usize % heap;
+                    (rid, RowChange::Delete { rid: rid as u64 })
                 }
             };
-            db.commit("t", vec![change]);
+            let inserts = matches!(change, RowChange::Insert(_));
+            // An update or delete of a deleted slot is refused whole.
+            if db.commit("t", vec![change]).is_some() {
+                touched.insert(slot / DEFAULT_CHUNK_ROWS);
+                heap += usize::from(inserts);
+            }
             // Sometimes checkpoint eagerly, sometimes let admission do it.
             if checkpoint_after[i] {
                 db.checkpoint("t").expect("checkpoint");
+                previous = assert_shipped(&db, &previous, &touched);
+                touched.clear();
             }
         }
 
@@ -86,7 +191,101 @@ proptest! {
         if expect_n > 0 {
             prop_assert_eq!(r.rows[0][1].clone(), Value::Int(expect_sum));
         }
+        assert_shipped(&db, &previous, &touched);
     }
+}
+
+/// The statement's rows on Volcano, on the DPU and on the native engine
+/// (the last two run one compiled plan).
+fn three_ways(db: &HostDb, sql: &str) -> [Vec<Vec<Value>>; 3] {
+    let schemas: HashMap<String, Vec<String>> = [(
+        "t".to_string(),
+        vec!["k".to_string(), "v".to_string(), "tag".to_string()],
+    )]
+    .into();
+    let plan = hostdb::parse_sql(sql, &schemas).expect(sql);
+    let host = db.execute_on_host(&plan).expect(sql).rows;
+    let catalog = db.rapid().read().catalog().clone();
+    let compiled = rapid::qcomp::compile(&plan, &catalog, &CostParams::default()).expect(sql);
+    let [dpu, native] = [ExecContext::dpu(), ExecContext::native(4)].map(|ctx| {
+        let mut engine = Engine::new(ctx);
+        engine.load_table(Arc::clone(&catalog["t"]));
+        let (out, _) = engine.execute(&compiled.plan).expect(sql);
+        decode_batch(&out.batch, &out.meta, engine.catalog())
+    });
+    [host, dpu, native]
+}
+
+#[test]
+fn a_chunk_whose_rows_are_all_deleted_ships_empty_and_every_engine_agrees() {
+    // 10,000 rows are three chunks; the second loses all 4,096 of its rows
+    // in one commit and stays in place, empty, so the third keeps its slots.
+    let db = tagged(10_000);
+    let loaded = rapid_t(&db);
+    let second = DEFAULT_CHUNK_ROWS as u64..2 * DEFAULT_CHUNK_ROWS as u64;
+    let deletes = second.map(|rid| RowChange::Delete { rid }).collect();
+    db.commit("t", deletes).expect("commit");
+    db.checkpoint("t").expect("checkpoint");
+    let table = assert_shipped(&db, &loaded, &HashSet::from([1]));
+    assert!(chunk(&table, 1).is_empty());
+    assert_eq!(table.rows(), 10_000 - DEFAULT_CHUNK_ROWS);
+
+    let sql = "SELECT tag, COUNT(*) AS n, SUM(v) AS s, MIN(k) AS lo, MAX(k) AS hi \
+               FROM t WHERE k >= 4000 AND k < 8500 GROUP BY tag ORDER BY tag";
+    let [host, dpu, native] = three_ways(&db, sql);
+    assert_eq!(dpu, host, "Dpu");
+    assert_eq!(native, host, "Native");
+    let total: i64 = host
+        .iter()
+        .map(|r| r[1].to_string().parse::<i64>().expect("count"))
+        .sum();
+    assert_eq!(total, 96 + 308, "k 4000..4096 and 8192..8500");
+}
+
+#[test]
+fn a_string_the_dictionary_lacks_or_no_row_holds_takes_the_full_build() {
+    let db = tagged(10_000);
+    let loaded = rapid_t(&db);
+    let mut row = tagged_row(20_000, 1);
+    row[2] = Value::Str("amber".into());
+    db.commit("t", vec![RowChange::Insert(row)])
+        .expect("commit");
+    db.checkpoint("t").expect("checkpoint");
+    let every = (0..3).collect();
+    let table = assert_shipped(&db, &loaded, &every);
+    let dict = table.dicts[2].as_ref().expect("tag dictionary");
+    assert_eq!(dict.values(), ["amber", "blue", "green", "red"]);
+    assert!(dict.codes_ordered(), "derived afresh, in string order");
+    let [host, dpu, native] = three_ways(&db, "SELECT k FROM t WHERE tag < 'b'");
+    assert_eq!(host, [[Value::Int(20_000)]]);
+    assert_eq!((dpu, native), (host.clone(), host));
+
+    // Deleting the one row that holds "amber" leaves a string in the
+    // dictionary no row holds: that takes the full build too, and the
+    // codes are the three strings' again.
+    db.commit("t", vec![RowChange::Delete { rid: 10_000 }])
+        .expect("commit");
+    db.checkpoint("t").expect("checkpoint");
+    let table = assert_shipped(&db, &table, &every);
+    let dict = table.dicts[2].as_ref().expect("tag dictionary");
+    assert_eq!(dict.values(), ["blue", "green", "red"]);
+    let [host, dpu, native] = three_ways(&db, "SELECT k FROM t WHERE tag < 'b'");
+    assert!(host.is_empty());
+    assert_eq!((dpu, native), (host.clone(), host));
+}
+
+#[test]
+fn a_recreated_table_derives_its_encodings_afresh() {
+    // The replacement holds only "green": sharing the predecessor's
+    // encodings would keep its three strings in the dictionary.
+    let db = tagged(10_000);
+    let old = rapid_t(&db);
+    db.create_table("t", tagged_schema());
+    db.bulk_insert("t", (0..5_000).map(|i| tagged_row(i * 7 + 1, i)));
+    db.load_into_rapid("t").expect("reload");
+    let table = assert_shipped(&db, &old, &(0..3).collect());
+    assert_eq!(table.rows(), 5_000);
+    assert_eq!(table.dicts[2].as_ref().expect("tag").values(), ["green"]);
 }
 
 /// A two-column table `t(k, v)` holding `(i, f(i))` for `i` in `0..n`,
