@@ -61,8 +61,8 @@ cargo clippy -q --release -p rapid-sched -p rapid-server -p hostdb \
 echo "== differential fuzz smoke (200 queries, fixed seed) + corpus replay =="
 FUZZ_QUERIES=200 cargo test -q --release --test differential_fuzz
 
-echo "== concurrent fuzz soak (1000 queries, work stealing, every schedule replayed) =="
-# Batches through the work-stealing scheduler vs serial, per-query rows
+echo "== concurrent fuzz soak (1000 queries, every schedule replayed) =="
+# Batches through the scheduler vs serial, per-query rows
 # must match, and every batch's schedule trace is replayed through the
 # C-* interference analyzer: the fuzzer calls it itself, in any build.
 FUZZ_QUERIES=1000 cargo test -q --release --test concurrent_fuzz
@@ -77,14 +77,14 @@ echo "== static plan verification (TPC-H sf 0.01 and 0.02 + fuzz corpus) + mutat
 # get through here. `--full` lists one row per task: its operators, its one
 # vector size and the working set they hold together. The 11 plan rules check
 # the plan and nothing the verifier builds itself; the crate's tests hold a
-# mutation that trips each of them and of the 7 schedule rules (`Rule::ALL`).
+# mutation that trips each of them and of the 6 schedule rules (`Rule::ALL`).
 cargo run -q --release -p rapid-report -- verify --sf 0.01
 cargo run -q --release -p rapid-report -- verify --sf 0.02
 cargo test -q --release -p rapid-verify
 
-echo "== schedule interference verification (both modes) + mutation kill matrix =="
-# Real scheduled TPC-H batches must pass the C-* analyzer (no false
-# positives), and each of the seven injected interference bug classes must
+echo "== schedule interference verification + mutation kill matrix =="
+# A real scheduled TPC-H batch must pass the C-* analyzer (no false
+# positives), and each of the six injected interference bug classes must
 # be rejected with its own rule id — replayed here in release, outside
 # cfg(test). Two stages on one core at once are one finding, C-CORE-EXCL.
 cargo run -q --release -p rapid-report -- schedcheck --sf 0.01 --mutations

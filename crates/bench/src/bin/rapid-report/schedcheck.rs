@@ -1,9 +1,8 @@
 //! `schedcheck`: schedule-interference verification sweep over real
 //! scheduler runs.
 //!
-//! Runs a batch of TPC-H queries through the `rapid-sched` scheduler in
-//! both dispatch modes (deterministic baton order and work stealing),
-//! captures each run's schedule trace, and replays it through
+//! Runs a batch of TPC-H queries through the `rapid-sched` scheduler,
+//! captures the run's schedule trace, and replays it through
 //! `rapid-verify`'s C-* interference analyzer, printing the per-rule
 //! verdict table. This is the CI gate proving the analyzer has no false
 //! positives on schedules the real scheduler produces — the concurrency
@@ -21,7 +20,7 @@ use std::sync::Arc;
 
 use hostdb::BatchQuery;
 use rapid_qef::exec::ExecContext;
-use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
+use rapid_sched::{SchedConfig, Scheduler};
 use rapid_verify::schedcheck::{self, InterferenceMutation};
 
 use crate::args::{Args, UsageError};
@@ -42,26 +41,23 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
         .map(|i| BatchQuery::from_plan(all[i % all.len()].1.clone()))
         .collect();
 
-    for mode in [DispatchMode::Deterministic, DispatchMode::WorkStealing] {
-        let sched = Arc::new(Scheduler::new(SchedConfig {
-            max_active: active,
-            queue_capacity: batch.len(),
-            mode,
-            ..SchedConfig::default()
-        }));
-        for result in db.run_batch(&batch, &sched) {
-            if let Err(e) = result {
-                panic!("scheduled query failed: {e:?}");
-            }
+    let sched = Arc::new(Scheduler::new(SchedConfig {
+        max_active: active,
+        queue_capacity: batch.len(),
+        ..SchedConfig::default()
+    }));
+    for result in db.run_batch(&batch, &sched) {
+        if let Err(e) = result {
+            panic!("scheduled query failed: {e:?}");
         }
-        let trace = sched.schedule_trace();
-        let report = schedcheck::check_schedule(&trace);
-        println!();
-        for line in schedcheck::render(&trace, &report).lines() {
-            println!("  {line}");
-        }
-        failures += usize::from(!report.ok());
     }
+    let trace = sched.schedule_trace();
+    let report = schedcheck::check_schedule(&trace);
+    println!();
+    for line in schedcheck::render(&trace, &report).lines() {
+        println!("  {line}");
+    }
+    failures += usize::from(!report.ok());
 
     if mutations {
         println!("\n== interference-mutation kill matrix (release) ==");

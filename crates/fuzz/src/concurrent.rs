@@ -2,10 +2,10 @@
 //!
 //! Where [`runner`](crate::runner) compares three engines on one query,
 //! this mode compares one engine against *itself under concurrency*: a
-//! generated batch of queries runs through the work-stealing `rapid-sched`
-//! scheduler (one session thread per query, shared simulated DPU) and the
-//! same queries run serially, and the per-query canonical row multisets
-//! must agree. Scheduling is required to change only *timing*, never
+//! generated batch of queries runs through the `rapid-sched` scheduler
+//! (one session thread per query, shared simulated DPU) and the same
+//! queries run serially, and the per-query canonical row multisets must
+//! agree. Scheduling is required to change only *timing*, never
 //! results.
 //!
 //! Every batch additionally replays its schedule trace through the
@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use hostdb::{BatchQuery, ExecutionSite, HostDb};
 use rapid_qef::exec::ExecContext;
-use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
+use rapid_sched::{SchedConfig, Scheduler};
 
 use crate::canonical;
 use crate::datagen::TableSpec;
@@ -63,7 +63,7 @@ pub fn gen_concurrent(seed: u64) -> ConcurrentCase {
 pub struct BatchComparison {
     /// Serial (unscheduled) outcome per batch slot.
     pub serial: Vec<EngineOutcome>,
-    /// Work-stealing scheduled outcome per batch slot.
+    /// Scheduled outcome per batch slot.
     pub scheduled: Vec<EngineOutcome>,
     /// `Some(report)` when the schedule trace violated a C-* rule.
     pub interference: Option<String>,
@@ -161,7 +161,6 @@ fn run_scheduled(
     let sched = Arc::new(Scheduler::new(SchedConfig {
         max_active: plans.len().clamp(1, 4),
         queue_capacity: plans.len(),
-        mode: DispatchMode::WorkStealing,
         ..dpu
     }));
     let batch: Vec<BatchQuery> = plans

@@ -11,8 +11,8 @@
 //! case seed, and `fuzz_one(seed)` reproduces the exact tables and SQL.
 //!
 //! A second mode ([`concurrent`]) fuzzes the *scheduler* instead of the
-//! engines: batches of generated queries run through the work-stealing
-//! `rapid-sched` scheduler and must produce exactly the serial results,
+//! engines: batches of generated queries run through the `rapid-sched`
+//! scheduler and must produce exactly the serial results,
 //! with every batch's schedule trace replayed through the `rapid-verify`
 //! interference analyzer.
 

@@ -648,7 +648,7 @@ impl HostDb {
         queries: &[BatchQuery],
         sched: &Arc<Scheduler>,
     ) -> Vec<Result<QueryResult, DbError>> {
-        // Submit in input order so scheduler ids (and deterministic-mode
+        // Submit in input order so scheduler ids (and the dispatch order's
         // tie-breaks) are a function of the batch alone.
         let handles: Vec<_> = queries
             .iter()
@@ -1735,9 +1735,8 @@ mod tests {
     #[test]
     fn deterministic_batch_traces_are_bit_identical() {
         // A trace sink installed on the base context is inherited by every
-        // forked per-session engine; in Deterministic dispatch the drained
-        // trace is a pure function of the batch.
-        use rapid_sched::DispatchMode;
+        // forked per-session engine; the drained trace of a batch is a pure
+        // function of it.
         let run = || {
             let sink = MemorySink::new();
             let trace: Arc<dyn TraceSink> = Arc::clone(&sink) as _;
@@ -1760,11 +1759,7 @@ mod tests {
                 BatchQuery::new("SELECT COUNT(*) AS n FROM t WHERE v < 1000"),
                 BatchQuery::new("SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k"),
             ];
-            let cfg = SchedConfig {
-                mode: DispatchMode::Deterministic,
-                ..SchedConfig::default()
-            };
-            let out = d.execute_batch(&queries, cfg);
+            let out = d.execute_batch(&queries, SchedConfig::default());
             for r in &out.results {
                 assert!(r.is_ok(), "{r:?}");
             }

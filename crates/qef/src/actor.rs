@@ -20,13 +20,15 @@
 //!   one after another in host time (one handle stands for each in turn),
 //!   each accruing its own simulated cycle account; the stage's simulated
 //!   elapsed time is the stage rule, [`dpu_sim::account::StageSpan`],
-//!   folded over those accounts: max(busiest lane's compute, Σ DMS).
+//!   folded over those accounts: max(busiest lane's compute, Σ DMS). A
+//!   multi-query router is handed the same accounts, so a stage has the
+//!   same lanes in every schedule; it only decides when they run.
 //! * On the **Native backend** the actors are OS threads and the stage
 //!   time is the wall clock.
 
 use std::time::{Duration, Instant};
 
-use dpu_sim::account::{Counters, CycleAccount, KernelSplit, StageSpan};
+use dpu_sim::account::{Counters, KernelSplit, StageSpan};
 use dpu_sim::clock::{Cycles, SimTime};
 
 use crate::error::{QefError, QefResult};
@@ -99,13 +101,9 @@ where
     let n = items.len();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut timing = StageTiming::default();
-
-    // When a multi-query router is installed, costs are additionally
-    // captured per item so the router can re-balance lanes; absorbing the
-    // per-item accounts back into a per-core account is exact (all cycle
-    // streams compose additively), so the stage rule below is unchanged.
-    let capture = ctx.router.is_some();
-    let mut item_costs = vec![CycleAccount::new(); if capture { n } else { 0 }];
+    // The lanes a multi-query router places: the ones the stage rule folds.
+    let routed = ctx.router.is_some();
+    let mut lanes = Vec::with_capacity(if routed { cores.min(n) } else { 0 });
 
     // One simulated core at a time; its account covers all its items:
     // `core_id`, `core_id + cores`, ... in that order. The cores run one
@@ -118,24 +116,16 @@ where
         core.account.reset();
         core.kernels = KernelSplit::default();
         core.dmem.reset();
-        let mut stage_acc = CycleAccount::new();
         for i in (core_id..n).step_by(cores) {
             let w = items[i]
                 .take()
                 .ok_or_else(|| QefError::Internal(format!("stage item {i} visited twice")))?;
-            if capture {
-                core.account.reset();
-                results[i] = Some(f(&mut core, w)?);
-                stage_acc.absorb(&core.account);
-                item_costs[i] = std::mem::take(&mut core.account);
-            } else {
-                results[i] = Some(f(&mut core, w)?);
-            }
-        }
-        if capture {
-            core.account = stage_acc;
+            results[i] = Some(f(&mut core, w)?);
         }
         timing.span.add_lane(&core.account);
+        if routed {
+            lanes.push(core.account.clone());
+        }
         timing.counters = timing.counters.merged(core.account.counters());
         timing.kernels = timing.kernels.merged(&core.kernels);
         timing.dmem_peak = timing.dmem_peak.max(core.dmem.peak() as u64);
@@ -145,8 +135,7 @@ where
         (Some(router), n) if n > 0 => {
             let profile = StageProfile {
                 query_id: ctx.query_id,
-                parallelism: timing.parallelism,
-                items: item_costs,
+                lanes,
                 dmem_peak: timing.dmem_peak,
             };
             router

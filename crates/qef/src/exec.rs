@@ -32,18 +32,17 @@ pub enum Backend {
 /// Cost profile of one executed stage, handed to a [`StageRouter`] for
 /// placement on a timeline shared with other queries.
 ///
-/// The actor runner measures one [`CycleAccount`] per work item (item order
-/// preserved); the router decides *when* the stage's cores and its slice of
-/// the single shared DMS engine run, and answers with the stage's duration
-/// as observed by the query — waiting for resources included.
+/// The actor runner hands over one [`CycleAccount`] per lane, exactly the
+/// lanes the stage rule folds when the engine owns the DPU alone; the router
+/// decides only *when* the stage's cores and its slice of the single shared
+/// DMS engine run, and answers with the stage's duration as observed by the
+/// query — waiting for resources included.
 #[derive(Debug, Clone)]
 pub struct StageProfile {
     /// Query the stage belongs to (see [`ExecContext::with_router`]).
     pub query_id: u64,
-    /// Lanes the stage ran with: `min(ctx.cores, items.len())`, at least 1.
-    pub parallelism: usize,
-    /// Per-item accrued cost, in item order.
-    pub items: Vec<CycleAccount>,
+    /// Accrued cost per lane: `min(ctx.cores, items)` lanes, at least 1.
+    pub lanes: Vec<CycleAccount>,
     /// Max per-lane DMEM high-water mark in bytes. The engine's budget
     /// allocator is a bump arena from offset 0, so `[0, dmem_peak)` is
     /// exactly the DMEM region the stage's descriptor programs touch on

@@ -185,7 +185,7 @@ impl StageEvent {
     }
 
     /// The event with host-side wall-clock zeroed — the deterministic
-    /// portion compared bit-for-bit across runs in baton dispatch mode.
+    /// portion compared bit-for-bit across runs of a scheduled batch.
     pub fn deterministic_view(&self) -> StageEvent {
         StageEvent {
             wall_secs: 0.0,

@@ -8,7 +8,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`timeline`] | [`DpuTimeline`]: sim-time placement of stages onto cores + the DMS engine |
-//! | [`scheduler`] | [`Scheduler`]: admission queue, priorities, cancellation, the two dispatch modes |
+//! | [`scheduler`] | [`Scheduler`]: admission queue, priorities, cancellation, the dispatch order |
 //! | [`trace`] | [`SchedTrace`]: a run's placement + admission evidence for interference analysis |
 //!
 //! The scheduler implements [`rapid_qef::exec::StageRouter`]; install it
@@ -31,11 +31,13 @@
 //!
 //! * routing never changes query *results* — only the simulated clock;
 //! * a query running alone reproduces the engine-local stage timing stage
-//!   by stage: both are [`dpu_sim::account::StageSpan`], the router's with
-//!   the DMS queue delay of an idle engine, zero;
-//! * [`DispatchMode::Deterministic`] timings are a pure function of the
-//!   submitted batch — bit-identical across runs regardless of host
-//!   thread interleaving.
+//!   by stage, bit for bit: both are [`dpu_sim::account::StageSpan`] over
+//!   the lanes the engine ran, the router's with the DMS queue delay of an
+//!   idle engine, zero;
+//! * of the admitted queries, the one with the smallest
+//!   `(ready, -priority, id)` key places next, so the timings of a batch
+//!   submitted whole are a pure function of it — bit-identical across runs
+//!   regardless of host thread interleaving.
 
 #![warn(missing_docs)]
 // Scheduler/server code handles request-shaped data (client frames,
@@ -48,9 +50,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use scheduler::{QueryHandle, QueryStats, SchedConfig, SchedError, SchedReport, Scheduler};
-pub use timeline::{
-    DispatchMode, DpuTimeline, Placement, PlacementRecord, Utilization, UtilizationSample,
-};
+pub use timeline::{DpuTimeline, Placement, PlacementRecord, Utilization, UtilizationSample};
 pub use trace::{AdmissionEvent, SchedTrace};
 
 // Simulated-time units, re-exported so callers passing explicit arrival

@@ -1,5 +1,5 @@
 //! The multi-query scheduler: bounded admission, priorities, cancellation,
-//! and two dispatch modes over one [`DpuTimeline`].
+//! and one dispatch order over one [`DpuTimeline`].
 //!
 //! Sessions [`submit`](Scheduler::submit) queries and receive a
 //! [`QueryHandle`]; each session then executes its query on its own OS
@@ -11,15 +11,20 @@
 //!   up to `queue_capacity` more wait in a priority queue, and submission
 //!   beyond that is refused (backpressure). Each query can carry a
 //!   wall-clock timeout and can be cancelled from any thread.
-//! * **Deterministic mode** — stage placements are ordered by a baton
-//!   protocol: a stage request parks until every active query is parked
-//!   (or finished), then the request with the smallest
-//!   `(ready, -priority, id)` key proceeds. The resulting placement
-//!   sequence — and therefore every simulated timing — is a pure function
-//!   of the submitted batch, independent of host thread scheduling.
-//! * **Work-stealing mode** — placements happen in host arrival order and
-//!   items rebalance onto the least-loaded lanes; throughput is better on
-//!   skew, timings are not reproducible run to run.
+//! * **Dispatch order** — of the admitted queries, the one with the
+//!   smallest `(ready, -priority, id)` key places its next stage; a stage
+//!   request of any other query waits. A query's `ready` moves only when it
+//!   places, so a query still working on the host cannot later ask for an
+//!   earlier slot than its key says, and nobody waits for it to ask. The
+//!   placement sequence — and therefore every simulated timing — is a pure
+//!   function of the queries and their arrivals, independent of host
+//!   thread scheduling, once they are submitted: a batch submitted whole
+//!   repeats bit for bit, while an open stream (a server's sessions)
+//!   places a late submission behind what was placed before it arrived.
+//!   A finished query keeps its slot until its key comes up, so slots free
+//!   in the order the queries complete in simulated time, not the order
+//!   their threads end. The lanes of a stage are the engine's, so they too
+//!   are the same in every schedule.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,7 +36,7 @@ use dpu_sim::isa::CostModel;
 use dpu_sim::power::PowerModel;
 use rapid_qef::exec::{ExecContext, StageAbort, StageProfile, StageRouter};
 
-use crate::timeline::{DispatchMode, DpuTimeline, Utilization};
+use crate::timeline::{DpuTimeline, Utilization};
 use crate::trace::{AdmissionEvent, SchedTrace};
 
 /// Scheduler configuration.
@@ -44,8 +49,6 @@ pub struct SchedConfig {
     /// Queries allowed to wait for admission; submission past this bound
     /// is refused with [`SchedError::QueueFull`].
     pub queue_capacity: usize,
-    /// Dispatch mode.
-    pub mode: DispatchMode,
     /// Per-core DMEM scratchpad capacity in bytes — the budget the
     /// interference analyzer checks placements against. Must match the
     /// engine contexts routing stages here (both default to the
@@ -69,7 +72,6 @@ impl Default for SchedConfig {
             cores: dpu.cores,
             max_active: 8,
             queue_capacity: 64,
-            mode: DispatchMode::Deterministic,
             dmem_bytes: dpu.dmem_bytes as u64,
             history_cap: 0,
             cost_model: (*dpu.cost_model).clone(),
@@ -142,6 +144,9 @@ pub struct SchedReport {
 enum Phase {
     Waiting,
     Active,
+    /// Its session is done with it, but it keeps its slot until its key is
+    /// the smallest: slots free in simulated-completion order.
+    Leaving,
     Done,
 }
 
@@ -149,8 +154,6 @@ enum Phase {
 struct QueryState {
     priority: u8,
     phase: Phase,
-    /// A deterministic-mode stage request is parked at the barrier.
-    parked: bool,
     /// The query's own simulated clock: when its next stage may start.
     ready: Cycles,
     submitted_at: Cycles,
@@ -165,11 +168,9 @@ struct Inner {
     timeline: DpuTimeline,
     queries: HashMap<u64, QueryState>,
     next_id: u64,
-    active: usize,
+    /// Admitted queries, in admission order: the ones a stage waits for.
+    active: Vec<u64>,
     waiting: usize,
-    parked: usize,
-    /// Deterministic mode: the query whose parked stage request may proceed.
-    baton: Option<u64>,
     /// Stats of finished queries in completion order, a ring capped like
     /// the timeline history; a query evicted here leaves `queries` too.
     finished: VecDeque<QueryStats>,
@@ -235,10 +236,8 @@ impl Scheduler {
                 timeline,
                 queries: HashMap::new(),
                 next_id: 0,
-                active: 0,
+                active: Vec::new(),
                 waiting: 0,
-                parked: 0,
-                baton: None,
                 finished: VecDeque::new(),
                 finished_total: 0,
                 admissions: VecDeque::new(),
@@ -287,7 +286,7 @@ impl Scheduler {
         arrival: Option<Cycles>,
     ) -> Result<QueryHandle, SchedError> {
         let mut inner = self.lock();
-        if inner.active >= self.cfg.max_active && inner.waiting >= self.cfg.queue_capacity {
+        if inner.active.len() >= self.cfg.max_active && inner.waiting >= self.cfg.queue_capacity {
             return Err(SchedError::QueueFull {
                 capacity: self.cfg.queue_capacity,
             });
@@ -295,14 +294,13 @@ impl Scheduler {
         let id = inner.next_id;
         inner.next_id += 1;
         let now = arrival.unwrap_or_else(|| inner.timeline.makespan());
-        let admit = inner.active < self.cfg.max_active;
+        let admit = inner.active.len() < self.cfg.max_active;
         let cancelled = Arc::new(AtomicBool::new(false));
         inner.queries.insert(
             id,
             QueryState {
                 priority,
                 phase: if admit { Phase::Active } else { Phase::Waiting },
-                parked: false,
                 ready: now,
                 submitted_at: now,
                 admitted_at: now,
@@ -312,7 +310,7 @@ impl Scheduler {
             },
         );
         if admit {
-            inner.active += 1;
+            inner.active.push(id);
             inner.log_admission(
                 AdmissionEvent {
                     query_id: id,
@@ -333,17 +331,17 @@ impl Scheduler {
         })
     }
 
-    /// Simulated completion time (cycles) of a finished query, or `None`
-    /// while it is still live or the id is unknown — never submitted, or
-    /// finished more than `history_cap` queries ago. This is what a
-    /// closed-loop session feeds back into
+    /// Simulated completion time (cycles) of a query its session has
+    /// finished, or `None` while it is still live or the id is unknown —
+    /// never submitted, or finished more than `history_cap` queries ago.
+    /// This is what a closed-loop session feeds back into
     /// [`submit_at`](Self::submit_at) as its next query's arrival.
     pub fn completion_cycles(&self, id: u64) -> Option<Cycles> {
         let inner = self.lock();
         inner
             .queries
             .get(&id)
-            .filter(|q| q.phase == Phase::Done)
+            .filter(|q| matches!(q.phase, Phase::Leaving | Phase::Done))
             .map(|q| q.ready)
     }
 
@@ -359,7 +357,7 @@ impl Scheduler {
         let live = inner
             .queries
             .get(&id)
-            .filter(|q| !matches!(q.phase, Phase::Done))
+            .filter(|q| matches!(q.phase, Phase::Waiting | Phase::Active))
             .map(|q| Arc::clone(&q.cancelled));
         drop(inner);
         match live {
@@ -407,7 +405,6 @@ impl Scheduler {
     pub fn schedule_trace(&self) -> SchedTrace {
         let inner = self.lock();
         SchedTrace {
-            mode: self.cfg.mode,
             cores: self.cfg.cores,
             dmem_bytes: self.cfg.dmem_bytes,
             max_active: self.cfg.max_active,
@@ -471,7 +468,7 @@ impl Scheduler {
     /// `after` names the finished query whose release triggered the
     /// promotion — the happens-before edge the admission log records.
     fn promote_locked(&self, inner: &mut Inner, at: Cycles, after: Option<u64>) {
-        while inner.active < self.cfg.max_active {
+        while inner.active.len() < self.cfg.max_active {
             let next = inner
                 .queries
                 .iter()
@@ -489,7 +486,7 @@ impl Scheduler {
             q.ready = q.admitted_at;
             let admitted_at = q.admitted_at;
             inner.waiting -= 1;
-            inner.active += 1;
+            inner.active.push(id);
             inner.log_admission(
                 AdmissionEvent {
                     query_id: id,
@@ -501,37 +498,21 @@ impl Scheduler {
         }
     }
 
-    /// Deterministic mode: hand the baton to the best parked request once
-    /// every active query is parked.
-    fn refresh_baton(cfg: &SchedConfig, inner: &mut Inner) {
-        if cfg.mode != DispatchMode::Deterministic
-            || inner.baton.is_some()
-            || inner.active == 0
-            || inner.parked != inner.active
-        {
-            return;
-        }
-        let mut best: Option<(f64, u8, u64)> = None;
-        for (&id, q) in &inner.queries {
-            if !q.parked {
-                continue;
-            }
-            let key = (q.ready.get(), u8::MAX - q.priority, id);
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    key.0
-                        .total_cmp(&b.0)
-                        .then(key.1.cmp(&b.1))
-                        .then(key.2.cmp(&b.2))
-                        == std::cmp::Ordering::Less
-                }
-            };
-            if better {
-                best = Some(key);
-            }
-        }
-        inner.baton = best.map(|(_, _, id)| id);
+    /// The admitted query whose next stage places first: the smallest
+    /// `(ready, -priority, id)`.
+    fn next_to_place(inner: &Inner) -> Option<u64> {
+        inner
+            .active
+            .iter()
+            .filter_map(|id| Some((*id, inner.queries.get(id)?)))
+            .min_by(|(ida, a), (idb, b)| {
+                a.ready
+                    .get()
+                    .total_cmp(&b.ready.get())
+                    .then(b.priority.cmp(&a.priority))
+                    .then(ida.cmp(idb))
+            })
+            .map(|(id, _)| id)
     }
 
     /// Place a stage for `id` and advance the query's clock. The id is
@@ -548,7 +529,7 @@ impl Scheduler {
                 reason: "unknown query (submit it first)".into(),
             });
         };
-        let p = inner.timeline.place(prev_ready, profile, self.cfg.mode);
+        let p = inner.timeline.place(prev_ready, profile);
         if let Some(q) = inner.queries.get_mut(&id) {
             q.ready = p.end;
             q.stages += 1;
@@ -556,9 +537,25 @@ impl Scheduler {
         Ok(p.duration)
     }
 
-    /// Retire a query: release its slot, record stats, promote waiters,
-    /// and let the deterministic barrier re-form.
+    /// Retire a query now, then settle the queries that were leaving.
     fn finish_locked(&self, inner: &mut Inner, id: u64, aborted: Option<String>) {
+        self.release_locked(inner, id, aborted);
+        self.settle_locked(inner);
+    }
+
+    /// Release, in key order, every leaving query whose key has become the
+    /// smallest, and wake the requests waiting on the scheduler.
+    fn settle_locked(&self, inner: &mut Inner) {
+        while let Some(id) = Self::next_to_place(inner)
+            .filter(|id| inner.queries.get(id).map(|q| q.phase) == Some(Phase::Leaving))
+        {
+            self.release_locked(inner, id, None);
+        }
+        self.cv.notify_all();
+    }
+
+    /// Release a query's slot, record its stats and promote waiters.
+    fn release_locked(&self, inner: &mut Inner, id: u64, aborted: Option<String>) {
         let freq = self.cfg.cost_model.freq_hz;
         let Some(q) = inner.queries.get_mut(&id) else {
             return;
@@ -567,9 +564,7 @@ impl Scheduler {
             return;
         }
         let was_waiting = q.phase == Phase::Waiting;
-        let was_parked = q.parked;
         q.phase = Phase::Done;
-        q.parked = false;
         let stats = QueryStats {
             query_id: id,
             priority: q.priority,
@@ -583,18 +578,10 @@ impl Scheduler {
         if was_waiting {
             inner.waiting -= 1;
         } else {
-            inner.active -= 1;
-        }
-        if was_parked {
-            inner.parked -= 1;
-        }
-        if inner.baton == Some(id) {
-            inner.baton = None;
+            inner.active.retain(|&a| a != id);
         }
         inner.log_finished(stats, self.cfg.history_cap);
         self.promote_locked(inner, at, Some(id));
-        Self::refresh_baton(&self.cfg, inner);
-        self.cv.notify_all();
     }
 
     /// Block until `id` is admitted. Shared by [`QueryHandle::await_admission`]
@@ -610,7 +597,7 @@ impl Scheduler {
                     reason: "unknown query (submit it first)".into(),
                 });
             };
-            if q.phase == Phase::Done {
+            if matches!(q.phase, Phase::Leaving | Phase::Done) {
                 return Err(StageAbort {
                     reason: "query already finished".into(),
                 });
@@ -631,40 +618,24 @@ impl Scheduler {
 impl StageRouter for Scheduler {
     fn route_stage(&self, profile: &StageProfile) -> Result<Cycles, StageAbort> {
         let id = profile.query_id;
-        let evicted = || StageAbort {
-            reason: "query evicted mid-request".into(),
-        };
         let mut inner = self.wait_admitted(self.lock(), id)?;
-        match self.cfg.mode {
-            DispatchMode::WorkStealing => self.place_locked(&mut inner, id, profile),
-            DispatchMode::Deterministic => {
-                inner.queries.get_mut(&id).ok_or_else(evicted)?.parked = true;
-                inner.parked += 1;
-                Self::refresh_baton(&self.cfg, &mut inner);
-                self.cv.notify_all();
-                loop {
-                    if inner.baton == Some(id) {
-                        inner.baton = None;
-                        break;
-                    }
-                    let q = inner.queries.get(&id).ok_or_else(evicted)?;
-                    if let Some(reason) = Self::abort_reason(q) {
-                        // finish_locked unparks and re-forms the barrier.
-                        self.finish_locked(&mut inner, id, Some(reason.clone()));
-                        return Err(StageAbort { reason });
-                    }
-                    let deadline = q.deadline;
-                    inner = self.wait(inner, deadline);
-                }
-                inner.queries.get_mut(&id).ok_or_else(evicted)?.parked = false;
-                inner.parked -= 1;
-                let duration = self.place_locked(&mut inner, id, profile)?;
-                // The placer now runs host-side; peers re-evaluate once it
-                // parks again or finishes.
-                self.cv.notify_all();
-                Ok(duration)
+        while Self::next_to_place(&inner) != Some(id) {
+            let Some(q) = inner.queries.get(&id).filter(|q| q.phase == Phase::Active) else {
+                return Err(StageAbort {
+                    reason: "query finished mid-request".into(),
+                });
+            };
+            if let Some(reason) = Self::abort_reason(q) {
+                self.finish_locked(&mut inner, id, Some(reason.clone()));
+                return Err(StageAbort { reason });
             }
+            let deadline = q.deadline;
+            inner = self.wait(inner, deadline);
         }
+        let duration = self.place_locked(&mut inner, id, profile)?;
+        // The query's clock moved on: a peer may now hold the smallest key.
+        self.settle_locked(&mut inner);
+        Ok(duration)
     }
 }
 
@@ -711,14 +682,21 @@ impl QueryHandle {
         }
     }
 
-    /// Mark the query finished, releasing its admission slot. Idempotent;
-    /// also invoked on drop.
+    /// Mark the query finished, releasing its admission slot — at once if
+    /// it was still waiting for one, else once no admitted query has a
+    /// smaller key. Never blocks. Idempotent; also invoked on drop.
     pub fn finish(&self) {
         if self.finished.swap(true, Ordering::AcqRel) {
             return;
         }
         let mut inner = self.sched.lock();
-        self.sched.finish_locked(&mut inner, self.id, None);
+        match inner.queries.get_mut(&self.id) {
+            Some(q) if q.phase == Phase::Active => {
+                q.phase = Phase::Leaving;
+                self.sched.settle_locked(&mut inner);
+            }
+            _ => self.sched.finish_locked(&mut inner, self.id, None),
+        }
     }
 }
 
@@ -744,38 +722,35 @@ mod tests {
         a
     }
 
-    fn stage(qid: u64, lanes: usize, items: Vec<dpu_sim::account::CycleAccount>) -> StageProfile {
+    fn stage(qid: u64, lanes: Vec<dpu_sim::account::CycleAccount>) -> StageProfile {
         StageProfile {
             query_id: qid,
-            parallelism: lanes,
-            items,
+            lanes,
             dmem_peak: 0,
         }
     }
 
-    fn cfg(mode: DispatchMode, max_active: usize, queue: usize) -> SchedConfig {
+    fn cfg(max_active: usize, queue: usize) -> SchedConfig {
         SchedConfig {
             max_active,
             queue_capacity: queue,
-            mode,
             ..Default::default()
         }
     }
 
     #[test]
     fn solo_query_reproduces_stage_rule() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::Deterministic, 1, 0)));
+        let s = Arc::new(Scheduler::new(cfg(1, 0)));
         let h = s.submit(0, None).unwrap();
         let d1 = s
             .route_stage(&stage(
                 h.id(),
-                2,
                 vec![compute_item(1000.0), compute_item(500.0)],
             ))
             .unwrap();
         assert_eq!(d1, Cycles(1000.0));
         let d2 = s
-            .route_stage(&stage(h.id(), 2, vec![dms_item(300.0), dms_item(300.0)]))
+            .route_stage(&stage(h.id(), vec![dms_item(300.0), dms_item(300.0)]))
             .unwrap();
         assert_eq!(d2, Cycles(600.0), "DMS serializes within the stage");
         h.finish();
@@ -787,21 +762,21 @@ mod tests {
 
     #[test]
     fn admission_bounds_active_queries() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 1, 4)));
+        let s = Arc::new(Scheduler::new(cfg(1, 4)));
         let a = s.submit(0, None).unwrap();
         let b = s.submit(0, None).unwrap();
         // b is queued; a stage for it would block — verify non-blockingly.
         {
             let inner = s.lock();
-            assert_eq!(inner.active, 1);
+            assert_eq!(inner.active.len(), 1);
             assert_eq!(inner.waiting, 1);
         }
-        s.route_stage(&stage(a.id(), 1, vec![compute_item(100.0)]))
+        s.route_stage(&stage(a.id(), vec![compute_item(100.0)]))
             .unwrap();
         a.finish();
         b.await_admission().unwrap();
         let d = s
-            .route_stage(&stage(b.id(), 1, vec![compute_item(100.0)]))
+            .route_stage(&stage(b.id(), vec![compute_item(100.0)]))
             .unwrap();
         // b was admitted at a's completion instant; its core is free then.
         assert_eq!(d, Cycles(100.0));
@@ -819,10 +794,10 @@ mod tests {
         let freq = SchedConfig::default().cost_model.freq_hz;
 
         // Conservative default: a host-serial stream serializes.
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 8, 8)));
+        let s = Arc::new(Scheduler::new(cfg(8, 8)));
         for _ in 0..4 {
             let h = s.submit(0, None).unwrap();
-            s.route_stage(&stage(h.id(), 1, vec![compute_item(1000.0)]))
+            s.route_stage(&stage(h.id(), vec![compute_item(1000.0)]))
                 .unwrap();
             h.finish();
         }
@@ -831,12 +806,12 @@ mod tests {
 
         // Two sessions, two queries each, chained per session: each chain
         // ends at 2000 cycles and the sessions overlap on separate cores.
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 8, 8)));
+        let s = Arc::new(Scheduler::new(cfg(8, 8)));
         let mut last = [Cycles::ZERO; 2];
         for _round in 0..2 {
             for arrival in last.iter_mut() {
                 let h = s.submit_at(0, None, Some(*arrival)).unwrap();
-                s.route_stage(&stage(h.id(), 1, vec![compute_item(1000.0)]))
+                s.route_stage(&stage(h.id(), vec![compute_item(1000.0)]))
                     .unwrap();
                 h.finish();
                 *arrival = s.completion_cycles(h.id()).expect("finished");
@@ -855,7 +830,7 @@ mod tests {
 
     #[test]
     fn queue_full_is_backpressure() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 1, 1)));
+        let s = Arc::new(Scheduler::new(cfg(1, 1)));
         let _a = s.submit(0, None).unwrap();
         let _b = s.submit(0, None).unwrap();
         assert_eq!(
@@ -866,7 +841,7 @@ mod tests {
 
     #[test]
     fn higher_priority_waiter_admitted_first() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 1, 4)));
+        let s = Arc::new(Scheduler::new(cfg(1, 4)));
         let a = s.submit(0, None).unwrap();
         let low = s.submit(1, None).unwrap();
         let high = s.submit(9, None).unwrap();
@@ -882,11 +857,11 @@ mod tests {
 
     #[test]
     fn cancelled_query_aborts_its_stages() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 2, 0)));
+        let s = Arc::new(Scheduler::new(cfg(2, 0)));
         let h = s.submit(0, None).unwrap();
         h.cancel();
         let err = s
-            .route_stage(&stage(h.id(), 1, vec![compute_item(1.0)]))
+            .route_stage(&stage(h.id(), vec![compute_item(1.0)]))
             .unwrap_err();
         assert_eq!(err.reason, "cancelled");
         let r = s.report();
@@ -895,11 +870,11 @@ mod tests {
 
     #[test]
     fn expired_timeout_aborts() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 2, 0)));
+        let s = Arc::new(Scheduler::new(cfg(2, 0)));
         let h = s.submit(0, Some(Duration::from_millis(0))).unwrap();
         std::thread::sleep(Duration::from_millis(2));
         let err = s
-            .route_stage(&stage(h.id(), 1, vec![compute_item(1.0)]))
+            .route_stage(&stage(h.id(), vec![compute_item(1.0)]))
             .unwrap_err();
         assert_eq!(err.reason, "timed out");
         assert!(h.timed_out());
@@ -907,7 +882,7 @@ mod tests {
 
     #[test]
     fn waiting_query_can_be_cancelled() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 1, 2)));
+        let s = Arc::new(Scheduler::new(cfg(1, 2)));
         let _a = s.submit(0, None).unwrap();
         let b = s.submit(0, None).unwrap();
         b.cancel();
@@ -916,7 +891,7 @@ mod tests {
 
     #[test]
     fn cancel_by_id_reaches_live_queries_only() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 1, 2)));
+        let s = Arc::new(Scheduler::new(cfg(1, 2)));
         let active = s.submit(0, None).unwrap();
         let waiting = s.submit(0, None).unwrap();
         // Out-of-band cancel of a waiting query by id alone.
@@ -928,7 +903,7 @@ mod tests {
         // Active query: flag raised, next stage request aborts.
         assert!(s.cancel(active.id()));
         let err = s
-            .route_stage(&stage(active.id(), 1, vec![compute_item(1.0)]))
+            .route_stage(&stage(active.id(), vec![compute_item(1.0)]))
             .unwrap_err();
         assert_eq!(err.reason, "cancelled");
         // Finished or unknown ids report false.
@@ -938,8 +913,8 @@ mod tests {
 
     /// Drive `n` concurrent synthetic queries through the scheduler on real
     /// threads and return (per-query latency secs, makespan secs).
-    fn run_batch(mode: DispatchMode, n: usize) -> (Vec<f64>, f64) {
-        let s = Arc::new(Scheduler::new(cfg(mode, n, n)));
+    fn run_batch(n: usize) -> (Vec<f64>, f64) {
+        let s = Arc::new(Scheduler::new(cfg(n, n)));
         let handles: Vec<_> = (0..n)
             .map(|i| s.submit((i % 3) as u8, None).unwrap())
             .collect();
@@ -950,15 +925,11 @@ mod tests {
                     // Each query: a compute stage, a DMS stage, and a mixed
                     // stage, with per-query sizes.
                     let c = 100.0 * (i as f64 + 1.0);
-                    s.route_stage(&stage(
-                        h.id(),
-                        2,
-                        vec![compute_item(c), compute_item(c / 2.0)],
-                    ))
-                    .unwrap();
-                    s.route_stage(&stage(h.id(), 1, vec![dms_item(50.0 + c)]))
+                    s.route_stage(&stage(h.id(), vec![compute_item(c), compute_item(c / 2.0)]))
                         .unwrap();
-                    s.route_stage(&stage(h.id(), 2, vec![compute_item(c), dms_item(c / 4.0)]))
+                    s.route_stage(&stage(h.id(), vec![dms_item(50.0 + c)]))
+                        .unwrap();
+                    s.route_stage(&stage(h.id(), vec![compute_item(c), dms_item(c / 4.0)]))
                         .unwrap();
                     h.finish();
                 });
@@ -973,34 +944,30 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_mode_is_bit_identical_across_runs() {
-        let (lat1, mk1) = run_batch(DispatchMode::Deterministic, 6);
-        let (lat2, mk2) = run_batch(DispatchMode::Deterministic, 6);
+    fn a_batch_is_bit_identical_across_runs() {
+        let (lat1, mk1) = run_batch(6);
+        let (lat2, mk2) = run_batch(6);
         assert_eq!(lat1, lat2, "latencies must be bit-identical");
         assert_eq!(mk1, mk2, "makespan must be bit-identical");
     }
 
     #[test]
-    fn work_stealing_batch_completes_all_queries() {
-        let (lat, mk) = run_batch(DispatchMode::WorkStealing, 6);
+    fn a_batch_completes_every_query_and_beats_serial_execution() {
+        let (lat, mk) = run_batch(6);
         assert!(lat.iter().all(|&l| l > 0.0));
         assert!(mk > 0.0);
         // Interleaving must beat fully serial execution of the same work.
         let (_, serial) = {
-            let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 1, 8)));
+            let s = Arc::new(Scheduler::new(cfg(1, 8)));
             for i in 0..6usize {
                 let h = s.submit(0, None).unwrap();
                 h.await_admission().unwrap();
                 let c = 100.0 * (i as f64 + 1.0);
-                s.route_stage(&stage(
-                    h.id(),
-                    2,
-                    vec![compute_item(c), compute_item(c / 2.0)],
-                ))
-                .unwrap();
-                s.route_stage(&stage(h.id(), 1, vec![dms_item(50.0 + c)]))
+                s.route_stage(&stage(h.id(), vec![compute_item(c), compute_item(c / 2.0)]))
                     .unwrap();
-                s.route_stage(&stage(h.id(), 2, vec![compute_item(c), dms_item(c / 4.0)]))
+                s.route_stage(&stage(h.id(), vec![dms_item(50.0 + c)]))
+                    .unwrap();
+                s.route_stage(&stage(h.id(), vec![compute_item(c), dms_item(c / 4.0)]))
                     .unwrap();
                 h.finish();
             }
@@ -1014,7 +981,7 @@ mod tests {
         // A query whose stage closure panics must fail alone: unwinding
         // drops its QueryHandle (releasing the admission slot) and every
         // other session keeps running to completion.
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 2, 8)));
+        let s = Arc::new(Scheduler::new(cfg(2, 8)));
         let outcomes: Vec<_> = std::thread::scope(|scope| {
             let joins: Vec<_> = (0..4)
                 .map(|i| {
@@ -1022,13 +989,12 @@ mod tests {
                     scope.spawn(move || {
                         let h = s.submit(0, None).unwrap();
                         h.await_admission().unwrap();
-                        s.route_stage(&stage(h.id(), 1, vec![compute_item(100.0)]))
+                        s.route_stage(&stage(h.id(), vec![compute_item(100.0)]))
                             .unwrap();
                         if i == 1 {
                             panic!("session {i} dies mid-query");
                         }
-                        s.route_stage(&stage(h.id(), 1, vec![dms_item(40.0)]))
-                            .unwrap();
+                        s.route_stage(&stage(h.id(), vec![dms_item(40.0)])).unwrap();
                         h.finish();
                     })
                 })
@@ -1046,7 +1012,7 @@ mod tests {
         // The scheduler still serves fresh queries afterwards.
         let h = s.submit(0, None).unwrap();
         h.await_admission().unwrap();
-        s.route_stage(&stage(h.id(), 1, vec![compute_item(10.0)]))
+        s.route_stage(&stage(h.id(), vec![compute_item(10.0)]))
             .unwrap();
         h.finish();
         assert_eq!(s.report().queries.len(), 5);
@@ -1054,16 +1020,12 @@ mod tests {
 
     #[test]
     fn utilization_series_exposed_through_scheduler() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 2, 4)));
+        let s = Arc::new(Scheduler::new(cfg(2, 4)));
         for _ in 0..2 {
             let h = s.submit(0, None).unwrap();
             h.await_admission().unwrap();
-            s.route_stage(&stage(
-                h.id(),
-                2,
-                vec![compute_item(500.0), dms_item(100.0)],
-            ))
-            .unwrap();
+            s.route_stage(&stage(h.id(), vec![compute_item(500.0), dms_item(100.0)]))
+                .unwrap();
             h.finish();
         }
         let placements = s.placements();
@@ -1081,14 +1043,14 @@ mod tests {
 
     #[test]
     fn schedule_trace_records_admission_edges() {
-        let s = Arc::new(Scheduler::new(cfg(DispatchMode::WorkStealing, 1, 4)));
+        let s = Arc::new(Scheduler::new(cfg(1, 4)));
         let a = s.submit(0, None).unwrap();
         let b = s.submit(0, None).unwrap();
-        s.route_stage(&stage(a.id(), 1, vec![compute_item(100.0)]))
+        s.route_stage(&stage(a.id(), vec![compute_item(100.0)]))
             .unwrap();
         a.finish();
         b.await_admission().unwrap();
-        s.route_stage(&stage(b.id(), 1, vec![compute_item(100.0)]))
+        s.route_stage(&stage(b.id(), vec![compute_item(100.0)]))
             .unwrap();
         b.finish();
         let trace = s.schedule_trace();
@@ -1109,14 +1071,13 @@ mod tests {
         let s = Arc::new(Scheduler::new(SchedConfig {
             max_active: 2,
             queue_capacity: 8,
-            mode: DispatchMode::WorkStealing,
             history_cap: 3,
             ..Default::default()
         }));
         for _ in 0..8 {
             let h = s.submit(0, None).unwrap();
             h.await_admission().unwrap();
-            s.route_stage(&stage(h.id(), 1, vec![compute_item(10.0)]))
+            s.route_stage(&stage(h.id(), vec![compute_item(10.0)]))
                 .unwrap();
             h.finish();
         }
@@ -1133,7 +1094,6 @@ mod tests {
         let s = Arc::new(Scheduler::new(SchedConfig {
             max_active: 2,
             queue_capacity: 8,
-            mode: DispatchMode::WorkStealing,
             history_cap: 3,
             ..Default::default()
         }));
@@ -1141,7 +1101,7 @@ mod tests {
         for _ in 0..1000 {
             let h = s.submit(0, None).unwrap();
             h.await_admission().unwrap();
-            s.route_stage(&stage(h.id(), 1, vec![compute_item(10.0)]))
+            s.route_stage(&stage(h.id(), vec![compute_item(10.0)]))
                 .unwrap();
             h.finish();
             // A session asks about its own previous query: always inside
@@ -1164,5 +1124,81 @@ mod tests {
         assert_eq!(s.completion_cycles(0), None, "outside the window");
         // 997 placements, 997 admissions and 997 finished records went.
         assert_eq!(s.schedule_trace().history_dropped, 3 * 997);
+    }
+
+    /// An open stream: a session admitted but still on the host (parsing,
+    /// compiling, running a partial offload's host remainder) holds no
+    /// one up whose key is smaller. A barrier that waits for every admitted
+    /// query to ask for a stage stalls here, because the peer asks only
+    /// after it has seen the first query's stage placed.
+    #[test]
+    fn the_smallest_key_places_while_a_peer_is_still_on_the_host() {
+        use std::sync::mpsc;
+
+        let s = Arc::new(Scheduler::new(cfg(2, 0)));
+        let first = s.submit_at(0, None, Some(Cycles::ZERO)).unwrap();
+        let peer = s.submit_at(0, None, Some(Cycles(500.0))).unwrap();
+        let (placed, seen) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let s = &s;
+            let first = &first;
+            scope.spawn(move || {
+                s.route_stage(&stage(first.id(), vec![compute_item(100.0)]))
+                    .unwrap();
+                placed.send(()).unwrap();
+                // Ready at 100, before the peer's 500: places again.
+                s.route_stage(&stage(first.id(), vec![compute_item(100.0)]))
+                    .unwrap();
+                first.finish();
+            });
+            seen.recv_timeout(Duration::from_secs(30))
+                .expect("the first query placed while its peer was on the host");
+            s.route_stage(&stage(peer.id(), vec![compute_item(100.0)]))
+                .unwrap();
+            peer.finish();
+        });
+        let order: Vec<u64> = s.placements().iter().map(|p| p.query_id).collect();
+        assert_eq!(order, [first.id(), first.id(), peer.id()]);
+    }
+
+    /// Stage requests place in key order, not in the order their threads
+    /// ask: the later-arriving query's request, made first, waits until
+    /// the earlier one has placed every stage that starts before it.
+    #[test]
+    fn stages_place_in_key_order_not_host_order() {
+        let s = Arc::new(Scheduler::new(cfg(2, 0)));
+        let early = s.submit_at(0, None, Some(Cycles::ZERO)).unwrap();
+        let late = s.submit_at(0, None, Some(Cycles(150.0))).unwrap();
+        std::thread::scope(|scope| {
+            let s = &s;
+            let late = &late;
+            scope.spawn(move || {
+                s.route_stage(&stage(late.id(), vec![compute_item(100.0)]))
+                    .unwrap();
+                late.finish();
+            });
+            // Give the late query's request the head start in host time.
+            std::thread::sleep(Duration::from_millis(20));
+            for _ in 0..3 {
+                s.route_stage(&stage(early.id(), vec![compute_item(100.0)]))
+                    .unwrap();
+            }
+            early.finish();
+        });
+        let placed: Vec<(u64, f64)> = s
+            .placements()
+            .iter()
+            .map(|p| (p.query_id, p.ready.get()))
+            .collect();
+        // Early's stages are ready at 0, 100 and 200; late's at 150.
+        assert_eq!(
+            placed,
+            [
+                (early.id(), 0.0),
+                (early.id(), 100.0),
+                (late.id(), 150.0),
+                (early.id(), 200.0)
+            ]
+        );
     }
 }

@@ -19,21 +19,6 @@ use dpu_sim::isa::CostModel;
 use dpu_sim::power::PowerModel;
 use rapid_qef::exec::StageProfile;
 
-/// How stage items map onto lanes and how placements are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Static round-robin item→lane assignment (the engine's own layout)
-    /// and barrier-ordered placement across queries: simulated timings are
-    /// bit-identical across runs, and a query running alone reproduces the
-    /// engine-local stage timing.
-    Deterministic,
-    /// Work stealing: items go to the least-loaded lane (greedy longest
-    /// processing time balance) and stages are placed in host arrival
-    /// order. Better throughput on skewed stages; timings may vary from
-    /// run to run.
-    WorkStealing,
-}
-
 /// One placed stage on the timeline.
 #[derive(Debug, Clone, Copy)]
 pub struct Placement {
@@ -98,8 +83,8 @@ pub struct UtilizationSample {
 /// Utilization and energy summary of everything placed so far.
 ///
 /// Every field is derived from the *simulated* timeline — no host wall
-/// clock enters here, so two identical deterministic-mode runs produce
-/// bit-identical values. The `*_cycles` fields are the exact cycle counts
+/// clock enters here, so two runs of one batch produce bit-identical
+/// values. The `*_cycles` fields are the exact cycle counts
 /// behind the `SimTime` figures, exposed so downstream reports (the bench
 /// regression gate in particular) can compare stable integers-of-f64
 /// without re-deriving them through a frequency division.
@@ -213,19 +198,26 @@ impl DpuTimeline {
 
     /// Place one stage no earlier than `ready` (the query's own clock).
     ///
-    /// The stage gang-schedules `min(parallelism, cores)` of the
-    /// earliest-free cores (ties broken by core id), holds them until the
+    /// The stage gang-schedules one of the earliest-free cores (ties broken
+    /// by core id) per lane the engine ran it with, holds them until the
     /// stage's barrier, and serializes its DMS total behind the transfers
     /// already queued on the shared engine.
-    pub fn place(
-        &mut self,
-        ready: Cycles,
-        profile: &StageProfile,
-        mode: DispatchMode,
-    ) -> Placement {
-        let k = profile.parallelism.clamp(1, self.core_free.len());
+    pub fn place(&mut self, ready: Cycles, profile: &StageProfile) -> Placement {
+        let cores = self.core_free.len();
+        // A stage built for more cores than this DPU has folds its lanes
+        // onto the cores there are, round-robin as the engine deals items.
+        let lanes = if profile.lanes.len() <= cores {
+            Cow::Borrowed(profile.lanes.as_slice())
+        } else {
+            let mut folded = vec![CycleAccount::new(); cores];
+            for (j, lane) in profile.lanes.iter().enumerate() {
+                folded[j % cores].absorb(lane);
+            }
+            Cow::Owned(folded)
+        };
+        let k = lanes.len().max(1);
         // Earliest-free cores, ties by id: deterministic grant.
-        let mut order: Vec<usize> = (0..self.core_free.len()).collect();
+        let mut order: Vec<usize> = (0..cores).collect();
         order.sort_by(|&a, &b| {
             self.core_free[a]
                 .get()
@@ -241,14 +233,6 @@ impl DpuTimeline {
             start = start.max(self.core_free[c]);
         }
 
-        // A stage of one item a granted core — every task, every partition
-        // round: `min(cores, tiles)` lanes — runs each where it is; only
-        // more items than cores have to be composed into lanes.
-        let lanes = if profile.items.len() == k {
-            Cow::Borrowed(profile.items.as_slice())
-        } else {
-            Cow::Owned(assign_lanes(&profile.items, k, mode))
-        };
         let stage = StageSpan::of_lanes(lanes.iter());
         let dms_total = stage.dms_total;
 
@@ -390,34 +374,6 @@ impl DpuTimeline {
     }
 }
 
-/// Compose per-item accounts into `k` lane accounts. Round-robin mirrors
-/// the actor runner's own static layout; work stealing assigns each item
-/// (in order) to the lane with the least accrued elapsed time.
-fn assign_lanes(items: &[CycleAccount], k: usize, mode: DispatchMode) -> Vec<CycleAccount> {
-    let mut lanes = vec![CycleAccount::new(); k];
-    match mode {
-        DispatchMode::Deterministic => {
-            for (i, item) in items.iter().enumerate() {
-                lanes[i % k].absorb(item);
-            }
-        }
-        DispatchMode::WorkStealing => {
-            for item in items {
-                let j = (0..k)
-                    .min_by(|&a, &b| {
-                        lanes[a]
-                            .elapsed_cycles()
-                            .get()
-                            .total_cmp(&lanes[b].elapsed_cycles().get())
-                    })
-                    .unwrap_or(0);
-                lanes[j].absorb(item);
-            }
-        }
-    }
-    lanes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,11 +390,10 @@ mod tests {
         a
     }
 
-    fn profile(qid: u64, parallelism: usize, items: Vec<CycleAccount>) -> StageProfile {
+    fn profile(qid: u64, lanes: Vec<CycleAccount>) -> StageProfile {
         StageProfile {
             query_id: qid,
-            parallelism,
-            items,
+            lanes,
             dmem_peak: 0,
         }
     }
@@ -453,29 +408,35 @@ mod tests {
             items.push(compute_item(1000.0));
             items.push(dms_item(100.0));
         }
-        let p = tl.place(
-            Cycles::ZERO,
-            &profile(1, 8, items),
-            DispatchMode::Deterministic,
-        );
+        let p = tl.place(Cycles::ZERO, &profile(1, items));
         assert_eq!(p.start, Cycles::ZERO);
         assert_eq!(p.duration, Cycles(1000.0));
         assert_eq!(p.end, Cycles(1000.0));
     }
 
     #[test]
-    fn solo_placement_has_the_bits_of_the_engine_local_stage() {
-        use rapid_qef::actor::run_stage;
-        use rapid_qef::exec::{CoreCtx, ExecContext};
+    fn a_routed_stage_has_the_bits_of_the_engine_local_stage() {
+        use std::sync::{Arc, Mutex};
 
-        let k = 3;
-        let ctx = ExecContext::dpu().with_cores(k);
-        let solo = |items: &[CycleAccount], mode| {
-            let p = DpuTimeline::new(32).place(Cycles::ZERO, &profile(1, k, items.to_vec()), mode);
-            assert_eq!(p.end, p.duration, "idle timeline");
-            p.duration.get().to_bits()
-        };
-        // Eleven skewed items on three lanes, every one with DMS, in
+        use rapid_qef::actor::run_stage;
+        use rapid_qef::exec::{CoreCtx, ExecContext, StageAbort, StageRouter};
+
+        /// Each stage alone on an idle timeline.
+        #[derive(Debug, Default)]
+        struct Idle(Mutex<Vec<usize>>);
+        impl StageRouter for Idle {
+            fn route_stage(&self, profile: &StageProfile) -> Result<Cycles, StageAbort> {
+                self.0.lock().unwrap().push(profile.lanes.len());
+                let p = DpuTimeline::new(32).place(Cycles::ZERO, profile);
+                assert_eq!(p.end, p.duration, "idle timeline");
+                Ok(p.duration)
+            }
+        }
+
+        let local = ExecContext::dpu().with_cores(3);
+        let idle = Arc::new(Idle::default());
+        let routed = local.clone().with_router(Arc::clone(&idle) as _, 1);
+        // Eleven skewed items on three lanes, every one charged twice, in
         // fractions whose sums depend on the order they are added in; once
         // bound by the busiest lane, once by the DMS total.
         for dms_scale in [1.0, 40.0] {
@@ -485,43 +446,24 @@ mod tests {
                     (1000.3 / (i + 1) as f64, dms * dms_scale)
                 })
                 .collect();
-            let items: Vec<CycleAccount> = charges
-                .iter()
-                .map(|&(compute, dms)| {
-                    let mut a = compute_item(compute);
-                    a.charge_dms(Cycles(dms), 1024, 1);
-                    a
-                })
-                .collect();
-
-            // The engine's own layout, charged item by item as operators do.
-            let (_, local) = run_stage(&ctx, charges, |core: &mut CoreCtx, (compute, dms)| {
-                core.account.charge_compute(Cycles(compute));
-                core.account.charge_dms(Cycles(dms), 1024, 1);
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(local.span.dms_bound(), dms_scale > 1.0);
-            assert_eq!(
-                solo(&items, DispatchMode::Deterministic),
-                local.elapsed.get().to_bits()
-            );
-
-            // Each mode's lane layout, run as a stage of one item per lane.
-            for mode in [DispatchMode::Deterministic, DispatchMode::WorkStealing] {
-                let lanes = assign_lanes(&items, k, mode);
-                let (_, local) = run_stage(&ctx, lanes, |core: &mut CoreCtx, lane| {
-                    core.account.absorb(&lane);
+            let stage = |ctx: &ExecContext| {
+                let (_, t) = run_stage(ctx, charges.clone(), |core: &mut CoreCtx, (c, d)| {
+                    core.account.charge_compute(Cycles(c));
+                    core.account.charge_dms(Cycles(d), 1024, 1);
+                    core.account.charge_compute(Cycles(c / 7.0));
                     Ok(())
                 })
                 .unwrap();
-                assert_eq!(
-                    solo(&items, mode),
-                    local.elapsed.get().to_bits(),
-                    "{mode:?}"
-                );
-            }
+                t
+            };
+            let (alone, placed) = (stage(&local), stage(&routed));
+            assert_eq!(alone.span.dms_bound(), dms_scale > 1.0);
+            assert_eq!(
+                alone.elapsed.get().to_bits(),
+                placed.elapsed.get().to_bits()
+            );
         }
+        assert_eq!(*idle.0.lock().unwrap(), [3, 3], "the engine's three lanes");
     }
 
     #[test]
@@ -529,16 +471,8 @@ mod tests {
         // Two DMS-bound stages from different queries: the second's
         // transfers queue behind the first's on the single engine.
         let mut tl = DpuTimeline::new(32);
-        let a = tl.place(
-            Cycles::ZERO,
-            &profile(1, 1, vec![dms_item(1000.0)]),
-            DispatchMode::Deterministic,
-        );
-        let b = tl.place(
-            Cycles::ZERO,
-            &profile(2, 1, vec![dms_item(1000.0)]),
-            DispatchMode::Deterministic,
-        );
+        let a = tl.place(Cycles::ZERO, &profile(1, vec![dms_item(1000.0)]));
+        let b = tl.place(Cycles::ZERO, &profile(2, vec![dms_item(1000.0)]));
         assert_eq!(a.end, Cycles(1000.0));
         // Query 2 starts its core at 0 (different core is free) but its
         // transfer waits for the engine: ends at 2000.
@@ -551,16 +485,8 @@ mod tests {
         // Two 8-lane compute stages on a 32-core DPU run side by side.
         let mut tl = DpuTimeline::new(32);
         let items = |n: usize| (0..n).map(|_| compute_item(1000.0)).collect::<Vec<_>>();
-        let a = tl.place(
-            Cycles::ZERO,
-            &profile(1, 8, items(8)),
-            DispatchMode::Deterministic,
-        );
-        let b = tl.place(
-            Cycles::ZERO,
-            &profile(2, 8, items(8)),
-            DispatchMode::Deterministic,
-        );
+        let a = tl.place(Cycles::ZERO, &profile(1, items(8)));
+        let b = tl.place(Cycles::ZERO, &profile(2, items(8)));
         assert_eq!(a.end, Cycles(1000.0));
         assert_eq!(b.end, Cycles(1000.0), "disjoint cores: no queueing");
         let u = tl.utilization(&CostModel::default(), &PowerModel::dpu());
@@ -576,51 +502,22 @@ mod tests {
         // first stage still holds.
         let mut tl = DpuTimeline::new(32);
         let items = |n: usize| (0..n).map(|_| compute_item(1000.0)).collect::<Vec<_>>();
-        tl.place(
-            Cycles::ZERO,
-            &profile(1, 8, items(8)),
-            DispatchMode::Deterministic,
-        );
-        let b = tl.place(
-            Cycles::ZERO,
-            &profile(2, 32, items(32)),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &profile(1, items(8)));
+        let b = tl.place(Cycles::ZERO, &profile(2, items(32)));
         assert_eq!(b.start, Cycles(1000.0));
         assert_eq!(b.duration, Cycles(2000.0), "wait + span");
     }
 
     #[test]
-    fn work_stealing_balances_skewed_items_better() {
-        // Alternating heavy/light items on 2 lanes: round-robin piles every
-        // heavy item onto lane 0 (4000 cycles); greedy balancing lands at
-        // the 2020 optimum.
-        let skew = || -> Vec<CycleAccount> {
-            vec![
-                compute_item(1000.0),
-                compute_item(10.0),
-                compute_item(1000.0),
-                compute_item(10.0),
-                compute_item(1000.0),
-                compute_item(10.0),
-                compute_item(1000.0),
-                compute_item(10.0),
-            ]
-        };
+    fn a_stage_wider_than_the_dpu_folds_its_lanes_onto_its_cores() {
+        // Five lanes on two cores: lanes 0, 2, 4 share core 0.
         let mut tl = DpuTimeline::new(2);
-        let det = tl.place(
-            Cycles::ZERO,
-            &profile(1, 2, skew()),
-            DispatchMode::Deterministic,
-        );
-        let mut tl = DpuTimeline::new(2);
-        let steal = tl.place(
-            Cycles::ZERO,
-            &profile(1, 2, skew()),
-            DispatchMode::WorkStealing,
-        );
-        assert_eq!(det.duration, Cycles(4000.0));
-        assert_eq!(steal.duration, Cycles(2020.0));
+        let lanes = [100.0, 10.0, 100.0, 10.0, 100.0].map(compute_item);
+        let p = tl.place(Cycles::ZERO, &profile(1, lanes.to_vec()));
+        assert_eq!(p.duration, Cycles(300.0));
+        let recs = tl.placements();
+        assert_eq!(recs[0].lanes, 2);
+        assert_eq!(recs[0].core_busy, Cycles(320.0));
     }
 
     #[test]
@@ -628,14 +525,9 @@ mod tests {
         let mut tl = DpuTimeline::new(4);
         tl.place(
             Cycles::ZERO,
-            &profile(7, 2, vec![compute_item(1000.0), dms_item(100.0)]),
-            DispatchMode::Deterministic,
+            &profile(7, vec![compute_item(1000.0), dms_item(100.0)]),
         );
-        tl.place(
-            Cycles::ZERO,
-            &profile(9, 1, vec![compute_item(500.0)]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &profile(9, vec![compute_item(500.0)]));
         let recs = tl.placements();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].query_id, 7);
@@ -652,7 +544,6 @@ mod tests {
             Cycles::ZERO,
             &profile(
                 1,
-                2,
                 vec![
                     compute_item(1000.0),
                     compute_item(600.0),
@@ -660,13 +551,8 @@ mod tests {
                     dms_item(100.0),
                 ],
             ),
-            DispatchMode::Deterministic,
         );
-        tl.place(
-            Cycles::ZERO,
-            &profile(2, 4, vec![compute_item(400.0); 4]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &profile(2, vec![compute_item(400.0); 4]));
         let series = tl.utilization_series(8);
         assert_eq!(series.len(), 8);
         let width = tl.makespan().get() / 8.0;
@@ -695,8 +581,7 @@ mod tests {
         let mut tl = DpuTimeline::new(2);
         tl.place(
             Cycles::ZERO,
-            &profile(1, 2, vec![compute_item(800.0), dms_item(200.0)]),
-            DispatchMode::Deterministic,
+            &profile(1, vec![compute_item(800.0), dms_item(200.0)]),
         );
         let series = tl.utilization_series(1);
         assert_eq!(series.len(), 1);
@@ -711,11 +596,7 @@ mod tests {
     #[test]
     fn utilization_series_zero_buckets_clamps_to_one() {
         let mut tl = DpuTimeline::new(2);
-        tl.place(
-            Cycles::ZERO,
-            &profile(1, 1, vec![compute_item(100.0)]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &profile(1, vec![compute_item(100.0)]));
         let series = tl.utilization_series(0);
         assert_eq!(series.len(), 1);
     }
@@ -725,18 +606,10 @@ mod tests {
         // A stage whose end lands exactly on the makespan boundary (the
         // last bucket's right edge) must not lose cycles to clamping.
         let mut tl = DpuTimeline::new(4);
-        tl.place(
-            Cycles::ZERO,
-            &profile(1, 1, vec![compute_item(700.0)]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &profile(1, vec![compute_item(700.0)]));
         // Second stage on a fresh core, ready at 300, ends at 1000 = new
         // makespan; 1000/8 buckets puts its end exactly on bucket 8's edge.
-        tl.place(
-            Cycles(300.0),
-            &profile(2, 1, vec![compute_item(700.0)]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles(300.0), &profile(2, vec![compute_item(700.0)]));
         assert_eq!(tl.makespan(), Cycles(1000.0));
         let series = tl.utilization_series(8);
         let width = tl.makespan().get() / 8.0;
@@ -748,11 +621,7 @@ mod tests {
     fn a_retired_query_leaves_no_stage_counter_behind() {
         let mut tl = DpuTimeline::new(2);
         for q in 0..3 {
-            tl.place(
-                Cycles::ZERO,
-                &profile(q, 1, vec![compute_item(10.0)]),
-                DispatchMode::WorkStealing,
-            );
+            tl.place(Cycles::ZERO, &profile(q, vec![compute_item(10.0)]));
         }
         tl.retire(0);
         tl.retire(2);
@@ -763,11 +632,7 @@ mod tests {
     fn history_cap_evicts_oldest_and_counts_drops() {
         let mut tl = DpuTimeline::new(2).with_history_cap(4);
         for q in 0..10u64 {
-            tl.place(
-                Cycles::ZERO,
-                &profile(q, 1, vec![compute_item(10.0)]),
-                DispatchMode::Deterministic,
-            );
+            tl.place(Cycles::ZERO, &profile(q, vec![compute_item(10.0)]));
         }
         let recs = tl.placements();
         assert_eq!(recs.len(), 4, "ring holds at most the cap");
@@ -783,14 +648,10 @@ mod tests {
     #[test]
     fn records_carry_interference_evidence() {
         let mut tl = DpuTimeline::new(4);
-        let mut p0 = profile(7, 2, vec![compute_item(100.0), dms_item(50.0)]);
+        let mut p0 = profile(7, vec![compute_item(100.0), dms_item(50.0)]);
         p0.dmem_peak = 4096;
-        tl.place(Cycles::ZERO, &p0, DispatchMode::Deterministic);
-        tl.place(
-            Cycles(100.0),
-            &profile(7, 1, vec![dms_item(25.0)]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &p0);
+        tl.place(Cycles(100.0), &profile(7, vec![dms_item(25.0)]));
         let recs = tl.placements();
         assert_eq!(recs[0].seq, 0);
         assert_eq!(recs[1].seq, 1, "per-query stage order");
@@ -805,11 +666,7 @@ mod tests {
         assert_eq!(recs[1].dms_start, Cycles(100.0));
         assert_eq!(recs[1].dms_end, Cycles(125.0));
         // A stage with no transfers records an empty window.
-        tl.place(
-            Cycles::ZERO,
-            &profile(9, 1, vec![compute_item(10.0)]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &profile(9, vec![compute_item(10.0)]));
         let recs = tl.placements();
         assert_eq!(recs[2].dms_start, recs[2].dms_end);
     }
@@ -818,11 +675,7 @@ mod tests {
     fn utilization_reports_energy_at_provisioned_power() {
         let mut tl = DpuTimeline::new(1);
         // 8e8 cycles at 800 MHz = 1 simulated second.
-        tl.place(
-            Cycles::ZERO,
-            &profile(1, 1, vec![compute_item(8.0e8)]),
-            DispatchMode::Deterministic,
-        );
+        tl.place(Cycles::ZERO, &profile(1, vec![compute_item(8.0e8)]));
         let u = tl.utilization(&CostModel::default(), &PowerModel::dpu());
         assert!((u.makespan.as_secs() - 1.0).abs() < 1e-9);
         assert!((u.energy_joules - 5.8).abs() < 1e-6);

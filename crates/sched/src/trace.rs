@@ -16,7 +16,7 @@
 
 use dpu_sim::clock::Cycles;
 
-use crate::timeline::{DispatchMode, PlacementRecord};
+use crate::timeline::PlacementRecord;
 
 /// One query entering the active set.
 #[derive(Debug, Clone, Copy)]
@@ -34,8 +34,6 @@ pub struct AdmissionEvent {
 /// Snapshot of a scheduler run for interference analysis.
 #[derive(Debug, Clone)]
 pub struct SchedTrace {
-    /// Dispatch mode the run used.
-    pub mode: DispatchMode,
     /// Physical cores of the shared DPU.
     pub cores: usize,
     /// Per-core DMEM scratchpad capacity in bytes.

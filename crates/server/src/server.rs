@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use hostdb::{BatchQuery, DbError, HostDb};
 use parking_lot::Mutex;
-use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
+use rapid_sched::{SchedConfig, Scheduler};
 
 use crate::protocol::{
     decode, write_frame, FrameError, Request, Response, ServerStats, MAX_FRAME_BYTES,
@@ -44,7 +44,7 @@ pub struct ServerConfig {
     /// `None` = unbounded.
     pub query_timeout: Option<Duration>,
     /// Scheduler configuration for the shared DPU (admission slots, queue
-    /// bound, dispatch mode).
+    /// bound).
     pub sched: SchedConfig,
     /// Rows per `RowBatch` frame.
     pub row_batch: usize,
@@ -60,15 +60,12 @@ impl Default for ServerConfig {
             max_connections: 64,
             idle_timeout: Duration::from_secs(30),
             query_timeout: None,
-            // Work-stealing dispatch: the deterministic baton protocol
-            // expects a closed batch, not an open stream of arrivals.
             // The placement history is capped because this scheduler
             // lives as long as the process: an always-on server would
             // otherwise grow one record per stage forever. Evictions are
             // counted, and the interference analyzer tolerates a
             // truncated prefix (aggregate utilization is unaffected).
             sched: SchedConfig {
-                mode: DispatchMode::WorkStealing,
                 history_cap: 65_536,
                 ..SchedConfig::default()
             },
@@ -650,6 +647,5 @@ mod tests {
             cfg.sched.history_cap > 0,
             "server scheduler must cap placement history"
         );
-        assert_eq!(cfg.sched.mode, DispatchMode::WorkStealing);
     }
 }

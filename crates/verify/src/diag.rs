@@ -56,10 +56,6 @@ pub enum Rule {
     /// The happens-before graph over a schedule's placements must be
     /// acyclic (program + resource + admission edges).
     HbCycle,
-    /// The recorded placement order must be a linear extension of the
-    /// happens-before order — the witness that a work-stealing schedule
-    /// linearizes to the deterministic baton order.
-    StealOrder,
     /// No two placements may overlap on the single shared DMS engine.
     DmsExcl,
     /// No two placements may hold the same dpCore at the same instant.
@@ -78,7 +74,7 @@ pub enum Rule {
 impl Rule {
     /// Every rule, plan rules first: a variant added above belongs here,
     /// and a mutation that trips it in `mutate` or `schedcheck`.
-    pub const ALL: [Rule; 18] = [
+    pub const ALL: [Rule; 17] = [
         Rule::ColBounds,
         Rule::JoinArity,
         Rule::TypeMismatch,
@@ -91,7 +87,6 @@ impl Rule {
         Rule::GroupLimit,
         Rule::SchemeCores,
         Rule::HbCycle,
-        Rule::StealOrder,
         Rule::DmsExcl,
         Rule::CoreExcl,
         Rule::DmemCap,
@@ -114,7 +109,6 @@ impl Rule {
             Rule::GroupLimit => "A-GROUP-LIMIT",
             Rule::SchemeCores => "A-SCHEME-CORES",
             Rule::HbCycle => "C-HB-CYCLE",
-            Rule::StealOrder => "C-STEAL-ORDER",
             Rule::DmsExcl => "C-DMS-EXCL",
             Rule::CoreExcl => "C-CORE-EXCL",
             Rule::DmemCap => "C-DMEM-CAP",

@@ -8,14 +8,12 @@
 //! replayed against the interference invariants of the paper's hardware
 //! model (one DMS engine, 32 exclusive dpCores, 32 KiB per-core DMEM):
 //!
-//! * **`C-HB-CYCLE` / `C-STEAL-ORDER`** — a happens-before graph is
-//!   rebuilt from program order (a query's stages by `seq`), resource
-//!   order (placements sharing a core or the DMS engine, by time) and
-//!   admission order (a promoted query starts after its finisher's last
-//!   placement). The graph must be acyclic, and the recorded placement
-//!   order must be one of its linear extensions — together the witness
-//!   that a work-stealing schedule is linearizable to the deterministic
-//!   baton order, which is *why* the bit-identical-results tests hold.
+//! * **`C-HB-CYCLE`** — a happens-before graph is rebuilt from program
+//!   order (a query's stages by `seq`), resource order (placements sharing
+//!   a core or the DMS engine, by time) and admission order (a promoted
+//!   query starts after its finisher's last placement). The graph must be
+//!   acyclic: otherwise no order of placements produces the recorded
+//!   times.
 //! * **`C-DMS-EXCL` / `C-CORE-EXCL`** — no two placements overlap on the
 //!   single shared DMS engine or hold the same dpCore at the same
 //!   instant. The timeline derives both windows with exact f64 `max`
@@ -69,7 +67,6 @@ pub fn check_schedule(trace: &SchedTrace) -> VerifyReport {
     }
 
     let edges = build_edges(trace);
-    check_linear_extension(recs, &edges, &mut report);
     let clocks = check_acyclic(recs, &edges, &mut report);
     check_dms_exclusive(recs, clocks.as_ref(), &mut report);
     check_cores(trace, clocks.as_ref(), &mut report);
@@ -177,30 +174,6 @@ fn build_edges(trace: &SchedTrace) -> Vec<Edge> {
         });
     }
     edges
-}
-
-/// C-STEAL-ORDER: the recorded placement order must be a linear extension
-/// of the happens-before order — every edge points forward in the trace.
-fn check_linear_extension(recs: &[PlacementRecord], edges: &[Edge], report: &mut VerifyReport) {
-    for e in edges {
-        if e.from > e.to {
-            let (u, v) = (&recs[e.from], &recs[e.to]);
-            report.diagnostics.push(Diagnostic::new(
-                Rule::StealOrder,
-                e.to,
-                &pair_path(v, u),
-                format!(
-                    "recorded order is not a linear extension of happens-before: \
-                     {} (record {}) must precede {} (record {}) by {} order",
-                    place_path(u),
-                    e.from,
-                    place_path(v),
-                    e.to,
-                    e.kind
-                ),
-            ));
-        }
-    }
 }
 
 /// Per-placement vector clock: for each query id, one past the highest
@@ -527,8 +500,7 @@ fn check_dispatch_order(recs: &[PlacementRecord], report: &mut VerifyReport) {
 /// `rapid-report schedcheck`.
 pub fn render(trace: &SchedTrace, report: &VerifyReport) -> String {
     let mut s = format!(
-        "SCHEDCHECK ({:?} mode, {} cores, {} B DMEM/core, {} placements, {} evicted)\n",
-        trace.mode,
+        "SCHEDCHECK ({} cores, {} B DMEM/core, {} placements, {} evicted)\n",
         trace.cores,
         trace.dmem_bytes,
         trace.placements.len(),
@@ -570,8 +542,6 @@ pub struct MutatedTrace {
 pub enum InterferenceMutation {
     /// Admission edge and core order contradict: the graph has a cycle.
     InjectHbCycle,
-    /// Two stages of one query recorded in the wrong order.
-    ReorderSteal,
     /// A placement's DMS window shifted into its predecessor's.
     OverlapDms,
     /// A placement moved onto a core another stage still holds.
@@ -589,7 +559,6 @@ impl InterferenceMutation {
     pub fn all() -> Vec<InterferenceMutation> {
         vec![
             InterferenceMutation::InjectHbCycle,
-            InterferenceMutation::ReorderSteal,
             InterferenceMutation::OverlapDms,
             InterferenceMutation::DoubleBookCore,
             InterferenceMutation::OvercommitDmem,
@@ -602,7 +571,6 @@ impl InterferenceMutation {
     pub fn expected_rule(&self) -> Rule {
         match self {
             InterferenceMutation::InjectHbCycle => Rule::HbCycle,
-            InterferenceMutation::ReorderSteal => Rule::StealOrder,
             InterferenceMutation::OverlapDms => Rule::DmsExcl,
             InterferenceMutation::DoubleBookCore => Rule::CoreExcl,
             InterferenceMutation::OvercommitDmem => Rule::DmemCap,
@@ -615,9 +583,10 @@ impl InterferenceMutation {
     pub fn apply(&self) -> MutatedTrace {
         let mut trace = base_trace();
         // Base layout (see `base_trace`): record 0 = q0 stage 0 (compute,
-        // cores {0,1}), record 1 = q0 stage 1 (DMS, core 2), record 2 =
-        // q1 stage 0 (compute+DMS, cores {3,4}), record 3 = q2 stage 0
-        // (compute, admitted after q0 finished).
+        // cores {0,1}, [0, 1000)), record 1 = q0 stage 1 (DMS, core 2,
+        // [1000, 1200)), record 2 = q1 stage 0 (compute+DMS, cores {3,4},
+        // from 1000), record 3 = q2 stage 0 (compute, admitted after q0
+        // finished).
         let name = match self {
             InterferenceMutation::InjectHbCycle => {
                 // q2 was admitted after q0 finished (admission edge
@@ -633,12 +602,6 @@ impl InterferenceMutation {
                 r.end = Cycles(400.0);
                 "inject-hb-cycle: admission edge vs core time order"
             }
-            InterferenceMutation::ReorderSteal => {
-                // Swap q0's two stages in the recorded order; every
-                // timestamp stays valid, only the linear extension breaks.
-                trace.placements.swap(0, 1);
-                "reorder-steal: program-order records swapped"
-            }
             InterferenceMutation::OverlapDms => {
                 // Slide q1's DMS window into q0 stage 1's [1000, 1200).
                 let r = &mut trace.placements[2];
@@ -647,12 +610,10 @@ impl InterferenceMutation {
                 "overlap-dms: two transfer windows on the single engine"
             }
             InterferenceMutation::DoubleBookCore => {
-                // Put q1 stage 0 on one of q0 stage 0's cores while both
-                // run.
-                let bit =
-                    trace.placements[0].core_mask & trace.placements[0].core_mask.wrapping_neg();
+                // Put q1 stage 0 on q0 stage 1's core while both run.
+                let core = trace.placements[1].core_mask;
                 let r = &mut trace.placements[2];
-                r.core_mask = bit;
+                r.core_mask = core;
                 r.lanes = 1;
                 "double-book-core: two stages hold one core at once"
             }
@@ -696,7 +657,7 @@ impl InterferenceMutation {
 pub fn base_trace() -> SchedTrace {
     use dpu_sim::account::CycleAccount;
     use rapid_qef::exec::{StageProfile, StageRouter};
-    use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
+    use rapid_sched::{SchedConfig, Scheduler};
     use std::sync::Arc;
 
     fn compute(cycles: f64) -> CycleAccount {
@@ -709,43 +670,45 @@ pub fn base_trace() -> SchedTrace {
         a.charge_dms(Cycles(cycles), 1024, 1);
         a
     }
-    fn profile(qid: u64, lanes: usize, items: Vec<CycleAccount>, peak: u64) -> StageProfile {
+    fn profile(qid: u64, lanes: Vec<CycleAccount>, peak: u64) -> StageProfile {
         StageProfile {
             query_id: qid,
-            parallelism: lanes,
-            items,
+            lanes,
             dmem_peak: peak,
         }
     }
 
+    // One thread places every stage, so it asks in the scheduler's own
+    // order: the admitted query with the smallest (ready, id) first. q1
+    // arrives at 1000, where q0's second stage becomes ready.
     let sched = Arc::new(Scheduler::new(SchedConfig {
         max_active: 2,
         queue_capacity: 4,
-        mode: DispatchMode::WorkStealing,
         ..SchedConfig::default()
     }));
     let q0 = sched.submit(0, None).expect("queue has room");
-    let q1 = sched.submit(0, None).expect("queue has room");
+    let q1 = sched
+        .submit_at(0, None, Some(Cycles(1000.0)))
+        .expect("queue has room");
     let q2 = sched.submit(0, None).expect("queue has room");
     sched
         .route_stage(&profile(
             q0.id(),
-            2,
             vec![compute(1000.0), compute(900.0)],
             8192,
         ))
         .expect("place q0 stage 0");
     sched
-        .route_stage(&profile(q0.id(), 1, vec![dms(200.0)], 4096))
+        .route_stage(&profile(q0.id(), vec![dms(200.0)], 4096))
         .expect("place q0 stage 1");
     q0.finish(); // admits q2 at q0's completion instant
     sched
-        .route_stage(&profile(q1.id(), 2, vec![compute(500.0), dms(100.0)], 8192))
+        .route_stage(&profile(q1.id(), vec![compute(500.0), dms(100.0)], 8192))
         .expect("place q1 stage 0");
     q1.finish();
     q2.await_admission().expect("q2 admitted");
     sched
-        .route_stage(&profile(q2.id(), 1, vec![compute(300.0)], 2048))
+        .route_stage(&profile(q2.id(), vec![compute(300.0)], 2048))
         .expect("place q2 stage 0");
     q2.finish();
     sched.schedule_trace()
@@ -843,7 +806,6 @@ mod tests {
     #[test]
     fn empty_trace_is_clean() {
         let trace = SchedTrace {
-            mode: rapid_sched::DispatchMode::WorkStealing,
             cores: 32,
             dmem_bytes: 32768,
             max_active: 8,

@@ -8,18 +8,17 @@ use std::sync::Arc;
 use dpu_sim::account::CycleAccount;
 use dpu_sim::clock::Cycles;
 use rapid_qef::exec::{StageProfile, StageRouter};
-use rapid_sched::{DispatchMode, SchedConfig, Scheduler};
+use rapid_sched::{SchedConfig, Scheduler};
 use rapid_verify::schedcheck::{base_trace, check_schedule, check_trace, InterferenceMutation};
 use rapid_verify::Rule;
 
-/// Two queries on two host threads through a work-stealing scheduler:
-/// whatever order their stages arrived in, the recorded schedule is clean.
+/// Two queries on two host threads: whatever order their stage requests
+/// arrived in, the recorded schedule is clean.
 #[test]
-fn a_real_two_query_work_stealing_run_replays_clean() {
+fn a_real_two_query_run_replays_clean() {
     let sched = Arc::new(Scheduler::new(SchedConfig {
         max_active: 2,
         queue_capacity: 2,
-        mode: DispatchMode::WorkStealing,
         ..SchedConfig::default()
     }));
     let handles = [0, 1].map(|_| sched.submit(0, None).expect("room for two"));
@@ -32,10 +31,12 @@ fn a_real_two_query_work_stealing_run_replays_clean() {
                     compute.charge_compute(Cycles(cycles));
                     let mut dms = CycleAccount::new();
                     dms.charge_dms(Cycles(cycles / 4.0), 1024, 1);
+                    let mut accounts = vec![CycleAccount::new(); lanes];
+                    accounts[0].absorb(&compute);
+                    accounts[lanes - 1].absorb(&dms);
                     let stage = StageProfile {
                         query_id: h.id(),
-                        parallelism: lanes,
-                        items: vec![compute, dms],
+                        lanes: accounts,
                         dmem_peak: 8192,
                     };
                     sched.route_stage(&stage).expect("placed");

@@ -2,7 +2,7 @@
 //! with the schedule interference analyzer replayed on every batch.
 //!
 //! * `concurrent_fuzz_smoke_*` is the bounded CI sweep: seeded random
-//!   batches run through the work-stealing scheduler (one session thread
+//!   batches run through the scheduler (one session thread
 //!   per query, shared simulated DPU) and must return exactly the serial
 //!   rows; every batch's placement trace is additionally replayed through
 //!   `rapid-verify`'s C-* interference rules

@@ -4,11 +4,12 @@
 //! The invariants pinned here are the subsystem's contract:
 //!
 //! * scheduling never changes query *results* — a concurrent batch returns
-//!   exactly the rows a serial run produces, in both dispatch modes;
-//! * `DispatchMode::Deterministic` simulated timings are a pure function
-//!   of the submitted batch — bit-identical across runs;
+//!   exactly the rows a serial run produces;
+//! * simulated timings are a pure function of the submitted batch —
+//!   bit-identical across runs;
 //! * a query running alone through the scheduler reproduces the
-//!   engine-local stage rule within float-regrouping tolerance;
+//!   engine-local stage rule bit for bit: the router places the lanes the
+//!   engine ran;
 //! * concurrent admission beats the serial baseline on whole-DPU
 //!   utilization and makespan.
 
@@ -18,7 +19,7 @@ use proptest::prelude::*;
 
 use hostdb::{BatchQuery, HostDb};
 use rapid::qcomp::logical::LogicalPlan;
-use rapid::sched::{DispatchMode, SchedConfig};
+use rapid::sched::SchedConfig;
 
 /// One shared TPC-H database for every test: queries are read-only, and
 /// building it is the expensive part.
@@ -43,11 +44,10 @@ fn plans() -> Vec<(&'static str, LogicalPlan)> {
     tpch::queries::all()
 }
 
-fn cfg(mode: DispatchMode, max_active: usize, n: usize) -> SchedConfig {
+fn cfg(max_active: usize, n: usize) -> SchedConfig {
     SchedConfig {
         max_active,
         queue_capacity: n,
-        mode,
         ..SchedConfig::default()
     }
 }
@@ -55,7 +55,7 @@ fn cfg(mode: DispatchMode, max_active: usize, n: usize) -> SchedConfig {
 /// ≥8 concurrent TPC-H queries against one simulated DPU produce exactly
 /// the rows the serial path produces — the headline acceptance test.
 #[test]
-fn concurrent_batch_matches_serial_results_in_both_modes() {
+fn concurrent_batch_matches_serial_results() {
     let db = db();
     let all = plans();
     assert!(all.len() >= 8, "need at least 8 queries");
@@ -63,37 +63,33 @@ fn concurrent_batch_matches_serial_results_in_both_modes() {
         .iter()
         .map(|(name, lp)| (*name, db.execute_plan(lp).expect(name)))
         .collect();
-    for mode in [DispatchMode::Deterministic, DispatchMode::WorkStealing] {
-        let batch: Vec<BatchQuery> = all
-            .iter()
-            .map(|(_, lp)| BatchQuery::from_plan(lp.clone()))
-            .collect();
-        let outcome = db.execute_batch(&batch, cfg(mode, 8, batch.len()));
-        assert_eq!(outcome.results.len(), serial.len());
-        for ((name, expect), got) in serial.iter().zip(&outcome.results) {
-            let got = got
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{name} ({mode:?}): {e:?}"));
-            assert_eq!(got.columns, expect.columns, "{name} ({mode:?}) columns");
-            assert_eq!(got.rows, expect.rows, "{name} ({mode:?}) rows");
-        }
-        assert!(
-            outcome.sched.utilization.core_utilization > 0.0,
-            "stages were placed on the shared timeline"
-        );
+    let batch: Vec<BatchQuery> = all
+        .iter()
+        .map(|(_, lp)| BatchQuery::from_plan(lp.clone()))
+        .collect();
+    let outcome = db.execute_batch(&batch, cfg(8, batch.len()));
+    assert_eq!(outcome.results.len(), serial.len());
+    for ((name, expect), got) in serial.iter().zip(&outcome.results) {
+        let got = got.as_ref().unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert_eq!(got.columns, expect.columns, "{name} columns");
+        assert_eq!(got.rows, expect.rows, "{name} rows");
     }
+    assert!(
+        outcome.sched.utilization.core_utilization > 0.0,
+        "stages were placed on the shared timeline"
+    );
 }
 
-/// Deterministic mode: simulated timings are bit-identical across runs —
-/// no tolerance, straight `f64` equality on every latency and the makespan.
+/// Simulated timings are bit-identical across runs — no tolerance,
+/// straight `f64` equality on every latency and the makespan.
 #[test]
-fn deterministic_mode_is_bit_identical_across_runs() {
+fn a_batch_is_bit_identical_across_runs() {
     let db = db();
     let batch: Vec<BatchQuery> = plans()
         .iter()
         .map(|(_, lp)| BatchQuery::from_plan(lp.clone()))
         .collect();
-    let run = || db.execute_batch(&batch, cfg(DispatchMode::Deterministic, 4, batch.len()));
+    let run = || db.execute_batch(&batch, cfg(4, batch.len()));
     let (a, b) = (run(), run());
     assert_eq!(
         a.sched.utilization.makespan.as_secs(),
@@ -119,23 +115,23 @@ fn deterministic_mode_is_bit_identical_across_runs() {
 }
 
 /// A query running alone through the scheduler sees the engine-local stage
-/// rule (`dpu_sim::account::StageSpan`) — a routed stage only regroups
-/// per-lane float sums (items are charged into accounts of their own and
-/// absorbed), so allow relative ulp-level tolerance.
+/// rule (`dpu_sim::account::StageSpan`) over the same lanes, bit for bit.
 #[test]
 fn solo_query_through_scheduler_matches_engine_local_timing() {
     let db = db();
     for (name, lp) in plans() {
         let serial = db.execute_plan(&lp).expect(name);
         let batch = [BatchQuery::from_plan(lp.clone())];
-        let outcome = db.execute_batch(&batch, cfg(DispatchMode::Deterministic, 1, 1));
+        let outcome = db.execute_batch(&batch, cfg(1, 1));
         let solo = outcome.results[0]
             .as_ref()
             .unwrap_or_else(|e| panic!("{name}: {e:?}"));
-        let (a, b) = (serial.rapid_secs, solo.rapid_secs);
-        assert!(
-            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
-            "{name}: serial {a} vs solo-scheduled {b}"
+        assert_eq!(
+            serial.rapid_secs.to_bits(),
+            solo.rapid_secs.to_bits(),
+            "{name}: serial {} vs solo-scheduled {}",
+            serial.rapid_secs,
+            solo.rapid_secs
         );
     }
 }
@@ -149,8 +145,8 @@ fn concurrent_batch_beats_serial_utilization() {
         .iter()
         .map(|(_, lp)| BatchQuery::from_plan(lp.clone()))
         .collect();
-    let serial = db.execute_batch(&batch, cfg(DispatchMode::Deterministic, 1, batch.len()));
-    let concurrent = db.execute_batch(&batch, cfg(DispatchMode::Deterministic, 8, batch.len()));
+    let serial = db.execute_batch(&batch, cfg(1, batch.len()));
+    let concurrent = db.execute_batch(&batch, cfg(8, batch.len()));
     let (su, cu) = (&serial.sched.utilization, &concurrent.sched.utilization);
     assert!(
         cu.makespan.as_secs() < su.makespan.as_secs(),
@@ -177,7 +173,7 @@ fn zero_timeout_aborts_only_the_impatient_query() {
         BatchQuery::from_plan(all[1].1.clone()).with_timeout(std::time::Duration::from_secs(0)),
         BatchQuery::from_plan(all[2].1.clone()).with_priority(3),
     ];
-    let outcome = db.execute_batch(&batch, cfg(DispatchMode::Deterministic, 1, 3));
+    let outcome = db.execute_batch(&batch, cfg(1, 3));
     assert!(outcome.results[0].is_ok(), "untimed query unaffected");
     assert!(outcome.results[1].is_err(), "zero timeout must abort");
     assert!(outcome.results[2].is_ok(), "prioritized query unaffected");
@@ -193,14 +189,14 @@ fn zero_timeout_aborts_only_the_impatient_query() {
 fn execute_batch_panics_on_an_interfering_schedule_only() {
     let db = db();
     let batch = [BatchQuery::from_plan(plans()[0].1.clone())];
-    let clean = db.execute_batch(&batch, cfg(DispatchMode::WorkStealing, 1, 1));
+    let clean = db.execute_batch(&batch, cfg(1, 1));
     assert!(
         clean.sched.utilization.stages > 0,
         "the batch placed stages"
     );
     let cramped = SchedConfig {
         dmem_bytes: 64,
-        ..cfg(DispatchMode::WorkStealing, 1, 1)
+        ..cfg(1, 1)
     };
     let run = std::panic::AssertUnwindSafe(|| db.execute_batch(&batch, cramped));
     let panic = std::panic::catch_unwind(run)
@@ -216,27 +212,25 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 
     /// Property (satellite of the scheduler subsystem): ANY subset of the
-    /// TPC-H workload, with ANY priorities, scheduled in either mode,
-    /// returns exactly the serial rows for every query.
+    /// TPC-H workload, with ANY priorities, returns exactly the serial rows
+    /// for every query.
     #[test]
     fn any_batch_matches_serial(
         picks in proptest::collection::vec((0usize..11, 0u8..4), 2..9),
-        steal in any::<bool>(),
     ) {
         let db = db();
         let all = plans();
-        let mode = if steal { DispatchMode::WorkStealing } else { DispatchMode::Deterministic };
         let batch: Vec<BatchQuery> = picks
             .iter()
             .map(|(i, prio)| {
                 BatchQuery::from_plan(all[*i].1.clone()).with_priority(*prio)
             })
             .collect();
-        let outcome = db.execute_batch(&batch, cfg(mode, 4, batch.len()));
+        let outcome = db.execute_batch(&batch, cfg(4, batch.len()));
         for ((i, _), got) in picks.iter().zip(&outcome.results) {
             let (name, lp) = &all[*i];
             let expect = db.execute_plan(lp).expect(name);
-            let got = got.as_ref().unwrap_or_else(|e| panic!("{name} ({mode:?}): {e:?}"));
+            let got = got.as_ref().unwrap_or_else(|e| panic!("{name}: {e:?}"));
             prop_assert_eq!(&got.columns, &expect.columns, "{} columns", name);
             prop_assert_eq!(&got.rows, &expect.rows, "{} rows", name);
         }

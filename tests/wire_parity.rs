@@ -17,7 +17,7 @@
 use std::sync::{Arc, OnceLock};
 
 use hostdb::{BatchQuery, HostDb};
-use rapid::sched::{DispatchMode, SchedConfig};
+use rapid::sched::SchedConfig;
 use rapid::server::{Client, ClientError, Server, ServerConfig};
 use rapid::storage::types::Value;
 use rapid_fuzz::canonical;
@@ -186,11 +186,12 @@ fn concurrent_wire_sessions_match_direct_and_batch_results() {
 /// The headline acceptance test: concurrent admission sustains at least
 /// 2× the simulated-DPU throughput of one query at a time — the scheduler
 /// turns the DPU's fixed power budget into throughput. The ratio is taken
-/// where it is exact: `execute_batch` under deterministic dispatch places
-/// stages in barrier order, so both makespans repeat bit for bit, whereas
-/// the wire server's work-stealing timeline follows the host's thread
-/// interleaving. The 32-connection wire run below pins what the wire adds:
-/// the same rows, and no leaked thread.
+/// where it is exact: an `execute_batch` submits its queries whole, so both
+/// makespans repeat bit for bit. The wire server places stages in the same
+/// order, but its sessions submit when their frames arrive, and a query
+/// submitted after others have placed stages is placed behind them. The
+/// 32-connection wire run below pins what the wire adds: the same rows, and
+/// no leaked thread.
 #[test]
 fn thirty_two_connections_beat_double_the_serial_sim_throughput() {
     let db = db();
@@ -201,7 +202,6 @@ fn thirty_two_connections_beat_double_the_serial_sim_throughput() {
     let makespan = |max_active: usize| {
         let cfg = SchedConfig {
             max_active,
-            mode: DispatchMode::Deterministic,
             ..SchedConfig::default()
         };
         let outcome = db.execute_batch(&queries, cfg);
