@@ -34,14 +34,15 @@ if git grep -n -A3 -E "DataType::(Varchar|Date)\b[^,]*=>" -- 'crates/*/src/*' | 
     exit 1
 fi
 
-echo "== the library is what a query runs: every engine module has a caller =="
-# Every module file under crates/{qef,qcomp,storage,dpu-sim}/src is named by
-# non-test code outside its own file and its parent mod.rs/lib.rs; figures,
-# fuzzers, the TPC-H generator, examples and tests keep their own machinery
-# and do not count as callers (ROADMAP item 10):
-# Figure 4's task-formation search lives in crates/bench beside its example,
-# since the compiler no longer weighs formations. The one named exception,
-# dpu_sim::dms::partition, waits for ROADMAP 1(c).
+echo "== the library is what a request runs: every module of the eight request-path crates has a caller =="
+# Every module file under the src/ of dpu-sim, storage, qef, qcomp, verify,
+# sched, hostdb and server is named by non-test code outside its own file
+# and its parent mod.rs, with no exception. Every crate's src/ and src/bin
+# and the benchmark's rapid_bench/src count as callers; figures, fuzzers,
+# the TPC-H generator, examples and tests keep their own machinery in
+# crates/{bench,fuzz,tpch} and do not count (ROADMAP item 10): Figure 4's
+# task-formation search, Figure 8's DMS hardware partitioner and the
+# verifiers' mutation harnesses live in crates/bench.
 bash scripts/module_gate.sh
 
 echo "== cargo build --release =="
@@ -76,11 +77,13 @@ echo "== static plan verification (TPC-H sf 0.01 and 0.02 + fuzz corpus) + mutat
 # runs, so a pass whose rounds something after the compiler chose does not
 # get through here. `--full` lists one row per task: its operators, its one
 # vector size and the working set they hold together. The 11 plan rules check
-# the plan and nothing the verifier builds itself; the crate's tests hold a
-# mutation that trips each of them and of the 6 schedule rules (`Rule::ALL`).
+# the plan and nothing the verifier builds itself; rapid-report's mutation
+# tests hold a mutation that trips each of them and of the 6 schedule rules
+# (`Rule::ALL`, the harnesses in crates/bench/src/mutate.rs).
 cargo run -q --release -p rapid-report -- verify --sf 0.01
 cargo run -q --release -p rapid-report -- verify --sf 0.02
 cargo test -q --release -p rapid-verify
+cargo test -q --release -p rapid-report --test mutations --test schedcheck
 
 echo "== schedule interference verification + mutation kill matrix =="
 # A real scheduled TPC-H batch must pass the C-* analyzer (no false
@@ -91,11 +94,12 @@ cargo run -q --release -p rapid-report -- schedcheck --sf 0.01 --mutations
 
 echo "== hardware-model examples (dpu_hardware, task_formation) =="
 # Outside unit tests and Figure 8, dpu_hardware is the only run of the DMS
-# hardware partitioner and task_formation the only run of Figure 4's
-# exhaustive search (`optimize_tasks`, crates/bench): no compiler pass weighs
+# hardware partitioner (`hw_partition`, crates/bench) and task_formation the
+# only run of Figure 4's exhaustive search (`optimize_tasks`, crates/bench):
+# no query stage drives the partitioner, and no compiler pass weighs
 # formations, a task ends where its operators stop fitting DMEM. Compiled by
 # the clippy step above, both must also run to the end.
-cargo run -q --release --example dpu_hardware > /dev/null
+cargo run -q --release -p rapid-report --example dpu_hardware > /dev/null
 cargo run -q --release -p rapid-report --example task_formation > /dev/null
 
 echo "== trace and widths smoke (sf 0.01) =="

@@ -3,7 +3,7 @@
 //! cycle/energy accounting — the substrate under the query engine.
 //!
 //! ```text
-//! cargo run --release --example dpu_hardware
+//! cargo run --release -p rapid-report --example dpu_hardware
 //! ```
 
 use dpu_sim::account::Kernel;
@@ -11,11 +11,11 @@ use dpu_sim::ate;
 use dpu_sim::clock::rates;
 use dpu_sim::dms::descriptor::DescriptorLoop;
 use dpu_sim::dms::engine::DmsEngine;
-use dpu_sim::dms::partition::{HwPartitioner, PartitionStrategy};
 use dpu_sim::isa::{CostModel, KernelCost};
 use dpu_sim::power::PowerModel;
 use rapid_qef::actor::run_stage;
 use rapid_qef::exec::{CoreCtx, ExecContext};
+use rapid_report::hw_partition::{HwPartitioner, PartitionStrategy};
 
 fn main() {
     let cm = CostModel::default();

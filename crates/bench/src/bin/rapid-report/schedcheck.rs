@@ -20,8 +20,9 @@ use std::sync::Arc;
 
 use hostdb::BatchQuery;
 use rapid_qef::exec::ExecContext;
+use rapid_report::mutate::{base_trace, InterferenceMutation};
 use rapid_sched::{SchedConfig, Scheduler};
-use rapid_verify::schedcheck::{self, InterferenceMutation};
+use rapid_verify::schedcheck;
 
 use crate::args::{Args, UsageError};
 
@@ -61,7 +62,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
 
     if mutations {
         println!("\n== interference-mutation kill matrix (release) ==");
-        let base = schedcheck::base_trace();
+        let base = base_trace();
         let base_report = schedcheck::check_schedule(&base);
         let verdict = if base_report.ok() { "PASS" } else { "FAIL" };
         println!("  {:24} {verdict}  (must be clean)", "unmutated-baseline");

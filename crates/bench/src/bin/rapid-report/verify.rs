@@ -167,7 +167,7 @@ fn undeclared_passes(report: &VerifyReport) -> impl Iterator<Item = &StageReport
 mod tests {
     use super::*;
     use rapid_qef::plan::PlanNode;
-    use rapid_verify::mutate::{base_plan, demo_catalog, partition_groupby, set_scheme};
+    use rapid_report::mutate::{base_plan, demo_catalog, partition_groupby, set_scheme};
 
     #[test]
     fn a_pass_without_a_declared_fan_out_is_named() {

@@ -1,4 +1,8 @@
-//! Hardware partitioning: the DMS partition-while-transfer engines.
+//! Hardware partitioning: the DMS partition-while-transfer engines, the
+//! engine Figure 8 measures and `examples/dpu_hardware.rs` programs. No
+//! query stage runs it yet: every round of a partition pass is software on
+//! the dpCores (ROADMAP 1(c) puts round one here and moves this module back
+//! into `dpu_sim::dms` with it).
 //!
 //! §5.4 of the paper: the DMS buffers rows from DDR in CMEM banks, runs a
 //! CRC32 checksum into CRC memory (hash strategies) or matches against up to
@@ -14,10 +18,9 @@
 //! cost is the **max** of the stage costs, not their sum — this is what
 //! keeps all strategies of Figure 8 at the same ~9.3 GiB/s.
 
-use crate::crc32;
-use crate::isa::CostModel;
-
-use super::engine::{DmsCost, DmsEngine};
+use dpu_sim::crc32;
+use dpu_sim::dms::engine::{DmsCost, DmsEngine};
+use dpu_sim::isa::CostModel;
 
 /// Maximum hardware fan-out: one target per dpCore.
 pub const MAX_HW_FANOUT: usize = 32;
@@ -231,7 +234,10 @@ impl HwPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{rates, Cycles};
+    use dpu_sim::clock::{rates, Cycles};
+    use rapid_qef::exec::{CoreCtx, ExecContext};
+    use rapid_qef::primitives::hash::hash_rows;
+    use rapid_storage::vector::{ColumnData, Vector};
 
     fn bw_gibps(cost: &DmsCost) -> f64 {
         let cm = CostModel::default();
@@ -362,5 +368,22 @@ mod tests {
             hw.assign(&[&a, &b]).unwrap_err(),
             HwPartitionError::RaggedKeys
         );
+    }
+
+    #[test]
+    fn agrees_with_hardware_partitioner() {
+        // Software-partitioned rows must land in the same place a DMS
+        // hash-partition would put them — the paper's HW+SW combination
+        // depends on it.
+        let mut c = CoreCtx::new(&ExecContext::dpu(), 0);
+        let keys: Vec<i64> = (0..1000).map(|i| i * 31).collect();
+        let col = Vector::new(ColumnData::I64(keys.clone()));
+        let hashes = hash_rows(&mut c, &[&col]);
+        let hw =
+            HwPartitioner::new(PartitionStrategy::Hash { bits: 5 }, Default::default()).unwrap();
+        let hw_assign = hw.assign(&[&keys]).unwrap();
+        for (h, t) in hashes.iter().zip(&hw_assign) {
+            assert_eq!((h & 31), *t);
+        }
     }
 }

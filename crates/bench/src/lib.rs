@@ -8,6 +8,14 @@
 //! checks against `BENCH_baseline.json`. Wall-clock measurement is not
 //! done here: that is the repository benchmark in `rapid_bench/`.
 //!
+//! Two pieces of machinery live here because nothing on the request path
+//! runs them: [`hw_partition`], the DMS partition-while-transfer engine that
+//! Figure 8 and `examples/dpu_hardware.rs` measure (ROADMAP 1(c) moves it
+//! back into `dpu_sim` with its first request-path caller), and [`mutate`],
+//! the plan and schedule mutation harnesses behind `rapid-report
+//! schedcheck --mutations` and this crate's `mutations` and `schedcheck`
+//! tests.
+//!
 //! | function | reproduces |
 //! |---|---|
 //! | [`fig08_hw_partitioning`] | Fig 8: DMS hardware-partitioning bandwidth per strategy |
@@ -26,7 +34,9 @@
 
 #![warn(missing_docs)]
 
+pub mod hw_partition;
 mod mergejoin;
+pub mod mutate;
 pub mod report;
 pub mod task_formation;
 
@@ -34,7 +44,6 @@ use std::sync::Arc;
 
 use dpu_sim::clock::{rates, Cycles};
 use dpu_sim::dms::engine::DmsEngine;
-use dpu_sim::dms::partition::{HwPartitioner, PartitionStrategy};
 use dpu_sim::isa::CostModel;
 use dpu_sim::power::PowerModel;
 
@@ -49,6 +58,8 @@ use rapid_qef::plan::Catalog;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use hostdb::{ExecutionSite, HostDb};
+
+use crate::hw_partition::{HwPartitioner, PartitionStrategy};
 
 /// One measured point of a figure: label + value (+ unit).
 #[derive(Debug, Clone)]

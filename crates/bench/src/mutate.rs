@@ -1,27 +1,30 @@
-//! The plan-mutation harness: corrupt known-good inputs, prove each rule
-//! fires.
+//! The mutation harnesses: corrupt known-good inputs, prove each rule of
+//! `rapid_verify::Rule::ALL` fires.
 //!
 //! A verifier that never rejects anything is indistinguishable from one
 //! that checks nothing. This module builds a small demo catalog and a
 //! physical plan that verifies **clean** under the default configuration,
-//! then provides one mutation per invariant class — swap a column
+//! then provides one mutation per plan invariant class — swap a column
 //! reference out of bounds, inflate a fan-out past the DMS buffer limit,
 //! shrink DMEM under the working set — each of which must produce a
-//! diagnostic carrying its rule id. The `mutations` integration test
-//! asserts exactly that, for every class.
+//! diagnostic carrying its rule id. [`InterferenceMutation`] does the same
+//! for the `C-*` schedule rules over a trace a real scheduler recorded,
+//! [`base_trace`]. `rapid-report schedcheck --mutations` replays the
+//! schedule kill matrix in release; the crate's `mutations` and
+//! `schedcheck` tests assert both matrices.
 
 use std::sync::Arc;
 
+use dpu_sim::clock::Cycles;
 use rapid_qef::expr::{Expr, Pred};
 use rapid_qef::plan::{AggSpec, Catalog, GroupStrategy, JoinType, NamedExpr, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::filter::CmpOp;
+use rapid_sched::trace::SchedTrace;
 use rapid_storage::schema::{Field, Schema};
 use rapid_storage::table::TableBuilder;
 use rapid_storage::types::{DataType, Value};
-
-use crate::diag::Rule;
-use crate::VerifyConfig;
+use rapid_verify::{Rule, VerifyConfig, VerifyReport};
 
 /// Two-table demo catalog: a 2000-row fact table (unique `id`, 3-distinct
 /// `grp`, decimal `price`, small-domain `qty`, date `d`) and a 100-row
@@ -137,7 +140,7 @@ pub fn base_plan() -> PlanNode {
 /// What a mutation produced: the corrupted input to re-verify.
 #[derive(Debug, Clone)]
 pub enum Mutated {
-    /// A corrupted physical plan (verify with [`crate::verify`]).
+    /// A corrupted physical plan (verify with [`rapid_verify::verify`]).
     Plan(PlanNode),
     /// A corrupted engine configuration (verify the base plan under it).
     Config(VerifyConfig),
@@ -145,10 +148,10 @@ pub enum Mutated {
 
 impl Mutated {
     /// Verify what the mutation produced against `catalog`.
-    pub fn verify(&self, catalog: &Catalog) -> crate::VerifyReport {
+    pub fn verify(&self, catalog: &Catalog) -> VerifyReport {
         match self {
-            Mutated::Plan(p) => crate::verify(p, catalog, &VerifyConfig::default()),
-            Mutated::Config(cfg) => crate::verify(&base_plan(), catalog, cfg),
+            Mutated::Plan(p) => rapid_verify::verify(p, catalog, &VerifyConfig::default()),
+            Mutated::Config(cfg) => rapid_verify::verify(&base_plan(), catalog, cfg),
         }
     }
 }
@@ -309,13 +312,205 @@ pub fn partition_groupby(scheme: Vec<usize>) -> PlanNode {
     })
 }
 
+// ---------------------------------------------------------------------------
+// Mutation harness: one injected interference bug per C-* rule class.
+// ---------------------------------------------------------------------------
+
+/// A corrupted schedule trace and the rule it must trip.
+#[derive(Debug)]
+pub struct MutatedTrace {
+    /// Human-readable mutation name.
+    pub name: &'static str,
+    /// The corrupted trace.
+    pub trace: SchedTrace,
+    /// The rule the mutation must trip.
+    pub expected: Rule,
+}
+
+/// Every interference-bug class the mutation harness can inject, one per
+/// `C-*` rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InterferenceMutation {
+    /// Admission edge and core order contradict: the graph has a cycle.
+    InjectHbCycle,
+    /// A placement's DMS window shifted into its predecessor's.
+    OverlapDms,
+    /// A placement moved onto a core another stage still holds.
+    DoubleBookCore,
+    /// A placement's lane count inflated past the physical cores.
+    OvercommitDmem,
+    /// A placement's DMEM peak inflated past the scratchpad.
+    ExceedQueryBudget,
+    /// A stage dispatched before its predecessor completed.
+    EarlyPlace,
+}
+
+impl InterferenceMutation {
+    /// All mutation classes.
+    pub fn all() -> Vec<InterferenceMutation> {
+        vec![
+            InterferenceMutation::InjectHbCycle,
+            InterferenceMutation::OverlapDms,
+            InterferenceMutation::DoubleBookCore,
+            InterferenceMutation::OvercommitDmem,
+            InterferenceMutation::ExceedQueryBudget,
+            InterferenceMutation::EarlyPlace,
+        ]
+    }
+
+    /// The rule the mutation must trip.
+    pub fn expected_rule(&self) -> Rule {
+        match self {
+            InterferenceMutation::InjectHbCycle => Rule::HbCycle,
+            InterferenceMutation::OverlapDms => Rule::DmsExcl,
+            InterferenceMutation::DoubleBookCore => Rule::CoreExcl,
+            InterferenceMutation::OvercommitDmem => Rule::DmemCap,
+            InterferenceMutation::ExceedQueryBudget => Rule::QueryBudget,
+            InterferenceMutation::EarlyPlace => Rule::LostWakeup,
+        }
+    }
+
+    /// Apply the mutation to a fresh [`base_trace`].
+    pub fn apply(&self) -> MutatedTrace {
+        let mut trace = base_trace();
+        // Base layout (see `base_trace`): record 0 = q0 stage 0 (compute,
+        // cores {0,1}, [0, 1000)), record 1 = q0 stage 1 (DMS, core 2,
+        // [1000, 1200)), record 2 = q1 stage 0 (compute+DMS, cores {3,4},
+        // from 1000), record 3 = q2 stage 0 (compute, admitted after q0
+        // finished).
+        let name = match self {
+            InterferenceMutation::InjectHbCycle => {
+                // q2 was admitted after q0 finished (admission edge
+                // q0.last -> q2.first), but its record claims it ran on
+                // q0's DMS core *earlier in time* (core edge q2 -> q0.s1):
+                // a 2-cycle with no interval overlap anywhere.
+                let core = trace.placements[1].core_mask;
+                let r = &mut trace.placements[3];
+                r.core_mask = core;
+                r.lanes = 1;
+                r.ready = Cycles(100.0);
+                r.start = Cycles(100.0);
+                r.end = Cycles(400.0);
+                "inject-hb-cycle: admission edge vs core time order"
+            }
+            InterferenceMutation::OverlapDms => {
+                // Slide q1's DMS window into q0 stage 1's [1000, 1200).
+                let r = &mut trace.placements[2];
+                r.dms_start = Cycles(1100.0);
+                r.dms_end = Cycles(1200.0);
+                "overlap-dms: two transfer windows on the single engine"
+            }
+            InterferenceMutation::DoubleBookCore => {
+                // Put q1 stage 0 on q0 stage 1's core while both run.
+                let core = trace.placements[1].core_mask;
+                let r = &mut trace.placements[2];
+                r.core_mask = core;
+                r.lanes = 1;
+                "double-book-core: two stages hold one core at once"
+            }
+            InterferenceMutation::OvercommitDmem => {
+                // A scheduler bug granted more lanes than the DPU has:
+                // the aggregate footprint check catches it even though no
+                // two records overlap on any core.
+                let r = &mut trace.placements[0];
+                r.lanes = 200;
+                "overcommit-dmem: lane grant exceeds physical cores"
+            }
+            InterferenceMutation::ExceedQueryBudget => {
+                let r = &mut trace.placements[3];
+                r.dmem_peak = 40_000;
+                "exceed-query-budget: stage peak above the 32 KiB scratchpad"
+            }
+            InterferenceMutation::EarlyPlace => {
+                // q0 stage 1 dispatched at 500, before stage 0's barrier
+                // at 1000 — the lost-wakeup shape. Its core and DMS
+                // windows move with it, overlapping nothing.
+                let r = &mut trace.placements[1];
+                r.ready = Cycles(500.0);
+                r.start = Cycles(500.0);
+                r.end = Cycles(700.0);
+                r.dms_start = Cycles(500.0);
+                r.dms_end = Cycles(700.0);
+                "early-place: stage dispatched before its predecessor's barrier"
+            }
+        };
+        MutatedTrace {
+            name,
+            trace,
+            expected: self.expected_rule(),
+        }
+    }
+}
+
+/// A small known-good trace, produced by driving a real scheduler (not
+/// hand-built), so the mutations corrupt exactly what production runs
+/// record.
+pub fn base_trace() -> SchedTrace {
+    use dpu_sim::account::CycleAccount;
+    use rapid_qef::exec::{StageProfile, StageRouter};
+    use rapid_sched::{SchedConfig, Scheduler};
+
+    fn compute(cycles: f64) -> CycleAccount {
+        let mut a = CycleAccount::new();
+        a.charge_compute(Cycles(cycles));
+        a
+    }
+    fn dms(cycles: f64) -> CycleAccount {
+        let mut a = CycleAccount::new();
+        a.charge_dms(Cycles(cycles), 1024, 1);
+        a
+    }
+    fn profile(qid: u64, lanes: Vec<CycleAccount>, peak: u64) -> StageProfile {
+        StageProfile {
+            query_id: qid,
+            lanes,
+            dmem_peak: peak,
+        }
+    }
+
+    // One thread places every stage, so it asks in the scheduler's own
+    // order: the admitted query with the smallest (ready, id) first. q1
+    // arrives at 1000, where q0's second stage becomes ready.
+    let sched = Arc::new(Scheduler::new(SchedConfig {
+        max_active: 2,
+        queue_capacity: 4,
+        ..SchedConfig::default()
+    }));
+    let q0 = sched.submit(0, None).expect("queue has room");
+    let q1 = sched
+        .submit_at(0, None, Some(Cycles(1000.0)))
+        .expect("queue has room");
+    let q2 = sched.submit(0, None).expect("queue has room");
+    sched
+        .route_stage(&profile(
+            q0.id(),
+            vec![compute(1000.0), compute(900.0)],
+            8192,
+        ))
+        .expect("place q0 stage 0");
+    sched
+        .route_stage(&profile(q0.id(), vec![dms(200.0)], 4096))
+        .expect("place q0 stage 1");
+    q0.finish(); // admits q2 at q0's completion instant
+    sched
+        .route_stage(&profile(q1.id(), vec![compute(500.0), dms(100.0)], 8192))
+        .expect("place q1 stage 0");
+    q1.finish();
+    q2.await_admission().expect("q2 admitted");
+    sched
+        .route_stage(&profile(q2.id(), vec![compute(300.0)], 2048))
+        .expect("place q2 stage 0");
+    q2.finish();
+    sched.schedule_trace()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn base_plan_verifies_clean() {
-        let report = crate::verify(&base_plan(), &demo_catalog(), &VerifyConfig::default());
+        let report = rapid_verify::verify(&base_plan(), &demo_catalog(), &VerifyConfig::default());
         assert!(
             report.diagnostics.is_empty(),
             "base plan must be clean: {:?}",

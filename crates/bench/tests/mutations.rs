@@ -1,10 +1,9 @@
 //! The mutation harness contract: every rule has a mutation, every mutation
 //! is rejected with its rule id, and the un-mutated plan verifies clean.
 
+use rapid_report::mutate::{base_plan, demo_catalog, InterferenceMutation, Mutated, Mutation};
 use rapid_verify::diag::Severity;
-use rapid_verify::mutate::{base_plan, demo_catalog, Mutated, Mutation};
-use rapid_verify::schedcheck::InterferenceMutation;
-use rapid_verify::{verify, Rule, VerifyConfig};
+use rapid_verify::{check, verify, Rule, VerifyConfig};
 
 #[test]
 fn every_rule_is_the_expected_rule_of_a_mutation() {
@@ -160,8 +159,8 @@ fn a_partitioned_group_by_is_checked_like_a_join_pass() {
     // join's sides are 5. Its pass buffers 64 ways, not 128, and the stage
     // table carries the fan-outs it declares.
     use rapid_qef::plan::PlanNode;
+    use rapid_report::mutate::partition_groupby;
     use rapid_verify::diag::Rule;
-    use rapid_verify::mutate::partition_groupby;
     let cat = demo_catalog();
     let report_of = |plan: &PlanNode| verify(plan, &cat, &VerifyConfig::default());
     for fits in [vec![32], vec![64], vec![8, 4]] {
@@ -202,7 +201,7 @@ fn a_join_of_no_rounds_is_broadcast_and_starves_no_core() {
     // A join of no rounds partitions nothing, so A-SCHEME-CORES has no
     // partitions to count: every core holds the whole build side's table.
     // One round of two still leaves thirty cores idle, and warns.
-    use rapid_verify::mutate::set_scheme;
+    use rapid_report::mutate::set_scheme;
     let cat = demo_catalog();
     let report = verify(&set_scheme(vec![]), &cat, &VerifyConfig::default());
     assert!(report.diagnostics.is_empty(), "{report:?}");
@@ -311,4 +310,22 @@ fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
         stages,
         [("map", "scan(t_fact) -> map"), ("groupby.consume", "")]
     );
+}
+
+#[test]
+fn check_is_ok_for_the_demo_plan() {
+    let cat = demo_catalog();
+    assert_eq!(check(&base_plan(), &cat, &VerifyConfig::default()), Ok(()));
+}
+
+#[test]
+fn check_renders_rule_ids_into_the_error() {
+    let cat = demo_catalog();
+    let plan = base_plan();
+    let cfg = VerifyConfig {
+        dmem_bytes: 1024,
+        ..VerifyConfig::default()
+    };
+    let err = check(&plan, &cat, &cfg).unwrap_err();
+    assert!(err.contains("R-DMEM-FIT"), "{err}");
 }

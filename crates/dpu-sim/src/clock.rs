@@ -178,14 +178,6 @@ impl fmt::Display for SimTime {
 pub mod rates {
     use super::SimTime;
 
-    /// Rows per second given a row count and an elapsed simulated time.
-    pub fn rows_per_sec(rows: u64, elapsed: SimTime) -> f64 {
-        if elapsed.as_secs() <= 0.0 {
-            return 0.0;
-        }
-        rows as f64 / elapsed.as_secs()
-    }
-
     /// GiB per second given a byte count and an elapsed simulated time.
     pub fn gib_per_sec(bytes: u64, elapsed: SimTime) -> f64 {
         if elapsed.as_secs() <= 0.0 {
@@ -219,14 +211,12 @@ mod tests {
     #[test]
     fn rates_are_sane() {
         let t = SimTime::from_secs(2.0);
-        assert_eq!(rates::rows_per_sec(1000, t), 500.0);
         let one_gib = 1u64 << 30;
         assert!((rates::gib_per_sec(2 * one_gib, t) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_elapsed_reports_zero_rate() {
-        assert_eq!(rates::rows_per_sec(10, SimTime::ZERO), 0.0);
         assert_eq!(rates::gib_per_sec(10, SimTime::ZERO), 0.0);
     }
 

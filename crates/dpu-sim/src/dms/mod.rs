@@ -14,13 +14,14 @@
 //!
 //! * [`descriptor`] — descriptors and descriptor loops as data,
 //! * [`engine`] — the timing model for streaming reads/writes/gathers
-//!   ([`engine::DmsEngine`]), calibrated against Figure 9,
-//! * [`partition`] — functional hardware partitioning (it really assigns
-//!   every row to a target core) with timing calibrated against Figure 8.
+//!   ([`engine::DmsEngine`]), calibrated against Figure 9.
+//!
+//! The partition-while-transfer engine is not here: no query stage runs it
+//! yet, so it lives beside Figure 8, its one measurement, in `rapid-report`
+//! (`rapid_report::hw_partition`) until ROADMAP 1(c) puts it on the request
+//! path.
 
 pub mod descriptor;
 pub mod engine;
-pub mod partition;
 
 pub use engine::{DmsCost, DmsEngine};
-pub use partition::{HwPartitioner, PartitionStrategy};

@@ -27,7 +27,9 @@
 //! constants are calibrated against every operating point the paper reports
 //! (filter = 1.65 cycles/tuple, DMS ≥ 9 GiB/s at 128-row tiles, hardware
 //! partitioning ≈ 9.3 GiB/s, join build ≈ 46 M rows/s/core at 256-row tiles,
-//! …). Each calibration point is pinned by a unit test in this crate.
+//! …). Each calibration point is pinned by a unit test in this crate, except
+//! hardware partitioning's: that engine is modelled beside Figure 8 in
+//! `rapid-report`, whose tests pin it, until a query stage runs it.
 //!
 //! ## Module map
 //!
@@ -38,7 +40,7 @@
 //! | [`account`] | per-core [`account::CycleAccount`] (cycles + event counters) and the stage rule, [`account::StageSpan`]: lane accounts → stage duration |
 //! | [`dmem`] | the 32 KiB scratchpad budget allocator |
 //! | [`crc32`] | the hardware CRC32 hash engine (software model) |
-//! | [`dms`] | descriptor-programmed transfers and partition-while-transfer engines |
+//! | [`dms`] | descriptor-programmed transfers and their timing |
 //! | [`ate`] | the hop latency of a core-to-core message, within or across a macro |
 //! | [`power`] | provisioned-power / energy model for perf-per-watt numbers |
 //!

@@ -6,6 +6,8 @@
 //! DSB comparisons are exact mantissa math — `to_f64` would hide
 //! precision loss exactly where these values live.
 
+use std::ops::{Bound, RangeBounds};
+
 use rapid_fuzz::datagen::{gen_extreme_i64s, EXTREME_INTS, STRING_POOL};
 use rapid_fuzz::rng::{mix, Rng};
 use rapid_storage::encoding::dict::Dictionary;
@@ -74,13 +76,11 @@ fn decimal_columns_store_mixed_scales_exactly() {
 
 #[test]
 fn dictionary_roundtrips_the_adversarial_string_pool() {
-    let mut d = Dictionary::build(STRING_POOL.iter().copied());
+    let d = Dictionary::build(STRING_POOL.iter().copied());
     // Every pool string (duplicates collapse) maps code <-> value exactly.
     for s in STRING_POOL {
         let code = d.code_of(s).expect("pool string must be present");
         assert_eq!(d.value_of(code), Some(s));
-        // Re-inserting is a no-op returning the same code.
-        assert_eq!(d.insert(s), code);
     }
     assert_eq!(d.len(), STRING_POOL.len());
     assert_eq!(d.code_of("not-in-pool"), None);
@@ -90,8 +90,24 @@ fn dictionary_roundtrips_the_adversarial_string_pool() {
 fn dictionary_prefix_and_contains_agree_with_like() {
     let d = Dictionary::build(STRING_POOL.iter().copied());
     // prefix_codes(p) must mark exactly the codes whose value matches
-    // LIKE 'p%'; contains_codes(n) exactly those matching LIKE '%n%'.
+    // LIKE 'p%'; contains_codes(n) exactly those matching LIKE '%n%'; and
+    // code_range exactly the codes whose value passes `<`, `<=`, `>` or
+    // `>=` the probe.
     for probe in ["a", "ap", "grape", "", "pe", "_", "%"] {
+        for range in [
+            (Bound::Unbounded, Bound::Excluded(probe)),
+            (Bound::Unbounded, Bound::Included(probe)),
+            (Bound::Excluded(probe), Bound::Unbounded),
+            (Bound::Included(probe), Bound::Unbounded),
+        ] {
+            let filtered: Vec<usize> = (0..d.len())
+                .filter(|&code| range.contains(&d.values()[code].as_str()))
+                .collect();
+            let by_range: Vec<usize> = d
+                .code_range(range.0, range.1)
+                .map_or(Vec::new(), |(lo, hi)| (lo as usize..=hi as usize).collect());
+            assert_eq!(by_range, filtered, "range {range:?}");
+        }
         let by_prefix = d.prefix_codes(probe);
         let by_contains = d.contains_codes(probe);
         for (code, value) in d.values().iter().enumerate() {

@@ -486,12 +486,6 @@ impl HostDb {
         Ok(PreparedStatement { sql: sql.into() })
     }
 
-    /// Execute a prepared statement (the cache-hit fast path of
-    /// [`execute_sql`](Self::execute_sql)).
-    pub fn execute_prepared(&self, stmt: &PreparedStatement) -> Result<QueryResult, DbError> {
-        self.execute_sql(&stmt.sql)
-    }
-
     /// Run the static verifier over the compiled plan of `sql` (the
     /// `EXPLAIN VERIFY` prefix is optional) *without executing it*:
     /// returns the per-stage DMEM / effective-tile / fan-out / descriptor
@@ -1834,7 +1828,7 @@ mod tests {
         // epoch twice per Mixed query and stale every cached plan.
         let d = db_with_unloaded_dimension();
         let ps = d.prepare("SELECT COUNT(*) AS n FROM sales").unwrap();
-        d.execute_prepared(&ps).unwrap();
+        d.execute_sql(ps.sql()).unwrap();
         let before = d.plan_cache_stats();
         let mixed = d
             .execute_sql(
@@ -1843,7 +1837,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(mixed.site, ExecutionSite::Mixed);
-        d.execute_prepared(&ps).unwrap();
+        d.execute_sql(ps.sql()).unwrap();
         let after = d.plan_cache_stats();
         assert_eq!(after.invalidations, before.invalidations);
         assert_eq!(after.hits, before.hits + 1, "the prepared plan was reused");
@@ -1971,12 +1965,12 @@ mod tests {
             .prepare("SELECT region, COUNT(*) AS n FROM sales GROUP BY region ORDER BY region")
             .unwrap();
         let direct = d.execute_sql(ps.sql()).unwrap();
-        let via = d.execute_prepared(&ps).unwrap();
+        let via = d.execute_sql(ps.sql()).unwrap();
         assert_eq!(via.rows, direct.rows);
         assert!(d.plan_cache_stats().hits >= 1, "prepare warmed the cache");
         // DDL after prepare: execution transparently re-plans.
         d.create_table("other", Schema::new(vec![Field::new("x", DataType::Int)]));
-        assert_eq!(d.execute_prepared(&ps).unwrap().rows, direct.rows);
+        assert_eq!(d.execute_sql(ps.sql()).unwrap().rows, direct.rows);
         // Invalid SQL is rejected at prepare time with the parse error.
         let err = d.prepare("SELECT FROM nothing").unwrap_err();
         assert_eq!(err.kind(), "Sql");

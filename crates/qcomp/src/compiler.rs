@@ -881,9 +881,9 @@ fn lower_cmp(
     }
 }
 
-/// Compile `string-col <op> 'literal'` via the dictionary: a plain code
-/// compare when codes are order-preserving, a qualifying-code bitmap
-/// otherwise (the encoding selection of §5.2).
+/// Compile `string-col <op> 'literal'` via the dictionary: codes are
+/// order-preserving, so a range is a plain code compare (the encoding
+/// selection of §5.2).
 fn compile_string_cmp(
     col: usize,
     op: CmpOp,
@@ -917,19 +917,13 @@ fn compile_string_cmp(
                 CmpOp::Ge => (Bound::Included(s), Bound::Unbounded),
                 _ => unreachable!(),
             };
-            if let Some((a, b)) = dict.code_range(lo, hi) {
-                Pred::Between {
+            match dict.code_range(lo, hi) {
+                Some((a, b)) => Pred::Between {
                     col,
                     lo: a as i64,
                     hi: b as i64,
-                }
-            } else if dict.codes_ordered() {
-                Pred::Const(false) // ordered dict, empty range
-            } else {
-                Pred::InCodes {
-                    col,
-                    codes: dict.range_codes(lo, hi),
-                }
+                },
+                None => Pred::Const(false),
             }
         }
     }

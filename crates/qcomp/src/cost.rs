@@ -410,7 +410,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
                             d.min = Some(1);
                             d.max = Some((2 * k).max(1));
                             d.bounds = vec![k.max(1); d.bounds.len().max(2)];
-                            d.histogram = vec![groups as u64];
+                            d.non_null = groups as u64;
                         }
                     }
                     d

@@ -30,13 +30,6 @@ pub struct PartitionScheme {
     pub cost_cycles: f64,
 }
 
-impl PartitionScheme {
-    /// Total partitions produced.
-    pub fn total_partitions(&self) -> usize {
-        self.rounds.iter().product()
-    }
-}
-
 /// Inputs to the scheme optimizer.
 #[derive(Debug, Clone)]
 pub struct PartitionOptInput {
@@ -241,7 +234,7 @@ mod tests {
         // partitions, which one 64-way round delivers without spilling.
         let cm = CostModel::default();
         let scheme = optimize_partition_scheme(&cm, &input(100_000));
-        assert_eq!(scheme.total_partitions(), 64);
+        assert_eq!(scheme.rounds.iter().product::<usize>(), 64);
         assert_eq!(scheme.rounds, vec![64], "64-way fits one round");
     }
 
@@ -259,7 +252,10 @@ mod tests {
         // target = max(8GB/16KiB...) compute: 1M rows x 8B / 16KiB = 512 -> 512 partitions
         let scheme = optimize_partition_scheme(&cm, &inp);
         assert!(scheme.rounds.iter().all(|&f| f <= 16));
-        assert_eq!(scheme.total_partitions(), required_partitions(&inp));
+        assert_eq!(
+            scheme.rounds.iter().product::<usize>(),
+            required_partitions(&inp)
+        );
         // Non-increasing and reasonably symmetric.
         assert!(scheme.rounds.windows(2).all(|w| w[0] >= w[1]));
         let spread = scheme.rounds.iter().max().unwrap() / scheme.rounds.iter().min().unwrap();

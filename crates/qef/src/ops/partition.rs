@@ -6,9 +6,9 @@
 //! (`compute_partition_map`) and gathers them partition by partition into
 //! **local buffers in DMEM**, flushed to DRAM when they fill — turning
 //! random partition writes into sequential ones. The DMS's own
-//! partition-while-transfer engine is modelled (`dpu_sim::dms::partition`)
-//! and measured on its own (Figure 8, `examples/dpu_hardware.rs`), but no
-//! query stage drives it yet.
+//! partition-while-transfer engine is modelled beside Figure 8, its one
+//! measurement (`rapid_report::hw_partition`), and no query stage drives it
+//! yet.
 //!
 //! Every dpCore partitions at once, and what a core does to the rows it owns
 //! is one step ([`RoundStep`]): it hashes them, computes their partition map

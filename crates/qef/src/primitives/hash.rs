@@ -116,24 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_hardware_partitioner() {
-        // Software-partitioned rows must land in the same place a DMS
-        // hash-partition would put them — the paper's HW+SW combination
-        // depends on it.
-        use dpu_sim::dms::partition::{HwPartitioner, PartitionStrategy};
-        let mut c = ctx();
-        let keys: Vec<i64> = (0..1000).map(|i| i * 31).collect();
-        let col = Vector::new(ColumnData::I64(keys.clone()));
-        let hashes = hash_rows(&mut c, &[&col]);
-        let hw =
-            HwPartitioner::new(PartitionStrategy::Hash { bits: 5 }, Default::default()).unwrap();
-        let hw_assign = hw.assign(&[&keys]).unwrap();
-        for (h, t) in hashes.iter().zip(&hw_assign) {
-            assert_eq!((h & 31), *t);
-        }
-    }
-
-    #[test]
     fn bucket_mixing_decorrelates_partition_bits() {
         // Keys that share their low 5 hash bits (same partition after a
         // 32-way round) must still spread across buckets.

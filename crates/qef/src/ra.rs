@@ -13,7 +13,7 @@
 //! | sequential read | [`stream`](RelationAccessor::stream) | the scan's stream path (all its columns, once per lane) and the first pass of its selective path (the pass's predicate columns) |
 //! | gather | [`charge_gather`](RelationAccessor::charge_gather), [`gather_cost`](RelationAccessor::gather_cost) + [`rowset_cost`](RelationAccessor::rowset_cost) | the selective path: later passes fetch their columns at the surviving rows, the projection is fetched last at the final row set |
 //! | sequential write | [`seq_write_cost`](RelationAccessor::seq_write_cost) | partition lanes flushing their local buffers (a round after the first also pays [`seq_read_cost`](RelationAccessor::seq_read_cost) for what the round before wrote), join and group-by materialization |
-//! | partitioned | `dpu_sim::dms::partition` | no query stage: the DMS's partition-while-transfer engine is measured on its own (Figure 8, `examples/dpu_hardware.rs`); every round of a partition pass is software on the dpCores, its traffic the sequential patterns above |
+//! | partitioned | none | no query stage: the DMS's partition-while-transfer engine is modelled beside Figure 8, its one measurement (`rapid_report::hw_partition`, `crates/bench/examples/dpu_hardware.rs`); every round of a partition pass is software on the dpCores, its traffic the sequential patterns above |
 //!
 //! Streamed rows are read where they lie — the simulator's DRAM is the
 //! host heap — so the patterns hand nothing back: they charge, and the

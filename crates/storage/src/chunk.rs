@@ -11,12 +11,10 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vector::Vector;
 
 /// A row slice of a relation in columnar layout: one [`Vector`] per column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     vectors: Arc<Vec<Vector>>,
     rows: usize,

@@ -1,11 +1,9 @@
 //! Relational schemas.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{DataType, Value};
 
 /// One column of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name.
     pub name: String,
@@ -36,7 +34,7 @@ impl Field {
 }
 
 /// An ordered set of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     /// The fields, in column order.
     pub fields: Vec<Field>,

@@ -14,9 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::types::Value;
 
 /// A system change number: a monotonically increasing logical timestamp.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Scn(pub u64);
 
 impl Scn {

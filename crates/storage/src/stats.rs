@@ -6,18 +6,13 @@
 //! the group-by strategy choice (NDV-driven, §5.4) and the hash-join
 //! partition sizing (§6) all consume these statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::chunk::Chunk;
-
-/// Number of buckets in the equi-width histograms.
-pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Number of buckets in the equi-depth histograms (quantile boundaries).
 pub const EQUIDEPTH_BUCKETS: usize = 32;
 
 /// Statistics for one column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Minimum non-null value (widened), `None` for all-null/empty columns.
     pub min: Option<i64>,
@@ -27,13 +22,11 @@ pub struct ColumnStats {
     pub ndv: u64,
     /// Number of NULLs.
     pub null_count: u64,
-    /// Equi-width histogram over `[min, max]` of non-null values.
-    pub histogram: Vec<u64>,
+    /// Number of non-null values.
+    pub non_null: u64,
     /// Equi-depth histogram: `EQUIDEPTH_BUCKETS + 1` sorted quantile
     /// boundaries over the non-null values (first = min, last = max).
-    /// Empty for all-null/empty columns and for stats serialized before
-    /// this field existed.
-    #[serde(default)]
+    /// Empty exactly when there is no non-null value.
     pub bounds: Vec<i64>,
 }
 
@@ -54,23 +47,6 @@ impl ColumnStats {
     /// statistics come from.
     pub(crate) fn of_sorted(sorted: &[i64], null_count: u64) -> ColumnStats {
         let (min, max) = (sorted.first().copied(), sorted.last().copied());
-        let mut histogram = vec![0u64; HISTOGRAM_BUCKETS];
-        if let (Some(lo), Some(hi)) = (min, max) {
-            let span = (hi as i128 - lo as i128).max(1) as f64;
-            let bucket = |v: i64| {
-                let b = (((v as i128 - lo as i128) as f64 / span) * (HISTOGRAM_BUCKETS - 1) as f64)
-                    .round() as usize;
-                b.min(HISTOGRAM_BUCKETS - 1)
-            };
-            // Every step of `bucket` rounds monotonically, so over sorted
-            // values a bucket's members are one run, found by bisection.
-            let mut start = 0;
-            for (b, count) in histogram.iter_mut().enumerate() {
-                let end = start + sorted[start..].partition_point(|&v| bucket(v) <= b);
-                *count = (end - start) as u64;
-                start = end;
-            }
-        }
         let ndv =
             sorted.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!sorted.is_empty());
         ColumnStats {
@@ -78,7 +54,7 @@ impl ColumnStats {
             max,
             ndv: ndv as u64,
             null_count,
-            histogram,
+            non_null: sorted.len() as u64,
             bounds: equi_depth_bounds(sorted),
         }
     }
@@ -97,9 +73,7 @@ impl ColumnStats {
         };
         self.ndv = self.ndv.max(other.ndv);
         self.null_count += other.null_count;
-        for (h, o) in self.histogram.iter_mut().zip(&other.histogram) {
-            *h += o;
-        }
+        self.non_null += other.non_null;
         // Quantiles of a union cannot be recovered from the partition
         // quantiles exactly; re-sample the pooled boundary points. This is
         // an approximation (partition sizes are not weighted), in the same
@@ -120,8 +94,7 @@ impl ColumnStats {
 
     /// Fraction of rows that are NULL (0.0 when the column is empty).
     pub fn null_fraction(&self) -> f64 {
-        let non_null: u64 = self.histogram.iter().sum();
-        let total = non_null + self.null_count;
+        let total = self.non_null + self.null_count;
         if total == 0 {
             0.0
         } else {
@@ -157,9 +130,8 @@ impl ColumnStats {
 
     /// Estimated selectivity of `value <op> bound` style range predicates:
     /// fraction of non-null rows in `[lo, hi]` (inclusive, widened
-    /// domain). Prefers the equi-depth histogram (rank interpolation,
-    /// robust to skew and outlier-stretched domains) and falls back to the
-    /// equi-width one for stats that predate `bounds`.
+    /// domain), by rank interpolation over the equi-depth histogram (robust
+    /// to skew and outlier-stretched domains).
     pub fn range_selectivity(&self, lo: Option<i64>, hi: Option<i64>) -> f64 {
         let (Some(cmin), Some(cmax)) = (self.min, self.max) else {
             return 0.0;
@@ -169,27 +141,12 @@ impl ColumnStats {
         if lo > hi {
             return 0.0;
         }
-        if !self.bounds.is_empty() {
-            // P(lo <= v <= hi) = EDF(hi) - EDF(lo - 1) over the integer
-            // widened domain; floored at the equality mass so point
-            // ranges do not vanish between quantile boundaries.
-            let below_lo = lo.checked_sub(1).map_or(0.0, |x| self.edf(x));
-            let sel = (self.edf(hi) - below_lo).clamp(0.0, 1.0);
-            return sel.max(self.eq_selectivity().min(1.0));
-        }
-        let total: u64 = self.histogram.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let span = (cmax as i128 - cmin as i128).max(1) as f64;
-        let b_lo = (((lo as i128 - cmin as i128) as f64 / span) * (HISTOGRAM_BUCKETS - 1) as f64)
-            .floor() as usize;
-        let b_hi = (((hi as i128 - cmin as i128) as f64 / span) * (HISTOGRAM_BUCKETS - 1) as f64)
-            .ceil() as usize;
-        let hits: u64 = self.histogram[b_lo..=b_hi.min(HISTOGRAM_BUCKETS - 1)]
-            .iter()
-            .sum();
-        (hits as f64 / total as f64).clamp(0.0, 1.0)
+        // P(lo <= v <= hi) = EDF(hi) - EDF(lo - 1) over the integer
+        // widened domain; floored at the equality mass so point ranges do
+        // not vanish between quantile boundaries.
+        let below_lo = lo.checked_sub(1).map_or(0.0, |x| self.edf(x));
+        let sel = (self.edf(hi) - below_lo).clamp(0.0, 1.0);
+        sel.max(self.eq_selectivity().min(1.0))
     }
 
     /// Estimated selectivity of an equality predicate (1/NDV, uniform).
@@ -215,7 +172,7 @@ fn equi_depth_bounds(sorted: &[i64]) -> Vec<i64> {
 }
 
 /// Statistics for one table.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableStats {
     /// Total row count.
     pub rows: u64,
@@ -269,7 +226,7 @@ mod tests {
         assert_eq!(s.max, Some(9));
         assert_eq!(s.ndv, 4);
         assert_eq!(s.null_count, 0);
-        assert_eq!(s.histogram.iter().sum::<u64>(), 5);
+        assert_eq!(s.non_null, 5);
     }
 
     #[test]
@@ -298,7 +255,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.min, Some(1));
         assert_eq!(a.max, Some(20));
-        assert_eq!(a.histogram.iter().sum::<u64>(), 5);
+        assert_eq!(a.non_null, 5);
     }
 
     #[test]
@@ -349,22 +306,9 @@ mod tests {
         assert_eq!(ColumnStats::compute(&[], |_| false).null_fraction(), 0.0);
     }
 
-    #[test]
-    fn stats_without_bounds_deserialize_and_fall_back() {
-        // Stats serialized before `bounds` existed must load (serde
-        // default) and take the equi-width estimation path.
-        let mut s = ColumnStats::compute(&(0..1000).collect::<Vec<i64>>(), |_| false);
-        s.bounds = Vec::new();
-        let json = serde_json::to_string(&s).unwrap();
-        let trimmed: ColumnStats = serde_json::from_str(&json).unwrap();
-        assert!(trimmed.bounds.is_empty());
-        let sel = trimmed.range_selectivity(Some(0), Some(249));
-        assert!((sel - 0.25).abs() < 0.05, "sel = {sel}");
-    }
-
     /// The statistics as they were computed before the sorted pass: min and
-    /// max by folding, NDV by hashing every value, the histogram and the
-    /// quantile bounds from a second pass.
+    /// max by folding, NDV by hashing every value, the non-null count and
+    /// the quantile bounds from a second pass.
     fn hashed_reference(values: &[i64], is_null: impl Fn(usize) -> bool) -> ColumnStats {
         let mut min = None;
         let mut max = None;
@@ -379,27 +323,17 @@ mod tests {
             max = Some(max.map_or(v, |m: i64| m.max(v)));
             distinct.insert(v);
         }
-        let mut histogram = vec![0u64; HISTOGRAM_BUCKETS];
-        let mut non_null: Vec<i64> = Vec::with_capacity(values.len());
-        if let (Some(lo), Some(hi)) = (min, max) {
-            let span = (hi as i128 - lo as i128).max(1) as f64;
-            for (i, &v) in values.iter().enumerate() {
-                if is_null(i) {
-                    continue;
-                }
-                let b = (((v as i128 - lo as i128) as f64 / span) * (HISTOGRAM_BUCKETS - 1) as f64)
-                    .round() as usize;
-                histogram[b.min(HISTOGRAM_BUCKETS - 1)] += 1;
-                non_null.push(v);
-            }
-        }
+        let mut non_null: Vec<i64> = (0..values.len())
+            .filter(|&i| !is_null(i))
+            .map(|i| values[i])
+            .collect();
         non_null.sort_unstable();
         ColumnStats {
             min,
             max,
             ndv: distinct.len() as u64,
             null_count,
-            histogram,
+            non_null: non_null.len() as u64,
             bounds: equi_depth_bounds(&non_null),
         }
     }
@@ -439,7 +373,7 @@ mod tests {
             prop_assert_eq!(got.max, want.max);
             prop_assert_eq!(got.ndv, want.ndv);
             prop_assert_eq!(got.null_count, want.null_count);
-            prop_assert_eq!(&got.histogram, &want.histogram);
+            prop_assert_eq!(got.non_null, want.non_null);
             prop_assert_eq!(&got.bounds, &want.bounds);
         }
     }

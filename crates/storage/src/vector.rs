@@ -10,12 +10,10 @@
 //! and for DMS byte accounting, which is why they are preserved here rather
 //! than widened at load time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitvec::BitVec;
 
 /// Physical column data at one of the four supported fixed widths.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColumnData {
     /// 1-byte signed integers.
     I8(Vec<i8>),
@@ -190,7 +188,7 @@ impl ColumnData {
 }
 
 /// A column vector: physical data plus an optional null bitmap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vector {
     /// Physical values (meaningless where the null bit is set).
     pub data: ColumnData,

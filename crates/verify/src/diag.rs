@@ -73,7 +73,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, plan rules first: a variant added above belongs here,
-    /// and a mutation that trips it in `mutate` or `schedcheck`.
+    /// and a mutation that trips it in `rapid_report::mutate`.
     pub const ALL: [Rule; 17] = [
         Rule::ColBounds,
         Rule::JoinArity,

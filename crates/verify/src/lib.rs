@@ -35,15 +35,15 @@
 //! replay the finished run's trace through [`schedcheck::check_trace`] in
 //! debug builds and panic on a finding; the fuzzer's concurrent mode calls
 //! it after every batch, in release too; and `rapid-report
-//! verify|schedcheck` sweep TPC-H and the fuzz corpus in CI. The [`mutate`]
-//! harness and [`schedcheck::InterferenceMutation`] prove each rule of
-//! [`Rule::ALL`] actually fires by corrupting known-good plans and
-//! schedules, at least one mutation class per rule.
+//! verify|schedcheck` sweep TPC-H and the fuzz corpus in CI. The mutation
+//! harnesses that prove each rule of [`Rule::ALL`] actually fires, by
+//! corrupting known-good plans and schedules with at least one mutation
+//! class per rule, live in `rapid-report` (`rapid_report::mutate`), beside
+//! `rapid-report schedcheck --mutations`, their one caller outside tests.
 
 #![warn(missing_docs)]
 
 pub mod diag;
-pub mod mutate;
 pub mod schedcheck;
 pub mod stage;
 
@@ -97,29 +97,5 @@ pub fn check(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> Result<(
         Ok(())
     } else {
         Err(report.error_summary())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::mutate::{base_plan, demo_catalog};
-
-    #[test]
-    fn check_is_ok_for_the_demo_plan() {
-        let cat = demo_catalog();
-        assert_eq!(check(&base_plan(), &cat, &VerifyConfig::default()), Ok(()));
-    }
-
-    #[test]
-    fn check_renders_rule_ids_into_the_error() {
-        let cat = demo_catalog();
-        let plan = base_plan();
-        let cfg = VerifyConfig {
-            dmem_bytes: 1024,
-            ..VerifyConfig::default()
-        };
-        let err = check(&plan, &cat, &cfg).unwrap_err();
-        assert!(err.contains("R-DMEM-FIT"), "{err}");
     }
 }

@@ -33,12 +33,12 @@
 //! Diagnostics reuse the [`VerifyReport`] machinery: `node_id` is the
 //! placement's index in the trace and the path names the query and stage,
 //! so a finding points at the exact record a timeline dump would show.
-//! The [`InterferenceMutation`] harness corrupts a known-good trace one
-//! interference bug per rule class and proves each rule fires.
+//! `rapid-report`'s mutation harness (`rapid_report::mutate`) corrupts a
+//! known-good trace one interference bug per rule class and proves each
+//! rule fires.
 
 use std::collections::HashMap;
 
-use dpu_sim::clock::Cycles;
 use rapid_sched::timeline::PlacementRecord;
 use rapid_sched::trace::SchedTrace;
 
@@ -521,287 +521,9 @@ pub fn render(trace: &SchedTrace, report: &VerifyReport) -> String {
     s
 }
 
-// ---------------------------------------------------------------------------
-// Mutation harness: one injected interference bug per C-* rule class.
-// ---------------------------------------------------------------------------
-
-/// A corrupted schedule trace and the rule it must trip.
-#[derive(Debug)]
-pub struct MutatedTrace {
-    /// Human-readable mutation name.
-    pub name: &'static str,
-    /// The corrupted trace.
-    pub trace: SchedTrace,
-    /// The rule the mutation must trip.
-    pub expected: Rule,
-}
-
-/// Every interference-bug class the mutation harness can inject, one per
-/// `C-*` rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterferenceMutation {
-    /// Admission edge and core order contradict: the graph has a cycle.
-    InjectHbCycle,
-    /// A placement's DMS window shifted into its predecessor's.
-    OverlapDms,
-    /// A placement moved onto a core another stage still holds.
-    DoubleBookCore,
-    /// A placement's lane count inflated past the physical cores.
-    OvercommitDmem,
-    /// A placement's DMEM peak inflated past the scratchpad.
-    ExceedQueryBudget,
-    /// A stage dispatched before its predecessor completed.
-    EarlyPlace,
-}
-
-impl InterferenceMutation {
-    /// All mutation classes.
-    pub fn all() -> Vec<InterferenceMutation> {
-        vec![
-            InterferenceMutation::InjectHbCycle,
-            InterferenceMutation::OverlapDms,
-            InterferenceMutation::DoubleBookCore,
-            InterferenceMutation::OvercommitDmem,
-            InterferenceMutation::ExceedQueryBudget,
-            InterferenceMutation::EarlyPlace,
-        ]
-    }
-
-    /// The rule the mutation must trip.
-    pub fn expected_rule(&self) -> Rule {
-        match self {
-            InterferenceMutation::InjectHbCycle => Rule::HbCycle,
-            InterferenceMutation::OverlapDms => Rule::DmsExcl,
-            InterferenceMutation::DoubleBookCore => Rule::CoreExcl,
-            InterferenceMutation::OvercommitDmem => Rule::DmemCap,
-            InterferenceMutation::ExceedQueryBudget => Rule::QueryBudget,
-            InterferenceMutation::EarlyPlace => Rule::LostWakeup,
-        }
-    }
-
-    /// Apply the mutation to a fresh [`base_trace`].
-    pub fn apply(&self) -> MutatedTrace {
-        let mut trace = base_trace();
-        // Base layout (see `base_trace`): record 0 = q0 stage 0 (compute,
-        // cores {0,1}, [0, 1000)), record 1 = q0 stage 1 (DMS, core 2,
-        // [1000, 1200)), record 2 = q1 stage 0 (compute+DMS, cores {3,4},
-        // from 1000), record 3 = q2 stage 0 (compute, admitted after q0
-        // finished).
-        let name = match self {
-            InterferenceMutation::InjectHbCycle => {
-                // q2 was admitted after q0 finished (admission edge
-                // q0.last -> q2.first), but its record claims it ran on
-                // q0's DMS core *earlier in time* (core edge q2 -> q0.s1):
-                // a 2-cycle with no interval overlap anywhere.
-                let core = trace.placements[1].core_mask;
-                let r = &mut trace.placements[3];
-                r.core_mask = core;
-                r.lanes = 1;
-                r.ready = Cycles(100.0);
-                r.start = Cycles(100.0);
-                r.end = Cycles(400.0);
-                "inject-hb-cycle: admission edge vs core time order"
-            }
-            InterferenceMutation::OverlapDms => {
-                // Slide q1's DMS window into q0 stage 1's [1000, 1200).
-                let r = &mut trace.placements[2];
-                r.dms_start = Cycles(1100.0);
-                r.dms_end = Cycles(1200.0);
-                "overlap-dms: two transfer windows on the single engine"
-            }
-            InterferenceMutation::DoubleBookCore => {
-                // Put q1 stage 0 on q0 stage 1's core while both run.
-                let core = trace.placements[1].core_mask;
-                let r = &mut trace.placements[2];
-                r.core_mask = core;
-                r.lanes = 1;
-                "double-book-core: two stages hold one core at once"
-            }
-            InterferenceMutation::OvercommitDmem => {
-                // A scheduler bug granted more lanes than the DPU has:
-                // the aggregate footprint check catches it even though no
-                // two records overlap on any core.
-                let r = &mut trace.placements[0];
-                r.lanes = 200;
-                "overcommit-dmem: lane grant exceeds physical cores"
-            }
-            InterferenceMutation::ExceedQueryBudget => {
-                let r = &mut trace.placements[3];
-                r.dmem_peak = 40_000;
-                "exceed-query-budget: stage peak above the 32 KiB scratchpad"
-            }
-            InterferenceMutation::EarlyPlace => {
-                // q0 stage 1 dispatched at 500, before stage 0's barrier
-                // at 1000 — the lost-wakeup shape. Its core and DMS
-                // windows move with it, overlapping nothing.
-                let r = &mut trace.placements[1];
-                r.ready = Cycles(500.0);
-                r.start = Cycles(500.0);
-                r.end = Cycles(700.0);
-                r.dms_start = Cycles(500.0);
-                r.dms_end = Cycles(700.0);
-                "early-place: stage dispatched before its predecessor's barrier"
-            }
-        };
-        MutatedTrace {
-            name,
-            trace,
-            expected: self.expected_rule(),
-        }
-    }
-}
-
-/// A small known-good trace, produced by driving a real scheduler (not
-/// hand-built), so the mutations corrupt exactly what production runs
-/// record.
-pub fn base_trace() -> SchedTrace {
-    use dpu_sim::account::CycleAccount;
-    use rapid_qef::exec::{StageProfile, StageRouter};
-    use rapid_sched::{SchedConfig, Scheduler};
-    use std::sync::Arc;
-
-    fn compute(cycles: f64) -> CycleAccount {
-        let mut a = CycleAccount::new();
-        a.charge_compute(Cycles(cycles));
-        a
-    }
-    fn dms(cycles: f64) -> CycleAccount {
-        let mut a = CycleAccount::new();
-        a.charge_dms(Cycles(cycles), 1024, 1);
-        a
-    }
-    fn profile(qid: u64, lanes: Vec<CycleAccount>, peak: u64) -> StageProfile {
-        StageProfile {
-            query_id: qid,
-            lanes,
-            dmem_peak: peak,
-        }
-    }
-
-    // One thread places every stage, so it asks in the scheduler's own
-    // order: the admitted query with the smallest (ready, id) first. q1
-    // arrives at 1000, where q0's second stage becomes ready.
-    let sched = Arc::new(Scheduler::new(SchedConfig {
-        max_active: 2,
-        queue_capacity: 4,
-        ..SchedConfig::default()
-    }));
-    let q0 = sched.submit(0, None).expect("queue has room");
-    let q1 = sched
-        .submit_at(0, None, Some(Cycles(1000.0)))
-        .expect("queue has room");
-    let q2 = sched.submit(0, None).expect("queue has room");
-    sched
-        .route_stage(&profile(
-            q0.id(),
-            vec![compute(1000.0), compute(900.0)],
-            8192,
-        ))
-        .expect("place q0 stage 0");
-    sched
-        .route_stage(&profile(q0.id(), vec![dms(200.0)], 4096))
-        .expect("place q0 stage 1");
-    q0.finish(); // admits q2 at q0's completion instant
-    sched
-        .route_stage(&profile(q1.id(), vec![compute(500.0), dms(100.0)], 8192))
-        .expect("place q1 stage 0");
-    q1.finish();
-    q2.await_admission().expect("q2 admitted");
-    sched
-        .route_stage(&profile(q2.id(), vec![compute(300.0)], 2048))
-        .expect("place q2 stage 0");
-    q2.finish();
-    sched.schedule_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn base_trace_is_clean() {
-        let trace = base_trace();
-        assert_eq!(trace.placements.len(), 4);
-        let report = check_schedule(&trace);
-        assert!(
-            report.ok() && report.diagnostics.is_empty(),
-            "base trace must verify clean: {}",
-            report.error_summary()
-        );
-        assert_eq!(check_trace(&trace), Ok(()));
-    }
-
-    #[test]
-    fn base_trace_layout_matches_mutation_assumptions() {
-        let t = base_trace();
-        let p = &t.placements;
-        assert_eq!((p[0].query_id, p[0].seq), (0, 0));
-        assert_eq!((p[1].query_id, p[1].seq), (0, 1));
-        assert_eq!((p[2].query_id, p[2].seq), (1, 0));
-        assert_eq!((p[3].query_id, p[3].seq), (2, 0));
-        assert!(p[1].dms.get() > 0.0 && p[2].dms.get() > 0.0);
-        assert_eq!(p[1].dms_start, Cycles(1000.0));
-        assert_eq!(p[1].dms_end, Cycles(1200.0));
-        assert_eq!(p[2].dms_start, Cycles(1200.0));
-        // q2 rode q0's freed slot.
-        assert!(t
-            .admissions
-            .iter()
-            .any(|a| a.query_id == 2 && a.after == Some(0)));
-        // q0's cores and q1's cores are disjoint; q0 stage 1 runs alone
-        // on its core.
-        assert_eq!(p[0].core_mask & p[2].core_mask, 0);
-        assert_eq!(p[0].core_mask & p[1].core_mask, 0);
-    }
-
-    #[test]
-    fn every_interference_mutation_is_rejected_with_its_rule() {
-        let mut seen = std::collections::HashSet::new();
-        for m in InterferenceMutation::all() {
-            let mutated = m.apply();
-            let report = check_schedule(&mutated.trace);
-            assert!(!report.ok(), "{}: mutation must be rejected", mutated.name);
-            let hit: Vec<&Diagnostic> = report
-                .diagnostics
-                .iter()
-                .filter(|d| d.rule == mutated.expected)
-                .collect();
-            assert!(
-                !hit.is_empty(),
-                "{}: expected {} among: {}",
-                mutated.name,
-                mutated.expected.id(),
-                report.error_summary()
-            );
-            // Located: the diagnostic names a concrete record and query.
-            for d in &hit {
-                assert!(d.node_id < mutated.trace.placements.len());
-                assert!(d.path.contains("query"), "path locates a query: {}", d.path);
-            }
-            seen.insert(mutated.expected.id());
-        }
-        assert_eq!(
-            seen.len(),
-            InterferenceMutation::all().len(),
-            "each mutation class maps to a distinct C-* rule id"
-        );
-    }
-
-    #[test]
-    fn vector_clocks_label_concurrency_in_diagnostics() {
-        let mutated = InterferenceMutation::DoubleBookCore.apply();
-        let report = check_schedule(&mutated.trace);
-        let d = report
-            .diagnostics
-            .iter()
-            .find(|d| d.rule == Rule::CoreExcl)
-            .expect("core conflict found");
-        assert!(
-            d.message.contains("happens-before-concurrent"),
-            "q0 and q1 share no happens-before path: {}",
-            d.message
-        );
-    }
 
     #[test]
     fn empty_trace_is_clean() {
@@ -814,32 +536,5 @@ mod tests {
             history_dropped: 0,
         };
         assert!(check_schedule(&trace).ok());
-    }
-
-    #[test]
-    fn truncated_history_skips_dangling_admission_edges() {
-        // Evict early records: edges to them must be skipped, not
-        // reported as violations.
-        let mut trace = base_trace();
-        trace.placements.remove(0);
-        trace.placements.remove(0); // q0 fully evicted
-        trace.history_dropped = 2;
-        let report = check_schedule(&trace);
-        assert!(
-            report.ok(),
-            "truncated window stays clean: {}",
-            report.error_summary()
-        );
-    }
-
-    #[test]
-    fn render_carries_verdict_and_rule_ids() {
-        let trace = base_trace();
-        let clean = render(&trace, &check_schedule(&trace));
-        assert!(clean.contains("PASS"));
-        let mutated = InterferenceMutation::OverlapDms.apply();
-        let text = render(&mutated.trace, &check_schedule(&mutated.trace));
-        assert!(text.contains("FAIL"));
-        assert!(text.contains("C-DMS-EXCL"));
     }
 }

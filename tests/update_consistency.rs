@@ -255,7 +255,10 @@ fn a_string_the_dictionary_lacks_or_no_row_holds_takes_the_full_build() {
     let table = assert_shipped(&db, &loaded, &every);
     let dict = table.dicts[2].as_ref().expect("tag dictionary");
     assert_eq!(dict.values(), ["amber", "blue", "green", "red"]);
-    assert!(dict.codes_ordered(), "derived afresh, in string order");
+    assert!(
+        dict.values().windows(2).all(|w| w[0] < w[1]),
+        "derived afresh, in string order"
+    );
     let [host, dpu, native] = three_ways(&db, "SELECT k FROM t WHERE tag < 'b'");
     assert_eq!(host, [[Value::Int(20_000)]]);
     assert_eq!((dpu, native), (host.clone(), host));
