@@ -19,6 +19,16 @@ if git grep -n "env::var" -- 'crates/*/src/*'; then
     exit 1
 fi
 
+echo "== one engine under two configurations: the backend picks where lanes run, nothing else =="
+# Every core charges the cost model and every stage is timed on both
+# clocks, whatever the backend. The backend is only ever `match`ed: in the
+# stage runner, where a stage's lanes run, and in
+# `QueryReport::elapsed_secs`, which clock hostdb reports.
+if git grep -n -E "charging\(|== Backend::|!= Backend::" -- 'crates/*/src/*'; then
+    echo "code tests the backend: match it where the lanes run or a clock is picked"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

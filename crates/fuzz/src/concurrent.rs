@@ -178,8 +178,9 @@ fn run_scheduled(
         })
         .collect();
 
-    let interference = rapid_verify::schedcheck::check_trace(&sched.schedule_trace()).err();
-    let placements = sched.placements().len();
+    let trace = sched.schedule_trace();
+    let interference = rapid_verify::schedcheck::check_trace(&trace).err();
+    let placements = trace.placements.len();
     Ok(BatchComparison {
         serial,
         scheduled,

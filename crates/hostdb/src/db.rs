@@ -941,9 +941,10 @@ impl Drop for HostDb {
 /// family (summed over the lanes), and the operators that ran in its lanes
 /// beneath it follow, one line each down to the scan, with the rows each
 /// handed on. The TOTAL
-/// footer sums `sim_secs` in stage-emission order, which reproduces the
-/// engine's `QueryReport::sim_secs` bit-for-bit (same f64 values, same
-/// addition order — see `rapid_qef::trace`).
+/// footer sums `sim_secs`, energy and the stages' host `wall_secs` in
+/// stage-emission order, which reproduces the engine's
+/// `QueryReport::{sim_secs, energy_joules, wall_secs}` bit-for-bit (same f64
+/// values, same addition order — see `rapid_qef::trace`).
 ///
 /// `estimates` carries the compiler's estimated output rows per node
 /// (indexed by the same pre-order node id, from
@@ -1038,9 +1039,11 @@ fn render_explain(
     emission.sort_by_key(|e| e.stage_id);
     let total: f64 = emission.iter().map(|e| e.sim_secs).sum();
     let energy: f64 = emission.iter().map(|e| e.energy_joules).sum();
+    let wall: f64 = emission.iter().map(|e| e.wall_secs).sum();
     let _ = writeln!(
         s,
-        "TOTAL simulated: {total:.9}s, {energy:.3e}J (sums bit-exactly to QueryReport)"
+        "TOTAL simulated: {total:.9}s, {energy:.3e}J wall={wall:.6}s \
+         (each sums bit-exactly to QueryReport)"
     );
     let _ = writeln!(s, "host wall (decode + host ops): {:.6}s", result.host_secs);
     s
@@ -1425,6 +1428,35 @@ mod tests {
         let kernels = kernels.unwrap_or_else(|| panic!("no kernels line:\n{}", a.text));
         assert!(kernels.contains(" group-slot="), "{}", a.text);
         assert!(!kernels.contains(" hash="), "{kernels}");
+    }
+
+    #[test]
+    fn explain_analyze_prints_the_stages_host_wall_beside_the_simulated_total() {
+        let d = db();
+        d.load_into_rapid("sales").unwrap();
+        let sql = "SELECT region, SUM(amount) AS t FROM sales GROUP BY region ORDER BY region";
+        // On the DPU every stage is stamped with host time too, and the
+        // stages' walls, summed in emission order, are the report's.
+        let sink = MemorySink::new();
+        let engine = {
+            let rapid = d.rapid().read();
+            rapid.fork(rapid.context().clone().with_trace(Arc::clone(&sink) as _))
+        };
+        let plan = parse_sql(sql, &d.schemas()).unwrap();
+        let compiled = rapid_qcomp::compile(&plan, engine.catalog(), &d.params).unwrap();
+        let (_, report) = engine.execute(&compiled.plan).unwrap();
+        let wall: f64 = sink.take().iter().map(|e| e.wall_secs).sum();
+        assert_eq!(wall.to_bits(), report.wall_secs.to_bits());
+        assert!(wall > 0.0);
+        // EXPLAIN ANALYZE's footer prints that sum beside the simulated one.
+        let a = d
+            .explain_analyze(&format!("EXPLAIN ANALYZE {sql}"))
+            .unwrap();
+        let wall: f64 = a.events.iter().map(|e| e.wall_secs).sum();
+        assert!(wall > 0.0);
+        let total = a.text.lines().find(|l| l.starts_with("TOTAL simulated"));
+        let total = total.unwrap_or_else(|| panic!("no TOTAL line:\n{}", a.text));
+        assert!(total.contains(&format!(" wall={wall:.6}s ")), "{total}");
     }
 
     #[test]

@@ -16,17 +16,16 @@
 //! the query compiler) in an asynchronous and non-preemptive manner", and
 //! static assignment keeps simulated timing deterministic.
 //!
-//! * On the **Dpu backend** the actors are simulated cores: they run
-//!   one after another in host time (one handle stands for each in turn),
-//!   each accruing its own simulated cycle account; the stage's simulated
-//!   elapsed time is the stage rule, [`dpu_sim::account::StageSpan`],
-//!   folded over those accounts: max(busiest lane's compute, Σ DMS). A
-//!   multi-query router is handed the same accounts, so a stage has the
-//!   same lanes in every schedule; it only decides when they run.
-//! * On the **Native backend** the actors are OS threads and the stage
-//!   time is the wall clock.
-
-use std::time::{Duration, Instant};
+//! The backend decides one thing: where the lanes run. On the **Dpu
+//! backend** they are simulated cores run one after another in host time
+//! (one handle stands for each in turn); on the **Native backend** each is
+//! an OS thread with a handle of its own. Either way each lane accrues its
+//! own cycle account, and one fold turns the lanes into the stage's
+//! [`StageTiming`]: the stage rule, [`dpu_sim::account::StageSpan`],
+//! max(busiest lane's compute, Σ DMS), its counters, kernels and DMEM peak.
+//! A multi-query router is handed the same accounts, so a stage has the
+//! same lanes in every schedule; it only decides when they run. A stage's
+//! host wall time is stamped by the engine when it absorbs the stage.
 
 use dpu_sim::account::{Counters, KernelSplit, StageSpan};
 use dpu_sim::clock::{Cycles, SimTime};
@@ -34,45 +33,31 @@ use dpu_sim::clock::{Cycles, SimTime};
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext, StageProfile};
 
-/// Timing of one completed stage.
+/// Simulated timing of one completed stage, the same on both backends.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTiming {
-    /// Simulated elapsed time (Dpu backend; zero otherwise).
+    /// Simulated elapsed time.
     pub sim: SimTime,
-    /// Simulated elapsed cycles — the exact cycle count behind `sim`
-    /// (Dpu backend; zero otherwise). Kept alongside the seconds so
-    /// reports can expose stable cycle figures without re-deriving them
-    /// through a frequency division.
+    /// Simulated elapsed cycles — the exact cycle count behind `sim`.
+    /// Kept alongside the seconds so reports can expose stable cycle
+    /// figures without re-deriving them through a frequency division.
     pub elapsed: Cycles,
-    /// Wall-clock elapsed (Native backend; zero otherwise).
-    pub wall: Duration,
     /// What the stage rule saw: busiest lane's elapsed and compute
-    /// cycles, total DMS cycles (Dpu).
+    /// cycles, total DMS cycles.
     pub span: StageSpan,
-    /// Operation counters merged across cores (Dpu; branches feed
-    /// Figure 13, the rest the tracing subsystem).
+    /// Operation counters merged across cores (branches feed Figure 13,
+    /// the rest the tracing subsystem).
     pub counters: Counters,
-    /// Compute cycles and instructions by kernel, summed across cores
-    /// (Dpu).
+    /// Compute cycles and instructions by kernel, summed across cores.
     pub kernels: KernelSplit,
     /// Lanes the stage ran with: `min(cores, items)`, at least 1.
     pub parallelism: usize,
-    /// Max per-core DMEM high-water mark in bytes (Dpu).
+    /// Max per-core DMEM high-water mark in bytes.
     pub dmem_peak: u64,
 }
 
-impl StageTiming {
-    /// The stage's contribution to query elapsed time on its backend.
-    pub fn elapsed_secs(&self, backend: Backend) -> f64 {
-        match backend {
-            Backend::Dpu => self.sim.as_secs(),
-            Backend::Native => self.wall.as_secs_f64(),
-        }
-    }
-}
-
 /// Run `items` through `f` across the context's cores. Item `i` is handled
-/// by actor `i % cores`; results come back in item order.
+/// by lane `i % cores`; results come back in item order.
 pub fn run_stage<W, R, F>(
     ctx: &ExecContext,
     items: Vec<W>,
@@ -83,56 +68,60 @@ where
     R: Send,
     F: Fn(&mut CoreCtx, W) -> QefResult<R> + Sync,
 {
-    match ctx.backend {
-        Backend::Dpu => run_simulated(ctx, items, f),
-        Backend::Native => run_native(ctx, items, f),
-    }
-}
-
-fn run_simulated<W, R, F>(
-    ctx: &ExecContext,
-    items: Vec<W>,
-    f: F,
-) -> QefResult<(Vec<R>, StageTiming)>
-where
-    F: Fn(&mut CoreCtx, W) -> QefResult<R>,
-{
     let cores = ctx.cores.max(1);
     let n = items.len();
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut timing = StageTiming::default();
     // The lanes a multi-query router places: the ones the stage rule folds.
-    let routed = ctx.router.is_some();
-    let mut lanes = Vec::with_capacity(if routed { cores.min(n) } else { 0 });
-
-    // One simulated core at a time; its account covers all its items:
-    // `core_id`, `core_id + cores`, ... in that order. The cores run one
-    // after another, so one handle stands for each in turn, its account and
-    // scratchpad emptied in between.
-    let mut items: Vec<Option<W>> = items.into_iter().map(Some).collect();
-    let mut core = CoreCtx::new(ctx, 0);
-    for core_id in 0..cores.min(n) {
-        core.core_id = core_id;
-        core.account.reset();
-        core.kernels = KernelSplit::default();
-        core.dmem.reset();
-        for i in (core_id..n).step_by(cores) {
-            let w = items[i]
-                .take()
-                .ok_or_else(|| QefError::Internal(format!("stage item {i} visited twice")))?;
-            results[i] = Some(f(&mut core, w)?);
-        }
+    let mut routed = ctx
+        .router
+        .as_ref()
+        .map(|_| Vec::with_capacity(cores.min(n)));
+    // Lanes are folded in lane order on both backends, so the stage's
+    // floating-point sums are the same bits wherever the lanes ran.
+    let mut fold = |core: &CoreCtx| {
         timing.span.add_lane(&core.account);
-        if routed {
+        if let Some(lanes) = &mut routed {
             lanes.push(core.account.clone());
         }
         timing.counters = timing.counters.merged(core.account.counters());
         timing.kernels = timing.kernels.merged(&core.kernels);
         timing.dmem_peak = timing.dmem_peak.max(core.dmem.peak() as u64);
+    };
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    match ctx.backend {
+        Backend::Dpu => {
+            // One simulated core at a time; its account covers all its
+            // items: `core_id`, `core_id + cores`, ... in that order. The
+            // cores run one after another, so one handle stands for each
+            // in turn, its account and scratchpad emptied in between.
+            let mut items: Vec<Option<W>> = items.into_iter().map(Some).collect();
+            let mut core = CoreCtx::new(ctx, 0);
+            for core_id in 0..cores.min(n) {
+                core.core_id = core_id;
+                core.account.reset();
+                core.kernels = KernelSplit::default();
+                core.dmem.reset();
+                for i in (core_id..n).step_by(cores) {
+                    let w = items[i].take().ok_or_else(|| {
+                        QefError::Internal(format!("stage item {i} visited twice"))
+                    })?;
+                    results[i] = Some(f(&mut core, w)?);
+                }
+                fold(&core);
+            }
+        }
+        Backend::Native => {
+            for (core, lane) in run_threads(ctx, items, &f)? {
+                fold(&core);
+                for (i, r) in lane {
+                    results[i] = Some(r);
+                }
+            }
+        }
     }
     timing.parallelism = cores.min(n).max(1);
-    timing.elapsed = match (&ctx.router, n) {
-        (Some(router), n) if n > 0 => {
+    timing.elapsed = match (&ctx.router, routed) {
+        (Some(router), Some(lanes)) if n > 0 => {
             let profile = StageProfile {
                 query_id: ctx.query_id,
                 lanes,
@@ -148,29 +137,35 @@ where
     Ok((every_result(results)?, timing))
 }
 
-fn run_native<W, R, F>(ctx: &ExecContext, items: Vec<W>, f: F) -> QefResult<(Vec<R>, StageTiming)>
+/// A lane that ran on a thread: its core handle, and its results tagged by
+/// item index.
+type Lane<R> = (CoreCtx, Vec<(usize, R)>);
+
+/// Each lane's items on a scoped thread of its own, with its own handle:
+/// the lanes in lane order.
+fn run_threads<W, R, F>(ctx: &ExecContext, items: Vec<W>, f: &F) -> QefResult<Vec<Lane<R>>>
 where
     W: Send,
     R: Send,
     F: Fn(&mut CoreCtx, W) -> QefResult<R> + Sync,
 {
-    let cores = ctx.cores.max(1).min(items.len().max(1));
-    let start = Instant::now();
-    let mut assigned: Vec<Vec<(usize, W)>> = (0..cores).map(|_| Vec::new()).collect();
+    let lanes = ctx.cores.max(1).min(items.len());
+    let mut assigned: Vec<Vec<(usize, W)>> = (0..lanes).map(|_| Vec::new()).collect();
     for (i, w) in items.into_iter().enumerate() {
-        assigned[i % cores].push((i, w));
+        assigned[i % lanes].push((i, w));
     }
-    let f = &f;
-    let worker_results: Vec<QefResult<Vec<(usize, R)>>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = assigned
             .into_iter()
             .enumerate()
             .map(|(core_id, work)| {
                 scope.spawn(move || {
                     let mut core = CoreCtx::new(ctx, core_id);
-                    work.into_iter()
+                    let lane = work
+                        .into_iter()
                         .map(|(i, w)| f(&mut core, w).map(|r| (i, r)))
-                        .collect::<QefResult<Vec<_>>>()
+                        .collect::<QefResult<Vec<_>>>()?;
+                    Ok((core, lane))
                 })
             })
             .collect();
@@ -186,22 +181,7 @@ where
                 ))),
             })
             .collect()
-    });
-    let mut results: Vec<Option<R>> = Vec::new();
-    let mut pairs = Vec::new();
-    for wr in worker_results {
-        pairs.extend(wr?);
-    }
-    results.resize_with(pairs.len(), || None);
-    for (i, r) in pairs {
-        results[i] = Some(r);
-    }
-    let timing = StageTiming {
-        wall: start.elapsed(),
-        parallelism: cores,
-        ..Default::default()
-    };
-    Ok((every_result(results)?, timing))
+    })
 }
 
 /// The stage's results in item order; an item without one is an engine
@@ -247,6 +227,38 @@ mod tests {
                 run_stage(&ctx, (0..10).collect(), |core, _: usize| Ok(core.core_id)).unwrap();
             assert_eq!(cores, [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]);
         }
+    }
+
+    #[test]
+    fn a_stage_folds_the_same_bits_wherever_its_lanes_run() {
+        // Uneven lanes: item i computes i² cycles' worth and moves i KiB.
+        let work = |core: &mut CoreCtx, i: usize| {
+            let n = (i * i) as f64;
+            core.charge_kernel(Kernel::Hash, &KernelCost::paired(n, n / 3.0));
+            core.charge_dms(&dms(i as f64 * 7.0));
+            let _scratch = core.dmem.reserve_raw(i * 64).unwrap();
+            Ok(i)
+        };
+        let timed = |ctx: ExecContext| {
+            let (out, t) = run_stage(&ctx, (0..37).collect(), work).unwrap();
+            let span = [
+                t.span.max_lane_elapsed,
+                t.span.max_lane_compute,
+                t.span.dms_total,
+            ];
+            let bits = [t.sim.as_secs(), t.elapsed.get()].map(f64::to_bits);
+            (
+                out,
+                span.map(|c| c.get().to_bits()),
+                bits,
+                t.counters,
+                t.kernels,
+                t.dmem_peak,
+            )
+        };
+        let dpu = timed(ExecContext::dpu().with_cores(4));
+        assert!(dpu.3.instructions > 0 && dpu.5 > 0);
+        assert_eq!(timed(ExecContext::native(4)), dpu);
     }
 
     #[test]

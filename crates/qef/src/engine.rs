@@ -38,8 +38,9 @@
 //! are handed on by move, and a copy is made exactly where a charged gather,
 //! partition write or materialization produces new bytes.
 //!
-//! Timing is accumulated per stage: simulated time on the DPU backend,
-//! wall clock on the native backend.
+//! Timing is accumulated per stage, on both clocks and on both backends:
+//! the stage's simulated time from the actor runner, and the host wall time
+//! since the stage before it was absorbed.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -73,34 +74,36 @@ pub struct QueryOutput {
 /// Timing and counter report for one executed query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryReport {
-    /// Total simulated seconds (Dpu backend).
+    /// Total simulated seconds.
     pub sim_secs: f64,
     /// Total simulated elapsed cycles — the exact cycle counts behind
-    /// `sim_secs`, summed per stage (Dpu backend). Deterministic: two
-    /// identical runs produce bit-identical values.
+    /// `sim_secs`, summed per stage. Deterministic: two identical runs
+    /// produce bit-identical values, on either backend.
     pub sim_cycles: f64,
     /// Energy at the DPU's provisioned power over the simulated elapsed
     /// time, in joules — the same per-stage values the trace events carry,
-    /// absorbed in emission order (Dpu backend). Deterministic.
+    /// absorbed in emission order. Deterministic.
     pub energy_joules: f64,
-    /// Total wall-clock seconds (Native backend).
+    /// Total host wall-clock seconds: the stages' walls, added in
+    /// absorption order, so `execute`'s own time up to its last stage.
     pub wall_secs: f64,
     /// Pipeline stages executed.
     pub stages: usize,
     /// Result rows.
     pub rows: usize,
-    /// Branches executed (Dpu accounting).
+    /// Branches executed.
     pub branches: u64,
-    /// Branch mispredicts (Dpu accounting).
+    /// Branch mispredicts.
     pub mispredicts: u64,
-    /// Bytes moved by DMS descriptor programs (Dpu accounting).
+    /// Bytes moved by DMS descriptor programs.
     pub dms_bytes: u64,
-    /// DMS descriptors executed (Dpu accounting).
+    /// DMS descriptors executed.
     pub dms_descriptors: u64,
 }
 
 impl QueryReport {
-    /// Elapsed seconds on the engine's backend.
+    /// Elapsed seconds on the clock the engine's backend reports: the one
+    /// place a backend picks a clock.
     pub fn elapsed_secs(&self, backend: Backend) -> f64 {
         match backend {
             Backend::Dpu => self.sim_secs,
@@ -111,7 +114,6 @@ impl QueryReport {
     fn absorb(&mut self, t: &StageTiming) {
         self.sim_secs += t.sim.as_secs();
         self.sim_cycles += t.elapsed.get();
-        self.wall_secs += t.wall.as_secs_f64();
         self.stages += 1;
         self.branches += t.counters.branches;
         self.mispredicts += t.counters.branch_mispredicts;
@@ -131,6 +133,8 @@ struct Run<'e> {
     report: QueryReport,
     sink: Option<Arc<dyn TraceSink>>,
     watts: f64,
+    /// When the last stage was absorbed, or `execute` began.
+    last: Instant,
     stage_seq: u32,
     node_seq: u32,
     /// Pre-order id of the plan node whose stages are being absorbed.
@@ -147,6 +151,7 @@ impl<'e> Run<'e> {
             report: QueryReport::default(),
             sink: engine.ctx.trace.clone(),
             watts: dpu_sim::power::PowerModel::dpu().watts,
+            last: Instant::now(),
             stage_seq: 0,
             node_seq: 0,
             node_id: 0,
@@ -159,9 +164,11 @@ impl<'e> Run<'e> {
     /// and which operators ran beneath the stage's own, and for a stage that
     /// partitions, which round it ran.
     ///
-    /// The event's `sim_secs` is the exact `f64` added to the report and
-    /// events are emitted in absorption order, so summing them reproduces
-    /// `QueryReport::sim_secs` bit-for-bit.
+    /// The stage's host wall time is the time since the stage before it was
+    /// absorbed, or since `execute` began. The event's `sim_secs` and
+    /// `wall_secs` are the exact `f64`s added to the report and events are
+    /// emitted in absorption order, so summing them reproduces
+    /// `QueryReport::{sim_secs, wall_secs}` bit-for-bit.
     fn stage(
         &mut self,
         t: &StageTiming,
@@ -169,7 +176,11 @@ impl<'e> Run<'e> {
         rows: u64,
         detail: Detail,
     ) {
+        let now = Instant::now();
+        let wall_secs = (now - self.last).as_secs_f64();
+        self.last = now;
         self.report.absorb(t);
+        self.report.wall_secs += wall_secs;
         // The identical per-stage figure the trace event carries, absorbed
         // in emission order: report totals reproduce the event sums
         // bit-for-bit whether or not a sink is installed.
@@ -201,7 +212,7 @@ impl<'e> Run<'e> {
                 fused: detail.fused,
                 kernels: crate::trace::KernelShare::of(&t.kernels),
                 energy_joules: self.watts * sim_secs,
-                wall_secs: t.wall.as_secs_f64(),
+                wall_secs,
             });
         }
         self.stage_seq += 1;
@@ -704,16 +715,11 @@ impl<'e> Run<'e> {
         ops::partition::check_scheme(scheme)?;
         // `input_task` found a round one to run in the task.
         let fanout = scheme[0];
-        let start = Instant::now();
         let mut run = self.run_task(task, |core, rows, tile| {
             let map = RoundStep::first(keys, fanout, tile).map_rows(core, &rows);
             Ok((rows, map))
         })?;
         let first = ops::partition::scatter_lanes(fanout, &run.results);
-        if self.ctx.backend == Backend::Native {
-            // The wall clock also covers the copies the lanes were charged.
-            run.timing.wall = start.elapsed();
-        }
         run.detail.partition = Some(PartitionRound {
             round: 1,
             rounds: scheme.len() as u32,

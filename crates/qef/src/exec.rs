@@ -1,13 +1,17 @@
-//! Execution contexts: the simulated-DPU and native-x86 backends.
+//! Execution contexts: one engine under two configurations.
 //!
 //! The same operator code runs on both backends — that is the point of the
 //! paper's Figure 16 ("RAPID software is also amenable to better
-//! performance on x86"). The difference is only in how time is observed:
+//! performance on x86"). On both, every primitive charges the calibrated
+//! cost model into its core's [`CycleAccount`], and every stage is timed on
+//! both clocks: simulated cycles and host wall time. The backend decides
+//! one thing only, where a stage's lanes run (see [`crate::actor`]):
 //!
-//! * [`Backend::Dpu`] — primitives charge the calibrated cost model into
-//!   per-core [`CycleAccount`]s; elapsed time is *simulated*.
-//! * [`Backend::Native`] — charging is skipped (the accounting calls are
-//!   cheap, but zero is cheaper) and elapsed time is the wall clock.
+//! * [`Backend::Dpu`] — one after another on simulated dpCores;
+//! * [`Backend::Native`] — each on an OS thread of the host.
+//!
+//! So a query returns the same rows and the same simulated series on both;
+//! only the host wall clock differs.
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,13 +23,15 @@ use dpu_sim::isa::{CostModel, KernelCost};
 
 use crate::trace::TraceSink;
 
-/// Which platform the engine models.
+/// Where a stage's lanes run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The simulated RAPID DPU: simulated time, enforced DMEM budget.
+    /// The simulated RAPID DPU: the lanes run in sequence, one simulated
+    /// dpCore each, and the query reports simulated time.
     Dpu,
-    /// Native x86: wall-clock time; the DMEM budget still shapes operator
-    /// buffer sizes (same software structure), but accounting is off.
+    /// Native x86: each lane runs on an OS thread, and the query reports
+    /// host wall time. The DMEM budget shapes operator buffers and the cost
+    /// model is charged exactly as on the DPU.
     Native,
 }
 
@@ -80,8 +86,8 @@ pub trait StageRouter: Send + Sync + std::fmt::Debug {
 pub struct ExecContext {
     /// Backend selection.
     pub backend: Backend,
-    /// Calibrated cost model (used by the Dpu backend and by cost-aware
-    /// operator decisions on both backends).
+    /// Calibrated cost model: what every core charges, and what cost-aware
+    /// operator decisions weigh.
     pub cost_model: Arc<CostModel>,
     /// Number of cores to parallelize across.
     pub cores: usize,
@@ -176,8 +182,6 @@ impl ExecContext {
 pub struct CoreCtx {
     /// Core id within the stage (0-based).
     pub core_id: usize,
-    /// Backend of the enclosing context.
-    pub backend: Backend,
     /// Cost model reference.
     pub cost_model: Arc<CostModel>,
     /// This core's cycle account (read back by the engine per stage).
@@ -197,7 +201,6 @@ impl CoreCtx {
     pub fn new(ctx: &ExecContext, core_id: usize) -> Self {
         CoreCtx {
             core_id,
-            backend: ctx.backend,
             cost_model: Arc::clone(&ctx.cost_model),
             account: CycleAccount::new(),
             kernels: KernelSplit::default(),
@@ -206,59 +209,43 @@ impl CoreCtx {
         }
     }
 
-    /// Whether this core charges the simulated cost model.
-    #[inline]
-    pub fn charging(&self) -> bool {
-        self.backend == Backend::Dpu
-    }
-
     /// Charge a kernel's measured operation counts, tagged with the kernel
     /// family it belongs to.
     #[inline]
     pub fn charge_kernel(&mut self, kernel: Kernel, cost: &KernelCost) {
-        if self.charging() {
-            let t = self.account.charge_kernel(&self.cost_model, cost);
-            self.kernels.add(kernel, t.cycles, t.instructions);
-        }
+        let t = self.account.charge_kernel(&self.cost_model, cost);
+        self.kernels.add(kernel, t.cycles, t.instructions);
     }
 
     /// Charge the per-tile operator control-flow overhead.
     #[inline]
     pub fn charge_tile(&mut self) {
-        if self.charging() {
-            self.account.charge_tile_overhead(&self.cost_model);
-            let cycles = self.cost_model.per_tile_overhead_cycles;
-            self.kernels.add(Kernel::TileControl, cycles, 0);
-        }
+        self.account.charge_tile_overhead(&self.cost_model);
+        let cycles = self.cost_model.per_tile_overhead_cycles;
+        self.kernels.add(Kernel::TileControl, cycles, 0);
     }
 
     /// Charge an ATE message send of `cycles`.
     #[inline]
     pub fn charge_ate(&mut self, cycles: Cycles) {
-        if self.charging() {
-            self.account.charge_ate(cycles);
-            self.kernels.add(Kernel::Other, cycles.get(), 0);
-        }
+        self.account.charge_ate(cycles);
+        self.kernels.add(Kernel::Other, cycles.get(), 0);
     }
 
     /// Charge a DMS transfer attributed to this core's descriptor loops.
     #[inline]
     pub fn charge_dms(&mut self, cost: &DmsCost) {
-        if self.charging() {
-            self.account
-                .charge_dms(Cycles(cost.cycles), cost.bytes, cost.descriptors);
-        }
+        self.account
+            .charge_dms(Cycles(cost.cycles), cost.bytes, cost.descriptors);
     }
 
     /// Charge a double-buffered loop iteration: compute overlapped with
     /// transfer.
     #[inline]
     pub fn charge_overlapped(&mut self, compute: Cycles, transfer: &DmsCost) {
-        if self.charging() {
-            self.account
-                .charge_overlapped(compute, Cycles(transfer.cycles));
-            self.kernels.add(Kernel::Other, compute.get(), 0);
-        }
+        self.account
+            .charge_overlapped(compute, Cycles(transfer.cycles));
+        self.kernels.add(Kernel::Other, compute.get(), 0);
     }
 }
 
@@ -275,12 +262,33 @@ mod tests {
     }
 
     #[test]
-    fn native_backend_skips_charging() {
-        let ctx = ExecContext::native(4);
-        let mut core = CoreCtx::new(&ctx, 0);
-        core.charge_kernel(Kernel::Other, &KernelCost::paired(100.0, 100.0));
-        assert_eq!(core.account.compute_cycles().get(), 0.0);
-        assert_eq!(core.kernels, KernelSplit::default());
+    fn a_native_core_charges_what_a_dpu_core_charges() {
+        let charge = |ctx: &ExecContext| {
+            let mut core = CoreCtx::new(ctx, 0);
+            core.charge_kernel(Kernel::Mul, &KernelCost::paired(100.0, 100.0));
+            core.charge_tile();
+            core.charge_ate(Cycles(40.0));
+            let transfer = DmsCost {
+                cycles: 60.0,
+                bytes: 4096,
+                descriptors: 2,
+            };
+            core.charge_dms(&transfer);
+            core.charge_overlapped(Cycles(30.0), &transfer);
+            core
+        };
+        let seen = |core: CoreCtx| {
+            let a = &core.account;
+            let cycles = [a.compute_cycles(), a.dms_cycles(), a.elapsed_cycles()];
+            (
+                cycles.map(|c| c.get().to_bits()),
+                *a.counters(),
+                core.kernels,
+            )
+        };
+        let dpu = seen(charge(&ExecContext::dpu()));
+        assert!(dpu.1.instructions > 0 && dpu.1.dms_bytes > 0);
+        assert_eq!(seen(charge(&ExecContext::native(4))), dpu);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! |---|---|
 //! | [`batch`] | the tile of column vectors flowing between operators |
 //! | [`budget`] | shared DMEM working-set math: task and tile fitting, fan-out caps |
-//! | [`exec`] | execution context: backend (simulated DPU vs native x86), core handle, [`StageRouter`](exec::StageRouter) hook |
+//! | [`exec`] | execution context: backend (where a stage's lanes run: simulated dpCores or OS threads), core handle, [`StageRouter`](exec::StageRouter) hook |
 //! | [`expr`] | vectorized scalar expressions and predicates |
 //! | [`primitives`] | the generated primitive library (filter, arithmetic, hash, partition map, aggregation) |
 //! | [`ra`] | the relation accessor: sequential/gather DMS access patterns |
@@ -28,7 +28,7 @@
 //! | [`plan`] | the serializable physical query execution plan (QEP) |
 //! | [`task`] | which operators of a plan run as one stage: scan-fed chains, the marked edges into their consumers, what each operator declares against DMEM |
 //! | [`engine`] | the plan interpreter driving tasks across dpCores |
-//! | [`actor`] | message-passing scheduler used for exchange/merge steps |
+//! | [`actor`] | the stage runner: a stage's lanes on either backend, folded into one simulated timing |
 //!
 //! An engine normally owns the whole simulated DPU. For concurrent
 //! multi-query execution, [`Engine::fork`](engine::Engine::fork) a

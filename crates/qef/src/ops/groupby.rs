@@ -414,10 +414,8 @@ impl<'p> GroupTable<'p> {
         }
         // Message-passing cost: the other core ships its aggregated table,
         // charged as one message across a macro boundary.
-        if ctx.charging() {
-            let hop = ate::message_cost(&ctx.cost_model, 0, ate::CORES_PER_MACRO);
-            ctx.charge_ate(hop);
-        }
+        let hop = ate::message_cost(&ctx.cost_model, 0, ate::CORES_PER_MACRO);
+        ctx.charge_ate(hop);
         let fold = costs::grouped_agg_per_row().scaled(other.groups() as f64);
         ctx.charge_kernel(Kernel::Aggregate, &fold);
         Ok(())

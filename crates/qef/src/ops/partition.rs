@@ -49,13 +49,12 @@
 
 use dpu_sim::account::Kernel;
 use std::ops::Range;
-use std::time::Instant;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::{Batch, ColumnBuilder, Columns, Rows, Run};
 use crate::budget::{partition_stream_bytes, working_set, BASE_STATE_BYTES, HASH_BITS};
 use crate::error::{QefError, QefResult};
-use crate::exec::{Backend, CoreCtx, ExecContext};
+use crate::exec::{CoreCtx, ExecContext};
 use crate::primitives::costs;
 use crate::primitives::hash::hash_pieces_into;
 use crate::primitives::partition_map::compute_partition_map;
@@ -692,7 +691,6 @@ fn rounds_from(
     mut stage_done: impl FnMut(&StageTiming, PartitionRound),
 ) -> QefResult<Vec<Batch>> {
     for (nth, fanout, shift) in rounds(scheme).skip(from) {
-        let start = Instant::now();
         let mut round = Round::plan(
             Input::of_round(nth, &current),
             key_cols,
@@ -702,12 +700,8 @@ fn rounds_from(
             ectx.cores,
             ectx.dmem_bytes,
         );
-        let (_, mut t) = run_stage(ectx, round.lanes(), |core, lane| lane.run(core))?;
+        let (_, t) = run_stage(ectx, round.lanes(), |core, lane| lane.run(core))?;
         let next = round.finish();
-        if ectx.backend == Backend::Native {
-            // The wall clock also covers the copies the lanes were charged.
-            t.wall = start.elapsed();
-        }
         let nth_of = PartitionRound {
             round: nth as u32 + 1,
             rounds: scheme.len() as u32,

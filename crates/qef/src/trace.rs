@@ -11,10 +11,11 @@
 //! event construction entirely, so tracing is a single `Option` test per
 //! *stage* (not per row) when disabled.
 //!
-//! Reconciliation invariant: `sim_secs` of an event is the **identical**
-//! `f64` the engine absorbs into [`QueryReport::sim_secs`], and events are
-//! emitted in absorption order, so summing `sim_secs` over a query's events
-//! reproduces the report total bit-for-bit (f64 addition in the same order).
+//! Reconciliation invariant: `sim_secs` and `wall_secs` of an event are the
+//! **identical** `f64`s the engine absorbs into [`QueryReport::sim_secs`]
+//! and `wall_secs`, and events are emitted in absorption order, so summing
+//! either over a query's events reproduces the report total bit-for-bit
+//! (f64 addition in the same order).
 //! `EXPLAIN ANALYZE` and `rapid-report trace` both lean on this.
 //!
 //! [`QueryReport::sim_secs`]: crate::engine::QueryReport
@@ -28,8 +29,9 @@ use crate::ra::AccessPath;
 /// Cycle/counter fields are the merge of the stage's per-core
 /// [`CycleAccount`]s; `sim_secs` is the stage's contribution to the query's
 /// simulated elapsed time (router waiting included when a multi-query
-/// scheduler is installed). On the native backend the simulated fields are
-/// zero and `wall_secs` carries the measurement.
+/// scheduler is installed) and `wall_secs` its contribution to the host
+/// wall time. Both clocks are read on both backends: a stage's simulated
+/// fields are the same bits on either, only `wall_secs` differs.
 ///
 /// [`CycleAccount`]: dpu_sim::account::CycleAccount
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
@@ -90,7 +92,9 @@ pub struct StageEvent {
     pub kernels: Vec<KernelShare>,
     /// Energy at the DPU's provisioned power over `sim_secs`, in joules.
     pub energy_joules: f64,
-    /// Host wall-clock seconds (native backend; 0 on the DPU).
+    /// Host wall-clock seconds since the stage before it was absorbed (or
+    /// the query began) — the exact value absorbed into the query's
+    /// `QueryReport::wall_secs`.
     pub wall_secs: f64,
 }
 

@@ -8,6 +8,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dpu_sim::account::Kernel;
+use dpu_sim::isa::KernelCost;
+use rapid_qef::actor::run_stage;
 use rapid_qef::batch::{Rows, Span};
 use rapid_qef::exec::{CoreCtx, ExecContext};
 use rapid_qef::expr::Pred;
@@ -318,4 +321,28 @@ fn a_partition_round_allocates_per_round_not_per_lane() {
         all_bytes <= one_bytes + 31 * (33 * 4 + 256),
         "{one_bytes} bytes on one lane, {all_bytes} on 32"
     );
+}
+
+#[test]
+fn a_dpu_stage_allocates_per_stage_not_per_lane() {
+    // No router: 4 items on 4 lanes, 64 on all 32 cores, two each.
+    let ctx = ExecContext::dpu();
+    let stage = |n: usize| {
+        let items: Vec<usize> = (0..n).collect();
+        let (out, allocs, _) = measured(|| {
+            run_stage(&ctx, items, |core, i| {
+                core.charge_kernel(Kernel::Other, &KernelCost::paired(10.0, 10.0));
+                Ok(i)
+            })
+        });
+        let (out, t) = out.unwrap();
+        assert_eq!((out.len(), t.parallelism), (n, n.min(32)));
+        allocs
+    };
+    let (four, sixty_four) = (stage(4), stage(64));
+    // The lanes run in turn on one core handle: the stage's results and
+    // items, and that handle's budget, whatever the lane count.
+    assert_eq!(four, sixty_four);
+    // Three, as when each backend had a runner of its own.
+    assert!(four <= 3, "{four} allocations");
 }

@@ -50,7 +50,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use scheduler::{QueryHandle, QueryStats, SchedConfig, SchedError, SchedReport, Scheduler};
-pub use timeline::{DpuTimeline, Placement, PlacementRecord, Utilization, UtilizationSample};
+pub use timeline::{DpuTimeline, Placement, PlacementRecord, Utilization};
 pub use trace::{AdmissionEvent, SchedTrace};
 
 // Simulated-time units, re-exported so callers passing explicit arrival

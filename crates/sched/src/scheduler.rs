@@ -33,7 +33,6 @@ use std::time::{Duration, Instant};
 
 use dpu_sim::clock::{Cycles, SimTime};
 use dpu_sim::isa::CostModel;
-use dpu_sim::power::PowerModel;
 use rapid_qef::exec::{ExecContext, StageAbort, StageProfile, StageRouter};
 
 use crate::timeline::{DpuTimeline, Utilization};
@@ -61,8 +60,6 @@ pub struct SchedConfig {
     pub history_cap: usize,
     /// Cost model used to convert cycles into reported simulated time.
     pub cost_model: CostModel,
-    /// Power model for the utilization report's energy figure.
-    pub power: PowerModel,
 }
 
 impl Default for SchedConfig {
@@ -75,7 +72,6 @@ impl Default for SchedConfig {
             dmem_bytes: dpu.dmem_bytes as u64,
             history_cap: 0,
             cost_model: (*dpu.cost_model).clone(),
-            power: PowerModel::dpu(),
         }
     }
 }
@@ -394,9 +390,7 @@ impl Scheduler {
     }
 
     fn totals_locked(&self, inner: &Inner) -> (u64, Utilization) {
-        let utilization = inner
-            .timeline
-            .utilization(&self.cfg.cost_model, &self.cfg.power);
+        let utilization = inner.timeline.utilization(&self.cfg.cost_model);
         (inner.finished_total, utilization)
     }
 
@@ -412,19 +406,6 @@ impl Scheduler {
             admissions: inner.admissions.iter().copied().collect(),
             history_dropped: inner.timeline.history_dropped() + inner.records_dropped,
         }
-    }
-
-    /// Whole-DPU core/DMS occupancy over `buckets` equal slices of the
-    /// timeline so far. Bucket sums reproduce the aggregate busy cycles
-    /// exactly; empty when nothing has been placed.
-    pub fn utilization_series(&self, buckets: usize) -> Vec<crate::timeline::UtilizationSample> {
-        self.lock().timeline.utilization_series(buckets)
-    }
-
-    /// Every stage placement so far, tagged with its query id — the raw
-    /// series behind [`Scheduler::utilization_series`].
-    pub fn placements(&self) -> Vec<crate::timeline::PlacementRecord> {
-        self.lock().timeline.placements()
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -1019,29 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_series_exposed_through_scheduler() {
-        let s = Arc::new(Scheduler::new(cfg(2, 4)));
-        for _ in 0..2 {
-            let h = s.submit(0, None).unwrap();
-            h.await_admission().unwrap();
-            s.route_stage(&stage(h.id(), vec![compute_item(500.0), dms_item(100.0)]))
-                .unwrap();
-            h.finish();
-        }
-        let placements = s.placements();
-        assert_eq!(placements.len(), 2);
-        assert!(placements.iter().any(|p| p.query_id == 0));
-        assert!(placements.iter().any(|p| p.query_id == 1));
-        let series = s.utilization_series(8);
-        assert_eq!(series.len(), 8);
-        assert!(series
-            .iter()
-            .all(|b| (0.0..=1.0).contains(&b.core_busy_frac)
-                && (0.0..=1.0).contains(&b.dms_busy_frac)));
-        assert!(series.iter().any(|b| b.core_busy_frac > 0.0));
-    }
-
-    #[test]
     fn schedule_trace_records_admission_edges() {
         let s = Arc::new(Scheduler::new(cfg(1, 4)));
         let a = s.submit(0, None).unwrap();
@@ -1157,7 +1115,12 @@ mod tests {
                 .unwrap();
             peer.finish();
         });
-        let order: Vec<u64> = s.placements().iter().map(|p| p.query_id).collect();
+        let order: Vec<u64> = s
+            .schedule_trace()
+            .placements
+            .iter()
+            .map(|p| p.query_id)
+            .collect();
         assert_eq!(order, [first.id(), first.id(), peer.id()]);
     }
 
@@ -1186,7 +1149,8 @@ mod tests {
             early.finish();
         });
         let placed: Vec<(u64, f64)> = s
-            .placements()
+            .schedule_trace()
+            .placements
             .iter()
             .map(|p| (p.query_id, p.ready.get()))
             .collect();

@@ -31,9 +31,9 @@ pub struct Placement {
 }
 
 /// Retained record of one placed stage, tagged with its query — the
-/// scheduler-side aggregation of the engine's stage trace, the basis of
-/// [`DpuTimeline::utilization_series`], and the evidence the schedule
-/// interference analyzer (`rapid-verify`'s `schedcheck`) replays.
+/// scheduler-side aggregation of the engine's stage trace and the evidence
+/// the schedule interference analyzer (`rapid-verify`'s `schedcheck`)
+/// replays.
 #[derive(Debug, Clone, Copy)]
 pub struct PlacementRecord {
     /// Query the stage belongs to.
@@ -64,20 +64,6 @@ pub struct PlacementRecord {
     /// Max per-lane DMEM high-water mark in bytes; the stage's live span
     /// is exactly `[0, dmem_peak)` on each granted core (bump allocator).
     pub dmem_peak: u64,
-}
-
-/// One bucket of the whole-DPU utilization series.
-#[derive(Debug, Clone, Copy)]
-pub struct UtilizationSample {
-    /// Bucket start instant.
-    pub start: Cycles,
-    /// Bucket end instant.
-    pub end: Cycles,
-    /// Core-busy cycles landing in the bucket over `cores × bucket width`,
-    /// in [0, 1].
-    pub core_busy_frac: f64,
-    /// DMS cycles landing in the bucket over the bucket width, in [0, 1].
-    pub dms_busy_frac: f64,
 }
 
 /// Utilization and energy summary of everything placed so far.
@@ -303,56 +289,9 @@ impl DpuTimeline {
         self.history.iter().copied().collect()
     }
 
-    /// Whole-DPU utilization over simulated time, as `buckets` equal-width
-    /// samples spanning the makespan. Each placement's core-busy and DMS
-    /// cycles are spread uniformly over its `[start, end)` span (the
-    /// timeline does not retain sub-stage scheduling), so bucket fractions
-    /// are an approximation but their totals are exact: summed over all
-    /// buckets they reproduce the aggregate [`Utilization`] figures.
-    pub fn utilization_series(&self, buckets: usize) -> Vec<UtilizationSample> {
-        let buckets = buckets.max(1);
-        let span = self.makespan.get();
-        if span <= 0.0 {
-            return Vec::new();
-        }
-        let width = span / buckets as f64;
-        let cores = self.core_free.len() as f64;
-        let mut core_cycles = vec![0.0f64; buckets];
-        let mut dms_cycles = vec![0.0f64; buckets];
-        for rec in &self.history {
-            let (s, e) = (rec.start.get(), rec.end.get());
-            if e <= s {
-                continue;
-            }
-            let density = 1.0 / (e - s);
-            let first = ((s / width) as usize).min(buckets - 1);
-            let last = ((e / width).ceil() as usize).clamp(first + 1, buckets);
-            for (b, (cc, dc)) in core_cycles
-                .iter_mut()
-                .zip(&mut dms_cycles)
-                .enumerate()
-                .take(last)
-                .skip(first)
-            {
-                let lo = (b as f64 * width).max(s);
-                let hi = ((b + 1) as f64 * width).min(e);
-                let frac = (hi - lo).max(0.0) * density;
-                *cc += rec.core_busy.get() * frac;
-                *dc += rec.dms.get() * frac;
-            }
-        }
-        (0..buckets)
-            .map(|b| UtilizationSample {
-                start: Cycles(b as f64 * width),
-                end: Cycles((b + 1) as f64 * width),
-                core_busy_frac: core_cycles[b] / (cores * width),
-                dms_busy_frac: dms_cycles[b] / width,
-            })
-            .collect()
-    }
-
-    /// Utilization and energy over everything placed so far.
-    pub fn utilization(&self, cost_model: &CostModel, power: &PowerModel) -> Utilization {
+    /// Utilization and energy over everything placed so far, at the DPU's
+    /// provisioned power.
+    pub fn utilization(&self, cost_model: &CostModel) -> Utilization {
         let makespan = self.makespan.to_time(cost_model.freq_hz);
         let busy: Cycles = self.core_busy.iter().copied().sum();
         let denom = self.makespan.get() * self.core_free.len() as f64;
@@ -368,7 +307,7 @@ impl DpuTimeline {
             } else {
                 0.0
             },
-            energy_joules: power.energy_joules(makespan),
+            energy_joules: PowerModel::dpu().energy_joules(makespan),
             stages: self.stages,
         }
     }
@@ -489,7 +428,7 @@ mod tests {
         let b = tl.place(Cycles::ZERO, &profile(2, items(8)));
         assert_eq!(a.end, Cycles(1000.0));
         assert_eq!(b.end, Cycles(1000.0), "disjoint cores: no queueing");
-        let u = tl.utilization(&CostModel::default(), &PowerModel::dpu());
+        let u = tl.utilization(&CostModel::default());
         assert!(
             (u.core_utilization - 0.5).abs() < 1e-9,
             "16 of 32 cores busy"
@@ -538,86 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_series_totals_match_aggregate() {
-        let mut tl = DpuTimeline::new(4);
-        tl.place(
-            Cycles::ZERO,
-            &profile(
-                1,
-                vec![
-                    compute_item(1000.0),
-                    compute_item(600.0),
-                    dms_item(100.0),
-                    dms_item(100.0),
-                ],
-            ),
-        );
-        tl.place(Cycles::ZERO, &profile(2, vec![compute_item(400.0); 4]));
-        let series = tl.utilization_series(8);
-        assert_eq!(series.len(), 8);
-        let width = tl.makespan().get() / 8.0;
-        let core_total: f64 = series.iter().map(|s| s.core_busy_frac * 4.0 * width).sum();
-        let dms_total: f64 = series.iter().map(|s| s.dms_busy_frac * width).sum();
-        let busy_expect: f64 = tl.placements().iter().map(|r| r.core_busy.get()).sum();
-        let dms_expect: f64 = tl.placements().iter().map(|r| r.dms.get()).sum();
-        assert!((core_total - busy_expect).abs() < 1e-6, "{core_total}");
-        assert!((dms_total - dms_expect).abs() < 1e-6, "{dms_total}");
-        // Every bucket fraction is a valid occupancy.
-        for s in &series {
-            assert!((0.0..=1.0 + 1e-9).contains(&s.core_busy_frac));
-        }
-    }
-
-    #[test]
-    fn utilization_series_empty_timeline() {
-        let tl = DpuTimeline::new(4);
-        assert!(tl.utilization_series(8).is_empty());
-    }
-
-    #[test]
-    fn utilization_series_single_bucket_recovers_totals() {
-        // One bucket spans the whole makespan: its fractions are the
-        // aggregate utilization figures exactly.
-        let mut tl = DpuTimeline::new(2);
-        tl.place(
-            Cycles::ZERO,
-            &profile(1, vec![compute_item(800.0), dms_item(200.0)]),
-        );
-        let series = tl.utilization_series(1);
-        assert_eq!(series.len(), 1);
-        let s = &series[0];
-        assert_eq!(s.start, Cycles::ZERO);
-        assert_eq!(s.end, tl.makespan());
-        // core_busy = 1000 over 2 cores x 800-cycle makespan.
-        assert!((s.core_busy_frac - 1000.0 / 1600.0).abs() < 1e-9);
-        assert!((s.dms_busy_frac - 200.0 / 800.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_series_zero_buckets_clamps_to_one() {
-        let mut tl = DpuTimeline::new(2);
-        tl.place(Cycles::ZERO, &profile(1, vec![compute_item(100.0)]));
-        let series = tl.utilization_series(0);
-        assert_eq!(series.len(), 1);
-    }
-
-    #[test]
-    fn utilization_series_placement_ending_at_makespan_is_fully_counted() {
-        // A stage whose end lands exactly on the makespan boundary (the
-        // last bucket's right edge) must not lose cycles to clamping.
-        let mut tl = DpuTimeline::new(4);
-        tl.place(Cycles::ZERO, &profile(1, vec![compute_item(700.0)]));
-        // Second stage on a fresh core, ready at 300, ends at 1000 = new
-        // makespan; 1000/8 buckets puts its end exactly on bucket 8's edge.
-        tl.place(Cycles(300.0), &profile(2, vec![compute_item(700.0)]));
-        assert_eq!(tl.makespan(), Cycles(1000.0));
-        let series = tl.utilization_series(8);
-        let width = tl.makespan().get() / 8.0;
-        let core_total: f64 = series.iter().map(|s| s.core_busy_frac * 4.0 * width).sum();
-        assert!((core_total - 1400.0).abs() < 1e-6, "{core_total}");
-    }
-
-    #[test]
     fn a_retired_query_leaves_no_stage_counter_behind() {
         let mut tl = DpuTimeline::new(2);
         for q in 0..3 {
@@ -640,7 +499,7 @@ mod tests {
         let kept: Vec<u64> = recs.iter().map(|r| r.query_id).collect();
         assert_eq!(kept, vec![6, 7, 8, 9], "oldest evicted first");
         // Aggregate utilization still covers all ten stages.
-        let u = tl.utilization(&CostModel::default(), &PowerModel::dpu());
+        let u = tl.utilization(&CostModel::default());
         assert_eq!(u.stages, 10);
         assert!((u.core_busy_cycles - 100.0).abs() < 1e-9);
     }
@@ -676,7 +535,7 @@ mod tests {
         let mut tl = DpuTimeline::new(1);
         // 8e8 cycles at 800 MHz = 1 simulated second.
         tl.place(Cycles::ZERO, &profile(1, vec![compute_item(8.0e8)]));
-        let u = tl.utilization(&CostModel::default(), &PowerModel::dpu());
+        let u = tl.utilization(&CostModel::default());
         assert!((u.makespan.as_secs() - 1.0).abs() < 1e-9);
         assert!((u.energy_joules - 5.8).abs() < 1e-6);
         assert!((u.core_utilization - 1.0).abs() < 1e-9);
@@ -685,7 +544,7 @@ mod tests {
     #[test]
     fn empty_timeline_utilization_is_zero() {
         let tl = DpuTimeline::new(32);
-        let u = tl.utilization(&CostModel::default(), &PowerModel::dpu());
+        let u = tl.utilization(&CostModel::default());
         assert_eq!(u.core_utilization, 0.0);
         assert_eq!(u.dms_utilization, 0.0);
         assert_eq!(u.stages, 0);

@@ -5,7 +5,9 @@
 //! This is the strongest correctness evidence in the repository: the
 //! Volcano engine is an independent implementation (row-at-a-time over
 //! `Value`s) sharing only the DSB arithmetic rules with the columnar
-//! engine.
+//! engine. The two RAPID configurations are one engine: at the same core
+//! count they return the same rows and the same simulated series, bit for
+//! bit, and only the host wall clock tells them apart.
 
 use std::sync::Arc;
 
@@ -13,8 +15,10 @@ use hostdb::HostDb;
 use rapid::qcomp::cost::CostParams;
 use rapid::qcomp::logical::LogicalPlan;
 use rapid::qef::engine::Engine;
+use rapid::qef::engine::QueryReport;
 use rapid::qef::exec::ExecContext;
 use rapid::qef::plan::Catalog;
+use rapid::qef::trace::{MemorySink, StageEvent};
 use rapid_fuzz::canonical;
 
 fn setup() -> (HostDb, Catalog) {
@@ -45,9 +49,17 @@ fn query(name: &str) -> LogicalPlan {
 fn all_eleven_queries_agree_across_engines() {
     let (db, catalog) = setup();
     let params = CostParams::default();
-    let mut native = Engine::new(ExecContext::native(4));
+    // Native and a DPU of as many cores, each tracing its stages.
+    let (native_trace, dpu_trace) = (MemorySink::new(), MemorySink::new());
+    let mut native = Engine::new(ExecContext::native(4).with_trace(native_trace.clone()));
+    let mut dpu = Engine::new(
+        ExecContext::dpu()
+            .with_cores(4)
+            .with_trace(dpu_trace.clone()),
+    );
     for t in catalog.values() {
         native.load_table(Arc::clone(t));
+        dpu.load_table(Arc::clone(t));
     }
 
     for (name, lp) in tpch::queries::all() {
@@ -62,10 +74,35 @@ fn all_eleven_queries_agree_across_engines() {
         // Engine 3: RAPID software on native threads.
         let compiled = rapid::qcomp::compile(&lp, &catalog, &params)
             .unwrap_or_else(|e| panic!("{name} compile: {e}"));
-        let (nout, _) = native
+        let (nout, native_report) = native
             .execute(&compiled.plan)
             .unwrap_or_else(|e| panic!("{name} native: {e}"));
         let native_rows = hostdb::db::decode_batch(&nout.batch, &nout.meta, native.catalog());
+        // The same plan on the DPU at the same core count: one engine.
+        let (dout, dpu_report) = dpu
+            .execute(&compiled.plan)
+            .unwrap_or_else(|e| panic!("{name} dpu(4): {e}"));
+        let dpu_rows = hostdb::db::decode_batch(&dout.batch, &dout.meta, dpu.catalog());
+        assert_eq!(
+            native_rows, dpu_rows,
+            "{name}: native vs dpu(4) rows differ"
+        );
+        assert_eq!(
+            simulated(&native_report),
+            simulated(&dpu_report),
+            "{name}: native vs dpu(4) simulated report differs"
+        );
+        let (native_events, dpu_events) = (native_trace.take(), dpu_trace.take());
+        assert_eq!(
+            deterministic(&native_events),
+            deterministic(&dpu_events),
+            "{name}: native vs dpu(4) stage events differ"
+        );
+        // Both clocks on every stage: the DPU's stages carry host time that
+        // sums, in emission order, to the report's.
+        let wall: f64 = dpu_events.iter().map(|e| e.wall_secs).sum();
+        assert_eq!(wall.to_bits(), dpu_report.wall_secs.to_bits(), "{name}");
+        assert!(wall > 0.0, "{name}: no host wall on the DPU");
 
         let h = canonical(&host.rows);
         let d = canonical(&rapid_dpu.rows);
@@ -81,6 +118,24 @@ fn all_eleven_queries_agree_across_engines() {
         assert_eq!(h, n, "{name}: host vs native rows differ");
         assert!(!h.is_empty() || name == "Q18", "{name} returned no rows");
     }
+}
+
+/// A report's simulated fields, by their bits.
+fn simulated(r: &QueryReport) -> [u64; 8] {
+    [
+        r.sim_secs.to_bits(),
+        r.sim_cycles.to_bits(),
+        r.energy_joules.to_bits(),
+        r.stages as u64,
+        r.branches,
+        r.mispredicts,
+        r.dms_bytes,
+        r.dms_descriptors,
+    ]
+}
+
+fn deterministic(events: &[StageEvent]) -> Vec<StageEvent> {
+    events.iter().map(StageEvent::deterministic_view).collect()
 }
 
 #[test]

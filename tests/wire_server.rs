@@ -334,7 +334,7 @@ fn drain_panics_on_an_interfering_schedule() {
     let server = start(cfg);
     assert_serving(server.local_addr());
     assert!(
-        !server.scheduler().placements().is_empty(),
+        !server.scheduler().schedule_trace().placements.is_empty(),
         "the query placed no stage: nothing to replay"
     );
     server.shutdown();
