@@ -19,6 +19,16 @@ if git grep -n "env::var" -- 'crates/*/src/*'; then
     exit 1
 fi
 
+echo "== the serde shim writes and reads JSON text directly: no value tree =="
+# `Serialize` appends compact JSON to a byte buffer and `Deserialize` reads
+# it back from the text through `serde::json::Reader`. A value type in the
+# shim would be a second model beside that one, and it is what every wire
+# frame used to build per cell on both sides (ROADMAP item 6).
+if git grep -n "enum Value" -- vendor/serde vendor/serde_json; then
+    echo "the serde shim has a value tree again: write and read the text directly"
+    exit 1
+fi
+
 echo "== one engine under two configurations: the backend picks where lanes run, nothing else =="
 # Every core charges the cost model and every stage is timed on both
 # clocks, whatever the backend. The backend is only ever `match`ed: in the

@@ -217,7 +217,7 @@ pub fn commit_info(repo: &Path) -> CommitInfo {
 
 /// Re-indent compact JSON (the vendored `serde_json` has no pretty
 /// printer). String-escape aware; two-space indent.
-fn pretty(json: &str) -> String {
+pub fn pretty(json: &str) -> String {
     let mut out = String::with_capacity(json.len() * 2);
     let mut depth = 0usize;
     let mut in_str = false;

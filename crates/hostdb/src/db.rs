@@ -1079,22 +1079,25 @@ pub fn decode_batch(
     meta: &[ColMeta],
     catalog: &rapid_qef::plan::Catalog,
 ) -> Vec<Vec<Value>> {
-    let mut rows = Vec::with_capacity(batch.rows());
-    for i in 0..batch.rows() {
-        let mut row = Vec::with_capacity(meta.len());
-        for (c, m) in meta.iter().enumerate() {
-            let v = match batch.column(c).get(i) {
+    let mut rows: Vec<Vec<Value>> = (0..batch.rows())
+        .map(|_| Vec::with_capacity(meta.len()))
+        .collect();
+    // Column by column, so a string column finds its dictionary once.
+    for (c, m) in meta.iter().enumerate() {
+        let column = batch.column(c);
+        let dict = m
+            .dict
+            .as_ref()
+            .map(|(tname, tcol)| catalog.get(tname).and_then(|t| t.dicts[*tcol].as_ref()));
+        for (i, row) in rows.iter_mut().enumerate() {
+            let v = match column.get(i) {
                 None => Value::Null,
-                Some(widened) => match (&m.dict, m.dtype) {
-                    (Some((tname, tcol)), _) => {
-                        let s = catalog
-                            .get(tname)
-                            .and_then(|t| t.dicts[*tcol].as_ref())
-                            .and_then(|d| d.value_of(widened as u32))
+                Some(widened) => match (dict, m.dtype) {
+                    (Some(dict), _) => Value::Str(
+                        dict.and_then(|d| d.value_of(widened as u32))
                             .unwrap_or("")
-                            .to_string();
-                        Value::Str(s)
-                    }
+                            .to_string(),
+                    ),
                     (None, DataType::Date) => Value::Date(widened as i32),
                     (None, DataType::Decimal { .. }) => {
                         if m.scale == 0 {
@@ -1111,7 +1114,6 @@ pub fn decode_batch(
             };
             row.push(v);
         }
-        rows.push(row);
     }
     rows
 }

@@ -287,6 +287,8 @@ impl Client {
         let mut rows: Vec<Vec<Value>> = Vec::new();
         loop {
             match self.read()? {
+                // The first batch's vector becomes the result's.
+                Response::RowBatch { rows: batch } if rows.is_empty() => rows = batch,
                 Response::RowBatch { rows: batch } => rows.extend(batch),
                 Response::QueryDone {
                     row_count,

@@ -612,16 +612,19 @@ impl Session {
         }
         match result {
             Ok(r) => {
-                self.send(&Response::RowHeader {
-                    columns: r.columns.clone(),
-                })?;
-                for chunk in r.rows.chunks(self.shared.cfg.row_batch.max(1)) {
+                let row_count = r.rows.len() as u64;
+                self.send(&Response::RowHeader { columns: r.columns })?;
+                // The rows are ours: each batch moves its share out, no
+                // value is copied.
+                let batch = self.shared.cfg.row_batch.max(1);
+                let mut rows = r.rows.into_iter();
+                while rows.len() > 0 {
                     self.send(&Response::RowBatch {
-                        rows: chunk.to_vec(),
+                        rows: rows.by_ref().take(batch).collect(),
                     })?;
                 }
                 self.send(&Response::QueryDone {
-                    row_count: r.rows.len() as u64,
+                    row_count,
                     site: format!("{:?}", r.site),
                     rapid_secs: r.rapid_secs,
                     host_secs: r.host_secs,
