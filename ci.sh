@@ -39,6 +39,23 @@ if git grep -n -E "charging\(|== Backend::|!= Backend::" -- 'crates/*/src/*'; th
     exit 1
 fi
 
+echo "== one description of the DPU: plans are compiled and verified for the ExecContext they run on =="
+# The compiler costs, partitions and verifies a plan for the cores, DMEM,
+# tile and cost model of the context the engine runs it under: `CostParams`
+# holds that context and the join-order switch, and the verifier takes the
+# context itself. A configuration struct of the verifier's own, or a copied
+# field in `CostParams`, is a second description of the DPU that a caller
+# has to keep in step by hand. The link to the host and the offload latency
+# are constants of `cost.rs`.
+if git grep -n "struct VerifyConfig" -- 'crates/*/src/*'; then
+    echo "the verifier has a configuration of its own again: verify against the ExecContext"
+    exit 1
+fi
+if git grep -n -E "^\s*pub (cm|cores|tile_rows|dmem_bytes|network_bytes_per_sec|offload_latency_secs):" -- crates/qcomp/src/cost.rs; then
+    echo "cost.rs copies a field of the ExecContext (or a constant) into a pub field: read CostParams::ctx"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

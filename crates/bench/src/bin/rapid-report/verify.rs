@@ -38,13 +38,12 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
         ..CostParams::default()
     };
     let variants: [(&str, &CostParams); 2] = [("", &reordered), ("(declared)", &declared)];
-    let cfg = rapid_qcomp::verify_config(&reordered);
     let mut failures = 0usize;
 
     println!("== TPC-H sf {sf} ==");
     let (_db, catalog) = rapid_report::setup_tpch(sf, ExecContext::dpu());
     for (name, lp) in tpch::queries::all() {
-        failures += verify_one(name, &lp, &catalog, &variants, &cfg, full);
+        failures += verify_one(name, &lp, &catalog, &variants, full);
     }
 
     println!("== fuzz corpus ==");
@@ -92,7 +91,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
             continue;
         }
         let catalog = db.rapid().read().catalog().clone();
-        failures += verify_one(label, &lp, &catalog, &variants, &cfg, full);
+        failures += verify_one(label, &lp, &catalog, &variants, full);
     }
 
     if failures > 0 {
@@ -110,7 +109,6 @@ fn verify_one(
     lp: &rapid_qcomp::logical::LogicalPlan,
     catalog: &Catalog,
     variants: &[(&str, &CostParams)],
-    cfg: &rapid_verify::VerifyConfig,
     full: bool,
 ) -> usize {
     let mut failures = 0usize;
@@ -125,7 +123,8 @@ fn verify_one(
                 continue;
             }
         };
-        let report = rapid_verify::verify(&compiled.plan, catalog, cfg);
+        let ctx = &params.ctx;
+        let report = rapid_verify::verify(&compiled.plan, catalog, ctx);
         let undeclared: Vec<&StageReport> = undeclared_passes(&report).collect();
         let ok = report.ok() && undeclared.is_empty();
         let verdict = if ok { "PASS" } else { "FAIL" };
@@ -141,7 +140,7 @@ fn verify_one(
             );
         }
         if full || !ok {
-            for line in report.render(cfg.dmem_bytes, cfg.tile_rows).lines() {
+            for line in report.render(ctx.dmem_bytes, ctx.tile_rows).lines() {
                 println!("    {line}");
             }
         }
@@ -171,9 +170,8 @@ mod tests {
 
     #[test]
     fn a_pass_without_a_declared_fan_out_is_named() {
-        let cfg = rapid_verify::VerifyConfig::default();
         let passes_of = |plan: &PlanNode| -> Vec<(usize, String)> {
-            let report = rapid_verify::verify(plan, &demo_catalog(), &cfg);
+            let report = rapid_verify::verify(plan, &demo_catalog(), &ExecContext::dpu());
             undeclared_passes(&report)
                 .map(|s| (s.node_id, s.stage.clone()))
                 .collect()
@@ -188,7 +186,7 @@ mod tests {
         // probe stage that ends its probe side's task.
         let broadcast = set_scheme(vec![]);
         assert_eq!(passes_of(&broadcast), []);
-        let report = rapid_verify::verify(&broadcast, &demo_catalog(), &cfg);
+        let report = rapid_verify::verify(&broadcast, &demo_catalog(), &ExecContext::dpu());
         let of_join: Vec<_> = report.stages.iter().filter(|s| s.node_id == 2).collect();
         let stages: Vec<_> = of_join.iter().map(|s| (&*s.stage, &*s.operators)).collect();
         assert_eq!(stages, [("join.probe", "scan(t_fact) -> join.probe")]);

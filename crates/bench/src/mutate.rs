@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use dpu_sim::clock::Cycles;
+use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::{Expr, Pred};
 use rapid_qef::plan::{AggSpec, Catalog, GroupStrategy, JoinType, NamedExpr, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
@@ -24,7 +25,7 @@ use rapid_sched::trace::SchedTrace;
 use rapid_storage::schema::{Field, Schema};
 use rapid_storage::table::TableBuilder;
 use rapid_storage::types::{DataType, Value};
-use rapid_verify::{Rule, VerifyConfig, VerifyReport};
+use rapid_verify::{Rule, VerifyReport};
 
 /// Two-table demo catalog: a 2000-row fact table (unique `id`, 3-distinct
 /// `grp`, decimal `price`, small-domain `qty`, date `d`) and a 100-row
@@ -72,8 +73,8 @@ pub fn demo_catalog() -> Catalog {
     c
 }
 
-/// A plan that verifies clean at [`VerifyConfig::default`]: an aggregation
-/// over a mapped join of the demo tables, with an explicit 32-way
+/// A plan that verifies clean on the full DPU, [`ExecContext::dpu`]: an
+/// aggregation over a mapped join of the demo tables, with an explicit 32-way
 /// partition scheme and an on-the-fly group-by on the 3-distinct key.
 pub fn base_plan() -> PlanNode {
     let build = PlanNode::Scan {
@@ -142,16 +143,16 @@ pub fn base_plan() -> PlanNode {
 pub enum Mutated {
     /// A corrupted physical plan (verify with [`rapid_verify::verify`]).
     Plan(PlanNode),
-    /// A corrupted engine configuration (verify the base plan under it).
-    Config(VerifyConfig),
+    /// A corrupted execution context (verify the base plan under it).
+    Config(ExecContext),
 }
 
 impl Mutated {
     /// Verify what the mutation produced against `catalog`.
     pub fn verify(&self, catalog: &Catalog) -> VerifyReport {
         match self {
-            Mutated::Plan(p) => rapid_verify::verify(p, catalog, &VerifyConfig::default()),
-            Mutated::Config(cfg) => rapid_verify::verify(&base_plan(), catalog, cfg),
+            Mutated::Plan(p) => rapid_verify::verify(p, catalog, &ExecContext::dpu()),
+            Mutated::Config(ctx) => rapid_verify::verify(&base_plan(), catalog, ctx),
         }
     }
 }
@@ -260,14 +261,11 @@ impl Mutation {
             Mutation::StarveCores => Mutated::Plan(set_scheme(vec![2])),
             Mutation::GroupByOverFanout => Mutated::Plan(partition_groupby(vec![128])),
             Mutation::GroupByNonPow2Fanout => Mutated::Plan(partition_groupby(vec![48])),
-            Mutation::InflatePastDmem => Mutated::Config(VerifyConfig {
+            Mutation::InflatePastDmem => Mutated::Config(ExecContext {
                 dmem_bytes: 1024,
-                ..VerifyConfig::default()
+                ..ExecContext::dpu()
             }),
-            Mutation::TileBelowMin => Mutated::Config(VerifyConfig {
-                tile_rows: 16,
-                ..VerifyConfig::default()
-            }),
+            Mutation::TileBelowMin => Mutated::Config(ExecContext::dpu().with_tile_rows(16)),
             Mutation::OnTheFlyOverLimit => Mutated::Plan(plan_mut(|p| {
                 if let PlanNode::GroupBy { keys, .. } = p {
                     *keys = vec![0]; // fact.id: 2000 distinct values
@@ -510,7 +508,7 @@ mod tests {
 
     #[test]
     fn base_plan_verifies_clean() {
-        let report = rapid_verify::verify(&base_plan(), &demo_catalog(), &VerifyConfig::default());
+        let report = rapid_verify::verify(&base_plan(), &demo_catalog(), &ExecContext::dpu());
         assert!(
             report.diagnostics.is_empty(),
             "base plan must be clean: {:?}",

@@ -1,9 +1,10 @@
 //! The mutation harness contract: every rule has a mutation, every mutation
 //! is rejected with its rule id, and the un-mutated plan verifies clean.
 
+use rapid_qef::exec::ExecContext;
 use rapid_report::mutate::{base_plan, demo_catalog, InterferenceMutation, Mutated, Mutation};
 use rapid_verify::diag::Severity;
-use rapid_verify::{check, verify, Rule, VerifyConfig};
+use rapid_verify::{check, verify, Rule};
 
 #[test]
 fn every_rule_is_the_expected_rule_of_a_mutation() {
@@ -18,7 +19,7 @@ fn every_rule_is_the_expected_rule_of_a_mutation() {
 #[test]
 fn base_artifacts_are_clean() {
     let cat = demo_catalog();
-    let report = verify(&base_plan(), &cat, &VerifyConfig::default());
+    let report = verify(&base_plan(), &cat, &ExecContext::dpu());
     assert!(
         report.diagnostics.is_empty(),
         "un-mutated plan must verify clean: {}",
@@ -132,7 +133,7 @@ fn over_fanout_is_killed_at_the_encoded_row_width() {
         plan
     };
     let buffer_findings = |plan: &PlanNode| -> Vec<String> {
-        let report = verify(plan, &cat, &VerifyConfig::default());
+        let report = verify(plan, &cat, &ExecContext::dpu());
         let hits = report
             .diagnostics
             .iter()
@@ -162,7 +163,7 @@ fn a_partitioned_group_by_is_checked_like_a_join_pass() {
     use rapid_report::mutate::partition_groupby;
     use rapid_verify::diag::Rule;
     let cat = demo_catalog();
-    let report_of = |plan: &PlanNode| verify(plan, &cat, &VerifyConfig::default());
+    let report_of = |plan: &PlanNode| verify(plan, &cat, &ExecContext::dpu());
     for fits in [vec![32], vec![64], vec![8, 4]] {
         let report = report_of(&partition_groupby(fits.clone()));
         assert!(report.diagnostics.is_empty(), "{fits:?}: {report:?}");
@@ -203,7 +204,7 @@ fn a_join_of_no_rounds_is_broadcast_and_starves_no_core() {
     // One round of two still leaves thirty cores idle, and warns.
     use rapid_report::mutate::set_scheme;
     let cat = demo_catalog();
-    let report = verify(&set_scheme(vec![]), &cat, &VerifyConfig::default());
+    let report = verify(&set_scheme(vec![]), &cat, &ExecContext::dpu());
     assert!(report.diagnostics.is_empty(), "{report:?}");
     let stages: Vec<_> = report.stages.iter().map(|s| &*s.stage).collect();
     assert_eq!(
@@ -214,7 +215,7 @@ fn a_join_of_no_rounds_is_broadcast_and_starves_no_core() {
         panic!("StarveCores mutates the plan")
     };
     assert_eq!(starved, set_scheme(vec![2]));
-    let report = verify(&starved, &cat, &VerifyConfig::default());
+    let report = verify(&starved, &cat, &ExecContext::dpu());
     let rules: Vec<_> = report.diagnostics.iter().map(|d| d.rule).collect();
     assert_eq!(rules, [Rule::SchemeCores]);
 }
@@ -268,7 +269,7 @@ fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
     // In the whole scratchpad the chain and its consumer are one stage: one
     // row, its three operators, one vector size, the working set they hold
     // together.
-    let whole = verify(&task_plan(), &cat, &VerifyConfig::default());
+    let whole = verify(&task_plan(), &cat, &ExecContext::dpu());
     assert!(whole.diagnostics.is_empty(), "{whole:?}");
     let [task] = whole.stages.as_slice() else {
         panic!("one task, not {:?}", whole.stages)
@@ -295,9 +296,9 @@ fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
     // scratchpad + 9 B/row), and the three together — 128 B + half the
     // scratchpad + 11 B/row — do not, even single-buffered at 64 rows. The
     // task is cut where the engine cuts it: two stages, and no finding.
-    let tight = VerifyConfig {
+    let tight = ExecContext {
         dmem_bytes: 1600,
-        ..VerifyConfig::default()
+        ..ExecContext::dpu()
     };
     let two = verify(&task_plan(), &cat, &tight);
     assert!(two.diagnostics.is_empty(), "{two:?}");
@@ -315,17 +316,17 @@ fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
 #[test]
 fn check_is_ok_for_the_demo_plan() {
     let cat = demo_catalog();
-    assert_eq!(check(&base_plan(), &cat, &VerifyConfig::default()), Ok(()));
+    assert_eq!(check(&base_plan(), &cat, &ExecContext::dpu()), Ok(()));
 }
 
 #[test]
 fn check_renders_rule_ids_into_the_error() {
     let cat = demo_catalog();
     let plan = base_plan();
-    let cfg = VerifyConfig {
+    let ctx = ExecContext {
         dmem_bytes: 1024,
-        ..VerifyConfig::default()
+        ..ExecContext::dpu()
     };
-    let err = check(&plan, &cat, &cfg).unwrap_err();
+    let err = check(&plan, &cat, &ctx).unwrap_err();
     assert!(err.contains("R-DMEM-FIT"), "{err}");
 }

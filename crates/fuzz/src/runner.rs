@@ -150,9 +150,7 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         for t in db.rapid().read().catalog().values() {
             catalog.insert(t.name.clone(), Arc::clone(t));
         }
-        let ctx = ExecContext::native(2);
-        let vcfg = rapid_verify::VerifyConfig::from_exec(&ctx);
-        let mut engine = Engine::new(ctx);
+        let mut engine = Engine::new(ExecContext::native(2));
         for t in catalog.values() {
             engine.load_table(Arc::clone(t));
         }
@@ -164,7 +162,8 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         // the context that will run it. A rejection here surfaces as an
         // error asymmetry against the host engine — a verifier false
         // positive is a fuzz finding like any other.
-        rapid_verify::check(&compiled.plan, &catalog, &vcfg).map_err(|e| format!("verify: {e}"))?;
+        rapid_verify::check(&compiled.plan, &catalog, engine.context())
+            .map_err(|e| format!("verify: {e}"))?;
         let (out, _) = engine.execute(&compiled.plan).map_err(|e| e.to_string())?;
         let rows = hostdb::db::decode_batch(&out.batch, &out.meta, engine.catalog());
         Ok(EngineOutcome::Rows(canonical(&rows)))

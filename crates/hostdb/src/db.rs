@@ -243,7 +243,6 @@ impl PreparedStatement {
 pub struct HostDb {
     store: Arc<RowStore>,
     rapid: Arc<RwLock<Engine>>,
-    params: CostParams,
     plan_cache: PlanCache,
     /// Force every query to RAPID / to the host (benchmark harness knobs).
     pub force_site: Option<ExecutionSite>,
@@ -264,7 +263,6 @@ impl HostDb {
     pub fn new(rapid_ctx: ExecContext) -> Self {
         HostDb {
             store: Arc::new(RowStore::new()),
-            params: CostParams::from_exec(&rapid_ctx),
             rapid: Arc::new(RwLock::new(Engine::new(rapid_ctx))),
             plan_cache: PlanCache::default(),
             force_site: None,
@@ -496,11 +494,12 @@ impl HostDb {
         let inner = crate::sql::strip_explain_verify(sql).unwrap_or(sql);
         let plan = parse_sql(inner, &self.schemas()).map_err(DbError::Sql)?;
         let rapid = self.rapid.read();
-        let compiled = rapid_qcomp::compile_unverified(&plan, rapid.catalog(), &self.params)
-            .map_err(|e| DbError::Rapid(e.to_string()))?;
-        let cfg = rapid_qcomp::verify_config(&self.params);
-        let report = rapid_verify::verify(&compiled.plan, rapid.catalog(), &cfg);
-        Ok(report.render(cfg.dmem_bytes, cfg.tile_rows))
+        let ctx = rapid.context();
+        let compiled =
+            rapid_qcomp::compile_unverified(&plan, rapid.catalog(), &CostParams::from_exec(ctx))
+                .map_err(|e| DbError::Rapid(e.to_string()))?;
+        let report = rapid_verify::verify(&compiled.plan, rapid.catalog(), ctx);
+        Ok(report.render(ctx.dmem_bytes, ctx.tile_rows))
     }
 
     /// Execute `sql` (the `EXPLAIN ANALYZE` prefix is optional) with
@@ -535,7 +534,7 @@ impl HostDb {
                     rapid_qcomp::estimate_rows_per_node(
                         &compiled.plan,
                         rapid.catalog(),
-                        &self.params,
+                        &CostParams::from_exec(rapid.context()),
                     )
                 };
                 let text = render_explain(&events, &result, &estimates, &scans);
@@ -580,7 +579,11 @@ impl HostDb {
         let offload = match self.force_site {
             Some(ExecutionSite::Rapid) => OffloadPlan::Full(None),
             Some(ExecutionSite::Host) => OffloadPlan::None(NoOffloadReason::HostCheaper),
-            _ => plan_offload(plan, self.rapid.read().catalog(), &self.params),
+            _ => {
+                let rapid = self.rapid.read();
+                let params = CostParams::from_exec(rapid.context());
+                plan_offload(plan, rapid.catalog(), &params)
+            }
         };
         match offload {
             OffloadPlan::Full(bound) => match self.run_on_rapid(plan, bound, req) {
@@ -809,7 +812,8 @@ impl HostDb {
         let compiled = match bound {
             Some(bound) if bound.valid_on(engine.catalog()) => bound.compiled,
             _ => {
-                BoundPlan::compile(plan, &tables, engine.catalog(), &self.params)
+                let params = CostParams::from_exec(engine.context());
+                BoundPlan::compile(plan, &tables, engine.catalog(), &params)
                     .map_err(|e| DbError::Rapid(e.to_string()))?
                     .compiled
             }
@@ -1157,29 +1161,98 @@ mod tests {
                 other => other.inputs().find_map(join_scheme),
             }
         }
-        let compiled_on = |ctx: ExecContext| {
+        const SQL: &str = "SELECT a.k FROM a JOIN b ON a.k = b.k";
+        let loaded = |ctx: ExecContext, rows: i64| {
             let d = HostDb::new(ctx);
             for name in ["a", "b"] {
                 d.create_table(name, Schema::new(vec![Field::new("k", DataType::Int)]));
-                d.bulk_insert(name, (0..2_000i64).map(|i| vec![Value::Int(i)]));
+                d.bulk_insert(name, (0..rows).map(|i| vec![Value::Int(i)]));
                 d.load_into_rapid(name).unwrap();
             }
-            let plan = parse_sql("SELECT a.k FROM a JOIN b ON a.k = b.k", &d.schemas()).unwrap();
+            d
+        };
+        // The plan `d` ran, and the plan the compiler makes for `ctx`.
+        let compiled_on = |d: &HostDb, ctx: &ExecContext| {
+            let plan = parse_sql(SQL, &d.schemas()).unwrap();
             let (_, compiled) = d.run_on_rapid(&plan, None, &Request::default()).unwrap();
-            let expected = {
-                let rapid = d.rapid.read();
-                rapid_qcomp::compile(&plan, rapid.catalog(), &CostParams::default()).unwrap()
-            };
+            let rapid = d.rapid.read();
+            let params = CostParams::from_exec(ctx);
+            let expected = rapid_qcomp::compile(&plan, rapid.catalog(), &params).unwrap();
             (compiled.plan, expected.plan)
         };
+        let eight = ExecContext::dpu().with_cores(8);
         // Two thousand one-column rows need no more partitions than there
         // are cores to give one each.
-        let (on_eight, for_the_full_dpu) = compiled_on(ExecContext::dpu().with_cores(8));
+        let d = loaded(eight.clone(), 2_000);
+        let (on_eight, for_the_full_dpu) = compiled_on(&d, &ExecContext::dpu());
         assert_eq!(join_scheme(&on_eight), Some(vec![8]));
         assert_eq!(join_scheme(&for_the_full_dpu), Some(vec![32]));
-        // The full DPU's parameters are `CostParams::default()`.
-        let (on_the_full_dpu, for_the_full_dpu) = compiled_on(ExecContext::dpu());
+        let d = loaded(ExecContext::dpu(), 2_000);
+        let (on_the_full_dpu, for_the_full_dpu) = compiled_on(&d, &ExecContext::dpu());
         assert_eq!(on_the_full_dpu, for_the_full_dpu);
+
+        // Half a scratchpad holds a build partition: ten thousand rows a
+        // side take 16 partitions of a 16 KiB one and 8 of 32 KiB. The plan
+        // is compiled, gated, verified and run for the 16 KiB the context has.
+        let small = ExecContext {
+            dmem_bytes: 16 * 1024,
+            ..eight.clone()
+        };
+        let d = loaded(small.clone(), 10_000);
+        let (on_small, for_small) = compiled_on(&d, &small);
+        assert_eq!(on_small, for_small);
+        assert_eq!(join_scheme(&on_small), Some(vec![16]));
+        let (_, for_32_kib) = compiled_on(&d, &eight);
+        assert_eq!(join_scheme(&for_32_kib), Some(vec![8]));
+        let text = d.explain_verify(SQL).unwrap();
+        assert!(
+            text.starts_with("VERIFY (dmem 16384 B, tile 256 rows)"),
+            "{text}"
+        );
+        assert!(text.contains("\nPASS ("), "{text}");
+        let a = d.explain_analyze(SQL).unwrap();
+        assert_eq!(a.result.rows.len(), 10_000);
+        assert!(!a.events.is_empty());
+        for e in &a.events {
+            assert!(e.dmem_peak_bytes <= 16 * 1024, "{}", a.text);
+        }
+
+        // A 128-row tile: the verifier sizes every stage with it, and the
+        // lanes of a scan's task hold the working set the verifier fitted
+        // at that tile.
+        let narrow = eight.with_tile_rows(128);
+        let d = loaded(narrow.clone(), 2_000);
+        let (on_narrow, for_narrow) = compiled_on(&d, &narrow);
+        assert_eq!(on_narrow, for_narrow);
+        let text = d.explain_verify(SQL).unwrap();
+        assert!(
+            text.starts_with("VERIFY (dmem 32768 B, tile 128 rows)"),
+            "{text}"
+        );
+        let verified = rapid_verify::verify(&on_narrow, d.rapid.read().catalog(), &narrow);
+        assert!(verified.ok(), "{text}");
+        let tiles: Vec<_> = verified.stages.iter().map(|s| s.effective_tile).collect();
+        assert!(tiles.iter().all(|t| t.is_some_and(|t| t <= 128)), "{text}");
+        assert!(tiles.contains(&Some(128)), "{text}");
+        let a = d.explain_analyze(SQL).unwrap();
+        assert_eq!(a.result.rows.len(), 2_000);
+        let mut matched = 0;
+        for e in a.events.iter().filter(|e| e.scan.is_some()) {
+            let node = e.node_id as usize;
+            let stage = verified
+                .stages
+                .iter()
+                .find(|s| s.node_id == node && s.stage == e.operator);
+            if let Some(stage) = stage {
+                assert_eq!(
+                    e.dmem_peak_bytes, stage.working_set_bytes as u64,
+                    "{}",
+                    a.text
+                );
+                matched += 1;
+            }
+        }
+        assert_eq!(matched, 2, "{}", a.text);
     }
 
     #[test]
@@ -1445,7 +1518,8 @@ mod tests {
             rapid.fork(rapid.context().clone().with_trace(Arc::clone(&sink) as _))
         };
         let plan = parse_sql(sql, &d.schemas()).unwrap();
-        let compiled = rapid_qcomp::compile(&plan, engine.catalog(), &d.params).unwrap();
+        let params = CostParams::from_exec(engine.context());
+        let compiled = rapid_qcomp::compile(&plan, engine.catalog(), &params).unwrap();
         let (_, report) = engine.execute(&compiled.plan).unwrap();
         let wall: f64 = sink.take().iter().map(|e| e.wall_secs).sum();
         assert_eq!(wall.to_bits(), report.wall_secs.to_bits());
@@ -1543,10 +1617,10 @@ mod tests {
         ] {
             let plan = parse_sql(sql, &d.schemas()).unwrap();
             let rapid = d.rapid.read();
+            let params = CostParams::from_exec(rapid.context());
             let compiled =
-                rapid_qcomp::compile_unverified(&plan, rapid.catalog(), &d.params).unwrap();
-            let cfg = rapid_qcomp::verify_config(&d.params);
-            let verified = rapid_verify::verify(&compiled.plan, rapid.catalog(), &cfg);
+                rapid_qcomp::compile_unverified(&plan, rapid.catalog(), &params).unwrap();
+            let verified = rapid_verify::verify(&compiled.plan, rapid.catalog(), rapid.context());
             drop(rapid);
             let a = d.explain_analyze(sql).unwrap();
             let scan = a.events.iter().find(|e| e.scan.is_some()).expect("a scan");
@@ -1907,7 +1981,8 @@ mod tests {
             .join(LogicalPlan::scan("region_names"), &["region"], &["key"])
             .join(overflowing, &["id"], &["hk"]);
         let rapid = d.rapid.read();
-        let decision = crate::offload::decide(&plan, rapid.catalog(), &d.params);
+        let params = CostParams::from_exec(rapid.context());
+        let decision = crate::offload::decide(&plan, rapid.catalog(), &params);
         drop(rapid);
         assert_eq!(decision, crate::offload::OffloadDecision::Partial(2));
 

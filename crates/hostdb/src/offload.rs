@@ -181,7 +181,7 @@ pub(crate) fn plan_offload(
     // Cost-based full-vs-none.
     match BoundPlan::compile(plan, &tables, rapid_catalog, params) {
         Ok(bound) => {
-            let rapid_secs = bound.compiled.cost.offload_secs(params);
+            let rapid_secs = bound.compiled.cost.offload_secs();
             if rapid_secs < estimate_local_secs(plan, rapid_catalog) {
                 OffloadPlan::Full(Some(bound))
             } else {

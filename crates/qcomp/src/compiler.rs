@@ -23,6 +23,7 @@
 
 use std::ops::Bound;
 
+use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::{Expr, Pred};
 use rapid_qef::ops::groupby::{on_the_fly_group_limit, slot_count};
 use rapid_qef::plan::{
@@ -121,8 +122,7 @@ pub fn compile(
     params: &CostParams,
 ) -> Result<Compiled, CompileError> {
     let compiled = compile_unverified(lp, catalog, params)?;
-    rapid_verify::check(&compiled.plan, catalog, &verify_config(params))
-        .map_err(CompileError::Verify)?;
+    rapid_verify::check(&compiled.plan, catalog, &params.ctx).map_err(CompileError::Verify)?;
     Ok(compiled)
 }
 
@@ -159,14 +159,11 @@ pub fn compile_unverified(
     })
 }
 
-/// The verifier configuration the cost parameters imply: the compiler
-/// promises exactly what it costed (same DMEM, tile and core count).
-pub fn verify_config(params: &CostParams) -> rapid_verify::VerifyConfig {
-    rapid_verify::VerifyConfig {
-        dmem_bytes: params.dmem_bytes,
-        tile_rows: params.tile_rows,
-        cores: params.cores,
-    }
+/// The context a plan compiled with `params` is verified against: the one
+/// it was costed for. Callers read `params.ctx`; this accessor remains for
+/// the benchmark's layer probe.
+pub fn verify_config(params: &CostParams) -> &ExecContext {
+    &params.ctx
 }
 
 pub(crate) fn lower(
@@ -1117,23 +1114,23 @@ fn broadcasts(
     catalog: &Catalog,
     params: &CostParams,
 ) -> Result<bool, CompileError> {
-    if build_rows * params.cores as f64 > probe_rows {
+    if build_rows * params.ctx.cores as f64 > probe_rows {
         return Ok(false);
     }
     let widths = |plan: &PlanNode| {
         plan.output_widths(catalog)
             .map_err(|e| CompileError::BadCatalog(e.to_string()))
     };
-    let decl = rapid_qef::task::join_probe_decl(&widths(probe)?, params.dmem_bytes);
+    let decl = rapid_qef::task::join_probe_decl(&widths(probe)?, params.ctx.dmem_bytes);
     let table = rapid_qef::ops::join::broadcast_bytes(
         build_rows.ceil() as usize,
         nkeys,
         widths(build)?.iter().sum(),
     );
     let fits = rapid_qef::budget::task_tile(
-        params.tile_rows,
+        params.ctx.tile_rows,
         std::slice::from_ref(&decl),
-        params.dmem_bytes,
+        params.ctx.dmem_bytes,
     );
     Ok(table <= decl.state_bytes && fits.is_some())
 }
@@ -1162,19 +1159,19 @@ fn partition_scheme(
     kernel_row_bytes: usize,
     params: &CostParams,
 ) -> Vec<usize> {
-    let buffer_cap = rapid_qef::budget::max_buffered_fanout(row_bytes, params.dmem_bytes);
+    let buffer_cap = rapid_qef::budget::max_buffered_fanout(row_bytes, params.ctx.dmem_bytes);
     let streamed = PartitionOptInput {
         rows: (rows as u64).max(1),
         row_bytes,
-        dmem_bytes: params.dmem_bytes,
-        cores: params.cores,
+        dmem_bytes: params.ctx.dmem_bytes,
+        cores: params.ctx.cores,
         max_round_fanout: buffer_cap.min(rapid_qef::budget::MAX_ROUND_FANOUT),
     };
     let partitions = required_partitions(&PartitionOptInput {
         row_bytes: kernel_row_bytes,
         ..streamed.clone()
     });
-    optimize_for_partitions(&params.cm, &streamed, partitions).rounds
+    optimize_for_partitions(&params.ctx.cost_model, &streamed, partitions).rounds
 }
 
 fn lower_aggregate(
@@ -1262,7 +1259,7 @@ fn lower_aggregate(
     // entries needs, by a scheme chosen the way a join's is. An on-the-fly
     // table whose keys all have a known range, and whose slots fit where its
     // groups would, indexes them by slot.
-    let limit = on_the_fly_group_limit(params.dmem_bytes, k, &specs);
+    let limit = on_the_fly_group_limit(params.ctx.dmem_bytes, k, &specs);
     let range = |c: &OutCol| c.range.map(|(lo, hi)| KeyRange { lo, hi });
     let ranges: Option<Vec<KeyRange>> = out_cols[..k].iter().map(range).collect();
     let fits = |r: &Vec<KeyRange>| k > 0 && slot_count(r).is_some_and(|n| n <= limit);
@@ -1633,9 +1630,12 @@ mod tests {
         assert_eq!(row, 2 + 6 * 8 + 6);
         // 16 KiB of local buffers hold 18 sixteen-row bursts of 56 bytes:
         // 16 ways a round, where the declared 104 bytes would allow 8.
-        let cap = rapid_qef::budget::max_buffered_fanout(row, p.dmem_bytes);
+        let cap = rapid_qef::budget::max_buffered_fanout(row, p.ctx.dmem_bytes);
         assert_eq!(cap, 16);
-        assert_eq!(rapid_qef::budget::max_buffered_fanout(104, p.dmem_bytes), 8);
+        assert_eq!(
+            rapid_qef::budget::max_buffered_fanout(104, p.ctx.dmem_bytes),
+            8
+        );
         assert_eq!(s.iter().product::<usize>(), 32, "a partition per core");
         assert!(
             s.len() == 2 && s.iter().all(|&f| f <= cap),
@@ -1643,7 +1643,7 @@ mod tests {
         );
         // And the verifier agrees (the compile() gate already enforced
         // this; assert explicitly for the regression).
-        assert!(rapid_verify::verify(&c.plan, &cat, &verify_config(&p)).ok());
+        assert!(rapid_verify::verify(&c.plan, &cat, &p.ctx).ok());
     }
 
     #[test]
@@ -1662,7 +1662,10 @@ mod tests {
         cat.insert("narrow".into(), Arc::new(b.finish()));
         let lp = LogicalPlan::scan("narrow").join(LogicalPlan::scan("narrow"), &["c0"], &["c0"]);
         let p = params();
-        assert_eq!(rapid_qef::budget::max_buffered_fanout(48, p.dmem_bytes), 16);
+        assert_eq!(
+            rapid_qef::budget::max_buffered_fanout(48, p.ctx.dmem_bytes),
+            16
+        );
         let c = compile(&lp, &cat, &p).unwrap();
         let PlanNode::HashJoin { scheme, probe, .. } = &c.plan else {
             panic!("expected join root, got {:?}", c.plan)
@@ -1692,10 +1695,10 @@ mod tests {
         let slots = Some(vec![KeyRange { lo: 0, hi: 99 }]);
         assert_eq!(*strategy, GroupStrategy::OnTheFly { slots });
 
-        let small = CostParams {
+        let small = CostParams::from_exec(&ExecContext {
             dmem_bytes: 2048,
-            ..params()
-        };
+            ..ExecContext::dpu()
+        });
         let c = compile_unverified(&lp, &catalog(), &small).unwrap();
         let PlanNode::GroupBy { strategy, .. } = &c.plan else {
             panic!()
@@ -1757,7 +1760,7 @@ mod tests {
             func: AggFunc::Sum,
             col: 2,
         };
-        let limit = on_the_fly_group_limit(p.dmem_bytes, 2, &[sum]);
+        let limit = on_the_fly_group_limit(p.ctx.dmem_bytes, 2, &[sum]);
         assert!((25 * 7..2400).contains(&limit), "limit {limit}");
         let name = || LNamed::new("name", LExpr::col("name"));
         let year = LNamed::new("y", LExpr::Year(Box::new(LExpr::col("d"))));
@@ -1815,10 +1818,7 @@ mod tests {
         // violation: the gate converts the verifier diagnostic into a
         // typed CompileError instead of handing the engine a bad plan.
         let lp = LogicalPlan::scan("t");
-        let bad = CostParams {
-            tile_rows: 16,
-            ..params()
-        };
+        let bad = CostParams::from_exec(&ExecContext::dpu().with_tile_rows(16));
         let err = compile(&lp, &catalog(), &bad).unwrap_err();
         let CompileError::Verify(msg) = err else {
             panic!("expected Verify error, got {err:?}")

@@ -24,9 +24,16 @@
 //! expression whole; `tests/tpch_sql.rs`
 //! holds it within 7× either way. The host database reuses it for offload
 //! decisions.
+//!
+//! The estimator prices a plan for the `ExecContext` the plan will run
+//! under, the one [`CostParams`] holds: the same cost model, cores, DMEM and
+//! tile the engine executes with and the verifier checks against, so the
+//! estimated rows are the only input that differs from a run. What the
+//! context does not describe — the result link to the host and the fixed
+//! cost of an offload — are the constants [`NETWORK_BYTES_PER_SEC`] and
+//! [`OFFLOAD_LATENCY_SECS`].
 
 use dpu_sim::clock::SimTime;
-use dpu_sim::isa::CostModel;
 
 use rapid_qef::exec::ExecContext;
 use rapid_qef::plan::{Catalog, GroupStrategy, JoinType, PlanNode};
@@ -35,21 +42,21 @@ use rapid_qef::primitives::costs;
 use rapid_qef::selectivity::{estimate_selectivity, estimate_selectivity_cols};
 use rapid_storage::stats::ColumnStats;
 
-/// Tunables of the estimator.
+/// Bytes/sec of the result-return link to the host (RDMA over IB, an FDR-
+/// class single link).
+pub const NETWORK_BYTES_PER_SEC: f64 = 3.0e9;
+
+/// Fixed per-offload latency (round trip, scheduling) in seconds.
+pub const OFFLOAD_LATENCY_SECS: f64 = 150.0e-6;
+
+/// What the estimator and the compiler plan for: the context the plan will
+/// run under, and whether to search join orders.
 #[derive(Debug, Clone)]
 pub struct CostParams {
-    /// The DPU calibration.
-    pub cm: CostModel,
-    /// Cores available.
-    pub cores: usize,
-    /// Tile size assumed for amortizing per-tile overheads.
-    pub tile_rows: usize,
-    /// Per-core DMEM scratchpad capacity the plans will run against.
-    pub dmem_bytes: usize,
-    /// Bytes/sec of the result-return link to the host (RDMA over IB).
-    pub network_bytes_per_sec: f64,
-    /// Fixed per-offload latency (round trip, scheduling) in seconds.
-    pub offload_latency_secs: f64,
+    /// The engine's execution context: the cost model every core charges,
+    /// and the cores, DMEM and tile the plan is costed, partitioned and
+    /// verified for. A clone of the engine's own shares its `Arc`s.
+    pub ctx: ExecContext,
     /// Run the cost-based join-order search during compilation. Off keeps
     /// the declared (SQL-order) join tree — useful for A/B comparisons and
     /// as the differential baseline the reorderer is tested against.
@@ -64,17 +71,10 @@ impl Default for CostParams {
 }
 
 impl CostParams {
-    /// The parameters an execution context implies: plans are costed,
-    /// partitioned and verified for the cores, DMEM and tiles they will
-    /// run on (see `rapid_verify::VerifyConfig::from_exec`).
+    /// Plan for the context `ctx`, with the join-order search on.
     pub fn from_exec(ctx: &ExecContext) -> CostParams {
         CostParams {
-            cm: (*ctx.cost_model).clone(),
-            cores: ctx.cores,
-            tile_rows: ctx.tile_rows,
-            dmem_bytes: ctx.dmem_bytes,
-            network_bytes_per_sec: 3.0e9, // IB FDR-class single link
-            offload_latency_secs: 150.0e-6,
+            ctx: ctx.clone(),
             reorder_joins: true,
         }
     }
@@ -99,8 +99,8 @@ impl PlanCost {
 
     /// Total offload cost: execution + result transfer + fixed latency — the
     /// quantity the host optimizer compares against local execution (§3.1).
-    pub fn offload_secs(&self, p: &CostParams) -> f64 {
-        self.exec_secs + self.output_bytes() / p.network_bytes_per_sec + p.offload_latency_secs
+    pub fn offload_secs(&self) -> f64 {
+        self.exec_secs + self.output_bytes() / NETWORK_BYTES_PER_SEC + OFFLOAD_LATENCY_SECS
     }
 }
 
@@ -206,7 +206,7 @@ fn semi_match_fraction(b: &NodeEst, pr: &NodeEst, bk: &[usize], pk: &[usize]) ->
 
 /// Full estimator: cost plus derived column statistics per node.
 pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> NodeEst {
-    let cm = &p.cm;
+    let (cm, cores) = (&*p.ctx.cost_model, p.ctx.cores as f64);
     match plan {
         PlanNode::Scan {
             table,
@@ -228,8 +228,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             // Transfer: stream the filter column(s) + gather survivors;
             // compute: ~1.5 cy/row filter. Overlap: max of the two.
             let wire = rows * bytes / cm.dms_bytes_per_cycle();
-            let compute_per_core =
-                rows * cm.kernel_cycles(&costs::filter_per_row()) / p.cores as f64;
+            let compute_per_core = rows * cm.kernel_cycles(&costs::filter_per_row()) / cores;
             let cycles = wire.max(compute_per_core);
             NodeEst {
                 cost: PlanCost {
@@ -245,7 +244,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
         }
         PlanNode::Filter { input, pred } => {
             let c = estimate_node(input, catalog, p);
-            let cycles = c.cost.rows * cm.kernel_cycles(&costs::filter_per_row()) / p.cores as f64;
+            let cycles = c.cost.rows * cm.kernel_cycles(&costs::filter_per_row()) / cores;
             // Same estimator as the Scan path, fed the derived stats of
             // whatever feeds this Filter (fixes the flat 0.5).
             let sel = estimate_selectivity_cols(pred, &c.col_refs());
@@ -262,7 +261,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             let c = estimate_node(input, catalog, p);
             let cycles =
                 c.cost.rows * exprs.len() as f64 * cm.kernel_cycles(&costs::arith_per_row())
-                    / p.cores as f64;
+                    / cores;
             NodeEst {
                 cost: PlanCost {
                     rows: c.cost.rows,
@@ -292,7 +291,6 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             let probe_cy = pr.cost.rows
                 * (cm.kernel_cycles(&costs::join_probe_per_row())
                     + cm.kernel_cycles(&costs::join_probe_per_link()));
-            let cores = p.cores as f64;
             let (wire, compute) = if scheme.is_empty() {
                 // Broadcast: every lane reads the build side and builds the
                 // whole table, then probes its share of rows where they lie.
@@ -351,7 +349,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             let c = estimate_node(input, catalog, p);
             let per_row = cm.kernel_cycles(&costs::group_lookup_per_row())
                 + aggs.len() as f64 * cm.kernel_cycles(&costs::grouped_agg_per_row());
-            let mut cycles = c.cost.rows * per_row / p.cores as f64;
+            let mut cycles = c.cost.rows * per_row / cores;
             if let GroupStrategy::Partitioned(scheme) = strategy {
                 // A pass through the DMS per round to partition by keys.
                 cycles +=
@@ -428,7 +426,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
         }
         PlanNode::TopK { input, k, .. } => {
             let c = estimate_node(input, catalog, p);
-            let cycles = c.cost.rows * cm.kernel_cycles(&costs::topk_per_row()) / p.cores as f64;
+            let cycles = c.cost.rows * cm.kernel_cycles(&costs::topk_per_row()) / cores;
             NodeEst {
                 cost: PlanCost {
                     rows: *k as f64,
@@ -441,8 +439,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
         PlanNode::Sort { input, .. } => {
             let c = estimate_node(input, catalog, p);
             let cycles =
-                c.cost.rows * 4.0 * cm.kernel_cycles(&costs::radix_sort_per_row_per_pass())
-                    / p.cores as f64;
+                c.cost.rows * 4.0 * cm.kernel_cycles(&costs::radix_sort_per_row_per_pass()) / cores;
             NodeEst {
                 cost: PlanCost {
                     rows: c.cost.rows,
@@ -584,7 +581,7 @@ mod tests {
         let p = CostParams::default();
         let cat = catalog(1000);
         let cost = estimate(&scan(), &cat, &p);
-        assert!(cost.offload_secs(&p) > cost.exec_secs + p.offload_latency_secs - 1e-12);
+        assert!(cost.offload_secs() > cost.exec_secs + OFFLOAD_LATENCY_SECS - 1e-12);
     }
 
     #[test]

@@ -392,27 +392,27 @@ fn mask_est(mask: u32, rels: &[Rel], edges: &[Edge], edge_sel: &[f64]) -> (f64, 
 ///
 /// [`PlanCost::row_bytes`]: crate::cost::PlanCost
 fn join_cycles(params: &CostParams, a: (f64, f64), b: (f64, f64)) -> f64 {
-    let cm = &params.cm;
+    let cm = &params.ctx.cost_model;
     let ((build_rows, build_width), (probe_rows, probe_width)) =
         if a.0 <= b.0 { (a, b) } else { (b, a) };
     let row_bytes = (a.1.max(b.1) as usize).max(8);
-    let max_round_fanout = rapid_qef::budget::max_buffered_fanout(row_bytes, params.dmem_bytes)
+    let max_round_fanout = rapid_qef::budget::max_buffered_fanout(row_bytes, params.ctx.dmem_bytes)
         .min(rapid_qef::budget::MAX_ROUND_FANOUT);
     let scheme = optimize_partition_scheme(
         cm,
         &PartitionOptInput {
             rows: (build_rows as u64).max(1),
             row_bytes,
-            dmem_bytes: params.dmem_bytes,
-            cores: params.cores,
+            dmem_bytes: params.ctx.dmem_bytes,
+            cores: params.ctx.cores,
             max_round_fanout,
         },
     );
     let side = |rows: f64, width: f64| PartitionOptInput {
         rows: (rows as u64).max(1),
         row_bytes: (width as usize).max(8),
-        dmem_bytes: params.dmem_bytes,
-        cores: params.cores,
+        dmem_bytes: params.ctx.dmem_bytes,
+        cores: params.ctx.cores,
         max_round_fanout,
     };
     let partition = scheme_cost(cm, &side(build_rows, build_width), &scheme.rounds)
@@ -421,7 +421,7 @@ fn join_cycles(params: &CostParams, a: (f64, f64), b: (f64, f64)) -> f64 {
         + probe_rows
             * (cm.kernel_cycles(&costs::join_probe_per_row())
                 + cm.kernel_cycles(&costs::join_probe_per_link())))
-        / params.cores as f64;
+        / params.ctx.cores as f64;
     partition + kernels
 }
 

@@ -190,7 +190,6 @@ impl Inner {
     /// Record a finished query, forgetting the oldest finished one — its
     /// stats and its completion time — past the cap.
     fn log_finished(&mut self, stats: QueryStats, cap: usize) {
-        self.timeline.retire(stats.query_id);
         self.finished.push_back(stats);
         self.finished_total += 1;
         if cap > 0 && self.finished.len() > cap {
@@ -505,12 +504,12 @@ impl Scheduler {
         id: u64,
         profile: &StageProfile,
     ) -> Result<Cycles, StageAbort> {
-        let Some(prev_ready) = inner.queries.get(&id).map(|q| q.ready) else {
+        let Some((prev_ready, seq)) = inner.queries.get(&id).map(|q| (q.ready, q.stages)) else {
             return Err(StageAbort {
                 reason: "unknown query (submit it first)".into(),
             });
         };
-        let p = inner.timeline.place(prev_ready, profile);
+        let p = inner.timeline.place(prev_ready, seq as u64, profile);
         if let Some(q) = inner.queries.get_mut(&id) {
             q.ready = p.end;
             q.stages += 1;

@@ -11,7 +11,7 @@
 //! contention only ever *delays* stages.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dpu_sim::account::{CycleAccount, StageSpan};
 use dpu_sim::clock::{Cycles, SimTime};
@@ -120,8 +120,6 @@ pub struct DpuTimeline {
     history_cap: usize,
     /// Records evicted from the front of the capped ring.
     history_dropped: u64,
-    /// Next stage index per query (drives [`PlacementRecord::seq`]).
-    query_seq: HashMap<u64, u64>,
 }
 
 impl DpuTimeline {
@@ -139,7 +137,6 @@ impl DpuTimeline {
             history: VecDeque::new(),
             history_cap: 0,
             history_dropped: 0,
-            query_seq: HashMap::new(),
         }
     }
 
@@ -171,24 +168,20 @@ impl DpuTimeline {
         self.history_dropped
     }
 
-    /// Forget the stage counter of a query that will place no more stages,
-    /// so a long-lived timeline holds one per live query.
-    pub fn retire(&mut self, query_id: u64) {
-        self.query_seq.remove(&query_id);
-    }
-
     /// Latest stage end placed so far.
     pub fn makespan(&self) -> Cycles {
         self.makespan
     }
 
-    /// Place one stage no earlier than `ready` (the query's own clock).
+    /// Place stage `seq` of its query (0-based, in the query's program
+    /// order: the scheduler counts them) no earlier than `ready`, the
+    /// query's own clock.
     ///
     /// The stage gang-schedules one of the earliest-free cores (ties broken
     /// by core id) per lane the engine ran it with, holds them until the
     /// stage's barrier, and serializes its DMS total behind the transfers
     /// already queued on the shared engine.
-    pub fn place(&mut self, ready: Cycles, profile: &StageProfile) -> Placement {
+    pub fn place(&mut self, ready: Cycles, seq: u64, profile: &StageProfile) -> Placement {
         let cores = self.core_free.len();
         // A stage built for more cores than this DPU has folds its lanes
         // onto the cores there are, round-robin as the engine deals items.
@@ -248,12 +241,6 @@ impl DpuTimeline {
         }
         self.makespan = self.makespan.max(end);
         self.stages += 1;
-        let seq = {
-            let next = self.query_seq.entry(profile.query_id).or_insert(0);
-            let s = *next;
-            *next += 1;
-            s
-        };
         let core_mask = granted
             .iter()
             .filter(|&&c| c < 64)
@@ -347,7 +334,7 @@ mod tests {
             items.push(compute_item(1000.0));
             items.push(dms_item(100.0));
         }
-        let p = tl.place(Cycles::ZERO, &profile(1, items));
+        let p = tl.place(Cycles::ZERO, 0, &profile(1, items));
         assert_eq!(p.start, Cycles::ZERO);
         assert_eq!(p.duration, Cycles(1000.0));
         assert_eq!(p.end, Cycles(1000.0));
@@ -366,7 +353,7 @@ mod tests {
         impl StageRouter for Idle {
             fn route_stage(&self, profile: &StageProfile) -> Result<Cycles, StageAbort> {
                 self.0.lock().unwrap().push(profile.lanes.len());
-                let p = DpuTimeline::new(32).place(Cycles::ZERO, profile);
+                let p = DpuTimeline::new(32).place(Cycles::ZERO, 0, profile);
                 assert_eq!(p.end, p.duration, "idle timeline");
                 Ok(p.duration)
             }
@@ -410,8 +397,8 @@ mod tests {
         // Two DMS-bound stages from different queries: the second's
         // transfers queue behind the first's on the single engine.
         let mut tl = DpuTimeline::new(32);
-        let a = tl.place(Cycles::ZERO, &profile(1, vec![dms_item(1000.0)]));
-        let b = tl.place(Cycles::ZERO, &profile(2, vec![dms_item(1000.0)]));
+        let a = tl.place(Cycles::ZERO, 0, &profile(1, vec![dms_item(1000.0)]));
+        let b = tl.place(Cycles::ZERO, 0, &profile(2, vec![dms_item(1000.0)]));
         assert_eq!(a.end, Cycles(1000.0));
         // Query 2 starts its core at 0 (different core is free) but its
         // transfer waits for the engine: ends at 2000.
@@ -424,8 +411,8 @@ mod tests {
         // Two 8-lane compute stages on a 32-core DPU run side by side.
         let mut tl = DpuTimeline::new(32);
         let items = |n: usize| (0..n).map(|_| compute_item(1000.0)).collect::<Vec<_>>();
-        let a = tl.place(Cycles::ZERO, &profile(1, items(8)));
-        let b = tl.place(Cycles::ZERO, &profile(2, items(8)));
+        let a = tl.place(Cycles::ZERO, 0, &profile(1, items(8)));
+        let b = tl.place(Cycles::ZERO, 0, &profile(2, items(8)));
         assert_eq!(a.end, Cycles(1000.0));
         assert_eq!(b.end, Cycles(1000.0), "disjoint cores: no queueing");
         let u = tl.utilization(&CostModel::default());
@@ -441,8 +428,8 @@ mod tests {
         // first stage still holds.
         let mut tl = DpuTimeline::new(32);
         let items = |n: usize| (0..n).map(|_| compute_item(1000.0)).collect::<Vec<_>>();
-        tl.place(Cycles::ZERO, &profile(1, items(8)));
-        let b = tl.place(Cycles::ZERO, &profile(2, items(32)));
+        tl.place(Cycles::ZERO, 0, &profile(1, items(8)));
+        let b = tl.place(Cycles::ZERO, 0, &profile(2, items(32)));
         assert_eq!(b.start, Cycles(1000.0));
         assert_eq!(b.duration, Cycles(2000.0), "wait + span");
     }
@@ -452,7 +439,7 @@ mod tests {
         // Five lanes on two cores: lanes 0, 2, 4 share core 0.
         let mut tl = DpuTimeline::new(2);
         let lanes = [100.0, 10.0, 100.0, 10.0, 100.0].map(compute_item);
-        let p = tl.place(Cycles::ZERO, &profile(1, lanes.to_vec()));
+        let p = tl.place(Cycles::ZERO, 0, &profile(1, lanes.to_vec()));
         assert_eq!(p.duration, Cycles(300.0));
         let recs = tl.placements();
         assert_eq!(recs[0].lanes, 2);
@@ -464,9 +451,10 @@ mod tests {
         let mut tl = DpuTimeline::new(4);
         tl.place(
             Cycles::ZERO,
+            0,
             &profile(7, vec![compute_item(1000.0), dms_item(100.0)]),
         );
-        tl.place(Cycles::ZERO, &profile(9, vec![compute_item(500.0)]));
+        tl.place(Cycles::ZERO, 0, &profile(9, vec![compute_item(500.0)]));
         let recs = tl.placements();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].query_id, 7);
@@ -477,21 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn a_retired_query_leaves_no_stage_counter_behind() {
-        let mut tl = DpuTimeline::new(2);
-        for q in 0..3 {
-            tl.place(Cycles::ZERO, &profile(q, vec![compute_item(10.0)]));
-        }
-        tl.retire(0);
-        tl.retire(2);
-        assert_eq!(tl.query_seq.keys().collect::<Vec<_>>(), [&1]);
-    }
-
-    #[test]
     fn history_cap_evicts_oldest_and_counts_drops() {
         let mut tl = DpuTimeline::new(2).with_history_cap(4);
         for q in 0..10u64 {
-            tl.place(Cycles::ZERO, &profile(q, vec![compute_item(10.0)]));
+            tl.place(Cycles::ZERO, 0, &profile(q, vec![compute_item(10.0)]));
         }
         let recs = tl.placements();
         assert_eq!(recs.len(), 4, "ring holds at most the cap");
@@ -509,8 +486,8 @@ mod tests {
         let mut tl = DpuTimeline::new(4);
         let mut p0 = profile(7, vec![compute_item(100.0), dms_item(50.0)]);
         p0.dmem_peak = 4096;
-        tl.place(Cycles::ZERO, &p0);
-        tl.place(Cycles(100.0), &profile(7, vec![dms_item(25.0)]));
+        tl.place(Cycles::ZERO, 0, &p0);
+        tl.place(Cycles(100.0), 1, &profile(7, vec![dms_item(25.0)]));
         let recs = tl.placements();
         assert_eq!(recs[0].seq, 0);
         assert_eq!(recs[1].seq, 1, "per-query stage order");
@@ -525,7 +502,7 @@ mod tests {
         assert_eq!(recs[1].dms_start, Cycles(100.0));
         assert_eq!(recs[1].dms_end, Cycles(125.0));
         // A stage with no transfers records an empty window.
-        tl.place(Cycles::ZERO, &profile(9, vec![compute_item(10.0)]));
+        tl.place(Cycles::ZERO, 0, &profile(9, vec![compute_item(10.0)]));
         let recs = tl.placements();
         assert_eq!(recs[2].dms_start, recs[2].dms_end);
     }
@@ -534,7 +511,7 @@ mod tests {
     fn utilization_reports_energy_at_provisioned_power() {
         let mut tl = DpuTimeline::new(1);
         // 8e8 cycles at 800 MHz = 1 simulated second.
-        tl.place(Cycles::ZERO, &profile(1, vec![compute_item(8.0e8)]));
+        tl.place(Cycles::ZERO, 0, &profile(1, vec![compute_item(8.0e8)]));
         let u = tl.utilization(&CostModel::default());
         assert!((u.makespan.as_secs() - 1.0).abs() < 1e-9);
         assert!((u.energy_joules - 5.8).abs() < 1e-6);

@@ -32,6 +32,9 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 
+/// Server identification sent in `HelloOk`.
+const SERVER_NAME: &str = "rapid-server";
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -48,10 +51,6 @@ pub struct ServerConfig {
     pub sched: SchedConfig,
     /// Rows per `RowBatch` frame.
     pub row_batch: usize,
-    /// Largest accepted request frame.
-    pub max_frame: u32,
-    /// Server identification sent in `HelloOk`.
-    pub server_name: String,
 }
 
 impl Default for ServerConfig {
@@ -70,8 +69,6 @@ impl Default for ServerConfig {
                 ..SchedConfig::default()
             },
             row_batch: 512,
-            max_frame: MAX_FRAME_BYTES,
-            server_name: "rapid-server".into(),
         }
     }
 }
@@ -370,8 +367,7 @@ impl Session {
                     let _ = self.send(&Response::Error {
                         kind: "FrameTooLarge".into(),
                         message: format!(
-                            "frame of {len} bytes exceeds the {}-byte limit",
-                            self.shared.cfg.max_frame
+                            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
                         ),
                     });
                     break;
@@ -399,7 +395,7 @@ impl Session {
         let mut hdr = [0u8; 4];
         self.read_buf(&mut hdr, deadline, true)?;
         let len = u32::from_be_bytes(hdr);
-        if len > self.shared.cfg.max_frame {
+        if len > MAX_FRAME_BYTES {
             return Err(ReadEnd::TooLarge(len));
         }
         let mut body = vec![0u8; len as usize];
@@ -468,12 +464,11 @@ impl Session {
                     },
                 );
                 self.hello_done = true;
-                let server = self.shared.cfg.server_name.clone();
                 self.send(&Response::HelloOk {
                     version: PROTOCOL_VERSION,
                     conn: self.conn_id,
                     secret: self.secret,
-                    server,
+                    server: SERVER_NAME.into(),
                 })?;
                 Ok(true)
             }

@@ -26,6 +26,11 @@
 //!
 //! All DMEM arithmetic is shared with the engine via `rapid_qef::budget`,
 //! so the static verdict and the runtime tile choice cannot drift apart.
+//! A plan is verified against the `ExecContext` it will run under — its
+//! cores, DMEM and tile, the values the engine sizes the same stages with
+//! and the compiler planned for; what the context does not carry (the round
+//! fan-out cap, the hash width and its skew reserve) is a constant of
+//! `rapid_qef::budget`.
 //!
 //! Nothing here is installed anywhere: whoever wants a verdict calls
 //! [`check`] or [`schedcheck::check_trace`]. The compiler gates every
@@ -52,47 +57,16 @@ pub use diag::{Diagnostic, Rule, Severity, StageReport, VerifyReport};
 use rapid_qef::exec::ExecContext;
 use rapid_qef::plan::{Catalog, PlanNode};
 
-/// The hardware/engine parameters a plan is verified against.
-#[derive(Debug, Clone)]
-pub struct VerifyConfig {
-    /// Per-core DMEM scratchpad capacity in bytes.
-    pub dmem_bytes: usize,
-    /// Configured vector (tile) size in rows.
-    pub tile_rows: usize,
-    /// Number of dpCores partitions should cover.
-    pub cores: usize,
-}
-
-impl Default for VerifyConfig {
-    /// The configuration of the full DPU, [`ExecContext::dpu`].
-    fn default() -> Self {
-        VerifyConfig::from_exec(&ExecContext::dpu())
-    }
-}
-
-impl VerifyConfig {
-    /// Derive the configuration an execution context implies; what the
-    /// context does not carry — the round fan-out cap, the hash width and
-    /// its skew reserve — is a constant of `rapid_qef::budget`.
-    pub fn from_exec(ctx: &ExecContext) -> VerifyConfig {
-        VerifyConfig {
-            dmem_bytes: ctx.dmem_bytes,
-            tile_rows: ctx.tile_rows,
-            cores: ctx.cores,
-        }
-    }
-}
-
-/// Verify a plan against a catalog and configuration, returning the full
-/// per-stage report plus diagnostics.
-pub fn verify(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> VerifyReport {
-    stage::check_plan(plan, catalog, cfg)
+/// Verify a plan against a catalog for the context it will run under,
+/// returning the full per-stage report plus diagnostics.
+pub fn verify(plan: &PlanNode, catalog: &Catalog, ctx: &ExecContext) -> VerifyReport {
+    stage::check_plan(plan, catalog, ctx)
 }
 
 /// Verify a plan and collapse the result to pass/fail: `Err` carries one
 /// line per error-severity diagnostic.
-pub fn check(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> Result<(), String> {
-    let report = verify(plan, catalog, cfg);
+pub fn check(plan: &PlanNode, catalog: &Catalog, ctx: &ExecContext) -> Result<(), String> {
+    let report = verify(plan, catalog, ctx);
     if report.ok() {
         Ok(())
     } else {

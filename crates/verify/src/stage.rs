@@ -26,6 +26,7 @@
 use rapid_qef::budget::{
     self, OpDecl, OpName, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
 };
+use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::Expr;
 use rapid_qef::ops::groupby::{accumulator_count, on_the_fly_group_limit, slot_count};
 use rapid_qef::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
@@ -33,7 +34,6 @@ use rapid_qef::task;
 use rapid_storage::types::DataType;
 
 use crate::diag::{Diagnostic, Rule, StageReport, VerifyReport};
-use crate::VerifyConfig;
 
 /// Operator label of a plan node, as used in paths and diagnostics.
 fn node_label(plan: &PlanNode) -> String {
@@ -69,8 +69,8 @@ fn meta_of<const N: usize>(
 }
 
 /// Configuration-level accounting checks (A-TILE-MIN).
-fn check_config(cfg: &VerifyConfig, report: &mut VerifyReport) {
-    if cfg.tile_rows < MIN_VECTOR_ROWS {
+fn check_config(ctx: &ExecContext, report: &mut VerifyReport) {
+    if ctx.tile_rows < MIN_VECTOR_ROWS {
         report.diagnostics.push(Diagnostic::new(
             Rule::TileMin,
             0,
@@ -78,20 +78,21 @@ fn check_config(cfg: &VerifyConfig, report: &mut VerifyReport) {
             format!(
                 "configured tile of {} rows is below the {MIN_VECTOR_ROWS}-row minimum vector; \
                  per-tile descriptor setup would dominate every transfer",
-                cfg.tile_rows
+                ctx.tile_rows
             ),
         ));
     }
 }
 
-/// Run every check over a plan: configuration rules, then the per-node
-/// structural/resource/accounting walk.
-pub fn check_plan(plan: &PlanNode, catalog: &Catalog, cfg: &VerifyConfig) -> VerifyReport {
+/// Run every check over a plan for the context it will run under:
+/// configuration rules, then the per-node structural/resource/accounting
+/// walk.
+pub fn check_plan(plan: &PlanNode, catalog: &Catalog, ctx: &ExecContext) -> VerifyReport {
     let mut report = VerifyReport::default();
-    check_config(cfg, &mut report);
+    check_config(ctx, &mut report);
     let mut w = Walker {
         catalog,
-        cfg,
+        ctx,
         report: &mut report,
         next_id: 0,
     };
@@ -111,7 +112,7 @@ struct NodeInfo {
 
 struct Walker<'a> {
     catalog: &'a Catalog,
-    cfg: &'a VerifyConfig,
+    ctx: &'a ExecContext,
     report: &'a mut VerifyReport,
     next_id: usize,
 }
@@ -143,8 +144,8 @@ impl Walker<'_> {
         let state_bytes = budget::task_state(ops);
         let (streams, per_row) =
             budget::task_streams(ops).fold((0, 0), |(n, bytes), w| (n + 1, bytes + w));
-        let fit = budget::fit_tile(state_bytes, per_row, self.cfg.dmem_bytes);
-        let eff = fit.map(|f| self.cfg.tile_rows.min(f.rows));
+        let fit = budget::fit_tile(state_bytes, per_row, self.ctx.dmem_bytes);
+        let eff = fit.map(|f| self.ctx.tile_rows.min(f.rows));
         let double = fit.is_some_and(|f| f.double_buffered);
         if eff.is_none() {
             let together = match operators.as_str() {
@@ -160,7 +161,7 @@ impl Walker<'_> {
                      even a single-buffered {MIN_VECTOR_ROWS}-row vector ({} B) exceeds DMEM \
                      ({} B)",
                     state_bytes + per_row * MIN_VECTOR_ROWS,
-                    self.cfg.dmem_bytes
+                    self.ctx.dmem_bytes
                 ),
             );
         }
@@ -171,7 +172,7 @@ impl Walker<'_> {
             (Some(_), true) => 2 * streams,
         };
         let tile = eff.unwrap_or(MIN_VECTOR_ROWS);
-        let working_set = budget::working_set(state_bytes, per_row, tile, self.cfg.dmem_bytes);
+        let working_set = budget::working_set(state_bytes, per_row, tile, self.ctx.dmem_bytes);
         let hash_bits = fanouts
             .iter()
             .map(|&f| {
@@ -215,10 +216,10 @@ impl Walker<'_> {
         input_path: &str,
         fanouts: &[usize],
     ) -> Result<NodeInfo, ()> {
-        let (catalog, cfg) = (self.catalog, self.cfg);
+        let (catalog, ctx) = (self.catalog, self.ctx);
         // A chain whose scan cannot be declared is no task: its walk says why.
         let task = node
-            .input_task(edge, catalog, cfg.tile_rows, cfg.dmem_bytes)
+            .input_task(edge, catalog, ctx.tile_rows, ctx.dmem_bytes)
             .ok()
             .flatten();
         let info = self.node(input, input_path, task.is_some())?;
@@ -227,7 +228,7 @@ impl Walker<'_> {
             // A group-by's pass of no rounds and a broadcast join's probe are
             // still stages of their own; a broadcast join's build side is
             // consumed by no stage but its own.
-            if let Some(first) = node.first_stage(edge, &widths, cfg.dmem_bytes) {
+            if let Some(first) = node.first_stage(edge, &widths, ctx.dmem_bytes) {
                 self.stage(id, path, &[first], fanouts.to_vec());
             }
             return Ok(info);
@@ -310,7 +311,7 @@ impl Walker<'_> {
                 ),
             );
         }
-        let cap = budget::max_buffered_fanout(row_bytes.max(1), self.cfg.dmem_bytes);
+        let cap = budget::max_buffered_fanout(row_bytes.max(1), self.ctx.dmem_bytes);
         if let Some(&f) = scheme.iter().find(|&&f| f.is_power_of_two() && f > cap) {
             self.diag(
                 Rule::FanoutBuffer,
@@ -319,19 +320,19 @@ impl Walker<'_> {
                 format!(
                     "round fan-out {f} exceeds the {cap}-way local-buffer limit for \
                      {row_bytes}-byte rows (16-row minimum DMS burst in half of {} B DMEM)",
-                    self.cfg.dmem_bytes
+                    self.ctx.dmem_bytes
                 ),
             );
         }
         let product: usize = scheme.iter().product();
-        if product < self.cfg.cores {
+        if product < self.ctx.cores {
             self.diag(
                 Rule::SchemeCores,
                 id,
                 path,
                 format!(
                     "scheme produces {product} partitions for {} cores; cores will idle",
-                    self.cfg.cores
+                    self.ctx.cores
                 ),
             );
         }
@@ -570,7 +571,7 @@ impl Walker<'_> {
                     // scratchpad; key streams plus the matched row-id pairs.
                     let pairs = OpDecl {
                         name: OpName::of("join.pairs"),
-                        state_bytes: self.cfg.dmem_bytes / 2,
+                        state_bytes: self.ctx.dmem_bytes / 2,
                         in_widths: vec![8; nb + np],
                         out_widths: vec![8, 8],
                     };
@@ -626,12 +627,12 @@ impl Walker<'_> {
                     let known = keys
                         .iter()
                         .try_fold(1u64, |acc, &k| info.ndv[k].and_then(|n| acc.checked_mul(n)));
-                    let limit = on_the_fly_group_limit(self.cfg.dmem_bytes, keys.len(), aggs);
+                    let limit = on_the_fly_group_limit(self.ctx.dmem_bytes, keys.len(), aggs);
                     let table = || {
                         format!(
                             "the per-core DMEM table caps at {limit} ({} B DMEM, {} keys, {} \
                              accumulators)",
-                            self.cfg.dmem_bytes,
+                            self.ctx.dmem_bytes,
                             keys.len(),
                             accumulator_count(aggs)
                         )
@@ -662,7 +663,7 @@ impl Walker<'_> {
                     let widths = input.output_widths(self.catalog).map_err(|_| ())?;
                     self.check_scheme(id, &path, scheme, widths.iter().sum());
                     let consume =
-                        task::group_consume_decl(keys, aggs, &widths, self.cfg.dmem_bytes);
+                        task::group_consume_decl(keys, aggs, &widths, self.ctx.dmem_bytes);
                     self.stage(id, &path, &[consume], Vec::new());
                 }
                 let mut ndv = Vec::with_capacity(keys.len() + aggs.len());
@@ -739,7 +740,7 @@ impl Walker<'_> {
                 }
                 let setop = OpDecl {
                     name: OpName::of("setop"),
-                    state_bytes: self.cfg.dmem_bytes / 2,
+                    state_bytes: self.ctx.dmem_bytes / 2,
                     in_widths: plan.output_widths(self.catalog).map_err(|_| ())?,
                     out_widths: Vec::new(),
                 };
@@ -778,7 +779,7 @@ impl Walker<'_> {
                 }
                 let window = OpDecl {
                     name: OpName::of("window"),
-                    state_bytes: self.cfg.dmem_bytes / 2,
+                    state_bytes: self.ctx.dmem_bytes / 2,
                     in_widths: input.output_widths(self.catalog).map_err(|_| ())?,
                     out_widths: vec![8], // the appended column
                 };

@@ -252,11 +252,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             report.dms_bytes
         );
 
-        let verified = rapid_verify::verify(
-            &compiled.plan,
-            &catalog,
-            &rapid::qcomp::verify_config(&params),
-        );
+        let verified = rapid_verify::verify(&compiled.plan, &catalog, &params.ctx);
         let derived = |e: &StageEvent| {
             verified
                 .stages
@@ -324,7 +320,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                 e.operator
             );
             assert!(
-                e.dmem_peak_bytes <= params.dmem_bytes as u64,
+                e.dmem_peak_bytes <= params.ctx.dmem_bytes as u64,
                 "{name}: {e:?}"
             );
             assert!(
@@ -351,7 +347,11 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             let round = e.partition.map(|p| (p.round, p.rounds));
             assert_eq!(round, Some((1, 1)), "{name} {}: {e:?}", e.operator);
             if e.scan.is_none() {
-                assert_eq!(stage_of(e).effective_tile, Some(params.tile_rows), "{name}");
+                assert_eq!(
+                    stage_of(e).effective_tile,
+                    Some(params.ctx.tile_rows),
+                    "{name}"
+                );
                 assert_eq!(
                     e.dmem_peak_bytes,
                     stage_of(e).working_set_bytes as u64,
@@ -537,7 +537,7 @@ fn a_task_that_does_not_fit_runs_cut() {
     };
     let whole = rapid::qcomp::compile(&q1, &catalog, &CostParams::default()).expect("Q1");
     let consumer = group_by(&whole.plan);
-    let tile = CostParams::default().tile_rows;
+    let tile = ExecContext::dpu().tile_rows;
     let task_in = |dmem: usize| {
         consumer
             .input_task(0, &catalog, tile, dmem)
@@ -565,17 +565,14 @@ fn a_task_that_does_not_fit_runs_cut() {
     // the small one: two tasks, and the rows of the whole scratchpad.
     let full = engine(&catalog, ExecContext::dpu());
     let (expect, _) = full.execute(&whole.plan).expect("Q1");
-    let params = CostParams {
-        dmem_bytes: dmem,
-        ..CostParams::default()
-    };
-    let cut = rapid::qcomp::compile(&q1, &catalog, &params).expect("Q1 in a small scratchpad");
     let sink = MemorySink::new();
     let ctx = ExecContext {
         dmem_bytes: dmem,
         ..ExecContext::dpu().with_trace(sink.clone())
     };
     let small = engine(&catalog, ctx);
+    let params = CostParams::from_exec(small.context());
+    let cut = rapid::qcomp::compile(&q1, &catalog, &params).expect("Q1 in a small scratchpad");
     for plan in [&cut.plan, &whole.plan] {
         let (out, _) = small.execute(plan).expect("the task runs cut");
         let events = sink.take();
@@ -592,7 +589,7 @@ fn a_task_that_does_not_fit_runs_cut() {
     }
 
     // The verifier reports the same two stages, and no finding.
-    let report = rapid_verify::verify(&cut.plan, &catalog, &rapid::qcomp::verify_config(&params));
+    let report = rapid_verify::verify(&cut.plan, &catalog, small.context());
     assert!(report.diagnostics.is_empty(), "{report:?}");
     let stages: Vec<(&str, &str)> = report
         .stages

@@ -130,11 +130,10 @@ fn join_order_is_chosen_from_the_columns_that_move() {
 #[test]
 fn every_statement_parses_prunes_and_agrees_on_three_engines() {
     let (db, catalog) = tpch_db(0.002);
-    let dpu_ctx = ExecContext::dpu().with_cores(8);
-    let dpu = engine(dpu_ctx.clone(), &catalog);
+    let dpu = engine(ExecContext::dpu().with_cores(8), &catalog);
     let native = engine(ExecContext::native(4), &catalog);
     // Costed for the cores the plans run on, as the host database does.
-    let params = CostParams::from_exec(&dpu_ctx);
+    let params = CostParams::from_exec(dpu.context());
     let statements = tpch::queries::STATEMENTS.iter();
     for (&(name, sql), (_, plan)) in statements.zip(tpch::queries::all()) {
         let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
@@ -168,7 +167,7 @@ fn every_statement_parses_prunes_and_agrees_on_three_engines() {
         // The compiler's estimate against the cycles the simulator charged,
         // within 7x either way: 0.46-1.79x here, 1.22-6.33x at sf 0.02 on
         // 32 cores (ROADMAP item 7, which tightens this to 1.5x).
-        let estimated = compiled.cost.exec_secs * params.cm.freq_hz;
+        let estimated = compiled.cost.exec_secs * params.ctx.cost_model.freq_hz;
         let ratio = estimated / report.sim_cycles;
         assert!(
             (1.0 / 7.0..=7.0).contains(&ratio),

@@ -147,6 +147,37 @@ fn garbage_frame_is_rejected_and_server_keeps_serving() {
     assert_eq!(stats.threads_spawned, stats.threads_joined);
 }
 
+/// A frame nested a million levels deep under a key the decoder skips is
+/// malformed: the decoder stops at its nesting bound instead of recursing
+/// off the end of the session thread's stack and aborting the process.
+#[test]
+fn deeply_nested_frame_is_malformed_and_server_keeps_serving() {
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    let mut bystander = Client::connect(addr).expect("bystander");
+
+    let mut s = raw_hello(addr);
+    let body = format!("{{\"Query\":{{\"x\":{}", "[".repeat(1_000_000));
+    let mut msg = (body.len() as u32).to_be_bytes().to_vec();
+    msg.extend_from_slice(body.as_bytes());
+    std::io::Write::write_all(&mut s, &msg).expect("nested frame");
+    match read_frame::<Response>(&mut s, MAX_FRAME_BYTES).expect("reply") {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "Protocol");
+            assert!(message.contains("nested too deeply"), "{message}");
+        }
+        other => panic!("expected Protocol error, got {other:?}"),
+    }
+    let r = bystander
+        .query(COUNT)
+        .expect("the open session still serves");
+    assert_eq!(r.rows, vec![vec![Value::Int(10_000)]]);
+    bystander.bye().expect("bye");
+    assert_serving(addr);
+    let stats = server.shutdown();
+    assert_eq!(stats.threads_spawned, stats.threads_joined);
+}
+
 /// A session that goes quiet past the idle timeout is told why and
 /// disconnected; active sessions are unaffected.
 #[test]
