@@ -56,6 +56,17 @@ if git grep -n -E "^\s*pub (cm|cores|tile_rows|dmem_bytes|network_bytes_per_sec|
     exit 1
 fi
 
+echo "== a scan never compacts: only a lane that writes the rows it kept does =="
+# A stream-path scan hands its kept rows on as a selection vector over the
+# tiles the DMS streamed; every operator of the task reads them there
+# (`Rows::charge_select`) and compaction is charged where a lane writes them
+# into vectors of its own (`Rows::into_batch`). A compaction charge in the
+# scan is the copy of every projected column the operators above only read.
+if git grep -n "Kernel::Compact" -- crates/qef/src/ops/filter.rs; then
+    echo "the scan charges compaction again: hand the kept rows on as a selection"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

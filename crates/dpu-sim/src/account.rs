@@ -52,8 +52,12 @@ impl Counters {
 pub enum Kernel {
     /// Predicate loops of a scan or filter: compares, bit-vectors, RID emit.
     Predicate,
-    /// Compaction and gather of the rows a predicate kept.
+    /// Compaction of the rows a predicate kept, where a lane writes them
+    /// into vectors of its own.
     Compact,
+    /// Reads of the rows a predicate kept where they lie, through the
+    /// selection vector over the tiles.
+    Select,
     /// An addition loop.
     Add,
     /// A subtraction loop.
@@ -83,9 +87,10 @@ pub enum Kernel {
 
 impl Kernel {
     /// Every kernel, in [`KernelSplit`] order.
-    pub const ALL: [Kernel; 14] = [
+    pub const ALL: [Kernel; 15] = [
         Kernel::Predicate,
         Kernel::Compact,
+        Kernel::Select,
         Kernel::Add,
         Kernel::Sub,
         Kernel::Mul,
@@ -105,6 +110,7 @@ impl Kernel {
         match self {
             Kernel::Predicate => "predicate",
             Kernel::Compact => "compact",
+            Kernel::Select => "select",
             Kernel::Add => "add",
             Kernel::Sub => "sub",
             Kernel::Mul => "mul",

@@ -4,14 +4,30 @@
 //! of §4.1 (64+ rows). Operators receive batches from the relation
 //! accessor or an upstream operator, process all rows vectorized, and push
 //! result batches downstream.
+//!
+//! Inside a task a lane holds [`Rows`]: until an operator writes them, the
+//! rows its scan kept stay where the DMS put them ([`Rows::InPlace`]), and
+//! the pick records once how they were kept ([`Pick`]) — all of them, a
+//! selection vector over the tiles the DMS streamed, or rows the DMS
+//! gathered and packed densely. Operators read them through
+//! [`Rows::runs`]; a loop reading columns of the tiles through a selection
+//! is charged the offset's load and an add per column
+//! ([`Rows::charge_select`]), and only a lane that writes the rows into
+//! vectors of its own compacts them ([`Rows::into_batch`]). A Map's computed
+//! columns are the lane's own, one value per kept row, beside the columns
+//! it passes through in place ([`Col`]).
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use rapid_storage::bitvec::BitVec;
 use rapid_storage::chunk::Chunk;
 use rapid_storage::table::Table;
 use rapid_storage::vector::{ColumnData, Vector};
+
+use dpu_sim::account::Kernel;
+
+use crate::exec::CoreCtx;
+use crate::primitives::costs;
 
 /// A tile of rows in columnar layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,22 +145,96 @@ impl Batch {
     }
 }
 
-/// The columns of rows read where they lie: a batch's, or a chunk's through
-/// a scan's projection.
+/// Where column `i` of rows read in place lies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Col {
+    /// Column `c` of the chunks the lane scanned, at the rows' positions in
+    /// the tiles the DMS streamed.
+    Tile(usize),
+    /// Vector `j` the lane wrote: one value per row that counts, densely.
+    Written(usize),
+}
+
+/// Where the columns of rows read in place lie.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Projection<'a> {
+    /// Column `i` is column `scanned[i]` of the tiles: a scan's projection.
+    Scan(&'a [usize]),
+    /// Column `i` lies at `cols[i]`.
+    Chosen(Vec<Col>),
+}
+
+impl Projection<'_> {
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        match self {
+            Projection::Scan(scanned) => scanned.len(),
+            Projection::Chosen(cols) => cols.len(),
+        }
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Where column `i` lies, if there is one.
+    pub fn get(&self, i: usize) -> Option<Col> {
+        match self {
+            Projection::Scan(scanned) => scanned.get(i).copied().map(Col::Tile),
+            Projection::Chosen(cols) => cols.get(i).copied(),
+        }
+    }
+
+    /// Where column `i` lies.
+    pub fn at(&self, i: usize) -> Col {
+        match self {
+            Projection::Scan(scanned) => Col::Tile(scanned[i]),
+            Projection::Chosen(cols) => cols[i],
+        }
+    }
+
+    /// How many of the columns `cols` — repeats counted once — lie in the
+    /// tiles: what a loop reading them through a selection adds an offset
+    /// to ([`Rows::charge_select`]).
+    pub fn tile_columns(&self, cols: impl Iterator<Item = usize> + Clone) -> usize {
+        let first = |(i, c): &(usize, usize)| cols.clone().take(*i).all(|earlier| earlier != *c);
+        let once = cols.clone().enumerate().filter(first);
+        once.filter(|&(_, c)| matches!(self.get(c), Some(Col::Tile(_))))
+            .count()
+    }
+}
+
+/// The columns of rows read where they lie: a batch's, or a chunk's and the
+/// lane's own through a projection.
 #[derive(Debug, Clone, Copy)]
 pub enum Columns<'a> {
     /// The columns of a batch.
     Batch(&'a Batch),
-    /// Column `i` is the chunk's column `projection[i]`.
-    Chunk(&'a Chunk, &'a [usize]),
+    /// Column `i` is `projection[i]`: a column of `chunk` or of `written`.
+    Chunk {
+        /// The chunk the rows lie in.
+        chunk: &'a Chunk,
+        /// Where each column lies.
+        projection: &'a Projection<'a>,
+        /// The vectors the lane wrote.
+        written: &'a [Vector],
+    },
 }
 
 impl<'a> Columns<'a> {
     /// Column `i`.
     pub fn column(&self, i: usize) -> &'a Vector {
-        match self {
+        match *self {
             Columns::Batch(batch) => batch.column(i),
-            Columns::Chunk(chunk, projection) => chunk.vector(projection[i]),
+            Columns::Chunk {
+                chunk,
+                projection,
+                written,
+            } => match projection.at(i) {
+                Col::Tile(c) => chunk.vector(c),
+                Col::Written(j) => &written[j],
+            },
         }
     }
 
@@ -152,8 +242,53 @@ impl<'a> Columns<'a> {
     pub fn width(&self) -> usize {
         match self {
             Columns::Batch(batch) => batch.width(),
-            Columns::Chunk(_, projection) => projection.len(),
+            Columns::Chunk { projection, .. } => projection.len(),
         }
+    }
+}
+
+/// Where the rows of a run that count lie in one of its columns: `len`
+/// positions, ascending.
+#[derive(Debug, Clone, Copy)]
+pub struct Positions<'a> {
+    /// The first position, or the one the ids number as `ids.1`.
+    start: usize,
+    /// The ids of the rows that count, where not all of them do.
+    ids: Option<(&'a [u32], usize)>,
+    len: usize,
+}
+
+impl<'a> Positions<'a> {
+    /// The `len` positions from `start` on.
+    pub fn dense(start: usize, len: usize) -> Self {
+        Positions {
+            start,
+            ids: None,
+            len,
+        }
+    }
+
+    /// How many.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th.
+    pub fn get(&self, i: usize) -> usize {
+        match self.ids {
+            None => self.start + i,
+            Some((ids, at)) => ids[i] as usize - at + self.start,
+        }
+    }
+
+    /// All of them, in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = usize> + Clone + 'a {
+        (0..self.len).map(move |i| self.get(i))
     }
 }
 
@@ -169,9 +304,22 @@ pub struct Run<'a> {
     /// number the run's first row `at` (the run's place among the rows its
     /// lane scans).
     pub picked: Option<(&'a [u32], usize)>,
+    /// Rows that count in the runs before this one: where this run's lie in
+    /// a vector the lane wrote.
+    pub written_at: usize,
 }
 
 impl<'a> Run<'a> {
+    /// Every row of `batch`.
+    pub fn of_batch(batch: &'a Batch) -> Run<'a> {
+        Run {
+            cols: Columns::Batch(batch),
+            rows: 0..batch.rows(),
+            picked: None,
+            written_at: 0,
+        }
+    }
+
     /// Rows of the run that count.
     pub fn len(&self) -> usize {
         self.picked.map_or(self.rows.len(), |(ids, _)| ids.len())
@@ -182,18 +330,20 @@ impl<'a> Run<'a> {
         self.len() == 0
     }
 
-    /// The `i`-th of the rows that count, as a row of `cols`.
-    pub fn row(&self, i: usize) -> usize {
-        match self.picked {
-            None => self.rows.start + i,
-            Some((ids, at)) => ids[i] as usize - at + self.rows.start,
-        }
-    }
-
-    /// The rows that count, as rows of `cols`, ascending.
-    pub fn row_ids(&self) -> impl ExactSizeIterator<Item = usize> + Clone + 'a {
-        let run = self.clone();
-        (0..run.len()).map(move |i| run.row(i))
+    /// Column `c`, and where the rows that count lie in it.
+    pub fn column(&self, c: usize) -> (&'a Vector, Positions<'a>) {
+        let len = self.len();
+        let at = match self.cols {
+            Columns::Chunk { projection, .. } if matches!(projection.at(c), Col::Written(_)) => {
+                Positions::dense(self.written_at, len)
+            }
+            _ => Positions {
+                start: self.rows.start,
+                ids: self.picked,
+                len,
+            },
+        };
+        (self.cols.column(c), at)
     }
 }
 
@@ -237,9 +387,33 @@ impl<'a> Span<'a> {
     }
 }
 
+/// Which of the rows a lane scanned count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Pick {
+    /// Every one.
+    All,
+    /// Those at these positions, left where the DMS streamed them: a
+    /// selection vector over the tiles. Ascending, numbered from the first
+    /// row of the span.
+    Selected(Vec<u32>),
+    /// Those the DMS gathered, packed densely in DMEM: numbered as for
+    /// `Selected`.
+    Gathered(Vec<u32>),
+}
+
+impl Pick {
+    /// The ids of the rows that count, where not all do.
+    pub fn ids(&self) -> Option<&[u32]> {
+        match self {
+            Pick::All => None,
+            Pick::Selected(ids) | Pick::Gathered(ids) => Some(ids),
+        }
+    }
+}
+
 /// What a lane of a task holds between two of its operators: vectors of its
-/// own, or — below the first operator that writes new values — the table's
-/// rows where the scan found them.
+/// own, or the table's rows where the scan found them — and beside them the
+/// vectors the operators above it computed, one value per row that counts.
 #[derive(Debug)]
 pub enum Rows<'a> {
     /// Vectors the lane wrote.
@@ -248,11 +422,12 @@ pub enum Rows<'a> {
     InPlace {
         /// The rows the lane scanned.
         span: Span<'a>,
-        /// Column `i` is the chunks' column `projection[i]`.
-        projection: Cow<'a, [usize]>,
-        /// Which of those rows the scan's predicate kept, where it has one:
-        /// ascending, numbered from the first row of the span.
-        picked: Option<Vec<u32>>,
+        /// Where each column lies: in the chunks, or in `written`.
+        projection: Projection<'a>,
+        /// Which of the span's rows count.
+        pick: Pick,
+        /// The vectors the lane computed over the rows that count.
+        written: Vec<Vector>,
     },
 }
 
@@ -261,10 +436,15 @@ impl Rows<'_> {
     pub fn rows(&self) -> usize {
         match self {
             Rows::Owned(batch) => batch.rows(),
-            Rows::InPlace {
-                picked: Some(ids), ..
-            } => ids.len(),
-            Rows::InPlace { span, .. } => span.rows(),
+            Rows::InPlace { span, pick, .. } => pick.ids().map_or(span.rows(), <[u32]>::len),
+        }
+    }
+
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        match self {
+            Rows::Owned(batch) => batch.width(),
+            Rows::InPlace { projection, .. } => projection.len(),
         }
     }
 
@@ -275,56 +455,130 @@ impl Rows<'_> {
             Rows::InPlace {
                 span,
                 projection,
-                picked,
-            } => (None, Some((span, projection, picked.as_deref()))),
+                pick,
+                written,
+            } => (None, Some((span, projection, pick.ids(), written))),
         };
-        let owned = owned.into_iter().map(|batch| Run {
-            cols: Columns::Batch(batch),
-            rows: 0..batch.rows(),
-            picked: None,
-        });
-        let in_place = in_place.into_iter().flat_map(|(span, projection, picked)| {
-            let mut at = 0;
-            let mut rest = picked;
-            span.runs().map(move |(chunk, rows)| {
-                let from = at;
-                at += rows.len();
-                // The ids ascend, so those of one run are a run of their own.
-                let of_run = rest.map(|ids| {
-                    let (of_run, after) =
-                        ids.split_at(ids.partition_point(|&id| (id as usize) < at));
-                    rest = Some(after);
-                    (of_run, from)
-                });
-                Run {
-                    cols: Columns::Chunk(chunk, projection),
-                    rows,
-                    picked: of_run,
-                }
-            })
-        });
+        let owned = owned.into_iter().map(Run::of_batch);
+        let in_place = in_place
+            .into_iter()
+            .flat_map(|(span, projection, ids, written)| {
+                let (mut at, mut counted) = (0, 0);
+                let mut rest = ids;
+                span.runs().map(move |(chunk, rows)| {
+                    let from = at;
+                    at += rows.len();
+                    // The ids ascend, so those of one run are a run of their own.
+                    let of_run = rest.map(|ids| {
+                        let (of_run, after) =
+                            ids.split_at(ids.partition_point(|&id| (id as usize) < at));
+                        rest = Some(after);
+                        (of_run, from)
+                    });
+                    let run = Run {
+                        cols: Columns::Chunk {
+                            chunk,
+                            projection,
+                            written,
+                        },
+                        rows,
+                        picked: of_run,
+                        written_at: counted,
+                    };
+                    counted += run.len();
+                    run
+                })
+            });
         owned.chain(in_place)
     }
 
-    /// The rows as vectors of the lane's own: where they were read in place
-    /// this is the copy an operator that writes them makes.
-    pub fn into_batch(self) -> Batch {
-        let rows = self.rows();
-        match self {
-            Rows::Owned(batch) => batch,
-            Rows::InPlace { ref projection, .. } if rows > 0 => {
-                let columns = (0..projection.len()).map(|c| {
-                    let mut out = ColumnBuilder::default();
-                    for run in self.runs() {
-                        out.append_run(&run, c, rows);
-                    }
-                    out.finish()
-                });
-                Batch::new(columns.collect())
-            }
-            Rows::InPlace { .. } => Batch::empty(0),
+    /// Charge `ctx` a loop that reads columns `cols` of the rows where they
+    /// lie. Through a selection the loop loads each row's tile offset once
+    /// and adds it to the base of every column of the tiles it reads
+    /// ([`costs::select_read_per_row`]); rows of the lane's own, every row of
+    /// the span and rows the DMS gathered are dense, and cost the loop
+    /// nothing more.
+    pub fn charge_select(&self, ctx: &mut CoreCtx, cols: impl Iterator<Item = usize> + Clone) {
+        let Rows::InPlace {
+            projection,
+            pick: Pick::Selected(ids),
+            ..
+        } = self
+        else {
+            return;
+        };
+        let tiles = projection.tile_columns(cols);
+        if tiles > 0 && !ids.is_empty() {
+            let read = costs::select_read_per_row(tiles).scaled(ids.len() as f64);
+            ctx.charge_kernel(Kernel::Select, &read);
         }
     }
+
+    /// The rows as vectors of the lane's own: the copy an operator that
+    /// writes them makes. Through a selection every column of the tiles is
+    /// compacted (Listing 3's gather loop, charged to `ctx`); the lane's own
+    /// vectors and rows the DMS packed are handed on as they are.
+    pub fn into_batch(self, ctx: &mut CoreCtx) -> Batch {
+        if let Rows::InPlace {
+            projection,
+            pick: Pick::Selected(ids),
+            ..
+        } = &self
+        {
+            let compact = costs::swpart_gather_per_row().scaled(ids.len() as f64);
+            let tiles = (0..projection.len()).filter(|&c| matches!(projection.at(c), Col::Tile(_)));
+            if !ids.is_empty() {
+                tiles.for_each(|_| ctx.charge_kernel(Kernel::Compact, &compact));
+            }
+        }
+        self.materialize()
+    }
+
+    /// [`into_batch`](Self::into_batch) for an operator whose own loops
+    /// already read the rows and were charged for it.
+    pub(crate) fn materialize(mut self) -> Batch {
+        let rows = self.rows();
+        let mut written = match &mut self {
+            Rows::Owned(batch) => return std::mem::replace(batch, Batch::empty(0)),
+            Rows::InPlace { .. } if rows == 0 => return Batch::empty(0),
+            Rows::InPlace { written, .. } => std::mem::take(written),
+        };
+        let Rows::InPlace { projection, .. } = &self else {
+            unreachable!("matched above")
+        };
+        let width = projection.len();
+        let columns = (0..width).map(|c| match projection.at(c) {
+            Col::Tile(_) => {
+                let mut out = ColumnBuilder::default();
+                self.runs().for_each(|run| out.append_run(&run, c, rows));
+                out.finish()
+            }
+            col @ Col::Written(j) if (c + 1..width).any(|k| projection.at(k) == col) => {
+                written[j].clone()
+            }
+            Col::Written(j) => std::mem::replace(&mut written[j], empty_vector()),
+        });
+        Batch::new(columns.collect())
+    }
+
+    /// Columns `cols` of the rows as vectors of their own, one value per row
+    /// that counts, beside zero-length placeholders for the other columns:
+    /// what a vectorized kernel over `cols` reads.
+    pub fn columns_at(&self, cols: impl Iterator<Item = usize>) -> Vec<Vector> {
+        let (rows, width) = (self.rows(), self.width());
+        let mut out: Vec<Vector> = (0..width).map(|_| empty_vector()).collect();
+        for c in cols.filter(|&c| c < width) {
+            let mut column = ColumnBuilder::default();
+            self.runs().for_each(|run| column.append_run(&run, c, rows));
+            out[c] = column.finish();
+        }
+        out
+    }
+}
+
+/// A vector of no values: a placeholder in a column list.
+pub(crate) fn empty_vector() -> Vector {
+    Vector::new(ColumnData::I8(Vec::new()))
 }
 
 /// One output column written run by run: the values, and a null bitmap from
@@ -365,7 +619,8 @@ impl ColumnBuilder {
 
     /// Append column `c` of `run` at the rows of it that count.
     pub(crate) fn append_run(&mut self, run: &Run<'_>, c: usize, capacity: usize) {
-        self.append(run.cols.column(c), run.row_ids(), capacity);
+        let (column, at) = run.column(c);
+        self.append(column, at.iter(), capacity);
     }
 
     /// The column. One nothing was appended to has no values of any width.
@@ -456,6 +711,131 @@ mod tests {
         let e = Batch::concat(vec![]);
         assert_eq!(e.rows(), 0);
         assert_eq!(e.width(), 0);
+    }
+
+    #[test]
+    fn only_a_lane_that_writes_the_rows_a_selection_keeps_compacts_them() {
+        use crate::exec::ExecContext;
+        use crate::expr::Pred;
+        use crate::ops::filter::ScanPlan;
+        use crate::primitives::filter::CmpOp;
+        use crate::ra::AccessPath;
+        let chunk = Chunk::new(
+            (0..3)
+                .map(|c| Vector::new(ColumnData::I32((0..1000).map(|i| i * 3 + c).collect())))
+                .collect(),
+        );
+        let pred = [Pred::CmpConst {
+            col: 0,
+            op: CmpOp::Lt,
+            value: 1500,
+        }];
+        let ectx = ExecContext::dpu();
+        let charged = |c: &CoreCtx, kernel| c.kernels.get(kernel).cycles;
+        let compact = ectx
+            .cost_model
+            .kernel_cycles(&costs::swpart_gather_per_row());
+        for path in [AccessPath::Stream, AccessPath::Gather] {
+            let plan = ScanPlan::forced(path, &pred, &[2, 1], 0.5);
+            let mut c = CoreCtx::new(&ectx, 0);
+            let rows = plan
+                .scan_rows(&mut c, Span::Chunk(&chunk, 0..1000), 256)
+                .unwrap();
+            assert_eq!(rows.rows(), 500);
+            let selects = path == AccessPath::Stream;
+            assert_eq!(
+                matches!(
+                    rows,
+                    Rows::InPlace {
+                        pick: Pick::Selected(_),
+                        ..
+                    }
+                ),
+                selects
+            );
+            // The scan compacts nothing; a loop over one column of the
+            // tiles pays the selection's offset and an add a row.
+            assert_eq!(charged(&c, Kernel::Compact), 0.0);
+            rows.charge_select(&mut c, [1, 1].into_iter());
+            let select = if selects { 500.0 } else { 0.0 };
+            assert_eq!(charged(&c, Kernel::Select), select);
+            // Writing them compacts both columns, through a selection only.
+            let batch = rows.into_batch(&mut c);
+            assert_eq!(batch.column(0).data.to_i64_vec()[..2], [2, 5]);
+            let compacted = if selects { 2.0 * 500.0 * compact } else { 0.0 };
+            assert!(
+                (charged(&c, Kernel::Compact) - compacted).abs() < 1e-9,
+                "{path}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_chain_filter_keeps_how_the_scan_picked_its_rows() {
+        use crate::exec::ExecContext;
+        use crate::expr::Pred;
+        use crate::ops::filter::{filter_rows, ScanPlan};
+        use crate::primitives::filter::CmpOp;
+        use crate::ra::AccessPath;
+        let chunk = Chunk::new(
+            (0..3)
+                .map(|c| Vector::new(ColumnData::I32((0..1000).map(|i| i * 3 + c).collect())))
+                .collect(),
+        );
+        let below = |col, value| Pred::CmpConst {
+            col,
+            op: CmpOp::Lt,
+            value,
+        };
+        // Of the rows the scan keeps, the chain Filter keeps half: column 0
+        // of the projection is the table's column 2.
+        let scan_pred = [below(0, 1500)];
+        let chain_pred = below(0, 752);
+        let ectx = ExecContext::dpu();
+        let charged = |c: &CoreCtx, kernel| c.kernels.get(kernel).cycles;
+        let compact = ectx
+            .cost_model
+            .kernel_cycles(&costs::swpart_gather_per_row());
+        let plans = [
+            ScanPlan::forced(AccessPath::Gather, &scan_pred, &[2, 1], 0.5),
+            ScanPlan::forced(AccessPath::Stream, &scan_pred, &[2, 1], 0.5),
+            ScanPlan::forced(AccessPath::Stream, &[], &[2, 1], 1.0),
+        ];
+        for plan in &plans {
+            let mut c = CoreCtx::new(&ectx, 0);
+            let rows = plan
+                .scan_rows(&mut c, Span::Chunk(&chunk, 0..1000), 256)
+                .unwrap();
+            let gathered = matches!(
+                rows,
+                Rows::InPlace {
+                    pick: Pick::Gathered(_),
+                    ..
+                }
+            );
+            let rows = filter_rows(&mut c, rows, &chain_pred).unwrap();
+            assert_eq!(rows.rows(), 250);
+            // Rows the DMS packed stay packed; over the tiles the rows the
+            // Filter keeps are a selection, whatever the scan picked.
+            let Rows::InPlace { pick, .. } = &rows else {
+                panic!("a chain Filter hands the rows on where they lie")
+            };
+            match pick {
+                Pick::Gathered(_) => assert!(gathered),
+                Pick::Selected(_) => assert!(!gathered),
+                Pick::All => panic!("the Filter keeps a quarter of the rows"),
+            }
+            // Handing them on as a batch compacts both columns of the
+            // tiles through a selection only.
+            let batch = rows.into_batch(&mut c);
+            assert_eq!(batch.column(0).data.to_i64_vec()[..2], [2, 5]);
+            let compacted = if gathered { 0.0 } else { 2.0 * 250.0 * compact };
+            assert!(
+                (charged(&c, Kernel::Compact) - compacted).abs() < 1e-9,
+                "{}",
+                plan.path()
+            );
+        }
     }
 
     #[test]

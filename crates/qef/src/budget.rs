@@ -18,6 +18,10 @@
 /// this, per-tile descriptor setup dominates the transfer).
 pub const MIN_VECTOR_ROWS: usize = 64;
 
+/// Bytes a selection vector holds per kept row: the row's offset in its
+/// tile, which is never more than 64 Ki rows.
+pub const SELECTION_BYTES: usize = 2;
+
 /// Fixed per-stage bookkeeping state (cursors, row counters, descriptor
 /// chain head) charged against DMEM before any vector.
 pub const BASE_STATE_BYTES: usize = 64;

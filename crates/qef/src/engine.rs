@@ -42,7 +42,6 @@
 //! the stage's simulated time from the actor runner, and the host wall time
 //! since the stage before it was absorbed.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,7 +54,6 @@ use crate::batch::{Batch, Rows, Span};
 use crate::budget::OpName;
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
-use crate::expr::Expr;
 use crate::ops;
 use crate::ops::partition::RoundStep;
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
@@ -359,7 +357,9 @@ impl<'e> Run<'e> {
             }
             PlanNode::Map { input, exprs } => {
                 let batches = self.exec_node(input)?;
-                let (out, t) = run_stage(self.ctx, batches, |core, b| map_batch(core, b, exprs))?;
+                let (out, t) = run_stage(self.ctx, batches, |core, b| {
+                    ops::map::map_batch(core, b, exprs)
+                })?;
                 self.stage(&t, "map", batch_rows(&out), Detail::default());
                 Ok(out)
             }
@@ -385,10 +385,11 @@ impl<'e> Run<'e> {
                 input, order, k, ..
             } => {
                 // Per-lane top-k over the rows each is handed.
-                let (heaps, t, detail, in_rows) = self.first_stage(node, input, |core, b| {
+                let (heaps, t, detail, in_rows) = self.first_stage(node, input, |core, rows| {
                     let mut acc = ops::topk::TopK::new(order.clone(), *k);
-                    if !b.is_empty() {
-                        acc.consume(core, b)?;
+                    if rows.rows() > 0 {
+                        let batch = rows.into_batch(core);
+                        acc.consume(core, batch)?;
                     }
                     Ok(acc)
                 })?;
@@ -408,12 +409,14 @@ impl<'e> Run<'e> {
                 Ok(merged)
             }
             PlanNode::Sort { input, order, .. } => {
-                let (sorted, t, detail, in_rows) = self.first_stage(node, input, |core, b| {
-                    if b.is_empty() {
-                        return Ok(b);
-                    }
-                    ops::sort::sort_batch(core, &b, order)
-                })?;
+                let (sorted, t, detail, in_rows) =
+                    self.first_stage(node, input, |core, rows| {
+                        let b = rows.into_batch(core);
+                        if b.is_empty() {
+                            return Ok(b);
+                        }
+                        ops::sort::sort_batch(core, &b, order)
+                    })?;
                 self.stage(&t, "sort.local", in_rows, detail);
                 let (merged, t2) = run_stage(self.ctx, vec![sorted], |core, bs| {
                     ops::sort::merge_sorted(core, &bs, order)
@@ -485,10 +488,12 @@ impl<'e> Run<'e> {
         'e: 'a,
     {
         let catalog: &'a Catalog = self.catalog;
+        let kept = task.kept_rows();
         let Task {
             chain,
             touched,
             decls,
+            ..
         } = task;
         let table: &'a Table = catalog
             .get(chain.table)
@@ -498,7 +503,8 @@ impl<'e> Run<'e> {
         let own_top = decls.len() == chain.above.len() + 1;
         let (tile, working_set) = self.task_tile(&decls)?;
         let (columns, pred) = (chain.columns, chain.pred);
-        let scan = ops::filter::ScanPlan::decide(self.ctx, table, columns, pred, touched, tile);
+        let scan =
+            ops::filter::ScanPlan::decide(self.ctx, table, columns, pred, touched, tile, &kept);
         // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`.
         let rows = table.rows();
         let tiles = rows.div_ceil(tile);
@@ -529,10 +535,8 @@ impl<'e> Run<'e> {
                 }
                 charge_further_tiles(core, rows.rows(), tile);
                 rows = match node {
-                    PlanNode::Map { exprs, .. } => map_rows(core, rows, exprs)?,
-                    PlanNode::Filter { pred, .. } => {
-                        Rows::Owned(ops::filter::filter_batch(core, rows.into_batch(), pred)?)
-                    }
+                    PlanNode::Map { exprs, .. } => ops::map::map_rows(core, rows, exprs)?,
+                    PlanNode::Filter { pred, .. } => ops::filter::filter_rows(core, rows, pred)?,
                     _ => unreachable!("a scan chain is filters and maps over a scan"),
                 };
                 count(op, &rows);
@@ -604,7 +608,7 @@ impl<'e> Run<'e> {
     /// one batch per lane that kept a row.
     fn exec_chain(&mut self, chain: ScanChain<'_>) -> QefResult<Vec<Batch>> {
         let (task, _) = chain.task(self.catalog)?;
-        let run = self.run_task(task, |_, rows, _| Ok(rows.into_batch()))?;
+        let run = self.run_task(task, |core, rows, _| Ok(rows.into_batch(core)))?;
         let out: Vec<Batch> = run.results.into_iter().filter(|b| !b.is_empty()).collect();
         self.stage(&run.timing, run.top, run.rows, run.detail);
         Ok(out)
@@ -619,19 +623,19 @@ impl<'e> Run<'e> {
         &mut self,
         node: &PlanNode,
         input: &PlanNode,
-        step: impl Fn(&mut CoreCtx, Batch) -> QefResult<R> + Sync,
+        step: impl for<'r> Fn(&mut CoreCtx, Rows<'r>) -> QefResult<R> + Sync,
     ) -> QefResult<(Vec<R>, StageTiming, Detail, u64)> {
         let (catalog, ctx) = (self.catalog, self.ctx);
         if let Some(task) = node.input_task(0, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
             let run = self.run_task(task, |core, rows, tile| {
                 charge_further_tiles(core, rows.rows(), tile);
-                step(core, rows.into_batch())
+                step(core, rows)
             })?;
             return Ok((run.results, run.timing, run.detail, run.rows));
         }
         let batches = self.exec_node(input)?;
         let in_rows = batch_rows(&batches);
-        let (out, t) = run_stage(self.ctx, batches, step)?;
+        let (out, t) = run_stage(self.ctx, batches, |core, b| step(core, Rows::Owned(b)))?;
         Ok((out, t, Detail::default(), in_rows))
     }
 
@@ -857,10 +861,10 @@ impl<'e> Run<'e> {
             GroupStrategy::OnTheFly { slots } => {
                 // Per-lane local aggregation...
                 let dmem = self.ctx.dmem_bytes;
-                let (tables, t, detail, _) = self.first_stage(node, input, |core, b| {
+                let (tables, t, detail, _) = self.first_stage(node, input, |core, rows| {
                     let slots = slots.as_deref();
                     let mut t = ops::groupby::GroupTable::on_the_fly(keys.len(), aggs, slots, dmem);
-                    t.consume(core, &b, keys)?;
+                    t.consume_rows(core, &rows, keys)?;
                     Ok(t)
                 })?;
                 let groups: u64 = tables.iter().map(|t| t.groups() as u64).sum();
@@ -916,91 +920,6 @@ impl<'e> Run<'e> {
         }
         Ok(out)
     }
-}
-
-/// A Map node in a task's lane: where every expression is a bare column of
-/// rows still read in place nothing is written — the lane hands the same
-/// rows on through the map's choice of columns; else the expressions are
-/// evaluated over vectors of the lane's own ([`map_batch`]).
-fn map_rows<'a>(
-    core: &mut CoreCtx,
-    mut rows: Rows<'a>,
-    exprs: &[crate::plan::NamedExpr],
-) -> QefResult<Rows<'a>> {
-    if let Rows::InPlace { projection, .. } = &mut rows {
-        let chosen = |e: &crate::plan::NamedExpr| match e.expr {
-            Expr::Col(c) => projection.get(c).copied(),
-            _ => None,
-        };
-        if let Some(chosen) = exprs.iter().map(chosen).collect::<Option<Vec<usize>>>() {
-            core.charge_tile();
-            *projection = Cow::Owned(chosen);
-            return Ok(rows);
-        }
-    }
-    map_batch(core, rows.into_batch(), exprs).map(Rows::Owned)
-}
-
-/// Evaluate a Map node's expressions over one batch. Computed columns are
-/// new buffers; a column that is only passed through is not rewritten and
-/// moves from the input to the output on its last use. Each expression is
-/// computed once: one that recurs inside another is evaluated first and
-/// read, borrowed, where the other needs it ([`Expr::eval_sharing`]).
-fn map_batch(
-    core: &mut crate::exec::CoreCtx,
-    mut batch: Batch,
-    exprs: &[crate::plan::NamedExpr],
-) -> QefResult<Batch> {
-    use rapid_storage::vector::{ColumnData, Vector};
-    let mut cols: Vec<Option<Vector>> = vec![None; exprs.len()];
-    for i in 0..exprs.len() {
-        compute_expr(core, &batch, exprs, &mut cols, i)?;
-    }
-    core.charge_tile();
-    for (i, e) in exprs.iter().enumerate() {
-        if let (None, Expr::Col(c)) = (&cols[i], &e.expr) {
-            let used_again = exprs[i + 1..].iter().any(|later| later.expr == e.expr);
-            cols[i] = Some(if used_again {
-                batch.columns[*c].clone()
-            } else {
-                std::mem::replace(
-                    &mut batch.columns[*c],
-                    Vector::new(ColumnData::I8(Vec::new())),
-                )
-            });
-        }
-    }
-    Ok(Batch::new(cols.into_iter().flatten().collect()))
-}
-
-/// Compute expression `i` of a Map into `cols[i]`, unless it is a bare
-/// column of `batch` or computed already: the Map's expressions it contains
-/// first, then it, reading those.
-fn compute_expr(
-    core: &mut CoreCtx,
-    batch: &Batch,
-    exprs: &[crate::plan::NamedExpr],
-    cols: &mut [Option<rapid_storage::vector::Vector>],
-    i: usize,
-) -> QefResult<()> {
-    let expr = &exprs[i].expr;
-    if cols[i].is_some() || matches!(expr, Expr::Col(c) if *c < batch.width()) {
-        return Ok(());
-    }
-    for k in 0..exprs.len() {
-        if expr.contains(&exprs[k].expr) {
-            compute_expr(core, batch, exprs, cols, k)?;
-        }
-    }
-    let done = |sub: &Expr| {
-        let mut computed = exprs.iter().zip(cols.iter());
-        computed.find_map(|(e, v)| v.as_ref().filter(|_| e.expr == *sub))
-    };
-    let v = expr
-        .eval_sharing(core, &batch.columns, batch.rows(), &done)?
-        .into_owned();
-    cols[i] = Some(v);
-    Ok(())
 }
 
 /// What the partition pairs of one join share.
@@ -1188,7 +1107,7 @@ mod tests {
         let alone = |exprs: &[&Expr]| {
             let mut core = CoreCtx::new(&ctx, 0);
             let exprs: Vec<NamedExpr> = exprs.iter().map(|e| named(e)).collect();
-            let out = map_batch(&mut core, cols(), &exprs).unwrap();
+            let out = ops::map::map_batch(&mut core, cols(), &exprs).unwrap();
             (out, core.kernels)
         };
         let (x_out, x_alone) = alone(&[&x]);
@@ -1954,10 +1873,11 @@ mod tests {
         use crate::trace::MemorySink;
         // At the default 32 KiB the configured 256-row tile fits. In a
         // 1 KiB scratchpad the task's double-buffered 5 B/row stream (k, v
-        // and grp are stored in 2, 2 and 1 bytes) beside the state of its
-        // two operators only admits 89 rows per vector, so the same data
-        // needs more descriptor bursts to move — visible in the trace —
-        // while producing identical results.
+        // and grp are stored in 2, 2 and 1 bytes) and the filter's 2-byte
+        // selection vector beside the state of its two operators only admit
+        // 64 rows per vector, so the same data needs more descriptor bursts
+        // to move — visible in the trace — while producing identical
+        // results.
         let plan = || PlanNode::Filter {
             input: Box::new(scan(None)),
             pred: Pred::CmpConst {
@@ -1980,7 +1900,7 @@ mod tests {
         let (out, _) = e.execute(&plan()).unwrap();
         assert_eq!(out.batch.rows(), 5000, "clamping must not change results");
         let events = sink.take();
-        assert_eq!(events[0].dmem_peak_bytes, 128 + 2 * 5 * 89);
+        assert_eq!(events[0].dmem_peak_bytes, 128 + 2 * 7 * 64);
         let clamped: u64 = events.iter().map(|ev| ev.dms_descriptors).sum();
         assert!(
             clamped > baseline,

@@ -200,18 +200,30 @@ impl Expr {
 
     /// Column indices referenced by the expression.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+        self.for_each_column(&mut |c| out.push(c));
+    }
+
+    /// Whether the expression reads column `c`.
+    pub fn reads_column(&self, c: usize) -> bool {
+        let mut reads = false;
+        self.for_each_column(&mut |r| reads |= r == c);
+        reads
+    }
+
+    /// Call `f` with every column index the expression references.
+    fn for_each_column(&self, f: &mut dyn FnMut(usize)) {
         match self {
-            Expr::Col(i) => out.push(*i),
+            Expr::Col(i) => f(*i),
             Expr::Lit(_) => {}
             Expr::Arith { a, b, .. } => {
-                a.referenced_columns(out);
-                b.referenced_columns(out);
+                a.for_each_column(f);
+                b.for_each_column(f);
             }
-            Expr::YearOf(e) => e.referenced_columns(out),
+            Expr::YearOf(e) => e.for_each_column(f),
             Expr::Case { pred, then, els } => {
-                pred.referenced_columns(out);
-                then.referenced_columns(out);
-                els.referenced_columns(out);
+                pred.for_each_column(f);
+                then.for_each_column(f);
+                els.for_each_column(f);
             }
         }
     }
@@ -470,26 +482,38 @@ impl Pred {
 
     /// Column indices referenced.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+        self.for_each_column(&mut |c| out.push(c));
+    }
+
+    /// Whether the predicate reads column `c`.
+    pub fn reads_column(&self, c: usize) -> bool {
+        let mut reads = false;
+        self.for_each_column(&mut |r| reads |= r == c);
+        reads
+    }
+
+    /// Call `f` with every column index the predicate references.
+    pub(crate) fn for_each_column(&self, f: &mut dyn FnMut(usize)) {
         match self {
             Pred::CmpConst { col, .. }
             | Pred::Between { col, .. }
             | Pred::InCodes { col, .. }
             | Pred::InList { col, .. }
-            | Pred::NotNull { col } => out.push(*col),
+            | Pred::NotNull { col } => f(*col),
             Pred::CmpCols { left, right, .. } => {
-                out.push(*left);
-                out.push(*right);
+                f(*left);
+                f(*right);
             }
             Pred::CmpExpr { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
+                left.for_each_column(f);
+                right.for_each_column(f);
             }
             Pred::And(ps) | Pred::Or(ps) => {
                 for p in ps {
-                    p.referenced_columns(out);
+                    p.for_each_column(f);
                 }
             }
-            Pred::Not(p) => p.referenced_columns(out),
+            Pred::Not(p) => p.for_each_column(f),
             Pred::Const(_) => {}
         }
     }

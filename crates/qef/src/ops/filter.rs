@@ -8,11 +8,15 @@
 //! * **stream** — one sequential descriptor loop over every column the scan
 //!   touches, predicate and projected alike, charged once for the lane's
 //!   rows with a trip round the control loop per tile. Conjuncts are
-//!   evaluated on the tile in DMEM and the qualifying rows are compacted
-//!   there: no row-set descriptor crosses the DMS and nothing is gathered. A
-//!   scan without a predicate is the degenerate case — nothing to evaluate
-//!   or compact, and the lane hands on the rows where they lie
-//!   ([`Rows::InPlace`]): nothing is copied until an operator writes.
+//!   evaluated on the tile in DMEM and the qualifying rows stay where the DMS
+//!   streamed them: the lane hands on a **selection vector** over the tiles
+//!   ([`Pick::Selected`], a 2-byte tile offset per kept row in DMEM), no
+//!   row-set descriptor crosses the DMS and nothing is gathered. Every
+//!   operator above reads the kept rows through it, and only a lane that
+//!   writes them into vectors of its own compacts them
+//!   ([`Rows::into_batch`]). A scan without a predicate is the degenerate
+//!   case — nothing to evaluate or select, and the lane hands on all the
+//!   rows where they lie ([`Rows::InPlace`]).
 //! * **gather** — the paper's selective pipeline, run by run:
 //!   1. conjuncts are evaluated **most selective first**, grouped into
 //!      **DMS passes** by column set: a conjunct whose columns its pass
@@ -25,11 +29,9 @@
 //!      columns through the DMS and narrows the row set, shipped as RIDs
 //!      once fewer than 1/32 of the rows are expected to be left — the
 //!      scan's choice, the same for every run of every lane,
-//!   4. projection columns are gathered last (late materialization).
-//!
-//! Either way a lane writes the rows it keeps into one batch of its own,
-//! whatever chunks they came from: what the operators above it in the task
-//! work on.
+//!   4. projection columns are gathered last (late materialization): the
+//!      DMS packs the kept rows densely in DMEM ([`Pick::Gathered`]), and
+//!      reading them costs the operators above nothing more.
 //!
 //! Passes run in the order that moves the fewest modelled DMS cycles —
 //! width times rows moved, not selectivity alone: a narrow column that
@@ -38,6 +40,10 @@
 //! the DMS cycles of the whole table against the compute of the busiest of
 //! the task's `min(cores, tiles)` lanes, the `max` the stage rule resolves —
 //! because a table of one tile pays the stream's control loop on one core.
+//! The stream path's compute counts what the task's operators do with the
+//! kept rows as the engine charges it ([`KeptRows`]): a read through the
+//! selection per loop that reads them in place, a compaction of each column
+//! a lane writes.
 
 use dpu_sim::account::Kernel;
 use dpu_sim::isa::CostModel;
@@ -47,16 +53,16 @@ use rapid_storage::stats::ColumnStats;
 use rapid_storage::table::Table;
 use rapid_storage::vector::{ColumnData, Vector};
 
-use std::borrow::Cow;
 use std::ops::Range;
 
-use crate::batch::{Batch, ColumnBuilder, Rows, Span};
+use crate::batch::{Batch, ColumnBuilder, Pick, Projection, Rows, Span};
 use crate::error::{QefError, QefResult};
 use crate::exec::{CoreCtx, ExecContext};
 use crate::expr::Pred;
 use crate::primitives::costs;
 use crate::ra::{chunk_widths, AccessPath, RelationAccessor};
 use crate::selectivity::{conjunction_selectivity, estimate_selectivity_cols};
+use crate::task::KeptRows;
 
 /// Orders of up to this many passes are enumerated; a scan with more (none
 /// we ship has over four) keeps them most selective first.
@@ -101,11 +107,20 @@ pub struct ScanPlan<'a> {
 }
 
 /// The distinct columns a scan of `proj` under `preds` touches, ascending.
-pub fn touched_columns<'p>(
-    proj: &[usize],
-    preds: impl IntoIterator<Item = &'p Pred>,
-) -> Vec<usize> {
-    let mut cols = proj.to_vec();
+/// The list is sized before it is filled, not grown: every task that
+/// compiling, verifying and running a statement builds calls this.
+pub fn touched_columns<'p, P>(proj: &[usize], preds: P) -> Vec<usize>
+where
+    P: IntoIterator<Item = &'p Pred>,
+    P::IntoIter: Clone,
+{
+    let preds = preds.into_iter();
+    let mut named = 0;
+    for p in preds.clone() {
+        p.for_each_column(&mut |_| named += 1);
+    }
+    let mut cols = Vec::with_capacity(proj.len() + named);
+    cols.extend_from_slice(proj);
     for p in preds {
         p.referenced_columns(&mut cols);
     }
@@ -268,17 +283,18 @@ impl Model<'_> {
     }
 
     /// One chunk on the stream path, its conjuncts costing `evaluations`
-    /// per row in the order that path runs them.
-    fn stream_path(&self, plan: &ScanPlan<'_>, evaluations: f64) -> ChunkCost {
+    /// per row in the order that path runs them, and the task's operators
+    /// taking the rows they keep as `kept` says.
+    fn stream_path(&self, plan: &ScanPlan<'_>, evaluations: f64, kept: &KeptRows) -> ChunkCost {
         let tiles = self.rows() / self.tile.max(1) as f64;
         let mut compute = self.cm.per_tile_overhead_cycles * tiles
             + self.cm.kernel_cycles(&costs::filter_per_row()) * self.rows() * evaluations;
-        if !plan.passes.is_empty() {
-            let qualifying = self.rows() * plan.passes.iter().map(|p| p.sel).product::<f64>();
-            compute += self.cm.kernel_cycles(&costs::swpart_gather_per_row())
-                * qualifying
-                * plan.proj.len() as f64;
-        }
+        let qualifying = self.rows() * plan.passes.iter().map(|p| p.sel).product::<f64>();
+        compute += self.cm.kernel_cycles(&costs::swpart_gather_per_row())
+            * qualifying
+            * kept.writes as f64;
+        let select = |&cols: &usize| self.cm.kernel_cycles(&costs::select_read_per_row(cols));
+        compute += qualifying * kept.reads.iter().map(select).sum::<f64>();
         ChunkCost {
             compute,
             dms: self.stream(&plan.touched),
@@ -289,7 +305,9 @@ impl Model<'_> {
 impl<'a> ScanPlan<'a> {
     /// Plan the scan of `proj` of `table` under `pred` on `ctx`'s cores,
     /// from the table's statistics; `touched` is [`touched_columns`] of the
-    /// two and `tile` the tile their streams were sized at.
+    /// two, `tile` the tile their streams were sized at and `kept` how the
+    /// operators of the scan's task take the rows it keeps
+    /// ([`crate::task::Task::kept_rows`]).
     pub fn decide(
         ctx: &ExecContext,
         table: &Table,
@@ -297,6 +315,7 @@ impl<'a> ScanPlan<'a> {
         pred: Option<&'a Pred>,
         touched: Vec<usize>,
         tile: usize,
+        kept: &KeptRows,
     ) -> ScanPlan<'a> {
         let stats: Vec<Option<&ColumnStats>> = table.stats.columns.iter().map(Some).collect();
         let mut conjuncts = Vec::new();
@@ -339,7 +358,7 @@ impl<'a> ScanPlan<'a> {
         for chunk in table.chunks() {
             let model = model(chunk);
             for (total, cost) in [
-                (&mut stream, model.stream_path(&plan, streamed)),
+                (&mut stream, model.stream_path(&plan, streamed, kept)),
                 (&mut gather, model.gather_path(&plan)),
             ] {
                 total.compute += cost.compute;
@@ -423,8 +442,9 @@ impl<'a> ScanPlan<'a> {
     /// Scan the rows of one lane — `span`, a run of rows per chunk it
     /// crosses, in table order — and hand them on where they lie: the span
     /// through the scan's projection, and which of its rows the predicate
-    /// kept. Nothing is copied; the stream path is charged the compaction of
-    /// the qualifying rows in DMEM, the gather path the gather of them.
+    /// kept. Nothing is copied: on the stream path the kept rows stay in the
+    /// tiles behind a selection vector, on the gather path the DMS packs
+    /// them, charged as it moves them.
     pub fn scan_rows(&self, ctx: &mut CoreCtx, span: Span<'a>, tile: usize) -> QefResult<Rows<'a>> {
         let of_lane = span.rows();
         if let (AccessPath::Stream, Some((first, _))) = (self.path, span.runs().next()) {
@@ -435,8 +455,8 @@ impl<'a> ScanPlan<'a> {
         }
         let mut picked = Vec::new();
         let (mut at, mut fetched) = (0, Vec::new());
-        let predicated = self.path == AccessPath::Gather || !self.passes.is_empty();
-        for (chunk, rows) in span.runs().filter(|_| predicated) {
+        let gathers = self.path == AccessPath::Gather;
+        for (chunk, rows) in span.runs().filter(|_| gathers || !self.passes.is_empty()) {
             let run = Run {
                 chunk,
                 rows,
@@ -447,28 +467,21 @@ impl<'a> ScanPlan<'a> {
             let before = picked.len();
             let kind = self.qualifying(ctx, &run, &mut picked, &mut fetched)?;
             let kept = picked.len() - before;
-            if kept == 0 {
-                continue;
-            }
-            match self.path {
-                // The tiles are in DMEM: compact the qualifying rows of
-                // each projected column there (Listing 3's gather loop).
-                AccessPath::Stream => {
-                    let compact = costs::swpart_gather_per_row().scaled(kept as f64);
-                    self.proj
-                        .iter()
-                        .for_each(|_| ctx.charge_kernel(Kernel::Compact, &compact));
-                }
-                AccessPath::Gather => {
-                    let widths = chunk_widths(chunk, self.proj);
-                    RelationAccessor::charge_gather(ctx, widths, run.within(), kind, kept, tile);
-                }
+            if gathers && kept > 0 {
+                let widths = chunk_widths(chunk, self.proj);
+                RelationAccessor::charge_gather(ctx, widths, run.within(), kind, kept, tile);
             }
         }
+        let pick = match self.path {
+            AccessPath::Gather => Pick::Gathered(picked),
+            AccessPath::Stream if self.passes.is_empty() => Pick::All,
+            AccessPath::Stream => Pick::Selected(picked),
+        };
         Ok(Rows::InPlace {
             span,
-            projection: Cow::Borrowed(self.proj),
-            picked: predicated.then_some(picked),
+            projection: Projection::Scan(self.proj),
+            pick,
+            written: Vec::new(),
         })
     }
 
@@ -610,6 +623,57 @@ impl Run<'_> {
     }
 }
 
+/// A `Filter` node in a task's lane. Over rows read in place it narrows
+/// which of them count — the selection over the tiles, or the rows the DMS
+/// gathered, which stay packed — evaluating `pred` over the columns it
+/// names, read where they lie; the vectors the lane wrote keep the values
+/// of the rows that still count. Over rows of the lane's own it is
+/// [`filter_batch`].
+pub fn filter_rows<'a>(ctx: &mut CoreCtx, rows: Rows<'a>, pred: &Pred) -> QefResult<Rows<'a>> {
+    let Rows::InPlace { .. } = rows else {
+        let Rows::Owned(batch) = rows else {
+            unreachable!("rows are in place or owned")
+        };
+        return filter_batch(ctx, batch, pred).map(Rows::Owned);
+    };
+    ctx.charge_tile();
+    let reads = (0..rows.width()).filter(|&c| pred.reads_column(c));
+    rows.charge_select(ctx, reads.clone());
+    let n = rows.rows();
+    let verdict = pred.eval(ctx, &rows.columns_at(reads), n)?;
+    if verdict.count_ones() == n {
+        return Ok(rows);
+    }
+    let kept = verdict.to_rids().rids;
+    ctx.charge_kernel(
+        Kernel::Predicate,
+        &costs::filter_rid_emit_per_match().scaled(kept.len() as f64),
+    );
+    let Rows::InPlace {
+        span,
+        projection,
+        pick,
+        written,
+    } = rows
+    else {
+        unreachable!("matched above")
+    };
+    let narrowed = |ids: &[u32]| kept.iter().map(|&k| ids[k as usize]).collect();
+    let pick = match pick {
+        // Over whole tiles the Filter's own selection starts here.
+        Pick::All => Pick::Selected(kept.clone()),
+        Pick::Selected(ids) => Pick::Selected(narrowed(&ids)),
+        // Rows the DMS packed stay packed: fewer of them count.
+        Pick::Gathered(ids) => Pick::Gathered(narrowed(&ids)),
+    };
+    Ok(Rows::InPlace {
+        span,
+        projection,
+        pick,
+        written: written.iter().map(|v| v.gather(&kept)).collect(),
+    })
+}
+
 /// Filter a materialized batch (non-leaf Filter nodes). When every row
 /// passes the batch is handed on as it came.
 pub fn filter_batch(ctx: &mut CoreCtx, batch: Batch, pred: &Pred) -> QefResult<Batch> {
@@ -688,7 +752,7 @@ mod tests {
     ) -> Batch {
         plan.scan_rows(ctx, Span::Chunk(chunk, 0..chunk.rows()), tile)
             .unwrap()
-            .into_batch()
+            .into_batch(ctx)
     }
 
     fn row_vec(rows: &RowSet) -> Vec<usize> {
@@ -856,9 +920,16 @@ mod tests {
         t.finish()
     }
 
+    /// The plan of a scan whose lanes write the rows it keeps: a chain that
+    /// is a task by itself, priced as [`crate::task::Task::kept_rows`]
+    /// prices it.
     fn decide<'a>(t: &Table, proj: &'a [usize], pred: Option<&'a Pred>) -> ScanPlan<'a> {
         let touched = touched_columns(proj, pred);
-        ScanPlan::decide(&ExecContext::dpu(), t, proj, pred, touched, 256)
+        let kept = KeptRows {
+            reads: Vec::new(),
+            writes: pred.map_or(0, |_| proj.len()),
+        };
+        ScanPlan::decide(&ExecContext::dpu(), t, proj, pred, touched, 256, &kept)
     }
 
     #[test]
@@ -883,6 +954,199 @@ mod tests {
         assert_eq!(plan.passes[1].conjuncts.len(), 2, "the range is one pass");
         let (narrow, wide) = (plan.passes[0].sel, plan.passes[1].sel);
         assert!((wide - 0.4).abs() < 0.02 && (narrow - 0.5).abs() < 0.02);
+    }
+
+    /// A catalog of `t`, as the engine's.
+    fn catalog_of(t: Table) -> crate::plan::Catalog {
+        std::iter::once(("t".to_string(), std::sync::Arc::new(t))).collect()
+    }
+
+    fn named(expr: crate::expr::Expr) -> crate::plan::NamedExpr {
+        crate::plan::NamedExpr {
+            expr,
+            name: "e".into(),
+            dtype: DataType::Int,
+            scale: 0,
+            dict: None,
+        }
+    }
+
+    #[test]
+    fn the_stream_model_charges_the_kept_rows_as_the_lanes_do() {
+        use crate::expr::Expr;
+        use crate::plan::{AggSpec, GroupStrategy, PlanNode};
+        use crate::primitives::agg::AggFunc;
+        use dpu_sim::account::Kernel;
+        let catalog = catalog_of(table(40_000, 4_000));
+        let t = &catalog["t"];
+        let pred = cmp(1, CmpOp::Lt, 98);
+        let proj = [0, 1, 2];
+        let scan = PlanNode::Scan {
+            table: "t".into(),
+            columns: proj.to_vec(),
+            pred: Some(pred.clone()),
+        };
+        // The same scan as a task by itself, whose lanes write what it
+        // keeps, and under a map and a group table, which read it in place:
+        // the map its sum's two inputs, the group table its key and the
+        // column the map passed through (the sum is the lane's own).
+        let alone = scan.scan_chain().unwrap().task(&catalog).unwrap().0;
+        let writes = alone.kept_rows();
+        assert_eq!(
+            writes,
+            KeptRows {
+                reads: vec![],
+                writes: 3
+            }
+        );
+        let grouped = PlanNode::GroupBy {
+            input: Box::new(PlanNode::Map {
+                input: Box::new(scan.clone()),
+                exprs: vec![
+                    named(Expr::Col(1)),
+                    named(Expr::add(Expr::Col(0), Expr::Col(2))),
+                    named(Expr::Col(2)),
+                ],
+            }),
+            keys: vec![0],
+            aggs: vec![
+                AggSpec {
+                    func: AggFunc::Sum,
+                    col: 1,
+                },
+                AggSpec {
+                    func: AggFunc::Max,
+                    col: 2,
+                },
+            ],
+            strategy: GroupStrategy::OnTheFly { slots: None },
+        };
+        let task = grouped
+            .input_task(0, &catalog, 256, 32 * 1024)
+            .unwrap()
+            .unwrap();
+        let reads = task.kept_rows();
+        assert_eq!(
+            reads,
+            KeptRows {
+                reads: vec![2, 2],
+                writes: 0
+            }
+        );
+        // The selection vector is the scan's: 2 bytes a row beside its
+        // streams.
+        assert_eq!(task.decls[0].out_widths, [crate::budget::SELECTION_BYTES]);
+
+        // The model: compaction where the lanes write the kept rows —
+        // today's term, bit for bit — and a select read per loop where they
+        // are read in place.
+        let cm = CostModel::default();
+        let plan = ScanPlan::forced(AccessPath::Stream, std::slice::from_ref(&pred), &proj, 0.98);
+        let chunk = t.chunks().next().unwrap();
+        let model = Model {
+            cm: &cm,
+            chunk,
+            tile: 256,
+        };
+        let kept = chunk.rows() as f64 * 0.98;
+        let bare = model.stream_path(&plan, 1.0, &KeptRows::default()).compute;
+        let compact = cm.kernel_cycles(&costs::swpart_gather_per_row());
+        let written = model.stream_path(&plan, 1.0, &writes).compute;
+        assert_eq!(
+            written.to_bits(),
+            (bare + compact * kept * proj.len() as f64).to_bits()
+        );
+        let select = |cols| cm.kernel_cycles(&costs::select_read_per_row(cols));
+        let in_place = model.stream_path(&plan, 1.0, &reads).compute;
+        assert_eq!(
+            in_place.to_bits(),
+            (bare + kept * (select(2) + select(2))).to_bits()
+        );
+
+        // The engine, over all of the table in one lane, reading the kept
+        // rows in place: the same charge a kept row. (A lane that writes
+        // them is charged by `Rows::into_batch`, tested beside it.)
+        let ectx = ExecContext::dpu();
+        let span = || Span::Table(t, 0..t.rows());
+        let mut lane = CoreCtx::new(&ectx, 0);
+        let rows = plan.scan_rows(&mut lane, span(), 256).unwrap();
+        let n = rows.rows() as f64;
+        let PlanNode::GroupBy {
+            input, keys, aggs, ..
+        } = &grouped
+        else {
+            unreachable!()
+        };
+        let PlanNode::Map { exprs, .. } = input.as_ref() else {
+            unreachable!()
+        };
+        let rows = crate::ops::map::map_rows(&mut lane, rows, exprs).unwrap();
+        let mut groups = crate::ops::groupby::GroupTable::new(1, aggs, 256);
+        groups.consume_rows(&mut lane, &rows, keys).unwrap();
+        let charged = lane.kernels.get(Kernel::Select).cycles;
+        assert_eq!(charged, n * (select(2) + select(2)));
+
+        // A Filter above a Map that widens the rows reads the Map's
+        // columns, and so does a partition round over them: the Map reads
+        // its sum's two inputs, the Filter the fourth column (the scan's
+        // third, still in the tiles), the round every column but the sum.
+        let widened = PlanNode::Filter {
+            input: Box::new(PlanNode::Map {
+                input: Box::new(scan.clone()),
+                exprs: vec![
+                    named(Expr::Col(0)),
+                    named(Expr::Col(1)),
+                    named(Expr::add(Expr::Col(0), Expr::Col(1))),
+                    named(Expr::Col(2)),
+                ],
+            }),
+            // Every value of the column is below 50: the Filter keeps
+            // every row the scan kept.
+            pred: cmp(3, CmpOp::Lt, 50),
+        };
+        let mut task = widened.scan_chain().unwrap().task(&catalog).unwrap().0;
+        task.takes = crate::task::Takes::Reads;
+        assert_eq!(
+            task.kept_rows(),
+            KeptRows {
+                reads: vec![2, 1, 3],
+                writes: 0
+            }
+        );
+        let mut lane = CoreCtx::new(&ectx, 0);
+        let rows = plan.scan_rows(&mut lane, span(), 256).unwrap();
+        let PlanNode::Filter { input, pred } = &widened else {
+            unreachable!()
+        };
+        let PlanNode::Map { exprs, .. } = input.as_ref() else {
+            unreachable!()
+        };
+        let rows = crate::ops::map::map_rows(&mut lane, rows, exprs).unwrap();
+        let rows = filter_rows(&mut lane, rows, pred).unwrap();
+        assert_eq!(rows.rows() as f64, n);
+        rows.charge_select(&mut lane, 0..rows.width());
+        let charged = lane.kernels.get(Kernel::Select).cycles;
+        assert_eq!(charged, n * (select(2) + select(1) + select(3)));
+
+        // Over an unpredicated scan the first chain Filter makes the
+        // selection: it reads the tiles whole, and what is above it reads
+        // or writes the rows it keeps.
+        let unpredicated = PlanNode::Filter {
+            input: Box::new(PlanNode::Scan {
+                table: "t".into(),
+                columns: proj.to_vec(),
+                pred: None,
+            }),
+            pred: cmp(2, CmpOp::Lt, 25),
+        };
+        let task = unpredicated.scan_chain().unwrap().task(&catalog).unwrap().0;
+        assert_eq!(
+            task.kept_rows(),
+            KeptRows {
+                reads: vec![],
+                writes: 3
+            }
+        );
     }
 
     #[test]
@@ -951,6 +1215,27 @@ mod proptests {
         }
     }
 
+    /// A table of `rows` in chunks of `chunk_rows`.
+    fn table_of(rows: &[Row], chunk_rows: usize) -> Table {
+        use rapid_storage::schema::{Field, Schema};
+        use rapid_storage::table::TableBuilder;
+        use rapid_storage::types::{DataType, Value};
+        let schema = Schema::new(
+            ["a", "b", "c"]
+                .map(|n| Field::new(n, DataType::Int))
+                .to_vec(),
+        );
+        let mut t = TableBuilder::new("t", schema).chunk_rows(chunk_rows);
+        for row in rows {
+            t.push_row(
+                row.iter()
+                    .map(|v| v.map_or(Value::Null, |v| Value::Int(v.into())))
+                    .collect(),
+            );
+        }
+        t.finish()
+    }
+
     proptest! {
         /// Both access paths keep exactly the rows every conjunct keeps
         /// when evaluated on its own over the whole chunk, in row order.
@@ -995,12 +1280,92 @@ mod proptests {
                 let got = ScanPlan::forced(path, &preds, &proj, if sparse { 0.01 } else { 0.5 })
                     .scan_rows(&mut c, Span::Chunk(&ch, 0..ch.rows()), 16)
                     .unwrap()
-                    .into_batch();
+                    .into_batch(&mut c);
                 if rids.is_empty() {
                     prop_assert!(got.is_empty(), "{path}: {got:?}");
                 } else {
                     prop_assert_eq!(&got, &want, "{}", path);
                 }
+            }
+        }
+
+        /// What a scan keeps, a map computes over it and a filter leaves of
+        /// that, the operators of the task read the same read in place
+        /// through [`Rows::runs`] as over [`Rows::into_batch`]: a group table
+        /// and a partition round make the same groups, aggregates and
+        /// partitions, with NULLs and over lanes that cross chunks.
+        #[test]
+        fn reading_the_kept_rows_in_place_equals_compacting_them(
+            rows in proptest::collection::vec(
+                (
+                    proptest::option::of(-8i8..8),
+                    proptest::option::of(-8i8..8),
+                    proptest::option::of(-8i8..8),
+                ),
+                1..60,
+            ),
+            chunk_rows in 1usize..16,
+            ends in (0usize..60, 0usize..60),
+            conjuncts in proptest::collection::vec((0u8..12, 0usize..3, 0usize..3, -8i64..8), 0..3),
+            narrow in any::<bool>(),
+        ) {
+            use crate::expr::Expr;
+            use crate::ops::groupby::GroupTable;
+            use crate::ops::partition::{scatter_lanes, RoundStep};
+            use crate::plan::AggSpec;
+            use crate::primitives::agg::AggFunc;
+            let rows: Vec<Row> = rows.iter().map(|&(a, b, c)| [a, b, c]).collect();
+            let t = table_of(&rows, chunk_rows);
+            let (lo, hi) = (ends.0.min(ends.1).min(t.rows()), ends.0.max(ends.1).min(t.rows()));
+            let preds: Vec<Pred> = conjuncts
+                .iter()
+                .map(|&(kind, col, other, v)| conjunct(kind, col, other, v))
+                .collect();
+            let proj = [2, 0, 1];
+            // A pass-through of each column around one computed sum.
+            let exprs = [Expr::Col(0), Expr::add(Expr::Col(1), Expr::Col(2)), Expr::Col(2)]
+                .map(|expr| crate::plan::NamedExpr {
+                    expr,
+                    name: "e".into(),
+                    dtype: rapid_storage::types::DataType::Int,
+                    scale: 0,
+                    dict: None,
+                });
+            let positive = Pred::CmpConst { col: 1, op: CmpOp::Ge, value: 0 };
+            let aggs = [
+                AggSpec { func: AggFunc::Sum, col: 1 },
+                AggSpec { func: AggFunc::Count, col: 0 },
+                AggSpec { func: AggFunc::Max, col: 2 },
+            ];
+            let ectx = ExecContext::dpu();
+            for path in [AccessPath::Stream, AccessPath::Gather] {
+                let plan = ScanPlan::forced(path, &preds, &proj, 0.5);
+                let lane = |c: &mut CoreCtx| -> QefResult<Rows<'_>> {
+                    let rows = plan.scan_rows(c, Span::Table(&t, lo..hi), 4)?;
+                    let rows = crate::ops::map::map_rows(c, rows, &exprs)?;
+                    if narrow {
+                        filter_rows(c, rows, &positive)
+                    } else {
+                        Ok(rows)
+                    }
+                };
+                let mut c = CoreCtx::new(&ectx, 0);
+                let in_place = lane(&mut c).unwrap();
+                let copied = lane(&mut c).unwrap().into_batch(&mut c);
+                let copied = Rows::Owned(copied);
+                let groups = |rows: &Rows<'_>| {
+                    let mut c = CoreCtx::new(&ectx, 0);
+                    let mut table = GroupTable::new(1, &aggs, 16);
+                    table.consume_rows(&mut c, rows, &[0]).unwrap();
+                    table.emit(&mut c)
+                };
+                prop_assert_eq!(groups(&in_place), groups(&copied), "{}", path);
+                let parts = |rows: Rows<'_>| {
+                    let mut c = CoreCtx::new(&ectx, 0);
+                    let map = RoundStep::first(&[0], 4, 4).map_rows(&mut c, &rows);
+                    scatter_lanes(4, &[(rows, map)])
+                };
+                prop_assert_eq!(parts(in_place), parts(copied), "{}", path);
             }
         }
     }

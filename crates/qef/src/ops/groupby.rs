@@ -29,13 +29,13 @@ use dpu_sim::account::Kernel;
 use dpu_sim::ate;
 use rapid_storage::vector::{ColumnData, Vector};
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Positions, Rows, Run};
 use crate::error::QefResult;
 use crate::exec::CoreCtx;
 use crate::plan::{AggSpec, KeyRange};
 use crate::primitives::agg::{agg_grouped, AggFunc, AggState};
 use crate::primitives::costs;
-use crate::primitives::hash::{bucket_of, hash_rows};
+use crate::primitives::hash::{bucket_of, hash_pieces_into};
 use crate::util::{next_pow2_at_least, SmallIntArray};
 
 /// The accumulators a group table keeps for `aggs`, one per input column
@@ -273,8 +273,8 @@ impl<'p> GroupTable<'p> {
 
     /// The group in `slot`, created for `key` where the slot is empty. A
     /// group created here enters the hash chains too, under the hash
-    /// [`hash_rows`] gives its key (a NULL key's value is 0), so the table
-    /// can go on hashed at any point.
+    /// [`crate::primitives::hash::hash_rows`] gives its key (a NULL key's
+    /// value is 0), so the table can go on hashed at any point.
     fn slot_upsert(&mut self, slot: usize, key: &[(i64, bool)]) -> u32 {
         let found = self.slots.as_ref().map(|s| s.group_of[slot]);
         if let Some(g) = found.filter(|&g| g != EMPTY_SLOT) {
@@ -338,44 +338,83 @@ impl<'p> GroupTable<'p> {
         batch: &Batch,
         key_cols: &[usize],
     ) -> QefResult<()> {
-        let rows = batch.rows();
+        self.consume_runs(ctx, std::iter::once(Run::of_batch(batch)), key_cols)
+    }
+
+    /// [`consume`](Self::consume) the rows a lane of a task holds, read
+    /// where they lie: the keys and the aggregate inputs are read once per
+    /// row ([`Rows::charge_select`]), and nothing is copied.
+    pub fn consume_rows(
+        &mut self,
+        ctx: &mut CoreCtx,
+        rows: &Rows<'_>,
+        key_cols: &[usize],
+    ) -> QefResult<()> {
+        let read = key_cols
+            .iter()
+            .copied()
+            .chain(self.accs.iter().map(|a| a.col));
+        rows.charge_select(ctx, read);
+        self.consume_runs(ctx, rows.runs(), key_cols)
+    }
+
+    fn consume_runs<'r>(
+        &mut self,
+        ctx: &mut CoreCtx,
+        runs: impl Iterator<Item = Run<'r>> + Clone,
+        key_cols: &[usize],
+    ) -> QefResult<()> {
+        let rows: usize = runs.clone().map(|run| run.len()).sum();
         if rows == 0 {
             return Ok(());
         }
-        let keys: Vec<&Vector> = key_cols.iter().map(|&c| batch.column(c)).collect();
-        let key_of = |i: usize, keybuf: &mut [(i64, bool)]| {
-            for (kb, k) in keybuf.iter_mut().zip(&keys) {
-                *kb = (k.data.get_i64(i), k.is_null(i));
+        // The key columns of the run at hand, and where its rows lie in them.
+        let mut keys: Vec<(&Vector, Positions<'_>)> = Vec::with_capacity(key_cols.len());
+        let key_of = |keys: &[(&Vector, Positions<'_>)], i: usize, keybuf: &mut [(i64, bool)]| {
+            for (kb, (k, at)) in keybuf.iter_mut().zip(keys) {
+                let row = at.get(i);
+                *kb = (k.data.get_i64(row), k.is_null(row));
             }
         };
         let mut group_idx = Vec::with_capacity(rows);
-        let mut keybuf = vec![(0i64, false); keys.len()];
+        let mut keybuf = vec![(0i64, false); key_cols.len()];
         if self.slots.is_some() {
             // The slot loop runs over the whole batch and flags a key out of
             // its range; the batch is then looked up by hash after all.
-            let slot_loop = costs::group_slot_per_row(keys.len()).scaled(rows as f64);
+            let slot_loop = costs::group_slot_per_row(key_cols.len()).scaled(rows as f64);
             ctx.charge_kernel(Kernel::GroupSlot, &slot_loop);
-            for i in 0..rows {
-                key_of(i, &mut keybuf);
-                match self.slots.as_ref().and_then(|s| s.slot(&keybuf)) {
-                    Some(slot) => group_idx.push(self.slot_upsert(slot, &keybuf)),
-                    None => {
-                        self.slots = None;
-                        group_idx.clear();
-                        break;
+            'runs: for run in runs.clone() {
+                keys.clear();
+                keys.extend(key_cols.iter().map(|&c| run.column(c)));
+                for i in 0..run.len() {
+                    key_of(&keys, i, &mut keybuf);
+                    match self.slots.as_ref().and_then(|s| s.slot(&keybuf)) {
+                        Some(slot) => group_idx.push(self.slot_upsert(slot, &keybuf)),
+                        None => {
+                            self.slots = None;
+                            group_idx.clear();
+                            break 'runs;
+                        }
                     }
                 }
             }
         }
         if self.slots.is_none() {
-            let hashes = if keys.is_empty() {
-                vec![0u32; rows] // global aggregate: one group
-            } else {
-                hash_rows(ctx, &keys)
-            };
-            for (i, &h) in hashes.iter().enumerate() {
-                key_of(i, &mut keybuf);
-                group_idx.push(self.upsert(h, &keybuf));
+            let mut hashes = vec![0u32; rows]; // global aggregate: one group
+            if !key_cols.is_empty() {
+                let keyed = runs
+                    .clone()
+                    .map(|run| key_cols.iter().map(move |&c| run.column(c)));
+                hash_pieces_into(ctx, keyed, &mut hashes);
+            }
+            let mut hashes = hashes.iter();
+            for run in runs.clone() {
+                keys.clear();
+                keys.extend(key_cols.iter().map(|&c| run.column(c)));
+                for (i, &h) in (0..run.len()).zip(hashes.by_ref()) {
+                    key_of(&keys, i, &mut keybuf);
+                    group_idx.push(self.upsert(h, &keybuf));
+                }
             }
             let lookup = costs::group_lookup_per_row().scaled(rows as f64);
             ctx.charge_kernel(Kernel::GroupLookup, &lookup);
@@ -385,7 +424,8 @@ impl<'p> GroupTable<'p> {
             ctx.charge_kernel(Kernel::Other, &dispatch);
         }
         for (acc, states) in self.accs.iter().zip(&mut self.states) {
-            agg_grouped(ctx, acc.func, batch.column(acc.col), &group_idx, states)?;
+            let col = runs.clone().map(|run| run.column(acc.col));
+            agg_grouped(ctx, acc.func, col, &group_idx, states)?;
         }
         ctx.charge_tile();
         Ok(())

@@ -29,7 +29,7 @@ use dpu_sim::account::Kernel;
 use dpu_sim::dmem::DmemReservation;
 use rapid_storage::vector::Vector;
 
-use crate::batch::{Batch, Rows};
+use crate::batch::{Batch, Positions, Rows};
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
 use crate::ops::partition::gather_rows;
@@ -322,31 +322,30 @@ impl JoinTable {
         keys: &[&Vector],
         on_match: &mut dyn FnMut(u32, u32),
     ) -> QefResult<Vec<u32>> {
-        let rows = keys.first().map_or(0, |k| k.len());
+        let all = Positions::dense(0, keys.first().map_or(0, |k| k.len()));
         self.probe_pieces(
             ctx,
-            std::iter::once((keys.iter().copied(), 0..rows)),
+            std::iter::once(keys.iter().map(|k| (*k, all))),
             on_match,
         )
     }
 
     /// [`JoinTable::probe`] over rows of an input that arrives in pieces
-    /// (each item: one piece's key columns and the rows of it to probe),
-    /// numbered back to back — the runs of rows a lane holds, probed where
-    /// they lie.
-    pub fn probe_pieces<'v, K, R>(
+    /// (each item: one piece's key columns, each with where the piece's rows
+    /// lie in it), numbered back to back — the runs of rows a lane holds,
+    /// probed where they lie.
+    pub fn probe_pieces<'v, K>(
         &self,
         ctx: &mut CoreCtx,
-        pieces: impl Iterator<Item = (K, R)> + Clone,
+        pieces: impl Iterator<Item = K> + Clone,
         on_match: &mut dyn FnMut(u32, u32),
     ) -> QefResult<Vec<u32>>
     where
-        K: Iterator<Item = &'v Vector> + Clone,
-        R: ExactSizeIterator<Item = usize>,
+        K: Iterator<Item = (&'v Vector, Positions<'v>)> + Clone,
     {
         if let Some(arity) = pieces
             .clone()
-            .map(|(keys, _)| keys.count())
+            .map(Iterator::count)
             .find(|&n| n != self.nkeys)
         {
             return Err(QefError::BadPlan(format!(
@@ -354,7 +353,8 @@ impl JoinTable {
                 self.nkeys
             )));
         }
-        let rows: usize = pieces.clone().map(|(_, ids)| ids.len()).sum();
+        let piece_rows = |keys: &K| keys.clone().next().map_or(0, |(_, at)| at.len());
+        let rows: usize = pieces.clone().map(|keys| piece_rows(&keys)).sum();
         let mut hashes = vec![0; rows];
         hash_pieces_into(ctx, pieces.clone(), &mut hashes);
         let mut match_counts = vec![0u32; rows];
@@ -362,15 +362,15 @@ impl JoinTable {
         let mut total_matches = 0usize;
         let mut keybuf = vec![0i64; self.nkeys];
         let mut p = 0;
-        for (keys, ids) in pieces {
-            for i in ids {
+        for keys in pieces {
+            for r in 0..piece_rows(&keys) {
                 let at = p;
                 p += 1;
-                if keys.clone().any(|k| k.is_null(i)) {
+                if keys.clone().any(|(k, of)| k.is_null(of.get(r))) {
                     continue;
                 }
-                for (slot, k) in keybuf.iter_mut().zip(keys.clone()) {
-                    *slot = k.data.get_i64(i);
+                for (slot, (k, of)) in keybuf.iter_mut().zip(keys.clone()) {
+                    *slot = k.data.get_i64(of.get(r));
                 }
                 let mut count = 0u32;
                 total_links += self.dmem_seg.probe(hashes[at], &keybuf, |b| {
@@ -580,7 +580,9 @@ pub struct Broadcast<'a> {
 impl Broadcast<'_> {
     /// One lane's work: read the build side and build its table, then probe
     /// `parts` — the rows the lane holds, in order — against it, a trip
-    /// round the control loop per tile. One output batch per part.
+    /// round the control loop per tile. One output batch per part. The probe
+    /// reads every column of the rows it hands on where they lie
+    /// ([`Rows::charge_select`]): their keys, and the columns it writes out.
     pub fn lane<'r>(
         &self,
         ctx: &mut CoreCtx,
@@ -611,6 +613,10 @@ impl Broadcast<'_> {
             for _ in 0..rows.rows().div_ceil(tile) {
                 ctx.charge_tile();
             }
+            let inner = matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi);
+            if table.is_some() || !inner {
+                rows.charge_select(ctx, 0..rows.width());
+            }
             out.push(match &table {
                 Some(table) => probe_rows(
                     ctx,
@@ -625,8 +631,8 @@ impl Broadcast<'_> {
                 // becomes.
                 None => match self.join_type {
                     JoinType::Inner | JoinType::LeftSemi => Batch::empty(0),
-                    JoinType::LeftAnti => rows.into_batch(),
-                    JoinType::LeftOuter => pad_outer(rows.into_batch(), self.build_widths),
+                    JoinType::LeftAnti => rows.materialize(),
+                    JoinType::LeftOuter => pad_outer(rows.materialize(), self.build_widths),
                 },
             });
         }
@@ -650,13 +656,9 @@ fn probe_rows(
     if rows.rows() == 0 {
         return Ok(Batch::empty(0));
     }
-    let pieces = rows.runs().map(|run| {
-        let cols = run.cols;
-        (
-            probe_keys.iter().map(move |&c| cols.column(c)),
-            run.row_ids(),
-        )
-    });
+    let pieces = rows
+        .runs()
+        .map(|run| probe_keys.iter().map(move |&c| run.column(c)));
     // Semi and anti joins keep probe rows by their match counts alone.
     let pairs = matches!(join_type, JoinType::Inner | JoinType::LeftOuter);
     let expected = if pairs { rows.rows() } else { 0 };
@@ -694,7 +696,7 @@ fn probe_rows(
 /// all of them, they are handed on as they came.
 fn keep(rows: Rows<'_>, positions: &[u32]) -> Batch {
     if positions.len() == rows.rows() {
-        rows.into_batch()
+        rows.materialize()
     } else {
         gather_rows(&rows, positions)
     }
@@ -927,7 +929,7 @@ mod tests {
 
     #[test]
     fn a_broadcast_lane_reads_the_build_side_once_and_probes_its_rows_where_they_lie() {
-        use crate::batch::Span;
+        use crate::batch::{Pick, Projection, Span};
         use rapid_storage::chunk::Chunk;
         let build = Batch::new(vec![vcol(vec![1, 2, 2, 7]), vcol(vec![10, 20, 21, 70])]);
         let chunk = Chunk::new(vec![
@@ -945,8 +947,9 @@ mod tests {
         // Rows 1, 2, 5 and 7 of the chunk, picked by a scan.
         let in_place = || Rows::InPlace {
             span: Span::Chunk(&chunk, 0..100),
-            projection: std::borrow::Cow::Owned(vec![1, 0]),
-            picked: Some(vec![1, 2, 5, 7]),
+            projection: Projection::Scan(&[1, 0]),
+            pick: Pick::Selected(vec![1, 2, 5, 7]),
+            written: Vec::new(),
         };
         let mut c = ctx();
         let out = join(JoinType::Inner)

@@ -8,6 +8,7 @@
 pub mod filter;
 pub mod groupby;
 pub mod join;
+pub mod map;
 pub mod partition;
 pub mod setops;
 pub mod sort;

@@ -20,11 +20,13 @@
 //!
 //! * **the lanes of a task.** Where round one of a pass is the last operator
 //!   of the task that scans its input ([`crate::task`]), each lane of the
-//!   task partitions *the rows it scanned* — read where they lie, the picked
-//!   rows of its chunks — as its last step
-//!   ([`RoundStep::map_rows`]), holding the task's one working set, and
-//!   [`scatter_lanes`] makes the partitions of all lanes' maps once the
-//!   stage has returned,
+//!   task partitions *the rows it scanned* — read where they lie, through
+//!   the scan's selection where it kept some, beside what a Map computed —
+//!   as its last step ([`RoundStep::map_rows`]), holding the task's one
+//!   working set, and [`scatter_lanes`] makes the partitions of all lanes'
+//!   maps once the stage has returned, the map's row ids taken back to the
+//!   rows' places in the tiles: Listing 3's gather reads each row once,
+//!   and nothing compacted it before,
 //! * **the lanes of a round over batches.** A round over what a join or a
 //!   round before it materialized is a stage of its own: its input — the
 //!   batches of the operator below, or the partitions the round before
@@ -129,10 +131,7 @@ impl RoundStep<'_> {
             return;
         };
         let key_cols = self.key_cols;
-        let keyed = runs.map(|run| {
-            let cols = run.cols;
-            (key_cols.iter().map(move |&c| cols.column(c)), run.row_ids())
-        });
+        let keyed = runs.map(|run| key_cols.iter().map(move |&c| run.column(c)));
         hash_pieces_into(ctx, keyed, hashes);
         compute_partition_map(ctx, hashes, self.fanout, self.shift, 0, offsets, rids);
         // Listing 3 and the flush of the local buffers it fills are this
@@ -166,12 +165,17 @@ impl RoundStep<'_> {
 
     /// The step of a task's lane: the map of the rows the lane holds, as
     /// `fanout + 1` offsets followed by the row ids they index (and, behind
-    /// them, the hashes the map was computed from). Empty for no rows.
+    /// them, the hashes the map was computed from). Empty for no rows. The
+    /// round reads every column of the rows where they lie
+    /// ([`Rows::charge_select`]): its keys to hash them, and each column
+    /// once more in Listing 3's gather, which [`scatter_lanes`] carries out
+    /// with the map's row ids taken back to the rows' places in the tiles.
     pub fn map_rows(&self, ctx: &mut CoreCtx, rows: &Rows<'_>) -> Vec<u32> {
         let n = rows.rows();
         if n == 0 {
             return Vec::new();
         }
+        rows.charge_select(ctx, 0..rows.width());
         let mut map = vec![0; self.fanout + 1 + 2 * n];
         let (offsets, rest) = map.split_at_mut(self.fanout + 1);
         let (rids, hashes) = rest.split_at_mut(n);
@@ -277,8 +281,9 @@ where
                         let of_run;
                         (of_run, rest) =
                             rest.split_at(rest.partition_point(|&r| (r as usize) < end));
-                        let of_cols = of_run.iter().map(|&r| run.row(r as usize - at));
-                        column.append(run.cols.column(c), of_cols, rows);
+                        let (of_cols, places) = run.column(c);
+                        let of_run = of_run.iter().map(|&r| places.get(r as usize - at));
+                        column.append(of_cols, of_run, rows);
                         at = end;
                     }
                 }
@@ -328,6 +333,7 @@ impl<'a> Plan<'a> {
                     cols: Columns::Batch(self.pieces[i]),
                     rows: of_piece.start.saturating_sub(base)..of_piece.end.saturating_sub(base),
                     picked: None,
+                    written_at: 0,
                 }
             })
             .take_while(|run| !run.rows.is_empty())

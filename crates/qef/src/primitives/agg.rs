@@ -15,6 +15,7 @@ use dpu_sim::account::Kernel;
 use rapid_storage::vector::Vector;
 use serde::{Deserialize, Serialize};
 
+use crate::batch::Positions;
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
 use crate::primitives::costs;
@@ -118,24 +119,28 @@ impl AggState {
     }
 }
 
-/// Fold a vector into per-group states via a dense group-index vector
-/// (produced by the group-by operator's hash table).
-pub fn agg_grouped(
+/// Fold a column into per-group states via a dense group-index vector
+/// (produced by the group-by operator's hash table): the column arrives in
+/// pieces, each with where its rows lie, one group index per row in order.
+pub fn agg_grouped<'v>(
     ctx: &mut CoreCtx,
     f: AggFunc,
-    col: &Vector,
+    col: impl Iterator<Item = (&'v Vector, Positions<'v>)>,
     group_idx: &[u32],
     states: &mut [AggState],
 ) -> QefResult<()> {
-    debug_assert_eq!(col.len(), group_idx.len());
-    for (i, &g) in group_idx.iter().enumerate() {
-        if !col.is_null(i) {
-            states[g as usize].update(f, col.data.get_i64(i))?;
+    let mut groups = group_idx.iter();
+    for (piece, at) in col {
+        for (i, &g) in at.iter().zip(groups.by_ref()) {
+            if !piece.is_null(i) {
+                states[g as usize].update(f, piece.data.get_i64(i))?;
+            }
         }
     }
+    debug_assert!(groups.next().is_none(), "a group index per row");
     ctx.charge_kernel(
         Kernel::Aggregate,
-        &costs::grouped_agg_per_row().scaled(col.len() as f64),
+        &costs::grouped_agg_per_row().scaled(group_idx.len() as f64),
     );
     Ok(())
 }
@@ -151,6 +156,11 @@ mod tests {
         CoreCtx::new(&ExecContext::dpu(), 0)
     }
 
+    /// Every row of `col`, as one piece.
+    fn whole(col: &Vector) -> impl Iterator<Item = (&Vector, Positions<'_>)> {
+        std::iter::once((col, Positions::dense(0, col.len())))
+    }
+
     #[test]
     fn ungrouped_sum_min_max_count() {
         let mut c = ctx();
@@ -163,7 +173,14 @@ mod tests {
             (AggFunc::Avg, Some(3)),
         ] {
             let mut s = AggState::init(f);
-            agg_grouped(&mut c, f, &col, &[0; 4], std::slice::from_mut(&mut s)).unwrap();
+            agg_grouped(
+                &mut c,
+                f,
+                whole(&col),
+                &[0; 4],
+                std::slice::from_mut(&mut s),
+            )
+            .unwrap();
             assert_eq!(s.finalize(f), expect, "{f:?}");
         }
     }
@@ -178,7 +195,7 @@ mod tests {
         agg_grouped(
             &mut c,
             AggFunc::Sum,
-            &col,
+            whole(&col),
             &[0; 3],
             std::slice::from_mut(&mut s),
         )
@@ -204,7 +221,7 @@ mod tests {
         let col = Vector::new(ColumnData::I64(vec![1, 2, 3, 4, 5]));
         let groups = vec![0u32, 1, 0, 1, 0];
         let mut states = vec![AggState::init(AggFunc::Sum); 2];
-        agg_grouped(&mut c, AggFunc::Sum, &col, &groups, &mut states).unwrap();
+        agg_grouped(&mut c, AggFunc::Sum, whole(&col), &groups, &mut states).unwrap();
         assert_eq!(states[0].finalize(AggFunc::Sum), Some(9));
         assert_eq!(states[1].finalize(AggFunc::Sum), Some(6));
     }

@@ -101,6 +101,20 @@ pub fn swpart_gather_per_row() -> KernelCost {
     }
 }
 
+/// Reading a row a predicate kept where it lies, in a loop that reads
+/// `cols` columns of the tiles the DMS streamed: the row's tile offset is
+/// loaded from the selection vector once, and added to the base of each
+/// column — dual-issued, the loop's own loads, stores and branch counted by
+/// its own kernel.
+pub fn select_read_per_row(cols: usize) -> KernelCost {
+    KernelCost {
+        alu: cols as f64,
+        lsu: 1.0,
+        dual_issue_frac: 1.0,
+        ..Default::default()
+    }
+}
+
 /// Hash-join build kernel per row: bucket index (mask+shift on the
 /// hardware CRC), load bucket, chain into link array, store rowid, store
 /// key copy (§6.3's compact bit-array updates are multi-op).
@@ -318,6 +332,19 @@ mod tests {
         }
         // Q1's two code keys: 6.125 cycles a row where hashing took 12.775.
         assert_eq!(cm.kernel_cycles(&group_slot_per_row(2)), 6.125);
+    }
+
+    #[test]
+    fn reading_a_kept_row_in_place_is_cheaper_per_column_than_compacting_it() {
+        let cm = CostModel::default();
+        let compact = cm.kernel_cycles(&swpart_gather_per_row());
+        for cols in 1..=16 {
+            let select = cm.kernel_cycles(&select_read_per_row(cols));
+            assert!(select / (cols as f64) < compact, "{cols} columns");
+        }
+        // An add per column, the offset's load paired with the first.
+        assert_eq!(cm.kernel_cycles(&select_read_per_row(6)), 6.0);
+        assert_eq!(compact, 5.725);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use dpu_sim::account::Kernel;
 use rapid_storage::vector::Vector;
 
+use crate::batch::Positions;
 use crate::exec::CoreCtx;
 use crate::primitives::costs;
 
@@ -19,49 +20,45 @@ pub fn hash_rows(ctx: &mut CoreCtx, keys: &[&Vector]) -> Vec<u32> {
     let rows = keys[0].len();
     debug_assert!(keys.iter().all(|k| k.len() == rows));
     let mut out = vec![0; rows];
+    let all = Positions::dense(0, rows);
     hash_pieces_into(
         ctx,
-        std::iter::once((keys.iter().copied(), 0..rows)),
+        std::iter::once(keys.iter().map(|k| (*k, all))),
         &mut out,
     );
     out
 }
 
 /// [`hash_rows`] over rows of an input that arrives in pieces (each item:
-/// one piece's key columns and the rows of it to hash), written back to back
-/// into `out` and charged as the one logical input the rows are. A partition
-/// lane hashes the rows it owns into its slice of the round's hash buffer
-/// this way.
-pub fn hash_pieces_into<'a, K, R>(
-    ctx: &mut CoreCtx,
-    pieces: impl Iterator<Item = (K, R)>,
-    out: &mut [u32],
-) where
-    K: Iterator<Item = &'a Vector> + Clone,
-    R: ExactSizeIterator<Item = usize>,
+/// one piece's key columns, each with where the piece's rows lie in it),
+/// written back to back into `out` and charged as the one logical input the
+/// rows are. A partition lane hashes the rows it owns into its slice of the
+/// round's hash buffer this way.
+pub fn hash_pieces_into<'a, K>(ctx: &mut CoreCtx, pieces: impl Iterator<Item = K>, out: &mut [u32])
+where
+    K: Iterator<Item = (&'a Vector, Positions<'a>)> + Clone,
 {
     let mut done = 0;
     let mut nkeys = 0;
-    for (keys, rows) in pieces {
-        let out = &mut out[done..done + rows.len()];
-        done += rows.len();
+    for keys in pieces {
         nkeys = keys.clone().count();
         let mut single = keys.clone();
-        match (single.next(), nkeys) {
+        let Some((first, at)) = single.next() else {
+            panic!("hash takes at least one key column");
+        };
+        let out = &mut out[done..done + at.len()];
+        done += at.len();
+        if nkeys == 1 {
             // Single keys hash straight from their column.
-            (Some(k), 1) => {
-                for (o, i) in out.iter_mut().zip(rows) {
-                    *o = dpu_sim::crc32::hash_u64(k.data.get_i64(i) as u64);
-                }
+            for (o, i) in out.iter_mut().zip(at.iter()) {
+                *o = dpu_sim::crc32::hash_u64(first.data.get_i64(i) as u64);
             }
-            (Some(_), _) => {
-                for (o, i) in out.iter_mut().zip(rows) {
-                    *o = dpu_sim::crc32::hash_key_iter(
-                        keys.clone().map(|k| k.data.get_i64(i) as u64),
-                    );
-                }
+        } else {
+            for (r, o) in out.iter_mut().enumerate() {
+                *o = dpu_sim::crc32::hash_key_iter(
+                    keys.clone().map(|(k, at)| k.data.get_i64(at.get(r)) as u64),
+                );
             }
-            (None, _) => panic!("hash takes at least one key column"),
         }
     }
     debug_assert_eq!(done, out.len());

@@ -14,12 +14,20 @@
 //! [`PlanNode::input_task`]; the engine runs by it and the verifier
 //! (`EXPLAIN VERIFY`, `rapid-report verify`) reports by it, so the two cannot
 //! disagree about where a task ends.
+//!
+//! The rows a chain's predicate keeps stay where the DMS streamed them until
+//! an operator writes them: a predicated chain's scan declares a selection
+//! vector beside its streams — a tile offset per row
+//! ([`crate::budget::SELECTION_BYTES`]) — the operators above read the kept
+//! rows through it, and the one that writes them compacts them. What the
+//! operators of a task do with the kept rows ([`Task::kept_rows`]) is what
+//! the scan's choice of access path weighs.
 
-use crate::budget::{OpDecl, OpName, BASE_STATE_BYTES};
+use crate::budget::{OpDecl, OpName, BASE_STATE_BYTES, SELECTION_BYTES};
 use crate::error::{QefError, QefResult};
 use crate::expr::{Expr, Pred};
 use crate::ops::filter::touched_columns;
-use crate::plan::{Catalog, GroupStrategy, PlanNode};
+use crate::plan::{AggSpec, Catalog, GroupStrategy, PlanNode};
 
 /// A scan and the row-at-a-time operators over it.
 #[derive(Debug, Clone)]
@@ -168,6 +176,16 @@ impl PlanNode {
             return Ok(None);
         };
         task.decls.push(last);
+        task.takes = match self {
+            PlanNode::TopK { .. } | PlanNode::Sort { .. } => Takes::Writes,
+            PlanNode::GroupBy {
+                keys,
+                aggs,
+                strategy: GroupStrategy::OnTheFly { .. },
+                ..
+            } => Takes::Groups { keys, aggs },
+            _ => Takes::Reads,
+        };
         let fits = crate::budget::task_tile(tile_rows, &task.decls, dmem_bytes).is_some();
         Ok(fits.then_some(task))
     }
@@ -206,8 +224,8 @@ pub fn join_probe_decl(widths: &[usize], dmem_bytes: usize) -> OpDecl<'static> {
     }
 }
 
-/// What a `Filter` over columns of `widths` declares: it compacts every
-/// column where it lies.
+/// What a `Filter` over columns of `widths` declares: it narrows the
+/// selection over them where they lie.
 pub fn filter_decl(widths: &[usize]) -> OpDecl<'static> {
     OpDecl {
         name: OpName::of("filter"),
@@ -254,6 +272,126 @@ pub struct Task<'p> {
     pub touched: Vec<usize>,
     /// What each operator declares, bottom first.
     pub decls: Vec<OpDecl<'p>>,
+    /// How the task's last operator takes the rows the chain hands on.
+    pub takes: Takes<'p>,
+}
+
+/// How the last operator of a task takes the rows the chain hands on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Takes<'p> {
+    /// It writes every column of them into vectors of its own: the chain's
+    /// end where the chain is a task by itself, a top-k heap, a local sort.
+    Writes,
+    /// It reads every column of them where they lie: a partition round, a
+    /// broadcast join's probe.
+    Reads,
+    /// A group table reads the keys and the aggregate inputs of them where
+    /// they lie.
+    Groups {
+        /// The key columns.
+        keys: &'p [usize],
+        /// The aggregates, whose inputs it reads.
+        aggs: &'p [AggSpec],
+    },
+}
+
+/// What the operators of a task do with the rows its scan keeps, as the
+/// engine charges it per kept row: the loops that read them where they lie
+/// through the selection, by how many columns of the tiles each reads
+/// ([`crate::batch::Rows::charge_select`]), and how many columns of the tiles
+/// its lanes compact into vectors of their own
+/// ([`crate::batch::Rows::into_batch`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeptRows {
+    /// Columns of the tiles each loop reads, one entry per loop that reads
+    /// any.
+    pub reads: Vec<usize>,
+    /// Columns of the tiles the lanes write.
+    pub writes: usize,
+}
+
+impl Task<'_> {
+    /// What the task's operators do with the rows its scan keeps: every
+    /// `Filter` and computing `Map` of the chain reads the columns it names
+    /// where they lie, and the last operator reads or writes what the chain
+    /// hands on ([`Takes`]). A Map's computed columns are the lane's own from
+    /// there on; the columns it passes through stay in the tiles. Where the
+    /// scan has no predicate the selection is the first chain Filter's, and
+    /// what reads or writes the rows it keeps is priced as if it kept every
+    /// row: the model knows no selectivity for it.
+    pub fn kept_rows(&self) -> KeptRows {
+        let mut kept = KeptRows::default();
+        let above = &self.chain.above;
+        // The first operator that reads the rows through a selection.
+        let from = match self.chain.pred {
+            Some(_) => 0,
+            None => match above
+                .iter()
+                .position(|node| matches!(node, PlanNode::Filter { .. }))
+            {
+                Some(filter) => filter + 1,
+                // Every row is kept: nothing to price.
+                None => return kept,
+            },
+        };
+        // How many columns the scan and the first `level` operators over it
+        // hand on: the last Map's expressions, or the scan's projection.
+        let width = |level: usize| {
+            let mut maps = above[..level].iter().rev().filter_map(|node| match node {
+                PlanNode::Map { exprs, .. } => Some(exprs.len()),
+                _ => None,
+            });
+            maps.next().unwrap_or(self.chain.columns.len())
+        };
+        // Whether column `c` of what the scan and the first `level`
+        // operators over it hand on still lies in the tiles: a Map that
+        // passes it through leaves it there, one that computes it writes it.
+        let in_tiles = |level: usize, mut c: usize| {
+            for node in above[..level].iter().rev() {
+                if let PlanNode::Map { exprs, .. } = node {
+                    match exprs.get(c).map(|e| &e.expr) {
+                        Some(Expr::Col(below)) => c = *below,
+                        _ => return false,
+                    }
+                }
+            }
+            c < self.chain.columns.len()
+        };
+        // How many of the columns `read` names at `level` lie in the tiles.
+        let tiles = |level: usize, read: &dyn Fn(usize) -> bool| {
+            (0..width(level))
+                .filter(|&c| read(c) && in_tiles(level, c))
+                .count()
+        };
+        for (level, node) in above.iter().enumerate().skip(from) {
+            let read = match node {
+                PlanNode::Map { exprs, .. } => tiles(level, &|c| {
+                    let mut computed = exprs.iter().filter(|e| !matches!(e.expr, Expr::Col(_)));
+                    computed.any(|e| e.expr.reads_column(c))
+                }),
+                PlanNode::Filter { pred, .. } => tiles(level, &|c| pred.reads_column(c)),
+                _ => 0,
+            };
+            if read > 0 {
+                kept.reads.push(read);
+            }
+        }
+        let top = above.len();
+        let read = match self.takes {
+            Takes::Writes => {
+                kept.writes = tiles(top, &|_| true);
+                0
+            }
+            Takes::Reads => tiles(top, &|_| true),
+            Takes::Groups { keys, aggs } => tiles(top, &|c| {
+                keys.contains(&c) || aggs.iter().any(|a| a.col == c)
+            }),
+        };
+        if read > 0 {
+            kept.reads.push(read);
+        }
+        kept
+    }
 }
 
 impl<'p> ScanChain<'p> {
@@ -276,6 +414,12 @@ impl<'p> ScanChain<'p> {
             }
         };
         let mut decls = Vec::with_capacity(self.above.len() + 2);
+        // A predicate leaves a selection vector over the tiles behind it.
+        let selects = self.pred.is_some()
+            || self
+                .above
+                .iter()
+                .any(|node| matches!(node, PlanNode::Filter { .. }));
         decls.push(OpDecl {
             name: OpName {
                 stage: "scan",
@@ -283,7 +427,11 @@ impl<'p> ScanChain<'p> {
             },
             state_bytes: BASE_STATE_BYTES,
             in_widths: touched.iter().map(stored).collect::<QefResult<_>>()?,
-            out_widths: Vec::new(),
+            out_widths: if selects {
+                vec![SELECTION_BYTES]
+            } else {
+                Vec::new()
+            },
         });
         let mut widths: Vec<usize> = self.columns.iter().map(stored).collect::<QefResult<_>>()?;
         for node in &self.above {
@@ -298,6 +446,7 @@ impl<'p> ScanChain<'p> {
             chain: self,
             touched,
             decls,
+            takes: Takes::Writes,
         };
         Ok((task, widths))
     }

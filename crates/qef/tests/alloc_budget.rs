@@ -11,16 +11,21 @@ use std::cell::Cell;
 use dpu_sim::account::Kernel;
 use dpu_sim::isa::KernelCost;
 use rapid_qef::actor::run_stage;
-use rapid_qef::batch::{Rows, Span};
+use rapid_qef::batch::Span;
 use rapid_qef::exec::{CoreCtx, ExecContext};
+use rapid_qef::expr::Expr;
 use rapid_qef::expr::Pred;
 use rapid_qef::ops::filter::{touched_columns, ScanPlan};
+use rapid_qef::ops::groupby::GroupTable;
 use rapid_qef::ops::join::JoinTable;
+use rapid_qef::ops::map::map_rows;
 use rapid_qef::ops::partition::{partition_pass, partition_scheme};
 use rapid_qef::ops::topk::TopK;
-use rapid_qef::plan::SortKey;
+use rapid_qef::plan::{AggSpec, NamedExpr, SortKey};
+use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::filter::CmpOp;
 use rapid_qef::ra::AccessPath;
+use rapid_qef::task::KeptRows;
 use rapid_qef::Batch;
 use rapid_storage::chunk::Chunk;
 use rapid_storage::schema::{Field, Schema};
@@ -174,7 +179,7 @@ fn a_streamed_chunk_allocates_per_column_not_per_tile() {
         let mut c = core();
         let (b, allocs, _) = measured(|| {
             let rows = plan.scan_rows(&mut c, Span::Chunk(&chunk, 0..ROWS), tile);
-            rows.map(Rows::into_batch)
+            rows.map(|rows| rows.into_batch(&mut c))
         });
         assert_eq!(c.account.counters().tiles, (ROWS / tile) as u64);
         (b.unwrap().rows(), allocs)
@@ -212,10 +217,14 @@ fn planning_a_one_pass_scan_allocates_for_its_conjunct_and_nothing_else() {
         value: 4711,
     };
     let proj = [1, 2];
+    let kept = KeptRows {
+        reads: Vec::new(),
+        writes: proj.len(),
+    };
     for pred in [Some(&point), None] {
         let (plan, allocs, _) = measured(|| {
             let touched = touched_columns(&proj, pred);
-            ScanPlan::decide(&ectx, &t, &proj, pred, touched, 256)
+            ScanPlan::decide(&ectx, &t, &proj, pred, touched, 256, &kept)
         });
         assert_eq!(plan.dms_passes(), 1 + pred.iter().count());
         // The touched columns (grown once), the statistics view, the
@@ -345,4 +354,49 @@ fn a_dpu_stage_allocates_per_stage_not_per_lane() {
     assert_eq!(four, sixty_four);
     // Three, as when each backend had a runner of its own.
     assert!(four <= 3, "{four} allocations");
+}
+
+#[test]
+fn a_map_over_kept_rows_allocates_for_what_it_computes_not_what_it_passes_through() {
+    // A lane of a task scan -> map -> groupby.consume on the stream path:
+    // the scan keeps half the rows of the sixteen-column chunk, the map
+    // computes one sum and passes `passed` columns through, and the group
+    // table reads the sum.
+    let chunk = wide_chunk();
+    let conjuncts = [Pred::CmpConst {
+        col: 3,
+        op: CmpOp::Lt,
+        value: 2048,
+    }];
+    let aggs = [AggSpec {
+        func: AggFunc::Sum,
+        col: 0,
+    }];
+    let lane = |passed: usize| {
+        let proj: Vec<usize> = (0..passed + 2).collect();
+        let exprs: Vec<NamedExpr> = std::iter::once(Expr::add(Expr::Col(0), Expr::Col(1)))
+            .chain((2..passed + 2).map(Expr::Col))
+            .map(|expr| NamedExpr {
+                expr,
+                name: "e".into(),
+                dtype: DataType::Int,
+                scale: 0,
+                dict: None,
+            })
+            .collect();
+        let plan = ScanPlan::forced(AccessPath::Stream, &conjuncts, &proj, 0.5);
+        let mut c = core();
+        let mut table = GroupTable::new(0, &aggs, 16);
+        let (done, allocs, _) = measured(|| {
+            let rows = plan.scan_rows(&mut c, Span::Chunk(&chunk, 0..ROWS), 256)?;
+            let rows = map_rows(&mut c, rows, &exprs)?;
+            table.consume_rows(&mut c, &rows, &[])
+        });
+        done.unwrap();
+        assert_eq!(table.groups(), 1);
+        allocs
+    };
+    // The kept rows stay in the tiles: a column the map only hands on is
+    // neither compacted nor copied, whether it passes two or twelve.
+    assert_eq!(lane(2), lane(12));
 }

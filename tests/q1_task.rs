@@ -1,10 +1,13 @@
 //! Q1's task does each piece of work once. At sf 0.02 on 32 cores its one
 //! task — `scan(lineitem) → map → groupby.consume` — is pinned to the
-//! simulated cycles and the per-kernel split of its compute that four
+//! simulated cycles and the per-kernel split of its compute that five
 //! changes leave it with: literal rescales fold at compile time, the map
 //! computes `l_extendedprice * (1 - l_discount)` once for the two sums that
-//! hold it, SUM, AVG and COUNT of one input share one accumulator, and the
-//! two one-byte code keys index their group's slot instead of being hashed.
+//! hold it, SUM, AVG and COUNT of one input share one accumulator, the two
+//! one-byte code keys index their group's slot instead of being hashed, and
+//! the rows the scan keeps stay in the tiles behind a selection vector: the
+//! map reads the three columns it computes from through it and the group
+//! table the six it reads, and no column is compacted.
 
 use std::sync::Arc;
 
@@ -17,13 +20,14 @@ use rapid::qef::plan::{GroupStrategy, KeyRange, PlanNode};
 use rapid::qef::trace::MemorySink;
 
 /// Q1's compute by kernel, summed over the lanes of its task, cycles
-/// rounded: `rapid-report trace --sf 0.02 --query Q1`. Before the four
-/// changes the same table read mul 4,401,584, sub 509,027, hash 254,513,
-/// group-lookup 1,275,561 and aggregate 3,597,921, and the task's
-/// compute 15,850,036 cycles.
+/// rounded: `rapid-report trace --sf 0.02 --query Q1`. Before the first
+/// four changes the same table read mul 4,401,584, sub 509,027, hash
+/// 254,513, group-lookup 1,275,561 and aggregate 3,597,921, and the task's
+/// compute 15,850,036 cycles; before the selection vector it read compact
+/// 4,799,823 and no select.
 const KERNELS: [(&str, f64); 8] = [
     ("predicate", 181_453.0),
-    ("compact", 4_799_823.0),
+    ("select", 1_077_939.0),
     ("add", 254_513.0),
     ("sub", 254_513.0),
     ("mul", 1_467_195.0),
@@ -32,8 +36,9 @@ const KERNELS: [(&str, f64); 8] = [
     ("tile-control", 575_640.0),
 ];
 
-/// Q1's simulated cycles, rounded; 509,729 before.
-const Q1_CYCLES: f64 = 353_114.0;
+/// Q1's simulated cycles, rounded; 509,729 before the first four changes
+/// and 353,114 before the selection vector.
+const Q1_CYCLES: f64 = 233_786.0;
 
 #[test]
 fn q1s_task_is_pinned_to_its_cycles_and_its_kernels() {
