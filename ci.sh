@@ -67,6 +67,18 @@ if git grep -n "Kernel::Compact" -- crates/qef/src/ops/filter.rs; then
     exit 1
 fi
 
+echo "== one snapshot per request: admission checkpoints first, the decision compiles against the fork =="
+# HostDb::run checkpoints every table a statement reads before the offload
+# decision compiles it, and forks the engine under the read lock the
+# decision held, so the plan it costed is the plan the fork runs. The plan
+# cache keys on what the parser reads, the DDL epoch. A plan that carries
+# the tables it was compiled against, or a cache entry that carries SCNs,
+# is a second freshness check beside admission.
+if git grep -n -E "struct BoundPlan|fn valid_on|scn_snapshot" -- crates/hostdb/src; then
+    echo "hostdb checks freshness twice again: admit first, then decide and fork under one lock"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

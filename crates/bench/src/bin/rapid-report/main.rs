@@ -36,8 +36,9 @@ subcommands:
       non-zero exit on any finding (default: sf 0.01)
   schedcheck [--sf <scale-factor>] [--queries <n>] [--active <slots>]
              [--mutations]
-      schedule-interference check of real scheduler runs in both dispatch
-      modes; --mutations adds the kill matrix (default: sf 0.01, 12, 4)
+      schedule-interference check of real scheduler runs (one dispatch
+      order, there is no mode); --mutations adds the kill matrix
+      (default: sf 0.01, 12, 4)
   widths [--sf <scale-factor>]
       declared, stored and range-needed bytes of every column the TPC-H
       statements scan, and each statement's scan bytes against the floor

@@ -121,7 +121,8 @@ pub fn run_concurrent(tables: &[TableSpec], sqls: &[String]) -> Result<BatchComp
 }
 
 /// [`run_concurrent`] on a scheduler over the DPU `dpu` describes (its
-/// admission bounds and dispatch mode are the batch's either way).
+/// admission bounds are the batch's either way; every scheduler places
+/// stages in the one dispatch order).
 fn run_scheduled(
     tables: &[TableSpec],
     sqls: &[String],

@@ -6,14 +6,11 @@
 //! keyed by statement text; offload decisions and RAPID compilation stay
 //! per-execution (they depend on what is loaded on the node right now).
 //!
-//! An entry is valid only while
-//!
-//! * the store's **DDL epoch** is unchanged (any `CREATE`/`DROP` may
-//!   re-bind names the plan resolved), and
-//! * every table the plan references still sits at the **SCN** it had at
-//!   planning time (committed DML re-plans conservatively — today the
-//!   parser uses no table statistics, but the rule keeps the cache sound
-//!   when statistics-driven rewrites land).
+//! An entry is valid while the store's **DDL epoch** is unchanged: the
+//! parser reads table and column names and nothing else, and only a
+//! `CREATE` can re-bind them. Committed DML leaves every entry valid — the
+//! request path checkpoints and compiles against the data each execution
+//! sees (see `db`'s request path).
 //!
 //! Stale entries are dropped and recounted as `invalidations`; the cache
 //! is bounded and clears wholesale when full (the workloads this serves
@@ -25,18 +22,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rapid_qcomp::logical::LogicalPlan;
-use rapid_storage::scn::Scn;
 
-/// One cached plan plus the snapshot its validity is judged against.
+/// One cached plan plus the DDL epoch it was parsed under.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The parsed logical plan.
     pub plan: LogicalPlan,
     /// Store-wide DDL epoch at planning time.
     pub ddl_epoch: u64,
-    /// `(table, host SCN)` for every table the plan references, at
-    /// planning time, sorted by table name.
-    pub scn_snapshot: Vec<(String, Scn)>,
 }
 
 /// Cache hit/miss/invalidation counters (monotonic).
@@ -46,13 +39,13 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found no entry.
     pub misses: u64,
-    /// Entries dropped because DDL or a referenced table's SCN moved.
+    /// Entries dropped because DDL moved the epoch.
     pub invalidations: u64,
     /// Entries currently cached.
     pub entries: usize,
 }
 
-/// A bounded statement-text → logical-plan cache with DDL/SCN validation.
+/// A bounded statement-text → logical-plan cache with DDL validation.
 #[derive(Debug)]
 pub struct PlanCache {
     entries: RwLock<HashMap<String, Arc<CachedPlan>>>,
@@ -80,26 +73,15 @@ impl PlanCache {
         }
     }
 
-    /// Look up `sql`, validating the entry against the current DDL epoch
-    /// and the referenced tables' current SCNs (fetched by `scn_of`).
+    /// Look up `sql`, validating the entry against the current DDL epoch.
     /// A stale entry is removed and counted as an invalidation.
-    pub fn lookup(
-        &self,
-        sql: &str,
-        ddl_epoch: u64,
-        scn_of: impl Fn(&str) -> Option<Scn>,
-    ) -> Option<Arc<CachedPlan>> {
+    pub fn lookup(&self, sql: &str, ddl_epoch: u64) -> Option<Arc<CachedPlan>> {
         let hit = self.entries.read().get(sql).cloned();
         let Some(entry) = hit else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let fresh = entry.ddl_epoch == ddl_epoch
-            && entry
-                .scn_snapshot
-                .iter()
-                .all(|(t, scn)| scn_of(t) == Some(*scn));
-        if fresh {
+        if entry.ddl_epoch == ddl_epoch {
             self.hits.fetch_add(1, Ordering::Relaxed);
             Some(entry)
         } else {
@@ -149,20 +131,19 @@ mod tests {
         }
     }
 
-    fn entry(epoch: u64, scn: u64) -> CachedPlan {
+    fn entry(epoch: u64) -> CachedPlan {
         CachedPlan {
             plan: plan(),
             ddl_epoch: epoch,
-            scn_snapshot: vec![("t".into(), Scn(scn))],
         }
     }
 
     #[test]
     fn hit_miss_and_counters() {
         let c = PlanCache::new(8);
-        assert!(c.lookup("q", 0, |_| Some(Scn(1))).is_none());
-        c.insert("q", entry(0, 1));
-        assert!(c.lookup("q", 0, |_| Some(Scn(1))).is_some());
+        assert!(c.lookup("q", 0).is_none());
+        c.insert("q", entry(0));
+        assert!(c.lookup("q", 0).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.invalidations, s.entries), (1, 1, 0, 1));
     }
@@ -170,36 +151,20 @@ mod tests {
     #[test]
     fn ddl_epoch_invalidates() {
         let c = PlanCache::new(8);
-        c.insert("q", entry(0, 1));
-        assert!(c.lookup("q", 1, |_| Some(Scn(1))).is_none());
+        c.insert("q", entry(0));
+        assert!(c.lookup("q", 1).is_none());
         assert_eq!(c.stats().invalidations, 1);
         assert_eq!(c.stats().entries, 0);
     }
 
     #[test]
-    fn scn_change_invalidates() {
-        let c = PlanCache::new(8);
-        c.insert("q", entry(0, 1));
-        assert!(c.lookup("q", 0, |_| Some(Scn(2))).is_none());
-        assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn dropped_table_invalidates() {
-        let c = PlanCache::new(8);
-        c.insert("q", entry(0, 1));
-        assert!(c.lookup("q", 0, |_| None).is_none());
-        assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
     fn capacity_bound_clears_wholesale() {
         let c = PlanCache::new(2);
-        c.insert("a", entry(0, 1));
-        c.insert("b", entry(0, 1));
-        c.insert("c", entry(0, 1)); // over capacity: reset, then insert
+        c.insert("a", entry(0));
+        c.insert("b", entry(0));
+        c.insert("c", entry(0)); // over capacity: reset, then insert
         let s = c.stats();
         assert_eq!(s.entries, 1);
-        assert!(c.lookup("c", 0, |_| Some(Scn(1))).is_some());
+        assert!(c.lookup("c", 0).is_some());
     }
 }

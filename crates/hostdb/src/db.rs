@@ -5,16 +5,18 @@
 //! background checkpointer that keeps RAPID's tables at the host's SCNs
 //! (§3.3). A change reaches RAPID one way: a commit moves a host table to a
 //! new SCN, and the next checkpoint rebuilds that table from the row store.
-//! `execute_sql` is the end-to-end path: parse → plan → offload decision →
-//! admission check (SCNs) → RAPID execution with host fallback.
+//! `execute_sql` is the end-to-end path: parse (through the plan cache) →
+//! admission (every RAPID table the statement reads checkpointed to the
+//! host's SCN) → offload decision → RAPID execution with host fallback.
 //! Every entry point reaches that one path (`HostDb::run`, RAPID leg
-//! `run_on_rapid`) and differs only in the `Request` it brings. Compiling is
-//! [`crate::offload`]'s: the decision compiles a statement once, and
-//! `run_on_rapid` has it recompiled only if a table it was compiled against
-//! was reloaded in between.
+//! `run_on_fork`) and differs only in the `Request` it brings. A request
+//! sees one snapshot of RAPID: the decision compiles against the catalog
+//! the request's fork is taken from, under the same read lock, so the plan
+//! it costed is the plan that runs, and every fragment of a partial offload
+//! runs on that one fork. Compiling is [`crate::offload`]'s.
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,7 +36,7 @@ use rapid_storage::table::{Table, TableBuilder};
 use rapid_storage::types::{DataType, Value};
 
 use crate::cache::{CachedPlan, PlanCache};
-use crate::offload::{plan_offload, BoundPlan, NoOffloadReason, OffloadPlan};
+use crate::offload::{compile, plan_offload, referenced_tables, NoOffloadReason, OffloadPlan};
 use crate::sql::{parse_sql, SqlError};
 use crate::store::{HostTable, RowStore};
 use crate::volcano;
@@ -225,8 +227,9 @@ fn sched_err(e: rapid_sched::SchedError) -> DbError {
 
 /// A prepared statement: SQL validated by [`HostDb::prepare`] whose plan
 /// sits in the server-side [`PlanCache`] keyed by the statement text.
-/// Executing it re-validates the cached plan against DDL/SCN changes, so a
-/// stale prepared statement transparently re-plans rather than mis-binds.
+/// Executing it re-validates the cached plan against the DDL epoch, so a
+/// prepared statement that DDL made stale transparently re-plans rather
+/// than mis-binds.
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
     sql: String,
@@ -432,39 +435,21 @@ impl HostDb {
                 host_secs: analysis.result.host_secs,
             });
         }
-        let plan = self.plan_sql_cached(sql)?;
-        self.execute_plan(&plan)
+        let cached = self.plan_sql_cached(sql)?;
+        self.execute_plan(&cached.plan)
     }
 
-    /// Parse `sql` through the server-side plan cache: a fresh entry (same
-    /// DDL epoch, referenced tables at their planning-time SCNs) skips the
-    /// SQL front end; anything stale is invalidated and re-planned.
-    fn plan_sql_cached(&self, sql: &str) -> Result<LogicalPlan, DbError> {
-        let epoch = self.store.ddl_epoch();
-        let scn_of = |t: &str| self.store.table(t).map(|h| h.read().scn);
-        if let Some(hit) = self.plan_cache.lookup(sql, epoch, scn_of) {
-            return Ok(hit.plan.clone());
+    /// Parse `sql` through the server-side plan cache: an entry of the
+    /// current DDL epoch skips the SQL front end; one DDL made stale is
+    /// invalidated and re-planned. Committed DML re-plans nothing: the parse
+    /// reads only table and column names.
+    fn plan_sql_cached(&self, sql: &str) -> Result<Arc<CachedPlan>, DbError> {
+        let ddl_epoch = self.store.ddl_epoch();
+        if let Some(hit) = self.plan_cache.lookup(sql, ddl_epoch) {
+            return Ok(hit);
         }
         let plan = parse_sql(sql, &self.schemas()).map_err(DbError::Sql)?;
-        let mut tables = std::collections::HashSet::new();
-        crate::offload::referenced_tables(&plan, &mut tables);
-        let mut snapshot: Vec<(String, rapid_storage::scn::Scn)> = tables
-            .into_iter()
-            .filter_map(|t| {
-                let scn = self.store.table(&t).map(|h| h.read().scn)?;
-                Some((t, scn))
-            })
-            .collect();
-        snapshot.sort();
-        self.plan_cache.insert(
-            sql,
-            CachedPlan {
-                plan: plan.clone(),
-                ddl_epoch: epoch,
-                scn_snapshot: snapshot,
-            },
-        );
-        Ok(plan)
+        Ok(self.plan_cache.insert(sql, CachedPlan { plan, ddl_epoch }))
     }
 
     /// The plan cache's hit/miss/invalidation counters.
@@ -473,9 +458,11 @@ impl HostDb {
     }
 
     /// Prepare a statement: validate it through the SQL front end and warm
-    /// the plan cache. The returned handle is cheap to clone and re-execute;
-    /// DDL or committed DML on a referenced table invalidates the cached
-    /// plan underneath it, and the next execution transparently re-plans.
+    /// the plan cache. The returned handle is cheap to clone and re-execute.
+    /// Only DDL re-plans it: a `CREATE` invalidates the cached plan
+    /// underneath it and the next execution transparently parses again,
+    /// while committed DML leaves the plan cached — each execution is
+    /// admitted, and compiled, against the data as of its own start.
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement, DbError> {
         let inner = crate::sql::strip_explain_analyze(sql)
             .or_else(|| crate::sql::strip_explain_verify(sql))
@@ -521,22 +508,23 @@ impl HostDb {
             sched: None,
             trace: Some(Arc::clone(&sink) as _),
         };
-        match self.run_on_rapid(plan, None, &traced) {
+        let engine = self.snapshot(plan, &traced);
+        let ran = compile_on(&engine, plan)
+            .and_then(|compiled| Ok((run_on_fork(&engine, &compiled)?, compiled)));
+        match ran {
             Ok((result, compiled)) => {
                 let events = sink.take();
-                // The estimator's view of the physical plan that just ran:
-                // per-node estimated rows in the tracer's pre-order id
-                // space, so every operator line can carry its Q-error.
+                // The estimator's view of the physical plan that just ran,
+                // on the catalog it ran on: per-node estimated rows in the
+                // tracer's pre-order id space, so every operator line can
+                // carry its Q-error.
                 let mut scans = Vec::new();
-                let estimates = {
-                    let rapid = self.rapid.read();
-                    scan_columns(&compiled.plan, rapid.catalog(), &mut scans);
-                    rapid_qcomp::estimate_rows_per_node(
-                        &compiled.plan,
-                        rapid.catalog(),
-                        &CostParams::from_exec(rapid.context()),
-                    )
-                };
+                scan_columns(&compiled.plan, engine.catalog(), &mut scans);
+                let estimates = rapid_qcomp::estimate_rows_per_node(
+                    &compiled.plan,
+                    engine.catalog(),
+                    &CostParams::from_exec(engine.context()),
+                );
                 let text = render_explain(&events, &result, &estimates, &scans);
                 Ok(ExplainAnalysis {
                     result,
@@ -566,9 +554,12 @@ impl HostDb {
         self.run(plan, &Request::default())
     }
 
-    /// The request path: decide where `plan` runs — the `force_site` knob if
-    /// set, else the cost-based offload planner over the RAPID catalog, which
-    /// compiles the statement — and execute that decision.
+    /// The request path: admit `plan` — checkpoint every RAPID table it
+    /// reads — then decide where it runs, by the `force_site` knob if set,
+    /// else by the cost-based offload planner over the RAPID catalog, which
+    /// compiles the statement; an offload forks the engine under the same
+    /// read lock, so the fork holds the tables the decision compiled against.
+    /// `force_site == Host` skips RAPID, admission included.
     ///
     /// A failed full offload re-runs on the host (§3.2: "In case ...
     /// execution in RAPID fails, the RAPID operator can either fail or
@@ -576,38 +567,64 @@ impl HostDb {
     /// cancelled or timed out aborts with that typed error in either case.
     /// Host execution never holds a DPU admission slot.
     fn run(&self, plan: &LogicalPlan, req: &Request<'_>) -> Result<QueryResult, DbError> {
-        let offload = match self.force_site {
-            Some(ExecutionSite::Rapid) => OffloadPlan::Full(None),
-            Some(ExecutionSite::Host) => OffloadPlan::None(NoOffloadReason::HostCheaper),
-            _ => {
-                let rapid = self.rapid.read();
-                let params = CostParams::from_exec(rapid.context());
-                plan_offload(plan, rapid.catalog(), &params)
-            }
-        };
-        match offload {
-            OffloadPlan::Full(bound) => match self.run_on_rapid(plan, bound, req) {
-                Ok((result, _)) => return Ok(result),
-                Err(_) => {
+        if self.force_site != Some(ExecutionSite::Host) {
+            let tables = self.admit(plan);
+            let rapid = self.rapid.read();
+            let params = CostParams::from_exec(rapid.context());
+            let offload = match self.force_site {
+                Some(ExecutionSite::Rapid) => compile(plan, rapid.catalog(), &params).map_or(
+                    OffloadPlan::None(NoOffloadReason::TablesNotLoaded),
+                    OffloadPlan::Full,
+                ),
+                _ => plan_offload(plan, &tables, rapid.catalog(), &params),
+            };
+            match offload {
+                OffloadPlan::Full(compiled) => {
+                    let engine = req.fork(&rapid);
+                    drop(rapid);
+                    if let Ok(result) = run_on_fork(&engine, &compiled) {
+                        return Ok(result);
+                    }
                     if let Some(refused) = req.refusal() {
                         return Err(refused);
                     }
                 }
-            },
-            OffloadPlan::Partial {
-                remainder,
-                fragments,
-            } => {
-                return self
-                    .run_partial(&remainder, fragments, req)
-                    .map_err(|e| req.refusal().unwrap_or(e))
+                OffloadPlan::Partial {
+                    remainder,
+                    fragments,
+                } => {
+                    let engine = req.fork(&rapid);
+                    drop(rapid);
+                    return self
+                        .run_partial(&engine, &remainder, fragments)
+                        .map_err(|e| req.refusal().unwrap_or(e));
+                }
+                OffloadPlan::None(_) => {}
             }
-            OffloadPlan::None(_) => {}
         }
         if let Some((_, handle)) = req.sched {
             handle.finish(); // give the DPU slot back first
         }
         self.execute_on_host(plan)
+    }
+
+    /// Admission (§3.3): the query SCN must not be younger than any RAPID
+    /// table the plan reads, so every lagging one is checkpointed. Returns
+    /// the plan's [`referenced_tables`].
+    fn admit(&self, plan: &LogicalPlan) -> HashSet<String> {
+        let mut tables = HashSet::new();
+        referenced_tables(plan, &mut tables);
+        for t in &tables {
+            self.checkpoint(t).ok();
+        }
+        tables
+    }
+
+    /// Admission, then the request's fork of the engine: the one snapshot of
+    /// RAPID a statement that always runs there compiles against and runs on.
+    fn snapshot(&self, plan: &LogicalPlan, req: &Request<'_>) -> Engine {
+        self.admit(plan);
+        req.fork(&self.rapid.read())
     }
 
     /// Execute a batch of SQL queries concurrently — one session thread
@@ -717,7 +734,7 @@ impl HostDb {
                     return self.execute_sql(sql);
                 }
                 cached = self.plan_sql_cached(sql)?;
-                &cached
+                &cached.plan
             }
             BatchSource::Plan(plan) => plan,
         };
@@ -728,22 +745,23 @@ impl HostDb {
         self.run(plan, &scheduled)
     }
 
-    /// Partial offload (§3.1-§3.2): execute the fragments on the node, land
-    /// their results in host-side buffers under the temp-table names the
-    /// remainder scans (the RAPID operator's result consumption), and
-    /// finish the remainder on the Volcano engine.
+    /// Partial offload (§3.1-§3.2): execute the fragments on the request's
+    /// fork, land their results in host-side buffers under the temp-table
+    /// names the remainder scans (the RAPID operator's result consumption),
+    /// and finish the remainder on the Volcano engine.
     fn run_partial(
         &self,
+        engine: &Engine,
         remainder: &LogicalPlan,
         fragments: Vec<(String, LogicalPlan)>,
-        req: &Request<'_>,
     ) -> Result<QueryResult, DbError> {
         let mut rapid_secs = 0.0;
         let mut host_secs = 0.0;
         // Dropped — and the buffers with it — however this function exits.
         let mut landed = Vec::with_capacity(fragments.len());
         for (name, fragment) in fragments {
-            let (result, compiled) = self.run_on_rapid(&fragment, None, req)?;
+            let compiled = compile_on(engine, &fragment)?;
+            let result = run_on_fork(engine, &compiled)?;
             rapid_secs += result.rapid_secs;
             host_secs += result.host_secs;
             // The temp table's schema is the fragment's compiled output
@@ -770,72 +788,11 @@ impl HostDb {
         })
     }
 
-    /// Run the whole plan on the RAPID node (admission check + execute).
+    /// Run the whole plan on the RAPID node: admission, one fork, compile
+    /// and execute on it.
     pub fn execute_on_rapid(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
-        self.run_on_rapid(plan, None, &Request::default())
-            .map(|(r, _)| r)
-    }
-
-    /// The RAPID leg of the request path: SCN admission, execution on a
-    /// per-query fork of the engine, decode. `bound`, the plan the offload
-    /// decision compiled, is reused if the fork still holds the tables it
-    /// was compiled against and recompiled if admission (or a concurrent
-    /// checkpoint) reloaded one. Hands back the compiled plan it executed,
-    /// for callers that need its output schema or per-node estimates.
-    fn run_on_rapid(
-        &self,
-        plan: &LogicalPlan,
-        bound: Option<BoundPlan>,
-        req: &Request<'_>,
-    ) -> Result<(QueryResult, Compiled), DbError> {
-        // Admission (§3.3): the query SCN must not be younger than any
-        // referenced RAPID table. Checkpoint lagging tables first.
-        let mut tables = std::collections::HashSet::new();
-        crate::offload::referenced_tables(plan, &mut tables);
-        for t in &tables {
-            self.checkpoint(t).ok();
-        }
-        // Fork a per-query engine (the catalog shares table `Arc`s) so the
-        // engine lock is NOT held while executing: concurrent sessions
-        // parked inside the scheduler must not block checkpoint writers.
-        let engine = {
-            let rapid = self.rapid.read();
-            let mut ctx = rapid.context().clone();
-            if let Some((sched, handle)) = req.sched {
-                ctx = ctx.with_router(Arc::clone(sched) as Arc<dyn StageRouter>, handle.id());
-            }
-            if let Some(sink) = &req.trace {
-                ctx = ctx.with_trace(Arc::clone(sink));
-            }
-            rapid.fork(ctx)
-        };
-        let compiled = match bound {
-            Some(bound) if bound.valid_on(engine.catalog()) => bound.compiled,
-            _ => {
-                let params = CostParams::from_exec(engine.context());
-                BoundPlan::compile(plan, &tables, engine.catalog(), &params)
-                    .map_err(|e| DbError::Rapid(e.to_string()))?
-                    .compiled
-            }
-        };
-        let (out, report) = engine
-            .execute(&compiled.plan)
-            .map_err(|e| DbError::Rapid(e.to_string()))?;
-        let rapid_secs = report.elapsed_secs(engine.context().backend);
-        // Post-processing at the host: decode into values (§3.2's
-        // "decoding and other transformations" after the RDMA transfer).
-        // Compile time is excluded, matching the paper's elapsed split.
-        let decode_start = Instant::now();
-        let rows = decode_batch(&out.batch, &out.meta, engine.catalog());
-        let host_secs = decode_start.elapsed().as_secs_f64();
-        let result = QueryResult {
-            columns: compiled.output.iter().map(|c| c.name.clone()).collect(),
-            rows,
-            site: ExecutionSite::Rapid,
-            rapid_secs,
-            host_secs,
-        };
-        Ok((result, compiled))
+        let engine = self.snapshot(plan, &Request::default());
+        run_on_fork(&engine, &compile_on(&engine, plan)?)
     }
 
     /// Run the whole plan on the host Volcano engine.
@@ -863,6 +820,21 @@ struct Request<'a> {
 }
 
 impl Request<'_> {
+    /// The request's fork of `rapid`, with its router and trace sink: the
+    /// catalog shares the table `Arc`s, and the engine lock is not held while
+    /// the fork executes, so concurrent sessions parked inside the scheduler
+    /// do not block checkpoint writers.
+    fn fork(&self, rapid: &Engine) -> Engine {
+        let mut ctx = rapid.context().clone();
+        if let Some((sched, handle)) = self.sched {
+            ctx = ctx.with_router(Arc::clone(sched) as Arc<dyn StageRouter>, handle.id());
+        }
+        if let Some(sink) = &self.trace {
+            ctx = ctx.with_trace(Arc::clone(sink));
+        }
+        rapid.fork(ctx)
+    }
+
     /// The typed error of a query its scheduler cancelled or timed out.
     fn refusal(&self) -> Option<DbError> {
         let (_, handle) = self.sched?;
@@ -874,6 +846,33 @@ impl Request<'_> {
             None
         }
     }
+}
+
+/// Compile `plan` against the request's fork, for the DPU it runs on.
+fn compile_on(engine: &Engine, plan: &LogicalPlan) -> Result<Compiled, DbError> {
+    let params = CostParams::from_exec(engine.context());
+    compile(plan, engine.catalog(), &params).map_err(|e| DbError::Rapid(e.to_string()))
+}
+
+/// The RAPID leg of the request path: execute `compiled` on the request's
+/// fork — the engine whose catalog it was compiled against — and decode the
+/// result at the host (§3.2's "decoding and other transformations" after
+/// the RDMA transfer). Compile time is excluded, matching the paper's
+/// elapsed split.
+fn run_on_fork(engine: &Engine, compiled: &Compiled) -> Result<QueryResult, DbError> {
+    let (out, report) = engine
+        .execute(&compiled.plan)
+        .map_err(|e| DbError::Rapid(e.to_string()))?;
+    let decode_start = Instant::now();
+    let rows = decode_batch(&out.batch, &out.meta, engine.catalog());
+    let host_secs = decode_start.elapsed().as_secs_f64();
+    Ok(QueryResult {
+        columns: compiled.output.iter().map(|c| c.name.clone()).collect(),
+        rows,
+        site: ExecutionSite::Rapid,
+        rapid_secs: report.elapsed_secs(engine.context().backend),
+        host_secs,
+    })
 }
 
 /// The one snapshot routine behind `LOAD`, query checkpointing, recovery
@@ -1171,10 +1170,12 @@ mod tests {
             }
             d
         };
-        // The plan `d` ran, and the plan the compiler makes for `ctx`.
+        // The plan `d` runs, and the plan the compiler makes for `ctx`.
         let compiled_on = |d: &HostDb, ctx: &ExecContext| {
             let plan = parse_sql(SQL, &d.schemas()).unwrap();
-            let (_, compiled) = d.run_on_rapid(&plan, None, &Request::default()).unwrap();
+            let engine = d.snapshot(&plan, &Request::default());
+            let compiled = compile_on(&engine, &plan).unwrap();
+            run_on_fork(&engine, &compiled).unwrap();
             let rapid = d.rapid.read();
             let params = CostParams::from_exec(ctx);
             let expected = rapid_qcomp::compile(&plan, rapid.catalog(), &params).unwrap();
@@ -2023,7 +2024,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_on_repeat_and_invalidates_on_dml() {
+    fn plan_cache_hits_on_repeat_and_after_dml() {
         let d = db();
         let sql = "SELECT COUNT(*) AS n FROM sales WHERE id < 100";
         d.execute_sql(sql).unwrap();
@@ -2032,7 +2033,8 @@ mod tests {
         d.execute_sql(sql).unwrap();
         let s1 = d.plan_cache_stats();
         assert_eq!(s1.hits, 1, "second execution reuses the cached plan");
-        // Committed DML moves the table's SCN → the entry is stale.
+        // Committed DML moves the table's SCN, not the names the parse read:
+        // the entry stays valid.
         d.commit(
             "sales",
             vec![RowChange::Insert(vec![
@@ -2046,8 +2048,74 @@ mod tests {
         );
         let r = d.execute_sql(sql).unwrap();
         let s2 = d.plan_cache_stats();
-        assert_eq!(s2.invalidations, s1.invalidations + 1);
-        assert_eq!(r.rows[0][0], Value::Int(101), "re-plan sees the new row");
+        assert_eq!(s2.hits, s1.hits + 1, "the commit re-plans nothing");
+        assert_eq!(s2.invalidations, s1.invalidations);
+        assert_eq!(
+            r.rows[0][0],
+            Value::Int(101),
+            "the cached plan sees the new row"
+        );
+    }
+
+    /// A commit re-plans nothing on the offload path either: the cached
+    /// logical plan names columns, not dictionary codes, and each execution
+    /// is admitted and compiled against the reloaded table — so a string the
+    /// dictionary did not hold when the statement was cached is found.
+    #[test]
+    fn a_commit_does_not_re_plan_and_the_cached_plan_sees_it() {
+        let d = db();
+        d.load_into_rapid("sales").unwrap();
+        let sql = "SELECT id, region FROM sales WHERE region = 'central' OR id < 3 ORDER BY id";
+        let plan = parse_sql(sql, &d.schemas()).unwrap();
+        let insert = |id: i64| {
+            let row = vec![
+                Value::Int(id),
+                Value::Decimal {
+                    unscaled: 100,
+                    scale: 2,
+                },
+                Value::Str("central".into()),
+            ];
+            d.commit("sales", vec![RowChange::Insert(row)]).unwrap();
+        };
+        let central = |r: &QueryResult| {
+            let central = Value::Str("central".into());
+            r.rows.iter().filter(|row| row[1] == central).count()
+        };
+        let ps = d.prepare(sql).unwrap();
+        let before = d.execute_sql(ps.sql()).unwrap();
+        assert_eq!(
+            before.site,
+            ExecutionSite::Rapid,
+            "the test must take the offload path"
+        );
+        assert_eq!(central(&before), 0);
+        let cached = d.plan_cache_stats();
+
+        // Through `execute_sql`.
+        insert(20_000);
+        let r = d.execute_sql(sql).unwrap();
+        assert_eq!(r.site, ExecutionSite::Rapid);
+        assert_eq!(central(&r), 1, "the new string is found");
+        assert_eq!(r.rows, d.execute_on_host(&plan).unwrap().rows);
+        // Through a prepared statement.
+        insert(20_001);
+        let ps = d.prepare(sql).unwrap();
+        let r = d.execute_sql(ps.sql()).unwrap();
+        assert_eq!(r.site, ExecutionSite::Rapid);
+        assert_eq!(central(&r), 2);
+        assert_eq!(r.rows, d.execute_on_host(&plan).unwrap().rows);
+
+        let after = d.plan_cache_stats();
+        assert_eq!(
+            after.hits,
+            cached.hits + 3,
+            "every lookup after the commits hit"
+        );
+        assert_eq!(
+            (after.misses, after.invalidations),
+            (cached.misses, cached.invalidations)
+        );
     }
 
     #[test]

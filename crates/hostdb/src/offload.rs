@@ -12,20 +12,20 @@
 //! RAPID execution + result-return estimate (from `rapid-qcomp`'s cost
 //! model) against a calibrated per-row cost of the Volcano engine.
 //!
-//! This module owns compilation: [`BoundPlan::compile`] is the only call of
-//! the RAPID compiler in hostdb. The decision compiles a statement once to
-//! cost it and hands that [`BoundPlan`] to the executor, which recompiles
-//! only if a table was reloaded in between (see `db`'s request path).
+//! This module owns compilation: [`compile`] is the only call of the RAPID
+//! compiler in hostdb. The request path admits a statement first — every
+//! RAPID table it reads is checkpointed to the host's SCN — and then, under
+//! one read lock, decides against that catalog and forks the engine, so the
+//! plan a full offload's decision compiled is the plan the fork executes
+//! (see `db`'s request path).
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use rapid_qcomp::cost::CostParams;
 use rapid_qcomp::logical::LogicalPlan;
 use rapid_qcomp::{CompileError, Compiled};
 use rapid_qef::plan::Catalog;
-use rapid_storage::table::Table;
 
 /// What the planner decided for a query: the public summary of an
 /// [`OffloadPlan`].
@@ -50,44 +50,14 @@ pub enum NoOffloadReason {
     HostCheaper,
 }
 
-/// A compiled statement together with the tables it was compiled against.
-///
-/// A [`Compiled`] embeds dictionary codes and column positions of those
-/// exact `Arc<Table>`s, so it may be executed only on an engine whose
-/// catalog still holds the same tables ([`valid_on`](Self::valid_on)); once
-/// a checkpoint has reloaded one of them the statement must be recompiled.
-#[derive(Debug)]
-pub(crate) struct BoundPlan {
-    pub(crate) compiled: Compiled,
-    tables: Vec<Arc<Table>>,
-}
-
-impl BoundPlan {
-    /// Compile `plan` against `catalog` — the one place hostdb runs the
-    /// RAPID compiler (join-order search, lowering, estimate, verifier gate).
-    /// `tables` are the plan's [`referenced_tables`].
-    pub(crate) fn compile(
-        plan: &LogicalPlan,
-        tables: &HashSet<String>,
-        catalog: &Catalog,
-        params: &CostParams,
-    ) -> Result<Self, CompileError> {
-        let compiled = rapid_qcomp::compile(plan, catalog, params)?;
-        let tables = tables
-            .iter()
-            .filter_map(|t| catalog.get(t).cloned())
-            .collect();
-        Ok(BoundPlan { compiled, tables })
-    }
-
-    /// Whether `catalog` holds exactly the tables this was compiled against.
-    pub(crate) fn valid_on(&self, catalog: &Catalog) -> bool {
-        self.tables.iter().all(|t| {
-            catalog
-                .get(&t.name)
-                .is_some_and(|held| Arc::ptr_eq(held, t))
-        })
-    }
+/// Compile `plan` against `catalog` — the one place hostdb runs the RAPID
+/// compiler (join-order search, lowering, estimate, verifier gate).
+pub(crate) fn compile(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    params: &CostParams,
+) -> Result<Compiled, CompileError> {
+    rapid_qcomp::compile(plan, catalog, params)
 }
 
 /// The offload decision with the by-products the executor needs, so nothing
@@ -95,8 +65,8 @@ impl BoundPlan {
 #[derive(Debug)]
 pub(crate) enum OffloadPlan {
     /// The whole plan runs on RAPID. Carries the compiled plan the decision
-    /// costed; `None` when the site was forced without costing.
-    Full(Option<BoundPlan>),
+    /// costed (or, with the site forced, compiled without costing).
+    Full(Compiled),
     /// Each maximal RAPID-resident subtree is a fragment, replaced in
     /// `remainder` by a scan of the temporary table it is named after
     /// (`__rapid_frag_<i>__<n>`, `n` unique per decision so concurrent
@@ -144,7 +114,9 @@ pub fn referenced_tables(plan: &LogicalPlan, out: &mut HashSet<String>) {
 
 /// Make the offload decision for a query.
 pub fn decide(plan: &LogicalPlan, rapid_catalog: &Catalog, params: &CostParams) -> OffloadDecision {
-    match plan_offload(plan, rapid_catalog, params) {
+    let mut tables = HashSet::new();
+    referenced_tables(plan, &mut tables);
+    match plan_offload(plan, &tables, rapid_catalog, params) {
         OffloadPlan::Full(_) => OffloadDecision::Full,
         OffloadPlan::Partial { fragments, .. } => OffloadDecision::Partial(fragments.len()),
         OffloadPlan::None(why) => OffloadDecision::None(why),
@@ -153,13 +125,13 @@ pub fn decide(plan: &LogicalPlan, rapid_catalog: &Catalog, params: &CostParams) 
 
 /// [`decide`], keeping what the decision computed: the compiled plan of a
 /// full offload, the rewritten remainder and fragments of a partial one.
+/// `tables` are the plan's [`referenced_tables`].
 pub(crate) fn plan_offload(
     plan: &LogicalPlan,
+    tables: &HashSet<String>,
     rapid_catalog: &Catalog,
     params: &CostParams,
 ) -> OffloadPlan {
-    let mut tables = HashSet::new();
-    referenced_tables(plan, &mut tables);
     let loaded = tables
         .iter()
         .filter(|t| rapid_catalog.contains_key(*t))
@@ -179,15 +151,11 @@ pub(crate) fn plan_offload(
         };
     }
     // Cost-based full-vs-none.
-    match BoundPlan::compile(plan, &tables, rapid_catalog, params) {
-        Ok(bound) => {
-            let rapid_secs = bound.compiled.cost.offload_secs();
-            if rapid_secs < estimate_local_secs(plan, rapid_catalog) {
-                OffloadPlan::Full(Some(bound))
-            } else {
-                OffloadPlan::None(NoOffloadReason::HostCheaper)
-            }
+    match compile(plan, rapid_catalog, params) {
+        Ok(compiled) if compiled.cost.offload_secs() < estimate_local_secs(plan, rapid_catalog) => {
+            OffloadPlan::Full(compiled)
         }
+        Ok(_) => OffloadPlan::None(NoOffloadReason::HostCheaper),
         Err(_) => OffloadPlan::None(NoOffloadReason::TablesNotLoaded),
     }
 }
@@ -274,10 +242,11 @@ mod tests {
             OffloadDecision::Partial(1),
             "the loaded scan is a fragment"
         );
+        let tables = HashSet::from(["t".to_string(), "ghost".to_string()]);
         let OffloadPlan::Partial {
             remainder,
             fragments,
-        } = plan_offload(&join, &cat, &CostParams::default())
+        } = plan_offload(&join, &tables, &cat, &CostParams::default())
         else {
             panic!("expected partial");
         };
@@ -290,22 +259,6 @@ mod tests {
             LogicalPlan::scan(temp).join(LogicalPlan::scan("ghost"), &["k"], &["g"]),
             "the remainder scans the fragment's temp table in its place"
         );
-    }
-
-    /// A `BoundPlan` is valid exactly while the catalog holds the tables it
-    /// was compiled against: an equal-content reload invalidates it.
-    #[test]
-    fn bound_plan_is_invalidated_by_a_reload() {
-        let mut cat = catalog(100);
-        let plan = LogicalPlan::scan("t");
-        let tables = HashSet::from(["t".to_string()]);
-        let bound = BoundPlan::compile(&plan, &tables, &cat, &CostParams::default()).unwrap();
-        assert!(bound.valid_on(&cat));
-        let reloaded = catalog(100).remove("t").unwrap();
-        cat.insert("t".into(), reloaded);
-        assert!(!bound.valid_on(&cat), "same rows, different Arc<Table>");
-        cat.remove("t");
-        assert!(!bound.valid_on(&cat), "table gone");
     }
 
     /// `referenced_tables` recurses through `LogicalPlan::inputs()`: over a

@@ -103,7 +103,7 @@ pub struct ServerStats {
     pub plan_cache_hits: u64,
     /// Plan-cache lookups that re-planned.
     pub plan_cache_misses: u64,
-    /// Plan-cache entries dropped on DDL/SCN change.
+    /// Plan-cache entries dropped on DDL.
     pub plan_cache_invalidations: u64,
     /// Currently open connections.
     pub connections: u64,

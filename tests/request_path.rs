@@ -1,6 +1,7 @@
-//! hostdb's one request path: what the offload decision compiled is reused
-//! only on the tables it was compiled against, and the serial, batch and
-//! wire entry points behave alike for every kind of decision.
+//! hostdb's one request path: a statement is admitted before the offload
+//! decision compiles it, so what the decision compiled runs on the tables
+//! it was compiled against, and the serial, batch and wire entry points
+//! behave alike for every kind of decision.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -88,10 +89,10 @@ fn commit_new_region(db: &HostDb, id: i64, region: &str) {
     .expect("commit");
 }
 
-/// The offload decision compiles against RAPID's pre-checkpoint copy of
-/// `sales`, whose dictionary has no code for the new string; admission then
-/// reloads the table. Executing the decision's compiled plan on the reloaded
-/// table would find nothing — every entry point must recompile.
+/// A commit puts a string in `sales` that RAPID's copy has no dictionary
+/// code for. A plan compiled against that copy would find nothing on the
+/// reloaded table: every entry point must admit — checkpoint — the
+/// statement before its offload decision compiles it.
 #[test]
 fn a_reload_between_decision_and_execution_recompiles_on_every_entry_point() {
     let db = Arc::new(db());

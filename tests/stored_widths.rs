@@ -8,7 +8,7 @@
 //! no rows. And a commit that takes a dictionary past 128 strings and a date
 //! past 2059-09-18 widens both columns at the next reload, where every entry
 //! point — `execute_sql`, `execute_batch`, a prepared statement on the wire
-//! — recompiles what it decided against the narrower table.
+//! — admits the statement, reloading the table, before it compiles it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -273,8 +273,8 @@ fn on_volcano(db: &HostDb) -> Vec<Vec<String>> {
 
 #[test]
 fn a_commit_that_widens_codes_and_dates_is_recompiled_on_every_entry_point() {
-    // execute_sql: the offload decision compiles against the one-byte
-    // table, admission reloads it at two bytes with every code moved.
+    // execute_sql: admission reloads the one-byte table at two bytes with
+    // every code moved, and the offload decision compiles against that.
     let db = tags();
     let before = db.execute_sql(BY_TAG).expect("serial");
     assert_eq!(
