@@ -136,7 +136,7 @@ echo "== static plan verification (TPC-H sf 0.01 and 0.02 + fuzz corpus) + mutat
 # fails on a partition stage that declares no fan-out: the plan says what
 # runs, so a pass whose rounds something after the compiler chose does not
 # get through here. `--full` lists one row per task: its operators, its one
-# vector size and the working set they hold together. The 11 plan rules check
+# vector size and the working set they hold together. The 12 plan rules check
 # the plan and nothing the verifier builds itself; rapid-report's mutation
 # tests hold a mutation that trips each of them and of the 6 schedule rules
 # (`Rule::ALL`, the harnesses in crates/bench/src/mutate.rs).
@@ -164,6 +164,9 @@ cargo run -q --release -p rapid-report --example task_formation > /dev/null
 
 echo "== trace and widths smoke (sf 0.01) =="
 cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q6 > /dev/null
+# Q5's lineitem join declares a join filter: its `join.filter` stage and the
+# filtered round one of its probe side run in release outside the tests.
+cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q5 > /dev/null
 # Stored against needed bytes of every scanned column, scan bytes against
 # the floor per statement: the table encoding work starts from.
 cargo run -q --release -p rapid-report -- widths --sf 0.01 > /dev/null

@@ -98,6 +98,7 @@ pub fn base_plan() -> PlanNode {
         probe_keys: vec![0],
         join_type: JoinType::Inner,
         scheme: vec![32],
+        filter: None,
     };
     // Join output: [fact.id Int, grp Varchar, price Dec(2), dim.id Int,
     // rate Dec(4)].
@@ -187,6 +188,9 @@ pub enum Mutation {
     TileBelowMin,
     /// On-the-fly group-by re-keyed to the 2000-distinct column.
     OnTheFlyOverLimit,
+    /// A join filter on an anti join, which keeps the probe rows that match
+    /// nothing.
+    FilterAntiJoin,
 }
 
 impl Mutation {
@@ -208,6 +212,7 @@ impl Mutation {
             InflatePastDmem,
             TileBelowMin,
             OnTheFlyOverLimit,
+            FilterAntiJoin,
         ]
     }
 
@@ -227,6 +232,7 @@ impl Mutation {
             Mutation::InflatePastDmem => Rule::DmemFit,
             Mutation::TileBelowMin => Rule::TileMin,
             Mutation::OnTheFlyOverLimit => Rule::GroupLimit,
+            Mutation::FilterAntiJoin => Rule::JoinFilter,
         }
     }
 
@@ -271,6 +277,9 @@ impl Mutation {
                     *keys = vec![0]; // fact.id: 2000 distinct values
                 }
             })),
+            Mutation::FilterAntiJoin => {
+                Mutated::Plan(filtered_join(JoinType::LeftAnti, Some(FILTER_BITS)))
+            }
         }
     }
 }
@@ -299,6 +308,50 @@ pub fn set_scheme(s: Vec<usize>) -> PlanNode {
             *scheme = s;
         }
     })
+}
+
+/// A join filter of a word for each of the demo join's 32 partitions.
+pub const FILTER_BITS: usize = 32 * 64;
+
+/// The fact rows of each `grp` that a `join_type` join of the demo tables on
+/// `id` keeps, counted — a join whose output is its probe side's columns
+/// or more whatever its type — partitioned 32 ways, with a join filter of
+/// `filter` bits.
+pub fn filtered_join(join_type: JoinType, filter: Option<usize>) -> PlanNode {
+    let PlanNode::GroupBy { input, .. } = base_plan() else {
+        panic!("demo plan shape changed: expected GroupBy root");
+    };
+    let PlanNode::Map { input: join, .. } = *input else {
+        panic!("demo plan shape changed: expected Map under GroupBy");
+    };
+    let PlanNode::HashJoin {
+        build,
+        probe,
+        build_keys,
+        probe_keys,
+        scheme,
+        ..
+    } = *join
+    else {
+        panic!("demo plan shape changed: expected HashJoin under Map");
+    };
+    PlanNode::GroupBy {
+        input: Box::new(PlanNode::HashJoin {
+            build,
+            probe,
+            build_keys,
+            probe_keys,
+            join_type,
+            scheme,
+            filter,
+        }),
+        keys: vec![1],
+        aggs: vec![AggSpec {
+            func: AggFunc::Count,
+            col: 0,
+        }],
+        strategy: GroupStrategy::OnTheFly { slots: None },
+    }
 }
 
 /// The demo plan with its group-by partitioned through `scheme` first.

@@ -330,3 +330,57 @@ fn check_renders_rule_ids_into_the_error() {
     let err = check(&plan, &cat, &ctx).unwrap_err();
     assert!(err.contains("R-DMEM-FIT"), "{err}");
 }
+
+#[test]
+fn a_join_filter_is_a_stage_of_its_own_and_state_of_the_probe_round() {
+    // The demo join's 100 dimension ids are stored in 1 byte; a filter of a
+    // word for each of its 32 partitions is 256 bytes, 8 a slice.
+    use rapid_qef::plan::JoinType;
+    use rapid_report::mutate::{filtered_join, FILTER_BITS};
+    let cat = demo_catalog();
+    let report = verify(
+        &filtered_join(JoinType::LeftSemi, Some(FILTER_BITS)),
+        &cat,
+        &ExecContext::dpu(),
+    );
+    assert!(report.diagnostics.is_empty(), "{report:?}");
+    let stages: Vec<_> = report
+        .stages
+        .iter()
+        .map(|s| (&*s.stage, s.state_bytes, s.stream_bytes_per_row))
+        .collect();
+    assert_eq!(
+        stages,
+        [
+            ("join.partition-build", 64 + 64, 2 + 1 + 4),
+            ("join.filter", 64 + 8, 1 + 4),
+            // id, grp, price and the predicate's qty, the selection it
+            // leaves, the hash lane.
+            ("join.partition-probe", 64 + 64 + 256, 2 + 1 + 2 + 1 + 2 + 4),
+            ("join.pairs", 16 * 1024, 8 + 8 + 8 + 8),
+            ("groupby.consume", 16 * 1024, 2 + 1),
+        ]
+    );
+    let plain = verify(
+        &filtered_join(JoinType::LeftSemi, None),
+        &cat,
+        &ExecContext::dpu(),
+    );
+    let probe = |r: &rapid_verify::VerifyReport| {
+        let s = r.stages.iter().find(|s| s.stage == "join.partition-probe");
+        s.map(|s| (s.state_bytes, s.effective_tile, s.working_set_bytes))
+    };
+    let (with, without) = (probe(&report).unwrap(), probe(&plain).unwrap());
+    assert_eq!((with.0 - without.0, with.1), (256, without.1));
+    assert_eq!(with.2 - without.2, 256);
+    // A size that is not a power of two, or an outer join, is refused.
+    for (join_type, bits) in [(JoinType::Inner, 3000), (JoinType::LeftOuter, FILTER_BITS)] {
+        let report = verify(
+            &filtered_join(join_type, Some(bits)),
+            &cat,
+            &ExecContext::dpu(),
+        );
+        let rules: Vec<_> = report.errors().map(|d| d.rule).collect();
+        assert_eq!(rules, [Rule::JoinFilter], "{join_type:?} {bits}");
+    }
+}

@@ -63,6 +63,8 @@ pub struct CaseReport {
     /// `Err(reason)` when the case never reached the engines (skip),
     /// `Ok(Some(detail))` on divergence, `Ok(None)` on agreement.
     pub outcome: Result<Option<String>, String>,
+    /// Whether the case's compiled plan declares a join filter.
+    pub filtered: bool,
 }
 
 /// Generate and execute the case for one seed.
@@ -71,11 +73,13 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
     let tables = datagen::gen_tables(&mut rng);
     let query = querygen::gen_query(&mut rng);
     let case = FuzzCase { tables, query };
-    let outcome = run_sql(&case.tables, &case.sql()).map(|t| t.divergence());
+    let run = run_sql(&case.tables, &case.sql());
+    let filtered = run.as_ref().is_ok_and(|t| t.filtered);
     CaseReport {
         seed,
         case,
-        outcome,
+        outcome: run.map(|t| t.divergence()),
+        filtered,
     }
 }
 
@@ -95,6 +99,8 @@ pub struct FuzzReport {
     pub executed: usize,
     /// Cases that failed before reaching the engines (parse/load).
     pub skipped: usize,
+    /// Executed cases whose compiled plan declares a join filter.
+    pub filtered: usize,
     /// Divergences found, each minimized.
     pub divergences: Vec<Divergence>,
 }
@@ -178,6 +184,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
     let mut report = FuzzReport {
         executed: 0,
         skipped: 0,
+        filtered: 0,
         divergences: Vec::new(),
     };
     let mut attempt = 0u64;
@@ -185,6 +192,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         let seed = rng::mix(run_seed, attempt);
         attempt += 1;
         let r = fuzz_one(seed);
+        report.filtered += usize::from(r.outcome.is_ok() && r.filtered);
         match r.outcome {
             Err(_) => report.skipped += 1,
             Ok(None) => report.executed += 1,
@@ -219,6 +227,7 @@ mod tests {
         let report = FuzzReport {
             executed: 5,
             skipped: 0,
+            filtered: 0,
             divergences: vec![Divergence {
                 seed: case_seed,
                 detail: "synthetic: host and dpu disagree on row 0".to_string(),

@@ -734,10 +734,13 @@ fn gen_select(rng: &mut Rng, set_op_classes: Option<&[SetOpClass]>) -> QuerySpec
             65..=84 => "SEMI JOIN",
             _ => "ANTI JOIN",
         };
-        let on = if rng.chance(75) {
-            "ta_k = tb_k"
-        } else {
-            "ta_id = tb_id"
+        // `ta_id = tb_k` is selective: a few of `ta`'s distinct ids find
+        // one of `tb`'s few keys, so inner and semi joins of it filter
+        // their probe side.
+        let on = match rng.below(100) {
+            0..=39 => "ta_k = tb_k",
+            40..=54 => "ta_id = tb_id",
+            _ => "ta_id = tb_k",
         };
         Some((kind, format!("{kind} tb ON {on}")))
     } else {

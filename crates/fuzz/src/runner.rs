@@ -54,6 +54,8 @@ pub struct TriOutcome {
     pub dpu: EngineOutcome,
     /// RAPID software on native threads.
     pub native: EngineOutcome,
+    /// Whether the plan of the RAPID arm declares a join filter.
+    pub filtered: bool,
 }
 
 impl TriOutcome {
@@ -127,7 +129,8 @@ pub(crate) fn guarded(f: impl FnOnce() -> Result<EngineOutcome, String>) -> Engi
 pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
     let plan = hostdb::sql::parse_sql(sql, &schemas(tables)).map_err(|e| format!("parse: {e}"))?;
 
-    let db = HostDb::new(ExecContext::dpu().with_cores(4));
+    let dpu = ExecContext::dpu().with_cores(4);
+    let db = HostDb::new(dpu.clone());
     for t in tables {
         db.create_table(&t.name, t.schema());
         db.bulk_insert(&t.name, t.rows.iter().cloned());
@@ -135,6 +138,13 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
             .map_err(|e| format!("load {}: {e}", t.name))?;
     }
 
+    // What the RAPID arm's plan is: compiled for the context it runs on,
+    // as the host database compiles it.
+    let filtered = {
+        let catalog = db.rapid().read().catalog().clone();
+        let compiled = rapid_qcomp::compile(&plan, &catalog, &CostParams::from_exec(&dpu));
+        compiled.is_ok_and(|c| declares_a_filter(&c.plan))
+    };
     let host = guarded(|| {
         db.execute_on_host(&plan)
             .map(|q| EngineOutcome::Rows(canonical(&q.rows)))
@@ -169,7 +179,22 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         Ok(EngineOutcome::Rows(canonical(&rows)))
     });
 
-    Ok(TriOutcome { host, dpu, native })
+    Ok(TriOutcome {
+        host,
+        dpu,
+        native,
+        filtered,
+    })
+}
+
+/// Whether a join of `plan` declares a join filter.
+fn declares_a_filter(plan: &rapid_qef::plan::PlanNode) -> bool {
+    match plan {
+        rapid_qef::plan::PlanNode::HashJoin {
+            filter: Some(_), ..
+        } => true,
+        other => other.inputs().any(declares_a_filter),
+    }
 }
 
 #[cfg(test)]

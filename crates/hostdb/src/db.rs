@@ -1010,6 +1010,9 @@ fn render_explain(
             if let Some(p) = e.partition {
                 let _ = write!(s, " round {}/{} fanout {}", p.round, p.rounds, p.fanout);
             }
+            if let Some(f) = e.filter {
+                let _ = write!(s, " filter kept={}/{}", f.kept, f.tested);
+            }
             let _ = write!(
                 s,
                 " rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \

@@ -34,7 +34,7 @@ use rapid_qef::primitives::arith::ArithOp;
 use rapid_qef::primitives::filter::CmpOp;
 use rapid_storage::types::{pow10, DataType, Value};
 
-use crate::cost::{estimate, CostParams, PlanCost};
+use crate::cost::{estimate, estimate_node, CostParams, NodeEst, PlanCost};
 use crate::logical::{LExpr, LPred, LWindowFunc, LogicalPlan};
 use crate::partition_opt::{optimize_for_partitions, required_partitions, PartitionOptInput};
 
@@ -1001,14 +1001,15 @@ fn lower_join(
 
     // For semi/anti/outer the left side must stay the probe/outer input.
     // For inner joins the compiler picks the smaller side as build.
-    let rcost = estimate(&rplan, catalog, params);
-    let lcost = estimate(&lplan, catalog, params);
-    let build_is_right = join_type != JoinType::Inner || rcost.rows <= lcost.rows;
-    let ((build, build_rows), (probe, probe_rows)) = if build_is_right {
-        ((&rplan, rcost.rows), (&lplan, lcost.rows))
+    let rest = estimate_node(&rplan, catalog, params);
+    let lest = estimate_node(&lplan, catalog, params);
+    let build_is_right = join_type != JoinType::Inner || rest.cost.rows <= lest.cost.rows;
+    let ((build, build_est), (probe, probe_est)) = if build_is_right {
+        ((&rplan, &rest), (&lplan, &lest))
     } else {
-        ((&lplan, lcost.rows), (&rplan, rcost.rows))
+        ((&lplan, &lest), (&rplan, &rest))
     };
+    let (build_rows, probe_rows) = (build_est.cost.rows, probe_est.cost.rows);
     let scheme = if broadcasts(
         build,
         build_rows,
@@ -1048,7 +1049,9 @@ fn lower_join(
             probe_keys: lk,
             join_type,
             scheme,
+            filter: None,
         };
+        let node = join_filter(node, (build_est, probe_est), catalog, params)?;
         // Output: probe (left) then build (right) — already logical order.
         let mut cols = lcols;
         if join_type == JoinType::Inner || join_type == JoinType::LeftOuter {
@@ -1063,7 +1066,9 @@ fn lower_join(
             probe_keys: rk,
             join_type,
             scheme,
+            filter: None,
         };
+        let node = join_filter(node, (build_est, probe_est), catalog, params)?;
         // Physical layout: probe (right) ++ build (left). Reorder back to
         // the logical left-then-right layout with a projection.
         let mut physical = rcols;
@@ -1089,6 +1094,44 @@ fn lower_join(
             reordered,
         ))
     }
+}
+
+/// `join` with a join filter where the estimate says one pays: a
+/// partitioned inner or semi join, its inputs estimated `build` and `probe`,
+/// declares the filter `join_filter::size_bits` sizes for the estimated build
+/// rows, in the room its probe side's first stage leaves at the tile it runs
+/// at (`PlanNode::probe_room`), where the estimate of the join with it is
+/// below the estimate without (`cost::filter_pays`).
+fn join_filter(
+    mut join: PlanNode,
+    (build, probe): (&NodeEst, &NodeEst),
+    catalog: &Catalog,
+    params: &CostParams,
+) -> Result<PlanNode, CompileError> {
+    let PlanNode::HashJoin {
+        join_type: JoinType::Inner | JoinType::LeftSemi,
+        scheme,
+        ..
+    } = &join
+    else {
+        return Ok(join);
+    };
+    let Some(&fanout) = scheme.first() else {
+        return Ok(join);
+    };
+    let ctx = &params.ctx;
+    let room = join
+        .probe_room(catalog, ctx.tile_rows, ctx.dmem_bytes)
+        .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
+    let Some(bits) = rapid_qef::ops::join_filter::size_bits(build.cost.rows, fanout, room) else {
+        return Ok(join);
+    };
+    if crate::cost::filter_pays(&join, build, probe, bits, catalog, params) {
+        if let PlanNode::HashJoin { filter, .. } = &mut join {
+            *filter = Some(bits);
+        }
+    }
+    Ok(join)
 }
 
 /// Whether a join of `build_rows` estimated rows from `build` into

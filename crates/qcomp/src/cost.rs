@@ -12,7 +12,11 @@
 //! costs and DMS transfer rules applied to estimated cardinalities — a join
 //! the way its scheme runs it: partitioned, both sides through the DMS; or,
 //! with no rounds, broadcast, every lane reading the build side and building
-//! the whole table. It is *not* the engine's charging rule: it prices
+//! the whole table. A join filter is priced as it runs: the share of probe
+//! rows it keeps, the rows it drops no longer written (at their stored
+//! widths), mapped or gathered, and its build, its test a row and every
+//! probe lane's read of it; [`filter_pays`] is the compiler's one rule for
+//! declaring one. It is *not* the engine's charging rule: it prices
 //! declared column widths rather than stored ones, sums operators one by one
 //! rather than per task, and does not model scan access paths. Measured at
 //! sf 0.02 on 32 cores, its estimate is 1.22–6.33× the simulated cycles of
@@ -36,6 +40,7 @@
 use dpu_sim::clock::SimTime;
 
 use rapid_qef::exec::ExecContext;
+use rapid_qef::ops::join_filter;
 use rapid_qef::plan::{Catalog, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::costs;
@@ -283,32 +288,17 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             build_keys,
             probe_keys,
             join_type,
-            scheme,
+            filter,
+            ..
         } => {
             let b = estimate_node(build, catalog, p);
             let pr = estimate_node(probe, catalog, p);
-            let build_cy = b.cost.rows * cm.kernel_cycles(&costs::join_build_per_row());
-            let probe_cy = pr.cost.rows
-                * (cm.kernel_cycles(&costs::join_probe_per_row())
-                    + cm.kernel_cycles(&costs::join_probe_per_link()));
-            let (wire, compute) = if scheme.is_empty() {
-                // Broadcast: every lane reads the build side and builds the
-                // whole table, then probes its share of rows where they lie.
-                let wire = cores * b.cost.output_bytes() / cm.dms_bytes_per_cycle();
-                (wire, build_cy + probe_cy / cores)
-            } else {
-                // Partition both sides (read+write through the DMS), build,
-                // probe.
-                let part_bytes = b.cost.output_bytes() + pr.cost.output_bytes();
-                let wire = 2.0 * part_bytes / cm.dms_bytes_per_cycle();
-                (wire, (build_cy + probe_cy) / cores)
-            };
-            let cycles = wire.max(compute) + wire.min(compute) * 0.15;
-            let inner_rows = containment_rows(&b, &pr, build_keys, probe_keys)
-                .unwrap_or_else(|| pr.cost.rows.max(1.0));
+            let cycles = join_cycles(plan, &b, &pr, *filter, catalog, p);
             let match_frac = semi_match_fraction(&b, &pr, build_keys, probe_keys)
                 .unwrap_or(0.5)
                 .clamp(0.0, 1.0);
+            let inner_rows = containment_rows(&b, &pr, build_keys, probe_keys)
+                .unwrap_or_else(|| pr.cost.rows.max(1.0));
             let out_rows = match join_type {
                 JoinType::Inner => inner_rows,
                 // Every probe row survives an outer join at least once.
@@ -505,6 +495,99 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
     }
 }
 
+/// The cycles of `join`'s own work over inputs estimated `b` and `pr`, with
+/// the join filter `filter` — partition passes or a broadcast, build and
+/// probe, and the filter's — as [`estimate_node`] adds them to its inputs'.
+/// 0 for any other node.
+fn join_cycles(
+    join: &PlanNode,
+    b: &NodeEst,
+    pr: &NodeEst,
+    filter: Option<usize>,
+    catalog: &Catalog,
+    p: &CostParams,
+) -> f64 {
+    let PlanNode::HashJoin {
+        build,
+        probe,
+        build_keys,
+        probe_keys,
+        scheme,
+        ..
+    } = join
+    else {
+        return 0.0;
+    };
+    let (cm, cores) = (&*p.ctx.cost_model, p.ctx.cores as f64);
+    let match_frac = semi_match_fraction(b, pr, build_keys, probe_keys)
+        .unwrap_or(0.5)
+        .clamp(0.0, 1.0);
+    // A join filter: the share of probe rows round one partitions; of the
+    // rows it drops, the bytes the pass no longer writes, at the widths they
+    // are stored in; what building the filter and reading it in every probe
+    // lane move; and what building it and testing every probe row compute,
+    // less the map and the column gathers of the rows it drops.
+    let (kept, dropped, filter_wire, filter_compute) = match (filter, scheme.first()) {
+        (Some(bits), Some(&fanout)) => {
+            let kept = join_filter::kept_fraction(match_frac, b.cost.rows, bits);
+            let dropped_rows = (1.0 - kept) * pr.cost.rows;
+            let stored = |plan: &PlanNode| plan.output_widths(catalog).unwrap_or_default();
+            let probe_widths = stored(probe);
+            let dropped = dropped_rows * probe_widths.iter().sum::<usize>() as f64;
+            let tiles = (pr.cost.rows / p.ctx.tile_rows as f64).ceil();
+            let lanes = cores.min(tiles).max(1.0);
+            let read = join_filter::read_cost(cm, bits).cycles;
+            let widths = stored(build);
+            let key_bytes: usize = build_keys.iter().filter_map(|&k| widths.get(k)).sum();
+            let keys = b.cost.rows * key_bytes as f64;
+            let wire = (lanes + 1.0) * read + keys / cm.dms_bytes_per_cycle();
+            let set = build_keys.len() as f64 * cm.kernel_cycles(&costs::hash_per_row_per_key())
+                + cm.kernel_cycles(&costs::join_filter_set_per_row());
+            let test = cm.kernel_cycles(&costs::join_filter_test_per_row());
+            let partitioned = 2.0 * cm.kernel_cycles(&costs::partition_map_per_row())
+                + probe_widths.len() as f64 * cm.kernel_cycles(&costs::swpart_gather_per_row());
+            let compute = b.cost.rows * set / cores.min(fanout as f64)
+                + (pr.cost.rows * test - dropped_rows * partitioned) / cores;
+            (kept, dropped, wire, compute)
+        }
+        _ => (1.0, 0.0, 0.0, 0.0),
+    };
+    let build_cy = b.cost.rows * cm.kernel_cycles(&costs::join_build_per_row());
+    let probe_cy = kept
+        * pr.cost.rows
+        * (cm.kernel_cycles(&costs::join_probe_per_row())
+            + cm.kernel_cycles(&costs::join_probe_per_link()));
+    let (wire, compute) = if scheme.is_empty() {
+        // Broadcast: every lane reads the build side and builds the whole
+        // table, then probes its share of rows where they lie.
+        let wire = cores * b.cost.output_bytes() / cm.dms_bytes_per_cycle();
+        (wire, build_cy + probe_cy / cores)
+    } else {
+        // Partition both sides (read+write through the DMS) — of the probe
+        // side what a filter keeps — build, probe.
+        let part_bytes = b.cost.output_bytes() + pr.cost.output_bytes();
+        let wire = (2.0 * part_bytes - dropped) / cm.dms_bytes_per_cycle() + filter_wire;
+        (wire, (build_cy + probe_cy) / cores + filter_compute)
+    };
+    wire.max(compute) + wire.min(compute) * 0.15
+}
+
+/// Whether a join filter of `bits` bits makes the partitioned `join`, over
+/// inputs estimated `build` and `probe`, cheaper: the estimate of the join
+/// with it against the estimate without, which differ in the join's own
+/// cycles alone.
+pub fn filter_pays(
+    join: &PlanNode,
+    build: &NodeEst,
+    probe: &NodeEst,
+    bits: usize,
+    catalog: &Catalog,
+    p: &CostParams,
+) -> bool {
+    let with = join_cycles(join, build, probe, Some(bits), catalog, p);
+    with < join_cycles(join, build, probe, None, catalog, p)
+}
+
 /// Estimated output rows for every node of `plan`, indexed by the
 /// engine's pre-order node id (self before children; `HashJoin` recurses
 /// build then probe, `SetOp` left then right) — so `out[node_id]` lines
@@ -570,6 +653,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            filter: None,
         };
         let jc = estimate(&join, &cat, &p);
         let sc = estimate(&scan(), &cat, &p);
@@ -625,6 +709,7 @@ mod tests {
             probe_keys: vec![probe_key],
             join_type,
             scheme: vec![32],
+            filter: None,
         }
     }
 
@@ -693,6 +778,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            filter: None,
         };
         let c = estimate(&j, &cat, &p);
         // Old behavior: probe rows.
@@ -734,6 +820,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            filter: None,
         };
         let est = estimate_rows_per_node(&plan, &cat, &p);
         // Pre-order: join(0), build scan(1), probe filter(2), its scan(3).

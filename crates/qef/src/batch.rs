@@ -499,17 +499,28 @@ impl Rows<'_> {
     /// the span and rows the DMS gathered are dense, and cost the loop
     /// nothing more.
     pub fn charge_select(&self, ctx: &mut CoreCtx, cols: impl Iterator<Item = usize> + Clone) {
+        self.charge_select_of(ctx, cols, self.rows());
+    }
+
+    /// [`charge_select`](Self::charge_select) for a loop over `rows` of the
+    /// rows: the ones a join filter kept, say.
+    pub fn charge_select_of(
+        &self,
+        ctx: &mut CoreCtx,
+        cols: impl Iterator<Item = usize> + Clone,
+        rows: usize,
+    ) {
         let Rows::InPlace {
             projection,
-            pick: Pick::Selected(ids),
+            pick: Pick::Selected(_),
             ..
         } = self
         else {
             return;
         };
         let tiles = projection.tile_columns(cols);
-        if tiles > 0 && !ids.is_empty() {
-            let read = costs::select_read_per_row(tiles).scaled(ids.len() as f64);
+        if tiles > 0 && rows > 0 {
+            let read = costs::select_read_per_row(tiles).scaled(rows as f64);
             ctx.charge_kernel(Kernel::Select, &read);
         }
     }

@@ -55,10 +55,11 @@ use crate::budget::OpName;
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
 use crate::ops;
+use crate::ops::join_filter::JoinFilter;
 use crate::ops::partition::RoundStep;
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
 use crate::task::{ScanChain, Task};
-use crate::trace::{FusedOp, PartitionRound, ScanAccess, StageEvent, TraceSink};
+use crate::trace::{FilterKept, FusedOp, PartitionRound, ScanAccess, StageEvent, TraceSink};
 
 /// Result rows plus decode metadata.
 #[derive(Debug, Clone)]
@@ -207,6 +208,7 @@ impl<'e> Run<'e> {
                 dmem_peak_bytes: t.dmem_peak,
                 scan: detail.scan,
                 partition: detail.partition,
+                filter: detail.filter,
                 fused: detail.fused,
                 kernels: crate::trace::KernelShare::of(&t.kernels),
                 energy_joules: self.watts * sim_secs,
@@ -224,14 +226,17 @@ struct Detail {
     scan: Option<ScanAccess>,
     /// Which round of its pass the stage ran.
     partition: Option<PartitionRound>,
+    /// What a join filter kept of the rows the stage tested.
+    filter: Option<FilterKept>,
     /// The operators that ran beneath the stage's own.
     fused: Vec<FusedOp>,
 }
 
 impl Detail {
-    fn round(round: PartitionRound) -> Detail {
+    fn round(round: PartitionRound, filter: Option<FilterKept>) -> Detail {
         Detail {
             partition: Some(round),
+            filter,
             ..Detail::default()
         }
     }
@@ -370,9 +375,14 @@ impl<'e> Run<'e> {
                 probe_keys,
                 join_type,
                 scheme,
-                ..
+                filter,
             } => self.exec_join(
-                node, build, probe, build_keys, probe_keys, *join_type, scheme,
+                node,
+                (build, probe),
+                (build_keys, probe_keys),
+                *join_type,
+                scheme,
+                *filter,
             ),
             PlanNode::GroupBy {
                 input,
@@ -577,8 +587,8 @@ impl<'e> Run<'e> {
                     path: scan.path(),
                     passes: scan.dms_passes() as u32,
                 }),
-                partition: None,
                 fused: ops,
+                ..Detail::default()
             },
             rows,
             top: decls[ops_of_chain - 1].name,
@@ -639,12 +649,13 @@ impl<'e> Run<'e> {
         Ok((out, t, Detail::default(), in_rows))
     }
 
-    /// The tile of a partition pass over columns of `widths`: every column
+    /// The tile of a partition pass over columns of `widths` that holds
+    /// `held` bytes of state beside its own (a join filter): every column
     /// streams through DMEM beside the hash lane. `Err` is the §5.2 halting
     /// condition: even a minimum vector does not fit.
-    fn partition_tile(&self, widths: &[usize]) -> QefResult<usize> {
+    fn partition_tile(&self, widths: &[usize], held: usize) -> QefResult<usize> {
         let stream = crate::budget::partition_stream_bytes(widths.iter().sum());
-        let state = crate::budget::BASE_STATE_BYTES;
+        let state = crate::budget::BASE_STATE_BYTES + held;
         crate::budget::effective_tile(self.ctx.tile_rows, state, stream, self.ctx.dmem_bytes)
             .ok_or_else(|| {
                 QefError::DmemExhausted(format!(
@@ -664,7 +675,8 @@ impl<'e> Run<'e> {
     /// ([`ops::partition::RoundStep::map_rows`]) — and the rounds after it
     /// are stages over what it wrote; else the input runs first and every
     /// round is a stage over its batches
-    /// ([`ops::partition::partition_pass`]).
+    /// ([`ops::partition::partition_pass`]). Round one tests its rows
+    /// against `filter`, where the pass has one: a join's probe side.
     ///
     /// The scheme is the plan's and runs as declared. A round wider than
     /// the local buffers of these rows allow
@@ -675,11 +687,15 @@ impl<'e> Run<'e> {
         &mut self,
         node: &PlanNode,
         edge: usize,
-        input: &PlanNode,
         keys: &[usize],
         scheme: &[usize],
+        filter: Option<&JoinFilter>,
         operator: &str,
     ) -> QefResult<Vec<Batch>> {
+        let input = node
+            .inputs()
+            .nth(edge)
+            .ok_or_else(|| QefError::Internal(format!("{operator}: no input {edge}")))?;
         let widths = input.output_widths(self.catalog)?;
         let row_bytes: usize = widths.iter().sum();
         let cap = crate::budget::max_buffered_fanout(row_bytes, self.ctx.dmem_bytes);
@@ -692,7 +708,8 @@ impl<'e> Run<'e> {
                 self.ctx.dmem_bytes
             )));
         }
-        let tile = self.partition_tile(&widths)?;
+        let held = filter.map_or(0, |f| ops::join_filter::bytes(f.bits()));
+        let tile = self.partition_tile(&widths, held)?;
         let (catalog, ctx) = (self.catalog, self.ctx);
         let Some(task) = node.input_task(edge, catalog, ctx.tile_rows, ctx.dmem_bytes)? else {
             let batches = self.exec_node(input)?;
@@ -713,14 +730,15 @@ impl<'e> Run<'e> {
                 keys,
                 scheme,
                 tile,
-                |t, round| self.stage(t, operator, rows, Detail::round(round)),
+                filter,
+                |t, round, kept| self.stage(t, operator, rows, Detail::round(round, kept)),
             );
         };
         ops::partition::check_scheme(scheme)?;
         // `input_task` found a round one to run in the task.
         let fanout = scheme[0];
         let mut run = self.run_task(task, |core, rows, tile| {
-            let map = RoundStep::first(keys, fanout, tile).map_rows(core, &rows);
+            let map = RoundStep::first(keys, fanout, tile, filter).map_rows(core, &rows);
             Ok((rows, map))
         })?;
         let first = ops::partition::scatter_lanes(fanout, &run.results);
@@ -730,25 +748,29 @@ impl<'e> Run<'e> {
             fanout: fanout as u32,
         });
         let rows = run.rows;
+        run.detail.filter = ops::partition::filtered(filter, rows as usize, &first);
         self.stage(&run.timing, operator, rows, run.detail);
         ops::partition::partition_rounds_after(self.ctx, first, keys, scheme, tile, |t, round| {
-            self.stage(t, operator, rows, Detail::round(round))
+            self.stage(t, operator, rows, Detail::round(round, None))
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// A join of `scheme`'s rounds — broadcast where it has none — with the
+    /// join filter of `filter` bits where it declares one.
     fn exec_join(
         &mut self,
         node: &PlanNode,
-        build: &PlanNode,
-        probe: &PlanNode,
-        build_keys: &[usize],
-        probe_keys: &[usize],
+        (build, probe): (&PlanNode, &PlanNode),
+        (build_keys, probe_keys): (&[usize], &[usize]),
         join_type: JoinType,
         scheme: &[usize],
+        filter: Option<usize>,
     ) -> QefResult<Vec<Batch>> {
         if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
             return Err(QefError::BadPlan("join key arity mismatch".into()));
+        }
+        if let Some(bits) = filter {
+            ops::join_filter::check(bits, join_type, scheme).map_err(QefError::BadPlan)?;
         }
         if scheme.is_empty() {
             return self.exec_broadcast(node, build, probe, build_keys, probe_keys, join_type);
@@ -757,11 +779,19 @@ impl<'e> Run<'e> {
         let probe_widths = probe.output_widths(self.catalog)?;
 
         // Partition both sides; each side's tile is clamped to its own
-        // stream width.
+        // stream width. The filter is built between them, over what the
+        // build side's pass wrote, for the probe side's round one to test.
         let bparts =
-            self.partition_input(node, 0, build, build_keys, scheme, "join.partition-build")?;
+            self.partition_input(node, 0, build_keys, scheme, None, "join.partition-build")?;
+        let filter = match filter {
+            Some(bits) => {
+                Some(self.join_filter(&bparts, build_keys, &build_widths, scheme, bits)?)
+            }
+            None => None,
+        };
+        let filter = filter.as_ref();
         let pparts =
-            self.partition_input(node, 1, probe, probe_keys, scheme, "join.partition-probe")?;
+            self.partition_input(node, 1, probe_keys, scheme, filter, "join.partition-probe")?;
         let build_rows: usize = bparts.iter().map(Batch::rows).sum();
         let partitions: usize = scheme.iter().product();
         let est_per_partition = (build_rows / partitions.max(1)).max(1);
@@ -776,13 +806,48 @@ impl<'e> Run<'e> {
             est_rows: est_per_partition,
             build_widths: &build_widths,
             tile: self
-                .partition_tile(&build_widths)?
-                .min(self.partition_tile(&probe_widths)?),
+                .partition_tile(&build_widths, 0)?
+                .min(self.partition_tile(&probe_widths, 0)?),
         };
         let (joined, t3) = run_stage(self.ctx, pairs, |core, (b, p)| join.pair(core, b, p, 0))?;
         let joined: Vec<Batch> = joined.into_iter().filter(|b| !b.is_empty()).collect();
         self.stage(&t3, "join.pairs", batch_rows(&joined), Detail::default());
         Ok(joined)
+    }
+
+    /// The `join.filter` stage: the filter of `bits` bits over the keys of
+    /// `parts`, the partitions the build side's pass of `scheme` wrote. A
+    /// lane builds the slice of one round-one partition — the partitions the
+    /// rounds after it made of it, which lie together — holding the slice
+    /// and its key streams ([`crate::task::join_filter_decl`]).
+    fn join_filter(
+        &mut self,
+        parts: &[Batch],
+        keys: &[usize],
+        widths: &[usize],
+        scheme: &[usize],
+        bits: usize,
+    ) -> QefResult<JoinFilter> {
+        let key_widths = keys
+            .iter()
+            .map(|&k| widths.get(k).copied())
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| QefError::BadPlan("join key out of the build side's columns".into()))?;
+        let fanout = scheme[0];
+        let decl = crate::task::join_filter_decl(&key_widths, bits, fanout);
+        let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
+        let of_partition: usize = scheme[1..].iter().product();
+        let mut words = vec![0; bits / 64];
+        let lanes = parts
+            .chunks(of_partition.max(1))
+            .zip(words.chunks_mut(bits / 64 / fanout))
+            .collect();
+        let (_, t) = run_stage(self.ctx, lanes, |core, (parts, slice)| {
+            let _slice = core.dmem.reserve_raw(working_set)?;
+            ops::join_filter::build_slice(core, parts, keys, &key_widths, slice, tile)
+        })?;
+        self.stage(&t, "join.filter", batch_rows(parts), Detail::default());
+        Ok(JoinFilter::of_slices(words, fanout))
     }
 
     /// A join of no rounds, broadcast ([`ops::join::Broadcast`]): the build
@@ -891,7 +956,7 @@ impl<'e> Run<'e> {
             GroupStrategy::Partitioned(scheme) => {
                 // Partition by grouping keys so each partition's table fits.
                 let parts =
-                    self.partition_input(node, 0, input, keys, scheme, "groupby.partition")?;
+                    self.partition_input(node, 0, keys, scheme, None, "groupby.partition")?;
                 let (out, t2) = run_stage(
                     self.ctx,
                     parts.into_iter().filter(|p| !p.is_empty()).collect(),
@@ -1246,6 +1311,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![32],
+            filter: None,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 500);
@@ -1286,6 +1352,7 @@ mod tests {
                 probe_keys: vec![2],
                 join_type: JoinType::LeftOuter,
                 scheme: vec![32],
+                filter: None,
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 5000, "outer join keeps every probe row");
@@ -1350,6 +1417,7 @@ mod tests {
             probe_keys: vec![key],
             join_type,
             scheme,
+            filter: None,
         };
         let rows = |batch: &Batch| {
             let mut rows: Vec<Vec<Option<i64>>> = (0..batch.rows())
@@ -1500,6 +1568,7 @@ mod tests {
             probe_keys: vec![0],
             join_type,
             scheme: vec![32],
+            filter: None,
         };
         let join = |join_type| join_below(700, join_type);
         let group = |strategy| PlanNode::GroupBy {
@@ -1613,6 +1682,7 @@ mod tests {
             probe_keys: vec![1],
             join_type: JoinType::Inner,
             scheme: vec![2],
+            filter: None,
         };
         let group = || PlanNode::GroupBy {
             input: Box::new(wider()),
@@ -1725,6 +1795,7 @@ mod tests {
             probe_keys: vec![0, 1],
             join_type: JoinType::LeftSemi,
             scheme,
+            filter: None,
         };
         let dmem = ExecContext::dpu().dmem_bytes;
         // One byte a column: 8-byte rows buffer 128 ways, and a 128-way
@@ -2062,6 +2133,7 @@ mod plan_node_tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![4],
+            filter: None,
         };
         let (out, report) = slow.execute(&join).unwrap();
         assert_eq!(out.batch.rows(), 50);

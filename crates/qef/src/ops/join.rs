@@ -24,6 +24,16 @@
 //! * **Heavy hitters** — a space-saving sketch detects keys so frequent
 //!   that chains degenerate; their rows are joined in a dense broadcast
 //!   pass instead (the flow-join technique, the paper's ref 30).
+//!
+//! ## Probe rows that cannot match (join filters)
+//!
+//! A partitioned inner or semi join whose estimate says most probe rows
+//! miss declares a join filter ([`crate::ops::join_filter`]): a `join.filter`
+//! stage builds a bit array over the hashes of the keys the build side's
+//! pass wrote, and round one of the probe side partitions only the rows
+//! whose bit is set. What reaches [`join_partition`] is then the probe rows
+//! that may match; the rest were never gathered, written or probed, and
+//! none of them joined, so the pairs return what they return unfiltered.
 
 use dpu_sim::account::Kernel;
 use dpu_sim::dmem::DmemReservation;

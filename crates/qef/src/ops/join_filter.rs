@@ -1,0 +1,474 @@
+//! Join filters: the probe rows that cannot match are dropped before round
+//! one partitions them.
+//!
+//! A partitioned join (§6) partitions both inputs fully before it builds
+//! and probes partition by partition, so every probe row is hashed,
+//! gathered, written to DRAM, read back and probed whether or not a build
+//! row could match it. Where the compiler's estimate says most probe rows
+//! miss, the join declares a **join filter** (`PlanNode::HashJoin::filter`,
+//! its size in bits): a bit array over the CRC32 hashes of the build side's
+//! keys, one bit a hash (a Bloom filter of one hash function).
+//!
+//! * **Built** by a `join.filter` stage after the build side's pass: a lane
+//!   takes one round-one partition, reads its keys, hashes them and sets
+//!   their bits in that partition's **slice** of the array — the slice a
+//!   row's round-one partition bits pick ([`place`]) — and writes the slice
+//!   out. Lanes set bits in disjoint slices, so nothing merges them. A NULL
+//!   key sets no bit: it joins nothing.
+//! * **Tested** in round one of the probe side's pass, by both kinds of
+//!   lane that partition ([`crate::ops::partition::RoundStep`]): each lane
+//!   reads the whole array from DRAM once, like a broadcast join's build
+//!   side, and tests every row's hash — the one the round computes anyway —
+//!   before Listing 2's map. Only the rows whose bit is set are mapped,
+//!   gathered, written and then probed in `join.pairs`. A row whose bit is
+//!   set may still match nothing (a false positive); a row whose bit is
+//!   clear matches no build row, so the join's result is the unfiltered
+//!   one. An anti or outer join keeps the rows that match nothing, and
+//!   never has a filter ([`check`]).
+//!
+//! Its size comes from one function, [`size_bits`]: [`BITS_PER_KEY`] bits an
+//! estimated build key, rounded up to a power of two and capped at the room
+//! the probe side's first stage leaves at the tile it runs at without one
+//! (`PlanNode::probe_room`). The array is state the probe stage declares
+//! (`PlanNode::first_stage`), so engine, task tile and verifier size the
+//! task with it. The share of probe rows it keeps is [`kept_fraction`], and
+//! what a probe lane pays to read it [`read_cost`]: the compiler's estimate
+//! of a filtered join prices both.
+
+use dpu_sim::account::Kernel;
+use dpu_sim::dms::engine::DmsCost;
+use dpu_sim::isa::CostModel;
+
+use crate::batch::{Batch, Positions};
+use crate::error::{QefError, QefResult};
+use crate::exec::CoreCtx;
+use crate::plan::JoinType;
+use crate::primitives::costs;
+use crate::primitives::hash::hash_pieces_into;
+use crate::ra::RelationAccessor;
+
+/// Bits a filter spends on each estimated build key, before its size is
+/// rounded up to a power of two: 8 to 16 bits a key, so that with one hash
+/// function a probe row that matches nothing still passes with a chance of
+/// 1 − e^(−keys/bits), 6 to 12 %.
+pub const BITS_PER_KEY: usize = 8;
+
+/// The least bits of a slice: a 64-bit word for each round-one partition.
+pub const MIN_SLICE_BITS: usize = 64;
+
+/// Bytes a word of the filter takes.
+const WORD_BYTES: usize = std::mem::size_of::<u64>();
+
+/// Bytes of a filter of `bits` bits.
+pub fn bytes(bits: usize) -> usize {
+    bits / 8
+}
+
+/// Whether a filter of `bits` bits may run on a join of `join_type` over
+/// `scheme`: a partitioned join that keeps only the probe rows that match
+/// (inner or semi), of a power of two of at least [`MIN_SLICE_BITS`] bits a
+/// round-one partition. `Err` says why not. The engine refuses such a plan
+/// with it and the verifier reports it (S-JOIN-FILTER).
+pub fn check(bits: usize, join_type: JoinType, scheme: &[usize]) -> Result<(), String> {
+    if !matches!(join_type, JoinType::Inner | JoinType::LeftSemi) {
+        return Err(format!(
+            "a {join_type:?} join keeps probe rows that match nothing: it has no join filter"
+        ));
+    }
+    let Some(&fanout) = scheme.first() else {
+        return Err("a broadcast join partitions nothing: it has no join filter".into());
+    };
+    let least = fanout.saturating_mul(MIN_SLICE_BITS);
+    if !bits.is_power_of_two() || bits < least || bits > 1 << 32 {
+        return Err(format!(
+            "a join filter of {bits} bits is not a power of two of {least} bits or more \
+             (a {MIN_SLICE_BITS}-bit word for each of round one's {fanout} partitions) \
+             up to 2^32"
+        ));
+    }
+    Ok(())
+}
+
+/// The size of the filter a join of `build_rows` estimated build rows,
+/// partitioned `fanout` ways in round one, declares where its probe side's
+/// first stage has `room_bytes` to hold it: [`BITS_PER_KEY`] bits a row,
+/// rounded up to a power of two and to a word a partition, at most what
+/// fits the room. `None` where not even a word a partition fits.
+pub fn size_bits(build_rows: f64, fanout: usize, room_bytes: usize) -> Option<usize> {
+    let wanted = (build_rows.max(1.0) * BITS_PER_KEY as f64).ceil() as usize;
+    // The largest power of two that fits the room.
+    let room = 1usize << room_bytes.checked_mul(8)?.checked_ilog2()?.min(32);
+    let least = fanout.max(1) * MIN_SLICE_BITS;
+    let bits = wanted.next_power_of_two().max(least).min(room);
+    (bits >= least).then_some(bits)
+}
+
+/// The share of probe rows a filter of `bits` bits over `build_rows` keys
+/// keeps, where a share `matching` of them matches a build row: those, and
+/// of the rest the ones whose bit another key set, 1 − e^(−keys/bits) of
+/// them.
+pub fn kept_fraction(matching: f64, build_rows: f64, bits: usize) -> f64 {
+    let matching = matching.clamp(0.0, 1.0);
+    let false_positive = 1.0 - (-build_rows.max(0.0) / bits.max(1) as f64).exp();
+    matching + (1.0 - matching) * false_positive
+}
+
+/// What a lane of the probe side's round one pays to read a filter of
+/// `bits` bits from DRAM: its words in one descriptor.
+pub fn read_cost(cm: &CostModel, bits: usize) -> DmsCost {
+    let words = bits / 64;
+    RelationAccessor::seq_read_cost(cm, [WORD_BYTES].into_iter(), words, words)
+}
+
+/// The bit `hash` sets or tests in a filter whose round-one partitions are
+/// `fanout` slices of `slice_bits` bits: the slice its round-one bits pick
+/// (the low bits, which round one partitions by), and within it the place
+/// [`within`] picks.
+pub fn place(hash: u32, fanout: usize, slice_bits: usize) -> usize {
+    let partition = hash as usize & (fanout - 1);
+    partition * slice_bits + within(hash, slice_bits)
+}
+
+/// The place `hash` picks within a slice of `slice_bits` bits: the top bits
+/// of the hash plus itself shifted up 16 bits. CRC32 is linear over GF(2),
+/// so any fixed choice of its bits maps keys of a regular pattern —
+/// consecutive, or a stride apart, as key columns hold them — onto a few
+/// places: measured on consecutive keys, 46 % of the probe rows that matched
+/// nothing passed a filter of 9 % expected false positives. The addition's
+/// carries are not linear, and mix the low bits into the top ones: a shift
+/// and an add, the multiply by 2^16 + 1 without the multiplier.
+fn within(hash: u32, slice_bits: usize) -> usize {
+    match slice_bits.trailing_zeros() {
+        0 => 0,
+        bits => (hash.wrapping_add(hash << 16) >> (32 - bits)) as usize,
+    }
+}
+
+/// A built join filter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinFilter {
+    words: Vec<u64>,
+    /// Round one's fan-out: the slices.
+    fanout: usize,
+}
+
+impl JoinFilter {
+    /// The filter whose `words` the `join.filter` stage's lanes filled, a
+    /// slice of them for each of round one's `fanout` partitions, in
+    /// partition order.
+    pub fn of_slices(words: Vec<u64>, fanout: usize) -> JoinFilter {
+        JoinFilter { words, fanout }
+    }
+
+    /// Its size in bits.
+    pub fn bits(&self) -> usize {
+        self.words.len() * 64
+    }
+
+    /// Whether a row of this hash may match a build row: its bit is set.
+    pub fn may_match(&self, hash: u32) -> bool {
+        let bit = place(hash, self.fanout, self.bits() / self.fanout);
+        self.words[bit / 64] >> (bit % 64) & 1 == 1
+    }
+
+    /// Charge one lane's read of the whole filter from DRAM.
+    pub fn charge_read(&self, ctx: &mut CoreCtx) {
+        let cm = ctx.cost_model.clone();
+        ctx.charge_dms(&read_cost(&cm, self.bits()));
+    }
+
+    /// Test every row of `hashes` and move the hashes of the rows that pass
+    /// to the front, in order, their row ids to the front of `ids`; returns
+    /// how many passed. Charges a test a row.
+    pub(crate) fn keep(&self, ctx: &mut CoreCtx, hashes: &mut [u32], ids: &mut [u32]) -> usize {
+        let mut kept = 0;
+        for i in 0..hashes.len() {
+            let hash = hashes[i];
+            if self.may_match(hash) {
+                (hashes[kept], ids[kept]) = (hash, i as u32);
+                kept += 1;
+            }
+        }
+        ctx.charge_kernel(
+            Kernel::Join,
+            &costs::join_filter_test_per_row().scaled(hashes.len() as f64),
+        );
+        kept
+    }
+}
+
+/// One lane of the `join.filter` stage: `slice`, the words of the round-one
+/// partition whose final partitions are `parts`, built over their `keys`
+/// (stored `widths` bytes each) at `tile` rows a tile. Charges the read of
+/// the keys from DRAM, their hashes, a bit set a row, a trip round the
+/// control loop a tile and the write of the slice.
+pub fn build_slice(
+    ctx: &mut CoreCtx,
+    parts: &[Batch],
+    keys: &[usize],
+    widths: &[usize],
+    slice: &mut [u64],
+    tile: usize,
+) -> QefResult<()> {
+    let slice_bits = slice.len() * 64;
+    if keys.is_empty() || slice_bits < MIN_SLICE_BITS || !slice_bits.is_power_of_two() {
+        return Err(QefError::BadPlan(format!(
+            "a join filter slice of {slice_bits} bits over {} keys",
+            keys.len()
+        )));
+    }
+    let cm = ctx.cost_model.clone();
+    // The hashes of a run of rows at a time, on the stack.
+    let mut hashes = [0u32; 256];
+    for part in parts.iter().filter(|b| !b.is_empty()) {
+        let rows = part.rows();
+        ctx.charge_dms(&RelationAccessor::seq_read_cost(
+            &cm,
+            widths.iter().copied(),
+            rows,
+            tile,
+        ));
+        for at in (0..rows).step_by(hashes.len()) {
+            let run = &mut hashes[..(rows - at).min(256)];
+            let of_run = Positions::dense(at, run.len());
+            let columns = keys.iter().map(|&k| (part.column(k), of_run));
+            hash_pieces_into(ctx, std::iter::once(columns.clone()), run);
+            for (row, &hash) in (at..).zip(run.iter()) {
+                if columns.clone().any(|(c, _)| c.is_null(row)) {
+                    continue;
+                }
+                // Round one sent the row to this slice's partition.
+                let bit = within(hash, slice_bits);
+                slice[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        ctx.charge_kernel(
+            Kernel::Join,
+            &costs::join_filter_set_per_row().scaled(rows as f64),
+        );
+        for _ in 0..rows.div_ceil(tile.max(1)) {
+            ctx.charge_tile();
+        }
+    }
+    let words = slice.len();
+    ctx.charge_dms(&RelationAccessor::seq_write_cost(
+        &cm,
+        [WORD_BYTES].into_iter(),
+        words,
+        words,
+    ));
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::ExecContext;
+    use rapid_storage::bitvec::BitVec;
+    use rapid_storage::vector::{ColumnData, Vector};
+
+    #[test]
+    fn only_a_partitioned_inner_or_semi_join_has_a_filter_of_a_word_a_partition() {
+        assert_eq!(check(2048, JoinType::Inner, &[32]), Ok(()));
+        assert_eq!(check(4096, JoinType::LeftSemi, &[8, 4]), Ok(()));
+        for join_type in [JoinType::LeftAnti, JoinType::LeftOuter] {
+            let why = check(2048, join_type, &[32]).unwrap_err();
+            assert!(why.contains("match nothing"), "{why}");
+        }
+        assert!(check(2048, JoinType::Inner, &[]).is_err(), "broadcast");
+        assert!(
+            check(3000, JoinType::Inner, &[32]).is_err(),
+            "not a power of two"
+        );
+        assert!(
+            check(1024, JoinType::Inner, &[32]).is_err(),
+            "half a word a slice"
+        );
+    }
+
+    #[test]
+    fn a_filter_takes_eight_to_sixteen_bits_a_key_in_the_room_it_has() {
+        // 3101 keys: 24,808 bits, rounded up.
+        assert_eq!(size_bits(3101.0, 32, 24_960), Some(32_768));
+        // Capped at the largest power of two the room holds.
+        assert_eq!(size_bits(3101.0, 32, 3000), Some(16_384));
+        // At least a word a partition, and none where that does not fit.
+        assert_eq!(size_bits(5.0, 32, 1000), Some(2048));
+        assert_eq!(size_bits(5.0, 32, 255), None);
+        assert_eq!(size_bits(5.0, 32, 0), None);
+        // The false positives of a filter of 8 bits a key.
+        let kept = kept_fraction(0.0, 4096.0, 32_768);
+        assert!((kept - (1.0 - (-0.125f64).exp())).abs() < 1e-12, "{kept}");
+        assert_eq!(kept_fraction(1.0, 4096.0, 32_768), 1.0);
+        let read = read_cost(&dpu_sim::isa::CostModel::default(), 32_768);
+        assert_eq!((read.bytes, read.descriptors), (4096, 1));
+    }
+
+    /// A filter over `keys`, built as round one's `fanout` lanes build it.
+    fn filter_of(keys: &[i64], bits: usize, fanout: usize) -> JoinFilter {
+        let mut ctx = CoreCtx::new(&ExecContext::dpu(), 0);
+        let hash = |k: i64| dpu_sim::crc32::hash_u64(k as u64);
+        let mut words = vec![0; bits / 64];
+        for (p, slice) in words.chunks_mut(bits / 64 / fanout).enumerate() {
+            let of_p: Vec<i64> = keys
+                .iter()
+                .copied()
+                .filter(|&k| hash(k) as usize % fanout == p)
+                .collect();
+            let part = Batch::new(vec![Vector::new(ColumnData::I64(of_p))]);
+            build_slice(&mut ctx, &[part], &[0], &[8], slice, 256).unwrap();
+        }
+        JoinFilter::of_slices(words, fanout)
+    }
+
+    #[test]
+    fn every_build_key_passes_and_few_others_do() {
+        // Keys a stride apart, as key columns hold them: the pattern a
+        // fixed choice of CRC bits maps onto few places.
+        let keys: Vec<i64> = (0..3000).map(|i| 4 * i).collect();
+        let filter = filter_of(&keys, 32_768, 32);
+        assert_eq!(filter.bits(), 32_768);
+        let hash = |k: i64| dpu_sim::crc32::hash_u64(k as u64);
+        assert!(keys.iter().all(|&k| filter.may_match(hash(k))));
+        let others = (0..20_000).map(|i| 4 * (3000 + i) + i % 4);
+        let passed = others.filter(|&k| filter.may_match(hash(k))).count();
+        let expected = 20_000.0 * kept_fraction(0.0, 3000.0, 32_768);
+        assert!(
+            (passed as f64) < 1.25 * expected,
+            "{passed} of 20000 passed, {expected:.0} expected"
+        );
+    }
+
+    #[test]
+    fn a_lane_sets_the_bits_of_its_slice_and_charges_what_it_moved() {
+        let e = ExecContext::dpu();
+        let mut ctx = CoreCtx::new(&e, 0);
+        // 300 keys stored in 2 bytes, one of them NULL.
+        let mut nulls = BitVec::zeros(300);
+        nulls.set(7, true);
+        let keys = Vector::with_nulls(ColumnData::I16((0..300).collect()), nulls);
+        let part = Batch::new(vec![keys]);
+        let mut slice = [0; 16];
+        build_slice(&mut ctx, &[part], &[0], &[2], &mut slice, 256).unwrap();
+        let set: u32 = slice.iter().map(|w| w.count_ones()).sum();
+        assert!((250..300).contains(&set), "{set} bits for 299 keys");
+        let c = ctx.account.counters();
+        // The keys read (two tiles of 2 bytes a row), the slice written.
+        assert_eq!(c.dms_bytes, 300 * 2 + 1024 / 8);
+        assert_eq!(c.tiles, 2);
+        let cm = &e.cost_model;
+        let compute = cm.kernel_cycles(&costs::hash_per_row_per_key()) * 300.0
+            + cm.kernel_cycles(&costs::join_filter_set_per_row()) * 300.0
+            + 2.0 * cm.per_tile_overhead_cycles;
+        assert!((ctx.account.compute_cycles().get() - compute).abs() < 1e-6);
+        // A slice of three words is no power of two of bits, and a join
+        // has keys.
+        let bad = build_slice(&mut ctx, &[], &[0], &[2], &mut [0; 3], 256);
+        assert!(matches!(bad, Err(QefError::BadPlan(_))));
+        let bad = build_slice(&mut ctx, &[], &[], &[], &mut [0; 1], 256);
+        assert!(matches!(bad, Err(QefError::BadPlan(_))));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    //! A filtered round one followed by `join.pairs` against the join of
+    //! the same plan with no filter: the same batches, for inner and semi
+    //! joins, over NULL keys, one key or two, an empty build side, keys
+    //! stored at different widths on the two sides, a probe side in its
+    //! scan's task (lanes across chunks) or over batches, one round or two.
+
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+    use rapid_storage::schema::{Field, Schema};
+    use rapid_storage::table::TableBuilder;
+    use rapid_storage::types::{DataType, Value};
+
+    use crate::engine::Engine;
+    use crate::exec::ExecContext;
+    use crate::expr::Pred;
+    use crate::plan::{JoinType, PlanNode};
+    use crate::trace::MemorySink;
+
+    /// A row: two keys (either may be NULL) and a payload.
+    type Row = (Option<i64>, Option<i64>, i64);
+
+    fn table(name: &str, rows: &[Row], chunk_rows: usize) -> Arc<rapid_storage::table::Table> {
+        let schema = Schema::new(vec![
+            Field::nullable("k1", DataType::Int),
+            Field::nullable("k2", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]);
+        let mut b = TableBuilder::new(name, schema).chunk_rows(chunk_rows);
+        let value = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        for &(k1, k2, v) in rows {
+            b.push_row(vec![value(k1), value(k2), Value::Int(v)]);
+        }
+        Arc::new(b.finish())
+    }
+
+    /// Up to `n` rows, keys drawn from `keys` and NULL a quarter of the time.
+    fn rows(keys: std::ops::Range<i64>, n: usize) -> impl Strategy<Value = Vec<Row>> {
+        let key = move || proptest::option::of(keys.clone());
+        proptest::collection::vec((key(), key(), any::<i32>().prop_map(i64::from)), 0..n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48 })]
+        #[test]
+        fn a_filtered_round_one_keeps_every_row_that_joins(
+            // Build keys stored in 1 byte, probe keys in 2: the filter is
+            // built from one width and tested at the other.
+            build in rows(0..120, 300),
+            probe in rows(-400..400, 900),
+            flags in 0u32..64,
+        ) {
+            let flag = |bit: u32| flags >> bit & 1 == 1;
+            let (semi, two_keys, empty_build) = (flag(0), flag(1), flag(2));
+            let (over_batches, two_rounds, wide) = (flag(3), flag(4), flag(5));
+            let engine = {
+                let mut e = Engine::new(ExecContext::dpu().with_cores(3));
+                e.load_table(table("b", &build, 128));
+                e.load_table(table("p", &probe, 128));
+                e
+            };
+            let scan = |table: &str, pred| PlanNode::Scan {
+                table: table.into(),
+                columns: vec![0, 1, 2],
+                pred,
+            };
+            let probe = match over_batches {
+                false => scan("p", None),
+                true => PlanNode::Limit {
+                    input: Box::new(scan("p", None)),
+                    n: usize::MAX,
+                },
+            };
+            let keys = if two_keys { vec![0, 1] } else { vec![0] };
+            let scheme = if two_rounds { vec![4, 2] } else { vec![4] };
+            let join = |filter| PlanNode::HashJoin {
+                build: Box::new(scan("b", empty_build.then_some(Pred::Const(false)))),
+                probe: Box::new(probe.clone()),
+                build_keys: keys.clone(),
+                probe_keys: keys.clone(),
+                join_type: if semi { JoinType::LeftSemi } else { JoinType::Inner },
+                scheme: scheme.clone(),
+                filter,
+            };
+            let bits = if wide { 1 << 12 } else { 4 * 64 };
+            let (plain, _) = engine.execute(&join(None)).unwrap();
+            let sink = MemorySink::new();
+            let traced = engine.fork(ExecContext::dpu().with_cores(3).with_trace(sink.clone()));
+            let (filtered, _) = traced.execute(&join(Some(bits))).unwrap();
+            prop_assert_eq!(&filtered.batch, &plain.batch);
+            let events = sink.take();
+            let built: Vec<_> = events.iter().filter(|e| e.operator == "join.filter").collect();
+            prop_assert_eq!(built.len(), 1);
+            let tested: Vec<_> = events.iter().filter_map(|e| e.filter).collect();
+            prop_assert_eq!(tested.len(), 1, "round one of the probe side alone tests");
+            prop_assert!(tested[0].kept <= tested[0].tested);
+            prop_assert_eq!(tested[0].tested as usize, engine.catalog()["p"].rows());
+        }
+    }
+}

@@ -8,6 +8,7 @@
 pub mod filter;
 pub mod groupby;
 pub mod join;
+pub mod join_filter;
 pub mod map;
 pub mod partition;
 pub mod setops;

@@ -15,8 +15,12 @@
 //! (Listing 2) and is charged their column gathers (Listing 3), the
 //! sequential DMS write of them — after round one also the sequential read,
 //! since its input is what the round before wrote to DRAM — and one
-//! control-loop overhead per tile, the last tile for the rows it holds. Two
-//! kinds of lane take that step:
+//! control-loop overhead per tile, the last tile for the rows it holds.
+//! Round one of a join's probe side whose join declares a filter
+//! ([`crate::ops::join_filter`]) tests each row's hash against it between
+//! the hash and the map: a lane reads the whole filter from DRAM once and
+//! maps, gathers and writes only the rows it keeps. Two kinds of lane take
+//! that step:
 //!
 //! * **the lanes of a task.** Where round one of a pass is the last operator
 //!   of the task that scans its input ([`crate::task`]), each lane of the
@@ -57,11 +61,12 @@ use crate::batch::{Batch, ColumnBuilder, Columns, Rows, Run};
 use crate::budget::{partition_stream_bytes, working_set, BASE_STATE_BYTES, HASH_BITS};
 use crate::error::{QefError, QefResult};
 use crate::exec::{CoreCtx, ExecContext};
+use crate::ops::join_filter::{self, JoinFilter};
 use crate::primitives::costs;
 use crate::primitives::hash::hash_pieces_into;
 use crate::primitives::partition_map::compute_partition_map;
 use crate::ra::RelationAccessor;
-use crate::trace::PartitionRound;
+use crate::trace::{FilterKept, PartitionRound};
 
 /// How many radix bits of the hash each round consumes, tracked so that
 /// successive rounds use *disjoint* hash bits.
@@ -98,17 +103,27 @@ pub struct RoundStep<'a> {
     /// Whether the rows are read back from DRAM, where the round before
     /// wrote them, rather than handed on in DMEM or streamed by a scan.
     pub reads_back: bool,
+    /// The join filter round one of a join's probe side tests every row
+    /// against: only the rows it keeps are mapped, gathered and written.
+    pub filter: Option<&'a JoinFilter>,
 }
 
-impl RoundStep<'_> {
-    /// Round one of a pass, `fanout`-way, over rows its lane already holds.
-    pub fn first(key_cols: &[usize], fanout: usize, tile: usize) -> RoundStep<'_> {
+impl<'a> RoundStep<'a> {
+    /// Round one of a pass, `fanout`-way, over rows its lane already holds,
+    /// testing them against `filter` where the pass has one.
+    pub fn first(
+        key_cols: &'a [usize],
+        fanout: usize,
+        tile: usize,
+        filter: Option<&'a JoinFilter>,
+    ) -> RoundStep<'a> {
         RoundStep {
             key_cols,
             fanout,
             shift: 0,
             tile: tile.max(1),
             reads_back: false,
+            filter,
         }
     }
 
@@ -117,7 +132,10 @@ impl RoundStep<'_> {
     /// from the first row of the first run; charge that, the column gathers
     /// of Listing 3, the sequential DMS write of the rows (and the read of
     /// them, where they come from DRAM) and a trip round the control loop
-    /// per tile, the last one for the rows it holds.
+    /// per tile, the last one for the rows it holds. With a filter the rows
+    /// are tested against it first, and only those it keeps are mapped,
+    /// gathered and written: the map covers `offsets[fanout]` rows, and
+    /// `hashes` is left as scratch.
     fn map<'r>(
         &self,
         ctx: &mut CoreCtx,
@@ -133,17 +151,49 @@ impl RoundStep<'_> {
         let key_cols = self.key_cols;
         let keyed = runs.map(|run| key_cols.iter().map(move |&c| run.column(c)));
         hash_pieces_into(ctx, keyed, hashes);
-        compute_partition_map(ctx, hashes, self.fanout, self.shift, 0, offsets, rids);
+        let rows = hashes.len();
+        let Some(filter) = self.filter else {
+            compute_partition_map(ctx, hashes, self.fanout, self.shift, 0, offsets, rids);
+            return self.charge_moved(ctx, first, rows, rows);
+        };
+        // The kept rows' hashes and ids go to the fronts of the buffers; the
+        // map of the kept hashes numbers them in kept order, and their ids
+        // take the numbers back to the lane's rows — kept where the hashes
+        // of the dropped rows were, wherever there is room.
+        let mapped = filter.keep(ctx, hashes, rids);
+        let (kept_hashes, spare) = hashes.split_at_mut(mapped);
+        let held;
+        let ids: &[u32] = match spare.get_mut(..mapped) {
+            Some(spare) => {
+                spare.copy_from_slice(&rids[..mapped]);
+                spare
+            }
+            None => {
+                held = rids[..mapped].to_vec();
+                &held
+            }
+        };
+        let rids = &mut rids[..mapped];
+        compute_partition_map(ctx, kept_hashes, self.fanout, self.shift, 0, offsets, rids);
+        rids.iter_mut().for_each(|r| *r = ids[*r as usize]);
+        self.charge_moved(ctx, first, rows, mapped);
+    }
+
+    /// Charge what a round does to `rows` rows of `first`'s layout once
+    /// their map is computed, `mapped` of them kept: the column gathers of
+    /// Listing 3 and the sequential DMS write of the kept rows, the read of
+    /// all of them where they come from DRAM, and a trip round the control
+    /// loop per tile of them.
+    fn charge_moved(&self, ctx: &mut CoreCtx, first: Run<'_>, rows: usize, mapped: usize) {
         // Listing 3 and the flush of the local buffers it fills are this
         // core's work on the chip; `scatter` carries the copies out for all
         // lanes once their histograms have met.
-        let rows = hashes.len();
         let cols = first.cols;
         let widths = (0..cols.width()).map(move |c| cols.column(c).data.width());
         for _ in 0..cols.width() {
             ctx.charge_kernel(
                 Kernel::Partition,
-                &costs::swpart_gather_per_row().scaled(rows as f64),
+                &costs::swpart_gather_per_row().scaled(mapped as f64),
             );
         }
         let cm = ctx.cost_model.clone();
@@ -156,7 +206,7 @@ impl RoundStep<'_> {
             ));
         }
         ctx.charge_dms(&RelationAccessor::seq_write_cost(
-            &cm, widths, rows, self.tile,
+            &cm, widths, mapped, self.tile,
         ));
         for _ in 0..rows.div_ceil(self.tile) {
             ctx.charge_tile();
@@ -165,21 +215,33 @@ impl RoundStep<'_> {
 
     /// The step of a task's lane: the map of the rows the lane holds, as
     /// `fanout + 1` offsets followed by the row ids they index (and, behind
-    /// them, the hashes the map was computed from). Empty for no rows. The
+    /// them, the hash buffer the map was computed from). Empty for no rows. The
     /// round reads every column of the rows where they lie
     /// ([`Rows::charge_select`]): its keys to hash them, and each column
     /// once more in Listing 3's gather, which [`scatter_lanes`] carries out
     /// with the map's row ids taken back to the rows' places in the tiles.
+    /// With a filter the lane reads all of it from DRAM first, and reads the
+    /// keys of every row but the other columns of the rows it keeps only.
     pub fn map_rows(&self, ctx: &mut CoreCtx, rows: &Rows<'_>) -> Vec<u32> {
+        if let Some(filter) = self.filter {
+            filter.charge_read(ctx);
+        }
         let n = rows.rows();
         if n == 0 {
             return Vec::new();
         }
-        rows.charge_select(ctx, 0..rows.width());
         let mut map = vec![0; self.fanout + 1 + 2 * n];
         let (offsets, rest) = map.split_at_mut(self.fanout + 1);
         let (rids, hashes) = rest.split_at_mut(n);
+        if self.filter.is_none() {
+            rows.charge_select(ctx, 0..rows.width());
+        }
         self.map(ctx, rows.runs(), hashes, offsets, rids);
+        if self.filter.is_some() {
+            let kept = offsets[self.fanout] as usize;
+            rows.charge_select_of(ctx, self.key_cols.iter().copied(), n);
+            rows.charge_select_of(ctx, 0..rows.width(), kept);
+        }
         map
     }
 }
@@ -390,7 +452,9 @@ impl<'a> Input<'a> {
 impl<'a> Round<'a> {
     /// Cut the input's segments into tiles of `tile` rows — a segment's
     /// last tile may be short, as the DMS writes it — and deal the tiles,
-    /// in order, to `min(cores, tiles)` lanes.
+    /// in order, to `min(cores, tiles)` lanes, each holding `filter` beside
+    /// its tile buffers where the round tests its rows against one.
+    #[allow(clippy::too_many_arguments)]
     fn plan(
         input: Input<'a>,
         key_cols: &'a [usize],
@@ -399,6 +463,7 @@ impl<'a> Round<'a> {
         tile: usize,
         cores: usize,
         dmem_bytes: usize,
+        filter: Option<&'a JoinFilter>,
     ) -> Round<'a> {
         debug_assert!(fanout.is_power_of_two());
         let tile = tile.max(1);
@@ -458,11 +523,12 @@ impl<'a> Round<'a> {
                     shift,
                     tile,
                     reads_back: matches!(input, Input::Each(_)),
+                    filter,
                 },
-                // What the tile was sized from: state plus the tile buffers
-                // of every column and the hash lane.
+                // What the tile was sized from: state — the filter too —
+                // plus the tile buffers of every column and the hash lane.
                 working_set: working_set(
-                    BASE_STATE_BYTES,
+                    BASE_STATE_BYTES + filter.map_or(0, |f| join_filter::bytes(f.bits())),
                     partition_stream_bytes(row_bytes),
                     tile,
                     dmem_bytes,
@@ -529,10 +595,14 @@ impl<'a> Round<'a> {
 
 impl Lane<'_, '_> {
     /// Stream the lane's tiles: hash, map, and the charges of the gather
-    /// and the local-buffer flushes, slice by slice.
+    /// and the local-buffer flushes, slice by slice — after the read of the
+    /// round's filter, where it tests its rows against one.
     fn run(self, ctx: &mut CoreCtx) -> QefResult<()> {
         let plan = self.plan;
         let _buffers = ctx.dmem.reserve_raw(plan.working_set)?;
+        if let Some(filter) = plan.step.filter {
+            filter.charge_read(ctx);
+        }
         let at = self.slices[0].rows.start;
         for (slice, offsets) in self
             .slices
@@ -580,12 +650,12 @@ fn round_on_core(
     ctx: &mut CoreCtx,
     input: Input<'_>,
     key_cols: &[usize],
-    fanout: usize,
-    shift: u32,
+    (fanout, shift): (usize, u32),
     tile: usize,
+    filter: Option<&JoinFilter>,
 ) -> QefResult<Vec<Batch>> {
     let dmem = ctx.dmem.capacity();
-    let mut round = Round::plan(input, key_cols, fanout, shift, tile, 1, dmem);
+    let mut round = Round::plan(input, key_cols, fanout, shift, tile, 1, dmem, filter);
     for lane in round.lanes() {
         lane.run(ctx)?;
     }
@@ -605,7 +675,8 @@ pub fn partition_batches(
     shift: u32,
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
-    round_on_core(ctx, Input::Whole(batches), key_cols, fanout, shift, tile)
+    let round = (fanout, shift);
+    round_on_core(ctx, Input::Whole(batches), key_cols, round, tile, None)
 }
 
 /// The rounds of `scheme`: each one's number, fan-out and the hash bits it
@@ -628,6 +699,18 @@ pub fn partition_scheme(
     scheme: &[usize],
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
+    scheme_on_core(ctx, batches, key_cols, scheme, tile, None)
+}
+
+/// [`partition_scheme`], round one testing its rows against `filter`.
+fn scheme_on_core(
+    ctx: &mut CoreCtx,
+    batches: Vec<Batch>,
+    key_cols: &[usize],
+    scheme: &[usize],
+    tile: usize,
+    filter: Option<&JoinFilter>,
+) -> QefResult<Vec<Batch>> {
     check_scheme(scheme)?;
     if scheme.is_empty() {
         return Ok(vec![Batch::concat(batches)]);
@@ -635,41 +718,59 @@ pub fn partition_scheme(
     let mut current = batches;
     for (round, fanout, shift) in rounds(scheme) {
         let input = Input::of_round(round, &current);
-        current = round_on_core(ctx, input, key_cols, fanout, shift, tile)?;
+        let filter = filter.filter(|_| round == 0);
+        current = round_on_core(ctx, input, key_cols, (fanout, shift), tile, filter)?;
     }
     Ok(current)
 }
 
+/// What `filter` kept of `tested` rows, where round one tested them against
+/// one: the rows of the partitions `kept` that it and the rounds after it
+/// made, which drop none.
+pub(crate) fn filtered(
+    filter: Option<&JoinFilter>,
+    tested: usize,
+    kept: &[Batch],
+) -> Option<FilterKept> {
+    filter.map(|_| FilterKept {
+        tested: tested as u64,
+        kept: kept.iter().map(|b| b.rows() as u64).sum(),
+    })
+}
+
 /// A partition pass across the context's cores: every round of `scheme` is
 /// one stage of `min(cores, tiles)` lanes, reported to `stage_done` with
-/// its place in the pass when its barrier is reached. An input of at most
-/// one tile has no second lane to feed in its first round and runs all its
-/// rounds as one item on one core, a single stage.
+/// its place in the pass — and, where round one tested its rows against
+/// `filter`, what it kept of them — when its barrier is reached. An input
+/// of at most one tile has no second lane to feed in its first round and
+/// runs all its rounds as one item on one core, a single stage.
 pub fn partition_pass(
     ectx: &ExecContext,
     batches: Vec<Batch>,
     key_cols: &[usize],
     scheme: &[usize],
     tile: usize,
-    mut stage_done: impl FnMut(&StageTiming, PartitionRound),
+    filter: Option<&JoinFilter>,
+    mut stage_done: impl FnMut(&StageTiming, PartitionRound, Option<FilterKept>),
 ) -> QefResult<Vec<Batch>> {
     check_scheme(scheme)?;
     let rows: usize = batches.iter().map(Batch::rows).sum();
     if rows <= tile || scheme.is_empty() {
         let (mut parts, t) = run_stage(ectx, vec![batches], |core, batches| {
-            partition_scheme(core, batches, key_cols, scheme, tile)
+            scheme_on_core(core, batches, key_cols, scheme, tile, filter)
         })?;
+        let parts = parts
+            .pop()
+            .ok_or_else(|| QefError::Internal("partition stage lost its output".into()))?;
         let whole = PartitionRound {
             round: 1,
             rounds: 1,
             fanout: scheme.iter().product::<usize>() as u32,
         };
-        stage_done(&t, whole);
-        return parts
-            .pop()
-            .ok_or_else(|| QefError::Internal("partition stage lost its output".into()));
+        stage_done(&t, whole, filtered(filter, rows, &parts));
+        return Ok(parts);
     }
-    rounds_from(0, ectx, batches, key_cols, scheme, tile, stage_done)
+    rounds_from(0, ectx, batches, key_cols, scheme, tile, filter, stage_done)
 }
 
 /// The rounds of a pass after the first, over the partitions `first` that
@@ -681,12 +782,15 @@ pub fn partition_rounds_after(
     key_cols: &[usize],
     scheme: &[usize],
     tile: usize,
-    stage_done: impl FnMut(&StageTiming, PartitionRound),
+    mut stage_done: impl FnMut(&StageTiming, PartitionRound),
 ) -> QefResult<Vec<Batch>> {
-    rounds_from(1, ectx, first, key_cols, scheme, tile, stage_done)
+    let done = |t: &StageTiming, round, _| stage_done(t, round);
+    rounds_from(1, ectx, first, key_cols, scheme, tile, None, done)
 }
 
-/// Rounds `from..` of `scheme` over `current`, what the round before left.
+/// Rounds `from..` of `scheme` over `current`, what the round before left,
+/// round one testing its rows against `filter`.
+#[allow(clippy::too_many_arguments)]
 fn rounds_from(
     from: usize,
     ectx: &ExecContext,
@@ -694,9 +798,11 @@ fn rounds_from(
     key_cols: &[usize],
     scheme: &[usize],
     tile: usize,
-    mut stage_done: impl FnMut(&StageTiming, PartitionRound),
+    filter: Option<&JoinFilter>,
+    mut stage_done: impl FnMut(&StageTiming, PartitionRound, Option<FilterKept>),
 ) -> QefResult<Vec<Batch>> {
     for (nth, fanout, shift) in rounds(scheme).skip(from) {
+        let filter = filter.filter(|_| nth == 0);
         let mut round = Round::plan(
             Input::of_round(nth, &current),
             key_cols,
@@ -705,6 +811,7 @@ fn rounds_from(
             tile,
             ectx.cores,
             ectx.dmem_bytes,
+            filter,
         );
         let (_, t) = run_stage(ectx, round.lanes(), |core, lane| lane.run(core))?;
         let next = round.finish();
@@ -713,7 +820,8 @@ fn rounds_from(
             rounds: scheme.len() as u32,
             fanout: fanout as u32,
         };
-        stage_done(&t, nth_of);
+        let tested = current.iter().map(Batch::rows).sum();
+        stage_done(&t, nth_of, filtered(filter, tested, &next));
         current = next;
     }
     Ok(current)
@@ -902,11 +1010,96 @@ mod tests {
         assert!(matches!(peak(256), Err(QefError::DmemExhausted(_))));
         // Across cores the stage reports what each lane held.
         let mut peaks = Vec::new();
-        partition_pass(&small, vec![batch(1000)], &[0], &[4], 64, |t, _| {
-            peaks.push((t.parallelism, t.dmem_peak))
-        })
+        partition_pass(
+            &small,
+            vec![batch(1000)],
+            &[0],
+            &[4],
+            64,
+            None,
+            |t, _, _| peaks.push((t.parallelism, t.dmem_peak)),
+        )
         .unwrap();
         assert_eq!(peaks, [(16, (BASE_STATE_BYTES + 2 * 20 * 64) as u64)]);
+    }
+
+    #[test]
+    fn a_filtered_round_charges_its_test_and_the_rows_it_keeps() {
+        use crate::batch::Rows;
+        use crate::ops::join_filter::{self, JoinFilter};
+        use crate::primitives::hash::hash_rows;
+        let (fanout, tile, bits) = (8, 256, 8 * 1024);
+        // The filter over every third key, built by the lanes of the build
+        // side's round one.
+        let build = Batch::new(vec![Vector::new(ColumnData::I64(
+            (0..1000).step_by(3).collect(),
+        ))]);
+        let parts = partition_batches(&mut ctx(), &[build], &[0], fanout, 0, tile).unwrap();
+        let mut words = vec![0; bits / 64];
+        for (part, slice) in parts.iter().zip(words.chunks_mut(bits / 64 / fanout)) {
+            let part = std::slice::from_ref(part);
+            join_filter::build_slice(&mut ctx(), part, &[0], &[8], slice, tile).unwrap();
+        }
+        let filter = JoinFilter::of_slices(words, fanout);
+        let probe = batch(1000);
+        let mut got = ctx();
+        let step = RoundStep::first(&[0], fanout, tile, Some(&filter));
+        let map = step.map_rows(&mut got, &Rows::Owned(probe.clone()));
+
+        // The reference: the lane's read of the filter, the hash and test of
+        // every row, then the map, gather and write of the rows it keeps,
+        // and a trip round the control loop a tile.
+        let mut expect = ctx();
+        let cm = expect.cost_model.clone();
+        expect.charge_dms(&join_filter::read_cost(&cm, bits));
+        let hashes = hash_rows(&mut expect, &[probe.column(0)]);
+        let kept: Vec<u32> = (0..1000)
+            .filter(|&i| filter.may_match(hashes[i as usize]))
+            .collect();
+        expect.charge_kernel(
+            Kernel::Join,
+            &costs::join_filter_test_per_row().scaled(1000.0),
+        );
+        let kept_hashes: Vec<u32> = kept.iter().map(|&i| hashes[i as usize]).collect();
+        let (mut offsets, mut rids) = (vec![0; fanout + 1], vec![0; kept.len()]);
+        compute_partition_map(
+            &mut expect,
+            &kept_hashes,
+            fanout,
+            0,
+            0,
+            &mut offsets,
+            &mut rids,
+        );
+        for _ in 0..2 {
+            let gather = costs::swpart_gather_per_row().scaled(kept.len() as f64);
+            expect.charge_kernel(Kernel::Partition, &gather);
+        }
+        expect.charge_dms(&RelationAccessor::seq_write_cost(
+            &cm,
+            [8, 8].into_iter(),
+            kept.len(),
+            tile,
+        ));
+        for _ in 0..1000usize.div_ceil(tile) {
+            expect.charge_tile();
+        }
+        assert_eq!(got.account.counters(), expect.account.counters());
+        assert_eq!(
+            got.account.compute_cycles().get().to_bits(),
+            expect.account.compute_cycles().get().to_bits()
+        );
+        assert_eq!(
+            got.account.dms_cycles().get().to_bits(),
+            expect.account.dms_cycles().get().to_bits()
+        );
+        // The map covers the kept rows, by their ids among all the lane's.
+        assert_eq!(map[..=fanout], offsets[..]);
+        let ids: Vec<u32> = rids.iter().map(|&r| kept[r as usize]).collect();
+        assert_eq!(map[fanout + 1..][..kept.len()], ids[..]);
+        // Every row that joins is among them, and few others are.
+        assert!((0..1000).step_by(3).all(|i| kept.contains(&i)));
+        assert!(kept.len() < 334 + 100, "{} kept", kept.len());
     }
 
     #[test]
@@ -1056,11 +1249,19 @@ mod proptests {
     ) -> (Vec<Batch>, Counters, Vec<usize>) {
         let ectx = ExecContext::dpu().with_cores(cores);
         let (mut sum, mut lanes, mut rounds) = (Counters::default(), Vec::new(), Vec::new());
-        let parts = partition_pass(&ectx, batches.to_vec(), key_cols, scheme, tile, |t, r| {
-            sum = sum.merged(&t.counters);
-            lanes.push(t.parallelism);
-            rounds.push((r.round, r.rounds, r.fanout as usize));
-        })
+        let parts = partition_pass(
+            &ectx,
+            batches.to_vec(),
+            key_cols,
+            scheme,
+            tile,
+            None,
+            |t, r, _| {
+                sum = sum.merged(&t.counters);
+                lanes.push(t.parallelism);
+                rounds.push((r.round, r.rounds, r.fanout as usize));
+            },
+        )
         .unwrap();
         // Every stage says which round it is: a stage per round, or one
         // for the whole scheme.

@@ -177,6 +177,14 @@ pub enum PlanNode {
         /// declares and probes its own rows against it
         /// ([`crate::ops::join::Broadcast`]).
         scheme: Vec<usize>,
+        /// The join filter's size in bits, a power of two: a bit array over
+        /// the build side's key hashes that round one of the probe side's
+        /// pass tests every row against, so a row no build row can match is
+        /// never partitioned ([`crate::ops::join_filter`]). Only a
+        /// partitioned `Inner` or `LeftSemi` join has one; `None` tests
+        /// nothing.
+        #[serde(default)]
+        filter: Option<usize>,
     },
     /// Group-by + aggregation. Output: keys ++ aggregates.
     GroupBy {
@@ -600,6 +608,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![],
+            filter: None,
         };
         assert_eq!(inner.output_meta(&catalog()).unwrap().len(), 2);
         let semi = PlanNode::HashJoin {
@@ -609,6 +618,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::LeftSemi,
             scheme: vec![],
+            filter: None,
         };
         assert_eq!(semi.output_meta(&catalog()).unwrap().len(), 1);
         let outer = PlanNode::HashJoin {
@@ -618,6 +628,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::LeftOuter,
             scheme: vec![],
+            filter: None,
         };
         let meta = outer.output_meta(&catalog()).unwrap();
         assert!(meta[1].nullable);
@@ -748,6 +759,7 @@ mod tests {
             probe_keys: vec![0],
             join_type,
             scheme: vec![],
+            filter: None,
         };
         assert_eq!(widths(&join(JoinType::Inner)), [1, 4, 1, 2]);
         assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 4, 1, 2]);
@@ -811,6 +823,7 @@ mod tests {
             probe_keys: vec![0],
             join_type: JoinType::Inner,
             scheme: vec![],
+            filter: None,
         };
         let mut tables = Vec::new();
         plan.referenced_tables(&mut tables);

@@ -166,6 +166,37 @@ pub fn join_emit_per_match() -> KernelCost {
     }
 }
 
+/// Setting a build key's bit in a join filter, per row: the bit within its
+/// slice from the row's CRC32 — the hash plus itself shifted, then the top
+/// bits: a shift, an add and a shift — the bit's mask, the word's load, the
+/// OR and its store. A slice is one lane's, so its partition bits are not
+/// read.
+pub fn join_filter_set_per_row() -> KernelCost {
+    KernelCost {
+        alu: 4.0,
+        lsu: 2.0,
+        dual_issue_frac: 1.0,
+        branches: 1.0 / 8.0,
+        ..Default::default()
+    }
+}
+
+/// Testing a probe row's CRC32 against a join filter, per row: the bit's
+/// place — its slice from the partition bits, ORed with the bit within it
+/// found as [`join_filter_set_per_row`] finds it — the word's load (the
+/// bit-vector load of the filter loop) and the bit's test, then the row
+/// id's branch-free append to the kept rows: stored at the cursor, which
+/// the test's result advances.
+pub fn join_filter_test_per_row() -> KernelCost {
+    KernelCost {
+        alu: 4.0,
+        lsu: 2.0,
+        dual_issue_frac: 1.0,
+        branches: 1.0 / 8.0,
+        ..Default::default()
+    }
+}
+
 /// Ungrouped aggregation per row (load + accumulate, dual-issued).
 pub fn agg_per_row() -> KernelCost {
     KernelCost {

@@ -5,7 +5,8 @@
 //! opens with a scan: the **scan-fed chain** `Scan → {Filter | Map}*`
 //! ([`PlanNode::scan_chain`]) always runs in its scan's task, and the first
 //! stage of the node that consumes the chain — round one of a join side's or
-//! a group-by's partition pass, a broadcast join's `join.probe`,
+//! a group-by's partition pass (on a probe side holding its join's filter,
+//! [`crate::ops::join_filter`]), a broadcast join's `join.probe`,
 //! `groupby.consume`, `topk.consume`, `sort.local`
 //! ([`PlanNode::first_stage`]) — joins it wherever
 //! [`crate::budget::task_tile`] of what they declare together ([`OpDecl`])
@@ -22,11 +23,17 @@
 //! rows through it, and the one that writes them compacts them. What the
 //! operators of a task do with the kept rows ([`Task::kept_rows`]) is what
 //! the scan's choice of access path weighs.
+//!
+//! A join filter is state, not a stream: it takes room beside the probe
+//! round's own, and the compiler sizes it to the room that leaves the
+//! task's tile as it was ([`PlanNode::probe_room`]). Its `join.filter`
+//! stage builds a slice a lane ([`join_filter_decl`]).
 
 use crate::budget::{OpDecl, OpName, BASE_STATE_BYTES, SELECTION_BYTES};
 use crate::error::{QefError, QefResult};
 use crate::expr::{Expr, Pred};
 use crate::ops::filter::touched_columns;
+use crate::ops::join_filter;
 use crate::plan::{AggSpec, Catalog, GroupStrategy, PlanNode};
 
 /// A scan and the row-at-a-time operators over it.
@@ -90,20 +97,22 @@ impl PlanNode {
 
     /// What the first stage this node runs over input `edge` declares
     /// against DMEM, the input handing on columns of `widths`: a partition
-    /// pass's round one, a broadcast join's `join.probe`, `groupby.consume`,
-    /// `topk.consume` or `sort.local`. `None` where the node has no such
-    /// stage: it is not a join, group-by, top-k or sort, or it is the build
-    /// side of a broadcast join, which runs as a node of its own.
+    /// pass's round one — on a join's probe side holding the join filter,
+    /// where the join has one — a broadcast join's `join.probe`,
+    /// `groupby.consume`, `topk.consume` or `sort.local`. `None` where the
+    /// node has no such stage: it is not a join, group-by, top-k or sort, or
+    /// it is the build side of a broadcast join, which runs as a node of its
+    /// own.
     pub fn first_stage(
         &self,
         edge: usize,
         widths: &[usize],
         dmem_bytes: usize,
     ) -> Option<OpDecl<'static>> {
-        let partition = |stage: &'static str| {
+        let partition = |stage: &'static str, held: usize| {
             Some(OpDecl {
                 name: OpName::of(stage),
-                state_bytes: BASE_STATE_BYTES,
+                state_bytes: BASE_STATE_BYTES + held,
                 in_widths: widths.to_vec(),
                 // The hash lane the partition map is computed from.
                 out_widths: vec![4],
@@ -114,15 +123,17 @@ impl PlanNode {
             (PlanNode::HashJoin { scheme, .. }, 1) if scheme.is_empty() => {
                 Some(join_probe_decl(widths, dmem_bytes))
             }
-            (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build"),
-            (PlanNode::HashJoin { .. }, 1) => partition("join.partition-probe"),
+            (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build", 0),
+            (PlanNode::HashJoin { filter, .. }, 1) => {
+                partition("join.partition-probe", filter.map_or(0, join_filter::bytes))
+            }
             (
                 PlanNode::GroupBy {
                     strategy: GroupStrategy::Partitioned(_),
                     ..
                 },
                 0,
-            ) => partition("groupby.partition"),
+            ) => partition("groupby.partition", 0),
             (PlanNode::GroupBy { keys, aggs, .. }, 0) => {
                 Some(group_consume_decl(keys, aggs, widths, dmem_bytes))
             }
@@ -189,6 +200,58 @@ impl PlanNode {
         let fits = crate::budget::task_tile(tile_rows, &task.decls, dmem_bytes).is_some();
         Ok(fits.then_some(task))
     }
+
+    /// The bytes of state the first stage over this partitioned join's
+    /// probe side — round one of its pass, in the probe's task wherever
+    /// [`input_task`](Self::input_task) puts it there — can hold beside
+    /// what it declares and still run at the tile it runs at: the room a
+    /// join filter may take ([`join_filter::size_bits`]). 0 for any other
+    /// node, or a stage that does not fit at all.
+    pub fn probe_room(
+        &self,
+        catalog: &Catalog,
+        tile_rows: usize,
+        dmem_bytes: usize,
+    ) -> QefResult<usize> {
+        let PlanNode::HashJoin { probe, scheme, .. } = self else {
+            return Ok(0);
+        };
+        if scheme.is_empty() {
+            return Ok(0);
+        }
+        let mut decls = match self.input_task(1, catalog, tile_rows, dmem_bytes)? {
+            Some(task) => task.decls,
+            None => {
+                let widths = probe.output_widths(catalog)?;
+                self.first_stage(1, &widths, dmem_bytes)
+                    .into_iter()
+                    .collect()
+            }
+        };
+        let tile = |decls: &[OpDecl<'_>]| {
+            crate::budget::task_tile(tile_rows, decls, dmem_bytes).map(|(tile, _)| tile)
+        };
+        let Some(at) = tile(&decls) else {
+            return Ok(0);
+        };
+        let Some(last) = decls.len().checked_sub(1) else {
+            return Ok(0);
+        };
+        let base = decls[last].state_bytes;
+        // The state grows the working set and shrinks the tile: the most
+        // that keeps it, by bisection.
+        let (mut fits, mut over) = (0, dmem_bytes + 1);
+        while over - fits > 1 {
+            let mid = fits + (over - fits) / 2;
+            decls[last].state_bytes = base + mid;
+            if tile(&decls) == Some(at) {
+                fits = mid;
+            } else {
+                over = mid;
+            }
+        }
+        Ok(fits)
+    }
 }
 
 /// What a group table consuming columns of `widths` declares: the
@@ -208,6 +271,19 @@ pub fn group_consume_decl(
         state_bytes: dmem_bytes / 2,
         in_widths: once.filter_map(|c| widths.get(c).copied()).collect(),
         out_widths: Vec::new(),
+    }
+}
+
+/// What a lane of a join's `join.filter` stage declares: the slice of the
+/// filter of `bits` bits it builds — one of round one's `fanout` — and the
+/// build keys it streams, stored `key_widths` bytes each, beside the hash
+/// lane their bits are set from.
+pub fn join_filter_decl(key_widths: &[usize], bits: usize, fanout: usize) -> OpDecl<'static> {
+    OpDecl {
+        name: OpName::of("join.filter"),
+        state_bytes: BASE_STATE_BYTES + join_filter::bytes(bits / fanout.max(1)),
+        in_widths: key_widths.to_vec(),
+        out_widths: vec![4],
     }
 }
 

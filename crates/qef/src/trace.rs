@@ -79,6 +79,10 @@ pub struct StageEvent {
     /// For a stage that partitions, which round of its pass it ran.
     #[serde(default)]
     pub partition: Option<PartitionRound>,
+    /// For round one of a join's probe side that tested its rows against
+    /// the join filter, how many it tested and kept.
+    #[serde(default)]
+    pub filter: Option<FilterKept>,
     /// The operators that ran in this stage's lanes beneath `operator`, in
     /// plan order down to the scan: empty unless the stage is a task of
     /// more than one operator.
@@ -164,6 +168,16 @@ pub struct PartitionRound {
     /// Partitions the stage made of each one it read: the round's fan-out,
     /// or the product of the scheme where one stage ran all of it.
     pub fanout: u32,
+}
+
+/// What a join filter kept of the rows round one of a probe side tested
+/// (see [`crate::ops::join_filter`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct FilterKept {
+    /// Rows the round tested.
+    pub tested: u64,
+    /// Rows whose bit was set: the ones the round partitioned.
+    pub kept: u64,
 }
 
 impl StageEvent {

@@ -309,7 +309,7 @@ fn a_partition_round_allocates_per_round_not_per_lane() {
         let ectx = ExecContext::dpu().with_cores(cores);
         let mut lanes = 0;
         let (parts, allocs, bytes) = measured(|| {
-            partition_pass(&ectx, batches, &[0], &[32], 256, |t, _| {
+            partition_pass(&ectx, batches, &[0], &[32], 256, None, |t, _, _| {
                 lanes = t.parallelism
             })
         });

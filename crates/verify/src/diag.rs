@@ -53,6 +53,9 @@ pub enum Rule {
     /// A scheme should produce at least one partition per core. A join of
     /// no rounds partitions nothing: it is broadcast to every core.
     SchemeCores,
+    /// A join filter only on a partitioned inner or semi join, its size a
+    /// power of two of at least a word a round-one partition.
+    JoinFilter,
     /// The happens-before graph over a schedule's placements must be
     /// acyclic (program + resource + admission edges).
     HbCycle,
@@ -74,7 +77,7 @@ pub enum Rule {
 impl Rule {
     /// Every rule, plan rules first: a variant added above belongs here,
     /// and a mutation that trips it in `rapid_report::mutate`.
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 18] = [
         Rule::ColBounds,
         Rule::JoinArity,
         Rule::TypeMismatch,
@@ -86,6 +89,7 @@ impl Rule {
         Rule::TileMin,
         Rule::GroupLimit,
         Rule::SchemeCores,
+        Rule::JoinFilter,
         Rule::HbCycle,
         Rule::DmsExcl,
         Rule::CoreExcl,
@@ -108,6 +112,7 @@ impl Rule {
             Rule::TileMin => "A-TILE-MIN",
             Rule::GroupLimit => "A-GROUP-LIMIT",
             Rule::SchemeCores => "A-SCHEME-CORES",
+            Rule::JoinFilter => "S-JOIN-FILTER",
             Rule::HbCycle => "C-HB-CYCLE",
             Rule::DmsExcl => "C-DMS-EXCL",
             Rule::CoreExcl => "C-CORE-EXCL",

@@ -338,6 +338,31 @@ impl Walker<'_> {
         }
     }
 
+    /// Check a join's filter of `bits` bits (S-JOIN-FILTER) and, where it
+    /// may run, derive its `join.filter` stage over the keys of `build`.
+    fn join_filter(
+        &mut self,
+        id: usize,
+        path: &str,
+        (build, keys): (&PlanNode, &[usize]),
+        join_type: JoinType,
+        scheme: &[usize],
+        bits: usize,
+    ) {
+        if let Err(why) = rapid_qef::ops::join_filter::check(bits, join_type, scheme) {
+            return self.diag(Rule::JoinFilter, id, path, why);
+        }
+        let Ok(widths) = build.output_widths(self.catalog) else {
+            return;
+        };
+        // A key out of bounds is S-COL-BOUNDS's to report.
+        let key_widths: Option<Vec<usize>> = keys.iter().map(|&k| widths.get(k).copied()).collect();
+        if let Some(key_widths) = key_widths {
+            let decl = task::join_filter_decl(&key_widths, bits, scheme[0]);
+            self.stage(id, path, &[decl], Vec::new());
+        }
+    }
+
     /// Walk `plan`. `in_task` says a stage above reports this node as an
     /// operator of its task: a scan-fed chain its consumer's first stage
     /// ends the task of.
@@ -484,12 +509,16 @@ impl Walker<'_> {
                 probe_keys,
                 join_type,
                 scheme,
-                ..
+                filter,
             } => {
                 // Visit both children even if one fails, so pre-order ids
                 // stay aligned with the tracer's. Each side's partition
-                // pass is reported behind the input it reads.
+                // pass is reported behind the input it reads, and a join
+                // filter's stage between them, where the engine builds it.
                 let b = self.consumed(plan, 0, build, id, &path, &format!("{path}.build"), scheme);
+                if let Some(bits) = *filter {
+                    self.join_filter(id, &path, (build, build_keys), *join_type, scheme, bits);
+                }
                 let p = self.consumed(plan, 1, probe, id, &path, &format!("{path}.probe"), scheme);
                 let (b, p) = (b?, p?);
                 let (nb, np) = (build_keys.len(), probe_keys.len());

@@ -57,6 +57,14 @@ fn fuzz_smoke_finds_no_divergence() {
             report.render_repro(seed, n, &saved)
         );
     }
+    // The grammar reaches the join filter: selective inner and semi joins
+    // whose compiled plans declare one, one query in twenty at least.
+    assert!(
+        report.filtered >= n / 20,
+        "only {} of {} executed queries declare a join filter",
+        report.filtered,
+        report.executed
+    );
 }
 
 #[test]

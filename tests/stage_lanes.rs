@@ -210,7 +210,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     let (mut tasks, mut fused_tasks, mut dms_bound, mut wide_rounds) = (0, 0, 0, 0);
     let mut other_path = Vec::new();
     let mut underived = std::collections::BTreeSet::new();
-    let (mut broadcast, mut builds_subtracted) = (Vec::new(), 0);
+    let (mut broadcast, mut builds_subtracted, mut filters_subtracted) = (Vec::new(), 0, 0);
     for (name, plan) in tpch::queries::all() {
         let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -218,13 +218,25 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         pre_order(&compiled.plan, &mut nodes);
         // The joins of no rounds, and what one lane of each reads of its
         // build side: the build node's rows at the widths it hands them on.
+        // And the joins with a filter, which every lane of the probe side's
+        // round one reads whole.
         let mut build_bytes = std::collections::HashMap::new();
+        let mut filter_bytes = std::collections::HashMap::new();
         for (id, node) in nodes.iter().enumerate() {
-            if let PlanNode::HashJoin { build, scheme, .. } = node {
+            if let PlanNode::HashJoin {
+                build,
+                scheme,
+                filter,
+                ..
+            } = node
+            {
                 if scheme.is_empty() {
                     let widths = build.output_widths(&catalog).expect("widths");
                     build_bytes.insert(id as u32, widths.iter().sum::<usize>() as u64);
                     broadcast.push((name, id as u32));
+                }
+                if let Some(bits) = filter {
+                    filter_bytes.insert(id as u32, *bits as u64 / 8);
                 }
             }
         }
@@ -291,6 +303,23 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     e.node_id
                 );
             }
+            // A join filter is built by a stage of its own, a lane a slice,
+            // and tested by round one of the probe side alone.
+            let filtered = filter_bytes.contains_key(&e.node_id);
+            if e.operator == "join.filter" {
+                assert!(filtered, "{name}: node {} declares no filter", e.node_id);
+                assert_eq!(
+                    e.dmem_peak_bytes,
+                    stage_of(e).working_set_bytes as u64,
+                    "{name}: node {} join.filter",
+                    e.node_id
+                );
+            }
+            assert_eq!(
+                e.filter.is_some(),
+                filtered && e.operator == "join.partition-probe",
+                "{name}: {e:?}"
+            );
         }
         // Every scan is in a task, and a task is one event: the chain with
         // the stage that consumes it, wherever they fit together.
@@ -391,7 +420,9 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         // and builds its table. With one build a lane subtracted — the bytes
         // of the build side's rows, and the same instructions whichever
         // lanes are compared — the task moves and retires what it does on
-        // one core.
+        // one core. Round one of a probe side that tests its rows against a
+        // join filter is the same: every lane reads the whole filter, and
+        // with one read a lane subtracted it moves what it does on one core.
         type Work = (
             String,
             Vec<u64>,
@@ -418,8 +449,8 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     };
                     let moved = (e.dms_bytes, e.instructions);
                     let over_batches = e.scan.is_none().then_some((e.tiles, e.dms_descriptors));
-                    let builds =
-                        (e.operator == "join.probe").then_some((e.node_id, e.parallelism as u64));
+                    let once_a_lane = e.operator == "join.probe" || e.filter.is_some();
+                    let builds = once_a_lane.then_some((e.node_id, e.parallelism as u64));
                     let label = format!("{} {path}", e.operator);
                     (label, rows, moved, over_batches, builds)
                 })
@@ -446,9 +477,14 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     let (bytes, instructions) = (all.2 .0 - few.2 .0, all.2 .1 - few.2 .1);
                     assert_eq!((bytes % extra, instructions % extra), (0, 0), "{name}");
                     let per_lane = (bytes / extra, instructions / extra);
-                    assert_eq!(per_lane.0, build_read(join), "{name}: node {join}");
-                    let first = *one_build.entry(join).or_insert(per_lane);
-                    assert_eq!(per_lane, first, "{name}: node {join}, {cores} cores");
+                    if let Some(&filter) = filter_bytes.get(&join) {
+                        assert_eq!(per_lane, (filter, 0), "{name}: node {join}");
+                        filters_subtracted += 1;
+                    } else {
+                        assert_eq!(per_lane.0, build_read(join), "{name}: node {join}");
+                        let first = *one_build.entry(join).or_insert(per_lane);
+                        assert_eq!(per_lane, first, "{name}: node {join}, {cores} cores");
+                    }
                 } else {
                     assert_eq!(few.2, all.2, "{name}: {cores} cores vs {CORES}");
                 }
@@ -487,6 +523,11 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // Every broadcast task but Q5's one-tile supplier probe has fewer lanes
     // on fewer cores: seven joins whose per-lane build was subtracted.
     assert_eq!(builds_subtracted, 7);
+    // And the four filtered probe tasks (Q3's nodes 3 and 4, Q5's node 11,
+    // Q10's node 5), compared on 1 and on 8 cores — but for the two whose
+    // scan gathers on 32 cores and streams on one, compared on their rows
+    // alone: a filter read a lane.
+    assert_eq!(filters_subtracted, 6);
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
     assert_eq!((gathers_on(1), gathers_on(8)), (13, 0), "{other_path:?}");
     // 33 scans, 33 tasks. All but three end with the first stage of their
