@@ -79,6 +79,18 @@ if git grep -n -E "struct BoundPlan|fn valid_on|scn_snapshot" -- crates/hostdb/s
     exit 1
 fi
 
+echo "== a table is its chunks in heap-slot order: no horizontal partitions =="
+# Chunk k of a table holds heap slots [k × chunk_rows, (k + 1) × chunk_rows),
+# and a lane's scan span is a slice of those chunks. One DPU holds the whole
+# table, so a partition layer above the chunks would only permute them: a
+# second order beside slot order that the checkpoint's chunk sharing and the
+# lane split would have to see through. Sharding would bring back per-node
+# tables, not a permutation of one table's chunks.
+if git grep -n -E "struct TablePartition|fn partitions\(|target_partitions" -- 'crates/storage/src/*' 'crates/tpch/src/*' 'crates/hostdb/src/*'; then
+    echo "a table is its chunks in heap-slot order"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

@@ -558,7 +558,11 @@ pub fn ablation_rid_vs_bitvector(rows: usize) -> Vec<Point> {
             // so report engine-occupancy cycles — on a memory-bound query
             // that is the elapsed time.
             ScanPlan::forced(AccessPath::Gather, &pred, &[0], forced)
-                .scan_rows(&mut core, Span::Chunk(&chunk, 0..rows), 4096)
+                .scan_rows(
+                    &mut core,
+                    Span::new(std::slice::from_ref(&chunk), 0..rows),
+                    4096,
+                )
                 .expect("scan");
             let cy = core.account.dms_cycles().get();
             out.push(Point::new(

@@ -894,8 +894,7 @@ fn ship_snapshot(rapid: &RwLock<Engine>, name: &str, host: &RwLock<HostTable>) {
     let guard = host.read();
     let scn = guard.scn;
     let mut b = TableBuilder::over_slots(name, guard.schema.clone(), guard.slots())
-        .chunk_rows(rapid_storage::DEFAULT_CHUNK_ROWS)
-        .partitions(4);
+        .chunk_rows(rapid_storage::DEFAULT_CHUNK_ROWS);
     if let Some(base) = base.as_deref().filter(|t| t.scn >= guard.created) {
         b = b.reusing(base, guard.stamps());
     }
@@ -1409,20 +1408,17 @@ mod tests {
                 row
             })
             .collect();
-        let mut b = TableBuilder::new("src", schema)
-            .chunk_rows(64)
-            .partitions(3);
+        let mut b = TableBuilder::new("src", schema).chunk_rows(64);
         b.extend_rows(rows.clone());
         let source = b.finish();
 
-        // Partitioning may reorder rows; compare as sorted multisets keyed
-        // by the unique id column.
-        let by_id = |rows: &mut Vec<Vec<Value>>| rows.sort_by_key(|row| row[0].unscaled_at(0));
+        // Chunks keep slot order, so every copy holds the rows in the order
+        // they were pushed.
         let decode = |t: &Table| -> Vec<Vec<Value>> {
             let ncols = t.schema.len();
             let cols: Vec<Vec<i64>> = (0..ncols).map(|c| t.column_i64(c)).collect();
             let nulls: Vec<BitVec> = (0..ncols).map(|c| t.column_nulls(c)).collect();
-            let mut out: Vec<Vec<Value>> = (0..t.rows())
+            (0..t.rows())
                 .map(|r| {
                     (0..ncols)
                         .map(|c| match nulls[c].get(r) {
@@ -1431,9 +1427,7 @@ mod tests {
                         })
                         .collect()
                 })
-                .collect();
-            by_id(&mut out);
-            out
+                .collect()
         };
         let want = decode(&source);
         assert_eq!(want, rows, "the source table itself holds the rows");
@@ -1442,8 +1436,7 @@ mod tests {
         d.import_table(&source).unwrap();
 
         let host = d.store().table("src").expect("host table created");
-        let mut stored: Vec<Vec<Value>> = host.read().scan().cloned().collect();
-        by_id(&mut stored);
+        let stored: Vec<Vec<Value>> = host.read().scan().cloned().collect();
         assert_eq!(stored, want, "row store");
 
         let rapid = d.rapid().read();

@@ -21,7 +21,6 @@ use std::ops::Range;
 
 use rapid_storage::bitvec::BitVec;
 use rapid_storage::chunk::Chunk;
-use rapid_storage::table::Table;
 use rapid_storage::vector::{ColumnData, Vector};
 
 use dpu_sim::account::Kernel;
@@ -347,43 +346,38 @@ impl<'a> Run<'a> {
     }
 }
 
-/// Where the rows a lane scans lie: a range of a table's rows, across the
-/// chunks it spans, or of one chunk's.
+/// Where the rows a lane scans lie: a range of rows numbered across
+/// `chunks` in order — a table's chunks, or one chunk as
+/// `std::slice::from_ref(&chunk)`.
 #[derive(Debug, Clone)]
-pub enum Span<'a> {
-    /// Rows of a table, numbered across its chunks in order.
-    Table(&'a Table, Range<usize>),
-    /// Rows of one chunk.
-    Chunk(&'a Chunk, Range<usize>),
+pub struct Span<'a> {
+    chunks: &'a [Chunk],
+    rows: Range<usize>,
 }
 
 impl<'a> Span<'a> {
+    /// Rows `rows` of `chunks`.
+    pub fn new(chunks: &'a [Chunk], rows: Range<usize>) -> Self {
+        Span { chunks, rows }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        match self {
-            Span::Table(_, rows) | Span::Chunk(_, rows) => rows.len(),
-        }
+        self.rows.len()
     }
 
     /// The rows per chunk they lie in, in order: the lane's runs.
     pub fn runs(&self) -> impl Iterator<Item = (&'a Chunk, Range<usize>)> + Clone {
-        let (table, chunk) = match self {
-            Span::Table(table, rows) => (Some((*table, rows.clone())), None),
-            Span::Chunk(chunk, rows) => (None, Some((*chunk, rows.clone()))),
-        };
-        let of_table = table.into_iter().flat_map(|(table, rows)| {
-            let chunks = table.partitions.iter().flat_map(|p| p.chunks.iter());
-            let based = chunks.scan(0, |base, chunk| {
-                let at = *base;
-                *base += chunk.rows();
-                Some((chunk, at))
-            });
-            based.filter_map(move |(chunk, base)| {
-                let of_chunk = rows.start.max(base)..rows.end.min(base + chunk.rows());
-                (!of_chunk.is_empty()).then(|| (chunk, of_chunk.start - base..of_chunk.end - base))
-            })
+        let rows = self.rows.clone();
+        let based = self.chunks.iter().scan(0, |base, chunk| {
+            let at = *base;
+            *base += chunk.rows();
+            Some((chunk, at))
         });
-        of_table.chain(chunk)
+        based.filter_map(move |(chunk, base)| {
+            let of_chunk = rows.start.max(base)..rows.end.min(base + chunk.rows());
+            (!of_chunk.is_empty()).then(|| (chunk, of_chunk.start - base..of_chunk.end - base))
+        })
     }
 }
 
@@ -750,7 +744,11 @@ mod tests {
             let plan = ScanPlan::forced(path, &pred, &[2, 1], 0.5);
             let mut c = CoreCtx::new(&ectx, 0);
             let rows = plan
-                .scan_rows(&mut c, Span::Chunk(&chunk, 0..1000), 256)
+                .scan_rows(
+                    &mut c,
+                    Span::new(std::slice::from_ref(&chunk), 0..1000),
+                    256,
+                )
                 .unwrap();
             assert_eq!(rows.rows(), 500);
             let selects = path == AccessPath::Stream;
@@ -815,7 +813,11 @@ mod tests {
         for plan in &plans {
             let mut c = CoreCtx::new(&ectx, 0);
             let rows = plan
-                .scan_rows(&mut c, Span::Chunk(&chunk, 0..1000), 256)
+                .scan_rows(
+                    &mut c,
+                    Span::new(std::slice::from_ref(&chunk), 0..1000),
+                    256,
+                )
                 .unwrap();
             let gathered = matches!(
                 rows,

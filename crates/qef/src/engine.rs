@@ -515,7 +515,8 @@ impl<'e> Run<'e> {
         let (columns, pred) = (chain.columns, chain.pred);
         let scan =
             ops::filter::ScanPlan::decide(self.ctx, table, columns, pred, touched, tile, &kept);
-        // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`.
+        // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`
+        // of the table's rows in chunk order, which is heap-slot order.
         let rows = table.rows();
         let tiles = rows.div_ceil(tile);
         let lanes = self.ctx.cores.clamp(1, tiles.max(1));
@@ -536,7 +537,7 @@ impl<'e> Run<'e> {
         };
         let (results, timing) = run_stage(self.ctx, lanes, |core, lane| {
             let _vectors = core.dmem.reserve_raw(working_set)?;
-            let mut rows = scan.scan_rows(core, Span::Table(table, lane), tile)?;
+            let mut rows = scan.scan_rows(core, Span::new(&table.chunks, lane), tile)?;
             scanned_bytes.fetch_add(core.account.counters().dms_bytes, Ordering::Relaxed);
             count(0, &rows);
             for (op, node) in (1..).zip(&chain.above) {

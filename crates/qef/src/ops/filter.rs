@@ -334,7 +334,7 @@ impl<'a> ScanPlan<'a> {
             chunk,
             tile,
         };
-        if let (Some(first), true) = (table.chunks().next(), plan.passes.len() > 1) {
+        if let (Some(first), true) = (table.chunks.first(), plan.passes.len() > 1) {
             let order = model(first).cheapest_order(&plan.passes);
             let mut passes: Vec<_> = plan.passes.into_iter().map(Some).collect();
             plan.passes = order.iter().filter_map(|&i| passes[i].take()).collect();
@@ -354,8 +354,7 @@ impl<'a> ScanPlan<'a> {
             }
         };
         let (mut stream, mut gather) = (ChunkCost::default(), ChunkCost::default());
-        let mut chunks = 0;
-        for chunk in table.chunks() {
+        for chunk in &table.chunks {
             let model = model(chunk);
             for (total, cost) in [
                 (&mut stream, model.stream_path(&plan, streamed, kept)),
@@ -364,12 +363,11 @@ impl<'a> ScanPlan<'a> {
                 total.compute += cost.compute;
                 total.dms += cost.dms;
             }
-            chunks += 1;
         }
         let tiles = table.rows().div_ceil(tile.max(1)).max(1);
         let lanes = ctx.cores.clamp(1, tiles);
         let share = tiles.div_ceil(lanes) as f64 / tiles as f64;
-        let runs = (chunks + lanes - 1).div_ceil(lanes) as f64;
+        let runs = (table.chunks.len() + lanes - 1).div_ceil(lanes) as f64;
         let trips = ctx.cost_model.per_tile_overhead_cycles * plan.trips_per_run() as f64;
         let stage = |path: ChunkCost, trips: f64| path.dms.max(path.compute * share + trips * runs);
         if stage(stream, 0.0) < stage(gather, trips) {
@@ -750,9 +748,13 @@ mod tests {
         chunk: &'a Chunk,
         tile: usize,
     ) -> Batch {
-        plan.scan_rows(ctx, Span::Chunk(chunk, 0..chunk.rows()), tile)
-            .unwrap()
-            .into_batch(ctx)
+        plan.scan_rows(
+            ctx,
+            Span::new(std::slice::from_ref(chunk), 0..chunk.rows()),
+            tile,
+        )
+        .unwrap()
+        .into_batch(ctx)
     }
 
     fn row_vec(rows: &RowSet) -> Vec<usize> {
@@ -935,8 +937,8 @@ mod tests {
     #[test]
     fn passes_run_in_the_order_that_moves_the_fewest_cycles() {
         let t = table(40_000, 4_000);
-        assert_eq!(t.chunks().next().unwrap().vector(0).data.width(), 8);
-        assert_eq!(t.chunks().next().unwrap().vector(1).data.width(), 1);
+        assert_eq!(t.chunks[0].vector(0).data.width(), 8);
+        assert_eq!(t.chunks[0].vector(1).data.width(), 1);
         // The range on the wide column keeps 40 % of the rows, `a < 50`
         // half: most selective first puts the range in front. But streaming
         // the 8-byte column at every row to gather a narrow one at 40 % of
@@ -1042,7 +1044,7 @@ mod tests {
         // are read in place.
         let cm = CostModel::default();
         let plan = ScanPlan::forced(AccessPath::Stream, std::slice::from_ref(&pred), &proj, 0.98);
-        let chunk = t.chunks().next().unwrap();
+        let chunk = &t.chunks[0];
         let model = Model {
             cm: &cm,
             chunk,
@@ -1067,7 +1069,7 @@ mod tests {
         // rows in place: the same charge a kept row. (A lane that writes
         // them is charged by `Rows::into_batch`, tested beside it.)
         let ectx = ExecContext::dpu();
-        let span = || Span::Table(t, 0..t.rows());
+        let span = || Span::new(&t.chunks, 0..t.rows());
         let mut lane = CoreCtx::new(&ectx, 0);
         let rows = plan.scan_rows(&mut lane, span(), 256).unwrap();
         let n = rows.rows() as f64;
@@ -1278,7 +1280,7 @@ mod proptests {
             for path in [AccessPath::Stream, AccessPath::Gather] {
                 let mut c = CoreCtx::new(&ectx, 0);
                 let got = ScanPlan::forced(path, &preds, &proj, if sparse { 0.01 } else { 0.5 })
-                    .scan_rows(&mut c, Span::Chunk(&ch, 0..ch.rows()), 16)
+                    .scan_rows(&mut c, Span::new(std::slice::from_ref(&ch), 0..ch.rows()), 16)
                     .unwrap()
                     .into_batch(&mut c);
                 if rids.is_empty() {
@@ -1341,7 +1343,7 @@ mod proptests {
             for path in [AccessPath::Stream, AccessPath::Gather] {
                 let plan = ScanPlan::forced(path, &preds, &proj, 0.5);
                 let lane = |c: &mut CoreCtx| -> QefResult<Rows<'_>> {
-                    let rows = plan.scan_rows(c, Span::Table(&t, lo..hi), 4)?;
+                    let rows = plan.scan_rows(c, Span::new(&t.chunks, lo..hi), 4)?;
                     let rows = crate::ops::map::map_rows(c, rows, &exprs)?;
                     if narrow {
                         filter_rows(c, rows, &positive)

@@ -956,7 +956,7 @@ mod tests {
         };
         // Rows 1, 2, 5 and 7 of the chunk, picked by a scan.
         let in_place = || Rows::InPlace {
-            span: Span::Chunk(&chunk, 0..100),
+            span: Span::new(std::slice::from_ref(&chunk), 0..100),
             projection: Projection::Scan(&[1, 0]),
             pick: Pick::Selected(vec![1, 2, 5, 7]),
             written: Vec::new(),

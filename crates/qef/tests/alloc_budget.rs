@@ -108,7 +108,7 @@ fn wide_chunk() -> Chunk {
 fn kept(plan: &ScanPlan<'_>, chunk: &Chunk) -> (usize, u64, u64) {
     let mut c = core();
     let (rows, allocs, bytes) =
-        measured(|| plan.scan_rows(&mut c, Span::Chunk(chunk, 0..ROWS), 256));
+        measured(|| plan.scan_rows(&mut c, Span::new(std::slice::from_ref(chunk), 0..ROWS), 256));
     (rows.unwrap().rows(), allocs, bytes)
 }
 
@@ -178,7 +178,11 @@ fn a_streamed_chunk_allocates_per_column_not_per_tile() {
         let plan = ScanPlan::forced(AccessPath::Stream, conjuncts, &proj, 0.5);
         let mut c = core();
         let (b, allocs, _) = measured(|| {
-            let rows = plan.scan_rows(&mut c, Span::Chunk(&chunk, 0..ROWS), tile);
+            let rows = plan.scan_rows(
+                &mut c,
+                Span::new(std::slice::from_ref(&chunk), 0..ROWS),
+                tile,
+            );
             rows.map(|rows| rows.into_batch(&mut c))
         });
         assert_eq!(c.account.counters().tiles, (ROWS / tile) as u64);
@@ -388,7 +392,11 @@ fn a_map_over_kept_rows_allocates_for_what_it_computes_not_what_it_passes_throug
         let mut c = core();
         let mut table = GroupTable::new(0, &aggs, 16);
         let (done, allocs, _) = measured(|| {
-            let rows = plan.scan_rows(&mut c, Span::Chunk(&chunk, 0..ROWS), 256)?;
+            let rows = plan.scan_rows(
+                &mut c,
+                Span::new(std::slice::from_ref(&chunk), 0..ROWS),
+                256,
+            )?;
             let rows = map_rows(&mut c, rows, &exprs)?;
             table.consume_rows(&mut c, &rows, &[])
         });

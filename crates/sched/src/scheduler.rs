@@ -41,8 +41,6 @@ use crate::trace::{AdmissionEvent, SchedTrace};
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// Physical dpCores of the shared DPU (32 on the real chip).
-    pub cores: usize,
     /// Queries allowed on the DPU concurrently (admission slots).
     pub max_active: usize,
     /// Queries allowed to wait for admission; submission past this bound
@@ -66,7 +64,6 @@ impl Default for SchedConfig {
     fn default() -> Self {
         let dpu = ExecContext::dpu();
         SchedConfig {
-            cores: dpu.cores,
             max_active: 8,
             queue_capacity: 64,
             dmem_bytes: dpu.dmem_bytes as u64,
@@ -222,9 +219,10 @@ pub struct QueryHandle {
 }
 
 impl Scheduler {
-    /// A scheduler over an idle DPU.
+    /// A scheduler over an idle DPU: the physical dpCores of
+    /// [`ExecContext::dpu`].
     pub fn new(cfg: SchedConfig) -> Scheduler {
-        let timeline = DpuTimeline::new(cfg.cores).with_history_cap(cfg.history_cap);
+        let timeline = DpuTimeline::new(ExecContext::dpu().cores).with_history_cap(cfg.history_cap);
         Scheduler {
             cfg,
             inner: Mutex::new(Inner {
@@ -398,7 +396,7 @@ impl Scheduler {
     pub fn schedule_trace(&self) -> SchedTrace {
         let inner = self.lock();
         SchedTrace {
-            cores: self.cfg.cores,
+            cores: inner.timeline.cores(),
             dmem_bytes: self.cfg.dmem_bytes,
             max_active: self.cfg.max_active,
             placements: inner.timeline.placements(),

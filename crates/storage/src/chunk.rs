@@ -3,7 +3,9 @@
 //! "Each partition contains horizontal slices of relational data called
 //! chunks. The data inside a chunk is a set of rows of the table stored in
 //! columnar layout. Each column of a table stored inside a chunk is called
-//! a vector, which is a flat array of column's data." (§4.1)
+//! a vector, which is a flat array of column's data." (§4.1) One DPU
+//! holds the whole relation here, so a table is its chunks in heap-slot
+//! order, with no partition between them ([`crate::table::Table::chunks`]).
 //!
 //! A chunk's vectors sit behind one `Arc`: a checkpoint that did not touch
 //! a chunk's rows hands the new table the same vectors, and a clone copies

@@ -3,9 +3,9 @@
 //! RAPID stores relations entirely in memory, organised for the DPU:
 //!
 //! ```text
-//! Table ─▶ horizontal Partitions ─▶ Chunks (row slices)
-//!                                      └▶ one Vector per column
-//!                                           (flat fixed-width array, 16 KiB sweet spot)
+//! Table ─▶ Chunks (row slices, in heap-slot order)
+//!            └▶ one Vector per column
+//!                 (flat fixed-width array, 16 KiB sweet spot)
 //! Operators consume Tiles of ≥ 64 rows.
 //! ```
 //!

@@ -59,7 +59,8 @@ impl ColumnStats {
         }
     }
 
-    /// Merge statistics from another partition of the same column. NDV
+    /// Merge the statistics of another set of values of the same type — the
+    /// other input of a set operation — into these: those of the union. NDV
     /// merges by max (a lower bound: distinct sets may overlap entirely) —
     /// documented inaccuracy the skew-resilient join tolerates by design.
     pub fn merge(&mut self, other: &ColumnStats) {
@@ -74,9 +75,9 @@ impl ColumnStats {
         self.ndv = self.ndv.max(other.ndv);
         self.null_count += other.null_count;
         self.non_null += other.non_null;
-        // Quantiles of a union cannot be recovered from the partition
+        // Quantiles of a union cannot be recovered from the inputs'
         // quantiles exactly; re-sample the pooled boundary points. This is
-        // an approximation (partition sizes are not weighted), in the same
+        // an approximation (input sizes are not weighted), in the same
         // spirit as the NDV-by-max lower bound above.
         if self.bounds.is_empty() {
             self.bounds = other.bounds.clone();
@@ -184,16 +185,13 @@ impl TableStats {
     /// Exact statistics of the rows of `chunks`: per column, the non-null
     /// values are copied into one buffer, reused column to column, and
     /// sorted once ([`ColumnStats::of_sorted`]).
-    pub(crate) fn of_chunks<'c>(
-        chunks: impl Iterator<Item = &'c Chunk> + Clone,
-        columns: usize,
-    ) -> TableStats {
-        let rows: usize = chunks.clone().map(Chunk::rows).sum();
+    pub(crate) fn of_chunks(chunks: &[Chunk], columns: usize) -> TableStats {
+        let rows: usize = chunks.iter().map(Chunk::rows).sum();
         let mut sorted = Vec::with_capacity(rows);
         let columns = (0..columns)
             .map(|c| {
                 sorted.clear();
-                for chunk in chunks.clone() {
+                for chunk in chunks {
                     let v = chunk.vector(c);
                     sorted.extend((0..v.len()).filter_map(|i| v.get(i)));
                 }

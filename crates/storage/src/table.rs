@@ -1,5 +1,5 @@
-//! Tables: partitions of chunks of column vectors, plus the column-level
-//! transforms (dictionaries, DSB scales) and statistics.
+//! Tables: chunks of column vectors in heap-slot order, plus the
+//! column-level transforms (dictionaries, DSB scales) and statistics.
 //!
 //! A [`Table`] is immutable once built. The host database is the single
 //! source of truth: a change reaches RAPID as a new table, built from the
@@ -29,20 +29,6 @@ use crate::stats::TableStats;
 use crate::types::{DataType, Value};
 use crate::vector::{ColumnData, Vector};
 
-/// One horizontal partition: a list of chunks.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TablePartition {
-    /// The partition's chunks.
-    pub chunks: Vec<Chunk>,
-}
-
-impl TablePartition {
-    /// Rows in this partition.
-    pub fn rows(&self) -> usize {
-        self.chunks.iter().map(Chunk::rows).sum()
-    }
-}
-
 /// An in-memory columnar relation.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -50,10 +36,10 @@ pub struct Table {
     pub name: String,
     /// Column schema.
     pub schema: Schema,
-    /// Horizontal partitions.
-    pub partitions: Vec<TablePartition>,
-    /// Heap slots per chunk: chunk `k` holds the live rows of slots
-    /// `[k × chunk_rows, (k + 1) × chunk_rows)`.
+    /// The chunks in heap-slot order: chunk `k` holds the live rows of
+    /// slots `[k × chunk_rows, (k + 1) × chunk_rows)`.
+    pub chunks: Vec<Chunk>,
+    /// Heap slots per chunk.
     pub chunk_rows: usize,
     /// Per-column dictionary (Varchar columns only), shared with every
     /// table a checkpoint builds with the same encodings.
@@ -67,14 +53,9 @@ pub struct Table {
 }
 
 impl Table {
-    /// Total rows across partitions.
+    /// Total rows across chunks.
     pub fn rows(&self) -> usize {
-        self.partitions.iter().map(TablePartition::rows).sum()
-    }
-
-    /// Iterate all chunks, partition-major.
-    pub fn chunks(&self) -> impl Iterator<Item = &Chunk> {
-        self.partitions.iter().flat_map(|p| p.chunks.iter())
+        self.chunks.iter().map(Chunk::rows).sum()
     }
 
     /// Bytes per value of column `col` as its vectors are stored: the load
@@ -85,7 +66,7 @@ impl Table {
     /// byte. This is the width a scan hands on — what the DMS moves and a
     /// DMEM buffer holds per row of the column.
     pub fn column_width(&self, col: usize) -> usize {
-        match self.chunks().next() {
+        match self.chunks.first() {
             Some(chunk) => chunk.vector(col).data.width(),
             None => ColumnData::width_for(0, 0),
         }
@@ -96,7 +77,7 @@ impl Table {
     /// stream chunk vectors instead).
     pub fn column_i64(&self, col: usize) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.rows());
-        for c in self.chunks() {
+        for c in &self.chunks {
             let v = c.vector(col);
             for i in 0..v.len() {
                 out.push(v.data.get_i64(i));
@@ -108,7 +89,7 @@ impl Table {
     /// Null mask of one column across all chunks.
     pub fn column_nulls(&self, col: usize) -> BitVec {
         let mut out = BitVec::zeros(0);
-        for c in self.chunks() {
+        for c in &self.chunks {
             let v = c.vector(col);
             for i in 0..v.len() {
                 out.push(v.is_null(i));
@@ -163,14 +144,14 @@ impl Table {
 
     /// Total in-memory bytes of the table's vectors.
     pub fn size_bytes(&self) -> usize {
-        self.chunks().map(Chunk::size_bytes).sum()
+        self.chunks.iter().map(Chunk::size_bytes).sum()
     }
 }
 
 /// Builder for [`Table`]: the load path.
 ///
 /// Rows sit in heap slots, and chunk `k` holds the live rows of slots
-/// `[k × chunk_rows, (k + 1) × chunk_rows)`, in partition `k % partitions`.
+/// `[k × chunk_rows, (k + 1) × chunk_rows)`.
 /// Rows pushed here fill slots in order; a checkpoint hands over the host
 /// heap's slots, deleted ones included, without copying them
 /// ([`over_slots`](Self::over_slots)). A rebuild against the table RAPID
@@ -181,7 +162,6 @@ pub struct TableBuilder<'a> {
     name: String,
     schema: Schema,
     chunk_rows: usize,
-    target_partitions: usize,
     /// Heap slots in order: a row, or `None` where one was deleted.
     slots: Cow<'a, [Option<Vec<Value>>]>,
     /// The previous build of these slots and, per chunk, the SCN of the
@@ -210,7 +190,6 @@ impl<'a> TableBuilder<'a> {
             name,
             schema,
             chunk_rows: crate::DEFAULT_CHUNK_ROWS,
-            target_partitions: 1,
             slots,
             base: None,
         }
@@ -222,20 +201,14 @@ impl<'a> TableBuilder<'a> {
         self
     }
 
-    /// Number of horizontal partitions (chunks distributed round-robin).
-    pub fn partitions(mut self, p: usize) -> Self {
-        self.target_partitions = p.max(1);
-        self
-    }
-
     /// Rebuild against `base`, an earlier build of the same slots: chunk `k`
     /// is `base`'s own where `stamps[k]`, the SCN of the last change to one
     /// of its `chunk_rows` slots, is not past `base.scn`. Every other chunk
     /// is encoded with `base`'s dictionaries, DSB scales and stored widths.
     /// The build derives every encoding afresh and encodes every chunk, as
-    /// without a base, where `base` is chunked, partitioned or typed
-    /// otherwise, where those encodings do not hold a value exactly — a
-    /// string the dictionary lacks, a decimal the scale cannot hold, a value
+    /// without a base, where `base` is chunked or typed otherwise, where
+    /// those encodings do not hold a value exactly — a string the
+    /// dictionary lacks, a decimal the scale cannot hold, a value
     /// past the stored width — and where they are more than the rows need:
     /// a string no row holds, a scale or a width no value needs any more.
     /// Either way the table is the one a build without a base gives.
@@ -272,20 +245,15 @@ impl<'a> TableBuilder<'a> {
     /// and not the slots, so a caller that lent the slots can take them
     /// back before [`EncodedTable::finish_at_scn`].
     pub fn encode(self) -> EncodedTable {
-        let parts = self.target_partitions;
         let chunked = || self.slots.chunks(self.chunk_rows);
         let patched = self
             .base
-            .filter(|(base, _)| {
-                base.schema == self.schema
-                    && base.chunk_rows == self.chunk_rows
-                    && base.partitions.len() == parts
-            })
+            .filter(|(base, _)| base.schema == self.schema && base.chunk_rows == self.chunk_rows)
             .and_then(|(base, stamps)| {
                 let enc = Encodings::of(base);
                 let chunks = chunked().enumerate().map(|(k, slots)| {
                     let unchanged = stamps.get(k).is_some_and(|&at| at <= base.scn);
-                    match base.partitions[k % parts].chunks.get(k / parts) {
+                    match base.chunks.get(k) {
                         Some(kept) if unchanged => Some(kept.clone()),
                         _ => match enc.encode(&self.schema, slots) {
                             (chunk, true) => Some(chunk),
@@ -301,16 +269,11 @@ impl<'a> TableBuilder<'a> {
             let chunks = chunked().map(|slots| enc.encode(&self.schema, slots).0);
             (chunks.collect(), enc)
         });
-
-        let mut partitions = vec![TablePartition::default(); parts];
-        for (k, chunk) in chunks.into_iter().enumerate() {
-            partitions[k % parts].chunks.push(chunk);
-        }
         EncodedTable {
             name: self.name,
             schema: self.schema,
             chunk_rows: self.chunk_rows,
-            partitions,
+            chunks,
             enc,
         }
     }
@@ -323,7 +286,7 @@ pub struct EncodedTable {
     name: String,
     schema: Schema,
     chunk_rows: usize,
-    partitions: Vec<TablePartition>,
+    chunks: Vec<Chunk>,
     enc: Encodings,
 }
 
@@ -331,12 +294,11 @@ impl EncodedTable {
     /// Compute the statistics, one sorted pass per column over the chunks,
     /// and stamp the table with `scn`.
     pub fn finish_at_scn(self, scn: Scn) -> Table {
-        let chunks = self.partitions.iter().flat_map(|p| &p.chunks);
-        let stats = TableStats::of_chunks(chunks, self.schema.len());
+        let stats = TableStats::of_chunks(&self.chunks, self.schema.len());
         Table {
             name: self.name,
             schema: self.schema,
-            partitions: self.partitions,
+            chunks: self.chunks,
             chunk_rows: self.chunk_rows,
             dicts: self.enc.dicts,
             scales: self.enc.scales,
@@ -510,16 +472,14 @@ fn approx_unscaled(v: &Value, scale: u8) -> i64 {
 mod tests {
     use super::*;
 
-    fn sample_table(partitions: usize, chunk_rows: usize) -> Table {
+    fn sample_table(chunk_rows: usize) -> Table {
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
             Field::new("price", DataType::Decimal { scale: 2 }),
             Field::new("flag", DataType::Varchar),
             Field::nullable("d", DataType::Date),
         ]);
-        let mut b = TableBuilder::new("t", schema)
-            .partitions(partitions)
-            .chunk_rows(chunk_rows);
+        let mut b = TableBuilder::new("t", schema).chunk_rows(chunk_rows);
         for i in 0..100i64 {
             b.push_row(vec![
                 Value::Int(i),
@@ -540,10 +500,10 @@ mod tests {
 
     #[test]
     fn build_shape_and_stats() {
-        let t = sample_table(2, 16);
+        let t = sample_table(16);
         assert_eq!(t.rows(), 100);
-        assert_eq!(t.partitions.len(), 2);
-        assert_eq!(t.chunks().count(), 7); // ceil(100/16)
+        assert_eq!(t.chunks.len(), 7); // ceil(100/16)
+        assert_eq!(t.chunks[6].rows(), 4, "the last chunk holds slots 96..100");
         assert_eq!(t.stats.rows, 100);
         assert_eq!(t.stats.columns[0].min, Some(0));
         assert_eq!(t.stats.columns[0].max, Some(99));
@@ -553,7 +513,7 @@ mod tests {
 
     #[test]
     fn dictionary_codes_are_order_preserving_at_load() {
-        let t = sample_table(1, 32);
+        let t = sample_table(32);
         let dict = t.dicts[2].as_ref().unwrap();
         assert!(dict.values().windows(2).all(|w| w[0] < w[1]));
         assert_eq!(dict.code_of("A"), Some(0));
@@ -566,7 +526,7 @@ mod tests {
 
     #[test]
     fn decimal_common_scale_and_decode() {
-        let t = sample_table(1, 32);
+        let t = sample_table(32);
         assert_eq!(t.scales[1], 2);
         let v = t.column_i64(1);
         assert_eq!(v[3], 325); // 3.25
@@ -602,7 +562,7 @@ mod tests {
 
     #[test]
     fn encode_value_for_predicates() {
-        let t = sample_table(1, 32);
+        let t = sample_table(32);
         assert_eq!(t.encode_value(0, &Value::Int(42)), Some(42));
         assert_eq!(
             t.encode_value(
@@ -620,11 +580,11 @@ mod tests {
 
     #[test]
     fn nulls_survive_chunking() {
-        let t = sample_table(3, 8);
+        let t = sample_table(8);
         let nulls = t.column_nulls(3);
-        // Chunks are distributed round-robin, so global row order is
-        // permuted — but the null *count* is invariant.
+        // Chunks keep slot order, so every tenth row is NULL.
         assert_eq!(nulls.count_ones(), 10);
+        assert!((0..100).all(|i| nulls.get(i) == (i % 10 == 0)));
     }
 
     #[test]
@@ -635,7 +595,7 @@ mod tests {
             b.push_row(vec![Value::Int(i % 100)]);
         }
         let t = b.finish();
-        let chunk = t.chunks().next().unwrap();
+        let chunk = &t.chunks[0];
         assert_eq!(chunk.vector(0).data.width(), 1, "values 0..100 fit in i8");
         assert_eq!(t.column_width(0), 1);
     }
@@ -644,12 +604,12 @@ mod tests {
     fn column_width_is_the_width_of_every_chunk() {
         // k 0..100 fits one byte, price up to 9925 two; flag's two codes
         // and d's first hundred days of 1970 one each.
-        let t = sample_table(3, 8);
+        let t = sample_table(8);
         assert_eq!(
             (0..4).map(|c| t.column_width(c)).collect::<Vec<_>>(),
             [1, 2, 1, 1]
         );
-        for chunk in t.chunks() {
+        for chunk in &t.chunks {
             for c in 0..4 {
                 assert_eq!(chunk.vector(c).data.width(), t.column_width(c));
             }
@@ -747,21 +707,14 @@ mod tests {
         ])
     }
 
-    /// `slots` built at `scn` in chunks of 4 slots over 2 partitions,
-    /// against `base` where given.
+    /// `slots` built at `scn` in chunks of 4 slots, against `base` where
+    /// given.
     fn build(slots: &[Option<Vec<Value>>], scn: u64, base: Option<(&Table, &[Scn])>) -> Table {
-        let mut b = TableBuilder::over_slots("s", slot_schema(), slots)
-            .chunk_rows(4)
-            .partitions(2);
+        let mut b = TableBuilder::over_slots("s", slot_schema(), slots).chunk_rows(4);
         if let Some((table, stamps)) = base {
             b = b.reusing(table, stamps);
         }
         b.finish_at_scn(Scn(scn))
-    }
-
-    /// Chunk `k` of a table built by [`build`].
-    fn chunk(t: &Table, k: usize) -> &Chunk {
-        &t.partitions[k % 2].chunks[k / 2]
     }
 
     fn keys(chunk: &Chunk) -> Vec<i64> {
@@ -771,7 +724,7 @@ mod tests {
     /// Everything a full build derives, compared with `t`.
     fn assert_same_as_full_build(t: &Table, slots: &[Option<Vec<Value>>]) {
         let full = build(slots, t.scn.0, None);
-        assert_eq!(t.partitions, full.partitions);
+        assert_eq!(t.chunks, full.chunks);
         assert_eq!(t.stats, full.stats);
         assert_eq!(t.scales, full.scales);
         let values = |t: &Table| -> Vec<Option<Vec<String>>> {
@@ -786,17 +739,17 @@ mod tests {
     #[test]
     fn chunks_follow_heap_slots() {
         // Slot 1 and all of chunk 1 (slots 4..8) are deleted: chunk 1 stays,
-        // empty, so chunk 2 still sits second in partition 0.
+        // empty, so chunk 2 still holds slots 8..12.
         let mut slots: Vec<_> = (0..10).map(slot).collect();
         slots[1] = None;
         slots[4..8].fill(None);
         let t = build(&slots, 1, None);
         assert_eq!(t.rows(), 5);
-        assert_eq!(keys(chunk(&t, 0)), [0, 2, 3]);
-        assert!(chunk(&t, 1).is_empty());
-        assert_eq!(keys(chunk(&t, 2)), [8, 9]);
+        assert_eq!(keys(&t.chunks[0]), [0, 2, 3]);
+        assert!(t.chunks[1].is_empty());
+        assert_eq!(keys(&t.chunks[2]), [8, 9]);
         assert_eq!(t.column_width(1), 1, "an empty chunk keeps its widths");
-        assert_eq!(chunk(&t, 1).vector(1).data.width(), 1);
+        assert_eq!(t.chunks[1].vector(1).data.width(), 1);
         assert_eq!(t.stats.columns[0].min, Some(0));
         assert_eq!(t.stats.columns[3].null_count, 1, "slot 0 (slot 5 is gone)");
     }
@@ -817,18 +770,18 @@ mod tests {
         slots.extend((10..13).map(slot));
         let stamps = [Scn(1), Scn(2), Scn(3), Scn(3)];
         let t = build(&slots, 3, Some((&base, &stamps)));
-        assert!(chunk(&t, 0).shares_vectors(chunk(&base, 0)));
+        assert!(t.chunks[0].shares_vectors(&base.chunks[0]));
         for k in 1..3 {
-            assert!(!chunk(&t, k).shares_vectors(chunk(&base, k)), "chunk {k}");
+            assert!(!t.chunks[k].shares_vectors(&base.chunks[k]), "chunk {k}");
         }
-        assert_eq!(keys(chunk(&t, 2)), [8, 10, 11]);
-        assert_eq!(keys(chunk(&t, 3)), [12]);
+        assert_eq!(keys(&t.chunks[2]), [8, 10, 11]);
+        assert_eq!(keys(&t.chunks[3]), [12]);
         assert_same_as_full_build(&t, &slots);
 
         // A chunk past the heap's end, or a chunk with no stamp, is not kept.
         let t = build(&slots[..6], 3, Some((&base, &stamps[..1])));
-        assert_eq!(t.chunks().count(), 2);
-        assert!(!chunk(&t, 1).shares_vectors(chunk(&base, 1)));
+        assert_eq!(t.chunks.len(), 2);
+        assert!(!t.chunks[1].shares_vectors(&base.chunks[1]));
         assert_same_as_full_build(&t, &slots[..6]);
     }
 
@@ -847,19 +800,16 @@ mod tests {
             changed[9].as_mut().unwrap()[col] = value.clone();
             let stamps = [Scn(1), Scn(1), Scn(2)];
             let t = build(&changed, 2, Some((&base, &stamps)));
-            assert!(!chunk(&t, 0).shares_vectors(chunk(&base, 0)), "{value:?}");
+            assert!(!t.chunks[0].shares_vectors(&base.chunks[0]), "{value:?}");
             assert_same_as_full_build(&t, &changed);
         }
-        // A base partitioned or chunked otherwise shares nothing either.
-        for (rows, parts) in [(4, 1), (5, 2)] {
-            let other = TableBuilder::over_slots("s", slot_schema(), &slots)
-                .chunk_rows(rows)
-                .partitions(parts)
-                .finish_at_scn(Scn(1));
-            let t = build(&slots, 2, Some((&other, &[Scn(1); 3])));
-            assert!(!chunk(&t, 0).shares_vectors(&other.partitions[0].chunks[0]));
-            assert_same_as_full_build(&t, &slots);
-        }
+        // A base chunked otherwise shares nothing either.
+        let other = TableBuilder::over_slots("s", slot_schema(), &slots)
+            .chunk_rows(5)
+            .finish_at_scn(Scn(1));
+        let t = build(&slots, 2, Some((&other, &[Scn(1); 3])));
+        assert!(!t.chunks[0].shares_vectors(&other.chunks[0]));
+        assert_same_as_full_build(&t, &slots);
     }
 
     #[test]
@@ -883,10 +833,7 @@ mod tests {
                 let mut changed = slots.clone();
                 changed[9] = row;
                 let t = build(&changed, 2, Some((&base, &[Scn(1), Scn(1), Scn(2)])));
-                assert!(
-                    !chunk(&t, 0).shares_vectors(chunk(&base, 0)),
-                    "column {col}"
-                );
+                assert!(!t.chunks[0].shares_vectors(&base.chunks[0]), "column {col}");
                 assert_same_as_full_build(&t, &changed);
             }
         }

@@ -21,8 +21,6 @@ pub struct TpchConfig {
     pub scale_factor: f64,
     /// RNG seed (tables derive per-table seeds from it).
     pub seed: u64,
-    /// Horizontal partitions per table.
-    pub partitions: usize,
     /// Rows per chunk.
     pub chunk_rows: usize,
 }
@@ -32,7 +30,6 @@ impl Default for TpchConfig {
         TpchConfig {
             scale_factor: 0.01,
             seed: 42,
-            partitions: 4,
             chunk_rows: 4096,
         }
     }
@@ -276,12 +273,9 @@ fn schema(table: &str) -> Schema {
     )
 }
 
-/// Build `table` from `rows`, in their order, at the configured partitions
-/// and chunk size.
+/// Build `table` from `rows`, in their order, at the configured chunk size.
 fn build(cfg: &TpchConfig, table: &str, rows: impl IntoIterator<Item = Vec<Value>>) -> Table {
-    let mut b = TableBuilder::new(table, schema(table))
-        .partitions(cfg.partitions)
-        .chunk_rows(cfg.chunk_rows);
+    let mut b = TableBuilder::new(table, schema(table)).chunk_rows(cfg.chunk_rows);
     b.extend_rows(rows);
     b.finish()
 }
@@ -480,7 +474,6 @@ mod tests {
         generate(&TpchConfig {
             scale_factor: 0.001,
             seed: 7,
-            partitions: 2,
             chunk_rows: 512,
         })
     }

@@ -13,7 +13,6 @@ fn tpch_db() -> HostDb {
     let data = tpch::generate(&tpch::TpchConfig {
         scale_factor: 0.002,
         seed: 20260705,
-        partitions: 2,
         chunk_rows: 1024,
     });
     let db = HostDb::new(ExecContext::dpu().with_cores(4));

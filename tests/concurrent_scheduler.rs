@@ -29,7 +29,6 @@ fn db() -> &'static HostDb {
         let data = tpch::generate(&tpch::TpchConfig {
             scale_factor: 0.005,
             seed: 20260705,
-            partitions: 3,
             chunk_rows: 1024,
         });
         let db = HostDb::new(rapid::qef::exec::ExecContext::dpu().with_cores(8));

@@ -25,7 +25,6 @@ fn setup() -> (HostDb, Catalog) {
     let data = tpch::generate(&tpch::TpchConfig {
         scale_factor: 0.005,
         seed: 20260705,
-        partitions: 3,
         chunk_rows: 1024,
     });
     let db = HostDb::new(ExecContext::dpu().with_cores(8));

@@ -19,7 +19,6 @@ fn tpch_db(scale_factor: f64) -> (HostDb, Catalog) {
     let data = tpch::generate(&tpch::TpchConfig {
         scale_factor,
         seed: 3,
-        partitions: 2,
         chunk_rows: 1024,
     });
     let db = HostDb::new(ExecContext::dpu().with_cores(8));

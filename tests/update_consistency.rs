@@ -19,9 +19,6 @@ use rapid::storage::table::{Table, TableBuilder};
 use rapid::storage::types::{DataType, Value};
 use rapid::storage::DEFAULT_CHUNK_ROWS;
 
-/// Partitions of every table a checkpoint ships.
-const PARTITIONS: usize = 4;
-
 #[derive(Debug, Clone)]
 enum Dml {
     Insert { k: i64, v: i64 },
@@ -69,11 +66,6 @@ fn rapid_t(db: &HostDb) -> Arc<Table> {
     Arc::clone(db.rapid().read().catalog().get("t").expect("t loaded"))
 }
 
-/// Chunk `k` of a shipped table: chunks go round-robin over partitions.
-fn chunk(table: &Table, k: usize) -> &Chunk {
-    &table.partitions[k % PARTITIONS].chunks[k / PARTITIONS]
-}
-
 /// The rows of `chunk`, decoded through `table`'s encodings.
 fn decoded(table: &Table, chunk: &Chunk) -> Vec<Vec<Value>> {
     (0..chunk.rows())
@@ -99,21 +91,19 @@ fn assert_shipped(db: &HostDb, previous: &Table, touched: &HashSet<usize>) -> Ar
     let host = host.read();
     assert_eq!(table.scn, host.scn, "RAPID is at the host's SCN");
     let slots = host.slots().chunks(DEFAULT_CHUNK_ROWS);
-    assert_eq!(table.chunks().count(), slots.len());
+    assert_eq!(table.chunks.len(), slots.len());
     for (k, slots) in slots.enumerate() {
         let live: Vec<Vec<Value>> = slots.iter().flatten().cloned().collect();
-        assert_eq!(decoded(&table, chunk(&table, k)), live, "chunk {k}");
-        let kept =
-            k < previous.chunks().count() && chunk(&table, k).shares_vectors(chunk(previous, k));
+        assert_eq!(decoded(&table, &table.chunks[k]), live, "chunk {k}");
+        let kept = previous
+            .chunks
+            .get(k)
+            .is_some_and(|was| table.chunks[k].shares_vectors(was));
         assert_eq!(kept, !touched.contains(&k), "chunk {k} shared");
     }
-    let full = TableBuilder::over_slots("t", host.schema.clone(), host.slots())
-        .partitions(PARTITIONS)
-        .finish_at_scn(host.scn);
-    assert_eq!(
-        table.partitions, full.partitions,
-        "chunks of a full rebuild"
-    );
+    let full =
+        TableBuilder::over_slots("t", host.schema.clone(), host.slots()).finish_at_scn(host.scn);
+    assert_eq!(table.chunks, full.chunks, "chunks of a full rebuild");
     assert_eq!(table.scales, full.scales, "scales of a full rebuild");
     assert_eq!(dict_values(&table), dict_values(&full), "dictionaries");
     assert_eq!(table.stats, full.stats, "statistics of a full rebuild");
@@ -227,7 +217,7 @@ fn a_chunk_whose_rows_are_all_deleted_ships_empty_and_every_engine_agrees() {
     db.commit("t", deletes).expect("commit");
     db.checkpoint("t").expect("checkpoint");
     let table = assert_shipped(&db, &loaded, &HashSet::from([1]));
-    assert!(chunk(&table, 1).is_empty());
+    assert!(table.chunks[1].is_empty());
     assert_eq!(table.rows(), 10_000 - DEFAULT_CHUNK_ROWS);
 
     let sql = "SELECT tag, COUNT(*) AS n, SUM(v) AS s, MIN(k) AS lo, MAX(k) AS hi \

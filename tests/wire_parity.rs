@@ -30,7 +30,6 @@ fn db() -> Arc<HostDb> {
         let data = tpch::generate(&tpch::TpchConfig {
             scale_factor: 0.002,
             seed: 20260805,
-            partitions: 3,
             chunk_rows: 1024,
         });
         let db = HostDb::new(rapid::qef::exec::ExecContext::dpu().with_cores(8));
