@@ -179,6 +179,9 @@ cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q6 > /dev/null
 # Q5's lineitem join declares a join filter: its `join.filter` stage and the
 # filtered round one of its probe side run in release outside the tests.
 cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q5 > /dev/null
+# Q18's three broadcast joins declare one each: their probe scans test it in
+# a key pass, and the customer probe in its `join.probe`.
+cargo run -q --release -p rapid-report -- trace --sf 0.01 --query Q18 > /dev/null
 # Stored against needed bytes of every scanned column, scan bytes against
 # the floor per statement: the table encoding work starts from.
 cargo run -q --release -p rapid-report -- widths --sf 0.01 > /dev/null

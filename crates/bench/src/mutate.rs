@@ -18,6 +18,7 @@ use std::sync::Arc;
 use dpu_sim::clock::Cycles;
 use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::{Expr, Pred};
+use rapid_qef::ops::join_filter::MIN_SLICE_BITS;
 use rapid_qef::plan::{AggSpec, Catalog, GroupStrategy, JoinType, NamedExpr, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::filter::CmpOp;
@@ -191,6 +192,9 @@ pub enum Mutation {
     /// A join filter on an anti join, which keeps the probe rows that match
     /// nothing.
     FilterAntiJoin,
+    /// The same on a broadcast anti join: its one slice does not make it
+    /// one that may drop a probe row.
+    FilterBroadcastAntiJoin,
 }
 
 impl Mutation {
@@ -213,6 +217,7 @@ impl Mutation {
             TileBelowMin,
             OnTheFlyOverLimit,
             FilterAntiJoin,
+            FilterBroadcastAntiJoin,
         ]
     }
 
@@ -232,7 +237,7 @@ impl Mutation {
             Mutation::InflatePastDmem => Rule::DmemFit,
             Mutation::TileBelowMin => Rule::TileMin,
             Mutation::OnTheFlyOverLimit => Rule::GroupLimit,
-            Mutation::FilterAntiJoin => Rule::JoinFilter,
+            Mutation::FilterAntiJoin | Mutation::FilterBroadcastAntiJoin => Rule::JoinFilter,
         }
     }
 
@@ -279,6 +284,15 @@ impl Mutation {
             })),
             Mutation::FilterAntiJoin => {
                 Mutated::Plan(filtered_join(JoinType::LeftAnti, Some(FILTER_BITS)))
+            }
+            Mutation::FilterBroadcastAntiJoin => {
+                let mut plan = filtered_join(JoinType::LeftAnti, Some(MIN_SLICE_BITS));
+                if let PlanNode::GroupBy { input, .. } = &mut plan {
+                    if let PlanNode::HashJoin { scheme, .. } = input.as_mut() {
+                        scheme.clear();
+                    }
+                }
+                Mutated::Plan(plan)
             }
         }
     }
@@ -596,17 +610,21 @@ mod tests {
     #[test]
     fn every_rule_has_a_mutation() {
         use std::collections::HashSet;
-        // The group-by's two are the join's rules over another node.
+        // The group-by's two are the join's rules over another node, and
+        // the broadcast anti join's filter the partitioned one's rule over
+        // a join of no rounds.
         let (once_more, of_rule): (Vec<Mutation>, Vec<Mutation>) =
             Mutation::all().into_iter().partition(|m| {
                 matches!(
                     m,
-                    Mutation::GroupByOverFanout | Mutation::GroupByNonPow2Fanout
+                    Mutation::GroupByOverFanout
+                        | Mutation::GroupByNonPow2Fanout
+                        | Mutation::FilterBroadcastAntiJoin
                 )
             });
         let covered: HashSet<&str> = of_rule.iter().map(|m| m.expected_rule().id()).collect();
         assert_eq!(covered.len(), of_rule.len(), "one rule per mutation");
-        assert_eq!(once_more.len(), 2);
+        assert_eq!(once_more.len(), 3);
         assert!(once_more
             .iter()
             .all(|m| covered.contains(m.expected_rule().id())));

@@ -1,6 +1,7 @@
 //! Seeded random table generation for the differential fuzzer.
 //!
-//! Tables are deliberately small (tens of rows) but adversarial: columns
+//! Tables are deliberately small (tens of rows, `ta` now and then hundreds)
+//! but adversarial: columns
 //! are NULL-dense, mix negative and positive values, and one column draws
 //! from the i64 boundary (`i64::MIN`, `i64::MAX`, `±1`, `±10^18`) so that
 //! overflow handling, order-preserving key transforms, and stored-width
@@ -96,10 +97,20 @@ fn small_int(rng: &mut Rng) -> i64 {
     }
 }
 
+/// Most rows `ta` has: now and then it is a wide probe side, hundreds of
+/// rows, over which a selective join's filter pays for its stage.
+pub const MAX_TA_ROWS: usize = 1000;
+
+/// Most rows `tb` has.
+pub const MAX_TB_ROWS: usize = 30;
+
 /// Generate the two fuzz tables `ta` and `tb`.
 pub fn gen_tables(rng: &mut Rng) -> Vec<TableSpec> {
-    let ta_rows = rng.range_i64(8, 40) as usize;
-    let tb_rows = rng.range_i64(6, 30) as usize;
+    let ta_rows = match rng.chance(40) {
+        true => rng.range_i64(500, MAX_TA_ROWS as i64),
+        false => rng.range_i64(8, 40),
+    } as usize;
+    let tb_rows = rng.range_i64(6, MAX_TB_ROWS as i64) as usize;
 
     let ta = TableSpec {
         name: "ta".into(),

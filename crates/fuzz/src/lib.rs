@@ -65,6 +65,8 @@ pub struct CaseReport {
     pub outcome: Result<Option<String>, String>,
     /// Whether the case's compiled plan declares a join filter.
     pub filtered: bool,
+    /// Whether one of them is on a broadcast join.
+    pub broadcast_filtered: bool,
 }
 
 /// Generate and execute the case for one seed.
@@ -75,11 +77,13 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
     let case = FuzzCase { tables, query };
     let run = run_sql(&case.tables, &case.sql());
     let filtered = run.as_ref().is_ok_and(|t| t.filtered);
+    let broadcast_filtered = run.as_ref().is_ok_and(|t| t.broadcast_filtered);
     CaseReport {
         seed,
         case,
         outcome: run.map(|t| t.divergence()),
         filtered,
+        broadcast_filtered,
     }
 }
 
@@ -101,6 +105,8 @@ pub struct FuzzReport {
     pub skipped: usize,
     /// Executed cases whose compiled plan declares a join filter.
     pub filtered: usize,
+    /// Of them, those with a filter on a broadcast join.
+    pub broadcast_filtered: usize,
     /// Divergences found, each minimized.
     pub divergences: Vec<Divergence>,
 }
@@ -185,6 +191,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         executed: 0,
         skipped: 0,
         filtered: 0,
+        broadcast_filtered: 0,
         divergences: Vec::new(),
     };
     let mut attempt = 0u64;
@@ -193,6 +200,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         attempt += 1;
         let r = fuzz_one(seed);
         report.filtered += usize::from(r.outcome.is_ok() && r.filtered);
+        report.broadcast_filtered += usize::from(r.outcome.is_ok() && r.broadcast_filtered);
         match r.outcome {
             Err(_) => report.skipped += 1,
             Ok(None) => report.executed += 1,
@@ -228,6 +236,7 @@ mod tests {
             executed: 5,
             skipped: 0,
             filtered: 0,
+            broadcast_filtered: 0,
             divergences: vec![Divergence {
                 seed: case_seed,
                 detail: "synthetic: host and dpu disagree on row 0".to_string(),

@@ -528,7 +528,7 @@ fn aggregate(rng: &mut Rng, env: &Env) -> String {
 }
 
 /// Rows an aggregate can see at most: all of `ta` joined to all of `tb`.
-const MAX_ROWS: f64 = 40.0 * 30.0;
+const MAX_ROWS: f64 = (crate::datagen::MAX_TA_ROWS * crate::datagen::MAX_TB_ROWS) as f64;
 
 /// Aggregates over one input: two or more of SUM, AVG and COUNT of a
 /// bounded expression — which a group table folds into one accumulator —
@@ -738,8 +738,8 @@ fn gen_select(rng: &mut Rng, set_op_classes: Option<&[SetOpClass]>) -> QuerySpec
         // one of `tb`'s few keys, so inner and semi joins of it filter
         // their probe side.
         let on = match rng.below(100) {
-            0..=39 => "ta_k = tb_k",
-            40..=54 => "ta_id = tb_id",
+            0..=29 => "ta_k = tb_k",
+            30..=49 => "ta_id = tb_id",
             _ => "ta_id = tb_k",
         };
         Some((kind, format!("{kind} tb ON {on}")))

@@ -56,6 +56,8 @@ pub struct TriOutcome {
     pub native: EngineOutcome,
     /// Whether the plan of the RAPID arm declares a join filter.
     pub filtered: bool,
+    /// Whether one of them is on a broadcast join.
+    pub broadcast_filtered: bool,
 }
 
 impl TriOutcome {
@@ -140,10 +142,15 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
 
     // What the RAPID arm's plan is: compiled for the context it runs on,
     // as the host database compiles it.
-    let filtered = {
+    let (filtered, broadcast_filtered) = {
         let catalog = db.rapid().read().catalog().clone();
         let compiled = rapid_qcomp::compile(&plan, &catalog, &CostParams::from_exec(&dpu));
-        compiled.is_ok_and(|c| declares_a_filter(&c.plan))
+        let declares = |broadcast| {
+            compiled
+                .as_ref()
+                .is_ok_and(|c| declares_a_filter(&c.plan, broadcast))
+        };
+        (declares(false) || declares(true), declares(true))
     };
     let host = guarded(|| {
         db.execute_on_host(&plan)
@@ -184,16 +191,22 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         dpu,
         native,
         filtered,
+        broadcast_filtered,
     })
 }
 
-/// Whether a join of `plan` declares a join filter.
-fn declares_a_filter(plan: &rapid_qef::plan::PlanNode) -> bool {
+/// Whether a join of `plan` declares a join filter: a broadcast join, one
+/// of no rounds, where `broadcast`, else a partitioned one.
+fn declares_a_filter(plan: &rapid_qef::plan::PlanNode, broadcast: bool) -> bool {
     match plan {
         rapid_qef::plan::PlanNode::HashJoin {
-            filter: Some(_), ..
-        } => true,
-        other => other.inputs().any(declares_a_filter),
+            filter: Some(_),
+            scheme,
+            ..
+        } if scheme.is_empty() == broadcast => true,
+        other => other
+            .inputs()
+            .any(|input| declares_a_filter(input, broadcast)),
     }
 }
 

@@ -957,8 +957,12 @@ impl Drop for HostDb {
 /// `scans` (from [`scan_columns`], same id space) puts `cols k/n` on every
 /// scan line: the columns the compiled scan moves, of its table's. Beside it
 /// the line names what ran: the access path (`stream` or `gather`) and the
-/// trips through the DMS each run of rows took. A partition line says after
-/// its lanes which round of its pass it is and the round's fan-out.
+/// trips through the DMS each run of rows took, `(key)` where one of them
+/// was the key pass that tested a join filter. A partition line says after
+/// its lanes which round of its pass it is and the round's fan-out; the
+/// stage that tested a join filter — a probe side's round one, a broadcast
+/// join's `join.probe` — says what it kept of the rows that entered the
+/// test, `filter kept=K/N`.
 fn render_explain(
     events: &[StageEvent],
     result: &QueryResult,
@@ -996,6 +1000,9 @@ fn render_explain(
                 let _ = write!(s, " cols {moved}/{of}");
                 if let Some(scan) = e.scan {
                     let _ = write!(s, " {} passes={}", scan.path, scan.passes);
+                    if scan.keyed {
+                        let _ = write!(s, " (key)");
+                    }
                 }
             }
             if i > 0 {

@@ -1096,12 +1096,13 @@ fn lower_join(
     }
 }
 
-/// `join` with a join filter where the estimate says one pays: a
-/// partitioned inner or semi join, its inputs estimated `build` and `probe`,
-/// declares the filter `join_filter::size_bits` sizes for the estimated build
-/// rows, in the room its probe side's first stage leaves at the tile it runs
-/// at (`PlanNode::probe_room`), where the estimate of the join with it is
-/// below the estimate without (`cost::filter_pays`).
+/// `join` with a join filter where the estimate says one pays: an inner or
+/// semi join, partitioned or broadcast, its inputs estimated `build` and
+/// `probe`, declares the filter `join_filter::size_bits` sizes for the
+/// estimated build rows — a slice for each of round one's partitions, one
+/// for a broadcast join — in the room its probe side's first stage leaves at
+/// the tile it runs at (`PlanNode::probe_room`), where the estimate of the
+/// join with it is below the estimate without (`cost::filter_pays`).
 fn join_filter(
     mut join: PlanNode,
     (build, probe): (&NodeEst, &NodeEst),
@@ -1116,9 +1117,7 @@ fn join_filter(
     else {
         return Ok(join);
     };
-    let Some(&fanout) = scheme.first() else {
-        return Ok(join);
-    };
+    let fanout = rapid_qef::ops::join_filter::slices(scheme);
     let ctx = &params.ctx;
     let room = join
         .probe_room(catalog, ctx.tile_rows, ctx.dmem_bytes)
@@ -1164,7 +1163,7 @@ fn broadcasts(
         plan.output_widths(catalog)
             .map_err(|e| CompileError::BadCatalog(e.to_string()))
     };
-    let decl = rapid_qef::task::join_probe_decl(&widths(probe)?, params.ctx.dmem_bytes);
+    let decl = rapid_qef::task::join_probe_decl(&widths(probe)?, params.ctx.dmem_bytes, 0);
     let table = rapid_qef::ops::join::broadcast_bytes(
         build_rows.ceil() as usize,
         nkeys,

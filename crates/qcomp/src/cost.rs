@@ -14,20 +14,22 @@
 //! with no rounds, broadcast, every lane reading the build side and building
 //! the whole table. A join filter is priced as it runs: the share of probe
 //! rows it keeps, the rows it drops no longer written (at their stored
-//! widths), mapped or gathered, and its build, its test a row and every
-//! probe lane's read of it; [`filter_pays`] is the compiler's one rule for
-//! declaring one. It is *not* the engine's charging rule: it prices
+//! widths), mapped, gathered or probed, and its build, its test a row and
+//! every probe lane's read of it; [`filter_pays`] is the compiler's one rule
+//! for declaring one, on a partitioned join or a broadcast one. It is *not* the engine's charging rule: it prices
 //! declared column widths rather than stored ones, sums operators one by one
-//! rather than per task, and does not model scan access paths. Measured at
-//! sf 0.02 on 32 cores, its estimate is 1.22–6.33× the simulated cycles of
-//! the eleven TPC-H statements (Q4 1.22, Q1 1.92, Q9 2.35, Q12 2.42, Q3
-//! 2.75, Q5 3.11, Q10 3.14, Q18 3.20, Q6 5.57, Q19 5.72, Q14 6.33; geomean
-//! 3.07), every one over-estimated (ROADMAP item 7): it charges a group
-//! lookup and an accumulator loop per aggregate where the engine indexes
-//! code keys by slot and shares accumulators, and computes every Map
-//! expression whole; `tests/tpch_sql.rs`
-//! holds it within 7× either way. The host database reuses it for offload
-//! decisions.
+//! rather than per task, and does not model scan access paths or the key
+//! pass in which a gathering scan tests a join filter. Measured at sf 0.02
+//! on 32 cores, its estimate is 1.22–6.33× the simulated cycles of the
+//! eleven TPC-H statements (Q4 1.22, Q9 2.51, Q12 2.77, Q1 2.89, Q18 3.93,
+//! Q10 4.30, Q5 5.10, Q3 5.21, Q6 5.58, Q19 5.72, Q14 6.33; geomean 3.78;
+//! at sf 0.05 0.97–6.89×, geomean 3.76), every one but Q4 at sf 0.05
+//! over-estimated (ROADMAP item 7): it charges a group lookup and an
+//! accumulator loop per aggregate where the engine indexes code keys by slot
+//! and shares accumulators, computes every Map expression whole, and prices
+//! a filtered probe side's scan at every row and column it would stream;
+//! `tests/tpch_sql.rs` holds it within 7× either way. The host database
+//! reuses it for offload decisions.
 //!
 //! The estimator prices a plan for the `ExecContext` the plan will run
 //! under, the one [`CostParams`] holds: the same cost model, cores, DMEM and
@@ -522,18 +524,21 @@ fn join_cycles(
     let match_frac = semi_match_fraction(b, pr, build_keys, probe_keys)
         .unwrap_or(0.5)
         .clamp(0.0, 1.0);
-    // A join filter: the share of probe rows round one partitions; of the
-    // rows it drops, the bytes the pass no longer writes, at the widths they
-    // are stored in; what building the filter and reading it in every probe
-    // lane move; and what building it and testing every probe row compute,
-    // less the map and the column gathers of the rows it drops.
-    let (kept, dropped, filter_wire, filter_compute) = match (filter, scheme.first()) {
-        (Some(bits), Some(&fanout)) => {
+    // A join filter: the share of probe rows round one partitions, or a
+    // broadcast join probes; of the rows it drops, the bytes a partition
+    // pass no longer writes, at the widths they are stored in; what building
+    // the filter and reading it in every probe lane move; and what building
+    // it — a lane a slice — and testing every probe row compute, less a
+    // partition pass's map and column gathers of the rows it drops. A
+    // broadcast join's one slice is built on the build side's tiles, a trip
+    // round the control loop each, and merged where more than one lane
+    // built a copy.
+    let (kept, dropped, filter_wire, filter_compute) = match filter {
+        Some(bits) => {
             let kept = join_filter::kept_fraction(match_frac, b.cost.rows, bits);
             let dropped_rows = (1.0 - kept) * pr.cost.rows;
             let stored = |plan: &PlanNode| plan.output_widths(catalog).unwrap_or_default();
             let probe_widths = stored(probe);
-            let dropped = dropped_rows * probe_widths.iter().sum::<usize>() as f64;
             let tiles = (pr.cost.rows / p.ctx.tile_rows as f64).ceil();
             let lanes = cores.min(tiles).max(1.0);
             let read = join_filter::read_cost(cm, bits).cycles;
@@ -544,13 +549,35 @@ fn join_cycles(
             let set = build_keys.len() as f64 * cm.kernel_cycles(&costs::hash_per_row_per_key())
                 + cm.kernel_cycles(&costs::join_filter_set_per_row());
             let test = cm.kernel_cycles(&costs::join_filter_test_per_row());
-            let partitioned = 2.0 * cm.kernel_cycles(&costs::partition_map_per_row())
-                + probe_widths.len() as f64 * cm.kernel_cycles(&costs::swpart_gather_per_row());
-            let compute = b.cost.rows * set / cores.min(fanout as f64)
-                + (pr.cost.rows * test - dropped_rows * partitioned) / cores;
-            (kept, dropped, wire, compute)
+            if scheme.is_empty() {
+                // The build side's tiles on as many lanes, each building a
+                // copy of the one slice; where there are several, one core
+                // reads and ORs them and writes the filter.
+                let build_tiles = (b.cost.rows / p.ctx.tile_rows as f64).ceil().max(1.0);
+                let builders = cores.min(build_tiles);
+                let trips = cm.per_tile_overhead_cycles * (build_tiles / builders).ceil();
+                let built = b.cost.rows * set / builders + trips;
+                let merged = match builders > 1.0 {
+                    true => {
+                        let words = (bits / 64) as f64;
+                        builders * words * cm.kernel_cycles(&costs::join_filter_merge_per_word())
+                            + cm.per_tile_overhead_cycles
+                    }
+                    false => 0.0,
+                };
+                let copies = 2.0 * (builders - 1.0) * read;
+                let compute = built + merged + pr.cost.rows * test / cores;
+                (kept, 0.0, wire + copies, compute)
+            } else {
+                let dropped = dropped_rows * probe_widths.iter().sum::<usize>() as f64;
+                let partitioned = 2.0 * cm.kernel_cycles(&costs::partition_map_per_row())
+                    + probe_widths.len() as f64 * cm.kernel_cycles(&costs::swpart_gather_per_row());
+                let built = b.cost.rows * set / cores.min(join_filter::slices(scheme) as f64);
+                let compute = built + (pr.cost.rows * test - dropped_rows * partitioned) / cores;
+                (kept, dropped, wire, compute)
+            }
         }
-        _ => (1.0, 0.0, 0.0, 0.0),
+        None => (1.0, 0.0, 0.0, 0.0),
     };
     let build_cy = b.cost.rows * cm.kernel_cycles(&costs::join_build_per_row());
     let probe_cy = kept
@@ -560,8 +587,8 @@ fn join_cycles(
     let (wire, compute) = if scheme.is_empty() {
         // Broadcast: every lane reads the build side and builds the whole
         // table, then probes its share of rows where they lie.
-        let wire = cores * b.cost.output_bytes() / cm.dms_bytes_per_cycle();
-        (wire, build_cy + probe_cy / cores)
+        let wire = cores * b.cost.output_bytes() / cm.dms_bytes_per_cycle() + filter_wire;
+        (wire, build_cy + probe_cy / cores + filter_compute)
     } else {
         // Partition both sides (read+write through the DMS) — of the probe
         // side what a filter keeps — build, probe.
@@ -572,10 +599,10 @@ fn join_cycles(
     wire.max(compute) + wire.min(compute) * 0.15
 }
 
-/// Whether a join filter of `bits` bits makes the partitioned `join`, over
-/// inputs estimated `build` and `probe`, cheaper: the estimate of the join
-/// with it against the estimate without, which differ in the join's own
-/// cycles alone.
+/// Whether a join filter of `bits` bits makes `join`, partitioned or
+/// broadcast, over inputs estimated `build` and `probe`, cheaper: the
+/// estimate of the join with it against the estimate without, which differ
+/// in the join's own cycles alone.
 pub fn filter_pays(
     join: &PlanNode,
     build: &NodeEst,

@@ -267,6 +267,16 @@ impl<'a> Positions<'a> {
         }
     }
 
+    /// The positions of the rows `ids` number, the id `at` lying at
+    /// `start`.
+    pub fn of_ids(start: usize, ids: &'a [u32], at: usize) -> Self {
+        Positions {
+            start,
+            ids: Some((ids, at)),
+            len: ids.len(),
+        }
+    }
+
     /// How many.
     pub fn len(&self) -> usize {
         self.len
@@ -749,7 +759,8 @@ mod tests {
                     Span::new(std::slice::from_ref(&chunk), 0..1000),
                     256,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
             assert_eq!(rows.rows(), 500);
             let selects = path == AccessPath::Stream;
             assert_eq!(
@@ -818,7 +829,8 @@ mod tests {
                     Span::new(std::slice::from_ref(&chunk), 0..1000),
                     256,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
             let gathered = matches!(
                 rows,
                 Rows::InPlace {

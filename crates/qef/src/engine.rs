@@ -489,10 +489,18 @@ impl<'e> Run<'e> {
     /// rows it is handed (`step` charges its own). A chain that does not fit
     /// on its own is refused ([`QefError::DmemExhausted`]): there is nothing
     /// left to cut.
+    ///
+    /// `probe` is the join filter the task's last stage tests, where it is
+    /// a probe side's first stage that has one, and the join's keys over
+    /// what the chain hands on. The scan tests it instead wherever it takes
+    /// the gather path ([`ops::filter::ScanPlan::decide`]); `step` is handed
+    /// the filter left for it to test, and the event says what the scan's
+    /// test kept.
     fn run_task<'a, R: Send>(
         &mut self,
         task: Task<'a>,
-        step: impl Fn(&mut CoreCtx, Rows<'a>, usize) -> QefResult<R> + Sync,
+        probe: Option<(&'a [usize], &'a JoinFilter)>,
+        step: impl Fn(&mut CoreCtx, Rows<'a>, usize, Option<&'a JoinFilter>) -> QefResult<R> + Sync,
     ) -> QefResult<TaskRun<'a, R>>
     where
         'e: 'a,
@@ -513,8 +521,21 @@ impl<'e> Run<'e> {
         let own_top = decls.len() == chain.above.len() + 1;
         let (tile, working_set) = self.task_tile(&decls)?;
         let (columns, pred) = (chain.columns, chain.pred);
-        let scan =
-            ops::filter::ScanPlan::decide(self.ctx, table, columns, pred, touched, tile, &kept);
+        // The keys as the table's columns, and the share of rows the filter
+        // keeps: the build rows match at most as many of the probe rows as
+        // their keys' distinct values say.
+        let key = probe.and_then(|(keys, filter)| {
+            let cols = chain.table_columns(keys)?;
+            let ndv = cols
+                .iter()
+                .map(|&c| table.stats.column(c).map_or(1, |s| s.ndv));
+            let kept = filter.kept_share(ndv.map(|n| n as f64).product());
+            Some(ops::filter::KeyTest { cols, filter, kept })
+        });
+        let scan = ops::filter::ScanPlan::decide(
+            self.ctx, table, columns, pred, touched, tile, &kept, key,
+        );
+        let untested = probe.filter(|_| !scan.tests_keys()).map(|(_, f)| f);
         // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`
         // of the table's rows in chunk order, which is heap-slot order.
         let rows = table.rows();
@@ -530,6 +551,7 @@ impl<'e> Run<'e> {
         let traced = if self.sink.is_some() { ops_of_chain } else { 0 };
         let handed: Vec<AtomicU64> = (0..traced).map(|_| AtomicU64::new(0)).collect();
         let scanned_bytes = AtomicU64::new(0);
+        let (key_tested, key_kept) = (AtomicU64::new(0), AtomicU64::new(0));
         let count = |op: usize, rows: &Rows<'_>| {
             if let Some(handed) = handed.get(op) {
                 handed.fetch_add(rows.rows() as u64, Ordering::Relaxed);
@@ -537,9 +559,15 @@ impl<'e> Run<'e> {
         };
         let (results, timing) = run_stage(self.ctx, lanes, |core, lane| {
             let _vectors = core.dmem.reserve_raw(working_set)?;
-            let mut rows = scan.scan_rows(core, Span::new(&table.chunks, lane), tile)?;
+            let (mut rows, entered) = scan.scan_rows(core, Span::new(&table.chunks, lane), tile)?;
             scanned_bytes.fetch_add(core.account.counters().dms_bytes, Ordering::Relaxed);
-            count(0, &rows);
+            if let Some(handed) = handed.first() {
+                handed.fetch_add(entered as u64, Ordering::Relaxed);
+            }
+            if scan.tests_keys() {
+                key_tested.fetch_add(entered as u64, Ordering::Relaxed);
+                key_kept.fetch_add(rows.rows() as u64, Ordering::Relaxed);
+            }
             for (op, node) in (1..).zip(&chain.above) {
                 if rows.rows() == 0 {
                     break;
@@ -552,7 +580,7 @@ impl<'e> Run<'e> {
                 };
                 count(op, &rows);
             }
-            step(core, rows, tile)
+            step(core, rows, tile, untested)
         })?;
         // Pre-order ids: the chain's nodes follow the node whose stage this
         // is — which is the topmost of them where no consumer joined.
@@ -587,6 +615,11 @@ impl<'e> Run<'e> {
                 scan: Some(ScanAccess {
                     path: scan.path(),
                     passes: scan.dms_passes() as u32,
+                    keyed: scan.tests_keys(),
+                }),
+                filter: scan.tests_keys().then(|| FilterKept {
+                    tested: key_tested.into_inner(),
+                    kept: key_kept.into_inner(),
                 }),
                 fused: ops,
                 ..Detail::default()
@@ -619,7 +652,7 @@ impl<'e> Run<'e> {
     /// one batch per lane that kept a row.
     fn exec_chain(&mut self, chain: ScanChain<'_>) -> QefResult<Vec<Batch>> {
         let (task, _) = chain.task(self.catalog)?;
-        let run = self.run_task(task, |core, rows, _| Ok(rows.into_batch(core)))?;
+        let run = self.run_task(task, None, |core, rows, _, _| Ok(rows.into_batch(core)))?;
         let out: Vec<Batch> = run.results.into_iter().filter(|b| !b.is_empty()).collect();
         self.stage(&run.timing, run.top, run.rows, run.detail);
         Ok(out)
@@ -638,7 +671,7 @@ impl<'e> Run<'e> {
     ) -> QefResult<(Vec<R>, StageTiming, Detail, u64)> {
         let (catalog, ctx) = (self.catalog, self.ctx);
         if let Some(task) = node.input_task(0, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
-            let run = self.run_task(task, |core, rows, tile| {
+            let run = self.run_task(task, None, |core, rows, tile, _| {
                 charge_further_tiles(core, rows.rows(), tile);
                 step(core, rows)
             })?;
@@ -738,8 +771,9 @@ impl<'e> Run<'e> {
         ops::partition::check_scheme(scheme)?;
         // `input_task` found a round one to run in the task.
         let fanout = scheme[0];
-        let mut run = self.run_task(task, |core, rows, tile| {
-            let map = RoundStep::first(keys, fanout, tile, filter).map_rows(core, &rows);
+        let probe = filter.map(|f| (keys, f));
+        let mut run = self.run_task(task, probe, |core, rows, tile, untested| {
+            let map = RoundStep::first(keys, fanout, tile, untested).map_rows(core, &rows);
             Ok((rows, map))
         })?;
         let first = ops::partition::scatter_lanes(fanout, &run.results);
@@ -749,7 +783,10 @@ impl<'e> Run<'e> {
             fanout: fanout as u32,
         });
         let rows = run.rows;
-        run.detail.filter = ops::partition::filtered(filter, rows as usize, &first);
+        // Where the scan did not test the rows, round one did.
+        if run.detail.filter.is_none() {
+            run.detail.filter = ops::partition::filtered(filter, rows as usize, &first);
+        }
         self.stage(&run.timing, operator, rows, run.detail);
         ops::partition::partition_rounds_after(self.ctx, first, keys, scheme, tile, |t, round| {
             self.stage(t, operator, rows, Detail::round(round, None))
@@ -774,7 +811,8 @@ impl<'e> Run<'e> {
             ops::join_filter::check(bits, join_type, scheme).map_err(QefError::BadPlan)?;
         }
         if scheme.is_empty() {
-            return self.exec_broadcast(node, build, probe, build_keys, probe_keys, join_type);
+            let keys = (build_keys, probe_keys);
+            return self.exec_broadcast(node, (build, probe), keys, join_type, filter);
         }
         let build_widths = build.output_widths(self.catalog)?;
         let probe_widths = probe.output_widths(self.catalog)?;
@@ -820,7 +858,7 @@ impl<'e> Run<'e> {
     /// `parts`, the partitions the build side's pass of `scheme` wrote. A
     /// lane builds the slice of one round-one partition — the partitions the
     /// rounds after it made of it, which lie together — holding the slice
-    /// and its key streams ([`crate::task::join_filter_decl`]).
+    /// and its key streams ([`Self::filter_lanes`]).
     fn join_filter(
         &mut self,
         parts: &[Batch],
@@ -829,50 +867,121 @@ impl<'e> Run<'e> {
         scheme: &[usize],
         bits: usize,
     ) -> QefResult<JoinFilter> {
+        let fanout = scheme[0];
+        let (key_widths, tile, working_set) = self.filter_lanes(keys, widths, bits, fanout)?;
+        let of_partition: usize = scheme[1..].iter().product();
+        let mut words = vec![0; bits / 64];
+        let lanes = parts
+            .chunks(of_partition)
+            .zip(words.chunks_mut(bits / 64 / fanout))
+            .collect();
+        let (_, t) = run_stage(self.ctx, lanes, |core, (parts, slice)| {
+            let _slice = core.dmem.reserve_raw(working_set)?;
+            let parts = parts.iter().map(crate::batch::Run::of_batch);
+            ops::join_filter::build_slice(core, parts, keys, &key_widths, slice, tile)
+        })?;
+        let build_rows = batch_rows(parts);
+        self.stage(&t, "join.filter", build_rows, Detail::default());
+        Ok(JoinFilter::of_slices(words, fanout, build_rows as usize))
+    }
+
+    /// A broadcast join's `join.filter` stage: the filter of `bits` bits, one
+    /// slice, over the keys of `build`, its build side (stored `widths`).
+    /// Each of `min(cores, tiles)` lanes builds a copy over a tile-aligned
+    /// range of the rows ([`Self::filter_lanes`]), and where there is more
+    /// than one a `join.filter.merge` stage on one core ORs them into the
+    /// filter.
+    fn broadcast_filter(
+        &mut self,
+        build: &Batch,
+        keys: &[usize],
+        widths: &[usize],
+        bits: usize,
+    ) -> QefResult<JoinFilter> {
+        let (key_widths, tile, working_set) = self.filter_lanes(keys, widths, bits, 1)?;
+        let rows = build.rows();
+        let tiles = rows.div_ceil(tile).max(1);
+        let lanes = self.ctx.cores.clamp(1, tiles);
+        let ranges: Vec<Range<usize>> = (0..lanes)
+            .map(|l| l * tiles / lanes * tile..rows.min((l + 1) * tiles / lanes * tile))
+            .collect();
+        let (mut copies, t) = run_stage(self.ctx, ranges, |core, rows| {
+            let _filter = core.dmem.reserve_raw(working_set)?;
+            let run = crate::batch::Run {
+                rows,
+                ..crate::batch::Run::of_batch(build)
+            };
+            let mut copy = vec![0; bits / 64];
+            ops::join_filter::build_slice(core, [run], keys, &key_widths, &mut copy, tile)?;
+            Ok(copy)
+        })?;
+        self.stage(&t, "join.filter", rows as u64, Detail::default());
+        let words = match copies.len() {
+            1 => copies.pop().unwrap_or_default(),
+            _ => {
+                let (mut merged, t) = run_stage(self.ctx, vec![copies], |core, copies| {
+                    let mut words = vec![0; bits / 64];
+                    ops::join_filter::merge_copies(core, &copies, &mut words);
+                    Ok(words)
+                })?;
+                self.stage(&t, "join.filter.merge", rows as u64, Detail::default());
+                merged.pop().unwrap_or_default()
+            }
+        };
+        Ok(JoinFilter::of_slices(words, 1, rows))
+    }
+
+    /// What a lane of a `join.filter` stage over `keys` of a build side
+    /// stored `widths` needs to build a slice of a filter of `bits` bits cut
+    /// into `slices`: the keys' widths, and the tile it reads them at and the
+    /// DMEM it holds ([`crate::task::join_filter_decl`]).
+    fn filter_lanes(
+        &self,
+        keys: &[usize],
+        widths: &[usize],
+        bits: usize,
+        slices: usize,
+    ) -> QefResult<(Vec<usize>, usize, usize)> {
         let key_widths = keys
             .iter()
             .map(|&k| widths.get(k).copied())
             .collect::<Option<Vec<usize>>>()
             .ok_or_else(|| QefError::BadPlan("join key out of the build side's columns".into()))?;
-        let fanout = scheme[0];
-        let decl = crate::task::join_filter_decl(&key_widths, bits, fanout);
+        let decl = crate::task::join_filter_decl(&key_widths, bits, slices);
         let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
-        let of_partition: usize = scheme[1..].iter().product();
-        let mut words = vec![0; bits / 64];
-        let lanes = parts
-            .chunks(of_partition.max(1))
-            .zip(words.chunks_mut(bits / 64 / fanout))
-            .collect();
-        let (_, t) = run_stage(self.ctx, lanes, |core, (parts, slice)| {
-            let _slice = core.dmem.reserve_raw(working_set)?;
-            ops::join_filter::build_slice(core, parts, keys, &key_widths, slice, tile)
-        })?;
-        self.stage(&t, "join.filter", batch_rows(parts), Detail::default());
-        Ok(JoinFilter::of_slices(words, fanout))
+        Ok((key_widths, tile, working_set))
     }
 
     /// A join of no rounds, broadcast ([`ops::join::Broadcast`]): the build
-    /// side runs as a node of its own and is concatenated, and every lane of
-    /// the probe's `join.probe` stage reads all of it, builds its table in
-    /// the state the stage declares and probes its own rows. The stage is
-    /// the last operator of the probe's task wherever they fit together
+    /// side runs as a node of its own and is concatenated, the `join.filter`
+    /// stage builds the join filter of `filter` bits over it where the join
+    /// declares one, and every lane of the probe's `join.probe` stage reads
+    /// all of it, builds its table in the state the stage declares and
+    /// probes its own rows — of them, where the join has a filter and the
+    /// probe's scan did not test them, the rows whose bit is set. The stage
+    /// is the last operator of the probe's task wherever they fit together
     /// ([`PlanNode::input_task`]); else it runs over the probe's batches,
     /// dealt to the lanes in runs so that a lane builds the table once.
     fn exec_broadcast(
         &mut self,
         node: &PlanNode,
-        build: &PlanNode,
-        probe: &PlanNode,
-        build_keys: &[usize],
-        probe_keys: &[usize],
+        (build, probe): (&PlanNode, &PlanNode),
+        (build_keys, probe_keys): (&[usize], &[usize]),
         join_type: JoinType,
+        filter: Option<usize>,
     ) -> QefResult<Vec<Batch>> {
         let (catalog, ctx) = (self.catalog, self.ctx);
         let build_widths = build.output_widths(catalog)?;
         let probe_widths = probe.output_widths(catalog)?;
         let built = self.exec_node(build)?;
         let built = Batch::concat(built.into_iter().filter(|b| !b.is_empty()).collect());
-        let decl = crate::task::join_probe_decl(&probe_widths, ctx.dmem_bytes);
+        let filter = match filter {
+            Some(bits) => Some(self.broadcast_filter(&built, build_keys, &build_widths, bits)?),
+            None => None,
+        };
+        let filter = filter.as_ref();
+        let held = filter.map_or(0, |f| ops::join_filter::bytes(f.bits()));
+        let decl = crate::task::join_probe_decl(&probe_widths, ctx.dmem_bytes, held);
         let join = ops::join::Broadcast {
             build: &built,
             build_keys,
@@ -883,17 +992,21 @@ impl<'e> Run<'e> {
                 built.rows(),
                 build_keys.len(),
                 build_widths.iter().sum(),
-                decl.state_bytes,
+                decl.state_bytes - held,
             ),
         };
-        let (out, timing, detail) =
+        let (out, timing, mut detail, tested) =
             if let Some(task) = node.input_task(1, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
-                let run = self.run_task(task, |core, rows, tile| join.lane(core, [rows], tile))?;
-                (run.results, run.timing, run.detail)
+                let probe = filter.map(|f| (probe_keys, f));
+                let run = self.run_task(task, probe, |core, rows, tile, untested| {
+                    join.lane(core, [rows], tile, untested)
+                })?;
+                (run.results, run.timing, run.detail, run.rows)
             } else {
                 let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
                 let batches: Vec<Batch> = self.exec_node(probe)?;
                 let batches: Vec<Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
+                let in_rows = batch_rows(&batches);
                 // Lane `l` holds batches `l * n / lanes .. (l + 1) * n / lanes`.
                 let (n, lanes) = (batches.len(), ctx.cores.min(batches.len()));
                 let mut dealt: Vec<Vec<Batch>> = (0..lanes).map(|_| Vec::new()).collect();
@@ -902,13 +1015,20 @@ impl<'e> Run<'e> {
                 }
                 let (out, t) = run_stage(ctx, dealt, |core, lane| {
                     let _state = core.dmem.reserve_raw(working_set)?;
-                    join.lane(core, lane.into_iter().map(Rows::Owned), tile)
+                    join.lane(core, lane.into_iter().map(Rows::Owned), tile, filter)
                 })?;
-                (out, t, Detail::default())
+                (out, t, Detail::default(), in_rows)
             };
+        // Where the scan did not test the rows, the probe did.
+        if detail.filter.is_none() && filter.is_some() {
+            detail.filter = Some(FilterKept {
+                tested,
+                kept: out.iter().map(|(_, probed)| *probed as u64).sum(),
+            });
+        }
         let out: Vec<Batch> = out
             .into_iter()
-            .flatten()
+            .flat_map(|(batches, _)| batches)
             .filter(|b| !b.is_empty())
             .collect();
         self.stage(&timing, "join.probe", batch_rows(&out), detail);
@@ -1489,6 +1609,33 @@ mod tests {
                         _ => &["scan(n)", "join.probe"],
                     };
                     assert_eq!(ran, expect, "{what}");
+                    if !matches!(join_type, JoinType::Inner | JoinType::LeftSemi) {
+                        continue;
+                    }
+                    // With a join filter: its stage over the build side —
+                    // and the merge of its lanes' copies, where the build
+                    // side is more than a tile — between the build and the
+                    // probe, which tests what its scan did not.
+                    let mut filtered = plan;
+                    if let PlanNode::HashJoin { filter, .. } = &mut filtered {
+                        *filter = Some(1024);
+                    }
+                    let (out, _) = e.execute(&filtered).unwrap();
+                    assert_eq!(rows(&out.batch), rows(&partitioned.batch), "{what}");
+                    let events = sink.take();
+                    let built = events.iter().find(|e| e.operator == "join.filter").unwrap();
+                    let mut expect = vec!["scan(n)", "join.filter"];
+                    if built.parallelism > 1 {
+                        expect.push("join.filter.merge");
+                    }
+                    match *case {
+                        "batches" => expect.extend(["scan(n)", "join.probe", "join.probe"]),
+                        _ => expect.push("join.probe"),
+                    }
+                    let ran: Vec<&str> = events.iter().map(|e| e.operator.as_str()).collect();
+                    assert_eq!(ran, expect, "{what}");
+                    let tested = events.iter().filter_map(|e| e.filter);
+                    assert_eq!(tested.count(), 1, "{what}: one stage tests the rows");
                 }
             }
         }

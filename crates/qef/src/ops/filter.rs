@@ -29,7 +29,15 @@
 //!      columns through the DMS and narrows the row set, shipped as RIDs
 //!      once fewer than 1/32 of the rows are expected to be left — the
 //!      scan's choice, the same for every run of every lane,
-//!   4. projection columns are gathered last (late materialization): the
+//!   4. where the task's last stage is a probe side's first stage whose
+//!      join has a filter ([`crate::ops::join_filter`]), the **key pass**:
+//!      the join's key columns are streamed if it is the first pass, else
+//!      gathered at the rows that survived; their hashes are tested a run
+//!      of rows at a time in buffers on the stack ([`KeyTest`]), and only
+//!      the rows whose bit is set are left — a row that cannot match is
+//!      read no further than its keys, and the stage above does not test
+//!      it again,
+//!   5. projection columns are gathered last (late materialization): the
 //!      DMS packs the kept rows densely in DMEM ([`Pick::Gathered`]), and
 //!      reading them costs the operators above nothing more.
 //!
@@ -43,7 +51,11 @@
 //! The stream path's compute counts what the task's operators do with the
 //! kept rows as the engine charges it ([`KeptRows`]): a read through the
 //! selection per loop that reads them in place, a compaction of each column
-//! a lane writes.
+//! a lane writes. A key pass is priced as it runs — its key stream or
+//! gather, and the projection gathered at the share of rows the filter keeps
+//! ([`crate::ops::join_filter::JoinFilter::kept_share`]) — and both paths
+//! charge the hash and test of every row that enters it, the scan's or the
+//! stage's: the test alone does not pick the path, the bytes it saves do.
 
 use dpu_sim::account::Kernel;
 use dpu_sim::isa::CostModel;
@@ -55,11 +67,13 @@ use rapid_storage::vector::{ColumnData, Vector};
 
 use std::ops::Range;
 
-use crate::batch::{Batch, ColumnBuilder, Pick, Projection, Rows, Span};
+use crate::batch::{Batch, ColumnBuilder, Pick, Positions, Projection, Rows, Span};
 use crate::error::{QefError, QefResult};
 use crate::exec::{CoreCtx, ExecContext};
 use crate::expr::Pred;
+use crate::ops::join_filter::JoinFilter;
 use crate::primitives::costs;
+use crate::primitives::hash::hash_pieces_into;
 use crate::ra::{chunk_widths, AccessPath, RelationAccessor};
 use crate::selectivity::{conjunction_selectivity, estimate_selectivity_cols};
 use crate::task::KeptRows;
@@ -94,6 +108,20 @@ impl Pass<'_> {
     }
 }
 
+/// The join filter the last stage of a scan's task would test the rows the
+/// scan hands on against ([`crate::ops::join_filter`]): on the gather path
+/// the scan tests it in a pass of its own, the key pass.
+#[derive(Debug)]
+pub struct KeyTest<'a> {
+    /// The join's probe keys, as columns of the scanned table.
+    pub cols: Vec<usize>,
+    /// The built filter.
+    pub filter: &'a JoinFilter,
+    /// The share of the rows it is expected to keep
+    /// ([`JoinFilter::kept_share`]).
+    pub kept: f64,
+}
+
 /// How one scan reads its table: the access path and the conjuncts in
 /// evaluation order, pass by pass — decided once per scan, run per chunk.
 #[derive(Debug)]
@@ -101,6 +129,8 @@ pub struct ScanPlan<'a> {
     path: AccessPath,
     /// On the stream path one pass holds every conjunct.
     passes: Vec<Pass<'a>>,
+    /// The key pass, after the predicate passes: on the gather path only.
+    key: Option<KeyTest<'a>>,
     proj: &'a [usize],
     /// Every column the scan touches, ascending: the stream path's loop.
     touched: Vec<usize>,
@@ -264,7 +294,18 @@ impl Model<'_> {
         }
     }
 
-    /// One chunk on the gather path.
+    /// Compute a row of the key pass takes: the hash of its keys and the
+    /// test of its bit — wherever the row is tested, by the scan or by the
+    /// last stage of its task.
+    fn key_test(&self, key: &KeyTest<'_>) -> f64 {
+        key.cols.len() as f64 * self.cm.kernel_cycles(&costs::hash_per_row_per_key())
+            + self.cm.kernel_cycles(&costs::join_filter_test_per_row())
+    }
+
+    /// One chunk on the gather path: the predicate passes, the key pass —
+    /// its columns streamed where it is the first pass, gathered at the
+    /// rows the predicate kept otherwise — and the projection gathered at
+    /// the rows left.
     fn gather_path(&self, plan: &ScanPlan<'_>) -> ChunkCost {
         let per_row = self.cm.kernel_cycles(&costs::filter_per_row());
         let mut cost = ChunkCost::default();
@@ -277,6 +318,14 @@ impl Model<'_> {
                 cost.compute +=
                     self.cm.kernel_cycles(&costs::filter_rid_emit_per_match()) * entering;
             }
+        }
+        if let Some(key) = &plan.key {
+            cost.dms += match plan.passes.is_empty() {
+                true => self.stream(&key.cols),
+                false => self.gather(&key.cols, entering),
+            };
+            cost.compute += self.key_test(key) * entering;
+            entering *= key.kept;
         }
         cost.dms += self.gather(plan.proj, entering);
         cost
@@ -295,6 +344,10 @@ impl Model<'_> {
             * kept.writes as f64;
         let select = |&cols: &usize| self.cm.kernel_cycles(&costs::select_read_per_row(cols));
         compute += qualifying * kept.reads.iter().map(select).sum::<f64>();
+        // The last stage tests the rows the scan hands on.
+        if let Some(key) = &plan.key {
+            compute += self.key_test(key) * qualifying;
+        }
         ChunkCost {
             compute,
             dms: self.stream(&plan.touched),
@@ -305,9 +358,13 @@ impl Model<'_> {
 impl<'a> ScanPlan<'a> {
     /// Plan the scan of `proj` of `table` under `pred` on `ctx`'s cores,
     /// from the table's statistics; `touched` is [`touched_columns`] of the
-    /// two, `tile` the tile their streams were sized at and `kept` how the
+    /// two, `tile` the tile their streams were sized at, `kept` how the
     /// operators of the scan's task take the rows it keeps
-    /// ([`crate::task::Task::kept_rows`]).
+    /// ([`crate::task::Task::kept_rows`]) and `key` the join filter the
+    /// task's last stage would test them against, where it has one. On the
+    /// gather path the scan tests it itself, in the key pass; on the stream
+    /// path the stage does.
+    #[allow(clippy::too_many_arguments)]
     pub fn decide(
         ctx: &ExecContext,
         table: &Table,
@@ -316,6 +373,7 @@ impl<'a> ScanPlan<'a> {
         touched: Vec<usize>,
         tile: usize,
         kept: &KeptRows,
+        key: Option<KeyTest<'a>>,
     ) -> ScanPlan<'a> {
         let stats: Vec<Option<&ColumnStats>> = table.stats.columns.iter().map(Some).collect();
         let mut conjuncts = Vec::new();
@@ -326,6 +384,7 @@ impl<'a> ScanPlan<'a> {
         let mut plan = ScanPlan {
             path: AccessPath::Gather,
             passes: into_passes(conjuncts, &stats),
+            key,
             proj,
             touched,
         };
@@ -393,6 +452,7 @@ impl<'a> ScanPlan<'a> {
         let mut plan = ScanPlan {
             path: AccessPath::Gather,
             passes: into_passes(in_order.collect(), &[]),
+            key: None,
             proj,
             touched: touched_columns(proj, conjuncts),
         };
@@ -406,9 +466,11 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Every conjunct into one pass, most selective first: on the stream
-    /// path all their columns are in DMEM together.
+    /// path all their columns are in DMEM together, and the last stage of
+    /// the task tests the keys.
     fn take_stream_path(&mut self) {
         self.path = AccessPath::Stream;
+        self.key = None;
         let sel = self.passes.iter().map(|p| p.sel).product();
         let mut conjuncts: Vec<_> = self.passes.drain(..).flat_map(|p| p.conjuncts).collect();
         conjuncts.sort_by(|a, b| a.sel.total_cmp(&b.sel));
@@ -423,27 +485,40 @@ impl<'a> ScanPlan<'a> {
     }
 
     /// Trips through the DMS per chunk: the one stream, or the predicate
-    /// passes and the projection's gather.
+    /// passes, the key pass and the projection's gather.
     pub fn dms_passes(&self) -> usize {
         match self.path {
             AccessPath::Stream => 1,
-            AccessPath::Gather => self.passes.len() + 1,
+            AccessPath::Gather => self.passes.len() + usize::from(self.tests_keys()) + 1,
         }
     }
 
+    /// Whether the scan tests its task's join filter: it runs a key pass.
+    pub fn tests_keys(&self) -> bool {
+        self.key.is_some()
+    }
+
     /// Trips round the operator's control loop per run of rows on the
-    /// gather path: one per conjunct. (The stream path takes one per tile.)
+    /// gather path: one per conjunct, and one for the key pass. (The stream
+    /// path takes one per tile.)
     fn trips_per_run(&self) -> usize {
-        self.passes.iter().map(|p| p.conjuncts.len()).sum()
+        let conjuncts: usize = self.passes.iter().map(|p| p.conjuncts.len()).sum();
+        conjuncts + usize::from(self.tests_keys())
     }
 
     /// Scan the rows of one lane — `span`, a run of rows per chunk it
     /// crosses, in table order — and hand them on where they lie: the span
-    /// through the scan's projection, and which of its rows the predicate
-    /// kept. Nothing is copied: on the stream path the kept rows stay in the
-    /// tiles behind a selection vector, on the gather path the DMS packs
-    /// them, charged as it moves them.
-    pub fn scan_rows(&self, ctx: &mut CoreCtx, span: Span<'a>, tile: usize) -> QefResult<Rows<'a>> {
+    /// through the scan's projection, and which of its rows the predicate —
+    /// and the key pass, where the scan runs one — kept; beside them, how
+    /// many rows the predicate kept. Nothing is copied: on the stream path
+    /// the kept rows stay in the tiles behind a selection vector, on the
+    /// gather path the DMS packs them, charged as it moves them.
+    pub fn scan_rows(
+        &self,
+        ctx: &mut CoreCtx,
+        span: Span<'a>,
+        tile: usize,
+    ) -> QefResult<(Rows<'a>, usize)> {
         let of_lane = span.rows();
         if let (AccessPath::Stream, Some((first, _))) = (self.path, span.runs().next()) {
             let touched = chunk_widths(first, &self.touched);
@@ -451,8 +526,11 @@ impl<'a> ScanPlan<'a> {
                 ctx.charge_tile();
             }
         }
+        if let (Some(key), true) = (&self.key, of_lane > 0) {
+            key.filter.charge_read(ctx);
+        }
         let mut picked = Vec::new();
-        let (mut at, mut fetched) = (0, Vec::new());
+        let (mut at, mut fetched, mut entered) = (0, Vec::new(), 0);
         let gathers = self.path == AccessPath::Gather;
         for (chunk, rows) in span.runs().filter(|_| gathers || !self.passes.is_empty()) {
             let run = Run {
@@ -463,7 +541,11 @@ impl<'a> ScanPlan<'a> {
             };
             at += run.rows.len();
             let before = picked.len();
-            let kind = self.qualifying(ctx, &run, &mut picked, &mut fetched)?;
+            let mut kind = self.qualifying(ctx, &run, &mut picked, &mut fetched)?;
+            entered += picked.len() - before;
+            if let Some(key) = &self.key {
+                kind = self.test_keys(ctx, &run, key, kind, &mut picked, before);
+            }
             let kept = picked.len() - before;
             if gathers && kept > 0 {
                 let widths = chunk_widths(chunk, self.proj);
@@ -475,12 +557,64 @@ impl<'a> ScanPlan<'a> {
             AccessPath::Stream if self.passes.is_empty() => Pick::All,
             AccessPath::Stream => Pick::Selected(picked),
         };
-        Ok(Rows::InPlace {
+        let entered = if gathers || !self.passes.is_empty() {
+            entered
+        } else {
+            of_lane
+        };
+        let rows = Rows::InPlace {
             span,
             projection: Projection::Scan(self.proj),
             pick,
             written: Vec::new(),
-        })
+        };
+        Ok((rows, entered))
+    }
+
+    /// The key pass over `picked[from..]`, the rows of `run` the predicate
+    /// kept, shipped to the DMS as `kind`: stream the key columns where the
+    /// scan has no predicate pass, else gather them at those rows; hash and
+    /// test them a run of rows at a time, in buffers on the stack, and keep
+    /// the rows whose bit is set. A trip round the control loop. Returns the
+    /// representation the projection's gather ships the rows left in.
+    fn test_keys(
+        &self,
+        ctx: &mut CoreCtx,
+        run: &Run<'_>,
+        key: &KeyTest<'_>,
+        kind: RowSetKind,
+        picked: &mut Vec<u32>,
+        from: usize,
+    ) -> RowSetKind {
+        let entering = picked.len() - from;
+        if entering == 0 {
+            return kind;
+        }
+        let widths = chunk_widths(run.chunk, &key.cols);
+        if self.passes.is_empty() {
+            RelationAccessor::stream(ctx, widths, run.rows.len(), run.tile);
+        } else {
+            RelationAccessor::charge_gather(ctx, widths, run.within(), kind, entering, run.tile);
+        }
+        ctx.charge_tile();
+        const RUN: usize = 256;
+        let (mut hashes, mut ids) = ([0u32; RUN], [0u32; RUN]);
+        let mut kept = from;
+        for start in (from..picked.len()).step_by(RUN) {
+            let n = (picked.len() - start).min(RUN);
+            let of_run = Positions::of_ids(run.rows.start, &picked[start..start + n], run.at);
+            let keys = key.cols.iter().map(|&c| (run.chunk.vector(c), of_run));
+            hash_pieces_into(ctx, std::iter::once(keys), &mut hashes[..n]);
+            let passed = key.filter.keep(ctx, &mut hashes[..n], &mut ids[..n]);
+            // The ids ascend, so no row is overwritten before it is read.
+            for &id in &ids[..passed] {
+                picked[kept] = picked[start + id as usize];
+                kept += 1;
+            }
+        }
+        picked.truncate(kept);
+        let expected = self.passes.iter().map(|p| p.sel).product::<f64>() * key.kept;
+        RowSet::choose(expected)
     }
 
     /// Append to `picked` the rows of `run` that every conjunct keeps,
@@ -754,6 +888,7 @@ mod tests {
             tile,
         )
         .unwrap()
+        .0
         .into_batch(ctx)
     }
 
@@ -931,7 +1066,16 @@ mod tests {
             reads: Vec::new(),
             writes: pred.map_or(0, |_| proj.len()),
         };
-        ScanPlan::decide(&ExecContext::dpu(), t, proj, pred, touched, 256, &kept)
+        ScanPlan::decide(
+            &ExecContext::dpu(),
+            t,
+            proj,
+            pred,
+            touched,
+            256,
+            &kept,
+            None,
+        )
     }
 
     #[test]
@@ -956,6 +1100,169 @@ mod tests {
         assert_eq!(plan.passes[1].conjuncts.len(), 2, "the range is one pass");
         let (narrow, wide) = (plan.passes[0].sel, plan.passes[1].sel);
         assert!((wide - 0.4).abs() < 0.02 && (narrow - 0.5).abs() < 0.02);
+    }
+
+    /// A broadcast join's filter of `bits` bits over `keys`, as its
+    /// `join.filter` stage builds it.
+    fn filter_over(keys: &[i64], bits: usize) -> JoinFilter {
+        let part = Batch::new(vec![Vector::new(ColumnData::I64(keys.to_vec()))]);
+        let mut words = vec![0; bits / 64];
+        let part = [crate::batch::Run::of_batch(&part)];
+        crate::ops::join_filter::build_slice(&mut ctx(), part, &[0], &[8], &mut words, 256)
+            .unwrap();
+        JoinFilter::of_slices(words, 1, keys.len())
+    }
+
+    #[test]
+    fn a_filter_that_keeps_a_tenth_gathers_and_one_that_keeps_every_row_streams() {
+        // The probe keys `a` take 100 values, 1 byte each; the projection is
+        // them and the 8-byte `w`. A filter over ten of the values keeps a
+        // tenth of the rows, and the scan reads the keys, tests them and
+        // gathers `w` at the rest; a filter over all of them keeps every
+        // row, and gathering would only add the key stream and a row set.
+        let t = table(40_000, 4_000);
+        let proj = [0, 1];
+        let plan = |filter: &JoinFilter| {
+            let touched = touched_columns(&proj, None);
+            let kept = filter.kept_share(t.stats.columns[1].ndv as f64);
+            let key = KeyTest {
+                cols: vec![1],
+                filter,
+                kept,
+            };
+            let kept_rows = KeptRows::default();
+            let plan = ScanPlan::decide(
+                &ExecContext::dpu(),
+                &t,
+                &proj,
+                None,
+                touched,
+                256,
+                &kept_rows,
+                Some(key),
+            );
+            (plan.path(), plan.tests_keys(), plan.dms_passes(), kept)
+        };
+        let tenth = filter_over(&(0..10).collect::<Vec<_>>(), 1024);
+        let (path, keyed, passes, kept) = plan(&tenth);
+        assert!((0.1..0.2).contains(&kept), "{kept}");
+        assert_eq!((path, keyed, passes), (AccessPath::Gather, true, 2));
+        let all = filter_over(&(0..100).collect::<Vec<_>>(), 1024);
+        let (path, keyed, passes, kept) = plan(&all);
+        assert_eq!(kept, 1.0);
+        assert_eq!((path, keyed, passes), (AccessPath::Stream, false, 1));
+    }
+
+    #[test]
+    fn a_key_tested_gather_scan_charges_its_key_pass_and_the_survivors_gather() {
+        // Keys 0..1000 stored in 4 bytes beside an 8-byte payload; the
+        // filter holds every tenth key.
+        let n = 1000;
+        let ch = Chunk::new(vec![
+            Vector::new(ColumnData::I32((0..n as i32).collect())),
+            Vector::new(ColumnData::I64((0..n as i64).map(|i| i * 3).collect())),
+        ]);
+        let filter = filter_over(&(0..n as i64).step_by(10).collect::<Vec<_>>(), 2048);
+        let hash = |k: i64| dpu_sim::crc32::hash_u64(k as u64);
+        let half = [cmp(1, CmpOp::Lt, 3 * 500)];
+        for preds in [&[][..], &half[..]] {
+            let key = KeyTest {
+                cols: vec![0],
+                filter: &filter,
+                kept: 0.1,
+            };
+            let plan = ScanPlan {
+                key: Some(key),
+                ..ScanPlan::forced(AccessPath::Gather, preds, &[0, 1], 0.5)
+            };
+            assert_eq!(plan.dms_passes(), preds.len() + 2);
+            let mut got = ctx();
+            let span = Span::new(std::slice::from_ref(&ch), 0..n);
+            let (rows, entered) = plan.scan_rows(&mut got, span, 256).unwrap();
+
+            // The reference: the lane's read of the filter; the predicate
+            // pass, where there is one; the key column streamed — or
+            // gathered at the rows the predicate kept — and a trip round
+            // the control loop; the hash and test of every entering row a
+            // run of 256 at a time; the projection gathered at the rows
+            // whose bit is set, in the representation a tenth of the
+            // entering rows ships in.
+            let mut expect = ctx();
+            let cm = expect.cost_model.clone();
+            expect.charge_dms(&crate::ops::join_filter::read_cost(&cm, 2048));
+            let run = Run {
+                chunk: &ch,
+                rows: 0..n,
+                at: 0,
+                tile: 256,
+            };
+            let (mut entering, mut fetched) = (Vec::new(), Vec::new());
+            let unkeyed = ScanPlan::forced(AccessPath::Gather, preds, &[0, 1], 0.5);
+            let kind = unkeyed
+                .qualifying(&mut expect, &run, &mut entering, &mut fetched)
+                .unwrap();
+            assert_eq!(entered, entering.len());
+            if preds.is_empty() {
+                RelationAccessor::stream(&mut expect, [4].into_iter(), n, 256);
+            } else {
+                let count = entering.len();
+                RelationAccessor::charge_gather(
+                    &mut expect,
+                    [4].into_iter(),
+                    0..n,
+                    kind,
+                    count,
+                    256,
+                );
+            }
+            expect.charge_tile();
+            for of_run in entering.chunks(256) {
+                let rows = of_run.len() as f64;
+                expect.charge_kernel(Kernel::Hash, &costs::hash_per_row_per_key().scaled(rows));
+                expect.charge_kernel(
+                    Kernel::Join,
+                    &costs::join_filter_test_per_row().scaled(rows),
+                );
+            }
+            let kept: Vec<u32> = entering
+                .iter()
+                .copied()
+                .filter(|&id| filter.may_match(hash(id as i64)))
+                .collect();
+            let kind = RowSet::choose(plan.passes.iter().map(|p| p.sel).product::<f64>() * 0.1);
+            let widths = [4, 8].into_iter();
+            RelationAccessor::charge_gather(&mut expect, widths, 0..n, kind, kept.len(), 256);
+
+            assert_eq!(got.account.counters(), expect.account.counters());
+            for (a, b) in [
+                (
+                    got.account.compute_cycles(),
+                    expect.account.compute_cycles(),
+                ),
+                (got.account.dms_cycles(), expect.account.dms_cycles()),
+            ] {
+                assert_eq!(a.get().to_bits(), b.get().to_bits());
+            }
+            // Every tenth key of the entering rows is among those kept.
+            let Rows::InPlace {
+                pick: Pick::Gathered(ids),
+                ..
+            } = &rows
+            else {
+                panic!("the gather path packs the rows: {rows:?}")
+            };
+            assert_eq!(ids, &kept);
+            assert!(entering
+                .iter()
+                .filter(|&&id| id % 10 == 0)
+                .all(|id| ids.contains(id)));
+            assert!(
+                kept.len() < entering.len() / 5,
+                "{} of {}",
+                kept.len(),
+                entering.len()
+            );
+        }
     }
 
     /// A catalog of `t`, as the engine's.
@@ -1071,7 +1378,7 @@ mod tests {
         let ectx = ExecContext::dpu();
         let span = || Span::new(&t.chunks, 0..t.rows());
         let mut lane = CoreCtx::new(&ectx, 0);
-        let rows = plan.scan_rows(&mut lane, span(), 256).unwrap();
+        let (rows, _) = plan.scan_rows(&mut lane, span(), 256).unwrap();
         let n = rows.rows() as f64;
         let PlanNode::GroupBy {
             input, keys, aggs, ..
@@ -1116,7 +1423,7 @@ mod tests {
             }
         );
         let mut lane = CoreCtx::new(&ectx, 0);
-        let rows = plan.scan_rows(&mut lane, span(), 256).unwrap();
+        let (rows, _) = plan.scan_rows(&mut lane, span(), 256).unwrap();
         let PlanNode::Filter { input, pred } = &widened else {
             unreachable!()
         };
@@ -1282,6 +1589,7 @@ mod proptests {
                 let got = ScanPlan::forced(path, &preds, &proj, if sparse { 0.01 } else { 0.5 })
                     .scan_rows(&mut c, Span::new(std::slice::from_ref(&ch), 0..ch.rows()), 16)
                     .unwrap()
+                    .0
                     .into_batch(&mut c);
                 if rids.is_empty() {
                     prop_assert!(got.is_empty(), "{path}: {got:?}");
@@ -1343,7 +1651,7 @@ mod proptests {
             for path in [AccessPath::Stream, AccessPath::Gather] {
                 let plan = ScanPlan::forced(path, &preds, &proj, 0.5);
                 let lane = |c: &mut CoreCtx| -> QefResult<Rows<'_>> {
-                    let rows = plan.scan_rows(c, Span::new(&t.chunks, lo..hi), 4)?;
+                    let (rows, _) = plan.scan_rows(c, Span::new(&t.chunks, lo..hi), 4)?;
                     let rows = crate::ops::map::map_rows(c, rows, &exprs)?;
                     if narrow {
                         filter_rows(c, rows, &positive)

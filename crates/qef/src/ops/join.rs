@@ -27,13 +27,18 @@
 //!
 //! ## Probe rows that cannot match (join filters)
 //!
-//! A partitioned inner or semi join whose estimate says most probe rows
-//! miss declares a join filter ([`crate::ops::join_filter`]): a `join.filter`
-//! stage builds a bit array over the hashes of the keys the build side's
-//! pass wrote, and round one of the probe side partitions only the rows
-//! whose bit is set. What reaches [`join_partition`] is then the probe rows
-//! that may match; the rest were never gathered, written or probed, and
-//! none of them joined, so the pairs return what they return unfiltered.
+//! An inner or semi join whose estimate says most probe rows miss declares
+//! a join filter ([`crate::ops::join_filter`]): a `join.filter` stage builds
+//! a bit array over the hashes of the build side's keys. On a partitioned
+//! join round one of the probe side partitions only the rows whose bit is
+//! set, and what reaches [`join_partition`] is the probe rows that may
+//! match. On a broadcast join each lane of [`Broadcast`] reads the filter
+//! and tests every row's hash — the one it probes with — before it probes:
+//! a row whose bit is clear is not probed, and of it only the keys are read.
+//! Where the probe's scan gathers, it has tested the rows in its key pass
+//! already, and neither stage tests them again. The rest were never
+//! gathered, written or probed, and none of them joined, so the join returns
+//! what it returns unfiltered.
 
 use dpu_sim::account::Kernel;
 use dpu_sim::dmem::DmemReservation;
@@ -42,6 +47,7 @@ use rapid_storage::vector::Vector;
 use crate::batch::{Batch, Positions, Rows};
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
+use crate::ops::join_filter::JoinFilter;
 use crate::ops::partition::gather_rows;
 use crate::plan::JoinType;
 use crate::primitives::costs;
@@ -333,23 +339,23 @@ impl JoinTable {
         on_match: &mut dyn FnMut(u32, u32),
     ) -> QefResult<Vec<u32>> {
         let all = Positions::dense(0, keys.first().map_or(0, |k| k.len()));
-        self.probe_pieces(
-            ctx,
-            std::iter::once(keys.iter().map(|k| (*k, all))),
-            on_match,
-        )
+        let pieces = std::iter::once(keys.iter().map(|k| (*k, all)));
+        Ok(self.probe_pieces(ctx, pieces, None, on_match)?.0)
     }
 
     /// [`JoinTable::probe`] over rows of an input that arrives in pieces
     /// (each item: one piece's key columns, each with where the piece's rows
     /// lie in it), numbered back to back — the runs of rows a lane holds,
-    /// probed where they lie.
+    /// probed where they lie. With a join filter every row's hash is tested
+    /// first, and a row whose bit is clear is not probed: it matches
+    /// nothing. Returns the match counts and how many rows were probed.
     pub fn probe_pieces<'v, K>(
         &self,
         ctx: &mut CoreCtx,
         pieces: impl Iterator<Item = K> + Clone,
+        filter: Option<&JoinFilter>,
         on_match: &mut dyn FnMut(u32, u32),
-    ) -> QefResult<Vec<u32>>
+    ) -> QefResult<(Vec<u32>, usize)>
     where
         K: Iterator<Item = (&'v Vector, Positions<'v>)> + Clone,
     {
@@ -367,6 +373,10 @@ impl JoinTable {
         let rows: usize = pieces.clone().map(|keys| piece_rows(&keys)).sum();
         let mut hashes = vec![0; rows];
         hash_pieces_into(ctx, pieces.clone(), &mut hashes);
+        if let Some(filter) = filter {
+            filter.charge_test(ctx, rows);
+        }
+        let mut probed = rows;
         let mut match_counts = vec![0u32; rows];
         let mut total_links = 0usize;
         let mut total_matches = 0usize;
@@ -376,6 +386,10 @@ impl JoinTable {
             for r in 0..piece_rows(&keys) {
                 let at = p;
                 p += 1;
+                if filter.is_some_and(|f| !f.may_match(hashes[at])) {
+                    probed -= 1;
+                    continue;
+                }
                 if keys.clone().any(|(k, of)| k.is_null(of.get(r))) {
                     continue;
                 }
@@ -408,7 +422,7 @@ impl JoinTable {
         }
         ctx.charge_kernel(
             Kernel::Join,
-            &costs::join_probe_per_row().scaled(rows as f64),
+            &costs::join_probe_per_row().scaled(probed as f64),
         );
         ctx.charge_kernel(
             Kernel::Join,
@@ -424,7 +438,7 @@ impl JoinTable {
                 &costs::row_at_a_time_overhead_per_row().scaled(rows as f64),
             );
         }
-        Ok(match_counts)
+        Ok((match_counts, probed))
     }
 }
 
@@ -525,7 +539,10 @@ pub fn join_partition(
     let (table, _stats) = JoinTable::build(ctx, &bkeys, estimated_build_rows, true)?;
     let widths: Vec<usize> = build.columns.iter().map(|c| c.data.width()).collect();
     let probe = Rows::Owned(probe);
-    probe_rows(ctx, &table, build, &widths, probe_keys, join_type, probe)
+    let probed = probe_rows(
+        ctx, &table, build, &widths, probe_keys, join_type, probe, None,
+    )?;
+    Ok(probed.0)
 }
 
 /// DMEM a broadcast join's table over `rows` build rows holds: the bucket,
@@ -593,13 +610,21 @@ impl Broadcast<'_> {
     /// round the control loop per tile. One output batch per part. The probe
     /// reads every column of the rows it hands on where they lie
     /// ([`Rows::charge_select`]): their keys, and the columns it writes out.
+    /// With a join filter the lane reads all of it from DRAM first and tests
+    /// every row's hash before it probes: a row whose bit is clear is not
+    /// probed, and of it only the keys are read. Returns the batches and how
+    /// many rows were probed.
     pub fn lane<'r>(
         &self,
         ctx: &mut CoreCtx,
         parts: impl IntoIterator<Item = Rows<'r>>,
         tile: usize,
-    ) -> QefResult<Vec<Batch>> {
+        filter: Option<&JoinFilter>,
+    ) -> QefResult<(Vec<Batch>, usize)> {
         let tile = tile.max(1);
+        if let Some(filter) = filter {
+            filter.charge_read(ctx);
+        }
         let table = if self.build.is_empty() {
             None
         } else {
@@ -618,25 +643,32 @@ impl Broadcast<'_> {
                 .collect();
             Some(JoinTable::build_within(ctx, &keys, self.capacity)?.0)
         };
-        let mut out = Vec::new();
+        let (mut out, mut probed) = (Vec::new(), 0);
         for rows in parts {
             for _ in 0..rows.rows().div_ceil(tile) {
                 ctx.charge_tile();
             }
+            // Without a build row an anti or outer join hands on every
+            // probe row; the probe below reads the rows itself.
             let inner = matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi);
-            if table.is_some() || !inner {
+            if table.is_none() && !inner {
                 rows.charge_select(ctx, 0..rows.width());
             }
             out.push(match &table {
-                Some(table) => probe_rows(
-                    ctx,
-                    table,
-                    self.build,
-                    self.build_widths,
-                    self.probe_keys,
-                    self.join_type,
-                    rows,
-                )?,
+                Some(table) => {
+                    let (batch, of_part) = probe_rows(
+                        ctx,
+                        table,
+                        self.build,
+                        self.build_widths,
+                        self.probe_keys,
+                        self.join_type,
+                        rows,
+                        filter,
+                    )?;
+                    probed += of_part;
+                    batch
+                }
                 // No build row: the variant alone says what a probe row
                 // becomes.
                 None => match self.join_type {
@@ -646,14 +678,17 @@ impl Broadcast<'_> {
                 },
             });
         }
-        Ok(out)
+        Ok((out, probed))
     }
 }
 
 /// Probe `rows` against `table`, built over `build` (stored at
 /// `build_widths`): the matched probe rows and, beside them for an inner or
 /// outer join, their build rows — or NULLs, for an outer join's unmatched
-/// rows.
+/// rows. The probe reads every column of the rows where they lie; with a
+/// join filter, the keys of every row and the other columns of the rows
+/// whose bit is set. Returns the batch and how many rows were probed.
+#[allow(clippy::too_many_arguments)]
 fn probe_rows(
     ctx: &mut CoreCtx,
     table: &JoinTable,
@@ -662,9 +697,15 @@ fn probe_rows(
     probe_keys: &[usize],
     join_type: JoinType,
     rows: Rows<'_>,
-) -> QefResult<Batch> {
-    if rows.rows() == 0 {
-        return Ok(Batch::empty(0));
+    filter: Option<&JoinFilter>,
+) -> QefResult<(Batch, usize)> {
+    let n = rows.rows();
+    match filter {
+        None => rows.charge_select(ctx, 0..rows.width()),
+        Some(_) => rows.charge_select_of(ctx, probe_keys.iter().copied(), n),
+    }
+    if n == 0 {
+        return Ok((Batch::empty(0), 0));
     }
     let pieces = rows
         .runs()
@@ -674,12 +715,15 @@ fn probe_rows(
     let expected = if pairs { rows.rows() } else { 0 };
     let (mut matched, mut build_rids) =
         (Vec::with_capacity(expected), Vec::with_capacity(expected));
-    let counts = table.probe_pieces(ctx, pieces, &mut |p, b| {
+    let (counts, probed) = table.probe_pieces(ctx, pieces, filter, &mut |p, b| {
         if pairs {
             matched.push(p);
             build_rids.push(b);
         }
     })?;
+    if filter.is_some() {
+        rows.charge_select_of(ctx, 0..rows.width(), probed);
+    }
     let with_build = |probe: Batch| {
         let mut out = probe;
         if !out.is_empty() {
@@ -689,7 +733,7 @@ fn probe_rows(
         }
         out
     };
-    Ok(match join_type {
+    let batch = match join_type {
         JoinType::Inner => with_build(gather_rows(&rows, &matched)),
         JoinType::LeftSemi => keep(rows, &passing(&counts, |c| c > 0)),
         JoinType::LeftAnti => keep(rows, &passing(&counts, |c| c == 0)),
@@ -699,7 +743,8 @@ fn probe_rows(
             let bottom = pad_outer(gather_rows(&rows, &unmatched), build_widths);
             Batch::concat(vec![with_build(gather_rows(&rows, &matched)), bottom])
         }
-    })
+    };
+    Ok((batch, probed))
 }
 
 /// The rows of `rows` at `positions`, distinct and ascending; where that is
@@ -962,9 +1007,10 @@ mod tests {
             written: Vec::new(),
         };
         let mut c = ctx();
-        let out = join(JoinType::Inner)
-            .lane(&mut c, [in_place()], 64)
+        let (out, probed) = join(JoinType::Inner)
+            .lane(&mut c, [in_place()], 64, None)
             .unwrap();
+        assert_eq!(probed, 4);
         // The build side's 4 rows of 16 bytes, read once.
         assert_eq!(c.account.counters().dms_bytes, 4 * 16);
         let rows: Vec<Vec<i64>> = (0..out[0].rows())
@@ -983,13 +1029,15 @@ mod tests {
         let widths: Vec<usize> = out[0].columns.iter().map(|c| c.data.width()).collect();
         assert_eq!(widths, [4, 2, 8, 8]);
         let kept = |join_type| {
-            let out = join(join_type).lane(&mut ctx(), [in_place()], 64).unwrap();
+            let (out, _) = join(join_type)
+                .lane(&mut ctx(), [in_place()], 64, None)
+                .unwrap();
             out[0].column(1).data.to_i64_vec()
         };
         assert_eq!(kept(JoinType::LeftSemi), [1, 2, 7]);
         assert_eq!(kept(JoinType::LeftAnti), [5]);
-        let outer = join(JoinType::LeftOuter)
-            .lane(&mut ctx(), [in_place()], 64)
+        let (outer, _) = join(JoinType::LeftOuter)
+            .lane(&mut ctx(), [in_place()], 64, None)
             .unwrap();
         assert_eq!(outer[0].rows(), 5);
         assert_eq!(outer[0].column(3).get(4), None, "row 5 is padded");

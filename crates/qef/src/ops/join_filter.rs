@@ -1,45 +1,57 @@
-//! Join filters: the probe rows that cannot match are dropped before round
-//! one partitions them.
+//! Join filters: a probe row that cannot match is dropped before it is
+//! partitioned or probed — and before its scan reads it past its keys.
 //!
 //! A partitioned join (§6) partitions both inputs fully before it builds
 //! and probes partition by partition, so every probe row is hashed,
 //! gathered, written to DRAM, read back and probed whether or not a build
-//! row could match it. Where the compiler's estimate says most probe rows
-//! miss, the join declares a **join filter** (`PlanNode::HashJoin::filter`,
-//! its size in bits): a bit array over the CRC32 hashes of the build side's
-//! keys, one bit a hash (a Bloom filter of one hash function).
+//! row could match it; a broadcast join probes every row its lanes hold.
+//! Where the compiler's estimate says most probe rows miss, the join
+//! declares a **join filter** (`PlanNode::HashJoin::filter`, its size in
+//! bits): a bit array over the CRC32 hashes of the build side's keys, one
+//! bit a hash (a Bloom filter of one hash function).
 //!
-//! * **Built** by a `join.filter` stage after the build side's pass: a lane
-//!   takes one round-one partition, reads its keys, hashes them and sets
-//!   their bits in that partition's **slice** of the array — the slice a
-//!   row's round-one partition bits pick ([`place`]) — and writes the slice
-//!   out. Lanes set bits in disjoint slices, so nothing merges them. A NULL
-//!   key sets no bit: it joins nothing.
-//! * **Tested** in round one of the probe side's pass, by both kinds of
-//!   lane that partition ([`crate::ops::partition::RoundStep`]): each lane
-//!   reads the whole array from DRAM once, like a broadcast join's build
-//!   side, and tests every row's hash — the one the round computes anyway —
-//!   before Listing 2's map. Only the rows whose bit is set are mapped,
-//!   gathered, written and then probed in `join.pairs`. A row whose bit is
-//!   set may still match nothing (a false positive); a row whose bit is
-//!   clear matches no build row, so the join's result is the unfiltered
-//!   one. An anti or outer join keeps the rows that match nothing, and
-//!   never has a filter ([`check`]).
+//! * **Built** by a `join.filter` stage after the build side has run. On a
+//!   partitioned join a lane takes one round-one partition, reads its keys,
+//!   hashes them and sets their bits in that partition's **slice** of the
+//!   array — the slice a row's round-one partition bits pick ([`place`]) —
+//!   and writes the slice out. Lanes set bits in disjoint slices, so nothing
+//!   merges them. A broadcast join's filter is one slice ([`slices`]) over
+//!   its concatenated build side: each of `min(cores, tiles)` lanes builds a
+//!   copy over its rows, and where there are several a `join.filter.merge`
+//!   stage on one core ORs them ([`merge_copies`]). A NULL key sets no bit:
+//!   it joins nothing.
+//! * **Tested** once per probe row, by the stage that holds its key first.
+//!   Every lane of that stage reads the whole array from DRAM once, like a
+//!   broadcast join's build side. Where the probe side is a scan-fed task
+//!   whose scan takes the gather path, the scan tests it in its **key pass**
+//!   ([`crate::ops::filter::KeyTest`]): it reads the key columns, hashes and
+//!   tests them, and gathers its other columns only at the rows whose bit is
+//!   set. Otherwise — the scan streams, or the probe side arrives in batches
+//!   — round one of a partitioned probe side tests every row's hash, the one
+//!   it computes anyway, before Listing 2's map
+//!   ([`crate::ops::partition::RoundStep`]), and a broadcast join's probe
+//!   tests it before it probes (`ops::join::Broadcast::lane`). Only the
+//!   rows whose bit is set are mapped, gathered, written and probed. A row
+//!   whose bit is set may still match nothing (a false positive); a row
+//!   whose bit is clear matches no build row, so the join's result is the
+//!   unfiltered one. An anti or outer join keeps the rows that match
+//!   nothing, and never has a filter ([`check`]).
 //!
 //! Its size comes from one function, [`size_bits`]: [`BITS_PER_KEY`] bits an
 //! estimated build key, rounded up to a power of two and capped at the room
 //! the probe side's first stage leaves at the tile it runs at without one
 //! (`PlanNode::probe_room`). The array is state the probe stage declares
 //! (`PlanNode::first_stage`), so engine, task tile and verifier size the
-//! task with it. The share of probe rows it keeps is [`kept_fraction`], and
-//! what a probe lane pays to read it [`read_cost`]: the compiler's estimate
-//! of a filtered join prices both.
+//! task with it. The share of probe rows it keeps is [`kept_fraction`] —
+//! the compiler's estimate of a filtered join prices it, and the engine's
+//! scan weighs its key pass by it ([`JoinFilter::kept_share`]) — and what a
+//! probe lane pays to read it [`read_cost`].
 
 use dpu_sim::account::Kernel;
 use dpu_sim::dms::engine::DmsCost;
 use dpu_sim::isa::CostModel;
 
-use crate::batch::{Batch, Positions};
+use crate::batch::{Positions, Run};
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
 use crate::plan::JoinType;
@@ -64,36 +76,46 @@ pub fn bytes(bits: usize) -> usize {
     bits / 8
 }
 
+/// The slices of a filter on a join of `scheme`: one for each of round
+/// one's partitions, and one for a broadcast join, which partitions nothing.
+pub fn slices(scheme: &[usize]) -> usize {
+    scheme.first().copied().unwrap_or(1)
+}
+
 /// Whether a filter of `bits` bits may run on a join of `join_type` over
-/// `scheme`: a partitioned join that keeps only the probe rows that match
-/// (inner or semi), of a power of two of at least [`MIN_SLICE_BITS`] bits a
-/// round-one partition. `Err` says why not. The engine refuses such a plan
-/// with it and the verifier reports it (S-JOIN-FILTER).
+/// `scheme`: a join that keeps only the probe rows that match (inner or
+/// semi), partitioned or broadcast, of a power of two of at least
+/// [`MIN_SLICE_BITS`] bits a slice ([`slices`]). `Err` says why not. The
+/// engine refuses such a plan with it and the verifier reports it
+/// (S-JOIN-FILTER).
 pub fn check(bits: usize, join_type: JoinType, scheme: &[usize]) -> Result<(), String> {
     if !matches!(join_type, JoinType::Inner | JoinType::LeftSemi) {
+        let shape = if scheme.is_empty() {
+            "broadcast"
+        } else {
+            "partitioned"
+        };
         return Err(format!(
-            "a {join_type:?} join keeps probe rows that match nothing: it has no join filter"
+            "a {shape} {join_type:?} join keeps probe rows that match nothing: it has no join \
+             filter"
         ));
     }
-    let Some(&fanout) = scheme.first() else {
-        return Err("a broadcast join partitions nothing: it has no join filter".into());
-    };
-    let least = fanout.saturating_mul(MIN_SLICE_BITS);
+    let slices = slices(scheme);
+    let least = slices.saturating_mul(MIN_SLICE_BITS);
     if !bits.is_power_of_two() || bits < least || bits > 1 << 32 {
         return Err(format!(
             "a join filter of {bits} bits is not a power of two of {least} bits or more \
-             (a {MIN_SLICE_BITS}-bit word for each of round one's {fanout} partitions) \
-             up to 2^32"
+             (a {MIN_SLICE_BITS}-bit word for each of its {slices} slices) up to 2^32"
         ));
     }
     Ok(())
 }
 
-/// The size of the filter a join of `build_rows` estimated build rows,
-/// partitioned `fanout` ways in round one, declares where its probe side's
-/// first stage has `room_bytes` to hold it: [`BITS_PER_KEY`] bits a row,
-/// rounded up to a power of two and to a word a partition, at most what
-/// fits the room. `None` where not even a word a partition fits.
+/// The size of the filter a join of `build_rows` estimated build rows, its
+/// filter cut into `fanout` slices ([`slices`]), declares where its probe
+/// side's first stage has `room_bytes` to hold it: [`BITS_PER_KEY`] bits a
+/// row, rounded up to a power of two and to a word a slice, at most what
+/// fits the room. `None` where not even a word a slice fits.
 pub fn size_bits(build_rows: f64, fanout: usize, room_bytes: usize) -> Option<usize> {
     let wanted = (build_rows.max(1.0) * BITS_PER_KEY as f64).ceil() as usize;
     // The largest power of two that fits the room.
@@ -113,8 +135,8 @@ pub fn kept_fraction(matching: f64, build_rows: f64, bits: usize) -> f64 {
     matching + (1.0 - matching) * false_positive
 }
 
-/// What a lane of the probe side's round one pays to read a filter of
-/// `bits` bits from DRAM: its words in one descriptor.
+/// What a lane of the probe side's task pays to read a filter of `bits`
+/// bits from DRAM: its words in one descriptor.
 pub fn read_cost(cm: &CostModel, bits: usize) -> DmsCost {
     let words = bits / 64;
     RelationAccessor::seq_read_cost(cm, [WORD_BYTES].into_iter(), words, words)
@@ -150,19 +172,33 @@ pub struct JoinFilter {
     words: Vec<u64>,
     /// Round one's fan-out: the slices.
     fanout: usize,
+    /// The build rows the `join.filter` stage hashed.
+    build_rows: usize,
 }
 
 impl JoinFilter {
-    /// The filter whose `words` the `join.filter` stage's lanes filled, a
-    /// slice of them for each of round one's `fanout` partitions, in
-    /// partition order.
-    pub fn of_slices(words: Vec<u64>, fanout: usize) -> JoinFilter {
-        JoinFilter { words, fanout }
+    /// The filter whose `words` the `join.filter` stage's lanes filled over
+    /// `build_rows` build rows, a slice of them for each of the `fanout`
+    /// slices ([`slices`]), in partition order.
+    pub fn of_slices(words: Vec<u64>, fanout: usize, build_rows: usize) -> JoinFilter {
+        JoinFilter {
+            words,
+            fanout,
+            build_rows,
+        }
     }
 
     /// Its size in bits.
     pub fn bits(&self) -> usize {
         self.words.len() * 64
+    }
+
+    /// The share of the rows of a probe side whose keys take `probe_ndv`
+    /// distinct values that the filter keeps ([`kept_fraction`]): a build
+    /// row matches at most build rows ÷ `probe_ndv` of them.
+    pub fn kept_share(&self, probe_ndv: f64) -> f64 {
+        let build_rows = self.build_rows as f64;
+        kept_fraction(build_rows / probe_ndv.max(1.0), build_rows, self.bits())
     }
 
     /// Whether a row of this hash may match a build row: its bit is set.
@@ -177,9 +213,17 @@ impl JoinFilter {
         ctx.charge_dms(&read_cost(&cm, self.bits()));
     }
 
+    /// Charge the test of `rows` rows' hashes.
+    pub(crate) fn charge_test(&self, ctx: &mut CoreCtx, rows: usize) {
+        ctx.charge_kernel(
+            Kernel::Join,
+            &costs::join_filter_test_per_row().scaled(rows as f64),
+        );
+    }
+
     /// Test every row of `hashes` and move the hashes of the rows that pass
-    /// to the front, in order, their row ids to the front of `ids`; returns
-    /// how many passed. Charges a test a row.
+    /// to the front, in order, their places in `hashes` to the front of
+    /// `ids`; returns how many passed. Charges a test a row.
     pub(crate) fn keep(&self, ctx: &mut CoreCtx, hashes: &mut [u32], ids: &mut [u32]) -> usize {
         let mut kept = 0;
         for i in 0..hashes.len() {
@@ -189,22 +233,20 @@ impl JoinFilter {
                 kept += 1;
             }
         }
-        ctx.charge_kernel(
-            Kernel::Join,
-            &costs::join_filter_test_per_row().scaled(hashes.len() as f64),
-        );
+        self.charge_test(ctx, hashes.len());
         kept
     }
 }
 
 /// One lane of the `join.filter` stage: `slice`, the words of the round-one
-/// partition whose final partitions are `parts`, built over their `keys`
-/// (stored `widths` bytes each) at `tile` rows a tile. Charges the read of
-/// the keys from DRAM, their hashes, a bit set a row, a trip round the
-/// control loop a tile and the write of the slice.
-pub fn build_slice(
+/// partition whose final partitions are the rows of `parts` — or a copy of
+/// a broadcast join's one slice over the lane's rows of its build side —
+/// built over their `keys` (stored `widths` bytes each) at `tile` rows a
+/// tile. Charges the read of the keys from DRAM, their hashes, a bit set a
+/// row, a trip round the control loop a tile and the write of the slice.
+pub fn build_slice<'b>(
     ctx: &mut CoreCtx,
-    parts: &[Batch],
+    parts: impl IntoIterator<Item = Run<'b>>,
     keys: &[usize],
     widths: &[usize],
     slice: &mut [u64],
@@ -220,8 +262,8 @@ pub fn build_slice(
     let cm = ctx.cost_model.clone();
     // The hashes of a run of rows at a time, on the stack.
     let mut hashes = [0u32; 256];
-    for part in parts.iter().filter(|b| !b.is_empty()) {
-        let rows = part.rows();
+    for part in parts.into_iter().filter(|run| !run.is_empty()) {
+        let (rows, first) = (part.len(), part.rows.start);
         ctx.charge_dms(&RelationAccessor::seq_read_cost(
             &cm,
             widths.iter().copied(),
@@ -230,10 +272,10 @@ pub fn build_slice(
         ));
         for at in (0..rows).step_by(hashes.len()) {
             let run = &mut hashes[..(rows - at).min(256)];
-            let of_run = Positions::dense(at, run.len());
-            let columns = keys.iter().map(|&k| (part.column(k), of_run));
+            let of_run = Positions::dense(first + at, run.len());
+            let columns = keys.iter().map(|&k| (part.cols.column(k), of_run));
             hash_pieces_into(ctx, std::iter::once(columns.clone()), run);
-            for (row, &hash) in (at..).zip(run.iter()) {
+            for (row, &hash) in (first + at..).zip(run.iter()) {
                 if columns.clone().any(|(c, _)| c.is_null(row)) {
                     continue;
                 }
@@ -260,22 +302,55 @@ pub fn build_slice(
     Ok(())
 }
 
+/// The merge of a broadcast join's filter whose `join.filter` lanes each
+/// built a copy of its one slice over their rows of the build side: read
+/// every copy from DRAM, OR it word by word `into` the filter, and write
+/// the filter. A trip round the control loop.
+pub fn merge_copies(ctx: &mut CoreCtx, copies: &[Vec<u64>], into: &mut [u64]) {
+    let cm = ctx.cost_model.clone();
+    let words = into.len();
+    for copy in copies {
+        ctx.charge_dms(&read_cost(&cm, words * 64));
+        into.iter_mut()
+            .zip(copy)
+            .for_each(|(word, of_copy)| *word |= of_copy);
+    }
+    let merged = (copies.len() * words) as f64;
+    ctx.charge_kernel(
+        Kernel::Join,
+        &costs::join_filter_merge_per_word().scaled(merged),
+    );
+    ctx.charge_dms(&RelationAccessor::seq_write_cost(
+        &cm,
+        [WORD_BYTES].into_iter(),
+        words,
+        words,
+    ));
+    ctx.charge_tile();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
     use crate::exec::ExecContext;
     use rapid_storage::bitvec::BitVec;
     use rapid_storage::vector::{ColumnData, Vector};
 
     #[test]
-    fn only_a_partitioned_inner_or_semi_join_has_a_filter_of_a_word_a_partition() {
+    fn only_an_inner_or_semi_join_has_a_filter_of_a_word_a_slice() {
         assert_eq!(check(2048, JoinType::Inner, &[32]), Ok(()));
         assert_eq!(check(4096, JoinType::LeftSemi, &[8, 4]), Ok(()));
+        // A broadcast join's filter is one slice.
+        assert_eq!(check(64, JoinType::Inner, &[]), Ok(()));
+        assert_eq!(check(4096, JoinType::LeftSemi, &[]), Ok(()));
+        assert!(check(32, JoinType::Inner, &[]).is_err(), "half a word");
         for join_type in [JoinType::LeftAnti, JoinType::LeftOuter] {
-            let why = check(2048, join_type, &[32]).unwrap_err();
-            assert!(why.contains("match nothing"), "{why}");
+            for scheme in [&[32][..], &[]] {
+                let why = check(2048, join_type, scheme).unwrap_err();
+                assert!(why.contains("match nothing"), "{why}");
+            }
         }
-        assert!(check(2048, JoinType::Inner, &[]).is_err(), "broadcast");
         assert!(
             check(3000, JoinType::Inner, &[32]).is_err(),
             "not a power of two"
@@ -296,6 +371,9 @@ mod tests {
         assert_eq!(size_bits(5.0, 32, 1000), Some(2048));
         assert_eq!(size_bits(5.0, 32, 255), None);
         assert_eq!(size_bits(5.0, 32, 0), None);
+        // A broadcast join's one slice needs a word.
+        assert_eq!(size_bits(5.0, 1, 8), Some(64));
+        assert_eq!(size_bits(5.0, 1, 7), None);
         // The false positives of a filter of 8 bits a key.
         let kept = kept_fraction(0.0, 4096.0, 32_768);
         assert!((kept - (1.0 - (-0.125f64).exp())).abs() < 1e-12, "{kept}");
@@ -316,9 +394,9 @@ mod tests {
                 .filter(|&k| hash(k) as usize % fanout == p)
                 .collect();
             let part = Batch::new(vec![Vector::new(ColumnData::I64(of_p))]);
-            build_slice(&mut ctx, &[part], &[0], &[8], slice, 256).unwrap();
+            build_slice(&mut ctx, [Run::of_batch(&part)], &[0], &[8], slice, 256).unwrap();
         }
-        JoinFilter::of_slices(words, fanout)
+        JoinFilter::of_slices(words, fanout, keys.len())
     }
 
     #[test]
@@ -349,7 +427,15 @@ mod tests {
         let keys = Vector::with_nulls(ColumnData::I16((0..300).collect()), nulls);
         let part = Batch::new(vec![keys]);
         let mut slice = [0; 16];
-        build_slice(&mut ctx, &[part], &[0], &[2], &mut slice, 256).unwrap();
+        build_slice(
+            &mut ctx,
+            [Run::of_batch(&part)],
+            &[0],
+            &[2],
+            &mut slice,
+            256,
+        )
+        .unwrap();
         let set: u32 = slice.iter().map(|w| w.count_ones()).sum();
         assert!((250..300).contains(&set), "{set} bits for 299 keys");
         let c = ctx.account.counters();
@@ -363,20 +449,25 @@ mod tests {
         assert!((ctx.account.compute_cycles().get() - compute).abs() < 1e-6);
         // A slice of three words is no power of two of bits, and a join
         // has keys.
-        let bad = build_slice(&mut ctx, &[], &[0], &[2], &mut [0; 3], 256);
+        let bad = build_slice(&mut ctx, [], &[0], &[2], &mut [0; 3], 256);
         assert!(matches!(bad, Err(QefError::BadPlan(_))));
-        let bad = build_slice(&mut ctx, &[], &[], &[], &mut [0; 1], 256);
+        let bad = build_slice(&mut ctx, [], &[], &[], &mut [0; 1], 256);
         assert!(matches!(bad, Err(QefError::BadPlan(_))));
     }
 }
 
 #[cfg(test)]
 mod proptests {
-    //! A filtered round one followed by `join.pairs` against the join of
-    //! the same plan with no filter: the same batches, for inner and semi
-    //! joins, over NULL keys, one key or two, an empty build side, keys
-    //! stored at different widths on the two sides, a probe side in its
-    //! scan's task (lanes across chunks) or over batches, one round or two.
+    //! A filtered join against the join of the same plan with no filter:
+    //! the same batches, for inner and semi joins, partitioned (one round or
+    //! two) or broadcast, over NULL keys, one key or two, an empty build
+    //! side, keys stored at different widths on the two sides, and a probe
+    //! side in its scan's task — on three lanes across chunks or one over
+    //! runs of several, with a predicate pass before the key pass or none,
+    //! its keys mostly missing the build side's or not; the scan gathers and
+    //! tests them in a key pass, or streams and the stage tests them — or
+    //! over batches. Each probe row is tested once, by the stage that holds
+    //! its key first.
 
     use std::sync::Arc;
 
@@ -389,6 +480,7 @@ mod proptests {
     use crate::exec::ExecContext;
     use crate::expr::Pred;
     use crate::plan::{JoinType, PlanNode};
+    use crate::primitives::filter::CmpOp;
     use crate::trace::MemorySink;
 
     /// A row: two keys (either may be NULL) and a payload.
@@ -415,22 +507,38 @@ mod proptests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 48 })]
+        #![proptest_config(ProptestConfig { cases: 96 })]
         #[test]
-        fn a_filtered_round_one_keeps_every_row_that_joins(
-            // Build keys stored in 1 byte, probe keys in 2: the filter is
-            // built from one width and tested at the other.
+        fn a_filtered_join_keeps_every_row_that_joins(
+            // Build keys stored in 1 byte, probe keys in 2 — or, spread
+            // over a wide range, in 4: the filter is built from one width
+            // and tested at the other.
             build in rows(0..120, 300),
             probe in rows(-400..400, 900),
-            flags in 0u32..64,
+            flags in 0u32..1024,
         ) {
+            let (mut build, mut probe) = (build, probe);
             let flag = |bit: u32| flags >> bit & 1 == 1;
             let (semi, two_keys, empty_build) = (flag(0), flag(1), flag(2));
             let (over_batches, two_rounds, wide) = (flag(3), flag(4), flag(5));
+            let (broadcast, predicated, sparse) = (flag(6), flag(7), flag(8));
+            // Three lanes across chunks of 128 rows, or one lane over runs
+            // of 512: on one core, where compute is the stage, the scan
+            // tends to gather.
+            let (cores, chunk_rows) = if flag(9) { (3, 128) } else { (1, 512) };
+            if sparse {
+                // Few build keys, and probe keys that mostly miss them.
+                build.truncate(30);
+                let spread = |k: &mut Option<i64>| *k = k.map(|k| k * 2503);
+                probe.iter_mut().for_each(|(k1, k2, _)| {
+                    spread(k1);
+                    spread(k2);
+                });
+            }
             let engine = {
-                let mut e = Engine::new(ExecContext::dpu().with_cores(3));
+                let mut e = Engine::new(ExecContext::dpu().with_cores(cores));
                 e.load_table(table("b", &build, 128));
-                e.load_table(table("p", &probe, 128));
+                e.load_table(table("p", &probe, chunk_rows));
                 e
             };
             let scan = |table: &str, pred| PlanNode::Scan {
@@ -438,37 +546,70 @@ mod proptests {
                 columns: vec![0, 1, 2],
                 pred,
             };
-            let probe = match over_batches {
-                false => scan("p", None),
+            // A predicate on the payload: a pass before the key pass.
+            let kept_by_pred = predicated.then_some(Pred::CmpConst {
+                col: 2,
+                op: CmpOp::Ge,
+                value: 0,
+            });
+            let probe_scan = scan("p", kept_by_pred);
+            let probe_side = match over_batches {
+                false => probe_scan,
                 true => PlanNode::Limit {
-                    input: Box::new(scan("p", None)),
+                    input: Box::new(probe_scan),
                     n: usize::MAX,
                 },
             };
             let keys = if two_keys { vec![0, 1] } else { vec![0] };
-            let scheme = if two_rounds { vec![4, 2] } else { vec![4] };
+            let scheme = match (broadcast, two_rounds) {
+                (true, _) => vec![],
+                (false, false) => vec![4],
+                (false, true) => vec![4, 2],
+            };
             let join = |filter| PlanNode::HashJoin {
                 build: Box::new(scan("b", empty_build.then_some(Pred::Const(false)))),
-                probe: Box::new(probe.clone()),
+                probe: Box::new(probe_side.clone()),
                 build_keys: keys.clone(),
                 probe_keys: keys.clone(),
                 join_type: if semi { JoinType::LeftSemi } else { JoinType::Inner },
                 scheme: scheme.clone(),
                 filter,
             };
-            let bits = if wide { 1 << 12 } else { 4 * 64 };
+            let bits = match (wide, broadcast) {
+                (true, _) => 1 << 12,
+                (false, false) => 4 * 64,
+                (false, true) => 64,
+            };
             let (plain, _) = engine.execute(&join(None)).unwrap();
             let sink = MemorySink::new();
-            let traced = engine.fork(ExecContext::dpu().with_cores(3).with_trace(sink.clone()));
+            let traced = engine.fork(ExecContext::dpu().with_cores(cores).with_trace(sink.clone()));
             let (filtered, _) = traced.execute(&join(Some(bits))).unwrap();
             prop_assert_eq!(&filtered.batch, &plain.batch);
             let events = sink.take();
             let built: Vec<_> = events.iter().filter(|e| e.operator == "join.filter").collect();
             prop_assert_eq!(built.len(), 1);
-            let tested: Vec<_> = events.iter().filter_map(|e| e.filter).collect();
-            prop_assert_eq!(tested.len(), 1, "round one of the probe side alone tests");
-            prop_assert!(tested[0].kept <= tested[0].tested);
-            prop_assert_eq!(tested[0].tested as usize, engine.catalog()["p"].rows());
+            // One stage tests each row: the probe's scan in a key pass, or
+            // else round one of the probe side or the broadcast probe.
+            let tested: Vec<_> = events.iter().filter(|e| e.filter.is_some()).collect();
+            prop_assert_eq!(tested.len(), 1, "{:?}", tested);
+            let (stage, filter) = (tested[0], tested[0].filter.expect("tested"));
+            let probes = if broadcast { "join.probe" } else { "join.partition-probe" };
+            prop_assert_eq!(&stage.operator, probes);
+            prop_assert!(filter.kept <= filter.tested);
+            // The rows that entered the test are the ones the probe's
+            // predicate kept, whoever tested them.
+            let entering = probe.iter().filter(|row| !predicated || row.2 >= 0).count();
+            prop_assert_eq!(filter.tested as usize, entering);
+            let keyed = stage.scan.is_some_and(|s| s.keyed);
+            prop_assert!(!(keyed && over_batches), "a stage over batches has no scan");
+            if let (Some(scan), false) = (stage.scan, over_batches) {
+                // The scan hands on what its predicate kept, as ever.
+                prop_assert_eq!(stage.fused.last().map(|op| op.rows), Some(filter.tested));
+                prop_assert_eq!(scan.passes as usize, match (keyed, predicated) {
+                    (false, _) => scan.passes as usize,
+                    (true, p) => usize::from(p) + 2,
+                });
+            }
         }
     }
 }

@@ -1037,10 +1037,10 @@ mod tests {
         let parts = partition_batches(&mut ctx(), &[build], &[0], fanout, 0, tile).unwrap();
         let mut words = vec![0; bits / 64];
         for (part, slice) in parts.iter().zip(words.chunks_mut(bits / 64 / fanout)) {
-            let part = std::slice::from_ref(part);
+            let part = [Run::of_batch(part)];
             join_filter::build_slice(&mut ctx(), part, &[0], &[8], slice, tile).unwrap();
         }
-        let filter = JoinFilter::of_slices(words, fanout);
+        let filter = JoinFilter::of_slices(words, fanout, 334);
         let probe = batch(1000);
         let mut got = ctx();
         let step = RoundStep::first(&[0], fanout, tile, Some(&filter));

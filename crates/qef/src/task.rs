@@ -25,9 +25,14 @@
 //! the scan's choice of access path weighs.
 //!
 //! A join filter is state, not a stream: it takes room beside the probe
-//! round's own, and the compiler sizes it to the room that leaves the
-//! task's tile as it was ([`PlanNode::probe_room`]). Its `join.filter`
-//! stage builds a slice a lane ([`join_filter_decl`]).
+//! round's own — or beside a broadcast join's table in `join.probe`, a
+//! filter of one slice — and the compiler sizes it to the room that leaves
+//! the task's tile as it was ([`PlanNode::probe_room`]). Its `join.filter`
+//! stage builds a slice a lane ([`join_filter_decl`]). Where the probe
+//! side's scan takes the gather path it tests the filter itself, in a key
+//! pass before it gathers the projection ([`ScanChain::table_columns`] finds
+//! the keys in its table), and the stage receives only the rows that may
+//! match; on the stream path the stage tests them.
 
 use crate::budget::{OpDecl, OpName, BASE_STATE_BYTES, SELECTION_BYTES};
 use crate::error::{QefError, QefResult};
@@ -97,8 +102,8 @@ impl PlanNode {
 
     /// What the first stage this node runs over input `edge` declares
     /// against DMEM, the input handing on columns of `widths`: a partition
-    /// pass's round one — on a join's probe side holding the join filter,
-    /// where the join has one — a broadcast join's `join.probe`,
+    /// pass's round one, a broadcast join's `join.probe` — either holding
+    /// the join filter on a join's probe side, where the join has one —
     /// `groupby.consume`, `topk.consume` or `sort.local`. `None` where the
     /// node has no such stage: it is not a join, group-by, top-k or sort, or
     /// it is the build side of a broadcast join, which runs as a node of its
@@ -120,8 +125,9 @@ impl PlanNode {
         };
         match (self, edge) {
             (PlanNode::HashJoin { scheme, .. }, 0) if scheme.is_empty() => None,
-            (PlanNode::HashJoin { scheme, .. }, 1) if scheme.is_empty() => {
-                Some(join_probe_decl(widths, dmem_bytes))
+            (PlanNode::HashJoin { scheme, filter, .. }, 1) if scheme.is_empty() => {
+                let held = filter.map_or(0, join_filter::bytes);
+                Some(join_probe_decl(widths, dmem_bytes, held))
             }
             (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build", 0),
             (PlanNode::HashJoin { filter, .. }, 1) => {
@@ -201,24 +207,21 @@ impl PlanNode {
         Ok(fits.then_some(task))
     }
 
-    /// The bytes of state the first stage over this partitioned join's
-    /// probe side — round one of its pass, in the probe's task wherever
-    /// [`input_task`](Self::input_task) puts it there — can hold beside
-    /// what it declares and still run at the tile it runs at: the room a
-    /// join filter may take ([`join_filter::size_bits`]). 0 for any other
-    /// node, or a stage that does not fit at all.
+    /// The bytes of state the first stage over this join's probe side —
+    /// round one of its pass, or a broadcast join's `join.probe`, in the
+    /// probe's task wherever [`input_task`](Self::input_task) puts it there
+    /// — can hold beside what it declares and still run at the tile it runs
+    /// at: the room a join filter may take ([`join_filter::size_bits`]). 0
+    /// for any other node, or a stage that does not fit at all.
     pub fn probe_room(
         &self,
         catalog: &Catalog,
         tile_rows: usize,
         dmem_bytes: usize,
     ) -> QefResult<usize> {
-        let PlanNode::HashJoin { probe, scheme, .. } = self else {
+        let PlanNode::HashJoin { probe, .. } = self else {
             return Ok(0);
         };
-        if scheme.is_empty() {
-            return Ok(0);
-        }
         let mut decls = match self.input_task(1, catalog, tile_rows, dmem_bytes)? {
             Some(task) => task.decls,
             None => {
@@ -275,9 +278,9 @@ pub fn group_consume_decl(
 }
 
 /// What a lane of a join's `join.filter` stage declares: the slice of the
-/// filter of `bits` bits it builds — one of round one's `fanout` — and the
-/// build keys it streams, stored `key_widths` bytes each, beside the hash
-/// lane their bits are set from.
+/// filter of `bits` bits it builds — one of its `fanout`
+/// ([`join_filter::slices`]) — and the build keys it streams, stored
+/// `key_widths` bytes each, beside the hash lane their bits are set from.
 pub fn join_filter_decl(key_widths: &[usize], bits: usize, fanout: usize) -> OpDecl<'static> {
     OpDecl {
         name: OpName::of("join.filter"),
@@ -289,12 +292,13 @@ pub fn join_filter_decl(key_widths: &[usize], bits: usize, fanout: usize) -> OpD
 
 /// What a broadcast join's probe over columns of `widths` declares: the
 /// build side's table takes half the scratchpad — a lane's DMEM segment
-/// holds [`crate::ops::join::broadcast_capacity`] of it — and the probe
-/// writes the hash lane its rows are looked up by.
-pub fn join_probe_decl(widths: &[usize], dmem_bytes: usize) -> OpDecl<'static> {
+/// holds [`crate::ops::join::broadcast_capacity`] of it — beside `held`
+/// bytes of a join filter, and the probe writes the hash lane its rows are
+/// looked up by.
+pub fn join_probe_decl(widths: &[usize], dmem_bytes: usize, held: usize) -> OpDecl<'static> {
     OpDecl {
         name: OpName::of("join.probe"),
-        state_bytes: dmem_bytes / 2,
+        state_bytes: dmem_bytes / 2 + held,
         in_widths: widths.to_vec(),
         out_widths: vec![4],
     }
@@ -471,6 +475,23 @@ impl Task<'_> {
 }
 
 impl<'p> ScanChain<'p> {
+    /// Columns `cols` of what the chain hands on as columns of its table:
+    /// `None` where a `Map` computes one of them.
+    pub fn table_columns(&self, cols: &[usize]) -> Option<Vec<usize>> {
+        let below = |mut c: usize| {
+            for node in self.above.iter().rev() {
+                if let PlanNode::Map { exprs, .. } = node {
+                    match exprs.get(c)?.expr {
+                        Expr::Col(input) => c = input,
+                        _ => return None,
+                    }
+                }
+            }
+            self.columns.get(c).copied()
+        };
+        cols.iter().map(|&c| below(c)).collect()
+    }
+
     /// The chain as a task of its own, and the widths of the columns it
     /// hands on. The scan reads its touched columns at the widths the table
     /// stores them in.

@@ -79,8 +79,10 @@ pub struct StageEvent {
     /// For a stage that partitions, which round of its pass it ran.
     #[serde(default)]
     pub partition: Option<PartitionRound>,
-    /// For round one of a join's probe side that tested its rows against
-    /// the join filter, how many it tested and kept.
+    /// For the stage that tested a join's probe rows against its join
+    /// filter — round one of the probe side's pass, a broadcast join's
+    /// `join.probe`, or the task its scan's key pass ran in — how many it
+    /// tested and kept.
     #[serde(default)]
     pub filter: Option<FilterKept>,
     /// The operators that ran in this stage's lanes beneath `operator`, in
@@ -152,8 +154,13 @@ pub struct ScanAccess {
     /// The relation-accessor pattern its chunks were read by.
     pub path: AccessPath,
     /// Trips through the DMS per run of rows: one on the stream path, the
-    /// predicate passes plus the projection's gather on the gather path.
+    /// predicate passes, the key pass and the projection's gather on the
+    /// gather path.
     pub passes: u32,
+    /// Whether one of the passes is the key pass: the scan tested its
+    /// task's join filter.
+    #[serde(default)]
+    pub keyed: bool,
 }
 
 /// Which round of a partition pass a stage ran (see
@@ -170,13 +177,13 @@ pub struct PartitionRound {
     pub fanout: u32,
 }
 
-/// What a join filter kept of the rows round one of a probe side tested
-/// (see [`crate::ops::join_filter`]).
+/// What a join filter kept of the probe rows a stage tested (see
+/// [`crate::ops::join_filter`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FilterKept {
-    /// Rows the round tested.
+    /// Rows the stage tested.
     pub tested: u64,
-    /// Rows whose bit was set: the ones the round partitioned.
+    /// Rows whose bit was set: the ones it partitioned or probed.
     pub kept: u64,
 }
 

@@ -109,7 +109,7 @@ fn kept(plan: &ScanPlan<'_>, chunk: &Chunk) -> (usize, u64, u64) {
     let mut c = core();
     let (rows, allocs, bytes) =
         measured(|| plan.scan_rows(&mut c, Span::new(std::slice::from_ref(chunk), 0..ROWS), 256));
-    (rows.unwrap().rows(), allocs, bytes)
+    (rows.unwrap().0.rows(), allocs, bytes)
 }
 
 #[test]
@@ -183,7 +183,7 @@ fn a_streamed_chunk_allocates_per_column_not_per_tile() {
                 Span::new(std::slice::from_ref(&chunk), 0..ROWS),
                 tile,
             );
-            rows.map(|rows| rows.into_batch(&mut c))
+            rows.map(|(rows, _)| rows.into_batch(&mut c))
         });
         assert_eq!(c.account.counters().tiles, (ROWS / tile) as u64);
         (b.unwrap().rows(), allocs)
@@ -228,7 +228,7 @@ fn planning_a_one_pass_scan_allocates_for_its_conjunct_and_nothing_else() {
     for pred in [Some(&point), None] {
         let (plan, allocs, _) = measured(|| {
             let touched = touched_columns(&proj, pred);
-            ScanPlan::decide(&ectx, &t, &proj, pred, touched, 256, &kept)
+            ScanPlan::decide(&ectx, &t, &proj, pred, touched, 256, &kept, None)
         });
         assert_eq!(plan.dms_passes(), 1 + pred.iter().count());
         // The touched columns (grown once), the statistics view, the
@@ -392,7 +392,7 @@ fn a_map_over_kept_rows_allocates_for_what_it_computes_not_what_it_passes_throug
         let mut c = core();
         let mut table = GroupTable::new(0, &aggs, 16);
         let (done, allocs, _) = measured(|| {
-            let rows = plan.scan_rows(
+            let (rows, _) = plan.scan_rows(
                 &mut c,
                 Span::new(std::slice::from_ref(&chunk), 0..ROWS),
                 256,

@@ -358,7 +358,8 @@ impl Walker<'_> {
         // A key out of bounds is S-COL-BOUNDS's to report.
         let key_widths: Option<Vec<usize>> = keys.iter().map(|&k| widths.get(k).copied()).collect();
         if let Some(key_widths) = key_widths {
-            let decl = task::join_filter_decl(&key_widths, bits, scheme[0]);
+            let slices = rapid_qef::ops::join_filter::slices(scheme);
+            let decl = task::join_filter_decl(&key_widths, bits, slices);
             self.stage(id, path, &[decl], Vec::new());
         }
     }

@@ -14,13 +14,20 @@ use rapid::qef::exec::ExecContext;
 use rapid::qef::plan::PlanNode;
 use rapid_fuzz::canonical;
 
-/// Every join of no rounds in `plan`, partitioned `scheme` ways instead;
-/// how many there were.
+/// Every join of no rounds in `plan`, partitioned `scheme` ways instead —
+/// its join filter, where it declares one, grown to a word for each of
+/// round one's partitions — how many there were.
 fn partition_broadcasts(plan: &mut PlanNode, scheme: &[usize]) -> usize {
     let mut rewritten = 0;
-    if let PlanNode::HashJoin { scheme: s, .. } = plan {
+    if let PlanNode::HashJoin {
+        scheme: s, filter, ..
+    } = plan
+    {
         if s.is_empty() {
             *s = scheme.to_vec();
+            if let Some(bits) = filter {
+                *bits = (*bits).max(scheme[0] * rapid::qef::ops::join_filter::MIN_SLICE_BITS);
+            }
             rewritten += 1;
         }
     }

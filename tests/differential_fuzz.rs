@@ -58,11 +58,18 @@ fn fuzz_smoke_finds_no_divergence() {
         );
     }
     // The grammar reaches the join filter: selective inner and semi joins
-    // whose compiled plans declare one, one query in twenty at least.
+    // whose compiled plans declare one, one query in twenty at least — and
+    // as many with one on a broadcast join.
     assert!(
         report.filtered >= n / 20,
         "only {} of {} executed queries declare a join filter",
         report.filtered,
+        report.executed
+    );
+    assert!(
+        report.broadcast_filtered >= n / 20,
+        "only {} of {} executed queries declare a filter on a broadcast join",
+        report.broadcast_filtered,
         report.executed
     );
 }

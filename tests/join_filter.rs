@@ -1,8 +1,11 @@
 //! Join filters where the estimate says most probe rows miss, and nowhere
-//! else: at the benchmark's scale factor exactly four partitioned joins of
-//! the eleven TPC-H statements declare one, their probe sides' round one
-//! keeps every row that joins and few more, and a join whose every probe
-//! row matches — `dml_refresh`'s `customer JOIN orders` — declares none.
+//! else: at the benchmark's scale factor exactly four partitioned and five
+//! broadcast joins of the eleven TPC-H statements declare one, the stage
+//! that tests a probe row — the probe's scan on the gather path, else the
+//! probe side's round one or a broadcast join's probe — keeps every row that
+//! joins and few more, and a join whose every probe row matches —
+//! `dml_refresh`'s `customer JOIN orders`, Q10's `customer ⋈ nation` —
+//! declares none.
 
 use std::collections::HashMap;
 
@@ -44,6 +47,19 @@ fn filtered_joins(plan: &PlanNode) -> Vec<(u32, usize)> {
     out
 }
 
+/// `plan` with every join filter taken out.
+fn unfiltered(plan: &PlanNode) -> PlanNode {
+    fn strip(plan: &mut PlanNode) {
+        if let PlanNode::HashJoin { filter, .. } = plan {
+            *filter = None;
+        }
+        plan.inputs_mut().for_each(strip);
+    }
+    let mut plan = plan.clone();
+    strip(&mut plan);
+    plan
+}
+
 #[test]
 fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
     let (db, catalog) = tpch_catalog(0.02);
@@ -57,33 +73,61 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
     for (name, plan) in tpch::queries::all() {
         let compiled = rapid::qcomp::compile(&plan, &catalog, &params).expect("compile");
         let joins = filtered_joins(&compiled.plan);
+        engine
+            .execute(&unfiltered(&compiled.plan))
+            .expect("execute");
+        let plain = sink.take();
         let (out, _) = engine.execute(&compiled.plan).expect("execute");
         let events = sink.take();
         for &(node, bits) in &joins {
             // The filter is sized from the estimated build rows, 8 to 16
-            // bits a row, in the room the probe side's round one leaves.
-            assert!(bits.is_power_of_two() && bits >= 32 * 64, "{name}: {bits}");
-            let of_node = |op: &str| {
+            // bits a row, in the room the probe side's first stage leaves:
+            // a word for each of round one's partitions, or the one slice
+            // of a broadcast join.
+            let of_node = |events: &[rapid::qef::trace::StageEvent], op: &str| {
                 let mut it = events
                     .iter()
                     .filter(|e| e.node_id == node && e.operator == op);
-                it.next()
+                it.next_back()
                     .unwrap_or_else(|| panic!("{name} node {node}: no {op}"))
+                    .clone()
             };
-            let built = of_node("join.filter");
-            let probe = of_node("join.partition-probe");
-            let filter = probe.filter.expect("round one of the probe side tests");
-            let pairs = of_node("join.pairs");
-            // Every row that joins is kept, and the rows that do not are
-            // few: a false positive's chance is 1 − e^(−keys/bits).
-            assert!(filter.kept >= pairs.rows.min(filter.kept), "{name}");
+            let built = of_node(&events, "join.filter");
+            // Each probe row is tested once, by the stage that holds its key
+            // first: the probe's scan, on the gather path, or else round one
+            // of a partitioned join's probe side or a broadcast join's probe.
+            let tested: Vec<_> = events.iter().filter(|e| e.filter.is_some()).collect();
+            let tested: Vec<_> = tested.iter().filter(|e| e.node_id == node).collect();
+            assert_eq!(tested.len(), 1, "{name} node {node}: {tested:?}");
+            let (probe, filter) = (tested[0], tested[0].filter.expect("tested"));
+            let least = match probe.operator.as_str() {
+                "join.partition-probe" => 32 * 64,
+                "join.probe" => 64,
+                other => panic!("{name} node {node}: tested by {other}"),
+            };
+            assert!(bits.is_power_of_two() && bits >= least, "{name}: {bits}");
+            if probe.scan.is_some_and(|s| s.keyed) {
+                // The scan's rows are what its predicate kept: the rows
+                // that entered the test.
+                assert_eq!(probe.fused.last().map(|s| s.rows), Some(filter.tested));
+            }
+            // Every row that joins is kept: the join hands on what it does
+            // unfiltered.
+            let joins = match probe.operator.as_str() {
+                "join.probe" => "join.probe",
+                _ => "join.pairs",
+            };
+            let joined = |events: &[_]| of_node(events, joins).rows;
+            let joined_rows = joined(&events);
+            assert_eq!(joined_rows, joined(&plain), "{name} node {node}");
+            // And the rows that do not join are few: a false positive's
+            // chance is 1 − e^(−keys/bits).
             let keys = built.rows as f64;
             let chance = 1.0 - (-keys / bits as f64).exp();
             let missed = (filter.tested - filter.kept) as f64;
             assert!(
-                missed >= 0.5 * (1.0 - chance) * (filter.tested as f64 - pairs.rows as f64),
-                "{name} node {node}: kept {filter:?} of which {} joined",
-                pairs.rows
+                missed >= 0.5 * (1.0 - chance) * (filter.tested as f64 - joined_rows as f64),
+                "{name} node {node}: kept {filter:?} of which {joined_rows} joined"
             );
             declared.push((name, node));
         }
@@ -95,7 +139,24 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
             "{name}: Volcano vs DPU"
         );
     }
-    assert_eq!(declared, [("Q3", 3), ("Q3", 4), ("Q5", 11), ("Q10", 5)]);
+    // Partitioned: Q3's two joins, Q5's and Q10's lineitem joins. Broadcast:
+    // the probes of Q9's lineitem, Q12's orders, and Q18's customer, orders
+    // and lineitem. Q10's customer ⋈ nation, whose every probe row
+    // matches, declares none.
+    assert_eq!(
+        declared,
+        [
+            ("Q3", 3),
+            ("Q3", 4),
+            ("Q5", 11),
+            ("Q9", 11),
+            ("Q10", 5),
+            ("Q12", 4),
+            ("Q18", 4),
+            ("Q18", 5),
+            ("Q18", 6)
+        ]
+    );
 }
 
 #[test]
@@ -149,6 +210,26 @@ fn explain_analyze_says_what_a_filter_kept() {
         assert!(0 < k && k < of / 2, "{kept}");
     }
     assert_eq!(text.matches("join.filter").count(), 2, "{text}");
+
+    // Q18's three broadcast joins test their probe rows too: the lineitem
+    // and orders scans in a key pass, the customer scan's rows in the
+    // probe. Each probe line says what was kept of the rows its scan's
+    // predicate kept.
+    let (_, q18) = tpch::queries::STATEMENTS
+        .iter()
+        .find(|(name, _)| *name == "Q18")
+        .expect("Q18");
+    let text = db.explain_analyze(q18).expect("explain").text;
+    let probes = text.lines().filter(|l| l.contains("join.probe"));
+    assert_eq!(
+        probes.filter(|l| l.contains(" filter kept=")).count(),
+        3,
+        "{text}"
+    );
+    assert_eq!(text.matches("join.filter").count(), 3, "{text}");
+    let keyed = text.lines().filter(|l| l.contains("gather passes=2 (key)"));
+    let keyed: Vec<_> = keyed.filter_map(|l| l.split_whitespace().next()).collect();
+    assert_eq!(keyed, ["scan(lineitem)", "scan(orders)"], "{text}");
 }
 
 fn has_partitioned_join(plan: &PlanNode) -> bool {

@@ -3,11 +3,13 @@
 //! chose an access path (every scan gathered, one DMS pass per conjunct),
 //! no statement takes more simulated cycles or moves more DMS bytes (nor
 //! more bytes than since its codes and dates are stored narrow), the scans
-//! of eight of them move at least a fifth fewer bytes (the scans' share of
-//! their tasks' traffic, so that the pin is about scans whatever the
-//! operators above them come to move), a scan without a
-//! predicate streams and hands its rows on where they lie unless it is one
-//! tile on one lane, in a task no slower than the first that ran it — and
+//! of every one of them move at least a fifth fewer bytes (the scans' share
+//! of their tasks' traffic, so that the pin is about scans whatever the
+//! operators above them come to move), a scan with neither a predicate nor
+//! a key pass streams and hands its rows on where they lie unless it is one
+//! tile on one lane, in a task no slower than the first that ran it, one
+//! with a key pass gathers in a task no slower than when it tested nothing
+//! — and
 //! the rows are the same on Volcano, the native engine and the simulated
 //! DPU.
 
@@ -57,9 +59,9 @@ const NARROW: [(&str, u64); 11] = [
     ("Q19", 355_893),
 ];
 
-/// `(statement, table, columns scanned, cycles)` of every scan without a
-/// predicate (every scan of Q1, Q3, Q4 and Q6 filters; Q18 reads lineitem
-/// twice). A scan is no stage of its own to time: the cycles are those of
+/// `(statement, table, columns scanned, cycles)` of every scan with neither
+/// a predicate nor a key pass (every scan of Q1, Q3, Q4 and Q6 filters; Q18
+/// reads lineitem twice). A scan is no stage of its own to time: the cycles are those of
 /// the task it opens, rounded up — where round one of the partition pass it
 /// feeds is the task's last operator, as first run as tasks; where it feeds
 /// a broadcast join's probe (Q5's supplier and customer, Q9's lineitem,
@@ -68,28 +70,34 @@ const NARROW: [(&str, u64); 11] = [
 /// run that way. A probe task does the join's work the pairs stage did:
 /// four of them take longer than they did partitioning, and the statements
 /// they are in less time.
-const UNFILTERED: [(&str, &str, usize, u64); 18] = [
+const UNFILTERED: [(&str, &str, usize, u64); 13] = [
     ("Q5", "nation", 3, 1_053),
     ("Q5", "supplier", 2, 4_570),
     ("Q5", "customer", 2, 8_641),
-    ("Q5", "lineitem", 4, 191_280),
     ("Q9", "nation", 2, 910),
     ("Q9", "supplier", 2, 4_403),
     ("Q9", "partsupp", 3, 22_349),
-    ("Q9", "lineitem", 6, 131_074),
     ("Q9", "orders", 2, 31_077),
     ("Q10", "nation", 2, 17),
     ("Q10", "customer", 5, 7_901),
-    ("Q12", "orders", 2, 34_056),
     ("Q14", "part", 2, 5_931),
-    // Recorded with a table's chunks in heap-slot order: each lane probes
-    // other lineitem rows than under the round-robin partitions before, and
-    // the busiest lane's probe walks more hash-chain links (65,029 before).
-    ("Q18", "lineitem", 2, 65_069),
     ("Q18", "lineitem", 2, 95_106),
-    ("Q18", "orders", 4, 26_183),
     ("Q18", "customer", 2, 6_690),
     ("Q19", "part", 4, 8_862),
+];
+
+/// The same of every scan without a predicate that tests its task's join
+/// filter in a key pass: it streams the keys, tests them and gathers its
+/// columns at the rows whose bit is set. Each was an entry of
+/// [`UNFILTERED`], its task then taking more cycles: Q5's lineitem 191,280,
+/// Q9's lineitem 131,074, Q12's orders 34,056, Q18's probe lineitem 65,069
+/// and its orders 26,183.
+const KEYED: [(&str, &str, usize, u64); 5] = [
+    ("Q5", "lineitem", 4, 98_807),
+    ("Q9", "lineitem", 6, 88_990),
+    ("Q12", "orders", 2, 20_574),
+    ("Q18", "lineitem", 2, 23_449),
+    ("Q18", "orders", 4, 7_093),
 ];
 
 /// Pre-order `(table, columns, filtered)` of a plan's nodes, `None` for
@@ -173,7 +181,7 @@ fn no_statement_is_slower_or_moves_more_and_unfiltered_scans_stream() {
 
         let mut nodes = Vec::new();
         scans(&compiled.plan, &mut nodes);
-        let mut unfiltered = Vec::new();
+        let (mut unfiltered, mut keyed) = (Vec::new(), Vec::new());
         for e in events.iter().filter(|e| e.scan.is_some()) {
             let access = e.scan.expect("filtered on it");
             let (node_id, _, operator, rows) = e.operators().last().expect("the event's own");
@@ -189,8 +197,15 @@ fn no_statement_is_slower_or_moves_more_and_unfiltered_scans_stream() {
                 continue;
             }
             let cycles = e.sim_secs * dpu.context().cost_model.freq_hz;
-            unfiltered.push((name, table.as_str(), *columns, cycles.ceil() as u64));
+            let ran = (name, table.as_str(), *columns, cycles.ceil() as u64);
             assert_eq!(rows, catalog[table].rows() as u64, "{name} {table}");
+            if access.keyed {
+                // The key stream, and the gather of the rows left.
+                assert_eq!((access.path, access.passes), (AccessPath::Gather, 2));
+                keyed.push(ran);
+                continue;
+            }
+            unfiltered.push(ran);
             // More than a tile is more than a lane, and streams; one tile
             // on one core may gather, a trip round the control loop saved.
             match access.path {
@@ -201,21 +216,19 @@ fn no_statement_is_slower_or_moves_more_and_unfiltered_scans_stream() {
                 AccessPath::Gather => assert_eq!(e.parallelism, 1, "{name} {table}: {e:?}"),
             }
         }
-        let mut of_statement: Vec<_> = UNFILTERED.iter().filter(|(q, ..)| *q == name).collect();
-        of_statement.sort_unstable();
-        unfiltered.sort_unstable();
-        assert_eq!(
-            unfiltered.len(),
-            of_statement.len(),
-            "{name}: {unfiltered:?}"
-        );
-        for (ran, &&(q, table, columns, cycles)) in unfiltered.iter().zip(&of_statement) {
-            assert_eq!((ran.0, ran.1, ran.2), (q, table, columns), "{name}");
-            assert!(
-                ran.3 <= cycles,
-                "{name} {table}: its task takes {} cycles, {cycles} recorded",
-                ran.3
-            );
+        for (mut ran, recorded) in [(unfiltered, &UNFILTERED[..]), (keyed, &KEYED[..])] {
+            let mut of_statement: Vec<_> = recorded.iter().filter(|(q, ..)| *q == name).collect();
+            of_statement.sort_unstable();
+            ran.sort_unstable();
+            assert_eq!(ran.len(), of_statement.len(), "{name}: {ran:?}");
+            for (ran, &&(q, table, columns, cycles)) in ran.iter().zip(&of_statement) {
+                assert_eq!((ran.0, ran.1, ran.2), (q, table, columns), "{name}");
+                assert!(
+                    ran.3 <= cycles,
+                    "{name} {table}: its task takes {} cycles, {cycles} recorded",
+                    ran.3
+                );
+            }
         }
 
         // The same rows in the same order from the statement as written on
@@ -226,12 +239,14 @@ fn no_statement_is_slower_or_moves_more_and_unfiltered_scans_stream() {
             .unwrap_or_else(|e| panic!("{name} host: {e}"));
         assert_eq!(canonical(&host.rows), canonical(&rows), "{name}: Volcano");
     }
-    // Every one but the one-tile tables: nation and supplier.
-    assert_eq!(streamed, 13, "unfiltered scans streamed");
+    // Every one but the one-tile tables, nation and supplier, and the five
+    // that test a join filter.
+    assert_eq!(streamed, 8, "unfiltered scans streamed");
     // Access paths alone took Q6, Q12 and Q14 there; narrow codes and dates
-    // the rest of the lineitem-heavy ones.
+    // the rest of the lineitem-heavy ones; key passes Q5, Q9 and Q18: every
+    // statement.
     assert_eq!(
         a_fifth_fewer,
-        ["Q1", "Q3", "Q4", "Q6", "Q10", "Q12", "Q14", "Q19"]
+        ["Q1", "Q3", "Q4", "Q5", "Q6", "Q9", "Q10", "Q12", "Q14", "Q18", "Q19"]
     );
 }

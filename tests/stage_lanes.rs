@@ -12,7 +12,10 @@
 //! A pass runs the rounds its plan node declares, joins and group-bys alike,
 //! every pass of the eleven statements a single round; a join of no rounds
 //! is broadcast and runs no pass and no pairs stage, only the probe its
-//! every lane builds the whole table for.
+//! every lane builds the whole table for — and, where it declares a join
+//! filter, the `join.filter` stage (and merge) that builds it. Each probe
+//! row is tested against a filter once, by the stage its task ends with or
+//! by its scan's key pass.
 //!
 //! Against the figures recorded from the commit that ran one operator per
 //! stage no statement takes more cycles or moves more bytes; and where the
@@ -304,7 +307,9 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                 );
             }
             // A join filter is built by a stage of its own, a lane a slice,
-            // and tested by round one of the probe side alone.
+            // and tested by the probe side's first stage alone — round one
+            // of its pass or a broadcast join's probe, or the scan in its
+            // task — whose event says what it kept.
             let filtered = filter_bytes.contains_key(&e.node_id);
             if e.operator == "join.filter" {
                 assert!(filtered, "{name}: node {} declares no filter", e.node_id);
@@ -315,11 +320,8 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     e.node_id
                 );
             }
-            assert_eq!(
-                e.filter.is_some(),
-                filtered && e.operator == "join.partition-probe",
-                "{name}: {e:?}"
-            );
+            let probes = matches!(e.operator.as_str(), "join.partition-probe" | "join.probe");
+            assert_eq!(e.filter.is_some(), filtered && probes, "{name}: {e:?}");
         }
         // Every scan is in a task, and a task is one event: the chain with
         // the stage that consumes it, wherever they fit together.
@@ -420,9 +422,10 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         // and builds its table. With one build a lane subtracted — the bytes
         // of the build side's rows, and the same instructions whichever
         // lanes are compared — the task moves and retires what it does on
-        // one core. Round one of a probe side that tests its rows against a
-        // join filter is the same: every lane reads the whole filter, and
-        // with one read a lane subtracted it moves what it does on one core.
+        // one core. The first stage of a probe side that tests its rows
+        // against a join filter is the same: every lane reads the whole
+        // filter, and with one read a lane subtracted — beside a broadcast
+        // join's build — it moves what it does on one core.
         type Work = (
             String,
             Vec<u64>,
@@ -463,7 +466,16 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             let (rows_fewer, report_fewer) = run(fewer);
             let events_fewer = fewer_sink.take();
             assert_eq!(rows_fewer, rows, "{name}: {cores} cores vs {CORES}");
-            assert_eq!(events_fewer.len(), events.len(), "{name}: {cores} cores");
+            // The same stages, but for the merge of a broadcast join's
+            // filter: it ORs the copies the filter's lanes built, and where
+            // the build side's tiles are on one lane there is one copy.
+            let staged = |events: &[StageEvent]| {
+                let merges = events.iter().filter(|e| e.operator == "join.filter.merge");
+                (events.len() - merges.clone().count(), merges.count())
+            };
+            let (few, all) = (staged(&events_fewer), staged(&events));
+            assert_eq!(few.0, all.0, "{name}: {cores} cores");
+            assert!(few.1 <= all.1, "{name}: {cores} cores");
             for (few, all) in work(&events_fewer).iter().zip(&at_all_cores) {
                 assert_eq!(few.1, all.1, "{name}: {cores} cores vs {CORES}");
                 if few.0 != all.0 {
@@ -477,13 +489,19 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     let (bytes, instructions) = (all.2 .0 - few.2 .0, all.2 .1 - few.2 .1);
                     assert_eq!((bytes % extra, instructions % extra), (0, 0), "{name}");
                     let per_lane = (bytes / extra, instructions / extra);
-                    if let Some(&filter) = filter_bytes.get(&join) {
-                        assert_eq!(per_lane, (filter, 0), "{name}: node {join}");
-                        filters_subtracted += 1;
-                    } else {
-                        assert_eq!(per_lane.0, build_read(join), "{name}: node {join}");
+                    let filter = filter_bytes.get(&join).copied();
+                    filters_subtracted += usize::from(filter.is_some());
+                    if build_bytes.contains_key(&join) {
+                        let read = build_read(join) + filter.unwrap_or(0);
+                        assert_eq!(per_lane.0, read, "{name}: node {join}");
                         let first = *one_build.entry(join).or_insert(per_lane);
                         assert_eq!(per_lane, first, "{name}: node {join}, {cores} cores");
+                    } else {
+                        assert_eq!(
+                            Some(per_lane),
+                            filter.map(|f| (f, 0)),
+                            "{name}: node {join}"
+                        );
                     }
                 } else {
                     assert_eq!(few.2, all.2, "{name}: {cores} cores vs {CORES}");
@@ -509,27 +527,38 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         assert_eq!(run(&native).0, rows, "{name}: native vs DPU");
     }
     // Gathering computes less and moves more: on one core, where compute
-    // is the stage, thirteen of the 33 scans gather that stream on 32 (two
+    // is the stage, eight of the 33 scans gather that stream on 32 (two
     // more since codes and dates are stored narrow: a gather pass moves
-    // fewer bytes). On eight none does: the lineitem scans of Q1 and Q3
-    // gathered there while the stream path compacted every projected column
-    // of the rows it kept, and stream now that the operators above read
-    // them through the selection vector.
+    // fewer bytes; five fewer since the probe scans of Q5's and Q9's
+    // lineitem, Q12's orders and Q18's lineitem and orders gather on 32
+    // too, testing their join filter in a key pass). On eight one does,
+    // Q18's customer probe, for the same key pass. The lineitem scans of Q1
+    // and Q3 gathered there while the stream path compacted every projected
+    // column of the rows it kept, and stream now that the operators above
+    // read them through the selection vector.
     // The merges are the stages it does not derive: one core folds what the
     // lanes of the stage before left.
-    let merges = ["groupby.merge", "sort.merge", "topk.merge"];
+    let merges = [
+        "groupby.merge",
+        "join.filter.merge",
+        "sort.merge",
+        "topk.merge",
+    ];
     assert_eq!(underived, merges.map(String::from).into());
     assert_eq!(broadcast, BROADCAST);
     // Every broadcast task but Q5's one-tile supplier probe has fewer lanes
-    // on fewer cores: seven joins whose per-lane build was subtracted.
-    assert_eq!(builds_subtracted, 7);
-    // And the four filtered probe tasks (Q3's nodes 3 and 4, Q5's node 11,
-    // Q10's node 5), compared on 1 and on 8 cores — but for the two whose
-    // scan gathers on 32 cores and streams on one, compared on their rows
-    // alone: a filter read a lane.
-    assert_eq!(filters_subtracted, 6);
+    // on fewer cores: six joins whose per-lane build was subtracted. The
+    // seventh, Q18's customer probe, streams on 32 cores and tests its
+    // filter in the probe, and on 1 and 8 gathers and tests it in a key
+    // pass: compared on its rows alone.
+    assert_eq!(builds_subtracted, 6);
+    // And the eight filtered probe tasks (Q3's nodes 3 and 4, Q5's node 11,
+    // Q10's node 5 partitioned; Q9's node 11, Q12's node 4 and Q18's nodes
+    // 5 and 6 broadcast, beside their build), each compared on 1 and on 8
+    // cores: a filter read a lane.
+    assert_eq!(filters_subtracted, 16);
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
-    assert_eq!((gathers_on(1), gathers_on(8)), (13, 0), "{other_path:?}");
+    assert_eq!((gathers_on(1), gathers_on(8)), (8, 1), "{other_path:?}");
     // 33 scans, 33 tasks. All but three end with the first stage of their
     // consumer, which in 32 KiB fits every time: the three are the build
     // sides of broadcast joins (Q9's part, Q10's nation, Q12's lineitem),
@@ -545,9 +574,12 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // Q10's nation scan, 25 rows a task of their own with nothing to
     // compute; and the last, Q3's orders probe partition, since the rows its
     // scan keeps stay behind a selection vector: no longer compacting them
-    // took its compute under its DMS time.
+    // took its compute under its DMS time. Seventeen since Q18's probe of
+    // lineitem tests its join filter in a key pass: probing 1,889 rows
+    // where it probed 119,771 took its compute (65,069 cycles) under its
+    // DMS time (23,449).
     assert_eq!(
-        dms_bound, 16,
+        dms_bound, 17,
         "tasks whose DMS time is their compute time or more"
     );
     // Rounds on all 32 cores, in tasks and over what joins handed on: the

@@ -288,10 +288,28 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
     let verify = db.explain_verify(q9).expect("EXPLAIN VERIFY");
     assert!(verify.contains("PASS"), "{verify}");
     let analyzed = db.explain_analyze(q9).expect("EXPLAIN ANALYZE");
+    // The bytes of the join filter each join declares, by node id.
+    let catalog = db.rapid().read().catalog().clone();
+    let (_, plan) = tpch::queries::all()
+        .into_iter()
+        .find(|(name, _)| *name == "Q9")
+        .expect("Q9");
+    let compiled = rapid::qcomp::compile(&plan, &catalog, &CostParams::default()).expect("compile");
+    fn filters(plan: &PlanNode, out: &mut Vec<u64>) {
+        let bits = match plan {
+            PlanNode::HashJoin { filter, .. } => filter.unwrap_or(0),
+            _ => 0,
+        };
+        out.push(bits as u64 / 8);
+        plan.inputs().for_each(|child| filters(child, out));
+    }
+    let mut filter_bytes = Vec::new();
+    filters(&compiled.plan, &mut filter_bytes);
     // Three joins partition, a round a side; the other two — part into
     // lineitem, and the nation-supplier join into what the partsupp and
     // orders joins handed on — are broadcast, a probe stage each whose
-    // state is the half of DMEM its build side's table is built in.
+    // state is the half of DMEM its build side's table is built in, beside
+    // the join filter of the first.
     let staged: Vec<_> = analyzed
         .events
         .iter()
@@ -313,7 +331,8 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
         // every stream.
         let state: u64 = state.parse().expect("state");
         let own = if e.partition.is_some() { 64 } else { dmem / 2 };
-        assert_eq!(state, own + 64 * e.fused.len() as u64, "{line:?}");
+        let held = filter_bytes[e.node_id as usize];
+        assert_eq!(state, own + held + 64 * e.fused.len() as u64, "{line:?}");
         let row: u64 = b_per_row.parse().expect("B/row");
         assert_eq!(e.dmem_peak_bytes, state + 2 * row * 256, "{line:?}");
         let line = match e.partition {
@@ -336,5 +355,10 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
         .map(|op| (&*op.operator, op.rows))
         .collect();
     assert_eq!(scan, [("scan(lineitem)", 119_771)], "{widest:?}");
-    assert_eq!(widest.dmem_peak_bytes, 64 + dmem / 2 + 2 * (12 + 4) * 256);
+    let held = filter_bytes[widest.node_id as usize];
+    assert_eq!(held, 1024, "the filter of 8,192 bits over its part keys");
+    assert_eq!(
+        widest.dmem_peak_bytes,
+        64 + dmem / 2 + held + 2 * (12 + 4) * 256
+    );
 }
