@@ -91,6 +91,19 @@ if git grep -n -E "struct TablePartition|fn partitions\(|target_partitions" -- '
     exit 1
 fi
 
+echo "== a broadcast join's filter is built beside its table =="
+# Every lane of a broadcast join's probe reads the whole build side and
+# hashes every key to build its table; it sets the filter's bits from those
+# hashes in the DMEM its stage declares for the filter, and reads no filter
+# from DRAM. A stage that re-reads and re-hashes the build keys, a merge of
+# the copies it built, or their charges, are a second filter builder beside
+# the partitioned join's `join.filter` stage, which stays: a partitioned
+# probe side's round one needs its filter before any table exists.
+if git grep -n -E "join\.filter\.merge|merge_copies|fn broadcast_filter|join_filter_merge_per_word" -- 'crates/*'; then
+    echo "a broadcast join's filter is built by a stage again: set its bits beside the table"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

@@ -177,14 +177,6 @@ impl KernelSplit {
 pub struct CycleAccount {
     compute: Cycles,
     dms: Cycles,
-    /// Elapsed cycles already resolved for overlap: with double buffering
-    /// the effective elapsed contribution is `max` per loop, which callers
-    /// record via [`CycleAccount::charge_overlapped`].
-    overlapped: Cycles,
-    /// Portion of `compute` that was part of an explicitly overlapped charge.
-    overlapped_compute: Cycles,
-    /// Portion of `dms` that was part of an explicitly overlapped charge.
-    overlapped_dms: Cycles,
     counters: Counters,
 }
 
@@ -228,17 +220,6 @@ impl CycleAccount {
         self.counters.dms_descriptors += descriptors;
     }
 
-    /// Record a double-buffered loop iteration in which `compute` and
-    /// `transfer` overlap: elapsed contribution is their max, and the
-    /// individual streams are still recorded for utilization reporting.
-    pub fn charge_overlapped(&mut self, compute: Cycles, transfer: Cycles) {
-        self.compute += compute;
-        self.dms += transfer;
-        self.overlapped += compute.max(transfer);
-        self.overlapped_compute += compute;
-        self.overlapped_dms += transfer;
-    }
-
     /// Record an ATE message send.
     pub fn charge_ate(&mut self, cycles: Cycles) {
         self.compute += cycles;
@@ -255,21 +236,13 @@ impl CycleAccount {
         self.dms
     }
 
-    /// Effective elapsed cycles for this core under the overlap rule.
-    ///
-    /// Charges recorded through [`charge_overlapped`](Self::charge_overlapped)
-    /// contribute `max(compute, transfer)` per iteration; everything charged
-    /// through the plain `charge_*` methods is assumed non-overlapped and is
-    /// resolved as `max(compute_rest, dms_rest)` over the whole stage, which
-    /// models steady-state double buffering of a streaming operator.
+    /// Effective elapsed cycles for this core under the overlap rule:
+    /// `max(compute, dms)` over everything charged, which models
+    /// steady-state double buffering of a streaming operator — the DMS
+    /// fetches the next tile while the core computes on this one. Across
+    /// lanes the stage rule, [`StageSpan`], resolves it again.
     pub fn elapsed_cycles(&self) -> Cycles {
-        // `overlapped` already contains the resolved max for explicitly
-        // overlapped iterations; the remainder — charges recorded through
-        // the plain `charge_*` methods — is resolved stage-wide, which
-        // models steady-state double buffering of a streaming operator.
-        let compute_rest = Cycles((self.compute.get() - self.overlapped_compute.get()).max(0.0));
-        let dms_rest = Cycles((self.dms.get() - self.overlapped_dms.get()).max(0.0));
-        self.overlapped + compute_rest.max(dms_rest)
+        self.compute.max(self.dms)
     }
 
     /// Event counters.
@@ -282,9 +255,6 @@ impl CycleAccount {
     pub fn absorb(&mut self, other: &CycleAccount) {
         self.compute += other.compute;
         self.dms += other.dms;
-        self.overlapped += other.overlapped;
-        self.overlapped_compute += other.overlapped_compute;
-        self.overlapped_dms += other.overlapped_dms;
         self.counters = self.counters.merged(&other.counters);
     }
 
@@ -395,16 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_charge_takes_max() {
-        let mut acc = CycleAccount::new();
-        acc.charge_overlapped(Cycles(100.0), Cycles(40.0));
-        acc.charge_overlapped(Cycles(10.0), Cycles(90.0));
-        // 100 + 90 = 190 elapsed, even though compute=110, dms=130.
-        assert!((acc.elapsed_cycles().get() - 190.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn non_overlapped_streams_resolve_as_stage_max() {
+    fn compute_and_transfer_resolve_as_the_larger_of_the_two() {
         let mut acc = CycleAccount::new();
         acc.charge_compute(Cycles(50.0));
         acc.charge_dms(Cycles(80.0), 1024, 1);
@@ -426,7 +387,6 @@ mod tests {
     fn reset_clears_cycles_and_counters() {
         let mut acc = CycleAccount::new();
         acc.charge_kernel(&CostModel::default(), &KernelCost::paired(100.0, 100.0));
-        acc.charge_overlapped(Cycles(10.0), Cycles(20.0));
         acc.charge_dms(Cycles(5.0), 64, 1);
         acc.reset();
         assert_eq!(acc.elapsed_cycles(), Cycles::ZERO);
@@ -467,9 +427,11 @@ mod tests {
 
     #[test]
     fn span_respects_per_lane_overlap() {
-        // Each lane: compute 100 overlapped with transfer 60.
+        // Each lane: compute 100 beside transfer 60.
+        let cm = CostModel::default();
         let span = StageSpan::of_lanes(&lanes(2, |l| {
-            l.charge_overlapped(Cycles(100.0), Cycles(60.0))
+            l.charge_kernel(&cm, &KernelCost::paired(100.0, 100.0));
+            l.charge_dms(Cycles(60.0), 720, 1);
         }));
         // Per-lane elapsed = 100; cross-lane dms sum = 120 > 100.
         assert_eq!(span.max_lane_elapsed, Cycles(100.0));

@@ -14,12 +14,16 @@
 //! with no rounds, broadcast, every lane reading the build side and building
 //! the whole table. A join filter is priced as it runs: the share of probe
 //! rows it keeps, the rows it drops no longer written (at their stored
-//! widths), mapped, gathered or probed, and its build, its test a row and
-//! every probe lane's read of it; [`filter_pays`] is the compiler's one rule
-//! for declaring one, on a partitioned join or a broadcast one. It is *not* the engine's charging rule: it prices
-//! declared column widths rather than stored ones, sums operators one by one
-//! rather than per task, and does not model scan access paths or the key
-//! pass in which a gathering scan tests a join filter. Measured at sf 0.02
+//! widths), mapped, gathered or probed, its test a row, and its build — on
+//! a partitioned join a `join.filter` stage that reads and hashes the build
+//! keys, and every probe lane's read of what it wrote; on a broadcast join a
+//! bit set a build row in every lane, beside the table it builds from the
+//! same hashes, and nothing read. [`filter_pays`] is the compiler's one rule
+//! for declaring one, on a partitioned join or a broadcast one. It is *not*
+//! the engine's charging rule: it prices declared column widths rather than
+//! stored ones, sums operators one by one rather than per task, and does
+//! not model scan access paths or the key pass in which a gathering scan
+//! tests a join filter. Measured at sf 0.02
 //! on 32 cores, its estimate is 1.22–6.33× the simulated cycles of the
 //! eleven TPC-H statements (Q4 1.22, Q9 2.51, Q12 2.77, Q1 2.89, Q18 3.93,
 //! Q10 4.30, Q5 5.10, Q3 5.21, Q6 5.58, Q19 5.72, Q14 6.33; geomean 3.78;
@@ -525,54 +529,44 @@ fn join_cycles(
         .unwrap_or(0.5)
         .clamp(0.0, 1.0);
     // A join filter: the share of probe rows round one partitions, or a
-    // broadcast join probes; of the rows it drops, the bytes a partition
-    // pass no longer writes, at the widths they are stored in; what building
-    // the filter and reading it in every probe lane move; and what building
-    // it — a lane a slice — and testing every probe row compute, less a
-    // partition pass's map and column gathers of the rows it drops. A
-    // broadcast join's one slice is built on the build side's tiles, a trip
-    // round the control loop each, and merged where more than one lane
-    // built a copy.
+    // broadcast join probes, and the test of every probe row. A partitioned
+    // join's filter is built by a stage of its own — a lane a slice, each
+    // reading its keys from DRAM and hashing them — and read whole by every
+    // probe lane; of the rows it drops, a partition pass no longer writes
+    // the bytes, at the widths they are stored in, nor maps or gathers
+    // them. A broadcast join's lanes each set a bit a build row beside
+    // their tables, from the hashes the tables' builds compute, and read
+    // nothing.
     let (kept, dropped, filter_wire, filter_compute) = match filter {
         Some(bits) => {
             let kept = join_filter::kept_fraction(match_frac, b.cost.rows, bits);
-            let dropped_rows = (1.0 - kept) * pr.cost.rows;
-            let stored = |plan: &PlanNode| plan.output_widths(catalog).unwrap_or_default();
-            let probe_widths = stored(probe);
-            let tiles = (pr.cost.rows / p.ctx.tile_rows as f64).ceil();
-            let lanes = cores.min(tiles).max(1.0);
-            let read = join_filter::read_cost(cm, bits).cycles;
-            let widths = stored(build);
-            let key_bytes: usize = build_keys.iter().filter_map(|&k| widths.get(k)).sum();
-            let keys = b.cost.rows * key_bytes as f64;
-            let wire = (lanes + 1.0) * read + keys / cm.dms_bytes_per_cycle();
-            let set = build_keys.len() as f64 * cm.kernel_cycles(&costs::hash_per_row_per_key())
-                + cm.kernel_cycles(&costs::join_filter_set_per_row());
+            let set = cm.kernel_cycles(&costs::join_filter_set_per_row());
             let test = cm.kernel_cycles(&costs::join_filter_test_per_row());
             if scheme.is_empty() {
-                // The build side's tiles on as many lanes, each building a
-                // copy of the one slice; where there are several, one core
-                // reads and ORs them and writes the filter.
-                let build_tiles = (b.cost.rows / p.ctx.tile_rows as f64).ceil().max(1.0);
-                let builders = cores.min(build_tiles);
-                let trips = cm.per_tile_overhead_cycles * (build_tiles / builders).ceil();
-                let built = b.cost.rows * set / builders + trips;
-                let merged = match builders > 1.0 {
-                    true => {
-                        let words = (bits / 64) as f64;
-                        builders * words * cm.kernel_cycles(&costs::join_filter_merge_per_word())
-                            + cm.per_tile_overhead_cycles
-                    }
-                    false => 0.0,
-                };
-                let copies = 2.0 * (builders - 1.0) * read;
-                let compute = built + merged + pr.cost.rows * test / cores;
-                (kept, 0.0, wire + copies, compute)
+                (
+                    kept,
+                    0.0,
+                    0.0,
+                    b.cost.rows * set + pr.cost.rows * test / cores,
+                )
             } else {
+                let dropped_rows = (1.0 - kept) * pr.cost.rows;
+                let stored = |plan: &PlanNode| plan.output_widths(catalog).unwrap_or_default();
+                let probe_widths = stored(probe);
+                let tiles = (pr.cost.rows / p.ctx.tile_rows as f64).ceil();
+                let lanes = cores.min(tiles).max(1.0);
+                let read = join_filter::read_cost(cm, bits).cycles;
+                let widths = stored(build);
+                let key_bytes: usize = build_keys.iter().filter_map(|&k| widths.get(k)).sum();
+                let keys = b.cost.rows * key_bytes as f64;
+                let wire = (lanes + 1.0) * read + keys / cm.dms_bytes_per_cycle();
+                let hashed =
+                    build_keys.len() as f64 * cm.kernel_cycles(&costs::hash_per_row_per_key());
                 let dropped = dropped_rows * probe_widths.iter().sum::<usize>() as f64;
                 let partitioned = 2.0 * cm.kernel_cycles(&costs::partition_map_per_row())
                     + probe_widths.len() as f64 * cm.kernel_cycles(&costs::swpart_gather_per_row());
-                let built = b.cost.rows * set / cores.min(join_filter::slices(scheme) as f64);
+                let built =
+                    b.cost.rows * (hashed + set) / cores.min(join_filter::slices(scheme) as f64);
                 let compute = built + (pr.cost.rows * test - dropped_rows * partitioned) / cores;
                 (kept, dropped, wire, compute)
             }
@@ -602,7 +596,9 @@ fn join_cycles(
 /// Whether a join filter of `bits` bits makes `join`, partitioned or
 /// broadcast, over inputs estimated `build` and `probe`, cheaper: the
 /// estimate of the join with it against the estimate without, which differ
-/// in the join's own cycles alone.
+/// in the join's own cycles alone — the filter priced as it runs, by a
+/// `join.filter` stage and a read in every probe lane where the join is
+/// partitioned, or set beside every lane's table where it is broadcast.
 pub fn filter_pays(
     join: &PlanNode,
     build: &NodeEst,

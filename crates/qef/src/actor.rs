@@ -352,9 +352,10 @@ mod tests {
 
     #[test]
     fn per_core_overlap_is_resolved_before_the_stage_rule() {
-        // Each core: compute 100 overlapped with transfer 60.
+        // Each core: compute 100 beside transfer 60.
         let work = |core: &mut CoreCtx, _: usize| {
-            core.charge_overlapped(Cycles(100.0), &dms(60.0));
+            core.charge_kernel(Kernel::Other, &KernelCost::paired(100.0, 100.0));
+            core.charge_dms(&dms(60.0));
             Ok(())
         };
         let (_, t) = run_stage(&ExecContext::dpu().with_cores(2), (0..2).collect(), work).unwrap();

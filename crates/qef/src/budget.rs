@@ -39,6 +39,16 @@ pub const HASH_BITS: u32 = 32;
 /// skew re-partitioning (paper §6.4).
 pub const SKEW_RESERVED_BITS: u32 = 4;
 
+/// The tiles lane `lane` of `lanes` owns when a stage deals `tiles` tiles
+/// to its lanes in order: tiles `lane·tiles/lanes .. (lane + 1)·tiles/lanes`,
+/// so that no two lanes' shares differ by more than a tile and the busiest
+/// holds `⌈tiles/lanes⌉`. A scan's task deals its table's tiles this way and
+/// a partition round the tiles of its input; the scan's access-path model
+/// prices the busiest lane's share by it.
+pub fn lane_tiles(lane: usize, lanes: usize, tiles: usize) -> std::ops::Range<usize> {
+    lane * tiles / lanes..(lane + 1) * tiles / lanes
+}
+
 /// Per-row stream bytes of a partition pass over `row_bytes`-wide rows:
 /// every column streams through DMEM plus the 4-byte hash lane the
 /// partition map is computed from.

@@ -536,13 +536,16 @@ impl<'e> Run<'e> {
             self.ctx, table, columns, pred, touched, tile, &kept, key,
         );
         let untested = probe.filter(|_| !scan.tests_keys()).map(|(_, f)| f);
-        // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`
-        // of the table's rows in chunk order, which is heap-slot order.
+        // The lanes own the table's tiles in chunk order, which is
+        // heap-slot order ([`crate::budget::lane_tiles`]).
         let rows = table.rows();
         let tiles = rows.div_ceil(tile);
         let lanes = self.ctx.cores.clamp(1, tiles.max(1));
         let lanes: Vec<Range<usize>> = (0..lanes.min(tiles))
-            .map(|l| l * tiles / lanes * tile..rows.min((l + 1) * tiles / lanes * tile))
+            .map(|l| {
+                let owned = crate::budget::lane_tiles(l, lanes, tiles);
+                owned.start * tile..rows.min(owned.end * tile)
+            })
             .collect();
         // For the trace: rows each operator of the chain hands on, scan
         // first, and the bytes the scan moves — statistics the lanes add up,
@@ -885,81 +888,37 @@ impl<'e> Run<'e> {
         Ok(JoinFilter::of_slices(words, fanout, build_rows as usize))
     }
 
-    /// A broadcast join's `join.filter` stage: the filter of `bits` bits, one
-    /// slice, over the keys of `build`, its build side (stored `widths`).
-    /// Each of `min(cores, tiles)` lanes builds a copy over a tile-aligned
-    /// range of the rows ([`Self::filter_lanes`]), and where there is more
-    /// than one a `join.filter.merge` stage on one core ORs them into the
-    /// filter.
-    fn broadcast_filter(
-        &mut self,
-        build: &Batch,
-        keys: &[usize],
-        widths: &[usize],
-        bits: usize,
-    ) -> QefResult<JoinFilter> {
-        let (key_widths, tile, working_set) = self.filter_lanes(keys, widths, bits, 1)?;
-        let rows = build.rows();
-        let tiles = rows.div_ceil(tile).max(1);
-        let lanes = self.ctx.cores.clamp(1, tiles);
-        let ranges: Vec<Range<usize>> = (0..lanes)
-            .map(|l| l * tiles / lanes * tile..rows.min((l + 1) * tiles / lanes * tile))
-            .collect();
-        let (mut copies, t) = run_stage(self.ctx, ranges, |core, rows| {
-            let _filter = core.dmem.reserve_raw(working_set)?;
-            let run = crate::batch::Run {
-                rows,
-                ..crate::batch::Run::of_batch(build)
-            };
-            let mut copy = vec![0; bits / 64];
-            ops::join_filter::build_slice(core, [run], keys, &key_widths, &mut copy, tile)?;
-            Ok(copy)
-        })?;
-        self.stage(&t, "join.filter", rows as u64, Detail::default());
-        let words = match copies.len() {
-            1 => copies.pop().unwrap_or_default(),
-            _ => {
-                let (mut merged, t) = run_stage(self.ctx, vec![copies], |core, copies| {
-                    let mut words = vec![0; bits / 64];
-                    ops::join_filter::merge_copies(core, &copies, &mut words);
-                    Ok(words)
-                })?;
-                self.stage(&t, "join.filter.merge", rows as u64, Detail::default());
-                merged.pop().unwrap_or_default()
-            }
-        };
-        Ok(JoinFilter::of_slices(words, 1, rows))
-    }
-
     /// What a lane of a `join.filter` stage over `keys` of a build side
     /// stored `widths` needs to build a slice of a filter of `bits` bits cut
-    /// into `slices`: the keys' widths, and the tile it reads them at and the
-    /// DMEM it holds ([`crate::task::join_filter_decl`]).
+    /// into round one's `fanout` slices: the keys' widths, and the tile it
+    /// reads them at and the DMEM it holds
+    /// ([`crate::task::join_filter_decl`]).
     fn filter_lanes(
         &self,
         keys: &[usize],
         widths: &[usize],
         bits: usize,
-        slices: usize,
+        fanout: usize,
     ) -> QefResult<(Vec<usize>, usize, usize)> {
         let key_widths = keys
             .iter()
             .map(|&k| widths.get(k).copied())
             .collect::<Option<Vec<usize>>>()
             .ok_or_else(|| QefError::BadPlan("join key out of the build side's columns".into()))?;
-        let decl = crate::task::join_filter_decl(&key_widths, bits, slices);
+        let decl = crate::task::join_filter_decl(&key_widths, bits, fanout);
         let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
         Ok((key_widths, tile, working_set))
     }
 
     /// A join of no rounds, broadcast ([`ops::join::Broadcast`]): the build
-    /// side runs as a node of its own and is concatenated, the `join.filter`
-    /// stage builds the join filter of `filter` bits over it where the join
-    /// declares one, and every lane of the probe's `join.probe` stage reads
-    /// all of it, builds its table in the state the stage declares and
-    /// probes its own rows — of them, where the join has a filter and the
-    /// probe's scan did not test them, the rows whose bit is set. The stage
-    /// is the last operator of the probe's task wherever they fit together
+    /// side runs as a node of its own and is concatenated, and every lane of
+    /// the probe's `join.probe` stage reads all of it, builds its table in
+    /// the state the stage declares — beside it, where the join declares a
+    /// filter of `filter` bits, the filter's copy, whose words the host
+    /// fills once ([`JoinFilter::beside_tables`]) — and probes its own rows:
+    /// of them, where the probe's scan did not test them against the
+    /// filter, the rows whose bit is set. The stage is the last operator of
+    /// the probe's task wherever they fit together
     /// ([`PlanNode::input_task`]); else it runs over the probe's batches,
     /// dealt to the lanes in runs so that a lane builds the table once.
     fn exec_broadcast(
@@ -975,10 +934,9 @@ impl<'e> Run<'e> {
         let probe_widths = probe.output_widths(catalog)?;
         let built = self.exec_node(build)?;
         let built = Batch::concat(built.into_iter().filter(|b| !b.is_empty()).collect());
-        let filter = match filter {
-            Some(bits) => Some(self.broadcast_filter(&built, build_keys, &build_widths, bits)?),
-            None => None,
-        };
+        let filter = filter
+            .map(|bits| JoinFilter::beside_tables(&built, build_keys, bits))
+            .transpose()?;
         let filter = filter.as_ref();
         let held = filter.map_or(0, |f| ops::join_filter::bytes(f.bits()));
         let decl = crate::task::join_probe_decl(&probe_widths, ctx.dmem_bytes, held);
@@ -994,12 +952,13 @@ impl<'e> Run<'e> {
                 build_widths.iter().sum(),
                 decl.state_bytes - held,
             ),
+            filter,
         };
         let (out, timing, mut detail, tested) =
             if let Some(task) = node.input_task(1, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
                 let probe = filter.map(|f| (probe_keys, f));
                 let run = self.run_task(task, probe, |core, rows, tile, untested| {
-                    join.lane(core, [rows], tile, untested)
+                    join.lane(core, [rows], tile, untested.is_some())
                 })?;
                 (run.results, run.timing, run.detail, run.rows)
             } else {
@@ -1015,7 +974,7 @@ impl<'e> Run<'e> {
                 }
                 let (out, t) = run_stage(ctx, dealt, |core, lane| {
                     let _state = core.dmem.reserve_raw(working_set)?;
-                    join.lane(core, lane.into_iter().map(Rows::Owned), tile, filter)
+                    join.lane(core, lane.into_iter().map(Rows::Owned), tile, true)
                 })?;
                 (out, t, Detail::default(), in_rows)
             };
@@ -1612,10 +1571,9 @@ mod tests {
                     if !matches!(join_type, JoinType::Inner | JoinType::LeftSemi) {
                         continue;
                     }
-                    // With a join filter: its stage over the build side —
-                    // and the merge of its lanes' copies, where the build
-                    // side is more than a tile — between the build and the
-                    // probe, which tests what its scan did not.
+                    // With a join filter: the same stages — the probe's
+                    // lanes build it beside their tables — and the probe
+                    // tests what its scan did not.
                     let mut filtered = plan;
                     if let PlanNode::HashJoin { filter, .. } = &mut filtered {
                         *filter = Some(1024);
@@ -1623,15 +1581,6 @@ mod tests {
                     let (out, _) = e.execute(&filtered).unwrap();
                     assert_eq!(rows(&out.batch), rows(&partitioned.batch), "{what}");
                     let events = sink.take();
-                    let built = events.iter().find(|e| e.operator == "join.filter").unwrap();
-                    let mut expect = vec!["scan(n)", "join.filter"];
-                    if built.parallelism > 1 {
-                        expect.push("join.filter.merge");
-                    }
-                    match *case {
-                        "batches" => expect.extend(["scan(n)", "join.probe", "join.probe"]),
-                        _ => expect.push("join.probe"),
-                    }
                     let ran: Vec<&str> = events.iter().map(|e| e.operator.as_str()).collect();
                     assert_eq!(ran, expect, "{what}");
                     let tested = events.iter().filter_map(|e| e.filter);

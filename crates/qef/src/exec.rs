@@ -238,15 +238,6 @@ impl CoreCtx {
         self.account
             .charge_dms(Cycles(cost.cycles), cost.bytes, cost.descriptors);
     }
-
-    /// Charge a double-buffered loop iteration: compute overlapped with
-    /// transfer.
-    #[inline]
-    pub fn charge_overlapped(&mut self, compute: Cycles, transfer: &DmsCost) {
-        self.account
-            .charge_overlapped(compute, Cycles(transfer.cycles));
-        self.kernels.add(Kernel::Other, compute.get(), 0);
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +265,6 @@ mod tests {
                 descriptors: 2,
             };
             core.charge_dms(&transfer);
-            core.charge_overlapped(Cycles(30.0), &transfer);
             core
         };
         let seen = |core: CoreCtx| {

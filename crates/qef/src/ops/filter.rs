@@ -401,8 +401,9 @@ impl<'a> ScanPlan<'a> {
         // Stage time of either path, as the stage rule will resolve it: the
         // transfers of every lane share the one DMS engine, and the busiest
         // of the `min(cores, tiles)` lanes computes over its share of the
-        // rows and takes the gather path's trips round the control loop once
-        // per run — per chunk its range crosses.
+        // rows — ⌈tiles/lanes⌉ tiles, as `crate::budget::lane_tiles` deals
+        // them — and takes the gather path's trips round the control loop
+        // once per run — per chunk its range crosses.
         let streamed = match plan.passes.as_slice() {
             [] => 0.0,
             [only] => evaluations(&only.conjuncts),
@@ -1102,10 +1103,14 @@ mod tests {
         assert!((wide - 0.4).abs() < 0.02 && (narrow - 0.5).abs() < 0.02);
     }
 
-    /// A broadcast join's filter of `bits` bits over `keys`, as its
-    /// `join.filter` stage builds it.
-    fn filter_over(keys: &[i64], bits: usize) -> JoinFilter {
+    /// A filter of `bits` bits over `keys`, one slice: in DRAM, as a
+    /// `join.filter` lane writes it, or in the probe's lanes, as a
+    /// broadcast join's lanes build it beside their tables.
+    fn filter_over(keys: &[i64], bits: usize, in_dram: bool) -> JoinFilter {
         let part = Batch::new(vec![Vector::new(ColumnData::I64(keys.to_vec()))]);
+        if !in_dram {
+            return JoinFilter::beside_tables(&part, &[0], bits).unwrap();
+        }
         let mut words = vec![0; bits / 64];
         let part = [crate::batch::Run::of_batch(&part)];
         crate::ops::join_filter::build_slice(&mut ctx(), part, &[0], &[8], &mut words, 256)
@@ -1143,11 +1148,11 @@ mod tests {
             );
             (plan.path(), plan.tests_keys(), plan.dms_passes(), kept)
         };
-        let tenth = filter_over(&(0..10).collect::<Vec<_>>(), 1024);
+        let tenth = filter_over(&(0..10).collect::<Vec<_>>(), 1024, false);
         let (path, keyed, passes, kept) = plan(&tenth);
         assert!((0.1..0.2).contains(&kept), "{kept}");
         assert_eq!((path, keyed, passes), (AccessPath::Gather, true, 2));
-        let all = filter_over(&(0..100).collect::<Vec<_>>(), 1024);
+        let all = filter_over(&(0..100).collect::<Vec<_>>(), 1024, false);
         let (path, keyed, passes, kept) = plan(&all);
         assert_eq!(kept, 1.0);
         assert_eq!((path, keyed, passes), (AccessPath::Stream, false, 1));
@@ -1162,10 +1167,11 @@ mod tests {
             Vector::new(ColumnData::I32((0..n as i32).collect())),
             Vector::new(ColumnData::I64((0..n as i64).map(|i| i * 3).collect())),
         ]);
-        let filter = filter_over(&(0..n as i64).step_by(10).collect::<Vec<_>>(), 2048);
+        let every_tenth: Vec<i64> = (0..n as i64).step_by(10).collect();
         let hash = |k: i64| dpu_sim::crc32::hash_u64(k as u64);
         let half = [cmp(1, CmpOp::Lt, 3 * 500)];
-        for preds in [&[][..], &half[..]] {
+        for (preds, in_dram) in [(&[][..], true), (&half[..], true), (&half[..], false)] {
+            let filter = filter_over(&every_tenth, 2048, in_dram);
             let key = KeyTest {
                 cols: vec![0],
                 filter: &filter,
@@ -1180,7 +1186,8 @@ mod tests {
             let span = Span::new(std::slice::from_ref(&ch), 0..n);
             let (rows, entered) = plan.scan_rows(&mut got, span, 256).unwrap();
 
-            // The reference: the lane's read of the filter; the predicate
+            // The reference: the lane's read of the filter, where a
+            // `join.filter` stage wrote it to DRAM; the predicate
             // pass, where there is one; the key column streamed — or
             // gathered at the rows the predicate kept — and a trip round
             // the control loop; the hash and test of every entering row a
@@ -1189,7 +1196,9 @@ mod tests {
             // entering rows ships in.
             let mut expect = ctx();
             let cm = expect.cost_model.clone();
-            expect.charge_dms(&crate::ops::join_filter::read_cost(&cm, 2048));
+            if in_dram {
+                expect.charge_dms(&crate::ops::join_filter::read_cost(&cm, 2048));
+            }
             let run = Run {
                 chunk: &ch,
                 rows: 0..n,

@@ -28,13 +28,15 @@
 //! ## Probe rows that cannot match (join filters)
 //!
 //! An inner or semi join whose estimate says most probe rows miss declares
-//! a join filter ([`crate::ops::join_filter`]): a `join.filter` stage builds
-//! a bit array over the hashes of the build side's keys. On a partitioned
-//! join round one of the probe side partitions only the rows whose bit is
-//! set, and what reaches [`join_partition`] is the probe rows that may
-//! match. On a broadcast join each lane of [`Broadcast`] reads the filter
-//! and tests every row's hash — the one it probes with — before it probes:
-//! a row whose bit is clear is not probed, and of it only the keys are read.
+//! a join filter ([`crate::ops::join_filter`]): a bit array over the hashes
+//! of the build side's keys. On a partitioned join a `join.filter` stage
+//! builds it, round one of the probe side partitions only the rows whose
+//! bit is set, and what reaches [`join_partition`] is the probe rows that
+//! may match. On a broadcast join each lane of [`Broadcast`] sets the bits
+//! of its own copy beside its table, from the hashes the table's build
+//! computes, and tests every row's hash — the one it probes with — before it
+//! probes: a row whose bit is clear is not probed, and of it only the keys
+//! are read.
 //! Where the probe's scan gathers, it has tested the rows in its key pass
 //! already, and neither stage tests them again. The rest were never
 //! gathered, written or probed, and none of them joined, so the join returns
@@ -47,7 +49,7 @@ use rapid_storage::vector::Vector;
 use crate::batch::{Batch, Positions, Rows};
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
-use crate::ops::join_filter::JoinFilter;
+use crate::ops::join_filter::{self, JoinFilter};
 use crate::ops::partition::gather_rows;
 use crate::plan::JoinType;
 use crate::primitives::costs;
@@ -602,6 +604,10 @@ pub struct Broadcast<'a> {
     /// Build rows a lane's DMEM segment holds ([`broadcast_capacity`] of
     /// the probe stage's state); the rest overflow to DRAM.
     pub capacity: usize,
+    /// The join's filter, where it declares one
+    /// ([`JoinFilter::beside_tables`]): every lane that builds a table sets
+    /// the bits of its copy beside it, whoever tests the rows.
+    pub filter: Option<&'a JoinFilter>,
 }
 
 impl Broadcast<'_> {
@@ -610,21 +616,19 @@ impl Broadcast<'_> {
     /// round the control loop per tile. One output batch per part. The probe
     /// reads every column of the rows it hands on where they lie
     /// ([`Rows::charge_select`]): their keys, and the columns it writes out.
-    /// With a join filter the lane reads all of it from DRAM first and tests
-    /// every row's hash before it probes: a row whose bit is clear is not
-    /// probed, and of it only the keys are read. Returns the batches and how
-    /// many rows were probed.
+    /// With a join filter the lane sets a bit a build row beside its table,
+    /// from the hashes the table's build computed, and — where it `tests`
+    /// its rows, which its scan did not — tests every row's hash before it
+    /// probes: a row whose bit is clear is not probed, and of it only the
+    /// keys are read. Returns the batches and how many rows were probed.
     pub fn lane<'r>(
         &self,
         ctx: &mut CoreCtx,
         parts: impl IntoIterator<Item = Rows<'r>>,
         tile: usize,
-        filter: Option<&JoinFilter>,
+        tests: bool,
     ) -> QefResult<(Vec<Batch>, usize)> {
         let tile = tile.max(1);
-        if let Some(filter) = filter {
-            filter.charge_read(ctx);
-        }
         let table = if self.build.is_empty() {
             None
         } else {
@@ -641,8 +645,13 @@ impl Broadcast<'_> {
                 .iter()
                 .map(|&c| self.build.column(c))
                 .collect();
-            Some(JoinTable::build_within(ctx, &keys, self.capacity)?.0)
+            let table = JoinTable::build_within(ctx, &keys, self.capacity)?.0;
+            if self.filter.is_some() {
+                join_filter::charge_set(ctx, self.build.rows());
+            }
+            Some(table)
         };
+        let filter = self.filter.filter(|_| tests);
         let (mut out, mut probed) = (Vec::new(), 0);
         for rows in parts {
             for _ in 0..rows.rows().div_ceil(tile) {
@@ -998,6 +1007,7 @@ mod tests {
             join_type,
             build_widths: &[8, 8],
             capacity: 4,
+            filter: None,
         };
         // Rows 1, 2, 5 and 7 of the chunk, picked by a scan.
         let in_place = || Rows::InPlace {
@@ -1008,7 +1018,7 @@ mod tests {
         };
         let mut c = ctx();
         let (out, probed) = join(JoinType::Inner)
-            .lane(&mut c, [in_place()], 64, None)
+            .lane(&mut c, [in_place()], 64, false)
             .unwrap();
         assert_eq!(probed, 4);
         // The build side's 4 rows of 16 bytes, read once.
@@ -1030,17 +1040,94 @@ mod tests {
         assert_eq!(widths, [4, 2, 8, 8]);
         let kept = |join_type| {
             let (out, _) = join(join_type)
-                .lane(&mut ctx(), [in_place()], 64, None)
+                .lane(&mut ctx(), [in_place()], 64, false)
                 .unwrap();
             out[0].column(1).data.to_i64_vec()
         };
         assert_eq!(kept(JoinType::LeftSemi), [1, 2, 7]);
         assert_eq!(kept(JoinType::LeftAnti), [5]);
         let (outer, _) = join(JoinType::LeftOuter)
-            .lane(&mut ctx(), [in_place()], 64, None)
+            .lane(&mut ctx(), [in_place()], 64, false)
             .unwrap();
         assert_eq!(outer[0].rows(), 5);
         assert_eq!(outer[0].column(3).get(4), None, "row 5 is padded");
+    }
+
+    #[test]
+    fn a_filtered_broadcast_lane_sets_its_copy_beside_its_table_and_reads_no_filter() {
+        use crate::batch::{Pick, Projection, Span};
+        use rapid_storage::chunk::Chunk;
+        let build = Batch::new(vec![
+            vcol(vec![2, 7, 7, 40, 61]),
+            vcol(vec![20, 70, 71, 400, 610]),
+        ]);
+        let filter = JoinFilter::beside_tables(&build, &[0], 64).unwrap();
+        let chunk = Chunk::new(vec![Vector::new(ColumnData::I16((0..100).collect()))]);
+        // The even keys, picked by a scan: 2 and 40 join, and of the rest
+        // the filter keeps the few whose bit another key set.
+        let picked = || Rows::InPlace {
+            span: Span::new(std::slice::from_ref(&chunk), 0..100),
+            projection: Projection::Scan(&[0]),
+            pick: Pick::Selected((0..100).step_by(2).collect()),
+            written: Vec::new(),
+        };
+        let join = Broadcast {
+            build: &build,
+            build_keys: &[0],
+            probe_keys: &[0],
+            join_type: JoinType::Inner,
+            build_widths: &[8, 8],
+            capacity: 5,
+            filter: Some(&filter),
+        };
+        // A lane that tests its rows in the probe, and one whose scan tested
+        // them in its key pass.
+        let mut joined = Vec::new();
+        for tests in [true, false] {
+            let mut got = ctx();
+            let (out, probed) = join.lane(&mut got, [picked()], 64, tests).unwrap();
+            // The reference: the build side read from DRAM, its table built,
+            // a bit set a build row from the build's hashes — no filter read
+            // — then the probe, a trip round the control loop a tile.
+            let mut expect = ctx();
+            let cm = expect.cost_model.clone();
+            expect.charge_dms(&RelationAccessor::seq_read_cost(
+                &cm,
+                [8, 8].into_iter(),
+                5,
+                64,
+            ));
+            let (table, _) = JoinTable::build_within(&mut expect, &[build.column(0)], 5).unwrap();
+            join_filter::charge_set(&mut expect, 5);
+            expect.charge_tile();
+            let tested = tests.then_some(&filter);
+            let (want, want_probed) = probe_rows(
+                &mut expect,
+                &table,
+                &build,
+                &[8, 8],
+                &[0],
+                JoinType::Inner,
+                picked(),
+                tested,
+            )
+            .unwrap();
+            assert_eq!((out, probed), (vec![want], want_probed), "tests: {tests}");
+            assert_eq!(got.account.counters(), expect.account.counters());
+            let clocks = |c: &CoreCtx| {
+                let a = &c.account;
+                [a.compute_cycles(), a.dms_cycles()].map(|c| c.get().to_bits())
+            };
+            assert_eq!(clocks(&got), clocks(&expect), "tests: {tests}");
+            // The lane read the build side and nothing else.
+            assert_eq!(got.account.counters().dms_bytes, 5 * 16);
+            joined.push((got.account.counters().instructions, probed));
+        }
+        // Testing drops most of the 50 rows before the probe; the rows a
+        // scan kept are all probed.
+        let (tested, untested) = (joined[0], joined[1]);
+        assert!(2 <= tested.1 && tested.1 < 10, "{tested:?}");
+        assert_eq!(untested.1, 50);
     }
 
     #[test]

@@ -10,20 +10,24 @@
 //! bits): a bit array over the CRC32 hashes of the build side's keys, one
 //! bit a hash (a Bloom filter of one hash function).
 //!
-//! * **Built** by a `join.filter` stage after the build side has run. On a
-//!   partitioned join a lane takes one round-one partition, reads its keys,
-//!   hashes them and sets their bits in that partition's **slice** of the
-//!   array — the slice a row's round-one partition bits pick ([`place`]) —
-//!   and writes the slice out. Lanes set bits in disjoint slices, so nothing
-//!   merges them. A broadcast join's filter is one slice ([`slices`]) over
-//!   its concatenated build side: each of `min(cores, tiles)` lanes builds a
-//!   copy over its rows, and where there are several a `join.filter.merge`
-//!   stage on one core ORs them ([`merge_copies`]). A NULL key sets no bit:
-//!   it joins nothing.
+//! * **Built** over the build side's keys; a NULL key sets no bit: it joins
+//!   nothing. On a partitioned join a `join.filter` stage runs after the
+//!   build side's pass: a lane takes one round-one partition, reads its
+//!   keys, hashes them and sets their bits in that partition's **slice** of
+//!   the array — the slice a row's round-one partition bits pick ([`place`])
+//!   — and writes the slice out ([`build_slice`]). Lanes set bits in
+//!   disjoint slices, so nothing merges them. A broadcast join's filter is
+//!   one slice ([`slices`]), built where its table is: every lane of its
+//!   `join.probe` reads the whole build side and hashes every key to build
+//!   the table, and sets the bits of a copy from those hashes, in the DMEM
+//!   its stage declares for the filter ([`charge_set`]). The host fills the
+//!   words once for all of them ([`JoinFilter::beside_tables`]).
 //! * **Tested** once per probe row, by the stage that holds its key first.
-//!   Every lane of that stage reads the whole array from DRAM once, like a
-//!   broadcast join's build side. Where the probe side is a scan-fed task
-//!   whose scan takes the gather path, the scan tests it in its **key pass**
+//!   Every lane of that stage reads the whole array from DRAM once where a
+//!   `join.filter` stage wrote it ([`JoinFilter::charge_read`]); a
+//!   broadcast join's lanes hold their copy already. Where the probe side is
+//!   a scan-fed task whose scan takes the gather path, the scan tests it in
+//!   its **key pass**
 //!   ([`crate::ops::filter::KeyTest`]): it reads the key columns, hashes and
 //!   tests them, and gathers its other columns only at the rows whose bit is
 //!   set. Otherwise — the scan streams, or the probe side arrives in batches
@@ -45,18 +49,19 @@
 //! task with it. The share of probe rows it keeps is [`kept_fraction`] —
 //! the compiler's estimate of a filtered join prices it, and the engine's
 //! scan weighs its key pass by it ([`JoinFilter::kept_share`]) — and what a
-//! probe lane pays to read it [`read_cost`].
+//! probe lane pays to read one a `join.filter` stage wrote [`read_cost`].
 
 use dpu_sim::account::Kernel;
 use dpu_sim::dms::engine::DmsCost;
 use dpu_sim::isa::CostModel;
+use rapid_storage::vector::Vector;
 
-use crate::batch::{Positions, Run};
+use crate::batch::{Batch, Positions, Run};
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
 use crate::plan::JoinType;
 use crate::primitives::costs;
-use crate::primitives::hash::hash_pieces_into;
+use crate::primitives::hash::{crc_pieces_into, hash_pieces_into};
 use crate::ra::RelationAccessor;
 
 /// Bits a filter spends on each estimated build key, before its size is
@@ -136,7 +141,7 @@ pub fn kept_fraction(matching: f64, build_rows: f64, bits: usize) -> f64 {
 }
 
 /// What a lane of the probe side's task pays to read a filter of `bits`
-/// bits from DRAM: its words in one descriptor.
+/// bits a `join.filter` stage wrote to DRAM: its words in one descriptor.
 pub fn read_cost(cm: &CostModel, bits: usize) -> DmsCost {
     let words = bits / 64;
     RelationAccessor::seq_read_cost(cm, [WORD_BYTES].into_iter(), words, words)
@@ -172,20 +177,52 @@ pub struct JoinFilter {
     words: Vec<u64>,
     /// Round one's fan-out: the slices.
     fanout: usize,
-    /// The build rows the `join.filter` stage hashed.
+    /// The build rows whose keys set its bits.
     build_rows: usize,
+    /// Where it lives: in DRAM, where a `join.filter` stage wrote it and
+    /// every lane that tests it reads it; or else in the DMEM of each lane
+    /// of a broadcast join's probe, which set the bits of its copy itself.
+    in_dram: bool,
 }
 
 impl JoinFilter {
     /// The filter whose `words` the `join.filter` stage's lanes filled over
     /// `build_rows` build rows, a slice of them for each of the `fanout`
-    /// slices ([`slices`]), in partition order.
+    /// slices ([`slices`]), in partition order, and wrote to DRAM.
     pub fn of_slices(words: Vec<u64>, fanout: usize, build_rows: usize) -> JoinFilter {
         JoinFilter {
             words,
             fanout,
             build_rows,
+            in_dram: true,
         }
+    }
+
+    /// A broadcast join's filter of `bits` bits, one slice, over the `keys`
+    /// of `build`, its concatenated build side: the copy every lane of its
+    /// `join.probe` builds beside its table, from the hashes the table's
+    /// build computes, and is charged for ([`charge_set`]). The host fills
+    /// the words once for all of them, and charges nothing.
+    pub fn beside_tables(build: &Batch, keys: &[usize], bits: usize) -> QefResult<JoinFilter> {
+        let rows = build.rows();
+        let mut words = vec![0; bits / 64];
+        if rows > 0 {
+            if keys.iter().any(|&k| k >= build.width()) {
+                let why = "join key out of the build side's columns";
+                return Err(QefError::BadPlan(why.into()));
+            }
+            let all = Positions::dense(0, rows);
+            let keys = keys.iter().map(|&k| (build.column(k), all));
+            let mut hashes = vec![0; rows];
+            crc_pieces_into(std::iter::once(keys.clone()), &mut hashes);
+            set_bits(&mut words, keys, &hashes);
+        }
+        Ok(JoinFilter {
+            words,
+            fanout: 1,
+            build_rows: rows,
+            in_dram: false,
+        })
     }
 
     /// Its size in bits.
@@ -207,10 +244,14 @@ impl JoinFilter {
         self.words[bit / 64] >> (bit % 64) & 1 == 1
     }
 
-    /// Charge one lane's read of the whole filter from DRAM.
+    /// Charge one lane's read of the whole filter from DRAM, where a
+    /// `join.filter` stage wrote it. A lane that holds its own copy reads
+    /// nothing.
     pub fn charge_read(&self, ctx: &mut CoreCtx) {
-        let cm = ctx.cost_model.clone();
-        ctx.charge_dms(&read_cost(&cm, self.bits()));
+        if self.in_dram {
+            let cm = ctx.cost_model.clone();
+            ctx.charge_dms(&read_cost(&cm, self.bits()));
+        }
     }
 
     /// Charge the test of `rows` rows' hashes.
@@ -238,12 +279,39 @@ impl JoinFilter {
     }
 }
 
-/// One lane of the `join.filter` stage: `slice`, the words of the round-one
-/// partition whose final partitions are the rows of `parts` — or a copy of
-/// a broadcast join's one slice over the lane's rows of its build side —
-/// built over their `keys` (stored `widths` bytes each) at `tile` rows a
-/// tile. Charges the read of the keys from DRAM, their hashes, a bit set a
-/// row, a trip round the control loop a tile and the write of the slice.
+/// Set in `slice` — one slice of a filter — the bit of each row whose
+/// hash is in `hashes` and whose `keys` (each with where the rows lie in
+/// it) hold no NULL: the bit setting both builders share.
+fn set_bits<'v>(
+    slice: &mut [u64],
+    keys: impl Iterator<Item = (&'v Vector, Positions<'v>)> + Clone,
+    hashes: &[u32],
+) {
+    let slice_bits = slice.len() * 64;
+    for (r, &hash) in hashes.iter().enumerate() {
+        if keys.clone().any(|(c, at)| c.is_null(at.get(r))) {
+            continue;
+        }
+        let bit = within(hash, slice_bits);
+        slice[bit / 64] |= 1 << (bit % 64);
+    }
+}
+
+/// Charge the setting of `rows` build rows' bits, from hashes computed
+/// already.
+pub(crate) fn charge_set(ctx: &mut CoreCtx, rows: usize) {
+    ctx.charge_kernel(
+        Kernel::Join,
+        &costs::join_filter_set_per_row().scaled(rows as f64),
+    );
+}
+
+/// One lane of a partitioned join's `join.filter` stage: `slice`, the
+/// words of the round-one partition whose final partitions are the rows of
+/// `parts`, built over their `keys` (stored `widths` bytes each) at `tile`
+/// rows a tile. Charges the read of the keys from DRAM, their hashes, a bit
+/// set a row, a trip round the control loop a tile and the write of the
+/// slice.
 pub fn build_slice<'b>(
     ctx: &mut CoreCtx,
     parts: impl IntoIterator<Item = Run<'b>>,
@@ -275,19 +343,10 @@ pub fn build_slice<'b>(
             let of_run = Positions::dense(first + at, run.len());
             let columns = keys.iter().map(|&k| (part.cols.column(k), of_run));
             hash_pieces_into(ctx, std::iter::once(columns.clone()), run);
-            for (row, &hash) in (first + at..).zip(run.iter()) {
-                if columns.clone().any(|(c, _)| c.is_null(row)) {
-                    continue;
-                }
-                // Round one sent the row to this slice's partition.
-                let bit = within(hash, slice_bits);
-                slice[bit / 64] |= 1 << (bit % 64);
-            }
+            // Round one sent the rows to this slice's partition.
+            set_bits(slice, columns, run);
         }
-        ctx.charge_kernel(
-            Kernel::Join,
-            &costs::join_filter_set_per_row().scaled(rows as f64),
-        );
+        charge_set(ctx, rows);
         for _ in 0..rows.div_ceil(tile.max(1)) {
             ctx.charge_tile();
         }
@@ -300,33 +359,6 @@ pub fn build_slice<'b>(
         words,
     ));
     Ok(())
-}
-
-/// The merge of a broadcast join's filter whose `join.filter` lanes each
-/// built a copy of its one slice over their rows of the build side: read
-/// every copy from DRAM, OR it word by word `into` the filter, and write
-/// the filter. A trip round the control loop.
-pub fn merge_copies(ctx: &mut CoreCtx, copies: &[Vec<u64>], into: &mut [u64]) {
-    let cm = ctx.cost_model.clone();
-    let words = into.len();
-    for copy in copies {
-        ctx.charge_dms(&read_cost(&cm, words * 64));
-        into.iter_mut()
-            .zip(copy)
-            .for_each(|(word, of_copy)| *word |= of_copy);
-    }
-    let merged = (copies.len() * words) as f64;
-    ctx.charge_kernel(
-        Kernel::Join,
-        &costs::join_filter_merge_per_word().scaled(merged),
-    );
-    ctx.charge_dms(&RelationAccessor::seq_write_cost(
-        &cm,
-        [WORD_BYTES].into_iter(),
-        words,
-        words,
-    ));
-    ctx.charge_tile();
 }
 
 #[cfg(test)]
@@ -454,6 +486,37 @@ mod tests {
         let bad = build_slice(&mut ctx, [], &[], &[], &mut [0; 1], 256);
         assert!(matches!(bad, Err(QefError::BadPlan(_))));
     }
+
+    #[test]
+    fn the_host_fills_a_broadcast_filter_as_a_lane_sets_its_bits_and_no_lane_reads_it() {
+        let e = ExecContext::dpu();
+        // 300 keys stored in 2 bytes, one of them NULL.
+        let mut nulls = BitVec::zeros(300);
+        nulls.set(7, true);
+        let keys = Vector::with_nulls(ColumnData::I16((0..300).collect()), nulls);
+        let build = Batch::new(vec![keys]);
+        let mut slice = [0; 16];
+        let part = [Run::of_batch(&build)];
+        build_slice(&mut CoreCtx::new(&e, 0), part, &[0], &[2], &mut slice, 256).unwrap();
+        let filter = JoinFilter::beside_tables(&build, &[0], 1024).unwrap();
+        assert_eq!(filter.words, slice);
+        assert_eq!(filter.build_rows, 300);
+        let mut ctx = CoreCtx::new(&e, 0);
+        filter.charge_read(&mut ctx);
+        assert_eq!(
+            ctx.account.counters(),
+            CoreCtx::new(&e, 0).account.counters()
+        );
+        // A slice a `join.filter` lane wrote is read whole.
+        JoinFilter::of_slices(slice.to_vec(), 1, 300).charge_read(&mut ctx);
+        assert_eq!(ctx.account.counters().dms_bytes, 128);
+        // No build row sets no bit, and a key the build side lacks is a bad
+        // plan.
+        let empty = JoinFilter::beside_tables(&Batch::empty(0), &[0], 64).unwrap();
+        assert_eq!(empty.words, [0]);
+        let bad = JoinFilter::beside_tables(&build, &[1], 64);
+        assert!(matches!(bad, Err(QefError::BadPlan(_))));
+    }
 }
 
 #[cfg(test)]
@@ -464,10 +527,11 @@ mod proptests {
     //! side, keys stored at different widths on the two sides, and a probe
     //! side in its scan's task — on three lanes across chunks or one over
     //! runs of several, with a predicate pass before the key pass or none,
-    //! its keys mostly missing the build side's or not; the scan gathers and
-    //! tests them in a key pass, or streams and the stage tests them — or
-    //! over batches. Each probe row is tested once, by the stage that holds
-    //! its key first.
+    //! its keys mostly missing the build side's or not but holding every
+    //! build row's among them; the scan gathers and tests them in a key
+    //! pass, or streams and the stage tests them — or over batches. Each
+    //! probe row is tested once, by the stage that holds its key first, and
+    //! only a partitioned join has a `join.filter` stage.
 
     use std::sync::Arc;
 
@@ -535,6 +599,9 @@ mod proptests {
                     spread(k2);
                 });
             }
+            // The probe side holds every build row's keys too: a build key
+            // whose bit a filter lacks drops a probe row that joins.
+            probe.extend(build.iter().copied());
             let engine = {
                 let mut e = Engine::new(ExecContext::dpu().with_cores(cores));
                 e.load_table(table("b", &build, 128));
@@ -586,8 +653,10 @@ mod proptests {
             let (filtered, _) = traced.execute(&join(Some(bits))).unwrap();
             prop_assert_eq!(&filtered.batch, &plain.batch);
             let events = sink.take();
-            let built: Vec<_> = events.iter().filter(|e| e.operator == "join.filter").collect();
-            prop_assert_eq!(built.len(), 1);
+            // A partitioned join's filter is built by a stage of its own;
+            // a broadcast join's lanes build theirs beside their tables.
+            let built = events.iter().filter(|e| e.operator == "join.filter");
+            prop_assert_eq!(built.count(), usize::from(!broadcast));
             // One stage tests each row: the probe's scan in a key pass, or
             // else round one of the probe side or the broadcast probe.
             let tested: Vec<_> = events.iter().filter(|e| e.filter.is_some()).collect();

@@ -58,7 +58,7 @@ use std::ops::Range;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::{Batch, ColumnBuilder, Columns, Rows, Run};
-use crate::budget::{partition_stream_bytes, working_set, BASE_STATE_BYTES, HASH_BITS};
+use crate::budget::{self, partition_stream_bytes, working_set, BASE_STATE_BYTES, HASH_BITS};
 use crate::error::{QefError, QefResult};
 use crate::exec::{CoreCtx, ExecContext};
 use crate::ops::join_filter::{self, JoinFilter};
@@ -486,16 +486,17 @@ impl<'a> Round<'a> {
         let tiles: usize = segments.iter().map(tiles_of).sum();
         let lanes = cores.clamp(1, tiles.max(1));
         let mut slices = Vec::with_capacity(lanes + segments.len());
-        // Lane `l` owns tiles `l * tiles / lanes .. (l + 1) * tiles / lanes`.
+        // The lanes own the round's tiles in order ([`budget::lane_tiles`]).
+        let owned_to = |lane: usize| budget::lane_tiles(lane, lanes, tiles).end;
         let (mut lane, mut t) = (0, 0);
         for (segment, of_segment) in segments.iter().enumerate() {
             let (mut piece, mut start) = (of_segment.start, starts[of_segment.start]);
             let (seg_end, rows_end) = (t + tiles_of(of_segment), starts[of_segment.end]);
             while t < seg_end {
-                while t >= (lane + 1) * tiles / lanes {
+                while t >= owned_to(lane) {
                     lane += 1;
                 }
-                let upto = seg_end.min((lane + 1) * tiles / lanes);
+                let upto = seg_end.min(owned_to(lane));
                 let end = rows_end.min(start + (upto - t) * tile);
                 while starts[piece + 1] <= start {
                     piece += 1;

@@ -197,17 +197,6 @@ pub fn join_filter_test_per_row() -> KernelCost {
     }
 }
 
-/// Merging a copy of a join filter into the filter, per word: the copy's
-/// word loaded, ORed into the filter's and stored.
-pub fn join_filter_merge_per_word() -> KernelCost {
-    KernelCost {
-        alu: 1.0,
-        lsu: 2.0,
-        dual_issue_frac: 1.0,
-        ..Default::default()
-    }
-}
-
 /// Ungrouped aggregation per row (load + accumulate, dual-issued).
 pub fn agg_per_row() -> KernelCost {
     KernelCost {

@@ -38,6 +38,20 @@ pub fn hash_pieces_into<'a, K>(ctx: &mut CoreCtx, pieces: impl Iterator<Item = K
 where
     K: Iterator<Item = (&'a Vector, Positions<'a>)> + Clone,
 {
+    let nkeys = crc_pieces_into(pieces, out);
+    ctx.charge_kernel(
+        Kernel::Hash,
+        &costs::hash_per_row_per_key().scaled((out.len() * nkeys) as f64),
+    );
+}
+
+/// The hashes of [`hash_pieces_into`], charged to no core: for work the
+/// host carries out once for lanes each charged for it already. Returns the
+/// keys a row.
+pub(crate) fn crc_pieces_into<'a, K>(pieces: impl Iterator<Item = K>, out: &mut [u32]) -> usize
+where
+    K: Iterator<Item = (&'a Vector, Positions<'a>)> + Clone,
+{
     let mut done = 0;
     let mut nkeys = 0;
     for keys in pieces {
@@ -62,10 +76,7 @@ where
         }
     }
     debug_assert_eq!(done, out.len());
-    ctx.charge_kernel(
-        Kernel::Hash,
-        &costs::hash_per_row_per_key().scaled((out.len() * nkeys) as f64),
-    );
+    nkeys
 }
 
 /// Bucket index from a hash value: "a fast modulo using a bit-mask and a

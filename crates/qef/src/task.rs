@@ -26,9 +26,10 @@
 //!
 //! A join filter is state, not a stream: it takes room beside the probe
 //! round's own — or beside a broadcast join's table in `join.probe`, a
-//! filter of one slice — and the compiler sizes it to the room that leaves
-//! the task's tile as it was ([`PlanNode::probe_room`]). Its `join.filter`
-//! stage builds a slice a lane ([`join_filter_decl`]). Where the probe
+//! filter of one slice whose bits every lane sets beside its table — and
+//! the compiler sizes it to the room that leaves the task's tile as it was
+//! ([`PlanNode::probe_room`]). A partitioned join's `join.filter` stage
+//! builds a slice a lane ([`join_filter_decl`]). Where the probe
 //! side's scan takes the gather path it tests the filter itself, in a key
 //! pass before it gathers the projection ([`ScanChain::table_columns`] finds
 //! the keys in its table), and the stage receives only the rows that may
@@ -277,9 +278,9 @@ pub fn group_consume_decl(
     }
 }
 
-/// What a lane of a join's `join.filter` stage declares: the slice of the
-/// filter of `bits` bits it builds — one of its `fanout`
-/// ([`join_filter::slices`]) — and the build keys it streams, stored
+/// What a lane of a partitioned join's `join.filter` stage declares: the
+/// slice of the filter of `bits` bits it builds — one for each of round
+/// one's `fanout` partitions — and the build keys it streams, stored
 /// `key_widths` bytes each, beside the hash lane their bits are set from.
 pub fn join_filter_decl(key_widths: &[usize], bits: usize, fanout: usize) -> OpDecl<'static> {
     OpDecl {

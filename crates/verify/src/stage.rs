@@ -339,7 +339,9 @@ impl Walker<'_> {
     }
 
     /// Check a join's filter of `bits` bits (S-JOIN-FILTER) and, where it
-    /// may run, derive its `join.filter` stage over the keys of `build`.
+    /// may run on a partitioned join, derive its `join.filter` stage over
+    /// the keys of `build`. A broadcast join's probe lanes build theirs
+    /// beside their tables, in the state `join.probe` declares.
     fn join_filter(
         &mut self,
         id: usize,
@@ -352,14 +354,14 @@ impl Walker<'_> {
         if let Err(why) = rapid_qef::ops::join_filter::check(bits, join_type, scheme) {
             return self.diag(Rule::JoinFilter, id, path, why);
         }
-        let Ok(widths) = build.output_widths(self.catalog) else {
+        let (Some(&fanout), Ok(widths)) = (scheme.first(), build.output_widths(self.catalog))
+        else {
             return;
         };
         // A key out of bounds is S-COL-BOUNDS's to report.
         let key_widths: Option<Vec<usize>> = keys.iter().map(|&k| widths.get(k).copied()).collect();
         if let Some(key_widths) = key_widths {
-            let slices = rapid_qef::ops::join_filter::slices(scheme);
-            let decl = task::join_filter_decl(&key_widths, bits, slices);
+            let decl = task::join_filter_decl(&key_widths, bits, fanout);
             self.stage(id, path, &[decl], Vec::new());
         }
     }

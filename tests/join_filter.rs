@@ -1,6 +1,9 @@
 //! Join filters where the estimate says most probe rows miss, and nowhere
-//! else: at the benchmark's scale factor exactly four partitioned and five
-//! broadcast joins of the eleven TPC-H statements declare one, the stage
+//! else: at the benchmark's scale factor exactly four partitioned and six
+//! broadcast joins of the eleven TPC-H statements declare one, a
+//! partitioned join's `join.filter` stage builds it and a broadcast join's
+//! probe lanes build theirs beside their tables, with no stage of their
+//! own; the stage
 //! that tests a probe row — the probe's scan on the gather path, else the
 //! probe side's round one or a broadcast join's probe — keeps every row that
 //! joins and few more, and a join whose every probe row matches —
@@ -92,7 +95,20 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
                     .unwrap_or_else(|| panic!("{name} node {node}: no {op}"))
                     .clone()
             };
-            let built = of_node(&events, "join.filter");
+            // A partitioned join's filter is built by a `join.filter`
+            // stage over the build side's keys; a broadcast join's by the
+            // lanes of its probe, beside their tables, from the rows its
+            // build side handed on.
+            let built = events
+                .iter()
+                .filter(|e| e.node_id == node && e.operator == "join.filter");
+            let build_rows = match built.clone().next_back() {
+                Some(built) => built.rows,
+                None => {
+                    let build = events.iter().rfind(|e| e.node_id == node + 1);
+                    build.map_or(0, |e| e.rows)
+                }
+            };
             // Each probe row is tested once, by the stage that holds its key
             // first: the probe's scan, on the gather path, or else round one
             // of a partitioned join's probe side or a broadcast join's probe.
@@ -106,6 +122,8 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
                 other => panic!("{name} node {node}: tested by {other}"),
             };
             assert!(bits.is_power_of_two() && bits >= least, "{name}: {bits}");
+            let stages = usize::from(probe.operator == "join.partition-probe");
+            assert_eq!(built.count(), stages, "{name} node {node}");
             if probe.scan.is_some_and(|s| s.keyed) {
                 // The scan's rows are what its predicate kept: the rows
                 // that entered the test.
@@ -122,7 +140,7 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
             assert_eq!(joined_rows, joined(&plain), "{name} node {node}");
             // And the rows that do not join are few: a false positive's
             // chance is 1 − e^(−keys/bits).
-            let keys = built.rows as f64;
+            let keys = build_rows as f64;
             let chance = 1.0 - (-keys / bits as f64).exp();
             let missed = (filter.tested - filter.kept) as f64;
             assert!(
@@ -140,14 +158,15 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
         );
     }
     // Partitioned: Q3's two joins, Q5's and Q10's lineitem joins. Broadcast:
-    // the probes of Q9's lineitem, Q12's orders, and Q18's customer, orders
-    // and lineitem. Q10's customer ⋈ nation, whose every probe row
-    // matches, declares none.
+    // the probes of Q5's supplier, Q9's lineitem, Q12's orders, and Q18's
+    // customer, orders and lineitem. Q10's customer ⋈ nation, whose every
+    // probe row matches, declares none.
     assert_eq!(
         declared,
         [
             ("Q3", 3),
             ("Q3", 4),
+            ("Q5", 5),
             ("Q5", 11),
             ("Q9", 11),
             ("Q10", 5),
@@ -214,7 +233,8 @@ fn explain_analyze_says_what_a_filter_kept() {
     // Q18's three broadcast joins test their probe rows too: the lineitem
     // and orders scans in a key pass, the customer scan's rows in the
     // probe. Each probe line says what was kept of the rows its scan's
-    // predicate kept.
+    // predicate kept, and no stage builds their filters: every lane of a
+    // probe sets the bits of its copy beside its table.
     let (_, q18) = tpch::queries::STATEMENTS
         .iter()
         .find(|(name, _)| *name == "Q18")
@@ -226,7 +246,7 @@ fn explain_analyze_says_what_a_filter_kept() {
         3,
         "{text}"
     );
-    assert_eq!(text.matches("join.filter").count(), 3, "{text}");
+    assert_eq!(text.matches("join.filter").count(), 0, "{text}");
     let keyed = text.lines().filter(|l| l.contains("gather passes=2 (key)"));
     let keyed: Vec<_> = keyed.filter_map(|l| l.split_whitespace().next()).collect();
     assert_eq!(keyed, ["scan(lineitem)", "scan(orders)"], "{text}");

@@ -12,10 +12,11 @@
 //! A pass runs the rounds its plan node declares, joins and group-bys alike,
 //! every pass of the eleven statements a single round; a join of no rounds
 //! is broadcast and runs no pass and no pairs stage, only the probe its
-//! every lane builds the whole table for — and, where it declares a join
-//! filter, the `join.filter` stage (and merge) that builds it. Each probe
-//! row is tested against a filter once, by the stage its task ends with or
-//! by its scan's key pass.
+//! every lane builds the whole table for, and, where it declares a join
+//! filter, its copy of the filter beside the table: no stage builds a
+//! broadcast join's filter, where a partitioned join's `join.filter` stage
+//! builds its own. Each probe row is tested against a filter once, by the
+//! stage its task ends with or by its scan's key pass.
 //!
 //! Against the figures recorded from the commit that ran one operator per
 //! stage no statement takes more cycles or moves more bytes; and where the
@@ -32,6 +33,7 @@ use rapid::qef::budget;
 use rapid::qef::engine::{Engine, QueryReport};
 use rapid::qef::exec::ExecContext;
 use rapid::qef::plan::{Catalog, PlanNode};
+use rapid::qef::primitives::costs;
 use rapid::qef::trace::{MemorySink, StageEvent};
 use rapid_fuzz::canonical;
 
@@ -213,21 +215,24 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     let (mut tasks, mut fused_tasks, mut dms_bound, mut wide_rounds) = (0, 0, 0, 0);
     let mut other_path = Vec::new();
     let mut underived = std::collections::BTreeSet::new();
-    let (mut broadcast, mut builds_subtracted, mut filters_subtracted) = (Vec::new(), 0, 0);
+    let (mut broadcast, mut builds_subtracted) = (Vec::new(), 0);
+    let (mut filters_subtracted, mut filters_set) = (0, 0);
     for (name, plan) in tpch::queries::all() {
         let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut nodes = Vec::new();
         pre_order(&compiled.plan, &mut nodes);
         // The joins of no rounds, and what one lane of each reads of its
-        // build side: the build node's rows at the widths it hands them on.
-        // And the joins with a filter, which every lane of the probe side's
-        // round one reads whole.
+        // build side — the build node's rows at the widths it hands them on
+        // — and hashes: its keys. And the joins with a filter, which every
+        // lane of a partitioned join's probe side reads whole, and every
+        // lane of a broadcast join's sets the bits of beside its table.
         let mut build_bytes = std::collections::HashMap::new();
         let mut filter_bytes = std::collections::HashMap::new();
         for (id, node) in nodes.iter().enumerate() {
             if let PlanNode::HashJoin {
                 build,
+                build_keys,
                 scheme,
                 filter,
                 ..
@@ -235,7 +240,8 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             {
                 if scheme.is_empty() {
                     let widths = build.output_widths(&catalog).expect("widths");
-                    build_bytes.insert(id as u32, widths.iter().sum::<usize>() as u64);
+                    let row_bytes = widths.iter().sum::<usize>() as u64;
+                    build_bytes.insert(id as u32, (row_bytes, build_keys.len()));
                     broadcast.push((name, id as u32));
                 }
                 if let Some(bits) = filter {
@@ -306,13 +312,15 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     e.node_id
                 );
             }
-            // A join filter is built by a stage of its own, a lane a slice,
-            // and tested by the probe side's first stage alone — round one
-            // of its pass or a broadcast join's probe, or the scan in its
-            // task — whose event says what it kept.
+            // A partitioned join's filter is built by a stage of its own, a
+            // lane a slice, a broadcast join's by its probe's lanes; either
+            // is tested by the probe side's first stage alone — round one of
+            // its pass or a broadcast join's probe, or the scan in its task
+            // — whose event says what it kept.
             let filtered = filter_bytes.contains_key(&e.node_id);
             if e.operator == "join.filter" {
                 assert!(filtered, "{name}: node {} declares no filter", e.node_id);
+                assert!(!broadcast, "{name}: node {} is broadcast", e.node_id);
                 assert_eq!(
                     e.dmem_peak_bytes,
                     stage_of(e).working_set_bytes as u64,
@@ -422,10 +430,12 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         // and builds its table. With one build a lane subtracted — the bytes
         // of the build side's rows, and the same instructions whichever
         // lanes are compared — the task moves and retires what it does on
-        // one core. The first stage of a probe side that tests its rows
-        // against a join filter is the same: every lane reads the whole
-        // filter, and with one read a lane subtracted — beside a broadcast
-        // join's build — it moves what it does on one core.
+        // one core. Where the join declares a filter each of those lanes
+        // also sets a bit a build row beside its table: instructions, and no
+        // bytes. The first stage of a partitioned join's probe side that
+        // tests its rows against a join filter is the same: every lane reads
+        // the whole filter, and with one read a lane subtracted it moves
+        // what it does on one core.
         type Work = (
             String,
             Vec<u64>,
@@ -433,9 +443,13 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             Option<(u64, u64)>,
             Option<(u32, u64)>,
         );
-        let build_read = |join: u32| {
+        let build_rows = |join: u32| {
             let build = events.iter().rfind(|e| e.node_id == join + 1);
-            build.map_or(0, |e| e.rows) * build_bytes[&join]
+            build.map_or(0, |e| e.rows)
+        };
+        let retired = |cost: dpu_sim::isa::KernelCost, rows: u64| {
+            let cost = cost.scaled(rows as f64);
+            (cost.alu + cost.lsu + cost.mul) as u64
         };
         let work = |events: &[StageEvent]| -> Vec<Work> {
             let streamed = events
@@ -466,16 +480,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             let (rows_fewer, report_fewer) = run(fewer);
             let events_fewer = fewer_sink.take();
             assert_eq!(rows_fewer, rows, "{name}: {cores} cores vs {CORES}");
-            // The same stages, but for the merge of a broadcast join's
-            // filter: it ORs the copies the filter's lanes built, and where
-            // the build side's tiles are on one lane there is one copy.
-            let staged = |events: &[StageEvent]| {
-                let merges = events.iter().filter(|e| e.operator == "join.filter.merge");
-                (events.len() - merges.clone().count(), merges.count())
-            };
-            let (few, all) = (staged(&events_fewer), staged(&events));
-            assert_eq!(few.0, all.0, "{name}: {cores} cores");
-            assert!(few.1 <= all.1, "{name}: {cores} cores");
+            assert_eq!(events_fewer.len(), events.len(), "{name}: {cores} cores");
             for (few, all) in work(&events_fewer).iter().zip(&at_all_cores) {
                 assert_eq!(few.1, all.1, "{name}: {cores} cores vs {CORES}");
                 if few.0 != all.0 {
@@ -490,13 +495,23 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     assert_eq!((bytes % extra, instructions % extra), (0, 0), "{name}");
                     let per_lane = (bytes / extra, instructions / extra);
                     let filter = filter_bytes.get(&join).copied();
-                    filters_subtracted += usize::from(filter.is_some());
-                    if build_bytes.contains_key(&join) {
-                        let read = build_read(join) + filter.unwrap_or(0);
-                        assert_eq!(per_lane.0, read, "{name}: node {join}");
+                    if let Some(&(row_bytes, keys)) = build_bytes.get(&join) {
+                        // The build side read; its keys hashed, its table
+                        // built and, with a filter, a bit set a row.
+                        let rows = build_rows(join);
+                        let built = retired(costs::hash_per_row_per_key(), rows * keys as u64)
+                            + retired(costs::join_build_per_row(), rows);
+                        let set = match filter {
+                            Some(_) => retired(costs::join_filter_set_per_row(), rows),
+                            None => 0,
+                        };
+                        let expect = (rows * row_bytes, built + set);
+                        assert_eq!(per_lane, expect, "{name}: node {join}");
                         let first = *one_build.entry(join).or_insert(per_lane);
                         assert_eq!(per_lane, first, "{name}: node {join}, {cores} cores");
+                        filters_set += usize::from(filter.is_some());
                     } else {
+                        filters_subtracted += usize::from(filter.is_some());
                         assert_eq!(
                             Some(per_lane),
                             filter.map(|f| (f, 0)),
@@ -538,12 +553,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // read them through the selection vector.
     // The merges are the stages it does not derive: one core folds what the
     // lanes of the stage before left.
-    let merges = [
-        "groupby.merge",
-        "join.filter.merge",
-        "sort.merge",
-        "topk.merge",
-    ];
+    let merges = ["groupby.merge", "sort.merge", "topk.merge"];
     assert_eq!(underived, merges.map(String::from).into());
     assert_eq!(broadcast, BROADCAST);
     // Every broadcast task but Q5's one-tile supplier probe has fewer lanes
@@ -552,11 +562,12 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // filter in the probe, and on 1 and 8 gathers and tests it in a key
     // pass: compared on its rows alone.
     assert_eq!(builds_subtracted, 6);
-    // And the eight filtered probe tasks (Q3's nodes 3 and 4, Q5's node 11,
-    // Q10's node 5 partitioned; Q9's node 11, Q12's node 4 and Q18's nodes
-    // 5 and 6 broadcast, beside their build), each compared on 1 and on 8
-    // cores: a filter read a lane.
-    assert_eq!(filters_subtracted, 16);
+    // The four filtered partitioned probe tasks (Q3's nodes 3 and 4, Q5's
+    // node 11, Q10's node 5), each compared on 1 and on 8 cores: a filter
+    // read a lane. And four filtered broadcast ones (Q9's node 11, Q12's
+    // node 4 and Q18's nodes 5 and 6 — Q5's node 5 is one tile, Q18's node
+    // 4 changes path), beside their build: a filter set a lane.
+    assert_eq!((filters_subtracted, filters_set), (8, 8));
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
     assert_eq!((gathers_on(1), gathers_on(8)), (8, 1), "{other_path:?}");
     // 33 scans, 33 tasks. All but three end with the first stage of their
