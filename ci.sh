@@ -221,10 +221,10 @@ echo "== regression gate (exact simulated series vs BENCH_baseline.json) =="
 cargo test -q --release -p rapid-report -p rapid-fuzz
 # Re-collects the exact series (simulated cycles, energy, DMS
 # bytes/descriptors, join-order counters — no wall time); fails on a series
-# more than 10% above its baseline (a regression) or below it (a stale
-# baseline that would hide one). To accept an intentional change: re-run
-# with --bless and commit the new baseline and BENCH_history.json, which the
-# bless appends the entry to.
+# that rose past float noise (1e-9 relative) or vanished, and prints one that
+# fell. To take the falls: re-run with --bless --label <entry> and commit the
+# new baseline and BENCH_history.json, which the bless appends the entry to;
+# a rise is taken only where --accept <series>=<reason> names it.
 cargo run -q --release -p rapid-report -- gate BENCH_baseline.json
 
 echo "== rapid_bench suite (five workloads at --quick size, results checked) =="

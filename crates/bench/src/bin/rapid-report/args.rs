@@ -18,8 +18,13 @@ impl Args {
 
     /// `flag <value>` parsed as `T`; `default` when the flag is absent.
     pub fn value<T: FromStr>(&mut self, flag: &str, default: T) -> Result<T, UsageError> {
+        Ok(self.optional(flag)?.unwrap_or(default))
+    }
+
+    /// `flag <value>` parsed as `T`, where the flag is given.
+    pub fn optional<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, UsageError> {
         let Some(at) = self.0.iter().position(|a| a == flag) else {
-            return Ok(default);
+            return Ok(None);
         };
         if at + 1 == self.0.len() {
             return Err(UsageError(format!("{flag} needs a value")));
@@ -27,7 +32,17 @@ impl Args {
         let raw = self.0.remove(at + 1);
         self.0.remove(at);
         raw.parse()
+            .map(Some)
             .map_err(|_| UsageError(format!("{flag}: cannot parse '{raw}'")))
+    }
+
+    /// The value of every `flag <value>`, in order: a flag that may repeat.
+    pub fn values(&mut self, flag: &str) -> Result<Vec<String>, UsageError> {
+        let mut values = Vec::new();
+        while let Some(value) = self.optional(flag)? {
+            values.push(value);
+        }
+        Ok(values)
     }
 
     /// True when the bare `flag` is present.
@@ -83,6 +98,15 @@ mod tests {
         );
         // A flag where the value should be is a bad value, not a default.
         assert!(args("--sf --full").value("--sf", 0.01).is_err());
+    }
+
+    #[test]
+    fn an_optional_flag_and_a_repeated_one() {
+        let mut a = args("--accept x=1 --label L --accept y=2");
+        assert_eq!(a.optional("--label"), Ok(Some("L".to_string())));
+        assert_eq!(a.optional::<String>("--label"), Ok(None));
+        assert_eq!(a.values("--accept"), Ok(vec!["x=1".into(), "y=2".into()]));
+        assert_eq!(a.no_positionals(), Ok(()));
     }
 
     #[test]

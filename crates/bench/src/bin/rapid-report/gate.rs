@@ -2,39 +2,70 @@
 //! committed baseline, or (`--bless`) rewrite that baseline.
 //!
 //! ```text
-//! # CI gate: fail on a series that moved more than 10% either way (grown:
-//! # a regression; fallen: a stale baseline), or vanished, against the
-//! # committed baseline.
+//! # CI gate: fail on a series that rose past float noise, or vanished,
+//! # against the committed baseline; a series that fell is printed.
 //! cargo run --release -p rapid-report -- gate BENCH_baseline.json
 //!
-//! # Intentional baseline update: re-collect, overwrite the baseline and
-//! # append the entry to BENCH_history.json beside it.
-//! cargo run --release -p rapid-report -- gate BENCH_baseline.json --bless
+//! # Take the series that fell into the baseline, and append the entry to
+//! # BENCH_history.json beside it. A rise is taken only where it is named
+//! # with a reason; a tree with uncommitted changes needs a label.
+//! cargo run --release -p rapid-report -- gate BENCH_baseline.json --bless \
+//!     --label <entry> [--accept tpch/q10/execution/descriptors=<reason>]...
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rapid_report::report;
 
 use crate::args::{Args, UsageError};
 
-/// Distance from the baseline value, either way, beyond which a series
-/// fails the gate.
-const TOLERANCE: f64 = 0.10;
-
 pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
     let sf: f64 = args.value("--sf", 0.01)?;
     let bless = args.switch("--bless");
+    let label: Option<String> = args.optional("--label")?;
+    let accepted = args
+        .values("--accept")?
+        .into_iter()
+        .map(|a| match a.split_once('=') {
+            Some((series, reason)) if !series.is_empty() && !reason.is_empty() => {
+                Ok((series.to_string(), reason.to_string()))
+            }
+            _ => Err(UsageError(format!(
+                "--accept '{a}': expected <series>=<reason>"
+            ))),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let baseline_path = match args.positionals()?.as_slice() {
         [path] => PathBuf::from(path),
         _ => return Err(UsageError("gate takes exactly one <baseline.json>".into())),
     };
+    if !bless && (label.is_some() || !accepted.is_empty()) {
+        return Err(UsageError("--label and --accept go with --bless".into()));
+    }
 
     if bless {
+        let commit = match report::commit_info(Path::new("."), label.as_deref()) {
+            Ok(commit) => commit,
+            Err(e) => {
+                eprintln!("gate --bless: {e}");
+                return Ok(ExitCode::from(2));
+            }
+        };
         eprintln!("collecting exact series at sf {sf} ...");
-        let data = report::collect(sf);
+        let mut current = report::collect(sf);
+        current.commit = commit;
         let replaced = report::load(&baseline_path).ok();
+        let data = match report::bless(replaced.as_ref(), &current, &accepted) {
+            Ok(data) => data,
+            Err(refused) => {
+                for r in &refused {
+                    println!("gate: REFUSED {r}");
+                }
+                println!("gate: nothing written");
+                return Ok(ExitCode::FAILURE);
+            }
+        };
         if let Err(e) = report::save(&baseline_path, &data) {
             eprintln!("cannot write {}: {e}", baseline_path.display());
             return Ok(ExitCode::from(2));
@@ -65,14 +96,19 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
     };
     eprintln!("gate: re-collecting deterministic series at sf {sf} ...");
     let current = report::collect(sf);
-    let outcome = report::compare(&baseline, &current, TOLERANCE);
+    let outcome = report::compare(&baseline, &current);
     println!(
-        "gate: {} gated metrics checked against {} (tolerance {:.0}%), {} equal",
+        "gate: {} gated metrics checked against {} (exact: a rise past {:e} relative fails), \
+         {} equal, {} lower",
         outcome.checked,
         baseline_path.display(),
-        TOLERANCE * 100.0,
-        outcome.equal
+        report::NOISE,
+        outcome.equal,
+        outcome.fell.len()
     );
+    for f in &outcome.fell {
+        println!("gate: {f}");
+    }
     if outcome.passed() {
         println!("gate: PASS");
         Ok(ExitCode::SUCCESS)
@@ -81,7 +117,8 @@ pub fn run(mut args: Args) -> Result<ExitCode, UsageError> {
             println!("gate: FAIL {f}");
         }
         println!(
-            "gate: {} failure(s); to accept intentionally, re-run with --bless",
+            "gate: {} failure(s); to accept a rise intentionally, re-run with --bless \
+             --accept <series>=<reason>",
             outcome.failures.len()
         );
         Ok(ExitCode::FAILURE)

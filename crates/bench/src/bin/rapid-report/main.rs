@@ -43,9 +43,12 @@ subcommands:
       declared, stored and range-needed bytes of every column the TPC-H
       statements scan, and each statement's scan bytes against the floor
       rows handed on x bits / 8 (default: sf 0.02)
-  gate <baseline.json> [--sf <scale-factor>] [--bless]
-      re-collect the exact simulated series and fail on >10% growth or a
-      vanished series; --bless rewrites the baseline (default: sf 0.01)
+  gate <baseline.json> [--sf <scale-factor>]
+       [--bless [--label <entry>] [--accept <series>=<reason>]...]
+      re-collect the exact simulated series and fail on any rise past
+      float noise or a vanished series; --bless takes the series that
+      fell, and those that rose where --accept names them, and appends the
+      entry to the history; a dirty tree needs --label (default: sf 0.01)
 ";
 
 fn main() -> ExitCode {

@@ -16,11 +16,14 @@
 //! accounts, energy at provisioned power, DMS byte/descriptor counters)
 //! or from the join-order search's deterministic counters, so two runs on
 //! any machine agree bit-for-bit. The CI gate re-collects them and fails
-//! on a move of more than 10 % against the committed baseline — growth is
-//! a regression, a fall means the baseline no longer guards the series.
-//! Host wall-clock numbers are measured by the repository benchmark
-//! (`rapid_bench/`), not here.
+//! on any rise past float noise ([`NOISE`]) against the committed
+//! baseline, naming the series; a fall is printed and passes. A bless
+//! ([`bless`]) takes only the series that fell, and a rise only where it is
+//! named with a reason, which the history entry keeps. Host wall-clock
+//! numbers are measured by the repository benchmark (`rapid_bench/`), not
+//! here.
 
+use std::fmt::Write;
 use std::io;
 use std::path::Path;
 
@@ -146,7 +149,7 @@ pub fn collect(sf: f64) -> BenchmarkData {
     }
 
     BenchmarkData {
-        commit: commit_info(Path::new(".")),
+        commit: CommitInfo::default(),
         date: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
@@ -161,10 +164,12 @@ pub fn collect(sf: f64) -> BenchmarkData {
 pub const UNCOMMITTED: &str = "uncommitted";
 
 /// Best-effort commit header of the git repository at `repo`; `"unknown"`
-/// fields when `git` is unavailable. A tree with changes HEAD does not
-/// hold is no commit yet: its header names HEAD only as the parent it was
-/// measured on, instead of claiming HEAD's id, subject and time.
-pub fn commit_info(repo: &Path) -> CommitInfo {
+/// fields when `git` is unavailable, and `label`, where given, as its
+/// message. A tree with changes HEAD does not hold is no commit yet: its
+/// header must not claim HEAD's id, subject and time, so it needs a label,
+/// which it carries as its id, naming HEAD only as the commit the changes
+/// were measured on. Such a tree without a label is refused.
+pub fn commit_info(repo: &Path, label: Option<&str>) -> Result<CommitInfo, String> {
     let git = |args: &[&str]| -> Option<String> {
         let out = std::process::Command::new("git")
             .current_dir(repo)
@@ -188,22 +193,26 @@ pub fn commit_info(repo: &Path) -> CommitInfo {
         username: String::new(),
     };
     let head = field(&["rev-parse", "HEAD"]);
-    let (id, message, timestamp, tree_id) = if git(&["status", "--porcelain"]).is_some() {
-        (
-            UNCOMMITTED.to_string(),
-            format!("{UNCOMMITTED} changes on {head}"),
+    let (id, message, timestamp, tree_id) = match (git(&["status", "--porcelain"]), label) {
+        (Some(_), None) => {
+            return Err(format!(
+                "the tree has changes {head} does not hold: name the entry with --label"
+            ))
+        }
+        (Some(_), Some(label)) => (
+            label.to_string(),
+            format!("{label} ({UNCOMMITTED} changes on {head})"),
             String::new(),
             UNCOMMITTED.to_string(),
-        )
-    } else {
-        (
+        ),
+        (None, label) => (
             head,
-            field(&["log", "-1", "--pretty=%s"]),
+            label.map_or_else(|| field(&["log", "-1", "--pretty=%s"]), str::to_string),
             field(&["log", "-1", "--pretty=%cI"]),
             field(&["rev-parse", "HEAD^{tree}"]),
-        )
+        ),
     };
-    CommitInfo {
+    Ok(CommitInfo {
         author: person.clone(),
         committer: person,
         distinct: true,
@@ -212,7 +221,7 @@ pub fn commit_info(repo: &Path) -> CommitInfo {
         timestamp,
         tree_id,
         url: String::new(),
-    }
+    })
 }
 
 /// Re-indent compact JSON (the vendored `serde_json` has no pretty
@@ -323,6 +332,11 @@ pub fn append_history(
     Ok(len)
 }
 
+/// Relative move within which two values of a series are the same: float
+/// noise, such as the 1-ulp move of a sum taken in another order. Every
+/// series is deterministic, so anything past it is a change.
+pub const NOISE: f64 = 1e-9;
+
 /// Outcome of one gate comparison.
 #[derive(Debug, Clone)]
 pub struct GateOutcome {
@@ -330,63 +344,120 @@ pub struct GateOutcome {
     pub checked: usize,
     /// Of those, how many the current run reproduced bit-for-bit.
     pub equal: usize,
+    /// Series that fell past [`NOISE`]: printed, and a bless takes them.
+    pub fell: Vec<String>,
+    /// Series that rose past [`NOISE`]: they fail the gate.
+    pub rose: Vec<String>,
     /// Human-readable failure lines; empty means the gate passes.
     pub failures: Vec<String>,
 }
 
 impl GateOutcome {
-    /// True when every baseline series stayed within tolerance.
+    /// True when no baseline series rose or went missing.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
 }
 
+/// How `current` moved from `base`: `Some(true)` a rise past [`NOISE`],
+/// `Some(false)` a fall past it, `None` the same value.
+fn moved(base: f64, current: f64) -> Option<bool> {
+    let noise = NOISE * base.abs().max(current.abs());
+    (current > base + noise || current < base - noise).then_some(current > base)
+}
+
 /// Compare `current` against every series of `baseline`.
 ///
-/// A series fails when it moved by more than `tolerance` (e.g. `0.10`)
-/// from the baseline value in either direction, or when it disappeared
-/// from `current`. Growth is a regression. A fall is a stale baseline: it
-/// would let a later regression of the same size pass unseen, so it fails
-/// too, asking for the baseline to be blessed. Series in `current` that
-/// the baseline lacks are ignored — bless the baseline to start tracking
-/// them.
-pub fn compare(baseline: &BenchmarkData, current: &BenchmarkData, tolerance: f64) -> GateOutcome {
-    let mut failures = Vec::new();
-    let mut equal = 0usize;
+/// A series fails when it rose past [`NOISE`] — every series is
+/// deterministic and lower is better, so a rise of one unit is a regression
+/// — or when it disappeared from `current`. A fall passes and is listed in
+/// [`GateOutcome::fell`], for a bless to take. Series in `current` that the
+/// baseline lacks are ignored — bless the baseline to start tracking them.
+pub fn compare(baseline: &BenchmarkData, current: &BenchmarkData) -> GateOutcome {
+    let mut out = GateOutcome {
+        checked: baseline.benches.len(),
+        equal: 0,
+        fell: Vec::new(),
+        rose: Vec::new(),
+        failures: Vec::new(),
+    };
     for base in &baseline.benches {
         let Some(cur) = current.benches.iter().find(|b| b.name == base.name) else {
-            failures.push(format!(
+            out.failures.push(format!(
                 "{}: gated metric missing from current run (baseline {} {})",
                 base.name, base.value, base.unit
             ));
             continue;
         };
-        equal += usize::from(cur.value == base.value);
-        let verdict = if cur.value > base.value * (1.0 + tolerance) {
-            "regression"
-        } else if cur.value < base.value * (1.0 - tolerance) {
-            "stale baseline (bless to keep gating this series)"
-        } else {
+        out.equal += usize::from(cur.value == base.value);
+        let Some(rose) = moved(base.value, cur.value) else {
             continue;
         };
-        let pct = if base.value > 0.0 {
+        let pct = if base.value != 0.0 {
             (cur.value / base.value - 1.0) * 100.0
         } else {
             f64::INFINITY
         };
-        failures.push(format!(
-            "{}: {verdict} {:+.1}% ({} -> {} {}, tolerance {:.0}%)",
-            base.name,
-            pct,
-            base.value,
-            cur.value,
-            base.unit,
-            tolerance * 100.0
-        ));
+        let what = if rose { "regression" } else { "fell" };
+        let line = format!(
+            "{}: {what} {pct:+.1}% ({} -> {} {})",
+            base.name, base.value, cur.value, base.unit
+        );
+        if rose {
+            out.rose.push(base.name.clone());
+            out.failures.push(line);
+        } else {
+            out.fell.push(line);
+        }
     }
-    GateOutcome {
-        checked: baseline.benches.len(),
-        equal,
-        failures,
+    out
+}
+
+/// The baseline a bless writes over `baseline` from `current`, the series
+/// just collected: a series takes its new value where it fell past
+/// [`NOISE`], or where it rose and `accepted` names it with a reason; every
+/// other series keeps the value it had, and a series the baseline lacks is
+/// taken as it is. The header is `current`'s, its message followed by the
+/// accepted series and their reasons. `Err` names every series that rose
+/// unaccepted, and every accepted one that did not rise: such a bless
+/// writes nothing.
+pub fn bless(
+    baseline: Option<&BenchmarkData>,
+    current: &BenchmarkData,
+    accepted: &[(String, String)],
+) -> Result<BenchmarkData, Vec<String>> {
+    let Some(baseline) = baseline else {
+        return match accepted.first() {
+            Some((name, _)) => Err(vec![format!("{name}: accepted, but there is no baseline")]),
+            None => Ok(current.clone()),
+        };
+    };
+    let outcome = compare(baseline, current);
+    let accepts = |name: &str| accepted.iter().any(|(a, _)| a == name);
+    let mut refused: Vec<String> = outcome
+        .rose
+        .iter()
+        .filter(|name| !accepts(name))
+        .map(|name| format!("{name}: rose; name it with --accept <series>=<reason>"))
+        .collect();
+    refused.extend(
+        accepted
+            .iter()
+            .filter(|(name, _)| !outcome.rose.contains(name))
+            .map(|(name, _)| format!("{name}: accepted, but it did not rise")),
+    );
+    if !refused.is_empty() {
+        return Err(refused);
     }
+    let mut blessed = current.clone();
+    for bench in &mut blessed.benches {
+        let kept = baseline.benches.iter().find(|b| b.name == bench.name);
+        if let Some(kept) = kept.filter(|b| moved(b.value, bench.value).is_none()) {
+            bench.value = kept.value;
+        }
+    }
+    for (name, reason) in accepted {
+        let _ = write!(blessed.commit.message, "; accepted {name}: {reason}");
+    }
+    Ok(blessed)
 }

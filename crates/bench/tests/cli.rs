@@ -118,7 +118,7 @@ fn gate_blesses_passes_and_fails_by_name() {
     let path = dir.join("BENCH_scratch.json");
     let file = path.to_str().unwrap();
 
-    let out = run(&["gate", file, "--sf", "0.002", "--bless"]);
+    let out = run(&["gate", file, "--sf", "0.002", "--bless", "--label", "t"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let blessed = load(&path).unwrap();
     assert_eq!(blessed.benches.len(), 66);
@@ -147,12 +147,12 @@ fn gate_blesses_passes_and_fails_by_name() {
     older.benches[2].value *= 2.0;
     save(&path, &older).unwrap();
     std::fs::remove_file(&history_path).unwrap();
-    let out = run(&["gate", file, "--sf", "0.002", "--bless"]);
+    let out = run(&["gate", file, "--sf", "0.002", "--bless", "--label", "t"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("BENCH_history.json (2 entries)"));
     let replaced: Vec<f64> = older.benches.iter().map(|b| b.value).collect();
     assert_eq!(history(), [replaced.clone(), first.clone()]);
-    let out = run(&["gate", file, "--sf", "0.002", "--bless"]);
+    let out = run(&["gate", file, "--sf", "0.002", "--bless", "--label", "t"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert_eq!(history(), [replaced, first.clone(), first]);
 
@@ -189,5 +189,47 @@ fn gate_blesses_passes_and_fails_by_name() {
     );
     assert!(text.contains("gate: 2 failure(s)"), "{text}");
     assert!(text.contains("65 equal"), "{text}");
+
+    // A bless takes a rise only where it is named with a reason, and the
+    // reason goes into the history entry.
+    let bless = |extra: &[&str]| {
+        let mut args = vec!["gate", file, "--sf", "0.002", "--bless", "--label", "t"];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    let out = bless(&[]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("gate: REFUSED tpch/q6/execution/cycles: rose"),
+        "{}",
+        stdout(&out)
+    );
+    assert_eq!(
+        load(&path).unwrap().benches,
+        doctored.benches,
+        "nothing written"
+    );
+    let out = bless(&["--accept", "tpch/q6/execution/cycles=measured again"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    let history = std::fs::read_to_string(&history_path).unwrap();
+    assert!(
+        history.contains("; accepted tpch/q6/execution/cycles: measured again\""),
+        "{history}"
+    );
+    let out = run(&["gate", file, "--sf", "0.002"]);
+    assert!(stdout(&out).contains("66 equal"), "{}", stdout(&out));
+    // --label and --accept belong to a bless; an --accept needs a reason.
+    for args in [
+        &["gate", file, "--label", "t"][..],
+        &[
+            "gate",
+            file,
+            "--bless",
+            "--accept",
+            "tpch/q6/execution/cycles",
+        ][..],
+    ] {
+        assert_eq!(run(args).status.code(), Some(2), "{args:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

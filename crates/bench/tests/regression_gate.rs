@@ -1,13 +1,15 @@
-//! The regression gate, tested against itself: injected regressions must
-//! fail naming the offending metric, small drift must pass, the collected
-//! series must be bit-identical across two collections, and an entry
-//! measured on an uncommitted tree does not claim HEAD as its commit.
+//! The regression gate, tested against itself: a rise of one unit must
+//! fail naming the offending metric, a fall passes and float noise is no
+//! move, a bless takes only what fell and what it is told to accept, the
+//! collected series must be bit-identical across two collections, and an
+//! entry measured on an uncommitted tree needs a label and does not claim
+//! HEAD as its commit.
 
 use std::path::Path;
 use std::process::Command;
 
 use rapid_report::report::{
-    collect, commit_info, compare, load, save, Bench, BenchmarkData, CommitInfo, UNCOMMITTED,
+    bless, collect, commit_info, compare, load, save, Bench, BenchmarkData, CommitInfo, UNCOMMITTED,
 };
 
 fn gated(name: &str, value: f64) -> Bench {
@@ -29,51 +31,29 @@ fn data(benches: Vec<Bench>) -> BenchmarkData {
 }
 
 #[test]
-fn injected_20pct_regression_fails_naming_the_metric() {
+fn a_rise_of_one_unit_fails_naming_the_metric() {
     let baseline = data(vec![
         gated("tpch/q1/execution/cycles", 100_000.0),
-        gated("tpch/q6/execution/cycles", 50_000.0),
+        gated("tpch/q10/execution/descriptors", 1_104.0),
     ]);
     let mut current = baseline.clone();
-    current.benches[1].value = 60_000.0; // +20% on q6 cycles
+    current.benches[1].value = 1_105.0;
 
-    let out = compare(&baseline, &current, 0.10);
+    let out = compare(&baseline, &current);
     assert!(!out.passed());
-    assert_eq!(out.checked, 2);
-    assert_eq!(out.equal, 1, "q1 is unchanged");
+    assert_eq!((out.checked, out.equal), (2, 1), "q1 is unchanged");
+    assert_eq!(out.rose, ["tpch/q10/execution/descriptors"]);
     assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
     assert!(
-        out.failures[0].contains("tpch/q6/execution/cycles"),
-        "failure must name the offending metric: {}",
-        out.failures[0]
-    );
-    assert!(
-        out.failures[0].contains("20.0%"),
-        "failure must quantify the regression: {}",
+        out.failures[0].contains("tpch/q10/execution/descriptors: regression +0.1% (1104 -> 1105"),
+        "failure must name and quantify the rise: {}",
         out.failures[0]
     );
 }
 
 #[test]
-fn sub_tolerance_drift_passes() {
-    let baseline = data(vec![
-        gated("tpch/q1/execution/cycles", 100_000.0),
-        gated("tpch/q1/execution/energy", 2.5),
-    ]);
-    let mut current = baseline.clone();
-    current.benches[0].value = 109_000.0; // +9%: inside the 10% tolerance
-    current.benches[1].value = 2.3; // -8%: a small improvement is fine
-
-    let out = compare(&baseline, &current, 0.10);
-    assert!(out.passed(), "{:?}", out.failures);
-    assert_eq!(out.checked, 2);
-    assert_eq!(out.equal, 0, "within tolerance is not the same as equal");
-}
-
-#[test]
-fn a_series_far_below_its_baseline_fails_asking_for_a_bless() {
-    // A stale baseline passes silently otherwise: after a 10x improvement
-    // a later 9x regression would still read "below baseline".
+fn a_fall_passes_and_is_listed() {
+    // A 10x improvement passes; it is printed for a bless to take.
     let baseline = data(vec![
         gated("tpch/q9/execution/cycles", 21_950_000.0),
         gated("tpch/q9/execution/dms_bytes", 7_000_000.0),
@@ -81,13 +61,26 @@ fn a_series_far_below_its_baseline_fails_asking_for_a_bless() {
     let mut current = baseline.clone();
     current.benches[0].value = 1_320_000.0; // -94%
 
-    let out = compare(&baseline, &current, 0.10);
-    assert!(!out.passed());
+    let out = compare(&baseline, &current);
+    assert!(out.passed(), "{:?}", out.failures);
     assert_eq!((out.checked, out.equal), (2, 1));
-    assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-    let f = &out.failures[0];
-    assert!(f.contains("tpch/q9/execution/cycles"), "{f}");
-    assert!(f.contains("-94.0%") && f.contains("bless"), "{f}");
+    assert_eq!(out.fell.len(), 1, "{:?}", out.fell);
+    assert!(
+        out.fell[0].contains("tpch/q9/execution/cycles: fell -94.0%"),
+        "{}",
+        out.fell[0]
+    );
+}
+
+#[test]
+fn float_noise_is_no_move() {
+    // A sum taken in another order moves by an ulp: not a change.
+    let baseline = data(vec![gated("tpch/q5/execution/cycles", 145_157.01)]);
+    let mut current = baseline.clone();
+    current.benches[0].value = f64::from_bits(145_157.01f64.to_bits() + 1);
+    let out = compare(&baseline, &current);
+    assert!(out.passed(), "{:?}", out.failures);
+    assert_eq!((out.equal, out.fell.len()), (0, 0));
 }
 
 #[test]
@@ -98,7 +91,7 @@ fn missing_gated_metric_fails() {
     ]);
     let current = data(vec![gated("tpch/q1/execution/cycles", 100_000.0)]);
 
-    let out = compare(&baseline, &current, 0.10);
+    let out = compare(&baseline, &current);
     assert!(!out.passed());
     assert_eq!(out.failures.len(), 1);
     assert!(
@@ -116,9 +109,54 @@ fn series_absent_from_the_baseline_are_ignored() {
         .benches
         .push(gated("tpch/q19/execution/cycles", 1.0e9)); // not in baseline
 
-    let out = compare(&baseline, &current, 0.10);
+    let out = compare(&baseline, &current);
     assert!(out.passed(), "{:?}", out.failures);
     assert_eq!((out.checked, out.equal), (1, 1));
+}
+
+#[test]
+fn a_bless_takes_what_fell_and_a_rise_only_where_it_is_accepted() {
+    let baseline = data(vec![
+        gated("a", 100.0),
+        gated("b", 100.0),
+        gated("c", 100.0),
+        gated("d", 145_157.01),
+    ]);
+    let mut current = data(vec![
+        gated("a", 90.0),
+        gated("b", 101.0),
+        gated("c", 100.0),
+        gated("d", f64::from_bits(145_157.01f64.to_bits() + 1)),
+        gated("e", 7.0),
+    ]);
+    current.commit.message = "run 9".into();
+    let values = |d: &BenchmarkData| d.benches.iter().map(|b| b.value).collect::<Vec<_>>();
+
+    // The rise of b is refused until it is named; nothing is written.
+    let refused = bless(Some(&baseline), &current, &[]).unwrap_err();
+    assert_eq!(refused.len(), 1, "{refused:?}");
+    assert!(refused[0].starts_with("b: rose"), "{refused:?}");
+    // Naming a series that did not rise is refused too.
+    let wrong = [("a".to_string(), "faster".to_string())];
+    let refused = bless(Some(&baseline), &current, &wrong).unwrap_err();
+    assert!(refused
+        .iter()
+        .any(|r| r.starts_with("a: accepted, but it did not rise")));
+
+    let accepted = [("b".to_string(), "one more gather pass".to_string())];
+    let blessed = bless(Some(&baseline), &current, &accepted).unwrap();
+    // a fell, b is accepted, c is equal, d moved by noise and keeps its
+    // value, e is new.
+    assert_eq!(values(&blessed), [90.0, 101.0, 100.0, 145_157.01, 7.0]);
+    assert_eq!(
+        blessed.commit.message,
+        "run 9; accepted b: one more gather pass"
+    );
+    // No baseline yet: everything is taken.
+    assert_eq!(
+        values(&bless(None, &current, &[]).unwrap()),
+        values(&current)
+    );
 }
 
 #[test]
@@ -134,11 +172,11 @@ fn gate_roundtrips_through_disk_like_ci_does() {
     assert_eq!(loaded.benches, baseline.benches);
 
     let regressed = data(vec![gated("tpch/q1/execution/cycles", 125_000.0)]);
-    let out = compare(&loaded, &regressed, 0.10);
+    let out = compare(&loaded, &regressed);
     assert!(!out.passed());
     assert!(out.failures[0].contains("tpch/q1/execution/cycles"));
 
-    let same = compare(&loaded, &baseline, 0.10);
+    let same = compare(&loaded, &baseline);
     assert!(same.passed(), "{:?}", same.failures);
     std::fs::remove_file(&path).ok();
 }
@@ -157,13 +195,14 @@ fn deterministic_series_is_bit_identical_across_runs() {
         serde_json::to_string(&a.benches).unwrap(),
         serde_json::to_string(&b.benches).unwrap()
     );
-    let out = compare(&a, &b, 0.0);
+    let out = compare(&a, &b);
     assert_eq!((out.checked, out.equal), (66, 66));
 }
 
 /// A bless runs before its change is committed: what it measured is HEAD
 /// plus the changes, so its entry must not carry HEAD's id, subject or
-/// tree — only name HEAD as the commit it was measured on.
+/// tree. Such an entry needs a label, which it carries as its id, naming
+/// HEAD only as the commit it was measured on; without one it is refused.
 #[test]
 fn an_uncommitted_tree_is_not_labelled_as_head() {
     let repo = std::env::temp_dir().join(format!("rapid_bless_label_{}", std::process::id()));
@@ -185,20 +224,33 @@ fn an_uncommitted_tree_is_not_labelled_as_head() {
     git(&["commit", "-q", "-m", "the parent"]);
     let head = git(&["rev-parse", "HEAD"]);
 
-    let clean = commit_info(Path::new(&repo));
+    let clean = commit_info(Path::new(&repo), None).unwrap();
     assert_eq!(
         (clean.id.as_str(), clean.message.as_str()),
         (head.as_str(), "the parent")
     );
     assert_eq!(clean.tree_id, git(&["rev-parse", "HEAD^{tree}"]));
+    let named = commit_info(Path::new(&repo), Some("run 7")).unwrap();
+    assert_eq!(
+        (named.id, named.message),
+        (head.clone(), "run 7".to_string())
+    );
 
     std::fs::write(repo.join("engine.rs"), "fn b() {}\n").unwrap();
-    let dirty = commit_info(Path::new(&repo));
+    let refused = commit_info(Path::new(&repo), None).unwrap_err();
+    assert!(
+        refused.contains("--label") && refused.contains(&head),
+        "{refused}"
+    );
+    let dirty = commit_info(Path::new(&repo), Some("run 8")).unwrap();
     assert_eq!(
         (dirty.id.as_str(), dirty.tree_id.as_str()),
-        (UNCOMMITTED, UNCOMMITTED)
+        ("run 8", UNCOMMITTED)
     );
-    assert_eq!(dirty.message, format!("uncommitted changes on {head}"));
+    assert_eq!(
+        dirty.message,
+        format!("run 8 (uncommitted changes on {head})")
+    );
     assert!(dirty.timestamp.is_empty());
     std::fs::remove_dir_all(&repo).ok();
 }

@@ -67,6 +67,8 @@ pub struct CaseReport {
     pub filtered: bool,
     /// Whether one of them is on a broadcast join.
     pub broadcast_filtered: bool,
+    /// Whether a scan read fewer chunks than its table has.
+    pub pruned: bool,
 }
 
 /// Generate and execute the case for one seed.
@@ -78,12 +80,14 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
     let run = run_sql(&case.tables, &case.sql());
     let filtered = run.as_ref().is_ok_and(|t| t.filtered);
     let broadcast_filtered = run.as_ref().is_ok_and(|t| t.broadcast_filtered);
+    let pruned = run.as_ref().is_ok_and(|t| t.pruned);
     CaseReport {
         seed,
         case,
         outcome: run.map(|t| t.divergence()),
         filtered,
         broadcast_filtered,
+        pruned,
     }
 }
 
@@ -107,6 +111,8 @@ pub struct FuzzReport {
     pub filtered: usize,
     /// Of them, those with a filter on a broadcast join.
     pub broadcast_filtered: usize,
+    /// Executed cases where a scan read fewer chunks than its table has.
+    pub pruned: usize,
     /// Divergences found, each minimized.
     pub divergences: Vec<Divergence>,
 }
@@ -192,6 +198,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         skipped: 0,
         filtered: 0,
         broadcast_filtered: 0,
+        pruned: 0,
         divergences: Vec::new(),
     };
     let mut attempt = 0u64;
@@ -201,6 +208,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         let r = fuzz_one(seed);
         report.filtered += usize::from(r.outcome.is_ok() && r.filtered);
         report.broadcast_filtered += usize::from(r.outcome.is_ok() && r.broadcast_filtered);
+        report.pruned += usize::from(r.outcome.is_ok() && r.pruned);
         match r.outcome {
             Err(_) => report.skipped += 1,
             Ok(None) => report.executed += 1,
@@ -237,6 +245,7 @@ mod tests {
             skipped: 0,
             filtered: 0,
             broadcast_filtered: 0,
+            pruned: 0,
             divergences: vec![Divergence {
                 seed: case_seed,
                 detail: "synthetic: host and dpu disagree on row 0".to_string(),

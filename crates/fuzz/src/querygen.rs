@@ -380,10 +380,10 @@ fn simple_pred(rng: &mut Rng, env: &Env, depth: u32) -> String {
             format!("NOT ({a})")
         };
     }
-    // Dates and the boundary column are `ta`'s: their predicate kinds come
-    // last and are not drawn for a `tb`-only scope.
+    // Dates, the boundary column and the slot-ordered key are `ta`'s: their
+    // predicate kinds come last and are not drawn for a `tb`-only scope.
     let has_ta = !env.dates.is_empty();
-    match rng.below(if has_ta { 8 } else { 6 }) {
+    match rng.below(if has_ta { 9 } else { 6 }) {
         0 => {
             // Numeric column vs literal (decimal columns get decimal or
             // deliberately mis-scaled literals to exercise boundary
@@ -500,9 +500,21 @@ fn simple_pred(rng: &mut Rng, env: &Env, depth: u32) -> String {
             ]);
             format!("{c} {} {lit}", cmp_op(rng))
         }
-        _ => {
+        7 => {
             let d = *rng.pick(&env.dates);
             format!("{d} {} {}", cmp_op(rng), date_literal(rng))
+        }
+        _ => {
+            // `ta_id` is the heap slot, so a range or a point on it lies in
+            // few chunks: zone maps rule the others out, and every chunk
+            // where the literals lie past its rows.
+            let mut id = || rng.range_i64(-20, crate::datagen::MAX_TA_ROWS as i64 + 20);
+            let (a, b) = (id(), id());
+            match rng.below(3) {
+                0 => format!("ta_id {} {a}", cmp_op(rng)),
+                1 => format!("ta_id BETWEEN {a} AND {}", a + rng.range_i64(0, 80)),
+                _ => format!("ta_id IN ({a}, {b})"),
+            }
         }
     }
 }

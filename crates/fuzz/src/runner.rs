@@ -10,6 +10,11 @@
 //! else — differing rows, or one engine erroring while another returns
 //! rows — is a divergence.
 //!
+//! The native arm holds the same rows in chunks of [`NATIVE_CHUNK_ROWS`]
+//! rather than the host's 4,096 slots, so a table of a few hundred rows is
+//! several chunks there, and zone maps rule chunks out inside it, not only
+//! past its ends: a chunking that changed a result diverges.
+//!
 //! Panics inside an engine are caught and treated as that engine's error:
 //! the fuzzer must keep running, and a panic asymmetry is exactly the kind
 //! of bug it exists to find.
@@ -22,7 +27,8 @@ use hostdb::HostDb;
 use rapid_qcomp::CostParams;
 use rapid_qef::engine::Engine;
 use rapid_qef::exec::ExecContext;
-use rapid_qef::plan::Catalog;
+use rapid_qef::trace::MemorySink;
+use rapid_storage::table::TableBuilder;
 
 use crate::canonical;
 use crate::datagen::TableSpec;
@@ -58,6 +64,9 @@ pub struct TriOutcome {
     pub filtered: bool,
     /// Whether one of them is on a broadcast join.
     pub broadcast_filtered: bool,
+    /// Whether a scan of the native arm read fewer chunks than its table
+    /// has: its predicate's zone maps ruled the others out.
+    pub pruned: bool,
 }
 
 impl TriOutcome {
@@ -91,6 +100,9 @@ impl TriOutcome {
         }
     }
 }
+
+/// Rows per chunk of the native arm's tables.
+pub const NATIVE_CHUNK_ROWS: usize = 64;
 
 pub(crate) fn preview(rows: &[Vec<String>]) -> Vec<Vec<String>> {
     rows.iter().take(6).cloned().collect()
@@ -162,16 +174,16 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
             .map(|q| EngineOutcome::Rows(canonical(&q.rows)))
             .map_err(|e| e.to_string())
     });
+    let sink = MemorySink::new();
     let native = guarded(|| {
-        let mut catalog = Catalog::new();
-        for t in db.rapid().read().catalog().values() {
-            catalog.insert(t.name.clone(), Arc::clone(t));
+        let mut engine = Engine::new(ExecContext::native(2).with_trace(Arc::clone(&sink) as _));
+        for t in tables {
+            let mut b = TableBuilder::new(t.name.clone(), t.schema()).chunk_rows(NATIVE_CHUNK_ROWS);
+            b.extend_rows(t.rows.iter().cloned());
+            engine.load_table(Arc::new(b.finish()));
         }
-        let mut engine = Engine::new(ExecContext::native(2));
-        for t in catalog.values() {
-            engine.load_table(Arc::clone(t));
-        }
-        let compiled = rapid_qcomp::compile(&plan, &catalog, &CostParams::default())
+        let catalog = engine.catalog();
+        let compiled = rapid_qcomp::compile(&plan, catalog, &CostParams::default())
             .map_err(|e| format!("compile: {e}"))?;
         // The compile() gate checked the plan against the costed
         // (DPU-shaped) configuration and this arm executes it under
@@ -179,19 +191,24 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         // the context that will run it. A rejection here surfaces as an
         // error asymmetry against the host engine — a verifier false
         // positive is a fuzz finding like any other.
-        rapid_verify::check(&compiled.plan, &catalog, engine.context())
+        rapid_verify::check(&compiled.plan, catalog, engine.context())
             .map_err(|e| format!("verify: {e}"))?;
         let (out, _) = engine.execute(&compiled.plan).map_err(|e| e.to_string())?;
         let rows = hostdb::db::decode_batch(&out.batch, &out.meta, engine.catalog());
         Ok(EngineOutcome::Rows(canonical(&rows)))
     });
 
+    let pruned = sink
+        .take()
+        .iter()
+        .any(|e| e.scan.is_some_and(|s| s.pruned > 0));
     Ok(TriOutcome {
         host,
         dpu,
         native,
         filtered,
         broadcast_filtered,
+        pruned,
     })
 }
 

@@ -958,16 +958,17 @@ impl Drop for HostDb {
 /// scan line: the columns the compiled scan moves, of its table's. Beside it
 /// the line names what ran: the access path (`stream` or `gather`) and the
 /// trips through the DMS each run of rows took, `(key)` where one of them
-/// was the key pass that tested a join filter. A partition line says after
-/// its lanes which round of its pass it is and the round's fan-out; the
-/// stage that tested a join filter — a probe side's round one, a broadcast
-/// join's `join.probe` — says what it kept of the rows that entered the
-/// test, `filter kept=K/N`.
+/// was the key pass that tested a join filter, and `chunks=k/n` where its
+/// predicate's zone maps left it only `k` of the table's `n` chunks to read.
+/// A partition line says after its lanes which round of its pass it is and
+/// the round's fan-out; the stage that tested a join filter — a probe
+/// side's round one, a broadcast join's `join.probe` — says what it kept of
+/// the rows that entered the test, `filter kept=K/N`.
 fn render_explain(
     events: &[StageEvent],
     result: &QueryResult,
     estimates: &[f64],
-    scans: &[Option<(usize, usize)>],
+    scans: &[Option<(usize, usize, usize)>],
 ) -> String {
     use std::fmt::Write;
     let mut s = String::new();
@@ -996,12 +997,16 @@ fn render_explain(
     for e in &tree {
         for (i, (node_id, depth, operator, rows)) in e.operators().enumerate() {
             let _ = write!(s, "{:indent$}{operator}", "", indent = depth as usize * 2);
-            if let Some(Some((moved, of))) = scans.get(node_id as usize) {
+            if let Some(Some((moved, of, chunks))) = scans.get(node_id as usize) {
                 let _ = write!(s, " cols {moved}/{of}");
                 if let Some(scan) = e.scan {
                     let _ = write!(s, " {} passes={}", scan.path, scan.passes);
                     if scan.keyed {
                         let _ = write!(s, " (key)");
+                    }
+                    if scan.pruned > 0 {
+                        let read = chunks.saturating_sub(scan.pruned as usize);
+                        let _ = write!(s, " chunks={read}/{chunks}");
                     }
                 }
             }
@@ -1062,12 +1067,13 @@ fn render_explain(
 }
 
 /// Per pre-order node id of a compiled plan (the tracer's `node_id`): for
-/// a scan, how many columns it moves and how many its table has.
-fn scan_columns(plan: &PlanNode, catalog: &Catalog, out: &mut Vec<Option<(usize, usize)>>) {
+/// a scan, how many columns it moves, how many its table has and how many
+/// chunks.
+fn scan_columns(plan: &PlanNode, catalog: &Catalog, out: &mut Vec<Option<(usize, usize, usize)>>) {
     out.push(match plan {
-        PlanNode::Scan { table, columns, .. } => {
-            catalog.get(table).map(|t| (columns.len(), t.schema.len()))
-        }
+        PlanNode::Scan { table, columns, .. } => catalog
+            .get(table)
+            .map(|t| (columns.len(), t.schema.len(), t.chunks.len())),
         _ => None,
     });
     plan.inputs()

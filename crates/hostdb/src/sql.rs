@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Expressions: `+ - * /`, comparisons, `AND/OR/NOT`, `BETWEEN`, `IN
-//! (...)`, `LIKE 'p%'` / `LIKE '%s%'`, `CASE WHEN ... THEN ... ELSE ...
+//! (...)`, `IS [NOT] NULL`, `LIKE 'p%'` / `LIKE '%s%'`, `CASE WHEN ... THEN ... ELSE ...
 //! END`, `EXTRACT(YEAR FROM x)`, `DATE 'yyyy-mm-dd'`, decimal and integer
 //! literals, strings with `''` for a quote, `SUM/MIN/MAX/COUNT/AVG` and
 //! arithmetic over them (`100 * SUM(a) / SUM(b)`), and the window
@@ -166,6 +166,8 @@ enum Ast {
     /// `expr IN (SELECT ...)`.
     InSubquery(Box<Ast>, Box<SelectStmt>),
     Like(Box<Ast>, String),
+    /// `expr IS NULL`.
+    IsNull(Box<Ast>),
     Case(Box<Ast>, Box<Ast>, Box<Ast>),
     Year(Box<Ast>),
     Agg(AggFunc, Box<Ast>),
@@ -416,7 +418,7 @@ impl Parser<'_> {
     }
 
     /// predicate := additive [cmp additive | BETWEEN v AND v | IN (v, ...)
-    ///              | IN (select) | LIKE 's']
+    ///              | IN (select) | LIKE 's' | IS [NOT] NULL]
     fn predicate(&mut self) -> Result<Ast, SqlError> {
         let left = self.additive()?;
         let op = match self.peek() {
@@ -463,6 +465,15 @@ impl Parser<'_> {
                 Tok::Str(p) => return Ok(Ast::Like(Box::new(left), p)),
                 t => return err(format!("expected LIKE pattern, found {t:?}")),
             }
+        }
+        if self.kw("IS") {
+            let negated = self.kw("NOT");
+            self.expect_kw("NULL")?;
+            let is_null = Ast::IsNull(Box::new(left));
+            return Ok(match negated {
+                true => Ast::Not(Box::new(is_null)),
+                false => is_null,
+            });
         }
         Ok(left)
     }
@@ -760,6 +771,10 @@ fn to_lpred(a: &Ast) -> Result<LPred, SqlError> {
             Ast::Col(c) => like_to_pred(c, pattern),
             _ => err("LIKE requires a column"),
         },
+        Ast::IsNull(e) => match e.as_ref() {
+            Ast::Col(c) => Ok(LPred::IsNull { col: c.clone() }),
+            _ => err("IS NULL requires a column"),
+        },
         Ast::InSubquery(..) => err("IN (SELECT ...) must be a top-level WHERE conjunct"),
         other => err(format!("expected predicate, found {other:?}")),
     }
@@ -809,7 +824,7 @@ fn ast_columns(a: &Ast, out: &mut Vec<String>) {
             ast_columns(r, out);
         }
         Ast::And(ps) | Ast::Or(ps) => ps.iter().for_each(|p| ast_columns(p, out)),
-        Ast::Not(p) | Ast::Year(p) | Ast::Agg(_, p) => ast_columns(p, out),
+        Ast::Not(p) | Ast::Year(p) | Ast::Agg(_, p) | Ast::IsNull(p) => ast_columns(p, out),
         Ast::Between(e, _, _) | Ast::InList(e, _) | Ast::InSubquery(e, _) | Ast::Like(e, _) => {
             ast_columns(e, out)
         }
@@ -1350,6 +1365,31 @@ mod tests {
             panic!("pushdown failed: {input:?}")
         };
         assert_eq!(ps.len(), 2);
+    }
+
+    #[test]
+    fn is_null_and_is_not_null_push_into_the_scan() {
+        let p = parse_sql(
+            "SELECT l_orderkey FROM lineitem WHERE l_quantity IS NULL OR l_discount IS NOT NULL",
+            &schemas(),
+        )
+        .unwrap();
+        let LogicalPlan::Project { input, .. } = p else {
+            panic!()
+        };
+        let LogicalPlan::Scan { pred, .. } = *input else {
+            panic!("pushdown failed: {input:?}")
+        };
+        let is_null = |col: &str| LPred::IsNull { col: col.into() };
+        assert_eq!(
+            pred,
+            Some(LPred::Or(vec![
+                is_null("l_quantity"),
+                LPred::Not(Box::new(is_null("l_discount")))
+            ]))
+        );
+        let bad = "SELECT l_orderkey FROM lineitem WHERE l_quantity + 1 IS NULL";
+        assert!(parse_sql(bad, &schemas()).is_err());
     }
 
     #[test]

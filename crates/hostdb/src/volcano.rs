@@ -75,6 +75,7 @@ enum RPred {
     LikePrefix(usize, String),
     LikeContains(usize, String),
     Like(usize, String),
+    IsNull(usize),
     And(Vec<RPred>),
     Or(Vec<RPred>),
     Not(Box<RPred>),
@@ -120,6 +121,7 @@ fn resolve_pred(p: &LPred, names: &[String]) -> Result<RPred, VolcanoError> {
         LPred::LikePrefix { col, prefix } => Ok(RPred::LikePrefix(idx(col)?, prefix.clone())),
         LPred::LikeContains { col, needle } => Ok(RPred::LikeContains(idx(col)?, needle.clone())),
         LPred::Like { col, pattern } => Ok(RPred::Like(idx(col)?, pattern.clone())),
+        LPred::IsNull { col } => Ok(RPred::IsNull(idx(col)?)),
         LPred::And(ps) => Ok(RPred::And(
             ps.iter()
                 .map(|q| resolve_pred(q, names))
@@ -178,6 +180,7 @@ fn eval_pred(p: &RPred, row: &Row) -> Result<bool, VolcanoError> {
             Value::Str(s) => rapid_storage::like::like_match(pattern, s),
             _ => false,
         },
+        RPred::IsNull(i) => row[*i] == Value::Null,
         RPred::And(ps) => {
             for q in ps {
                 if !eval_pred(q, row)? {

@@ -731,6 +731,9 @@ fn lower_pred(p: &LPred, cols: &[OutCol], catalog: &Catalog) -> Result<Pred, Com
                 codes: dict.contains_codes(needle),
             })
         }
+        LPred::IsNull { col } => Ok(Pred::Not(Box::new(Pred::NotNull {
+            col: position(cols, col)?,
+        }))),
         LPred::Like { col, pattern } => {
             // General pattern: evaluate LIKE once per dictionary entry and
             // compile the result to a qualifying-code bitmap.

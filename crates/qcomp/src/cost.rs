@@ -9,7 +9,9 @@
 //! functions considering the potential overlap."
 //!
 //! The model here prices each operator with the simulator's per-row kernel
-//! costs and DMS transfer rules applied to estimated cardinalities — a join
+//! costs and DMS transfer rules applied to estimated cardinalities — a scan
+//! over the chunks its predicate's zone maps leave it, as the engine reads
+//! them (`rapid_qef::ops::filter::chunk_run`), a join
 //! the way its scheme runs it: partitioned, both sides through the DMS; or,
 //! with no rounds, broadcast, every lane reading the build side and building
 //! the whole table. A join filter is priced as it runs: the share of probe
@@ -46,6 +48,7 @@
 use dpu_sim::clock::SimTime;
 
 use rapid_qef::exec::ExecContext;
+use rapid_qef::ops::filter::chunk_run;
 use rapid_qef::ops::join_filter;
 use rapid_qef::plan::{Catalog, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
@@ -228,6 +231,10 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
                 return NodeEst::default();
             };
             let rows = t.rows() as f64;
+            // What the scan reads: the chunks its predicate's zone maps
+            // cannot rule out, as the engine decides it.
+            let run = &t.chunks[chunk_run(pred.as_ref(), &t.chunks)];
+            let read = run.iter().map(|c| c.rows()).sum::<usize>() as f64;
             let bytes: f64 = columns
                 .iter()
                 .map(|&c| t.schema.fields[c].dtype.physical_width() as f64)
@@ -238,8 +245,8 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
                 .unwrap_or(1.0);
             // Transfer: stream the filter column(s) + gather survivors;
             // compute: ~1.5 cy/row filter. Overlap: max of the two.
-            let wire = rows * bytes / cm.dms_bytes_per_cycle();
-            let compute_per_core = rows * cm.kernel_cycles(&costs::filter_per_row()) / cores;
+            let wire = read * bytes / cm.dms_bytes_per_cycle();
+            let compute_per_core = read * cm.kernel_cycles(&costs::filter_per_row()) / cores;
             let cycles = wire.max(compute_per_core);
             NodeEst {
                 cost: PlanCost {
@@ -663,6 +670,38 @@ mod tests {
         let big = estimate(&scan(), &catalog(100_000), &p);
         assert!(big.exec_secs > small.exec_secs * 10.0);
         assert_eq!(big.rows, 100_000.0);
+    }
+
+    #[test]
+    fn a_scan_is_priced_at_the_chunks_its_zone_maps_leave_it() {
+        use rapid_qef::expr::Pred;
+        use rapid_qef::primitives::filter::CmpOp;
+        let p = CostParams::default();
+        let cat = catalog(100_000);
+        let below = |value| PlanNode::Scan {
+            table: "t".into(),
+            columns: vec![0, 1],
+            pred: Some(Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Lt,
+                value,
+            }),
+        };
+        // `k` is stored in key order: keys below 1,000 lie in the first of
+        // 25 chunks of 4,096 rows, and the scan reads that chunk alone.
+        let (few, all) = (
+            estimate(&below(1_000), &cat, &p),
+            estimate(&below(100_000), &cat, &p),
+        );
+        let ratio = all.exec_secs / few.exec_secs;
+        assert!((ratio - 100_000.0 / 4_096.0).abs() < 1e-3, "{ratio}");
+        assert!(
+            (few.rows - 1_000.0).abs() < 100.0,
+            "the rows are the table's: {}",
+            few.rows
+        );
+        // Nothing ruled out: priced as the whole table, to the bit.
+        assert_eq!(all.exec_secs, estimate(&scan(), &cat, &p).exec_secs);
     }
 
     #[test]

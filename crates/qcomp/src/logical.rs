@@ -138,6 +138,11 @@ pub enum LPred {
         /// The raw LIKE pattern.
         pattern: String,
     },
+    /// `col IS NULL`; `IS NOT NULL` is its negation.
+    IsNull {
+        /// Column name.
+        col: String,
+    },
     /// Conjunction.
     And(Vec<LPred>),
     /// Disjunction.
@@ -177,7 +182,8 @@ impl LPred {
             | LPred::InList { col, .. }
             | LPred::LikePrefix { col, .. }
             | LPred::LikeContains { col, .. }
-            | LPred::Like { col, .. } => out.push(col),
+            | LPred::Like { col, .. }
+            | LPred::IsNull { col } => out.push(col),
             LPred::And(ps) | LPred::Or(ps) => ps.iter().for_each(|p| p.columns(out)),
             LPred::Not(p) => p.columns(out),
         }

@@ -532,13 +532,18 @@ impl<'e> Run<'e> {
             let kept = filter.kept_share(ndv.map(|n| n as f64).product());
             Some(ops::filter::KeyTest { cols, filter, kept })
         });
+        // The chunks the predicate's zone maps cannot rule out, on the table
+        // this statement runs on.
+        let run = ops::filter::chunk_run(pred, &table.chunks);
+        let pruned = (table.chunks.len() - run.len()) as u32;
+        let chunks = &table.chunks[run];
         let scan = ops::filter::ScanPlan::decide(
-            self.ctx, table, columns, pred, touched, tile, &kept, key,
+            self.ctx, table, chunks, columns, pred, touched, tile, &kept, key,
         );
         let untested = probe.filter(|_| !scan.tests_keys()).map(|(_, f)| f);
-        // The lanes own the table's tiles in chunk order, which is
-        // heap-slot order ([`crate::budget::lane_tiles`]).
-        let rows = table.rows();
+        // The lanes own the run's tiles in chunk order, which is heap-slot
+        // order ([`crate::budget::lane_tiles`]).
+        let rows: usize = chunks.iter().map(|c| c.rows()).sum();
         let tiles = rows.div_ceil(tile);
         let lanes = self.ctx.cores.clamp(1, tiles.max(1));
         let lanes: Vec<Range<usize>> = (0..lanes.min(tiles))
@@ -562,7 +567,7 @@ impl<'e> Run<'e> {
         };
         let (results, timing) = run_stage(self.ctx, lanes, |core, lane| {
             let _vectors = core.dmem.reserve_raw(working_set)?;
-            let (mut rows, entered) = scan.scan_rows(core, Span::new(&table.chunks, lane), tile)?;
+            let (mut rows, entered) = scan.scan_rows(core, Span::new(chunks, lane), tile)?;
             scanned_bytes.fetch_add(core.account.counters().dms_bytes, Ordering::Relaxed);
             if let Some(handed) = handed.first() {
                 handed.fetch_add(entered as u64, Ordering::Relaxed);
@@ -619,6 +624,7 @@ impl<'e> Run<'e> {
                     path: scan.path(),
                     passes: scan.dms_passes() as u32,
                     keyed: scan.tests_keys(),
+                    pruned,
                 }),
                 filter: scan.tests_keys().then(|| FilterKept {
                     tested: key_tested.into_inner(),

@@ -73,6 +73,7 @@ use crate::exec::{CoreCtx, ExecContext};
 use crate::expr::Pred;
 use crate::ops::join_filter::JoinFilter;
 use crate::primitives::costs;
+use crate::primitives::filter::CmpOp;
 use crate::primitives::hash::hash_pieces_into;
 use crate::ra::{chunk_widths, AccessPath, RelationAccessor};
 use crate::selectivity::{conjunction_selectivity, estimate_selectivity_cols};
@@ -157,6 +158,80 @@ where
     cols.sort_unstable();
     cols.dedup();
     cols
+}
+
+/// The covering run of `chunks` that may hold a row `pred` keeps: from the
+/// first chunk whose zone maps the predicate cannot rule out to the last,
+/// `0..0` where it rules out every one.
+///
+/// A test of one column against literals — `CmpConst`, `Between`, `InList`,
+/// `InCodes` — rules out a chunk where no non-null value of the column can
+/// pass it, an all-NULL chunk among them, and `NotNull` a chunk of NULLs
+/// only. `And` intersects the runs of its arms, `Or` covers them, and
+/// `Const(false)` keeps nothing. A comparison of two columns or of
+/// expressions, and `Not`, keeps every chunk. The rule is exact for any
+/// data: a chunk outside the run holds no row the predicate keeps. How the
+/// rows are clustered decides only how short the run is, so it is decided
+/// against the table a statement runs on, never carried by its plan.
+pub fn chunk_run(pred: Option<&Pred>, chunks: &[Chunk]) -> Range<usize> {
+    let all = 0..chunks.len();
+    let run = match pred {
+        None | Some(Pred::CmpCols { .. } | Pred::CmpExpr { .. } | Pred::Not(_)) => all,
+        Some(Pred::Const(keeps)) => 0..if *keeps { chunks.len() } else { 0 },
+        Some(Pred::And(arms)) => arms.iter().fold(all, |run, arm| {
+            let of_arm = chunk_run(Some(arm), chunks);
+            run.start.max(of_arm.start)..run.end.min(of_arm.end)
+        }),
+        Some(Pred::Or(arms)) => arms
+            .iter()
+            .map(|arm| chunk_run(Some(arm), chunks))
+            .filter(|run| !run.is_empty())
+            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
+            .unwrap_or(0..0),
+        Some(test) => {
+            let may = |chunk: &Chunk| may_keep(test, chunk);
+            match (chunks.iter().position(may), chunks.iter().rposition(may)) {
+                (Some(first), Some(last)) => first..last + 1,
+                _ => 0..0,
+            }
+        }
+    };
+    if run.is_empty() {
+        0..0
+    } else {
+        run
+    }
+}
+
+/// Whether `test`, a test of one column against literals or `NotNull`, may
+/// keep a row of `chunk`, by the column's zone map. NULL passes no such
+/// test. A column the chunk lacks rules nothing out.
+fn may_keep(test: &Pred, chunk: &Chunk) -> bool {
+    let zone = |col: usize| (col < chunk.columns()).then(|| chunk.zone(col));
+    match test {
+        Pred::CmpConst { col, op, value } => zone(*col).is_none_or(|z| {
+            let v = *value;
+            match op {
+                CmpOp::Eq => z.overlaps(v, v),
+                CmpOp::Ne => z.range.is_some_and(|range| range != (v, v)),
+                CmpOp::Lt => v > i64::MIN && z.overlaps(i64::MIN, v - 1),
+                CmpOp::Le => z.overlaps(i64::MIN, v),
+                CmpOp::Gt => v < i64::MAX && z.overlaps(v + 1, i64::MAX),
+                CmpOp::Ge => z.overlaps(v, i64::MAX),
+            }
+        }),
+        Pred::Between { col, lo, hi } => zone(*col).is_none_or(|z| z.overlaps(*lo, *hi)),
+        Pred::InList { col, values } => {
+            zone(*col).is_none_or(|z| values.iter().any(|&v| z.overlaps(v, v)))
+        }
+        Pred::InCodes { col, codes } => zone(*col).is_none_or(|z| {
+            codes
+                .iter_ones()
+                .any(|code| z.overlaps(code as i64, code as i64))
+        }),
+        Pred::NotNull { col } => zone(*col).is_none_or(|z| z.range.is_some()),
+        _ => true,
+    }
 }
 
 /// Flatten the top-level conjunction of `pred`, by reference.
@@ -356,8 +431,9 @@ impl Model<'_> {
 }
 
 impl<'a> ScanPlan<'a> {
-    /// Plan the scan of `proj` of `table` under `pred` on `ctx`'s cores,
-    /// from the table's statistics; `touched` is [`touched_columns`] of the
+    /// Plan the scan of `proj` of `chunks` — the run of `table`'s chunks it
+    /// reads ([`chunk_run`]) — under `pred` on `ctx`'s cores, from the
+    /// table's statistics; `touched` is [`touched_columns`] of the
     /// two, `tile` the tile their streams were sized at, `kept` how the
     /// operators of the scan's task take the rows it keeps
     /// ([`crate::task::Task::kept_rows`]) and `key` the join filter the
@@ -368,6 +444,7 @@ impl<'a> ScanPlan<'a> {
     pub fn decide(
         ctx: &ExecContext,
         table: &Table,
+        chunks: &[Chunk],
         proj: &'a [usize],
         pred: Option<&'a Pred>,
         touched: Vec<usize>,
@@ -393,7 +470,7 @@ impl<'a> ScanPlan<'a> {
             chunk,
             tile,
         };
-        if let (Some(first), true) = (table.chunks.first(), plan.passes.len() > 1) {
+        if let (Some(first), true) = (chunks.first(), plan.passes.len() > 1) {
             let order = model(first).cheapest_order(&plan.passes);
             let mut passes: Vec<_> = plan.passes.into_iter().map(Some).collect();
             plan.passes = order.iter().filter_map(|&i| passes[i].take()).collect();
@@ -414,7 +491,7 @@ impl<'a> ScanPlan<'a> {
             }
         };
         let (mut stream, mut gather) = (ChunkCost::default(), ChunkCost::default());
-        for chunk in &table.chunks {
+        for chunk in chunks {
             let model = model(chunk);
             for (total, cost) in [
                 (&mut stream, model.stream_path(&plan, streamed, kept)),
@@ -424,10 +501,11 @@ impl<'a> ScanPlan<'a> {
                 total.dms += cost.dms;
             }
         }
-        let tiles = table.rows().div_ceil(tile.max(1)).max(1);
+        let rows: usize = chunks.iter().map(Chunk::rows).sum();
+        let tiles = rows.div_ceil(tile.max(1)).max(1);
         let lanes = ctx.cores.clamp(1, tiles);
         let share = tiles.div_ceil(lanes) as f64 / tiles as f64;
-        let runs = (table.chunks.len() + lanes - 1).div_ceil(lanes) as f64;
+        let runs = (chunks.len() + lanes - 1).div_ceil(lanes) as f64;
         let trips = ctx.cost_model.per_tile_overhead_cycles * plan.trips_per_run() as f64;
         let stage = |path: ChunkCost, trips: f64| path.dms.max(path.compute * share + trips * runs);
         if stage(stream, 0.0) < stage(gather, trips) {
@@ -1070,6 +1148,7 @@ mod tests {
         ScanPlan::decide(
             &ExecContext::dpu(),
             t,
+            &t.chunks,
             proj,
             pred,
             touched,
@@ -1139,6 +1218,7 @@ mod tests {
             let plan = ScanPlan::decide(
                 &ExecContext::dpu(),
                 &t,
+                &t.chunks,
                 &proj,
                 None,
                 touched,
@@ -1687,5 +1767,301 @@ mod proptests {
                 prop_assert_eq!(parts(in_place), parts(copied), "{}", path);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod pruning {
+    use super::*;
+    use crate::engine::Engine;
+    use crate::expr::Expr;
+    use crate::plan::PlanNode;
+    use crate::trace::MemorySink;
+    use proptest::prelude::*;
+    use rapid_storage::bitvec::BitVec;
+    use rapid_storage::schema::{Field, Schema};
+    use rapid_storage::table::TableBuilder;
+    use rapid_storage::types::{DataType, Value};
+    use std::sync::Arc;
+
+    /// A table of `slots` heap slots in chunks of `chunk_rows`: `k` is twice
+    /// the slot, or a shuffle of those keys; `v` is small and NULL now and
+    /// then, and NULL on every row of the chunks `null_chunks` names; `c` is
+    /// a small code. The slots of the chunks `gone` names are deleted, so
+    /// those chunks are empty.
+    fn table(
+        slots: usize,
+        chunk_rows: usize,
+        shuffled: bool,
+        draws: &[u64],
+        null_chunks: u64,
+        gone: u64,
+    ) -> Table {
+        let draw = |i: usize, n: u64| draws[i % draws.len()].rotate_left(i as u32 % 61) % n;
+        let mut keys: Vec<i64> = (0..slots as i64).map(|s| 2 * s).collect();
+        if shuffled {
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, draw(i, i as u64 + 1) as usize);
+            }
+        }
+        let bit = |set: u64, chunk: usize| chunk < 64 && set >> chunk & 1 == 1;
+        let rows: Vec<Option<Vec<Value>>> = (0..slots)
+            .map(|s| {
+                let chunk = s / chunk_rows;
+                (!bit(gone, chunk)).then(|| {
+                    let v = match bit(null_chunks, chunk) || draw(3 * s, 5) == 0 {
+                        true => Value::Null,
+                        false => Value::Int(draw(3 * s + 1, 17) as i64 - 8),
+                    };
+                    vec![
+                        Value::Int(keys[s]),
+                        v,
+                        Value::Int(draw(3 * s + 2, 12) as i64),
+                    ]
+                })
+            })
+            .collect();
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::nullable("v", DataType::Int),
+            Field::new("c", DataType::Int),
+        ]);
+        TableBuilder::over_slots("t", schema, &rows)
+            .chunk_rows(chunk_rows)
+            .finish()
+    }
+
+    /// Numbers drawn one after another from a case's draws.
+    struct Draws<'d> {
+        draws: &'d [u64],
+        at: usize,
+    }
+
+    impl Draws<'_> {
+        fn next(&mut self, n: u64) -> u64 {
+            self.at += 1;
+            self.draws[self.at % self.draws.len()].rotate_left(self.at as u32 % 59) % n
+        }
+
+        /// A literal for a column spanning `0..span`, a few past either end.
+        fn literal(&mut self, span: i64) -> i64 {
+            self.next(span as u64 + 24) as i64 - 12
+        }
+
+        /// A predicate of any form over a key column of values `0..keys`
+        /// and two small ones: its literals fall inside the columns' values
+        /// and outside them.
+        fn pred(&mut self, depth: u32, keys: i64) -> Pred {
+            let col = self.next(3) as usize;
+            let span = if col == 0 { keys } else { 0 };
+            let ops = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            let op = ops[self.next(6) as usize];
+            match self.next(if depth > 0 { 11 } else { 8 }) {
+                0 | 1 => Pred::CmpConst {
+                    col,
+                    op,
+                    value: self.literal(span),
+                },
+                2 => {
+                    let (lo, hi) = (self.literal(span), self.literal(span));
+                    let hi = if self.next(5) > 0 { hi.max(lo) } else { hi };
+                    Pred::Between { col, lo, hi }
+                }
+                3 => {
+                    let n = 1 + self.next(3);
+                    let mut values: Vec<i64> = (0..n).map(|_| self.literal(span)).collect();
+                    values.sort_unstable();
+                    values.dedup();
+                    Pred::InList { col, values }
+                }
+                4 => {
+                    let n = 1 + self.next(16);
+                    let codes = BitVec::from_bools((0..n).map(|_| self.next(3) == 0));
+                    Pred::InCodes { col, codes }
+                }
+                5 => Pred::NotNull { col },
+                6 => Pred::CmpCols {
+                    left: col,
+                    op,
+                    right: self.next(3) as usize,
+                },
+                7 if self.next(3) == 0 => Pred::Const(self.next(2) == 0),
+                7 => Pred::CmpExpr {
+                    left: Box::new(Expr::add(Expr::Col(col), Expr::Lit(self.literal(span)))),
+                    op,
+                    right: Box::new(Expr::Col(self.next(3) as usize)),
+                },
+                8 => Pred::Not(Box::new(self.pred(depth - 1, keys))),
+                kind => {
+                    let n = 1 + self.next(3);
+                    let arms = (0..n).map(|_| self.pred(depth - 1, keys)).collect();
+                    if kind == 9 {
+                        Pred::And(arms)
+                    } else {
+                        Pred::Or(arms)
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every live row of `t`, chunk by chunk, that `pred` keeps when
+    /// evaluated on that row alone: `(chunk, [k, v, c])`.
+    fn kept_row_by_row(t: &Table, pred: &Pred) -> Vec<(usize, Vec<Option<i64>>)> {
+        let ectx = ExecContext::dpu();
+        let mut c = CoreCtx::new(&ectx, 0);
+        let mut kept = Vec::new();
+        for (k, chunk) in t.chunks.iter().enumerate() {
+            for r in 0..chunk.rows() {
+                let verdict = pred.eval_rows(&mut c, chunk.vectors(), r..r + 1).unwrap();
+                if verdict.get(0) {
+                    kept.push((k, chunk.vectors().iter().map(|v| v.get(r)).collect()));
+                }
+            }
+        }
+        kept
+    }
+
+    /// The rows a scan of every column of `t` under `pred` returns on
+    /// `ctx`, sorted, and the chunks its event says it did not read.
+    fn scanned(t: &Arc<Table>, pred: &Pred, ctx: ExecContext) -> (Vec<Vec<Option<i64>>>, u32) {
+        let sink = MemorySink::new();
+        let mut engine = Engine::new(ctx.with_trace(Arc::clone(&sink) as _));
+        engine.load_table(Arc::clone(t));
+        let plan = PlanNode::Scan {
+            table: "t".into(),
+            columns: vec![0, 1, 2],
+            pred: Some(pred.clone()),
+        };
+        let (out, _) = engine.execute(&plan).unwrap();
+        let batch = &out.batch;
+        let mut rows: Vec<Vec<Option<i64>>> = (0..batch.rows())
+            .map(|r| batch.columns.iter().map(|v| v.get(r)).collect())
+            .collect();
+        rows.sort();
+        let pruned = sink
+            .take()
+            .iter()
+            .filter_map(|e| e.scan)
+            .map(|s| s.pruned)
+            .sum();
+        (rows, pruned)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128 })]
+
+        /// A scan reads only the chunks its predicate's zone maps leave it
+        /// and still returns exactly the rows a row-by-row evaluation keeps:
+        /// over tables in slot order and shuffled, with NULLs, all-NULL and
+        /// empty chunks, under predicates of every form whose literals fall
+        /// inside the values and outside them (an empty run), on the
+        /// simulated DPU and on native threads.
+        #[test]
+        fn a_pruned_scan_returns_the_rows_a_row_by_row_evaluation_keeps(
+            slots in 0usize..400,
+            chunk_rows in 4usize..64,
+            shuffled in any::<bool>(),
+            draws in proptest::collection::vec(any::<u64>(), 16..48),
+            null_chunks in any::<u64>(),
+            gone in any::<u64>(),
+        ) {
+            // About one chunk in four all NULL, one in eight deleted.
+            let t = Arc::new(table(
+                slots,
+                chunk_rows,
+                shuffled,
+                &draws,
+                null_chunks & null_chunks >> 1,
+                gone & gone >> 1 & gone >> 2,
+            ));
+            let pred = Draws { draws: &draws, at: 0 }.pred(2, 2 * slots as i64);
+            let kept = kept_row_by_row(&t, &pred);
+            let run = chunk_run(Some(&pred), &t.chunks);
+            for (chunk, row) in &kept {
+                prop_assert!(run.contains(chunk), "{pred:?}: chunk {chunk} outside {run:?} keeps {row:?}");
+            }
+            let mut want: Vec<_> = kept.into_iter().map(|(_, row)| row).collect();
+            want.sort();
+            let pruned = (t.chunks.len() - run.len()) as u32;
+            for ctx in [ExecContext::dpu(), ExecContext::native(3)] {
+                let (got, read_not) = scanned(&t, &pred, ctx);
+                prop_assert_eq!(&got, &want, "{:?}", pred);
+                prop_assert_eq!(read_not, pruned, "{:?}", pred);
+            }
+        }
+    }
+
+    #[test]
+    fn a_range_on_a_slot_ordered_key_reads_its_chunks_and_a_shuffled_one_reads_all() {
+        let draws: Vec<u64> = (1..40u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let range = Pred::And(vec![
+            Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Ge,
+                value: 200,
+            },
+            Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Lt,
+                value: 260,
+            },
+        ]);
+        // Keys 200..260 are slots 100..130: chunks 3 and 4 of 32 slots.
+        let ordered = Arc::new(table(320, 32, false, &draws, 0, 0));
+        assert_eq!(chunk_run(Some(&range), &ordered.chunks), 3..5);
+        let shuffled = Arc::new(table(320, 32, true, &draws, 0, 0));
+        assert_eq!(chunk_run(Some(&range), &shuffled.chunks), 0..10);
+        let (a, pruned) = scanned(&ordered, &range, ExecContext::dpu());
+        let (b, none) = scanned(&shuffled, &range, ExecContext::dpu());
+        assert_eq!((a.len(), pruned, none), (30, 8, 0));
+        let keys = |rows: &[Vec<Option<i64>>]| rows.iter().map(|r| r[0]).collect::<Vec<_>>();
+        assert_eq!(keys(&a), keys(&b), "the same keys, however they lie");
+        // Past every key, or in a gap between two: no chunk, no row.
+        for value in [-1, 641, 201] {
+            let point = Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Eq,
+                value,
+            };
+            let run = chunk_run(Some(&point), &ordered.chunks);
+            assert_eq!(run.len(), usize::from(value == 201), "{value}");
+            assert_eq!(
+                scanned(&ordered, &point, ExecContext::dpu()).0,
+                Vec::<Vec<_>>::new()
+            );
+        }
+        // NOT, a comparison of two columns and no predicate read everything.
+        let not = Pred::Not(Box::new(range.clone()));
+        for pred in [Some(&not), None] {
+            assert_eq!(chunk_run(pred, &ordered.chunks), 0..10);
+        }
+        // An all-NULL chunk passes no comparison and no NOT NULL.
+        let nulls = table(320, 32, false, &draws, 0b11_1111_1110, 0);
+        let not_null = Pred::NotNull { col: 1 };
+        assert_eq!(chunk_run(Some(&not_null), &nulls.chunks), 0..1);
+        let or = Pred::Or(vec![
+            not_null,
+            Pred::CmpConst {
+                col: 0,
+                op: CmpOp::Ge,
+                value: 600,
+            },
+        ]);
+        assert_eq!(
+            chunk_run(Some(&or), &nulls.chunks),
+            0..10,
+            "OR covers both arms"
+        );
+        assert_eq!(chunk_run(Some(&Pred::Const(false)), &nulls.chunks), 0..0);
     }
 }

@@ -161,6 +161,10 @@ pub struct ScanAccess {
     /// task's join filter.
     #[serde(default)]
     pub keyed: bool,
+    /// Chunks of the table the scan did not read: its predicate's zone
+    /// maps ruled them out ([`crate::ops::filter::chunk_run`]).
+    #[serde(default)]
+    pub pruned: u32,
 }
 
 /// Which round of a partition pass a stage ran (see

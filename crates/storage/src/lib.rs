@@ -6,6 +6,7 @@
 //! Table ─▶ Chunks (row slices, in heap-slot order)
 //!            └▶ one Vector per column
 //!                 (flat fixed-width array, 16 KiB sweet spot)
+//!                 and its ZoneMap (min, max, NULL count)
 //! Operators consume Tiles of ≥ 64 rows.
 //! ```
 //!
@@ -20,7 +21,7 @@
 //! generator, `LOAD` and every checkpoint build through it. A chunk's
 //! vectors are shared by `Arc`, so a checkpoint re-encodes only the chunks
 //! whose heap slots a commit changed and shares the rest with the table
-//! RAPID already holds. The crate also
+//! RAPID already holds, zone maps included. The crate also
 //! owns the SCN timestamps and the row changes of a host commit (§3.3); a
 //! table records the SCN it was built at.
 
@@ -39,7 +40,7 @@ pub mod types;
 pub mod vector;
 
 pub use bitvec::{BitVec, RidList};
-pub use chunk::Chunk;
+pub use chunk::{Chunk, ZoneMap};
 pub use schema::{Field, Schema};
 pub use scn::Scn;
 pub use stats::{ColumnStats, TableStats};

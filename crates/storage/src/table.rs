@@ -14,7 +14,8 @@
 //! others with that table's encodings, where those are still what a full
 //! build derives. Either way the table is a full build's, and the
 //! statistics are computed exactly, one sorted pass per column over the
-//! new chunks, after the rows have been read.
+//! new chunks, after the rows have been read. A chunk's zone maps are
+//! computed when it is encoded, so a shared chunk brings its own.
 
 use std::borrow::Cow;
 use std::sync::Arc;
