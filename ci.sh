@@ -104,6 +104,18 @@ if git grep -n -E "join\.filter\.merge|merge_copies|fn broadcast_filter|join_fil
     exit 1
 fi
 
+echo "== a partition scheme is §5.3's heuristics: no factorization search =="
+# `partition_opt::partition_scheme` takes the fewest power-of-two rounds the
+# buffer cap allows and splits the hash bits evenly across them. Those rules
+# are the scheme: a search that lists factorizations and prices each one is
+# a second rule beside them, and it answers differently only where its
+# price cannot tell two buffers apart. `scheme_cost` stays as the join-order
+# search's price of a scheme.
+if git grep -n -E "enumerate_factorizations|fn prefer\(|optimize_for_partitions|optimize_partition_scheme|struct PartitionScheme|struct PartitionOptInput" -- 'crates/*'; then
+    echo "a partition scheme is searched for again: apply the heuristics in partition_scheme"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

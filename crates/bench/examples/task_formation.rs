@@ -1,14 +1,13 @@
 //! Two physical optimizations, shown standalone: Figure 4's
-//! task-formation example and the §5.3 partition-scheme search.
+//! task-formation example and §5.3's partition schemes.
 //!
 //! ```text
 //! cargo run --release -p rapid-report --example task_formation
 //! ```
 
 use dpu_sim::isa::CostModel;
-use rapid_qcomp::partition_opt::{
-    optimize_partition_scheme, required_partitions, PartitionOptInput,
-};
+use rapid_qcomp::partition_opt::{partition_scheme, required_partitions, scheme_cost};
+use rapid_qef::exec::ExecContext;
 use rapid_report::task_formation::{figure4_chain, optimize_tasks, vector_rows_for};
 
 fn main() {
@@ -51,21 +50,18 @@ fn main() {
     let full = vector_rows_for(&ops, 32 * 1024, usize::MAX).expect("fits");
     println!("\nfully fused vectors at 32 KiB: {full} rows per operator");
 
-    // --- §5.3: the partition scheme search -------------------------------
-    println!("\npartition-scheme optimization:");
+    // --- §5.3: partition schemes ------------------------------------------
+    println!("\npartition schemes (8-byte rows):");
+    let dpu = ExecContext::dpu();
     for rows in [100_000u64, 10_000_000, 1_000_000_000] {
-        let input = PartitionOptInput {
-            rows,
-            ..Default::default()
-        };
-        let scheme = optimize_partition_scheme(&cm, &input);
+        let rounds = partition_scheme(rows as f64, 8, 8, &dpu);
         println!(
             "  {:>13} rows -> {:>7} partitions required, scheme {:?} ({} round(s), {:.2e} cycles)",
             rows,
-            required_partitions(&input),
-            scheme.rounds,
-            scheme.rounds.len(),
-            scheme.cost_cycles
+            required_partitions(rows, 8, dpu.dmem_bytes, dpu.cores),
+            rounds,
+            rounds.len(),
+            scheme_cost(&cm, rows, 8, dpu.dmem_bytes, &rounds)
         );
     }
 }

@@ -7,7 +7,8 @@
 //! epoch days for dates), compiles string range/prefix predicates to code
 //! ranges (ordered dictionaries) or code bitmaps (post-update
 //! dictionaries), picks join build sides and group-by strategies from
-//! statistics, and chooses partition schemes via [`crate::partition_opt`].
+//! statistics, and takes partition schemes from
+//! [`crate::partition_opt::partition_scheme`].
 //!
 //! Scales: a column brought to a larger scale is multiplied by a power of
 //! ten at run time; a literal is brought there here, once — `1 - l_discount`
@@ -36,7 +37,7 @@ use rapid_storage::types::{pow10, DataType, Value};
 
 use crate::cost::{estimate, estimate_node, CostParams, NodeEst, PlanCost};
 use crate::logical::{LExpr, LPred, LWindowFunc, LogicalPlan};
-use crate::partition_opt::{optimize_for_partitions, required_partitions, PartitionOptInput};
+use crate::partition_opt::partition_scheme;
 
 /// Extra fractional digits given to divisions.
 const DIV_EXTRA_SCALE: u8 = 6;
@@ -1039,7 +1040,7 @@ fn lower_join(
             build_rows,
             encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?),
             declared(&lcols).max(declared(&rcols)),
-            params,
+            &params.ctx,
         )
     };
 
@@ -1190,35 +1191,6 @@ fn encoded_row_bytes(plan: &PlanNode, catalog: &Catalog) -> Result<usize, Compil
     Ok(widths.iter().sum())
 }
 
-/// The scheme of a partition pass (§5.3), for joins and group-bys alike:
-/// as many partitions as `rows` rows of `kernel_row_bytes` — the row as the
-/// kernel that consumes a partition holds it — need to fit DMEM, never
-/// fewer than the cores, in the cheapest rounds over rows of `row_bytes` as
-/// they are encoded. That width prices a round (bytes moved, flushes,
-/// spill) and, through `max_buffered_fanout`, hard-bounds its fan-out; the
-/// verifier checks (R-FANOUT-BUFFER) and the engine refuses with the same
-/// function over the same widths, so a chosen scheme fails neither.
-fn partition_scheme(
-    rows: f64,
-    row_bytes: usize,
-    kernel_row_bytes: usize,
-    params: &CostParams,
-) -> Vec<usize> {
-    let buffer_cap = rapid_qef::budget::max_buffered_fanout(row_bytes, params.ctx.dmem_bytes);
-    let streamed = PartitionOptInput {
-        rows: (rows as u64).max(1),
-        row_bytes,
-        dmem_bytes: params.ctx.dmem_bytes,
-        cores: params.ctx.cores,
-        max_round_fanout: buffer_cap.min(rapid_qef::budget::MAX_ROUND_FANOUT),
-    };
-    let partitions = required_partitions(&PartitionOptInput {
-        row_bytes: kernel_row_bytes,
-        ..streamed.clone()
-    });
-    optimize_for_partitions(&params.ctx.cost_model, &streamed, partitions).rounds
-}
-
 fn lower_aggregate(
     input: &LogicalPlan,
     group_by: &[crate::logical::LNamed],
@@ -1317,7 +1289,12 @@ fn lower_aggregate(
                 GroupStrategy::OnTheFly { slots }
             } else {
                 let row_bytes = encoded_row_bytes(&mapped, catalog)?;
-                GroupStrategy::Partitioned(partition_scheme(rows, row_bytes, k * 8 + 6, params))
+                GroupStrategy::Partitioned(partition_scheme(
+                    rows,
+                    row_bytes,
+                    k * 8 + 6,
+                    &params.ctx,
+                ))
             }
         }
     };
@@ -1717,6 +1694,35 @@ mod tests {
         };
         assert_eq!(probe.output_widths(&cat).unwrap(), [2, 1, 1, 1, 1, 1]);
         assert_eq!(scheme[..], [32]);
+    }
+
+    #[test]
+    fn a_one_byte_row_splits_its_rounds_evenly() {
+        // A key stored in one byte: 32 KiB of DMEM buffers it 1024 ways a
+        // round, and 2^15 cores ask for 2^15 partitions, so two rounds of
+        // 256 x 128 (heuristic d), where `scheme_cost`, which floors a
+        // buffer at 64 bytes, prices 1024 x 32 lower.
+        let mut b = TableBuilder::new("b", Schema::new(vec![Field::new("k", DataType::Int)]));
+        for r in 0..100i64 {
+            b.push_row(vec![Value::Int(r)]);
+        }
+        let mut cat = Catalog::new();
+        cat.insert("b".into(), Arc::new(b.finish()));
+        let lp = LogicalPlan::scan("b").join(LogicalPlan::scan("b"), &["k"], &["k"]);
+        let p = CostParams::from_exec(&ExecContext {
+            cores: 1 << 15,
+            ..ExecContext::dpu()
+        });
+        let c = compile(&lp, &cat, &p).unwrap();
+        let PlanNode::HashJoin { scheme, probe, .. } = &c.plan else {
+            panic!("expected join root, got {:?}", c.plan)
+        };
+        assert_eq!(probe.output_widths(&cat).unwrap(), [1]);
+        assert_eq!(
+            rapid_qef::budget::max_buffered_fanout(1, p.ctx.dmem_bytes),
+            1024
+        );
+        assert_eq!(scheme[..], [256, 128]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use rapid_qef::primitives::costs;
 use crate::compiler::{lower, OutCol};
 use crate::cost::{estimate_node, CostParams, NodeEst};
 use crate::logical::{LExpr, LNamed, LogicalPlan};
-use crate::partition_opt::{optimize_partition_scheme, scheme_cost, PartitionOptInput};
+use crate::partition_opt::{partition_scheme, scheme_cost};
 
 /// Relation count above which exhaustive DP yields to greedy pairing.
 pub const MAX_DP_RELATIONS: usize = 12;
@@ -396,27 +396,12 @@ fn join_cycles(params: &CostParams, a: (f64, f64), b: (f64, f64)) -> f64 {
     let ((build_rows, build_width), (probe_rows, probe_width)) =
         if a.0 <= b.0 { (a, b) } else { (b, a) };
     let row_bytes = (a.1.max(b.1) as usize).max(8);
-    let max_round_fanout = rapid_qef::budget::max_buffered_fanout(row_bytes, params.ctx.dmem_bytes)
-        .min(rapid_qef::budget::MAX_ROUND_FANOUT);
-    let scheme = optimize_partition_scheme(
-        cm,
-        &PartitionOptInput {
-            rows: (build_rows as u64).max(1),
-            row_bytes,
-            dmem_bytes: params.ctx.dmem_bytes,
-            cores: params.ctx.cores,
-            max_round_fanout,
-        },
-    );
-    let side = |rows: f64, width: f64| PartitionOptInput {
-        rows: (rows as u64).max(1),
-        row_bytes: (width as usize).max(8),
-        dmem_bytes: params.ctx.dmem_bytes,
-        cores: params.ctx.cores,
-        max_round_fanout,
+    let scheme = partition_scheme(build_rows, row_bytes, row_bytes, &params.ctx);
+    let side = |rows: f64, width: f64| {
+        let (rows, width) = ((rows as u64).max(1), (width as usize).max(8));
+        scheme_cost(cm, rows, width, params.ctx.dmem_bytes, &scheme)
     };
-    let partition = scheme_cost(cm, &side(build_rows, build_width), &scheme.rounds)
-        + scheme_cost(cm, &side(probe_rows, probe_width), &scheme.rounds);
+    let partition = side(build_rows, build_width) + side(probe_rows, probe_width);
     let kernels = (build_rows * cm.kernel_cycles(&costs::join_build_per_row())
         + probe_rows
             * (cm.kernel_cycles(&costs::join_probe_per_row())

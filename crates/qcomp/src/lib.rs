@@ -14,7 +14,7 @@
 //! * encoding/primitive selection (code-range vs code-bitmap string
 //!   predicates),
 //! * degree of parallelization,
-//! * partition scheme optimization ([`partition_opt`], §5.3),
+//! * partition schemes from §5.3's heuristics ([`partition_opt`]),
 //! * an analytically calibrated cost model ([`cost`]) with derived
 //!   per-node column statistics, reused by the host database's offload
 //!   decision.
@@ -32,4 +32,3 @@ pub use compiler::{compile, compile_unverified, verify_config, CompileError, Com
 pub use cost::{estimate_rows_per_node, CostParams, PlanCost};
 pub use joinorder::OptimizeStats;
 pub use logical::{LExpr, LPred, LogicalPlan};
-pub use partition_opt::{optimize_partition_scheme, PartitionScheme};

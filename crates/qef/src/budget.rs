@@ -229,13 +229,13 @@ pub fn working_set(
 
 /// Largest per-round partition fan-out whose per-partition local buffers
 /// (half of DMEM split `fanout` ways) still hold the 16-row minimum DMS
-/// burst for `row_bytes`-wide rows — heuristic (b) of §5.3, the same
-/// bound `partition_opt::scheme_cost` prices as the spill penalty. Never
-/// below 2 (a round narrower than binary cannot make progress).
-/// `row_bytes` is the row as the buffers hold it: the sum of
-/// `PlanNode::output_widths` of the pass's input (the wider one of a join's
-/// two). The compiler factors a scheme under this cap, the verifier checks
-/// it (R-FANOUT-BUFFER) and the engine refuses a round over it.
+/// burst for `row_bytes`-wide rows — heuristic (b) of §5.3. Never below 2
+/// (a round narrower than binary cannot make progress). `row_bytes` is the
+/// row as the buffers hold it: the sum of `PlanNode::output_widths` of the
+/// pass's input (the wider one of a join's two). The compiler's
+/// `partition_opt::partition_scheme` takes the fewest rounds under this
+/// cap, the verifier checks it (R-FANOUT-BUFFER) and the engine refuses a
+/// round over it.
 pub fn max_buffered_fanout(row_bytes: usize, dmem_bytes: usize) -> usize {
     let cap = (dmem_bytes / 2) / (16 * row_bytes.max(1));
     // Round down to a power of two, floor at 2.

@@ -171,7 +171,7 @@ pub enum PlanNode {
         /// Join variant.
         join_type: JoinType,
         /// Partition fan-out per round of both sides' passes, chosen by the
-        /// compiler's partition scheme optimization. The engine runs it as
+        /// compiler's `partition_opt::partition_scheme`. The engine runs it as
         /// declared. No rounds is a broadcast join: every lane reads the
         /// whole build side, builds its table in the state the probe stage
         /// declares and probes its own rows against it
