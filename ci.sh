@@ -116,6 +116,20 @@ if git grep -n -E "enumerate_factorizations|fn prefer\(|optimize_for_partitions|
     exit 1
 fi
 
+echo "== a LIKE is one predicate: the compiler picks its shape against the dictionary =="
+# The SQL front end hands every LIKE with a wildcard to the plan verbatim,
+# and `lower_pred` decides its shape where the dictionary is: a literal
+# prefix followed only by `%`s bisects the sorted values, any other pattern
+# is matched once per value. A LIKE's shape is a physical choice made
+# against the dictionary; a logical variant per shape is a second
+# classifier that every engine must keep in step. A chain too wide for the
+# join-order DP keeps its declared order: a greedy pairing beside the DP
+# is a second search no statement reaches.
+if git grep -n -E "LikePrefix|LikeContains|contains_codes|fn greedy_order" -- 'crates/*'; then
+    echo "a LIKE shape or the greedy join order is back: one Like, shaped by the compiler"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

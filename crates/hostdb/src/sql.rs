@@ -15,12 +15,13 @@
 //! ```
 //!
 //! Expressions: `+ - * /`, comparisons, `AND/OR/NOT`, `BETWEEN`, `IN
-//! (...)`, `IS [NOT] NULL`, `LIKE 'p%'` / `LIKE '%s%'`, `CASE WHEN ... THEN ... ELSE ...
-//! END`, `EXTRACT(YEAR FROM x)`, `DATE 'yyyy-mm-dd'`, decimal and integer
-//! literals, strings with `''` for a quote, `SUM/MIN/MAX/COUNT/AVG` and
-//! arithmetic over them (`100 * SUM(a) / SUM(b)`), and the window
-//! functions `RANK() / ROW_NUMBER() / SUM(col) OVER (...)`. An aggregate
-//! call in HAVING need not be in the select list.
+//! (...)`, `IS [NOT] NULL`, `LIKE 'pattern'` (`%` and `_`; a pattern with
+//! neither is `=`), `CASE WHEN ... THEN ... ELSE ... END`, `EXTRACT(YEAR
+//! FROM x)`, `DATE 'yyyy-mm-dd'`, decimal and integer literals, strings
+//! with `''` for a quote, `SUM/MIN/MAX/COUNT/AVG` and arithmetic over them
+//! (`100 * SUM(a) / SUM(b)`), and the window functions `RANK() /
+//! ROW_NUMBER() / SUM(col) OVER (...)`. An aggregate call in HAVING need
+//! not be in the select list.
 //!
 //! One subquery form: `col IN (select)` as a top-level WHERE conjunct,
 //! where the inner `select` has one select item and no ORDER BY or LIMIT.
@@ -768,7 +769,7 @@ fn to_lpred(a: &Ast) -> Result<LPred, SqlError> {
             _ => err("IN requires a column"),
         },
         Ast::Like(e, pattern) => match e.as_ref() {
-            Ast::Col(c) => like_to_pred(c, pattern),
+            Ast::Col(c) => Ok(like_to_pred(c, pattern)),
             _ => err("LIKE requires a column"),
         },
         Ast::IsNull(e) => match e.as_ref() {
@@ -780,37 +781,15 @@ fn to_lpred(a: &Ast) -> Result<LPred, SqlError> {
     }
 }
 
-fn like_to_pred(col: &str, pattern: &str) -> Result<LPred, SqlError> {
-    // Classify into the cheap shapes where the wildcards allow it; any
-    // other pattern (suffix '%s', inner '%', any '_') routes to the
-    // general matcher, which both engines evaluate via
-    // `rapid_storage::like::like_match`.
-    let wildcards = pattern.matches('%').count();
-    if pattern.contains('_') {
-        return Ok(LPred::Like {
-            col: col.into(),
-            pattern: pattern.into(),
-        });
+fn like_to_pred(col: &str, pattern: &str) -> LPred {
+    // A pattern without wildcards is an equality; every other one reaches
+    // the compiler verbatim, which picks its shape against the dictionary.
+    if !pattern.contains(['%', '_']) {
+        return LPred::eq(col, Value::Str(pattern.into()));
     }
-    let starts = pattern.starts_with('%');
-    let ends = pattern.ends_with('%');
-    let trimmed = pattern.trim_matches('%');
-    match (starts, ends, wildcards) {
-        (_, _, 0) => Ok(LPred::eq(col, Value::Str(pattern.into()))),
-        (false, true, 1) => Ok(LPred::LikePrefix {
-            col: col.into(),
-            prefix: trimmed.into(),
-        }),
-        // '%s%' — but also the degenerate '%%', whose trimmed needle is
-        // empty and correctly matches every non-NULL string.
-        (true, true, 2) => Ok(LPred::LikeContains {
-            col: col.into(),
-            needle: trimmed.into(),
-        }),
-        _ => Ok(LPred::Like {
-            col: col.into(),
-            pattern: pattern.into(),
-        }),
+    LPred::Like {
+        col: col.into(),
+        pattern: pattern.into(),
     }
 }
 
@@ -1475,36 +1454,32 @@ mod tests {
     #[test]
     fn like_patterns() {
         let s = schemas();
-        let p = parse_sql(
-            "SELECT l_orderkey FROM lineitem WHERE l_shipmode LIKE 'AIR%'",
-            &s,
-        )
-        .unwrap();
-        let LogicalPlan::Project { input, .. } = p else {
-            panic!()
+        let scan_pred = |pattern: &str| {
+            let sql = format!("SELECT l_orderkey FROM lineitem WHERE l_shipmode LIKE '{pattern}'");
+            let LogicalPlan::Project { input, .. } = parse_sql(&sql, &s).unwrap() else {
+                panic!()
+            };
+            let LogicalPlan::Scan {
+                pred: Some(pred), ..
+            } = *input
+            else {
+                panic!()
+            };
+            pred
         };
-        let LogicalPlan::Scan {
-            pred: Some(LPred::LikePrefix { .. }),
-            ..
-        } = *input
-        else {
-            panic!()
-        };
-        let p = parse_sql(
-            "SELECT l_orderkey FROM lineitem WHERE l_shipmode LIKE '%IR%'",
-            &s,
-        )
-        .unwrap();
-        let LogicalPlan::Project { input, .. } = p else {
-            panic!()
-        };
-        let LogicalPlan::Scan {
-            pred: Some(LPred::LikeContains { .. }),
-            ..
-        } = *input
-        else {
-            panic!()
-        };
+        for pattern in ["AIR%", "%IR%"] {
+            assert_eq!(
+                scan_pred(pattern),
+                LPred::Like {
+                    col: "l_shipmode".into(),
+                    pattern: pattern.into(),
+                }
+            );
+        }
+        assert_eq!(
+            scan_pred("AIR"),
+            LPred::eq("l_shipmode", Value::Str("AIR".into()))
+        );
     }
 
     #[test]

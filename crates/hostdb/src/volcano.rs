@@ -72,8 +72,6 @@ enum RPred {
     Cmp(RExpr, CmpOp, RExpr),
     Between(usize, Value, Value),
     InList(usize, Vec<Value>),
-    LikePrefix(usize, String),
-    LikeContains(usize, String),
     Like(usize, String),
     IsNull(usize),
     And(Vec<RPred>),
@@ -118,8 +116,6 @@ fn resolve_pred(p: &LPred, names: &[String]) -> Result<RPred, VolcanoError> {
         )),
         LPred::Between { col, lo, hi } => Ok(RPred::Between(idx(col)?, lo.clone(), hi.clone())),
         LPred::InList { col, values } => Ok(RPred::InList(idx(col)?, values.clone())),
-        LPred::LikePrefix { col, prefix } => Ok(RPred::LikePrefix(idx(col)?, prefix.clone())),
-        LPred::LikeContains { col, needle } => Ok(RPred::LikeContains(idx(col)?, needle.clone())),
         LPred::Like { col, pattern } => Ok(RPred::Like(idx(col)?, pattern.clone())),
         LPred::IsNull { col } => Ok(RPred::IsNull(idx(col)?)),
         LPred::And(ps) => Ok(RPred::And(
@@ -168,14 +164,6 @@ fn eval_pred(p: &RPred, row: &Row) -> Result<bool, VolcanoError> {
             valmath::cmp(CmpOp::Ge, &row[*i], lo) && valmath::cmp(CmpOp::Le, &row[*i], hi)
         }
         RPred::InList(i, vals) => vals.iter().any(|v| valmath::cmp(CmpOp::Eq, &row[*i], v)),
-        RPred::LikePrefix(i, prefix) => match &row[*i] {
-            Value::Str(s) => s.starts_with(prefix.as_str()),
-            _ => false,
-        },
-        RPred::LikeContains(i, needle) => match &row[*i] {
-            Value::Str(s) => s.contains(needle.as_str()),
-            _ => false,
-        },
         RPred::Like(i, pattern) => match &row[*i] {
             Value::Str(s) => rapid_storage::like::like_match(pattern, s),
             _ => false,

@@ -4,10 +4,12 @@
 //! arithmetic (Add/Sub unify scales, Mul adds them, Div pre-scales the
 //! dividend — all integer math, §4.2), encodes literals into the widened
 //! physical domain (dictionary codes for strings, mantissas for decimals,
-//! epoch days for dates), compiles string range/prefix predicates to code
-//! ranges (ordered dictionaries) or code bitmaps (post-update
-//! dictionaries), picks join build sides and group-by strategies from
-//! statistics, and takes partition schemes from
+//! epoch days for dates), compiles string ranges to code ranges of the
+//! order-preserving dictionaries and every LIKE to a code bitmap — the
+//! LIKE's shape is chosen here, against the dictionary: a literal prefix
+//! followed only by `%`s bisects the sorted values, any other pattern is
+//! matched once per value — picks join build sides and group-by strategies
+//! from statistics, and takes partition schemes from
 //! [`crate::partition_opt::partition_scheme`].
 //!
 //! Scales: a column brought to a larger scale is multiplied by a power of
@@ -718,33 +720,27 @@ fn lower_pred(p: &LPred, cols: &[OutCol], catalog: &Catalog) -> Result<Pred, Com
                 })
             }
         }
-        LPred::LikePrefix { col, prefix } => {
-            let (i, dict) = resolve_dict(col, cols, catalog)?;
-            Ok(Pred::InCodes {
-                col: i,
-                codes: dict.prefix_codes(prefix),
-            })
-        }
-        LPred::LikeContains { col, needle } => {
-            let (i, dict) = resolve_dict(col, cols, catalog)?;
-            Ok(Pred::InCodes {
-                col: i,
-                codes: dict.contains_codes(needle),
-            })
-        }
         LPred::IsNull { col } => Ok(Pred::Not(Box::new(Pred::NotNull {
             col: position(cols, col)?,
         }))),
         LPred::Like { col, pattern } => {
-            // General pattern: evaluate LIKE once per dictionary entry and
-            // compile the result to a qualifying-code bitmap.
+            // The pattern's shape is chosen here, against the dictionary: a
+            // literal prefix followed only by `%`s is a bisection of the
+            // sorted values (§4.2), any other pattern is matched once per
+            // value. Both compile to a qualifying-code bitmap.
             let (i, dict) = resolve_dict(col, cols, catalog)?;
-            let mut codes = rapid_storage::bitvec::BitVec::zeros(dict.len());
-            for (code, v) in dict.values().iter().enumerate() {
-                if rapid_storage::like::like_match(pattern, v) {
-                    codes.set(code, true);
+            let prefix = pattern.trim_end_matches('%');
+            let codes = if prefix.len() < pattern.len() && !prefix.contains(['%', '_']) {
+                dict.prefix_codes(prefix)
+            } else {
+                let mut codes = rapid_storage::bitvec::BitVec::zeros(dict.len());
+                for (code, v) in dict.values().iter().enumerate() {
+                    if rapid_storage::like::like_match(pattern, v) {
+                        codes.set(code, true);
+                    }
                 }
-            }
+                codes
+            };
             Ok(Pred::InCodes { col: i, codes })
         }
     }
@@ -1878,23 +1874,46 @@ mod tests {
     }
 
     #[test]
-    fn like_prefix_compiles_to_code_bitmap() {
-        let lp = LogicalPlan::scan_where(
-            "t",
-            LPred::LikePrefix {
-                col: "flag".into(),
-                prefix: "R".into(),
-            },
-        );
-        let c = compile(&lp, &catalog(), &params()).unwrap();
-        let PlanNode::Scan {
-            pred: Some(Pred::InCodes { col: 2, codes }),
-            ..
-        } = c.plan
-        else {
-            panic!()
-        };
-        assert_eq!(codes.count_ones(), 1);
-        assert!(codes.get(2));
+    fn every_like_compiles_to_the_codes_like_match_keeps() {
+        let schema = Schema::new(vec![Field::new("mode", DataType::Varchar)]);
+        let mut b = TableBuilder::new("s", schema);
+        for v in [
+            "", "R", "RAIL", "REG AIR", "AIR", "MAIL", "TRUCK", "FOB", "BR",
+        ] {
+            b.push_row(vec![Value::Str(v.into())]);
+        }
+        let mut cat = Catalog::new();
+        cat.insert("s".into(), Arc::new(b.finish()));
+        let dict = column_dict(&cat, "s", 0).unwrap();
+        let prefix_shapes = [("R%", "R"), ("R%%", "R"), ("%", "")];
+        let other_shapes = ["%R%", "%R", "R_IL", "_", "%A_L", "R%A%", "R%R", "", "R"];
+        let shapes = prefix_shapes.iter().map(|&(p, _)| p).chain(other_shapes);
+        for pattern in shapes {
+            let lp = LogicalPlan::scan_where(
+                "s",
+                LPred::Like {
+                    col: "mode".into(),
+                    pattern: pattern.into(),
+                },
+            );
+            let c = compile(&lp, &cat, &params()).unwrap();
+            let PlanNode::Scan {
+                pred: Some(Pred::InCodes { col: 0, codes }),
+                ..
+            } = c.plan
+            else {
+                panic!("LIKE '{pattern}' did not compile to a code bitmap")
+            };
+            let kept: Vec<bool> = (0..dict.len()).map(|code| codes.get(code)).collect();
+            let want: Vec<bool> = dict
+                .values()
+                .iter()
+                .map(|v| rapid_storage::like::like_match(pattern, v))
+                .collect();
+            assert_eq!(kept, want, "LIKE '{pattern}'");
+            if let Some(&(_, prefix)) = prefix_shapes.iter().find(|&&(p, _)| p == pattern) {
+                assert_eq!(codes, dict.prefix_codes(prefix), "LIKE '{pattern}'");
+            }
+        }
     }
 }

@@ -21,11 +21,11 @@
 //!    `lower_join` and the simulator will charge, at declared column
 //!    widths: the smaller-row side builds, the partition scheme is chosen
 //!    from the build size and widest row, and both sides pay the scheme's
-//!    partition rounds plus per-row join-kernel cycles. A greedy pairing
-//!    takes over past [`MAX_DP_RELATIONS`] relations. Iteration order and tie-breaking
-//!    are deterministic, so the chosen plan and the enumeration counters
-//!    are reproducible — the counters are gated by `rapid-report gate`
-//!    (optd-style planning metrics).
+//!    partition rounds plus per-row join-kernel cycles. A chain of more
+//!    than [`MAX_DP_RELATIONS`] relations keeps its declared order.
+//!    Iteration order and tie-breaking are deterministic, so the chosen
+//!    plan and the enumeration counters are reproducible — the counters
+//!    are gated by `rapid-report gate` (optd-style planning metrics).
 //! 4. **Reconstruct**: every edge is applied exactly once, at the lowest
 //!    join above both its endpoints (so cyclic join graphs like Q5's
 //!    customer–supplier nation edge stay correct). When the chain's
@@ -51,7 +51,8 @@ use crate::cost::{estimate_node, CostParams, NodeEst};
 use crate::logical::{LExpr, LNamed, LogicalPlan};
 use crate::partition_opt::{partition_scheme, scheme_cost};
 
-/// Relation count above which exhaustive DP yields to greedy pairing.
+/// Relation count above which a chain keeps its declared order: the DP's
+/// memo holds one entry per subset, 2^n of them.
 pub const MAX_DP_RELATIONS: usize = 12;
 
 /// Deterministic counters from the join-order search, for planning-cost
@@ -61,9 +62,9 @@ pub struct OptimizeStats {
     /// Relations in the largest inner-join chain considered.
     pub join_relations: u32,
     /// Memo entries materialized across all chains (DP subsets with a
-    /// feasible plan, or greedy components created).
+    /// feasible plan).
     pub memo_entries: u64,
-    /// Join combinations costed (DP splits plus greedy candidate pairs).
+    /// Join combinations costed (DP splits).
     pub plans_considered: u64,
     /// Chains whose join order changed from the declared one.
     pub reordered: u32,
@@ -237,8 +238,8 @@ fn search(
 
     let n = rel_plans.len();
     // Below 3 relations only the build side can vary, and `lower_join`
-    // already picks that; above 32 the bitmask representation runs out.
-    if !(3..=32).contains(&n) {
+    // already picks that; above `MAX_DP_RELATIONS` the memo is too large.
+    if !(3..=MAX_DP_RELATIONS).contains(&n) {
         return None;
     }
 
@@ -297,11 +298,7 @@ fn search(
         })
         .collect();
 
-    let tree = if n <= MAX_DP_RELATIONS {
-        dp_order(&rels, &edges, &edge_sel, params, stats)
-    } else {
-        greedy_order(&rels, &edges, &edge_sel, params, stats)
-    }?;
+    let tree = dp_order(&rels, &edges, &edge_sel, params, stats)?;
     // Bail out unchanged if the search landed on the declared order.
     if is_declared(&tree, lp, &edges, &mut 0) {
         return None;
@@ -507,53 +504,6 @@ fn dp_order(
     extract(full, &memo)
 }
 
-/// Greedy pairing for chains too wide for exhaustive DP: repeatedly join
-/// the connected component pair with the smallest estimated output bytes.
-fn greedy_order(
-    rels: &[Rel],
-    edges: &[Edge],
-    edge_sel: &[f64],
-    params: &CostParams,
-    stats: &mut OptimizeStats,
-) -> Option<Tree> {
-    let mut comps: Vec<Tree> = (0..rels.len()).map(Tree::Leaf).collect();
-    while comps.len() > 1 {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for i in 0..comps.len() {
-            for j in (i + 1)..comps.len() {
-                let crossing = edges.iter().any(|e| {
-                    let (ma, mb) = (1u32 << e.a.0, 1u32 << e.b.0);
-                    (comps[i].mask() & ma != 0 && comps[j].mask() & mb != 0)
-                        || (comps[i].mask() & mb != 0 && comps[j].mask() & ma != 0)
-                });
-                if !crossing {
-                    continue;
-                }
-                stats.plans_considered += 1;
-                let cost = join_cycles(
-                    params,
-                    mask_est(comps[i].mask(), rels, edges, edge_sel),
-                    mask_est(comps[j].mask(), rels, edges, edge_sel),
-                );
-                if best.is_none_or(|(c, _, _)| cost < c) {
-                    best = Some((cost, i, j));
-                }
-            }
-        }
-        let (_, i, j) = best?; // disconnected graph: bail
-        let r = comps.remove(j);
-        let l = comps.remove(i);
-        let node = if l.min_rel() <= r.min_rel() {
-            Tree::Node(Box::new(l), Box::new(r))
-        } else {
-            Tree::Node(Box::new(r), Box::new(l))
-        };
-        comps.push(node);
-        stats.memo_entries += 1;
-    }
-    comps.pop()
-}
-
 /// The equi-keys `(left, right)` of a join whose sides cover the relation
 /// sets `lm` and `rm`: every edge with one endpoint on each side, in edge
 /// order.
@@ -746,6 +696,28 @@ mod tests {
         let (out, stats) = reorder(lp.clone(), &cat, &CostParams::default());
         assert_eq!(stats.reordered, 0);
         assert_eq!(out, lp);
+    }
+
+    #[test]
+    fn chains_wider_than_the_dp_keep_their_declared_order() {
+        let mut cat = Catalog::new();
+        let n = MAX_DP_RELATIONS + 1;
+        for t in 0..n {
+            let schema = Schema::new(vec![Field::new(format!("k{t}"), DataType::Int)]);
+            let mut b = TableBuilder::new(format!("t{t}"), schema);
+            for i in 0..(4 + t as i64) {
+                b.push_row(vec![Value::Int(i)]);
+            }
+            cat.insert(format!("t{t}"), Arc::new(b.finish()));
+        }
+        let chain = (1..n).fold(LogicalPlan::scan("t0"), |lp, t| {
+            let (l, r) = (format!("k{}", t - 1), format!("k{t}"));
+            lp.join(LogicalPlan::scan(&format!("t{t}")), &[&l], &[&r])
+        });
+        let (out, stats) = reorder(chain.clone(), &cat, &CostParams::default());
+        assert_eq!(out, chain);
+        assert_eq!(stats.plans_considered, 0);
+        assert_eq!(stats.reordered, 0);
     }
 
     #[test]

@@ -116,22 +116,8 @@ pub enum LPred {
         /// Literals.
         values: Vec<Value>,
     },
-    /// `col LIKE 'prefix%'`.
-    LikePrefix {
-        /// Column name.
-        col: String,
-        /// The prefix.
-        prefix: String,
-    },
-    /// `col LIKE '%substring%'`.
-    LikeContains {
-        /// Column name.
-        col: String,
-        /// The substring.
-        needle: String,
-    },
-    /// `col LIKE pattern` for general patterns (`%`/`_` anywhere); the
-    /// simpler prefix/contains shapes use the dedicated variants above.
+    /// `col LIKE pattern` (`%` any run, `_` one character). Its shape is
+    /// the compiler's choice, made against the column's dictionary.
     Like {
         /// Column name.
         col: String,
@@ -180,8 +166,6 @@ impl LPred {
             }
             LPred::Between { col, .. }
             | LPred::InList { col, .. }
-            | LPred::LikePrefix { col, .. }
-            | LPred::LikeContains { col, .. }
             | LPred::Like { col, .. }
             | LPred::IsNull { col } => out.push(col),
             LPred::And(ps) | LPred::Or(ps) => ps.iter().for_each(|p| p.columns(out)),
@@ -693,9 +677,9 @@ mod tests {
     fn serde_roundtrip() {
         let plan = LogicalPlan::scan("t").filter(LPred::And(vec![
             LPred::eq("a", Value::Int(1)),
-            LPred::LikePrefix {
+            LPred::Like {
                 col: "s".into(),
-                prefix: "gr".into(),
+                pattern: "gr%".into(),
             },
         ]));
         let json = serde_json::to_string(&plan).unwrap();
@@ -820,9 +804,9 @@ mod tests {
     #[test]
     fn project_needs_what_its_expressions_name() {
         let case = LExpr::Case {
-            pred: Box::new(LPred::LikePrefix {
+            pred: Box::new(LPred::Like {
                 col: "flag".into(),
-                prefix: "A".into(),
+                pattern: "A%".into(),
             }),
             then: Box::new(LExpr::Year(Box::new(LExpr::col("d")))),
             els: Box::new(LExpr::int(0)),

@@ -75,19 +75,6 @@ impl Dictionary {
         bv
     }
 
-    /// Bitmap over codes whose value contains `needle` (LIKE '%s%'); a
-    /// full dictionary scan, but the dictionary is small relative to the
-    /// column (the point of dictionary encoding).
-    pub fn contains_codes(&self, needle: &str) -> BitVec {
-        let mut bv = BitVec::zeros(self.values.len());
-        for (code, v) in self.values.iter().enumerate() {
-            if v.contains(needle) {
-                bv.set(code, true);
-            }
-        }
-        bv
-    }
-
     /// The inclusive code range for a value range, `None` when the range
     /// holds no value of the dictionary.
     pub fn code_range(&self, lo: Bound<&str>, hi: Bound<&str>) -> Option<(u32, u32)> {
@@ -160,18 +147,6 @@ mod tests {
             Some((1, 2))
         );
         assert_eq!(d.code_range(Bound::Included("x"), Bound::Unbounded), None);
-    }
-
-    #[test]
-    fn contains_codes_scan() {
-        let d = Dictionary::build(["forest green", "green", "lavender", "spring green"]);
-        let bv = d.contains_codes("green");
-        let hits: Vec<&str> = bv
-            .iter_ones()
-            .map(|c| d.value_of(c as u32).unwrap())
-            .collect();
-        assert_eq!(hits.len(), 3);
-        assert!(!bv.get(d.code_of("lavender").unwrap() as usize));
     }
 
     #[test]

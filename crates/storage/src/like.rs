@@ -2,9 +2,12 @@
 //!
 //! The host Volcano executor evaluates `LIKE` per row over decoded
 //! strings; the RAPID compiler evaluates the same pattern once per
-//! dictionary entry and lowers the result to a qualifying-code bitmap.
+//! dictionary entry and lowers the result to a qualifying-code bitmap —
+//! except a literal prefix followed only by `%`s, whose codes it finds by
+//! bisecting the sorted dictionary (`Dictionary::prefix_codes`, §4.2).
 //! Both must agree on every pattern, so the matcher lives here, next to
-//! the dictionary, and both sides call it.
+//! the dictionary, and both sides call it. It walks the pattern and text
+//! bytes in place and allocates nothing.
 //!
 //! Supported metacharacters are the SQL core set: `%` matches any run of
 //! characters (including the empty run) and `_` matches exactly one
@@ -15,32 +18,45 @@
 /// exactly one character). Matching is over `char`s, not bytes, so `_`
 /// consumes one Unicode scalar value.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    // Classic two-pointer scan with backtracking to the last `%`: O(p·t)
-    // worst case, no recursion, handles runs of consecutive `%`.
+    let (p, t) = (pattern.as_bytes(), text.as_bytes());
+    // Two-pointer scan with backtracking to the last `%`: O(p·t) worst
+    // case, no recursion, handles runs of consecutive `%`. Literal bytes
+    // compare one at a time: two chars that share a lead byte have the
+    // same length, so both indices are on a char boundary whenever the
+    // pattern's is — the only places `_` and `%` are read.
     let (mut pi, mut ti) = (0usize, 0usize);
     let mut star: Option<(usize, usize)> = None; // (pattern idx after %, text idx)
     while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) && p[pi] != '%' {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            // Mismatch: let the last `%` absorb one more character.
-            pi = sp;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
+        match p.get(pi) {
+            Some(b'%') => {
+                star = Some((pi + 1, ti));
+                pi += 1;
+            }
+            Some(b'_') => {
+                pi += 1;
+                ti += char_len(t[ti]);
+            }
+            Some(&c) if c == t[ti] => {
+                pi += 1;
+                ti += 1;
+            }
+            _ => {
+                // Mismatch: let the last `%` absorb one more character.
+                let Some((sp, st)) = star else {
+                    return false;
+                };
+                pi = sp;
+                ti = st + char_len(t[st]);
+                star = Some((sp, ti));
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p[pi..].iter().all(|&b| b == b'%')
+}
+
+/// The length of the UTF-8 char whose lead byte is `lead`.
+fn char_len(lead: u8) -> usize {
+    lead.leading_ones().max(1) as usize
 }
 
 #[cfg(test)]
@@ -123,36 +139,35 @@ mod tests {
         assert!(check("%_%", "abc"));
         assert!(check("a_%c", "abxc"));
         assert!(!check("a_%c", "ac"));
+        // A `%` retry that stepped one byte into the crab would let the two
+        // `_` take its trailing bytes: three chars are not four.
+        assert!(!check("%__aé", "🦀aé"));
+    }
+
+    /// Every string of at most four symbols drawn from `syms`.
+    fn strings_over(syms: &[char]) -> Vec<String> {
+        let mut all = vec![String::new()];
+        let mut last = all.clone();
+        for _ in 0..4 {
+            last = last
+                .iter()
+                .flat_map(|s| syms.iter().map(move |c| format!("{s}{c}")))
+                .collect();
+            all.extend(last.iter().cloned());
+        }
+        all
     }
 
     #[test]
     fn exhaustive_small_alphabet_against_oracle() {
-        // Every pattern of length <=4 over {a, %, _} against every text of
-        // length <=4 over {a, b}: 40k pairs, airtight for the core logic.
-        let pat_syms = ['a', '%', '_'];
-        let txt_syms = ['a', 'b'];
-        let mut pats = vec![String::new()];
-        for _ in 0..4 {
-            let mut next = pats.clone();
-            for p in &pats {
-                for s in pat_syms {
-                    next.push(format!("{p}{s}"));
-                }
-            }
-            pats = next;
-        }
-        let mut texts = vec![String::new()];
-        for _ in 0..4 {
-            let mut next = texts.clone();
-            for t in &texts {
-                for s in txt_syms {
-                    next.push(format!("{t}{s}"));
-                }
-            }
-            texts = next;
-        }
-        pats.dedup();
-        texts.dedup();
+        // Every pattern of length <=4 over {a, é, %, _} against every text
+        // of length <=4 over {a, é, 🦀, b}: 116k pairs, airtight for the
+        // core logic. The two- and four-byte chars check that `_` consumes
+        // one char, not one byte, and that a `%` retry steps over a whole
+        // char.
+        let pats = strings_over(&['a', 'é', '%', '_']);
+        let texts = strings_over(&['a', 'é', '🦀', 'b']);
+        assert_eq!(pats.len() * texts.len(), 116_281);
         for p in &pats {
             for t in &texts {
                 check(p, t);
