@@ -100,6 +100,7 @@ pub fn base_plan() -> PlanNode {
         join_type: JoinType::Inner,
         scheme: vec![32],
         filter: None,
+        ranged: false,
     };
     // Join output: [fact.id Int, grp Varchar, price Dec(2), dim.id Int,
     // rate Dec(4)].
@@ -195,6 +196,9 @@ pub enum Mutation {
     /// The same on a broadcast anti join: its one slice does not make it
     /// one that may drop a probe row.
     FilterBroadcastAntiJoin,
+    /// The demo group-by cut into key ranges: its input is a join, whose
+    /// rows lie in no table's slots.
+    RangedOverAJoin,
 }
 
 impl Mutation {
@@ -218,6 +222,7 @@ impl Mutation {
             OnTheFlyOverLimit,
             FilterAntiJoin,
             FilterBroadcastAntiJoin,
+            RangedOverAJoin,
         ]
     }
 
@@ -238,6 +243,7 @@ impl Mutation {
             Mutation::TileBelowMin => Rule::TileMin,
             Mutation::OnTheFlyOverLimit => Rule::GroupLimit,
             Mutation::FilterAntiJoin | Mutation::FilterBroadcastAntiJoin => Rule::JoinFilter,
+            Mutation::RangedOverAJoin => Rule::Ranged,
         }
     }
 
@@ -294,6 +300,11 @@ impl Mutation {
                 }
                 Mutated::Plan(plan)
             }
+            Mutation::RangedOverAJoin => Mutated::Plan(plan_mut(|p| {
+                if let PlanNode::GroupBy { strategy, .. } = p {
+                    *strategy = GroupStrategy::Ranged(vec![32]);
+                }
+            })),
         }
     }
 }
@@ -358,6 +369,7 @@ pub fn filtered_join(join_type: JoinType, filter: Option<usize>) -> PlanNode {
             join_type,
             scheme,
             filter,
+            ranged: false,
         }),
         keys: vec![1],
         aggs: vec![AggSpec {

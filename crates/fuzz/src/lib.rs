@@ -69,6 +69,8 @@ pub struct CaseReport {
     pub broadcast_filtered: bool,
     /// Whether a scan read fewer chunks than its table has.
     pub pruned: bool,
+    /// Whether a join or group-by ran over key ranges of its tables.
+    pub ranged: bool,
 }
 
 /// Generate and execute the case for one seed.
@@ -81,6 +83,7 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
     let filtered = run.as_ref().is_ok_and(|t| t.filtered);
     let broadcast_filtered = run.as_ref().is_ok_and(|t| t.broadcast_filtered);
     let pruned = run.as_ref().is_ok_and(|t| t.pruned);
+    let ranged = run.as_ref().is_ok_and(|t| t.ranged);
     CaseReport {
         seed,
         case,
@@ -88,6 +91,7 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
         filtered,
         broadcast_filtered,
         pruned,
+        ranged,
     }
 }
 
@@ -113,6 +117,8 @@ pub struct FuzzReport {
     pub broadcast_filtered: usize,
     /// Executed cases where a scan read fewer chunks than its table has.
     pub pruned: usize,
+    /// Executed cases that ran a join or group-by over key ranges.
+    pub ranged: usize,
     /// Divergences found, each minimized.
     pub divergences: Vec<Divergence>,
 }
@@ -199,6 +205,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         filtered: 0,
         broadcast_filtered: 0,
         pruned: 0,
+        ranged: 0,
         divergences: Vec::new(),
     };
     let mut attempt = 0u64;
@@ -209,6 +216,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         report.filtered += usize::from(r.outcome.is_ok() && r.filtered);
         report.broadcast_filtered += usize::from(r.outcome.is_ok() && r.broadcast_filtered);
         report.pruned += usize::from(r.outcome.is_ok() && r.pruned);
+        report.ranged += usize::from(r.outcome.is_ok() && r.ranged);
         match r.outcome {
             Err(_) => report.skipped += 1,
             Ok(None) => report.executed += 1,
@@ -246,6 +254,7 @@ mod tests {
             filtered: 0,
             broadcast_filtered: 0,
             pruned: 0,
+            ranged: 0,
             divergences: vec![Divergence {
                 seed: case_seed,
                 detail: "synthetic: host and dpu disagree on row 0".to_string(),

@@ -67,6 +67,9 @@ pub struct TriOutcome {
     /// Whether a scan of the native arm read fewer chunks than its table
     /// has: its predicate's zone maps ruled the others out.
     pub pruned: bool,
+    /// Whether the native arm ran a join or group-by over key ranges of
+    /// its tables (`join.ranged`, `groupby.ranged`).
+    pub ranged: bool,
 }
 
 impl TriOutcome {
@@ -198,10 +201,9 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         Ok(EngineOutcome::Rows(canonical(&rows)))
     });
 
-    let pruned = sink
-        .take()
-        .iter()
-        .any(|e| e.scan.is_some_and(|s| s.pruned > 0));
+    let events = sink.take();
+    let pruned = events.iter().any(|e| e.scan.is_some_and(|s| s.pruned > 0));
+    let ranged = events.iter().any(|e| e.operator.ends_with(".ranged"));
     Ok(TriOutcome {
         host,
         dpu,
@@ -209,6 +211,7 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         filtered,
         broadcast_filtered,
         pruned,
+        ranged,
     })
 }
 

@@ -959,8 +959,10 @@ impl Drop for HostDb {
 /// the line names what ran: the access path (`stream` or `gather`) and the
 /// trips through the DMS each run of rows took, `(key)` where one of them
 /// was the key pass that tested a join filter, and `chunks=k/n` where its
-/// predicate's zone maps left it only `k` of the table's `n` chunks to read.
-/// A partition line says after its lanes which round of its pass it is and
+/// predicate's zone maps left it only `k` of the table's `n` chunks to read
+/// — of a stage over key ranges, which reads two tables, on its probe side's
+/// scan, the one its event describes. A partition line says after its lanes
+/// which round of its pass it is and
 /// the round's fan-out; the stage that tested a join filter — a probe
 /// side's round one, a broadcast join's `join.probe` — says what it kept of
 /// the rows that entered the test, `filter kept=K/N`.
@@ -995,11 +997,16 @@ fn render_explain(
     let mut tree: Vec<&StageEvent> = events.iter().collect();
     tree.sort_by_key(|e| (e.node_id, e.stage_id));
     for e in &tree {
+        // The scan the event's access is of: its last, the probe side's
+        // where a stage over key ranges reads two.
+        let scans_at = e.operators().enumerate();
+        let scanned = scans_at.filter(|(_, op)| op.2.starts_with("scan(")).last();
+        let scanned = scanned.map(|(at, _)| at);
         for (i, (node_id, depth, operator, rows)) in e.operators().enumerate() {
             let _ = write!(s, "{:indent$}{operator}", "", indent = depth as usize * 2);
             if let Some(Some((moved, of, chunks))) = scans.get(node_id as usize) {
                 let _ = write!(s, " cols {moved}/{of}");
-                if let Some(scan) = e.scan {
+                if let Some(scan) = e.scan.filter(|_| scanned == Some(i)) {
                     let _ = write!(s, " {} passes={}", scan.path, scan.passes);
                     if scan.keyed {
                         let _ = write!(s, " (key)");
@@ -1142,6 +1149,11 @@ mod tests {
     use rapid_storage::schema::Field;
 
     fn db() -> HostDb {
+        db_of(|i| i)
+    }
+
+    /// [`db`] with the row of id `i` in heap slot `slot(i)`'s order.
+    fn db_of(slot: impl Fn(i64) -> i64) -> HostDb {
         let db = HostDb::new(ExecContext::dpu().with_cores(4));
         db.create_table(
             "sales",
@@ -1153,7 +1165,7 @@ mod tests {
         );
         db.bulk_insert(
             "sales",
-            (0..10_000i64).map(|i| {
+            (0..10_000i64).map(slot).map(|i| {
                 vec![
                     Value::Int(i),
                     Value::Decimal {
@@ -1178,9 +1190,11 @@ mod tests {
         const SQL: &str = "SELECT a.k FROM a JOIN b ON a.k = b.k";
         let loaded = |ctx: ExecContext, rows: i64| {
             let d = HostDb::new(ctx);
+            // Keys in no order of theirs: the joins partition, where keys
+            // stored in order would be cut into ranges.
             for name in ["a", "b"] {
                 d.create_table(name, Schema::new(vec![Field::new("k", DataType::Int)]));
-                d.bulk_insert(name, (0..rows).map(|i| vec![Value::Int(i)]));
+                d.bulk_insert(name, (0..rows).map(|i| vec![Value::Int(i * 7919 % rows)]));
                 d.load_into_rapid(name).unwrap();
             }
             d
@@ -1655,8 +1669,9 @@ mod tests {
         // lanes of the scan's task. `id` is stored in 2 bytes and `amount` in
         // 4, so a row streams 6 bytes and the hash lane 4 — not the 20 of two
         // declared 8-byte columns — beside the state of the task's three
-        // operators.
-        let d = db();
+        // operators. The ids lie in no order of theirs: a table stored in
+        // id order would be cut into key ranges, with no pass.
+        let d = db_of(|i| i * 7919 % 10_000);
         d.load_into_rapid("sales").unwrap();
         let sql = "SELECT id, SUM(amount) AS t FROM sales GROUP BY id";
         let a = d.explain_analyze(sql).unwrap();

@@ -1050,7 +1050,9 @@ fn lower_join(
             join_type,
             scheme,
             filter: None,
+            ranged: false,
         };
+        let node = ranged(node, catalog, params)?;
         let node = join_filter(node, (build_est, probe_est), catalog, params)?;
         // Output: probe (left) then build (right) — already logical order.
         let mut cols = lcols;
@@ -1067,7 +1069,9 @@ fn lower_join(
             join_type,
             scheme,
             filter: None,
+            ranged: false,
         };
+        let node = ranged(node, catalog, params)?;
         let node = join_filter(node, (build_est, probe_est), catalog, params)?;
         // Physical layout: probe (right) ++ build (left). Reorder back to
         // the logical left-then-right layout with a projection.
@@ -1096,6 +1100,74 @@ fn lower_join(
     }
 }
 
+/// `node` — a partitioned join or group-by — with its partitions declared as
+/// key ranges where its inputs qualify (`rapid_qef::ops::ranges`): every
+/// input is a scan-fed chain, the one key is a base column of each input's
+/// table, each table is clustered on it (`Table::clustered_on`), and each
+/// side's task fits DMEM (`PlanNode::ranged_tasks`). The scheme stays the
+/// one `partition_scheme` gave: its partitions are the ranges. A broadcast
+/// join, or a join or group-by of several keys, stays what it is.
+fn ranged(
+    mut node: PlanNode,
+    catalog: &Catalog,
+    params: &CostParams,
+) -> Result<PlanNode, CompileError> {
+    // The one key of `input` is a column of a table stored in its order.
+    let clustered = |input: &PlanNode, keys: &[usize]| match keys {
+        [key] => input
+            .chain_column(*key)
+            .is_some_and(|(table, col)| catalog.get(table).is_some_and(|t| t.clustered_on(col))),
+        _ => false,
+    };
+    let qualifies = match &node {
+        PlanNode::HashJoin {
+            build,
+            probe,
+            build_keys,
+            probe_keys,
+            scheme,
+            ..
+        } => !scheme.is_empty() && clustered(build, build_keys) && clustered(probe, probe_keys),
+        PlanNode::GroupBy {
+            input,
+            keys,
+            strategy: GroupStrategy::Partitioned(_),
+            ..
+        } => clustered(input, keys),
+        _ => false,
+    };
+    if !qualifies {
+        return Ok(node);
+    }
+    let ctx = &params.ctx;
+    let tasks = node
+        .ranged_tasks(catalog, ctx.dmem_bytes)
+        .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
+    let fits = tasks.is_some_and(|tasks| {
+        tasks.iter().all(|task| {
+            rapid_qef::budget::task_tile(ctx.tile_rows, &task.decls, ctx.dmem_bytes).is_some()
+        })
+    });
+    if fits {
+        cut_as_ranges(&mut node);
+    }
+    Ok(node)
+}
+
+/// Declare the partitions of `node`, a partitioned join or group-by, as
+/// key ranges, keeping its scheme.
+fn cut_as_ranges(node: &mut PlanNode) {
+    match node {
+        PlanNode::HashJoin { ranged, .. } => *ranged = true,
+        PlanNode::GroupBy { strategy, .. } => {
+            if let GroupStrategy::Partitioned(scheme) = strategy {
+                *strategy = GroupStrategy::Ranged(std::mem::take(scheme));
+            }
+        }
+        _ => {}
+    }
+}
+
 /// `join` with a join filter where the estimate says one pays: an inner or
 /// semi join, partitioned or broadcast, its inputs estimated `build` and
 /// `probe`, declares the filter `join_filter::size_bits` sizes for the
@@ -1112,17 +1184,26 @@ fn join_filter(
     let PlanNode::HashJoin {
         join_type: JoinType::Inner | JoinType::LeftSemi,
         scheme,
+        ranged,
         ..
     } = &join
     else {
         return Ok(join);
     };
-    let fanout = rapid_qef::ops::join_filter::slices(scheme);
+    // A ranged join's lane builds a filter of one slice over its range's
+    // build rows, beside its table.
+    let (fanout, build_rows) = match ranged {
+        true => (
+            1,
+            build.cost.rows / scheme.iter().product::<usize>().max(1) as f64,
+        ),
+        false => (rapid_qef::ops::join_filter::slices(scheme), build.cost.rows),
+    };
     let ctx = &params.ctx;
     let room = join
         .probe_room(catalog, ctx.tile_rows, ctx.dmem_bytes)
         .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
-    let Some(bits) = rapid_qef::ops::join_filter::size_bits(build.cost.rows, fanout, room) else {
+    let Some(bits) = rapid_qef::ops::join_filter::size_bits(build_rows, fanout, room) else {
         return Ok(join);
     };
     if crate::cost::filter_pays(&join, build, probe, bits, catalog, params) {
@@ -1294,15 +1375,13 @@ fn lower_aggregate(
             }
         }
     };
-    Ok((
-        PlanNode::GroupBy {
-            input: Box::new(mapped),
-            keys: (0..k).collect(),
-            aggs: specs,
-            strategy,
-        },
-        out_cols,
-    ))
+    let node = PlanNode::GroupBy {
+        input: Box::new(mapped),
+        keys: (0..k).collect(),
+        aggs: specs,
+        strategy,
+    };
+    Ok((ranged(node, catalog, params)?, out_cols))
 }
 
 #[cfg(test)]
@@ -1750,7 +1829,8 @@ mod tests {
         let PlanNode::GroupBy { strategy, .. } = &c.plan else {
             panic!()
         };
-        let GroupStrategy::Partitioned(scheme) = strategy else {
+        // `k` is stored in its own order: the partitions are key ranges.
+        let GroupStrategy::Ranged(scheme) = strategy else {
             panic!("100 groups in 2 KiB: {strategy:?}")
         };
         assert_eq!(scheme.iter().product::<usize>(), 32, "{scheme:?}");

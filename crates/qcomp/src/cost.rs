@@ -11,10 +11,12 @@
 //! The model here prices each operator with the simulator's per-row kernel
 //! costs and DMS transfer rules applied to estimated cardinalities — a scan
 //! over the chunks its predicate's zone maps leave it, as the engine reads
-//! them (`rapid_qef::ops::filter::chunk_run`), a join
-//! the way its scheme runs it: partitioned, both sides through the DMS; or,
-//! with no rounds, broadcast, every lane reading the build side and building
-//! the whole table. A join filter is priced as it runs: the share of probe
+//! them (`rapid_qef::ops::filter::ChunkList`), a join
+//! the way its scheme runs it: partitioned, both sides through the DMS;
+//! ranged, each lane building and probing a key range's rows where its scans
+//! left them, and a ranged group-by with no partition pass either; or, with
+//! no rounds, broadcast, every lane reading the build side and building the
+//! whole table. A join filter is priced as it runs: the share of probe
 //! rows it keeps, the rows it drops no longer written (at their stored
 //! widths), mapped, gathered or probed, its test a row, and its build — on
 //! a partitioned join a `join.filter` stage that reads and hashes the build
@@ -48,7 +50,7 @@
 use dpu_sim::clock::SimTime;
 
 use rapid_qef::exec::ExecContext;
-use rapid_qef::ops::filter::chunk_run;
+use rapid_qef::ops::filter::ChunkList;
 use rapid_qef::ops::join_filter;
 use rapid_qef::plan::{Catalog, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
@@ -233,8 +235,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             let rows = t.rows() as f64;
             // What the scan reads: the chunks its predicate's zone maps
             // cannot rule out, as the engine decides it.
-            let run = &t.chunks[chunk_run(pred.as_ref(), &t.chunks)];
-            let read = run.iter().map(|c| c.rows()).sum::<usize>() as f64;
+            let read = ChunkList::of(pred.as_ref(), &t.chunks).rows() as f64;
             let bytes: f64 = columns
                 .iter()
                 .map(|&c| t.schema.fields[c].dtype.physical_width() as f64)
@@ -526,6 +527,7 @@ fn join_cycles(
         build_keys,
         probe_keys,
         scheme,
+        ranged,
         ..
     } = join
     else {
@@ -556,6 +558,16 @@ fn join_cycles(
                     0.0,
                     b.cost.rows * set + pr.cost.rows * test / cores,
                 )
+            } else if *ranged {
+                // A ranged join's lane sets the bits of its range's build
+                // rows beside its table and tests its probe rows — in its
+                // scan's key pass, which gathers no more of the rows it
+                // drops.
+                let probe_widths = probe.output_widths(catalog).unwrap_or_default();
+                let dropped =
+                    (1.0 - kept) * pr.cost.rows * probe_widths.iter().sum::<usize>() as f64;
+                let compute = (b.cost.rows * set + pr.cost.rows * test) / cores;
+                (kept, dropped, 0.0, compute)
             } else {
                 let dropped_rows = (1.0 - kept) * pr.cost.rows;
                 let stored = |plan: &PlanNode| plan.output_widths(catalog).unwrap_or_default();
@@ -585,7 +597,14 @@ fn join_cycles(
         * pr.cost.rows
         * (cm.kernel_cycles(&costs::join_probe_per_row())
             + cm.kernel_cycles(&costs::join_probe_per_link()));
-    let (wire, compute) = if scheme.is_empty() {
+    let (wire, compute) = if *ranged {
+        // Key ranges: each lane reads its range's rows of both sides once —
+        // of the probe side what a filter keeps — and builds and probes
+        // them; nothing is partitioned.
+        let read = b.cost.output_bytes() + pr.cost.output_bytes();
+        let wire = (read - dropped) / cm.dms_bytes_per_cycle() + filter_wire;
+        (wire, (build_cy + probe_cy) / cores + filter_compute)
+    } else if scheme.is_empty() {
         // Broadcast: every lane reads the build side and builds the whole
         // table, then probes its share of rows where they lie.
         let wire = cores * b.cost.output_bytes() / cm.dms_bytes_per_cycle() + filter_wire;
@@ -716,6 +735,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
+            ranged: false,
         };
         let jc = estimate(&join, &cat, &p);
         let sc = estimate(&scan(), &cat, &p);
@@ -772,6 +792,7 @@ mod tests {
             join_type,
             scheme: vec![32],
             filter: None,
+            ranged: false,
         }
     }
 
@@ -841,6 +862,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
+            ranged: false,
         };
         let c = estimate(&j, &cat, &p);
         // Old behavior: probe rows.
@@ -883,6 +905,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
+            ranged: false,
         };
         let est = estimate_rows_per_node(&plan, &cat, &p);
         // Pre-order: join(0), build scan(1), probe filter(2), its scan(3).

@@ -26,6 +26,7 @@ use rapid_storage::vector::{ColumnData, Vector};
 use dpu_sim::account::Kernel;
 
 use crate::exec::CoreCtx;
+use crate::ops::filter::ChunkList;
 use crate::primitives::costs;
 
 /// A tile of rows in columnar layout.
@@ -361,13 +362,18 @@ impl<'a> Run<'a> {
 /// `std::slice::from_ref(&chunk)`.
 #[derive(Debug, Clone)]
 pub struct Span<'a> {
-    chunks: &'a [Chunk],
+    chunks: ChunkList<'a>,
     rows: Range<usize>,
 }
 
 impl<'a> Span<'a> {
     /// Rows `rows` of `chunks`.
     pub fn new(chunks: &'a [Chunk], rows: Range<usize>) -> Self {
+        Span::of_list(ChunkList::all(chunks), rows)
+    }
+
+    /// Rows `rows` of the chunks on `list`, numbered through them in order.
+    pub fn of_list(chunks: ChunkList<'a>, rows: Range<usize>) -> Self {
         Span { chunks, rows }
     }
 
@@ -384,10 +390,12 @@ impl<'a> Span<'a> {
             *base += chunk.rows();
             Some((chunk, at))
         });
-        based.filter_map(move |(chunk, base)| {
-            let of_chunk = rows.start.max(base)..rows.end.min(base + chunk.rows());
-            (!of_chunk.is_empty()).then(|| (chunk, of_chunk.start - base..of_chunk.end - base))
-        })
+        based
+            .take_while(move |&(_, base)| base < rows.end)
+            .filter_map(move |(chunk, base)| {
+                let of_chunk = rows.start.max(base)..rows.end.min(base + chunk.rows());
+                (!of_chunk.is_empty()).then(|| (chunk, of_chunk.start - base..of_chunk.end - base))
+            })
     }
 }
 

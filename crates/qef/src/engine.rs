@@ -30,7 +30,10 @@
 //!   per-partition-pair build/probe kernels, with large-skew
 //!   re-partitioning; a **group-by** runs the on-the-fly or partitioned
 //!   strategy its node declares and adds the merge operator on the low-NDV
-//!   path.
+//!   path,
+//! * a join or group-by whose partitions are key ranges of tables stored in
+//!   the order of its key ([`ops::ranges`]) is one stage over its inputs'
+//!   chains, a lane a range: no partition pass, no pairs stage and no merge.
 //!
 //! An operator owns a buffer only where the DMS writes one: inputs are
 //! borrowed and read in place — a lane hands on the rows of an unpredicated
@@ -255,6 +258,147 @@ struct TaskRun<'a, R> {
     rows: u64,
 }
 
+/// The join filter a probe side's task tests.
+#[derive(Debug, Clone, Copy)]
+enum ProbeFilter<'a> {
+    /// Built before the task, for all its lanes.
+    Built(&'a JoinFilter),
+    /// Built by each lane of a ranged join beside its table: `bits` bits
+    /// over the build rows of its range, one of `lanes`, of `build_rows`.
+    PerLane {
+        bits: usize,
+        build_rows: f64,
+        lanes: usize,
+    },
+}
+
+/// A scan-fed chain as the lanes of a stage run it: how its scan reads its
+/// table, the tile its task runs at and the DMEM a lane of it holds, and —
+/// for the trace — what each operator handed on and what the scan moved,
+/// summed over the lanes.
+struct ChainLanes<'a> {
+    chain: ScanChain<'a>,
+    table: &'a Table,
+    /// The chunks the scan reads.
+    chunks: ops::filter::ChunkList<'a>,
+    scan: ops::filter::ScanPlan<'a>,
+    tile: usize,
+    working_set: usize,
+    /// What every operator of its task declares, scan first.
+    decls: Vec<crate::budget::OpDecl<'a>>,
+    /// Rows each operator of the chain handed on, scan first: empty without
+    /// a trace sink.
+    handed: Vec<AtomicU64>,
+    scanned_bytes: AtomicU64,
+    key_tested: AtomicU64,
+    key_kept: AtomicU64,
+}
+
+impl<'a> ChainLanes<'a> {
+    /// The rows the scan is estimated to keep, from its table's statistics.
+    fn estimated_rows(&self) -> f64 {
+        let sel = self.chain.pred.map_or(1.0, |pred| {
+            crate::selectivity::estimate_selectivity(pred, &self.table.stats)
+        });
+        self.chunks.rows() as f64 * sel
+    }
+
+    /// The operators of the chain, scan included.
+    fn ops(&self) -> usize {
+        self.chain.above.len() + 1
+    }
+
+    /// The filter left for the task's last stage to test: the one given,
+    /// where the scan runs no key pass.
+    fn untested(&self, filter: Option<&'a JoinFilter>) -> Option<&'a JoinFilter> {
+        filter.filter(|_| !self.scan.tests_keys())
+    }
+
+    /// One lane's rows of `span`: scanned — the key pass, where the scan
+    /// runs one, testing `filter` where one is given, else the filter its
+    /// plan holds — and taken through the operators over the scan, each
+    /// charged its control loop per tile of the rows it is handed.
+    fn rows(
+        &self,
+        core: &mut CoreCtx,
+        span: Span<'a>,
+        filter: Option<&JoinFilter>,
+    ) -> QefResult<Rows<'a>> {
+        let before = core.account.counters().dms_bytes;
+        let (mut rows, entered) = self.scan.scan_keyed(core, span, self.tile, filter)?;
+        let moved = core.account.counters().dms_bytes - before;
+        self.scanned_bytes.fetch_add(moved, Ordering::Relaxed);
+        if let Some(handed) = self.handed.first() {
+            handed.fetch_add(entered as u64, Ordering::Relaxed);
+        }
+        if self.scan.tests_keys() {
+            self.key_tested.fetch_add(entered as u64, Ordering::Relaxed);
+            self.key_kept
+                .fetch_add(rows.rows() as u64, Ordering::Relaxed);
+        }
+        for (op, node) in (1..).zip(&self.chain.above) {
+            if rows.rows() == 0 {
+                break;
+            }
+            charge_further_tiles(core, rows.rows(), self.tile);
+            rows = match node {
+                PlanNode::Map { exprs, .. } => ops::map::map_rows(core, rows, exprs)?,
+                PlanNode::Filter { pred, .. } => ops::filter::filter_rows(core, rows, pred)?,
+                _ => unreachable!("a scan chain is filters and maps over a scan"),
+            };
+            if let Some(handed) = self.handed.get(op) {
+                handed.fetch_add(rows.rows() as u64, Ordering::Relaxed);
+            }
+        }
+        Ok(rows)
+    }
+
+    /// The trace's operators of the task, topmost first: the chain's nodes,
+    /// numbered in pre-order from `first_id`, and — where `own_top`, the
+    /// chain's topmost operator is the stage's own — that one as node
+    /// `node_id`, at the depths below `open` nodes.
+    fn fused(&self, first_id: u32, node_id: u32, open: u32, own_top: bool) -> Vec<FusedOp> {
+        let ops_of_chain = self.ops();
+        let mut ops = Vec::with_capacity(self.handed.len());
+        for (i, rows) in self.handed.iter().rev().enumerate() {
+            let (node_id, depth) = match (own_top, i as u32) {
+                (true, 0) => (node_id, open - 1),
+                (true, i) => (first_id + i - 1, open + i - 1),
+                (false, i) => (first_id + i, open + i),
+            };
+            ops.push(FusedOp {
+                node_id,
+                depth,
+                operator: self.decls[ops_of_chain - 1 - i].name.to_string(),
+                rows: rows.load(Ordering::Relaxed),
+                dms_bytes: 0,
+            });
+        }
+        if let Some(scan) = ops.last_mut() {
+            scan.dms_bytes = self.scanned_bytes.load(Ordering::Relaxed);
+        }
+        ops
+    }
+
+    /// How the scan read its table.
+    fn access(&self) -> ScanAccess {
+        ScanAccess {
+            path: self.scan.path(),
+            passes: self.scan.dms_passes() as u32,
+            keyed: self.scan.tests_keys(),
+            pruned: self.chunks.pruned() as u32,
+        }
+    }
+
+    /// What the scan's key pass kept, where it ran one.
+    fn kept(&self) -> Option<FilterKept> {
+        self.scan.tests_keys().then(|| FilterKept {
+            tested: self.key_tested.load(Ordering::Relaxed),
+            kept: self.key_kept.load(Ordering::Relaxed),
+        })
+    }
+}
+
 /// A step function charges the trip round its operator's control loop that
 /// its call is. In a task the operator runs once per tile of the rows it is
 /// handed: charge the trips past the first.
@@ -376,14 +520,20 @@ impl<'e> Run<'e> {
                 join_type,
                 scheme,
                 filter,
-            } => self.exec_join(
-                node,
-                (build, probe),
-                (build_keys, probe_keys),
-                *join_type,
-                scheme,
-                *filter,
-            ),
+                ranged,
+            } => {
+                if *ranged {
+                    return self.exec_ranged(node);
+                }
+                self.exec_join(
+                    node,
+                    (build, probe),
+                    (build_keys, probe_keys),
+                    *join_type,
+                    scheme,
+                    *filter,
+                )
+            }
             PlanNode::GroupBy {
                 input,
                 keys,
@@ -505,6 +655,65 @@ impl<'e> Run<'e> {
     where
         'e: 'a,
     {
+        // The chain's topmost operator is the stage's own unless the
+        // consumer's first stage ended the task.
+        let own_top = task.decls.len() == task.chain.above.len() + 1;
+        let side = self.chain_lanes(task, probe.map(|(keys, f)| (keys, ProbeFilter::Built(f))))?;
+        let untested = side.untested(probe.map(|(_, filter)| filter));
+        // The lanes own the list's tiles in chunk order, which is heap-slot
+        // order ([`crate::budget::lane_tiles`]).
+        let (rows, tile) = (side.chunks.rows(), side.tile);
+        let tiles = rows.div_ceil(tile);
+        let lanes = self.ctx.cores.clamp(1, tiles.max(1));
+        let lanes: Vec<Range<usize>> = (0..lanes.min(tiles))
+            .map(|l| {
+                let owned = crate::budget::lane_tiles(l, lanes, tiles);
+                owned.start * tile..rows.min(owned.end * tile)
+            })
+            .collect();
+        let (results, timing) = run_stage(self.ctx, lanes, |core, lane| {
+            let _vectors = core.dmem.reserve_raw(side.working_set)?;
+            let rows = side.rows(core, Span::of_list(side.chunks, lane), None)?;
+            step(core, rows, tile, untested)
+        })?;
+        // Pre-order ids: the chain's nodes follow the node whose stage this
+        // is — which is the topmost of them where no consumer joined.
+        let first_id = self.node_seq;
+        self.node_seq += (side.ops() - usize::from(own_top)) as u32;
+        let mut ops = side.fused(first_id, self.node_id, self.open, own_top);
+        let rows = ops.first().map_or(0, |top| top.rows);
+        if own_top && !ops.is_empty() {
+            ops.remove(0);
+        }
+        Ok(TaskRun {
+            results,
+            timing,
+            detail: Detail {
+                scan: Some(side.access()),
+                filter: side.kept(),
+                fused: ops,
+                ..Detail::default()
+            },
+            rows,
+            top: side.decls[side.ops() - 1].name,
+        })
+    }
+
+    /// `task`'s chain as the lanes of a stage run it
+    /// ([`ChainLanes`]), its scan decided against the table this engine's
+    /// catalog holds. `probe` is the join filter the task's last stage
+    /// tests, where it is a probe side's first stage that has one, and the
+    /// join's keys over what the chain hands on. The scan tests it in a key
+    /// pass wherever it takes the gather path
+    /// ([`ops::filter::ScanPlan::decide`]).
+    fn chain_lanes<'a>(
+        &self,
+        task: Task<'a>,
+        probe: Option<(&'a [usize], ProbeFilter<'a>)>,
+    ) -> QefResult<ChainLanes<'a>>
+    where
+        'e: 'a,
+    {
         let catalog: &'a Catalog = self.catalog;
         let kept = task.kept_rows();
         let Task {
@@ -516,9 +725,6 @@ impl<'e> Run<'e> {
         let table: &'a Table = catalog
             .get(chain.table)
             .ok_or_else(|| QefError::TableNotLoaded(chain.table.to_string()))?;
-        // The chain's topmost operator is the stage's own unless the
-        // consumer's first stage ended the task.
-        let own_top = decls.len() == chain.above.len() + 1;
         let (tile, working_set) = self.task_tile(&decls)?;
         let (columns, pred) = (chain.columns, chain.pred);
         // The keys as the table's columns, and the share of rows the filter
@@ -529,112 +735,47 @@ impl<'e> Run<'e> {
             let ndv = cols
                 .iter()
                 .map(|&c| table.stats.column(c).map_or(1, |s| s.ndv));
-            let kept = filter.kept_share(ndv.map(|n| n as f64).product());
+            let ndv: f64 = ndv.map(|n| n as f64).product();
+            let (filter, kept) = match filter {
+                ProbeFilter::Built(filter) => (Some(filter), filter.kept_share(ndv)),
+                ProbeFilter::PerLane {
+                    bits,
+                    build_rows,
+                    lanes,
+                } => {
+                    let matching = build_rows / ndv.max(1.0);
+                    let of_lane = build_rows / lanes.max(1) as f64;
+                    (
+                        None,
+                        ops::join_filter::kept_fraction(matching, of_lane, bits),
+                    )
+                }
+            };
             Some(ops::filter::KeyTest { cols, filter, kept })
         });
         // The chunks the predicate's zone maps cannot rule out, on the table
         // this statement runs on.
-        let run = ops::filter::chunk_run(pred, &table.chunks);
-        let pruned = (table.chunks.len() - run.len()) as u32;
-        let chunks = &table.chunks[run];
+        let chunks = ops::filter::ChunkList::of(pred, &table.chunks);
         let scan = ops::filter::ScanPlan::decide(
             self.ctx, table, chunks, columns, pred, touched, tile, &kept, key,
         );
-        let untested = probe.filter(|_| !scan.tests_keys()).map(|(_, f)| f);
-        // The lanes own the run's tiles in chunk order, which is heap-slot
-        // order ([`crate::budget::lane_tiles`]).
-        let rows: usize = chunks.iter().map(|c| c.rows()).sum();
-        let tiles = rows.div_ceil(tile);
-        let lanes = self.ctx.cores.clamp(1, tiles.max(1));
-        let lanes: Vec<Range<usize>> = (0..lanes.min(tiles))
-            .map(|l| {
-                let owned = crate::budget::lane_tiles(l, lanes, tiles);
-                owned.start * tile..rows.min(owned.end * tile)
-            })
-            .collect();
         // For the trace: rows each operator of the chain hands on, scan
         // first, and the bytes the scan moves — statistics the lanes add up,
         // nothing a lane reads.
         let ops_of_chain = chain.above.len() + 1;
         let traced = if self.sink.is_some() { ops_of_chain } else { 0 };
-        let handed: Vec<AtomicU64> = (0..traced).map(|_| AtomicU64::new(0)).collect();
-        let scanned_bytes = AtomicU64::new(0);
-        let (key_tested, key_kept) = (AtomicU64::new(0), AtomicU64::new(0));
-        let count = |op: usize, rows: &Rows<'_>| {
-            if let Some(handed) = handed.get(op) {
-                handed.fetch_add(rows.rows() as u64, Ordering::Relaxed);
-            }
-        };
-        let (results, timing) = run_stage(self.ctx, lanes, |core, lane| {
-            let _vectors = core.dmem.reserve_raw(working_set)?;
-            let (mut rows, entered) = scan.scan_rows(core, Span::new(chunks, lane), tile)?;
-            scanned_bytes.fetch_add(core.account.counters().dms_bytes, Ordering::Relaxed);
-            if let Some(handed) = handed.first() {
-                handed.fetch_add(entered as u64, Ordering::Relaxed);
-            }
-            if scan.tests_keys() {
-                key_tested.fetch_add(entered as u64, Ordering::Relaxed);
-                key_kept.fetch_add(rows.rows() as u64, Ordering::Relaxed);
-            }
-            for (op, node) in (1..).zip(&chain.above) {
-                if rows.rows() == 0 {
-                    break;
-                }
-                charge_further_tiles(core, rows.rows(), tile);
-                rows = match node {
-                    PlanNode::Map { exprs, .. } => ops::map::map_rows(core, rows, exprs)?,
-                    PlanNode::Filter { pred, .. } => ops::filter::filter_rows(core, rows, pred)?,
-                    _ => unreachable!("a scan chain is filters and maps over a scan"),
-                };
-                count(op, &rows);
-            }
-            step(core, rows, tile, untested)
-        })?;
-        // Pre-order ids: the chain's nodes follow the node whose stage this
-        // is — which is the topmost of them where no consumer joined.
-        let first_id = self.node_seq;
-        self.node_seq += (ops_of_chain - usize::from(own_top)) as u32;
-        let mut ops = Vec::with_capacity(traced);
-        for (i, rows) in handed.iter().rev().enumerate() {
-            let (node_id, depth) = match (own_top, i as u32) {
-                (true, 0) => (self.node_id, self.open - 1),
-                (true, i) => (first_id + i - 1, self.open + i - 1),
-                (false, i) => (first_id + i, self.open + i),
-            };
-            ops.push(FusedOp {
-                node_id,
-                depth,
-                operator: decls[ops_of_chain - 1 - i].name.to_string(),
-                rows: rows.load(Ordering::Relaxed),
-                dms_bytes: 0,
-            });
-        }
-        if let Some(scan) = ops.last_mut() {
-            scan.dms_bytes = scanned_bytes.load(Ordering::Relaxed);
-        }
-        let rows = ops.first().map_or(0, |top| top.rows);
-        if own_top && !ops.is_empty() {
-            ops.remove(0);
-        }
-        Ok(TaskRun {
-            results,
-            timing,
-            detail: Detail {
-                scan: Some(ScanAccess {
-                    path: scan.path(),
-                    passes: scan.dms_passes() as u32,
-                    keyed: scan.tests_keys(),
-                    pruned,
-                }),
-                filter: scan.tests_keys().then(|| FilterKept {
-                    tested: key_tested.into_inner(),
-                    kept: key_kept.into_inner(),
-                }),
-                fused: ops,
-                ..Detail::default()
-            },
-            rows,
-            top: decls[ops_of_chain - 1].name,
+        Ok(ChainLanes {
+            decls,
+            table,
+            chunks,
+            scan,
+            chain,
+            tile,
+            working_set,
+            handed: (0..traced).map(|_| AtomicU64::new(0)).collect(),
+            scanned_bytes: AtomicU64::new(0),
+            key_tested: AtomicU64::new(0),
+            key_kept: AtomicU64::new(0),
         })
     }
 
@@ -1000,6 +1141,223 @@ impl<'e> Run<'e> {
         Ok(out)
     }
 
+    /// A ranged join or group-by ([`ops::ranges`]): ONE stage of as many
+    /// lanes as its scheme has partitions, each a key range, in key order.
+    /// The bounds are picked from the larger input. A lane of a join puts
+    /// its range's rows of the build side's chain in its table as the scan
+    /// hands them on — half of DMEM, as a broadcast lane's, a block of the
+    /// range at a time where they overflow it ([`ops::ranges::blocks`]) —
+    /// sets the bits of its own join filter beside it where the join
+    /// declares one, and probes its range's rows of the probe side's chain
+    /// against it where they lie, a tile at a time
+    /// ([`ops::join::Broadcast::probe`]): the scan's key pass, where it
+    /// takes the gather path, tests them against the filter before it
+    /// gathers, else the probe does. A lane of a group-by aggregates its
+    /// range's rows in a table of its own and emits it, with no merge: a
+    /// group's rows are all in one range. Each side holds in DMEM what its
+    /// task declares ([`PlanNode::ranged_tasks`]) while it is scanned.
+    fn exec_ranged(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
+        let (catalog, ctx) = (self.catalog, self.ctx);
+        let bad = |why: &str| QefError::BadPlan(format!("a ranged operator: {why}"));
+        let scheme = node.ranged_scheme().ok_or_else(|| bad("no scheme"))?;
+        let tasks = node
+            .ranged_tasks(catalog, ctx.dmem_bytes)?
+            .ok_or_else(|| bad("an input is no scan-fed chain"))?;
+        let (keys, filter, build_widths): (Vec<&[usize]>, _, _) = match node {
+            PlanNode::HashJoin {
+                build,
+                build_keys,
+                probe_keys,
+                join_type,
+                filter,
+                ..
+            } => {
+                if let Some(bits) = filter {
+                    ops::join_filter::check(*bits, *join_type, &[]).map_err(QefError::BadPlan)?;
+                }
+                let widths = build.output_widths(catalog)?;
+                (vec![build_keys, probe_keys], *filter, widths)
+            }
+            PlanNode::GroupBy { keys, .. } => (vec![keys], None, Vec::new()),
+            _ => return Err(bad("not a join or group-by")),
+        };
+        // The one key of each input, as a column of its table.
+        let cols = node
+            .inputs()
+            .zip(&keys)
+            .map(|(input, keys)| match keys {
+                [key] => input.chain_column(*key).map(|(_, col)| col),
+                _ => None,
+            })
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| bad("its key is not one base column of each input"))?;
+        let last = tasks.len() - 1;
+        let lanes: usize = scheme.iter().product();
+        let mut sides = Vec::with_capacity(tasks.len());
+        for (i, task) in tasks.into_iter().enumerate() {
+            let probe = filter.filter(|_| i == last && i > 0).map(|bits| {
+                let build_rows = sides.first().map_or(0.0, ChainLanes::estimated_rows);
+                let filter = ProbeFilter::PerLane {
+                    bits,
+                    build_rows,
+                    lanes,
+                };
+                (keys[i], filter)
+            });
+            sides.push(self.chain_lanes(task, probe)?);
+        }
+        // The bounds, from the larger input.
+        let larger = (0..sides.len())
+            .max_by_key(|&i| sides[i].chunks.rows())
+            .unwrap_or(0);
+        let from = &sides[larger];
+        let ranges = ops::ranges::KeyRanges::of(from.table, cols[larger], from.chunks, lanes);
+        let bound_width = from.table.column_width(cols[larger]);
+        // The rows of side `i` in the key range `bounds` one lane reads,
+        // handed to `each`: its pieces, their bisections charged, each tested
+        // where it was read whole — under the DMEM the side's task declares.
+        let read = |core: &mut CoreCtx,
+                    (i, bounds): (usize, ops::ranges::Bounds),
+                    filter: Option<&JoinFilter>,
+                    each: &mut dyn FnMut(&mut CoreCtx, Rows<'_>) -> QefResult<()>|
+         -> QefResult<()> {
+            let side = &sides[i];
+            let _vectors = core.dmem.reserve_raw(side.working_set)?;
+            let (pieces, probes) =
+                ops::ranges::pieces(&side.table.chunks, side.chunks, cols[i], bounds);
+            let width = side.table.column_width(cols[i]);
+            ops::ranges::charge_key_reads(core, width, probes);
+            let test = pieces
+                .iter()
+                .any(|piece| piece.tested)
+                .then(|| ops::ranges::test(bounds, keys[i][0]));
+            for piece in pieces {
+                let mut rows = side.rows(core, piece.span, filter)?;
+                if let Some(test) = test.as_ref().filter(|_| piece.tested && rows.rows() > 0) {
+                    rows = ops::filter::filter_rows(core, rows, test)?;
+                }
+                each(core, rows)?;
+            }
+            Ok(())
+        };
+        // What the probe side's rows meet where its scan runs no key pass:
+        // the filter, tested by the probe.
+        let probe_tests = !sides[last].scan.tests_keys();
+        let items: Vec<usize> = (0..ranges.len()).collect();
+        let (out, timing) = run_stage(ctx, items, |core, r| {
+            // The lower bound of every range past the first was read once.
+            ops::ranges::charge_key_reads(core, bound_width, usize::from(r > 0));
+            let (build_keys, probe_keys, join_type) = match node {
+                PlanNode::HashJoin {
+                    build_keys,
+                    probe_keys,
+                    join_type,
+                    ..
+                } => (build_keys, probe_keys, *join_type),
+                PlanNode::GroupBy { keys, aggs, .. } => {
+                    // A table of the range's groups, emitted whole.
+                    let tile = sides[0].tile;
+                    let mut table = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
+                    read(core, (0, ranges.bounds(r)), None, &mut |core, rows| {
+                        charge_further_tiles(core, rows.rows(), tile);
+                        table.consume_rows(core, &rows, keys)
+                    })?;
+                    return Ok((vec![table.emit(core)], 0, 0));
+                }
+                _ => return Err(bad("not a join or group-by")),
+            };
+            // A join: the range's build rows in the lane's table, the filter
+            // beside them, and the probe side's rows probed against it.
+            let bounds = ranges.bounds(r);
+            let mut built = Vec::new();
+            read(core, (0, bounds), None, &mut |core, rows| {
+                built.push(rows.into_batch(core));
+                Ok(())
+            })?;
+            let built = Batch::concat(built);
+            let filter = filter
+                .map(|bits| JoinFilter::beside_tables(&built, build_keys, bits))
+                .transpose()?;
+            // The table holds a block of the range at a time
+            // (`ops::ranges::blocks`): of the rows, only a block past it
+            // overflows, and at every cut the lane resumes each side's
+            // stream where it stopped. One host table stands for the blocks:
+            // a probe row's matches all lie in one of them.
+            let row_bytes = build_widths.iter().sum();
+            let table_rows = ops::join::broadcast_capacity(
+                built.rows(),
+                build_keys.len(),
+                row_bytes,
+                ctx.dmem_bytes / 2,
+            );
+            let (blocks, overflow) = match built.is_empty() {
+                true => (1, 0),
+                false => ops::ranges::blocks(built.column(build_keys[0]), table_rows)
+                    .fold((0, 0), |(n, over), block| {
+                        (n + 1, over + block.len().saturating_sub(table_rows))
+                    }),
+            };
+            for (side, col) in sides.iter().zip(&cols) {
+                let width = side.table.column_width(*col);
+                ops::ranges::charge_key_reads(core, width, blocks - 1);
+            }
+            let join = ops::join::Broadcast {
+                build: &built,
+                build_keys,
+                probe_keys,
+                join_type,
+                build_widths: &build_widths,
+                capacity: built.rows() - overflow,
+                filter: filter.as_ref(),
+            };
+            let table = join.table(core)?;
+            let tile = sides[last].tile;
+            let (mut out, mut tested, mut probed) = (Vec::new(), 0, 0);
+            read(core, (last, bounds), filter.as_ref(), &mut |core, rows| {
+                tested += rows.rows();
+                let (batch, of_rows) = join.probe(core, table.as_ref(), rows, tile, probe_tests)?;
+                out.push(batch);
+                probed += of_rows;
+                Ok(())
+            })?;
+            Ok((out, tested, probed))
+        })?;
+        // Where the scan did not test the rows, the probe did.
+        let probe = &sides[last];
+        let filter_kept = match probe.kept() {
+            None if filter.is_some() => Some(FilterKept {
+                tested: out.iter().map(|(_, tested, _)| *tested as u64).sum(),
+                kept: out.iter().map(|(.., probed)| *probed as u64).sum(),
+            }),
+            kept => kept,
+        };
+        let out: Vec<Batch> = out
+            .into_iter()
+            .flat_map(|(batches, ..)| batches)
+            .filter(|b| !b.is_empty())
+            .collect();
+        // Pre-order ids: each input's chain follows the node, the build
+        // side's first.
+        let mut fused = Vec::new();
+        for side in &sides {
+            let first_id = self.node_seq;
+            self.node_seq += side.ops() as u32;
+            fused.extend(side.fused(first_id, self.node_id, self.open, false));
+        }
+        let detail = Detail {
+            scan: Some(probe.access()),
+            filter: filter_kept,
+            fused,
+            ..Detail::default()
+        };
+        let label = match node {
+            PlanNode::HashJoin { .. } => "join.ranged",
+            _ => "groupby.ranged",
+        };
+        self.stage(&timing, label, batch_rows(&out), detail);
+        Ok(out)
+    }
+
     fn exec_groupby(
         &mut self,
         node: &PlanNode,
@@ -1009,6 +1367,7 @@ impl<'e> Run<'e> {
         strategy: &GroupStrategy,
     ) -> QefResult<Vec<Batch>> {
         let mut out = match strategy {
+            GroupStrategy::Ranged(_) => self.exec_ranged(node)?,
             GroupStrategy::OnTheFly { slots } => {
                 // Per-lane local aggregation...
                 let dmem = self.ctx.dmem_bytes;
@@ -1398,6 +1757,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
+            ranged: false,
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 500);
@@ -1439,6 +1799,7 @@ mod tests {
                 join_type: JoinType::LeftOuter,
                 scheme: vec![32],
                 filter: None,
+                ranged: false,
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 5000, "outer join keeps every probe row");
@@ -1504,6 +1865,7 @@ mod tests {
             join_type,
             scheme,
             filter: None,
+            ranged: false,
         };
         let rows = |batch: &Batch| {
             let mut rows: Vec<Vec<Option<i64>>> = (0..batch.rows())
@@ -1672,6 +2034,7 @@ mod tests {
             join_type,
             scheme: vec![32],
             filter: None,
+            ranged: false,
         };
         let join = |join_type| join_below(700, join_type);
         let group = |strategy| PlanNode::GroupBy {
@@ -1786,6 +2149,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![2],
             filter: None,
+            ranged: false,
         };
         let group = || PlanNode::GroupBy {
             input: Box::new(wider()),
@@ -1899,6 +2263,7 @@ mod tests {
             join_type: JoinType::LeftSemi,
             scheme,
             filter: None,
+            ranged: false,
         };
         let dmem = ExecContext::dpu().dmem_bytes;
         // One byte a column: 8-byte rows buffer 128 ways, and a 128-way
@@ -2237,6 +2602,7 @@ mod plan_node_tests {
             join_type: JoinType::Inner,
             scheme: vec![4],
             filter: None,
+            ranged: false,
         };
         let (out, report) = slow.execute(&join).unwrap();
         assert_eq!(out.batch.rows(), 50);

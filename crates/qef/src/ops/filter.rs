@@ -116,8 +116,9 @@ impl Pass<'_> {
 pub struct KeyTest<'a> {
     /// The join's probe keys, as columns of the scanned table.
     pub cols: Vec<usize>,
-    /// The built filter.
-    pub filter: &'a JoinFilter,
+    /// The built filter; `None` where each lane is handed its own
+    /// ([`ScanPlan::scan_keyed`]): a ranged join's lanes build theirs.
+    pub filter: Option<&'a JoinFilter>,
     /// The share of the rows it is expected to keep
     /// ([`JoinFilter::kept_share`]).
     pub kept: f64,
@@ -160,46 +161,93 @@ where
     cols
 }
 
-/// The covering run of `chunks` that may hold a row `pred` keeps: from the
-/// first chunk whose zone maps the predicate cannot rule out to the last,
-/// `0..0` where it rules out every one.
+/// The chunks of a table a scan reads: every chunk whose zone maps its
+/// predicate cannot rule out, in slot order — a list, not a covering run,
+/// so a chunk between two that may keep a row is read only where it may
+/// keep one itself.
 ///
 /// A test of one column against literals — `CmpConst`, `Between`, `InList`,
 /// `InCodes` — rules out a chunk where no non-null value of the column can
 /// pass it, an all-NULL chunk among them, and `NotNull` a chunk of NULLs
-/// only. `And` intersects the runs of its arms, `Or` covers them, and
-/// `Const(false)` keeps nothing. A comparison of two columns or of
-/// expressions, and `Not`, keeps every chunk. The rule is exact for any
-/// data: a chunk outside the run holds no row the predicate keeps. How the
-/// rows are clustered decides only how short the run is, so it is decided
-/// against the table a statement runs on, never carried by its plan.
-pub fn chunk_run(pred: Option<&Pred>, chunks: &[Chunk]) -> Range<usize> {
-    let all = 0..chunks.len();
-    let run = match pred {
-        None | Some(Pred::CmpCols { .. } | Pred::CmpExpr { .. } | Pred::Not(_)) => all,
-        Some(Pred::Const(keeps)) => 0..if *keeps { chunks.len() } else { 0 },
-        Some(Pred::And(arms)) => arms.iter().fold(all, |run, arm| {
-            let of_arm = chunk_run(Some(arm), chunks);
-            run.start.max(of_arm.start)..run.end.min(of_arm.end)
-        }),
-        Some(Pred::Or(arms)) => arms
+/// only. `And` rules out what any of its arms does, `Or` what all of them
+/// do, and `Const(false)` every chunk. A comparison of two columns or of
+/// expressions, and `Not`, rule out none. The rule is exact for any data: a
+/// chunk off the list holds no row the predicate keeps. How the rows are
+/// clustered decides only how short the list is, so it is decided against
+/// the table a statement runs on, never carried by its plan.
+///
+/// The list is the test, not a copy of the chunks: it holds the table's
+/// chunks and the predicate, and picks the chunks as it is walked, so a
+/// scan allocates nothing for it. A predicate that rules out no chunk is
+/// dropped when the list is made, and a walk then tests nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkList<'a> {
+    chunks: &'a [Chunk],
+    /// What the chunks are tested against, where it rules one out.
+    pred: Option<&'a Pred>,
+}
+
+impl<'a> ChunkList<'a> {
+    /// The chunks of `chunks` that may hold a row `pred` keeps.
+    pub fn of(pred: Option<&'a Pred>, chunks: &'a [Chunk]) -> ChunkList<'a> {
+        let pred = pred.filter(|pred| chunks.iter().any(|c| !may_match(pred, c)));
+        ChunkList { chunks, pred }
+    }
+
+    /// Every chunk of `chunks`.
+    pub fn all(chunks: &'a [Chunk]) -> ChunkList<'a> {
+        ChunkList { chunks, pred: None }
+    }
+
+    /// Whether the list holds `chunk`, a chunk of its table.
+    pub fn keeps(&self, chunk: &Chunk) -> bool {
+        self.pred.is_none_or(|pred| may_match(pred, chunk))
+    }
+
+    /// The chunks on the list, each with its place in the table, in slot
+    /// order.
+    pub fn indexed(self) -> impl Iterator<Item = (usize, &'a Chunk)> + Clone {
+        self.chunks
             .iter()
-            .map(|arm| chunk_run(Some(arm), chunks))
-            .filter(|run| !run.is_empty())
-            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
-            .unwrap_or(0..0),
-        Some(test) => {
-            let may = |chunk: &Chunk| may_keep(test, chunk);
-            match (chunks.iter().position(may), chunks.iter().rposition(may)) {
-                (Some(first), Some(last)) => first..last + 1,
-                _ => 0..0,
-            }
-        }
-    };
-    if run.is_empty() {
-        0..0
-    } else {
-        run
+            .enumerate()
+            .filter(move |(_, chunk)| self.keeps(chunk))
+    }
+
+    /// The chunks on the list, in slot order.
+    pub fn iter(self) -> impl Iterator<Item = &'a Chunk> + Clone {
+        self.indexed().map(|(_, chunk)| chunk)
+    }
+
+    /// How many chunks the list holds.
+    pub fn len(self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether the list holds no chunk.
+    pub fn is_empty(self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// The rows of the chunks on the list.
+    pub fn rows(self) -> usize {
+        self.iter().map(Chunk::rows).sum()
+    }
+
+    /// How many of the table's chunks the list leaves out.
+    pub fn pruned(self) -> usize {
+        self.chunks.len() - self.len()
+    }
+}
+
+/// Whether `pred` may keep a row of `chunk`, by its zone maps
+/// ([`ChunkList`]).
+fn may_match(pred: &Pred, chunk: &Chunk) -> bool {
+    match pred {
+        Pred::CmpCols { .. } | Pred::CmpExpr { .. } | Pred::Not(_) => true,
+        Pred::Const(keeps) => *keeps,
+        Pred::And(arms) => arms.iter().all(|arm| may_match(arm, chunk)),
+        Pred::Or(arms) => arms.iter().any(|arm| may_match(arm, chunk)),
+        test => may_keep(test, chunk),
     }
 }
 
@@ -431,8 +479,8 @@ impl Model<'_> {
 }
 
 impl<'a> ScanPlan<'a> {
-    /// Plan the scan of `proj` of `chunks` — the run of `table`'s chunks it
-    /// reads ([`chunk_run`]) — under `pred` on `ctx`'s cores, from the
+    /// Plan the scan of `proj` of `chunks` — the list of `table`'s chunks
+    /// it reads ([`ChunkList`]) — under `pred` on `ctx`'s cores, from the
     /// table's statistics; `touched` is [`touched_columns`] of the
     /// two, `tile` the tile their streams were sized at, `kept` how the
     /// operators of the scan's task take the rows it keeps
@@ -444,7 +492,7 @@ impl<'a> ScanPlan<'a> {
     pub fn decide(
         ctx: &ExecContext,
         table: &Table,
-        chunks: &[Chunk],
+        chunks: ChunkList<'_>,
         proj: &'a [usize],
         pred: Option<&'a Pred>,
         touched: Vec<usize>,
@@ -470,7 +518,7 @@ impl<'a> ScanPlan<'a> {
             chunk,
             tile,
         };
-        if let (Some(first), true) = (chunks.first(), plan.passes.len() > 1) {
+        if let (Some(first), true) = (chunks.iter().next(), plan.passes.len() > 1) {
             let order = model(first).cheapest_order(&plan.passes);
             let mut passes: Vec<_> = plan.passes.into_iter().map(Some).collect();
             plan.passes = order.iter().filter_map(|&i| passes[i].take()).collect();
@@ -491,7 +539,7 @@ impl<'a> ScanPlan<'a> {
             }
         };
         let (mut stream, mut gather) = (ChunkCost::default(), ChunkCost::default());
-        for chunk in chunks {
+        for chunk in chunks.iter() {
             let model = model(chunk);
             for (total, cost) in [
                 (&mut stream, model.stream_path(&plan, streamed, kept)),
@@ -501,7 +549,7 @@ impl<'a> ScanPlan<'a> {
                 total.dms += cost.dms;
             }
         }
-        let rows: usize = chunks.iter().map(Chunk::rows).sum();
+        let rows = chunks.rows();
         let tiles = rows.div_ceil(tile.max(1)).max(1);
         let lanes = ctx.cores.clamp(1, tiles);
         let share = tiles.div_ceil(lanes) as f64 / tiles as f64;
@@ -598,6 +646,19 @@ impl<'a> ScanPlan<'a> {
         span: Span<'a>,
         tile: usize,
     ) -> QefResult<(Rows<'a>, usize)> {
+        self.scan_keyed(ctx, span, tile, None)
+    }
+
+    /// [`scan_rows`](Self::scan_rows) whose key pass, where the scan runs
+    /// one, tests `filter` where one is given: the lane's own.
+    pub fn scan_keyed(
+        &self,
+        ctx: &mut CoreCtx,
+        span: Span<'a>,
+        tile: usize,
+        filter: Option<&JoinFilter>,
+    ) -> QefResult<(Rows<'a>, usize)> {
+        let filter = filter.or(self.key.as_ref().and_then(|key| key.filter));
         let of_lane = span.rows();
         if let (AccessPath::Stream, Some((first, _))) = (self.path, span.runs().next()) {
             let touched = chunk_widths(first, &self.touched);
@@ -605,8 +666,8 @@ impl<'a> ScanPlan<'a> {
                 ctx.charge_tile();
             }
         }
-        if let (Some(key), true) = (&self.key, of_lane > 0) {
-            key.filter.charge_read(ctx);
+        if let (Some(filter), true) = (filter.filter(|_| self.key.is_some()), of_lane > 0) {
+            filter.charge_read(ctx);
         }
         let mut picked = Vec::new();
         let (mut at, mut fetched, mut entered) = (0, Vec::new(), 0);
@@ -622,8 +683,8 @@ impl<'a> ScanPlan<'a> {
             let before = picked.len();
             let mut kind = self.qualifying(ctx, &run, &mut picked, &mut fetched)?;
             entered += picked.len() - before;
-            if let Some(key) = &self.key {
-                kind = self.test_keys(ctx, &run, key, kind, &mut picked, before);
+            if let (Some(key), Some(filter)) = (&self.key, filter) {
+                kind = self.test_keys(ctx, &run, (key, filter), kind, &mut picked, before);
             }
             let kept = picked.len() - before;
             if gathers && kept > 0 {
@@ -660,7 +721,7 @@ impl<'a> ScanPlan<'a> {
         &self,
         ctx: &mut CoreCtx,
         run: &Run<'_>,
-        key: &KeyTest<'_>,
+        (key, filter): (&KeyTest<'_>, &JoinFilter),
         kind: RowSetKind,
         picked: &mut Vec<u32>,
         from: usize,
@@ -684,7 +745,7 @@ impl<'a> ScanPlan<'a> {
             let of_run = Positions::of_ids(run.rows.start, &picked[start..start + n], run.at);
             let keys = key.cols.iter().map(|&c| (run.chunk.vector(c), of_run));
             hash_pieces_into(ctx, std::iter::once(keys), &mut hashes[..n]);
-            let passed = key.filter.keep(ctx, &mut hashes[..n], &mut ids[..n]);
+            let passed = filter.keep(ctx, &mut hashes[..n], &mut ids[..n]);
             // The ids ascend, so no row is overwritten before it is read.
             for &id in &ids[..passed] {
                 picked[kept] = picked[start + id as usize];
@@ -1148,7 +1209,7 @@ mod tests {
         ScanPlan::decide(
             &ExecContext::dpu(),
             t,
-            &t.chunks,
+            ChunkList::all(&t.chunks),
             proj,
             pred,
             touched,
@@ -1211,14 +1272,14 @@ mod tests {
             let kept = filter.kept_share(t.stats.columns[1].ndv as f64);
             let key = KeyTest {
                 cols: vec![1],
-                filter,
+                filter: Some(filter),
                 kept,
             };
             let kept_rows = KeptRows::default();
             let plan = ScanPlan::decide(
                 &ExecContext::dpu(),
                 &t,
-                &t.chunks,
+                ChunkList::all(&t.chunks),
                 &proj,
                 None,
                 touched,
@@ -1254,7 +1315,7 @@ mod tests {
             let filter = filter_over(&every_tenth, 2048, in_dram);
             let key = KeyTest {
                 cols: vec![0],
-                filter: &filter,
+                filter: Some(&filter),
                 kept: 0.1,
             };
             let plan = ScanPlan {
@@ -1984,13 +2045,13 @@ mod pruning {
             ));
             let pred = Draws { draws: &draws, at: 0 }.pred(2, 2 * slots as i64);
             let kept = kept_row_by_row(&t, &pred);
-            let run = chunk_run(Some(&pred), &t.chunks);
+            let list = listed(Some(&pred), &t.chunks);
             for (chunk, row) in &kept {
-                prop_assert!(run.contains(chunk), "{pred:?}: chunk {chunk} outside {run:?} keeps {row:?}");
+                prop_assert!(list.contains(chunk), "{pred:?}: chunk {chunk} off {list:?} keeps {row:?}");
             }
             let mut want: Vec<_> = kept.into_iter().map(|(_, row)| row).collect();
             want.sort();
-            let pruned = (t.chunks.len() - run.len()) as u32;
+            let pruned = (t.chunks.len() - list.len()) as u32;
             for ctx in [ExecContext::dpu(), ExecContext::native(3)] {
                 let (got, read_not) = scanned(&t, &pred, ctx);
                 prop_assert_eq!(&got, &want, "{:?}", pred);
@@ -2018,9 +2079,9 @@ mod pruning {
         ]);
         // Keys 200..260 are slots 100..130: chunks 3 and 4 of 32 slots.
         let ordered = Arc::new(table(320, 32, false, &draws, 0, 0));
-        assert_eq!(chunk_run(Some(&range), &ordered.chunks), 3..5);
+        assert_eq!(listed(Some(&range), &ordered.chunks), [3, 4]);
         let shuffled = Arc::new(table(320, 32, true, &draws, 0, 0));
-        assert_eq!(chunk_run(Some(&range), &shuffled.chunks), 0..10);
+        assert_eq!(listed(Some(&range), &shuffled.chunks), every(10));
         let (a, pruned) = scanned(&ordered, &range, ExecContext::dpu());
         let (b, none) = scanned(&shuffled, &range, ExecContext::dpu());
         assert_eq!((a.len(), pruned, none), (30, 8, 0));
@@ -2033,8 +2094,8 @@ mod pruning {
                 op: CmpOp::Eq,
                 value,
             };
-            let run = chunk_run(Some(&point), &ordered.chunks);
-            assert_eq!(run.len(), usize::from(value == 201), "{value}");
+            let list = listed(Some(&point), &ordered.chunks);
+            assert_eq!(list.len(), usize::from(value == 201), "{value}");
             assert_eq!(
                 scanned(&ordered, &point, ExecContext::dpu()).0,
                 Vec::<Vec<_>>::new()
@@ -2043,12 +2104,12 @@ mod pruning {
         // NOT, a comparison of two columns and no predicate read everything.
         let not = Pred::Not(Box::new(range.clone()));
         for pred in [Some(&not), None] {
-            assert_eq!(chunk_run(pred, &ordered.chunks), 0..10);
+            assert_eq!(listed(pred, &ordered.chunks), every(10));
         }
         // An all-NULL chunk passes no comparison and no NOT NULL.
         let nulls = table(320, 32, false, &draws, 0b11_1111_1110, 0);
         let not_null = Pred::NotNull { col: 1 };
-        assert_eq!(chunk_run(Some(&not_null), &nulls.chunks), 0..1);
+        assert_eq!(listed(Some(&not_null), &nulls.chunks), [0]);
         let or = Pred::Or(vec![
             not_null,
             Pred::CmpConst {
@@ -2058,10 +2119,21 @@ mod pruning {
             },
         ]);
         assert_eq!(
-            chunk_run(Some(&or), &nulls.chunks),
-            0..10,
-            "OR covers both arms"
+            listed(Some(&or), &nulls.chunks),
+            [0, 9],
+            "OR lists the chunks of either arm, and none between"
         );
-        assert_eq!(chunk_run(Some(&Pred::Const(false)), &nulls.chunks), 0..0);
+        assert_eq!(listed(Some(&Pred::Const(false)), &nulls.chunks), []);
+    }
+
+    /// The places of the chunks [`ChunkList`] lists for `pred`.
+    fn listed(pred: Option<&Pred>, chunks: &[Chunk]) -> Vec<usize> {
+        let list = ChunkList::of(pred, chunks);
+        assert_eq!(list.len() + list.pruned(), chunks.len());
+        list.indexed().map(|(k, _)| k).collect()
+    }
+
+    fn every(chunks: usize) -> Vec<usize> {
+        (0..chunks).collect()
     }
 }

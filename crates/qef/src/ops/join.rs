@@ -629,9 +629,7 @@ impl Broadcast<'_> {
         tests: bool,
     ) -> QefResult<(Vec<Batch>, usize)> {
         let tile = tile.max(1);
-        let table = if self.build.is_empty() {
-            None
-        } else {
+        if !self.build.is_empty() {
             let cm = ctx.cost_model.clone();
             let widths = self.build_widths.iter().copied();
             ctx.charge_dms(&RelationAccessor::seq_read_cost(
@@ -640,54 +638,75 @@ impl Broadcast<'_> {
                 self.build.rows(),
                 tile,
             ));
-            let keys: Vec<&Vector> = self
-                .build_keys
-                .iter()
-                .map(|&c| self.build.column(c))
-                .collect();
-            let table = JoinTable::build_within(ctx, &keys, self.capacity)?.0;
-            if self.filter.is_some() {
-                join_filter::charge_set(ctx, self.build.rows());
-            }
-            Some(table)
-        };
-        let filter = self.filter.filter(|_| tests);
+        }
+        let table = self.table(ctx)?;
         let (mut out, mut probed) = (Vec::new(), 0);
         for rows in parts {
-            for _ in 0..rows.rows().div_ceil(tile) {
-                ctx.charge_tile();
-            }
-            // Without a build row an anti or outer join hands on every
-            // probe row; the probe below reads the rows itself.
-            let inner = matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi);
-            if table.is_none() && !inner {
-                rows.charge_select(ctx, 0..rows.width());
-            }
-            out.push(match &table {
-                Some(table) => {
-                    let (batch, of_part) = probe_rows(
-                        ctx,
-                        table,
-                        self.build,
-                        self.build_widths,
-                        self.probe_keys,
-                        self.join_type,
-                        rows,
-                        filter,
-                    )?;
-                    probed += of_part;
-                    batch
-                }
-                // No build row: the variant alone says what a probe row
-                // becomes.
-                None => match self.join_type {
-                    JoinType::Inner | JoinType::LeftSemi => Batch::empty(0),
-                    JoinType::LeftAnti => rows.materialize(),
-                    JoinType::LeftOuter => pad_outer(rows.materialize(), self.build_widths),
-                },
-            });
+            let (batch, of_part) = self.probe(ctx, table.as_ref(), rows, tile, tests)?;
+            out.push(batch);
+            probed += of_part;
         }
         Ok((out, probed))
+    }
+
+    /// The lane's table over the build rows it holds — `None` where there
+    /// are none — with, where the join has a filter, its bits set beside it
+    /// from the hashes the build computed.
+    pub fn table(&self, ctx: &mut CoreCtx) -> QefResult<Option<JoinTable>> {
+        if self.build.is_empty() {
+            return Ok(None);
+        }
+        let keys: Vec<&Vector> = self
+            .build_keys
+            .iter()
+            .map(|&c| self.build.column(c))
+            .collect();
+        let table = JoinTable::build_within(ctx, &keys, self.capacity)?.0;
+        if self.filter.is_some() {
+            join_filter::charge_set(ctx, self.build.rows());
+        }
+        Ok(Some(table))
+    }
+
+    /// Probe `rows` against the lane's `table`, a trip round the control
+    /// loop per tile, testing the filter first where the lane `tests` its
+    /// rows. Returns the batch and how many rows were probed.
+    pub fn probe(
+        &self,
+        ctx: &mut CoreCtx,
+        table: Option<&JoinTable>,
+        rows: Rows<'_>,
+        tile: usize,
+        tests: bool,
+    ) -> QefResult<(Batch, usize)> {
+        for _ in 0..rows.rows().div_ceil(tile.max(1)) {
+            ctx.charge_tile();
+        }
+        // Without a build row an anti or outer join hands on every probe
+        // row; the probe below reads the rows itself.
+        let inner = matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi);
+        if table.is_none() && !inner {
+            rows.charge_select(ctx, 0..rows.width());
+        }
+        let Some(table) = table else {
+            // No build row: the variant alone says what a probe row becomes.
+            let batch = match self.join_type {
+                JoinType::Inner | JoinType::LeftSemi => Batch::empty(0),
+                JoinType::LeftAnti => rows.materialize(),
+                JoinType::LeftOuter => pad_outer(rows.materialize(), self.build_widths),
+            };
+            return Ok((batch, 0));
+        };
+        probe_rows(
+            ctx,
+            table,
+            self.build,
+            self.build_widths,
+            self.probe_keys,
+            self.join_type,
+            rows,
+            self.filter.filter(|_| tests),
+        )
     }
 }
 

@@ -641,6 +641,7 @@ mod proptests {
                 join_type: if semi { JoinType::LeftSemi } else { JoinType::Inner },
                 scheme: scheme.clone(),
                 filter,
+                ranged: false,
             };
             let bits = match (wide, broadcast) {
                 (true, _) => 1 << 12,

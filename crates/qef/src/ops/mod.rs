@@ -11,6 +11,7 @@ pub mod join;
 pub mod join_filter;
 pub mod map;
 pub mod partition;
+pub mod ranges;
 pub mod setops;
 pub mod sort;
 pub mod topk;

@@ -1,0 +1,451 @@
+//! Key ranges: the partitions a table stored in key order already has.
+//!
+//! A partitioned join or group-by whose inputs are scans of tables stored in
+//! the order of the one key it partitions by (`PlanNode::HashJoin::ranged`,
+//! `GroupStrategy::Ranged`) needs no pass to bring the rows of a partition
+//! together: the rows of a key range lie together already, one run of slots
+//! of each table — RAPID's chunks (§4.1), and the DMS's `range` partitioning
+//! (Figure 8) cuts the same way. The engine cuts the key domain into as many
+//! ranges as the plan's scheme has partitions, and every range is one lane
+//! of one stage: the lane reads its range's rows of each input, and joins or
+//! aggregates them, with nothing in between written to DRAM (§5.2: only task
+//! boundaries materialise).
+//!
+//! * **Bounds** ([`KeyRanges::of`]) are picked at run time from the larger
+//!   input: where it is clustered on the key with no NULL key, its keys at
+//!   the slot quantiles, a one-key read each; otherwise an even split of its
+//!   zone maps' `[min, max]`. Range `r` holds the keys in `[bound r − 1,
+//!   bound r)`, the first from `i64::MIN`, the last to `i64::MAX` and the
+//!   NULL keys too.
+//! * **Pieces** ([`pieces`]): of each chunk a range overlaps, a lane reads
+//!   only the slots inside the range where the chunk's values ascend and it
+//!   has no NULL key, found by bisection, each probe a one-key read; else it
+//!   reads the whole chunk and tests every row against the range
+//!   ([`KeyRanges::test`]).
+//!
+//! The result is exact for any data and any bounds: a key lands in exactly
+//! one range whatever the table holds, so a commit that stores keys out of
+//! order, or a load in shuffled slots, makes the ranges slower to read,
+//! never wrong, and a plan needs no re-plan for it.
+
+use std::ops::Range;
+
+use rapid_storage::chunk::Chunk;
+use rapid_storage::table::Table;
+
+use crate::batch::Span;
+use crate::exec::CoreCtx;
+use crate::expr::Pred;
+use crate::ops::filter::ChunkList;
+use crate::primitives::filter::CmpOp;
+use crate::ra::RelationAccessor;
+use rapid_storage::vector::Vector;
+
+/// A key range: its keys from the first, up to but not including the
+/// second — `None` for a last range, which holds `i64::MAX` and the NULL
+/// keys too.
+pub type Bounds = (i64, Option<i64>);
+
+/// The key ranges of a ranged operator: `bounds.len() + 1` of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyRanges {
+    /// Where each range after the first starts, non-decreasing.
+    bounds: Vec<i64>,
+}
+
+impl KeyRanges {
+    /// `ranges` ranges of the keys in column `col` of `table`, over the
+    /// chunks of `list`: at the keys of the listed slot quantiles where the
+    /// table is clustered on the column and no listed chunk holds a NULL of
+    /// it; else an even split of the listed chunks' `[min, max]`.
+    pub fn of(table: &Table, col: usize, list: ChunkList<'_>, ranges: usize) -> KeyRanges {
+        let ranges = ranges.max(1);
+        let no_nulls = list.iter().all(|c| c.zone(col).nulls == 0);
+        if table.clustered_on(col) && no_nulls {
+            let rows = list.rows();
+            if rows > 0 {
+                let mut chunks = list.iter().scan(0, |base, chunk| {
+                    let at = *base;
+                    *base += chunk.rows();
+                    Some((chunk, at))
+                });
+                let mut current = chunks.next();
+                let bounds = (1..ranges)
+                    .map(|r| {
+                        let slot = r * rows / ranges;
+                        while let Some((chunk, base)) = current {
+                            if slot < base + chunk.rows() {
+                                return chunk.vector(col).data.get_i64(slot - base);
+                            }
+                            current = chunks.next();
+                        }
+                        i64::MAX
+                    })
+                    .collect();
+                return KeyRanges { bounds };
+            }
+        }
+        let span = list
+            .iter()
+            .filter_map(|c| c.zone(col).range)
+            .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)));
+        let (min, max) = span.unwrap_or((0, 0));
+        let width = max as i128 - min as i128 + 1;
+        let bounds = (1..ranges as i128)
+            .map(|r| (min as i128 + (width * r + ranges as i128 - 1) / ranges as i128) as i64)
+            .collect();
+        KeyRanges { bounds }
+    }
+
+    /// How many ranges there are.
+    pub fn len(&self) -> usize {
+        self.bounds.len() + 1
+    }
+
+    /// Whether there are none (never: a range holds every key at least).
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Range `r`'s keys: from `lo`, up to but not including `hi` — `None`
+    /// for the last, which holds `i64::MAX` and the NULL keys too.
+    pub fn bounds(&self, r: usize) -> Bounds {
+        let lo = r.checked_sub(1).map_or(i64::MIN, |b| self.bounds[b]);
+        (lo, self.bounds.get(r).copied())
+    }
+
+    /// The range a key — `None` for NULL — lands in.
+    pub fn of_key(&self, key: Option<i64>) -> usize {
+        match key {
+            None => self.bounds.len(),
+            Some(k) => self.bounds.partition_point(|&b| b <= k),
+        }
+    }
+}
+
+/// The test of the range `bounds` (a [`KeyRanges::bounds`]) over column
+/// `key` of what a chain hands on: the rows of a chunk read whole that the
+/// range holds.
+pub fn test((lo, hi): Bounds, key: usize) -> Pred {
+    let col = key;
+    match (lo, hi) {
+        (lo, Some(hi)) if lo == i64::MIN => Pred::CmpConst {
+            col,
+            op: CmpOp::Lt,
+            value: hi,
+        },
+        (lo, Some(hi)) => match hi.checked_sub(1) {
+            Some(top) if lo <= top => Pred::Between { col, lo, hi: top },
+            _ => Pred::Const(false),
+        },
+        (lo, None) => Pred::Or(vec![
+            Pred::Not(Box::new(Pred::NotNull { col })),
+            Pred::CmpConst {
+                col,
+                op: CmpOp::Ge,
+                value: lo,
+            },
+        ]),
+    }
+}
+
+/// The blocks a lane takes its range's build rows in, `keys` their keys in
+/// the order it puts them in its table, which holds `capacity` rows: runs of
+/// at most `capacity` rows cut where the key changes, so that a block holds
+/// every row of its keys — or, where the keys do not ascend or hold a NULL,
+/// one block of them all. A key of more rows than the table holds is a
+/// block of its own. The probe side's rows arrive in key order too, so the
+/// lane probes each against the block that holds its key, swapping the
+/// table at every cut: a probe row meets every build row of its key, and
+/// only a block past the table's rows overflows it.
+pub fn blocks(keys: &Vector, capacity: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let rows = keys.len();
+    let key = |i: usize| keys.data.get_i64(i);
+    let ascending = (1..rows).all(|i| key(i - 1) <= key(i));
+    let whole = rows <= capacity || capacity == 0 || keys.has_nulls() || !ascending;
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        if start >= rows {
+            return None;
+        }
+        let end = match whole || rows - start <= capacity {
+            true => rows,
+            // The last change of key within the table's rows, else the
+            // first after them.
+            false => {
+                let fill = start + capacity;
+                let changes = |i: &usize| key(i - 1) != key(*i);
+                let within = (start + 1..=fill).rev().find(changes);
+                within
+                    .or_else(|| (fill + 1..rows).find(changes))
+                    .unwrap_or(rows)
+            }
+        };
+        let block = start..end;
+        start = end;
+        Some(block)
+    })
+}
+
+/// Rows a lane reads of a table for one key range: a run of slots of
+/// consecutive chunks, and whether its rows must be tested against the
+/// range — a chunk read whole because it could not be bisected.
+#[derive(Debug, Clone)]
+pub struct Piece<'a> {
+    /// The rows.
+    pub span: Span<'a>,
+    /// Whether every row is tested against the range.
+    pub tested: bool,
+}
+
+/// The pieces of `list`, chunks of a table, that hold the keys of column
+/// `col` in the range `bounds` (a [`KeyRanges::bounds`]), in slot order, and how many one-key
+/// reads the bisections that found them took. Of a chunk whose zone map
+/// the range overlaps — or, for the last range, which holds NULLs — a piece
+/// is the run of slots inside the range where the chunk is `sorted` with no
+/// NULL, found by bisection (no probe where the range covers the chunk's
+/// end); else the whole chunk, tested. Runs that meet across a chunk
+/// boundary are one piece.
+pub fn pieces<'a>(
+    chunks: &'a [Chunk],
+    list: ChunkList<'a>,
+    col: usize,
+    (lo, hi): Bounds,
+) -> (Vec<Piece<'a>>, usize) {
+    let last = hi.is_none();
+    let (mut out, mut probes): (Vec<Piece<'a>>, usize) = (Vec::new(), 0);
+    // The piece being grown: the chunks it spans and its rows in them.
+    let mut open: Option<(Range<usize>, Range<usize>, bool)> = None;
+    let close = |open: Option<(Range<usize>, Range<usize>, bool)>, out: &mut Vec<Piece<'a>>| {
+        if let Some((of, rows, tested)) = open.filter(|(_, rows, _)| !rows.is_empty()) {
+            let span = Span::new(&chunks[of], rows);
+            out.push(Piece { span, tested });
+        }
+    };
+    for (k, chunk) in list.indexed() {
+        let zone = chunk.zone(col);
+        let top = hi.map_or(Some(i64::MAX), |hi| hi.checked_sub(1));
+        let overlaps = top.is_some_and(|top| zone.overlaps(lo, top));
+        if !(overlaps || last && zone.nulls > 0) {
+            continue;
+        }
+        let (rows, tested) = if zone.sorted && zone.nulls == 0 {
+            let (min, max) = zone.range.unwrap_or((lo, lo));
+            let keys = &chunk.vector(col).data;
+            let mut first_at = |key: i64| {
+                // The first slot whose key is `key` or more, by bisection.
+                let (mut at, mut end) = (0, chunk.rows());
+                while at < end {
+                    let mid = at + (end - at) / 2;
+                    probes += 1;
+                    if keys.get_i64(mid) < key {
+                        at = mid + 1;
+                    } else {
+                        end = mid;
+                    }
+                }
+                at
+            };
+            let start = if lo <= min { 0 } else { first_at(lo) };
+            let end = match hi {
+                Some(hi) if hi <= max => first_at(hi),
+                _ => chunk.rows(),
+            };
+            (start..end, false)
+        } else {
+            (0..chunk.rows(), true)
+        };
+        // A run that starts where the open one ends, in the next chunk.
+        let joins = open.as_ref().is_some_and(|(of, at, was)| {
+            of.end == k
+                && *was == tested
+                && rows.start == 0
+                && at.end == (of.start..k).map(|c| chunks[c].rows()).sum::<usize>()
+        });
+        if joins {
+            if let Some((of, at, _)) = open.as_mut() {
+                at.end += rows.end;
+                of.end = k + 1;
+            }
+        } else {
+            close(open.take(), &mut out);
+            open = Some((k..k + 1, rows, tested));
+        }
+    }
+    close(open, &mut out);
+    (out, probes)
+}
+
+/// Charge `n` reads of one key of `width` bytes: a bound, or a probe of a
+/// bisection.
+pub fn charge_key_reads(ctx: &mut CoreCtx, width: usize, n: usize) {
+    if n > 0 {
+        let cm = ctx.cost_model.clone();
+        let one = RelationAccessor::seq_read_cost(&cm, [width].into_iter(), 1, 1);
+        ctx.charge_dms(&dpu_sim::dms::engine::DmsCost {
+            cycles: one.cycles * n as f64,
+            bytes: one.bytes * n as u64,
+            descriptors: one.descriptors * n as u64,
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rapid_storage::bitvec::BitVec;
+    use rapid_storage::schema::{Field, Schema};
+    use rapid_storage::table::TableBuilder;
+    use rapid_storage::types::{DataType, Value};
+    use rapid_storage::vector::{ColumnData, Vector};
+
+    /// A table of one nullable key column in chunks of `chunk_rows` slots.
+    fn table(keys: &[Option<i64>], chunk_rows: usize) -> Table {
+        let schema = Schema::new(vec![Field::nullable("k", DataType::Int)]);
+        let mut b = TableBuilder::new("t", schema).chunk_rows(chunk_rows);
+        for k in keys {
+            b.push_row(vec![k.map_or(Value::Null, Value::Int)]);
+        }
+        b.finish()
+    }
+
+    /// Every row of `t`'s pieces of every range, as `(range, key)`, the
+    /// tested ones through the range's test.
+    fn landed(t: &Table, ranges: &KeyRanges) -> Vec<(usize, Option<i64>)> {
+        let list = ChunkList::all(&t.chunks);
+        let mut out = Vec::new();
+        for r in 0..ranges.len() {
+            let (pieces, _) = pieces(&t.chunks, list, 0, ranges.bounds(r));
+            for piece in pieces {
+                for (chunk, rows) in piece.span.runs() {
+                    let v = chunk.vector(0);
+                    for i in rows {
+                        let key = (!v.is_null(i)).then(|| v.data.get_i64(i));
+                        if piece.tested {
+                            let test = test(ranges.bounds(r), 0);
+                            let data = ColumnData::I64(vec![key.unwrap_or(0)]);
+                            let one = match key {
+                                Some(_) => Vector::new(data),
+                                None => Vector::with_nulls(data, BitVec::ones(1)),
+                            };
+                            let mut ctx = CoreCtx::new(&crate::exec::ExecContext::dpu(), 0);
+                            if test.eval(&mut ctx, &[one], 1).unwrap().count_ones() == 0 {
+                                continue;
+                            }
+                        }
+                        out.push((r, key));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn ranges_cover_the_keys_and_every_row_lands_in_exactly_one(
+            keys in proptest::collection::vec(proptest::option::of(-50i64..50), 0..200),
+            sort in any::<bool>(),
+            chunk_rows in 1usize..40,
+            ranges in 1usize..12,
+        ) {
+            let mut keys = keys;
+            if sort {
+                keys.sort_by_key(|k| k.unwrap_or(i64::MIN));
+            }
+            let t = table(&keys, chunk_rows);
+            let cut = KeyRanges::of(&t, 0, ChunkList::all(&t.chunks), ranges);
+            prop_assert_eq!(cut.len(), ranges);
+            // The ranges meet end to end over the whole domain.
+            for r in 0..cut.len() {
+                let (lo, hi) = cut.bounds(r);
+                prop_assert_eq!(lo, if r == 0 { i64::MIN } else { cut.bounds(r - 1).1.unwrap() });
+                prop_assert_eq!(hi.is_none(), r + 1 == cut.len());
+            }
+            let mut got = landed(&t, &cut);
+            for &(r, key) in &got {
+                prop_assert_eq!(r, cut.of_key(key), "{:?} in range {}", key, r);
+            }
+            let mut want: Vec<_> = keys.iter().map(|&k| (cut.of_key(k), k)).collect();
+            got.sort();
+            want.sort();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn blocks_cut_where_the_key_changes_and_hold_every_row_once(
+            keys in proptest::collection::vec(0i64..40, 0..120),
+            sort in any::<bool>(),
+            capacity in 0usize..30,
+        ) {
+            let mut keys = keys;
+            if sort {
+                keys.sort_unstable();
+            }
+            let ascending = keys.windows(2).all(|w| w[0] <= w[1]);
+            let rows = keys.len();
+            let keys = Vector::new(ColumnData::I64(keys));
+            let got: Vec<Range<usize>> = blocks(&keys, capacity).collect();
+            if rows == 0 {
+                prop_assert!(got.is_empty());
+                return Ok(());
+            }
+            if rows <= capacity || capacity == 0 || !ascending {
+                prop_assert_eq!((got.len(), got.first()), (1, Some(&(0..rows))));
+                return Ok(());
+            }
+            // The blocks meet end to end over the rows, and no key is in two.
+            let key = |i: usize| keys.data.get_i64(i);
+            prop_assert_eq!(got.first().map(|b| b.start), Some(0));
+            prop_assert_eq!(got.last().map(|b| b.end), Some(rows));
+            for pair in got.windows(2) {
+                prop_assert_eq!(pair[0].end, pair[1].start);
+                prop_assert!(key(pair[0].end - 1) < key(pair[1].start));
+            }
+            // A block past the table holds one key alone.
+            for block in got.iter().filter(|b| b.len() > capacity) {
+                prop_assert!(block.clone().all(|i| key(i) == key(block.start)));
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_hold_every_row_of_their_keys() {
+        let keys = Vector::new(ColumnData::I64(vec![1, 1, 2, 2, 2, 3, 4, 4, 5]));
+        let got: Vec<_> = blocks(&keys, 4).collect();
+        assert_eq!(got, [0..2, 2..6, 6..9]);
+        // One key past the table's rows is a block of its own.
+        let keys = Vector::new(ColumnData::I64(vec![7, 7, 7, 7, 7, 8]));
+        let got: Vec<_> = blocks(&keys, 2).collect();
+        assert_eq!(got, [0..5, 5..6]);
+        // Keys out of order are one block, whatever the table holds.
+        let keys = Vector::new(ColumnData::I64(vec![3, 1, 2]));
+        let got: Vec<_> = blocks(&keys, 1).collect();
+        assert_eq!((got.len(), got.first()), (1, Some(&(0..3))));
+    }
+
+    #[test]
+    fn a_clustered_table_is_cut_at_its_slot_quantiles_and_read_by_bisection() {
+        let keys: Vec<Option<i64>> = (0..100).map(|i| Some(i / 2)).collect();
+        let t = table(&keys, 16);
+        let list = ChunkList::all(&t.chunks);
+        let cut = KeyRanges::of(&t, 0, list, 4);
+        assert_eq!(cut.bounds, [12, 25, 37]);
+        let (pieces, probes) = pieces(&t.chunks, list, 0, cut.bounds(1));
+        // Keys 12..25 are slots 24..50: one piece over chunks 1..=3.
+        assert_eq!(pieces.len(), 1);
+        assert!(!pieces[0].tested);
+        let runs: Vec<_> = pieces[0].span.runs().map(|(_, rows)| rows).collect();
+        assert_eq!(runs, [8..16, 0..16, 0..2]);
+        assert!(probes > 0 && probes <= 2 * 5, "{probes}");
+        // A shuffled table is cut evenly between its least and greatest key.
+        let mut shuffled = keys.clone();
+        shuffled.reverse();
+        let t = table(&shuffled, 16);
+        let cut = KeyRanges::of(&t, 0, ChunkList::all(&t.chunks), 4);
+        assert_eq!(cut.bounds, [13, 25, 38]);
+    }
+}

@@ -44,6 +44,12 @@ pub enum GroupStrategy {
     /// in DMEM. Carries the fan-out per round of that pass, chosen like a
     /// join's `scheme`.
     Partitioned(Vec<usize>),
+    /// The high-NDV path over an input stored in the order of its one key:
+    /// as many partitions as the scheme makes, cut as key ranges of the
+    /// table instead of hashed, each aggregated and emitted by one lane of
+    /// the input's task, with no pass and no merge
+    /// ([`PlanNode::ranged_scheme`]).
+    Ranged(Vec<usize>),
     /// Low-NDV path: every core aggregates its stream on the fly; a merge
     /// operator combines the per-core tables.
     OnTheFly {
@@ -185,6 +191,14 @@ pub enum PlanNode {
         /// nothing.
         #[serde(default)]
         filter: Option<usize>,
+        /// The scheme's partitions are key ranges of the tables both sides
+        /// scan, which are stored in the order of the one key: each range's
+        /// build rows, table and probe run in one lane of one stage, with no
+        /// partition pass, `join.filter` or `join.pairs` stage; the join
+        /// filter, where it declares one, of `filter` bits a lane, beside
+        /// the lane's table ([`PlanNode::ranged_scheme`]).
+        #[serde(default)]
+        ranged: bool,
     },
     /// Group-by + aggregation. Output: keys ++ aggregates.
     GroupBy {
@@ -609,6 +623,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![],
             filter: None,
+            ranged: false,
         };
         assert_eq!(inner.output_meta(&catalog()).unwrap().len(), 2);
         let semi = PlanNode::HashJoin {
@@ -619,6 +634,7 @@ mod tests {
             join_type: JoinType::LeftSemi,
             scheme: vec![],
             filter: None,
+            ranged: false,
         };
         assert_eq!(semi.output_meta(&catalog()).unwrap().len(), 1);
         let outer = PlanNode::HashJoin {
@@ -629,6 +645,7 @@ mod tests {
             join_type: JoinType::LeftOuter,
             scheme: vec![],
             filter: None,
+            ranged: false,
         };
         let meta = outer.output_meta(&catalog()).unwrap();
         assert!(meta[1].nullable);
@@ -760,6 +777,7 @@ mod tests {
             join_type,
             scheme: vec![],
             filter: None,
+            ranged: false,
         };
         assert_eq!(widths(&join(JoinType::Inner)), [1, 4, 1, 2]);
         assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 4, 1, 2]);
@@ -824,6 +842,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![],
             filter: None,
+            ranged: false,
         };
         let mut tables = Vec::new();
         plan.referenced_tables(&mut tables);

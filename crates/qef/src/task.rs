@@ -66,6 +66,22 @@ impl PlanNode {
         }
     }
 
+    /// Column `col` of what this scan-fed chain hands on as `(table,
+    /// column)` of the table it scans: `None` where the node is no chain or
+    /// a `Map` of it computes the column. [`ScanChain::table_columns`] of
+    /// one column, with no chain built.
+    pub fn chain_column(&self, col: usize) -> Option<(&str, usize)> {
+        match self {
+            PlanNode::Scan { table, columns, .. } => Some((table, *columns.get(col)?)),
+            PlanNode::Filter { input, .. } => input.chain_column(col),
+            PlanNode::Map { input, exprs } => match exprs.get(col)?.expr {
+                Expr::Col(below) => input.chain_column(below),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// The scan-fed chain this node is the top of, if it is one.
     pub fn scan_chain(&self) -> Option<ScanChain<'_>> {
         match self {
@@ -89,16 +105,89 @@ impl PlanNode {
     }
 
     /// The scheme this node declares for its partition passes, if it runs
-    /// any: a join's, or a partitioned group-by's.
+    /// any: a join's, or a partitioned group-by's. A ranged one runs none.
     pub fn partition_scheme(&self) -> Option<&[usize]> {
         match self {
-            PlanNode::HashJoin { scheme, .. }
+            PlanNode::HashJoin {
+                scheme,
+                ranged: false,
+                ..
+            }
             | PlanNode::GroupBy {
                 strategy: GroupStrategy::Partitioned(scheme),
                 ..
             } => Some(scheme),
             _ => None,
         }
+    }
+
+    /// The scheme whose partitions a ranged join or group-by cuts as key
+    /// ranges ([`crate::ops::ranges`]): as many ranges as it has partitions.
+    pub fn ranged_scheme(&self) -> Option<&[usize]> {
+        match self {
+            PlanNode::HashJoin {
+                scheme,
+                ranged: true,
+                ..
+            }
+            | PlanNode::GroupBy {
+                strategy: GroupStrategy::Ranged(scheme),
+                ..
+            } => Some(scheme),
+            _ => None,
+        }
+    }
+
+    /// The tasks a lane of this node's one stage would run were its
+    /// partitions key ranges, an input at a time, in
+    /// [`inputs`](Self::inputs) order: each input's scan-fed chain over the
+    /// lane's key range, ending in the node's own operator. A join's is
+    /// `join.ranged`, over either side: the lane's table — half of DMEM, as a
+    /// broadcast join's `join.probe` holds it, its build rows included —
+    /// which the build side's rows are put in as they are scanned and the
+    /// probe side's are probed against where they lie, and beside it the
+    /// lane's join filter where the join declares one. A group-by's is
+    /// `groupby.ranged`, the group table. The lane's DMEM is, at its most,
+    /// the larger of the tasks' working sets. `None` where the node is no
+    /// join or group-by or an input is no chain; whether the node is ranged
+    /// is [`ranged_scheme`](Self::ranged_scheme)'s to say.
+    pub fn ranged_tasks(
+        &self,
+        catalog: &Catalog,
+        dmem_bytes: usize,
+    ) -> QefResult<Option<Vec<Task<'_>>>> {
+        let mut tasks = Vec::with_capacity(2);
+        for (edge, input) in self.inputs().enumerate() {
+            let Some(chain) = input.scan_chain() else {
+                return Ok(None);
+            };
+            let (mut task, widths) = chain.task(catalog)?;
+            match self {
+                PlanNode::HashJoin { filter, .. } => {
+                    let held = filter.map_or(0, join_filter::bytes);
+                    task.decls.push(OpDecl {
+                        name: OpName::of("join.ranged"),
+                        ..join_probe_decl(&widths, dmem_bytes, held)
+                    });
+                    // The build rows are written into the table; the probe
+                    // rows are read where they lie.
+                    if edge == 1 {
+                        task.takes = Takes::Reads;
+                    }
+                }
+                PlanNode::GroupBy { keys, aggs, .. } => {
+                    let consume = group_consume_decl(keys, aggs, &widths, dmem_bytes);
+                    task.decls.push(OpDecl {
+                        name: OpName::of("groupby.ranged"),
+                        ..consume
+                    });
+                    task.takes = Takes::Groups { keys, aggs };
+                }
+                _ => return Ok(None),
+            }
+            tasks.push(task);
+        }
+        Ok(Some(tasks))
     }
 
     /// What the first stage this node runs over input `edge` declares
@@ -183,7 +272,7 @@ impl PlanNode {
             strategy: GroupStrategy::Partitioned(scheme),
             ..
         } if scheme.is_empty());
-        if no_round_one {
+        if no_round_one || self.ranged_scheme().is_some() {
             return Ok(None);
         }
         let Some(chain) = self.inputs().nth(edge).and_then(PlanNode::scan_chain) else {
@@ -210,7 +299,8 @@ impl PlanNode {
 
     /// The bytes of state the first stage over this join's probe side —
     /// round one of its pass, or a broadcast join's `join.probe`, in the
-    /// probe's task wherever [`input_task`](Self::input_task) puts it there
+    /// probe's task wherever [`input_task`](Self::input_task) puts it there,
+    /// or a ranged join's `join.ranged` ([`ranged_tasks`](Self::ranged_tasks))
     /// — can hold beside what it declares and still run at the tile it runs
     /// at: the room a join filter may take ([`join_filter::size_bits`]). 0
     /// for any other node, or a stage that does not fit at all.
@@ -223,7 +313,15 @@ impl PlanNode {
         let PlanNode::HashJoin { probe, .. } = self else {
             return Ok(0);
         };
-        let mut decls = match self.input_task(1, catalog, tile_rows, dmem_bytes)? {
+        let ranged = match self.ranged_scheme() {
+            Some(_) => self.ranged_tasks(catalog, dmem_bytes)?,
+            None => None,
+        };
+        let task = match ranged.and_then(|mut sides| sides.pop()) {
+            Some(probe) => Some(probe),
+            None => self.input_task(1, catalog, tile_rows, dmem_bytes)?,
+        };
+        let mut decls = match task {
             Some(task) => task.decls,
             None => {
                 let widths = probe.output_widths(catalog)?;

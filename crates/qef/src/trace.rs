@@ -162,7 +162,7 @@ pub struct ScanAccess {
     #[serde(default)]
     pub keyed: bool,
     /// Chunks of the table the scan did not read: its predicate's zone
-    /// maps ruled them out ([`crate::ops::filter::chunk_run`]).
+    /// maps ruled them out ([`crate::ops::filter::ChunkList`]).
     #[serde(default)]
     pub pruned: u32,
 }

@@ -228,7 +228,17 @@ fn planning_a_one_pass_scan_allocates_for_its_conjunct_and_nothing_else() {
     for pred in [Some(&point), None] {
         let (plan, allocs, _) = measured(|| {
             let touched = touched_columns(&proj, pred);
-            ScanPlan::decide(&ectx, &t, &t.chunks, &proj, pred, touched, 256, &kept, None)
+            ScanPlan::decide(
+                &ectx,
+                &t,
+                rapid_qef::ops::filter::ChunkList::all(&t.chunks),
+                &proj,
+                pred,
+                touched,
+                256,
+                &kept,
+                None,
+            )
         });
         assert_eq!(plan.dms_passes(), 1 + pred.iter().count());
         // The touched columns (grown once), the statistics view, the

@@ -23,7 +23,8 @@ use crate::vector::{ColumnData, Vector};
 
 /// What one column's values in a chunk span: the smallest and largest
 /// non-null value, widened as [`Vector::get`] returns them — the domain a
-/// predicate's literals are encoded into — and how many rows are NULL.
+/// predicate's literals are encoded into — how many rows are NULL, and
+/// whether the non-null values never decrease in slot order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZoneMap {
     /// `(min, max)` of the non-null values; `None` where there is none: the
@@ -31,28 +32,36 @@ pub struct ZoneMap {
     pub range: Option<(i64, i64)>,
     /// Rows that are NULL.
     pub nulls: usize,
+    /// The non-null values do not decrease in slot order: a key range's rows
+    /// of the chunk are one run of slots, found by bisection where the
+    /// chunk has no NULL.
+    pub sorted: bool,
 }
 
 impl ZoneMap {
-    /// The zone map of `vector`'s values.
+    /// The zone map of `vector`'s values, in one pass over them.
     pub fn of(vector: &Vector) -> ZoneMap {
-        // Without NULLs, a minimum and a maximum over the stored slice.
-        fn span<T: Copy + Ord + Into<i64>>(
+        fn span<T: Copy + Into<i64>>(
             values: &[T],
             nulls: Option<&BitVec>,
-        ) -> Option<(i64, i64)> {
-            let Some(nulls) = nulls else {
-                let (min, max) = (values.iter().min()?, values.iter().max()?);
-                return Some(((*min).into(), (*max).into()));
+        ) -> (Option<(i64, i64)>, bool) {
+            let mut live = values
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| nulls.is_none_or(|n| !n.get(i)))
+                .map(|(_, &v)| v.into());
+            let Some(first) = live.next() else {
+                return (None, true);
             };
-            let mut live = values.iter().enumerate().filter(|&(i, _)| !nulls.get(i));
-            let first = (*live.next()?.1).into();
-            Some(live.fold((first, first), |(lo, hi), (_, &v)| {
-                (lo.min(v.into()), hi.max(v.into()))
-            }))
+            let (mut lo, mut hi, mut sorted) = (first, first, true);
+            for v in live {
+                sorted &= v >= hi;
+                (lo, hi) = (lo.min(v), hi.max(v));
+            }
+            (Some((lo, hi)), sorted)
         }
         let nulls = vector.nulls.as_ref();
-        let range = match &vector.data {
+        let (range, sorted) = match &vector.data {
             ColumnData::I8(v) => span(v, nulls),
             ColumnData::I16(v) => span(v, nulls),
             ColumnData::I32(v) => span(v, nulls),
@@ -61,6 +70,7 @@ impl ZoneMap {
         ZoneMap {
             range,
             nulls: nulls.map_or(0, BitVec::count_ones),
+            sorted,
         }
     }
 
@@ -188,11 +198,13 @@ mod tests {
             (
                 ZoneMap {
                     range: Some((1, 3)),
-                    nulls: 0
+                    nulls: 0,
+                    sorted: true
                 },
                 ZoneMap {
                     range: Some((10, 30)),
-                    nulls: 0
+                    nulls: 0,
+                    sorted: true
                 }
             )
         );
@@ -205,7 +217,8 @@ mod tests {
             ZoneMap::of(&some),
             ZoneMap {
                 range: Some((-2, 7)),
-                nulls: 1
+                nulls: 1,
+                sorted: false
             }
         );
         let all_null = ZoneMap::of(&all);
@@ -217,6 +230,25 @@ mod tests {
         assert!(zone.overlaps(7, 100) && zone.overlaps(-5, -2) && zone.overlaps(0, 0));
         assert!(!zone.overlaps(8, 100) && !zone.overlaps(-100, -3));
         assert!(!zone.overlaps(3, 1), "an empty interval holds no value");
+    }
+
+    #[test]
+    fn a_zone_map_says_whether_the_non_null_values_ascend() {
+        let zone = |values: Vec<i32>, null: Option<usize>| {
+            let data = ColumnData::I32(values);
+            let Some(at) = null else {
+                return ZoneMap::of(&Vector::new(data));
+            };
+            let mut nulls = BitVec::zeros(data.len());
+            nulls.set(at, true);
+            ZoneMap::of(&Vector::with_nulls(data, nulls))
+        };
+        assert!(zone(vec![1, 1, 2, 5], None).sorted, "ties do not decrease");
+        assert!(!zone(vec![1, 3, 2], None).sorted);
+        // A NULL's stored value is no value of the column.
+        assert!(zone(vec![1, -7, 2], Some(1)).sorted);
+        assert!(!zone(vec![4, 9, 2], Some(1)).sorted);
+        assert!(zone(Vec::new(), None).sorted, "no value decreases");
     }
 
     #[test]

@@ -59,6 +59,24 @@ impl Table {
         self.chunks.iter().map(Chunk::rows).sum()
     }
 
+    /// Whether the table is stored in the order of column `col`'s values:
+    /// every chunk's non-null values ascend ([`crate::chunk::ZoneMap`]'s
+    /// `sorted`) and each chunk's range starts at or after the end of the
+    /// chunks before it. A chunk of NULLs only breaks nothing.
+    pub fn clustered_on(&self, col: usize) -> bool {
+        let mut end = i64::MIN;
+        col < self.schema.len()
+            && self.chunks.iter().all(|chunk| {
+                let zone = chunk.zone(col);
+                let Some((min, max)) = zone.range else {
+                    return true;
+                };
+                let follows = zone.sorted && min >= end;
+                end = max;
+                follows
+            })
+    }
+
     /// Bytes per value of column `col` as its vectors are stored: the load
     /// path narrows a column to the 1, 2, 4 or 8 bytes its values need —
     /// whatever its declared type — and keeps that width in every chunk, so
@@ -510,6 +528,25 @@ mod tests {
         assert_eq!(t.stats.columns[0].max, Some(99));
         assert_eq!(t.stats.columns[2].ndv, 2);
         assert_eq!(t.stats.columns[3].null_count, 10);
+    }
+
+    #[test]
+    fn a_table_is_clustered_on_a_column_its_chunks_hold_in_order() {
+        let t = sample_table(16);
+        // k and d ascend through the slots (d's NULLs aside); the codes of
+        // flag alternate, and the price of row i is 100 i + 25.
+        assert!(t.clustered_on(0) && t.clustered_on(1) && t.clustered_on(3));
+        assert!(!t.clustered_on(2));
+        assert!(!t.clustered_on(4), "no such column");
+        // Each chunk ascends, but the second starts below the first's end.
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        let mut b = TableBuilder::new("u", schema).chunk_rows(2);
+        for k in [1, 5, 4, 6] {
+            b.push_row(vec![Value::Int(k)]);
+        }
+        let u = b.finish();
+        assert!(u.chunks.iter().all(|c| c.zone(0).sorted));
+        assert!(!u.clustered_on(0));
     }
 
     #[test]

@@ -56,6 +56,11 @@ pub enum Rule {
     /// A join filter only on a partitioned inner or semi join, its size a
     /// power of two of at least a word a round-one partition.
     JoinFilter,
+    /// A ranged join or group-by reads key ranges of its inputs' tables:
+    /// every input is a scan-fed chain, the one key a column of each
+    /// table, and its ranges as many as a scheme within the fan-out cap
+    /// makes.
+    Ranged,
     /// The happens-before graph over a schedule's placements must be
     /// acyclic (program + resource + admission edges).
     HbCycle,
@@ -77,7 +82,7 @@ pub enum Rule {
 impl Rule {
     /// Every rule, plan rules first: a variant added above belongs here,
     /// and a mutation that trips it in `rapid_report::mutate`.
-    pub const ALL: [Rule; 18] = [
+    pub const ALL: [Rule; 19] = [
         Rule::ColBounds,
         Rule::JoinArity,
         Rule::TypeMismatch,
@@ -90,6 +95,7 @@ impl Rule {
         Rule::GroupLimit,
         Rule::SchemeCores,
         Rule::JoinFilter,
+        Rule::Ranged,
         Rule::HbCycle,
         Rule::DmsExcl,
         Rule::CoreExcl,
@@ -113,6 +119,7 @@ impl Rule {
             Rule::GroupLimit => "A-GROUP-LIMIT",
             Rule::SchemeCores => "A-SCHEME-CORES",
             Rule::JoinFilter => "S-JOIN-FILTER",
+            Rule::Ranged => "S-RANGED",
             Rule::HbCycle => "C-HB-CYCLE",
             Rule::DmsExcl => "C-DMS-EXCL",
             Rule::CoreExcl => "C-CORE-EXCL",

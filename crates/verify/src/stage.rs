@@ -366,6 +366,79 @@ impl Walker<'_> {
         }
     }
 
+    /// A ranged join's or group-by's one stage (S-RANGED): its inputs are
+    /// scan-fed chains, its one key — `keys`, one list an input — a column
+    /// of each input's table, and its ranges, the partitions of `scheme`,
+    /// as many as a scheme of rounds within the fan-out cap of its widest
+    /// input's rows makes. The stage is the task of the last input's chain
+    /// and the node's own operator (`PlanNode::ranged_tasks`), its fan-out
+    /// the scheme; a lane runs the other inputs' tasks before it, each of
+    /// which must fit DMEM on its own (R-DMEM-FIT), and its working set is
+    /// the largest of them all.
+    fn ranged(
+        &mut self,
+        plan: &PlanNode,
+        id: usize,
+        path: &str,
+        keys: &[&[usize]],
+        scheme: &[usize],
+    ) {
+        let (catalog, ctx) = (self.catalog, self.ctx);
+        for (input, keys) in plan.inputs().zip(keys) {
+            let column = match keys {
+                [key] => input.chain_column(*key),
+                _ => None,
+            };
+            if column.is_none() {
+                let why = format!(
+                    "a ranged operator's inputs must be scan-fed chains and its key one column \
+                     of each one's table; {keys:?} is not"
+                );
+                self.diag(Rule::Ranged, id, path, why);
+            }
+        }
+        let widest = plan
+            .inputs()
+            .filter_map(|input| input.output_widths(catalog).ok())
+            .map(|widths| widths.iter().sum::<usize>())
+            .max()
+            .unwrap_or(1);
+        let cap = budget::max_buffered_fanout(widest.max(1), ctx.dmem_bytes).min(MAX_ROUND_FANOUT);
+        if scheme.is_empty() || scheme.iter().any(|&f| !f.is_power_of_two() || f > cap) {
+            let why = format!(
+                "a ranged operator's {scheme:?} must be rounds of powers of two within the \
+                 {cap}-way cap of its {widest}-byte rows"
+            );
+            self.diag(Rule::Ranged, id, path, why);
+        }
+        let Ok(Some(mut tasks)) = plan.ranged_tasks(catalog, ctx.dmem_bytes) else {
+            return;
+        };
+        let Some(last) = tasks.pop() else {
+            return;
+        };
+        let mut before = 0;
+        for task in &tasks {
+            match budget::task_tile(ctx.tile_rows, &task.decls, ctx.dmem_bytes) {
+                Some((_, working_set)) => before = before.max(working_set),
+                None => {
+                    let why = format!(
+                        "a lane of this ranged stage scans {} first, and that task exceeds \
+                         DMEM ({} B)",
+                        task.chain.table, ctx.dmem_bytes
+                    );
+                    self.diag(Rule::DmemFit, id, path, why);
+                }
+            }
+        }
+        self.stage(id, path, &last.decls, scheme.to_vec());
+        // A lane holds, at its most, the larger of its tasks' working sets.
+        if let Some(stage) = self.report.stages.last_mut() {
+            stage.working_set_bytes = stage.working_set_bytes.max(before);
+        }
+        self.note_scan(&last.chain);
+    }
+
     /// Walk `plan`. `in_task` says a stage above reports this node as an
     /// operator of its task: a scan-fed chain its consumer's first stage
     /// ends the task of.
@@ -513,16 +586,35 @@ impl Walker<'_> {
                 join_type,
                 scheme,
                 filter,
+                ranged,
             } => {
                 // Visit both children even if one fails, so pre-order ids
                 // stay aligned with the tracer's. Each side's partition
                 // pass is reported behind the input it reads, and a join
                 // filter's stage between them, where the engine builds it.
-                let b = self.consumed(plan, 0, build, id, &path, &format!("{path}.build"), scheme);
-                if let Some(bits) = *filter {
-                    self.join_filter(id, &path, (build, build_keys), *join_type, scheme, bits);
-                }
-                let p = self.consumed(plan, 1, probe, id, &path, &format!("{path}.probe"), scheme);
+                // A ranged join is one stage over both sides' chains, with
+                // its filter beside each lane's table.
+                let (b, p) = if *ranged {
+                    let b = self.node(build, &format!("{path}.build"), true);
+                    let p = self.node(probe, &format!("{path}.probe"), true);
+                    if let Some(bits) = *filter {
+                        if let Err(why) = rapid_qef::ops::join_filter::check(bits, *join_type, &[])
+                        {
+                            self.diag(Rule::JoinFilter, id, &path, why);
+                        }
+                    }
+                    self.ranged(plan, id, &path, &[build_keys, probe_keys], scheme);
+                    (b, p)
+                } else {
+                    let b =
+                        self.consumed(plan, 0, build, id, &path, &format!("{path}.build"), scheme);
+                    if let Some(bits) = *filter {
+                        self.join_filter(id, &path, (build, build_keys), *join_type, scheme, bits);
+                    }
+                    let p =
+                        self.consumed(plan, 1, probe, id, &path, &format!("{path}.probe"), scheme);
+                    (b, p)
+                };
                 let (b, p) = (b?, p?);
                 let (nb, np) = (build_keys.len(), probe_keys.len());
                 if nb == 0 || np == 0 || nb != np {
@@ -590,8 +682,9 @@ impl Walker<'_> {
                     }
                 }
                 // A join of no rounds is broadcast: its probe stage, derived
-                // above, is all it runs. The rest is the partitioned join's.
-                if !scheme.is_empty() {
+                // above, is all it runs, as a ranged join its one stage. The
+                // rest is the partitioned join's.
+                if !scheme.is_empty() && !*ranged {
                     // Both inputs have passed the walk, so their widths
                     // resolve.
                     let bw = build.output_widths(self.catalog).map_err(|_| ())?;
@@ -624,7 +717,14 @@ impl Walker<'_> {
                 ..
             } => {
                 let fanouts = plan.partition_scheme().unwrap_or_default();
-                let info = self.consumed(plan, 0, input, id, &path, &path, fanouts)?;
+                let info = match strategy {
+                    GroupStrategy::Ranged(scheme) => {
+                        let info = self.node(input, &path, true);
+                        self.ranged(plan, id, &path, &[keys], scheme);
+                        info?
+                    }
+                    _ => self.consumed(plan, 0, input, id, &path, &path, fanouts)?,
+                };
                 let arity = info.meta.len();
                 let mut bad = false;
                 for &k in keys {

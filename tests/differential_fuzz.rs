@@ -80,6 +80,15 @@ fn fuzz_smoke_finds_no_divergence() {
         report.pruned,
         report.executed
     );
+    // The grammar reaches key ranges: a group-by on `ta_id` alone over a
+    // wide `ta`, which is stored in `ta_id` order, runs as one stage of
+    // ranges, one query in twenty at least.
+    assert!(
+        report.ranged >= n / 20,
+        "only {} of {} executed queries ran a join or group-by over key ranges",
+        report.ranged,
+        report.executed
+    );
 }
 
 #[test]

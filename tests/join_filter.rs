@@ -1,9 +1,9 @@
 //! Join filters where the estimate says most probe rows miss, and nowhere
-//! else: at the benchmark's scale factor exactly four partitioned and six
-//! broadcast joins of the eleven TPC-H statements declare one, a
-//! partitioned join's `join.filter` stage builds it and a broadcast join's
-//! probe lanes build theirs beside their tables, with no stage of their
-//! own; the stage
+//! else: at the benchmark's scale factor exactly two partitioned, two
+//! ranged and six broadcast joins of the eleven TPC-H statements declare
+//! one, a partitioned join's `join.filter` stage builds it and the lanes of
+//! a broadcast join's probe, or of a ranged join, build theirs beside their
+//! tables, with no stage of their own; the stage
 //! that tests a probe row — the probe's scan on the gather path, else the
 //! probe side's round one or a broadcast join's probe — keeps every row that
 //! joins and few more, and a join whose every probe row matches —
@@ -32,16 +32,19 @@ fn tpch_catalog(sf: f64) -> (HostDb, Catalog) {
     (db, catalog)
 }
 
-/// `(pre-order node id, filter bits)` of every join of `plan` with a filter.
-fn filtered_joins(plan: &PlanNode) -> Vec<(u32, usize)> {
-    fn walk(plan: &PlanNode, next: &mut u32, out: &mut Vec<(u32, usize)>) {
+/// `(pre-order node id, filter bits, filters built)` of every join of `plan`
+/// with a filter: a ranged join builds one for each of its key ranges, any
+/// other join one.
+fn filtered_joins(plan: &PlanNode) -> Vec<(u32, usize, usize)> {
+    fn walk(plan: &PlanNode, next: &mut u32, out: &mut Vec<(u32, usize, usize)>) {
         let id = *next;
         *next += 1;
         if let PlanNode::HashJoin {
             filter: Some(bits), ..
         } = plan
         {
-            out.push((id, *bits));
+            let ranges = plan.ranged_scheme().map_or(1, |s| s.iter().product());
+            out.push((id, *bits, ranges));
         }
         plan.inputs().for_each(|child| walk(child, next, out));
     }
@@ -82,7 +85,7 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
         let plain = sink.take();
         let (out, _) = engine.execute(&compiled.plan).expect("execute");
         let events = sink.take();
-        for &(node, bits) in &joins {
+        for &(node, bits, ranges) in &joins {
             // The filter is sized from the estimated build rows, 8 to 16
             // bits a row, in the room the probe side's first stage leaves:
             // a word for each of round one's partitions, or the one slice
@@ -98,15 +101,17 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
             // A partitioned join's filter is built by a `join.filter`
             // stage over the build side's keys; a broadcast join's by the
             // lanes of its probe, beside their tables, from the rows its
-            // build side handed on.
+            // build side handed on; a ranged join's by each of its lanes,
+            // from the rows of its range its build side's chain handed on.
             let built = events
                 .iter()
                 .filter(|e| e.node_id == node && e.operator == "join.filter");
             let build_rows = match built.clone().next_back() {
                 Some(built) => built.rows,
                 None => {
-                    let build = events.iter().rfind(|e| e.node_id == node + 1);
-                    build.map_or(0, |e| e.rows)
+                    let ops = events.iter().flat_map(|e| e.operators());
+                    let build = ops.filter(|op| op.0 == node + 1).last();
+                    build.map_or(0, |op| op.3)
                 }
             };
             // Each probe row is tested once, by the stage that holds its key
@@ -118,7 +123,7 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
             let (probe, filter) = (tested[0], tested[0].filter.expect("tested"));
             let least = match probe.operator.as_str() {
                 "join.partition-probe" => 32 * 64,
-                "join.probe" => 64,
+                "join.probe" | "join.ranged" => 64,
                 other => panic!("{name} node {node}: tested by {other}"),
             };
             assert!(bits.is_power_of_two() && bits >= least, "{name}: {bits}");
@@ -132,15 +137,16 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
             // Every row that joins is kept: the join hands on what it does
             // unfiltered.
             let joins = match probe.operator.as_str() {
-                "join.probe" => "join.probe",
-                _ => "join.pairs",
+                "join.partition-probe" => "join.pairs",
+                other => other,
             };
             let joined = |events: &[_]| of_node(events, joins).rows;
             let joined_rows = joined(&events);
             assert_eq!(joined_rows, joined(&plain), "{name} node {node}");
             // And the rows that do not join are few: a false positive's
-            // chance is 1 − e^(−keys/bits).
-            let keys = build_rows as f64;
+            // chance is 1 − e^(−keys/bits), over the keys of one range
+            // where each range's lane builds a filter of its own.
+            let keys = build_rows as f64 / ranges as f64;
             let chance = 1.0 - (-keys / bits as f64).exp();
             let missed = (filter.tested - filter.kept) as f64;
             assert!(
@@ -157,7 +163,8 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
             "{name}: Volcano vs DPU"
         );
     }
-    // Partitioned: Q3's two joins, Q5's and Q10's lineitem joins. Broadcast:
+    // Partitioned: Q3's two joins. Ranged: Q5's and Q10's lineitem joins.
+    // Broadcast:
     // the probes of Q5's supplier, Q9's lineitem, Q12's orders, and Q18's
     // customer, orders and lineitem. Q10's customer ⋈ nation, whose every
     // probe row matches, declares none.

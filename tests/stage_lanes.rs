@@ -142,6 +142,14 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
                         (p.round, p.rounds, p.fanout)
                     })
                     .collect();
+                // A node whose partitions are key ranges runs no pass.
+                if let Some(scheme) = node.ranged_scheme() {
+                    assert_eq!(ran, [], "{name} node {id} runs key ranges");
+                    if matches!(node, PlanNode::GroupBy { .. }) {
+                        group_by_schemes.push((name, scheme.to_vec()));
+                    }
+                    continue;
+                }
                 let Some(scheme) = node.partition_scheme() else {
                     assert_eq!(ran, [], "{name} node {id} declares no pass");
                     continue;
@@ -176,6 +184,8 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
                 }
             }
         }
+        // Q18's inner group-by on `l_orderkey` cuts its scheme's
+        // partitions as key ranges of `lineitem`.
         let inner = if sf < 0.02 { 64 } else { 128 };
         assert_eq!(
             group_by_schemes,
@@ -188,6 +198,15 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
             "sf {sf}"
         );
     }
+}
+
+/// Where the scans of a task's event lie among its operators, topmost
+/// first: one, or one for each input of a stage over key ranges.
+fn scans_of(e: &StageEvent) -> Vec<usize> {
+    let ops = e.operators().enumerate();
+    ops.filter(|(_, op)| op.2.starts_with("scan("))
+        .map(|(at, _)| at)
+        .collect()
 }
 
 /// The table a task's scan reads: its bottom operator is `scan(<table>)`.
@@ -213,6 +232,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
 
     let params = CostParams::default();
     let (mut tasks, mut fused_tasks, mut dms_bound, mut wide_rounds) = (0, 0, 0, 0);
+    let mut ranged = 0;
     let mut other_path = Vec::new();
     let mut underived = std::collections::BTreeSet::new();
     let (mut broadcast, mut builds_subtracted) = (Vec::new(), 0);
@@ -328,19 +348,28 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     e.node_id
                 );
             }
-            let probes = matches!(e.operator.as_str(), "join.partition-probe" | "join.probe");
+            let probes = matches!(
+                e.operator.as_str(),
+                "join.partition-probe" | "join.probe" | "join.ranged"
+            );
             assert_eq!(e.filter.is_some(), filtered && probes, "{name}: {e:?}");
         }
         // Every scan is in a task, and a task is one event: the chain with
-        // the stage that consumes it, wherever they fit together.
+        // the stage that consumes it, wherever they fit together — or, of a
+        // join over key ranges, both sides' chains with it.
         let scans = nodes.iter().filter(|n| matches!(n, PlanNode::Scan { .. }));
         let of_tasks: Vec<&StageEvent> = events.iter().filter(|e| e.scan.is_some()).collect();
-        assert_eq!(of_tasks.len(), scans.count(), "{name}: a task per scan");
+        let scanned: usize = of_tasks.iter().map(|e| scans_of(e).len()).sum();
+        assert_eq!(scanned, scans.count(), "{name}: every scan in a task");
         for e in &of_tasks {
             let stage = stage_of(e);
             // Its operators are the verifier's, scan first there, last here;
-            // a lone scan's is its label.
-            let ran: Vec<&str> = e.operators().map(|op| op.2).collect();
+            // a lone scan's is its label. A ranged stage's row is its last
+            // input's task: the chains before it run first in each lane.
+            let mut ran: Vec<&str> = e.operators().map(|op| op.2).collect();
+            if let [.., before, _] = scans_of(e)[..] {
+                ran.drain(1..before + 1);
+            }
             let derived: Vec<&str> = match stage.operators.as_str() {
                 "" => vec![stage.stage.as_str()],
                 operators => operators.rsplit(" -> ").collect(),
@@ -348,9 +377,13 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             assert_eq!(ran, derived, "{name}");
             // min(cores, tiles) lanes at the task's one vector size: a
             // table of one chunk and sixteen tiles scans on sixteen cores.
+            // A ranged stage has a lane a key range.
             let tile = stage.effective_tile.expect("a verified task fits");
             let tiles = catalog[scanned_table(e)].rows().div_ceil(tile);
-            assert_eq!(e.parallelism, CORES.min(tiles).max(1), "{name}: {e:?}");
+            let ranges = nodes[e.node_id as usize].ranged_scheme();
+            let items = ranges.map_or(tiles, |scheme| scheme.iter().product());
+            assert_eq!(e.parallelism, CORES.min(items).max(1), "{name}: {e:?}");
+            ranged += usize::from(ranges.is_some());
             // What a lane reserved is what the verifier derives: the
             // `ws-bytes` of EXPLAIN VERIFY is the task's `dmem_peak`.
             assert_eq!(
@@ -466,7 +499,10 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     };
                     let moved = (e.dms_bytes, e.instructions);
                     let over_batches = e.scan.is_none().then_some((e.tiles, e.dms_descriptors));
-                    let once_a_lane = e.operator == "join.probe" || e.filter.is_some();
+                    // A ranged join's lanes are its key ranges, however
+                    // many cores run them.
+                    let ranged = e.operator.ends_with(".ranged");
+                    let once_a_lane = !ranged && (e.operator == "join.probe" || e.filter.is_some());
                     let builds = once_a_lane.then_some((e.node_id, e.parallelism as u64));
                     let label = format!("{} {path}", e.operator);
                     (label, rows, moved, over_batches, builds)
@@ -562,19 +598,22 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // filter in the probe, and on 1 and 8 gathers and tests it in a key
     // pass: compared on its rows alone.
     assert_eq!(builds_subtracted, 6);
-    // The four filtered partitioned probe tasks (Q3's nodes 3 and 4, Q5's
-    // node 11, Q10's node 5), each compared on 1 and on 8 cores: a filter
-    // read a lane. And four filtered broadcast ones (Q9's node 11, Q12's
+    // The two filtered partitioned probe tasks (Q3's nodes 3 and 4), each
+    // compared on 1 and on 8 cores: a filter read a lane — Q5's node 11 and
+    // Q10's node 5 run over key ranges, a filter built a range, whatever
+    // the cores. And four filtered broadcast ones (Q9's node 11, Q12's
     // node 4 and Q18's nodes 5 and 6 — Q5's node 5 is one tile, Q18's node
     // 4 changes path), beside their build: a filter set a lane.
-    assert_eq!((filters_subtracted, filters_set), (8, 8));
+    assert_eq!((filters_subtracted, filters_set), (4, 8));
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
     assert_eq!((gathers_on(1), gathers_on(8)), (8, 1), "{other_path:?}");
-    // 33 scans, 33 tasks. All but three end with the first stage of their
-    // consumer, which in 32 KiB fits every time: the three are the build
-    // sides of broadcast joins (Q9's part, Q10's nation, Q12's lineitem),
-    // whose consumer has no stage over them.
-    assert_eq!((tasks, fused_tasks), (33, 30));
+    // 33 scans, 30 tasks: Q4's, Q5's and Q10's order-key joins read both
+    // their scans in one stage of key ranges, and Q18's inner group-by its
+    // one. All but three end with the first stage of their consumer, which
+    // in 32 KiB fits every time: the three are the build sides of broadcast
+    // joins (Q9's part, Q10's nation, Q12's lineitem), whose consumer has
+    // no stage over them.
+    assert_eq!((tasks, fused_tasks, ranged), (30, 27, 4));
     // Sixteen end bound by the DMS — every large one but Q1's and Q18's
     // two over lineitem: fewer bytes is the next lever, not more cores. The
     // orders probes of Q3, Q9 and Q12 were DMS-bound too until dates and
@@ -588,15 +627,19 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // took its compute under its DMS time. Seventeen since Q18's probe of
     // lineitem tests its join filter in a key pass: probing 1,889 rows
     // where it probed 119,771 took its compute (65,069 cycles) under its
-    // DMS time (23,449).
+    // DMS time (23,449). Fourteen since the three order-key joins run
+    // over key ranges: their six DMS-bound scan tasks are three DMS-bound
+    // stages, each reading both its tables once; Q18's inner group-by over
+    // key ranges is bound by its group tables' compute.
     assert_eq!(
-        dms_bound, 17,
+        dms_bound, 14,
         "tasks whose DMS time is their compute time or more"
     );
     // Rounds on all 32 cores, in tasks and over what joins handed on: the
-    // broadcast joins partition nothing.
+    // broadcast joins partition nothing, and nor do the ranged joins and
+    // group-by.
     assert_eq!(
-        wide_rounds, 16,
+        wide_rounds, 9,
         "partition rounds on {CORES} lanes at sf 0.02"
     );
 }
