@@ -130,6 +130,17 @@ if git grep -n -E "LikePrefix|LikeContains|contains_codes|fn greedy_order" -- 'c
     exit 1
 fi
 
+echo "== one dealing rule: every place that forms lanes asks budget::Deal =="
+# A stage's rows go to its lanes as `rapid_qef::budget::Deal` deals them:
+# whole tiles where they fill every core, equal shares over as many cores as
+# they feed where they do not. The engine's tasks, the partition rounds, the
+# scan's access-path model and the cost model's filter reads all ask it. A
+# `min(cores, tiles)` of their own is a second rule that drifts from it.
+if git grep -n -E "clamp\(1, tiles|cores\.min\(tiles" -- 'crates/*' ':!crates/qef/src/budget.rs'; then
+    echo "a lane count is worked out beside budget::Deal: ask the one dealing rule"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

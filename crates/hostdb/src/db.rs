@@ -1033,17 +1033,17 @@ fn render_explain(
             }
             let _ = write!(
                 s,
-                " rows={} sim={:.9}s cycles={:.0}c+{:.0}d instr={} \
-                 bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
-                e.rows,
-                e.sim_secs,
-                e.compute_cycles,
-                e.dms_cycles,
-                e.instructions,
-                e.dms_bytes,
-                e.dmem_peak_bytes,
-                e.energy_joules,
-                e.wall_secs,
+                " rows={} sim={:.9}s cycles={:.0}c+{:.0}d",
+                e.rows, e.sim_secs, e.compute_cycles, e.dms_cycles,
+            );
+            if e.parallelism > 1 {
+                // How far the busiest lane's compute is above the mean's.
+                let _ = write!(s, " imbalance={:.2}", e.lane_imbalance);
+            }
+            let _ = write!(
+                s,
+                " instr={} bytes={} dmem_peak={} energy={:.3e}J wall={:.6}s",
+                e.instructions, e.dms_bytes, e.dmem_peak_bytes, e.energy_joules, e.wall_secs,
             );
             if last_stage.get(&e.node_id) == Some(&e.stage_id) {
                 estimated(&mut s, e.node_id, e.rows);
@@ -1514,6 +1514,14 @@ mod tests {
         let scans: Vec<_> = a.events.iter().filter(|e| e.scan.is_some()).collect();
         assert_eq!(scans.len(), 1, "{}", a.text);
         assert_eq!(scans[0].operator, "groupby.consume");
+        // Its four lanes' balance, as the trace has it.
+        let imbalance = format!(" imbalance={:.2} ", scans[0].lane_imbalance);
+        assert!(scans[0].lane_imbalance >= 1.0, "{}", a.text);
+        assert!(
+            a.text.contains(&imbalance),
+            "no `{imbalance}` in:\n{}",
+            a.text
+        );
         assert_eq!(
             scans[0].scan.map(|s| (s.path.to_string(), s.passes)),
             Some(("stream".into(), 1))

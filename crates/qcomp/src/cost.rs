@@ -49,6 +49,7 @@
 
 use dpu_sim::clock::SimTime;
 
+use rapid_qef::budget::Deal;
 use rapid_qef::exec::ExecContext;
 use rapid_qef::ops::filter::ChunkList;
 use rapid_qef::ops::join_filter;
@@ -572,8 +573,11 @@ fn join_cycles(
                 let dropped_rows = (1.0 - kept) * pr.cost.rows;
                 let stored = |plan: &PlanNode| plan.output_widths(catalog).unwrap_or_default();
                 let probe_widths = stored(probe);
-                let tiles = (pr.cost.rows / p.ctx.tile_rows as f64).ceil();
-                let lanes = cores.min(tiles).max(1.0);
+                // Every lane of the probe side's round one reads it: lanes
+                // that read a filter from DRAM own whole tiles.
+                let rows = pr.cost.rows.ceil() as usize;
+                let deal = Deal::whole_tiles(rows, p.ctx.tile_rows, p.ctx.cores);
+                let lanes = deal.lanes.max(1) as f64;
                 let read = join_filter::read_cost(cm, bits).cycles;
                 let widths = stored(build);
                 let key_bytes: usize = build_keys.iter().filter_map(|&k| widths.get(k)).sum();

@@ -52,8 +52,22 @@ pub struct StageTiming {
     pub kernels: KernelSplit,
     /// Lanes the stage ran with: `min(cores, items)`, at least 1.
     pub parallelism: usize,
+    /// Compute cycles of all its lanes together.
+    pub lane_compute: Cycles,
     /// Max per-core DMEM high-water mark in bytes.
     pub dmem_peak: u64,
+}
+
+impl StageTiming {
+    /// The busiest lane's compute cycles over the mean lane's: 1 where the
+    /// lanes are even, or did no compute.
+    pub fn lane_imbalance(&self) -> f64 {
+        let total = self.lane_compute.get();
+        match total > 0.0 {
+            true => self.span.max_lane_compute.get() * self.parallelism as f64 / total,
+            false => 1.0,
+        }
+    }
 }
 
 /// Run `items` through `f` across the context's cores. Item `i` is handled
@@ -80,6 +94,7 @@ where
     // floating-point sums are the same bits wherever the lanes ran.
     let mut fold = |core: &CoreCtx| {
         timing.span.add_lane(&core.account);
+        timing.lane_compute += core.account.compute_cycles();
         if let Some(lanes) = &mut routed {
             lanes.push(core.account.clone());
         }
@@ -87,38 +102,55 @@ where
         timing.kernels = timing.kernels.merged(&core.kernels);
         timing.dmem_peak = timing.dmem_peak.max(core.dmem.peak() as u64);
     };
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    match ctx.backend {
+    let results = match ctx.backend {
+        // One simulated core at a time; its account covers all its items:
+        // `core_id`, `core_id + cores`, ... in that order. The cores run one
+        // after another, so one handle stands for each in turn, its account
+        // and scratchpad emptied in between.
         Backend::Dpu => {
-            // One simulated core at a time; its account covers all its
-            // items: `core_id`, `core_id + cores`, ... in that order. The
-            // cores run one after another, so one handle stands for each
-            // in turn, its account and scratchpad emptied in between.
-            let mut items: Vec<Option<W>> = items.into_iter().map(Some).collect();
             let mut core = CoreCtx::new(ctx, 0);
-            for core_id in 0..cores.min(n) {
+            let next = |core: &mut CoreCtx, core_id: usize| {
                 core.core_id = core_id;
                 core.account.reset();
                 core.kernels = KernelSplit::default();
                 core.dmem.reset();
-                for i in (core_id..n).step_by(cores) {
-                    let w = items[i].take().ok_or_else(|| {
-                        QefError::Internal(format!("stage item {i} visited twice"))
-                    })?;
-                    results[i] = Some(f(&mut core, w)?);
+            };
+            if n <= cores {
+                // An item a core: the results come in item order.
+                let mut results = Vec::with_capacity(n);
+                for (core_id, w) in items.into_iter().enumerate() {
+                    next(&mut core, core_id);
+                    results.push(f(&mut core, w)?);
+                    fold(&core);
                 }
-                fold(&core);
+                results
+            } else {
+                let mut items: Vec<Option<W>> = items.into_iter().map(Some).collect();
+                let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+                for core_id in 0..cores {
+                    next(&mut core, core_id);
+                    for i in (core_id..n).step_by(cores) {
+                        let w = items[i].take().ok_or_else(|| {
+                            QefError::Internal(format!("stage item {i} visited twice"))
+                        })?;
+                        results[i] = Some(f(&mut core, w)?);
+                    }
+                    fold(&core);
+                }
+                every_result(results)?
             }
         }
         Backend::Native => {
+            let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
             for (core, lane) in run_threads(ctx, items, &f)? {
                 fold(&core);
                 for (i, r) in lane {
                     results[i] = Some(r);
                 }
             }
+            every_result(results)?
         }
-    }
+    };
     timing.parallelism = cores.min(n).max(1);
     timing.elapsed = match (&ctx.router, routed) {
         (Some(router), Some(lanes)) if n > 0 => {
@@ -134,7 +166,7 @@ where
         _ => timing.span.elapsed(),
     };
     timing.sim = timing.elapsed.to_time(ctx.cost_model.freq_hz);
-    Ok((every_result(results)?, timing))
+    Ok((results, timing))
 }
 
 /// A lane that ran on a thread: its core handle, and its results tagged by
@@ -217,6 +249,31 @@ mod tests {
             let items: Vec<usize> = (0..37).collect();
             let (out, _) = run_stage(&ctx, items, |_, i| Ok(i * 2)).unwrap();
             assert_eq!(out, (0..37).map(|i| i * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn lane_imbalance_is_the_busiest_lane_over_the_mean_of_the_lanes_that_ran() {
+        let hash = |core: &mut CoreCtx, cycles: f64| {
+            core.charge_kernel(Kernel::Hash, &KernelCost::paired(cycles, 0.0));
+            Ok(core.account.compute_cycles().get())
+        };
+        for ctx in [ExecContext::dpu().with_cores(4), ExecContext::native(4)] {
+            // Three lanes of 100 cycles and one of 300: 300 over a mean of 150.
+            let (lanes, t) = run_stage(&ctx, vec![100.0, 100.0, 100.0, 300.0], hash).unwrap();
+            assert_eq!(t.parallelism, 4);
+            let mean = lanes.iter().sum::<f64>() / lanes.len() as f64;
+            assert_eq!(t.lane_imbalance(), t.span.max_lane_compute.get() / mean);
+            assert!((t.lane_imbalance() - 2.0).abs() < 1e-9);
+            // Two lanes of four cores ran: the idle cores are not lanes.
+            let (_, t) = run_stage(&ctx, vec![50.0, 50.0], hash).unwrap();
+            assert_eq!((t.parallelism, t.lane_imbalance()), (2, 1.0));
+            // Items past the cores add to their core's lane.
+            let (_, t) = run_stage(&ctx, vec![10.0; 5], hash).unwrap();
+            assert!((t.lane_imbalance() - 20.0 / 12.5).abs() < 1e-9);
+            // No compute at all is even.
+            let (_, t) = run_stage(&ctx, vec![0.0; 3], hash).unwrap();
+            assert_eq!(t.lane_imbalance(), 1.0);
         }
     }
 

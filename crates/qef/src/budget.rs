@@ -49,6 +49,83 @@ pub fn lane_tiles(lane: usize, lanes: usize, tiles: usize) -> std::ops::Range<us
     lane * tiles / lanes..(lane + 1) * tiles / lanes
 }
 
+/// How a stage deals its rows to its lanes: how many lanes it runs and the
+/// tile each streams at. Every place that forms lanes asks this one rule —
+/// a scan's task, a partition round, the scan's access-path model and the
+/// cost model's filter reads — so that no stage runs on fewer dpCores than
+/// its rows can feed (§5.1–5.2: a task runs data-parallel on every core,
+/// and a stage is as slow as its busiest lane).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deal {
+    /// Rows the stage deals.
+    pub rows: usize,
+    /// Rows per vector a lane streams at: the stage's tile, or a lane's
+    /// equal share where the rows do not fill a tile on every core.
+    pub tile: usize,
+    /// Vectors of `tile` rows the stage's rows are cut into.
+    pub tiles: usize,
+    /// Lanes the stage runs: at most the cores and the tiles, none for no
+    /// rows.
+    pub lanes: usize,
+}
+
+impl Deal {
+    /// Lanes that own whole `tile`-row tiles: `min(cores, tiles)` of them.
+    /// A lone scan chain keeps this deal: it is DMS-bound, and cutting its
+    /// tiles finer would only add descriptors. So does a stage each of whose
+    /// lanes reads a join filter from DRAM: more lanes would read it more
+    /// often.
+    pub fn whole_tiles(rows: usize, tile: usize, cores: usize) -> Deal {
+        Deal::of_segments(std::iter::once(rows), tile, cores, false)
+    }
+
+    /// The stage's rows over every core. Where they fill at least `cores`
+    /// tiles, lanes own whole tiles ([`Deal::whole_tiles`]); else the stage
+    /// takes `min(cores, ⌈rows / MIN_VECTOR_ROWS⌉)` lanes with equal shares,
+    /// each one vector of `⌈rows / lanes⌉` rows. Rows that fit one tile stay
+    /// one lane at the tile: the stage is one vector long already, and
+    /// cutting it would only round every share's transfers up to their
+    /// bursts and pay a descriptor and a lane's set-up a share.
+    pub fn shares(rows: usize, tile: usize, cores: usize) -> Deal {
+        Deal::of_segments(std::iter::once(rows), tile, cores, true)
+    }
+
+    /// [`Deal::whole_tiles`], or where `shares` [`Deal::shares`], of rows
+    /// that lie in segments no vector crosses — the partitions a round
+    /// splits further, each cut into tiles of its own: a segment's last tile
+    /// may be short, the tiles are counted segment by segment, and the lanes
+    /// are as many as the cores and those tiles allow.
+    pub fn of_segments(
+        segments: impl Iterator<Item = usize> + Clone,
+        tile: usize,
+        cores: usize,
+        shares: bool,
+    ) -> Deal {
+        let (tile, cores) = (tile.max(1), cores.max(1));
+        let tiles_at = |tile: usize| segments.clone().map(|r| r.div_ceil(tile)).sum::<usize>();
+        let rows: usize = segments.clone().sum();
+        let whole = tiles_at(tile);
+        let tile = match cores.min(rows.div_ceil(MIN_VECTOR_ROWS.min(tile))) {
+            _ if !shares || whole <= 1 || whole >= cores => tile,
+            lanes => rows.div_ceil(lanes),
+        };
+        let tiles = tiles_at(tile);
+        Deal {
+            rows,
+            tile,
+            tiles,
+            lanes: cores.min(tiles),
+        }
+    }
+
+    /// The rows lane `lane` owns of one segment: its tiles ([`lane_tiles`])
+    /// in row order.
+    pub fn lane_rows(&self, lane: usize) -> std::ops::Range<usize> {
+        let owned = lane_tiles(lane, self.lanes, self.tiles);
+        owned.start * self.tile..self.rows.min(owned.end * self.tile)
+    }
+}
+
 /// Per-row stream bytes of a partition pass over `row_bytes`-wide rows:
 /// every column streams through DMEM plus the 4-byte hash lane the
 /// partition map is computed from.

@@ -54,7 +54,7 @@ use rapid_storage::table::Table;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::{Batch, Rows, Span};
-use crate::budget::OpName;
+use crate::budget::{Deal, OpName};
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
 use crate::ops;
@@ -197,6 +197,7 @@ impl<'e> Run<'e> {
                 depth: self.open - 1,
                 operator: operator.to_string(),
                 parallelism: t.parallelism,
+                lane_imbalance: t.lane_imbalance(),
                 rows,
                 sim_secs,
                 compute_cycles: t.span.max_lane_compute.get(),
@@ -272,6 +273,29 @@ enum ProbeFilter<'a> {
     },
 }
 
+/// How a task's rows go to its lanes ([`Deal`]).
+#[derive(Debug, Clone, Copy)]
+enum Dealing {
+    /// Whole tiles to `min(cores, tiles)` lanes.
+    WholeTiles,
+    /// Over every core the rows feed.
+    Shares,
+    /// Over every core the rows feed where the scan's model says that
+    /// shortens the stage, each lane also paying `lane` — a broadcast probe's
+    /// read and build of the build side — and `per_row` cycles for every row
+    /// its scan keeps: more lanes pay for the build side more often.
+    SharesIfShorter(LaneCost),
+}
+
+/// What every lane of a task pays beside its scan, in cycles: `compute` and
+/// `dms` once a lane, and `per_row` compute a row it is handed.
+#[derive(Debug, Clone, Copy)]
+struct LaneCost {
+    compute: f64,
+    dms: f64,
+    per_row: f64,
+}
+
 /// A scan-fed chain as the lanes of a stage run it: how its scan reads its
 /// table, the tile its task runs at and the DMEM a lane of it holds, and —
 /// for the trace — what each operator handed on and what the scan moved,
@@ -282,7 +306,10 @@ struct ChainLanes<'a> {
     /// The chunks the scan reads.
     chunks: ops::filter::ChunkList<'a>,
     scan: ops::filter::ScanPlan<'a>,
-    tile: usize,
+    /// How the task's rows are dealt to its lanes, and the tile they
+    /// stream at.
+    deal: Deal,
+    /// DMEM a lane holds: what its task declares at the task's tile.
     working_set: usize,
     /// What every operator of its task declares, scan first.
     decls: Vec<crate::budget::OpDecl<'a>>,
@@ -325,7 +352,7 @@ impl<'a> ChainLanes<'a> {
         filter: Option<&JoinFilter>,
     ) -> QefResult<Rows<'a>> {
         let before = core.account.counters().dms_bytes;
-        let (mut rows, entered) = self.scan.scan_keyed(core, span, self.tile, filter)?;
+        let (mut rows, entered) = self.scan.scan_keyed(core, span, self.deal.tile, filter)?;
         let moved = core.account.counters().dms_bytes - before;
         self.scanned_bytes.fetch_add(moved, Ordering::Relaxed);
         if let Some(handed) = self.handed.first() {
@@ -340,7 +367,7 @@ impl<'a> ChainLanes<'a> {
             if rows.rows() == 0 {
                 break;
             }
-            charge_further_tiles(core, rows.rows(), self.tile);
+            charge_further_tiles(core, rows.rows(), self.deal.tile);
             rows = match node {
                 PlanNode::Map { exprs, .. } => ops::map::map_rows(core, rows, exprs)?,
                 PlanNode::Filter { pred, .. } => ops::filter::filter_rows(core, rows, pred)?,
@@ -629,14 +656,16 @@ impl<'e> Run<'e> {
     /// [`PlanNode::input_task`] put it there, the first stage of the node
     /// that consumes them.
     ///
-    /// The task is ONE stage. Its items are `min(cores, tiles)` lanes, each
-    /// a contiguous, tile-aligned range of the table's rows; a lane scans
-    /// its rows, takes them through the chain and hands what is left to
-    /// `step`, all under one `CoreCtx` that holds the DMEM every operator
-    /// of the task declares at the task's one vector size
-    /// ([`crate::budget::task_tile`], at the widths this engine's catalog
-    /// stores). Every operator's control loop is charged per tile of the
-    /// rows it is handed (`step` charges its own). A chain that does not fit
+    /// The task is ONE stage. Its items are lanes, each a contiguous range
+    /// of the table's rows, as [`Deal`] deals them: whole tiles to
+    /// `min(cores, tiles)` lanes where the chain is a task by itself, else
+    /// over every core the rows can feed. A lane scans its rows, takes them
+    /// through the chain and hands what is left to `step`, all under one
+    /// `CoreCtx` that holds the DMEM every operator of the task declares at
+    /// the task's one vector size ([`crate::budget::task_tile`], at the
+    /// widths this engine's catalog stores). Every operator's control loop
+    /// is charged per tile of the rows it is handed, at the tile the deal
+    /// streams (`step` charges its own). A chain that does not fit
     /// on its own is refused ([`QefError::DmemExhausted`]): there is nothing
     /// left to cut.
     ///
@@ -650,27 +679,32 @@ impl<'e> Run<'e> {
         &mut self,
         task: Task<'a>,
         probe: Option<(&'a [usize], &'a JoinFilter)>,
+        lane: Option<LaneCost>,
         step: impl Fn(&mut CoreCtx, Rows<'a>, usize, Option<&'a JoinFilter>) -> QefResult<R> + Sync,
     ) -> QefResult<TaskRun<'a, R>>
     where
         'e: 'a,
     {
         // The chain's topmost operator is the stage's own unless the
-        // consumer's first stage ended the task.
+        // consumer's first stage ended the task. A task that ends in a
+        // consumer deals its rows over every core — where each lane pays
+        // `lane` beside its scan, only where that shortens the stage; a lone
+        // scan chain keeps whole tiles, and so does a task each of whose
+        // lanes reads a join filter from DRAM: equal shares would multiply
+        // those reads (the cost model prices them at the same deal).
         let own_top = task.decls.len() == task.chain.above.len() + 1;
-        let side = self.chain_lanes(task, probe.map(|(keys, f)| (keys, ProbeFilter::Built(f))))?;
+        let dealing = match (own_top || probe.is_some_and(|(_, f)| f.in_dram()), lane) {
+            (true, _) => Dealing::WholeTiles,
+            (false, None) => Dealing::Shares,
+            (false, Some(lane)) => Dealing::SharesIfShorter(lane),
+        };
+        let built = probe.map(|(keys, f)| (keys, ProbeFilter::Built(f)));
+        let side = self.chain_lanes(task, built, dealing)?;
         let untested = side.untested(probe.map(|(_, filter)| filter));
-        // The lanes own the list's tiles in chunk order, which is heap-slot
-        // order ([`crate::budget::lane_tiles`]).
-        let (rows, tile) = (side.chunks.rows(), side.tile);
-        let tiles = rows.div_ceil(tile);
-        let lanes = self.ctx.cores.clamp(1, tiles.max(1));
-        let lanes: Vec<Range<usize>> = (0..lanes.min(tiles))
-            .map(|l| {
-                let owned = crate::budget::lane_tiles(l, lanes, tiles);
-                owned.start * tile..rows.min(owned.end * tile)
-            })
-            .collect();
+        // The lanes own the list's rows in chunk order, which is heap-slot
+        // order.
+        let (deal, tile) = (side.deal, side.deal.tile);
+        let lanes: Vec<Range<usize>> = (0..deal.lanes).map(|l| deal.lane_rows(l)).collect();
         let (results, timing) = run_stage(self.ctx, lanes, |core, lane| {
             let _vectors = core.dmem.reserve_raw(side.working_set)?;
             let rows = side.rows(core, Span::of_list(side.chunks, lane), None)?;
@@ -705,11 +739,13 @@ impl<'e> Run<'e> {
     /// tests, where it is a probe side's first stage that has one, and the
     /// join's keys over what the chain hands on. The scan tests it in a key
     /// pass wherever it takes the gather path
-    /// ([`ops::filter::ScanPlan::decide`]).
+    /// ([`ops::filter::ScanPlan::decide`]). `dealing` deals the rows of the
+    /// chunks it reads, at the task's tile, to this engine's cores.
     fn chain_lanes<'a>(
         &self,
         task: Task<'a>,
         probe: Option<(&'a [usize], ProbeFilter<'a>)>,
+        dealing: Dealing,
     ) -> QefResult<ChainLanes<'a>>
     where
         'e: 'a,
@@ -756,9 +792,39 @@ impl<'e> Run<'e> {
         // The chunks the predicate's zone maps cannot rule out, on the table
         // this statement runs on.
         let chunks = ops::filter::ChunkList::of(pred, &table.chunks);
-        let scan = ops::filter::ScanPlan::decide(
-            self.ctx, table, chunks, columns, pred, touched, tile, &kept, key,
+        let (rows, cores) = (chunks.rows(), self.ctx.cores);
+        let decide = |deal, touched, key| {
+            ops::filter::ScanPlan::decide(
+                self.ctx, table, chunks, columns, pred, touched, deal, &kept, key,
+            )
+        };
+        let (whole, shares) = (
+            Deal::whole_tiles(rows, tile, cores),
+            Deal::shares(rows, tile, cores),
         );
+        let (deal, scan) = match dealing {
+            Dealing::WholeTiles => (whole, decide(whole, touched, key)),
+            Dealing::SharesIfShorter(lane) if shares != whole => {
+                // The stage each deal makes by the scan's model: its busiest
+                // lane's compute, and the DMS of all, each lane paying `lane`.
+                let sel = pred.map_or(1.0, |pred| {
+                    crate::selectivity::estimate_selectivity(pred, &table.stats)
+                }) * key.as_ref().map_or(1.0, |key| key.kept);
+                let stage = |deal: Deal, scan: &ops::filter::ScanPlan<'_>| {
+                    let (compute, dms) = scan.estimate();
+                    let held = (deal.tiles.div_ceil(deal.lanes.max(1)) * deal.tile).min(rows);
+                    let compute = compute + lane.compute + held as f64 * sel * lane.per_row;
+                    compute.max(dms + deal.lanes as f64 * lane.dms)
+                };
+                let of_whole = decide(whole, touched.clone(), key.clone());
+                let of_shares = decide(shares, touched, key);
+                match stage(shares, &of_shares) < stage(whole, &of_whole) {
+                    true => (shares, of_shares),
+                    false => (whole, of_whole),
+                }
+            }
+            Dealing::Shares | Dealing::SharesIfShorter(_) => (shares, decide(shares, touched, key)),
+        };
         // For the trace: rows each operator of the chain hands on, scan
         // first, and the bytes the scan moves — statistics the lanes add up,
         // nothing a lane reads.
@@ -770,7 +836,7 @@ impl<'e> Run<'e> {
             chunks,
             scan,
             chain,
-            tile,
+            deal,
             working_set,
             handed: (0..traced).map(|_| AtomicU64::new(0)).collect(),
             scanned_bytes: AtomicU64::new(0),
@@ -802,7 +868,9 @@ impl<'e> Run<'e> {
     /// one batch per lane that kept a row.
     fn exec_chain(&mut self, chain: ScanChain<'_>) -> QefResult<Vec<Batch>> {
         let (task, _) = chain.task(self.catalog)?;
-        let run = self.run_task(task, None, |core, rows, _, _| Ok(rows.into_batch(core)))?;
+        let run = self.run_task(task, None, None, |core, rows, _, _| {
+            Ok(rows.into_batch(core))
+        })?;
         let out: Vec<Batch> = run.results.into_iter().filter(|b| !b.is_empty()).collect();
         self.stage(&run.timing, run.top, run.rows, run.detail);
         Ok(out)
@@ -821,7 +889,7 @@ impl<'e> Run<'e> {
     ) -> QefResult<(Vec<R>, StageTiming, Detail, u64)> {
         let (catalog, ctx) = (self.catalog, self.ctx);
         if let Some(task) = node.input_task(0, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
-            let run = self.run_task(task, None, |core, rows, tile, _| {
+            let run = self.run_task(task, None, None, |core, rows, tile, _| {
                 charge_further_tiles(core, rows.rows(), tile);
                 step(core, rows)
             })?;
@@ -922,7 +990,7 @@ impl<'e> Run<'e> {
         // `input_task` found a round one to run in the task.
         let fanout = scheme[0];
         let probe = filter.map(|f| (keys, f));
-        let mut run = self.run_task(task, probe, |core, rows, tile, untested| {
+        let mut run = self.run_task(task, probe, None, |core, rows, tile, untested| {
             let map = RoundStep::first(keys, fanout, tile, untested).map_rows(core, &rows);
             Ok((rows, map))
         })?;
@@ -1101,30 +1169,42 @@ impl<'e> Run<'e> {
             ),
             filter,
         };
-        let (out, timing, mut detail, tested) =
-            if let Some(task) = node.input_task(1, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
-                let probe = filter.map(|f| (probe_keys, f));
-                let run = self.run_task(task, probe, |core, rows, tile, untested| {
-                    join.lane(core, [rows], tile, untested.is_some())
-                })?;
-                (run.results, run.timing, run.detail, run.rows)
-            } else {
-                let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
-                let batches: Vec<Batch> = self.exec_node(probe)?;
-                let batches: Vec<Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
-                let in_rows = batch_rows(&batches);
-                // Lane `l` holds batches `l * n / lanes .. (l + 1) * n / lanes`.
-                let (n, lanes) = (batches.len(), ctx.cores.min(batches.len()));
-                let mut dealt: Vec<Vec<Batch>> = (0..lanes).map(|_| Vec::new()).collect();
-                for (i, batch) in batches.into_iter().enumerate() {
-                    dealt[i * lanes / n].push(batch);
-                }
-                let (out, t) = run_stage(ctx, dealt, |core, lane| {
-                    let _state = core.dmem.reserve_raw(working_set)?;
-                    join.lane(core, lane.into_iter().map(Rows::Owned), tile, true)
-                })?;
-                (out, t, Detail::default(), in_rows)
+        // Every lane builds the same table: one host table stands for them.
+        let table = join.host_table()?;
+        let table = table.as_ref();
+        let (out, timing, mut detail, tested) = if let Some(task) =
+            node.input_task(1, catalog, ctx.tile_rows, ctx.dmem_bytes)?
+        {
+            let probe = filter.map(|f| (probe_keys, f));
+            // What a lane pays for the build side, and about a probe row.
+            let mut core = CoreCtx::new(ctx, 0);
+            join.charge_build_side(&mut core, table, ctx.tile_rows);
+            let lane = LaneCost {
+                compute: core.account.compute_cycles().get(),
+                dms: core.account.dms_cycles().get(),
+                per_row: join.probe_row_cycles(&ctx.cost_model, probe_widths.len()),
             };
+            let run = self.run_task(task, probe, Some(lane), |core, rows, tile, untested| {
+                join.lane(core, table, [rows], tile, untested.is_some())
+            })?;
+            (run.results, run.timing, run.detail, run.rows)
+        } else {
+            let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
+            let batches: Vec<Batch> = self.exec_node(probe)?;
+            let batches: Vec<Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
+            let in_rows = batch_rows(&batches);
+            // Lane `l` holds batches `l * n / lanes .. (l + 1) * n / lanes`.
+            let (n, lanes) = (batches.len(), ctx.cores.min(batches.len()));
+            let mut dealt: Vec<Vec<Batch>> = (0..lanes).map(|_| Vec::new()).collect();
+            for (i, batch) in batches.into_iter().enumerate() {
+                dealt[i * lanes / n].push(batch);
+            }
+            let (out, t) = run_stage(ctx, dealt, |core, lane| {
+                let _state = core.dmem.reserve_raw(working_set)?;
+                join.lane(core, table, lane.into_iter().map(Rows::Owned), tile, true)
+            })?;
+            (out, t, Detail::default(), in_rows)
+        };
         // Where the scan did not test the rows, the probe did.
         if detail.filter.is_none() && filter.is_some() {
             detail.filter = Some(FilterKept {
@@ -1204,7 +1284,7 @@ impl<'e> Run<'e> {
                 };
                 (keys[i], filter)
             });
-            sides.push(self.chain_lanes(task, probe)?);
+            sides.push(self.chain_lanes(task, probe, Dealing::WholeTiles)?);
         }
         // The bounds, from the larger input.
         let larger = (0..sides.len())
@@ -1213,18 +1293,25 @@ impl<'e> Run<'e> {
         let from = &sides[larger];
         let ranges = ops::ranges::KeyRanges::of(from.table, cols[larger], from.chunks, lanes);
         let bound_width = from.table.column_width(cols[larger]);
-        // The rows of side `i` in the key range `bounds` one lane reads,
-        // handed to `each`: its pieces, their bisections charged, each tested
-        // where it was read whole — under the DMEM the side's task declares.
+        // The rows of side `i` in key range `r` one lane reads, handed to
+        // `each`: its pieces — the larger input's at the slots its bounds
+        // were found at, where they are its slot quantiles, else by
+        // bisection, charged — each tested where it was read whole, under
+        // the DMEM the side's task declares.
         let read = |core: &mut CoreCtx,
-                    (i, bounds): (usize, ops::ranges::Bounds),
+                    (i, r): (usize, usize),
                     filter: Option<&JoinFilter>,
                     each: &mut dyn FnMut(&mut CoreCtx, Rows<'_>) -> QefResult<()>|
          -> QefResult<()> {
-            let side = &sides[i];
+            let (side, bounds) = (&sides[i], ranges.bounds(r));
             let _vectors = core.dmem.reserve_raw(side.working_set)?;
-            let (pieces, probes) =
-                ops::ranges::pieces(&side.table.chunks, side.chunks, cols[i], bounds);
+            let (pieces, probes) = match ranges.slots(r).filter(|_| i == larger) {
+                Some(slots) => (
+                    ops::ranges::pieces_at(&side.table.chunks, side.chunks, slots),
+                    0,
+                ),
+                None => ops::ranges::pieces(&side.table.chunks, side.chunks, cols[i], bounds),
+            };
             let width = side.table.column_width(cols[i]);
             ops::ranges::charge_key_reads(core, width, probes);
             let test = pieces
@@ -1245,8 +1332,9 @@ impl<'e> Run<'e> {
         let probe_tests = !sides[last].scan.tests_keys();
         let items: Vec<usize> = (0..ranges.len()).collect();
         let (out, timing) = run_stage(ctx, items, |core, r| {
-            // The lower bound of every range past the first was read once.
-            ops::ranges::charge_key_reads(core, bound_width, usize::from(r > 0));
+            // The lower bound of every range past the first was read, and
+            // its slot found, where it is a slot quantile.
+            ops::ranges::charge_key_reads(core, bound_width, ranges.bound_reads(r));
             let (build_keys, probe_keys, join_type) = match node {
                 PlanNode::HashJoin {
                     build_keys,
@@ -1256,9 +1344,9 @@ impl<'e> Run<'e> {
                 } => (build_keys, probe_keys, *join_type),
                 PlanNode::GroupBy { keys, aggs, .. } => {
                     // A table of the range's groups, emitted whole.
-                    let tile = sides[0].tile;
+                    let tile = sides[0].deal.tile;
                     let mut table = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
-                    read(core, (0, ranges.bounds(r)), None, &mut |core, rows| {
+                    read(core, (0, r), None, &mut |core, rows| {
                         charge_further_tiles(core, rows.rows(), tile);
                         table.consume_rows(core, &rows, keys)
                     })?;
@@ -1268,9 +1356,8 @@ impl<'e> Run<'e> {
             };
             // A join: the range's build rows in the lane's table, the filter
             // beside them, and the probe side's rows probed against it.
-            let bounds = ranges.bounds(r);
             let mut built = Vec::new();
-            read(core, (0, bounds), None, &mut |core, rows| {
+            read(core, (0, r), None, &mut |core, rows| {
                 built.push(rows.into_batch(core));
                 Ok(())
             })?;
@@ -1311,9 +1398,9 @@ impl<'e> Run<'e> {
                 filter: filter.as_ref(),
             };
             let table = join.table(core)?;
-            let tile = sides[last].tile;
+            let tile = sides[last].deal.tile;
             let (mut out, mut tested, mut probed) = (Vec::new(), 0, 0);
-            read(core, (last, bounds), filter.as_ref(), &mut |core, rows| {
+            read(core, (last, r), filter.as_ref(), &mut |core, rows| {
                 tested += rows.rows();
                 let (batch, of_rows) = join.probe(core, table.as_ref(), rows, tile, probe_tests)?;
                 out.push(batch);
@@ -1373,7 +1460,13 @@ impl<'e> Run<'e> {
                 let dmem = self.ctx.dmem_bytes;
                 let (tables, t, detail, _) = self.first_stage(node, input, |core, rows| {
                     let slots = slots.as_deref();
-                    let mut t = ops::groupby::GroupTable::on_the_fly(keys.len(), aggs, slots, dmem);
+                    let mut t = ops::groupby::GroupTable::on_the_fly(
+                        keys.len(),
+                        aggs,
+                        slots,
+                        dmem,
+                        rows.rows(),
+                    );
                     t.consume_rows(core, &rows, keys)?;
                     Ok(t)
                 })?;
@@ -2394,15 +2487,20 @@ mod tests {
                 assert_eq!(ops[0], (0, 0, "groupby.partition", 4000));
                 assert_eq!(ops[1..], chain);
                 assert_eq!(round.stage_id, task.stage_id);
-                (256, 20)
+                (256, 32)
             };
             // The lanes stream the table and evaluate the predicate on it:
             // DMS traffic and retired instructions in the same stage.
             assert!(task.dms_bytes > 0);
             assert!(task.energy_joules > 0.0);
             assert!(task.instructions > 0);
-            // A lane a tile of 5000 rows, up to the 32 cores.
-            assert_eq!(5000usize.div_ceil(vector).min(32), lanes);
+            // The 5000 rows over all 32 cores: a lone scan chain a lane a
+            // tile, a task that ends in a round equal shares of them.
+            let deal = match dmem_bytes {
+                704 => crate::budget::Deal::whole_tiles(5000, vector, 32),
+                _ => crate::budget::Deal::shares(5000, vector, 32),
+            };
+            assert_eq!(deal.lanes, lanes);
             assert_eq!(task.parallelism, lanes);
         }
     }

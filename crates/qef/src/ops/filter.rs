@@ -112,7 +112,7 @@ impl Pass<'_> {
 /// The join filter the last stage of a scan's task would test the rows the
 /// scan hands on against ([`crate::ops::join_filter`]): on the gather path
 /// the scan tests it in a pass of its own, the key pass.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KeyTest<'a> {
     /// The join's probe keys, as columns of the scanned table.
     pub cols: Vec<usize>,
@@ -136,6 +136,9 @@ pub struct ScanPlan<'a> {
     proj: &'a [usize],
     /// Every column the scan touches, ascending: the stream path's loop.
     touched: Vec<usize>,
+    /// What the model priced the path it took at: the busiest lane's
+    /// compute and the DMS of every lane, in cycles.
+    estimate: (f64, f64),
 }
 
 /// The distinct columns a scan of `proj` under `preds` touches, ascending.
@@ -482,7 +485,8 @@ impl<'a> ScanPlan<'a> {
     /// Plan the scan of `proj` of `chunks` — the list of `table`'s chunks
     /// it reads ([`ChunkList`]) — under `pred` on `ctx`'s cores, from the
     /// table's statistics; `touched` is [`touched_columns`] of the
-    /// two, `tile` the tile their streams were sized at, `kept` how the
+    /// two, `deal` how the task deals the chunks' rows to its lanes and the
+    /// tile they stream at ([`crate::budget::Deal`]), `kept` how the
     /// operators of the scan's task take the rows it keeps
     /// ([`crate::task::Task::kept_rows`]) and `key` the join filter the
     /// task's last stage would test them against, where it has one. On the
@@ -496,7 +500,7 @@ impl<'a> ScanPlan<'a> {
         proj: &'a [usize],
         pred: Option<&'a Pred>,
         touched: Vec<usize>,
-        tile: usize,
+        deal: crate::budget::Deal,
         kept: &KeptRows,
         key: Option<KeyTest<'a>>,
     ) -> ScanPlan<'a> {
@@ -512,11 +516,12 @@ impl<'a> ScanPlan<'a> {
             key,
             proj,
             touched,
+            estimate: (0.0, 0.0),
         };
         let model = |chunk| Model {
             cm: &ctx.cost_model,
             chunk,
-            tile,
+            tile: deal.tile,
         };
         if let (Some(first), true) = (chunks.iter().next(), plan.passes.len() > 1) {
             let order = model(first).cheapest_order(&plan.passes);
@@ -525,10 +530,10 @@ impl<'a> ScanPlan<'a> {
         }
         // Stage time of either path, as the stage rule will resolve it: the
         // transfers of every lane share the one DMS engine, and the busiest
-        // of the `min(cores, tiles)` lanes computes over its share of the
-        // rows — ⌈tiles/lanes⌉ tiles, as `crate::budget::lane_tiles` deals
-        // them — and takes the gather path's trips round the control loop
-        // once per run — per chunk its range crosses.
+        // of the deal's lanes computes over its share of the rows —
+        // ⌈tiles/lanes⌉ tiles, as `Deal::lane_rows` deals them — and takes
+        // the gather path's trips round the control loop once per run — per
+        // chunk its range crosses.
         let streamed = match plan.passes.as_slice() {
             [] => 0.0,
             [only] => evaluations(&only.conjuncts),
@@ -549,17 +554,27 @@ impl<'a> ScanPlan<'a> {
                 total.dms += cost.dms;
             }
         }
-        let rows = chunks.rows();
-        let tiles = rows.div_ceil(tile.max(1)).max(1);
-        let lanes = ctx.cores.clamp(1, tiles);
+        let (tiles, lanes) = (deal.tiles.max(1), deal.lanes.max(1));
         let share = tiles.div_ceil(lanes) as f64 / tiles as f64;
         let runs = (chunks.len() + lanes - 1).div_ceil(lanes) as f64;
         let trips = ctx.cost_model.per_tile_overhead_cycles * plan.trips_per_run() as f64;
-        let stage = |path: ChunkCost, trips: f64| path.dms.max(path.compute * share + trips * runs);
+        let busiest = |path: ChunkCost, trips: f64| (path.compute * share + trips * runs, path.dms);
+        let stage = |path: ChunkCost, trips: f64| {
+            let (compute, dms) = busiest(path, trips);
+            dms.max(compute)
+        };
+        plan.estimate = busiest(gather, trips);
         if stage(stream, 0.0) < stage(gather, trips) {
             plan.take_stream_path();
+            plan.estimate = busiest(stream, 0.0);
         }
         plan
+    }
+
+    /// What the access-path model priced the scan at: its busiest lane's
+    /// compute and the DMS of all its lanes, in cycles.
+    pub fn estimate(&self) -> (f64, f64) {
+        self.estimate
     }
 
     /// The plan that takes `path` with `conjuncts` in the order given and
@@ -582,6 +597,7 @@ impl<'a> ScanPlan<'a> {
             key: None,
             proj,
             touched: touched_columns(proj, conjuncts),
+            estimate: (0.0, 0.0),
         };
         if let Some(first) = plan.passes.first_mut() {
             first.sel = expected;
@@ -965,6 +981,7 @@ pub fn filter_batch(ctx: &mut CoreCtx, batch: Batch, pred: &Pred) -> QefResult<B
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Deal;
     use crate::exec::{CoreCtx, ExecContext};
     use crate::primitives::filter::CmpOp;
     use rapid_storage::bitvec::{BitVec, RidList};
@@ -1213,7 +1230,7 @@ mod tests {
             proj,
             pred,
             touched,
-            256,
+            Deal::whole_tiles(t.rows(), 256, ExecContext::dpu().cores),
             &kept,
             None,
         )
@@ -1283,7 +1300,7 @@ mod tests {
                 &proj,
                 None,
                 touched,
-                256,
+                Deal::whole_tiles(t.rows(), 256, ExecContext::dpu().cores),
                 &kept_rows,
                 Some(key),
             );

@@ -25,6 +25,8 @@
 //! `(sum, count)` state, and each aggregate reads its value from there when
 //! the table emits.
 
+use std::borrow::Cow;
+
 use dpu_sim::account::Kernel;
 use dpu_sim::ate;
 use rapid_storage::vector::{ColumnData, Vector};
@@ -33,7 +35,7 @@ use crate::batch::{Batch, Positions, Rows, Run};
 use crate::error::QefResult;
 use crate::exec::CoreCtx;
 use crate::plan::{AggSpec, KeyRange};
-use crate::primitives::agg::{agg_grouped, AggFunc, AggState};
+use crate::primitives::agg::{agg_grouped, agg_one, AggFunc, AggState};
 use crate::primitives::costs;
 use crate::primitives::hash::{bucket_of, hash_pieces_into};
 use crate::util::{next_pow2_at_least, SmallIntArray};
@@ -46,22 +48,35 @@ use crate::util::{next_pow2_at_least, SmallIntArray};
 /// overflows). MIN and MAX of a column keep their own.
 pub fn accumulators(aggs: &[AggSpec]) -> Vec<AggSpec> {
     let opening = (0..aggs.len()).filter(|&j| opener(aggs, j) == j);
-    let fold = |j: usize| {
-        let sums = aggs
-            .iter()
-            .any(|a| same_state(a, &aggs[j]) && matches!(a.func, AggFunc::Sum | AggFunc::Avg));
-        if sums {
-            AggFunc::Sum
-        } else {
-            aggs[j].func
-        }
-    };
     opening
         .map(|j| AggSpec {
-            func: fold(j),
+            func: folds_by(aggs, j),
             col: aggs[j].col,
         })
         .collect()
+}
+
+/// [`accumulators`] of `aggs`, borrowed where they are `aggs` themselves:
+/// no two aggregates share a state and none folds by another function.
+fn accumulators_of(aggs: &[AggSpec]) -> Cow<'_, [AggSpec]> {
+    let own = (0..aggs.len()).all(|j| opener(aggs, j) == j && folds_by(aggs, j) == aggs[j].func);
+    match own {
+        true => Cow::Borrowed(aggs),
+        false => Cow::Owned(accumulators(aggs)),
+    }
+}
+
+/// The function aggregate `j`'s accumulator folds by: SUM wherever a SUM or
+/// an AVG shares its state, else its own.
+fn folds_by(aggs: &[AggSpec], j: usize) -> AggFunc {
+    let sums = aggs
+        .iter()
+        .any(|a| same_state(a, &aggs[j]) && matches!(a.func, AggFunc::Sum | AggFunc::Avg));
+    if sums {
+        AggFunc::Sum
+    } else {
+        aggs[j].func
+    }
 }
 
 /// The accumulator aggregate `j` of `aggs` reads, an index into
@@ -166,7 +181,7 @@ pub struct GroupTable<'p> {
     /// Accumulators: `states[accumulator][group]`.
     states: Vec<Vec<AggState>>,
     /// Per accumulator: its input column and folding function.
-    accs: Vec<AggSpec>,
+    accs: Cow<'p, [AggSpec]>,
     /// The aggregates, each read from its accumulator.
     aggs: &'p [AggSpec],
     /// The slot addressing, while every key has been in its range.
@@ -181,11 +196,13 @@ pub struct GroupTable<'p> {
 impl<'p> GroupTable<'p> {
     /// A hashed table expecting up to `expected_groups` distinct groups
     /// with `nkeys` key columns.
+    /// A table of no keys holds its one group without a hash index.
     pub fn new(nkeys: usize, aggs: &'p [AggSpec], expected_groups: usize) -> GroupTable<'p> {
-        let accs = accumulators(aggs);
+        let accs = accumulators_of(aggs);
         let cap = next_pow2_at_least(expected_groups, 16);
         let bits = SmallIntArray::bits_for(cap + 1);
-        let mut buckets = SmallIntArray::new(cap * 2, bits);
+        let indexed = |len: usize| if nkeys == 0 { 0 } else { len };
+        let mut buckets = SmallIntArray::new(indexed(cap * 2), bits);
         let sentinel = cap as u64;
         for i in 0..buckets.len() {
             buckets.set(i, sentinel);
@@ -198,23 +215,26 @@ impl<'p> GroupTable<'p> {
             aggs,
             slots: None,
             buckets,
-            link: SmallIntArray::new(cap, bits),
+            link: SmallIntArray::new(indexed(cap), bits),
             hashes: Vec::new(),
             capacity: cap,
             sentinel,
         }
     }
 
-    /// A lane's table of an on-the-fly group-by: indexed by slot where the
-    /// plan declares a range per key and the slots fit the table a DMEM of
-    /// `dmem_bytes` holds ([`on_the_fly_group_limit`]), hashed otherwise.
+    /// A lane's table of an on-the-fly group-by over `rows` rows: indexed by
+    /// slot where the plan declares a range per key and the slots fit the
+    /// table a DMEM of `dmem_bytes` holds ([`on_the_fly_group_limit`]),
+    /// hashed otherwise — sized for up to 256 groups, no more than it has
+    /// rows.
     pub fn on_the_fly(
         nkeys: usize,
         aggs: &'p [AggSpec],
         slots: Option<&'p [KeyRange]>,
         dmem_bytes: usize,
+        rows: usize,
     ) -> GroupTable<'p> {
-        let mut t = GroupTable::new(nkeys, aggs, 256);
+        let mut t = GroupTable::new(nkeys, aggs, rows.min(256));
         let limit = on_the_fly_group_limit(dmem_bytes, nkeys, aggs);
         t.slots = slots
             .filter(|ranges| ranges.len() == nkeys)
@@ -255,6 +275,13 @@ impl<'p> GroupTable<'p> {
 
     /// Find or create the group for a key tuple; returns its dense index.
     fn upsert(&mut self, hash: u32, key: &[(i64, bool)]) -> u32 {
+        if self.key_values.is_empty() {
+            // No keys: the one group, made on first sight.
+            return match self.groups() {
+                0 => self.push_group(hash, key),
+                _ => 0,
+            };
+        }
         let b = bucket_of(hash, self.buckets.len());
         let mut slot = self.buckets.get(b);
         while slot != self.sentinel {
@@ -307,9 +334,11 @@ impl<'p> GroupTable<'p> {
         for (acc, states) in self.accs.iter().zip(&mut self.states) {
             states.push(AggState::init(acc.func));
         }
-        let b = bucket_of(hash, self.buckets.len());
-        self.link.set(g, self.buckets.get(b));
-        self.buckets.set(b, g as u64);
+        if !self.buckets.is_empty() {
+            let b = bucket_of(hash, self.buckets.len());
+            self.link.set(g, self.buckets.get(b));
+            self.buckets.set(b, g as u64);
+        }
         g as u32
     }
 
@@ -368,6 +397,22 @@ impl<'p> GroupTable<'p> {
         if rows == 0 {
             return Ok(());
         }
+        if self.slots.is_none() && key_cols.is_empty() {
+            // A global aggregate: every row is the one group's.
+            let g = self.upsert(0, &[]) as usize;
+            let lookup = costs::group_lookup_per_row().scaled(rows as f64);
+            ctx.charge_kernel(Kernel::GroupLookup, &lookup);
+            if !ctx.vectorized {
+                let dispatch = costs::row_at_a_time_overhead_per_row().scaled(rows as f64);
+                ctx.charge_kernel(Kernel::Other, &dispatch);
+            }
+            for (acc, states) in self.accs.iter().zip(&mut self.states) {
+                let col = runs.clone().map(|run| run.column(acc.col));
+                agg_one(ctx, acc.func, col, &mut states[g])?;
+            }
+            ctx.charge_tile();
+            return Ok(());
+        }
         // The key columns of the run at hand, and where its rows lie in them.
         let mut keys: Vec<(&Vector, Positions<'_>)> = Vec::with_capacity(key_cols.len());
         let key_of = |keys: &[(&Vector, Positions<'_>)], i: usize, keybuf: &mut [(i64, bool)]| {
@@ -400,7 +445,7 @@ impl<'p> GroupTable<'p> {
             }
         }
         if self.slots.is_none() {
-            let mut hashes = vec![0u32; rows]; // global aggregate: one group
+            let mut hashes = vec![0u32; rows];
             if !key_cols.is_empty() {
                 let keyed = runs
                     .clone()
@@ -758,9 +803,9 @@ mod tests {
         let dmem = 32 * 1024;
         let mut c = ctx();
         let run = |slots: Option<&[KeyRange]>, c: &mut CoreCtx| {
-            let mut first = GroupTable::on_the_fly(2, &aggs, slots, dmem);
+            let mut first = GroupTable::on_the_fly(2, &aggs, slots, dmem, 256);
             first.consume(c, &keyed(64, 0), &[0, 1]).unwrap();
-            let mut second = GroupTable::on_the_fly(2, &aggs, slots, dmem);
+            let mut second = GroupTable::on_the_fly(2, &aggs, slots, dmem, 256);
             second.consume(c, &keyed(50, 1), &[0, 1]).unwrap();
             first.merge_from(c, &second).unwrap();
             (first.slotted(), first.groups(), first.emit(c))
@@ -774,7 +819,7 @@ mod tests {
         assert_eq!(by_slot, by_hash, "same groups, same order, same sums");
         // No CRC and no chain walk: the slot kernel alone finds the groups.
         let mut lane = ctx();
-        let mut t = GroupTable::on_the_fly(2, &aggs, Some(&RANGES), dmem);
+        let mut t = GroupTable::on_the_fly(2, &aggs, Some(&RANGES), dmem, 256);
         t.consume(&mut lane, &keyed(64, 0), &[0, 1]).unwrap();
         let split = &lane.kernels;
         assert!(split.get(Kernel::GroupSlot).cycles > 0.0);
@@ -789,9 +834,9 @@ mod tests {
         // Key 0 declared 0..=1 where it takes 2 too.
         let narrow = [KeyRange { lo: 0, hi: 1 }, RANGES[1]];
         let mut c = ctx();
-        let mut hashed = GroupTable::on_the_fly(2, &aggs, None, dmem);
+        let mut hashed = GroupTable::on_the_fly(2, &aggs, None, dmem, 256);
         hashed.consume(&mut c, &keyed(64, 0), &[0, 1]).unwrap();
-        let mut fell = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem);
+        let mut fell = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem, 256);
         fell.consume(&mut c, &keyed(64, 0), &[0, 1]).unwrap();
         assert!(!fell.slotted());
         assert_eq!(fell.emit(&mut c), hashed.emit(&mut c));
@@ -800,13 +845,13 @@ mod tests {
         // Its first two rows have keys 0 and 1.
         let head = Batch::new(keyed(64, 0).columns.iter().map(|k| k.slice(0, 2)).collect());
         let in_range = || {
-            let mut t = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem);
+            let mut t = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem, 256);
             t.consume(&mut ctx(), &head, &[0, 1]).unwrap();
             assert!(t.slotted());
             t
         };
         let expect = {
-            let mut a = GroupTable::on_the_fly(2, &aggs, None, dmem);
+            let mut a = GroupTable::on_the_fly(2, &aggs, None, dmem, 256);
             a.consume(&mut c, &head, &[0, 1]).unwrap();
             a.merge_from(&mut c, &hashed).unwrap();
             a.emit(&mut c)
@@ -815,10 +860,10 @@ mod tests {
         slotted.merge_from(&mut c, &fell).unwrap();
         assert!(!slotted.slotted());
         assert_eq!(slotted.emit(&mut c), expect);
-        let mut fell_first = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem);
+        let mut fell_first = GroupTable::on_the_fly(2, &aggs, Some(&narrow), dmem, 256);
         fell_first.consume(&mut c, &keyed(64, 0), &[0, 1]).unwrap();
         fell_first.merge_from(&mut c, &in_range()).unwrap();
-        let mut hashed_first = GroupTable::on_the_fly(2, &aggs, None, dmem);
+        let mut hashed_first = GroupTable::on_the_fly(2, &aggs, None, dmem, 256);
         hashed_first
             .consume(&mut c, &keyed(64, 0), &[0, 1])
             .unwrap();
@@ -832,7 +877,7 @@ mod tests {
         let aggs = every_kind(1);
         assert_eq!(slot_count(&wide), Some(4096));
         assert!(on_the_fly_group_limit(32 * 1024, 1, &aggs) < 4096);
-        assert!(!GroupTable::on_the_fly(1, &aggs, Some(&wide), 32 * 1024).slotted());
+        assert!(!GroupTable::on_the_fly(1, &aggs, Some(&wide), 32 * 1024, 256).slotted());
         assert_eq!(
             slot_count(&[KeyRange { lo: 1, hi: 0 }]),
             None,

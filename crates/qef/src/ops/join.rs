@@ -53,7 +53,7 @@ use crate::ops::join_filter::{self, JoinFilter};
 use crate::ops::partition::gather_rows;
 use crate::plan::JoinType;
 use crate::primitives::costs;
-use crate::primitives::hash::{bucket_of, hash_pieces_into, hash_rows};
+use crate::primitives::hash::{bucket_of, crc_pieces_into, hash_pieces_into};
 use crate::ra::RelationAccessor;
 use crate::util::{next_pow2_at_least, SmallIntArray};
 
@@ -232,7 +232,16 @@ impl JoinTable {
         keys: &[&Vector],
         capacity: usize,
     ) -> QefResult<(JoinTable, BuildStats)> {
-        Self::build_into(ctx, keys, true, |_, rows, nkeys| {
+        let built = Self::within_on_host(keys, capacity)?;
+        Self::charge_build(ctx, keys.len(), keys[0].len(), &built.1);
+        Ok(built)
+    }
+
+    /// [`JoinTable::build_within`] on the host, charged to no core: the one
+    /// table that stands for the identical tables a stage's lanes build,
+    /// each lane charged its own build ([`JoinTable::charge_build`]).
+    pub fn within_on_host(keys: &[&Vector], capacity: usize) -> QefResult<(JoinTable, BuildStats)> {
+        Self::build_on_host(keys, true, |rows, nkeys| {
             let segment = Segment::new(capacity.min(rows), nkeys, BUCKETS_PER_ROW_SHRINK);
             (segment, None)
         })
@@ -240,19 +249,34 @@ impl JoinTable {
 
     /// Hash the build keys, then fill the DMEM segment `segment` makes for
     /// the rows and keys there are (with the reservation it holds, if any),
-    /// overflowing to DRAM.
+    /// overflowing to DRAM; charged as [`JoinTable::charge_build`] charges.
     fn build_into(
         ctx: &mut CoreCtx,
         keys: &[&Vector],
         detect_heavy_hitters: bool,
         segment: impl FnOnce(&mut CoreCtx, usize, usize) -> (Segment, Option<DmemReservation>),
     ) -> QefResult<(JoinTable, BuildStats)> {
+        let built = Self::build_on_host(keys, detect_heavy_hitters, |rows, nkeys| {
+            segment(ctx, rows, nkeys)
+        })?;
+        Self::charge_build(ctx, keys.len(), keys[0].len(), &built.1);
+        Ok(built)
+    }
+
+    /// The work of [`JoinTable::build_into`], charged to no core.
+    fn build_on_host(
+        keys: &[&Vector],
+        detect_heavy_hitters: bool,
+        segment: impl FnOnce(usize, usize) -> (Segment, Option<DmemReservation>),
+    ) -> QefResult<(JoinTable, BuildStats)> {
         let nkeys = keys.len();
         if nkeys == 0 {
             return Err(QefError::BadPlan("join requires at least one key".into()));
         }
         let rows = keys[0].len();
-        let hashes = hash_rows(ctx, keys);
+        let mut hashes = vec![0; rows];
+        let all = Positions::dense(0, rows);
+        crc_pieces_into(std::iter::once(keys.iter().map(|k| (*k, all))), &mut hashes);
 
         // Heavy-hitter detection with a space-saving sketch (flow-join).
         let heavy_keys: Vec<Vec<i64>> = if detect_heavy_hitters && rows >= 64 {
@@ -261,7 +285,7 @@ impl JoinTable {
             Vec::new()
         };
 
-        let (dmem_seg, hold) = segment(ctx, rows, nkeys);
+        let (dmem_seg, hold) = segment(rows, nkeys);
         let mut table = JoinTable {
             dmem_seg,
             dram_seg: None,
@@ -300,6 +324,17 @@ impl JoinTable {
                 stats.overflowed += 1;
             }
         }
+        Ok((table, stats))
+    }
+
+    /// Charge one core the build of a table over `rows` rows of `nkeys`
+    /// keys that went as `stats` says: hashing the keys, placing every row
+    /// and — the rows that overflowed — their writes to DRAM.
+    pub fn charge_build(ctx: &mut CoreCtx, nkeys: usize, rows: usize, stats: &BuildStats) {
+        ctx.charge_kernel(
+            Kernel::Hash,
+            &costs::hash_per_row_per_key().scaled((rows * nkeys) as f64),
+        );
         ctx.charge_kernel(
             Kernel::Join,
             &costs::join_build_per_row().scaled(rows as f64),
@@ -319,7 +354,6 @@ impl JoinTable {
                 descriptors: 1,
             });
         }
-        Ok((table, stats))
     }
 
     /// Number of build rows (including NULL-key skips).
@@ -538,7 +572,11 @@ pub fn join_partition(
         };
     }
     let bkeys: Vec<&Vector> = build_keys.iter().map(|&c| build.column(c)).collect();
-    let (table, _stats) = JoinTable::build(ctx, &bkeys, estimated_build_rows, true)?;
+    // The table's DMEM segment holds no more than the half of DMEM a pair
+    // stage declares; the rows past it overflow.
+    let half = ctx.dmem.capacity() / 2;
+    let fits = broadcast_capacity(build.rows(), bkeys.len(), 0, half);
+    let (table, _stats) = JoinTable::build(ctx, &bkeys, estimated_build_rows.min(fits), true)?;
     let widths: Vec<usize> = build.columns.iter().map(|c| c.data.width()).collect();
     let probe = Rows::Owned(probe);
     let probed = probe_rows(
@@ -613,22 +651,45 @@ pub struct Broadcast<'a> {
 impl Broadcast<'_> {
     /// One lane's work: read the build side and build its table, then probe
     /// `parts` — the rows the lane holds, in order — against it, a trip
-    /// round the control loop per tile. One output batch per part. The probe
-    /// reads every column of the rows it hands on where they lie
-    /// ([`Rows::charge_select`]): their keys, and the columns it writes out.
-    /// With a join filter the lane sets a bit a build row beside its table,
-    /// from the hashes the table's build computed, and — where it `tests`
-    /// its rows, which its scan did not — tests every row's hash before it
-    /// probes: a row whose bit is clear is not probed, and of it only the
-    /// keys are read. Returns the batches and how many rows were probed.
+    /// round the control loop per tile. One output batch per part. The
+    /// lane's table is `built`, the stage's one host table
+    /// ([`Broadcast::host_table`]): every lane builds the same table, and
+    /// each is charged its own build. The probe reads every column of the
+    /// rows it hands on where they lie ([`Rows::charge_select`]): their
+    /// keys, and the columns it writes out. With a join filter the lane
+    /// sets a bit a build row beside its table, from the hashes the table's
+    /// build computed, and — where it `tests` its rows, which its scan did
+    /// not — tests every row's hash before it probes: a row whose bit is
+    /// clear is not probed, and of it only the keys are read. Returns the
+    /// batches and how many rows were probed.
     pub fn lane<'r>(
         &self,
         ctx: &mut CoreCtx,
+        built: Option<&(JoinTable, BuildStats)>,
         parts: impl IntoIterator<Item = Rows<'r>>,
         tile: usize,
         tests: bool,
     ) -> QefResult<(Vec<Batch>, usize)> {
         let tile = tile.max(1);
+        self.charge_build_side(ctx, built, tile);
+        let table = built.map(|(table, _)| table);
+        let (mut out, mut probed) = (Vec::new(), 0);
+        for rows in parts {
+            let (batch, of_part) = self.probe(ctx, table, rows, tile, tests)?;
+            out.push(batch);
+            probed += of_part;
+        }
+        Ok((out, probed))
+    }
+
+    /// Charge a lane what it does before it probes a row: read the build
+    /// side at `tile` rows a vector and build `built`, its table.
+    pub fn charge_build_side(
+        &self,
+        ctx: &mut CoreCtx,
+        built: Option<&(JoinTable, BuildStats)>,
+        tile: usize,
+    ) {
         if !self.build.is_empty() {
             let cm = ctx.cost_model.clone();
             let widths = self.build_widths.iter().copied();
@@ -636,23 +697,28 @@ impl Broadcast<'_> {
                 &cm,
                 widths,
                 self.build.rows(),
-                tile,
+                tile.max(1),
             ));
         }
-        let table = self.table(ctx)?;
-        let (mut out, mut probed) = (Vec::new(), 0);
-        for rows in parts {
-            let (batch, of_part) = self.probe(ctx, table.as_ref(), rows, tile, tests)?;
-            out.push(batch);
-            probed += of_part;
+        if let Some((_, stats)) = built {
+            self.charge_table(ctx, stats);
         }
-        Ok((out, probed))
     }
 
-    /// The lane's table over the build rows it holds — `None` where there
-    /// are none — with, where the join has a filter, its bits set beside it
-    /// from the hashes the build computed.
-    pub fn table(&self, ctx: &mut CoreCtx) -> QefResult<Option<JoinTable>> {
+    /// About what probing one row of `columns` columns costs a lane: its
+    /// keys hashed and looked up, a link followed and a match emitted, and
+    /// its columns read.
+    pub fn probe_row_cycles(&self, cm: &dpu_sim::isa::CostModel, columns: usize) -> f64 {
+        let hash = cm.kernel_cycles(&costs::hash_per_row_per_key()) * self.probe_keys.len() as f64;
+        hash + cm.kernel_cycles(&costs::join_probe_per_row())
+            + cm.kernel_cycles(&costs::join_probe_per_link())
+            + cm.kernel_cycles(&costs::join_emit_per_match())
+            + cm.kernel_cycles(&costs::select_read_per_row(columns))
+    }
+
+    /// The table a lane builds over the build rows, on the host and charged
+    /// to no core — `None` where there are none.
+    pub fn host_table(&self) -> QefResult<Option<(JoinTable, BuildStats)>> {
         if self.build.is_empty() {
             return Ok(None);
         }
@@ -661,11 +727,28 @@ impl Broadcast<'_> {
             .iter()
             .map(|&c| self.build.column(c))
             .collect();
-        let table = JoinTable::build_within(ctx, &keys, self.capacity)?.0;
+        JoinTable::within_on_host(&keys, self.capacity).map(Some)
+    }
+
+    /// Charge a lane the build of its table, which went as `stats` says,
+    /// and, where the join has a filter, the bits it sets beside it from
+    /// the hashes the build computed.
+    fn charge_table(&self, ctx: &mut CoreCtx, stats: &BuildStats) {
+        JoinTable::charge_build(ctx, self.build_keys.len(), self.build.rows(), stats);
         if self.filter.is_some() {
             join_filter::charge_set(ctx, self.build.rows());
         }
-        Ok(Some(table))
+    }
+
+    /// The lane's table over the build rows it holds — `None` where there
+    /// are none — with, where the join has a filter, its bits set beside it
+    /// from the hashes the build computed.
+    pub fn table(&self, ctx: &mut CoreCtx) -> QefResult<Option<JoinTable>> {
+        let built = self.host_table()?;
+        if let Some((_, stats)) = &built {
+            self.charge_table(ctx, stats);
+        }
+        Ok(built.map(|(table, _)| table))
     }
 
     /// Probe `rows` against the lane's `table`, a trip round the control
@@ -1036,9 +1119,12 @@ mod tests {
             written: Vec::new(),
         };
         let mut c = ctx();
-        let (out, probed) = join(JoinType::Inner)
-            .lane(&mut c, [in_place()], 64, false)
-            .unwrap();
+        let lane = |c: &mut CoreCtx, join: Broadcast<'_>| {
+            let built = join.host_table().unwrap();
+            join.lane(c, built.as_ref(), [in_place()], 64, false)
+                .unwrap()
+        };
+        let (out, probed) = lane(&mut c, join(JoinType::Inner));
         assert_eq!(probed, 4);
         // The build side's 4 rows of 16 bytes, read once.
         assert_eq!(c.account.counters().dms_bytes, 4 * 16);
@@ -1058,16 +1144,12 @@ mod tests {
         let widths: Vec<usize> = out[0].columns.iter().map(|c| c.data.width()).collect();
         assert_eq!(widths, [4, 2, 8, 8]);
         let kept = |join_type| {
-            let (out, _) = join(join_type)
-                .lane(&mut ctx(), [in_place()], 64, false)
-                .unwrap();
+            let (out, _) = lane(&mut ctx(), join(join_type));
             out[0].column(1).data.to_i64_vec()
         };
         assert_eq!(kept(JoinType::LeftSemi), [1, 2, 7]);
         assert_eq!(kept(JoinType::LeftAnti), [5]);
-        let (outer, _) = join(JoinType::LeftOuter)
-            .lane(&mut ctx(), [in_place()], 64, false)
-            .unwrap();
+        let (outer, _) = lane(&mut ctx(), join(JoinType::LeftOuter));
         assert_eq!(outer[0].rows(), 5);
         assert_eq!(outer[0].column(3).get(4), None, "row 5 is padded");
     }
@@ -1104,7 +1186,10 @@ mod tests {
         let mut joined = Vec::new();
         for tests in [true, false] {
             let mut got = ctx();
-            let (out, probed) = join.lane(&mut got, [picked()], 64, tests).unwrap();
+            let built = join.host_table().unwrap();
+            let (out, probed) = join
+                .lane(&mut got, built.as_ref(), [picked()], 64, tests)
+                .unwrap();
             // The reference: the build side read from DRAM, its table built,
             // a bit set a build row from the build's hashes — no filter read
             // — then the probe, a trip round the control loop a tile.

@@ -244,6 +244,13 @@ impl JoinFilter {
         self.words[bit / 64] >> (bit % 64) & 1 == 1
     }
 
+    /// Whether every lane that tests rows against the filter reads it from
+    /// DRAM ([`JoinFilter::charge_read`]): a partitioned join's, which a
+    /// `join.filter` stage wrote.
+    pub fn in_dram(&self) -> bool {
+        self.in_dram
+    }
+
     /// Charge one lane's read of the whole filter from DRAM, where a
     /// `join.filter` stage wrote it. A lane that holds its own copy reads
     /// nothing.

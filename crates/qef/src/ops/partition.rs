@@ -58,7 +58,7 @@ use std::ops::Range;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::{Batch, ColumnBuilder, Columns, Rows, Run};
-use crate::budget::{self, partition_stream_bytes, working_set, BASE_STATE_BYTES, HASH_BITS};
+use crate::budget::{self, partition_stream_bytes, working_set, Deal, BASE_STATE_BYTES, HASH_BITS};
 use crate::error::{QefError, QefResult};
 use crate::exec::{CoreCtx, ExecContext};
 use crate::ops::join_filter::{self, JoinFilter};
@@ -450,10 +450,13 @@ impl<'a> Input<'a> {
 }
 
 impl<'a> Round<'a> {
-    /// Cut the input's segments into tiles of `tile` rows — a segment's
-    /// last tile may be short, as the DMS writes it — and deal the tiles,
-    /// in order, to `min(cores, tiles)` lanes, each holding `filter` beside
-    /// its tile buffers where the round tests its rows against one.
+    /// Cut the input's segments into tiles — a segment's last tile may be
+    /// short, as the DMS writes it — and deal the tiles, in order, to the
+    /// lanes [`Deal::of_segments`] gives `cores`: tiles of `tile` rows where
+    /// they fill every core or each lane reads `filter` from DRAM, else
+    /// equal shares over as many cores as the rows feed. Each lane holds
+    /// what the round declares at `tile` — `filter` too, where the round
+    /// tests its rows against one.
     #[allow(clippy::too_many_arguments)]
     fn plan(
         input: Input<'a>,
@@ -482,9 +485,16 @@ impl<'a> Round<'a> {
             Input::Whole(batches) => add_segment(batches),
             Input::Each(partitions) => partitions.chunks(1).for_each(add_segment),
         }
-        let tiles_of = |s: &Range<usize>| (starts[s.end] - starts[s.start]).div_ceil(tile);
-        let tiles: usize = segments.iter().map(tiles_of).sum();
-        let lanes = cores.clamp(1, tiles.max(1));
+        let rows_of = |s: &Range<usize>| starts[s.end] - starts[s.start];
+        // A lane holds what the round declares at its tile, and streams at
+        // the tile the deal cuts.
+        let declared = tile;
+        // Lanes that read a join filter from DRAM keep whole tiles.
+        let shares = !filter.is_some_and(JoinFilter::in_dram);
+        let deal = Deal::of_segments(segments.iter().map(rows_of), tile, cores, shares);
+        let tile = deal.tile;
+        let tiles_of = |s: &Range<usize>| rows_of(s).div_ceil(tile);
+        let (tiles, lanes) = (deal.tiles, deal.lanes);
         let mut slices = Vec::with_capacity(lanes + segments.len());
         // The lanes own the round's tiles in order ([`budget::lane_tiles`]).
         let owned_to = |lane: usize| budget::lane_tiles(lane, lanes, tiles).end;
@@ -531,7 +541,7 @@ impl<'a> Round<'a> {
                 working_set: working_set(
                     BASE_STATE_BYTES + filter.map_or(0, |f| join_filter::bytes(f.bits())),
                     partition_stream_bytes(row_bytes),
-                    tile,
+                    declared,
                     dmem_bytes,
                 ),
                 segments: segments.len(),
@@ -1304,28 +1314,36 @@ mod proptests {
             prop_assert_eq!(ctx.dmem.used(), 0);
             prop_assert!(batches.iter().all(Batch::is_empty) || ctx.dmem.peak() > BASE_STATE_BYTES);
             // Any number of cores: the same partitions, rows in the same
-            // order with the same null bitmaps, and the same work in total.
+            // order with the same null bitmaps, and the same rows hashed,
+            // mapped and moved. Rows that do not fill a tile on every core
+            // are dealt in equal shares over as many as they feed
+            // (`Deal::shares`): vectors cut finer add tiles and
+            // descriptors, and only those.
             let rows: usize = batches.iter().map(Batch::rows).sum();
             let (_, one_core, _) = pass(1, &batches, key_cols, &scheme, tile);
             for cores in [1, 3, 8, 32] {
                 let (parts, sum, lanes) = pass(cores, &batches, key_cols, &scheme, tile);
                 prop_assert_eq!(&parts, &expect, "{} cores", cores);
                 prop_assert_eq!(
-                    (sum.instructions, sum.dms_bytes, sum.dms_descriptors, sum.tiles),
-                    (
-                        one_core.instructions,
-                        one_core.dms_bytes,
-                        one_core.dms_descriptors,
-                        one_core.tiles,
-                    ),
+                    (sum.instructions, sum.dms_bytes),
+                    (one_core.instructions, one_core.dms_bytes),
                     "{} cores", cores
                 );
+                prop_assert!(sum.dms_descriptors >= one_core.dms_descriptors);
+                prop_assert!(sum.tiles >= one_core.tiles);
                 prop_assert_eq!(sum.dms_bytes, expect_ctx.account.counters().dms_bytes);
                 if rows <= tile {
                     prop_assert_eq!(lanes, vec![1], "one tile is one item on one core");
                     prop_assert_eq!(sum, *expect_ctx.account.counters());
                 } else {
-                    prop_assert_eq!(lanes[0], cores.min(rows.div_ceil(tile)));
+                    let deal = Deal::shares(rows, tile, cores);
+                    prop_assert_eq!(lanes[0], deal.lanes);
+                    if deal.tile == tile {
+                        prop_assert_eq!(
+                            (sum.dms_descriptors, sum.tiles),
+                            (one_core.dms_descriptors, one_core.tiles)
+                        );
+                    }
                     prop_assert_eq!(lanes.len(), scheme.len(), "a stage per round");
                 }
             }

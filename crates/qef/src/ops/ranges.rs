@@ -13,11 +13,14 @@
 //!
 //! * **Bounds** ([`KeyRanges::of`]) are picked at run time from the larger
 //!   input: where it is clustered on the key with no NULL key, its keys at
-//!   the slot quantiles, a one-key read each; otherwise an even split of its
-//!   zone maps' `[min, max]`. Range `r` holds the keys in `[bound r − 1,
-//!   bound r)`, the first from `i64::MIN`, the last to `i64::MAX` and the
-//!   NULL keys too.
-//! * **Pieces** ([`pieces`]): of each chunk a range overlaps, a lane reads
+//!   the slot quantiles, a one-key read each, each slot moved back to the
+//!   first that holds its key in a few reads more; otherwise an even split
+//!   of its zone maps' `[min, max]`. Range `r` holds the keys in `[bound
+//!   r − 1, bound r)`, the first from `i64::MIN`, the last to `i64::MAX`
+//!   and the NULL keys too.
+//! * **Pieces** ([`pieces`]): of the input the bounds were picked from at
+//!   their slots, a lane reads the slots between them ([`pieces_at`]); of
+//!   any other input, of each chunk a range overlaps, a lane reads
 //!   only the slots inside the range where the chunk's values ascend and it
 //!   has no NULL key, found by bisection, each probe a one-key read; else it
 //!   reads the whole chunk and tests every row against the range
@@ -51,39 +54,67 @@ pub type Bounds = (i64, Option<i64>);
 pub struct KeyRanges {
     /// Where each range after the first starts, non-decreasing.
     bounds: Vec<i64>,
+    /// Where the bounds are keys at slot quantiles of a clustered input: per
+    /// bound, the first slot of the listed chunks, laid back to back, that
+    /// holds its key, and the one-key reads that found it. `None` for an
+    /// even split of zone maps.
+    slots: Option<Vec<(usize, usize)>>,
+    /// Rows of the listed chunks the bounds were picked from.
+    rows: usize,
 }
 
 impl KeyRanges {
     /// `ranges` ranges of the keys in column `col` of `table`, over the
     /// chunks of `list`: at the keys of the listed slot quantiles where the
     /// table is clustered on the column and no listed chunk holds a NULL of
-    /// it; else an even split of the listed chunks' `[min, max]`.
+    /// it — each bound's slot kept, moved back to the first slot that holds
+    /// its key by a search that doubles its step back, then bisects — else
+    /// an even split of the listed chunks' `[min, max]`.
     pub fn of(table: &Table, col: usize, list: ChunkList<'_>, ranges: usize) -> KeyRanges {
         let ranges = ranges.max(1);
+        let rows = list.rows();
         let no_nulls = list.iter().all(|c| c.zone(col).nulls == 0);
-        if table.clustered_on(col) && no_nulls {
-            let rows = list.rows();
-            if rows > 0 {
-                let mut chunks = list.iter().scan(0, |base, chunk| {
+        if table.clustered_on(col) && no_nulls && rows > 0 {
+            // The listed chunks back to back, each with its first slot.
+            let chunks: Vec<(&Chunk, usize)> = list
+                .iter()
+                .scan(0, |base, chunk| {
                     let at = *base;
                     *base += chunk.rows();
                     Some((chunk, at))
-                });
-                let mut current = chunks.next();
-                let bounds = (1..ranges)
-                    .map(|r| {
-                        let slot = r * rows / ranges;
-                        while let Some((chunk, base)) = current {
-                            if slot < base + chunk.rows() {
-                                return chunk.vector(col).data.get_i64(slot - base);
-                            }
-                            current = chunks.next();
-                        }
-                        i64::MAX
-                    })
-                    .collect();
-                return KeyRanges { bounds };
+                })
+                .collect();
+            let key = |slot: usize| {
+                let k = chunks.partition_point(|(_, base)| *base <= slot) - 1;
+                let (chunk, base) = chunks[k];
+                chunk.vector(col).data.get_i64(slot - base)
+            };
+            let (mut bounds, mut slots) = (Vec::new(), Vec::new());
+            for r in 1..ranges {
+                let slot = r * rows / ranges;
+                let bound = key(slot);
+                // Back from the slot over the ones that hold the same key,
+                // a step twice the last, to a slot of a smaller key; then
+                // the first of them by bisection over the last step.
+                let (mut reads, mut back, mut at) = (1, 1, slot);
+                let below = loop {
+                    let Some(before) = slot.checked_sub(back) else {
+                        break 0;
+                    };
+                    reads += 1;
+                    if key(before) < bound {
+                        break before + 1;
+                    }
+                    (at, back) = (before, back * 2);
+                };
+                bounds.push(bound);
+                slots.push((first_at(below..at, bound, key, &mut reads), reads));
             }
+            return KeyRanges {
+                bounds,
+                slots: Some(slots),
+                rows,
+            };
         }
         let span = list
             .iter()
@@ -94,7 +125,29 @@ impl KeyRanges {
         let bounds = (1..ranges as i128)
             .map(|r| (min as i128 + (width * r + ranges as i128 - 1) / ranges as i128) as i64)
             .collect();
-        KeyRanges { bounds }
+        KeyRanges {
+            bounds,
+            slots: None,
+            rows,
+        }
+    }
+
+    /// The slots of the listed chunks, laid back to back, that range `r`
+    /// holds of the input its bounds were picked from — where they are slot
+    /// quantiles of it, else `None`: its rows need no bisection.
+    pub fn slots(&self, r: usize) -> Option<Range<usize>> {
+        let slots = self.slots.as_ref()?;
+        let start = r.checked_sub(1).map_or(0, |b| slots[b].0);
+        Some(start..slots.get(r).map_or(self.rows, |s| s.0))
+    }
+
+    /// One-key reads range `r`'s lower bound took: none for the first, the
+    /// reads that found its slot where it is a slot quantile, else one.
+    pub fn bound_reads(&self, r: usize) -> usize {
+        match r.checked_sub(1) {
+            None => 0,
+            Some(b) => self.slots.as_ref().map_or(1, |slots| slots[b].1),
+        }
     }
 
     /// How many ranges there are.
@@ -199,13 +252,13 @@ pub struct Piece<'a> {
 }
 
 /// The pieces of `list`, chunks of a table, that hold the keys of column
-/// `col` in the range `bounds` (a [`KeyRanges::bounds`]), in slot order, and how many one-key
-/// reads the bisections that found them took. Of a chunk whose zone map
-/// the range overlaps — or, for the last range, which holds NULLs — a piece
-/// is the run of slots inside the range where the chunk is `sorted` with no
-/// NULL, found by bisection (no probe where the range covers the chunk's
-/// end); else the whole chunk, tested. Runs that meet across a chunk
-/// boundary are one piece.
+/// `col` in the range `bounds` (a [`KeyRanges::bounds`]), in slot order, and
+/// how many one-key reads the bisections that found them took. Of a chunk
+/// whose zone map the range overlaps — or, for the last range, which holds
+/// NULLs — a piece is the run of slots inside the range where the chunk is
+/// `sorted` with no NULL, found by bisection (no probe where the range
+/// covers the chunk's end); else the whole chunk, tested. Runs that meet
+/// across a chunk boundary are one piece.
 pub fn pieces<'a>(
     chunks: &'a [Chunk],
     list: ChunkList<'a>,
@@ -213,7 +266,78 @@ pub fn pieces<'a>(
     (lo, hi): Bounds,
 ) -> (Vec<Piece<'a>>, usize) {
     let last = hi.is_none();
-    let (mut out, mut probes): (Vec<Piece<'a>>, usize) = (Vec::new(), 0);
+    let mut probes = 0;
+    let out = assemble(chunks, list, |chunk, _| {
+        let zone = chunk.zone(col);
+        let top = hi.map_or(Some(i64::MAX), |hi| hi.checked_sub(1));
+        let overlaps = top.is_some_and(|top| zone.overlaps(lo, top));
+        if !(overlaps || last && zone.nulls > 0) {
+            return None;
+        }
+        if !(zone.sorted && zone.nulls == 0) {
+            return Some((0..chunk.rows(), true));
+        }
+        let (min, max) = zone.range.unwrap_or((lo, lo));
+        let keys = &chunk.vector(col).data;
+        let mut first = |key: i64| first_at(0..chunk.rows(), key, |i| keys.get_i64(i), &mut probes);
+        let start = if lo <= min { 0 } else { first(lo) };
+        let end = match hi {
+            Some(hi) if hi <= max => first(hi),
+            _ => chunk.rows(),
+        };
+        Some((start..end, false))
+    });
+    (out, probes)
+}
+
+/// The first slot of `slots` whose key is `key` or more — the end where
+/// none is — where `key_at` ascends over them, by bisection: each probe a
+/// one-key read, added to `reads`.
+fn first_at(
+    slots: Range<usize>,
+    key: i64,
+    key_at: impl Fn(usize) -> i64,
+    reads: &mut usize,
+) -> usize {
+    let (mut at, mut end) = (slots.start, slots.end);
+    while at < end {
+        let mid = at + (end - at) / 2;
+        *reads += 1;
+        if key_at(mid) < key {
+            at = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    at
+}
+
+/// The pieces of `list` that hold `slots`, slots of its chunks laid back to
+/// back ([`KeyRanges::slots`]): read where they lie, untested, with no
+/// bisection — the pieces [`pieces`] finds for the range on the input its
+/// bounds were picked from.
+pub fn pieces_at<'a>(
+    chunks: &'a [Chunk],
+    list: ChunkList<'a>,
+    slots: Range<usize>,
+) -> Vec<Piece<'a>> {
+    assemble(chunks, list, |chunk, base| {
+        let rows =
+            slots.start.max(base) - base..slots.end.min(base + chunk.rows()).max(base) - base;
+        (!rows.is_empty()).then_some((rows, false))
+    })
+}
+
+/// The pieces of `list` in slot order: of each chunk, the rows `rows_of`
+/// says a range holds of it (given the chunk and its first slot of the
+/// list) and whether they must be tested against the range. Runs that meet
+/// across a chunk boundary are one piece.
+fn assemble<'a>(
+    chunks: &'a [Chunk],
+    list: ChunkList<'a>,
+    mut rows_of: impl FnMut(&Chunk, usize) -> Option<(Range<usize>, bool)>,
+) -> Vec<Piece<'a>> {
+    let mut out: Vec<Piece<'a>> = Vec::new();
     // The piece being grown: the chunks it spans and its rows in them.
     let mut open: Option<(Range<usize>, Range<usize>, bool)> = None;
     let close = |open: Option<(Range<usize>, Range<usize>, bool)>, out: &mut Vec<Piece<'a>>| {
@@ -222,38 +346,12 @@ pub fn pieces<'a>(
             out.push(Piece { span, tested });
         }
     };
+    let mut base = 0;
     for (k, chunk) in list.indexed() {
-        let zone = chunk.zone(col);
-        let top = hi.map_or(Some(i64::MAX), |hi| hi.checked_sub(1));
-        let overlaps = top.is_some_and(|top| zone.overlaps(lo, top));
-        if !(overlaps || last && zone.nulls > 0) {
+        let at = base;
+        base += chunk.rows();
+        let Some((rows, tested)) = rows_of(chunk, at) else {
             continue;
-        }
-        let (rows, tested) = if zone.sorted && zone.nulls == 0 {
-            let (min, max) = zone.range.unwrap_or((lo, lo));
-            let keys = &chunk.vector(col).data;
-            let mut first_at = |key: i64| {
-                // The first slot whose key is `key` or more, by bisection.
-                let (mut at, mut end) = (0, chunk.rows());
-                while at < end {
-                    let mid = at + (end - at) / 2;
-                    probes += 1;
-                    if keys.get_i64(mid) < key {
-                        at = mid + 1;
-                    } else {
-                        end = mid;
-                    }
-                }
-                at
-            };
-            let start = if lo <= min { 0 } else { first_at(lo) };
-            let end = match hi {
-                Some(hi) if hi <= max => first_at(hi),
-                _ => chunk.rows(),
-            };
-            (start..end, false)
-        } else {
-            (0..chunk.rows(), true)
         };
         // A run that starts where the open one ends, in the next chunk.
         let joins = open.as_ref().is_some_and(|(of, at, was)| {
@@ -273,7 +371,7 @@ pub fn pieces<'a>(
         }
     }
     close(open, &mut out);
-    (out, probes)
+    out
 }
 
 /// Charge `n` reads of one key of `width` bytes: a bound, or a probe of a
@@ -363,6 +461,18 @@ mod tests {
                 prop_assert_eq!(lo, if r == 0 { i64::MIN } else { cut.bounds(r - 1).1.unwrap() });
                 prop_assert_eq!(hi.is_none(), r + 1 == cut.len());
             }
+            // Where the bounds are slot quantiles, the rows at their slots
+            // are the rows bisection finds.
+            let list = ChunkList::all(&t.chunks);
+            for r in (0..cut.len()).filter(|&r| cut.slots(r).is_some()) {
+                let runs = |pieces: Vec<Piece<'_>>| -> Vec<(usize, Range<usize>)> {
+                    let base = |c: &Chunk| c as *const Chunk as usize;
+                    pieces.iter().flat_map(|p| p.span.runs().map(|(c, rows)| (base(c), rows))).collect()
+                };
+                let at = pieces_at(&t.chunks, list, cut.slots(r).unwrap());
+                let (found, _) = pieces(&t.chunks, list, 0, cut.bounds(r));
+                prop_assert_eq!(runs(at), runs(found), "range {}", r);
+            }
             let mut got = landed(&t, &cut);
             for &(r, key) in &got {
                 prop_assert_eq!(r, cut.of_key(key), "{:?} in range {}", key, r);
@@ -441,6 +551,25 @@ mod tests {
         let runs: Vec<_> = pieces[0].span.runs().map(|(_, rows)| rows).collect();
         assert_eq!(runs, [8..16, 0..16, 0..2]);
         assert!(probes > 0 && probes <= 2 * 5, "{probes}");
+        // The same rows at the slots the bounds were picked at, with no
+        // probe: keys 12 and 25 first lie at slots 24 and 50, each found by
+        // its quantile slot's read and the reads back to it.
+        assert_eq!(cut.slots(1), Some(24..50));
+        assert_eq!((cut.bound_reads(0), cut.bound_reads(1)), (0, 3));
+        let at = pieces_at(&t.chunks, list, 24..50);
+        let runs: Vec<_> = at[0].span.runs().map(|(_, rows)| rows).collect();
+        assert_eq!((at.len(), runs), (1, vec![8..16, 0..16, 0..2]));
+        // A key of 256 rows: the first slot of a bound is found across
+        // chunks in reads that grow with the log of its rows, not a read a
+        // row.
+        let repeated: Vec<Option<i64>> = (0..1024).map(|i| Some(i / 256)).collect();
+        let t = table(&repeated, 100);
+        let cut = KeyRanges::of(&t, 0, ChunkList::all(&t.chunks), 8);
+        for r in 1..8 {
+            let key = cut.bounds(r).0;
+            assert_eq!(cut.slots(r).map(|s| s.start), Some(256 * key as usize));
+            assert!(cut.bound_reads(r) <= 2 * 9, "{}", cut.bound_reads(r));
+        }
         // A shuffled table is cut evenly between its least and greatest key.
         let mut shuffled = keys.clone();
         shuffled.reverse();

@@ -145,6 +145,30 @@ pub fn agg_grouped<'v>(
     Ok(())
 }
 
+/// [`agg_grouped`] of rows that are all one group's, `state`: the same fold
+/// and the same charge, with no group index to read.
+pub fn agg_one<'v>(
+    ctx: &mut CoreCtx,
+    f: AggFunc,
+    col: impl Iterator<Item = (&'v Vector, Positions<'v>)>,
+    state: &mut AggState,
+) -> QefResult<()> {
+    let mut rows = 0;
+    for (piece, at) in col {
+        for i in at.iter() {
+            rows += 1;
+            if !piece.is_null(i) {
+                state.update(f, piece.data.get_i64(i))?;
+            }
+        }
+    }
+    ctx.charge_kernel(
+        Kernel::Aggregate,
+        &costs::grouped_agg_per_row().scaled(rows as f64),
+    );
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,6 +48,10 @@ pub struct StageEvent {
     pub operator: String,
     /// Lanes (cores) the stage ran with.
     pub parallelism: usize,
+    /// The busiest lane's compute cycles over the mean lane's, of the lanes
+    /// the stage ran: 1 where they are even (or did no compute).
+    #[serde(default)]
+    pub lane_imbalance: f64,
     /// Rows produced by the stage (groups for aggregation stages).
     pub rows: u64,
     /// Simulated elapsed seconds — the exact value absorbed into the

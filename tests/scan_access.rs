@@ -72,7 +72,7 @@ const NARROW: [(&str, u64); 11] = [
 /// they are in less time. Q5's supplier task took 4,570 cycles until its
 /// join declared a filter its probe lanes build beside their tables: its
 /// one tile streams now, and the probe tests the rows.
-const UNFILTERED: [(&str, &str, usize, u64); 13] = [
+const UNFILTERED: [(&str, &str, usize, u64); 12] = [
     ("Q5", "nation", 3, 1_053),
     ("Q5", "supplier", 2, 3_130),
     ("Q5", "customer", 2, 8_641),
@@ -84,7 +84,6 @@ const UNFILTERED: [(&str, &str, usize, u64); 13] = [
     ("Q10", "customer", 5, 7_901),
     ("Q14", "part", 2, 5_931),
     ("Q18", "lineitem", 2, 95_106),
-    ("Q18", "customer", 2, 6_690),
     ("Q19", "part", 4, 8_862),
 ];
 
@@ -97,13 +96,16 @@ const UNFILTERED: [(&str, &str, usize, u64); 13] = [
 /// `join.filter` stage and a merge built its broadcast join's filter; every
 /// lane of the task sets the 677 build rows' bits beside its table since,
 /// and the task is compute-bound, while the statement is the two stages
-/// shorter.
-const KEYED: [(&str, &str, usize, u64); 5] = [
+/// shorter. Q18's 3,000-row customer probe streamed on 12 lanes in 6,690
+/// cycles; dealt over 32 lanes of 94 rows (`budget::Deal`) its scan's
+/// stream no longer pays for itself, and it tests its keys.
+const KEYED: [(&str, &str, usize, u64); 6] = [
     ("Q5", "lineitem", 4, 98_807),
     ("Q9", "lineitem", 6, 88_990),
     ("Q12", "orders", 2, 23_367),
     ("Q18", "lineitem", 2, 23_449),
     ("Q18", "orders", 4, 7_093),
+    ("Q18", "customer", 2, 1_959),
 ];
 
 /// Pre-order `(table, columns, filtered)` of a plan's nodes, `None` for
@@ -212,14 +214,17 @@ fn no_statement_is_slower_or_moves_more_and_unfiltered_scans_stream() {
                 continue;
             }
             unfiltered.push(ran);
-            // More than a tile is more than a lane, and streams; one tile
-            // on one core may gather, a trip round the control loop saved.
+            // A lane of more than a tile streams; a gathering scan's lanes
+            // hold a tile at most, a trip round the control loop saved.
             match access.path {
                 AccessPath::Stream => {
                     assert_eq!(access.passes, 1);
                     streamed += 1;
                 }
-                AccessPath::Gather => assert_eq!(e.parallelism, 1, "{name} {table}: {e:?}"),
+                AccessPath::Gather => {
+                    let of_lane = rows.div_ceil(e.parallelism as u64);
+                    assert!(of_lane <= 256, "{name} {table}: {e:?}");
+                }
             }
         }
         for (mut ran, recorded) in [(unfiltered, &UNFILTERED[..]), (keyed, &KEYED[..])] {
@@ -246,9 +251,10 @@ fn no_statement_is_slower_or_moves_more_and_unfiltered_scans_stream() {
         assert_eq!(canonical(&host.rows), canonical(&rows), "{name}: Volcano");
     }
     // Every one but the one-tile tables, nation and Q9's supplier, and the
-    // five that test a join filter in a key pass. Q5's one-tile supplier
-    // streams since its probe tests a filter.
-    assert_eq!(streamed, 9, "unfiltered scans streamed");
+    // six that test a join filter in a key pass — Q18's customer among them
+    // since its rows are dealt over every core they feed. Q5's one-tile
+    // supplier streams since its probe tests a filter.
+    assert_eq!(streamed, 8, "unfiltered scans streamed");
     // Access paths alone took Q6, Q12 and Q14 there; narrow codes and dates
     // the rest of the lineitem-heavy ones; key passes Q5, Q9 and Q18: every
     // statement.

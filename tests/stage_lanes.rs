@@ -32,6 +32,7 @@ use rapid::qcomp::cost::CostParams;
 use rapid::qef::budget;
 use rapid::qef::engine::{Engine, QueryReport};
 use rapid::qef::exec::ExecContext;
+use rapid::qef::ops::filter::ChunkList;
 use rapid::qef::plan::{Catalog, PlanNode};
 use rapid::qef::primitives::costs;
 use rapid::qef::trace::{MemorySink, StageEvent};
@@ -209,12 +210,14 @@ fn scans_of(e: &StageEvent) -> Vec<usize> {
         .collect()
 }
 
-/// The table a task's scan reads: its bottom operator is `scan(<table>)`.
-fn scanned_table(e: &StageEvent) -> &str {
-    let (.., scan, _) = e.operators().last().expect("the event's own operator");
-    scan.strip_prefix("scan(")
-        .and_then(|t| t.strip_suffix(')'))
-        .unwrap_or_else(|| panic!("{e:?}: a task opens with a scan"))
+/// Rows a task's scan lists: the chunks of its table its predicate's zone
+/// maps do not rule out ([`ChunkList`]), the rows its lanes are dealt.
+fn listed_rows(e: &StageEvent, nodes: &[&PlanNode], catalog: &Catalog) -> usize {
+    let (id, ..) = e.operators().last().expect("the event's own operator");
+    let PlanNode::Scan { table, pred, .. } = nodes[id as usize] else {
+        panic!("{e:?}: a task opens with a scan");
+    };
+    ChunkList::of(pred.as_ref(), &catalog[table.as_str()].chunks).rows()
 }
 
 #[test]
@@ -375,14 +378,30 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                 operators => operators.rsplit(" -> ").collect(),
             };
             assert_eq!(ran, derived, "{name}");
-            // min(cores, tiles) lanes at the task's one vector size: a
-            // table of one chunk and sixteen tiles scans on sixteen cores.
-            // A ranged stage has a lane a key range.
+            // The lanes `budget::Deal` deals the rows the scan lists to at
+            // the task's one vector size: whole tiles for a lone scan chain and
+            // for lanes that read a join filter from DRAM, equal shares over
+            // every core the rows feed for a task that ends in a consumer —
+            // one-chunk `part` (16 tiles) feeds its round on 32 lanes — and
+            // either for a broadcast probe, whichever the scan's model
+            // prices shorter. A ranged stage has a lane a key range.
             let tile = stage.effective_tile.expect("a verified task fits");
-            let tiles = catalog[scanned_table(e)].rows().div_ceil(tile);
+            let rows = listed_rows(e, &nodes, &catalog);
+            let (whole, shares) = (
+                budget::Deal::whole_tiles(rows, tile, CORES).lanes.max(1),
+                budget::Deal::shares(rows, tile, CORES).lanes.max(1),
+            );
+            let lone =
+                e.operator.starts_with("scan(") || matches!(e.operator.as_str(), "map" | "filter");
+            let reads_filter = e.filter.is_some() && e.operator != "join.probe";
             let ranges = nodes[e.node_id as usize].ranged_scheme();
-            let items = ranges.map_or(tiles, |scheme| scheme.iter().product());
-            assert_eq!(e.parallelism, CORES.min(items).max(1), "{name}: {e:?}");
+            let dealt = match ranges {
+                Some(scheme) => vec![CORES.min(scheme.iter().product())],
+                None if lone || reads_filter => vec![whole],
+                None if e.operator == "join.probe" => vec![whole, shares],
+                None => vec![shares],
+            };
+            assert!(dealt.contains(&e.parallelism), "{name}: {dealt:?} {e:?}");
             ranged += usize::from(ranges.is_some());
             // What a lane reserved is what the verifier derives: the
             // `ws-bytes` of EXPLAIN VERIFY is the task's `dmem_peak`.
@@ -455,7 +474,11 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         // for the words of it a run ends and a row set in the representation
         // its scan chose, so how the rows are cut into lanes moves nothing;
         // a round over batches, whose lanes are whole tiles of its input,
-        // also takes the same tiles and descriptors. One thing a scan
+        // also takes the same tiles and descriptors. Where the rows do not
+        // fill a tile on every core they are dealt in equal shares at a
+        // finer tile (`budget::Deal`): the same instructions, and at least
+        // the bytes, tiles and descriptors — every vector a lane writes
+        // rounds up to its bursts. One thing a scan
         // decides from the cores it has: its access path, by stage time,
         // which one lane and thirty do not share — a task whose scan changed
         // path is compared on its rows alone. And one thing a broadcast
@@ -475,6 +498,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             (u64, u64),
             Option<(u64, u64)>,
             Option<(u32, u64)>,
+            u64,
         );
         let build_rows = |join: u32| {
             let build = events.iter().rfind(|e| e.node_id == join + 1);
@@ -505,7 +529,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                     let once_a_lane = !ranged && (e.operator == "join.probe" || e.filter.is_some());
                     let builds = once_a_lane.then_some((e.node_id, e.parallelism as u64));
                     let label = format!("{} {path}", e.operator);
-                    (label, rows, moved, over_batches, builds)
+                    (label, rows, moved, over_batches, builds, e.tiles)
                 })
                 .collect()
         };
@@ -528,7 +552,15 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                 let extra = lanes(all) - lanes(few);
                 if let (Some((join, _)), true) = (all.4, extra > 0) {
                     let (bytes, instructions) = (all.2 .0 - few.2 .0, all.2 .1 - few.2 .1);
-                    assert_eq!((bytes % extra, instructions % extra), (0, 0), "{name}");
+                    // Dealt at a finer tile, the lanes' vectors round up to
+                    // more bursts beside the builds.
+                    let finer = few.5 < all.5;
+                    assert_eq!(instructions % extra, 0, "{name}");
+                    let bytes = match finer {
+                        true => bytes - bytes % extra,
+                        false => bytes,
+                    };
+                    assert_eq!(bytes % extra, 0, "{name}");
                     let per_lane = (bytes / extra, instructions / extra);
                     let filter = filter_bytes.get(&join).copied();
                     if let Some(&(row_bytes, keys)) = build_bytes.get(&join) {
@@ -542,9 +574,15 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                             None => 0,
                         };
                         let expect = (rows * row_bytes, built + set);
-                        assert_eq!(per_lane, expect, "{name}: node {join}");
-                        let first = *one_build.entry(join).or_insert(per_lane);
-                        assert_eq!(per_lane, first, "{name}: node {join}, {cores} cores");
+                        match finer {
+                            true => assert!(
+                                per_lane.1 == expect.1 && per_lane.0 >= expect.0,
+                                "{name}: node {join}: {per_lane:?} against {expect:?}"
+                            ),
+                            false => assert_eq!(per_lane, expect, "{name}: node {join}"),
+                        }
+                        let first = *one_build.entry(join).or_insert(expect);
+                        assert_eq!(expect, first, "{name}: node {join}, {cores} cores");
                         filters_set += usize::from(filter.is_some());
                     } else {
                         filters_subtracted += usize::from(filter.is_some());
@@ -554,14 +592,19 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
                             "{name}: node {join}"
                         );
                     }
-                } else {
+                } else if few.5 == all.5 {
                     assert_eq!(few.2, all.2, "{name}: {cores} cores vs {CORES}");
+                } else {
+                    // Dealt at a finer tile on more cores.
+                    assert!(few.5 < all.5, "{name}: {cores} cores vs {CORES}");
+                    assert_eq!(few.2 .1, all.2 .1, "{name}: {cores} cores vs {CORES}");
+                    assert!(few.2 .0 <= all.2 .0, "{name}: {cores} cores vs {CORES}");
                 }
-                assert_eq!(
-                    (&few.0, &few.3),
-                    (&all.0, &all.3),
-                    "{name}: {cores} cores vs {CORES}"
-                );
+                assert_eq!(few.0, all.0, "{name}: {cores} cores vs {CORES}");
+                match (few.3, all.3) {
+                    (Some(few), Some(all)) if few.0 < all.0 => assert!(few.1 <= all.1, "{name}"),
+                    (few, all) => assert_eq!(few, all, "{name}: {cores} cores vs {CORES}"),
+                }
             }
             assert!(events_fewer.iter().all(|e| e.parallelism <= cores));
             assert!(
@@ -578,12 +621,14 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         assert_eq!(run(&native).0, rows, "{name}: native vs DPU");
     }
     // Gathering computes less and moves more: on one core, where compute
-    // is the stage, eight of the 33 scans gather that stream on 32 (two
+    // is the stage, seven of the 33 scans gather that stream on 32 (two
     // more since codes and dates are stored narrow: a gather pass moves
     // fewer bytes; five fewer since the probe scans of Q5's and Q9's
     // lineitem, Q12's orders and Q18's lineitem and orders gather on 32
-    // too, testing their join filter in a key pass). On eight one does,
-    // Q18's customer probe, for the same key pass. The lineitem scans of Q1
+    // too, testing their join filter in a key pass; one fewer, and none on
+    // eight, since Q18's customer probe, which gathered for the same key
+    // pass on one and eight, is dealt over all 32 lanes and gathers there
+    // too — `budget::Deal`). The lineitem scans of Q1
     // and Q3 gathered there while the stream path compacted every projected
     // column of the rows it kept, and stream now that the operators above
     // read them through the selection vector.
@@ -593,20 +638,21 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     assert_eq!(underived, merges.map(String::from).into());
     assert_eq!(broadcast, BROADCAST);
     // Every broadcast task but Q5's one-tile supplier probe has fewer lanes
-    // on fewer cores: six joins whose per-lane build was subtracted. The
-    // seventh, Q18's customer probe, streams on 32 cores and tests its
-    // filter in the probe, and on 1 and 8 gathers and tests it in a key
-    // pass: compared on its rows alone.
-    assert_eq!(builds_subtracted, 6);
+    // on fewer cores: seven joins whose per-lane build was subtracted. Q18's
+    // customer probe streamed on 32 cores and was compared on its rows
+    // alone until its rows were dealt over all 32 (`budget::Deal`): it
+    // gathers and tests its filter in a key pass on 8 and 32 cores alike.
+    assert_eq!(builds_subtracted, 7);
     // The two filtered partitioned probe tasks (Q3's nodes 3 and 4), each
     // compared on 1 and on 8 cores: a filter read a lane — Q5's node 11 and
     // Q10's node 5 run over key ranges, a filter built a range, whatever
-    // the cores. And four filtered broadcast ones (Q9's node 11, Q12's
-    // node 4 and Q18's nodes 5 and 6 — Q5's node 5 is one tile, Q18's node
-    // 4 changes path), beside their build: a filter set a lane.
-    assert_eq!((filters_subtracted, filters_set), (4, 8));
+    // the cores. And five filtered broadcast ones (Q9's node 11, Q12's
+    // node 4 and Q18's nodes 4, 5 and 6 — Q5's node 5 is one tile; Q18's
+    // node 4 kept its path since its rows are dealt over every core),
+    // beside their build: a filter set a lane.
+    assert_eq!((filters_subtracted, filters_set), (4, 10));
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();
-    assert_eq!((gathers_on(1), gathers_on(8)), (8, 1), "{other_path:?}");
+    assert_eq!((gathers_on(1), gathers_on(8)), (7, 0), "{other_path:?}");
     // 33 scans, 30 tasks: Q4's, Q5's and Q10's order-key joins read both
     // their scans in one stage of key ranges, and Q18's inner group-by its
     // one. All but three end with the first stage of their consumer, which
@@ -630,16 +676,20 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // DMS time (23,449). Fourteen since the three order-key joins run
     // over key ranges: their six DMS-bound scan tasks are three DMS-bound
     // stages, each reading both its tables once; Q18's inner group-by over
-    // key ranges is bound by its group tables' compute.
+    // key ranges is bound by its group tables' compute. Fifteen since Q18's
+    // customer probe is dealt over 32 lanes: its compute fell under the
+    // build-side reads of its lanes.
     assert_eq!(
-        dms_bound, 14,
+        dms_bound, 15,
         "tasks whose DMS time is their compute time or more"
     );
     // Rounds on all 32 cores, in tasks and over what joins handed on: the
     // broadcast joins partition nothing, and nor do the ranged joins and
-    // group-by.
+    // group-by. Seventeen since a round's rows are dealt over every core
+    // they feed: the rounds over Q3's, Q5's, Q10's, Q14's and Q19's small
+    // inputs took 2 to 21 lanes.
     assert_eq!(
-        wide_rounds, 9,
+        wide_rounds, 17,
         "partition rounds on {CORES} lanes at sf 0.02"
     );
 }
@@ -733,4 +783,33 @@ fn a_task_that_does_not_fit_runs_cut() {
         stages,
         [("map", "scan(lineitem) -> map"), ("groupby.consume", "")]
     );
+}
+
+#[test]
+fn a_pair_table_holds_no_more_dmem_than_its_stage_declares() {
+    // `join.pairs` declares half of DMEM for the partition pair's table
+    // (EXPLAIN VERIFY's state): a pair lane's table holds no more, whatever
+    // its build rows, and the rest overflow to DRAM.
+    let params = CostParams::default();
+    let declared = params.ctx.dmem_bytes as u64 / 2;
+    let mut pairs = 0;
+    for sf in [0.01, 0.02, 0.05] {
+        let (_, catalog) = tpch_catalog(sf);
+        let sink = MemorySink::new();
+        let dpu = engine(&catalog, ExecContext::dpu().with_trace(sink.clone()));
+        for (name, plan) in tpch::queries::all() {
+            let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            dpu.execute(&compiled.plan).expect("dpu");
+            for e in sink.take().iter().filter(|e| e.operator == "join.pairs") {
+                pairs += 1;
+                assert!(
+                    e.dmem_peak_bytes <= declared,
+                    "{name} at sf {sf}: a pair lane held {} B, {declared} B declared",
+                    e.dmem_peak_bytes
+                );
+            }
+        }
+    }
+    assert!(pairs > 0, "the statements run partition pairs");
 }
