@@ -190,11 +190,13 @@ echo "== concurrent fuzz soak (1000 queries, every schedule replayed) =="
 # C-* interference analyzer: the fuzzer calls it itself, in any build.
 FUZZ_QUERIES=1000 cargo test -q --release --test concurrent_fuzz
 
-echo "== static plan verification (TPC-H sf 0.01 and 0.02 + fuzz corpus) + mutation harness =="
+echo "== static plan verification (TPC-H sf 0.01, 0.02, 0.05 and 0.1 + fuzz corpus) + mutation harness =="
 # Fan-out caps, partition schemes and task vector sizes are budgeted from the
 # widths a table's columns are stored in, and those depend on the data: sf
 # 0.01 is what the gate collects at, sf 0.02 what the benchmark loads
-# (o_orderkey outgrows its two bytes between 0.02 and 0.05). The sweep also
+# (o_orderkey outgrows its two bytes between 0.02 and 0.05), and at sf 0.05
+# and 0.1 rows narrowed by the joins' column lists change partition schemes
+# that the smaller scales never see (Q9's orders join: one round). The sweep also
 # fails on a partition stage that declares no fan-out: the plan says what
 # runs, so a pass whose rounds something after the compiler chose does not
 # get through here. `--full` lists one row per task: its operators, its one
@@ -204,6 +206,8 @@ echo "== static plan verification (TPC-H sf 0.01 and 0.02 + fuzz corpus) + mutat
 # (`Rule::ALL`, the harnesses in crates/bench/src/mutate.rs).
 cargo run -q --release -p rapid-report -- verify --sf 0.01
 cargo run -q --release -p rapid-report -- verify --sf 0.02
+cargo run -q --release -p rapid-report -- verify --sf 0.05
+cargo run -q --release -p rapid-report -- verify --sf 0.1
 cargo test -q --release -p rapid-verify
 cargo test -q --release -p rapid-report --test mutations --test schedcheck
 

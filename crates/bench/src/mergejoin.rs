@@ -218,8 +218,17 @@ mod tests {
         ]);
         let right = Batch::new(vec![vcol(vec![3, 5, 7]), vcol(vec![-3, -5, -7])]);
         let merged = merge_join_partition(&mut c, &left, &right, 0, 0, JoinType::Inner).unwrap();
-        let hashed =
-            join_partition(&mut c, &right, left.clone(), &[0], &[0], JoinType::Inner, 3).unwrap();
+        let hashed = join_partition(
+            &mut c,
+            &right,
+            left.clone(),
+            &[0],
+            &[0],
+            JoinType::Inner,
+            &[0, 1, 2, 3],
+            3,
+        )
+        .unwrap();
         assert_eq!(merged.rows(), hashed.rows());
         // Canonicalize: (lkey, lval, rkey, rval) tuples.
         let tuples = |b: &Batch| {
@@ -327,8 +336,9 @@ mod proptests {
             let left = Batch::new(vec![Vector::new(ColumnData::I64(lkeys.clone()))]);
             let right = Batch::new(vec![Vector::new(ColumnData::I64(rkeys.clone()))]);
             let merged = merge_join_partition(&mut c, &left, &right, 0, 0, jt).unwrap();
+            let every: Vec<usize> = (0..if jt.pairs() { 2 } else { 1 }).collect();
             let hashed =
-                join_partition(&mut c, &right, left.clone(), &[0], &[0], jt, rkeys.len().max(1))
+                join_partition(&mut c, &right, left.clone(), &[0], &[0], jt, &every, rkeys.len().max(1))
                     .unwrap();
             let canon = |b: &Batch| {
                 let mut v: Vec<Vec<i64>> = (0..b.rows())

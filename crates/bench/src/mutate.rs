@@ -101,6 +101,7 @@ pub fn base_plan() -> PlanNode {
         scheme: vec![32],
         filter: None,
         ranged: false,
+        output: (0..5).collect(),
     };
     // Join output: [fact.id Int, grp Varchar, price Dec(2), dim.id Int,
     // rate Dec(4)].
@@ -370,6 +371,8 @@ pub fn filtered_join(join_type: JoinType, filter: Option<usize>) -> PlanNode {
             scheme,
             filter,
             ranged: false,
+            // The probe side's columns, which every join type writes.
+            output: (0..3).collect(),
         }),
         keys: vec![1],
         aggs: vec![AggSpec {

@@ -71,6 +71,9 @@ pub struct CaseReport {
     pub pruned: bool,
     /// Whether a join or group-by ran over key ranges of its tables.
     pub ranged: bool,
+    /// Whether a join of the compiled plan writes fewer columns than its
+    /// sides hand it.
+    pub narrowed: bool,
 }
 
 /// Generate and execute the case for one seed.
@@ -84,6 +87,7 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
     let broadcast_filtered = run.as_ref().is_ok_and(|t| t.broadcast_filtered);
     let pruned = run.as_ref().is_ok_and(|t| t.pruned);
     let ranged = run.as_ref().is_ok_and(|t| t.ranged);
+    let narrowed = run.as_ref().is_ok_and(|t| t.narrowed);
     CaseReport {
         seed,
         case,
@@ -92,6 +96,7 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
         broadcast_filtered,
         pruned,
         ranged,
+        narrowed,
     }
 }
 
@@ -119,6 +124,9 @@ pub struct FuzzReport {
     pub pruned: usize,
     /// Executed cases that ran a join or group-by over key ranges.
     pub ranged: usize,
+    /// Executed cases with a join that writes fewer columns than its sides
+    /// hand it.
+    pub narrowed: usize,
     /// Divergences found, each minimized.
     pub divergences: Vec<Divergence>,
 }
@@ -206,6 +214,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         broadcast_filtered: 0,
         pruned: 0,
         ranged: 0,
+        narrowed: 0,
         divergences: Vec::new(),
     };
     let mut attempt = 0u64;
@@ -217,6 +226,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         report.broadcast_filtered += usize::from(r.outcome.is_ok() && r.broadcast_filtered);
         report.pruned += usize::from(r.outcome.is_ok() && r.pruned);
         report.ranged += usize::from(r.outcome.is_ok() && r.ranged);
+        report.narrowed += usize::from(r.outcome.is_ok() && r.narrowed);
         match r.outcome {
             Err(_) => report.skipped += 1,
             Ok(None) => report.executed += 1,
@@ -255,6 +265,7 @@ mod tests {
             broadcast_filtered: 0,
             pruned: 0,
             ranged: 0,
+            narrowed: 0,
             divergences: vec![Divergence {
                 seed: case_seed,
                 detail: "synthetic: host and dpu disagree on row 0".to_string(),

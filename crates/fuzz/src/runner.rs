@@ -70,6 +70,9 @@ pub struct TriOutcome {
     /// Whether the native arm ran a join or group-by over key ranges of
     /// its tables (`join.ranged`, `groupby.ranged`).
     pub ranged: bool,
+    /// Whether a join of the RAPID arm's plan writes fewer columns than its
+    /// sides hand it: a key or a column nothing above it reads.
+    pub narrowed: bool,
 }
 
 impl TriOutcome {
@@ -157,7 +160,7 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
 
     // What the RAPID arm's plan is: compiled for the context it runs on,
     // as the host database compiles it.
-    let (filtered, broadcast_filtered) = {
+    let (filtered, broadcast_filtered, narrowed) = {
         let catalog = db.rapid().read().catalog().clone();
         let compiled = rapid_qcomp::compile(&plan, &catalog, &CostParams::from_exec(&dpu));
         let declares = |broadcast| {
@@ -165,7 +168,10 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
                 .as_ref()
                 .is_ok_and(|c| declares_a_filter(&c.plan, broadcast))
         };
-        (declares(false) || declares(true), declares(true))
+        let narrowed = compiled
+            .as_ref()
+            .is_ok_and(|c| narrows_a_join(&c.plan, &catalog));
+        (declares(false) || declares(true), declares(true), narrowed)
     };
     let host = guarded(|| {
         db.execute_on_host(&plan)
@@ -212,7 +218,25 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         broadcast_filtered,
         pruned,
         ranged,
+        narrowed,
     })
+}
+
+/// Whether a join of `plan` writes fewer columns than its probe side and,
+/// for an inner or outer join, its build side hand it.
+fn narrows_a_join(plan: &rapid_qef::plan::PlanNode, catalog: &rapid_qef::plan::Catalog) -> bool {
+    let width =
+        |plan: &rapid_qef::plan::PlanNode| plan.output_widths(catalog).map_or(0, |w| w.len());
+    match plan {
+        rapid_qef::plan::PlanNode::HashJoin {
+            build,
+            probe,
+            join_type,
+            output,
+            ..
+        } if output.len() < width(probe) + if join_type.pairs() { width(build) } else { 0 } => true,
+        other => other.inputs().any(|input| narrows_a_join(input, catalog)),
+    }
 }
 
 /// Whether a join of `plan` declares a join filter: a broadcast join, one

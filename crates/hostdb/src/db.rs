@@ -518,14 +518,14 @@ impl HostDb {
                 // on the catalog it ran on: per-node estimated rows in the
                 // tracer's pre-order id space, so every operator line can
                 // carry its Q-error.
-                let mut scans = Vec::new();
-                scan_columns(&compiled.plan, engine.catalog(), &mut scans);
+                let mut columns = Vec::new();
+                node_columns(&compiled.plan, engine.catalog(), &mut columns);
                 let estimates = rapid_qcomp::estimate_rows_per_node(
                     &compiled.plan,
                     engine.catalog(),
                     &CostParams::from_exec(engine.context()),
                 );
-                let text = render_explain(&events, &result, &estimates, &scans);
+                let text = render_explain(&events, &result, &estimates, &columns);
                 Ok(ExplainAnalysis {
                     result,
                     events,
@@ -954,8 +954,11 @@ impl Drop for HostDb {
 /// shows `est=` and the Q-error `q = max(est/actual, actual/est)`, making
 /// mis-estimates visible next to the operator that suffered them.
 ///
-/// `scans` (from [`scan_columns`], same id space) puts `cols k/n` on every
-/// scan line: the columns the compiled scan moves, of its table's. Beside it
+/// `columns` (from [`node_columns`], same id space) puts `cols k/n` on every
+/// scan line — the columns the compiled scan moves, of its table's — and on
+/// the line of the stage that writes a join's rows, the last of its node:
+/// the columns the join writes, of those its probe and build sides hand it
+/// together. Beside a scan's
 /// the line names what ran: the access path (`stream` or `gather`) and the
 /// trips through the DMS each run of rows took, `(key)` where one of them
 /// was the key pass that tested a join filter, and `chunks=k/n` where its
@@ -970,7 +973,7 @@ fn render_explain(
     events: &[StageEvent],
     result: &QueryResult,
     estimates: &[f64],
-    scans: &[Option<(usize, usize, usize)>],
+    columns: &[Option<(usize, usize, usize)>],
 ) -> String {
     use std::fmt::Write;
     let mut s = String::new();
@@ -1004,7 +1007,10 @@ fn render_explain(
         let scanned = scanned.map(|(at, _)| at);
         for (i, (node_id, depth, operator, rows)) in e.operators().enumerate() {
             let _ = write!(s, "{:indent$}{operator}", "", indent = depth as usize * 2);
-            if let Some(Some((moved, of, chunks))) = scans.get(node_id as usize) {
+            let last = last_stage.get(&node_id) == Some(&e.stage_id);
+            let joins = operator.starts_with("join.");
+            let cols = columns.get(node_id as usize).copied().flatten();
+            if let Some((moved, of, chunks)) = cols.filter(|_| !joins || (i == 0 && last)) {
                 let _ = write!(s, " cols {moved}/{of}");
                 if let Some(scan) = e.scan.filter(|_| scanned == Some(i)) {
                     let _ = write!(s, " {} passes={}", scan.path, scan.passes);
@@ -1075,16 +1081,24 @@ fn render_explain(
 
 /// Per pre-order node id of a compiled plan (the tracer's `node_id`): for
 /// a scan, how many columns it moves, how many its table has and how many
-/// chunks.
-fn scan_columns(plan: &PlanNode, catalog: &Catalog, out: &mut Vec<Option<(usize, usize, usize)>>) {
+/// chunks; for a join, how many columns it writes and how many its probe
+/// and build sides hand it together.
+fn node_columns(plan: &PlanNode, catalog: &Catalog, out: &mut Vec<Option<(usize, usize, usize)>>) {
+    let width = |plan: &PlanNode| plan.output_widths(catalog).map_or(0, |w| w.len());
     out.push(match plan {
         PlanNode::Scan { table, columns, .. } => catalog
             .get(table)
             .map(|t| (columns.len(), t.schema.len(), t.chunks.len())),
+        PlanNode::HashJoin {
+            build,
+            probe,
+            output,
+            ..
+        } => Some((output.len(), width(probe) + width(build), 0)),
         _ => None,
     });
     plan.inputs()
-        .for_each(|child| scan_columns(child, catalog, out));
+        .for_each(|child| node_columns(child, catalog, out));
 }
 
 /// Best-effort text of a thread panic payload.
@@ -1498,14 +1512,15 @@ mod tests {
         let total: f64 = a.events.iter().map(|e| e.sim_secs).sum();
         assert_eq!(total.to_bits(), a.result.rapid_secs.to_bits());
         assert!(a.text.contains("TOTAL simulated"));
-        // The scan, the map over it and `groupby.consume` are one task: one
-        // stage, one event, one line with the operators beneath it. The scan
-        // line says what moved — `id` did not — and how: an unfiltered table
-        // streams. Operator strings stay bare stage names; the access path
-        // is a field of the event.
+        // The scan and `groupby.consume` are one task: one stage, one event,
+        // one line with the operators beneath it. The group-by reads the
+        // scan's columns as they come — the scan projects them in the order
+        // it reads them, with no map between. The scan line says what moved
+        // — `id` did not — and how: an unfiltered table streams. Operator
+        // strings stay bare stage names; the access path is a field of the
+        // event.
         let task = "  groupby.consume  lanes=4 rows=16 ";
-        let beneath = "\n    map  rows=10000 est=10000 q=1.00\n      \
-                       scan(sales) cols 2/3 stream passes=1  rows=10000 est=10000 q=1.00\n";
+        let beneath = "\n    scan(sales) cols 2/3 stream passes=1  rows=10000 est=10000 q=1.00\n";
         assert!(
             a.text.contains(task) && a.text.contains(beneath),
             "tree names the task, and beneath it the scan, its columns and its access path:\n{}",
@@ -1527,7 +1542,7 @@ mod tests {
             Some(("stream".into(), 1))
         );
         let ops: Vec<&str> = scans[0].operators().map(|op| op.2).collect();
-        assert_eq!(ops, ["groupby.consume", "map", "scan(sales)"]);
+        assert_eq!(ops, ["groupby.consume", "scan(sales)"]);
         assert!(a.events.iter().all(|e| e.operator != "scan(sales)"));
         // Under the task line, its compute by kernel: the region codes index
         // their group's slot, nothing is hashed.
@@ -1676,8 +1691,9 @@ mod tests {
         // 10,000 distinct ids: the group-by partitions, round one in the
         // lanes of the scan's task. `id` is stored in 2 bytes and `amount` in
         // 4, so a row streams 6 bytes and the hash lane 4 — not the 20 of two
-        // declared 8-byte columns — beside the state of the task's three
-        // operators. The ids lie in no order of theirs: a table stored in
+        // declared 8-byte columns — beside the state of the task's two
+        // operators (the scan projects the columns in the order the group-by
+        // reads them: no map). The ids lie in no order of theirs: a table stored in
         // id order would be cut into key ranges, with no pass.
         let d = db_of(|i| i * 7919 % 10_000);
         d.load_into_rapid("sales").unwrap();
@@ -1692,7 +1708,7 @@ mod tests {
         let round = rounds[0];
         assert_eq!(
             round.dmem_peak_bytes,
-            3 * 64 + 2 * (6 + 4) * 256,
+            2 * 64 + 2 * (6 + 4) * 256,
             "{}",
             a.text
         );
@@ -1719,10 +1735,10 @@ mod tests {
             .split_whitespace()
             .collect();
         let ws = round.dmem_peak_bytes.to_string();
-        assert_eq!(stage[1..6], ["groupby.partition", "256", &ws, "192", "10"]);
+        assert_eq!(stage[1..6], ["groupby.partition", "256", &ws, "128", "10"]);
         assert_eq!(
-            stage[stage.len() - 5..].join(" "),
-            "[scan(sales) -> map -> groupby.partition]"
+            stage[stage.len() - 3..].join(" "),
+            "[scan(sales) -> groupby.partition]"
         );
     }
 

@@ -147,12 +147,22 @@ pub fn compile_unverified(
     // carries, which must be the bytes that will move, not the table's
     // width. `lower_join` then picks build sides and partition schemes
     // within the chosen order from the same estimates.
+    //
+    // The client reads the root's columns by position: where the search may
+    // reorder a join chain beneath it, lowering hands them on in the order
+    // the statement declared.
+    let joins = logical.has_join();
+    let layout = match params.reorder_joins && joins {
+        true => logical.output_names(catalog),
+        false => None,
+    };
     let (logical, optimize) = if params.reorder_joins {
         crate::joinorder::reorder(logical, catalog, params)
     } else {
         (logical, crate::joinorder::OptimizeStats::default())
     };
-    let (plan, output) = lower(&logical, catalog, params)?;
+    let reads = layout.as_deref().map_or(Reads::All, Reads::Layout);
+    let (plan, output) = Lowering::new(catalog, params, joins).node(&logical, reads)?;
     let cost = estimate(&plan, catalog, params);
     Ok(Compiled {
         plan,
@@ -169,197 +179,324 @@ pub fn verify_config(params: &CostParams) -> &ExecContext {
     &params.ctx
 }
 
+/// Lower `lp` with every column of its output, in its own order: what the
+/// join-order search estimates a relation from.
 pub(crate) fn lower(
     lp: &LogicalPlan,
     catalog: &Catalog,
     params: &CostParams,
 ) -> Result<(PlanNode, Vec<OutCol>), CompileError> {
-    match lp {
-        LogicalPlan::Scan {
-            table,
-            pred,
-            projection,
-        } => lower_scan(table, pred.as_ref(), projection.as_deref(), catalog),
-        LogicalPlan::Filter { input, pred } => {
-            let (child, cols) = lower(input, catalog, params)?;
-            let p = lower_pred(pred, &cols, catalog)?;
-            Ok((
-                PlanNode::Filter {
-                    input: Box::new(child),
-                    pred: p,
-                },
-                cols,
-            ))
+    Lowering::new(catalog, params, lp.has_join()).node(lp, Reads::All)
+}
+
+/// What a node's consumer reads of its output, as lowering hands it down:
+/// the liveness walk of [`LogicalPlan::prune_columns`], carried on through
+/// the joins the join-order search placed, so that a join writes only the
+/// columns something above it reads.
+#[derive(Debug, Clone, Copy)]
+enum Reads<'a> {
+    /// Every column, in the node's own order: a set operation's input.
+    All,
+    /// Every column, in the order these names declare it (the `k`-th of a
+    /// name is its `k`-th column of that name): the plan root, whose
+    /// layout the client reads, over a chain the search may have
+    /// reordered.
+    Layout(&'a [String]),
+    /// The columns named `need[from..]`, wherever they occur, in the
+    /// node's own order.
+    Names(usize),
+}
+
+/// Lowering of one statement: the catalog and parameters it lowers
+/// against, and the liveness walk's one stack of names, borrowed from the
+/// plan — a node pushes the names it reads before its input is lowered, and
+/// they are popped after.
+struct Lowering<'a, 'c> {
+    catalog: &'c Catalog,
+    params: &'c CostParams,
+    need: Vec<&'a str>,
+    /// Whether the plan joins anything: where nothing does, no join reads
+    /// the stack, nothing is pushed and the walk allocates nothing.
+    live: bool,
+}
+
+impl<'a, 'c> Lowering<'a, 'c> {
+    fn new(catalog: &'c Catalog, params: &'c CostParams, live: bool) -> Self {
+        Lowering {
+            catalog,
+            params,
+            need: Vec::new(),
+            live,
         }
-        LogicalPlan::Project { input, exprs } => {
-            let (child, cols) = lower(input, catalog, params)?;
-            let mut out_exprs = Vec::with_capacity(exprs.len());
-            let mut out_cols = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                let t = lower_expr(&e.expr, &cols, catalog)?;
-                out_cols.push(OutCol {
-                    name: e.name.clone(),
-                    dtype: t.dtype,
-                    scale: t.scale,
-                    dict: t.dict.clone(),
-                    ndv: t.ndv,
-                    range: t.range,
-                });
-                out_exprs.push(NamedExpr {
-                    expr: t.expr,
-                    name: e.name.clone(),
-                    dtype: t.dtype,
-                    scale: t.scale,
-                    dict: t.dict.clone(),
-                });
+    }
+
+    /// Lower `lp`, of one input, read as `reads`: its input is lowered read
+    /// as what `lp` reads of it (`LogicalPlan::push_reads`) — beside what
+    /// `lp`'s consumer reads, where `lp` hands its input's columns on.
+    fn input(
+        &mut self,
+        lp: &'a LogicalPlan,
+        input: &'a LogicalPlan,
+        reads: Reads<'a>,
+    ) -> Result<(PlanNode, Vec<OutCol>), CompileError> {
+        let mark = self.need.len();
+        let own = self.live && lp.push_reads(&mut self.need);
+        let reads = match reads {
+            _ if own => Reads::Names(mark),
+            // A window appends its column after its input's.
+            Reads::Layout(names) if matches!(lp, LogicalPlan::Window { .. }) => {
+                Reads::Layout(&names[..names.len().saturating_sub(1)])
             }
-            Ok((
-                PlanNode::Map {
-                    input: Box::new(child),
-                    exprs: out_exprs,
-                },
-                out_cols,
-            ))
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-        } => lower_join(
-            left, right, left_keys, right_keys, *join_type, catalog, params,
-        ),
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => lower_aggregate(input, group_by, aggs, catalog, params),
-        LogicalPlan::Sort { input, order } => {
-            let (child, cols) = lower(input, catalog, params)?;
-            let keys = order
-                .iter()
-                .map(|k| {
-                    Ok(SortKey {
-                        col: position(&cols, &k.col)?,
-                        desc: k.desc,
-                    })
-                })
-                .collect::<Result<Vec<_>, CompileError>>()?;
-            Ok((
-                PlanNode::Sort {
-                    input: Box::new(child),
-                    order: keys,
-                },
-                cols,
-            ))
-        }
-        LogicalPlan::Limit { input, n } => {
-            // Sort + Limit fuses into the vectorized Top-K (§5.4).
-            if let LogicalPlan::Sort {
-                input: sort_in,
-                order,
-            } = input.as_ref()
-            {
-                let (child, cols) = lower(sort_in, catalog, params)?;
-                let keys = order
-                    .iter()
-                    .map(|k| {
-                        Ok(SortKey {
-                            col: position(&cols, &k.col)?,
-                            desc: k.desc,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, CompileError>>()?;
-                return Ok((
-                    PlanNode::TopK {
+            Reads::All | Reads::Layout(_) | Reads::Names(_) => reads,
+        };
+        let lowered = self.node(input, reads);
+        self.need.truncate(mark);
+        lowered
+    }
+
+    fn node(
+        &mut self,
+        lp: &'a LogicalPlan,
+        reads: Reads<'a>,
+    ) -> Result<(PlanNode, Vec<OutCol>), CompileError> {
+        let (catalog, params) = (self.catalog, self.params);
+        match lp {
+            LogicalPlan::Scan {
+                table,
+                pred,
+                projection,
+            } => lower_scan(table, pred.as_ref(), projection.as_deref(), catalog),
+            LogicalPlan::Filter { input, pred } => {
+                let (child, cols) = self.input(lp, input, reads)?;
+                let p = lower_pred(pred, &cols, catalog)?;
+                Ok((
+                    PlanNode::Filter {
                         input: Box::new(child),
-                        order: keys,
-                        k: *n,
+                        pred: p,
                     },
                     cols,
-                ));
+                ))
             }
-            let (child, cols) = lower(input, catalog, params)?;
-            Ok((
-                PlanNode::Limit {
-                    input: Box::new(child),
-                    n: *n,
-                },
-                cols,
-            ))
-        }
-        LogicalPlan::SetOp { left, right, op } => {
-            let (l, lc) = lower(left, catalog, params)?;
-            let (r, rc) = lower(right, catalog, params)?;
-            if lc.len() != rc.len() {
-                return Err(CompileError::Unsupported(
-                    "set operation inputs must have equal arity".into(),
-                ));
+            LogicalPlan::Project { input, exprs } => {
+                let (child, cols) = self.input(lp, input, reads)?;
+                let mut out_exprs = Vec::with_capacity(exprs.len());
+                let mut out_cols = Vec::with_capacity(exprs.len());
+                for e in exprs {
+                    let t = lower_expr(&e.expr, &cols, catalog)?;
+                    out_cols.push(OutCol {
+                        name: e.name.clone(),
+                        dtype: t.dtype,
+                        scale: t.scale,
+                        dict: t.dict.clone(),
+                        ndv: t.ndv,
+                        range: t.range,
+                    });
+                    out_exprs.push(NamedExpr {
+                        expr: t.expr,
+                        name: e.name.clone(),
+                        dtype: t.dtype,
+                        scale: t.scale,
+                        dict: t.dict.clone(),
+                    });
+                }
+                Ok((project(child, out_exprs), out_cols))
             }
-            Ok((
-                PlanNode::SetOp {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    op: *op,
-                },
-                lc,
-            ))
-        }
-        LogicalPlan::Window {
-            input,
-            partition_by,
-            order_by,
-            func,
-            name,
-        } => {
-            let (child, mut cols) = lower(input, catalog, params)?;
-            let pb = partition_by
-                .iter()
-                .map(|c| position(&cols, c))
-                .collect::<Result<Vec<_>, _>>()?;
-            let ob = order_by
-                .iter()
-                .map(|k| {
-                    Ok(SortKey {
-                        col: position(&cols, &k.col)?,
-                        desc: k.desc,
-                    })
-                })
-                .collect::<Result<Vec<_>, CompileError>>()?;
-            let (wf, dtype, scale) = match func {
-                LWindowFunc::Rank => (rapid_qef::plan::WindowFunc::Rank, DataType::Int, 0),
-                LWindowFunc::RowNumber => {
-                    (rapid_qef::plan::WindowFunc::RowNumber, DataType::Int, 0)
+            LogicalPlan::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                join_type,
+            } => {
+                // A side reads what the join's consumer reads and its keys;
+                // a semi or anti join's right side, its keys alone.
+                let mark = self.need.len();
+                let from = match reads {
+                    Reads::Names(from) => Some(from),
+                    Reads::All | Reads::Layout(_) => None,
+                };
+                let side = |lowering: &mut Self, side, keys: &'a [String], emitted: bool| {
+                    let reads = match (from, emitted) {
+                        (None, true) => Reads::All,
+                        (from, _) => {
+                            lowering.need.extend(keys.iter().map(String::as_str));
+                            Reads::Names(from.filter(|_| emitted).unwrap_or(mark))
+                        }
+                    };
+                    let lowered = lowering.node(side, reads);
+                    lowering.need.truncate(mark);
+                    lowered
+                };
+                let (lplan, lcols) = side(self, left, left_keys, true)?;
+                let (rplan, rcols) = side(self, right, right_keys, join_type.pairs())?;
+                self.join(
+                    (lplan, lcols),
+                    (rplan, rcols),
+                    (left_keys, right_keys),
+                    *join_type,
+                    reads,
+                )
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let (child, cols) = self.input(lp, input, reads)?;
+                lower_aggregate(child, cols, group_by, aggs, catalog, params)
+            }
+            LogicalPlan::Sort { input, order } => {
+                let (child, cols) = self.input(lp, input, reads)?;
+                let keys = sort_keys(order, &cols)?;
+                Ok((
+                    PlanNode::Sort {
+                        input: Box::new(child),
+                        order: keys,
+                    },
+                    cols,
+                ))
+            }
+            LogicalPlan::Limit { input, n } => {
+                // Sort + Limit fuses into the vectorized Top-K (§5.4).
+                if let LogicalPlan::Sort {
+                    input: sort_in,
+                    order,
+                } = input.as_ref()
+                {
+                    let (child, cols) = self.input(input, sort_in, reads)?;
+                    let keys = sort_keys(order, &cols)?;
+                    return Ok((
+                        PlanNode::TopK {
+                            input: Box::new(child),
+                            order: keys,
+                            k: *n,
+                        },
+                        cols,
+                    ));
                 }
-                LWindowFunc::RunningSum { col } => {
-                    let idx = position(&cols, col)?;
-                    let c = &cols[idx];
-                    (
-                        rapid_qef::plan::WindowFunc::RunningSum { col: idx },
-                        c.dtype,
-                        c.scale,
-                    )
+                let (child, cols) = self.input(lp, input, reads)?;
+                Ok((
+                    PlanNode::Limit {
+                        input: Box::new(child),
+                        n: *n,
+                    },
+                    cols,
+                ))
+            }
+            LogicalPlan::SetOp { left, right, op } => {
+                let (l, lc) = self.node(left, Reads::All)?;
+                let (r, rc) = self.node(right, Reads::All)?;
+                if lc.len() != rc.len() {
+                    return Err(CompileError::Unsupported(
+                        "set operation inputs must have equal arity".into(),
+                    ));
                 }
-            };
-            cols.push(OutCol {
-                name: name.clone(),
-                dtype,
-                scale,
-                dict: None,
-                ndv: None,
-                range: None,
-            });
-            Ok((
-                PlanNode::Window {
-                    input: Box::new(child),
-                    partition_by: pb,
-                    order_by: ob,
-                    func: wf,
-                },
-                cols,
-            ))
+                Ok((
+                    PlanNode::SetOp {
+                        left: Box::new(l),
+                        right: Box::new(r),
+                        op: *op,
+                    },
+                    lc,
+                ))
+            }
+            LogicalPlan::Window {
+                input,
+                partition_by,
+                order_by,
+                func,
+                name,
+            } => {
+                let (child, mut cols) = self.input(lp, input, reads)?;
+                let pb = partition_by
+                    .iter()
+                    .map(|c| position(&cols, c))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let ob = sort_keys(order_by, &cols)?;
+                let (wf, dtype, scale) = match func {
+                    LWindowFunc::Rank => (rapid_qef::plan::WindowFunc::Rank, DataType::Int, 0),
+                    LWindowFunc::RowNumber => {
+                        (rapid_qef::plan::WindowFunc::RowNumber, DataType::Int, 0)
+                    }
+                    LWindowFunc::RunningSum { col } => {
+                        let idx = position(&cols, col)?;
+                        let c = &cols[idx];
+                        (
+                            rapid_qef::plan::WindowFunc::RunningSum { col: idx },
+                            c.dtype,
+                            c.scale,
+                        )
+                    }
+                };
+                cols.push(OutCol {
+                    name: name.clone(),
+                    dtype,
+                    scale,
+                    dict: None,
+                    ndv: None,
+                    range: None,
+                });
+                Ok((
+                    PlanNode::Window {
+                        input: Box::new(child),
+                        partition_by: pb,
+                        order_by: ob,
+                        func: wf,
+                    },
+                    cols,
+                ))
+            }
         }
+    }
+}
+
+/// Resolve sort keys by name.
+fn sort_keys(
+    order: &[crate::logical::LSortKey],
+    cols: &[OutCol],
+) -> Result<Vec<SortKey>, CompileError> {
+    order
+        .iter()
+        .map(|k| {
+            Ok(SortKey {
+                col: position(cols, &k.col)?,
+                desc: k.desc,
+            })
+        })
+        .collect()
+}
+
+/// `exprs` over `child`: a Map, or — where every expression is a bare
+/// column and `child` is a join, or a scan that would not move a column
+/// twice — `child` writing those columns in that order (a join's `output`,
+/// a scan's `columns`), which is no operator.
+fn project(mut child: PlanNode, exprs: Vec<NamedExpr>) -> PlanNode {
+    let bare = |e: &NamedExpr| match e.expr {
+        Expr::Col(c) => Some(c),
+        _ => None,
+    };
+    if exprs.iter().all(|e| bare(e).is_some()) {
+        let picked = exprs.iter().filter_map(bare);
+        match &mut child {
+            PlanNode::HashJoin { output, .. } => {
+                *output = picked.map(|c| output[c]).collect();
+                return child;
+            }
+            PlanNode::Scan { columns, .. }
+                if picked
+                    .clone()
+                    .enumerate()
+                    .all(|(i, c)| picked.clone().skip(i + 1).all(|d| d != c)) =>
+            {
+                *columns = picked.map(|c| columns[c]).collect();
+                return child;
+            }
+            _ => {}
+        }
+    }
+    PlanNode::Map {
+        input: Box::new(child),
+        exprs,
     }
 }
 
@@ -978,125 +1115,150 @@ fn encode_boundary(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lower_join(
-    left: &LogicalPlan,
-    right: &LogicalPlan,
-    left_keys: &[String],
-    right_keys: &[String],
-    join_type: JoinType,
-    catalog: &Catalog,
-    params: &CostParams,
-) -> Result<(PlanNode, Vec<OutCol>), CompileError> {
-    let (lplan, lcols) = lower(left, catalog, params)?;
-    let (rplan, rcols) = lower(right, catalog, params)?;
-    let lk = left_keys
-        .iter()
-        .map(|k| position(&lcols, k))
-        .collect::<Result<Vec<_>, _>>()?;
-    let rk = right_keys
-        .iter()
-        .map(|k| position(&rcols, k))
-        .collect::<Result<Vec<_>, _>>()?;
+impl Lowering<'_, '_> {
+    /// The join of `left` and `right`, both lowered, on `keys`, writing the
+    /// columns its consumer reads as `reads`: of its logical columns — the
+    /// left side's, then for an inner or outer join the right side's — those
+    /// `reads` names, in the order it reads them. Where it reads none (a
+    /// `COUNT(*)`), the first column stored narrowest, for the rows to be
+    /// counted.
+    fn join(
+        &self,
+        (lplan, lcols): (PlanNode, Vec<OutCol>),
+        (rplan, rcols): (PlanNode, Vec<OutCol>),
+        (left_keys, right_keys): (&[String], &[String]),
+        join_type: JoinType,
+        reads: Reads<'_>,
+    ) -> Result<(PlanNode, Vec<OutCol>), CompileError> {
+        let (catalog, params) = (self.catalog, self.params);
+        let lk = left_keys
+            .iter()
+            .map(|k| position(&lcols, k))
+            .collect::<Result<Vec<_>, _>>()?;
+        let rk = right_keys
+            .iter()
+            .map(|k| position(&rcols, k))
+            .collect::<Result<Vec<_>, _>>()?;
 
-    // For semi/anti/outer the left side must stay the probe/outer input.
-    // For inner joins the compiler picks the smaller side as build.
-    let rest = estimate_node(&rplan, catalog, params);
-    let lest = estimate_node(&lplan, catalog, params);
-    let build_is_right = join_type != JoinType::Inner || rest.cost.rows <= lest.cost.rows;
-    let ((build, build_est), (probe, probe_est)) = if build_is_right {
-        ((&rplan, &rest), (&lplan, &lest))
-    } else {
-        ((&lplan, &lest), (&rplan, &rest))
-    };
-    let (build_rows, probe_rows) = (build_est.cost.rows, probe_est.cost.rows);
-    let scheme = if broadcasts(
-        build,
-        build_rows,
-        probe,
-        probe_rows,
-        lk.len(),
-        catalog,
-        params,
-    )? {
-        Vec::new()
-    } else {
-        // Both sides stream through the partition passes, and the
-        // local-buffer limit (heuristic b) is set by the *widest* row. The
-        // partition *count* alone keeps the declared widths: it sizes what a
-        // join kernel holds, and a kernel widens keys to 8 bytes whatever
-        // they are stored in.
-        let declared = |cs: &[OutCol]| -> usize {
-            cs.iter()
-                .map(|c| c.dtype.physical_width())
-                .sum::<usize>()
-                .max(8)
+        // For semi/anti/outer the left side must stay the probe/outer input.
+        // For inner joins the compiler picks the smaller side as build.
+        let rest = estimate_node(&rplan, catalog, params);
+        let lest = estimate_node(&lplan, catalog, params);
+        let build_is_right = join_type != JoinType::Inner || rest.cost.rows <= lest.cost.rows;
+        let ((build, build_est), (probe, probe_est)) = if build_is_right {
+            ((&rplan, &rest), (&lplan, &lest))
+        } else {
+            ((&lplan, &lest), (&rplan, &rest))
         };
-        partition_scheme(
+        let (build_rows, probe_rows) = (build_est.cost.rows, probe_est.cost.rows);
+        let scheme = if broadcasts(
+            build,
             build_rows,
-            encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?),
-            declared(&lcols).max(declared(&rcols)),
-            &params.ctx,
-        )
-    };
+            probe,
+            probe_rows,
+            lk.len(),
+            catalog,
+            params,
+        )? {
+            Vec::new()
+        } else {
+            // Both sides stream through the partition passes, and the
+            // local-buffer limit (heuristic b) is set by the *widest* row. The
+            // partition *count* alone keeps the declared widths: it sizes what
+            // a join kernel holds, and a kernel widens keys to 8 bytes
+            // whatever they are stored in.
+            let declared = |cs: &[OutCol]| -> usize {
+                cs.iter()
+                    .map(|c| c.dtype.physical_width())
+                    .sum::<usize>()
+                    .max(8)
+            };
+            partition_scheme(
+                build_rows,
+                encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?),
+                declared(&lcols).max(declared(&rcols)),
+                &params.ctx,
+            )
+        };
 
-    let (llen, rlen) = (lcols.len(), rcols.len());
-    if build_is_right {
+        // The logical columns it writes, and where each lies in the probe
+        // side's columns followed by the build side's.
+        let llen = lcols.len();
+        let logical: Vec<&OutCol> = match join_type.pairs() {
+            true => lcols.iter().chain(&rcols).collect(),
+            false => lcols.iter().collect(),
+        };
+        let written = self.written(&logical, reads, (&lplan, &rplan))?;
+        let placed = |i: usize| match (build_is_right, i.checked_sub(llen)) {
+            (true, _) => i,
+            (false, None) => rcols.len() + i,
+            (false, Some(right)) => right,
+        };
+        let output = written.iter().map(|&i| placed(i)).collect();
+        let cols = written.iter().map(|&i| logical[i].clone()).collect();
+        let ((build, build_keys), (probe, probe_keys)) = match build_is_right {
+            true => ((rplan, rk), (lplan, lk)),
+            false => ((lplan, lk), (rplan, rk)),
+        };
         let node = PlanNode::HashJoin {
-            build: Box::new(rplan),
-            probe: Box::new(lplan),
-            build_keys: rk,
-            probe_keys: lk,
+            build: Box::new(build),
+            probe: Box::new(probe),
+            build_keys,
+            probe_keys,
             join_type,
             scheme,
             filter: None,
             ranged: false,
+            output,
         };
         let node = ranged(node, catalog, params)?;
         let node = join_filter(node, (build_est, probe_est), catalog, params)?;
-        // Output: probe (left) then build (right) — already logical order.
-        let mut cols = lcols;
-        if join_type == JoinType::Inner || join_type == JoinType::LeftOuter {
-            cols.extend(rcols);
-        }
         Ok((node, cols))
-    } else {
-        let node = PlanNode::HashJoin {
-            build: Box::new(lplan),
-            probe: Box::new(rplan),
-            build_keys: lk,
-            probe_keys: rk,
-            join_type,
-            scheme,
-            filter: None,
-            ranged: false,
+    }
+
+    /// Which of a join's `logical` columns it writes, as positions in them,
+    /// for a consumer that reads them as `reads`.
+    fn written(
+        &self,
+        logical: &[&OutCol],
+        reads: Reads<'_>,
+        (left, right): (&PlanNode, &PlanNode),
+    ) -> Result<Vec<usize>, CompileError> {
+        // The `nth` column of the name.
+        let named = |name: &str, nth: usize| {
+            let mut of_name = (0..logical.len()).filter(|&i| logical[i].name == name);
+            of_name
+                .nth(nth)
+                .ok_or_else(|| CompileError::UnknownColumn(name.to_string()))
         };
-        let node = ranged(node, catalog, params)?;
-        let node = join_filter(node, (build_est, probe_est), catalog, params)?;
-        // Physical layout: probe (right) ++ build (left). Reorder back to
-        // the logical left-then-right layout with a projection.
-        let mut physical = rcols;
-        physical.extend(lcols);
-        let mut exprs = Vec::with_capacity(llen + rlen);
-        let mut reordered = Vec::with_capacity(llen + rlen);
-        for src in (rlen..rlen + llen).chain(0..rlen) {
-            let c = &physical[src];
-            exprs.push(NamedExpr {
-                expr: Expr::Col(src),
-                name: c.name.clone(),
-                dtype: c.dtype,
-                scale: c.scale,
-                dict: c.dict.clone(),
-            });
-            reordered.push(c.clone());
+        let written: Vec<usize> = match reads {
+            Reads::All => (0..logical.len()).collect(),
+            Reads::Layout(names) => names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| named(name, names[..i].iter().filter(|n| *n == name).count()))
+                .collect::<Result<_, _>>()?,
+            Reads::Names(from) => {
+                let need = &self.need[from..];
+                (0..logical.len())
+                    .filter(|&i| need.contains(&logical[i].name.as_str()))
+                    .collect()
+            }
+        };
+        if !written.is_empty() {
+            return Ok(written);
         }
-        Ok((
-            PlanNode::Map {
-                input: Box::new(node),
-                exprs,
-            },
-            reordered,
-        ))
+        // Nothing is read: the first column stored narrowest still moves.
+        let widths = |plan: &PlanNode| {
+            plan.output_widths(self.catalog)
+                .map_err(|e| CompileError::BadCatalog(e.to_string()))
+        };
+        let mut stored = widths(left)?;
+        stored.extend(widths(right)?);
+        Ok((0..logical.len())
+            .min_by_key(|&i| stored[i])
+            .into_iter()
+            .collect())
     }
 }
 
@@ -1269,13 +1431,13 @@ fn encoded_row_bytes(plan: &PlanNode, catalog: &Catalog) -> Result<usize, Compil
 }
 
 fn lower_aggregate(
-    input: &LogicalPlan,
+    child: PlanNode,
+    cols: Vec<OutCol>,
     group_by: &[crate::logical::LNamed],
     aggs: &[crate::logical::LAgg],
     catalog: &Catalog,
     params: &CostParams,
 ) -> Result<(PlanNode, Vec<OutCol>), CompileError> {
-    let (child, cols) = lower(input, catalog, params)?;
     // Pre-Map: group keys first, then agg inputs.
     let mut exprs: Vec<NamedExpr> = Vec::new();
     let mut out_cols = Vec::new();
@@ -1341,10 +1503,7 @@ fn lower_aggregate(
         specs.push(AggSpec { func: a.func, col });
     }
 
-    let mapped = PlanNode::Map {
-        input: Box::new(child),
-        exprs,
-    };
+    let mapped = project(child, exprs);
     // Strategy selection (§5.4's two group-by cases) from the most groups
     // there can be: the product of the keys' NDV bounds, or — a key without
     // one — the rows estimated to arrive. Few enough for a per-core DMEM

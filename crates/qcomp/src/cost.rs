@@ -304,6 +304,7 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
             probe_keys,
             join_type,
             filter,
+            output,
             ..
         } => {
             let b = estimate_node(build, catalog, p);
@@ -323,18 +324,27 @@ pub fn estimate_node(plan: &PlanNode, catalog: &Catalog, p: &CostParams) -> Node
                 JoinType::LeftSemi => pr.cost.rows * match_frac,
                 JoinType::LeftAnti => pr.cost.rows * (1.0 - match_frac),
             };
-            let out_bytes = match join_type {
-                JoinType::Inner | JoinType::LeftOuter => b.cost.row_bytes + pr.cost.row_bytes,
-                _ => pr.cost.row_bytes,
+            // The columns it writes, of the probe columns followed by the
+            // build columns (inner/outer) or of the probe columns (semi/anti):
+            // each as many bytes as its side's row holds a column.
+            let per_column = |e: &NodeEst| e.cost.row_bytes / e.cols.len().max(1) as f64;
+            let (probe_bytes, build_bytes) = (per_column(&pr), per_column(&b));
+            let probe_width = pr.cols.len();
+            let out_bytes = output
+                .iter()
+                .map(|&c| match c < probe_width {
+                    true => probe_bytes,
+                    false => build_bytes,
+                })
+                .sum();
+            let paired: Vec<&Option<ColumnStats>> = match join_type.pairs() {
+                true => pr.cols.iter().chain(&b.cols).collect(),
+                false => pr.cols.iter().collect(),
             };
-            // Output layout: probe columns ++ build columns (inner/outer),
-            // probe columns only (semi/anti).
-            let cols = match join_type {
-                JoinType::Inner | JoinType::LeftOuter => {
-                    pr.cols.iter().chain(b.cols.iter()).cloned().collect()
-                }
-                _ => pr.cols.clone(),
-            };
+            let cols = output
+                .iter()
+                .map(|&c| paired.get(c).copied().cloned().flatten())
+                .collect();
             NodeEst {
                 cost: PlanCost {
                     rows: out_rows,
@@ -740,6 +750,7 @@ mod tests {
             scheme: vec![32],
             filter: None,
             ranged: false,
+            output: (0..4).collect(),
         };
         let jc = estimate(&join, &cat, &p);
         let sc = estimate(&scan(), &cat, &p);
@@ -797,6 +808,7 @@ mod tests {
             scheme: vec![32],
             filter: None,
             ranged: false,
+            output: (0..if join_type.pairs() { 4 } else { 2 }).collect(),
         }
     }
 
@@ -867,6 +879,7 @@ mod tests {
             scheme: vec![32],
             filter: None,
             ranged: false,
+            output: vec![0, 1],
         };
         let c = estimate(&j, &cat, &p);
         // Old behavior: probe rows.
@@ -910,6 +923,7 @@ mod tests {
             scheme: vec![32],
             filter: None,
             ranged: false,
+            output: (0..4).collect(),
         };
         let est = estimate_rows_per_node(&plan, &cat, &p);
         // Pre-order: join(0), build scan(1), probe filter(2), its scan(3).

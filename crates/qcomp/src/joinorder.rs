@@ -28,14 +28,13 @@
 //!    are gated by `rapid-report gate` (optd-style planning metrics).
 //! 4. **Reconstruct**: every edge is applied exactly once, at the lowest
 //!    join above both its endpoints (so cyclic join graphs like Q5's
-//!    customer–supplier nation edge stay correct). When the chain's
-//!    *positional* output layout is observable downstream (the chain is
-//!    the plan root, or feeds a `SetOp` through order-preserving
-//!    operators), it is wrapped in a name-preserving `Project` restoring
-//!    the original column order; under a `Project` or `Aggregate` —
-//!    which rebuild their output by name — the wrapper is skipped, since
-//!    it would cost a full-width materialization pass over the join
-//!    result for nothing.
+//!    customer–supplier nation edge stay correct). A reordered chain's
+//!    columns come out in the new tree's order; every consumer above it
+//!    resolves them by name, and the plan root's client, which reads them
+//!    by position, is handed them in the declared order by the join that
+//!    writes them (the compiler lowers the root against the layout it had
+//!    before this pass). A chain a `SetOp` reads by position through
+//!    order-preserving operators keeps its declared order.
 //!
 //! The pass is semantics-preserving for inner joins (commutative and
 //! associative over multisets; equi-edges never match NULLs regardless of
@@ -48,7 +47,7 @@ use rapid_qef::primitives::costs;
 
 use crate::compiler::{lower, OutCol};
 use crate::cost::{estimate_node, CostParams, NodeEst};
-use crate::logical::{LExpr, LNamed, LogicalPlan};
+use crate::logical::LogicalPlan;
 use crate::partition_opt::{partition_scheme, scheme_cost};
 
 /// Relation count above which a chain keeps its declared order: the DP's
@@ -96,36 +95,34 @@ pub fn reorder(
     params: &CostParams,
 ) -> (LogicalPlan, OptimizeStats) {
     let mut stats = OptimizeStats::default();
-    // The root's positional layout IS the query's output layout.
-    rewrite(&mut lp, catalog, params, &mut stats, true);
+    rewrite(&mut lp, catalog, params, &mut stats, false);
     (lp, stats)
 }
 
 /// Recursively rewrite in place: inner-join roots become reordered chains,
 /// every other node keeps its shape with rewritten children.
 ///
-/// `positional` tracks whether this node's *column order* (not just its
-/// column names) is observable from above: true at the plan root and
-/// below `SetOp` (positional semantics), passed through order-preserving
-/// operators (`Filter`/`Sort`/`Limit`/`Window`/outer `Join`), and reset
-/// under `Project`/`Aggregate`, which rebuild their output by name. A
-/// reordered chain only needs its order-restoring `Project` wrapper when
-/// `positional` is set.
+/// `fixed` tracks whether a `SetOp` reads this node's *column order* (not
+/// just its column names): set below a `SetOp` (positional semantics),
+/// passed through order-preserving operators (`Filter`/`Sort`/`Limit`/
+/// `Window`/outer `Join`), and reset under `Project`/`Aggregate`, which
+/// rebuild their output by name. A chain under `fixed` keeps its declared
+/// order.
 fn rewrite(
     lp: &mut LogicalPlan,
     catalog: &Catalog,
     params: &CostParams,
     stats: &mut OptimizeStats,
-    positional: bool,
+    fixed: bool,
 ) {
     let below = match lp {
         LogicalPlan::Join {
             join_type: JoinType::Inner,
             ..
-        } => return reorder_chain(lp, catalog, params, stats, positional),
+        } => return reorder_chain(lp, catalog, params, stats, fixed),
         LogicalPlan::Project { .. } | LogicalPlan::Aggregate { .. } => false,
         LogicalPlan::SetOp { .. } => true,
-        _ => positional,
+        _ => fixed,
     };
     for child in lp.inputs_mut() {
         rewrite(child, catalog, params, stats, below);
@@ -185,14 +182,14 @@ fn reorder_chain(
     catalog: &Catalog,
     params: &CostParams,
     stats: &mut OptimizeStats,
-    positional: bool,
+    fixed: bool,
 ) {
-    // Relations inherit `positional`: if this chain ends up in declared
-    // order (no restoring wrapper), their own layout is still observable
-    // through the chain's concatenated output.
-    each_relation(lp, &mut |rel| {
-        rewrite(rel, catalog, params, stats, positional)
-    });
+    // Relations inherit `fixed`: their own layout is still read through
+    // the chain's concatenated output.
+    each_relation(lp, &mut |rel| rewrite(rel, catalog, params, stats, fixed));
+    if fixed {
+        return;
+    }
     let Some((tree, edges, rels)) = search(lp, catalog, params, stats) else {
         return;
     };
@@ -204,24 +201,7 @@ fn reorder_chain(
     each_relation(lp, &mut |rel| {
         rel_plans.push(std::mem::replace(rel, LogicalPlan::scan("")))
     });
-    let new_chain = build_tree(&tree, &mut rel_plans, &edges);
-
-    // Only pay for an order-restoring projection when the chain's
-    // positional layout is observable downstream; under a `Project` or
-    // `Aggregate` the parent resolves columns by name anyway, and the
-    // wrapper would materialize a full-width copy of the join result.
-    *lp = if positional {
-        LogicalPlan::Project {
-            input: Box::new(new_chain),
-            exprs: rels
-                .iter()
-                .flat_map(|r| r.cols.iter())
-                .map(|c| LNamed::new(&c.name, LExpr::col(&c.name)))
-                .collect(),
-        }
-    } else {
-        new_chain
-    };
+    *lp = build_tree(&tree, &mut rel_plans, &edges);
 }
 
 /// Search the join orders of the chain rooted at `lp`. `None` keeps the
@@ -664,6 +644,20 @@ mod tests {
             c.output.iter().map(|o| o.name.clone()).collect()
         };
         assert_eq!(names(&c_on), names(&c_off));
+        // The reordered chain's top join writes them in the declared order
+        // itself: no operator above it restores the layout.
+        assert!(matches!(
+            c_on.plan,
+            rapid_qef::plan::PlanNode::HashJoin { .. }
+        ));
+        let written: Vec<String> = c_on
+            .plan
+            .output_meta(&cat)
+            .unwrap()
+            .into_iter()
+            .map(|m| m.name)
+            .collect();
+        assert_eq!(written, names(&c_off));
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl LExpr {
     }
 
     /// Push the name of every column the expression reads onto `out`.
-    fn columns<'a>(&'a self, out: &mut Vec<&'a str>) {
+    pub(crate) fn columns<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             LExpr::Col(name) => out.push(name),
             LExpr::Lit(_) => {}
@@ -158,7 +158,7 @@ impl LPred {
     }
 
     /// Push the name of every column the predicate reads onto `out`.
-    fn columns<'a>(&'a self, out: &mut Vec<&'a str>) {
+    pub(crate) fn columns<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             LPred::Cmp { left, right, .. } => {
                 left.columns(out);
@@ -368,6 +368,99 @@ impl LogicalPlan {
     pub(crate) fn prune_columns(&mut self, catalog: &Catalog) {
         // Room for the names of an ordinary statement in one allocation.
         narrow(self, catalog, &mut Vec::with_capacity(16), None);
+    }
+
+    /// Push the names of the columns a node of one input reads of it onto
+    /// `need`: a predicate's, sort keys', window keys' or expressions'.
+    /// Returns whether that is all its input must hand on — `Project` and
+    /// `Aggregate` rebuild their output from what they read — rather than
+    /// those beside what the node's own consumer reads (`Filter`, `Sort`,
+    /// `Limit`, `Window` hand their input's columns on). Scans, joins and
+    /// set operations push nothing. This is the rule `prune_columns`
+    /// applies node by node (there through disjoint borrows, since it
+    /// narrows the scans below in place), which lowering carries on
+    /// through the joins.
+    pub(crate) fn push_reads<'a>(&'a self, need: &mut Vec<&'a str>) -> bool {
+        let sort_cols = |order: &'a [LSortKey]| order.iter().map(|k| k.col.as_str());
+        match self {
+            LogicalPlan::Filter { pred, .. } => pred.columns(need),
+            LogicalPlan::Project { exprs, .. } => {
+                exprs.iter().for_each(|e| e.expr.columns(need));
+                return true;
+            }
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                group_by.iter().for_each(|g| g.expr.columns(need));
+                aggs.iter().for_each(|a| a.input.columns(need));
+                return true;
+            }
+            LogicalPlan::Sort { order, .. } => need.extend(sort_cols(order)),
+            LogicalPlan::Window {
+                partition_by,
+                order_by,
+                func,
+                ..
+            } => {
+                need.extend(partition_by.iter().map(String::as_str));
+                need.extend(sort_cols(order_by));
+                if let LWindowFunc::RunningSum { col } = func {
+                    need.push(col);
+                }
+            }
+            LogicalPlan::Scan { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Join { .. }
+            | LogicalPlan::SetOp { .. } => {}
+        }
+        false
+    }
+
+    /// Whether the plan joins anything.
+    pub(crate) fn has_join(&self) -> bool {
+        matches!(self, LogicalPlan::Join { .. }) || self.inputs().any(LogicalPlan::has_join)
+    }
+
+    /// The names of the plan's output columns, in order: the layout a
+    /// consumer that reads columns by position sees. `None` where a table
+    /// is not in the catalog, which lowering reports.
+    pub(crate) fn output_names(&self, catalog: &Catalog) -> Option<Vec<String>> {
+        let named = |exprs: &[LNamed]| exprs.iter().map(|e| e.name.clone()).collect::<Vec<_>>();
+        match self {
+            LogicalPlan::Scan {
+                projection: Some(names),
+                ..
+            } => Some(names.clone()),
+            LogicalPlan::Scan { table, .. } => {
+                let t = catalog.get(table)?;
+                Some(t.schema.fields.iter().map(|f| f.name.clone()).collect())
+            }
+            LogicalPlan::Project { exprs, .. } => Some(named(exprs)),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                let mut names = named(group_by);
+                names.extend(aggs.iter().map(|a| a.name.clone()));
+                Some(names)
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                join_type,
+                ..
+            } => {
+                let mut names = left.output_names(catalog)?;
+                if join_type.pairs() {
+                    names.extend(right.output_names(catalog)?);
+                }
+                Some(names)
+            }
+            LogicalPlan::Window { input, name, .. } => {
+                let mut names = input.output_names(catalog)?;
+                names.push(name.clone());
+                Some(names)
+            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::SetOp { left: input, .. } => input.output_names(catalog),
+        }
     }
 
     /// Scan shorthand.

@@ -90,6 +90,32 @@ impl Batch {
         }
     }
 
+    /// Columns `cols` of the batch, in that order: each moved, and copied
+    /// only where `cols` lists it again further on. All of them in order is
+    /// the batch as it came.
+    pub fn select(mut self, cols: impl Iterator<Item = usize> + Clone) -> Batch {
+        if cols.clone().eq(0..self.width()) {
+            return self;
+        }
+        let rows = self.rows;
+        let mut held: Vec<Option<Vector>> = std::mem::take(&mut self.columns)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let columns = cols.clone().enumerate().map(|(i, c)| {
+            let again = cols.clone().skip(i + 1).any(|k| k == c);
+            let column = match again {
+                true => held[c].clone(),
+                false => held[c].take(),
+            };
+            column.unwrap_or_else(empty_vector)
+        });
+        Batch {
+            columns: columns.collect(),
+            rows,
+        }
+    }
+
     /// Append a column (must match the row count).
     pub fn push_column(&mut self, v: Vector) {
         if self.columns.is_empty() {
@@ -559,28 +585,44 @@ impl Rows<'_> {
 
     /// [`into_batch`](Self::into_batch) for an operator whose own loops
     /// already read the rows and were charged for it.
-    pub(crate) fn materialize(mut self) -> Batch {
+    pub(crate) fn materialize(self) -> Batch {
+        let width = self.width();
+        self.materialize_columns(0..width)
+    }
+
+    /// [`materialize`](Self::materialize) of columns `cols` alone, in that
+    /// order: what a join writes of the probe rows it keeps. A vector the
+    /// lane holds already is handed on, copied only where `cols` lists it
+    /// again further on.
+    pub(crate) fn materialize_columns(
+        mut self,
+        cols: impl Iterator<Item = usize> + Clone,
+    ) -> Batch {
         let rows = self.rows();
         let mut written = match &mut self {
-            Rows::Owned(batch) => return std::mem::replace(batch, Batch::empty(0)),
+            Rows::Owned(batch) => return std::mem::replace(batch, Batch::empty(0)).select(cols),
             Rows::InPlace { .. } if rows == 0 => return Batch::empty(0),
             Rows::InPlace { written, .. } => std::mem::take(written),
         };
         let Rows::InPlace { projection, .. } = &self else {
             unreachable!("matched above")
         };
-        let width = projection.len();
-        let columns = (0..width).map(|c| match projection.at(c) {
-            Col::Tile(_) => {
-                let mut out = ColumnBuilder::default();
-                self.runs().for_each(|run| out.append_run(&run, c, rows));
-                out.finish()
-            }
-            col @ Col::Written(j) if (c + 1..width).any(|k| projection.at(k) == col) => {
-                written[j].clone()
-            }
-            Col::Written(j) => std::mem::replace(&mut written[j], empty_vector()),
-        });
+        let columns = cols
+            .clone()
+            .enumerate()
+            .map(|(i, c)| match projection.at(c) {
+                Col::Tile(_) => {
+                    let mut out = ColumnBuilder::default();
+                    self.runs().for_each(|run| out.append_run(&run, c, rows));
+                    out.finish()
+                }
+                col @ Col::Written(j)
+                    if cols.clone().skip(i + 1).any(|k| projection.at(k) == col) =>
+                {
+                    written[j].clone()
+                }
+                Col::Written(j) => std::mem::replace(&mut written[j], empty_vector()),
+            });
         Batch::new(columns.collect())
     }
 

@@ -548,6 +548,7 @@ impl<'e> Run<'e> {
                 scheme,
                 filter,
                 ranged,
+                output,
             } => {
                 if *ranged {
                     return self.exec_ranged(node);
@@ -556,7 +557,7 @@ impl<'e> Run<'e> {
                     node,
                     (build, probe),
                     (build_keys, probe_keys),
-                    *join_type,
+                    (*join_type, output),
                     scheme,
                     *filter,
                 )
@@ -1012,13 +1013,14 @@ impl<'e> Run<'e> {
     }
 
     /// A join of `scheme`'s rounds — broadcast where it has none — with the
-    /// join filter of `filter` bits where it declares one.
+    /// join filter of `filter` bits where it declares one, writing the
+    /// columns `output` lists.
     fn exec_join(
         &mut self,
         node: &PlanNode,
         (build, probe): (&PlanNode, &PlanNode),
         (build_keys, probe_keys): (&[usize], &[usize]),
-        join_type: JoinType,
+        (join_type, output): (JoinType, &[usize]),
         scheme: &[usize],
         filter: Option<usize>,
     ) -> QefResult<Vec<Batch>> {
@@ -1030,7 +1032,7 @@ impl<'e> Run<'e> {
         }
         if scheme.is_empty() {
             let keys = (build_keys, probe_keys);
-            return self.exec_broadcast(node, (build, probe), keys, join_type, filter);
+            return self.exec_broadcast(node, (build, probe), keys, (join_type, output), filter);
         }
         let build_widths = build.output_widths(self.catalog)?;
         let probe_widths = probe.output_widths(self.catalog)?;
@@ -1061,7 +1063,11 @@ impl<'e> Run<'e> {
             probe_keys,
             join_type,
             est_rows: est_per_partition,
-            build_widths: &build_widths,
+            output: ops::join::Output {
+                columns: output,
+                probe_width: probe_widths.len(),
+                build_widths: &build_widths,
+            },
             tile: self
                 .partition_tile(&build_widths, 0)?
                 .min(self.partition_tile(&probe_widths, 0)?),
@@ -1141,7 +1147,7 @@ impl<'e> Run<'e> {
         node: &PlanNode,
         (build, probe): (&PlanNode, &PlanNode),
         (build_keys, probe_keys): (&[usize], &[usize]),
-        join_type: JoinType,
+        (join_type, output): (JoinType, &[usize]),
         filter: Option<usize>,
     ) -> QefResult<Vec<Batch>> {
         let (catalog, ctx) = (self.catalog, self.ctx);
@@ -1161,6 +1167,7 @@ impl<'e> Run<'e> {
             probe_keys,
             join_type,
             build_widths: &build_widths,
+            output,
             capacity: ops::join::broadcast_capacity(
                 built.rows(),
                 build_keys.len(),
@@ -1182,7 +1189,10 @@ impl<'e> Run<'e> {
             let lane = LaneCost {
                 compute: core.account.compute_cycles().get(),
                 dms: core.account.dms_cycles().get(),
-                per_row: join.probe_row_cycles(&ctx.cost_model, probe_widths.len()),
+                per_row: join.probe_row_cycles(
+                    &ctx.cost_model,
+                    ops::join::probe_reads(probe_keys, output, probe_widths.len()),
+                ),
             };
             let run = self.run_task(task, probe, Some(lane), |core, rows, tile, untested| {
                 join.lane(core, table, [rows], tile, untested.is_some())
@@ -1243,22 +1253,23 @@ impl<'e> Run<'e> {
         let tasks = node
             .ranged_tasks(catalog, ctx.dmem_bytes)?
             .ok_or_else(|| bad("an input is no scan-fed chain"))?;
-        let (keys, filter, build_widths): (Vec<&[usize]>, _, _) = match node {
+        let (keys, filter, build_widths, output): (Vec<&[usize]>, _, _, _) = match node {
             PlanNode::HashJoin {
                 build,
                 build_keys,
                 probe_keys,
                 join_type,
                 filter,
+                output,
                 ..
             } => {
                 if let Some(bits) = filter {
                     ops::join_filter::check(*bits, *join_type, &[]).map_err(QefError::BadPlan)?;
                 }
                 let widths = build.output_widths(catalog)?;
-                (vec![build_keys, probe_keys], *filter, widths)
+                (vec![build_keys, probe_keys], *filter, widths, &output[..])
             }
-            PlanNode::GroupBy { keys, .. } => (vec![keys], None, Vec::new()),
+            PlanNode::GroupBy { keys, .. } => (vec![keys], None, Vec::new(), &[][..]),
             _ => return Err(bad("not a join or group-by")),
         };
         // The one key of each input, as a column of its table.
@@ -1394,6 +1405,7 @@ impl<'e> Run<'e> {
                 probe_keys,
                 join_type,
                 build_widths: &build_widths,
+                output,
                 capacity: built.rows() - overflow,
                 filter: filter.as_ref(),
             };
@@ -1532,9 +1544,10 @@ struct PairJoin<'a> {
     join_type: JoinType,
     /// Build rows a partition was sized for.
     est_rows: usize,
-    /// The build side's [`PlanNode::output_widths`]: what an outer join's
-    /// NULL pad is stored at, so it concatenates with matched partitions.
-    build_widths: &'a [usize],
+    /// What the join writes; the build side's widths in it are what an
+    /// outer join's NULL pad is stored at, so it concatenates with matched
+    /// partitions.
+    output: ops::join::Output<'a>,
     tile: usize,
 }
 
@@ -1549,7 +1562,7 @@ impl PairJoin<'_> {
         depth: usize,
     ) -> QefResult<Batch> {
         if build.is_empty() && self.join_type == JoinType::LeftOuter {
-            return Ok(ops::join::pad_outer(probe, self.build_widths));
+            return Ok(self.output.unmatched(Rows::Owned(probe)));
         }
         let oversized = build.rows() > self.est_rows.saturating_mul(ops::join::LARGE_SKEW_FACTOR);
         if oversized && depth < 3 && build.rows() > 256 {
@@ -1583,8 +1596,9 @@ impl PairJoin<'_> {
         if build.is_empty() || probe.is_empty() {
             return match self.join_type {
                 JoinType::Inner | JoinType::LeftSemi => Ok(Batch::empty(0)),
-                JoinType::LeftAnti => Ok(probe),
-                JoinType::LeftOuter => Ok(ops::join::pad_outer(probe, self.build_widths)),
+                JoinType::LeftAnti | JoinType::LeftOuter => {
+                    Ok(self.output.unmatched(Rows::Owned(probe)))
+                }
             };
         }
         ops::join::join_partition(
@@ -1594,6 +1608,7 @@ impl PairJoin<'_> {
             self.build_keys,
             self.probe_keys,
             self.join_type,
+            self.output.columns,
             self.est_rows,
         )
     }
@@ -1851,6 +1866,7 @@ mod tests {
             scheme: vec![32],
             filter: None,
             ranged: false,
+            output: vec![0, 1, 2, 3],
         };
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 500);
@@ -1893,6 +1909,7 @@ mod tests {
                 scheme: vec![32],
                 filter: None,
                 ranged: false,
+                output: paired(3, 2, JoinType::LeftOuter),
             };
             let (out, _) = e.execute(&plan).unwrap();
             assert_eq!(out.batch.rows(), 5000, "outer join keeps every probe row");
@@ -1910,6 +1927,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every column a join of `probe` columns over `build` columns pairs,
+    /// in order.
+    fn paired(probe: usize, build: usize, join_type: JoinType) -> Vec<usize> {
+        (0..probe + if join_type.pairs() { build } else { 0 }).collect()
     }
 
     /// `n`: 5000 rows of `k` (NULL every eleventh row), `v` = the row number
@@ -1950,7 +1973,10 @@ mod tests {
                 value,
             })
         };
-        let join = |build, probe, key, join_type, scheme| PlanNode::HashJoin {
+        let catalog = nullable_engine(ExecContext::dpu());
+        let arity = |plan: &PlanNode| plan.output_widths(catalog.catalog()).unwrap().len();
+        let join = |build: PlanNode, probe: PlanNode, key, join_type, scheme| PlanNode::HashJoin {
+            output: paired(arity(&probe), arity(&build), join_type),
             build: Box::new(build),
             probe: Box::new(probe),
             build_keys: vec![key],
@@ -2128,6 +2154,7 @@ mod tests {
             scheme: vec![32],
             filter: None,
             ranged: false,
+            output: paired(3, 2, join_type),
         };
         let join = |join_type| join_below(700, join_type);
         let group = |strategy| PlanNode::GroupBy {
@@ -2243,6 +2270,7 @@ mod tests {
             scheme: vec![2],
             filter: None,
             ranged: false,
+            output: (0..5).collect(),
         };
         let group = || PlanNode::GroupBy {
             input: Box::new(wider()),
@@ -2357,6 +2385,7 @@ mod tests {
             scheme,
             filter: None,
             ranged: false,
+            output: (0..8).collect(),
         };
         let dmem = ExecContext::dpu().dmem_bytes;
         // One byte a column: 8-byte rows buffer 128 ways, and a 128-way
@@ -2701,6 +2730,7 @@ mod plan_node_tests {
             scheme: vec![4],
             filter: None,
             ranged: false,
+            output: vec![0, 1, 2, 3],
         };
         let (out, report) = slow.execute(&join).unwrap();
         assert_eq!(out.batch.rows(), 50);

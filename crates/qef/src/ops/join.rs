@@ -41,6 +41,13 @@
 //! already, and neither stage tests them again. The rest were never
 //! gathered, written or probed, and none of them joined, so the join returns
 //! what it returns unfiltered.
+//!
+//! ## What a join writes
+//!
+//! A join writes the columns its plan lists ([`Output`], the
+//! `PlanNode::HashJoin` `output`) of the rows it pairs or keeps, in that
+//! order, and no other: a probe reads its keys and the probe columns listed,
+//! and gathers the build columns listed.
 
 use dpu_sim::account::Kernel;
 use dpu_sim::dmem::DmemReservation;
@@ -50,7 +57,7 @@ use crate::batch::{Batch, Positions, Rows};
 use crate::error::{QefError, QefResult};
 use crate::exec::CoreCtx;
 use crate::ops::join_filter::{self, JoinFilter};
-use crate::ops::partition::gather_rows;
+use crate::ops::partition::gather_column;
 use crate::plan::JoinType;
 use crate::primitives::costs;
 use crate::primitives::hash::{bucket_of, crc_pieces_into, hash_pieces_into};
@@ -521,19 +528,98 @@ pub(crate) fn null_column(width: usize, rows: usize) -> Vector {
     Vector::with_nulls(data, rapid_storage::bitvec::BitVec::ones(rows))
 }
 
-/// Pad probe rows with NULL build columns (an outer join's rows without a
-/// match). Each pad column is stored at its build column's static width, so
-/// the result concatenates cleanly with rows that did find matches.
-pub(crate) fn pad_outer(probe: Batch, build_widths: &[usize]) -> Batch {
-    if probe.is_empty() {
-        return Batch::empty(0);
+/// What a join writes of the rows it pairs or keeps: the columns
+/// `columns` lists, in its order — positions in the probe side's
+/// `probe_width` columns followed, for an inner or outer join, by the build
+/// side's, which are stored at `build_widths`.
+#[derive(Debug, Clone, Copy)]
+pub struct Output<'a> {
+    /// The plan's list (`PlanNode::HashJoin` `output`).
+    pub columns: &'a [usize],
+    /// Columns of the probe side.
+    pub probe_width: usize,
+    /// The build side's `PlanNode::output_widths`: what an outer join's
+    /// NULLs are stored at, so they concatenate with matched rows.
+    pub build_widths: &'a [usize],
+}
+
+impl Output<'_> {
+    /// The probe columns listed, in the list's order.
+    pub fn probe_columns(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        let width = self.probe_width;
+        self.columns.iter().copied().filter(move |&c| c < width)
     }
-    let n = probe.rows();
-    let mut out = probe;
-    for &width in build_widths {
-        out.push_column(null_column(width, n));
+
+    /// The columns listed, each written by `probe` (a probe column) or by
+    /// `build` (a build column, counted from the build side's first).
+    fn write(
+        &self,
+        mut probe: impl FnMut(usize) -> Vector,
+        mut build: impl FnMut(usize) -> Vector,
+    ) -> Batch {
+        let columns = self
+            .columns
+            .iter()
+            .map(|&c| match c.checked_sub(self.probe_width) {
+                None => probe(c),
+                Some(b) => build(b),
+            });
+        Batch::new(columns.collect())
     }
-    out
+
+    /// The rows of `rows` at `at`, each beside the build row of `build` at
+    /// the same place of its list — NULLs where there is none.
+    fn gathered(&self, rows: &Rows<'_>, at: &[u32], build: Option<(&Batch, &[u32])>) -> Batch {
+        if at.is_empty() {
+            return Batch::empty(0);
+        }
+        self.write(
+            |c| gather_column(rows, at, c),
+            |b| match build {
+                Some((build, rids)) => build.column(b).gather(rids),
+                None => self.nulls(b, at.len()),
+            },
+        )
+    }
+
+    /// Every row of `rows`, none beside a build row: what a semi or anti
+    /// join keeps whole, and an outer join's probe rows where no build row
+    /// exists, its build columns NULL.
+    pub fn unmatched(&self, rows: Rows<'_>) -> Batch {
+        let n = rows.rows();
+        if n == 0 {
+            return Batch::empty(0);
+        }
+        if self.columns.iter().all(|&c| c < self.probe_width) {
+            // No build column listed: the rows are what is written.
+            return rows.materialize_columns(self.columns.iter().copied());
+        }
+        let mut probe = rows
+            .materialize_columns(self.probe_columns())
+            .columns
+            .into_iter();
+        self.write(
+            |_| probe.next().unwrap_or_else(crate::batch::empty_vector),
+            |b| self.nulls(b, n),
+        )
+    }
+
+    /// `rows` NULLs of build column `b`.
+    fn nulls(&self, b: usize, rows: usize) -> Vector {
+        let width = self.build_widths.get(b).copied().unwrap_or(8);
+        null_column(width, rows)
+    }
+}
+
+/// How many of its probe side's `probe_width` columns a join's probe reads
+/// of a row: its keys and the probe columns it writes (`output`), each once.
+pub fn probe_reads(probe_keys: &[usize], output: &[usize], probe_width: usize) -> usize {
+    let read = probe_keys
+        .iter()
+        .chain(output.iter().filter(|&&c| c < probe_width));
+    (0..probe_width)
+        .filter(|c| read.clone().any(|r| r == c))
+        .count()
 }
 
 /// The probe rows whose match count passes `keep`, ascending.
@@ -543,10 +629,9 @@ fn passing(counts: &[u32], keep: impl Fn(u32) -> bool) -> Vec<u32> {
         .collect()
 }
 
-/// Join one partition pair, producing the joined output batch.
-///
-/// Output layout: probe columns then build columns (Inner/LeftOuter);
-/// probe columns only (LeftSemi/LeftAnti).
+/// Join one partition pair, producing the columns `output` lists of the
+/// joined rows.
+#[allow(clippy::too_many_arguments)]
 pub fn join_partition(
     ctx: &mut CoreCtx,
     build: &Batch,
@@ -554,6 +639,7 @@ pub fn join_partition(
     build_keys: &[usize],
     probe_keys: &[usize],
     join_type: JoinType,
+    output: &[usize],
     estimated_build_rows: usize,
 ) -> QefResult<Batch> {
     use JoinType::*;
@@ -562,10 +648,16 @@ pub fn join_partition(
         // assembled by the engine from metadata; empty is fine here.
         return Ok(Batch::empty(0));
     }
+    let widths: Vec<usize> = build.columns.iter().map(|c| c.data.width()).collect();
+    let output = Output {
+        columns: output,
+        probe_width: probe.width(),
+        build_widths: &widths,
+    };
     if build.is_empty() {
         return match join_type {
             Inner | LeftSemi => Ok(Batch::empty(0)),
-            LeftAnti => Ok(probe),
+            LeftAnti => Ok(output.unmatched(Rows::Owned(probe))),
             LeftOuter => Err(QefError::Internal(
                 "outer join with empty build handled by engine padding".into(),
             )),
@@ -577,10 +669,9 @@ pub fn join_partition(
     let half = ctx.dmem.capacity() / 2;
     let fits = broadcast_capacity(build.rows(), bkeys.len(), 0, half);
     let (table, _stats) = JoinTable::build(ctx, &bkeys, estimated_build_rows.min(fits), true)?;
-    let widths: Vec<usize> = build.columns.iter().map(|c| c.data.width()).collect();
     let probe = Rows::Owned(probe);
     let probed = probe_rows(
-        ctx, &table, build, &widths, probe_keys, join_type, probe, None,
+        ctx, &table, build, output, probe_keys, join_type, probe, None,
     )?;
     Ok(probed.0)
 }
@@ -639,6 +730,8 @@ pub struct Broadcast<'a> {
     /// The build side's `PlanNode::output_widths`: what a lane reads, and
     /// what an outer join's NULL pad is stored at.
     pub build_widths: &'a [usize],
+    /// The columns the join writes (`PlanNode::HashJoin` `output`).
+    pub output: &'a [usize],
     /// Build rows a lane's DMEM segment holds ([`broadcast_capacity`] of
     /// the probe stage's state); the rest overflow to DRAM.
     pub capacity: usize,
@@ -654,9 +747,9 @@ impl Broadcast<'_> {
     /// round the control loop per tile. One output batch per part. The
     /// lane's table is `built`, the stage's one host table
     /// ([`Broadcast::host_table`]): every lane builds the same table, and
-    /// each is charged its own build. The probe reads every column of the
-    /// rows it hands on where they lie ([`Rows::charge_select`]): their
-    /// keys, and the columns it writes out. With a join filter the lane
+    /// each is charged its own build. The probe reads the columns of the
+    /// rows it needs where they lie ([`Rows::charge_select`]): their keys,
+    /// and the probe columns the join writes. With a join filter the lane
     /// sets a bit a build row beside its table, from the hashes the table's
     /// build computed, and — where it `tests` its rows, which its scan did
     /// not — tests every row's hash before it probes: a row whose bit is
@@ -705,9 +798,9 @@ impl Broadcast<'_> {
         }
     }
 
-    /// About what probing one row of `columns` columns costs a lane: its
-    /// keys hashed and looked up, a link followed and a match emitted, and
-    /// its columns read.
+    /// About what probing one row costs a lane that reads `columns` of its
+    /// columns: its keys hashed and looked up, a link followed and a match
+    /// emitted, and those columns read.
     pub fn probe_row_cycles(&self, cm: &dpu_sim::isa::CostModel, columns: usize) -> f64 {
         let hash = cm.kernel_cycles(&costs::hash_per_row_per_key()) * self.probe_keys.len() as f64;
         hash + cm.kernel_cycles(&costs::join_probe_per_row())
@@ -765,18 +858,21 @@ impl Broadcast<'_> {
         for _ in 0..rows.rows().div_ceil(tile.max(1)) {
             ctx.charge_tile();
         }
-        // Without a build row an anti or outer join hands on every probe
-        // row; the probe below reads the rows itself.
-        let inner = matches!(self.join_type, JoinType::Inner | JoinType::LeftSemi);
-        if table.is_none() && !inner {
-            rows.charge_select(ctx, 0..rows.width());
-        }
+        let output = Output {
+            columns: self.output,
+            probe_width: rows.width(),
+            build_widths: self.build_widths,
+        };
         let Some(table) = table else {
             // No build row: the variant alone says what a probe row becomes.
+            // An anti or outer join hands on every probe row, reading the
+            // columns it writes.
             let batch = match self.join_type {
                 JoinType::Inner | JoinType::LeftSemi => Batch::empty(0),
-                JoinType::LeftAnti => rows.materialize(),
-                JoinType::LeftOuter => pad_outer(rows.materialize(), self.build_widths),
+                JoinType::LeftAnti | JoinType::LeftOuter => {
+                    rows.charge_select(ctx, output.probe_columns());
+                    output.unmatched(rows)
+                }
             };
             return Ok((batch, 0));
         };
@@ -784,7 +880,7 @@ impl Broadcast<'_> {
             ctx,
             table,
             self.build,
-            self.build_widths,
+            output,
             self.probe_keys,
             self.join_type,
             rows,
@@ -793,26 +889,28 @@ impl Broadcast<'_> {
     }
 }
 
-/// Probe `rows` against `table`, built over `build` (stored at
-/// `build_widths`): the matched probe rows and, beside them for an inner or
-/// outer join, their build rows — or NULLs, for an outer join's unmatched
-/// rows. The probe reads every column of the rows where they lie; with a
-/// join filter, the keys of every row and the other columns of the rows
-/// whose bit is set. Returns the batch and how many rows were probed.
+/// Probe `rows` against `table`, built over `build`: of the matched probe
+/// rows and, beside them for an inner or outer join, their build rows — or
+/// NULLs, for an outer join's unmatched rows — the columns `output` lists.
+/// The probe reads its keys and the probe columns it writes of the rows
+/// where they lie; with a join filter, the keys of every row and the rest of
+/// the rows whose bit is set. Returns the batch and how many rows were
+/// probed.
 #[allow(clippy::too_many_arguments)]
 fn probe_rows(
     ctx: &mut CoreCtx,
     table: &JoinTable,
     build: &Batch,
-    build_widths: &[usize],
+    output: Output<'_>,
     probe_keys: &[usize],
     join_type: JoinType,
     rows: Rows<'_>,
     filter: Option<&JoinFilter>,
 ) -> QefResult<(Batch, usize)> {
     let n = rows.rows();
+    let read = || probe_keys.iter().copied().chain(output.probe_columns());
     match filter {
-        None => rows.charge_select(ctx, 0..rows.width()),
+        None => rows.charge_select(ctx, read()),
         Some(_) => rows.charge_select_of(ctx, probe_keys.iter().copied(), n),
     }
     if n == 0 {
@@ -833,38 +931,32 @@ fn probe_rows(
         }
     })?;
     if filter.is_some() {
-        rows.charge_select_of(ctx, 0..rows.width(), probed);
+        rows.charge_select_of(ctx, read(), probed);
     }
-    let with_build = |probe: Batch| {
-        let mut out = probe;
-        if !out.is_empty() {
-            for col in build.gather(&build_rids).columns {
-                out.push_column(col);
-            }
-        }
-        out
-    };
+    let paired = Some((build, &build_rids[..]));
     let batch = match join_type {
-        JoinType::Inner => with_build(gather_rows(&rows, &matched)),
-        JoinType::LeftSemi => keep(rows, &passing(&counts, |c| c > 0)),
-        JoinType::LeftAnti => keep(rows, &passing(&counts, |c| c == 0)),
+        JoinType::Inner => output.gathered(&rows, &matched, paired),
+        JoinType::LeftSemi => keep(output, rows, &passing(&counts, |c| c > 0)),
+        JoinType::LeftAnti => keep(output, rows, &passing(&counts, |c| c == 0)),
         JoinType::LeftOuter => {
-            // [matched probe ++ matched build] then [unmatched probe ++ NULLs].
+            // The matched rows beside their build rows, then the unmatched
+            // rows beside NULLs.
             let unmatched = passing(&counts, |c| c == 0);
-            let bottom = pad_outer(gather_rows(&rows, &unmatched), build_widths);
-            Batch::concat(vec![with_build(gather_rows(&rows, &matched)), bottom])
+            let bottom = output.gathered(&rows, &unmatched, None);
+            Batch::concat(vec![output.gathered(&rows, &matched, paired), bottom])
         }
     };
     Ok((batch, probed))
 }
 
-/// The rows of `rows` at `positions`, distinct and ascending; where that is
-/// all of them, they are handed on as they came.
-fn keep(rows: Rows<'_>, positions: &[u32]) -> Batch {
+/// What `output` lists of the rows of `rows` at `positions`, distinct and
+/// ascending; where that is all of them, the columns are handed on as they
+/// came.
+fn keep(output: Output<'_>, rows: Rows<'_>, positions: &[u32]) -> Batch {
     if positions.len() == rows.rows() {
-        rows.materialize()
+        output.unmatched(rows)
     } else {
-        gather_rows(&rows, positions)
+        output.gathered(&rows, positions, None)
     }
 }
 
@@ -992,6 +1084,7 @@ mod tests {
             &[0],
             &[0],
             JoinType::Inner,
+            &[0, 1, 2, 3],
             2,
         )
         .unwrap();
@@ -1003,6 +1096,23 @@ mod tests {
         for (i, key) in k.iter().enumerate() {
             assert_eq!(bval[i], key * 100);
         }
+        // Of the same pairs it writes only the columns it lists, in the
+        // list's order: a build column first, a probe column twice.
+        let listed = join_partition(
+            &mut c,
+            &build,
+            probe,
+            &[0],
+            &[0],
+            JoinType::Inner,
+            &[3, 1, 1],
+            2,
+        )
+        .unwrap();
+        assert_eq!(listed.width(), 3);
+        let col = |i: usize| listed.column(i).data.to_i64_vec();
+        assert_eq!(col(0).iter().map(|b| -b / 100).collect::<Vec<_>>(), col(1));
+        assert_eq!(col(1), col(2));
     }
 
     #[test]
@@ -1017,6 +1127,7 @@ mod tests {
             &[0],
             &[0],
             JoinType::LeftSemi,
+            &[0],
             3,
         )
         .unwrap();
@@ -1028,6 +1139,7 @@ mod tests {
             &[0],
             &[0],
             JoinType::LeftAnti,
+            &[0],
             3,
         )
         .unwrap();
@@ -1046,6 +1158,7 @@ mod tests {
             &[0],
             &[0],
             JoinType::LeftOuter,
+            &[0, 1, 2],
             1,
         )
         .unwrap();
@@ -1108,6 +1221,11 @@ mod tests {
             probe_keys: &[1],
             join_type,
             build_widths: &[8, 8],
+            output: if join_type.pairs() {
+                &[0, 1, 2, 3]
+            } else {
+                &[0, 1]
+            },
             capacity: 4,
             filter: None,
         };
@@ -1178,6 +1296,7 @@ mod tests {
             probe_keys: &[0],
             join_type: JoinType::Inner,
             build_widths: &[8, 8],
+            output: &[0, 1, 2],
             capacity: 5,
             filter: Some(&filter),
         };
@@ -1205,11 +1324,16 @@ mod tests {
             join_filter::charge_set(&mut expect, 5);
             expect.charge_tile();
             let tested = tests.then_some(&filter);
+            let output = Output {
+                columns: &[0, 1, 2],
+                probe_width: 1,
+                build_widths: &[8, 8],
+            };
             let (want, want_probed) = probe_rows(
                 &mut expect,
                 &table,
                 &build,
-                &[8, 8],
+                output,
                 &[0],
                 JoinType::Inner,
                 picked(),

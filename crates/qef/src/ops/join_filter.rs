@@ -649,6 +649,7 @@ mod proptests {
                 scheme: scheme.clone(),
                 filter,
                 ranged: false,
+                output: if semi { (0..3).collect() } else { (0..6).collect() },
             };
             let bits = match (wide, broadcast) {
                 (true, _) => 1 << 12,

@@ -67,6 +67,7 @@ use crate::primitives::hash::hash_pieces_into;
 use crate::primitives::partition_map::compute_partition_map;
 use crate::ra::RelationAccessor;
 use crate::trace::{FilterKept, PartitionRound};
+use rapid_storage::vector::Vector;
 
 /// How many radix bits of the hash each round consumes, tracked so that
 /// successive rounds use *disjoint* hash bits.
@@ -264,18 +265,39 @@ pub fn scatter_lanes(fanout: usize, lanes: &[(Rows<'_>, Vec<u32>)]) -> Vec<Batch
     scatter(fanout, 1, &mapped, |lane| lanes[lane].0.runs())
 }
 
-/// The rows of `rows` at `positions` — ascending, repeats allowed, numbered
-/// in the order the runs hand them on — as vectors of the lane's own: the
-/// one partition a map of them all makes. No position, no batch.
-pub(crate) fn gather_rows(rows: &Rows<'_>, positions: &[u32]) -> Batch {
-    let offsets = [0, positions.len() as u32];
-    let all = Mapped {
-        segment: 0,
-        offsets: &offsets,
-        rids: positions,
-    };
-    let mut out = scatter(1, 1, std::slice::from_ref(&all), |_| rows.runs());
-    out.pop().unwrap_or_else(|| Batch::empty(0))
+/// Column `c` of the rows of `rows` at `positions` — ascending, repeats
+/// allowed, numbered in the order the runs hand them on — as a vector of the
+/// lane's own: what a join writes of a probe column.
+pub(crate) fn gather_column(rows: &Rows<'_>, positions: &[u32], c: usize) -> Vector {
+    let mut column = ColumnBuilder::default();
+    append_at(&mut column, rows.runs(), positions, c, positions.len());
+    column.finish()
+}
+
+/// Append to `column` column `c` of the rows of `runs` that `ids` number —
+/// ascending, counted from the first row of the first run — for a column of
+/// `capacity` values.
+fn append_at<'r>(
+    column: &mut ColumnBuilder,
+    runs: impl Iterator<Item = Run<'r>>,
+    ids: &[u32],
+    c: usize,
+    capacity: usize,
+) {
+    let (mut rest, mut at) = (ids, 0);
+    for run in runs {
+        if rest.is_empty() {
+            break;
+        }
+        // The ids ascend, so those of one run are a run of their own.
+        let end = at + run.len();
+        let of_run;
+        (of_run, rest) = rest.split_at(rest.partition_point(|&r| (r as usize) < end));
+        let (of_cols, places) = run.column(c);
+        let of_run = of_run.iter().map(|&r| places.get(r as usize - at));
+        column.append(of_cols, of_run, capacity);
+        at = end;
+    }
 }
 
 /// One slice's share of a round's output: where the map sends its rows.
@@ -332,22 +354,7 @@ where
             let columns = (0..width).map(|c| {
                 let mut column = ColumnBuilder::default();
                 for k in slices.clone() {
-                    let (mut rest, mut at) = (part(k, p), 0);
-                    for run in runs_of(k) {
-                        if rest.is_empty() {
-                            break;
-                        }
-                        // A partition's ids ascend, so those of one run are
-                        // a run of their own.
-                        let end = at + run.len();
-                        let of_run;
-                        (of_run, rest) =
-                            rest.split_at(rest.partition_point(|&r| (r as usize) < end));
-                        let (of_cols, places) = run.column(c);
-                        let of_run = of_run.iter().map(|&r| places.get(r as usize - at));
-                        column.append(of_cols, of_run, rows);
-                        at = end;
-                    }
+                    append_at(&mut column, runs_of(k), part(k, p), c, rows);
                 }
                 column.finish()
             });

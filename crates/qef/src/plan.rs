@@ -22,8 +22,9 @@ use crate::primitives::agg::AggFunc;
 pub type Catalog = HashMap<String, Arc<Table>>;
 
 /// Join variants supported (§6.5). The *probe* side is the left/outer
-/// input; `Inner`/`LeftOuter` emit probe columns followed by build
-/// columns, `LeftSemi`/`LeftAnti` emit probe columns only.
+/// input; `Inner`/`LeftOuter` pair probe columns with build columns,
+/// `LeftSemi`/`LeftAnti` keep probe columns only — of which a join writes
+/// those its `output` lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JoinType {
     /// Matching pairs.
@@ -34,6 +35,14 @@ pub enum JoinType {
     LeftAnti,
     /// All probe rows; build columns NULL when unmatched.
     LeftOuter,
+}
+
+impl JoinType {
+    /// Whether a row of the join pairs a probe row with a build row's
+    /// columns (inner, outer), rather than keeping a probe row (semi, anti).
+    pub fn pairs(self) -> bool {
+        matches!(self, JoinType::Inner | JoinType::LeftOuter)
+    }
 }
 
 /// Group-by execution strategy (§5.4), chosen by the compiler from the
@@ -163,8 +172,9 @@ pub enum PlanNode {
         exprs: Vec<NamedExpr>,
     },
     /// Hash join (§6): partitioned, or broadcast where the build side's
-    /// table fits a dpCore's DMEM. Output: probe columns ++ build columns
-    /// (inner/outer) or probe columns (semi/anti).
+    /// table fits a dpCore's DMEM. Its rows pair probe columns with build
+    /// columns (inner/outer) or keep probe columns (semi/anti); of those it
+    /// writes the columns of `output`, in that order, and nothing else.
     HashJoin {
         /// Build (smaller) input.
         build: Box<PlanNode>,
@@ -199,6 +209,16 @@ pub enum PlanNode {
         /// the lane's table ([`PlanNode::ranged_scheme`]).
         #[serde(default)]
         ranged: bool,
+        /// The columns the join writes, in the order its consumer reads
+        /// them: positions in the probe columns followed by the build
+        /// columns (inner/outer), or in the probe columns (semi/anti). The
+        /// compiler lists what the operators above read and nothing more, so
+        /// a key no one reads again — and the other side's equal copy of it
+        /// — is neither written nor moved by a partition round above.
+        /// Every stage that assembles a join's rows (`join.pairs`,
+        /// `join.probe`, `join.ranged`) writes exactly these
+        /// ([`join_columns`]).
+        output: Vec<usize>,
     },
     /// Group-by + aggregation. Output: keys ++ aggregates.
     GroupBy {
@@ -274,6 +294,23 @@ pub fn map_widths(exprs: &[NamedExpr], below: &[usize]) -> QefResult<Vec<usize>>
             _ => Ok(COMPUTED_WIDTH),
         })
         .collect()
+}
+
+/// The columns `output` lists of a join's paired columns `paired` — probe
+/// columns followed, for an inner or outer join, by build columns — in
+/// `output`'s order: the one reading of [`PlanNode::HashJoin`]'s `output`
+/// that its metadata, its widths and the rows the engine writes all take.
+pub fn join_columns<'a, T>(
+    output: &'a [usize],
+    paired: &'a [T],
+) -> QefResult<impl Iterator<Item = &'a T> + 'a> {
+    match output.iter().find(|&&c| c >= paired.len()) {
+        Some(&c) => Err(QefError::BadColumn {
+            index: c,
+            available: paired.len(),
+        }),
+        None => Ok(output.iter().map(|&c| &paired[c])),
+    }
 }
 
 /// Decode metadata of one output column.
@@ -354,17 +391,19 @@ impl PlanNode {
                     })
                     .collect())
             }
-            PlanNode::HashJoin { join_type, .. } => {
-                let mut out = input(1)?;
+            PlanNode::HashJoin {
+                join_type, output, ..
+            } => {
+                let mut paired = input(1)?;
                 match join_type {
                     JoinType::LeftSemi | JoinType::LeftAnti => {}
-                    JoinType::Inner => out.extend(input(0)?),
-                    JoinType::LeftOuter => out.extend(input(0)?.into_iter().map(|mut m| {
+                    JoinType::Inner => paired.extend(input(0)?),
+                    JoinType::LeftOuter => paired.extend(input(0)?.into_iter().map(|mut m| {
                         m.nullable = true;
                         m
                     })),
                 }
-                Ok(out)
+                join_columns(output, &paired).map(|c| c.cloned().collect())
             }
             PlanNode::GroupBy { keys, aggs, .. } => {
                 let im = input(0)?;
@@ -472,13 +511,14 @@ impl PlanNode {
                 build,
                 probe,
                 join_type,
+                output,
                 ..
             } => {
-                let mut out = probe.output_widths(catalog)?;
-                if matches!(join_type, JoinType::Inner | JoinType::LeftOuter) {
-                    out.extend(build.output_widths(catalog)?);
+                let mut paired = probe.output_widths(catalog)?;
+                if join_type.pairs() {
+                    paired.extend(build.output_widths(catalog)?);
                 }
-                Ok(out)
+                join_columns(output, &paired).map(|c| c.copied().collect())
             }
             PlanNode::GroupBy { keys, aggs, .. } => Ok(vec![computed; keys.len() + aggs.len()]),
             PlanNode::SetOp { left, right, .. } => {
@@ -624,6 +664,7 @@ mod tests {
             scheme: vec![],
             filter: None,
             ranged: false,
+            output: vec![0, 1],
         };
         assert_eq!(inner.output_meta(&catalog()).unwrap().len(), 2);
         let semi = PlanNode::HashJoin {
@@ -635,6 +676,7 @@ mod tests {
             scheme: vec![],
             filter: None,
             ranged: false,
+            output: vec![0],
         };
         assert_eq!(semi.output_meta(&catalog()).unwrap().len(), 1);
         let outer = PlanNode::HashJoin {
@@ -646,6 +688,7 @@ mod tests {
             scheme: vec![],
             filter: None,
             ranged: false,
+            output: vec![0, 1],
         };
         let meta = outer.output_meta(&catalog()).unwrap();
         assert!(meta[1].nullable);
@@ -769,7 +812,7 @@ mod tests {
 
     #[test]
     fn join_widths_follow_its_output_layout() {
-        let join = |join_type| PlanNode::HashJoin {
+        let join = |join_type, output: &[usize]| PlanNode::HashJoin {
             build: Box::new(scan_of(&[0, 2])),
             probe: Box::new(scan_of(&[0, 1])),
             build_keys: vec![0],
@@ -778,11 +821,30 @@ mod tests {
             scheme: vec![],
             filter: None,
             ranged: false,
+            output: output.to_vec(),
         };
-        assert_eq!(widths(&join(JoinType::Inner)), [1, 4, 1, 2]);
-        assert_eq!(widths(&join(JoinType::LeftOuter)), [1, 4, 1, 2]);
-        assert_eq!(widths(&join(JoinType::LeftSemi)), [1, 4]);
-        assert_eq!(widths(&join(JoinType::LeftAnti)), [1, 4]);
+        let every = [0, 1, 2, 3];
+        assert_eq!(widths(&join(JoinType::Inner, &every)), [1, 4, 1, 2]);
+        assert_eq!(widths(&join(JoinType::LeftOuter, &every)), [1, 4, 1, 2]);
+        assert_eq!(widths(&join(JoinType::LeftSemi, &[0, 1])), [1, 4]);
+        assert_eq!(widths(&join(JoinType::LeftAnti, &[0, 1])), [1, 4]);
+        // The columns it writes, in its order: the build side's code, then
+        // the probe side's price; both copies of the key are dead.
+        let pruned = join(JoinType::Inner, &[3, 1]);
+        assert_eq!(widths(&pruned), [2, 4]);
+        let names: Vec<String> = pruned
+            .output_meta(&catalog())
+            .unwrap()
+            .into_iter()
+            .map(|m| m.name)
+            .collect();
+        assert_eq!(names, ["flag", "price"]);
+        for (join_type, output) in [(JoinType::Inner, [4]), (JoinType::LeftSemi, [2])] {
+            assert!(matches!(
+                join(join_type, &output).output_widths(&catalog()),
+                Err(QefError::BadColumn { index, .. }) if index == output[0]
+            ));
+        }
     }
 
     #[test]
@@ -843,6 +905,7 @@ mod tests {
             scheme: vec![],
             filter: None,
             ranged: false,
+            output: vec![0, 1],
         };
         let mut tables = Vec::new();
         plan.referenced_tables(&mut tables);

@@ -219,6 +219,9 @@ pub struct StageReport {
     pub descriptors: usize,
     /// Scan stages only: columns the scan moves, and columns its table has.
     pub scan_columns: Option<(usize, usize)>,
+    /// The stage that writes a join's rows only: columns the join writes,
+    /// and columns its probe and build sides hand it together.
+    pub join_columns: Option<(usize, usize)>,
 }
 
 /// The verifier's output: per-stage resource reports plus diagnostics.
@@ -288,6 +291,9 @@ impl VerifyReport {
                 fan,
                 r.descriptors,
             ));
+            if let Some((written, of)) = r.join_columns {
+                s.push_str(&format!("  join cols {written}/{of}"));
+            }
             if let Some((moved, of)) = r.scan_columns {
                 s.push_str(&format!("  cols {moved}/{of}"));
             }

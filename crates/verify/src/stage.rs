@@ -197,6 +197,7 @@ impl Walker<'_> {
             hash_bits,
             descriptors,
             scan_columns: None,
+            join_columns: None,
         });
     }
 
@@ -587,6 +588,7 @@ impl Walker<'_> {
                 scheme,
                 filter,
                 ranged,
+                output,
             } => {
                 // Visit both children even if one fails, so pre-order ids
                 // stay aligned with the tracer's. Each side's partition
@@ -702,10 +704,25 @@ impl Walker<'_> {
                     };
                     self.stage(id, &path, &[pairs], Vec::new());
                 }
-                let mut ndv = p.ndv;
-                if matches!(join_type, JoinType::Inner | JoinType::LeftOuter) {
-                    ndv.extend(b.ndv);
+                // The stage that writes the join's rows — the last of its
+                // own — says how many of its sides' columns it writes.
+                let sides = p.meta.len() + b.meta.len();
+                if let Some(stage) = self.report.stages.last_mut() {
+                    stage.join_columns = Some((output.len(), sides));
                 }
+                let mut paired = p.ndv;
+                if join_type.pairs() {
+                    paired.extend(b.ndv);
+                }
+                if let Some(c) = output.iter().find(|&&c| c >= paired.len()) {
+                    let why = format!(
+                        "join writes column {c} of the {} columns its rows pair",
+                        paired.len()
+                    );
+                    self.diag(Rule::ColBounds, id, &path, why);
+                    return Err(());
+                }
+                let ndv = output.iter().map(|&c| paired[c]).collect();
                 let meta = meta_of(plan, self.catalog, [b.meta, p.meta])?;
                 Ok(NodeInfo { meta, ndv })
             }

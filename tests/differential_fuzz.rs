@@ -89,6 +89,13 @@ fn fuzz_smoke_finds_no_divergence() {
         report.ranged,
         report.executed
     );
+    // The grammar reaches a join that writes only what is read above it: a
+    // key, or a column, nobody reads again is not written.
+    assert!(
+        report.narrowed > 0,
+        "none of {} executed queries has a join that drops a column",
+        report.executed
+    );
 }
 
 #[test]

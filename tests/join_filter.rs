@@ -175,12 +175,12 @@ fn exactly_the_joins_whose_probe_rows_mostly_miss_declare_a_filter() {
             ("Q3", 4),
             ("Q5", 5),
             ("Q5", 11),
-            ("Q9", 11),
-            ("Q10", 5),
-            ("Q12", 4),
-            ("Q18", 4),
-            ("Q18", 5),
-            ("Q18", 6)
+            ("Q9", 10),
+            ("Q10", 4),
+            ("Q12", 3),
+            ("Q18", 2),
+            ("Q18", 3),
+            ("Q18", 4)
         ]
     );
 }

@@ -61,20 +61,20 @@ const PER_OPERATOR: [(&str, f64, u64); 11] = [
 
 /// `(statement, node id)` of every join broadcast at sf 0.02 on 32 cores:
 /// a build side whose table fits half a scratchpad, of at most a 32nd of
-/// the probe's rows. The build sides of Q9's node 11 (part), Q10's node 8
-/// (nation) and Q12's node 4 (lineitem) are scans; the rest are what a join
-/// handed on, or — Q18's node 6 — the HAVING filter over a group-by. All
+/// the probe's rows. The build sides of Q9's node 10 (part), Q10's node 7
+/// (nation) and Q12's node 3 (lineitem) are scans; the rest are what a join
+/// handed on, or — Q18's node 4 — the HAVING filter over a group-by. All
 /// probe in their scan's task but Q9's node 3, whose probe side is a join.
 const BROADCAST: [(&str, u32); 9] = [
     ("Q5", 4),
     ("Q5", 5),
     ("Q9", 3),
-    ("Q9", 11),
-    ("Q10", 8),
-    ("Q12", 4),
+    ("Q9", 10),
+    ("Q10", 7),
+    ("Q12", 3),
+    ("Q18", 2),
+    ("Q18", 3),
     ("Q18", 4),
-    ("Q18", 5),
-    ("Q18", 6),
 ];
 
 fn is_partition_stage(e: &StageEvent) -> bool {
@@ -645,10 +645,10 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     assert_eq!(builds_subtracted, 7);
     // The two filtered partitioned probe tasks (Q3's nodes 3 and 4), each
     // compared on 1 and on 8 cores: a filter read a lane — Q5's node 11 and
-    // Q10's node 5 run over key ranges, a filter built a range, whatever
-    // the cores. And five filtered broadcast ones (Q9's node 11, Q12's
-    // node 4 and Q18's nodes 4, 5 and 6 — Q5's node 5 is one tile; Q18's
-    // node 4 kept its path since its rows are dealt over every core),
+    // Q10's node 4 run over key ranges, a filter built a range, whatever
+    // the cores. And five filtered broadcast ones (Q9's node 10, Q12's
+    // node 3 and Q18's nodes 2, 3 and 4 — Q5's node 5 is one tile; Q18's
+    // node 2 kept its path since its rows are dealt over every core),
     // beside their build: a filter set a lane.
     assert_eq!((filters_subtracted, filters_set), (4, 10));
     let gathers_on = |cores| other_path.iter().filter(|&&c| c == cores).count();

@@ -335,11 +335,23 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
         assert_eq!(state, own + held + 64 * e.fused.len() as u64, "{line:?}");
         let row: u64 = b_per_row.parse().expect("B/row");
         assert_eq!(e.dmem_peak_bytes, state + 2 * row * 256, "{line:?}");
-        let line = match e.partition {
-            Some(_) => format!("{}  lanes={} round 1/1 fanout ", e.operator, e.parallelism),
-            None => format!("{}  lanes={} rows=", e.operator, e.parallelism),
+        // A probe's line says, before its lanes, how many of its sides'
+        // columns the join writes.
+        let (head, lanes) = match e.partition {
+            Some(_) => (
+                format!("{}  ", e.operator),
+                format!("lanes={} round 1/1 fanout ", e.parallelism),
+            ),
+            None => (
+                format!("{} cols ", e.operator),
+                format!("  lanes={} rows=", e.parallelism),
+            ),
         };
-        assert!(analyzed.text.contains(&line), "{}", analyzed.text);
+        let found = analyzed
+            .text
+            .lines()
+            .any(|l| l.trim_start().starts_with(&head) && l.contains(&lanes));
+        assert!(found, "no `{head}..{lanes}` in:\n{}", analyzed.text);
     }
     // The lineitem probe: six columns, 48 declared bytes a row, 12 stored,
     // probed by the lanes that scan them beside the hash lane they are
