@@ -206,6 +206,12 @@ echo "== static plan verification (TPC-H sf 0.01, 0.02, 0.05 and 0.1 + fuzz corp
 # (`Rule::ALL`, the harnesses in crates/bench/src/mutate.rs).
 cargo run -q --release -p rapid-report -- verify --sf 0.01
 cargo run -q --release -p rapid-report -- verify --sf 0.02
+# A join with one input stored in key order reads that input by range and
+# partitions the other by its key's value bits: `--full` says which side is
+# read by range on the `join.ranged` row and marks the other side's round.
+FULL=$(cargo run -q --release -p rapid-report -- verify --sf 0.02 --full)
+echo "$FULL" | grep -q "join.ranged .* reads probe by range" || { echo "no join reads its probe side by range"; exit 1; }
+echo "$FULL" | grep -q "join.partition-build .* by value bits" || { echo "no build side is partitioned by value bits"; exit 1; }
 cargo run -q --release -p rapid-report -- verify --sf 0.05
 cargo run -q --release -p rapid-report -- verify --sf 0.1
 cargo test -q --release -p rapid-verify

@@ -19,7 +19,7 @@ use dpu_sim::clock::Cycles;
 use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::{Expr, Pred};
 use rapid_qef::ops::join_filter::MIN_SLICE_BITS;
-use rapid_qef::plan::{AggSpec, Catalog, GroupStrategy, JoinType, NamedExpr, PlanNode};
+use rapid_qef::plan::{AggSpec, ByRange, Catalog, GroupStrategy, JoinType, NamedExpr, PlanNode};
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::filter::CmpOp;
 use rapid_sched::trace::SchedTrace;
@@ -100,7 +100,7 @@ pub fn base_plan() -> PlanNode {
         join_type: JoinType::Inner,
         scheme: vec![32],
         filter: None,
-        ranged: false,
+        ranged: ByRange::Neither,
         output: (0..5).collect(),
     };
     // Join output: [fact.id Int, grp Varchar, price Dec(2), dim.id Int,
@@ -200,6 +200,11 @@ pub enum Mutation {
     /// The demo group-by cut into key ranges: its input is a join, whose
     /// rows lie in no table's slots.
     RangedOverAJoin,
+    /// The demo join re-keyed on the fact table's `qty`, which its slots
+    /// do not hold in order, beside the dimension's `id`, which they do: a
+    /// join that reads the dimension by range and partitions the facts by
+    /// value bits, marked as reading the facts by range too.
+    RangedUnclusteredSide,
 }
 
 impl Mutation {
@@ -224,6 +229,7 @@ impl Mutation {
             FilterAntiJoin,
             FilterBroadcastAntiJoin,
             RangedOverAJoin,
+            RangedUnclusteredSide,
         ]
     }
 
@@ -244,7 +250,7 @@ impl Mutation {
             Mutation::TileBelowMin => Rule::TileMin,
             Mutation::OnTheFlyOverLimit => Rule::GroupLimit,
             Mutation::FilterAntiJoin | Mutation::FilterBroadcastAntiJoin => Rule::JoinFilter,
-            Mutation::RangedOverAJoin => Rule::Ranged,
+            Mutation::RangedOverAJoin | Mutation::RangedUnclusteredSide => Rule::Ranged,
         }
     }
 
@@ -304,6 +310,14 @@ impl Mutation {
             Mutation::RangedOverAJoin => Mutated::Plan(plan_mut(|p| {
                 if let PlanNode::GroupBy { strategy, .. } = p {
                     *strategy = GroupStrategy::Ranged(vec![32]);
+                }
+            })),
+            Mutation::RangedUnclusteredSide => Mutated::Plan(plan_mut(|p| {
+                if let PlanNode::HashJoin { probe, ranged, .. } = demo_join(p) {
+                    if let PlanNode::Scan { columns, .. } = probe.as_mut() {
+                        columns[0] = 3; // qty, in place of id
+                    }
+                    *ranged = ByRange::Both;
                 }
             })),
         }
@@ -370,7 +384,7 @@ pub fn filtered_join(join_type: JoinType, filter: Option<usize>) -> PlanNode {
             join_type,
             scheme,
             filter,
-            ranged: false,
+            ranged: ByRange::Neither,
             // The probe side's columns, which every join type writes.
             output: (0..3).collect(),
         }),
@@ -625,9 +639,10 @@ mod tests {
     #[test]
     fn every_rule_has_a_mutation() {
         use std::collections::HashSet;
-        // The group-by's two are the join's rules over another node, and
-        // the broadcast anti join's filter the partitioned one's rule over
-        // a join of no rounds.
+        // The group-by's two are the join's rules over another node, the
+        // broadcast anti join's filter the partitioned one's rule over a
+        // join of no rounds, and a join's unclustered side read by range
+        // the ranged group-by's rule over a join's input.
         let (once_more, of_rule): (Vec<Mutation>, Vec<Mutation>) =
             Mutation::all().into_iter().partition(|m| {
                 matches!(
@@ -635,11 +650,12 @@ mod tests {
                     Mutation::GroupByOverFanout
                         | Mutation::GroupByNonPow2Fanout
                         | Mutation::FilterBroadcastAntiJoin
+                        | Mutation::RangedUnclusteredSide
                 )
             });
         let covered: HashSet<&str> = of_rule.iter().map(|m| m.expected_rule().id()).collect();
         assert_eq!(covered.len(), of_rule.len(), "one rule per mutation");
-        assert_eq!(once_more.len(), 3);
+        assert_eq!(once_more.len(), 4);
         assert!(once_more
             .iter()
             .all(|m| covered.contains(m.expected_rule().id())));

@@ -71,6 +71,9 @@ pub struct CaseReport {
     pub pruned: bool,
     /// Whether a join or group-by ran over key ranges of its tables.
     pub ranged: bool,
+    /// Whether one of them read one input by range and partitioned the
+    /// other by its key's value bits.
+    pub one_sided: bool,
     /// Whether a join of the compiled plan writes fewer columns than its
     /// sides hand it.
     pub narrowed: bool,
@@ -87,6 +90,7 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
     let broadcast_filtered = run.as_ref().is_ok_and(|t| t.broadcast_filtered);
     let pruned = run.as_ref().is_ok_and(|t| t.pruned);
     let ranged = run.as_ref().is_ok_and(|t| t.ranged);
+    let one_sided = run.as_ref().is_ok_and(|t| t.one_sided);
     let narrowed = run.as_ref().is_ok_and(|t| t.narrowed);
     CaseReport {
         seed,
@@ -96,6 +100,7 @@ pub fn fuzz_one(seed: u64) -> CaseReport {
         broadcast_filtered,
         pruned,
         ranged,
+        one_sided,
         narrowed,
     }
 }
@@ -124,6 +129,9 @@ pub struct FuzzReport {
     pub pruned: usize,
     /// Executed cases that ran a join or group-by over key ranges.
     pub ranged: usize,
+    /// Of them, those with a join that read one input by range and
+    /// partitioned the other by its key's value bits.
+    pub one_sided: usize,
     /// Executed cases with a join that writes fewer columns than its sides
     /// hand it.
     pub narrowed: usize,
@@ -214,6 +222,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         broadcast_filtered: 0,
         pruned: 0,
         ranged: 0,
+        one_sided: 0,
         narrowed: 0,
         divergences: Vec::new(),
     };
@@ -226,6 +235,7 @@ pub fn fuzz_run(run_seed: u64, n: usize) -> FuzzReport {
         report.broadcast_filtered += usize::from(r.outcome.is_ok() && r.broadcast_filtered);
         report.pruned += usize::from(r.outcome.is_ok() && r.pruned);
         report.ranged += usize::from(r.outcome.is_ok() && r.ranged);
+        report.one_sided += usize::from(r.outcome.is_ok() && r.one_sided);
         report.narrowed += usize::from(r.outcome.is_ok() && r.narrowed);
         match r.outcome {
             Err(_) => report.skipped += 1,
@@ -265,6 +275,7 @@ mod tests {
             broadcast_filtered: 0,
             pruned: 0,
             ranged: 0,
+            one_sided: 0,
             narrowed: 0,
             divergences: vec![Divergence {
                 seed: case_seed,

@@ -748,10 +748,13 @@ fn gen_select(rng: &mut Rng, set_op_classes: Option<&[SetOpClass]>) -> QuerySpec
         };
         // `ta_id = tb_k` is selective: a few of `ta`'s distinct ids find
         // one of `tb`'s few keys, so inner and semi joins of it filter
-        // their probe side.
+        // their probe side. `ta` is stored in `ta_id` order and `tb` in
+        // `tb_id` order: a join on one table's id and the other's `_k` reads
+        // the first by key range and partitions the second.
         let on = match rng.below(100) {
             0..=29 => "ta_k = tb_k",
-            30..=49 => "ta_id = tb_id",
+            30..=44 => "ta_id = tb_id",
+            45..=54 => "ta_k = tb_id",
             _ => "ta_id = tb_k",
         };
         Some((kind, format!("{kind} tb ON {on}")))

@@ -70,6 +70,10 @@ pub struct TriOutcome {
     /// Whether the native arm ran a join or group-by over key ranges of
     /// its tables (`join.ranged`, `groupby.ranged`).
     pub ranged: bool,
+    /// Whether one of them was a join that read one input by range and
+    /// partitioned the other by its key's value bits: a `join.ranged` stage
+    /// beside a partition round of the same node.
+    pub one_sided: bool,
     /// Whether a join of the RAPID arm's plan writes fewer columns than its
     /// sides hand it: a key or a column nothing above it reads.
     pub narrowed: bool,
@@ -210,6 +214,12 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
     let events = sink.take();
     let pruned = events.iter().any(|e| e.scan.is_some_and(|s| s.pruned > 0));
     let ranged = events.iter().any(|e| e.operator.ends_with(".ranged"));
+    let one_sided = events.iter().any(|e| {
+        e.operator == "join.ranged"
+            && events
+                .iter()
+                .any(|p| p.node_id == e.node_id && p.operator.starts_with("join.partition"))
+    });
     Ok(TriOutcome {
         host,
         dpu,
@@ -218,6 +228,7 @@ pub fn run_sql(tables: &[TableSpec], sql: &str) -> Result<TriOutcome, String> {
         broadcast_filtered,
         pruned,
         ranged,
+        one_sided,
         narrowed,
     })
 }

@@ -1235,9 +1235,11 @@ mod tests {
         let (on_the_full_dpu, for_the_full_dpu) = compiled_on(&d, &ExecContext::dpu());
         assert_eq!(on_the_full_dpu, for_the_full_dpu);
 
-        // Half a scratchpad holds a build partition: ten thousand rows a
-        // side take 16 partitions of a 16 KiB one and 8 of 32 KiB. The plan
-        // is compiled, gated, verified and run for the 16 KiB the context has.
+        // Half a scratchpad holds a partition's table — its keys widened to
+        // 8 bytes, row ids, buckets and links (`join_scheme`): ten thousand
+        // rows a side take 32 partitions of a 16 KiB one and 16 of 32 KiB.
+        // The plan is compiled, gated, verified and run for the 16 KiB the
+        // context has.
         let small = ExecContext {
             dmem_bytes: 16 * 1024,
             ..eight.clone()
@@ -1245,9 +1247,9 @@ mod tests {
         let d = loaded(small.clone(), 10_000);
         let (on_small, for_small) = compiled_on(&d, &small);
         assert_eq!(on_small, for_small);
-        assert_eq!(join_scheme(&on_small), Some(vec![16]));
+        assert_eq!(join_scheme(&on_small), Some(vec![32]));
         let (_, for_32_kib) = compiled_on(&d, &eight);
-        assert_eq!(join_scheme(&for_32_kib), Some(vec![8]));
+        assert_eq!(join_scheme(&for_32_kib), Some(vec![16]));
         let text = d.explain_verify(SQL).unwrap();
         assert!(
             text.starts_with("VERIFY (dmem 16384 B, tile 256 rows)"),

@@ -30,7 +30,7 @@ use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::{Expr, Pred};
 use rapid_qef::ops::groupby::{on_the_fly_group_limit, slot_count};
 use rapid_qef::plan::{
-    AggSpec, Catalog, GroupStrategy, JoinType, KeyRange, NamedExpr, PlanNode, SortKey,
+    AggSpec, ByRange, Catalog, GroupStrategy, JoinType, KeyRange, NamedExpr, PlanNode, SortKey,
 };
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::arith::ArithOp;
@@ -39,7 +39,7 @@ use rapid_storage::types::{pow10, DataType, Value};
 
 use crate::cost::{estimate, estimate_node, CostParams, NodeEst, PlanCost};
 use crate::logical::{LExpr, LPred, LWindowFunc, LogicalPlan};
-use crate::partition_opt::partition_scheme;
+use crate::partition_opt::{join_scheme, partition_scheme};
 
 /// Extra fractional digits given to divisions.
 const DIV_EXTRA_SCALE: u8 = 6;
@@ -1144,6 +1144,7 @@ impl Lowering<'_, '_> {
         // For inner joins the compiler picks the smaller side as build.
         let rest = estimate_node(&rplan, catalog, params);
         let lest = estimate_node(&lplan, catalog, params);
+        let widest = encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?);
         let build_is_right = join_type != JoinType::Inner || rest.cost.rows <= lest.cost.rows;
         let ((build, build_est), (probe, probe_est)) = if build_is_right {
             ((&rplan, &rest), (&lplan, &lest))
@@ -1163,22 +1164,10 @@ impl Lowering<'_, '_> {
             Vec::new()
         } else {
             // Both sides stream through the partition passes, and the
-            // local-buffer limit (heuristic b) is set by the *widest* row. The
-            // partition *count* alone keeps the declared widths: it sizes what
-            // a join kernel holds, and a kernel widens keys to 8 bytes
-            // whatever they are stored in.
-            let declared = |cs: &[OutCol]| -> usize {
-                cs.iter()
-                    .map(|c| c.dtype.physical_width())
-                    .sum::<usize>()
-                    .max(8)
-            };
-            partition_scheme(
-                build_rows,
-                encoded_row_bytes(&lplan, catalog)?.max(encoded_row_bytes(&rplan, catalog)?),
-                declared(&lcols).max(declared(&rcols)),
-                &params.ctx,
-            )
+            // local-buffer limit (heuristic b) is set by the *widest* row.
+            // The partition count is what a pair's table holds: keys
+            // widened to 8 bytes and row ids.
+            join_scheme(build_rows, widest, (lk.len(), 0), &params.ctx)
         };
 
         // The logical columns it writes, and where each lies in the probe
@@ -1208,11 +1197,85 @@ impl Lowering<'_, '_> {
             join_type,
             scheme,
             filter: None,
-            ranged: false,
+            ranged: ByRange::Neither,
             output,
         };
-        let node = ranged(node, catalog, params)?;
-        let node = join_filter(node, (build_est, probe_est), catalog, params)?;
+        // A join that reads one input by range never loses the filter
+        // partitioning both sides would declare: where the build side is
+        // read by range the probe side's rows meet none before the lane's
+        // probe, so such a join is ranged only where that declares none, and
+        // a probe side read by range must be tested against one of its own.
+        let ests = (build_est, probe_est);
+        let filtered = |node| join_filter(node, ests, catalog, params);
+        let has_filter = |node: &PlanNode| {
+            matches!(
+                node,
+                PlanNode::HashJoin {
+                    filter: Some(_),
+                    ..
+                }
+            )
+        };
+        let node = match ranged(node.clone(), catalog, params)? {
+            // A lane's table holds its range's build rows — the build rows
+            // themselves where it reads them by range, else their keys and
+            // row ids: as many ranges as keep them within it.
+            PlanNode::HashJoin {
+                build,
+                probe,
+                build_keys,
+                probe_keys,
+                join_type,
+                ranged: ranged @ (ByRange::Build | ByRange::Probe),
+                output,
+                ..
+            } => {
+                let row_bytes = match ranged.reads(0) {
+                    true => encoded_row_bytes(&build, catalog)?,
+                    false => 0,
+                };
+                let keys = (build_keys.len(), row_bytes);
+                let scheme = join_scheme(build_rows, widest, keys, &params.ctx);
+                let ranged = PlanNode::HashJoin {
+                    build,
+                    probe,
+                    build_keys,
+                    probe_keys,
+                    join_type,
+                    scheme,
+                    filter: None,
+                    ranged,
+                    output,
+                };
+                let plain = filtered(node)?;
+                let ranged = match ranged.reads_by_range(1) {
+                    true => filtered(ranged)?,
+                    false => ranged,
+                };
+                match has_filter(&plain) && !has_filter(&ranged) {
+                    true => plain,
+                    false => ranged,
+                }
+            }
+            // Two inputs read by range cut each lane's rows into the blocks
+            // its table holds (`ops::ranges::blocks`): their ranges are as
+            // many as the declared widths of a join kernel's rows need.
+            mut both @ PlanNode::HashJoin {
+                ranged: ByRange::Both,
+                ..
+            } => {
+                let declared = |cs: &[OutCol]| -> usize {
+                    let widths = cs.iter().map(|c| c.dtype.physical_width());
+                    widths.sum::<usize>().max(8)
+                };
+                let kernel_row_bytes = declared(&lcols).max(declared(&rcols));
+                if let PlanNode::HashJoin { scheme, .. } = &mut both {
+                    *scheme = partition_scheme(build_rows, widest, kernel_row_bytes, &params.ctx);
+                }
+                filtered(both)?
+            }
+            neither => filtered(neither)?,
+        };
         Ok((node, cols))
     }
 
@@ -1263,39 +1326,51 @@ impl Lowering<'_, '_> {
 }
 
 /// `node` — a partitioned join or group-by — with its partitions declared as
-/// key ranges where its inputs qualify (`rapid_qef::ops::ranges`): every
-/// input is a scan-fed chain, the one key is a base column of each input's
-/// table, each table is clustered on it (`Table::clustered_on`), and each
-/// side's task fits DMEM (`PlanNode::ranged_tasks`). The scheme stays the
-/// one `partition_scheme` gave: its partitions are the ranges. A broadcast
-/// join, or a join or group-by of several keys, stays what it is.
+/// key ranges where its inputs qualify (`rapid_qef::ops::ranges`): an input
+/// qualifies where it is a scan-fed chain, the one key is a base column of
+/// its table, and the table is clustered on it (`Table::clustered_on`). A
+/// group-by's input must; a join reads by range the inputs that qualify —
+/// both, or one, the other partitioned by its key's value bits — where each
+/// one's task fits DMEM (`PlanNode::ranged_tasks`). The scheme stays the one
+/// `partition_scheme` gave: its partitions are the ranges. A broadcast join,
+/// or a join or group-by of several keys, stays what it is.
 fn ranged(
     mut node: PlanNode,
     catalog: &Catalog,
     params: &CostParams,
 ) -> Result<PlanNode, CompileError> {
-    // The one key of `input` is a column of a table stored in its order.
-    let clustered = |input: &PlanNode, keys: &[usize]| match keys {
-        [key] => input
-            .chain_column(*key)
-            .is_some_and(|(table, col)| catalog.get(table).is_some_and(|t| t.clustered_on(col))),
-        _ => false,
+    // A key of `input` is a column of a table stored in its order.
+    let clustered = |input: &PlanNode, keys: &[usize]| {
+        keys.iter().any(|&key| {
+            input
+                .chain_column(key)
+                .is_some_and(|(table, col)| catalog.get(table).is_some_and(|t| t.clustered_on(col)))
+        })
     };
-    let qualifies = match &node {
+    let qualifies = match &mut node {
         PlanNode::HashJoin {
             build,
             probe,
             build_keys,
             probe_keys,
             scheme,
+            ranged,
             ..
-        } => !scheme.is_empty() && clustered(build, build_keys) && clustered(probe, probe_keys),
+        } if !scheme.is_empty() => {
+            // Both read by range only on one key; on several, the probe.
+            let edges = [clustered(build, build_keys), clustered(probe, probe_keys)];
+            *ranged = match (edges, build_keys.len()) {
+                ([true, true], 2..) => ByRange::Probe,
+                _ => ByRange::of(edges),
+            };
+            ranged.any()
+        }
         PlanNode::GroupBy {
             input,
             keys,
             strategy: GroupStrategy::Partitioned(_),
             ..
-        } => clustered(input, keys),
+        } => keys.len() == 1 && clustered(input, keys),
         _ => false,
     };
     if !qualifies {
@@ -1310,24 +1385,16 @@ fn ranged(
             rapid_qef::budget::task_tile(ctx.tile_rows, &task.decls, ctx.dmem_bytes).is_some()
         })
     });
-    if fits {
-        cut_as_ranges(&mut node);
-    }
-    Ok(node)
-}
-
-/// Declare the partitions of `node`, a partitioned join or group-by, as
-/// key ranges, keeping its scheme.
-fn cut_as_ranges(node: &mut PlanNode) {
-    match node {
-        PlanNode::HashJoin { ranged, .. } => *ranged = true,
-        PlanNode::GroupBy { strategy, .. } => {
+    match &mut node {
+        PlanNode::HashJoin { ranged, .. } if !fits => *ranged = ByRange::Neither,
+        PlanNode::GroupBy { strategy, .. } if fits => {
             if let GroupStrategy::Partitioned(scheme) = strategy {
                 *strategy = GroupStrategy::Ranged(std::mem::take(scheme));
             }
         }
         _ => {}
     }
+    Ok(node)
 }
 
 /// `join` with a join filter where the estimate says one pays: an inner or
@@ -1354,7 +1421,7 @@ fn join_filter(
     };
     // A ranged join's lane builds a filter of one slice over its range's
     // build rows, beside its table.
-    let (fanout, build_rows) = match ranged {
+    let (fanout, build_rows) = match ranged.any() {
         true => (
             1,
             build.cost.rows / scheme.iter().product::<usize>().max(1) as f64,

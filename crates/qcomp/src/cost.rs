@@ -559,7 +559,13 @@ fn join_cycles(
     // nothing.
     let (kept, dropped, filter_wire, filter_compute) = match filter {
         Some(bits) => {
-            let kept = join_filter::kept_fraction(match_frac, b.cost.rows, bits);
+            // A ranged join's lane holds a filter of `bits` bits over its
+            // range's build rows alone.
+            let ranges = match ranged.any() {
+                true => scheme.iter().product::<usize>().max(1) as f64,
+                false => 1.0,
+            };
+            let kept = join_filter::kept_fraction(match_frac, b.cost.rows / ranges, bits);
             let set = cm.kernel_cycles(&costs::join_filter_set_per_row());
             let test = cm.kernel_cycles(&costs::join_filter_test_per_row());
             if scheme.is_empty() {
@@ -569,14 +575,16 @@ fn join_cycles(
                     0.0,
                     b.cost.rows * set + pr.cost.rows * test / cores,
                 )
-            } else if *ranged {
+            } else if ranged.any() {
                 // A ranged join's lane sets the bits of its range's build
-                // rows beside its table and tests its probe rows — in its
-                // scan's key pass, which gathers no more of the rows it
-                // drops.
+                // rows beside its table and tests its probe rows — where it
+                // reads them by range, in its scan's key pass, which gathers
+                // no more of the rows it drops.
                 let probe_widths = probe.output_widths(catalog).unwrap_or_default();
-                let dropped =
-                    (1.0 - kept) * pr.cost.rows * probe_widths.iter().sum::<usize>() as f64;
+                let dropped = match ranged.reads(1) {
+                    true => (1.0 - kept) * pr.cost.rows * probe_widths.iter().sum::<usize>() as f64,
+                    false => 0.0,
+                };
                 let compute = (b.cost.rows * set + pr.cost.rows * test) / cores;
                 (kept, dropped, 0.0, compute)
             } else {
@@ -611,11 +619,16 @@ fn join_cycles(
         * pr.cost.rows
         * (cm.kernel_cycles(&costs::join_probe_per_row())
             + cm.kernel_cycles(&costs::join_probe_per_link()));
-    let (wire, compute) = if *ranged {
-        // Key ranges: each lane reads its range's rows of both sides once —
-        // of the probe side what a filter keeps — and builds and probes
-        // them; nothing is partitioned.
-        let read = b.cost.output_bytes() + pr.cost.output_bytes();
+    let (wire, compute) = if ranged.any() {
+        // Key ranges: each lane reads its range's rows of a side it reads
+        // by range once — of the probe side what a filter keeps — and of a
+        // side partitioned by value bits the partition its pass wrote (read
+        // and written through the DMS), and builds and probes them.
+        let moved = |edge: usize, est: &NodeEst| match ranged.reads(edge) {
+            true => est.cost.output_bytes(),
+            false => 2.0 * est.cost.output_bytes(),
+        };
+        let read = moved(0, b) + moved(1, pr);
         let wire = (read - dropped) / cm.dms_bytes_per_cycle() + filter_wire;
         (wire, (build_cy + probe_cy) / cores + filter_compute)
     } else if scheme.is_empty() {
@@ -749,7 +762,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
-            ranged: false,
+            ranged: rapid_qef::plan::ByRange::Neither,
             output: (0..4).collect(),
         };
         let jc = estimate(&join, &cat, &p);
@@ -807,7 +820,7 @@ mod tests {
             join_type,
             scheme: vec![32],
             filter: None,
-            ranged: false,
+            ranged: rapid_qef::plan::ByRange::Neither,
             output: (0..if join_type.pairs() { 4 } else { 2 }).collect(),
         }
     }
@@ -878,7 +891,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
-            ranged: false,
+            ranged: rapid_qef::plan::ByRange::Neither,
             output: vec![0, 1],
         };
         let c = estimate(&j, &cat, &p);
@@ -922,7 +935,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
-            ranged: false,
+            ranged: rapid_qef::plan::ByRange::Neither,
             output: (0..4).collect(),
         };
         let est = estimate_rows_per_node(&plan, &cat, &p);

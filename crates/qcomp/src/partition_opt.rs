@@ -19,6 +19,7 @@
 use dpu_sim::isa::CostModel;
 use rapid_qef::budget::{max_buffered_fanout, HASH_BITS, MAX_ROUND_FANOUT, SKEW_RESERVED_BITS};
 use rapid_qef::exec::ExecContext;
+use rapid_qef::ops::join::broadcast_capacity;
 
 /// The required number of partitions (§5.3): `rows` rows of `row_bytes`
 /// divided by DMEM, raised to the core count, rounded to a power of two.
@@ -47,6 +48,30 @@ pub fn partition_scheme(
     ctx: &ExecContext,
 ) -> Vec<usize> {
     let partitions = required_partitions(rows as u64, kernel_row_bytes, ctx.dmem_bytes, ctx.cores);
+    let cap = max_buffered_fanout(row_bytes, ctx.dmem_bytes).min(MAX_ROUND_FANOUT);
+    even_rounds(partitions, cap)
+}
+
+/// The scheme of a join's partition pass: as many partitions as `rows`
+/// build rows need for each partition's rows to fit the table a lane builds
+/// of them in half of DMEM — the bucket and link arrays, keys and row ids
+/// `ops::join::broadcast_bytes` counts, and `table_row_bytes` of each row
+/// the table holds beside them (none for a pair join's table, which holds
+/// row ids; a ranged lane's holds the build rows) — never fewer than the
+/// cores, in the fewest rounds the buffer cap of rows of `row_bytes` as they
+/// are encoded allows, as [`partition_scheme`] cuts them.
+pub fn join_scheme(
+    rows: f64,
+    row_bytes: usize,
+    (nkeys, table_row_bytes): (usize, usize),
+    ctx: &ExecContext,
+) -> Vec<usize> {
+    let half = ctx.dmem_bytes / 2;
+    let fits = broadcast_capacity(half, nkeys, table_row_bytes, half).max(1);
+    // A saturated estimate takes every schedulable hash bit (`even_rounds`).
+    let most = (1u64 << (HASH_BITS - SKEW_RESERVED_BITS)) as f64;
+    let by_size = (rows.max(0.0) / fits as f64).ceil().min(most) as usize;
+    let partitions = by_size.max(ctx.cores).max(1).next_power_of_two();
     let cap = max_buffered_fanout(row_bytes, ctx.dmem_bytes).min(MAX_ROUND_FANOUT);
     even_rounds(partitions, cap)
 }
@@ -132,6 +157,7 @@ mod tests {
         let scheme = partition_scheme(u64::MAX as f64, 8, 8, &dpu);
         assert_eq!(scheme.iter().product::<usize>(), 1 << 28);
         assert_eq!(scheme, [128, 128, 128, 128]);
+        assert_eq!(join_scheme(f64::MAX, 8, (1, 8), &dpu), scheme);
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //!   path,
 //! * a join or group-by whose partitions are key ranges of tables stored in
 //!   the order of its key ([`ops::ranges`]) is one stage over its inputs'
-//!   chains, a lane a range: no partition pass, no pairs stage and no merge.
+//!   chains, a lane a range: no partition pass, no pairs stage and no merge;
+//!   a join one of whose inputs is no such chain partitions that input
+//!   alone, by its key's value bits, and a lane reads its range's
+//!   partition of it.
 //!
 //! An operator owns a buffer only where the DMS writes one: inputs are
 //! borrowed and read in place — a lane hands on the rows of an unpredicated
@@ -59,7 +62,7 @@ use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
 use crate::ops;
 use crate::ops::join_filter::JoinFilter;
-use crate::ops::partition::RoundStep;
+use crate::ops::partition::{RoundStep, Route};
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
 use crate::task::{ScanChain, Task};
 use crate::trace::{FilterKept, FusedOp, PartitionRound, ScanAccess, StageEvent, TraceSink};
@@ -550,7 +553,7 @@ impl<'e> Run<'e> {
                 ranged,
                 output,
             } => {
-                if *ranged {
+                if ranged.any() {
                     return self.exec_ranged(node);
                 }
                 self.exec_join(
@@ -920,8 +923,9 @@ impl<'e> Run<'e> {
             })
     }
 
-    /// Partition what input `edge` of `node` hands on by `keys` through the
-    /// rounds of `scheme` on all cores: every round is a stage, absorbed
+    /// Partition what input `edge` of `node` hands on by `keys`, sending each
+    /// row as `route` says, through the rounds of `scheme` on all cores:
+    /// every round is a stage, absorbed
     /// under `operator` with the rows it partitioned. Wherever it fits there,
     /// round one is the last operator of the input's task — each
     /// lane partitions the rows it scanned
@@ -936,11 +940,12 @@ impl<'e> Run<'e> {
     /// ([`crate::budget::max_buffered_fanout`], at the widths this engine's
     /// catalog stores) is refused: the plan was compiled when a table's
     /// columns were narrower and is the caller's to recompile.
+    #[allow(clippy::too_many_arguments)]
     fn partition_input(
         &mut self,
         node: &PlanNode,
         edge: usize,
-        keys: &[usize],
+        (keys, route): (&[usize], Route<'_>),
         scheme: &[usize],
         filter: Option<&JoinFilter>,
         operator: &str,
@@ -980,7 +985,7 @@ impl<'e> Run<'e> {
             return ops::partition::partition_pass(
                 self.ctx,
                 batches,
-                keys,
+                (keys, route),
                 scheme,
                 tile,
                 filter,
@@ -992,7 +997,8 @@ impl<'e> Run<'e> {
         let fanout = scheme[0];
         let probe = filter.map(|f| (keys, f));
         let mut run = self.run_task(task, probe, None, |core, rows, tile, untested| {
-            let map = RoundStep::first(keys, fanout, tile, untested).map_rows(core, &rows);
+            let step = RoundStep::first((keys, route), fanout, tile, untested);
+            let map = step.map_rows(core, &rows);
             Ok((rows, map))
         })?;
         let first = ops::partition::scatter_lanes(fanout, &run.results);
@@ -1007,6 +1013,7 @@ impl<'e> Run<'e> {
             run.detail.filter = ops::partition::filtered(filter, rows as usize, &first);
         }
         self.stage(&run.timing, operator, rows, run.detail);
+        let keys = (keys, route);
         ops::partition::partition_rounds_after(self.ctx, first, keys, scheme, tile, |t, round| {
             self.stage(t, operator, rows, Detail::round(round, None))
         })
@@ -1040,8 +1047,9 @@ impl<'e> Run<'e> {
         // Partition both sides; each side's tile is clamped to its own
         // stream width. The filter is built between them, over what the
         // build side's pass wrote, for the probe side's round one to test.
+        let (build_route, probe_route) = ((build_keys, Route::Hash), (probe_keys, Route::Hash));
         let bparts =
-            self.partition_input(node, 0, build_keys, scheme, None, "join.partition-build")?;
+            self.partition_input(node, 0, build_route, scheme, None, "join.partition-build")?;
         let filter = match filter {
             Some(bits) => {
                 Some(self.join_filter(&bparts, build_keys, &build_widths, scheme, bits)?)
@@ -1050,7 +1058,7 @@ impl<'e> Run<'e> {
         };
         let filter = filter.as_ref();
         let pparts =
-            self.partition_input(node, 1, probe_keys, scheme, filter, "join.partition-probe")?;
+            self.partition_input(node, 1, probe_route, scheme, filter, "join.partition-probe")?;
         let build_rows: usize = bparts.iter().map(Batch::rows).sum();
         let partitions: usize = scheme.iter().product();
         let est_per_partition = (build_rows / partitions.max(1)).max(1);
@@ -1233,26 +1241,34 @@ impl<'e> Run<'e> {
 
     /// A ranged join or group-by ([`ops::ranges`]): ONE stage of as many
     /// lanes as its scheme has partitions, each a key range, in key order.
-    /// The bounds are picked from the larger input. A lane of a join puts
-    /// its range's rows of the build side's chain in its table as the scan
-    /// hands them on — half of DMEM, as a broadcast lane's, a block of the
-    /// range at a time where they overflow it ([`ops::ranges::blocks`]) —
-    /// sets the bits of its own join filter beside it where the join
-    /// declares one, and probes its range's rows of the probe side's chain
+    /// Where the node reads every input by range, the bounds are picked from
+    /// the larger input. A join that reads one input by range cuts the keys
+    /// by value bits from that input's listed zone maps
+    /// ([`ops::ranges::Radix`]) and first partitions the other input — any
+    /// plan — by them, a pass like any join side's, so that its partition
+    /// `r` holds the keys of range `r`. A lane of a join puts its range's
+    /// build rows in its table — of a chain, as the scan hands them on; of a
+    /// partitioned input, its partition as the pass wrote it — half of
+    /// DMEM, as a broadcast lane's, a block of the range at a time where
+    /// both inputs arrive in key order and they overflow it
+    /// ([`ops::ranges::blocks`]), sets the bits of its own join filter beside
+    /// it where the join declares one, and probes its range's probe rows
     /// against it where they lie, a tile at a time
-    /// ([`ops::join::Broadcast::probe`]): the scan's key pass, where it
-    /// takes the gather path, tests them against the filter before it
-    /// gathers, else the probe does. A lane of a group-by aggregates its
-    /// range's rows in a table of its own and emits it, with no merge: a
-    /// group's rows are all in one range. Each side holds in DMEM what its
-    /// task declares ([`PlanNode::ranged_tasks`]) while it is scanned.
+    /// ([`ops::join::Broadcast::probe`]): a probe chain's scan, where it
+    /// takes the gather path, tests them against the filter in its key pass
+    /// before it gathers, else the probe does. A lane of a group-by
+    /// aggregates its range's rows in a table of its own and emits it, with
+    /// no merge: a group's rows are all in one range. Each chain holds in
+    /// DMEM what its task declares ([`PlanNode::ranged_tasks`]) while it is
+    /// scanned.
     fn exec_ranged(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
         let (catalog, ctx) = (self.catalog, self.ctx);
         let bad = |why: &str| QefError::BadPlan(format!("a ranged operator: {why}"));
         let scheme = node.ranged_scheme().ok_or_else(|| bad("no scheme"))?;
-        let tasks = node
+        let mut tasks = node
             .ranged_tasks(catalog, ctx.dmem_bytes)?
-            .ok_or_else(|| bad("an input is no scan-fed chain"))?;
+            .ok_or_else(|| bad("an input it reads by range is no scan-fed chain"))?
+            .into_iter();
         let (keys, filter, build_widths, output): (Vec<&[usize]>, _, _, _) = match node {
             PlanNode::HashJoin {
                 build,
@@ -1272,39 +1288,102 @@ impl<'e> Run<'e> {
             PlanNode::GroupBy { keys, .. } => (vec![keys], None, Vec::new(), &[][..]),
             _ => return Err(bad("not a join or group-by")),
         };
-        // The one key of each input, as a column of its table.
-        let cols = node
-            .inputs()
-            .zip(&keys)
-            .map(|(input, keys)| match keys {
-                [key] => input.chain_column(*key).map(|(_, col)| col),
-                _ => None,
-            })
-            .collect::<Option<Vec<usize>>>()
-            .ok_or_else(|| bad("its key is not one base column of each input"))?;
-        let last = tasks.len() - 1;
-        let lanes: usize = scheme.iter().product();
-        let mut sides = Vec::with_capacity(tasks.len());
-        for (i, task) in tasks.into_iter().enumerate() {
-            let probe = filter.filter(|_| i == last && i > 0).map(|bits| {
-                let build_rows = sides.first().map_or(0.0, ChainLanes::estimated_rows);
-                let filter = ProbeFilter::PerLane {
-                    bits,
-                    build_rows,
-                    lanes,
-                };
-                (keys[i], filter)
-            });
-            sides.push(self.chain_lanes(task, probe, Dealing::WholeTiles)?);
+        let inputs: Vec<&PlanNode> = node.inputs().collect();
+        // The key the ranges cut, of each input read by range as a column
+        // of its table.
+        let at = node.range_key(catalog);
+        let one_sided = inputs.len() > 1 && !(0..2).all(|edge| node.reads_by_range(edge));
+        let mut cols = Vec::with_capacity(inputs.len());
+        for (edge, (input, keys)) in inputs.iter().zip(&keys).enumerate() {
+            let col = match (node.reads_by_range(edge), keys) {
+                (false, _) => None,
+                (true, [key]) => Some(input.chain_column(*key).map(|(_, col)| col)),
+                (true, keys) if one_sided => Some(input.chain_column(keys[at]).map(|(_, c)| c)),
+                (true, _) => Some(None),
+            };
+            cols.push(col.map(|col| col.ok_or_else(|| bad("its key is not a base column"))));
         }
-        // The bounds, from the larger input.
+        // Of each input, the position of that key among its columns.
+        let cut = keys
+            .iter()
+            .map(|keys| keys.get(at).or(keys.first()).copied())
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| bad("an input has no key"))?;
+        let cols = cols
+            .into_iter()
+            .map(Option::transpose)
+            .collect::<QefResult<Vec<Option<usize>>>>()?;
+        let last = inputs.len() - 1;
+        let lanes: usize = scheme.iter().product();
+        // Where one input is partitioned, the value-bit cut of the other's
+        // listed zone maps its pass routes by.
+        let radix = match cols.iter().position(Option::is_none) {
+            None => None,
+            Some(_) => {
+                let (edge, col) = cols
+                    .iter()
+                    .enumerate()
+                    .find_map(|(edge, col)| col.map(|col| (edge, col)))
+                    .ok_or_else(|| bad("it reads no input by range"))?;
+                let chain = inputs[edge].scan_chain().ok_or_else(|| bad("no chain"))?;
+                let table = catalog
+                    .get(chain.table)
+                    .ok_or_else(|| QefError::TableNotLoaded(chain.table.to_string()))?;
+                let list = ops::filter::ChunkList::of(chain.pred, &table.chunks);
+                Some(ops::ranges::Radix::of(list, col, lanes))
+            }
+        };
+        // Each input in turn, at its pre-order ids: a chain read by range,
+        // its ids kept for the trace, or the partitions of its pass.
+        let mut sides: Vec<Option<(ChainLanes<'_>, u32)>> = Vec::with_capacity(inputs.len());
+        let mut parts: Option<Vec<Batch>> = None;
+        let mut build_rows = None;
+        for (i, col) in cols.iter().enumerate() {
+            let Some(radix) = radix.filter(|_| col.is_none()) else {
+                let task = tasks.next().ok_or_else(|| bad("a task is missing"))?;
+                let probe = filter.filter(|_| i == last && i > 0).map(|bits| {
+                    let build_rows = build_rows.unwrap_or_default();
+                    let filter = ProbeFilter::PerLane {
+                        bits,
+                        build_rows,
+                        lanes,
+                    };
+                    (keys[i], filter)
+                });
+                let side = self.chain_lanes(task, probe, Dealing::WholeTiles)?;
+                build_rows = Some(side.estimated_rows());
+                let first_id = self.node_seq;
+                self.node_seq += side.ops() as u32;
+                sides.push(Some((side, first_id)));
+                continue;
+            };
+            let route = (std::slice::from_ref(&cut[i]), Route::Radix(radix, scheme));
+            let operator = ["join.partition-build", "join.partition-probe"][i];
+            let of_pass = self.partition_input(node, i, route, scheme, None, operator)?;
+            if of_pass.len() != lanes {
+                return Err(QefError::Internal(format!(
+                    "a value-bit pass of {scheme:?} wrote {} partitions",
+                    of_pass.len()
+                )));
+            }
+            build_rows = Some(batch_rows(&of_pass) as f64);
+            parts = Some(of_pass);
+            sides.push(None);
+        }
+        let chain = |i: usize| sides[i].as_ref().map(|(side, _)| side);
+        // The bounds: a value-bit cut, else from the larger input.
         let larger = (0..sides.len())
-            .max_by_key(|&i| sides[i].chunks.rows())
-            .unwrap_or(0);
-        let from = &sides[larger];
-        let ranges = ops::ranges::KeyRanges::of(from.table, cols[larger], from.chunks, lanes);
-        let bound_width = from.table.column_width(cols[larger]);
-        // The rows of side `i` in key range `r` one lane reads, handed to
+            .filter_map(|i| chain(i).map(|side| (i, side.chunks.rows())))
+            .max_by_key(|&(_, rows)| rows)
+            .map_or(0, |(i, _)| i);
+        let from = chain(larger).ok_or_else(|| bad("no input read by range"))?;
+        let col = cols[larger].ok_or_else(|| bad("no key"))?;
+        let ranges = match radix {
+            Some(radix) => ops::ranges::KeyRanges::radix(radix, from.table, col, from.chunks),
+            None => ops::ranges::KeyRanges::of(from.table, col, from.chunks, lanes),
+        };
+        let bound_width = from.table.column_width(col);
+        // The rows of chain `i` in key range `r` one lane reads, handed to
         // `each`: its pieces — the larger input's at the slots its bounds
         // were found at, where they are its slot quantiles, else by
         // bisection, charged — each tested where it was read whole, under
@@ -1314,21 +1393,25 @@ impl<'e> Run<'e> {
                     filter: Option<&JoinFilter>,
                     each: &mut dyn FnMut(&mut CoreCtx, Rows<'_>) -> QefResult<()>|
          -> QefResult<()> {
-            let (side, bounds) = (&sides[i], ranges.bounds(r));
+            let (side, col) = match (chain(i), cols[i]) {
+                (Some(side), Some(col)) => (side, col),
+                _ => return Err(bad("an input read by range has no chain")),
+            };
+            let bounds = ranges.bounds(r);
             let _vectors = core.dmem.reserve_raw(side.working_set)?;
             let (pieces, probes) = match ranges.slots(r).filter(|_| i == larger) {
                 Some(slots) => (
                     ops::ranges::pieces_at(&side.table.chunks, side.chunks, slots),
                     0,
                 ),
-                None => ops::ranges::pieces(&side.table.chunks, side.chunks, cols[i], bounds),
+                None => ops::ranges::pieces(&side.table.chunks, side.chunks, col, bounds),
             };
-            let width = side.table.column_width(cols[i]);
+            let width = side.table.column_width(col);
             ops::ranges::charge_key_reads(core, width, probes);
             let test = pieces
                 .iter()
                 .any(|piece| piece.tested)
-                .then(|| ops::ranges::test(bounds, keys[i][0]));
+                .then(|| ops::ranges::test(bounds, cut[i]));
             for piece in pieces {
                 let mut rows = side.rows(core, piece.span, filter)?;
                 if let Some(test) = test.as_ref().filter(|_| piece.tested && rows.rows() > 0) {
@@ -1338,11 +1421,20 @@ impl<'e> Run<'e> {
             }
             Ok(())
         };
-        // What the probe side's rows meet where its scan runs no key pass:
-        // the filter, tested by the probe.
-        let probe_tests = !sides[last].scan.tests_keys();
-        let items: Vec<usize> = (0..ranges.len()).collect();
-        let (out, timing) = run_stage(ctx, items, |core, r| {
+        // What the probe side's rows meet where no scan's key pass tests
+        // them: the filter, tested by the probe — and the tile it probes at.
+        let probe_widths = inputs[last].output_widths(catalog)?;
+        let (probe_tests, probe_tile) = match chain(last) {
+            Some(probe) => (!probe.scan.tests_keys(), probe.deal.tile),
+            None => (true, self.partition_tile(&probe_widths, 0)?),
+        };
+        // Both inputs arrive in key order only where both are read by range.
+        let in_key_order = radix.is_none();
+        let mut parts = parts.map(Vec::into_iter);
+        let items: Vec<(usize, Option<Batch>)> = (0..ranges.len())
+            .map(|r| (r, parts.as_mut().and_then(Iterator::next)))
+            .collect();
+        let (out, timing) = run_stage(ctx, items, |core, (r, part)| {
             // The lower bound of every range past the first was read, and
             // its slot found, where it is a slot quantile.
             ops::ranges::charge_key_reads(core, bound_width, ranges.bound_reads(r));
@@ -1355,7 +1447,7 @@ impl<'e> Run<'e> {
                 } => (build_keys, probe_keys, *join_type),
                 PlanNode::GroupBy { keys, aggs, .. } => {
                     // A table of the range's groups, emitted whole.
-                    let tile = sides[0].deal.tile;
+                    let tile = chain(0).map_or(1, |side| side.deal.tile);
                     let mut table = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
                     read(core, (0, r), None, &mut |core, rows| {
                         charge_further_tiles(core, rows.rows(), tile);
@@ -1366,37 +1458,50 @@ impl<'e> Run<'e> {
                 _ => return Err(bad("not a join or group-by")),
             };
             // A join: the range's build rows in the lane's table, the filter
-            // beside them, and the probe side's rows probed against it.
-            let mut built = Vec::new();
-            read(core, (0, r), None, &mut |core, rows| {
-                built.push(rows.into_batch(core));
-                Ok(())
-            })?;
-            let built = Batch::concat(built);
+            // beside them, and the probe side's rows probed against it. A
+            // partition is read where its pass wrote it, as a pair join
+            // reads its pair.
+            let (built, probe_part) = match chain(0) {
+                Some(_) => {
+                    let mut built = Vec::new();
+                    read(core, (0, r), None, &mut |core, rows| {
+                        built.push(rows.into_batch(core));
+                        Ok(())
+                    })?;
+                    (Batch::concat(built), part)
+                }
+                None => (part.unwrap_or_else(|| Batch::empty(0)), None),
+            };
             let filter = filter
                 .map(|bits| JoinFilter::beside_tables(&built, build_keys, bits))
                 .transpose()?;
             // The table holds a block of the range at a time
-            // (`ops::ranges::blocks`): of the rows, only a block past it
-            // overflows, and at every cut the lane resumes each side's
-            // stream where it stopped. One host table stands for the blocks:
-            // a probe row's matches all lie in one of them.
-            let row_bytes = build_widths.iter().sum();
+            // (`ops::ranges::blocks`) where both inputs arrive in key
+            // order: of the rows, only a block past it overflows, and at
+            // every cut the lane resumes each side's stream where it
+            // stopped. Else the rows past the table overflow it. One host
+            // table stands for the blocks: a probe row's matches all lie in
+            // one of them. A table over a partition holds its keys and row
+            // ids, as a pair's does: the rows stay where the pass wrote them.
+            let row_bytes = match chain(0) {
+                Some(_) => build_widths.iter().sum(),
+                None => 0,
+            };
             let table_rows = ops::join::broadcast_capacity(
                 built.rows(),
                 build_keys.len(),
                 row_bytes,
                 ctx.dmem_bytes / 2,
             );
-            let (blocks, overflow) = match built.is_empty() {
-                true => (1, 0),
+            let (blocks, overflow) = match built.is_empty() || !in_key_order {
+                true => (1, built.rows().saturating_sub(table_rows)),
                 false => ops::ranges::blocks(built.column(build_keys[0]), table_rows)
                     .fold((0, 0), |(n, over), block| {
                         (n + 1, over + block.len().saturating_sub(table_rows))
                     }),
             };
-            for (side, col) in sides.iter().zip(&cols) {
-                let width = side.table.column_width(*col);
+            for (side, col) in (0..sides.len()).filter_map(|i| chain(i).zip(cols[i])) {
+                let width = side.table.column_width(col);
                 ops::ranges::charge_key_reads(core, width, blocks - 1);
             }
             let join = ops::join::Broadcast {
@@ -1410,20 +1515,23 @@ impl<'e> Run<'e> {
                 filter: filter.as_ref(),
             };
             let table = join.table(core)?;
-            let tile = sides[last].deal.tile;
             let (mut out, mut tested, mut probed) = (Vec::new(), 0, 0);
-            read(core, (last, r), filter.as_ref(), &mut |core, rows| {
+            let mut probe = |core: &mut CoreCtx, rows: Rows<'_>| -> QefResult<()> {
                 tested += rows.rows();
-                let (batch, of_rows) = join.probe(core, table.as_ref(), rows, tile, probe_tests)?;
+                let (batch, of_rows) =
+                    join.probe(core, table.as_ref(), rows, probe_tile, probe_tests)?;
                 out.push(batch);
                 probed += of_rows;
                 Ok(())
-            })?;
+            };
+            match probe_part {
+                Some(part) => probe(core, Rows::Owned(part))?,
+                None => read(core, (last, r), filter.as_ref(), &mut probe)?,
+            }
             Ok((out, tested, probed))
         })?;
         // Where the scan did not test the rows, the probe did.
-        let probe = &sides[last];
-        let filter_kept = match probe.kept() {
+        let filter_kept = match chain(last).and_then(ChainLanes::kept) {
             None if filter.is_some() => Some(FilterKept {
                 tested: out.iter().map(|(_, tested, _)| *tested as u64).sum(),
                 kept: out.iter().map(|(.., probed)| *probed as u64).sum(),
@@ -1435,16 +1543,15 @@ impl<'e> Run<'e> {
             .flat_map(|(batches, ..)| batches)
             .filter(|b| !b.is_empty())
             .collect();
-        // Pre-order ids: each input's chain follows the node, the build
-        // side's first.
+        // Pre-order ids: each chain's follow the node and the inputs before
+        // it, the build side's first.
         let mut fused = Vec::new();
-        for side in &sides {
-            let first_id = self.node_seq;
-            self.node_seq += side.ops() as u32;
-            fused.extend(side.fused(first_id, self.node_id, self.open, false));
+        for (side, first_id) in sides.iter().flatten() {
+            fused.extend(side.fused(*first_id, self.node_id, self.open, false));
         }
+        let scanned = sides.iter().rev().flatten().next();
         let detail = Detail {
-            scan: Some(probe.access()),
+            scan: scanned.map(|(side, _)| side.access()),
             filter: filter_kept,
             fused,
             ..Detail::default()
@@ -1505,8 +1612,9 @@ impl<'e> Run<'e> {
             }
             GroupStrategy::Partitioned(scheme) => {
                 // Partition by grouping keys so each partition's table fits.
+                let route = (keys, Route::Hash);
                 let parts =
-                    self.partition_input(node, 0, keys, scheme, None, "groupby.partition")?;
+                    self.partition_input(node, 0, route, scheme, None, "groupby.partition")?;
                 let (out, t2) = run_stage(
                     self.ctx,
                     parts.into_iter().filter(|p| !p.is_empty()).collect(),
@@ -1865,7 +1973,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![32],
             filter: None,
-            ranged: false,
+            ranged: crate::plan::ByRange::Neither,
             output: vec![0, 1, 2, 3],
         };
         let (out, _) = e.execute(&plan).unwrap();
@@ -1908,7 +2016,7 @@ mod tests {
                 join_type: JoinType::LeftOuter,
                 scheme: vec![32],
                 filter: None,
-                ranged: false,
+                ranged: crate::plan::ByRange::Neither,
                 output: paired(3, 2, JoinType::LeftOuter),
             };
             let (out, _) = e.execute(&plan).unwrap();
@@ -1984,7 +2092,7 @@ mod tests {
             join_type,
             scheme,
             filter: None,
-            ranged: false,
+            ranged: crate::plan::ByRange::Neither,
         };
         let rows = |batch: &Batch| {
             let mut rows: Vec<Vec<Option<i64>>> = (0..batch.rows())
@@ -2153,7 +2261,7 @@ mod tests {
             join_type,
             scheme: vec![32],
             filter: None,
-            ranged: false,
+            ranged: crate::plan::ByRange::Neither,
             output: paired(3, 2, join_type),
         };
         let join = |join_type| join_below(700, join_type);
@@ -2269,7 +2377,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![2],
             filter: None,
-            ranged: false,
+            ranged: crate::plan::ByRange::Neither,
             output: (0..5).collect(),
         };
         let group = || PlanNode::GroupBy {
@@ -2384,7 +2492,7 @@ mod tests {
             join_type: JoinType::LeftSemi,
             scheme,
             filter: None,
-            ranged: false,
+            ranged: crate::plan::ByRange::Neither,
             output: (0..8).collect(),
         };
         let dmem = ExecContext::dpu().dmem_bytes;
@@ -2729,7 +2837,7 @@ mod plan_node_tests {
             join_type: JoinType::Inner,
             scheme: vec![4],
             filter: None,
-            ranged: false,
+            ranged: crate::plan::ByRange::Neither,
             output: vec![0, 1, 2, 3],
         };
         let (out, report) = slow.execute(&join).unwrap();

@@ -1839,7 +1839,7 @@ mod proptests {
                 prop_assert_eq!(groups(&in_place), groups(&copied), "{}", path);
                 let parts = |rows: Rows<'_>| {
                     let mut c = CoreCtx::new(&ectx, 0);
-                    let map = RoundStep::first(&[0], 4, 4, None).map_rows(&mut c, &rows);
+                    let map = RoundStep::first((&[0], crate::ops::partition::Route::Hash), 4, 4, None).map_rows(&mut c, &rows);
                     scatter_lanes(4, &[(rows, map)])
                 };
                 prop_assert_eq!(parts(in_place), parts(copied), "{}", path);

@@ -648,7 +648,7 @@ mod proptests {
                 join_type: if semi { JoinType::LeftSemi } else { JoinType::Inner },
                 scheme: scheme.clone(),
                 filter,
-                ranged: false,
+                ranged: crate::plan::ByRange::Neither,
                 output: if semi { (0..3).collect() } else { (0..6).collect() },
             };
             let bits = match (wide, broadcast) {

@@ -62,6 +62,7 @@ use crate::budget::{self, partition_stream_bytes, working_set, Deal, BASE_STATE_
 use crate::error::{QefError, QefResult};
 use crate::exec::{CoreCtx, ExecContext};
 use crate::ops::join_filter::{self, JoinFilter};
+use crate::ops::ranges::Radix;
 use crate::primitives::costs;
 use crate::primitives::hash::hash_pieces_into;
 use crate::primitives::partition_map::compute_partition_map;
@@ -90,11 +91,76 @@ impl HashBitCursor {
     }
 }
 
+/// How a pass sends a row to a partition.
+#[derive(Debug, Clone, Copy)]
+pub enum Route<'a> {
+    /// By the CRC32 hash of its keys: each round takes the hash bits above
+    /// the rounds before it.
+    Hash,
+    /// By its one key's value bits (the DMS's radix partitioning, Figure
+    /// 8): partition `r` of the pass's whole scheme, `scheme`, holds the keys
+    /// of range `r` of the cut ([`Radix::range_of`]) — NULL keys the last.
+    /// The range's digits are laid out so that each round, taking bits from
+    /// the lowest, takes the most significant digit left: the partitions
+    /// come out in range order. The code costs a row no more than the CRC
+    /// it replaces.
+    Radix(Radix, &'a [usize]),
+}
+
+impl Route<'_> {
+    /// The code of every row of `runs` — `out.len()` of them — on `keys`,
+    /// whose bits above a round's shift pick its partition: charged as the
+    /// CRC.
+    fn codes<'r>(
+        &self,
+        ctx: &mut CoreCtx,
+        runs: impl Iterator<Item = Run<'r>> + Clone,
+        keys: &[usize],
+        out: &mut [u32],
+    ) {
+        let (radix, scheme) = match self {
+            Route::Hash => {
+                let keyed = runs.map(|run| keys.iter().map(move |&c| run.column(c)));
+                return hash_pieces_into(ctx, keyed, out);
+            }
+            Route::Radix(radix, scheme) => (radix, scheme),
+        };
+        let mut at = 0;
+        for run in runs {
+            let (key, positions) = run.column(keys[0]);
+            for i in positions.iter() {
+                let value = (!key.is_null(i)).then(|| key.data.get_i64(i));
+                out[at] = radix_code(radix.range_of(value), scheme);
+                at += 1;
+            }
+        }
+        ctx.charge_kernel(
+            Kernel::Partition,
+            &costs::hash_per_row_per_key().scaled(out.len() as f64),
+        );
+    }
+}
+
+/// The code of range `range` of a value-bit pass of `scheme`: its digits,
+/// most significant first, in the bits the rounds take one after another
+/// from the lowest ([`HashBitCursor`]).
+fn radix_code(range: usize, scheme: &[usize]) -> u32 {
+    let mut below: u32 = scheme.iter().map(|f| f.trailing_zeros()).sum();
+    let mut code = 0;
+    for (_, fanout, shift) in rounds(scheme) {
+        below -= fanout.trailing_zeros();
+        code |= (((range >> below) & (fanout - 1)) as u32) << shift;
+    }
+    code
+}
+
 /// What one round does to every row it is handed.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundStep<'a> {
-    /// Columns the rows are hashed on.
+    /// Columns the rows are partitioned on.
     pub key_cols: &'a [usize],
+    /// How a row's partition is found.
+    pub route: Route<'a>,
     /// Partitions the round makes of each input: a power of two.
     pub fanout: usize,
     /// Hash bits earlier rounds consumed.
@@ -113,13 +179,14 @@ impl<'a> RoundStep<'a> {
     /// Round one of a pass, `fanout`-way, over rows its lane already holds,
     /// testing them against `filter` where the pass has one.
     pub fn first(
-        key_cols: &'a [usize],
+        (key_cols, route): (&'a [usize], Route<'a>),
         fanout: usize,
         tile: usize,
         filter: Option<&'a JoinFilter>,
     ) -> RoundStep<'a> {
         RoundStep {
             key_cols,
+            route,
             fanout,
             shift: 0,
             tile: tile.max(1),
@@ -128,8 +195,9 @@ impl<'a> RoundStep<'a> {
         }
     }
 
-    /// Hash the rows of `runs` — `hashes.len()` of them — and compute their
-    /// partition map (Listing 2) into `offsets` and `rids`, row ids counted
+    /// Hash the rows of `runs` — `hashes.len()` of them — or code them by
+    /// their key's value bits ([`Route`]), and compute their partition map
+    /// (Listing 2) into `offsets` and `rids`, row ids counted
     /// from the first row of the first run; charge that, the column gathers
     /// of Listing 3, the sequential DMS write of the rows (and the read of
     /// them, where they come from DRAM) and a trip round the control loop
@@ -149,9 +217,7 @@ impl<'a> RoundStep<'a> {
             offsets.fill(0);
             return;
         };
-        let key_cols = self.key_cols;
-        let keyed = runs.map(|run| key_cols.iter().map(move |&c| run.column(c)));
-        hash_pieces_into(ctx, keyed, hashes);
+        self.route.codes(ctx, runs, self.key_cols, hashes);
         let rows = hashes.len();
         let Some(filter) = self.filter else {
             compute_partition_map(ctx, hashes, self.fanout, self.shift, 0, offsets, rids);
@@ -467,7 +533,7 @@ impl<'a> Round<'a> {
     #[allow(clippy::too_many_arguments)]
     fn plan(
         input: Input<'a>,
-        key_cols: &'a [usize],
+        (key_cols, route): (&'a [usize], Route<'a>),
         fanout: usize,
         shift: u32,
         tile: usize,
@@ -537,6 +603,7 @@ impl<'a> Round<'a> {
             plan: Plan {
                 step: RoundStep {
                     key_cols,
+                    route,
                     fanout,
                     shift,
                     tile,
@@ -667,13 +734,13 @@ pub(crate) fn check_scheme(scheme: &[usize]) -> QefResult<()> {
 fn round_on_core(
     ctx: &mut CoreCtx,
     input: Input<'_>,
-    key_cols: &[usize],
+    keys: (&[usize], Route<'_>),
     (fanout, shift): (usize, u32),
     tile: usize,
     filter: Option<&JoinFilter>,
 ) -> QefResult<Vec<Batch>> {
     let dmem = ctx.dmem.capacity();
-    let mut round = Round::plan(input, key_cols, fanout, shift, tile, 1, dmem, filter);
+    let mut round = Round::plan(input, keys, fanout, shift, tile, 1, dmem, filter);
     for lane in round.lanes() {
         lane.run(ctx)?;
     }
@@ -693,8 +760,8 @@ pub fn partition_batches(
     shift: u32,
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
-    let round = (fanout, shift);
-    round_on_core(ctx, Input::Whole(batches), key_cols, round, tile, None)
+    let (keys, round) = ((key_cols, Route::Hash), (fanout, shift));
+    round_on_core(ctx, Input::Whole(batches), keys, round, tile, None)
 }
 
 /// The rounds of `scheme`: each one's number, fan-out and the hash bits it
@@ -717,14 +784,15 @@ pub fn partition_scheme(
     scheme: &[usize],
     tile: usize,
 ) -> QefResult<Vec<Batch>> {
-    scheme_on_core(ctx, batches, key_cols, scheme, tile, None)
+    scheme_on_core(ctx, batches, (key_cols, Route::Hash), scheme, tile, None)
 }
 
-/// [`partition_scheme`], round one testing its rows against `filter`.
+/// [`partition_scheme`] routed by `keys`' route, round one testing its rows
+/// against `filter`.
 fn scheme_on_core(
     ctx: &mut CoreCtx,
     batches: Vec<Batch>,
-    key_cols: &[usize],
+    keys: (&[usize], Route<'_>),
     scheme: &[usize],
     tile: usize,
     filter: Option<&JoinFilter>,
@@ -737,7 +805,7 @@ fn scheme_on_core(
     for (round, fanout, shift) in rounds(scheme) {
         let input = Input::of_round(round, &current);
         let filter = filter.filter(|_| round == 0);
-        current = round_on_core(ctx, input, key_cols, (fanout, shift), tile, filter)?;
+        current = round_on_core(ctx, input, keys, (fanout, shift), tile, filter)?;
     }
     Ok(current)
 }
@@ -765,7 +833,7 @@ pub(crate) fn filtered(
 pub fn partition_pass(
     ectx: &ExecContext,
     batches: Vec<Batch>,
-    key_cols: &[usize],
+    keys: (&[usize], Route<'_>),
     scheme: &[usize],
     tile: usize,
     filter: Option<&JoinFilter>,
@@ -775,7 +843,7 @@ pub fn partition_pass(
     let rows: usize = batches.iter().map(Batch::rows).sum();
     if rows <= tile || scheme.is_empty() {
         let (mut parts, t) = run_stage(ectx, vec![batches], |core, batches| {
-            scheme_on_core(core, batches, key_cols, scheme, tile, filter)
+            scheme_on_core(core, batches, keys, scheme, tile, filter)
         })?;
         let parts = parts
             .pop()
@@ -788,7 +856,7 @@ pub fn partition_pass(
         stage_done(&t, whole, filtered(filter, rows, &parts));
         return Ok(parts);
     }
-    rounds_from(0, ectx, batches, key_cols, scheme, tile, filter, stage_done)
+    rounds_from(0, ectx, batches, keys, scheme, tile, filter, stage_done)
 }
 
 /// The rounds of a pass after the first, over the partitions `first` that
@@ -797,13 +865,13 @@ pub fn partition_pass(
 pub fn partition_rounds_after(
     ectx: &ExecContext,
     first: Vec<Batch>,
-    key_cols: &[usize],
+    keys: (&[usize], Route<'_>),
     scheme: &[usize],
     tile: usize,
     mut stage_done: impl FnMut(&StageTiming, PartitionRound),
 ) -> QefResult<Vec<Batch>> {
     let done = |t: &StageTiming, round, _| stage_done(t, round);
-    rounds_from(1, ectx, first, key_cols, scheme, tile, None, done)
+    rounds_from(1, ectx, first, keys, scheme, tile, None, done)
 }
 
 /// Rounds `from..` of `scheme` over `current`, what the round before left,
@@ -813,7 +881,7 @@ fn rounds_from(
     from: usize,
     ectx: &ExecContext,
     mut current: Vec<Batch>,
-    key_cols: &[usize],
+    keys: (&[usize], Route<'_>),
     scheme: &[usize],
     tile: usize,
     filter: Option<&JoinFilter>,
@@ -823,7 +891,7 @@ fn rounds_from(
         let filter = filter.filter(|_| nth == 0);
         let mut round = Round::plan(
             Input::of_round(nth, &current),
-            key_cols,
+            keys,
             fanout,
             shift,
             tile,
@@ -906,6 +974,53 @@ mod tests {
             .collect();
         assert_eq!(nonempty.len(), 1);
         assert_eq!(parts[nonempty[0]].rows(), 1000);
+    }
+
+    #[test]
+    fn a_value_bit_pass_writes_range_r_to_partition_r_over_any_rounds() {
+        // Keys from -50 to 1,049, one in seven NULL: a cut of `[0, 999]`
+        // into 32 ranges, through one round and through two.
+        let keys: Vec<i64> = (0..1100).map(|i| i - 50).collect();
+        let nulls = BitVec::from_bools((0..1100).map(|i| i % 7 == 3));
+        let b = Batch::new(vec![
+            Vector::with_nulls(ColumnData::I64(keys), nulls),
+            Vector::new(ColumnData::I64((0..1100).collect())),
+        ]);
+        let t = {
+            use rapid_storage::schema::{Field, Schema};
+            use rapid_storage::table::TableBuilder;
+            use rapid_storage::types::{DataType, Value};
+            let mut builder =
+                TableBuilder::new("t", Schema::new(vec![Field::new("k", DataType::Int)]));
+            for k in 0..1000 {
+                builder.push_row(vec![Value::Int(k)]);
+            }
+            builder.finish()
+        };
+        let list = crate::ops::filter::ChunkList::all(&t.chunks);
+        let radix = Radix::of(list, 0, 32);
+        for scheme in [vec![32], vec![8, 4], vec![2, 4, 4]] {
+            let parts = scheme_on_core(
+                &mut ctx(),
+                vec![b.clone()],
+                (&[0], Route::Radix(radix, &scheme)),
+                &scheme,
+                64,
+                None,
+            )
+            .unwrap();
+            assert_eq!(parts.len(), 32, "{scheme:?}");
+            let mut seen = 0;
+            for (p, part) in parts.iter().enumerate() {
+                for i in 0..part.rows() {
+                    let v = part.column(0);
+                    let key = (!v.is_null(i)).then(|| v.data.get_i64(i));
+                    assert_eq!(radix.range_of(key), p, "{scheme:?}: {key:?}");
+                    seen += 1;
+                }
+            }
+            assert_eq!(seen, 1100, "{scheme:?}");
+        }
     }
 
     #[test]
@@ -1031,7 +1146,7 @@ mod tests {
         partition_pass(
             &small,
             vec![batch(1000)],
-            &[0],
+            (&[0], Route::Hash),
             &[4],
             64,
             None,
@@ -1061,7 +1176,7 @@ mod tests {
         let filter = JoinFilter::of_slices(words, fanout, 334);
         let probe = batch(1000);
         let mut got = ctx();
-        let step = RoundStep::first(&[0], fanout, tile, Some(&filter));
+        let step = RoundStep::first((&[0], Route::Hash), fanout, tile, Some(&filter));
         let map = step.map_rows(&mut got, &Rows::Owned(probe.clone()));
 
         // The reference: the lane's read of the filter, the hash and test of
@@ -1270,7 +1385,7 @@ mod proptests {
         let parts = partition_pass(
             &ectx,
             batches.to_vec(),
-            key_cols,
+            (key_cols, Route::Hash),
             scheme,
             tile,
             None,

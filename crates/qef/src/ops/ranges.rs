@@ -26,6 +26,17 @@
 //!   reads the whole chunk and tests every row against the range
 //!   ([`KeyRanges::test`]).
 //!
+//! * **One side** ([`Radix`]): where a join reads only one input by range
+//!   (`PlanNode::HashJoin::ranged` names it), the other — any plan, a join's
+//!   output too — runs one partition pass that routes each row by its key's
+//!   value bits rather than its hash (the DMS's radix partitioning, Figure
+//!   8): the top bits of the key's offset from `min` as a fraction of the
+//!   span `[min, max]` of the ranged input's listed zone maps, read at run
+//!   time — `((key − min) · scale) >> 64`, ranges of equal width — keys
+//!   below `min` in the first range, above `max` or NULL in the last. Its
+//!   partition `r` holds exactly the keys of range `r`, which a lane reads
+//!   where its pass wrote it ([`KeyRanges::radix`]).
+//!
 //! The result is exact for any data and any bounds: a key lands in exactly
 //! one range whatever the table holds, so a commit that stores keys out of
 //! order, or a load in shuffled slots, makes the ranges slower to read,
@@ -61,6 +72,71 @@ pub struct KeyRanges {
     slots: Option<Vec<(usize, usize)>>,
     /// Rows of the listed chunks the bounds were picked from.
     rows: usize,
+    /// Where the bounds are a value-bit cut, the cut.
+    radix: Option<Radix>,
+}
+
+/// A value-bit cut of the key domain into `ranges` ranges, a power of two,
+/// of equal width over `[min, min + width)`: what a one-sided ranged join's
+/// partition pass routes the rows of its other input by. A key's range is
+/// the top bits of its offset from `min` as a 64-bit fraction of the width —
+/// `((key − min) · scale) >> 64`, `scale` = ⌊ranges · 2^64 / width⌋ — so a
+/// span that is no power of two still fills every range, where a plain
+/// shift `(key − min) >> s` would leave up to half of them empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Radix {
+    /// The first key of the first range.
+    pub min: i64,
+    /// Keys the ranges cut evenly: `max − min + 1`, at least one.
+    pub width: u128,
+    /// How many ranges there are: a power of two.
+    pub ranges: usize,
+    /// `⌊ranges · 2^64 / width⌋`: the fixed-point scale of an offset.
+    scale: u128,
+}
+
+impl Radix {
+    /// `ranges` ranges — rounded up to a power of two — of the `[min, max]`
+    /// of the listed chunks' zone maps of column `col`.
+    pub fn of(list: ChunkList<'_>, col: usize, ranges: usize) -> Radix {
+        let ranges = ranges.max(1).next_power_of_two();
+        let span = list
+            .iter()
+            .filter_map(|c| c.zone(col).range)
+            .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)));
+        let (min, max) = span.unwrap_or((0, 0));
+        let width = (max as i128 - min as i128 + 1) as u128;
+        Radix {
+            min,
+            width,
+            ranges,
+            scale: ((ranges as u128) << 64) / width,
+        }
+    }
+
+    /// The range a key — `None` for NULL — lands in: the first for a key
+    /// below `min`, the last for one at or past `min + width`, for
+    /// `i64::MAX` and for NULL.
+    pub fn range_of(&self, key: Option<i64>) -> usize {
+        let last = self.ranges - 1;
+        let Some(key) = key.filter(|&k| k < i64::MAX) else {
+            return last;
+        };
+        let offset = key as i128 - self.min as i128;
+        match offset < 0 {
+            true => 0,
+            false if offset as u128 >= self.width => last,
+            false => (((offset as u128 * self.scale) >> 64) as usize).min(last),
+        }
+    }
+
+    /// Where range `r` (`1..ranges`) starts: the least key
+    /// [`range_of`](Self::range_of) puts in it or past it — `i64::MAX`
+    /// where that is past every key, which only the last range then holds.
+    fn bound(&self, r: usize) -> i64 {
+        let offset = ((r as u128) << 64).div_ceil(self.scale);
+        (self.min as i128 + offset as i128).min(i64::MAX as i128) as i64
+    }
 }
 
 impl KeyRanges {
@@ -75,20 +151,8 @@ impl KeyRanges {
         let rows = list.rows();
         let no_nulls = list.iter().all(|c| c.zone(col).nulls == 0);
         if table.clustered_on(col) && no_nulls && rows > 0 {
-            // The listed chunks back to back, each with its first slot.
-            let chunks: Vec<(&Chunk, usize)> = list
-                .iter()
-                .scan(0, |base, chunk| {
-                    let at = *base;
-                    *base += chunk.rows();
-                    Some((chunk, at))
-                })
-                .collect();
-            let key = |slot: usize| {
-                let k = chunks.partition_point(|(_, base)| *base <= slot) - 1;
-                let (chunk, base) = chunks[k];
-                chunk.vector(col).data.get_i64(slot - base)
-            };
+            let chunks = back_to_back(list);
+            let key = |slot: usize| key_at(&chunks, col, slot);
             let (mut bounds, mut slots) = (Vec::new(), Vec::new());
             for r in 1..ranges {
                 let slot = r * rows / ranges;
@@ -114,6 +178,7 @@ impl KeyRanges {
                 bounds,
                 slots: Some(slots),
                 rows,
+                radix: None,
             };
         }
         let span = list
@@ -129,6 +194,39 @@ impl KeyRanges {
             bounds,
             slots: None,
             rows,
+            radix: None,
+        }
+    }
+
+    /// The ranges of a value-bit cut: range `r` from the least key the cut
+    /// routes to it, the first from `i64::MIN` and the last to `i64::MAX`
+    /// and the NULL keys, so that [`of_key`](Self::of_key) is
+    /// [`Radix::range_of`]. Its bounds are arithmetic; where the chunks of
+    /// `list`, of `table`, hold column
+    /// `col` in order with no NULL, each bound's first slot of them, laid
+    /// back to back, is found once by bisection over them all, each probe a
+    /// one-key read, for the lane that reads from it.
+    pub fn radix(radix: Radix, table: &Table, col: usize, list: ChunkList<'_>) -> KeyRanges {
+        let bounds: Vec<i64> = (1..radix.ranges).map(|r| radix.bound(r)).collect();
+        let rows = list.rows();
+        let no_nulls = list.iter().all(|c| c.zone(col).nulls == 0);
+        let slots = (table.clustered_on(col) && no_nulls && rows > 0).then(|| {
+            let chunks = back_to_back(list);
+            let key = |slot: usize| key_at(&chunks, col, slot);
+            let mut from = 0;
+            let mut slots = Vec::with_capacity(bounds.len());
+            for &bound in &bounds {
+                let mut reads = 0;
+                from = first_at(from..rows, bound, key, &mut reads);
+                slots.push((from, reads));
+            }
+            slots
+        });
+        KeyRanges {
+            bounds,
+            slots,
+            rows,
+            radix: Some(radix),
         }
     }
 
@@ -142,11 +240,13 @@ impl KeyRanges {
     }
 
     /// One-key reads range `r`'s lower bound took: none for the first, the
-    /// reads that found its slot where it is a slot quantile, else one.
+    /// reads that found its slot where it has one, else one — none for a
+    /// value-bit cut's, which is arithmetic.
     pub fn bound_reads(&self, r: usize) -> usize {
-        match r.checked_sub(1) {
-            None => 0,
-            Some(b) => self.slots.as_ref().map_or(1, |slots| slots[b].1),
+        match (r.checked_sub(1), &self.slots) {
+            (None, _) => 0,
+            (Some(b), Some(slots)) => slots[b].1,
+            (Some(_), None) => usize::from(self.radix.is_none()),
         }
     }
 
@@ -174,6 +274,25 @@ impl KeyRanges {
             Some(k) => self.bounds.partition_point(|&b| b <= k),
         }
     }
+}
+
+/// The chunks of `list` back to back, each with its first slot.
+fn back_to_back(list: ChunkList<'_>) -> Vec<(&Chunk, usize)> {
+    list.iter()
+        .scan(0, |base, chunk| {
+            let at = *base;
+            *base += chunk.rows();
+            Some((chunk, at))
+        })
+        .collect()
+}
+
+/// The key in column `col` at `slot` of `chunks`, laid back to back
+/// ([`back_to_back`]).
+fn key_at(chunks: &[(&Chunk, usize)], col: usize, slot: usize) -> i64 {
+    let k = chunks.partition_point(|(_, base)| *base <= slot) - 1;
+    let (chunk, base) = chunks[k];
+    chunk.vector(col).data.get_i64(slot - base)
 }
 
 /// The test of the range `bounds` (a [`KeyRanges::bounds`]) over column
@@ -481,6 +600,72 @@ mod tests {
             got.sort();
             want.sort();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn a_value_bit_partition_puts_each_key_in_the_range_the_clustered_side_reads_it_in(
+            stored in proptest::collection::vec(-1000i64..1000, 1..120),
+            keys in proptest::collection::vec(
+                proptest::option::of(prop_oneof![
+                    -3000i64..3000,
+                    Just(i64::MIN),
+                    Just(i64::MAX),
+                ]),
+                0..80,
+            ),
+            near_max in any::<bool>(),
+            chunk_rows in 1usize..40,
+            bits in 0u32..6,
+        ) {
+            // The clustered side: its keys in order, shifted up against
+            // `i64::MAX` where `near_max`, where the ranges must not wrap.
+            let mut stored = stored;
+            stored.sort_unstable();
+            if near_max {
+                stored.iter_mut().for_each(|k| *k = i64::MAX - 2000 + (*k + 1000));
+            }
+            let clustered: Vec<Option<i64>> = stored.iter().copied().map(Some).collect();
+            let t = table(&clustered, chunk_rows);
+            let list = ChunkList::all(&t.chunks);
+            let radix = Radix::of(list, 0, 1 << bits);
+            let cut = KeyRanges::radix(radix, &t, 0, list);
+            prop_assert_eq!(cut.len(), 1 << bits);
+            // Each range starts at the least key the cut routes to it, and
+            // the ranges are of equal width, to a key; the clustered side's
+            // rows of each range are its rows of the keys routed there.
+            for r in 1..cut.len() {
+                let start = cut.bounds(r).0;
+                prop_assert!(start == i64::MAX || radix.range_of(Some(start)) >= r);
+                prop_assert!(start == i64::MIN || radix.range_of(Some(start - 1)) < r);
+            }
+            let width = radix.width.div_ceil(cut.len() as u128) as i128;
+            for r in 1..cut.len() {
+                let (lo, hi) = cut.bounds(r - 1);
+                let (lo, hi) = (lo.max(radix.min) as i128, hi.unwrap_or(i64::MAX) as i128);
+                prop_assert!(hi - lo <= width + 1, "range {} of {}", r - 1, width);
+            }
+            let mut probe = keys.clone();
+            probe.extend(stored.iter().map(|&k| Some(k)));
+            for key in probe {
+                let r = radix.range_of(key);
+                prop_assert_eq!(r, cut.of_key(key), "{:?}", key);
+                // The range the clustered side reads this key in.
+                let (pieces, _) = pieces(&t.chunks, list, 0, cut.bounds(r));
+                let holds = pieces.iter().any(|p| p.span.runs().any(|(c, rows)| {
+                    let v = c.vector(0);
+                    rows.into_iter().any(|i| !v.is_null(i) && Some(v.data.get_i64(i)) == key)
+                }));
+                prop_assert_eq!(holds, key.is_some_and(|k| stored.contains(&k)), "{:?} in {}", key, r);
+                // And the slots its bound was found at hold the same rows.
+                let at = pieces_at(&t.chunks, list, cut.slots(r).expect("clustered"));
+                let runs = |pieces: &[Piece<'_>]| -> Vec<(usize, Range<usize>)> {
+                    let base = |c: &Chunk| c as *const Chunk as usize;
+                    pieces.iter().flat_map(|p| p.span.runs().map(|(c, rows)| (base(c), rows))).collect()
+                };
+                prop_assert_eq!(runs(&at), runs(&pieces), "range {}", r);
+            }
         }
     }
 

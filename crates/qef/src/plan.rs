@@ -45,6 +45,51 @@ impl JoinType {
     }
 }
 
+/// Which inputs of a partitioned join are read by key range
+/// ([`crate::ops::ranges`]): those that scan a table stored in the order of
+/// the join's one key. An input that is not runs a partition pass routed by
+/// the key's value bits, so that partition `r` holds the keys of range `r`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ByRange {
+    /// Neither: the join is broadcast or hash-partitioned.
+    #[default]
+    Neither,
+    /// Both inputs: no partition pass at all.
+    Both,
+    /// The build side; the probe side is partitioned by value bits.
+    Build,
+    /// The probe side; the build side is partitioned by value bits.
+    Probe,
+}
+
+impl ByRange {
+    /// Whether input `edge` (0 build, 1 probe) is read by range.
+    pub fn reads(self, edge: usize) -> bool {
+        match self {
+            ByRange::Neither => false,
+            ByRange::Both => true,
+            ByRange::Build => edge == 0,
+            ByRange::Probe => edge == 1,
+        }
+    }
+
+    /// Whether any input is read by range.
+    pub fn any(self) -> bool {
+        self != ByRange::Neither
+    }
+
+    /// The join that reads by range the inputs `edges` says: `[build,
+    /// probe]`.
+    pub fn of(edges: [bool; 2]) -> ByRange {
+        match edges {
+            [false, false] => ByRange::Neither,
+            [true, true] => ByRange::Both,
+            [true, false] => ByRange::Build,
+            [false, true] => ByRange::Probe,
+        }
+    }
+}
+
 /// Group-by execution strategy (§5.4), chosen by the compiler from the
 /// group count it can bound.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -201,14 +246,18 @@ pub enum PlanNode {
         /// nothing.
         #[serde(default)]
         filter: Option<usize>,
-        /// The scheme's partitions are key ranges of the tables both sides
-        /// scan, which are stored in the order of the one key: each range's
-        /// build rows, table and probe run in one lane of one stage, with no
-        /// partition pass, `join.filter` or `join.pairs` stage; the join
-        /// filter, where it declares one, of `filter` bits a lane, beside
-        /// the lane's table ([`PlanNode::ranged_scheme`]).
+        /// Which inputs are read by key range: the scheme's partitions are
+        /// key ranges of the tables those inputs scan, which are stored in
+        /// the order of the one key. Each range's build rows, table and
+        /// probe run in one lane of one stage, with no `join.filter` or
+        /// `join.pairs` stage; an input not read by range runs one
+        /// partition pass that routes each row by its key's value bits into
+        /// the range that holds it ([`crate::ops::ranges::Radix`]), and the
+        /// lane reads its range's partition. The join filter, where it
+        /// declares one, is of `filter` bits a lane, beside the lane's table
+        /// ([`PlanNode::ranged_scheme`]).
         #[serde(default)]
-        ranged: bool,
+        ranged: ByRange,
         /// The columns the join writes, in the order its consumer reads
         /// them: positions in the probe columns followed by the build
         /// columns (inner/outer), or in the probe columns (semi/anti). The
@@ -663,7 +712,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![],
             filter: None,
-            ranged: false,
+            ranged: ByRange::Neither,
             output: vec![0, 1],
         };
         assert_eq!(inner.output_meta(&catalog()).unwrap().len(), 2);
@@ -675,7 +724,7 @@ mod tests {
             join_type: JoinType::LeftSemi,
             scheme: vec![],
             filter: None,
-            ranged: false,
+            ranged: ByRange::Neither,
             output: vec![0],
         };
         assert_eq!(semi.output_meta(&catalog()).unwrap().len(), 1);
@@ -687,7 +736,7 @@ mod tests {
             join_type: JoinType::LeftOuter,
             scheme: vec![],
             filter: None,
-            ranged: false,
+            ranged: ByRange::Neither,
             output: vec![0, 1],
         };
         let meta = outer.output_meta(&catalog()).unwrap();
@@ -820,7 +869,7 @@ mod tests {
             join_type,
             scheme: vec![],
             filter: None,
-            ranged: false,
+            ranged: ByRange::Neither,
             output: output.to_vec(),
         };
         let every = [0, 1, 2, 3];
@@ -904,7 +953,7 @@ mod tests {
             join_type: JoinType::Inner,
             scheme: vec![],
             filter: None,
-            ranged: false,
+            ranged: ByRange::Neither,
             output: vec![0, 1],
         };
         let mut tables = Vec::new();

@@ -80,18 +80,22 @@ where
 }
 
 /// Bucket index from a hash value: "a fast modulo using a bit-mask and a
-/// shift on top of the hardware computed CRC32 hash values" (§6.3).
+/// shift on top of the hardware computed CRC32 hash values" (§6.3) — the
+/// hash's top `log2(table_size)` bits, one shift.
 ///
-/// The *shift* part matters: partitioning rounds consume the hash's low
-/// radix bits, so every key inside one partition shares them — indexing
+/// Which bits matters twice. Partitioning rounds consume the hash's low
+/// radix bits, so every key inside one partition shares them: indexing
 /// buckets with the raw low bits would degenerate every chain by the
-/// fan-out factor. A one-instruction xor-shift folds the high bits back
-/// in before masking. `table_size` must be a power of two.
+/// fan-out factor. And the CRC is linear over GF(2): the keys of a key
+/// range differ in their low bits only, so their hashes span a subspace,
+/// which a fold of the low bits with the high ones (`h ^ h >> 16`) maps
+/// onto half the buckets — a ranged lane's chains twice as long as a hash
+/// partition's. The top bits spread a range's keys over every bucket.
+/// `table_size` must be a power of two.
 #[inline]
 pub fn bucket_of(hash: u32, table_size: usize) -> usize {
     debug_assert!(table_size.is_power_of_two());
-    let mixed = hash ^ (hash >> 16);
-    (mixed as usize) & (table_size - 1)
+    ((hash as u64) >> (32 - table_size.trailing_zeros())) as usize
 }
 
 #[cfg(test)]

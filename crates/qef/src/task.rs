@@ -40,7 +40,7 @@ use crate::error::{QefError, QefResult};
 use crate::expr::{Expr, Pred};
 use crate::ops::filter::touched_columns;
 use crate::ops::join_filter;
-use crate::plan::{AggSpec, Catalog, GroupStrategy, PlanNode};
+use crate::plan::{AggSpec, ByRange, Catalog, GroupStrategy, PlanNode};
 
 /// A scan and the row-at-a-time operators over it.
 #[derive(Debug, Clone)]
@@ -105,15 +105,13 @@ impl PlanNode {
     }
 
     /// The scheme this node declares for its partition passes, if it runs
-    /// any: a join's, or a partitioned group-by's. A ranged one runs none.
+    /// any: a join's — one pass an input it does not read by range — or a
+    /// partitioned group-by's. A join that reads both inputs by range, or a
+    /// ranged group-by, runs none.
     pub fn partition_scheme(&self) -> Option<&[usize]> {
         match self {
-            PlanNode::HashJoin {
-                scheme,
-                ranged: false,
-                ..
-            }
-            | PlanNode::GroupBy {
+            PlanNode::HashJoin { scheme, ranged, .. } if *ranged != ByRange::Both => Some(scheme),
+            PlanNode::GroupBy {
                 strategy: GroupStrategy::Partitioned(scheme),
                 ..
             } => Some(scheme),
@@ -125,12 +123,8 @@ impl PlanNode {
     /// ranges ([`crate::ops::ranges`]): as many ranges as it has partitions.
     pub fn ranged_scheme(&self) -> Option<&[usize]> {
         match self {
-            PlanNode::HashJoin {
-                scheme,
-                ranged: true,
-                ..
-            }
-            | PlanNode::GroupBy {
+            PlanNode::HashJoin { scheme, ranged, .. } if ranged.any() => Some(scheme),
+            PlanNode::GroupBy {
                 strategy: GroupStrategy::Ranged(scheme),
                 ..
             } => Some(scheme),
@@ -138,10 +132,49 @@ impl PlanNode {
         }
     }
 
-    /// The tasks a lane of this node's one stage would run were its
-    /// partitions key ranges, an input at a time, in
-    /// [`inputs`](Self::inputs) order: each input's scan-fed chain over the
-    /// lane's key range, ending in the node's own operator. A join's is
+    /// The position, among its keys, of the key a ranged node cuts its
+    /// ranges on: of a join that reads one input by range, the first of its
+    /// keys that input's table in `catalog` is stored in the order of — the
+    /// first, where none is — else its one key.
+    pub fn range_key(&self, catalog: &Catalog) -> usize {
+        let (input, keys) = match self {
+            PlanNode::HashJoin {
+                build,
+                build_keys,
+                ranged: ByRange::Build,
+                ..
+            } => (build, build_keys),
+            PlanNode::HashJoin {
+                probe,
+                probe_keys,
+                ranged: ByRange::Probe,
+                ..
+            } => (probe, probe_keys),
+            _ => return 0,
+        };
+        let clustered = |&key: &usize| {
+            input
+                .chain_column(key)
+                .is_some_and(|(table, col)| catalog.get(table).is_some_and(|t| t.clustered_on(col)))
+        };
+        keys.iter().position(clustered).unwrap_or(0)
+    }
+
+    /// Whether this node reads input `edge` by key range: a ranged
+    /// group-by's input, or an input of a join its `ranged` names.
+    pub fn reads_by_range(&self, edge: usize) -> bool {
+        match self {
+            PlanNode::HashJoin { ranged, .. } => ranged.reads(edge),
+            PlanNode::GroupBy { strategy, .. } => matches!(strategy, GroupStrategy::Ranged(_)),
+            _ => false,
+        }
+    }
+
+    /// The tasks a lane of this node's one stage runs over the inputs it
+    /// reads by key range — a group-by's input, a join's inputs its `ranged`
+    /// names, however the node's partitions are declared — an input at a
+    /// time, in [`inputs`](Self::inputs) order: each input's scan-fed chain
+    /// over the lane's key range, ending in the node's own operator. A join's is
     /// `join.ranged`, over either side: the lane's table — half of DMEM, as a
     /// broadcast join's `join.probe` holds it, its build rows included —
     /// which the build side's rows are put in as they are scanned and the
@@ -149,8 +182,9 @@ impl PlanNode {
     /// lane's join filter where the join declares one. A group-by's is
     /// `groupby.ranged`, the group table. The lane's DMEM is, at its most,
     /// the larger of the tasks' working sets. `None` where the node is no
-    /// join or group-by or an input is no chain; whether the node is ranged
-    /// is [`ranged_scheme`](Self::ranged_scheme)'s to say.
+    /// join or group-by or an input it reads by range is no chain; whether
+    /// the node is ranged is [`ranged_scheme`](Self::ranged_scheme)'s to
+    /// say.
     pub fn ranged_tasks(
         &self,
         catalog: &Catalog,
@@ -158,6 +192,13 @@ impl PlanNode {
     ) -> QefResult<Option<Vec<Task<'_>>>> {
         let mut tasks = Vec::with_capacity(2);
         for (edge, input) in self.inputs().enumerate() {
+            let by_range = match self {
+                PlanNode::HashJoin { ranged, .. } => ranged.reads(edge),
+                _ => true,
+            };
+            if !by_range {
+                continue;
+            }
             let Some(chain) = input.scan_chain() else {
                 return Ok(None);
             };
@@ -220,8 +261,12 @@ impl PlanNode {
                 Some(join_probe_decl(widths, dmem_bytes, held))
             }
             (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build", 0),
-            (PlanNode::HashJoin { filter, .. }, 1) => {
-                partition("join.partition-probe", filter.map_or(0, join_filter::bytes))
+            // A ranged join tests its filter beside each lane's table.
+            (PlanNode::HashJoin { filter, ranged, .. }, 1) => {
+                let held = filter
+                    .filter(|_| !ranged.any())
+                    .map_or(0, join_filter::bytes);
+                partition("join.partition-probe", held)
             }
             (
                 PlanNode::GroupBy {
@@ -272,7 +317,7 @@ impl PlanNode {
             strategy: GroupStrategy::Partitioned(scheme),
             ..
         } if scheme.is_empty());
-        if no_round_one || self.ranged_scheme().is_some() {
+        if no_round_one || self.reads_by_range(edge) {
             return Ok(None);
         }
         let Some(chain) = self.inputs().nth(edge).and_then(PlanNode::scan_chain) else {
@@ -313,9 +358,9 @@ impl PlanNode {
         let PlanNode::HashJoin { probe, .. } = self else {
             return Ok(0);
         };
-        let ranged = match self.ranged_scheme() {
-            Some(_) => self.ranged_tasks(catalog, dmem_bytes)?,
-            None => None,
+        let ranged = match self.reads_by_range(1) {
+            true => self.ranged_tasks(catalog, dmem_bytes)?,
+            false => None,
         };
         let task = match ranged.and_then(|mut sides| sides.pop()) {
             Some(probe) => Some(probe),

@@ -20,7 +20,7 @@ use rapid_qef::ops::filter::{touched_columns, ScanPlan};
 use rapid_qef::ops::groupby::GroupTable;
 use rapid_qef::ops::join::JoinTable;
 use rapid_qef::ops::map::map_rows;
-use rapid_qef::ops::partition::{partition_pass, partition_scheme};
+use rapid_qef::ops::partition::{partition_pass, partition_scheme, Route};
 use rapid_qef::ops::topk::TopK;
 use rapid_qef::plan::{AggSpec, NamedExpr, SortKey};
 use rapid_qef::primitives::agg::AggFunc;
@@ -324,7 +324,8 @@ fn a_partition_round_allocates_per_round_not_per_lane() {
         let ectx = ExecContext::dpu().with_cores(cores);
         let mut lanes = 0;
         let (parts, allocs, bytes) = measured(|| {
-            partition_pass(&ectx, batches, &[0], &[32], 256, None, |t, _, _| {
+            let keys = (&[0][..], Route::Hash);
+            partition_pass(&ectx, batches, keys, &[32], 256, None, |t, _, _| {
                 lanes = t.parallelism
             })
         });

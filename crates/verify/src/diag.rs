@@ -222,6 +222,24 @@ pub struct StageReport {
     /// The stage that writes a join's rows only: columns the join writes,
     /// and columns its probe and build sides hand it together.
     pub join_columns: Option<(usize, usize)>,
+    /// A ranged join's stages only: on its `join.ranged` stage, which
+    /// inputs it reads by range; on the pass of an input it does not, that
+    /// the pass routes each row by its key's value bits into the range that
+    /// holds it.
+    pub ranged: Option<RangeRead>,
+}
+
+/// What a ranged join's stage does with its inputs' key ranges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RangeRead {
+    /// `join.ranged` reads both inputs by range.
+    Both,
+    /// `join.ranged` reads the build side by range.
+    Build,
+    /// `join.ranged` reads the probe side by range.
+    Probe,
+    /// A pass routes its rows by their key's value bits.
+    ValueBits,
 }
 
 /// The verifier's output: per-stage resource reports plus diagnostics.
@@ -291,6 +309,18 @@ impl VerifyReport {
                 fan,
                 r.descriptors,
             ));
+            match r.ranged {
+                Some(RangeRead::ValueBits) => s.push_str("  by value bits"),
+                Some(read) => {
+                    let side = match read {
+                        RangeRead::Build => "build",
+                        RangeRead::Probe => "probe",
+                        _ => "both",
+                    };
+                    s.push_str(&format!("  reads {side} by range"));
+                }
+                None => {}
+            }
             if let Some((written, of)) = r.join_columns {
                 s.push_str(&format!("  join cols {written}/{of}"));
             }

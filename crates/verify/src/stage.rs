@@ -29,11 +29,11 @@ use rapid_qef::budget::{
 use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::Expr;
 use rapid_qef::ops::groupby::{accumulator_count, on_the_fly_group_limit, slot_count};
-use rapid_qef::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
+use rapid_qef::plan::{ByRange, Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
 use rapid_qef::task;
 use rapid_storage::types::DataType;
 
-use crate::diag::{Diagnostic, Rule, StageReport, VerifyReport};
+use crate::diag::{Diagnostic, RangeRead, Rule, StageReport, VerifyReport};
 
 /// Operator label of a plan node, as used in paths and diagnostics.
 fn node_label(plan: &PlanNode) -> String {
@@ -198,6 +198,7 @@ impl Walker<'_> {
             descriptors,
             scan_columns: None,
             join_columns: None,
+            ranged: None,
         });
     }
 
@@ -367,15 +368,15 @@ impl Walker<'_> {
         }
     }
 
-    /// A ranged join's or group-by's one stage (S-RANGED): its inputs are
-    /// scan-fed chains, its one key — `keys`, one list an input — a column
-    /// of each input's table, and its ranges, the partitions of `scheme`,
-    /// as many as a scheme of rounds within the fan-out cap of its widest
-    /// input's rows makes. The stage is the task of the last input's chain
-    /// and the node's own operator (`PlanNode::ranged_tasks`), its fan-out
-    /// the scheme; a lane runs the other inputs' tasks before it, each of
-    /// which must fit DMEM on its own (R-DMEM-FIT), and its working set is
-    /// the largest of them all.
+    /// A ranged join's or group-by's one stage (S-RANGED): every input it
+    /// reads by range is a scan-fed chain of a table stored in the order of
+    /// its one key — `keys`, one list an input — a column of the table, and
+    /// its ranges, the partitions of `scheme`, are as many as a scheme of
+    /// rounds within the fan-out cap of its widest input's rows makes. The
+    /// stage is the task of the last chain read by range and the node's own
+    /// operator (`PlanNode::ranged_tasks`), its fan-out the scheme; a lane
+    /// runs the other chain's task before it, which must fit DMEM on its own
+    /// (R-DMEM-FIT), and its working set is the largest of them all.
     fn ranged(
         &mut self,
         plan: &PlanNode,
@@ -385,15 +386,28 @@ impl Walker<'_> {
         scheme: &[usize],
     ) {
         let (catalog, ctx) = (self.catalog, self.ctx);
-        for (input, keys) in plan.inputs().zip(keys) {
+        // Both inputs, or a group-by's, are cut on their one key; one input
+        // of a join on the first key its table is stored in the order of.
+        let one_sided = (0..2).any(|edge| !plan.reads_by_range(edge))
+            && matches!(plan, PlanNode::HashJoin { .. });
+        let at = plan.range_key(catalog);
+        for (edge, (input, keys)) in plan.inputs().zip(keys).enumerate() {
+            if !plan.reads_by_range(edge) {
+                continue;
+            }
             let column = match keys {
                 [key] => input.chain_column(*key),
+                keys if one_sided => keys.get(at).and_then(|&key| input.chain_column(key)),
                 _ => None,
             };
-            if column.is_none() {
+            let clustered = column.is_some_and(|(table, col)| {
+                catalog.get(table).is_some_and(|t| t.clustered_on(col))
+            });
+            if !clustered {
                 let why = format!(
-                    "a ranged operator's inputs must be scan-fed chains and its key one column \
-                     of each one's table; {keys:?} is not"
+                    "an input a ranged operator reads by range must be a scan-fed chain of a table \
+                     stored in the order of its key, one column of the table; input {edge} on \
+                     {keys:?} is not"
                 );
                 self.diag(Rule::Ranged, id, path, why);
             }
@@ -436,8 +450,39 @@ impl Walker<'_> {
         // A lane holds, at its most, the larger of its tasks' working sets.
         if let Some(stage) = self.report.stages.last_mut() {
             stage.working_set_bytes = stage.working_set_bytes.max(before);
+            if let PlanNode::HashJoin { ranged, .. } = plan {
+                stage.ranged = Some(match ranged {
+                    ByRange::Build => RangeRead::Build,
+                    ByRange::Probe => RangeRead::Probe,
+                    _ => RangeRead::Both,
+                });
+            }
         }
         self.note_scan(&last.chain);
+    }
+
+    /// Input `edge` of `plan`, a ranged join: a chain it reads by range,
+    /// whose task its one stage reports, or the input of a pass routed by
+    /// value bits, the pass's stage reported behind it. Returns what the
+    /// input exposes.
+    fn side(
+        &mut self,
+        plan: &PlanNode,
+        edge: usize,
+        id: usize,
+        path: &str,
+        scheme: &[usize],
+    ) -> Result<NodeInfo, ()> {
+        let input = plan.inputs().nth(edge).ok_or(())?;
+        let input_path = format!("{path}.{}", ["build", "probe"][edge]);
+        if plan.reads_by_range(edge) {
+            return self.node(input, &input_path, true);
+        }
+        let info = self.consumed(plan, edge, input, id, path, &input_path, scheme);
+        if let Some(stage) = self.report.stages.last_mut().filter(|s| s.node_id == id) {
+            stage.ranged = Some(RangeRead::ValueBits);
+        }
+        info
     }
 
     /// Walk `plan`. `in_task` says a stage above reports this node as an
@@ -594,11 +639,12 @@ impl Walker<'_> {
                 // stay aligned with the tracer's. Each side's partition
                 // pass is reported behind the input it reads, and a join
                 // filter's stage between them, where the engine builds it.
-                // A ranged join is one stage over both sides' chains, with
-                // its filter beside each lane's table.
-                let (b, p) = if *ranged {
-                    let b = self.node(build, &format!("{path}.build"), true);
-                    let p = self.node(probe, &format!("{path}.probe"), true);
+                // A ranged join is one stage over the chains it reads by
+                // range, with its filter beside each lane's table, after the
+                // value-bit pass of an input it does not.
+                let (b, p) = if ranged.any() {
+                    let b = self.side(plan, 0, id, &path, scheme);
+                    let p = self.side(plan, 1, id, &path, scheme);
                     if let Some(bits) = *filter {
                         if let Err(why) = rapid_qef::ops::join_filter::check(bits, *join_type, &[])
                         {
@@ -686,7 +732,7 @@ impl Walker<'_> {
                 // A join of no rounds is broadcast: its probe stage, derived
                 // above, is all it runs, as a ranged join its one stage. The
                 // rest is the partitioned join's.
-                if !scheme.is_empty() && !*ranged {
+                if !scheme.is_empty() && !ranged.any() {
                     // Both inputs have passed the walk, so their widths
                     // resolve.
                     let bw = build.output_widths(self.catalog).map_err(|_| ())?;

@@ -83,6 +83,15 @@ fn fuzz_smoke_finds_no_divergence() {
     // The grammar reaches key ranges: a group-by on `ta_id` alone over a
     // wide `ta`, which is stored in `ta_id` order, runs as one stage of
     // ranges, one query in twenty at least.
+    // Of them, joins on one table's id and the other's unordered `_k` read
+    // the first by range and partition the second by value bits, one query
+    // in twenty at least.
+    assert!(
+        report.one_sided >= n / 20,
+        "only {} of {} executed queries ran a join that read one input by range",
+        report.one_sided,
+        report.executed
+    );
     assert!(
         report.ranged >= n / 20,
         "only {} of {} executed queries ran a join or group-by over key ranges",
