@@ -141,6 +141,16 @@ if git grep -n -E "clamp\(1, tiles|cores\.min\(tiles" -- 'crates/*' ':!crates/qe
     exit 1
 fi
 
+echo "== one stage derivation: the engine runs and the verifier checks rapid_qef::stages =="
+# A plan is lowered once to the stages it runs (`rapid_qef::stages::lower`):
+# where a task ends, what each stage declares and the tile it fits at. The
+# engine runs that list and the verifier checks it; a call of the rules it
+# is built from in either is a second derivation that drifts from it.
+if git grep -nE "input_task\(|first_stage\(|ranged_tasks\(|join_filter_decl\(|group_consume_decl\(" -- crates/qef/src/engine.rs crates/verify/src; then
+    echo "a stage is derived beside the stage list: take it from rapid_qef::stages"
+    exit 1
+fi
+
 echo "== stored widths come from the values, not the declared type =="
 # A column is stored at the narrowest of 1, 2, 4 or 8 signed bytes its
 # min/max needs (dictionary codes and dates too), and a vector is built at a

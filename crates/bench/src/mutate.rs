@@ -611,8 +611,9 @@ mod tests {
             report.diagnostics
         );
         assert!(report.ok());
-        // The derived stages: each join side a task of its scan and round
-        // one of its pass, the pair joins, the map and the group table.
+        // The plan's stage list: each join side a task of its scan and
+        // round one of its pass, the pair joins, the map, the group table
+        // and its merge.
         let stages: Vec<_> = report
             .stages
             .iter()
@@ -632,6 +633,7 @@ mod tests {
                 ("join.pairs", ""),
                 ("map", ""),
                 ("groupby.consume", ""),
+                ("groupby.merge", ""),
             ]
         );
     }

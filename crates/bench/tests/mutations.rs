@@ -209,7 +209,13 @@ fn a_join_of_no_rounds_is_broadcast_and_starves_no_core() {
     let stages: Vec<_> = report.stages.iter().map(|s| &*s.stage).collect();
     assert_eq!(
         stages,
-        ["scan(t_dim)", "join.probe", "map", "groupby.consume"]
+        [
+            "scan(t_dim)",
+            "join.probe",
+            "map",
+            "groupby.consume",
+            "groupby.merge"
+        ]
     );
     let Mutated::Plan(starved) = Mutation::StarveCores.apply() else {
         panic!("StarveCores mutates the plan")
@@ -271,9 +277,11 @@ fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
     // together.
     let whole = verify(&task_plan(), &cat, &ExecContext::dpu());
     assert!(whole.diagnostics.is_empty(), "{whole:?}");
-    let [task] = whole.stages.as_slice() else {
-        panic!("one task, not {:?}", whole.stages)
+    // The merge one core folds the lanes' tables in follows it.
+    let [task, merge] = whole.stages.as_slice() else {
+        panic!("one task and its merge, not {:?}", whole.stages)
     };
+    assert_eq!((merge.entry_id, merge.stage.as_str()), (1, "groupby.merge"));
     assert_eq!(task.operators, "scan(t_fact) -> map -> groupby.consume");
     assert_eq!((task.node_id, task.stage.as_str()), (0, "groupby.consume"));
     assert_eq!(task.state_bytes, 64 + 64 + 32 * 1024 / 2);
@@ -309,7 +317,11 @@ fn a_task_is_checked_on_what_it_holds_together_and_cut_where_it_does_not_fit() {
         .collect();
     assert_eq!(
         stages,
-        [("map", "scan(t_fact) -> map"), ("groupby.consume", "")]
+        [
+            ("map", "scan(t_fact) -> map"),
+            ("groupby.consume", ""),
+            ("groupby.merge", "")
+        ]
     );
 }
 
@@ -359,6 +371,7 @@ fn a_join_filter_is_a_stage_of_its_own_and_state_of_the_probe_round() {
             ("join.partition-probe", 64 + 64 + 256, 2 + 1 + 2 + 1 + 2 + 4),
             ("join.pairs", 16 * 1024, 8 + 8 + 8 + 8),
             ("groupby.consume", 16 * 1024, 2 + 1),
+            ("groupby.merge", 16 * 1024, 0),
         ]
     );
     let plain = verify(

@@ -938,7 +938,8 @@ impl Drop for HostDb {
 /// Tree lines are ordered by `(node_id, stage_id)` — node ids are assigned
 /// pre-order over the plan, so a parent prints above its children, indented
 /// by depth; a node's stages keep their emission order. A stage is a task:
-/// its line is its topmost operator's, with the stage's lanes, cycles and
+/// its line is its topmost operator's, with its id in the plan's stage
+/// list (`s<k>`, as `EXPLAIN VERIFY` prints it), the stage's lanes, cycles and
 /// bytes, then a `kernels:` line splitting its compute cycles by kernel
 /// family (summed over the lanes), and the operators that ran in its lanes
 /// beneath it follow, one line each down to the scan, with the rows each
@@ -1030,7 +1031,9 @@ fn render_explain(
                 let _ = writeln!(s);
                 continue;
             }
-            let _ = write!(s, "  lanes={}", e.parallelism);
+            // The stage's id in the plan's stage list, as EXPLAIN VERIFY
+            // prints it.
+            let _ = write!(s, "  s{} lanes={}", e.entry_id, e.parallelism);
             if let Some(p) = e.partition {
                 let _ = write!(s, " round {}/{} fanout {}", p.round, p.rounds, p.fanout);
             }
@@ -1284,19 +1287,18 @@ mod tests {
         assert_eq!(a.result.rows.len(), 2_000);
         let mut matched = 0;
         for e in a.events.iter().filter(|e| e.scan.is_some()) {
-            let node = e.node_id as usize;
-            let stage = verified
-                .stages
-                .iter()
-                .find(|s| s.node_id == node && s.stage == e.operator);
-            if let Some(stage) = stage {
-                assert_eq!(
-                    e.dmem_peak_bytes, stage.working_set_bytes as u64,
-                    "{}",
-                    a.text
-                );
-                matched += 1;
-            }
+            // The verifier's row of the event's entry in the stage list.
+            let stage = &verified.stages[e.entry_id as usize];
+            assert_eq!(
+                (stage.node_id, &*stage.stage),
+                (e.node_id as usize, &*e.operator)
+            );
+            assert_eq!(
+                e.dmem_peak_bytes, stage.working_set_bytes as u64,
+                "{}",
+                a.text
+            );
+            matched += 1;
         }
         assert_eq!(matched, 2, "{}", a.text);
     }
@@ -1520,8 +1522,8 @@ mod tests {
         // it reads them, with no map between. The scan line says what moved
         // — `id` did not — and how: an unfiltered table streams. Operator
         // strings stay bare stage names; the access path is a field of the
-        // event.
-        let task = "  groupby.consume  lanes=4 rows=16 ";
+        // event. The task is the first entry of the plan's stage list, s0.
+        let task = "  groupby.consume  s0 lanes=4 rows=16 ";
         let beneath = "\n    scan(sales) cols 2/3 stream passes=1  rows=10000 est=10000 q=1.00\n";
         assert!(
             a.text.contains(task) && a.text.contains(beneath),
@@ -1640,8 +1642,8 @@ mod tests {
         // `region`'s dictionary code is stored in one byte: 9 B a row.
         let columns: Vec<&str> = task[0].split_whitespace().collect();
         assert_eq!(
-            columns[1..6],
-            ["groupby.consume", "256", "21120", "16512", "9"],
+            columns[..7],
+            ["s0", "0", "groupby.consume", "256", "21120", "16512", "9"],
             "{text}"
         );
         assert!(text.contains("PASS"), "{text}");
@@ -1673,11 +1675,9 @@ mod tests {
             drop(rapid);
             let a = d.explain_analyze(sql).unwrap();
             let scan = a.events.iter().find(|e| e.scan.is_some()).expect("a scan");
-            let bound = verified
-                .stages
-                .iter()
-                .find(|s| s.node_id == scan.node_id as usize && s.stage == scan.operator)
-                .expect("the verifier derives the scan stage");
+            // The verifier's row of the stage's entry in the list.
+            let bound = &verified.stages[scan.entry_id as usize];
+            assert_eq!(bound.stage, scan.operator, "{sql}");
             // Each scan item reserves the tile buffers its streams were
             // sized from — the working set the verifier fitted.
             assert!(scan.dmem_peak_bytes > 0, "{sql}: {}", a.text);
@@ -1718,15 +1718,15 @@ mod tests {
         let p = round.partition.expect("a partition stage says its round");
         assert_eq!((p.round, p.rounds), (1, 1));
         let line = format!(
-            "groupby.partition  lanes={} round 1/1 fanout {} rows=10000 ",
-            round.parallelism, p.fanout
+            "groupby.partition  s{} lanes={} round 1/1 fanout {} rows=10000 ",
+            round.entry_id, round.parallelism, p.fanout
         );
         assert!(a.text.contains(&line), "no `{line}` in:\n{}", a.text);
         assert!(a
             .events
             .iter()
             .all(|e| e.partition.is_none() || e.operator == "groupby.partition"));
-        // EXPLAIN VERIFY derives the same stage before anything runs: its
+        // EXPLAIN VERIFY checks the same entry before anything runs: its
         // `ws-bytes` is the lane's `dmem_peak`, its `B/row` the encoded
         // row plus the hash lane.
         let text = d.explain_verify(sql).unwrap();
@@ -1736,8 +1736,14 @@ mod tests {
             .unwrap_or_else(|| panic!("no partition stage in:\n{text}"))
             .split_whitespace()
             .collect();
-        let ws = round.dmem_peak_bytes.to_string();
-        assert_eq!(stage[1..6], ["groupby.partition", "256", &ws, "128", "10"]);
+        let (id, ws) = (
+            format!("s{}", round.entry_id),
+            round.dmem_peak_bytes.to_string(),
+        );
+        assert_eq!(
+            stage[..7],
+            [&id, "0", "groupby.partition", "256", &ws, "128", "10"]
+        );
         assert_eq!(
             stage[stage.len() - 3..].join(" "),
             "[scan(sales) -> groupby.partition]"

@@ -21,8 +21,9 @@
 //! aggregate whose input the Map already computes reads that column.
 //! Where a task ends (§5.2) is no choice made here: a scan-fed chain and
 //! its consumer's first stage are one task wherever they fit DMEM together,
-//! the rule (`rapid_qef::plan::PlanNode::input_task`) the engine runs the
-//! lowered plan by and the verifier checks it by.
+//! the rule (`rapid_qef::plan::PlanNode::input_task`) the plan's stage list
+//! (`rapid_qef::stages`) is lowered by, which the engine runs and the
+//! verifier checks.
 
 use std::ops::Bound;
 

@@ -1,10 +1,11 @@
 //! Shared DMEM working-set arithmetic (§5.2 task formation).
 //!
-//! Where a task ends (`PlanNode::input_task`), the engine (per-task tile
-//! clamping) and the static verifier (`rapid-verify`) size vectors from
-//! this one module, so the static verdict and the runtime behavior cannot
-//! drift apart: a task the verifier reports as fitting at tile `t` is
-//! exactly the task the engine will run at tile `t`.
+//! Where a task ends (`PlanNode::input_task`) and the tile every stage of a
+//! plan's stage list fits at (`crate::stages`) come from this one module,
+//! and the engine runs and the static verifier (`rapid-verify`) checks that
+//! one list, so the static verdict and the runtime behavior cannot drift
+//! apart: a task the verifier reports as fitting at tile `t` is exactly the
+//! task the engine will run at tile `t`.
 //!
 //! The model follows the paper's task-formation rule: a task holds the
 //! state of every operator in it plus one double-buffered DMEM buffer per

@@ -1,27 +1,31 @@
 //! The execution engine: interprets a QEP across the dpCores.
 //!
-//! The engine walks the plan DAG bottom-up and runs it **task by task**,
-//! exactly as the paper describes ("operators within a task pipeline results
-//! to each other via DMEM and only results at task boundaries are
-//! materialized to DRAM"). A task is one stage of the actor runner:
+//! The engine lowers the plan once to the stages it runs
+//! ([`crate::stages::lower`], the list the verifier checks) and runs it
+//! **task by task**, exactly as the paper describes ("operators within a
+//! task pipeline results to each other via DMEM and only results at task
+//! boundaries are materialized to DRAM"). It walks the plan bottom-up; every
+//! stage it runs is the list's next entry, at the entry's operators, tile and
+//! working set, and one that is not is an internal error. A task is one
+//! stage of the actor runner:
 //!
 //! * a task opens with a **scan**. Its items are `min(cores, tiles)` lanes,
 //!   each a contiguous, tile-aligned range of the table's rows — not
 //!   chunks: a one-chunk table of sixteen tiles scans on sixteen cores. A
 //!   lane reads its rows by the cheaper of the relation accessor's two
 //!   patterns, chosen once per scan ([`ops::filter::ScanPlan`]), takes them
-//!   through the `Filter`s and `Map`s over the scan, and — wherever the
-//!   operators fit DMEM together ([`PlanNode::input_task`], the rule the
-//!   verifier reports by) — through the first stage of the operator that
-//!   consumes them: round one of a join side's or a group-by's partition
-//!   pass, `groupby.consume`, `topk.consume`, `sort.local`. Where they do
-//!   not, the task is cut there. All of it runs under the lane's one
-//!   `CoreCtx`, holding at once the DMEM every operator of the task declares
-//!   at the task's one vector size ([`crate::budget::task_tile`]), every
-//!   operator's control loop charged per tile, and the stage rule
-//!   ([`dpu_sim::account::StageSpan`]) applied once: the task costs
-//!   max(busiest lane's compute, Σ DMS), the transfer of one operator hidden
-//!   under the compute of the next. A lone scan is a task of one operator,
+//!   through the `Filter`s and `Map`s over the scan, and — wherever the list
+//!   puts it there, where the operators fit DMEM together — through the
+//!   first stage of the operator that consumes them: round one of a join
+//!   side's or a group-by's partition pass, `groupby.consume`,
+//!   `topk.consume`, `sort.local`. Where they do not, the task is cut there.
+//!   All of it runs under the lane's one `CoreCtx`, holding at once the DMEM
+//!   every operator of the task declares at the task's one vector size
+//!   ([`crate::budget::task_tile`]), every operator's control loop charged
+//!   per tile, and the stage rule ([`dpu_sim::account::StageSpan`]) applied
+//!   once: the task costs max(busiest lane's compute, Σ DMS), the transfer
+//!   of one operator hidden under the compute of the next. A lone scan is a
+//!   task of one operator,
 //! * everything else is a task of one operator over what the tasks below it
 //!   materialized, a stage as it always was: a **join** partitions both
 //!   sides (in software on the dpCores; every round of a pass a stage of
@@ -57,13 +61,14 @@ use rapid_storage::table::Table;
 
 use crate::actor::{run_stage, StageTiming};
 use crate::batch::{Batch, Rows, Span};
-use crate::budget::{Deal, OpName};
+use crate::budget::Deal;
 use crate::error::{QefError, QefResult};
 use crate::exec::{Backend, CoreCtx, ExecContext};
 use crate::ops;
 use crate::ops::join_filter::JoinFilter;
 use crate::ops::partition::{RoundStep, Route};
 use crate::plan::{Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
+use crate::stages::{Entry, RangeInput, Source, Stage};
 use crate::task::{ScanChain, Task};
 use crate::trace::{FilterKept, FusedOp, PartitionRound, ScanAccess, StageEvent, TraceSink};
 
@@ -128,10 +133,10 @@ impl QueryReport {
 }
 
 /// One query's run through the engine: the report it accumulates, the
-/// trace sink it emits to and the plan position its next stage belongs to.
-/// The operators below are its methods; each finished stage goes through
-/// [`Run::stage`]. With no sink installed the cost of tracing is one
-/// `Option` test per stage.
+/// trace sink it emits to and the stages of its plan still to run. The
+/// operators below are its methods; each takes its stage with
+/// [`Run::next`] and absorbs it with [`Run::stage`]. With no sink installed
+/// the cost of tracing is one `Option` test per stage.
 struct Run<'e> {
     ctx: &'e ExecContext,
     catalog: &'e Catalog,
@@ -141,16 +146,15 @@ struct Run<'e> {
     /// When the last stage was absorbed, or `execute` began.
     last: Instant,
     stage_seq: u32,
-    node_seq: u32,
-    /// Pre-order id of the plan node whose stages are being absorbed.
-    node_id: u32,
-    /// Nodes on the path from the root to that node, itself included.
-    open: u32,
+    /// The plan's stage list ([`crate::stages::StagePlan`]) from the next
+    /// stage on.
+    stages: std::iter::Peekable<std::vec::IntoIter<Stage<'e>>>,
 }
 
 impl<'e> Run<'e> {
-    fn new(engine: &'e Engine) -> Run<'e> {
-        Run {
+    fn new(engine: &'e Engine, plan: &'e PlanNode) -> QefResult<Run<'e>> {
+        let list = crate::stages::lower(plan, &engine.catalog, &engine.ctx)?;
+        Ok(Run {
             ctx: &engine.ctx,
             catalog: &engine.catalog,
             report: QueryReport::default(),
@@ -158,13 +162,51 @@ impl<'e> Run<'e> {
             watts: dpu_sim::power::PowerModel::dpu().watts,
             last: Instant::now(),
             stage_seq: 0,
-            node_seq: 0,
-            node_id: 0,
-            open: 0,
+            stages: list.into_iter().peekable(),
+        })
+    }
+
+    /// The list's next stage, which must be `label` of `node`: what runs is
+    /// what the list says.
+    fn next(&mut self, node: &PlanNode, label: &str) -> QefResult<Stage<'e>> {
+        match self.stages.next() {
+            Some(stage) if std::ptr::eq(stage.node, node) && stage.entry.label.stage == label => {
+                Ok(stage)
+            }
+            next => {
+                let listed = next.map_or("no stage".into(), |s| {
+                    let Entry { id, node_id, .. } = s.entry;
+                    format!("s{id}, {} of node {node_id}", s.entry.label)
+                });
+                Err(QefError::Internal(format!(
+                    "the engine runs {label} where the stage list has {listed}"
+                )))
+            }
         }
     }
 
-    /// Absorb one stage of the current node into the report, emitting its
+    /// The list's next stage, `label` of `node` over `input`: the last
+    /// operator of the task of the input's chain where the list puts it
+    /// there, else a stage over the batches the input's stages hand on,
+    /// which run first.
+    fn stage_over(
+        &mut self,
+        node: &PlanNode,
+        input: &PlanNode,
+        label: &str,
+    ) -> QefResult<(Stage<'e>, Option<Vec<Batch>>)> {
+        let in_task = self
+            .stages
+            .peek()
+            .is_some_and(|s| std::ptr::eq(s.node, node) && matches!(s.source, Source::Task(..)));
+        let batches = match in_task {
+            true => None,
+            false => Some(self.exec_node(input)?),
+        };
+        Ok((self.next(node, label)?, batches))
+    }
+
+    /// Absorb one stage, `entry` of the list, into the report, emitting its
     /// trace event; `detail` says, for a task, how its scan read its table
     /// and which operators ran beneath the stage's own, and for a stage that
     /// partitions, which round it ran.
@@ -174,13 +216,7 @@ impl<'e> Run<'e> {
     /// `wall_secs` are the exact `f64`s added to the report and events are
     /// emitted in absorption order, so summing them reproduces
     /// `QueryReport::{sim_secs, wall_secs}` bit-for-bit.
-    fn stage(
-        &mut self,
-        t: &StageTiming,
-        operator: impl std::fmt::Display,
-        rows: u64,
-        detail: Detail,
-    ) {
+    fn stage(&mut self, t: &StageTiming, entry: Entry<'_>, rows: u64, detail: Detail) {
         let now = Instant::now();
         let wall_secs = (now - self.last).as_secs_f64();
         self.last = now;
@@ -196,9 +232,10 @@ impl<'e> Run<'e> {
             sink.record(StageEvent {
                 query_id: self.ctx.query_id,
                 stage_id: self.stage_seq,
-                node_id: self.node_id,
-                depth: self.open - 1,
-                operator: operator.to_string(),
+                entry_id: entry.id,
+                node_id: entry.node_id,
+                depth: entry.depth,
+                operator: entry.label.to_string(),
                 parallelism: t.parallelism,
                 lane_imbalance: t.lane_imbalance(),
                 rows,
@@ -252,8 +289,8 @@ impl Detail {
 /// What a task ran as: the lanes' results and what its event says.
 struct TaskRun<'a, R> {
     results: Vec<R>,
-    /// The stage label of the chain's topmost operator.
-    top: OpName<'a>,
+    /// The task's entry in the stage list.
+    entry: Entry<'a>,
     timing: StageTiming,
     /// The scan's access and the chain's operators beneath the stage's own.
     detail: Detail,
@@ -383,22 +420,15 @@ impl<'a> ChainLanes<'a> {
         Ok(rows)
     }
 
-    /// The trace's operators of the task, topmost first: the chain's nodes,
-    /// numbered in pre-order from `first_id`, and — where `own_top`, the
-    /// chain's topmost operator is the stage's own — that one as node
-    /// `node_id`, at the depths below `open` nodes.
-    fn fused(&self, first_id: u32, node_id: u32, open: u32, own_top: bool) -> Vec<FusedOp> {
+    /// The trace's operators of the chain, topmost first: its nodes in
+    /// pre-order from `chain`, the topmost, at `depth`.
+    fn fused(&self, chain: u32, depth: u32) -> Vec<FusedOp> {
         let ops_of_chain = self.ops();
         let mut ops = Vec::with_capacity(self.handed.len());
         for (i, rows) in self.handed.iter().rev().enumerate() {
-            let (node_id, depth) = match (own_top, i as u32) {
-                (true, 0) => (node_id, open - 1),
-                (true, i) => (first_id + i - 1, open + i - 1),
-                (false, i) => (first_id + i, open + i),
-            };
             ops.push(FusedOp {
-                node_id,
-                depth,
+                node_id: chain + i as u32,
+                depth: depth + i as u32,
                 operator: self.decls[ops_of_chain - 1 - i].name.to_string(),
                 rows: rows.load(Ordering::Relaxed),
                 dms_bytes: 0,
@@ -487,12 +517,21 @@ impl Engine {
 
     /// Execute a plan, returning results and the timing report.
     ///
-    /// When the context carries a [`TraceSink`], one
-    /// [`StageEvent`](crate::trace::StageEvent) is emitted per executed
-    /// stage; their `sim_secs` sum to the report's exactly.
+    /// The plan is lowered once to the stages it runs
+    /// ([`crate::stages::lower`]) and run as listed. When the context carries
+    /// a [`TraceSink`], one [`StageEvent`](crate::trace::StageEvent) is
+    /// emitted per executed stage, naming its entry; their `sim_secs` sum to
+    /// the report's exactly.
     pub fn execute(&self, plan: &PlanNode) -> QefResult<(QueryOutput, QueryReport)> {
-        let mut run = Run::new(self);
+        let mut run = Run::new(self, plan)?;
         let batches = run.exec_node(plan)?;
+        if let Some(stage) = run.stages.next() {
+            let Entry { id, node_id, .. } = stage.entry;
+            return Err(QefError::Internal(format!(
+                "the engine ran the plan without s{id}, {} of node {node_id}",
+                stage.entry.label
+            )));
+        }
         let mut report = run.report;
         let meta = plan.output_meta(&self.catalog)?;
         let mut batch = Batch::concat(batches.into_iter().filter(|b| b.width() > 0).collect());
@@ -507,39 +546,32 @@ impl Engine {
 }
 
 impl<'e> Run<'e> {
-    /// Execute `node` at the next pre-order position: its inputs run at
-    /// theirs, then its own stages are absorbed at this one.
+    /// Execute `node`: its inputs' stages, then its own.
     fn exec_node(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
-        let parent = std::mem::replace(&mut self.node_id, self.node_seq);
-        self.node_seq += 1;
-        self.open += 1;
-        let out = self.exec_op(node);
-        self.open -= 1;
-        self.node_id = parent;
-        out
-    }
-
-    fn exec_op(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
-        if let Some(chain) = node.scan_chain() {
-            return self.exec_chain(chain);
+        // A scan-fed chain nothing above joined is a task of its own.
+        let peek = self.stages.peek();
+        if peek.is_some_and(|s| std::ptr::eq(s.node, node) && s.is_chain_own()) {
+            return self.exec_chain(node);
         }
         match node {
             PlanNode::Scan { .. } => unreachable!("a scan is a chain of one"),
             PlanNode::Filter { input, pred } => {
                 let batches = self.exec_node(input)?;
+                let stage = self.next(node, "filter")?;
                 let (out, t) = run_stage(self.ctx, batches, |core, b| {
                     ops::filter::filter_batch(core, b, pred)
                 })?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.stage(&t, "filter", batch_rows(&out), Detail::default());
+                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
                 Ok(out)
             }
             PlanNode::Map { input, exprs } => {
                 let batches = self.exec_node(input)?;
+                let stage = self.next(node, "map")?;
                 let (out, t) = run_stage(self.ctx, batches, |core, b| {
                     ops::map::map_batch(core, b, exprs)
                 })?;
-                self.stage(&t, "map", batch_rows(&out), Detail::default());
+                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
                 Ok(out)
             }
             PlanNode::HashJoin {
@@ -576,16 +608,19 @@ impl<'e> Run<'e> {
                 input, order, k, ..
             } => {
                 // Per-lane top-k over the rows each is handed.
-                let (heaps, t, detail, in_rows) = self.first_stage(node, input, |core, rows| {
+                let consume = |core: &mut CoreCtx, rows: Rows<'_>| {
                     let mut acc = ops::topk::TopK::new(order.clone(), *k);
                     if rows.rows() > 0 {
                         let batch = rows.into_batch(core);
                         acc.consume(core, batch)?;
                     }
                     Ok(acc)
-                })?;
-                self.stage(&t, "topk.consume", in_rows, detail);
+                };
+                let (heaps, t, detail, in_rows, entry) =
+                    self.consume_input(node, input, "topk.consume", consume)?;
+                self.stage(&t, entry, in_rows, detail);
                 // Merge on one core.
+                let merge = self.next(node, "topk.merge")?;
                 let (merged, t2) = run_stage(self.ctx, vec![heaps], |core, hs| {
                     let mut it = hs.into_iter();
                     let Some(mut first) = it.next() else {
@@ -596,23 +631,25 @@ impl<'e> Run<'e> {
                     }
                     Ok(first.finish(core))
                 })?;
-                self.stage(&t2, "topk.merge", batch_rows(&merged), Detail::default());
+                self.stage(&t2, merge.entry, batch_rows(&merged), Detail::default());
                 Ok(merged)
             }
             PlanNode::Sort { input, order, .. } => {
-                let (sorted, t, detail, in_rows) =
-                    self.first_stage(node, input, |core, rows| {
-                        let b = rows.into_batch(core);
-                        if b.is_empty() {
-                            return Ok(b);
-                        }
-                        ops::sort::sort_batch(core, &b, order)
-                    })?;
-                self.stage(&t, "sort.local", in_rows, detail);
+                let local = |core: &mut CoreCtx, rows: Rows<'_>| {
+                    let b = rows.into_batch(core);
+                    if b.is_empty() {
+                        return Ok(b);
+                    }
+                    ops::sort::sort_batch(core, &b, order)
+                };
+                let (sorted, t, detail, in_rows, entry) =
+                    self.consume_input(node, input, "sort.local", local)?;
+                self.stage(&t, entry, in_rows, detail);
+                let merge = self.next(node, "sort.merge")?;
                 let (merged, t2) = run_stage(self.ctx, vec![sorted], |core, bs| {
                     ops::sort::merge_sorted(core, &bs, order)
                 })?;
-                self.stage(&t2, "sort.merge", batch_rows(&merged), Detail::default());
+                self.stage(&t2, merge.entry, batch_rows(&merged), Detail::default());
                 Ok(merged)
             }
             PlanNode::Limit { input, n } => {
@@ -627,11 +664,13 @@ impl<'e> Run<'e> {
             PlanNode::SetOp { left, right, op } => {
                 let l = self.exec_node(left)?;
                 let r = self.exec_node(right)?;
-                let widths = node.output_widths(self.catalog)?;
+                let stage = self.next(node, "setop")?;
+                // It reads both sides at the widths of what it writes.
+                let widths = &stage.decls()[0].in_widths;
                 let (out, t) = run_stage(self.ctx, vec![(l, r)], |core, (l, r)| {
-                    ops::setops::set_op(core, &l, &r, *op, &widths)
+                    ops::setops::set_op(core, &l, &r, *op, widths)
                 })?;
-                self.stage(&t, "setop", batch_rows(&out), Detail::default());
+                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
                 Ok(out)
             }
             PlanNode::Window {
@@ -641,7 +680,8 @@ impl<'e> Run<'e> {
                 func,
             } => {
                 let batches = self.exec_node(input)?;
-                if batches.is_empty() {
+                let stage = self.next(node, "window")?;
+                if stage.optional && batches.is_empty() {
                     // No rows, no batch: one concatenated from nothing has
                     // no columns for the Map above to index.
                     return Ok(batches);
@@ -650,15 +690,15 @@ impl<'e> Run<'e> {
                 let (out, t) = run_stage(self.ctx, vec![all], |core, b| {
                     ops::window::window_batch(core, &b, partition_by, order_by, *func)
                 })?;
-                self.stage(&t, "window", batch_rows(&out), Detail::default());
+                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
                 Ok(out)
             }
         }
     }
 
-    /// Run `task` — a scan, the filters and maps over it and, where
-    /// [`PlanNode::input_task`] put it there, the first stage of the node
-    /// that consumes them.
+    /// Run `stage`, a task — a scan, the filters and maps over it and, where
+    /// the list puts it there, the first stage of the node that consumes
+    /// them.
     ///
     /// The task is ONE stage. Its items are lanes, each a contiguous range
     /// of the table's rows, as [`Deal`] deals them: whole tiles to
@@ -666,11 +706,10 @@ impl<'e> Run<'e> {
     /// over every core the rows can feed. A lane scans its rows, takes them
     /// through the chain and hands what is left to `step`, all under one
     /// `CoreCtx` that holds the DMEM every operator of the task declares at
-    /// the task's one vector size ([`crate::budget::task_tile`], at the
-    /// widths this engine's catalog stores). Every operator's control loop
-    /// is charged per tile of the rows it is handed, at the tile the deal
-    /// streams (`step` charges its own). A chain that does not fit
-    /// on its own is refused ([`QefError::DmemExhausted`]): there is nothing
+    /// the task's one vector size, the entry's fit. Every operator's control
+    /// loop is charged per tile of the rows it is handed, at the tile the
+    /// deal streams (`step` charges its own). A chain that does not fit on
+    /// its own is refused ([`QefError::DmemExhausted`]): there is nothing
     /// left to cut.
     ///
     /// `probe` is the join filter the task's last stage tests, where it is
@@ -681,7 +720,7 @@ impl<'e> Run<'e> {
     /// test kept.
     fn run_task<'a, R: Send>(
         &mut self,
-        task: Task<'a>,
+        stage: Stage<'a>,
         probe: Option<(&'a [usize], &'a JoinFilter)>,
         lane: Option<LaneCost>,
         step: impl Fn(&mut CoreCtx, Rows<'a>, usize, Option<&'a JoinFilter>) -> QefResult<R> + Sync,
@@ -696,6 +735,14 @@ impl<'e> Run<'e> {
         // scan chain keeps whole tiles, and so does a task each of whose
         // lanes reads a join filter from DRAM: equal shares would multiply
         // those reads (the cost model prices them at the same deal).
+        let (entry, fit) = (stage.entry, stage.fit);
+        let Source::Task(task, chain) = stage.source else {
+            let id = entry.id;
+            return Err(QefError::Internal(format!(
+                "s{id}, {}, is no task",
+                entry.label
+            )));
+        };
         let own_top = task.decls.len() == task.chain.above.len() + 1;
         let dealing = match (own_top || probe.is_some_and(|(_, f)| f.in_dram()), lane) {
             (true, _) => Dealing::WholeTiles,
@@ -703,7 +750,7 @@ impl<'e> Run<'e> {
             (false, Some(lane)) => Dealing::SharesIfShorter(lane),
         };
         let built = probe.map(|(keys, f)| (keys, ProbeFilter::Built(f)));
-        let side = self.chain_lanes(task, built, dealing)?;
+        let side = self.chain_lanes(task, fit, built, dealing)?;
         let untested = side.untested(probe.map(|(_, filter)| filter));
         // The lanes own the list's rows in chunk order, which is heap-slot
         // order.
@@ -714,11 +761,9 @@ impl<'e> Run<'e> {
             let rows = side.rows(core, Span::of_list(side.chunks, lane), None)?;
             step(core, rows, tile, untested)
         })?;
-        // Pre-order ids: the chain's nodes follow the node whose stage this
-        // is — which is the topmost of them where no consumer joined.
-        let first_id = self.node_seq;
-        self.node_seq += (side.ops() - usize::from(own_top)) as u32;
-        let mut ops = side.fused(first_id, self.node_id, self.open, own_top);
+        // The chain's topmost node is the stage's own where no consumer
+        // joined, else an input of it.
+        let mut ops = side.fused(chain, entry.depth + u32::from(!own_top));
         let rows = ops.first().map_or(0, |top| top.rows);
         if own_top && !ops.is_empty() {
             ops.remove(0);
@@ -733,13 +778,13 @@ impl<'e> Run<'e> {
                 ..Detail::default()
             },
             rows,
-            top: side.decls[side.ops() - 1].name,
+            entry,
         })
     }
 
-    /// `task`'s chain as the lanes of a stage run it
-    /// ([`ChainLanes`]), its scan decided against the table this engine's
-    /// catalog holds. `probe` is the join filter the task's last stage
+    /// `task`'s chain as the lanes of a stage run it ([`ChainLanes`]), at
+    /// `fit`, its tile and working set, its scan decided against the table
+    /// this engine's catalog holds. `probe` is the join filter the task's last stage
     /// tests, where it is a probe side's first stage that has one, and the
     /// join's keys over what the chain hands on. The scan tests it in a key
     /// pass wherever it takes the gather path
@@ -748,6 +793,7 @@ impl<'e> Run<'e> {
     fn chain_lanes<'a>(
         &self,
         task: Task<'a>,
+        fit: Option<(usize, usize)>,
         probe: Option<(&'a [usize], ProbeFilter<'a>)>,
         dealing: Dealing,
     ) -> QefResult<ChainLanes<'a>>
@@ -765,7 +811,7 @@ impl<'e> Run<'e> {
         let table: &'a Table = catalog
             .get(chain.table)
             .ok_or_else(|| QefError::TableNotLoaded(chain.table.to_string()))?;
-        let (tile, working_set) = self.task_tile(&decls)?;
+        let (tile, working_set) = fit.ok_or_else(|| self.exhausted(&decls))?;
         let (columns, pred) = (chain.columns, chain.pred);
         // The keys as the table's columns, and the share of rows the filter
         // keeps: the build rows match at most as many of the probe rows as
@@ -849,69 +895,70 @@ impl<'e> Run<'e> {
         })
     }
 
-    /// The tile a task of `decls` runs at and the DMEM each of its lanes
-    /// holds ([`crate::budget::task_tile`]) in this engine's scratchpad;
-    /// [`QefError::DmemExhausted`] where they do not fit at a minimum vector.
-    fn task_tile(&self, decls: &[crate::budget::OpDecl<'_>]) -> QefResult<(usize, usize)> {
-        let fit = crate::budget::task_tile(self.ctx.tile_rows, decls, self.ctx.dmem_bytes);
-        fit.ok_or_else(|| {
-            let names: Vec<String> = decls.iter().map(|d| d.name.to_string()).collect();
-            QefError::DmemExhausted(format!(
-                "task [{}] holds {} B of state and {} B/row of vectors: over DMEM ({} B) even at \
-                 {}-row vectors",
-                names.join(" -> "),
-                crate::budget::task_state(decls),
-                crate::budget::task_streams(decls).sum::<usize>(),
-                self.ctx.dmem_bytes,
-                crate::budget::MIN_VECTOR_ROWS
-            ))
-        })
+    /// What a task of `decls` that does not fit this engine's scratchpad at a
+    /// minimum vector is.
+    fn exhausted(&self, decls: &[crate::budget::OpDecl<'_>]) -> QefError {
+        let names: Vec<String> = decls.iter().map(|d| d.name.to_string()).collect();
+        QefError::DmemExhausted(format!(
+            "task [{}] holds {} B of state and {} B/row of vectors: over DMEM ({} B) even at \
+             {}-row vectors",
+            names.join(" -> "),
+            crate::budget::task_state(decls),
+            crate::budget::task_streams(decls).sum::<usize>(),
+            self.ctx.dmem_bytes,
+            crate::budget::MIN_VECTOR_ROWS
+        ))
     }
 
     /// A scan-fed chain nothing above joined: a task of its own, handing on
     /// one batch per lane that kept a row.
-    fn exec_chain(&mut self, chain: ScanChain<'_>) -> QefResult<Vec<Batch>> {
-        let (task, _) = chain.task(self.catalog)?;
-        let run = self.run_task(task, None, None, |core, rows, _, _| {
+    fn exec_chain(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
+        let top = match node {
+            PlanNode::Scan { .. } => "scan",
+            PlanNode::Map { .. } => "map",
+            _ => "filter",
+        };
+        let stage = self.next(node, top)?;
+        let run = self.run_task(stage, None, None, |core, rows, _, _| {
             Ok(rows.into_batch(core))
         })?;
         let out: Vec<Batch> = run.results.into_iter().filter(|b| !b.is_empty()).collect();
-        self.stage(&run.timing, run.top, run.rows, run.detail);
+        self.stage(&run.timing, run.entry, run.rows, run.detail);
         Ok(out)
     }
 
-    /// Run `step` — the first stage of `node` — over what `input` hands on:
-    /// in the lanes of the input's task wherever it fits there
-    /// ([`PlanNode::input_task`]), the task's last operator; else as a stage
-    /// of its own over the input's batches. Returns the results, the stage's
-    /// timing and detail, and the rows that reached the step.
-    fn first_stage<R: Send>(
+    /// Run `step` — `label`, the first stage of `node` — over what `input`
+    /// hands on: in the lanes of the input's task where the list puts it
+    /// there, the task's last operator; else as a stage of its own over the
+    /// input's batches. Returns the results, the stage's timing and detail,
+    /// the rows that reached the step and the stage's entry.
+    fn consume_input<R: Send>(
         &mut self,
         node: &PlanNode,
         input: &PlanNode,
+        label: &str,
         step: impl for<'r> Fn(&mut CoreCtx, Rows<'r>) -> QefResult<R> + Sync,
-    ) -> QefResult<(Vec<R>, StageTiming, Detail, u64)> {
-        let (catalog, ctx) = (self.catalog, self.ctx);
-        if let Some(task) = node.input_task(0, catalog, ctx.tile_rows, ctx.dmem_bytes)? {
-            let run = self.run_task(task, None, None, |core, rows, tile, _| {
+    ) -> QefResult<(Vec<R>, StageTiming, Detail, u64, Entry<'e>)> {
+        let (stage, batches) = self.stage_over(node, input, label)?;
+        let Some(batches) = batches else {
+            let run = self.run_task(stage, None, None, |core, rows, tile, _| {
                 charge_further_tiles(core, rows.rows(), tile);
                 step(core, rows)
             })?;
-            return Ok((run.results, run.timing, run.detail, run.rows));
-        }
-        let batches = self.exec_node(input)?;
+            return Ok((run.results, run.timing, run.detail, run.rows, run.entry));
+        };
         let in_rows = batch_rows(&batches);
         let (out, t) = run_stage(self.ctx, batches, |core, b| step(core, Rows::Owned(b)))?;
-        Ok((out, t, Detail::default(), in_rows))
+        Ok((out, t, Detail::default(), in_rows, stage.entry))
     }
 
-    /// The tile of a partition pass over columns of `widths` that holds
-    /// `held` bytes of state beside its own (a join filter): every column
-    /// streams through DMEM beside the hash lane. `Err` is the §5.2 halting
-    /// condition: even a minimum vector does not fit.
-    fn partition_tile(&self, widths: &[usize], held: usize) -> QefResult<usize> {
+    /// The tile a partition pass with no filter streams columns of `widths`
+    /// at, beside the hash lane: what a pair re-partitions its skew at and a
+    /// lane probes a partition at. `Err` is the §5.2 halting condition: even
+    /// a minimum vector does not fit.
+    fn pass_tile(&self, widths: &[usize]) -> QefResult<usize> {
         let stream = crate::budget::partition_stream_bytes(widths.iter().sum());
-        let state = crate::budget::BASE_STATE_BYTES + held;
+        let state = crate::budget::BASE_STATE_BYTES;
         crate::budget::effective_tile(self.ctx.tile_rows, state, stream, self.ctx.dmem_bytes)
             .ok_or_else(|| {
                 QefError::DmemExhausted(format!(
@@ -925,14 +972,14 @@ impl<'e> Run<'e> {
 
     /// Partition what input `edge` of `node` hands on by `keys`, sending each
     /// row as `route` says, through the rounds of `scheme` on all cores:
-    /// every round is a stage, absorbed
-    /// under `operator` with the rows it partitioned. Wherever it fits there,
-    /// round one is the last operator of the input's task — each
-    /// lane partitions the rows it scanned
-    /// ([`ops::partition::RoundStep::map_rows`]) — and the rounds after it
-    /// are stages over what it wrote; else the input runs first and every
-    /// round is a stage over its batches
-    /// ([`ops::partition::partition_pass`]). Round one tests its rows
+    /// the pass `operator` of the list, every round of it a stage with the
+    /// rows it partitioned. Where the list puts it there, round one is the
+    /// last operator of the input's task — each lane partitions the rows it
+    /// scanned ([`ops::partition::RoundStep::map_rows`]) — and the rounds
+    /// after it are stages over what it wrote; else the input runs first and
+    /// every round is a stage over its batches
+    /// ([`ops::partition::partition_pass`]). A round past the first runs at
+    /// the tile the pass's own declaration fits at. Round one tests its rows
     /// against `filter`, where the pass has one: a join's probe side.
     ///
     /// The scheme is the plan's and runs as declared. A round wider than
@@ -966,11 +1013,9 @@ impl<'e> Run<'e> {
                 self.ctx.dmem_bytes
             )));
         }
-        let held = filter.map_or(0, |f| ops::join_filter::bytes(f.bits()));
-        let tile = self.partition_tile(&widths, held)?;
-        let (catalog, ctx) = (self.catalog, self.ctx);
-        let Some(task) = node.input_task(edge, catalog, ctx.tile_rows, ctx.dmem_bytes)? else {
-            let batches = self.exec_node(input)?;
+        let (stage, batches) = self.stage_over(node, input, operator)?;
+        if let Some(batches) = batches {
+            let (tile, _) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
             // The tile, and the fan-out cap of the scheme, were budgeted
             // from the static widths: what arrives must be exactly that wide.
             debug_assert!(
@@ -989,14 +1034,19 @@ impl<'e> Run<'e> {
                 scheme,
                 tile,
                 filter,
-                |t, round, kept| self.stage(t, operator, rows, Detail::round(round, kept)),
+                |t, round, kept| self.stage(t, stage.entry, rows, Detail::round(round, kept)),
             );
-        };
+        }
+        // The rounds after round one run at the tile the pass fits at alone.
+        let pass = stage.decls().last().map(std::slice::from_ref);
+        let pass = pass.unwrap_or_default();
+        let fit = crate::budget::task_tile(self.ctx.tile_rows, pass, self.ctx.dmem_bytes);
+        let (tile, _) = fit.ok_or_else(|| self.exhausted(pass))?;
         ops::partition::check_scheme(scheme)?;
-        // `input_task` found a round one to run in the task.
+        // The list found a round one to run in the task.
         let fanout = scheme[0];
         let probe = filter.map(|f| (keys, f));
-        let mut run = self.run_task(task, probe, None, |core, rows, tile, untested| {
+        let mut run = self.run_task(stage, probe, None, |core, rows, tile, untested| {
             let step = RoundStep::first((keys, route), fanout, tile, untested);
             let map = step.map_rows(core, &rows);
             Ok((rows, map))
@@ -1012,10 +1062,11 @@ impl<'e> Run<'e> {
         if run.detail.filter.is_none() {
             run.detail.filter = ops::partition::filtered(filter, rows as usize, &first);
         }
-        self.stage(&run.timing, operator, rows, run.detail);
+        let entry = run.entry;
+        self.stage(&run.timing, entry, rows, run.detail);
         let keys = (keys, route);
         ops::partition::partition_rounds_after(self.ctx, first, keys, scheme, tile, |t, round| {
-            self.stage(t, operator, rows, Detail::round(round, None))
+            self.stage(t, entry, rows, Detail::round(round, None))
         })
     }
 
@@ -1031,12 +1082,6 @@ impl<'e> Run<'e> {
         scheme: &[usize],
         filter: Option<usize>,
     ) -> QefResult<Vec<Batch>> {
-        if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
-            return Err(QefError::BadPlan("join key arity mismatch".into()));
-        }
-        if let Some(bits) = filter {
-            ops::join_filter::check(bits, join_type, scheme).map_err(QefError::BadPlan)?;
-        }
         if scheme.is_empty() {
             let keys = (build_keys, probe_keys);
             return self.exec_broadcast(node, (build, probe), keys, (join_type, output), filter);
@@ -1051,9 +1096,7 @@ impl<'e> Run<'e> {
         let bparts =
             self.partition_input(node, 0, build_route, scheme, None, "join.partition-build")?;
         let filter = match filter {
-            Some(bits) => {
-                Some(self.join_filter(&bparts, build_keys, &build_widths, scheme, bits)?)
-            }
+            Some(bits) => Some(self.join_filter(node, &bparts, build_keys, scheme, bits)?),
             None => None,
         };
         let filter = filter.as_ref();
@@ -1064,7 +1107,12 @@ impl<'e> Run<'e> {
         let est_per_partition = (build_rows / partitions.max(1)).max(1);
 
         // Join partition pairs in parallel; handle large skew by extra
-        // partitioning rounds inside the worker.
+        // partitioning rounds inside the worker, at the tile a pass of each
+        // side with no filter streams at.
+        let stage = self.next(node, "join.pairs")?;
+        let tile = self
+            .pass_tile(&build_widths)?
+            .min(self.pass_tile(&probe_widths)?);
         let pairs: Vec<(Batch, Batch)> = bparts.into_iter().zip(pparts).collect();
         let join = PairJoin {
             build_keys,
@@ -1076,31 +1124,32 @@ impl<'e> Run<'e> {
                 probe_width: probe_widths.len(),
                 build_widths: &build_widths,
             },
-            tile: self
-                .partition_tile(&build_widths, 0)?
-                .min(self.partition_tile(&probe_widths, 0)?),
+            tile,
         };
         let (joined, t3) = run_stage(self.ctx, pairs, |core, (b, p)| join.pair(core, b, p, 0))?;
         let joined: Vec<Batch> = joined.into_iter().filter(|b| !b.is_empty()).collect();
-        self.stage(&t3, "join.pairs", batch_rows(&joined), Detail::default());
+        self.stage(&t3, stage.entry, batch_rows(&joined), Detail::default());
         Ok(joined)
     }
 
-    /// The `join.filter` stage: the filter of `bits` bits over the keys of
-    /// `parts`, the partitions the build side's pass of `scheme` wrote. A
+    /// `node`'s `join.filter` stage: the filter of `bits` bits over the keys
+    /// of `parts`, the partitions the build side's pass of `scheme` wrote. A
     /// lane builds the slice of one round-one partition — the partitions the
     /// rounds after it made of it, which lie together — holding the slice
-    /// and its key streams ([`Self::filter_lanes`]).
+    /// and the key streams the stage declares.
     fn join_filter(
         &mut self,
+        node: &PlanNode,
         parts: &[Batch],
         keys: &[usize],
-        widths: &[usize],
         scheme: &[usize],
         bits: usize,
     ) -> QefResult<JoinFilter> {
+        let stage = self.next(node, "join.filter")?;
+        let (tile, working_set) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
+        // The stage streams the build keys at the widths they are stored in.
+        let key_widths = &stage.decls()[0].in_widths;
         let fanout = scheme[0];
-        let (key_widths, tile, working_set) = self.filter_lanes(keys, widths, bits, fanout)?;
         let of_partition: usize = scheme[1..].iter().product();
         let mut words = vec![0; bits / 64];
         let lanes = parts
@@ -1110,33 +1159,11 @@ impl<'e> Run<'e> {
         let (_, t) = run_stage(self.ctx, lanes, |core, (parts, slice)| {
             let _slice = core.dmem.reserve_raw(working_set)?;
             let parts = parts.iter().map(crate::batch::Run::of_batch);
-            ops::join_filter::build_slice(core, parts, keys, &key_widths, slice, tile)
+            ops::join_filter::build_slice(core, parts, keys, key_widths, slice, tile)
         })?;
         let build_rows = batch_rows(parts);
-        self.stage(&t, "join.filter", build_rows, Detail::default());
+        self.stage(&t, stage.entry, build_rows, Detail::default());
         Ok(JoinFilter::of_slices(words, fanout, build_rows as usize))
-    }
-
-    /// What a lane of a `join.filter` stage over `keys` of a build side
-    /// stored `widths` needs to build a slice of a filter of `bits` bits cut
-    /// into round one's `fanout` slices: the keys' widths, and the tile it
-    /// reads them at and the DMEM it holds
-    /// ([`crate::task::join_filter_decl`]).
-    fn filter_lanes(
-        &self,
-        keys: &[usize],
-        widths: &[usize],
-        bits: usize,
-        fanout: usize,
-    ) -> QefResult<(Vec<usize>, usize, usize)> {
-        let key_widths = keys
-            .iter()
-            .map(|&k| widths.get(k).copied())
-            .collect::<Option<Vec<usize>>>()
-            .ok_or_else(|| QefError::BadPlan("join key out of the build side's columns".into()))?;
-        let decl = crate::task::join_filter_decl(&key_widths, bits, fanout);
-        let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
-        Ok((key_widths, tile, working_set))
     }
 
     /// A join of no rounds, broadcast ([`ops::join::Broadcast`]): the build
@@ -1147,9 +1174,9 @@ impl<'e> Run<'e> {
     /// fills once ([`JoinFilter::beside_tables`]) — and probes its own rows:
     /// of them, where the probe's scan did not test them against the
     /// filter, the rows whose bit is set. The stage is the last operator of
-    /// the probe's task wherever they fit together
-    /// ([`PlanNode::input_task`]); else it runs over the probe's batches,
-    /// dealt to the lanes in runs so that a lane builds the table once.
+    /// the probe's task where the list puts it there; else it runs over the
+    /// probe's batches, dealt to the lanes in runs so that a lane builds the
+    /// table once.
     fn exec_broadcast(
         &mut self,
         node: &PlanNode,
@@ -1158,9 +1185,8 @@ impl<'e> Run<'e> {
         (join_type, output): (JoinType, &[usize]),
         filter: Option<usize>,
     ) -> QefResult<Vec<Batch>> {
-        let (catalog, ctx) = (self.catalog, self.ctx);
-        let build_widths = build.output_widths(catalog)?;
-        let probe_widths = probe.output_widths(catalog)?;
+        let ctx = self.ctx;
+        let build_widths = build.output_widths(self.catalog)?;
         let built = self.exec_node(build)?;
         let built = Batch::concat(built.into_iter().filter(|b| !b.is_empty()).collect());
         let filter = filter
@@ -1168,7 +1194,12 @@ impl<'e> Run<'e> {
             .transpose()?;
         let filter = filter.as_ref();
         let held = filter.map_or(0, |f| ops::join_filter::bytes(f.bits()));
-        let decl = crate::task::join_probe_decl(&probe_widths, ctx.dmem_bytes, held);
+        let (stage, probed) = self.stage_over(node, probe, "join.probe")?;
+        // The probe reads the probe side's columns; its state is the table's
+        // half of DMEM beside the filter's copy.
+        let decl = stage.decls().last();
+        let decl = decl.ok_or_else(|| QefError::Internal("join.probe declares nothing".into()))?;
+        let (state_bytes, probe_columns) = (decl.state_bytes, decl.in_widths.len());
         let join = ops::join::Broadcast {
             build: &built,
             build_keys,
@@ -1180,35 +1211,15 @@ impl<'e> Run<'e> {
                 built.rows(),
                 build_keys.len(),
                 build_widths.iter().sum(),
-                decl.state_bytes - held,
+                state_bytes - held,
             ),
             filter,
         };
         // Every lane builds the same table: one host table stands for them.
         let table = join.host_table()?;
         let table = table.as_ref();
-        let (out, timing, mut detail, tested) = if let Some(task) =
-            node.input_task(1, catalog, ctx.tile_rows, ctx.dmem_bytes)?
-        {
-            let probe = filter.map(|f| (probe_keys, f));
-            // What a lane pays for the build side, and about a probe row.
-            let mut core = CoreCtx::new(ctx, 0);
-            join.charge_build_side(&mut core, table, ctx.tile_rows);
-            let lane = LaneCost {
-                compute: core.account.compute_cycles().get(),
-                dms: core.account.dms_cycles().get(),
-                per_row: join.probe_row_cycles(
-                    &ctx.cost_model,
-                    ops::join::probe_reads(probe_keys, output, probe_widths.len()),
-                ),
-            };
-            let run = self.run_task(task, probe, Some(lane), |core, rows, tile, untested| {
-                join.lane(core, table, [rows], tile, untested.is_some())
-            })?;
-            (run.results, run.timing, run.detail, run.rows)
-        } else {
-            let (tile, working_set) = self.task_tile(std::slice::from_ref(&decl))?;
-            let batches: Vec<Batch> = self.exec_node(probe)?;
+        let (out, timing, mut detail, tested, entry) = if let Some(batches) = probed {
+            let (tile, working_set) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
             let batches: Vec<Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
             let in_rows = batch_rows(&batches);
             // Lane `l` holds batches `l * n / lanes .. (l + 1) * n / lanes`.
@@ -1221,7 +1232,24 @@ impl<'e> Run<'e> {
                 let _state = core.dmem.reserve_raw(working_set)?;
                 join.lane(core, table, lane.into_iter().map(Rows::Owned), tile, true)
             })?;
-            (out, t, Detail::default(), in_rows)
+            (out, t, Detail::default(), in_rows, stage.entry)
+        } else {
+            let probe = filter.map(|f| (probe_keys, f));
+            // What a lane pays for the build side, and about a probe row.
+            let mut core = CoreCtx::new(ctx, 0);
+            join.charge_build_side(&mut core, table, ctx.tile_rows);
+            let lane = LaneCost {
+                compute: core.account.compute_cycles().get(),
+                dms: core.account.dms_cycles().get(),
+                per_row: join.probe_row_cycles(
+                    &ctx.cost_model,
+                    ops::join::probe_reads(probe_keys, output, probe_columns),
+                ),
+            };
+            let run = self.run_task(stage, probe, Some(lane), |core, rows, tile, untested| {
+                join.lane(core, table, [rows], tile, untested.is_some())
+            })?;
+            (run.results, run.timing, run.detail, run.rows, run.entry)
         };
         // Where the scan did not test the rows, the probe did.
         if detail.filter.is_none() && filter.is_some() {
@@ -1235,7 +1263,7 @@ impl<'e> Run<'e> {
             .flat_map(|(batches, _)| batches)
             .filter(|b| !b.is_empty())
             .collect();
-        self.stage(&timing, "join.probe", batch_rows(&out), detail);
+        self.stage(&timing, entry, batch_rows(&out), detail);
         Ok(out)
     }
 
@@ -1259,29 +1287,20 @@ impl<'e> Run<'e> {
     /// before it gathers, else the probe does. A lane of a group-by
     /// aggregates its range's rows in a table of its own and emits it, with
     /// no merge: a group's rows are all in one range. Each chain holds in
-    /// DMEM what its task declares ([`PlanNode::ranged_tasks`]) while it is
-    /// scanned.
+    /// DMEM what its task in the list's entry declares while it is scanned.
     fn exec_ranged(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
         let (catalog, ctx) = (self.catalog, self.ctx);
         let bad = |why: &str| QefError::BadPlan(format!("a ranged operator: {why}"));
         let scheme = node.ranged_scheme().ok_or_else(|| bad("no scheme"))?;
-        let mut tasks = node
-            .ranged_tasks(catalog, ctx.dmem_bytes)?
-            .ok_or_else(|| bad("an input it reads by range is no scan-fed chain"))?
-            .into_iter();
         let (keys, filter, build_widths, output): (Vec<&[usize]>, _, _, _) = match node {
             PlanNode::HashJoin {
                 build,
                 build_keys,
                 probe_keys,
-                join_type,
                 filter,
                 output,
                 ..
             } => {
-                if let Some(bits) = filter {
-                    ops::join_filter::check(*bits, *join_type, &[]).map_err(QefError::BadPlan)?;
-                }
                 let widths = build.output_widths(catalog)?;
                 (vec![build_keys, probe_keys], *filter, widths, &output[..])
             }
@@ -1333,30 +1352,10 @@ impl<'e> Run<'e> {
                 Some(ops::ranges::Radix::of(list, col, lanes))
             }
         };
-        // Each input in turn, at its pre-order ids: a chain read by range,
-        // its ids kept for the trace, or the partitions of its pass.
-        let mut sides: Vec<Option<(ChainLanes<'_>, u32)>> = Vec::with_capacity(inputs.len());
+        // The pass of the input not read by range runs first, routed by the
+        // value-bit cut: its partition `r` holds the keys of range `r`.
         let mut parts: Option<Vec<Batch>> = None;
-        let mut build_rows = None;
-        for (i, col) in cols.iter().enumerate() {
-            let Some(radix) = radix.filter(|_| col.is_none()) else {
-                let task = tasks.next().ok_or_else(|| bad("a task is missing"))?;
-                let probe = filter.filter(|_| i == last && i > 0).map(|bits| {
-                    let build_rows = build_rows.unwrap_or_default();
-                    let filter = ProbeFilter::PerLane {
-                        bits,
-                        build_rows,
-                        lanes,
-                    };
-                    (keys[i], filter)
-                });
-                let side = self.chain_lanes(task, probe, Dealing::WholeTiles)?;
-                build_rows = Some(side.estimated_rows());
-                let first_id = self.node_seq;
-                self.node_seq += side.ops() as u32;
-                sides.push(Some((side, first_id)));
-                continue;
-            };
+        if let (Some(radix), Some(i)) = (radix, cols.iter().position(Option::is_none)) {
             let route = (std::slice::from_ref(&cut[i]), Route::Radix(radix, scheme));
             let operator = ["join.partition-build", "join.partition-probe"][i];
             let of_pass = self.partition_input(node, i, route, scheme, None, operator)?;
@@ -1366,9 +1365,43 @@ impl<'e> Run<'e> {
                     of_pass.len()
                 )));
             }
-            build_rows = Some(batch_rows(&of_pass) as f64);
             parts = Some(of_pass);
-            sides.push(None);
+        }
+        let label = match node {
+            PlanNode::HashJoin { .. } => "join.ranged",
+            _ => "groupby.ranged",
+        };
+        let stage = self.next(node, label)?;
+        let entry = stage.entry;
+        let Source::Ranges(ranged) = stage.source else {
+            return Err(QefError::Internal(format!(
+                "s{}, {label}, reads no ranges",
+                entry.id
+            )));
+        };
+        // Each input in turn: a chain read by range, its topmost node kept
+        // for the trace, or the partitions of the pass. The build rows a
+        // probe chain's filter is estimated over are the input's before it.
+        let mut sides: Vec<Option<(ChainLanes<'_>, u32)>> = Vec::with_capacity(inputs.len());
+        let mut build_rows = None;
+        for (i, input) in ranged.into_iter().enumerate() {
+            let RangeInput::Chain(task, chain, fit) = input else {
+                build_rows = parts.as_deref().map(|parts| batch_rows(parts) as f64);
+                sides.push(None);
+                continue;
+            };
+            let probe = filter.filter(|_| i == last && i > 0).map(|bits| {
+                let build_rows = build_rows.unwrap_or_default();
+                let filter = ProbeFilter::PerLane {
+                    bits,
+                    build_rows,
+                    lanes,
+                };
+                (keys[i], filter)
+            });
+            let side = self.chain_lanes(task, fit, probe, Dealing::WholeTiles)?;
+            build_rows = Some(side.estimated_rows());
+            sides.push(Some((side, chain)));
         }
         let chain = |i: usize| sides[i].as_ref().map(|(side, _)| side);
         // The bounds: a value-bit cut, else from the larger input.
@@ -1426,7 +1459,7 @@ impl<'e> Run<'e> {
         let probe_widths = inputs[last].output_widths(catalog)?;
         let (probe_tests, probe_tile) = match chain(last) {
             Some(probe) => (!probe.scan.tests_keys(), probe.deal.tile),
-            None => (true, self.partition_tile(&probe_widths, 0)?),
+            None => (true, self.pass_tile(&probe_widths)?),
         };
         // Both inputs arrive in key order only where both are read by range.
         let in_key_order = radix.is_none();
@@ -1543,11 +1576,10 @@ impl<'e> Run<'e> {
             .flat_map(|(batches, ..)| batches)
             .filter(|b| !b.is_empty())
             .collect();
-        // Pre-order ids: each chain's follow the node and the inputs before
-        // it, the build side's first.
+        // The chains' operators, the build side's first.
         let mut fused = Vec::new();
-        for (side, first_id) in sides.iter().flatten() {
-            fused.extend(side.fused(*first_id, self.node_id, self.open, false));
+        for (side, chain) in sides.iter().flatten() {
+            fused.extend(side.fused(*chain, entry.depth + 1));
         }
         let scanned = sides.iter().rev().flatten().next();
         let detail = Detail {
@@ -1556,11 +1588,7 @@ impl<'e> Run<'e> {
             fused,
             ..Detail::default()
         };
-        let label = match node {
-            PlanNode::HashJoin { .. } => "join.ranged",
-            _ => "groupby.ranged",
-        };
-        self.stage(&timing, label, batch_rows(&out), detail);
+        self.stage(&timing, entry, batch_rows(&out), detail);
         Ok(out)
     }
 
@@ -1577,7 +1605,7 @@ impl<'e> Run<'e> {
             GroupStrategy::OnTheFly { slots } => {
                 // Per-lane local aggregation...
                 let dmem = self.ctx.dmem_bytes;
-                let (tables, t, detail, _) = self.first_stage(node, input, |core, rows| {
+                let consume = |core: &mut CoreCtx, rows: Rows<'_>| {
                     let slots = slots.as_deref();
                     let mut t = ops::groupby::GroupTable::on_the_fly(
                         keys.len(),
@@ -1588,12 +1616,15 @@ impl<'e> Run<'e> {
                     );
                     t.consume_rows(core, &rows, keys)?;
                     Ok(t)
-                })?;
+                };
+                let (tables, t, detail, _, entry) =
+                    self.consume_input(node, input, "groupby.consume", consume)?;
                 let groups: u64 = tables.iter().map(|t| t.groups() as u64).sum();
-                self.stage(&t, "groupby.consume", groups, detail);
+                self.stage(&t, entry, groups, detail);
                 // ...then the merge operator combines the per-core tables
                 // ("working on aggregated data, merge introduces low
                 // overhead").
+                let merge = self.next(node, "groupby.merge")?;
                 let (mut out, t2) = run_stage(self.ctx, vec![tables], |core, ts| {
                     let mut it = ts.into_iter();
                     let Some(mut first) = it.next() else {
@@ -1607,7 +1638,7 @@ impl<'e> Run<'e> {
                 // No groups, no batch — `Batch::empty(0)` has no columns for
                 // a Filter (HAVING) or Map above to index.
                 out.retain(|b| !b.is_empty());
-                self.stage(&t2, "groupby.merge", batch_rows(&out), Detail::default());
+                self.stage(&t2, merge.entry, batch_rows(&out), Detail::default());
                 out
             }
             GroupStrategy::Partitioned(scheme) => {
@@ -1615,6 +1646,8 @@ impl<'e> Run<'e> {
                 let route = (keys, Route::Hash);
                 let parts =
                     self.partition_input(node, 0, route, scheme, None, "groupby.partition")?;
+                // A group table per partition.
+                let stage = self.next(node, "groupby.consume")?;
                 let (out, t2) = run_stage(
                     self.ctx,
                     parts.into_iter().filter(|p| !p.is_empty()).collect(),
@@ -1625,9 +1658,7 @@ impl<'e> Run<'e> {
                     },
                 )?;
                 let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                // A group table per partition: the stage the verifier derives
-                // from `task::group_consume_decl`, under its name.
-                self.stage(&t2, "groupby.consume", batch_rows(&out), Detail::default());
+                self.stage(&t2, stage.entry, batch_rows(&out), Detail::default());
                 out
             }
         };
@@ -2402,14 +2433,12 @@ mod tests {
         // (64 B + 17 B/row) each fit. There its round runs apart; the
         // narrower chain's task (192 B + 9 B/row) still fits. Two ways are
         // what the local buffers of 13-byte rows allow there.
-        let tasks = |e: &Engine, plan: &PlanNode| -> Vec<bool> {
-            let (c, catalog) = (e.context(), e.catalog());
-            (0..plan.inputs().count())
-                .map(|edge| {
-                    let task = plan.input_task(edge, catalog, c.tile_rows, c.dmem_bytes);
-                    task.unwrap().is_some()
-                })
-                .collect()
+        // The stages of the root the list runs in a chain's task.
+        let tasks = |e: &Engine, plan: &PlanNode| -> Vec<String> {
+            let list = crate::stages::lower(plan, e.catalog(), e.context()).unwrap();
+            let root = list.iter().filter(|s| s.entry.node_id == 0);
+            let in_task = root.filter(|s| matches!(s.source, crate::stages::Source::Task(..)));
+            in_task.map(|s| s.entry.label.to_string()).collect()
         };
         for ctx in [ExecContext::dpu(), ExecContext::native(4)] {
             let whole = engine(ctx.clone());
@@ -2417,11 +2446,12 @@ mod tests {
                 dmem_bytes: 1216,
                 ..ctx
             });
-            for (plan, shape, in_cut) in [
-                (join(), (1000, 5), vec![true, false]),
-                (group(), (7, 2), vec![false]),
+            let passes = ["join.partition-build", "join.partition-probe"];
+            for (plan, shape, in_whole, in_cut) in [
+                (join(), (1000, 5), &passes[..], &passes[..1]),
+                (group(), (7, 2), &["groupby.partition"][..], &[][..]),
             ] {
-                assert!(tasks(&whole, &plan).iter().all(|&t| t), "{plan:?}");
+                assert_eq!(tasks(&whole, &plan), in_whole, "{plan:?}");
                 assert_eq!(tasks(&cut, &plan), in_cut, "{plan:?}");
                 let (a, _) = whole.execute(&plan).unwrap();
                 let (b, _) = cut.execute(&plan).unwrap();
@@ -2447,9 +2477,9 @@ mod tests {
             aggs: vec![],
             strategy: GroupStrategy::Partitioned(vec![]),
         };
-        let c = e.context();
-        let task = plan.input_task(0, e.catalog(), c.tile_rows, c.dmem_bytes);
-        assert!(task.unwrap().is_none());
+        let list = crate::stages::lower(&plan, e.catalog(), e.context()).unwrap();
+        let labels: Vec<String> = list.iter().map(|s| s.entry.label.to_string()).collect();
+        assert_eq!(labels, ["scan(t)", "groupby.partition", "groupby.consume"]);
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 0);
     }

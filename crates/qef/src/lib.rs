@@ -26,8 +26,9 @@
 //! | [`selectivity`] | predicate selectivity from column statistics, shared with the compiler's cost model |
 //! | [`ops`] | data processing operators: filter, partition, hash join, group-by, top-k, sort, window, set ops |
 //! | [`plan`] | the serializable physical query execution plan (QEP) |
-//! | [`task`] | which operators of a plan run as one stage: scan-fed chains, the marked edges into their consumers, what each operator declares against DMEM |
-//! | [`engine`] | the plan interpreter driving tasks across dpCores |
+//! | [`task`] | which operators of a plan run as one stage: scan-fed chains, the first stages of their consumers, what each operator declares against DMEM |
+//! | [`stages`] | a plan lowered once to the stages it runs, in run order: what the engine runs and the verifier checks |
+//! | [`engine`] | the plan interpreter running a plan's stage list across dpCores |
 //! | [`actor`] | the stage runner: a stage's lanes on either backend, folded into one simulated timing |
 //!
 //! An engine normally owns the whole simulated DPU. For concurrent
@@ -51,6 +52,7 @@ pub mod plan;
 pub mod primitives;
 pub mod ra;
 pub mod selectivity;
+pub mod stages;
 pub mod task;
 pub mod trace;
 pub mod util;

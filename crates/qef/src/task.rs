@@ -12,9 +12,11 @@
 //! [`crate::budget::task_tile`] of what they declare together ([`OpDecl`])
 //! fits DMEM. Where it does not, the chain's task materializes and the stage
 //! runs over what it wrote: cut, never refused. One function says so,
-//! [`PlanNode::input_task`]; the engine runs by it and the verifier
-//! (`EXPLAIN VERIFY`, `rapid-report verify`) reports by it, so the two cannot
-//! disagree about where a task ends.
+//! [`PlanNode::input_task`]; the plan's stage list ([`crate::stages`]) is
+//! lowered by it, and the engine runs that list and the verifier
+//! (`EXPLAIN VERIFY`, `rapid-report verify`) checks it, so the two cannot
+//! disagree about where a task ends. The compiler asks the same rules while
+//! it chooses ([`PlanNode::probe_room`], `ranged_tasks`).
 //!
 //! The rows a chain's predicate keeps stay where the DMS streamed them until
 //! an operator writes them: a predicated chain's scan declares a selection
@@ -56,16 +58,6 @@ pub struct ScanChain<'p> {
 }
 
 impl PlanNode {
-    /// Whether this node is the top of a scan-fed chain: a `Scan`, or
-    /// `Filter`s and `Map`s over one.
-    pub fn is_scan_chain(&self) -> bool {
-        match self {
-            PlanNode::Scan { .. } => true,
-            PlanNode::Filter { input, .. } | PlanNode::Map { input, .. } => input.is_scan_chain(),
-            _ => false,
-        }
-    }
-
     /// Column `col` of what this scan-fed chain hands on as `(table,
     /// column)` of the table it scans: `None` where the node is no chain or
     /// a `Map` of it computes the column. [`ScanChain::table_columns`] of

@@ -40,6 +40,11 @@ pub struct StageEvent {
     pub query_id: u64,
     /// Stage sequence number within the query (emission order).
     pub stage_id: u32,
+    /// The stage's entry in its plan's stage list
+    /// ([`crate::stages::StagePlan`]), printed `s<id>`: the rounds of a
+    /// partition pass share it.
+    #[serde(default)]
+    pub entry_id: u32,
     /// Plan node the stage implements (pre-order id within the query).
     pub node_id: u32,
     /// Depth of that node in the plan tree (root = 0).

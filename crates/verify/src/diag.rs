@@ -180,12 +180,15 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Resource summary of one engine stage — a task — derived from a plan
-/// node (a node can yield several stages, e.g. a join's two partition
-/// passes plus the pair-join stage; a scan-fed chain and, where they fit
-/// together, the first stage of its consumer are one).
+/// Resource summary of one engine stage — a task — of the plan's stage list
+/// (`rapid_qef::stages`; a node can run several stages, e.g. a join's two
+/// partition passes plus the pair-join stage; a scan-fed chain and, where
+/// they fit together, the first stage of its consumer are one).
 #[derive(Debug, Clone)]
 pub struct StageReport {
+    /// The stage's id in the list, printed `s<id>` as `EXPLAIN ANALYZE`
+    /// and the trace's `entry_id` name it.
+    pub entry_id: u32,
     /// Pre-order id of the owning plan node.
     pub node_id: usize,
     /// Operator path from the root.
@@ -245,7 +248,7 @@ pub enum RangeRead {
 /// The verifier's output: per-stage resource reports plus diagnostics.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
-    /// One entry per derived engine stage, in plan pre-order.
+    /// One entry per stage of the plan's stage list, in run order.
     pub stages: Vec<StageReport>,
     /// All findings.
     pub diagnostics: Vec<Diagnostic>,
@@ -279,7 +282,9 @@ impl VerifyReport {
     /// body of `EXPLAIN VERIFY`.
     pub fn render(&self, dmem_bytes: usize, tile_rows: usize) -> String {
         let mut s = format!("VERIFY (dmem {dmem_bytes} B, tile {tile_rows} rows)\n");
-        s.push_str("node  stage                    tile    ws-bytes  state  B/row  buf  fanout      desc\n");
+        s.push_str(
+            "id   node  stage                    tile    ws-bytes  state  B/row  buf  fanout      desc\n",
+        );
         for r in &self.stages {
             let tile = r
                 .effective_tile
@@ -298,7 +303,8 @@ impl VerifyReport {
                 )
             };
             s.push_str(&format!(
-                "{:>4}  {:<24} {:>5} {:>10}  {:>5}  {:>5}  {}  {:<10} {:>5}",
+                "{:<5}{:>4}  {:<24} {:>5} {:>10}  {:>5}  {:>5}  {}  {:<10} {:>5}",
+                format!("s{}", r.entry_id),
                 r.node_id,
                 r.stage,
                 tile,

@@ -24,8 +24,10 @@
 //!   each dpCore, DMEM capacity/budget at every placement boundary, and
 //!   no lost-wakeup dispatches.
 //!
-//! All DMEM arithmetic is shared with the engine via `rapid_qef::budget`,
-//! so the static verdict and the runtime tile choice cannot drift apart.
+//! The stages checked are the plan's stage list (`rapid_qef::stages`), the
+//! one the engine runs, and all DMEM arithmetic is shared with the engine
+//! via `rapid_qef::budget`, so the static verdict and the runtime tile
+//! choice cannot drift apart.
 //! A plan is verified against the `ExecContext` it will run under — its
 //! cores, DMEM and tile, the values the engine sizes the same stages with
 //! and the compiler planned for; what the context does not carry (the round

@@ -1,53 +1,53 @@
-//! The structural/resource/accounting walk.
+//! The structural/resource/accounting checks of a plan and its stage list.
 //!
 //! [`check_plan`] walks the plan once, numbering nodes in the pre-order the
 //! engine's tracer uses — so a diagnostic or a stage row points at the node
-//! `EXPLAIN ANALYZE` shows — deriving the engine stages each node executes
-//! as (a partitioned join is two partition passes plus a pair-join stage, a
-//! broadcast join — no rounds — its probe stage alone) and checking
-//! every rule in [`crate::diag::Rule`] against them. The plan is a tree the
-//! engine runs bottom-up, so no schedule of it can be cyclic or use a stage
-//! before it ran; the walk checks what a plan can get wrong.
+//! `EXPLAIN ANALYZE` shows — and checks every structural rule of a node
+//! against it (`S-*`, A-GROUP-LIMIT). The plan is a tree the engine runs
+//! bottom-up, so no schedule of it can be cyclic or use a stage before it
+//! ran; the walk checks what a plan can get wrong.
 //!
-//! A stage is a **task**: a scan-fed chain (`PlanNode::scan_chain`) runs as
-//! one, and its consumer's first stage is the task's last operator wherever
-//! the engine puts it there — `PlanNode::input_task`, the one rule both
-//! call. The walk derives the same tasks the engine runs, from the same
-//! declarations (`rapid_qef::task`, `rapid_qef::budget::OpDecl`): R-DMEM-FIT
-//! is checked on the working set the operators hold together. All DMEM
-//! arithmetic comes from `rapid_qef::budget`, the same module the engine
-//! sizes its vectors with — the static verdict and the runtime tile cannot
-//! drift apart — over the widths columns are stored and handed on in
-//! (`PlanNode::output_widths`): a stage's working set is what a lane of it
-//! holds in DMEM. What a node hands on is described by
+//! The stages are not derived here. The plan is lowered to its stage list —
+//! `rapid_qef::stages::lower`, the one list the engine runs — and the list
+//! is checked: a row per stage under the list's id, R-DMEM-FIT on the
+//! working set a stage's operators hold together (a task's scan, the
+//! operators over it and its consumer's first stage), the fan-out rules
+//! (R-FANOUT-POW2, R-HASH-BITS, R-FANOUT-BUFFER, A-SCHEME-CORES) on a node's
+//! passes, and of a stage over key ranges the tasks a lane runs before its
+//! own. All DMEM arithmetic comes from `rapid_qef::budget`, the module the
+//! engine sizes its vectors with, over the widths columns are stored and
+//! handed on in (`PlanNode::output_widths`): a stage's working set is what a
+//! lane of it holds in DMEM. What a node hands on is described by
 //! `PlanNode::output_meta_from`, the step the engine's metadata derives
 //! through, over the metadata the walk holds for its inputs.
 
-use rapid_qef::budget::{
-    self, OpDecl, OpName, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS,
-};
+use rapid_qef::budget::{self, HASH_BITS, MAX_ROUND_FANOUT, MIN_VECTOR_ROWS, SKEW_RESERVED_BITS};
 use rapid_qef::exec::ExecContext;
 use rapid_qef::expr::Expr;
 use rapid_qef::ops::groupby::{accumulator_count, on_the_fly_group_limit, slot_count};
-use rapid_qef::plan::{ByRange, Catalog, ColMeta, GroupStrategy, JoinType, PlanNode};
-use rapid_qef::task;
+use rapid_qef::plan::{ByRange, Catalog, ColMeta, GroupStrategy, PlanNode};
+use rapid_qef::stages::{Source, Stage};
 use rapid_storage::types::DataType;
 
 use crate::diag::{Diagnostic, RangeRead, Rule, StageReport, VerifyReport};
 
 /// Operator label of a plan node, as used in paths and diagnostics.
-fn node_label(plan: &PlanNode) -> String {
-    match plan {
-        PlanNode::Scan { table, .. } => format!("Scan({table})"),
-        PlanNode::Filter { .. } => "Filter".into(),
-        PlanNode::Map { .. } => "Map".into(),
-        PlanNode::HashJoin { .. } => "HashJoin".into(),
-        PlanNode::GroupBy { .. } => "GroupBy".into(),
-        PlanNode::TopK { .. } => "TopK".into(),
-        PlanNode::Sort { .. } => "Sort".into(),
-        PlanNode::Limit { .. } => "Limit".into(),
-        PlanNode::SetOp { .. } => "SetOp".into(),
-        PlanNode::Window { .. } => "Window".into(),
+struct Label<'a>(&'a PlanNode);
+
+impl std::fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            PlanNode::Scan { table, .. } => write!(f, "Scan({table})"),
+            PlanNode::Filter { .. } => f.write_str("Filter"),
+            PlanNode::Map { .. } => f.write_str("Map"),
+            PlanNode::HashJoin { .. } => f.write_str("HashJoin"),
+            PlanNode::GroupBy { .. } => f.write_str("GroupBy"),
+            PlanNode::TopK { .. } => f.write_str("TopK"),
+            PlanNode::Sort { .. } => f.write_str("Sort"),
+            PlanNode::Limit { .. } => f.write_str("Limit"),
+            PlanNode::SetOp { .. } => f.write_str("SetOp"),
+            PlanNode::Window { .. } => f.write_str("Window"),
+        }
     }
 }
 
@@ -68,6 +68,13 @@ fn meta_of<const N: usize>(
     .map_err(|_| ())
 }
 
+/// Radix bits a scheme's rounds consume: a round that is no power of two
+/// consumes none (R-FANOUT-POW2 reports it).
+fn hash_bits(scheme: &[usize]) -> u32 {
+    let bits = scheme.iter().filter(|f| f.is_power_of_two());
+    bits.map(|f| f.trailing_zeros()).sum()
+}
+
 /// Configuration-level accounting checks (A-TILE-MIN).
 fn check_config(ctx: &ExecContext, report: &mut VerifyReport) {
     if ctx.tile_rows < MIN_VECTOR_ROWS {
@@ -85,18 +92,34 @@ fn check_config(ctx: &ExecContext, report: &mut VerifyReport) {
 }
 
 /// Run every check over a plan for the context it will run under:
-/// configuration rules, then the per-node structural/resource/accounting
-/// walk.
+/// configuration rules, the per-node structural/resource/accounting walk,
+/// then the plan's stage list.
 pub fn check_plan(plan: &PlanNode, catalog: &Catalog, ctx: &ExecContext) -> VerifyReport {
     let mut report = VerifyReport::default();
     check_config(ctx, &mut report);
+    // A row per stage of the list; the walk puts each node's path on its
+    // rows.
+    let list = rapid_qef::stages::lower(plan, catalog, ctx);
+    if let Ok(list) = &list {
+        report.stages = list.iter().map(|stage| row(stage, catalog, ctx)).collect();
+    }
     let mut w = Walker {
         catalog,
         ctx,
         report: &mut report,
         next_id: 0,
+        joins: Vec::new(),
     };
-    let _ = w.node(plan, "", false);
+    let _ = w.node(plan, "");
+    match list {
+        Ok(list) => w.stages(&list),
+        // A plan the walk found at fault need not lower; one it passed must.
+        Err(e) if w.report.ok() => {
+            let why = format!("the plan does not lower to the stages it runs: {e}");
+            w.diag(Rule::Schema, 0, &Label(plan).to_string(), why);
+        }
+        Err(_) => {}
+    }
     report
 }
 
@@ -115,6 +138,9 @@ struct Walker<'a> {
     ctx: &'a ExecContext,
     report: &'a mut VerifyReport,
     next_id: usize,
+    /// Of every join, its pre-order id, the columns it writes and the
+    /// columns its probe and build sides hand it together.
+    joins: Vec<(usize, (usize, usize))>,
 }
 
 impl Walker<'_> {
@@ -124,155 +150,133 @@ impl Walker<'_> {
             .push(Diagnostic::new(rule, id, path, msg));
     }
 
-    /// Derive one engine stage — the task of `ops`, bottom first, reported
-    /// under the label of the last: fit the working set the operators hold
-    /// together (R-DMEM-FIT) and record the stage report.
-    fn stage(&mut self, node_id: usize, path: &str, ops: &[OpDecl<'_>], fanouts: Vec<usize>) {
-        use std::fmt::Write;
-        let mut label = String::with_capacity(32);
-        if let Some(op) = ops.last() {
-            let _ = write!(label, "{}", op.name);
-        }
-        // A task of several operators lists them; the label of a stage of
-        // one says all there is.
-        let several = ops.len() > 1;
-        let mut operators = String::with_capacity(if several { 24 * ops.len() } else { 0 });
-        for op in ops.iter().filter(|_| several) {
-            let arrow = if operators.is_empty() { "" } else { " -> " };
-            let _ = write!(operators, "{arrow}{}", op.name);
-        }
-        let state_bytes = budget::task_state(ops);
-        let (streams, per_row) =
-            budget::task_streams(ops).fold((0, 0), |(n, bytes), w| (n + 1, bytes + w));
-        let fit = budget::fit_tile(state_bytes, per_row, self.ctx.dmem_bytes);
-        let eff = fit.map(|f| self.ctx.tile_rows.min(f.rows));
-        let double = fit.is_some_and(|f| f.double_buffered);
-        if eff.is_none() {
-            let together = match operators.as_str() {
-                "" => String::new(),
-                operators => format!(" (the task of {operators})"),
-            };
-            self.diag(
-                Rule::DmemFit,
-                node_id,
-                path,
-                format!(
-                    "stage '{label}'{together} needs {state_bytes} B state + {per_row} B/row; \
-                     even a single-buffered {MIN_VECTOR_ROWS}-row vector ({} B) exceeds DMEM \
-                     ({} B)",
-                    state_bytes + per_row * MIN_VECTOR_ROWS,
-                    self.ctx.dmem_bytes
-                ),
-            );
-        }
-        // A descriptor per stream buffer each loop iteration.
-        let descriptors = match (eff, double) {
-            (None, _) => 0,
-            (Some(_), false) => streams,
-            (Some(_), true) => 2 * streams,
-        };
-        let tile = eff.unwrap_or(MIN_VECTOR_ROWS);
-        let working_set = budget::working_set(state_bytes, per_row, tile, self.ctx.dmem_bytes);
-        let hash_bits = fanouts
-            .iter()
-            .map(|&f| {
-                if f.is_power_of_two() {
-                    f.trailing_zeros()
-                } else {
-                    0
-                }
-            })
-            .sum();
-        self.report.stages.push(StageReport {
-            node_id,
-            path: path.to_string(),
-            stage: label,
-            operators,
-            state_bytes,
-            stream_bytes_per_row: per_row,
-            effective_tile: eff,
-            double_buffered: double,
-            working_set_bytes: working_set,
-            fanouts,
-            hash_bits,
-            descriptors,
-            scan_columns: None,
-            join_columns: None,
-            ranged: None,
-        });
-    }
-
-    /// The stage input `edge` of `node` is consumed by — `node`'s first
-    /// stage over it: visit the input, then report the stage. Where the
-    /// engine runs that stage in the task of the input's scan-fed chain
-    /// (`PlanNode::input_task`) the stage is that task. Returns what the
-    /// input exposes.
-    #[allow(clippy::too_many_arguments)]
-    fn consumed(
-        &mut self,
-        node: &PlanNode,
-        edge: usize,
-        input: &PlanNode,
-        id: usize,
-        path: &str,
-        input_path: &str,
-        fanouts: &[usize],
-    ) -> Result<NodeInfo, ()> {
-        let (catalog, ctx) = (self.catalog, self.ctx);
-        // A chain whose scan cannot be declared is no task: its walk says why.
-        let task = node
-            .input_task(edge, catalog, ctx.tile_rows, ctx.dmem_bytes)
-            .ok()
-            .flatten();
-        let info = self.node(input, input_path, task.is_some())?;
-        let Some(task) = task else {
-            let widths = input.output_widths(catalog).map_err(|_| ())?;
-            // A group-by's pass of no rounds and a broadcast join's probe are
-            // still stages of their own; a broadcast join's build side is
-            // consumed by no stage but its own.
-            if let Some(first) = node.first_stage(edge, &widths, ctx.dmem_bytes) {
-                self.stage(id, path, &[first], fanouts.to_vec());
+    /// Check the plan's stage list against its rows, in run order: what
+    /// every stage holds (R-DMEM-FIT), each node's passes against their
+    /// scheme once, and of a stage over key ranges the tasks a lane runs
+    /// before its own.
+    fn stages(&mut self, list: &[Stage<'_>]) {
+        for (k, stage) in list.iter().enumerate() {
+            let id = stage.entry.node_id as usize;
+            let path = std::mem::take(&mut self.report.stages[k].path);
+            let of_node = |s: &&Stage<'_>| s.entry.node_id == stage.entry.node_id;
+            let first_pass = !list[..k].iter().filter(of_node).any(|s| s.is_pass());
+            if stage.is_pass() && first_pass && stage.node.ranged_scheme().is_none() {
+                // The widest row streaming through the node's passes.
+                let passes = list.iter().filter(of_node).filter(|s| s.is_pass());
+                let rows = passes.filter_map(|s| Some(s.decls().last()?.in_widths.iter().sum()));
+                self.check_scheme(id, &path, stage.fanouts, rows.max().unwrap_or(0));
             }
-            return Ok(info);
-        };
-        self.stage(id, path, &task.decls, fanouts.to_vec());
-        self.note_scan(&task.chain);
-        Ok(info)
-    }
-
-    /// Put `cols k/n` of `chain`'s scan on the stage just reported.
-    fn note_scan(&mut self, chain: &task::ScanChain<'_>) {
-        let of = self.catalog.get(chain.table).map(|t| t.schema.len());
-        if let (Some(stage), Some(of)) = (self.report.stages.last_mut(), of) {
-            stage.scan_columns = Some((chain.columns.len(), of));
+            // A lane of a stage over key ranges runs the tasks of the chains
+            // before its last first, each on its own.
+            let mut before = 0;
+            let chains = stage.chains().count();
+            for (task, _, fit) in stage.chains().take(chains.saturating_sub(1)) {
+                match fit {
+                    Some((_, working_set)) => before = before.max(working_set),
+                    None => {
+                        let why = format!(
+                            "a lane of this ranged stage scans {} first, and that task exceeds \
+                             DMEM ({} B)",
+                            task.chain.table, self.ctx.dmem_bytes
+                        );
+                        self.diag(Rule::DmemFit, id, &path, why);
+                    }
+                }
+            }
+            let row = &self.report.stages[k];
+            if row.effective_tile.is_none() {
+                let together = match row.operators.as_str() {
+                    "" => String::new(),
+                    operators => format!(" (the task of {operators})"),
+                };
+                let (state, per_row) = (row.state_bytes, row.stream_bytes_per_row);
+                let why = format!(
+                    "stage '{}'{together} needs {state} B state + {per_row} B/row; even a \
+                     single-buffered {MIN_VECTOR_ROWS}-row vector ({} B) exceeds DMEM ({} B)",
+                    row.stage,
+                    state + per_row * MIN_VECTOR_ROWS,
+                    self.ctx.dmem_bytes
+                );
+                self.diag(Rule::DmemFit, id, &path, why);
+            }
+            // The stage that writes a join's rows — the last of its own —
+            // says how many of its sides' columns it writes.
+            let last_of_node = !list[k + 1..].iter().any(|s| of_node(&s));
+            let written = self.joins.iter().find(|(node, _)| *node == id);
+            let written = written
+                .filter(|_| last_of_node)
+                .map(|(_, columns)| *columns);
+            let row = &mut self.report.stages[k];
+            row.working_set_bytes = row.working_set_bytes.max(before);
+            row.join_columns = written;
+            row.path = path;
         }
     }
+}
 
-    /// After `plan` — a `Scan`, `Filter` or `Map` — passed its checks:
-    /// report its stage. The top of a scan-fed chain nothing above joined
-    /// is the task of the chain; a node of a chain a stage above reports is
-    /// reported there; anything else is a stage of its own.
-    fn chain_stage(
-        &mut self,
-        plan: &PlanNode,
-        id: usize,
-        path: &str,
-        in_task: bool,
-        alone: impl FnOnce() -> OpDecl<'static>,
-    ) {
-        if in_task {
-            return;
-        }
-        let Some(chain) = plan.scan_chain() else {
-            return self.stage(id, path, &[alone()], Vec::new());
-        };
-        // A chain whose scan is broken has said so.
-        if let Ok((task, _)) = chain.task(self.catalog) {
-            self.stage(id, path, &task.decls, Vec::new());
-            self.note_scan(&task.chain);
-        }
+/// The row of one stage — the task of its operators, bottom first, reported
+/// under the label of the last — with the working set they hold together:
+/// its path is its node's, which the walk puts on it.
+fn row(stage: &Stage<'_>, catalog: &Catalog, ctx: &ExecContext) -> StageReport {
+    use std::fmt::Write;
+    let ops = stage.decls();
+    // A task of several operators lists them; the label of a stage of one
+    // says all there is.
+    let several = ops.len() > 1;
+    let mut operators = String::with_capacity(if several { 24 * ops.len() } else { 0 });
+    for op in ops.iter().filter(|_| several) {
+        let arrow = if operators.is_empty() { "" } else { " -> " };
+        let _ = write!(operators, "{arrow}{}", op.name);
     }
+    let state_bytes = budget::task_state(ops);
+    let (streams, per_row) =
+        budget::task_streams(ops).fold((0, 0), |(n, bytes), w| (n + 1, bytes + w));
+    let fit = budget::fit_tile(state_bytes, per_row, ctx.dmem_bytes);
+    let eff = fit.map(|f| ctx.tile_rows.min(f.rows));
+    let double = fit.is_some_and(|f| f.double_buffered);
+    // A descriptor per stream buffer each loop iteration.
+    let descriptors = match (eff, double) {
+        (None, _) => 0,
+        (Some(_), false) => streams,
+        (Some(_), true) => 2 * streams,
+    };
+    let tile = eff.unwrap_or(MIN_VECTOR_ROWS);
+    let working_set = budget::working_set(state_bytes, per_row, tile, ctx.dmem_bytes);
+    // The chain a task scans: the last one of a stage over key ranges.
+    let scan_columns = stage.chains().last().and_then(|(task, ..)| {
+        let of = catalog.get(task.chain.table)?.schema.len();
+        Some((task.chain.columns.len(), of))
+    });
+    let ranged = match stage.node {
+        PlanNode::HashJoin { ranged, .. } if ranged.any() => match (&stage.source, ranged) {
+            (Source::Ranges(_), ByRange::Build) => Some(RangeRead::Build),
+            (Source::Ranges(_), ByRange::Probe) => Some(RangeRead::Probe),
+            (Source::Ranges(_), _) => Some(RangeRead::Both),
+            _ => stage.is_pass().then_some(RangeRead::ValueBits),
+        },
+        _ => None,
+    };
+    StageReport {
+        entry_id: stage.entry.id,
+        node_id: stage.entry.node_id as usize,
+        path: String::new(),
+        stage: stage.entry.label.to_string(),
+        operators,
+        state_bytes,
+        stream_bytes_per_row: per_row,
+        effective_tile: eff,
+        double_buffered: double,
+        working_set_bytes: working_set,
+        fanouts: stage.fanouts.to_vec(),
+        hash_bits: hash_bits(stage.fanouts),
+        descriptors,
+        scan_columns,
+        join_columns: None,
+        ranged,
+    }
+}
 
+impl Walker<'_> {
     /// Check a declared partition scheme (R-FANOUT-POW2, R-HASH-BITS,
     /// R-FANOUT-BUFFER, A-SCHEME-CORES) against the widest row streaming
     /// through the partition passes.
@@ -290,16 +294,7 @@ impl Walker<'_> {
                 );
             }
         }
-        let bits: u32 = scheme
-            .iter()
-            .map(|&f| {
-                if f.is_power_of_two() {
-                    f.trailing_zeros()
-                } else {
-                    0
-                }
-            })
-            .sum();
+        let bits = hash_bits(scheme);
         let schedulable = HASH_BITS - SKEW_RESERVED_BITS;
         if bits > schedulable {
             self.diag(
@@ -340,43 +335,12 @@ impl Walker<'_> {
         }
     }
 
-    /// Check a join's filter of `bits` bits (S-JOIN-FILTER) and, where it
-    /// may run on a partitioned join, derive its `join.filter` stage over
-    /// the keys of `build`. A broadcast join's probe lanes build theirs
-    /// beside their tables, in the state `join.probe` declares.
-    fn join_filter(
-        &mut self,
-        id: usize,
-        path: &str,
-        (build, keys): (&PlanNode, &[usize]),
-        join_type: JoinType,
-        scheme: &[usize],
-        bits: usize,
-    ) {
-        if let Err(why) = rapid_qef::ops::join_filter::check(bits, join_type, scheme) {
-            return self.diag(Rule::JoinFilter, id, path, why);
-        }
-        let (Some(&fanout), Ok(widths)) = (scheme.first(), build.output_widths(self.catalog))
-        else {
-            return;
-        };
-        // A key out of bounds is S-COL-BOUNDS's to report.
-        let key_widths: Option<Vec<usize>> = keys.iter().map(|&k| widths.get(k).copied()).collect();
-        if let Some(key_widths) = key_widths {
-            let decl = task::join_filter_decl(&key_widths, bits, fanout);
-            self.stage(id, path, &[decl], Vec::new());
-        }
-    }
-
     /// A ranged join's or group-by's one stage (S-RANGED): every input it
     /// reads by range is a scan-fed chain of a table stored in the order of
     /// its one key — `keys`, one list an input — a column of the table, and
     /// its ranges, the partitions of `scheme`, are as many as a scheme of
-    /// rounds within the fan-out cap of its widest input's rows makes. The
-    /// stage is the task of the last chain read by range and the node's own
-    /// operator (`PlanNode::ranged_tasks`), its fan-out the scheme; a lane
-    /// runs the other chain's task before it, which must fit DMEM on its own
-    /// (R-DMEM-FIT), and its working set is the largest of them all.
+    /// rounds within the fan-out cap of its widest input's rows makes. What
+    /// a lane of the stage holds is the stage list's to check.
     fn ranged(
         &mut self,
         plan: &PlanNode,
@@ -426,79 +390,53 @@ impl Walker<'_> {
             );
             self.diag(Rule::Ranged, id, path, why);
         }
-        let Ok(Some(mut tasks)) = plan.ranged_tasks(catalog, ctx.dmem_bytes) else {
-            return;
-        };
-        let Some(last) = tasks.pop() else {
-            return;
-        };
-        let mut before = 0;
-        for task in &tasks {
-            match budget::task_tile(ctx.tile_rows, &task.decls, ctx.dmem_bytes) {
-                Some((_, working_set)) => before = before.max(working_set),
-                None => {
-                    let why = format!(
-                        "a lane of this ranged stage scans {} first, and that task exceeds \
-                         DMEM ({} B)",
-                        task.chain.table, ctx.dmem_bytes
-                    );
-                    self.diag(Rule::DmemFit, id, path, why);
-                }
-            }
-        }
-        self.stage(id, path, &last.decls, scheme.to_vec());
-        // A lane holds, at its most, the larger of its tasks' working sets.
-        if let Some(stage) = self.report.stages.last_mut() {
-            stage.working_set_bytes = stage.working_set_bytes.max(before);
-            if let PlanNode::HashJoin { ranged, .. } = plan {
-                stage.ranged = Some(match ranged {
-                    ByRange::Build => RangeRead::Build,
-                    ByRange::Probe => RangeRead::Probe,
-                    _ => RangeRead::Both,
-                });
-            }
-        }
-        self.note_scan(&last.chain);
     }
 
-    /// Input `edge` of `plan`, a ranged join: a chain it reads by range,
-    /// whose task its one stage reports, or the input of a pass routed by
-    /// value bits, the pass's stage reported behind it. Returns what the
-    /// input exposes.
-    fn side(
+    /// S-COL-BOUNDS: every column of `cols` is one of `arity`; a finding
+    /// `what` words for each that is not. `false` where one is not.
+    fn in_bounds(
         &mut self,
-        plan: &PlanNode,
-        edge: usize,
         id: usize,
         path: &str,
-        scheme: &[usize],
-    ) -> Result<NodeInfo, ()> {
-        let input = plan.inputs().nth(edge).ok_or(())?;
-        let input_path = format!("{path}.{}", ["build", "probe"][edge]);
-        if plan.reads_by_range(edge) {
-            return self.node(input, &input_path, true);
+        cols: &[usize],
+        arity: usize,
+        what: impl Fn(usize) -> String,
+    ) -> bool {
+        let mut ok = true;
+        for &c in cols.iter().filter(|&&c| c >= arity) {
+            self.diag(Rule::ColBounds, id, path, what(c));
+            ok = false;
         }
-        let info = self.consumed(plan, edge, input, id, path, &input_path, scheme);
-        if let Some(stage) = self.report.stages.last_mut().filter(|s| s.node_id == id) {
-            stage.ranged = Some(RangeRead::ValueBits);
+        ok
+    }
+
+    /// Walk `plan`, under the node at `parent_path`.
+    fn node(&mut self, plan: &PlanNode, parent_path: &str) -> Result<NodeInfo, ()> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let mut path = match parent_path {
+            "" => Label(plan).to_string(),
+            parent => format!("{parent}/{}", Label(plan)),
+        };
+        let info = self.check(plan, id, &path);
+        // The node's rows take its path, the last one the walk's own.
+        let rows = self
+            .report
+            .stages
+            .iter_mut()
+            .filter(|row| row.node_id == id);
+        let mut rows = rows.peekable();
+        while let Some(row) = rows.next() {
+            match rows.peek() {
+                Some(_) => row.path.clone_from(&path),
+                None => row.path = std::mem::take(&mut path),
+            }
         }
         info
     }
 
-    /// Walk `plan`. `in_task` says a stage above reports this node as an
-    /// operator of its task: a scan-fed chain its consumer's first stage
-    /// ends the task of.
-    fn node(&mut self, plan: &PlanNode, parent_path: &str, in_task: bool) -> Result<NodeInfo, ()> {
-        // The nodes under the top of a scan-fed chain run in its task.
-        let under = in_task || plan.is_scan_chain();
-        let id = self.next_id;
-        self.next_id += 1;
-        let label = node_label(plan);
-        let path = if parent_path.is_empty() {
-            label.clone()
-        } else {
-            format!("{parent_path}/{label}")
-        };
+    /// The checks of node `id` at `path`, after its inputs'.
+    fn check(&mut self, plan: &PlanNode, id: usize, path: &str) -> Result<NodeInfo, ()> {
         match plan {
             PlanNode::Scan {
                 table,
@@ -509,47 +447,25 @@ impl Walker<'_> {
                     self.diag(
                         Rule::Schema,
                         id,
-                        &path,
+                        path,
                         format!("table '{table}' is not in the catalog"),
                     );
                     return Err(());
                 };
                 let nfields = t.schema.len();
-                let mut bad = false;
-                for &c in columns {
-                    if c >= nfields {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!("scan projects column {c} but '{table}' has {nfields} columns"),
-                        );
-                        bad = true;
-                    }
-                }
                 let mut pred_cols = Vec::new();
                 if let Some(p) = pred {
                     p.referenced_columns(&mut pred_cols);
                 }
-                for &c in &pred_cols {
-                    if c >= nfields {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!(
-                                "scan predicate references column {c} but '{table}' has {nfields} columns"
-                            ),
-                        );
-                        bad = true;
-                    }
-                }
-                if bad {
+                let of = |what: &'static str| {
+                    move |c| format!("{what} column {c} but '{table}' has {nfields} columns")
+                };
+                let projected = self.in_bounds(id, path, columns, nfields, of("scan projects"));
+                let of_pred = of("scan predicate references");
+                let read = self.in_bounds(id, path, &pred_cols, nfields, of_pred);
+                if !(projected && read) {
                     return Err(());
                 }
-                self.chain_stage(plan, id, &path, in_task, || {
-                    unreachable!("a scan is a chain")
-                });
                 let meta = meta_of(plan, self.catalog, [])?;
                 let ndv = columns
                     .iter()
@@ -558,32 +474,18 @@ impl Walker<'_> {
                 Ok(NodeInfo { meta, ndv })
             }
             PlanNode::Filter { input, pred } => {
-                let info = self.node(input, &path, under)?;
+                let info = self.node(input, path)?;
                 let arity = info.meta.len();
                 let mut refs = Vec::new();
                 pred.referenced_columns(&mut refs);
-                let mut bad = false;
-                for &c in &refs {
-                    if c >= arity {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!("filter references column {c} of a {arity}-column input"),
-                        );
-                        bad = true;
-                    }
-                }
-                if bad {
+                let what = |c| format!("filter references column {c} of a {arity}-column input");
+                if !self.in_bounds(id, path, &refs, arity, what) {
                     return Err(());
                 }
-                let catalog = self.catalog;
-                let widths = || input.output_widths(catalog).unwrap_or_default();
-                self.chain_stage(plan, id, &path, in_task, || task::filter_decl(&widths()));
                 Ok(info)
             }
             PlanNode::Map { input, exprs } => {
-                let info = self.node(input, &path, under)?;
+                let info = self.node(input, path)?;
                 let arity = info.meta.len();
                 let mut refs = Vec::new();
                 for e in exprs {
@@ -591,29 +493,12 @@ impl Walker<'_> {
                 }
                 refs.sort_unstable();
                 refs.dedup();
-                let mut bad = false;
-                for &c in &refs {
-                    if c >= arity {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!(
-                                "map expression references column {c} of a {arity}-column input"
-                            ),
-                        );
-                        bad = true;
-                    }
-                }
-                if bad {
+                let what =
+                    |c| format!("map expression references column {c} of a {arity}-column input");
+                if !self.in_bounds(id, path, &refs, arity, what) {
                     return Err(());
                 }
-                let catalog = self.catalog;
-                let widths = || input.output_widths(catalog).unwrap_or_default();
-                self.chain_stage(plan, id, &path, in_task, || {
-                    task::map_decl(&widths(), exprs)
-                });
-                let meta = meta_of(plan, catalog, [info.meta])?;
+                let meta = meta_of(plan, self.catalog, [info.meta])?;
                 let ndv = exprs
                     .iter()
                     .map(|e| match &e.expr {
@@ -636,71 +521,40 @@ impl Walker<'_> {
                 output,
             } => {
                 // Visit both children even if one fails, so pre-order ids
-                // stay aligned with the tracer's. Each side's partition
-                // pass is reported behind the input it reads, and a join
-                // filter's stage between them, where the engine builds it.
-                // A ranged join is one stage over the chains it reads by
-                // range, with its filter beside each lane's table, after the
-                // value-bit pass of an input it does not.
-                let (b, p) = if ranged.any() {
-                    let b = self.side(plan, 0, id, &path, scheme);
-                    let p = self.side(plan, 1, id, &path, scheme);
-                    if let Some(bits) = *filter {
-                        if let Err(why) = rapid_qef::ops::join_filter::check(bits, *join_type, &[])
-                        {
-                            self.diag(Rule::JoinFilter, id, &path, why);
-                        }
+                // stay aligned with the tracer's. A ranged join tests its
+                // filter beside each lane's table: a filter of no rounds.
+                let b = self.node(build, &format!("{path}.build"));
+                let rounds = if ranged.any() { &[][..] } else { &scheme[..] };
+                if let Some(bits) = *filter {
+                    if let Err(why) = rapid_qef::ops::join_filter::check(bits, *join_type, rounds) {
+                        self.diag(Rule::JoinFilter, id, path, why);
                     }
-                    self.ranged(plan, id, &path, &[build_keys, probe_keys], scheme);
-                    (b, p)
-                } else {
-                    let b =
-                        self.consumed(plan, 0, build, id, &path, &format!("{path}.build"), scheme);
-                    if let Some(bits) = *filter {
-                        self.join_filter(id, &path, (build, build_keys), *join_type, scheme, bits);
-                    }
-                    let p =
-                        self.consumed(plan, 1, probe, id, &path, &format!("{path}.probe"), scheme);
-                    (b, p)
-                };
+                }
+                let p = self.node(probe, &format!("{path}.probe"));
+                if ranged.any() {
+                    self.ranged(plan, id, path, &[build_keys, probe_keys], scheme);
+                }
                 let (b, p) = (b?, p?);
                 let (nb, np) = (build_keys.len(), probe_keys.len());
                 if nb == 0 || np == 0 || nb != np {
                     self.diag(
                         Rule::JoinArity,
                         id,
-                        &path,
+                        path,
                         format!(
                             "join has {nb} build keys and {np} probe keys (need equal-length, \
                              non-empty key lists)"
                         ),
                     );
                 }
-                for &k in build_keys {
-                    if k >= b.meta.len() {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!(
-                                "build key {k} out of bounds for the {}-column build input",
-                                b.meta.len()
-                            ),
-                        );
-                    }
-                }
-                for &k in probe_keys {
-                    if k >= p.meta.len() {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!(
-                                "probe key {k} out of bounds for the {}-column probe input",
-                                p.meta.len()
-                            ),
-                        );
-                    }
+                for (side, keys, arity) in [
+                    ("build", build_keys, b.meta.len()),
+                    ("probe", probe_keys, p.meta.len()),
+                ] {
+                    let what = |k| {
+                        format!("{side} key {k} out of bounds for the {arity}-column {side} input")
+                    };
+                    self.in_bounds(id, path, keys, arity, what);
                 }
                 for (&bk, &pk) in build_keys.iter().zip(probe_keys.iter()) {
                     let (Some(bm), Some(pm)) = (b.meta.get(bk), p.meta.get(pk)) else {
@@ -710,7 +564,7 @@ impl Walker<'_> {
                         self.diag(
                             Rule::TypeMismatch,
                             id,
-                            &path,
+                            path,
                             format!(
                                 "join key types differ: build '{}' is {:?}, probe '{}' is {:?}",
                                 bm.name, bm.dtype, pm.name, pm.dtype
@@ -720,7 +574,7 @@ impl Walker<'_> {
                         self.diag(
                             Rule::TypeMismatch,
                             id,
-                            &path,
+                            path,
                             format!(
                                 "join keys '{}' and '{}' come from different dictionaries \
                                  ({:?} vs {:?}); their codes are not comparable",
@@ -729,33 +583,10 @@ impl Walker<'_> {
                         );
                     }
                 }
-                // A join of no rounds is broadcast: its probe stage, derived
-                // above, is all it runs, as a ranged join its one stage. The
-                // rest is the partitioned join's.
-                if !scheme.is_empty() && !ranged.any() {
-                    // Both inputs have passed the walk, so their widths
-                    // resolve.
-                    let bw = build.output_widths(self.catalog).map_err(|_| ())?;
-                    let pw = probe.output_widths(self.catalog).map_err(|_| ())?;
-                    let brow: usize = bw.iter().sum();
-                    let prow: usize = pw.iter().sum();
-                    self.check_scheme(id, &path, scheme, brow.max(prow));
-                    // Pair stage: the DMEM-resident hash table takes half the
-                    // scratchpad; key streams plus the matched row-id pairs.
-                    let pairs = OpDecl {
-                        name: OpName::of("join.pairs"),
-                        state_bytes: self.ctx.dmem_bytes / 2,
-                        in_widths: vec![8; nb + np],
-                        out_widths: vec![8, 8],
-                    };
-                    self.stage(id, &path, &[pairs], Vec::new());
-                }
                 // The stage that writes the join's rows — the last of its
                 // own — says how many of its sides' columns it writes.
-                let sides = p.meta.len() + b.meta.len();
-                if let Some(stage) = self.report.stages.last_mut() {
-                    stage.join_columns = Some((output.len(), sides));
-                }
+                self.joins
+                    .push((id, (output.len(), p.meta.len() + b.meta.len())));
                 let mut paired = p.ndv;
                 if join_type.pairs() {
                     paired.extend(b.ndv);
@@ -765,7 +596,7 @@ impl Walker<'_> {
                         "join writes column {c} of the {} columns its rows pair",
                         paired.len()
                     );
-                    self.diag(Rule::ColBounds, id, &path, why);
+                    self.diag(Rule::ColBounds, id, path, why);
                     return Err(());
                 }
                 let ndv = output.iter().map(|&c| paired[c]).collect();
@@ -779,43 +610,19 @@ impl Walker<'_> {
                 strategy,
                 ..
             } => {
-                let fanouts = plan.partition_scheme().unwrap_or_default();
-                let info = match strategy {
-                    GroupStrategy::Ranged(scheme) => {
-                        let info = self.node(input, &path, true);
-                        self.ranged(plan, id, &path, &[keys], scheme);
-                        info?
-                    }
-                    _ => self.consumed(plan, 0, input, id, &path, &path, fanouts)?,
-                };
+                let info = self.node(input, path);
+                if let GroupStrategy::Ranged(scheme) = strategy {
+                    self.ranged(plan, id, path, &[keys], scheme);
+                }
+                let info = info?;
                 let arity = info.meta.len();
-                let mut bad = false;
-                for &k in keys {
-                    if k >= arity {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!("group-by key {k} out of bounds for a {arity}-column input"),
-                        );
-                        bad = true;
-                    }
-                }
-                for a in aggs {
-                    if a.col >= arity {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!(
-                                "aggregate input column {} out of bounds for a {arity}-column input",
-                                a.col
-                            ),
-                        );
-                        bad = true;
-                    }
-                }
-                if bad {
+                let what = |c| format!("group-by key {c} out of bounds for a {arity}-column input");
+                let keyed = self.in_bounds(id, path, keys, arity, what);
+                let inputs: Vec<usize> = aggs.iter().map(|a| a.col).collect();
+                let what = |c| {
+                    format!("aggregate input column {c} out of bounds for a {arity}-column input")
+                };
+                if !(keyed && self.in_bounds(id, path, &inputs, arity, what)) {
                     return Err(());
                 }
                 if let GroupStrategy::OnTheFly { slots } = strategy {
@@ -848,18 +655,8 @@ impl Walker<'_> {
                     }
                     for what in over {
                         let msg = format!("on-the-fly group-by {what} but {}", table());
-                        self.diag(Rule::GroupLimit, id, &path, msg);
+                        self.diag(Rule::GroupLimit, id, path, msg);
                     }
-                }
-                if let GroupStrategy::Partitioned(scheme) = strategy {
-                    // The pass over the group-by's input is a join side's:
-                    // the same rules over its declared scheme. What it
-                    // wrote, a group table per partition consumes.
-                    let widths = input.output_widths(self.catalog).map_err(|_| ())?;
-                    self.check_scheme(id, &path, scheme, widths.iter().sum());
-                    let consume =
-                        task::group_consume_decl(keys, aggs, &widths, self.ctx.dmem_bytes);
-                    self.stage(id, &path, &[consume], Vec::new());
                 }
                 let mut ndv = Vec::with_capacity(keys.len() + aggs.len());
                 ndv.extend(keys.iter().map(|&k| info.ndv[k]));
@@ -868,38 +665,25 @@ impl Walker<'_> {
                 Ok(NodeInfo { meta, ndv })
             }
             PlanNode::TopK { input, order, .. } | PlanNode::Sort { input, order, .. } => {
-                let info = self.consumed(plan, 0, input, id, &path, &path, &[])?;
+                let info = self.node(input, path)?;
                 let arity = info.meta.len();
-                let mut bad = false;
-                for s in order {
-                    if s.col >= arity {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!(
-                                "sort key {} out of bounds for a {arity}-column input",
-                                s.col
-                            ),
-                        );
-                        bad = true;
-                    }
-                }
-                if bad {
+                let cols: Vec<usize> = order.iter().map(|s| s.col).collect();
+                let what = |c| format!("sort key {c} out of bounds for a {arity}-column input");
+                if !self.in_bounds(id, path, &cols, arity, what) {
                     return Err(());
                 }
                 Ok(info)
             }
-            PlanNode::Limit { input, .. } => self.node(input, &path, false),
+            PlanNode::Limit { input, .. } => self.node(input, path),
             PlanNode::SetOp { left, right, .. } => {
-                let l = self.node(left, &format!("{path}.left"), false);
-                let r = self.node(right, &format!("{path}.right"), false);
+                let l = self.node(left, &format!("{path}.left"));
+                let r = self.node(right, &format!("{path}.right"));
                 let (l, r) = (l?, r?);
                 if l.meta.len() != r.meta.len() {
                     self.diag(
                         Rule::TypeMismatch,
                         id,
-                        &path,
+                        path,
                         format!(
                             "set operation inputs differ in arity: {} columns vs {}",
                             l.meta.len(),
@@ -912,7 +696,7 @@ impl Walker<'_> {
                             self.diag(
                                 Rule::TypeMismatch,
                                 id,
-                                &path,
+                                path,
                                 format!(
                                     "set operation column {i} ('{}') is {:?} on the left but \
                                      {:?} on the right",
@@ -923,7 +707,7 @@ impl Walker<'_> {
                             self.diag(
                                 Rule::TypeMismatch,
                                 id,
-                                &path,
+                                path,
                                 format!(
                                     "set operation column {i} ('{}') uses different dictionaries \
                                      on each side ({:?} vs {:?})",
@@ -933,13 +717,6 @@ impl Walker<'_> {
                         }
                     }
                 }
-                let setop = OpDecl {
-                    name: OpName::of("setop"),
-                    state_bytes: self.ctx.dmem_bytes / 2,
-                    in_widths: plan.output_widths(self.catalog).map_err(|_| ())?,
-                    out_widths: Vec::new(),
-                };
-                self.stage(id, &path, &[setop], Vec::new());
                 let ndv = vec![None; l.meta.len()];
                 let meta = meta_of(plan, self.catalog, [l.meta, r.meta])?;
                 Ok(NodeInfo { meta, ndv })
@@ -950,35 +727,17 @@ impl Walker<'_> {
                 order_by,
                 func,
             } => {
-                let info = self.node(input, &path, false)?;
+                let info = self.node(input, path)?;
                 let arity = info.meta.len();
-                let mut bad = false;
                 let mut cols: Vec<usize> = partition_by.clone();
                 cols.extend(order_by.iter().map(|s| s.col));
                 if let rapid_qef::plan::WindowFunc::RunningSum { col } = func {
                     cols.push(*col);
                 }
-                for &c in &cols {
-                    if c >= arity {
-                        self.diag(
-                            Rule::ColBounds,
-                            id,
-                            &path,
-                            format!("window references column {c} of a {arity}-column input"),
-                        );
-                        bad = true;
-                    }
-                }
-                if bad {
+                let what = |c| format!("window references column {c} of a {arity}-column input");
+                if !self.in_bounds(id, path, &cols, arity, what) {
                     return Err(());
                 }
-                let window = OpDecl {
-                    name: OpName::of("window"),
-                    state_bytes: self.ctx.dmem_bytes / 2,
-                    in_widths: input.output_widths(self.catalog).map_err(|_| ())?,
-                    out_widths: vec![8], // the appended column
-                };
-                self.stage(id, &path, &[window], Vec::new());
                 let mut ndv = info.ndv;
                 ndv.push(None);
                 let meta = meta_of(plan, self.catalog, [info.meta])?;

@@ -14,8 +14,9 @@ use rapid::qef::budget::{Deal, MIN_VECTOR_ROWS};
 use rapid::qef::engine::Engine;
 use rapid::qef::exec::ExecContext;
 use rapid::qef::ops::filter::ChunkList;
-use rapid::qef::plan::{Catalog, PlanNode};
-use rapid::qef::trace::{MemorySink, StageEvent};
+use rapid::qef::plan::Catalog;
+use rapid::qef::stages::{Source, Stage};
+use rapid::qef::trace::MemorySink;
 use rapid_fuzz::canonical;
 
 const CORES: usize = 32;
@@ -38,20 +39,20 @@ fn engine(catalog: &Catalog, ctx: ExecContext) -> Engine {
     engine
 }
 
-/// The plan's nodes in the tracer's pre-order: a node's id is its place.
-fn pre_order<'a>(plan: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
-    out.push(plan);
-    plan.inputs().for_each(|child| pre_order(child, out));
-}
-
-/// Rows a task's scan lists: the chunks of its table its predicate's zone
-/// maps do not rule out ([`ChunkList`]), the rows its lanes are dealt.
-fn listed_rows(e: &StageEvent, nodes: &[&PlanNode], catalog: &Catalog) -> usize {
-    let (id, ..) = e.operators().last().expect("the event's own operator");
-    let PlanNode::Scan { table, pred, .. } = nodes[id as usize] else {
-        panic!("{e:?}: a task opens with a scan");
+/// Of a task — a stage of the plan's list whose source is a scan-fed
+/// chain — whether it is the chain's own (its topmost node is the stage's)
+/// rather than ending in a consumer's first stage, and the rows its scan
+/// lists: the chunks of its table its predicate's zone maps do not rule out
+/// ([`ChunkList`]), the rows its lanes are dealt.
+fn task_of(stage: &Stage<'_>, catalog: &Catalog) -> Option<(bool, usize)> {
+    let Source::Task(task, _) = &stage.source else {
+        return None;
     };
-    ChunkList::of(pred.as_ref(), &catalog[table.as_str()].chunks).rows()
+    let chunks = &catalog[task.chain.table].chunks;
+    Some((
+        stage.is_chain_own(),
+        ChunkList::of(task.chain.pred, chunks).rows(),
+    ))
 }
 
 #[test]
@@ -66,8 +67,9 @@ fn small_stages_run_on_every_core_and_return_the_same_rows() {
         let (mut tasks, mut rounds) = (0, 0);
         for (name, lp) in tpch::queries::all() {
             let compiled = rapid::qcomp::compile(&lp, &catalog, &params).expect("compile");
-            let mut nodes = Vec::new();
-            pre_order(&compiled.plan, &mut nodes);
+            // The stages the engine runs: an event names its entry.
+            let list = rapid::qef::stages::lower(&compiled.plan, &catalog, dpu.context())
+                .expect("the plan lowers");
             let (out, _) = dpu.execute(&compiled.plan).expect("dpu");
             let (nout, _) = native.execute(&compiled.plan).expect("native");
             let host = db.execute_on_host(&lp).expect("host");
@@ -88,10 +90,12 @@ fn small_stages_run_on_every_core_and_return_the_same_rows() {
                 // What reads a join filter from DRAM: a partitioned join's
                 // probe side (a broadcast probe holds its own copy).
                 let reads_a_filter = e.filter.is_some() && label != "join.probe";
-                if e.scan.is_some() && !label.ends_with(".ranged") {
+                let stage = &list[e.entry_id as usize];
+                assert_eq!(stage.entry.label.to_string(), label, "{name} at sf {sf}");
+                // A task's first round; the rounds after it are over batches.
+                let task = task_of(stage, &catalog).filter(|_| e.scan.is_some());
+                if let Some((own, rows)) = task {
                     // A task; one that ends in a consumer is named for it.
-                    let own = label.starts_with("scan(") || matches!(label, "map" | "filter");
-                    let rows = listed_rows(&e, &nodes, &catalog);
                     if own || rows < full {
                         continue;
                     }

@@ -2,7 +2,7 @@
 //! benchmark's scale factor, a scan and the operators that run in its task
 //! are ONE stage of `min(cores, tiles)` tile-aligned
 //! lanes — whatever the table's chunks — holding in DMEM exactly the working
-//! set the verifier derives for the task, timed by the stage rule applied
+//! set the verifier checks for the task's entry, timed by the stage rule applied
 //! once; a partition round over what a task materialized is a stage of as
 //! many lanes as it has tiles; no stage that streams more than a tile on one
 //! lane holds a real share of a query; and the lane count changes the clock
@@ -239,7 +239,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     let (mut tasks, mut fused_tasks, mut dms_bound, mut wide_rounds) = (0, 0, 0, 0);
     let mut ranged = 0;
     let mut other_path = Vec::new();
-    let mut underived = std::collections::BTreeSet::new();
+    let mut merges = std::collections::BTreeSet::new();
     let (mut broadcast, mut builds_subtracted) = (Vec::new(), 0);
     let (mut filters_subtracted, mut filters_set) = (0, 0);
     for (name, plan) in tpch::queries::all() {
@@ -299,27 +299,35 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
         );
 
         let verified = rapid_verify::verify(&compiled.plan, &catalog, &params.ctx);
-        let derived = |e: &StageEvent| {
-            verified
-                .stages
-                .iter()
-                .find(|s| s.node_id == e.node_id as usize && s.stage == e.operator)
-        };
+        // An event names its stage's entry in the plan's stage list, the
+        // list the verifier checks: its row is the entry's, of the node the
+        // tracer numbers and under the label the engine ran — every stage
+        // that ran, the merges one core folds the lanes' results in too.
         let stage_of = |e: &StageEvent| {
-            derived(e).unwrap_or_else(|| panic!("{name}: no {} stage verified", e.operator))
+            let row = verified.stages.get(e.entry_id as usize);
+            let row = row.unwrap_or_else(|| panic!("{name}: no s{} verified", e.entry_id));
+            assert_eq!(row.entry_id, e.entry_id, "{name}");
+            assert_eq!(
+                (row.node_id, row.stage.as_str()),
+                (e.node_id as usize, e.operator.as_str()),
+                "{name}: s{}",
+                e.entry_id
+            );
+            row
         };
-        // The verifier numbers nodes in the tracer's pre-order and names a
-        // stage as the engine does: every stage that ran is one it derived.
-        underived.extend(
+        for e in &events {
+            stage_of(e);
+        }
+        merges.extend(
             events
                 .iter()
-                .filter(|e| derived(e).is_none())
+                .filter(|e| e.operator.ends_with(".merge"))
                 .map(|e| e.operator.clone()),
         );
         // A broadcast join runs its probe and nothing else: no partition
         // pass and no pairs stage. Its `join.probe` — the last operator of
         // its probe's task, or a stage over what the probe side handed on —
-        // holds in DMEM what the verifier derives for it.
+        // holds in DMEM what the verifier checks for its entry.
         for e in &events {
             let broadcast = build_bytes.contains_key(&e.node_id);
             assert!(
@@ -407,7 +415,7 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
             };
             assert!(dealt.contains(&e.parallelism), "{name}: {dealt:?} {e:?}");
             ranged += usize::from(ranges.is_some());
-            // What a lane reserved is what the verifier derives: the
+            // What a lane reserved is what the verifier checks: the
             // `ws-bytes` of EXPLAIN VERIFY is the task's `dmem_peak`.
             assert_eq!(
                 e.dmem_peak_bytes, stage.working_set_bytes as u64,
@@ -636,10 +644,10 @@ fn partition_stages_use_every_core_and_change_only_the_clock() {
     // and Q3 gathered there while the stream path compacted every projected
     // column of the rows it kept, and stream now that the operators above
     // read them through the selection vector.
-    // The merges are the stages it does not derive: one core folds what the
-    // lanes of the stage before left.
-    let merges = ["groupby.merge", "sort.merge", "topk.merge"];
-    assert_eq!(underived, merges.map(String::from).into());
+    // The merges are entries like any stage: one core folds what the lanes
+    // of the stage before left.
+    let all = ["groupby.merge", "sort.merge", "topk.merge"];
+    assert_eq!(merges, all.map(String::from).into());
     assert_eq!(broadcast, BROADCAST);
     // Every broadcast task but Q5's one-tile supplier probe has fewer lanes
     // on fewer cores: seven joins whose per-lane build was subtracted. Q18's
@@ -796,11 +804,10 @@ fn a_task_that_does_not_fit_runs_cut() {
 
 #[test]
 fn a_pair_table_holds_no_more_dmem_than_its_stage_declares() {
-    // `join.pairs` declares half of DMEM for the partition pair's table
-    // (EXPLAIN VERIFY's state): a pair lane's table holds no more, whatever
-    // its build rows, and the rest overflow to DRAM.
+    // `join.pairs` declares the partition pair's table (EXPLAIN VERIFY's
+    // state): a pair lane's table holds no more, whatever its build rows,
+    // and the rest overflow to DRAM.
     let params = CostParams::default();
-    let declared = params.ctx.dmem_bytes as u64 / 2;
     let mut pairs = 0;
     for sf in [0.01, 0.02, 0.05] {
         let (_, catalog) = tpch_catalog(sf);
@@ -810,12 +817,18 @@ fn a_pair_table_holds_no_more_dmem_than_its_stage_declares() {
             let compiled = rapid::qcomp::compile(&plan, &catalog, &params)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             dpu.execute(&compiled.plan).expect("dpu");
+            let list = rapid::qef::stages::lower(&compiled.plan, &catalog, dpu.context())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             for e in sink.take().iter().filter(|e| e.operator == "join.pairs") {
                 pairs += 1;
+                let entry = &list[e.entry_id as usize];
+                assert_eq!(entry.entry.label.to_string(), e.operator, "{name}");
+                let declared = budget::task_state(entry.decls()) as u64;
                 assert!(
                     e.dmem_peak_bytes <= declared,
-                    "{name} at sf {sf}: a pair lane held {} B, {declared} B declared",
-                    e.dmem_peak_bytes
+                    "{name} at sf {sf}: a pair lane held {} B, s{} declares {declared} B",
+                    e.dmem_peak_bytes,
+                    e.entry_id
                 );
             }
         }

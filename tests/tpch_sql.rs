@@ -271,7 +271,8 @@ fn q6_matches_naive_evaluation() {
 #[test]
 fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
     // The partition twin of hostdb's scan check, on the statement with the
-    // widest passes: EXPLAIN VERIFY budgets a pass or a broadcast probe —
+    // widest passes, each stage found by the id EXPLAIN ANALYZE and EXPLAIN
+    // VERIFY both print: EXPLAIN VERIFY budgets a pass or a broadcast probe —
     // and the task it runs in, where the side is a scan — from the widths
     // its columns are encoded in, which is what a lane of it reserves — so
     // the table's `ws-bytes` is the trace's `dmem_peak`, not a bound above
@@ -324,12 +325,16 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
     assert_eq!((staged.len() - probes, probes), (3, 2));
     let dmem = ExecContext::dpu().dmem_bytes as u64;
     for e in staged {
+        // EXPLAIN VERIFY's row of the stage is the one of its id in the
+        // plan's stage list, of the same node and label.
+        let id = format!("s{}", e.entry_id);
         let line = verify
             .lines()
             .map(|l| l.split_whitespace().collect::<Vec<_>>())
-            .find(|l| l.len() > 5 && l[0] == e.node_id.to_string() && l[1] == e.operator)
-            .unwrap_or_else(|| panic!("node {} {} not in:\n{verify}", e.node_id, e.operator));
-        let (tile, ws_bytes, state, b_per_row) = (line[2], line[3], line[4], line[5]);
+            .find(|l| l.len() > 6 && l[0] == id)
+            .unwrap_or_else(|| panic!("{id} not in:\n{verify}"));
+        assert_eq!((line[1], line[2]), (&*e.node_id.to_string(), &*e.operator));
+        let (tile, ws_bytes, state, b_per_row) = (line[3], line[4], line[5], line[6]);
         assert_eq!(tile, "256", "{line:?}");
         assert_eq!(ws_bytes, e.dmem_peak_bytes.to_string(), "{line:?}");
         // The state of every operator of the task, then two tile buffers of
@@ -340,16 +345,16 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
         assert_eq!(state, own + held + 64 * e.fused.len() as u64, "{line:?}");
         let row: u64 = b_per_row.parse().expect("B/row");
         assert_eq!(e.dmem_peak_bytes, state + 2 * row * 256, "{line:?}");
-        // A probe's line says, before its lanes, how many of its sides'
-        // columns the join writes.
+        // A probe's line says, before its id and lanes, how many of its
+        // sides' columns the join writes; the id is EXPLAIN VERIFY's.
         let (head, lanes) = match e.partition {
             Some(_) => (
                 format!("{}  ", e.operator),
-                format!("lanes={} round 1/1 fanout ", e.parallelism),
+                format!("  {id} lanes={} round 1/1 fanout ", e.parallelism),
             ),
             None => (
                 format!("{} cols ", e.operator),
-                format!("  lanes={} rows=", e.parallelism),
+                format!("  {id} lanes={} ", e.parallelism),
             ),
         };
         let found = analyzed
@@ -378,4 +383,38 @@ fn q9_explain_verify_ws_bytes_is_each_partition_stage_dmem_peak() {
         widest.dmem_peak_bytes,
         64 + dmem / 2 + held + 2 * (12 + 4) * 256
     );
+}
+
+#[test]
+fn q9_explain_analyze_and_explain_verify_name_a_stage_by_one_id() {
+    // A stage's id is its entry in the plan's stage list: EXPLAIN ANALYZE
+    // prints it on the stage's line, EXPLAIN VERIFY on its row, of the same
+    // node and operator — the merges too — and every row ran.
+    let (db, _) = tpch_db(0.01);
+    let (_, q9) = tpch::queries::STATEMENTS
+        .iter()
+        .find(|(name, _)| *name == "Q9")
+        .expect("Q9");
+    let verify = db.explain_verify(q9).expect("EXPLAIN VERIFY");
+    let rows: Vec<Vec<&str>> = verify
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|l| l.len() > 2 && l[0].starts_with('s') && l[1].parse::<u32>().is_ok())
+        .collect();
+    let analyzed = db.explain_analyze(q9).expect("EXPLAIN ANALYZE");
+    let mut ran = Vec::new();
+    for e in &analyzed.events {
+        let id = format!("s{}", e.entry_id);
+        let row = rows.iter().find(|row| row[0] == id);
+        let row = row.unwrap_or_else(|| panic!("no {id} in:\n{verify}"));
+        assert_eq!((row[1], row[2]), (&*e.node_id.to_string(), &*e.operator));
+        let at = format!("  {id} lanes={} ", e.parallelism);
+        let line = analyzed.text.lines().find(|l| l.contains(&at));
+        let line = line.unwrap_or_else(|| panic!("no `{at}` in:\n{}", analyzed.text));
+        assert!(line.trim_start().starts_with(&e.operator), "{line}");
+        ran.push(e.entry_id);
+    }
+    ran.dedup();
+    assert_eq!(ran, (0..rows.len() as u32).collect::<Vec<_>>(), "{verify}");
+    assert!(ran.len() > 10, "{verify}");
 }
