@@ -333,64 +333,6 @@ impl PlanNode {
         let fits = crate::budget::task_tile(tile_rows, &task.decls, dmem_bytes).is_some();
         Ok(fits.then_some(task))
     }
-
-    /// The bytes of state the first stage over this join's probe side —
-    /// round one of its pass, or a broadcast join's `join.probe`, in the
-    /// probe's task wherever [`input_task`](Self::input_task) puts it there,
-    /// or a ranged join's `join.ranged` ([`ranged_tasks`](Self::ranged_tasks))
-    /// — can hold beside what it declares and still run at the tile it runs
-    /// at: the room a join filter may take ([`join_filter::size_bits`]). 0
-    /// for any other node, or a stage that does not fit at all.
-    pub fn probe_room(
-        &self,
-        catalog: &Catalog,
-        tile_rows: usize,
-        dmem_bytes: usize,
-    ) -> QefResult<usize> {
-        let PlanNode::HashJoin { probe, .. } = self else {
-            return Ok(0);
-        };
-        let ranged = match self.reads_by_range(1) {
-            true => self.ranged_tasks(catalog, dmem_bytes)?,
-            false => None,
-        };
-        let task = match ranged.and_then(|mut sides| sides.pop()) {
-            Some(probe) => Some(probe),
-            None => self.input_task(1, catalog, tile_rows, dmem_bytes)?,
-        };
-        let mut decls = match task {
-            Some(task) => task.decls,
-            None => {
-                let widths = probe.output_widths(catalog)?;
-                self.first_stage(1, &widths, dmem_bytes)
-                    .into_iter()
-                    .collect()
-            }
-        };
-        let tile = |decls: &[OpDecl<'_>]| {
-            crate::budget::task_tile(tile_rows, decls, dmem_bytes).map(|(tile, _)| tile)
-        };
-        let Some(at) = tile(&decls) else {
-            return Ok(0);
-        };
-        let Some(last) = decls.len().checked_sub(1) else {
-            return Ok(0);
-        };
-        let base = decls[last].state_bytes;
-        // The state grows the working set and shrinks the tile: the most
-        // that keeps it, by bisection.
-        let (mut fits, mut over) = (0, dmem_bytes + 1);
-        while over - fits > 1 {
-            let mid = fits + (over - fits) / 2;
-            decls[last].state_bytes = base + mid;
-            if tile(&decls) == Some(at) {
-                fits = mid;
-            } else {
-                over = mid;
-            }
-        }
-        Ok(fits)
-    }
 }
 
 /// What a group table consuming columns of `widths` declares: the
