@@ -1341,13 +1341,7 @@ fn ranged(
     params: &CostParams,
 ) -> Result<PlanNode, CompileError> {
     // A key of `input` is a column of a table stored in its order.
-    let clustered = |input: &PlanNode, keys: &[usize]| {
-        keys.iter().any(|&key| {
-            input
-                .chain_column(key)
-                .is_some_and(|(table, col)| catalog.get(table).is_some_and(|t| t.clustered_on(col)))
-        })
-    };
+    let clustered = |input: &PlanNode, keys: &[usize]| input.clustered_key(keys, catalog).is_some();
     let qualifies = match &mut node {
         PlanNode::HashJoin {
             build,

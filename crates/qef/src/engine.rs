@@ -1,46 +1,30 @@
 //! The execution engine: interprets a QEP across the dpCores.
 //!
 //! The engine lowers the plan once to the stages it runs
-//! ([`crate::stages::lower`], the list the verifier checks) and runs it
-//! **task by task**, exactly as the paper describes ("operators within a
-//! task pipeline results to each other via DMEM and only results at task
-//! boundaries are materialized to DRAM"). It walks the plan bottom-up; every
-//! stage it runs is the list's next entry, at the entry's operators, tile and
-//! working set, and one that is not is an internal error. A task is one
-//! stage of the actor runner:
+//! ([`crate::stages::lower`], the list the verifier checks) and runs the
+//! list in order, exactly as the paper describes ("operators within a task
+//! pipeline results to each other via DMEM and only results at task
+//! boundaries are materialized to DRAM"): each entry at the operators, tile
+//! and working set it lists, over what the entries it reads left, which are
+//! held under their ids until then. An entry is one stage of the actor
+//! runner:
 //!
-//! * a task opens with a **scan**. Its items are `min(cores, tiles)` lanes,
-//!   each a contiguous, tile-aligned range of the table's rows — not
-//!   chunks: a one-chunk table of sixteen tiles scans on sixteen cores. A
-//!   lane reads its rows by the cheaper of the relation accessor's two
-//!   patterns, chosen once per scan ([`ops::filter::ScanPlan`]), takes them
-//!   through the `Filter`s and `Map`s over the scan, and — wherever the list
-//!   puts it there, where the operators fit DMEM together — through the
-//!   first stage of the operator that consumes them: round one of a join
-//!   side's or a group-by's partition pass, `groupby.consume`,
-//!   `topk.consume`, `sort.local`. Where they do not, the task is cut there.
-//!   All of it runs under the lane's one `CoreCtx`, holding at once the DMEM
-//!   every operator of the task declares at the task's one vector size
-//!   ([`crate::budget::task_tile`]), every operator's control loop charged
-//!   per tile, and the stage rule ([`dpu_sim::account::StageSpan`]) applied
-//!   once: the task costs max(busiest lane's compute, Σ DMS), the transfer
-//!   of one operator hidden under the compute of the next. A lone scan is a
-//!   task of one operator,
-//! * everything else is a task of one operator over what the tasks below it
-//!   materialized, a stage as it always was: a **join** partitions both
-//!   sides (in software on the dpCores; every round of a pass a stage of
-//!   tile-aligned lanes on all cores, its fan-out and tile budgeted from the
-//!   widths the columns arrive in, [`PlanNode::output_widths`]), then runs
-//!   per-partition-pair build/probe kernels, with large-skew
-//!   re-partitioning; a **group-by** runs the on-the-fly or partitioned
-//!   strategy its node declares and adds the merge operator on the low-NDV
-//!   path,
+//! * a **task** ([`crate::task`]) opens with a scan. Its lanes are
+//!   contiguous, tile-aligned ranges of the table's rows, dealt by
+//!   [`Deal`]; a lane reads its rows by the cheaper of the relation
+//!   accessor's two patterns ([`ops::filter::ScanPlan`]) and takes them
+//!   through the chain and, where the list puts it there, the first stage
+//!   of the node that consumes them, all under one `CoreCtx` holding what
+//!   every operator of the task declares. The stage rule
+//!   ([`dpu_sim::account::StageSpan`]) is applied once: the task costs
+//!   max(busiest lane's compute, Σ DMS),
+//! * every other entry is one operator over what earlier entries wrote: a
+//!   partition pass's rounds, a join's `join.filter` and `join.pairs` (with
+//!   large-skew re-partitioning), a broadcast `join.probe`, a merge,
 //! * a join or group-by whose partitions are key ranges of tables stored in
 //!   the order of its key ([`ops::ranges`]) is one stage over its inputs'
-//!   chains, a lane a range: no partition pass, no pairs stage and no merge;
-//!   a join one of whose inputs is no such chain partitions that input
-//!   alone, by its key's value bits, and a lane reads its range's
-//!   partition of it.
+//!   chains, a lane a range, after the value-bit pass of an input it does
+//!   not read by range.
 //!
 //! An operator owns a buffer only where the DMS writes one: inputs are
 //! borrowed and read in place — a lane hands on the rows of an unpredicated
@@ -132,11 +116,10 @@ impl QueryReport {
     }
 }
 
-/// One query's run through the engine: the report it accumulates, the
-/// trace sink it emits to and the stages of its plan still to run. The
-/// operators below are its methods; each takes its stage with
-/// [`Run::next`] and absorbs it with [`Run::stage`]. With no sink installed
-/// the cost of tracing is one `Option` test per stage.
+/// One query's run through the engine: the report it accumulates and the
+/// trace sink it emits to. The operators below are its methods; each runs an
+/// entry of the plan's stage list and absorbs it with [`Run::stage`]. With no
+/// sink installed the cost of tracing is one `Option` test per stage.
 struct Run<'e> {
     ctx: &'e ExecContext,
     catalog: &'e Catalog,
@@ -146,66 +129,50 @@ struct Run<'e> {
     /// When the last stage was absorbed, or `execute` began.
     last: Instant,
     stage_seq: u32,
-    /// The plan's stage list ([`crate::stages::StagePlan`]) from the next
-    /// stage on.
-    stages: std::iter::Peekable<std::vec::IntoIter<Stage<'e>>>,
 }
 
-impl<'e> Run<'e> {
-    fn new(engine: &'e Engine, plan: &'e PlanNode) -> QefResult<Run<'e>> {
-        let list = crate::stages::lower(plan, &engine.catalog, &engine.ctx)?;
-        Ok(Run {
-            ctx: &engine.ctx,
-            catalog: &engine.catalog,
-            report: QueryReport::default(),
-            sink: engine.ctx.trace.clone(),
-            watts: dpu_sim::power::PowerModel::dpu().watts,
-            last: Instant::now(),
-            stage_seq: 0,
-            stages: list.into_iter().peekable(),
-        })
-    }
+/// What an entry of the stage list handed on or wrote, held under its id
+/// until the entry that reads it runs.
+enum Out<'e> {
+    /// The rows a stage handed on, or the partitions a pass wrote.
+    Rows(Vec<Batch>),
+    /// The partitions a pass routed by value bits wrote, and the cut.
+    Cut(Vec<Batch>, ops::ranges::Radix),
+    /// A partitioned join's filter.
+    Filter(JoinFilter),
+    /// The group table of each lane.
+    Groups(Vec<ops::groupby::GroupTable<'e>>),
+    /// The top-k heap of each lane.
+    Heaps(Vec<ops::topk::TopK>),
+    /// Read by the entry that reads it.
+    Taken,
+}
 
-    /// The list's next stage, which must be `label` of `node`: what runs is
-    /// what the list says.
-    fn next(&mut self, node: &PlanNode, label: &str) -> QefResult<Stage<'e>> {
-        match self.stages.next() {
-            Some(stage) if std::ptr::eq(stage.node, node) && stage.entry.label.stage == label => {
-                Ok(stage)
-            }
-            next => {
-                let listed = next.map_or("no stage".into(), |s| {
-                    let Entry { id, node_id, .. } = s.entry;
-                    format!("s{id}, {} of node {node_id}", s.entry.label)
-                });
-                Err(QefError::Internal(format!(
-                    "the engine runs {label} where the stage list has {listed}"
-                )))
-            }
-        }
+/// What entry `k` left in `outs`, taken: the one entry that reads it does.
+fn take<'e>(outs: &mut [Out<'e>], k: Option<u32>) -> QefResult<Out<'e>> {
+    match k.and_then(|k| outs.get_mut(k as usize)) {
+        Some(out) => Ok(std::mem::replace(out, Out::Taken)),
+        None => Err(QefError::Internal(format!(
+            "a stage reads no entry at {k:?}"
+        ))),
     }
+}
 
-    /// The list's next stage, `label` of `node` over `input`: the last
-    /// operator of the task of the input's chain where the list puts it
-    /// there, else a stage over the batches the input's stages hand on,
-    /// which run first.
-    fn stage_over(
-        &mut self,
-        node: &PlanNode,
-        input: &PlanNode,
-        label: &str,
-    ) -> QefResult<(Stage<'e>, Option<Vec<Batch>>)> {
-        let in_task = self
-            .stages
-            .peek()
-            .is_some_and(|s| std::ptr::eq(s.node, node) && matches!(s.source, Source::Task(..)));
-        let batches = match in_task {
-            true => None,
-            false => Some(self.exec_node(input)?),
-        };
-        Ok((self.next(node, label)?, batches))
+/// What running `entry` finds that its list entry does not say: the
+/// engine and the list disagree.
+fn mismatch(entry: Entry<'_>, what: &str) -> QefError {
+    QefError::Internal(format!("s{}, {}: {what}", entry.id, entry.label))
+}
+
+/// The rows entry `k` handed on, taken.
+fn take_rows(outs: &mut [Out<'_>], k: Option<u32>) -> QefResult<Vec<Batch>> {
+    match take(outs, k)? {
+        Out::Rows(rows) => Ok(rows),
+        _ => Err(QefError::Internal(format!("entry {k:?} handed on no rows"))),
     }
+}
 
+impl Run<'_> {
     /// Absorb one stage, `entry` of the list, into the report, emitting its
     /// trace event; `detail` says, for a task, how its scan read its table
     /// and which operators ran beneath the stage's own, and for a stage that
@@ -287,10 +254,8 @@ impl Detail {
 }
 
 /// What a task ran as: the lanes' results and what its event says.
-struct TaskRun<'a, R> {
+struct TaskRun<R> {
     results: Vec<R>,
-    /// The task's entry in the stage list.
-    entry: Entry<'a>,
     timing: StageTiming,
     /// The scan's access and the chain's operators beneath the stage's own.
     detail: Detail,
@@ -523,15 +488,35 @@ impl Engine {
     /// emitted per executed stage, naming its entry; their `sim_secs` sum to
     /// the report's exactly.
     pub fn execute(&self, plan: &PlanNode) -> QefResult<(QueryOutput, QueryReport)> {
-        let mut run = Run::new(self, plan)?;
-        let batches = run.exec_node(plan)?;
-        if let Some(stage) = run.stages.next() {
-            let Entry { id, node_id, .. } = stage.entry;
-            return Err(QefError::Internal(format!(
-                "the engine ran the plan without s{id}, {} of node {node_id}",
-                stage.entry.label
-            )));
+        let list = crate::stages::lower(plan, &self.catalog, &self.ctx)?;
+        let mut run = Run {
+            ctx: &self.ctx,
+            catalog: &self.catalog,
+            report: QueryReport::default(),
+            sink: self.ctx.trace.clone(),
+            watts: dpu_sim::power::PowerModel::dpu().watts,
+            last: Instant::now(),
+            stage_seq: 0,
+        };
+        // Each entry's results by its id; the last entry's are the plan's.
+        let mut outs = Vec::with_capacity(list.len());
+        for stage in list {
+            let limit = stage.limit;
+            let mut out = run.entry(stage, &mut outs)?;
+            if let (Some(n), Out::Rows(rows)) = (limit, &mut out) {
+                let all = Batch::concat(std::mem::take(rows));
+                rows.push(match n >= all.rows() {
+                    true => all,
+                    false => all.gather(&(0..n as u32).collect::<Vec<u32>>()),
+                });
+            }
+            outs.push(out);
         }
+        let Some(Out::Rows(batches)) = outs.pop() else {
+            return Err(QefError::Internal(
+                "the plan's last stage hands on no rows".into(),
+            ));
+        };
         let mut report = run.report;
         let meta = plan.output_meta(&self.catalog)?;
         let mut batch = Batch::concat(batches.into_iter().filter(|b| b.width() > 0).collect());
@@ -546,67 +531,116 @@ impl Engine {
 }
 
 impl<'e> Run<'e> {
-    /// Execute `node`: its inputs' stages, then its own.
-    fn exec_node(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
-        // A scan-fed chain nothing above joined is a task of its own.
-        let peek = self.stages.peek();
-        if peek.is_some_and(|s| std::ptr::eq(s.node, node) && s.is_chain_own()) {
-            return self.exec_chain(node);
+    /// Run `stage`, the list's next entry, over what the entries it reads
+    /// left in `outs`: what it hands on or writes.
+    fn entry(&mut self, stage: Stage<'e>, outs: &mut [Out<'e>]) -> QefResult<Out<'e>> {
+        let (node, entry, [a, b]) = (stage.node, stage.entry, stage.reads);
+        if stage.is_chain_own() {
+            return self.exec_chain(stage).map(Out::Rows);
         }
-        match node {
-            PlanNode::Scan { .. } => unreachable!("a scan is a chain of one"),
-            PlanNode::Filter { input, pred } => {
-                let batches = self.exec_node(input)?;
-                let stage = self.next(node, "filter")?;
-                let (out, t) = run_stage(self.ctx, batches, |core, b| {
+        if stage.is_pass() {
+            return self.partition(stage, outs);
+        }
+        let (out, t) = match (node, entry.label.stage) {
+            (PlanNode::Filter { pred, .. }, _) => {
+                let (out, t) = run_stage(self.ctx, take_rows(outs, a)?, |core, b| {
                     ops::filter::filter_batch(core, b, pred)
                 })?;
-                let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
-                Ok(out)
+                (out.into_iter().filter(|b| !b.is_empty()).collect(), t)
             }
-            PlanNode::Map { input, exprs } => {
-                let batches = self.exec_node(input)?;
-                let stage = self.next(node, "map")?;
-                let (out, t) = run_stage(self.ctx, batches, |core, b| {
+            (PlanNode::Map { exprs, .. }, _) => {
+                run_stage(self.ctx, take_rows(outs, a)?, |core, b| {
                     ops::map::map_batch(core, b, exprs)
+                })?
+            }
+            (PlanNode::HashJoin { .. }, "join.filter") => {
+                let Some(Out::Rows(parts)) = a.and_then(|k| outs.get(k as usize)) else {
+                    return Err(mismatch(entry, "reads no partitions"));
+                };
+                return self.join_filter(&stage, parts).map(Out::Filter);
+            }
+            (PlanNode::HashJoin { .. }, "join.pairs") => {
+                let parts = (take_rows(outs, a)?, take_rows(outs, b)?);
+                return self.pairs(&stage, parts).map(Out::Rows);
+            }
+            (PlanNode::HashJoin { .. }, "join.probe") => {
+                return self.exec_broadcast(stage, outs).map(Out::Rows);
+            }
+            (PlanNode::HashJoin { .. }, "join.ranged") => {
+                return self.exec_ranged(stage, outs).map(Out::Rows);
+            }
+            (PlanNode::GroupBy { keys, aggs, .. }, "groupby.ranged") => {
+                let out = self.exec_ranged(stage, outs)?;
+                return Ok(Out::Rows(self.grouped(keys, aggs, out)));
+            }
+            (
+                PlanNode::GroupBy {
+                    keys,
+                    aggs,
+                    strategy: GroupStrategy::OnTheFly { slots },
+                    ..
+                },
+                "groupby.consume",
+            ) => {
+                // Per-lane local aggregation...
+                let dmem = self.ctx.dmem_bytes;
+                let consume = |core: &mut CoreCtx, rows: Rows<'_>| {
+                    let slots = slots.as_deref();
+                    let mut t = ops::groupby::GroupTable::on_the_fly(
+                        keys.len(),
+                        aggs,
+                        slots,
+                        dmem,
+                        rows.rows(),
+                    );
+                    t.consume_rows(core, &rows, keys)?;
+                    Ok(t)
+                };
+                let (tables, t, detail, _) = self.consume(stage, outs, consume)?;
+                let groups: u64 = tables.iter().map(|t| t.groups() as u64).sum();
+                self.stage(&t, entry, groups, detail);
+                return Ok(Out::Groups(tables));
+            }
+            (PlanNode::GroupBy { keys, aggs, .. }, "groupby.consume") => {
+                // A group table per partition.
+                let parts = take_rows(outs, a)?;
+                let (out, t) = run_stage(
+                    self.ctx,
+                    parts.into_iter().filter(|p| !p.is_empty()).collect(),
+                    |core, b| {
+                        let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
+                        t.consume(core, &b, keys)?;
+                        Ok(t.emit(core))
+                    },
+                )?;
+                let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
+                self.stage(&t, entry, batch_rows(&out), Detail::default());
+                return Ok(Out::Rows(self.grouped(keys, aggs, out)));
+            }
+            (PlanNode::GroupBy { keys, aggs, .. }, "groupby.merge") => {
+                // ...then the merge operator combines the per-core tables
+                // ("working on aggregated data, merge introduces low
+                // overhead").
+                let Out::Groups(tables) = take(outs, a)? else {
+                    return Err(mismatch(entry, "reads no tables"));
+                };
+                let (mut out, t) = run_stage(self.ctx, vec![tables], |core, ts| {
+                    let mut it = ts.into_iter();
+                    let Some(mut first) = it.next() else {
+                        return Ok(Batch::empty(0));
+                    };
+                    for other in it {
+                        first.merge_from(core, &other)?;
+                    }
+                    Ok(first.emit(core))
                 })?;
-                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
-                Ok(out)
+                // No groups, no batch — `Batch::empty(0)` has no columns for
+                // a Filter (HAVING) or Map above to index.
+                out.retain(|b| !b.is_empty());
+                self.stage(&t, entry, batch_rows(&out), Detail::default());
+                return Ok(Out::Rows(self.grouped(keys, aggs, out)));
             }
-            PlanNode::HashJoin {
-                build,
-                probe,
-                build_keys,
-                probe_keys,
-                join_type,
-                scheme,
-                filter,
-                ranged,
-                output,
-            } => {
-                if ranged.any() {
-                    return self.exec_ranged(node);
-                }
-                self.exec_join(
-                    node,
-                    (build, probe),
-                    (build_keys, probe_keys),
-                    (*join_type, output),
-                    scheme,
-                    *filter,
-                )
-            }
-            PlanNode::GroupBy {
-                input,
-                keys,
-                aggs,
-                strategy,
-                ..
-            } => self.exec_groupby(node, input, keys, aggs, strategy),
-            PlanNode::TopK {
-                input, order, k, ..
-            } => {
+            (PlanNode::TopK { order, k, .. }, "topk.consume") => {
                 // Per-lane top-k over the rows each is handed.
                 let consume = |core: &mut CoreCtx, rows: Rows<'_>| {
                     let mut acc = ops::topk::TopK::new(order.clone(), *k);
@@ -616,12 +650,16 @@ impl<'e> Run<'e> {
                     }
                     Ok(acc)
                 };
-                let (heaps, t, detail, in_rows, entry) =
-                    self.consume_input(node, input, "topk.consume", consume)?;
+                let (heaps, t, detail, in_rows) = self.consume(stage, outs, consume)?;
                 self.stage(&t, entry, in_rows, detail);
+                return Ok(Out::Heaps(heaps));
+            }
+            (PlanNode::TopK { .. }, "topk.merge") => {
                 // Merge on one core.
-                let merge = self.next(node, "topk.merge")?;
-                let (merged, t2) = run_stage(self.ctx, vec![heaps], |core, hs| {
+                let Out::Heaps(heaps) = take(outs, a)? else {
+                    return Err(mismatch(entry, "reads no heaps"));
+                };
+                run_stage(self.ctx, vec![heaps], |core, hs| {
                     let mut it = hs.into_iter();
                     let Some(mut first) = it.next() else {
                         return Ok(Batch::empty(0));
@@ -630,11 +668,9 @@ impl<'e> Run<'e> {
                         first.merge(core, h)?;
                     }
                     Ok(first.finish(core))
-                })?;
-                self.stage(&t2, merge.entry, batch_rows(&merged), Detail::default());
-                Ok(merged)
+                })?
             }
-            PlanNode::Sort { input, order, .. } => {
+            (PlanNode::Sort { order, .. }, "sort.local") => {
                 let local = |core: &mut CoreCtx, rows: Rows<'_>| {
                     let b = rows.into_batch(core);
                     if b.is_empty() {
@@ -642,58 +678,48 @@ impl<'e> Run<'e> {
                     }
                     ops::sort::sort_batch(core, &b, order)
                 };
-                let (sorted, t, detail, in_rows, entry) =
-                    self.consume_input(node, input, "sort.local", local)?;
+                let (sorted, t, detail, in_rows) = self.consume(stage, outs, local)?;
                 self.stage(&t, entry, in_rows, detail);
-                let merge = self.next(node, "sort.merge")?;
-                let (merged, t2) = run_stage(self.ctx, vec![sorted], |core, bs| {
+                return Ok(Out::Rows(sorted));
+            }
+            (PlanNode::Sort { order, .. }, "sort.merge") => {
+                let runs = take_rows(outs, a)?;
+                run_stage(self.ctx, vec![runs], |core, bs| {
                     ops::sort::merge_sorted(core, &bs, order)
-                })?;
-                self.stage(&t2, merge.entry, batch_rows(&merged), Detail::default());
-                Ok(merged)
+                })?
             }
-            PlanNode::Limit { input, n } => {
-                let batches = self.exec_node(input)?;
-                let all = Batch::concat(batches);
-                if *n >= all.rows() {
-                    return Ok(vec![all]);
-                }
-                let rids: Vec<u32> = (0..*n as u32).collect();
-                Ok(vec![all.gather(&rids)])
-            }
-            PlanNode::SetOp { left, right, op } => {
-                let l = self.exec_node(left)?;
-                let r = self.exec_node(right)?;
-                let stage = self.next(node, "setop")?;
+            (PlanNode::SetOp { op, .. }, _) => {
+                let sides = vec![(take_rows(outs, a)?, take_rows(outs, b)?)];
                 // It reads both sides at the widths of what it writes.
                 let widths = &stage.decls()[0].in_widths;
-                let (out, t) = run_stage(self.ctx, vec![(l, r)], |core, (l, r)| {
+                run_stage(self.ctx, sides, |core, (l, r)| {
                     ops::setops::set_op(core, &l, &r, *op, widths)
-                })?;
-                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
-                Ok(out)
+                })?
             }
-            PlanNode::Window {
-                input,
-                partition_by,
-                order_by,
-                func,
-            } => {
-                let batches = self.exec_node(input)?;
-                let stage = self.next(node, "window")?;
+            (
+                PlanNode::Window {
+                    partition_by,
+                    order_by,
+                    func,
+                    ..
+                },
+                _,
+            ) => {
+                let batches = take_rows(outs, a)?;
                 if stage.optional && batches.is_empty() {
                     // No rows, no batch: one concatenated from nothing has
                     // no columns for the Map above to index.
-                    return Ok(batches);
+                    return Ok(Out::Rows(batches));
                 }
                 let all = Batch::concat(batches);
-                let (out, t) = run_stage(self.ctx, vec![all], |core, b| {
+                run_stage(self.ctx, vec![all], |core, b| {
                     ops::window::window_batch(core, &b, partition_by, order_by, *func)
-                })?;
-                self.stage(&t, stage.entry, batch_rows(&out), Detail::default());
-                Ok(out)
+                })?
             }
-        }
+            _ => return Err(mismatch(entry, "no operator runs it")),
+        };
+        self.stage(&t, entry, batch_rows(&out), Detail::default());
+        Ok(Out::Rows(out))
     }
 
     /// Run `stage`, a task — a scan, the filters and maps over it and, where
@@ -724,7 +750,7 @@ impl<'e> Run<'e> {
         probe: Option<(&'a [usize], &'a JoinFilter)>,
         lane: Option<LaneCost>,
         step: impl Fn(&mut CoreCtx, Rows<'a>, usize, Option<&'a JoinFilter>) -> QefResult<R> + Sync,
-    ) -> QefResult<TaskRun<'a, R>>
+    ) -> QefResult<TaskRun<R>>
     where
         'e: 'a,
     {
@@ -737,11 +763,7 @@ impl<'e> Run<'e> {
         // those reads (the cost model prices them at the same deal).
         let (entry, fit) = (stage.entry, stage.fit);
         let Source::Task(task, chain) = stage.source else {
-            let id = entry.id;
-            return Err(QefError::Internal(format!(
-                "s{id}, {}, is no task",
-                entry.label
-            )));
+            return Err(mismatch(entry, "is no task"));
         };
         let own_top = task.decls.len() == task.chain.above.len() + 1;
         let dealing = match (own_top || probe.is_some_and(|(_, f)| f.in_dram()), lane) {
@@ -778,7 +800,6 @@ impl<'e> Run<'e> {
                 ..Detail::default()
             },
             rows,
-            entry,
         })
     }
 
@@ -912,97 +933,77 @@ impl<'e> Run<'e> {
 
     /// A scan-fed chain nothing above joined: a task of its own, handing on
     /// one batch per lane that kept a row.
-    fn exec_chain(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
-        let top = match node {
-            PlanNode::Scan { .. } => "scan",
-            PlanNode::Map { .. } => "map",
-            _ => "filter",
-        };
-        let stage = self.next(node, top)?;
+    fn exec_chain(&mut self, stage: Stage<'e>) -> QefResult<Vec<Batch>> {
+        let entry = stage.entry;
         let run = self.run_task(stage, None, None, |core, rows, _, _| {
             Ok(rows.into_batch(core))
         })?;
         let out: Vec<Batch> = run.results.into_iter().filter(|b| !b.is_empty()).collect();
-        self.stage(&run.timing, run.entry, run.rows, run.detail);
+        self.stage(&run.timing, entry, run.rows, run.detail);
         Ok(out)
     }
 
-    /// Run `step` — `label`, the first stage of `node` — over what `input`
-    /// hands on: in the lanes of the input's task where the list puts it
-    /// there, the task's last operator; else as a stage of its own over the
-    /// input's batches. Returns the results, the stage's timing and detail,
-    /// the rows that reached the step and the stage's entry.
-    fn consume_input<R: Send>(
+    /// Run `step` — `stage`, the first stage of its node over its input —
+    /// over what the input hands on: in the lanes of the input's task where
+    /// the list puts it there, the task's last operator; else as a stage of
+    /// its own over the batches of the entry it reads. Returns the results,
+    /// the stage's timing and detail and the rows that reached the step.
+    fn consume<R: Send>(
         &mut self,
-        node: &PlanNode,
-        input: &PlanNode,
-        label: &str,
+        stage: Stage<'e>,
+        outs: &mut [Out<'e>],
         step: impl for<'r> Fn(&mut CoreCtx, Rows<'r>) -> QefResult<R> + Sync,
-    ) -> QefResult<(Vec<R>, StageTiming, Detail, u64, Entry<'e>)> {
-        let (stage, batches) = self.stage_over(node, input, label)?;
-        let Some(batches) = batches else {
+    ) -> QefResult<(Vec<R>, StageTiming, Detail, u64)> {
+        if let Source::Task(..) = stage.source {
             let run = self.run_task(stage, None, None, |core, rows, tile, _| {
                 charge_further_tiles(core, rows.rows(), tile);
                 step(core, rows)
             })?;
-            return Ok((run.results, run.timing, run.detail, run.rows, run.entry));
-        };
+            return Ok((run.results, run.timing, run.detail, run.rows));
+        }
+        let batches = take_rows(outs, stage.reads[0])?;
         let in_rows = batch_rows(&batches);
         let (out, t) = run_stage(self.ctx, batches, |core, b| step(core, Rows::Owned(b)))?;
-        Ok((out, t, Detail::default(), in_rows, stage.entry))
+        Ok((out, t, Detail::default(), in_rows))
     }
 
-    /// The tile a partition pass with no filter streams columns of `widths`
-    /// at, beside the hash lane: what a pair re-partitions its skew at and a
-    /// lane probes a partition at. `Err` is the §5.2 halting condition: even
-    /// a minimum vector does not fit.
-    fn pass_tile(&self, widths: &[usize]) -> QefResult<usize> {
-        let stream = crate::budget::partition_stream_bytes(widths.iter().sum());
-        let state = crate::budget::BASE_STATE_BYTES;
-        crate::budget::effective_tile(self.ctx.tile_rows, state, stream, self.ctx.dmem_bytes)
-            .ok_or_else(|| {
-                QefError::DmemExhausted(format!(
-                    "partition pass ({state} B state + {stream} B/row) exceeds DMEM ({} B) even \
-                     at {}-row vectors",
-                    self.ctx.dmem_bytes,
-                    crate::budget::MIN_VECTOR_ROWS
-                ))
-            })
-    }
-
-    /// Partition what input `edge` of `node` hands on by `keys`, sending each
-    /// row as `route` says, through the rounds of `scheme` on all cores:
-    /// the pass `operator` of the list, every round of it a stage with the
+    /// `stage`, a pass: partition what input `edge` of its node hands on by
+    /// the node's keys of it through the rounds of the scheme the stage
+    /// declares, on all cores, every round an event of the entry with the
     /// rows it partitioned. Where the list puts it there, round one is the
     /// last operator of the input's task — each lane partitions the rows it
     /// scanned ([`ops::partition::RoundStep::map_rows`]) — and the rounds
-    /// after it are stages over what it wrote; else the input runs first and
-    /// every round is a stage over its batches
-    /// ([`ops::partition::partition_pass`]). A round past the first runs at
-    /// the tile the pass's own declaration fits at. Round one tests its rows
-    /// against `filter`, where the pass has one: a join's probe side.
+    /// after it are stages over what it wrote, at the entry's `pass_tile`;
+    /// else every round is a stage over the batches of the entry it reads
+    /// ([`ops::partition::partition_pass`]). Round one of a join's probe side
+    /// tests its rows against the filter the entry reads, where it reads one.
+    /// The pass of a ranged node routes its rows by the value bits of the
+    /// key the node cuts the other input's ranges on, from that input's
+    /// listed zone maps ([`ops::ranges::Radix`]): its partition `r` holds the
+    /// keys of range `r`.
     ///
     /// The scheme is the plan's and runs as declared. A round wider than
     /// the local buffers of these rows allow
     /// ([`crate::budget::max_buffered_fanout`], at the widths this engine's
     /// catalog stores) is refused: the plan was compiled when a table's
     /// columns were narrower and is the caller's to recompile.
-    #[allow(clippy::too_many_arguments)]
-    fn partition_input(
-        &mut self,
-        node: &PlanNode,
-        edge: usize,
-        (keys, route): (&[usize], Route<'_>),
-        scheme: &[usize],
-        filter: Option<&JoinFilter>,
-        operator: &str,
-    ) -> QefResult<Vec<Batch>> {
-        let input = node
-            .inputs()
-            .nth(edge)
-            .ok_or_else(|| QefError::Internal(format!("{operator}: no input {edge}")))?;
-        let widths = input.output_widths(self.catalog)?;
-        let row_bytes: usize = widths.iter().sum();
+    fn partition(&mut self, stage: Stage<'e>, outs: &mut [Out<'e>]) -> QefResult<Out<'e>> {
+        let (node, entry, scheme) = (stage.node, stage.entry, stage.fanouts);
+        let operator = entry.label.stage;
+        let edge = usize::from(operator == "join.partition-probe");
+        let keys: &[usize] = match node {
+            PlanNode::HashJoin {
+                build_keys,
+                probe_keys,
+                ..
+            } => [build_keys, probe_keys][edge],
+            PlanNode::GroupBy { keys, .. } => keys,
+            _ => return Err(mismatch(entry, "of no join or group-by")),
+        };
+        // The pass streams its input's columns at the widths its entry
+        // declares, the ones this engine's catalog stores.
+        let widths = stage.decls().last().map(|pass| &pass.in_widths[..]);
+        let row_bytes: usize = widths.unwrap_or_default().iter().sum();
         let cap = crate::budget::max_buffered_fanout(row_bytes, self.ctx.dmem_bytes);
         if let Some(round) = scheme.iter().position(|&fanout| fanout > cap) {
             return Err(QefError::BadPlan(format!(
@@ -1013,41 +1014,75 @@ impl<'e> Run<'e> {
                 self.ctx.dmem_bytes
             )));
         }
-        let (stage, batches) = self.stage_over(node, input, operator)?;
-        if let Some(batches) = batches {
+        let (cut, radix) = match node.ranged_scheme() {
+            None => (keys, None),
+            Some(_) => {
+                let bad =
+                    || QefError::BadPlan("a ranged operator: its key is not a base column".into());
+                let other = node.inputs().nth(1 - edge).and_then(PlanNode::scan_chain);
+                let ((table, col), chain) = node
+                    .range_column(1 - edge, self.catalog)
+                    .zip(other)
+                    .ok_or_else(bad)?;
+                let table = self.catalog.get(table).ok_or_else(bad)?;
+                let list = ops::filter::ChunkList::of(chain.pred, &table.chunks);
+                let at = node
+                    .range_key(self.catalog)
+                    .min(keys.len().saturating_sub(1));
+                let radix = ops::ranges::Radix::of(list, col, scheme.iter().product());
+                (keys.get(at..=at).ok_or_else(bad)?, Some(radix))
+            }
+        };
+        let route = match radix {
+            Some(radix) => Route::Radix(radix, scheme),
+            None => Route::Hash,
+        };
+        let tested = stage.reads[0].filter(|_| edge == 1);
+        let filter = match tested.map(|k| take(outs, Some(k))).transpose()? {
+            Some(Out::Filter(filter)) => Some(filter),
+            _ => None,
+        };
+        let filter = filter.as_ref();
+        let out = |parts| match radix {
+            Some(radix) => Out::Cut(parts, radix),
+            None => Out::Rows(parts),
+        };
+        if let Source::Read(_) = stage.source {
+            let batches = take_rows(outs, stage.reads[edge])?;
             let (tile, _) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
             // The tile, and the fan-out cap of the scheme, were budgeted
             // from the static widths: what arrives must be exactly that wide.
+            let widths = stage.decls()[0].in_widths.iter().copied();
             debug_assert!(
                 batches.iter().filter(|b| !b.is_empty()).all(|b| b
                     .columns
                     .iter()
                     .map(|c| c.data.width())
-                    .eq(widths.iter().copied())),
-                "{operator}: batches are not {widths:?} bytes wide"
+                    .eq(widths.clone())),
+                "{operator}: batches are not {:?} bytes wide",
+                stage.decls()[0].in_widths
             );
             let rows = batch_rows(&batches);
             return ops::partition::partition_pass(
                 self.ctx,
                 batches,
-                (keys, route),
+                (cut, route),
                 scheme,
                 tile,
                 filter,
-                |t, round, kept| self.stage(t, stage.entry, rows, Detail::round(round, kept)),
-            );
+                |t, round, kept| self.stage(t, entry, rows, Detail::round(round, kept)),
+            )
+            .map(out);
         }
-        // The rounds after round one run at the tile the pass fits at alone.
-        let pass = stage.decls().last().map(std::slice::from_ref);
-        let pass = pass.unwrap_or_default();
-        let fit = crate::budget::task_tile(self.ctx.tile_rows, pass, self.ctx.dmem_bytes);
-        let (tile, _) = fit.ok_or_else(|| self.exhausted(pass))?;
+        let tile = stage
+            .pass_tile
+            .ok_or_else(|| self.exhausted(stage.decls()))?;
         ops::partition::check_scheme(scheme)?;
         // The list found a round one to run in the task.
         let fanout = scheme[0];
-        let probe = filter.map(|f| (keys, f));
+        let probe = filter.map(|f| (cut, f));
         let mut run = self.run_task(stage, probe, None, |core, rows, tile, untested| {
-            let step = RoundStep::first((keys, route), fanout, tile, untested);
+            let step = RoundStep::first((cut, route), fanout, tile, untested);
             let map = step.map_rows(core, &rows);
             Ok((rows, map))
         })?;
@@ -1062,90 +1097,76 @@ impl<'e> Run<'e> {
         if run.detail.filter.is_none() {
             run.detail.filter = ops::partition::filtered(filter, rows as usize, &first);
         }
-        let entry = run.entry;
         self.stage(&run.timing, entry, rows, run.detail);
-        let keys = (keys, route);
+        let keys = (cut, route);
         ops::partition::partition_rounds_after(self.ctx, first, keys, scheme, tile, |t, round| {
             self.stage(t, entry, rows, Detail::round(round, None))
         })
+        .map(out)
     }
 
-    /// A join of `scheme`'s rounds — broadcast where it has none — with the
-    /// join filter of `filter` bits where it declares one, writing the
-    /// columns `output` lists.
-    fn exec_join(
+    /// `stage`, a join's `join.pairs`: the partition pairs `(build, probe)`
+    /// its passes wrote, joined in parallel. A pair much larger than its
+    /// estimate is re-partitioned inside the worker, at the entry's
+    /// `pass_tile`.
+    fn pairs(
         &mut self,
-        node: &PlanNode,
-        (build, probe): (&PlanNode, &PlanNode),
-        (build_keys, probe_keys): (&[usize], &[usize]),
-        (join_type, output): (JoinType, &[usize]),
-        scheme: &[usize],
-        filter: Option<usize>,
+        stage: &Stage<'e>,
+        (build, probe): (Vec<Batch>, Vec<Batch>),
     ) -> QefResult<Vec<Batch>> {
-        if scheme.is_empty() {
-            let keys = (build_keys, probe_keys);
-            return self.exec_broadcast(node, (build, probe), keys, (join_type, output), filter);
-        }
-        let build_widths = build.output_widths(self.catalog)?;
-        let probe_widths = probe.output_widths(self.catalog)?;
-
-        // Partition both sides; each side's tile is clamped to its own
-        // stream width. The filter is built between them, over what the
-        // build side's pass wrote, for the probe side's round one to test.
-        let (build_route, probe_route) = ((build_keys, Route::Hash), (probe_keys, Route::Hash));
-        let bparts =
-            self.partition_input(node, 0, build_route, scheme, None, "join.partition-build")?;
-        let filter = match filter {
-            Some(bits) => Some(self.join_filter(node, &bparts, build_keys, scheme, bits)?),
-            None => None,
-        };
-        let filter = filter.as_ref();
-        let pparts =
-            self.partition_input(node, 1, probe_route, scheme, filter, "join.partition-probe")?;
-        let build_rows: usize = bparts.iter().map(Batch::rows).sum();
-        let partitions: usize = scheme.iter().product();
-        let est_per_partition = (build_rows / partitions.max(1)).max(1);
-
-        // Join partition pairs in parallel; handle large skew by extra
-        // partitioning rounds inside the worker, at the tile a pass of each
-        // side with no filter streams at.
-        let stage = self.next(node, "join.pairs")?;
-        let tile = self
-            .pass_tile(&build_widths)?
-            .min(self.pass_tile(&probe_widths)?);
-        let pairs: Vec<(Batch, Batch)> = bparts.into_iter().zip(pparts).collect();
-        let join = PairJoin {
+        let PlanNode::HashJoin {
+            build: build_side,
+            probe: probe_side,
             build_keys,
             probe_keys,
             join_type,
-            est_rows: est_per_partition,
+            scheme,
+            output,
+            ..
+        } = stage.node
+        else {
+            return Err(mismatch(stage.entry, "of no join"));
+        };
+        let build_widths = build_side.output_widths(self.catalog)?;
+        let probe_width = probe_side.output_widths(self.catalog)?.len();
+        let build_rows: usize = build.iter().map(Batch::rows).sum();
+        let partitions: usize = scheme.iter().product();
+        let join = PairJoin {
+            build_keys,
+            probe_keys,
+            join_type: *join_type,
+            est_rows: (build_rows / partitions.max(1)).max(1),
             output: ops::join::Output {
                 columns: output,
-                probe_width: probe_widths.len(),
+                probe_width,
                 build_widths: &build_widths,
             },
-            tile,
+            tile: stage
+                .pass_tile
+                .ok_or_else(|| self.exhausted(stage.decls()))?,
         };
-        let (joined, t3) = run_stage(self.ctx, pairs, |core, (b, p)| join.pair(core, b, p, 0))?;
+        let pairs: Vec<(Batch, Batch)> = build.into_iter().zip(probe).collect();
+        let (joined, t) = run_stage(self.ctx, pairs, |core, (b, p)| join.pair(core, b, p, 0))?;
         let joined: Vec<Batch> = joined.into_iter().filter(|b| !b.is_empty()).collect();
-        self.stage(&t3, stage.entry, batch_rows(&joined), Detail::default());
+        self.stage(&t, stage.entry, batch_rows(&joined), Detail::default());
         Ok(joined)
     }
 
-    /// `node`'s `join.filter` stage: the filter of `bits` bits over the keys
-    /// of `parts`, the partitions the build side's pass of `scheme` wrote. A
+    /// `stage`, a join's `join.filter`: the filter of the join's bits over
+    /// the keys of `parts`, the partitions the build side's pass wrote. A
     /// lane builds the slice of one round-one partition — the partitions the
     /// rounds after it made of it, which lie together — holding the slice
     /// and the key streams the stage declares.
-    fn join_filter(
-        &mut self,
-        node: &PlanNode,
-        parts: &[Batch],
-        keys: &[usize],
-        scheme: &[usize],
-        bits: usize,
-    ) -> QefResult<JoinFilter> {
-        let stage = self.next(node, "join.filter")?;
+    fn join_filter(&mut self, stage: &Stage<'e>, parts: &[Batch]) -> QefResult<JoinFilter> {
+        let PlanNode::HashJoin {
+            build_keys: keys,
+            scheme,
+            filter: Some(bits),
+            ..
+        } = stage.node
+        else {
+            return Err(mismatch(stage.entry, "of a join with no filter"));
+        };
         let (tile, working_set) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
         // The stage streams the build keys at the widths they are stored in.
         let key_widths = &stage.decls()[0].in_widths;
@@ -1166,45 +1187,53 @@ impl<'e> Run<'e> {
         Ok(JoinFilter::of_slices(words, fanout, build_rows as usize))
     }
 
-    /// A join of no rounds, broadcast ([`ops::join::Broadcast`]): the build
-    /// side runs as a node of its own and is concatenated, and every lane of
-    /// the probe's `join.probe` stage reads all of it, builds its table in
-    /// the state the stage declares — beside it, where the join declares a
-    /// filter of `filter` bits, the filter's copy, whose words the host
+    /// `stage`, the `join.probe` of a join of no rounds, broadcast
+    /// ([`ops::join::Broadcast`]): what the build side's stages handed on is
+    /// concatenated, and every lane reads all of it, builds its table in the
+    /// state the stage declares — beside it, where the join declares a
+    /// filter, the filter's copy, whose words the host
     /// fills once ([`JoinFilter::beside_tables`]) — and probes its own rows:
     /// of them, where the probe's scan did not test them against the
     /// filter, the rows whose bit is set. The stage is the last operator of
     /// the probe's task where the list puts it there; else it runs over the
     /// probe's batches, dealt to the lanes in runs so that a lane builds the
     /// table once.
-    fn exec_broadcast(
-        &mut self,
-        node: &PlanNode,
-        (build, probe): (&PlanNode, &PlanNode),
-        (build_keys, probe_keys): (&[usize], &[usize]),
-        (join_type, output): (JoinType, &[usize]),
-        filter: Option<usize>,
-    ) -> QefResult<Vec<Batch>> {
+    fn exec_broadcast(&mut self, stage: Stage<'e>, outs: &mut [Out<'e>]) -> QefResult<Vec<Batch>> {
+        let PlanNode::HashJoin {
+            build,
+            build_keys,
+            probe_keys,
+            join_type,
+            filter,
+            output,
+            ..
+        } = stage.node
+        else {
+            return Err(mismatch(stage.entry, "of no join"));
+        };
         let ctx = self.ctx;
         let build_widths = build.output_widths(self.catalog)?;
-        let built = self.exec_node(build)?;
+        let built = take_rows(outs, stage.reads[0])?;
         let built = Batch::concat(built.into_iter().filter(|b| !b.is_empty()).collect());
         let filter = filter
             .map(|bits| JoinFilter::beside_tables(&built, build_keys, bits))
             .transpose()?;
         let filter = filter.as_ref();
         let held = filter.map_or(0, |f| ops::join_filter::bytes(f.bits()));
-        let (stage, probed) = self.stage_over(node, probe, "join.probe")?;
+        let probed = match stage.source {
+            Source::Task(..) => None,
+            _ => Some(take_rows(outs, stage.reads[1])?),
+        };
         // The probe reads the probe side's columns; its state is the table's
         // half of DMEM beside the filter's copy.
         let decl = stage.decls().last();
-        let decl = decl.ok_or_else(|| QefError::Internal("join.probe declares nothing".into()))?;
+        let decl = decl.ok_or_else(|| mismatch(stage.entry, "declares nothing"))?;
         let (state_bytes, probe_columns) = (decl.state_bytes, decl.in_widths.len());
         let join = ops::join::Broadcast {
             build: &built,
             build_keys,
             probe_keys,
-            join_type,
+            join_type: *join_type,
             build_widths: &build_widths,
             output,
             capacity: ops::join::broadcast_capacity(
@@ -1218,7 +1247,8 @@ impl<'e> Run<'e> {
         // Every lane builds the same table: one host table stands for them.
         let table = join.host_table()?;
         let table = table.as_ref();
-        let (out, timing, mut detail, tested, entry) = if let Some(batches) = probed {
+        let entry = stage.entry;
+        let (out, timing, mut detail, tested) = if let Some(batches) = probed {
             let (tile, working_set) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
             let batches: Vec<Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
             let in_rows = batch_rows(&batches);
@@ -1232,9 +1262,9 @@ impl<'e> Run<'e> {
                 let _state = core.dmem.reserve_raw(working_set)?;
                 join.lane(core, table, lane.into_iter().map(Rows::Owned), tile, true)
             })?;
-            (out, t, Detail::default(), in_rows, stage.entry)
+            (out, t, Detail::default(), in_rows)
         } else {
-            let probe = filter.map(|f| (probe_keys, f));
+            let probe = filter.map(|f| (&probe_keys[..], f));
             // What a lane pays for the build side, and about a probe row.
             let mut core = CoreCtx::new(ctx, 0);
             join.charge_build_side(&mut core, table, ctx.tile_rows);
@@ -1249,7 +1279,7 @@ impl<'e> Run<'e> {
             let run = self.run_task(stage, probe, Some(lane), |core, rows, tile, untested| {
                 join.lane(core, table, [rows], tile, untested.is_some())
             })?;
-            (run.results, run.timing, run.detail, run.rows, run.entry)
+            (run.results, run.timing, run.detail, run.rows)
         };
         // Where the scan did not test the rows, the probe did.
         if detail.filter.is_none() && filter.is_some() {
@@ -1288,10 +1318,10 @@ impl<'e> Run<'e> {
     /// aggregates its range's rows in a table of its own and emits it, with
     /// no merge: a group's rows are all in one range. Each chain holds in
     /// DMEM what its task in the list's entry declares while it is scanned.
-    fn exec_ranged(&mut self, node: &PlanNode) -> QefResult<Vec<Batch>> {
-        let (catalog, ctx) = (self.catalog, self.ctx);
+    fn exec_ranged(&mut self, stage: Stage<'e>, outs: &mut [Out<'e>]) -> QefResult<Vec<Batch>> {
+        let (catalog, ctx, node, entry) = (self.catalog, self.ctx, stage.node, stage.entry);
         let bad = |why: &str| QefError::BadPlan(format!("a ranged operator: {why}"));
-        let scheme = node.ranged_scheme().ok_or_else(|| bad("no scheme"))?;
+        let scheme = stage.fanouts;
         let (keys, filter, build_widths, output): (Vec<&[usize]>, _, _, _) = match node {
             PlanNode::HashJoin {
                 build,
@@ -1307,82 +1337,35 @@ impl<'e> Run<'e> {
             PlanNode::GroupBy { keys, .. } => (vec![keys], None, Vec::new(), &[][..]),
             _ => return Err(bad("not a join or group-by")),
         };
-        let inputs: Vec<&PlanNode> = node.inputs().collect();
-        // The key the ranges cut, of each input read by range as a column
-        // of its table.
+        // Of each input, the position among its columns of the key the
+        // ranges cut.
         let at = node.range_key(catalog);
-        let one_sided = inputs.len() > 1 && !(0..2).all(|edge| node.reads_by_range(edge));
-        let mut cols = Vec::with_capacity(inputs.len());
-        for (edge, (input, keys)) in inputs.iter().zip(&keys).enumerate() {
-            let col = match (node.reads_by_range(edge), keys) {
-                (false, _) => None,
-                (true, [key]) => Some(input.chain_column(*key).map(|(_, col)| col)),
-                (true, keys) if one_sided => Some(input.chain_column(keys[at]).map(|(_, c)| c)),
-                (true, _) => Some(None),
-            };
-            cols.push(col.map(|col| col.ok_or_else(|| bad("its key is not a base column"))));
-        }
-        // Of each input, the position of that key among its columns.
         let cut = keys
             .iter()
             .map(|keys| keys.get(at).or(keys.first()).copied())
             .collect::<Option<Vec<usize>>>()
             .ok_or_else(|| bad("an input has no key"))?;
-        let cols = cols
-            .into_iter()
-            .map(Option::transpose)
-            .collect::<QefResult<Vec<Option<usize>>>>()?;
-        let last = inputs.len() - 1;
         let lanes: usize = scheme.iter().product();
-        // Where one input is partitioned, the value-bit cut of the other's
-        // listed zone maps its pass routes by.
-        let radix = match cols.iter().position(Option::is_none) {
-            None => None,
-            Some(_) => {
-                let (edge, col) = cols
-                    .iter()
-                    .enumerate()
-                    .find_map(|(edge, col)| col.map(|col| (edge, col)))
-                    .ok_or_else(|| bad("it reads no input by range"))?;
-                let chain = inputs[edge].scan_chain().ok_or_else(|| bad("no chain"))?;
-                let table = catalog
-                    .get(chain.table)
-                    .ok_or_else(|| QefError::TableNotLoaded(chain.table.to_string()))?;
-                let list = ops::filter::ChunkList::of(chain.pred, &table.chunks);
-                Some(ops::ranges::Radix::of(list, col, lanes))
+        // The partitions the pass of an input it does not read by range
+        // wrote, and the value-bit cut it routed them by.
+        let (mut parts, mut radix) = (None, None);
+        for k in stage.reads.into_iter().flatten() {
+            match take(outs, Some(k))? {
+                Out::Cut(of_pass, cut) if of_pass.len() == lanes => {
+                    (parts, radix) = (Some(of_pass), Some(cut));
+                }
+                _ => return Err(mismatch(entry, "reads no value-bit pass of its ranges")),
             }
-        };
-        // The pass of the input not read by range runs first, routed by the
-        // value-bit cut: its partition `r` holds the keys of range `r`.
-        let mut parts: Option<Vec<Batch>> = None;
-        if let (Some(radix), Some(i)) = (radix, cols.iter().position(Option::is_none)) {
-            let route = (std::slice::from_ref(&cut[i]), Route::Radix(radix, scheme));
-            let operator = ["join.partition-build", "join.partition-probe"][i];
-            let of_pass = self.partition_input(node, i, route, scheme, None, operator)?;
-            if of_pass.len() != lanes {
-                return Err(QefError::Internal(format!(
-                    "a value-bit pass of {scheme:?} wrote {} partitions",
-                    of_pass.len()
-                )));
-            }
-            parts = Some(of_pass);
         }
-        let label = match node {
-            PlanNode::HashJoin { .. } => "join.ranged",
-            _ => "groupby.ranged",
-        };
-        let stage = self.next(node, label)?;
-        let entry = stage.entry;
         let Source::Ranges(ranged) = stage.source else {
-            return Err(QefError::Internal(format!(
-                "s{}, {label}, reads no ranges",
-                entry.id
-            )));
+            return Err(mismatch(entry, "reads no ranges"));
         };
-        // Each input in turn: a chain read by range, its topmost node kept
-        // for the trace, or the partitions of the pass. The build rows a
-        // probe chain's filter is estimated over are the input's before it.
-        let mut sides: Vec<Option<(ChainLanes<'_>, u32)>> = Vec::with_capacity(inputs.len());
+        let last = ranged.len() - 1;
+        // Each input in turn: a chain read by range, its topmost node and the
+        // column of its table the ranges cut kept, or the partitions of the
+        // pass. The build rows a probe chain's filter is estimated over are
+        // the input's before it.
+        let mut sides: Vec<Option<(ChainLanes<'_>, u32, usize)>> = Vec::with_capacity(2);
         let mut build_rows = None;
         for (i, input) in ranged.into_iter().enumerate() {
             let RangeInput::Chain(task, chain, fit) = input else {
@@ -1390,6 +1373,9 @@ impl<'e> Run<'e> {
                 sides.push(None);
                 continue;
             };
+            let (_, col) = node
+                .range_column(i, catalog)
+                .ok_or_else(|| bad("its key is not a base column"))?;
             let probe = filter.filter(|_| i == last && i > 0).map(|bits| {
                 let build_rows = build_rows.unwrap_or_default();
                 let filter = ProbeFilter::PerLane {
@@ -1401,16 +1387,17 @@ impl<'e> Run<'e> {
             });
             let side = self.chain_lanes(task, fit, probe, Dealing::WholeTiles)?;
             build_rows = Some(side.estimated_rows());
-            sides.push(Some((side, chain)));
+            sides.push(Some((side, chain, col)));
         }
-        let chain = |i: usize| sides[i].as_ref().map(|(side, _)| side);
+        let chain = |i: usize| sides[i].as_ref().map(|(side, ..)| side);
+        let col_of = |i: usize| sides[i].as_ref().map(|&(.., col)| col);
         // The bounds: a value-bit cut, else from the larger input.
         let larger = (0..sides.len())
             .filter_map(|i| chain(i).map(|side| (i, side.chunks.rows())))
             .max_by_key(|&(_, rows)| rows)
             .map_or(0, |(i, _)| i);
         let from = chain(larger).ok_or_else(|| bad("no input read by range"))?;
-        let col = cols[larger].ok_or_else(|| bad("no key"))?;
+        let col = col_of(larger).ok_or_else(|| bad("no key"))?;
         let ranges = match radix {
             Some(radix) => ops::ranges::KeyRanges::radix(radix, from.table, col, from.chunks),
             None => ops::ranges::KeyRanges::of(from.table, col, from.chunks, lanes),
@@ -1426,7 +1413,7 @@ impl<'e> Run<'e> {
                     filter: Option<&JoinFilter>,
                     each: &mut dyn FnMut(&mut CoreCtx, Rows<'_>) -> QefResult<()>|
          -> QefResult<()> {
-            let (side, col) = match (chain(i), cols[i]) {
+            let (side, col) = match (chain(i), col_of(i)) {
                 (Some(side), Some(col)) => (side, col),
                 _ => return Err(bad("an input read by range has no chain")),
             };
@@ -1456,10 +1443,9 @@ impl<'e> Run<'e> {
         };
         // What the probe side's rows meet where no scan's key pass tests
         // them: the filter, tested by the probe — and the tile it probes at.
-        let probe_widths = inputs[last].output_widths(catalog)?;
         let (probe_tests, probe_tile) = match chain(last) {
             Some(probe) => (!probe.scan.tests_keys(), probe.deal.tile),
-            None => (true, self.pass_tile(&probe_widths)?),
+            None => (true, stage.pass_tile.ok_or_else(|| bad("no probe tile"))?),
         };
         // Both inputs arrive in key order only where both are read by range.
         let in_key_order = radix.is_none();
@@ -1533,8 +1519,8 @@ impl<'e> Run<'e> {
                         (n + 1, over + block.len().saturating_sub(table_rows))
                     }),
             };
-            for (side, col) in (0..sides.len()).filter_map(|i| chain(i).zip(cols[i])) {
-                let width = side.table.column_width(col);
+            for (side, _, col) in sides.iter().flatten() {
+                let width = side.table.column_width(*col);
                 ops::ranges::charge_key_reads(core, width, blocks - 1);
             }
             let join = ops::join::Broadcast {
@@ -1578,12 +1564,12 @@ impl<'e> Run<'e> {
             .collect();
         // The chains' operators, the build side's first.
         let mut fused = Vec::new();
-        for (side, chain) in sides.iter().flatten() {
+        for (side, chain, _) in sides.iter().flatten() {
             fused.extend(side.fused(*chain, entry.depth + 1));
         }
         let scanned = sides.iter().rev().flatten().next();
         let detail = Detail {
-            scan: scanned.map(|(side, _)| side.access()),
+            scan: scanned.map(|(side, ..)| side.access()),
             filter: filter_kept,
             fused,
             ..Detail::default()
@@ -1592,87 +1578,24 @@ impl<'e> Run<'e> {
         Ok(out)
     }
 
-    fn exec_groupby(
-        &mut self,
-        node: &PlanNode,
-        input: &PlanNode,
+    /// What a group-by of `keys` and `aggs` hands on of `out`, its last
+    /// stage's rows. A global aggregate emits one row no matter what reached
+    /// it: when every input row was filtered away (or the table is empty),
+    /// synthesize the single empty-input group so COUNT comes out 0 and the
+    /// other aggregates NULL — mirroring the host executor.
+    fn grouped(
+        &self,
         keys: &[usize],
         aggs: &[crate::plan::AggSpec],
-        strategy: &GroupStrategy,
-    ) -> QefResult<Vec<Batch>> {
-        let mut out = match strategy {
-            GroupStrategy::Ranged(_) => self.exec_ranged(node)?,
-            GroupStrategy::OnTheFly { slots } => {
-                // Per-lane local aggregation...
-                let dmem = self.ctx.dmem_bytes;
-                let consume = |core: &mut CoreCtx, rows: Rows<'_>| {
-                    let slots = slots.as_deref();
-                    let mut t = ops::groupby::GroupTable::on_the_fly(
-                        keys.len(),
-                        aggs,
-                        slots,
-                        dmem,
-                        rows.rows(),
-                    );
-                    t.consume_rows(core, &rows, keys)?;
-                    Ok(t)
-                };
-                let (tables, t, detail, _, entry) =
-                    self.consume_input(node, input, "groupby.consume", consume)?;
-                let groups: u64 = tables.iter().map(|t| t.groups() as u64).sum();
-                self.stage(&t, entry, groups, detail);
-                // ...then the merge operator combines the per-core tables
-                // ("working on aggregated data, merge introduces low
-                // overhead").
-                let merge = self.next(node, "groupby.merge")?;
-                let (mut out, t2) = run_stage(self.ctx, vec![tables], |core, ts| {
-                    let mut it = ts.into_iter();
-                    let Some(mut first) = it.next() else {
-                        return Ok(Batch::empty(0));
-                    };
-                    for other in it {
-                        first.merge_from(core, &other)?;
-                    }
-                    Ok(first.emit(core))
-                })?;
-                // No groups, no batch — `Batch::empty(0)` has no columns for
-                // a Filter (HAVING) or Map above to index.
-                out.retain(|b| !b.is_empty());
-                self.stage(&t2, merge.entry, batch_rows(&out), Detail::default());
-                out
-            }
-            GroupStrategy::Partitioned(scheme) => {
-                // Partition by grouping keys so each partition's table fits.
-                let route = (keys, Route::Hash);
-                let parts =
-                    self.partition_input(node, 0, route, scheme, None, "groupby.partition")?;
-                // A group table per partition.
-                let stage = self.next(node, "groupby.consume")?;
-                let (out, t2) = run_stage(
-                    self.ctx,
-                    parts.into_iter().filter(|p| !p.is_empty()).collect(),
-                    |core, b| {
-                        let mut t = ops::groupby::GroupTable::new(keys.len(), aggs, 256);
-                        t.consume(core, &b, keys)?;
-                        Ok(t.emit(core))
-                    },
-                )?;
-                let out: Vec<Batch> = out.into_iter().filter(|b| !b.is_empty()).collect();
-                self.stage(&t2, stage.entry, batch_rows(&out), Detail::default());
-                out
-            }
-        };
-        // A global aggregate emits one row no matter what reached it:
-        // when every input row was filtered away (or the table is empty),
-        // synthesize the single empty-input group so COUNT comes out 0
-        // and the other aggregates NULL — mirroring the host executor.
-        if keys.is_empty() && out.iter().all(|b| b.rows() == 0) {
-            let mut t = ops::groupby::GroupTable::new(0, aggs, 16);
-            t.force_global_group();
-            let mut core = crate::exec::CoreCtx::new(self.ctx, 0);
-            out = vec![t.emit(&mut core)];
+        out: Vec<Batch>,
+    ) -> Vec<Batch> {
+        if !keys.is_empty() || out.iter().any(|b| b.rows() > 0) {
+            return out;
         }
-        Ok(out)
+        let mut t = ops::groupby::GroupTable::new(0, aggs, 16);
+        t.force_global_group();
+        let mut core = crate::exec::CoreCtx::new(self.ctx, 0);
+        vec![t.emit(&mut core)]
     }
 }
 

@@ -5,9 +5,10 @@
 //! in run order. An entry has an id (its place in the list, printed `s<k>`
 //! by `EXPLAIN ANALYZE`, `EXPLAIN VERIFY` and `rapid-report`), its node, what
 //! its operators declare against DMEM ([`OpDecl`]) and the tile and working
-//! set they fit at, its declared fan-outs, and its source. Where a task ends
-//! is [`PlanNode::input_task`]'s rule, asked here. The engine runs the list
-//! — every stage it runs is the next entry — and the verifier checks it.
+//! set they fit at, its declared fan-outs, its source and the earlier entries
+//! whose results it reads. Where a task ends is [`PlanNode::input_task`]'s
+//! rule, asked here. The engine runs the list in order, holding each entry's
+//! results until the entry that reads them runs, and the verifier checks it.
 //!
 //! What a stage decides from its rows stays run-time data: a scan's access
 //! path and how its rows are dealt, key-range bounds, the skew rounds inside
@@ -49,11 +50,25 @@ pub struct Stage<'p> {
     pub fanouts: &'p [usize],
     /// What its lanes are dealt, and what its operators declare.
     pub source: Source<'p>,
+    /// Of each input of its node, in input order (a join's build side
+    /// first), the earlier entry whose results it reads: what the input's
+    /// stages handed on or a pass of it wrote, and of a join's build side
+    /// what a stage over the probe side holds beside it — the filter its
+    /// pass tests, the rows a broadcast probe builds its table of.
+    pub reads: [Option<u32>; 2],
     /// Whether the engine may skip it at run time.
     pub optional: bool,
+    /// The rows a `Limit` over its node lets it hand on.
+    pub limit: Option<usize>,
     /// The tile its operators run at together and the DMEM a lane of it
     /// holds ([`budget::task_tile`]): `None` where they do not fit.
     pub fit: Option<(usize, usize)>,
+    /// The tile a partition pass over its rows streams at beside no other
+    /// operator: a pass's rounds after the first; a pair's skew rounds (the
+    /// narrower side's, of no filter); a ranged join's probe of the
+    /// partition of a lane. `None` for another stage, or where it does not
+    /// fit.
+    pub pass_tile: Option<usize>,
 }
 
 /// What a stage's lanes are dealt.
@@ -62,10 +77,9 @@ pub enum Source<'p> {
     /// The rows of a scan-fed chain's task, whose operators are the
     /// stage's, and the pre-order id of the chain's topmost node.
     Task(Task<'p>, u32),
-    /// What the listed entries handed on, to the stage's one operator.
-    Batches(Vec<u32>, OpDecl<'p>),
-    /// The partitions the listed entries' passes wrote, to its one operator.
-    Partitions(Vec<u32>, OpDecl<'p>),
+    /// What the entries it [`reads`](Stage::reads) handed on or wrote, to
+    /// its one operator.
+    Read(OpDecl<'p>),
     /// Key ranges of the node's inputs, in input order: its operators are
     /// its last chain's.
     Ranges(Vec<RangeInput<'p>>),
@@ -78,8 +92,9 @@ pub enum RangeInput<'p> {
     /// operator and which a lane holds while it reads the chain, the chain's
     /// topmost node, and what the task fits at.
     Chain(Task<'p>, u32, Option<(usize, usize)>),
-    /// The partitions the pass of this entry wrote, routed by value bits.
-    Pass(u32),
+    /// The partitions the pass the stage reads of this input wrote, routed
+    /// by value bits.
+    Pass,
 }
 
 impl<'p> Stage<'p> {
@@ -90,19 +105,19 @@ impl<'p> Stage<'p> {
         let (task, ranged) = match &self.source {
             Source::Task(task, chain) => (Some((task, *chain, self.fit)), &[][..]),
             Source::Ranges(inputs) => (None, &inputs[..]),
-            Source::Batches(..) | Source::Partitions(..) => (None, &[][..]),
+            Source::Read(_) => (None, &[][..]),
         };
         task.into_iter()
             .chain(ranged.iter().filter_map(|input| match input {
                 RangeInput::Chain(task, chain, fit) => Some((task, *chain, *fit)),
-                RangeInput::Pass(_) => None,
+                RangeInput::Pass => None,
             }))
     }
 
     /// What its operators declare, bottom first.
     pub fn decls(&self) -> &[OpDecl<'p>] {
         match &self.source {
-            Source::Batches(_, op) | Source::Partitions(_, op) => std::slice::from_ref(op),
+            Source::Read(op) => std::slice::from_ref(op),
             Source::Task(..) | Source::Ranges(_) => {
                 self.chains().last().map_or(&[], |(task, ..)| &task.decls)
             }
@@ -169,13 +184,14 @@ impl<'p> Lowering<'p, '_> {
         first
     }
 
-    /// Append a stage of `node`; its id.
+    /// Append a stage of `node` reading the entries `reads` names; its id.
     fn push(
         &mut self,
         node: &'p PlanNode,
         (node_id, depth): At,
         fanouts: &'p [usize],
         source: Source<'p>,
+        reads: [Option<u32>; 2],
     ) -> u32 {
         let id = self.stages.len() as u32;
         let mut stage = Stage {
@@ -188,69 +204,75 @@ impl<'p> Lowering<'p, '_> {
             node,
             fanouts,
             source,
+            reads,
             optional: false,
+            limit: None,
             fit: None,
+            pass_tile: None,
         };
+        let (tile, dmem) = (self.ctx.tile_rows, self.ctx.dmem_bytes);
         let decls = stage.decls();
-        let fit = budget::task_tile(self.ctx.tile_rows, decls, self.ctx.dmem_bytes);
-        stage.entry.label = decls.last().map_or(stage.entry.label, |d| d.name);
+        let fit = budget::task_tile(tile, decls, dmem);
+        let last = decls.last().map(std::slice::from_ref).unwrap_or_default();
+        let alone = budget::task_tile(tile, last, dmem).map(|(tile, _)| tile);
+        stage.entry.label = last.first().map_or(stage.entry.label, |d| d.name);
         stage.fit = fit;
+        stage.pass_tile = alone.filter(|_| stage.is_pass());
         self.stages.push(stage);
         id
     }
 
+    /// The tile a pass of no filter over the rows entry `k`'s pass streams
+    /// alone.
+    fn unfiltered(&self, k: u32) -> Option<usize> {
+        let widths = &self.stages[k as usize].decls().last()?.in_widths;
+        let stream = budget::partition_stream_bytes(widths.iter().sum());
+        let (tile, dmem) = (self.ctx.tile_rows, self.ctx.dmem_bytes);
+        budget::effective_tile(tile, budget::BASE_STATE_BYTES, stream, dmem)
+    }
+
     /// A stage of `node`'s one operator `op` over what `from` handed on.
-    fn batches(&mut self, node: &'p PlanNode, at: At, from: Option<u32>, op: OpDecl<'p>) -> u32 {
-        self.push(
-            node,
-            at,
-            &[],
-            Source::Batches(from.into_iter().collect(), op),
-        )
+    fn read(&mut self, node: &'p PlanNode, at: At, from: u32, op: OpDecl<'p>) -> u32 {
+        self.push(node, at, &[], Source::Read(op), [Some(from), None])
     }
 
     /// The merge after `consume`, `node`'s stage of a table, heap or run a
     /// lane: one core folds what the lanes left, holding what a lane held.
-    fn merge(
-        &mut self,
-        node: &'p PlanNode,
-        at: At,
-        consume: Option<u32>,
-        name: &'static str,
-    ) -> u32 {
-        let held = consume.and_then(|k| Some(self.stages[k as usize].decls().last()?.state_bytes));
+    fn merge(&mut self, node: &'p PlanNode, at: At, consume: u32, name: &'static str) -> u32 {
+        let held = self.stages[consume as usize].decls().last();
         let op = OpDecl {
             name: OpName::of(name),
-            state_bytes: held.unwrap_or(budget::BASE_STATE_BYTES),
+            state_bytes: held.map_or(budget::BASE_STATE_BYTES, |d| d.state_bytes),
             in_widths: Vec::new(),
             out_widths: Vec::new(),
         };
-        self.batches(node, at, consume, op)
+        self.read(node, at, consume, op)
     }
 
     /// Lower `node` at `depth`: its inputs' stages, then its own. Returns the
     /// entry whose results the node hands on.
-    fn node(&mut self, node: &'p PlanNode, depth: u32) -> QefResult<Option<u32>> {
+    fn node(&mut self, node: &'p PlanNode, depth: u32) -> QefResult<u32> {
         let at = (self.ids(1), depth);
         let (catalog, dmem) = (self.catalog, self.ctx.dmem_bytes);
         if let Some(chain) = node.scan_chain() {
             // A chain nothing above joined is a task of its own.
             self.next_id += chain.above.len() as u32;
             let (task, _) = chain.task(catalog)?;
-            return Ok(Some(self.push(node, at, &[], Source::Task(task, at.0))));
+            let source = Source::Task(task, at.0);
+            return Ok(self.push(node, at, &[], source, [None, None]));
         }
         let below = depth + 1;
-        let out = match node {
+        Ok(match node {
             PlanNode::Scan { .. } => unreachable!("a scan is a chain of one"),
             PlanNode::Filter { input, .. } => {
                 let from = self.node(input, below)?;
                 let op = task::filter_decl(&input.output_widths(catalog)?);
-                self.batches(node, at, from, op)
+                self.read(node, at, from, op)
             }
             PlanNode::Map { input, exprs } => {
                 let from = self.node(input, below)?;
                 let op = task::map_decl(&input.output_widths(catalog)?, exprs);
-                self.batches(node, at, from, op)
+                self.read(node, at, from, op)
             }
             PlanNode::HashJoin {
                 build,
@@ -276,11 +298,12 @@ impl<'p> Lowering<'p, '_> {
                 }
                 if scheme.is_empty() {
                     // Broadcast: the build side runs as a node of its own,
-                    // and the probe is all the join runs.
-                    self.node(build, below)?;
-                    return self.first(node, 1, at, &[]);
+                    // and every lane of the probe builds its table of it.
+                    let built = self.node(build, below)?;
+                    return self.first(node, 1, at, &[], Some(built));
                 }
-                let built = self.first(node, 0, at, scheme)?;
+                let built = self.first(node, 0, at, scheme, None)?;
+                let mut tested = None;
                 if let Some(bits) = filter {
                     // A lane builds the slice of the filter of one round-one
                     // partition from its keys.
@@ -290,14 +313,9 @@ impl<'p> Lowering<'p, '_> {
                         QefError::BadPlan("join key out of the build side's columns".into())
                     })?;
                     let op = task::join_filter_decl(&keys, *bits, scheme[0]);
-                    self.push(
-                        node,
-                        at,
-                        &[],
-                        Source::Partitions(built.into_iter().collect(), op),
-                    );
+                    tested = Some(self.read(node, at, built, op));
                 }
-                let probed = self.first(node, 1, at, scheme)?;
+                let probed = self.first(node, 1, at, scheme, tested)?;
                 // A pair's table takes half the scratchpad beside the key
                 // streams of both sides and the pairs of row ids it matches.
                 let op = OpDecl {
@@ -306,8 +324,11 @@ impl<'p> Lowering<'p, '_> {
                     in_widths: vec![8; build_keys.len() + probe_keys.len()],
                     out_widths: vec![8, 8],
                 };
-                let from = built.into_iter().chain(probed).collect();
-                self.push(node, at, &[], Source::Partitions(from, op))
+                let reads = [Some(built), Some(probed)];
+                let pairs = self.push(node, at, &[], Source::Read(op), reads);
+                let tile = self.unfiltered(built).zip(self.unfiltered(probed));
+                self.stages[pairs as usize].pass_tile = tile.map(|(b, p)| b.min(p));
+                pairs
             }
             PlanNode::GroupBy {
                 input,
@@ -317,30 +338,30 @@ impl<'p> Lowering<'p, '_> {
             } => match strategy {
                 GroupStrategy::Ranged(_) => return self.ranged(node, at),
                 GroupStrategy::OnTheFly { .. } => {
-                    let consume = self.first(node, 0, at, &[])?;
+                    let consume = self.first(node, 0, at, &[], None)?;
                     self.merge(node, at, consume, "groupby.merge")
                 }
                 GroupStrategy::Partitioned(scheme) => {
-                    let pass = self.first(node, 0, at, scheme)?;
+                    let pass = self.first(node, 0, at, scheme, None)?;
                     let widths = input.output_widths(catalog)?;
                     let op = task::group_consume_decl(keys, aggs, &widths, dmem);
-                    self.push(
-                        node,
-                        at,
-                        &[],
-                        Source::Partitions(pass.into_iter().collect(), op),
-                    )
+                    self.read(node, at, pass, op)
                 }
             },
             PlanNode::TopK { .. } => {
-                let heaps = self.first(node, 0, at, &[])?;
+                let heaps = self.first(node, 0, at, &[], None)?;
                 self.merge(node, at, heaps, "topk.merge")
             }
             PlanNode::Sort { .. } => {
-                let runs = self.first(node, 0, at, &[])?;
+                let runs = self.first(node, 0, at, &[], None)?;
                 self.merge(node, at, runs, "sort.merge")
             }
-            PlanNode::Limit { input, .. } => return self.node(input, below),
+            PlanNode::Limit { input, n } => {
+                let from = self.node(input, below)?;
+                let limit = &mut self.stages[from as usize].limit;
+                *limit = Some(limit.map_or(*n, |m| m.min(*n)));
+                from
+            }
             PlanNode::SetOp { left, right, .. } => {
                 let left = self.node(left, below)?;
                 let right = self.node(right, below)?;
@@ -350,8 +371,8 @@ impl<'p> Lowering<'p, '_> {
                     in_widths: node.output_widths(catalog)?,
                     out_widths: Vec::new(),
                 };
-                let from = left.into_iter().chain(right).collect();
-                self.push(node, at, &[], Source::Batches(from, op))
+                let reads = [Some(left), Some(right)];
+                self.push(node, at, &[], Source::Read(op), reads)
             }
             PlanNode::Window { input, .. } => {
                 let from = self.node(input, below)?;
@@ -362,36 +383,33 @@ impl<'p> Lowering<'p, '_> {
                     // The appended column.
                     out_widths: vec![8],
                 };
-                let window = self.batches(node, at, from, op);
+                let window = self.read(node, at, from, op);
                 // No rows, no window: nothing to append a column to.
                 self.stages[window as usize].optional = true;
                 window
             }
-        };
-        Ok(Some(out))
+        })
     }
 
     /// The first stage `node` runs over input `edge`
-    /// ([`PlanNode::first_stage`]), declaring `fanouts`: the last operator of
-    /// the input's task wherever they fit together
-    /// ([`PlanNode::input_task`]), else a stage over what the input's stages
-    /// handed on, after them. Returns the entry handing on its results.
+    /// ([`PlanNode::first_stage`]), declaring `fanouts` and reading `built`
+    /// of the build side beside it: the last operator of the input's task
+    /// wherever they fit together ([`PlanNode::input_task`]), else a stage
+    /// over what the input's stages handed on, after them. Returns the entry
+    /// handing on its results.
     fn first(
         &mut self,
         node: &'p PlanNode,
         edge: usize,
         at: At,
         fanouts: &'p [usize],
-    ) -> QefResult<Option<u32>> {
+        built: Option<u32>,
+    ) -> QefResult<u32> {
         let ctx = self.ctx;
         if let Some(task) = node.input_task(edge, self.catalog, ctx.tile_rows, ctx.dmem_bytes)? {
             let chain = self.ids(task.chain.above.len() + 1);
-            return Ok(Some(self.push(
-                node,
-                at,
-                fanouts,
-                Source::Task(task, chain),
-            )));
+            let source = Source::Task(task, chain);
+            return Ok(self.push(node, at, fanouts, source, [built, None]));
         }
         let input = node
             .inputs()
@@ -399,33 +417,30 @@ impl<'p> Lowering<'p, '_> {
             .ok_or_else(|| QefError::BadPlan(format!("no input {edge}")))?;
         let from = self.node(input, at.1 + 1)?;
         let widths = input.output_widths(self.catalog)?;
-        Ok(match node.first_stage(edge, &widths, ctx.dmem_bytes) {
-            Some(op) => Some(self.push(
-                node,
-                at,
-                fanouts,
-                Source::Batches(from.into_iter().collect(), op),
-            )),
-            None => from,
-        })
+        let Some(op) = node.first_stage(edge, &widths, ctx.dmem_bytes) else {
+            return Ok(from);
+        };
+        let mut reads = [built, None];
+        reads[edge] = Some(from);
+        Ok(self.push(node, at, fanouts, Source::Read(op), reads))
     }
 
     /// A ranged join's or group-by's one stage ([`crate::ops::ranges`]): a
     /// lane a key range of the inputs it reads by range — their tasks
     /// ([`PlanNode::ranged_tasks`]) — after the pass, routed by value bits,
     /// of an input it does not.
-    fn ranged(&mut self, node: &'p PlanNode, at: At) -> QefResult<Option<u32>> {
+    fn ranged(&mut self, node: &'p PlanNode, at: At) -> QefResult<u32> {
         let bad = |why: &str| QefError::BadPlan(format!("a ranged operator: {why}"));
         let scheme = node.ranged_scheme().ok_or_else(|| bad("no scheme"))?;
         let tasks = node.ranged_tasks(self.catalog, self.ctx.dmem_bytes)?;
         let mut tasks = tasks
             .ok_or_else(|| bad("an input it reads by range is no scan-fed chain"))?
             .into_iter();
-        let mut inputs = Vec::with_capacity(2);
-        for edge in 0..node.inputs().count() {
+        let (mut inputs, mut reads) = (Vec::with_capacity(2), [None, None]);
+        for (edge, read) in reads.iter_mut().enumerate().take(node.inputs().count()) {
             if !node.reads_by_range(edge) {
-                let pass = self.first(node, edge, at, scheme)?;
-                inputs.push(RangeInput::Pass(pass.ok_or_else(|| bad("no pass"))?));
+                *read = Some(self.first(node, edge, at, scheme, None)?);
+                inputs.push(RangeInput::Pass);
                 continue;
             }
             let task = tasks.next().ok_or_else(|| bad("a task is missing"))?;
@@ -433,69 +448,10 @@ impl<'p> Lowering<'p, '_> {
             let fit = budget::task_tile(self.ctx.tile_rows, &task.decls, self.ctx.dmem_bytes);
             inputs.push(RangeInput::Chain(task, chain, fit));
         }
-        Ok(Some(self.push(node, at, scheme, Source::Ranges(inputs))))
-    }
-}
-
-impl PlanNode {
-    /// The bytes of state the first stage over this join's probe side, as
-    /// its stage list will declare it — round one of its pass, or a
-    /// broadcast join's `join.probe`, in the probe's task wherever
-    /// [`input_task`](Self::input_task) puts it there, or a ranged join's
-    /// `join.ranged` ([`ranged_tasks`](Self::ranged_tasks)) — can hold
-    /// beside what it declares and still run at the tile it runs at: the
-    /// room a join filter may take
-    /// ([`crate::ops::join_filter::size_bits`]), which the compiler asks
-    /// while it chooses the filter. 0 for any other node, or a stage that
-    /// does not fit at all.
-    pub fn probe_room(
-        &self,
-        catalog: &Catalog,
-        tile_rows: usize,
-        dmem_bytes: usize,
-    ) -> QefResult<usize> {
-        let PlanNode::HashJoin { probe, .. } = self else {
-            return Ok(0);
-        };
-        let ranged = match self.reads_by_range(1) {
-            true => self.ranged_tasks(catalog, dmem_bytes)?,
-            false => None,
-        };
-        let task = match ranged.and_then(|mut sides| sides.pop()) {
-            Some(probe) => Some(probe),
-            None => self.input_task(1, catalog, tile_rows, dmem_bytes)?,
-        };
-        let mut decls = match task {
-            Some(task) => task.decls,
-            None => {
-                let widths = probe.output_widths(catalog)?;
-                self.first_stage(1, &widths, dmem_bytes)
-                    .into_iter()
-                    .collect()
-            }
-        };
-        let tile = |decls: &[OpDecl<'_>]| {
-            crate::budget::task_tile(tile_rows, decls, dmem_bytes).map(|(tile, _)| tile)
-        };
-        let Some(at) = tile(&decls) else {
-            return Ok(0);
-        };
-        let Some(last) = decls.len().checked_sub(1) else {
-            return Ok(0);
-        };
-        let base = decls[last].state_bytes;
-        // The state grows the working set and shrinks the tile: the most
-        // that keeps it, by bisection.
-        let (mut fits, mut over) = (0, dmem_bytes + 1);
-        while over - fits > 1 {
-            let mid = fits + (over - fits) / 2;
-            decls[last].state_bytes = base + mid;
-            if tile(&decls) == Some(at) {
-                fits = mid;
-            } else {
-                over = mid;
-            }
-        }
-        Ok(fits)
+        let ranged = self.push(node, at, scheme, Source::Ranges(inputs), reads);
+        // A lane probes its partition of a probe side it does not read by
+        // range at the tile the side's pass streams at with no filter.
+        self.stages[ranged as usize].pass_tile = reads[1].and_then(|k| self.unfiltered(k));
+        Ok(ranged)
     }
 }

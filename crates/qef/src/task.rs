@@ -15,8 +15,7 @@
 //! [`PlanNode::input_task`]; the plan's stage list ([`crate::stages`]) is
 //! lowered by it, and the engine runs that list and the verifier
 //! (`EXPLAIN VERIFY`, `rapid-report verify`) checks it, so the two cannot
-//! disagree about where a task ends. The compiler asks the same rules while
-//! it chooses ([`PlanNode::probe_room`], `ranged_tasks`).
+//! disagree about where a task ends.
 //!
 //! The rows a chain's predicate keeps stay where the DMS streamed them until
 //! an operator writes them: a predicated chain's scan declares a selection
@@ -96,21 +95,6 @@ impl PlanNode {
         }
     }
 
-    /// The scheme this node declares for its partition passes, if it runs
-    /// any: a join's — one pass an input it does not read by range — or a
-    /// partitioned group-by's. A join that reads both inputs by range, or a
-    /// ranged group-by, runs none.
-    pub fn partition_scheme(&self) -> Option<&[usize]> {
-        match self {
-            PlanNode::HashJoin { scheme, ranged, .. } if *ranged != ByRange::Both => Some(scheme),
-            PlanNode::GroupBy {
-                strategy: GroupStrategy::Partitioned(scheme),
-                ..
-            } => Some(scheme),
-            _ => None,
-        }
-    }
-
     /// The scheme whose partitions a ranged join or group-by cuts as key
     /// ranges ([`crate::ops::ranges`]): as many ranges as it has partitions.
     pub fn ranged_scheme(&self) -> Option<&[usize]> {
@@ -144,12 +128,47 @@ impl PlanNode {
             } => (probe, probe_keys),
             _ => return 0,
         };
-        let clustered = |&key: &usize| {
-            input
-                .chain_column(key)
+        input.clustered_key(keys, catalog).unwrap_or(0)
+    }
+
+    /// The position among `keys`, columns of what this scan-fed chain hands
+    /// on, of the first that is a column of a table `catalog` holds stored
+    /// in its order: a key this input can be read by range on. `None` where
+    /// none is.
+    pub fn clustered_key(&self, keys: &[usize], catalog: &Catalog) -> Option<usize> {
+        keys.iter().position(|&key| {
+            self.chain_column(key)
                 .is_some_and(|(table, col)| catalog.get(table).is_some_and(|t| t.clustered_on(col)))
+        })
+    }
+
+    /// Of input `edge`, which this node reads by key range, the key its
+    /// ranges cut as `(table, column)` of the table the input's chain scans:
+    /// the one key of a group-by or of a join that reads both inputs by
+    /// range, of a join that reads one its [`range_key`](Self::range_key).
+    /// `None` where the node does not read the input by range, or that key
+    /// is no column of a table.
+    pub fn range_column(&self, edge: usize, catalog: &Catalog) -> Option<(&str, usize)> {
+        let (keys, one_sided) = match self {
+            PlanNode::HashJoin {
+                build_keys,
+                probe_keys,
+                ranged,
+                ..
+            } => (
+                [build_keys, probe_keys][edge.min(1)],
+                *ranged != ByRange::Both,
+            ),
+            PlanNode::GroupBy { keys, .. } => (keys, false),
+            _ => return None,
         };
-        keys.iter().position(clustered).unwrap_or(0)
+        let key = match &keys[..] {
+            _ if !self.reads_by_range(edge) => return None,
+            [key] => key,
+            keys if one_sided => keys.get(self.range_key(catalog))?,
+            _ => return None,
+        };
+        self.inputs().nth(edge)?.chain_column(*key)
     }
 
     /// Whether this node reads input `edge` by key range: a ranged
@@ -332,6 +351,64 @@ impl PlanNode {
         };
         let fits = crate::budget::task_tile(tile_rows, &task.decls, dmem_bytes).is_some();
         Ok(fits.then_some(task))
+    }
+
+    /// The bytes of state the first stage over this join's probe side —
+    /// round one of its pass, or a broadcast join's `join.probe`, in the
+    /// probe's task wherever [`input_task`](Self::input_task) puts it there,
+    /// or a ranged join's `join.ranged` ([`ranged_tasks`](Self::ranged_tasks))
+    /// — can hold beside what it declares and still run at the tile it runs
+    /// at: the room a join filter may take ([`join_filter::size_bits`]). 0
+    /// for any other node, or a stage that does not fit at all.
+    pub fn probe_room(
+        &self,
+        catalog: &Catalog,
+        tile_rows: usize,
+        dmem_bytes: usize,
+    ) -> QefResult<usize> {
+        let PlanNode::HashJoin { probe, .. } = self else {
+            return Ok(0);
+        };
+        let ranged = match self.reads_by_range(1) {
+            true => self.ranged_tasks(catalog, dmem_bytes)?,
+            false => None,
+        };
+        let task = match ranged.and_then(|mut sides| sides.pop()) {
+            Some(probe) => Some(probe),
+            None => self.input_task(1, catalog, tile_rows, dmem_bytes)?,
+        };
+        let mut decls = match task {
+            Some(task) => task.decls,
+            None => {
+                let widths = probe.output_widths(catalog)?;
+                self.first_stage(1, &widths, dmem_bytes)
+                    .into_iter()
+                    .collect()
+            }
+        };
+        let tile = |decls: &[OpDecl<'_>]| {
+            crate::budget::task_tile(tile_rows, decls, dmem_bytes).map(|(tile, _)| tile)
+        };
+        let Some(at) = tile(&decls) else {
+            return Ok(0);
+        };
+        let Some(last) = decls.len().checked_sub(1) else {
+            return Ok(0);
+        };
+        let base = decls[last].state_bytes;
+        // The state grows the working set and shrinks the tile: the most
+        // that keeps it, by bisection.
+        let (mut fits, mut over) = (0, dmem_bytes + 1);
+        while over - fits > 1 {
+            let mid = fits + (over - fits) / 2;
+            decls[last].state_bytes = base + mid;
+            if tile(&decls) == Some(at) {
+                fits = mid;
+            } else {
+                over = mid;
+            }
+        }
+        Ok(fits)
     }
 }
 

@@ -350,23 +350,15 @@ impl Walker<'_> {
         scheme: &[usize],
     ) {
         let (catalog, ctx) = (self.catalog, self.ctx);
-        // Both inputs, or a group-by's, are cut on their one key; one input
-        // of a join on the first key its table is stored in the order of.
-        let one_sided = (0..2).any(|edge| !plan.reads_by_range(edge))
-            && matches!(plan, PlanNode::HashJoin { .. });
-        let at = plan.range_key(catalog);
-        for (edge, (input, keys)) in plan.inputs().zip(keys).enumerate() {
+        for (edge, keys) in keys.iter().enumerate() {
             if !plan.reads_by_range(edge) {
                 continue;
             }
-            let column = match keys {
-                [key] => input.chain_column(*key),
-                keys if one_sided => keys.get(at).and_then(|&key| input.chain_column(key)),
-                _ => None,
-            };
-            let clustered = column.is_some_and(|(table, col)| {
-                catalog.get(table).is_some_and(|t| t.clustered_on(col))
-            });
+            let clustered = plan
+                .range_column(edge, catalog)
+                .is_some_and(|(table, col)| {
+                    catalog.get(table).is_some_and(|t| t.clustered_on(col))
+                });
             if !clustered {
                 let why = format!(
                     "an input a ranged operator reads by range must be a scan-fed chain of a table \

@@ -33,7 +33,7 @@ use rapid::qef::budget;
 use rapid::qef::engine::{Engine, QueryReport};
 use rapid::qef::exec::ExecContext;
 use rapid::qef::ops::filter::ChunkList;
-use rapid::qef::plan::{Catalog, PlanNode};
+use rapid::qef::plan::{ByRange, Catalog, GroupStrategy, PlanNode};
 use rapid::qef::primitives::costs;
 use rapid::qef::trace::{MemorySink, StageEvent};
 use rapid_fuzz::canonical;
@@ -93,6 +93,20 @@ fn is_partitioned_join_stage(e: &StageEvent) -> bool {
 }
 
 /// Nodes of `plan` in the pre-order the tracer numbers them in.
+/// The scheme `node` declares for its partition passes, if it runs any: a
+/// join's — one pass an input it does not read by range — or a partitioned
+/// group-by's.
+fn partition_scheme(node: &PlanNode) -> Option<&[usize]> {
+    match node {
+        PlanNode::HashJoin { scheme, ranged, .. } if *ranged != ByRange::Both => Some(scheme),
+        PlanNode::GroupBy {
+            strategy: GroupStrategy::Partitioned(scheme),
+            ..
+        } => Some(scheme),
+        _ => None,
+    }
+}
+
 fn pre_order<'a>(plan: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
     out.push(plan);
     plan.inputs().for_each(|child| pre_order(child, out));
@@ -145,14 +159,14 @@ fn partition_stages_run_the_rounds_their_plan_node_declares() {
                     .collect();
                 // A node whose partitions are key ranges runs no pass over
                 // an input it reads by range.
-                if let (Some(scheme), None) = (node.ranged_scheme(), node.partition_scheme()) {
+                if let (Some(scheme), None) = (node.ranged_scheme(), partition_scheme(node)) {
                     assert_eq!(ran, [], "{name} node {id} runs key ranges");
                     if matches!(node, PlanNode::GroupBy { .. }) {
                         group_by_schemes.push((name, scheme.to_vec()));
                     }
                     continue;
                 }
-                let Some(scheme) = node.partition_scheme() else {
+                let Some(scheme) = partition_scheme(node) else {
                     assert_eq!(ran, [], "{name} node {id} declares no pass");
                     continue;
                 };

@@ -16,7 +16,7 @@ use rapid::qcomp::logical::LogicalPlan;
 use rapid::qef::engine::Engine;
 use rapid::qef::exec::ExecContext;
 use rapid::qef::plan::Catalog;
-use rapid::qef::stages::{lower, RangeInput, Source};
+use rapid::qef::stages::lower;
 use rapid::qef::trace::MemorySink;
 
 /// What the plans swept ran: entries, events, rounds past a pass's first
@@ -66,19 +66,9 @@ fn run_listed(
     for stage in &list {
         let entry = stage.entry;
         // A stage reads what stages before it handed on or wrote.
-        let read: Vec<u32> = match &stage.source {
-            Source::Batches(from, _) | Source::Partitions(from, _) => from.clone(),
-            Source::Ranges(inputs) => inputs
-                .iter()
-                .filter_map(|input| match input {
-                    RangeInput::Pass(k) => Some(*k),
-                    RangeInput::Chain(..) => None,
-                })
-                .collect(),
-            Source::Task(..) => Vec::new(),
-        };
+        let read = stage.reads;
         assert!(
-            read.iter().all(|&k| k < entry.id),
+            read.iter().flatten().all(|&k| k < entry.id),
             "{name}: {read:?} {entry:?}"
         );
         let listed = (entry.id, entry.node_id, entry.label.to_string());
