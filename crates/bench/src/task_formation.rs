@@ -19,7 +19,7 @@
 //! runs it: the engine weighs no formations. At the vector sizes its tasks
 //! run at, a cut only adds the boundary's write and read-back, so a scan-fed
 //! chain and its consumer's first stage are one task wherever they fit
-//! (`rapid_qef::plan::PlanNode::input_task`).
+//! (`rapid_qef::stages::first_stage`).
 
 use dpu_sim::isa::CostModel;
 use rapid_qef::budget::{task_tile, Declares};

@@ -21,7 +21,7 @@
 //! aggregate whose input the Map already computes reads that column.
 //! Where a task ends (§5.2) is no choice made here: a scan-fed chain and
 //! its consumer's first stage are one task wherever they fit DMEM together,
-//! the rule (`rapid_qef::plan::PlanNode::input_task`) the plan's stage list
+//! the rule (`rapid_qef::stages::first_stage`) the plan's stage list
 //! (`rapid_qef::stages`) is lowered by, which the engine runs and the
 //! verifier checks.
 
@@ -36,6 +36,7 @@ use rapid_qef::plan::{
 use rapid_qef::primitives::agg::AggFunc;
 use rapid_qef::primitives::arith::ArithOp;
 use rapid_qef::primitives::filter::CmpOp;
+use rapid_qef::stages::First;
 use rapid_storage::types::{pow10, DataType, Value};
 
 use crate::cost::{estimate, estimate_node, CostParams, NodeEst, PlanCost};
@@ -1332,7 +1333,7 @@ impl Lowering<'_, '_> {
 /// its table, and the table is clustered on it (`Table::clustered_on`). A
 /// group-by's input must; a join reads by range the inputs that qualify —
 /// both, or one, the other partitioned by its key's value bits — where each
-/// one's task fits DMEM (`PlanNode::ranged_tasks`). The scheme stays the one
+/// one's task fits DMEM (`stages::first_stage`). The scheme stays the one
 /// `partition_scheme` gave: its partitions are the ranges. A broadcast join,
 /// or a join or group-by of several keys, stays what it is.
 fn ranged(
@@ -1371,22 +1372,30 @@ fn ranged(
     if !qualifies {
         return Ok(node);
     }
-    let ctx = &params.ctx;
-    let tasks = node
-        .ranged_tasks(catalog, ctx.dmem_bytes)
-        .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
-    let fits = tasks.is_some_and(|tasks| {
-        tasks.iter().all(|task| {
-            rapid_qef::budget::task_tile(ctx.tile_rows, &task.decls, ctx.dmem_bytes).is_some()
-        })
-    });
+    // A group-by is declared ranged, then checked like a join.
+    let by_range = |strategy: &mut GroupStrategy, ranged: bool| {
+        if let GroupStrategy::Partitioned(scheme) | GroupStrategy::Ranged(scheme) = strategy {
+            let scheme = std::mem::take(scheme);
+            *strategy = match ranged {
+                true => GroupStrategy::Ranged(scheme),
+                false => GroupStrategy::Partitioned(scheme),
+            };
+        }
+    };
+    if let PlanNode::GroupBy { strategy, .. } = &mut node {
+        by_range(strategy, true);
+    }
+    let mut fits = true;
+    for edge in (0..node.inputs().count()).filter(|&edge| node.reads_by_range(edge)) {
+        let ctx = &params.ctx;
+        let first = rapid_qef::stages::first_stage(&node, edge, catalog, ctx)
+            .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
+        fits &= matches!(first, Some(First::Task(task))
+            if rapid_qef::budget::task_tile(ctx.tile_rows, &task.decls, ctx.dmem_bytes).is_some());
+    }
     match &mut node {
         PlanNode::HashJoin { ranged, .. } if !fits => *ranged = ByRange::Neither,
-        PlanNode::GroupBy { strategy, .. } if fits => {
-            if let GroupStrategy::Partitioned(scheme) = strategy {
-                *strategy = GroupStrategy::Ranged(std::mem::take(scheme));
-            }
-        }
+        PlanNode::GroupBy { strategy, .. } if !fits => by_range(strategy, false),
         _ => {}
     }
     Ok(node)
@@ -1397,7 +1406,7 @@ fn ranged(
 /// `probe`, declares the filter `join_filter::size_bits` sizes for the
 /// estimated build rows — a slice for each of round one's partitions, one
 /// for a broadcast join — in the room its probe side's first stage leaves at
-/// the tile it runs at (`PlanNode::probe_room`), where the estimate of the
+/// the tile it runs at (`stages::probe_room`), where the estimate of the
 /// join with it is below the estimate without (`cost::filter_pays`).
 fn join_filter(
     mut join: PlanNode,
@@ -1423,9 +1432,7 @@ fn join_filter(
         ),
         false => (rapid_qef::ops::join_filter::slices(scheme), build.cost.rows),
     };
-    let ctx = &params.ctx;
-    let room = join
-        .probe_room(catalog, ctx.tile_rows, ctx.dmem_bytes)
+    let room = rapid_qef::stages::probe_room(&join, catalog, &params.ctx)
         .map_err(|e| CompileError::BadCatalog(e.to_string()))?;
     let Some(bits) = rapid_qef::ops::join_filter::size_bits(build_rows, fanout, room) else {
         return Ok(join);

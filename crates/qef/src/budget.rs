@@ -1,6 +1,6 @@
 //! Shared DMEM working-set arithmetic (§5.2 task formation).
 //!
-//! Where a task ends (`PlanNode::input_task`) and the tile every stage of a
+//! Where a task ends (`crate::stages::first_stage`) and the tile every stage of a
 //! plan's stage list fits at (`crate::stages`) come from this one module,
 //! and the engine runs and the static verifier (`rapid-verify`) checks that
 //! one list, so the static verdict and the runtime behavior cannot drift

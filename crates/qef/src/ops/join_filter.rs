@@ -44,8 +44,8 @@
 //! Its size comes from one function, [`size_bits`]: [`BITS_PER_KEY`] bits an
 //! estimated build key, rounded up to a power of two and capped at the room
 //! the probe side's first stage leaves at the tile it runs at without one
-//! (`PlanNode::probe_room`). The array is state the probe stage declares
-//! (`PlanNode::first_stage`), so engine, task tile and verifier size the
+//! (`crate::stages::probe_room`). The array is state the probe stage declares
+//! (`crate::stages::first_stage`), so engine, task tile and verifier size the
 //! task with it. The share of probe rows it keeps is [`kept_fraction`] —
 //! the compiler's estimate of a filtered join prices it, and the engine's
 //! scan weighs its key pass by it ([`JoinFilter::kept_share`]) — and what a

@@ -6,8 +6,8 @@
 //! by `EXPLAIN ANALYZE`, `EXPLAIN VERIFY` and `rapid-report`), its node, what
 //! its operators declare against DMEM ([`OpDecl`]) and the tile and working
 //! set they fit at, its declared fan-outs, its source and the earlier entries
-//! whose results it reads. Where a task ends is [`PlanNode::input_task`]'s
-//! rule, asked here. The engine runs the list in order, holding each entry's
+//! whose results it reads. Where a task ends is [`first_stage`]'s rule,
+//! asked here. The engine runs the list in order, holding each entry's
 //! results until the entry that reads them runs, and the verifier checks it.
 //!
 //! What a stage decides from its rows stays run-time data: a scan's access
@@ -19,8 +19,9 @@
 use crate::budget::{self, OpDecl, OpName};
 use crate::error::{QefError, QefResult};
 use crate::exec::ExecContext;
+use crate::ops::join_filter;
 use crate::plan::{Catalog, GroupStrategy, PlanNode};
-use crate::task::{self, Task};
+use crate::task::{self, Takes, Task};
 
 /// A plan's stages in run order: a stage's id is its place here.
 pub type StagePlan<'p> = Vec<Stage<'p>>;
@@ -391,12 +392,11 @@ impl<'p> Lowering<'p, '_> {
         })
     }
 
-    /// The first stage `node` runs over input `edge`
-    /// ([`PlanNode::first_stage`]), declaring `fanouts` and reading `built`
-    /// of the build side beside it: the last operator of the input's task
-    /// wherever they fit together ([`PlanNode::input_task`]), else a stage
-    /// over what the input's stages handed on, after them. Returns the entry
-    /// handing on its results.
+    /// The stage of [`first_stage`] `node` runs over input `edge`,
+    /// declaring `fanouts` and reading `built` of the build side beside it:
+    /// the input's task where it ends it, else a stage over what the input's
+    /// stages handed on, after them. Returns the entry handing on its
+    /// results.
     fn first(
         &mut self,
         node: &'p PlanNode,
@@ -405,19 +405,19 @@ impl<'p> Lowering<'p, '_> {
         fanouts: &'p [usize],
         built: Option<u32>,
     ) -> QefResult<u32> {
-        let ctx = self.ctx;
-        if let Some(task) = node.input_task(edge, self.catalog, ctx.tile_rows, ctx.dmem_bytes)? {
-            let chain = self.ids(task.chain.above.len() + 1);
-            let source = Source::Task(task, chain);
-            return Ok(self.push(node, at, fanouts, source, [built, None]));
-        }
-        let input = node
-            .inputs()
-            .nth(edge)
-            .ok_or_else(|| QefError::BadPlan(format!("no input {edge}")))?;
+        let op = match first_stage(node, edge, self.catalog, self.ctx)? {
+            Some(First::Task(task)) => {
+                let chain = self.ids(task.chain.above.len() + 1);
+                let source = Source::Task(task, chain);
+                return Ok(self.push(node, at, fanouts, source, [built, None]));
+            }
+            Some(First::Read(op)) => Some(op),
+            None => None,
+        };
+        let input = node.inputs().nth(edge);
+        let input = input.ok_or_else(|| QefError::Internal(format!("no input {edge}")))?;
         let from = self.node(input, at.1 + 1)?;
-        let widths = input.output_widths(self.catalog)?;
-        let Some(op) = node.first_stage(edge, &widths, ctx.dmem_bytes) else {
+        let Some(op) = op else {
             return Ok(from);
         };
         let mut reads = [built, None];
@@ -426,16 +426,13 @@ impl<'p> Lowering<'p, '_> {
     }
 
     /// A ranged join's or group-by's one stage ([`crate::ops::ranges`]): a
-    /// lane a key range of the inputs it reads by range — their tasks
-    /// ([`PlanNode::ranged_tasks`]) — after the pass, routed by value bits,
-    /// of an input it does not.
+    /// lane a key range of the inputs it reads by range — the tasks
+    /// [`first_stage`] ends in the stage — after the pass, routed by value
+    /// bits, of an input it does not.
     fn ranged(&mut self, node: &'p PlanNode, at: At) -> QefResult<u32> {
-        let bad = |why: &str| QefError::BadPlan(format!("a ranged operator: {why}"));
-        let scheme = node.ranged_scheme().ok_or_else(|| bad("no scheme"))?;
-        let tasks = node.ranged_tasks(self.catalog, self.ctx.dmem_bytes)?;
-        let mut tasks = tasks
-            .ok_or_else(|| bad("an input it reads by range is no scan-fed chain"))?
-            .into_iter();
+        let scheme = node.ranged_scheme();
+        let scheme =
+            scheme.ok_or_else(|| QefError::BadPlan("a ranged operator: no scheme".into()))?;
         let (mut inputs, mut reads) = (Vec::with_capacity(2), [None, None]);
         for (edge, read) in reads.iter_mut().enumerate().take(node.inputs().count()) {
             if !node.reads_by_range(edge) {
@@ -443,7 +440,11 @@ impl<'p> Lowering<'p, '_> {
                 inputs.push(RangeInput::Pass);
                 continue;
             }
-            let task = tasks.next().ok_or_else(|| bad("a task is missing"))?;
+            let Some(First::Task(task)) = first_stage(node, edge, self.catalog, self.ctx)? else {
+                return Err(QefError::Internal(format!(
+                    "input {edge} read by range ends no task"
+                )));
+            };
             let chain = self.ids(task.chain.above.len() + 1);
             let fit = budget::task_tile(self.ctx.tile_rows, &task.decls, self.ctx.dmem_bytes);
             inputs.push(RangeInput::Chain(task, chain, fit));
@@ -454,4 +455,191 @@ impl<'p> Lowering<'p, '_> {
         self.stages[ranged as usize].pass_tile = reads[1].and_then(|k| self.unfiltered(k));
         Ok(ranged)
     }
+}
+
+/// The first stage a node runs over one of its inputs ([`first_stage`]).
+#[derive(Debug)]
+pub enum First<'p> {
+    /// It ends the input's task, a scan-fed chain's.
+    Task(Task<'p>),
+    /// It runs over what the input's stages hand on: its one operator.
+    Read(OpDecl<'p>),
+}
+
+/// The first stage `node` runs over input `edge` — the one rule of where a
+/// task ends. Round one of a join side's or a group-by's partition pass (on
+/// a probe side holding its join's filter, [`crate::ops::join_filter`]), a
+/// broadcast join's `join.probe`, `groupby.consume`, `topk.consume` or
+/// `sort.local` ends the input's task wherever the input is a scan-fed chain
+/// and [`budget::task_tile`] of what they declare together fits DMEM; else
+/// it runs over what the chain materialized: cut, never refused. A ranged
+/// node's stage ends the task of every input it reads by key range, fit or
+/// not: `join.ranged`, the lane's table — half of DMEM, as a broadcast
+/// join's, the build rows put in it as they are scanned and the probe rows
+/// probed where they lie — with the lane's join filter beside it, or
+/// `groupby.ranged`, the group table. `None` where the node has no such
+/// stage: it is no join, group-by, top-k or sort, or the input is a
+/// broadcast join's build side, which runs as a node of its own.
+pub fn first_stage<'p>(
+    node: &'p PlanNode,
+    edge: usize,
+    catalog: &Catalog,
+    ctx: &ExecContext,
+) -> QefResult<Option<First<'p>>> {
+    let dmem = ctx.dmem_bytes;
+    let input = node.inputs().nth(edge);
+    let input = input.ok_or_else(|| QefError::BadPlan(format!("no input {edge}")))?;
+    let bad = || {
+        QefError::BadPlan(
+            "a ranged operator: an input it reads by range is no scan-fed chain".into(),
+        )
+    };
+    if node.reads_by_range(edge) {
+        let (mut task, widths) = input.scan_chain().ok_or_else(bad)?.task(catalog)?;
+        let (name, op) = match node {
+            PlanNode::GroupBy { keys, aggs, .. } => {
+                task.takes = Takes::Groups { keys, aggs };
+                (
+                    "groupby.ranged",
+                    task::group_consume_decl(keys, aggs, &widths, dmem),
+                )
+            }
+            PlanNode::HashJoin { filter, .. } => {
+                // The build rows are written into the table; the probe rows
+                // are read where they lie.
+                if edge == 1 {
+                    task.takes = Takes::Reads;
+                }
+                let held = filter.map_or(0, join_filter::bytes);
+                ("join.ranged", task::join_probe_decl(&widths, dmem, held))
+            }
+            _ => return Err(bad()),
+        };
+        let name = OpName::of(name);
+        task.decls.push(OpDecl { name, ..op });
+        return Ok(Some(First::Task(task)));
+    }
+    // A group-by's pass of no rounds has no round one to end a task with.
+    let no_round_one = matches!(node, PlanNode::GroupBy {
+        strategy: GroupStrategy::Partitioned(scheme),
+        ..
+    } if scheme.is_empty());
+    let Some(chain) = input.scan_chain().filter(|_| !no_round_one) else {
+        let widths = input.output_widths(catalog)?;
+        return Ok(first_op(node, edge, &widths, dmem).map(First::Read));
+    };
+    let (mut task, widths) = chain.task(catalog)?;
+    let Some(op) = first_op(node, edge, &widths, dmem) else {
+        return Ok(None);
+    };
+    task.decls.push(op);
+    if budget::task_tile(ctx.tile_rows, &task.decls, dmem).is_none() {
+        return Ok(task.decls.pop().map(First::Read));
+    }
+    task.takes = match node {
+        PlanNode::TopK { .. } | PlanNode::Sort { .. } => Takes::Writes,
+        PlanNode::GroupBy {
+            keys,
+            aggs,
+            strategy: GroupStrategy::OnTheFly { .. },
+            ..
+        } => Takes::Groups { keys, aggs },
+        _ => Takes::Reads,
+    };
+    Ok(Some(First::Task(task)))
+}
+
+/// What [`first_stage`] declares over columns of `widths` where it is no
+/// ranged node's.
+fn first_op(
+    node: &PlanNode,
+    edge: usize,
+    widths: &[usize],
+    dmem: usize,
+) -> Option<OpDecl<'static>> {
+    let partition = |stage: &'static str, held: usize| {
+        Some(OpDecl {
+            name: OpName::of(stage),
+            state_bytes: budget::BASE_STATE_BYTES + held,
+            in_widths: widths.to_vec(),
+            // The hash lane the partition map is computed from.
+            out_widths: vec![4],
+        })
+    };
+    match (node, edge) {
+        (PlanNode::HashJoin { scheme, .. }, 0) if scheme.is_empty() => None,
+        (PlanNode::HashJoin { scheme, filter, .. }, 1) if scheme.is_empty() => {
+            let held = filter.map_or(0, join_filter::bytes);
+            Some(task::join_probe_decl(widths, dmem, held))
+        }
+        (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build", 0),
+        // A ranged join tests its filter beside each lane's table.
+        (PlanNode::HashJoin { filter, ranged, .. }, 1) => {
+            let held = filter
+                .filter(|_| !ranged.any())
+                .map_or(0, join_filter::bytes);
+            partition("join.partition-probe", held)
+        }
+        (
+            PlanNode::GroupBy {
+                strategy: GroupStrategy::Partitioned(_),
+                ..
+            },
+            0,
+        ) => partition("groupby.partition", 0),
+        (PlanNode::GroupBy { keys, aggs, .. }, 0) => {
+            Some(task::group_consume_decl(keys, aggs, widths, dmem))
+        }
+        (PlanNode::TopK { k, .. }, 0) => Some(OpDecl {
+            name: OpName::of("topk.consume"),
+            // The heap of k candidate rows, capped at half of DMEM (larger k
+            // spills merge rounds, not state).
+            state_bytes: budget::BASE_STATE_BYTES
+                + k.saturating_mul(widths.iter().sum()).min(dmem / 2),
+            in_widths: widths.to_vec(),
+            out_widths: Vec::new(),
+        }),
+        (PlanNode::Sort { .. }, 0) => Some(OpDecl {
+            name: OpName::of("sort.local"),
+            state_bytes: dmem / 2,
+            in_widths: widths.to_vec(),
+            out_widths: Vec::new(),
+        }),
+        _ => None,
+    }
+}
+
+/// The bytes of state [`first_stage`] over join `node`'s probe side can hold
+/// beside what it declares and still run at the tile it runs at: the room a
+/// join filter may take ([`join_filter::size_bits`]). 0 for any other node,
+/// or a stage that does not fit at all.
+pub fn probe_room(node: &PlanNode, catalog: &Catalog, ctx: &ExecContext) -> QefResult<usize> {
+    let PlanNode::HashJoin { .. } = node else {
+        return Ok(0);
+    };
+    let mut decls = match first_stage(node, 1, catalog, ctx)? {
+        Some(First::Task(task)) => task.decls,
+        Some(First::Read(op)) => vec![op],
+        None => return Ok(0),
+    };
+    let tile = |decls: &[OpDecl<'_>]| {
+        budget::task_tile(ctx.tile_rows, decls, ctx.dmem_bytes).map(|(tile, _)| tile)
+    };
+    let (Some(at), Some(last)) = (tile(&decls), decls.len().checked_sub(1)) else {
+        return Ok(0);
+    };
+    let base = decls[last].state_bytes;
+    // The state grows the working set and shrinks the tile: the most that
+    // keeps it, by bisection.
+    let (mut fits, mut over) = (0, ctx.dmem_bytes + 1);
+    while over - fits > 1 {
+        let mid = fits + (over - fits) / 2;
+        decls[last].state_bytes = base + mid;
+        if tile(&decls) == Some(at) {
+            fits = mid;
+        } else {
+            over = mid;
+        }
+    }
+    Ok(fits)
 }

@@ -3,19 +3,10 @@
 //! "Operators within a task pipeline results to each other via DMEM and
 //! only results at task boundaries are materialized to DRAM." A task here
 //! opens with a scan: the **scan-fed chain** `Scan → {Filter | Map}*`
-//! ([`PlanNode::scan_chain`]) always runs in its scan's task, and the first
-//! stage of the node that consumes the chain — round one of a join side's or
-//! a group-by's partition pass (on a probe side holding its join's filter,
-//! [`crate::ops::join_filter`]), a broadcast join's `join.probe`,
-//! `groupby.consume`, `topk.consume`, `sort.local`
-//! ([`PlanNode::first_stage`]) — joins it wherever
-//! [`crate::budget::task_tile`] of what they declare together ([`OpDecl`])
-//! fits DMEM. Where it does not, the chain's task materializes and the stage
-//! runs over what it wrote: cut, never refused. One function says so,
-//! [`PlanNode::input_task`]; the plan's stage list ([`crate::stages`]) is
-//! lowered by it, and the engine runs that list and the verifier
-//! (`EXPLAIN VERIFY`, `rapid-report verify`) checks it, so the two cannot
-//! disagree about where a task ends.
+//! ([`PlanNode::scan_chain`]) always runs in its scan's task, which ends in
+//! the first stage of the node that consumes the chain wherever what they
+//! declare together ([`OpDecl`]) fits DMEM: [`crate::stages::first_stage`]
+//! is that rule, and the plan's stage list is lowered by it.
 //!
 //! The rows a chain's predicate keeps stay where the DMS streamed them until
 //! an operator writes them: a predicated chain's scan declares a selection
@@ -29,7 +20,7 @@
 //! round's own — or beside a broadcast join's table in `join.probe`, a
 //! filter of one slice whose bits every lane sets beside its table — and
 //! the compiler sizes it to the room that leaves the task's tile as it was
-//! ([`PlanNode::probe_room`]). A partitioned join's `join.filter` stage
+//! ([`crate::stages::probe_room`]). A partitioned join's `join.filter` stage
 //! builds a slice a lane ([`join_filter_decl`]). Where the probe
 //! side's scan takes the gather path it tests the filter itself, in a key
 //! pass before it gathers the projection ([`ScanChain::table_columns`] finds
@@ -180,236 +171,6 @@ impl PlanNode {
             _ => false,
         }
     }
-
-    /// The tasks a lane of this node's one stage runs over the inputs it
-    /// reads by key range — a group-by's input, a join's inputs its `ranged`
-    /// names, however the node's partitions are declared — an input at a
-    /// time, in [`inputs`](Self::inputs) order: each input's scan-fed chain
-    /// over the lane's key range, ending in the node's own operator. A join's is
-    /// `join.ranged`, over either side: the lane's table — half of DMEM, as a
-    /// broadcast join's `join.probe` holds it, its build rows included —
-    /// which the build side's rows are put in as they are scanned and the
-    /// probe side's are probed against where they lie, and beside it the
-    /// lane's join filter where the join declares one. A group-by's is
-    /// `groupby.ranged`, the group table. The lane's DMEM is, at its most,
-    /// the larger of the tasks' working sets. `None` where the node is no
-    /// join or group-by or an input it reads by range is no chain; whether
-    /// the node is ranged is [`ranged_scheme`](Self::ranged_scheme)'s to
-    /// say.
-    pub fn ranged_tasks(
-        &self,
-        catalog: &Catalog,
-        dmem_bytes: usize,
-    ) -> QefResult<Option<Vec<Task<'_>>>> {
-        let mut tasks = Vec::with_capacity(2);
-        for (edge, input) in self.inputs().enumerate() {
-            let by_range = match self {
-                PlanNode::HashJoin { ranged, .. } => ranged.reads(edge),
-                _ => true,
-            };
-            if !by_range {
-                continue;
-            }
-            let Some(chain) = input.scan_chain() else {
-                return Ok(None);
-            };
-            let (mut task, widths) = chain.task(catalog)?;
-            match self {
-                PlanNode::HashJoin { filter, .. } => {
-                    let held = filter.map_or(0, join_filter::bytes);
-                    task.decls.push(OpDecl {
-                        name: OpName::of("join.ranged"),
-                        ..join_probe_decl(&widths, dmem_bytes, held)
-                    });
-                    // The build rows are written into the table; the probe
-                    // rows are read where they lie.
-                    if edge == 1 {
-                        task.takes = Takes::Reads;
-                    }
-                }
-                PlanNode::GroupBy { keys, aggs, .. } => {
-                    let consume = group_consume_decl(keys, aggs, &widths, dmem_bytes);
-                    task.decls.push(OpDecl {
-                        name: OpName::of("groupby.ranged"),
-                        ..consume
-                    });
-                    task.takes = Takes::Groups { keys, aggs };
-                }
-                _ => return Ok(None),
-            }
-            tasks.push(task);
-        }
-        Ok(Some(tasks))
-    }
-
-    /// What the first stage this node runs over input `edge` declares
-    /// against DMEM, the input handing on columns of `widths`: a partition
-    /// pass's round one, a broadcast join's `join.probe` — either holding
-    /// the join filter on a join's probe side, where the join has one —
-    /// `groupby.consume`, `topk.consume` or `sort.local`. `None` where the
-    /// node has no such stage: it is not a join, group-by, top-k or sort, or
-    /// it is the build side of a broadcast join, which runs as a node of its
-    /// own.
-    pub fn first_stage(
-        &self,
-        edge: usize,
-        widths: &[usize],
-        dmem_bytes: usize,
-    ) -> Option<OpDecl<'static>> {
-        let partition = |stage: &'static str, held: usize| {
-            Some(OpDecl {
-                name: OpName::of(stage),
-                state_bytes: BASE_STATE_BYTES + held,
-                in_widths: widths.to_vec(),
-                // The hash lane the partition map is computed from.
-                out_widths: vec![4],
-            })
-        };
-        match (self, edge) {
-            (PlanNode::HashJoin { scheme, .. }, 0) if scheme.is_empty() => None,
-            (PlanNode::HashJoin { scheme, filter, .. }, 1) if scheme.is_empty() => {
-                let held = filter.map_or(0, join_filter::bytes);
-                Some(join_probe_decl(widths, dmem_bytes, held))
-            }
-            (PlanNode::HashJoin { .. }, 0) => partition("join.partition-build", 0),
-            // A ranged join tests its filter beside each lane's table.
-            (PlanNode::HashJoin { filter, ranged, .. }, 1) => {
-                let held = filter
-                    .filter(|_| !ranged.any())
-                    .map_or(0, join_filter::bytes);
-                partition("join.partition-probe", held)
-            }
-            (
-                PlanNode::GroupBy {
-                    strategy: GroupStrategy::Partitioned(_),
-                    ..
-                },
-                0,
-            ) => partition("groupby.partition", 0),
-            (PlanNode::GroupBy { keys, aggs, .. }, 0) => {
-                Some(group_consume_decl(keys, aggs, widths, dmem_bytes))
-            }
-            (PlanNode::TopK { k, .. }, 0) => Some(OpDecl {
-                name: OpName::of("topk.consume"),
-                // The heap of k candidate rows, capped at half of DMEM
-                // (larger k spills merge rounds, not state).
-                state_bytes: BASE_STATE_BYTES
-                    + k.saturating_mul(widths.iter().sum()).min(dmem_bytes / 2),
-                in_widths: widths.to_vec(),
-                out_widths: Vec::new(),
-            }),
-            (PlanNode::Sort { .. }, 0) => Some(OpDecl {
-                name: OpName::of("sort.local"),
-                state_bytes: dmem_bytes / 2,
-                in_widths: widths.to_vec(),
-                out_widths: Vec::new(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// The task input `edge` of this node runs in, with this node's
-    /// [`first_stage`](Self::first_stage) over it as the task's last
-    /// operator — the one rule of where a task ends. `Some` wherever the
-    /// input is a scan-fed chain and [`crate::budget::task_tile`] of what the
-    /// chain and the stage declare together fits `dmem_bytes`; `None` where
-    /// the input is no chain, the node has no such stage (a group-by's
-    /// partition pass of no rounds has no round one), or the operators do not
-    /// fit one scratchpad: the chain then runs as a task of its own and the
-    /// stage over what it materialized.
-    pub fn input_task(
-        &self,
-        edge: usize,
-        catalog: &Catalog,
-        tile_rows: usize,
-        dmem_bytes: usize,
-    ) -> QefResult<Option<Task<'_>>> {
-        let no_round_one = matches!(self, PlanNode::GroupBy {
-            strategy: GroupStrategy::Partitioned(scheme),
-            ..
-        } if scheme.is_empty());
-        if no_round_one || self.reads_by_range(edge) {
-            return Ok(None);
-        }
-        let Some(chain) = self.inputs().nth(edge).and_then(PlanNode::scan_chain) else {
-            return Ok(None);
-        };
-        let (mut task, widths) = chain.task(catalog)?;
-        let Some(last) = self.first_stage(edge, &widths, dmem_bytes) else {
-            return Ok(None);
-        };
-        task.decls.push(last);
-        task.takes = match self {
-            PlanNode::TopK { .. } | PlanNode::Sort { .. } => Takes::Writes,
-            PlanNode::GroupBy {
-                keys,
-                aggs,
-                strategy: GroupStrategy::OnTheFly { .. },
-                ..
-            } => Takes::Groups { keys, aggs },
-            _ => Takes::Reads,
-        };
-        let fits = crate::budget::task_tile(tile_rows, &task.decls, dmem_bytes).is_some();
-        Ok(fits.then_some(task))
-    }
-
-    /// The bytes of state the first stage over this join's probe side —
-    /// round one of its pass, or a broadcast join's `join.probe`, in the
-    /// probe's task wherever [`input_task`](Self::input_task) puts it there,
-    /// or a ranged join's `join.ranged` ([`ranged_tasks`](Self::ranged_tasks))
-    /// — can hold beside what it declares and still run at the tile it runs
-    /// at: the room a join filter may take ([`join_filter::size_bits`]). 0
-    /// for any other node, or a stage that does not fit at all.
-    pub fn probe_room(
-        &self,
-        catalog: &Catalog,
-        tile_rows: usize,
-        dmem_bytes: usize,
-    ) -> QefResult<usize> {
-        let PlanNode::HashJoin { probe, .. } = self else {
-            return Ok(0);
-        };
-        let ranged = match self.reads_by_range(1) {
-            true => self.ranged_tasks(catalog, dmem_bytes)?,
-            false => None,
-        };
-        let task = match ranged.and_then(|mut sides| sides.pop()) {
-            Some(probe) => Some(probe),
-            None => self.input_task(1, catalog, tile_rows, dmem_bytes)?,
-        };
-        let mut decls = match task {
-            Some(task) => task.decls,
-            None => {
-                let widths = probe.output_widths(catalog)?;
-                self.first_stage(1, &widths, dmem_bytes)
-                    .into_iter()
-                    .collect()
-            }
-        };
-        let tile = |decls: &[OpDecl<'_>]| {
-            crate::budget::task_tile(tile_rows, decls, dmem_bytes).map(|(tile, _)| tile)
-        };
-        let Some(at) = tile(&decls) else {
-            return Ok(0);
-        };
-        let Some(last) = decls.len().checked_sub(1) else {
-            return Ok(0);
-        };
-        let base = decls[last].state_bytes;
-        // The state grows the working set and shrinks the tile: the most
-        // that keeps it, by bisection.
-        let (mut fits, mut over) = (0, dmem_bytes + 1);
-        while over - fits > 1 {
-            let mid = fits + (over - fits) / 2;
-            decls[last].state_bytes = base + mid;
-            if tile(&decls) == Some(at) {
-                fits = mid;
-            } else {
-                over = mid;
-            }
-        }
-        Ok(fits)
-    }
 }
 
 /// What a group table consuming columns of `widths` declares: the
@@ -496,8 +257,8 @@ pub fn map_decl(widths: &[usize], exprs: &[crate::plan::NamedExpr]) -> OpDecl<'s
 }
 
 /// A task: a scan-fed chain and what its operators declare, scan first —
-/// and last, where [`PlanNode::input_task`] put it there, the first stage of
-/// the node that consumes the chain.
+/// and last, where [`crate::stages::first_stage`] puts it there, the first
+/// stage of the node that consumes the chain.
 #[derive(Debug)]
 pub struct Task<'p> {
     /// The chain the task opens with.

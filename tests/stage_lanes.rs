@@ -35,6 +35,7 @@ use rapid::qef::exec::ExecContext;
 use rapid::qef::ops::filter::ChunkList;
 use rapid::qef::plan::{ByRange, Catalog, GroupStrategy, PlanNode};
 use rapid::qef::primitives::costs;
+use rapid::qef::stages::{self, First};
 use rapid::qef::trace::{MemorySink, StageEvent};
 use rapid_fuzz::canonical;
 
@@ -751,10 +752,18 @@ fn a_task_that_does_not_fit_runs_cut() {
     let whole = rapid::qcomp::compile(&q1, &catalog, &CostParams::default()).expect("Q1");
     let consumer = group_by(&whole.plan);
     let tile = ExecContext::dpu().tile_rows;
-    let task_in = |dmem: usize| {
-        consumer
-            .input_task(0, &catalog, tile, dmem)
+    let first_in = |dmem: usize| {
+        let ctx = ExecContext {
+            dmem_bytes: dmem,
+            ..ExecContext::dpu()
+        };
+        stages::first_stage(&consumer, 0, &catalog, &ctx)
             .expect("declared")
+            .expect("a group-by's first stage")
+    };
+    let task_in = |dmem: usize| match first_in(dmem) {
+        First::Task(task) => Some(task),
+        First::Read(_) => None,
     };
     let task = task_in(32 * 1024).expect("one task in 32 KiB");
     let names: Vec<String> = task.decls.iter().map(|d| d.name.to_string()).collect();
@@ -767,10 +776,10 @@ fn a_task_that_does_not_fit_runs_cut() {
         .find(|&dmem| task_in(dmem).is_none())
         .expect("a scratchpad the task does not fit");
     assert!(task_in(dmem + 64).is_some(), "{dmem}");
-    let (chain, widths) = task.chain.clone().task(&catalog).expect("the chain");
-    let consume = consumer
-        .first_stage(0, &widths, dmem)
-        .expect("groupby.consume");
+    let (chain, _) = task.chain.clone().task(&catalog).expect("the chain");
+    let First::Read(consume) = first_in(dmem) else {
+        panic!("groupby.consume runs cut in {dmem} B");
+    };
     assert!(budget::task_tile(tile, &chain.decls, dmem).is_some());
     assert!(budget::task_tile(tile, std::slice::from_ref(&consume), dmem).is_some());
 
