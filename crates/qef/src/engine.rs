@@ -164,6 +164,21 @@ fn mismatch(entry: Entry<'_>, what: &str) -> QefError {
     QefError::Internal(format!("s{}, {}: {what}", entry.id, entry.label))
 }
 
+/// `out` cut to its first `limit` rows, where a `Limit` over its entry's
+/// node gives one.
+fn limited(out: Out<'_>, limit: Option<usize>) -> Out<'_> {
+    match (out, limit) {
+        (Out::Rows(rows), Some(n)) => {
+            let all = Batch::concat(rows);
+            Out::Rows(vec![match n >= all.rows() {
+                true => all,
+                false => all.gather(&(0..n as u32).collect::<Vec<u32>>()),
+            }])
+        }
+        (out, _) => out,
+    }
+}
+
 /// The rows entry `k` handed on, taken.
 fn take_rows(outs: &mut [Out<'_>], k: Option<u32>) -> QefResult<Vec<Batch>> {
     match take(outs, k)? {
@@ -488,7 +503,7 @@ impl Engine {
     /// emitted per executed stage, naming its entry; their `sim_secs` sum to
     /// the report's exactly.
     pub fn execute(&self, plan: &PlanNode) -> QefResult<(QueryOutput, QueryReport)> {
-        let list = crate::stages::lower(plan, &self.catalog, &self.ctx)?;
+        let mut list = crate::stages::lower(plan, &self.catalog, &self.ctx)?;
         let mut run = Run {
             ctx: &self.ctx,
             catalog: &self.catalog,
@@ -498,21 +513,18 @@ impl Engine {
             last: Instant::now(),
             stage_seq: 0,
         };
-        // Each entry's results by its id; the last entry's are the plan's.
+        // Each entry's results by its id, until the entry that reads them
+        // runs; the last entry's rows are the plan's.
+        let last = list.pop();
+        let last = last.ok_or_else(|| QefError::Internal("a plan of no stages".into()))?;
         let mut outs = Vec::with_capacity(list.len());
         for stage in list {
             let limit = stage.limit;
-            let mut out = run.entry(stage, &mut outs)?;
-            if let (Some(n), Out::Rows(rows)) = (limit, &mut out) {
-                let all = Batch::concat(std::mem::take(rows));
-                rows.push(match n >= all.rows() {
-                    true => all,
-                    false => all.gather(&(0..n as u32).collect::<Vec<u32>>()),
-                });
-            }
-            outs.push(out);
+            let out = run.entry(stage, &mut outs)?;
+            outs.push(limited(out, limit));
         }
-        let Some(Out::Rows(batches)) = outs.pop() else {
+        let limit = last.limit;
+        let Out::Rows(batches) = limited(run.entry(last, &mut outs)?, limit) else {
             return Err(QefError::Internal(
                 "the plan's last stage hands on no rows".into(),
             ));
@@ -534,7 +546,7 @@ impl<'e> Run<'e> {
     /// Run `stage`, the list's next entry, over what the entries it reads
     /// left in `outs`: what it hands on or writes.
     fn entry(&mut self, stage: Stage<'e>, outs: &mut [Out<'e>]) -> QefResult<Out<'e>> {
-        let (node, entry, [a, b]) = (stage.node, stage.entry, stage.reads);
+        let (node, entry, [a, b]) = (stage.node, stage.entry(), stage.reads);
         if stage.is_chain_own() {
             return self.exec_chain(stage).map(Out::Rows);
         }
@@ -761,7 +773,7 @@ impl<'e> Run<'e> {
         // scan chain keeps whole tiles, and so does a task each of whose
         // lanes reads a join filter from DRAM: equal shares would multiply
         // those reads (the cost model prices them at the same deal).
-        let (entry, fit) = (stage.entry, stage.fit);
+        let (entry, fit) = (stage.entry(), stage.fit);
         let Source::Task(task, chain) = stage.source else {
             return Err(mismatch(entry, "is no task"));
         };
@@ -934,7 +946,7 @@ impl<'e> Run<'e> {
     /// A scan-fed chain nothing above joined: a task of its own, handing on
     /// one batch per lane that kept a row.
     fn exec_chain(&mut self, stage: Stage<'e>) -> QefResult<Vec<Batch>> {
-        let entry = stage.entry;
+        let entry = stage.entry();
         let run = self.run_task(stage, None, None, |core, rows, _, _| {
             Ok(rows.into_batch(core))
         })?;
@@ -988,7 +1000,7 @@ impl<'e> Run<'e> {
     /// catalog stores) is refused: the plan was compiled when a table's
     /// columns were narrower and is the caller's to recompile.
     fn partition(&mut self, stage: Stage<'e>, outs: &mut [Out<'e>]) -> QefResult<Out<'e>> {
-        let (node, entry, scheme) = (stage.node, stage.entry, stage.fanouts);
+        let (node, entry, scheme) = (stage.node, stage.entry(), stage.fanouts);
         let operator = entry.label.stage;
         let edge = usize::from(operator == "join.partition-probe");
         let keys: &[usize] = match node {
@@ -1125,7 +1137,7 @@ impl<'e> Run<'e> {
             ..
         } = stage.node
         else {
-            return Err(mismatch(stage.entry, "of no join"));
+            return Err(mismatch(stage.entry(), "of no join"));
         };
         let build_widths = build_side.output_widths(self.catalog)?;
         let probe_width = probe_side.output_widths(self.catalog)?.len();
@@ -1148,7 +1160,7 @@ impl<'e> Run<'e> {
         let pairs: Vec<(Batch, Batch)> = build.into_iter().zip(probe).collect();
         let (joined, t) = run_stage(self.ctx, pairs, |core, (b, p)| join.pair(core, b, p, 0))?;
         let joined: Vec<Batch> = joined.into_iter().filter(|b| !b.is_empty()).collect();
-        self.stage(&t, stage.entry, batch_rows(&joined), Detail::default());
+        self.stage(&t, stage.entry(), batch_rows(&joined), Detail::default());
         Ok(joined)
     }
 
@@ -1165,7 +1177,7 @@ impl<'e> Run<'e> {
             ..
         } = stage.node
         else {
-            return Err(mismatch(stage.entry, "of a join with no filter"));
+            return Err(mismatch(stage.entry(), "of a join with no filter"));
         };
         let (tile, working_set) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
         // The stage streams the build keys at the widths they are stored in.
@@ -1183,7 +1195,7 @@ impl<'e> Run<'e> {
             ops::join_filter::build_slice(core, parts, keys, key_widths, slice, tile)
         })?;
         let build_rows = batch_rows(parts);
-        self.stage(&t, stage.entry, build_rows, Detail::default());
+        self.stage(&t, stage.entry(), build_rows, Detail::default());
         Ok(JoinFilter::of_slices(words, fanout, build_rows as usize))
     }
 
@@ -1209,7 +1221,7 @@ impl<'e> Run<'e> {
             ..
         } = stage.node
         else {
-            return Err(mismatch(stage.entry, "of no join"));
+            return Err(mismatch(stage.entry(), "of no join"));
         };
         let ctx = self.ctx;
         let build_widths = build.output_widths(self.catalog)?;
@@ -1227,7 +1239,7 @@ impl<'e> Run<'e> {
         // The probe reads the probe side's columns; its state is the table's
         // half of DMEM beside the filter's copy.
         let decl = stage.decls().last();
-        let decl = decl.ok_or_else(|| mismatch(stage.entry, "declares nothing"))?;
+        let decl = decl.ok_or_else(|| mismatch(stage.entry(), "declares nothing"))?;
         let (state_bytes, probe_columns) = (decl.state_bytes, decl.in_widths.len());
         let join = ops::join::Broadcast {
             build: &built,
@@ -1247,7 +1259,7 @@ impl<'e> Run<'e> {
         // Every lane builds the same table: one host table stands for them.
         let table = join.host_table()?;
         let table = table.as_ref();
-        let entry = stage.entry;
+        let entry = stage.entry();
         let (out, timing, mut detail, tested) = if let Some(batches) = probed {
             let (tile, working_set) = stage.fit.ok_or_else(|| self.exhausted(stage.decls()))?;
             let batches: Vec<Batch> = batches.into_iter().filter(|b| !b.is_empty()).collect();
@@ -1319,7 +1331,7 @@ impl<'e> Run<'e> {
     /// no merge: a group's rows are all in one range. Each chain holds in
     /// DMEM what its task in the list's entry declares while it is scanned.
     fn exec_ranged(&mut self, stage: Stage<'e>, outs: &mut [Out<'e>]) -> QefResult<Vec<Batch>> {
-        let (catalog, ctx, node, entry) = (self.catalog, self.ctx, stage.node, stage.entry);
+        let (catalog, ctx, node, entry) = (self.catalog, self.ctx, stage.node, stage.entry());
         let bad = |why: &str| QefError::BadPlan(format!("a ranged operator: {why}"));
         let scheme = stage.fanouts;
         let (keys, filter, build_widths, output): (Vec<&[usize]>, _, _, _) = match node {
@@ -2359,9 +2371,9 @@ mod tests {
         // The stages of the root the list runs in a chain's task.
         let tasks = |e: &Engine, plan: &PlanNode| -> Vec<String> {
             let list = crate::stages::lower(plan, e.catalog(), e.context()).unwrap();
-            let root = list.iter().filter(|s| s.entry.node_id == 0);
+            let root = list.iter().filter(|s| s.node_id == 0);
             let in_task = root.filter(|s| matches!(s.source, crate::stages::Source::Task(..)));
-            in_task.map(|s| s.entry.label.to_string()).collect()
+            in_task.map(|s| s.label().to_string()).collect()
         };
         for ctx in [ExecContext::dpu(), ExecContext::native(4)] {
             let whole = engine(ctx.clone());
@@ -2401,7 +2413,7 @@ mod tests {
             strategy: GroupStrategy::Partitioned(vec![]),
         };
         let list = crate::stages::lower(&plan, e.catalog(), e.context()).unwrap();
-        let labels: Vec<String> = list.iter().map(|s| s.entry.label.to_string()).collect();
+        let labels: Vec<String> = list.iter().map(|s| s.label().to_string()).collect();
         assert_eq!(labels, ["scan(t)", "groupby.partition", "groupby.consume"]);
         let (out, _) = e.execute(&plan).unwrap();
         assert_eq!(out.batch.rows(), 0);

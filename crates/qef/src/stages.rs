@@ -42,8 +42,14 @@ pub struct Entry<'p> {
 /// One stage of a plan.
 #[derive(Debug)]
 pub struct Stage<'p> {
-    /// Its id, node and label.
-    pub entry: Entry<'p>,
+    /// Its place in the list, `s<id>`.
+    pub id: u32,
+    /// Pre-order id of the node it belongs to.
+    pub node_id: u32,
+    /// That node's depth in the plan (root 0).
+    pub depth: u32,
+    /// Whether the engine may skip it at run time.
+    pub optional: bool,
     /// The node it belongs to.
     pub node: &'p PlanNode,
     /// The fan-outs it declares: a partition pass's scheme, or the scheme
@@ -57,8 +63,6 @@ pub struct Stage<'p> {
     /// what a stage over the probe side holds beside it — the filter its
     /// pass tests, the rows a broadcast probe builds its table of.
     pub reads: [Option<u32>; 2],
-    /// Whether the engine may skip it at run time.
-    pub optional: bool,
     /// The rows a `Limit` over its node lets it hand on.
     pub limit: Option<usize>,
     /// The tile its operators run at together and the DMEM a lane of it
@@ -99,6 +103,21 @@ pub enum RangeInput<'p> {
 }
 
 impl<'p> Stage<'p> {
+    /// Its id, node and label, as its events carry them.
+    pub fn entry(&self) -> Entry<'p> {
+        Entry {
+            id: self.id,
+            node_id: self.node_id,
+            depth: self.depth,
+            label: self.label(),
+        }
+    }
+
+    /// Its last operator's label.
+    pub fn label(&self) -> OpName<'p> {
+        self.decls().last().map_or(OpName::of(""), |op| op.name)
+    }
+
     /// The chains its lanes scan, in input order, each with its topmost
     /// node and what its task fits at: a task's one, or those a stage over
     /// key ranges reads by range.
@@ -128,13 +147,13 @@ impl<'p> Stage<'p> {
     /// Whether it is the task of a scan-fed chain nothing above joined: the
     /// chain's topmost node is the stage's.
     pub fn is_chain_own(&self) -> bool {
-        matches!(self.source, Source::Task(_, chain) if chain == self.entry.node_id)
+        matches!(self.source, Source::Task(_, chain) if chain == self.node_id)
     }
 
     /// Whether it is a partition pass: its rounds are its events.
     pub fn is_pass(&self) -> bool {
         matches!(
-            self.entry.label.stage,
+            self.label().stage,
             "join.partition-build" | "join.partition-probe" | "groupby.partition"
         )
     }
@@ -196,17 +215,14 @@ impl<'p> Lowering<'p, '_> {
     ) -> u32 {
         let id = self.stages.len() as u32;
         let mut stage = Stage {
-            entry: Entry {
-                id,
-                node_id,
-                depth,
-                label: OpName::of(""),
-            },
+            id,
+            node_id,
+            depth,
+            optional: false,
             node,
             fanouts,
             source,
             reads,
-            optional: false,
             limit: None,
             fit: None,
             pass_tile: None,
@@ -216,7 +232,6 @@ impl<'p> Lowering<'p, '_> {
         let fit = budget::task_tile(tile, decls, dmem);
         let last = decls.last().map(std::slice::from_ref).unwrap_or_default();
         let alone = budget::task_tile(tile, last, dmem).map(|(tile, _)| tile);
-        stage.entry.label = last.first().map_or(stage.entry.label, |d| d.name);
         stage.fit = fit;
         stage.pass_tile = alone.filter(|_| stage.is_pass());
         self.stages.push(stage);
@@ -498,7 +513,7 @@ pub fn first_stage<'p>(
         let (mut task, widths) = input.scan_chain().ok_or_else(bad)?.task(catalog)?;
         let (name, op) = match node {
             PlanNode::GroupBy { keys, aggs, .. } => {
-                task.takes = Takes::Groups { keys, aggs };
+                task.takes = Takes::Groups(node);
                 (
                     "groupby.ranged",
                     task::group_consume_decl(keys, aggs, &widths, dmem),
@@ -539,11 +554,9 @@ pub fn first_stage<'p>(
     task.takes = match node {
         PlanNode::TopK { .. } | PlanNode::Sort { .. } => Takes::Writes,
         PlanNode::GroupBy {
-            keys,
-            aggs,
             strategy: GroupStrategy::OnTheFly { .. },
             ..
-        } => Takes::Groups { keys, aggs },
+        } => Takes::Groups(node),
         _ => Takes::Reads,
     };
     Ok(Some(First::Task(task)))

@@ -178,7 +178,7 @@ impl PlanNode {
 /// input columns stream past it, each once however many aggregates read it.
 pub fn group_consume_decl(
     keys: &[usize],
-    aggs: &[crate::plan::AggSpec],
+    aggs: &[AggSpec],
     widths: &[usize],
     dmem_bytes: usize,
 ) -> OpDecl<'static> {
@@ -273,7 +273,7 @@ pub struct Task<'p> {
 }
 
 /// How the last operator of a task takes the rows the chain hands on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Takes<'p> {
     /// It writes every column of them into vectors of its own: the chain's
     /// end where the chain is a task by itself, a top-k heap, a local sort.
@@ -282,13 +282,8 @@ pub enum Takes<'p> {
     /// broadcast join's probe.
     Reads,
     /// A group table reads the keys and the aggregate inputs of them where
-    /// they lie.
-    Groups {
-        /// The key columns.
-        keys: &'p [usize],
-        /// The aggregates, whose inputs it reads.
-        aggs: &'p [AggSpec],
-    },
+    /// they lie: those of the group-by it holds.
+    Groups(&'p PlanNode),
 }
 
 /// What the operators of a task do with the rows its scan keeps, as the
@@ -379,9 +374,10 @@ impl Task<'_> {
                 0
             }
             Takes::Reads => tiles(top, &|_| true),
-            Takes::Groups { keys, aggs } => tiles(top, &|c| {
+            Takes::Groups(PlanNode::GroupBy { keys, aggs, .. }) => tiles(top, &|c| {
                 keys.contains(&c) || aggs.iter().any(|a| a.col == c)
             }),
+            Takes::Groups(_) => 0,
         };
         if read > 0 {
             kept.reads.push(read);

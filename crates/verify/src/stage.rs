@@ -156,9 +156,9 @@ impl Walker<'_> {
     /// before its own.
     fn stages(&mut self, list: &[Stage<'_>]) {
         for (k, stage) in list.iter().enumerate() {
-            let id = stage.entry.node_id as usize;
+            let id = stage.node_id as usize;
             let path = std::mem::take(&mut self.report.stages[k].path);
-            let of_node = |s: &&Stage<'_>| s.entry.node_id == stage.entry.node_id;
+            let of_node = |s: &&Stage<'_>| s.node_id == stage.node_id;
             let first_pass = !list[..k].iter().filter(of_node).any(|s| s.is_pass());
             if stage.is_pass() && first_pass && stage.node.ranged_scheme().is_none() {
                 // The widest row streaming through the node's passes.
@@ -257,10 +257,10 @@ fn row(stage: &Stage<'_>, catalog: &Catalog, ctx: &ExecContext) -> StageReport {
         _ => None,
     };
     StageReport {
-        entry_id: stage.entry.id,
-        node_id: stage.entry.node_id as usize,
+        entry_id: stage.id,
+        node_id: stage.node_id as usize,
         path: String::new(),
-        stage: stage.entry.label.to_string(),
+        stage: stage.label().to_string(),
         operators,
         state_bytes,
         stream_bytes_per_row: per_row,

@@ -91,7 +91,7 @@ fn small_stages_run_on_every_core_and_return_the_same_rows() {
                 // probe side (a broadcast probe holds its own copy).
                 let reads_a_filter = e.filter.is_some() && label != "join.probe";
                 let stage = &list[e.entry_id as usize];
-                assert_eq!(stage.entry.label.to_string(), label, "{name} at sf {sf}");
+                assert_eq!(stage.label().to_string(), label, "{name} at sf {sf}");
                 // A task's first round; the rounds after it are over batches.
                 let task = task_of(stage, &catalog).filter(|_| e.scan.is_some());
                 if let Some((own, rows)) = task {

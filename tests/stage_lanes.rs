@@ -93,7 +93,6 @@ fn is_partitioned_join_stage(e: &StageEvent) -> bool {
     )
 }
 
-/// Nodes of `plan` in the pre-order the tracer numbers them in.
 /// The scheme `node` declares for its partition passes, if it runs any: a
 /// join's — one pass an input it does not read by range — or a partitioned
 /// group-by's.
@@ -108,6 +107,7 @@ fn partition_scheme(node: &PlanNode) -> Option<&[usize]> {
     }
 }
 
+/// Nodes of `plan` in the pre-order the tracer numbers them in.
 fn pre_order<'a>(plan: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
     out.push(plan);
     plan.inputs().for_each(|child| pre_order(child, out));
@@ -845,7 +845,7 @@ fn a_pair_table_holds_no_more_dmem_than_its_stage_declares() {
             for e in sink.take().iter().filter(|e| e.operator == "join.pairs") {
                 pairs += 1;
                 let entry = &list[e.entry_id as usize];
-                assert_eq!(entry.entry.label.to_string(), e.operator, "{name}");
+                assert_eq!(entry.label().to_string(), e.operator, "{name}");
                 let declared = budget::task_state(entry.decls()) as u64;
                 assert!(
                     e.dmem_peak_bytes <= declared,

@@ -64,7 +64,7 @@ fn run_listed(
 
     let mut at = 0;
     for stage in &list {
-        let entry = stage.entry;
+        let entry = stage.entry();
         // A stage reads what stages before it handed on or wrote.
         let read = stage.reads;
         assert!(
@@ -115,11 +115,11 @@ fn run_listed(
         .iter()
         .map(|s| (s.entry_id, s.node_id, s.stage.as_str()))
         .collect();
-    let labels: Vec<String> = list.iter().map(|s| s.entry.label.to_string()).collect();
+    let labels: Vec<String> = list.iter().map(|s| s.label().to_string()).collect();
     let entries: Vec<(u32, usize, &str)> = list
         .iter()
         .zip(&labels)
-        .map(|(s, label)| (s.entry.id, s.entry.node_id as usize, label.as_str()))
+        .map(|(s, label)| (s.id, s.node_id as usize, label.as_str()))
         .collect();
     assert_eq!(rows, entries, "{name}");
 
